@@ -34,6 +34,7 @@ import (
 	"mcauth/internal/stats"
 	"mcauth/internal/stream"
 	"mcauth/internal/transport"
+	"mcauth/internal/verifier"
 )
 
 // --- Figures -------------------------------------------------------------
@@ -465,6 +466,188 @@ func BenchmarkVerifyServing(b *testing.B) {
 					b.Fatalf("authenticated %d of %d", authed, k*n)
 				}
 			}
+		})
+	}
+}
+
+// servePacket is one wire packet of the BenchmarkServeLoop trace.
+type servePacket struct {
+	stream uint64
+	p      *packet.Packet
+}
+
+// serveLoopTrace builds what an mcserved subscriber reads: `rounds` blocks
+// of n 256-byte messages on each of `streams` streams (mixed emss / rohatgi
+// / authtree / signeach by stream id), every deferrable root signed through
+// crypto.BatchSign in batches of up to 64, round by round, stream by stream.
+func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []servePacket) {
+	b.Helper()
+	signer := crypto.BatchCapable(crypto.NewSignerFromString("bench"))
+	schemes := make([]scheme.Scheme, streams)
+	for id := range schemes {
+		var err error
+		switch id % 4 {
+		case 0:
+			schemes[id], err = emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
+		case 1:
+			schemes[id], err = rohatgi.New(n, signer)
+		case 2:
+			schemes[id], err = authtree.New(n, signer)
+		default:
+			schemes[id], err = signeach.New(n, signer)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var (
+		trace []servePacket
+		roots []*scheme.PendingRoot
+	)
+	attach := func() {
+		contents := make([][]byte, len(roots))
+		for i, pr := range roots {
+			contents[i] = pr.Content
+		}
+		blobs, err := crypto.BatchSign(signer, contents)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, pr := range roots {
+			pr.Attach(blobs[i])
+		}
+		roots = roots[:0]
+	}
+	for blk := 0; blk < rounds; blk++ {
+		for id, s := range schemes {
+			// Distinct content per stream and block, or identical signeach
+			// signatures would collapse in the signature cache.
+			payloads := benchPayloads(n, 256)
+			for _, pl := range payloads {
+				pl[1], pl[2] = byte(id), byte(blk)
+			}
+			var (
+				pkts []*packet.Packet
+				err  error
+			)
+			if da, ok := s.(scheme.DeferredAuthenticator); ok {
+				var pr *scheme.PendingRoot
+				pkts, pr, err = da.AuthenticateDeferred(uint64(blk), payloads)
+				roots = append(roots, pr)
+			} else {
+				pkts, err = s.Authenticate(uint64(blk), payloads)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, p := range pkts {
+				trace = append(trace, servePacket{uint64(id), p})
+			}
+			if len(roots) == crypto.MaxBatch {
+				attach()
+			}
+		}
+	}
+	if len(roots) > 0 {
+		attach()
+	}
+	return schemes, trace
+}
+
+// BenchmarkServeLoop is the receive loop of mcserved's receiverSession, per
+// packet: Demux.Ingest, a queue Resolve every 32nd packet, DrainDeferred
+// after every packet — with 64 live blocks on every stream, the shared
+// cache and the batch-verify queue at the daemon's defaults. One op is one
+// packet. streams=64 must cost what streams=8 costs: the receiver's
+// accounting does no per-packet work over live blocks or streams.
+// (BenchmarkVerifyServing drains once per 512 packets and cannot see that.)
+func BenchmarkServeLoop(b *testing.B) {
+	const (
+		n           = 8
+		live        = 64 // receiverSession's stream.NewReceiver(s, 64)
+		timedRounds = 16
+		verifyBatch = 32   // -verify-batch
+		verifyCache = 1024 // -verify-cache
+	)
+	for _, streams := range []int{8, 64} {
+		var (
+			schemes []scheme.Scheme
+			trace   []servePacket
+		)
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			if trace == nil { // built once, not once per b.N ramp step
+				schemes, trace = serveLoopTrace(b, streams, n, live+timedRounds)
+			}
+			warm := streams * n * live
+			at := time.Unix(0, 0)
+			var (
+				dmx         *stream.Demux
+				q           *crypto.BatchVerifyQueue
+				fed, authed int
+			)
+			step := func(sp servePacket) {
+				auths, err := dmx.Ingest(sp.stream, sp.p, at)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fed++
+				if fed%verifyBatch == 0 && q.Pending() > 0 {
+					q.Resolve()
+				}
+				authed += len(auths) + len(dmx.DrainDeferred())
+			}
+			settle := func() {
+				q.Resolve()
+				authed += len(dmx.DrainDeferred())
+				// Only the block the pass stopped inside may be waiting
+				// for its signature packet.
+				if authed > fed || fed-authed >= n {
+					b.Fatalf("authenticated %d of %d packets", authed, fed)
+				}
+			}
+			// restart opens a fresh demux with the first `live` rounds
+			// already ingested, so every timed packet meets 64 live blocks
+			// per stream.
+			restart := func() {
+				var err error
+				dmx, err = stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
+					return stream.NewReceiver(schemes[id], live)
+				}, streams)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cache, err := verifier.NewSharedCache(verifyCache)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sig, err := crypto.NewSigCache(verifyCache)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if q, err = crypto.NewBatchVerifyQueue(verifyBatch, sig); err != nil {
+					b.Fatal(err)
+				}
+				dmx.SetVerifyFastPath(cache, q)
+				fed, authed = 0, 0
+				for _, sp := range trace[:warm] {
+					step(sp)
+				}
+			}
+			restart()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, next := 0, warm; i < b.N; i, next = i+1, next+1 {
+				if next == len(trace) {
+					b.StopTimer()
+					settle()
+					restart()
+					next = warm
+					b.StartTimer()
+				}
+				step(trace[next])
+			}
+			b.StopTimer()
+			settle()
 		})
 	}
 }

@@ -49,17 +49,19 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 
 # Verify fast-path tier: the zero-alloc guards (AllocsPerRun on the
 # ...Into/scratch/cached paths — they skip under -race, so this is their
-# only enforced run), then the verify benchmarks at a fixed iteration
-# count with allocs/op ceilings. The ceilings mirror
+# only enforced run), then the verify benchmarks and the daemon's per-packet
+# receive loop (BenchmarkServeLoop: one op is one packet) at a fixed
+# iteration count with allocs/op ceilings. The ceilings mirror
 # lab/baselines.json bench_alloc_ceilings but fire pre-commit, without
-# needing a committed snapshot.
+# needing a committed snapshot. Timing is not gated.
 go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto
-go test -run='^$' -bench='BenchmarkVerify($|/)' -benchtime=100x -benchmem . \
+go test -run='^$' -bench='Benchmark(Verify|ServeLoop)($|/)' -benchtime=100x -benchmem . \
 	| awk '
-		/^BenchmarkVerify/ {
+		/^Benchmark(Verify|ServeLoop)/ {
 			for (i = 3; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i
 			ceil = 320
 			if ($1 ~ /tesla/) ceil = 80
+			if ($1 ~ /ServeLoop/) ceil = 16
 			if (allocs + 0 > ceil) {
 				printf "verify-bench gate: %s at %s allocs/op exceeds ceiling %d\n", $1, allocs, ceil
 				bad = 1

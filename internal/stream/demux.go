@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -39,9 +40,13 @@ type Demux struct {
 	newReceiver func(streamID uint64) (*Receiver, error)
 	maxStreams  int
 	receivers   map[uint64]*Receiver
-	lastActive  map[uint64]int64 // tick of most recent packet, for eviction
-	tick        int64
-	totals      DemuxTotals
+	// order lists the live streams by first contact. Cross-stream walks
+	// (DrainDeferred, evictColdest) follow it, never map order, so one
+	// trace always yields one event sequence.
+	order      []liveStream
+	lastActive map[uint64]int64 // tick of most recent packet, for eviction
+	tick       int64
+	totals     DemuxTotals
 	// Receiver fast path, applied to every receiver the factory creates
 	// from now on (see SetVerifyFastPath).
 	cache  *verifier.SharedCache
@@ -49,6 +54,12 @@ type Demux struct {
 	// spans, when attached, is handed to every new receiver keyed by its
 	// stream ID (see Receiver.SetSpans).
 	spans *obs.SpanRing
+}
+
+// liveStream is one entry of Demux.order.
+type liveStream struct {
+	id uint64
+	r  *Receiver
 }
 
 // NewDemux creates a demultiplexer keeping at most maxStreams live
@@ -90,13 +101,14 @@ func (d *Demux) SetSpans(r *obs.SpanRing) {
 }
 
 // DrainDeferred collects messages authenticated by deferred batch-verify
-// verdicts across all live streams (see Receiver.DrainDeferred); call it
-// after resolving the batch-verify queue directly.
+// verdicts across all live streams (see Receiver.DrainDeferred), stream by
+// stream in first-contact order; call it after resolving the batch-verify
+// queue directly.
 func (d *Demux) DrainDeferred() []StreamAuthenticated {
 	var out []StreamAuthenticated
-	for id, r := range d.receivers {
-		for _, a := range r.DrainDeferred() {
-			out = append(out, StreamAuthenticated{StreamID: id, Authenticated: a})
+	for _, s := range d.order {
+		for _, a := range s.r.DrainDeferred() {
+			out = append(out, StreamAuthenticated{StreamID: s.id, Authenticated: a})
 		}
 	}
 	return out
@@ -164,6 +176,7 @@ func (d *Demux) receiver(streamID uint64) (*Receiver, error) {
 		r.SetSpans(d.spans, streamID)
 	}
 	d.receivers[streamID] = r
+	d.order = append(d.order, liveStream{streamID, r})
 	d.lastActive[streamID] = d.tick
 	for len(d.receivers) > d.maxStreams {
 		d.evictColdest()
@@ -172,18 +185,13 @@ func (d *Demux) receiver(streamID uint64) (*Receiver, error) {
 }
 
 func (d *Demux) evictColdest() {
-	var (
-		coldest  uint64
-		coldTick int64
-		havePick bool
-	)
-	for id, t := range d.lastActive {
-		if !havePick || t < coldTick {
-			coldest, coldTick, havePick = id, t, true
+	coldest := d.order[0].id
+	for _, s := range d.order[1:] {
+		if d.lastActive[s.id] < d.lastActive[coldest] {
+			coldest = s.id
 		}
 	}
-	delete(d.receivers, coldest)
-	delete(d.lastActive, coldest)
+	d.Close(coldest)
 	d.totals.EvictedStreams++
 }
 
@@ -200,6 +208,7 @@ func (d *Demux) Close(streamID uint64) bool {
 	}
 	delete(d.receivers, streamID)
 	delete(d.lastActive, streamID)
+	d.order = slices.DeleteFunc(d.order, func(s liveStream) bool { return s.id == streamID })
 	return true
 }
 

@@ -159,7 +159,10 @@ type Receiver struct {
 	// verifier that supports scheme.BufferBounded, so one flooded block
 	// cannot grow memory without bound.
 	maxBufferedPerBlock int
-	totals              Totals
+	// totals holds the receiver-level counters plus the folded stats of
+	// every retired block verifier (see retireVerifier); live verifiers are
+	// added on demand by Totals, never pushed here per packet.
+	totals Totals
 	// Receiver fast path (see SetSharedVerifyCache / SetBatchVerify):
 	// cache and batchQ are applied to every new block verifier that
 	// supports the corresponding scheme interface.
@@ -171,12 +174,6 @@ type Receiver struct {
 	// records the park/resolve/authenticate/reject tail of the trace.
 	spans      *obs.SpanRing
 	spanStream uint64
-	// lastStats snapshots each live verifier's counters at the last fold
-	// into totals. Deferred verdicts mutate verifier stats outside Ingest
-	// (and possibly in a different block than the packet being ingested),
-	// so totals are synced by delta against these snapshots rather than a
-	// before/after pair around one Ingest call.
-	lastStats map[uint64]verifier.Stats
 	// deferredOut accumulates messages authenticated by deferred batch
 	// verdicts; Ingest drains it into its return value, and DrainDeferred
 	// collects verdicts delivered by an explicit queue Resolve.
@@ -207,7 +204,6 @@ func NewReceiver(s scheme.Scheme, maxBlocks int) (*Receiver, error) {
 		maxBlocks: maxBlocks,
 		verifiers: make(map[uint64]scheme.Verifier),
 		closed:    make(map[uint64]bool),
-		lastStats: make(map[uint64]verifier.Stats),
 	}, nil
 }
 
@@ -249,9 +245,6 @@ func (r *Receiver) SetSpans(ring *obs.SpanRing, streamID uint64) {
 func (r *Receiver) DrainDeferred() []Authenticated {
 	out := r.deferredOut
 	r.deferredOut = nil
-	if r.batchQ != nil {
-		r.syncAllStats()
-	}
 	return out
 }
 
@@ -340,21 +333,10 @@ func (r *Receiver) Ingest(p *packet.Packet, at time.Time) ([]Authenticated, erro
 		r.order = append(r.order, p.BlockID)
 		r.evictIfNeeded()
 	}
-	var resolvesBefore int64
-	if r.batchQ != nil {
-		resolvesBefore = r.batchQ.Totals().Resolves
-	}
 	events, err := v.Ingest(p, at)
 	if err != nil {
 		r.totals.InvalidPackets++
 		return nil, nil
-	}
-	if r.batchQ != nil && r.batchQ.Totals().Resolves != resolvesBefore {
-		// An auto-resolve fired during this Ingest; verdicts may have
-		// mutated stats of other blocks' verifiers too.
-		r.syncAllStats()
-	} else {
-		r.syncStats(p.BlockID, v)
 	}
 	out := make([]Authenticated, 0, len(events))
 	for _, e := range events {
@@ -371,24 +353,6 @@ func (r *Receiver) Ingest(p *packet.Packet, at time.Time) ([]Authenticated, erro
 		r.deferredOut = nil
 	}
 	return out, nil
-}
-
-// syncStats folds one live verifier's counter growth since the last fold
-// into the lifetime totals.
-func (r *Receiver) syncStats(blockID uint64, v scheme.Verifier) {
-	last := r.lastStats[blockID]
-	st := v.Stats()
-	r.totals.Rejected += st.Rejected - last.Rejected
-	r.totals.Unsafe += st.Unsafe - last.Unsafe
-	r.totals.Duplicates += st.Duplicates - last.Duplicates
-	r.totals.CacheHits += st.CacheHits - last.CacheHits
-	r.lastStats[blockID] = st
-}
-
-func (r *Receiver) syncAllStats() {
-	for id, v := range r.verifiers {
-		r.syncStats(id, v)
-	}
 }
 
 // ResumeFrom returns the block ID a reconnecting receiver should request
@@ -415,15 +379,31 @@ func (r *Receiver) evictIfNeeded() {
 	}
 }
 
-// retireVerifier folds a departing block verifier's latency histogram
-// into the lifetime totals before dropping its state.
+// fold adds one block verifier's lifetime counters to the totals.
+func (t *Totals) fold(st *verifier.Stats) {
+	t.Rejected += st.Rejected
+	t.Unsafe += st.Unsafe
+	t.Duplicates += st.Duplicates
+	t.CacheHits += st.CacheHits
+	t.TimeToAuth.Merge(st.TimeToAuth)
+}
+
+// retireVerifier folds a departing block verifier's stats into the lifetime
+// totals, exactly once, before dropping its state. Verdicts still parked in
+// the batch-verify queue are settled first: once the verifier is gone
+// nothing would count them.
 func (r *Receiver) retireVerifier(blockID uint64) {
-	if v, ok := r.verifiers[blockID]; ok {
-		r.syncStats(blockID, v)
-		r.totals.TimeToAuth.Merge(v.Stats().TimeToAuth)
+	v, ok := r.verifiers[blockID]
+	if !ok {
+		return
 	}
+	st := v.Stats()
+	if st.PendingSignature > 0 && r.batchQ != nil {
+		r.batchQ.Resolve()
+		st = v.Stats()
+	}
+	r.totals.fold(&st)
 	delete(r.verifiers, blockID)
-	delete(r.lastStats, blockID)
 }
 
 func (r *Receiver) markClosed(blockID uint64) {
@@ -473,16 +453,16 @@ func (r *Receiver) Starved() []uint64 {
 	return out
 }
 
-// Totals returns the receiver's lifetime counters. The latency histogram
-// covers retired blocks plus the live verifiers' state at call time.
+// Totals returns the receiver's lifetime counters: its own, the retired
+// blocks' folded stats, and one read of every live verifier at call time.
+// It does not change the receiver.
 func (r *Receiver) Totals() Totals {
-	r.syncAllStats()
 	t := r.totals
 	t.ActiveBlocks = len(r.verifiers)
 	for _, v := range r.verifiers {
 		st := v.Stats()
+		t.fold(&st)
 		t.PendingSignature += st.PendingSignature
-		t.TimeToAuth.Merge(st.TimeToAuth)
 	}
 	return t
 }

@@ -134,6 +134,12 @@ func TestNACKRecoversDroppedSignature(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("block never authenticated: NACK recovery did not happen")
 	}
+	// Both counters are bumped just after the socket write that caused the
+	// recovery, so the block can authenticate a moment before they move.
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && (l.NACKsSent() == 0 || responder.Served() == 0) {
+		time.Sleep(time.Millisecond)
+	}
 	if l.NACKsSent() == 0 {
 		t.Error("listener reports no NACKs sent")
 	}

@@ -296,7 +296,7 @@ func BenchmarkVerify(b *testing.B) {
 				// Verifier construction is setup, not the measured
 				// receiver-side verification cost.
 				b.StopTimer()
-				v, err := s.NewVerifier()
+				v, err := s.NewVerifier(verifier.Env{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -330,22 +330,18 @@ func BenchmarkVerifySpanOverhead(b *testing.B) {
 			for w := range pkts {
 				at[w] = time.Unix(0, 0).Add(time.Duration(w)*time.Millisecond + time.Microsecond)
 			}
-			ring := obs.NewSpanRing(obs.DefaultSpanCapacity)
+			var env verifier.Env
+			if mode == "disabled" {
+				env = verifier.Env{Spans: obs.NewSpanRing(obs.DefaultSpanCapacity), StreamID: 1}
+			}
 			b.SetBytes(int64(s.BlockSize() * 512))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				v, err := s.NewVerifier()
+				v, err := s.NewVerifier(env)
 				if err != nil {
 					b.Fatal(err)
-				}
-				if mode == "disabled" {
-					sa, ok := v.(scheme.SpanAware)
-					if !ok {
-						b.Fatal("emss verifier lost its SpanAware implementation")
-					}
-					sa.SetSpans(ring, 1)
 				}
 				b.StartTimer()
 				for w, p := range pkts {
@@ -382,7 +378,7 @@ func BenchmarkVerifyServing(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				v, err := s.NewVerifier()
+				v, err := s.NewVerifier(verifier.Env{})
 				if err != nil {
 					b.Fatal(err)
 				}

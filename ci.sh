@@ -44,7 +44,7 @@ test -s "$diagdir/rep.json"
 test -s "$diagdir/rep.json.md"
 
 # Perf tier: compile and run every benchmark once so the bench harness
-# cannot bit-rot; real measurements come from scripts/bench.sh.
+# cannot bit-rot; real measurements come from `go run ./benchmark`.
 go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 
 # Verify fast-path tier: the zero-alloc guards (AllocsPerRun on the
@@ -145,3 +145,30 @@ diff "$labdir/overlay-w1.json" "$labdir/overlay-w8.json"
 # and the aggregate figure. Informational only — no threshold is enforced.
 go test -short -count=1 -coverprofile="$diagdir/cover.out" ./...
 go tool cover -func="$diagdir/cover.out" | tail -n 1
+
+# LOC tier: net Go lines of this change against its parent commit, non-test
+# and test summed separately — the figure a simplicity PR reports in
+# CHANGES.md, computed the same way every time. Test means _test.go files
+# plus internal/schemetest: the shared conformance checks take a *testing.T
+# but cannot live in _test.go files, which other packages cannot import
+# (non-test code uses only its Payloads generator). A dirty tree is measured
+# against HEAD (untracked files count as added), a clean one against
+# HEAD~1. Informational only: no threshold, and no failure when there is
+# no parent to compare with.
+loc_base=HEAD
+if git diff --quiet HEAD -- '*.go' 2>/dev/null &&
+	[ -z "$(git ls-files --others --exclude-standard -- '*.go' 2>/dev/null)" ]; then
+	loc_base=HEAD~1
+fi
+{
+	git diff --numstat "$loc_base" -- '*.go'
+	git ls-files --others --exclude-standard -- '*.go' | while read -r f; do
+		printf '%s\t0\t%s\n' "$(wc -l <"$f")" "$f"
+	done
+} 2>/dev/null | awk -v base="$loc_base" '
+	{ net = $1 - $2; if ($3 ~ /_test\.go$|^internal\/schemetest\//) test += net; else code += net; seen = 1 }
+	END {
+		if (seen) printf "net Go LOC vs %s: non-test %+d, test %+d\n", base, code, test
+		else print "net Go LOC: nothing to compare (no parent commit or no Go change)"
+	}
+'

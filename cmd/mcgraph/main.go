@@ -28,6 +28,7 @@ import (
 	"mcauth/internal/scheme/rohatgi"
 	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 func main() {
@@ -189,17 +190,13 @@ func replay(s scheme.Scheme, tracePath, metricsPath string) error {
 	if err != nil {
 		return err
 	}
-	v, err := s.NewVerifier()
+	env := verifier.Env{Metrics: reg}
+	if tracer != nil {
+		env.Tracer = obs.ReceiverTracer{T: tracer, Receiver: 0}
+	}
+	v, err := s.NewVerifier(env)
 	if err != nil {
 		return err
-	}
-	if in, ok := v.(obs.Instrumented); ok {
-		if tracer != nil {
-			in.SetTracer(obs.ReceiverTracer{T: tracer, Receiver: 0})
-		}
-		if reg != nil {
-			in.SetMetrics(reg)
-		}
 	}
 	start := time.Unix(0, 0)
 	if tracer != nil {

@@ -21,7 +21,7 @@ func ExampleNewEMSS() {
 		fmt.Println(err)
 		return
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(mcauth.VerifierEnv{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -17,6 +17,7 @@ import (
 	"mcauth/internal/depgraph"
 	"mcauth/internal/scheme"
 	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		return err
 	}

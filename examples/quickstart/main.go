@@ -41,7 +41,7 @@ func run() error {
 
 	// The receiver: drop packets 4 and 5 (a small burst), tamper with
 	// packet 7, deliver the rest in order.
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(mcauth.VerifierEnv{})
 	if err != nil {
 		return err
 	}

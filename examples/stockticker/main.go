@@ -81,7 +81,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(mcauth.VerifierEnv{})
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 // chaosScheme pairs a scheme with the wiring netsim needs to drive it.
@@ -152,7 +153,7 @@ func TestForgedBeforeGenuineIsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ type Config struct {
 	// the run seed, so adversarial runs stay reproducible.
 	Faults *fault.Config
 	// MaxBuffered, when > 0, caps every receiver verifier's pending-
-	// packet buffer (via scheme.BufferBounded) so adversarial floods
+	// packet buffer (verifier.Env.MaxBuffered) so adversarial floods
 	// cannot grow memory without bound.
 	MaxBuffered int
 	// LateJoiners is how many of the Receivers join mid-stream (the
@@ -579,20 +579,9 @@ func runReceiver(
 	// Deliver in arrival order: jitter reorders packets naturally.
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at.Before(arrivals[j].at) })
 
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Tracer: tracer, Metrics: cfg.Metrics})
 	if err != nil {
 		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
-	}
-	if in, ok := v.(obs.Instrumented); ok {
-		if tracer != nil {
-			in.SetTracer(tracer)
-		}
-		if cfg.Metrics != nil {
-			in.SetMetrics(cfg.Metrics)
-		}
-	}
-	if bb, ok := v.(scheme.BufferBounded); ok && cfg.MaxBuffered > 0 {
-		bb.SetMaxBuffered(cfg.MaxBuffered)
 	}
 	arrivedAt := make(map[uint32]time.Time, len(arrivals))
 	maxWireSeen := -1

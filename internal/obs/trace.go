@@ -257,11 +257,3 @@ func TimeNS(at time.Time) int64 {
 	}
 	return at.UnixNano()
 }
-
-// Instrumented is implemented by components (verifiers, readers) that
-// accept observability wiring after construction — needed where factories
-// like scheme.NewVerifier cannot thread options through.
-type Instrumented interface {
-	SetTracer(t Tracer)
-	SetMetrics(m *Registry)
-}

@@ -1,14 +1,18 @@
 package packet
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"mcauth/internal/crypto"
 )
 
 // FuzzDecode exercises the wire decoder with adversarial bytes: it must
-// never panic, and any successfully decoded packet must re-encode to an
-// equivalent structure (decode/encode/decode stability).
+// never panic, any successfully decoded packet must re-encode to an
+// equivalent structure (decode/encode/decode stability), and decoding into
+// a dirty, previously used Packet must yield the same fields as decoding
+// into a fresh one (no residue of the previous decode survives).
 func FuzzDecode(f *testing.F) {
 	// Seed with valid encodings of representative packets.
 	seeds := []*Packet{
@@ -34,10 +38,28 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 
+	// dirty is reused across inputs, so it arrives holding whatever the
+	// previous accepted (or half-parsed rejected) input left in it.
+	dirty := &Packet{
+		BlockID: 99, Index: 99, KeyIndex: 99, DisclosedKeyIndex: 99,
+		Payload:      []byte("stale payload"),
+		Hashes:       []HashRef{{TargetIndex: 9, Digest: crypto.HashBytes([]byte("stale"))}, {TargetIndex: 8}},
+		Signature:    []byte("stale signature"),
+		MAC:          []byte("stale mac"),
+		DisclosedKey: []byte("stale key"),
+	}
+
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		p, err := Decode(wire)
+		intoErr := DecodeInto(dirty, wire)
+		if (err == nil) != (intoErr == nil) {
+			t.Fatalf("Decode error %v, DecodeInto error %v", err, intoErr)
+		}
 		if err != nil {
 			return // malformed input must simply be rejected
+		}
+		if !sameFields(p, dirty) {
+			t.Fatalf("DecodeInto a used packet = %+v\nDecode = %+v", dirty, p)
 		}
 		reWire, err := p.Encode()
 		if err != nil {
@@ -57,4 +79,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("decode/encode/decode changed authentication fields")
 		}
 	})
+}
+
+// sameFields compares two packets field for field, treating nil and empty
+// slices alike (DecodeInto keeps capacity where Decode leaves nil).
+func sameFields(a, b *Packet) bool {
+	return a.BlockID == b.BlockID && a.Index == b.Index && a.KeyIndex == b.KeyIndex &&
+		a.DisclosedKeyIndex == b.DisclosedKeyIndex &&
+		bytes.Equal(a.Payload, b.Payload) && bytes.Equal(a.Signature, b.Signature) &&
+		bytes.Equal(a.MAC, b.MAC) && bytes.Equal(a.DisclosedKey, b.DisclosedKey) &&
+		slices.Equal(a.Hashes, b.Hashes)
 }

@@ -61,7 +61,7 @@ func (p *Packet) contentSize() int {
 // portion of the packet: everything except the signature, MAC and disclosed
 // key (which authenticate the content, or are authenticated separately).
 func (p *Packet) ContentBytes() []byte {
-	return p.appendContent(make([]byte, 0, p.contentSize()))
+	return p.AppendContent(make([]byte, 0, p.contentSize()))
 }
 
 // AppendContent appends the authenticated-content encoding to buf (which
@@ -69,11 +69,6 @@ func (p *Packet) ContentBytes() []byte {
 // counterpart of ContentBytes for verify hot paths that reuse one buffer
 // across packets.
 func (p *Packet) AppendContent(buf []byte) []byte {
-	return p.appendContent(buf)
-}
-
-// appendContent appends the authenticated-content encoding to buf.
-func (p *Packet) appendContent(buf []byte) []byte {
 	var scratch [8]byte
 	binary.BigEndian.PutUint64(scratch[:], p.BlockID)
 	buf = append(buf, scratch[:8]...)
@@ -142,7 +137,7 @@ func (p *Packet) AppendEncode(buf []byte) ([]byte, error) {
 			return buf, fmt.Errorf("packet: auth field %d exceeds %d bytes", len(blob), MaxBlobSize)
 		}
 	}
-	buf = p.appendContent(buf)
+	buf = p.AppendContent(buf)
 	buf = appendBlob(buf, p.Signature)
 	buf = appendBlob(buf, p.MAC)
 	buf = appendBlob(buf, p.DisclosedKey)
@@ -195,24 +190,6 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (d *decoder) blob(limit int) ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > limit {
-		return nil, fmt.Errorf("packet: field length %d exceeds limit %d", n, limit)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	raw, err := d.bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), raw...), nil
-}
-
 // blobInto decodes a length-prefixed field into dst's capacity, growing
 // only when the field outgrows it. Empty fields return dst truncated to
 // zero length (nil stays nil), so callers must test emptiness with len.
@@ -235,8 +212,8 @@ func (d *decoder) blobInto(dst []byte, limit int) ([]byte, error) {
 // capacity of p's existing Payload/Hashes/Signature/MAC/DisclosedKey
 // slices — the zero-allocation counterpart of Decode for hot loops that
 // consume each packet before decoding the next. The caller must not
-// retain references into the previous decode. Results match Decode except
-// that absent fields are zero-length rather than necessarily nil.
+// retain references into the previous decode. Absent fields come back
+// zero-length, and nil only if they were nil in p.
 func DecodeInto(p *Packet, wire []byte) error {
 	d := &decoder{buf: wire}
 	var err error
@@ -292,59 +269,12 @@ func DecodeInto(p *Packet, wire []byte) error {
 	return nil
 }
 
-// Decode parses wire bytes produced by Encode.
+// Decode parses wire bytes produced by Encode into a fresh Packet, whose
+// absent fields are nil.
 func Decode(wire []byte) (*Packet, error) {
-	d := &decoder{buf: wire}
-	var (
-		p   Packet
-		err error
-	)
-	if p.BlockID, err = d.u64(); err != nil {
+	p := new(Packet)
+	if err := DecodeInto(p, wire); err != nil {
 		return nil, err
 	}
-	if p.Index, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if p.KeyIndex, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if p.Payload, err = d.blob(MaxPayloadSize); err != nil {
-		return nil, err
-	}
-	nHashes, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nHashes > MaxHashes {
-		return nil, fmt.Errorf("packet: %d hashes exceed %d", nHashes, MaxHashes)
-	}
-	if nHashes > 0 {
-		p.Hashes = make([]HashRef, nHashes)
-	}
-	for i := range p.Hashes {
-		if p.Hashes[i].TargetIndex, err = d.u32(); err != nil {
-			return nil, err
-		}
-		raw, err := d.bytes(crypto.HashSize)
-		if err != nil {
-			return nil, err
-		}
-		copy(p.Hashes[i].Digest[:], raw)
-	}
-	if p.Signature, err = d.blob(MaxBlobSize); err != nil {
-		return nil, err
-	}
-	if p.MAC, err = d.blob(MaxBlobSize); err != nil {
-		return nil, err
-	}
-	if p.DisclosedKey, err = d.blob(MaxBlobSize); err != nil {
-		return nil, err
-	}
-	if p.DisclosedKeyIndex, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if d.off != len(wire) {
-		return nil, fmt.Errorf("packet: %d trailing bytes", len(wire)-d.off)
-	}
-	return &p, nil
+	return p, nil
 }

@@ -27,6 +27,14 @@ func TestConformanceC33(t *testing.T) {
 	schemetest.Conformance(t, s, schemetest.FixedClock)
 }
 
+func TestEnvConformance(t *testing.T) {
+	s, err := New(Config{N: 21, A: 3, B: 3}, crypto.NewSignerFromString("sender"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
+}
+
 func TestValidation(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
 	bad := []Config{

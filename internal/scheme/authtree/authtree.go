@@ -246,70 +246,59 @@ func (t *Tree) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packe
 var _ scheme.DeferredAuthenticator = (*Tree)(nil)
 
 // NewVerifier implements Scheme.
-func (t *Tree) NewVerifier() (scheme.Verifier, error) {
-	return &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, pub: t.signer.Public()}, nil
+func (t *Tree) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	return &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, leaves: t.leaves, pub: t.signer.Public(), env: env}, nil
 }
 
 type treeVerifier struct {
-	n     int
-	arity int
-	depth int
-	pub   crypto.Verifier
+	n      int
+	arity  int
+	depth  int
+	leaves int
+	pub    crypto.Verifier
 
 	authentic map[uint32]bool
 	stats     verifier.Stats
 
 	// Receiver fast path. Every packet of a block repeats the same root
-	// signature, so one successful signature check per recomputed root is
-	// enough: verifiedRoots remembers them (successes only — entering the
-	// memo required a real signature check over a root that binds the
-	// block ID through every leaf). The scratch fields make the per-packet
-	// path walk allocation-free.
-	verifiedRoots map[crypto.Digest]struct{}
-	children      []crypto.Digest
-	hs            crypto.HashScratch
-	rootMsg       []byte
-	vs            crypto.VerifyScratch
+	// signature and neighbouring packets share most of their path, so the
+	// verifier remembers what it has proven (Wong-Lam's receiver-side node
+	// cache): root is the root whose signature it checked, and proven the
+	// digest of every node below it that is on, or sibling to, the path of
+	// an accepted packet — leaves first, then each level. A node enters
+	// only from a walk that ended in root, and a leaf digest binds block,
+	// index and payload, so a walk that reaches a proven node has proven
+	// its payload: above it the carried siblings are compared with the
+	// table instead of hashed, and a walk that ends in root needs no
+	// signature check. The table holds one tree; a second signed root for
+	// the block (a sender reusing the ID) empties it, so its entries always
+	// hash to one another. It is allocated by the first packet accepted
+	// here rather than from the shared cache. path and hit are
+	// computeRoot's notes for remember: its own digest at each level, and
+	// the level from which they were already proven (depth+1: none). The
+	// scratch fields make the per-packet path walk allocation-free.
+	root     crypto.Digest
+	proven   []crypto.Digest
+	path     []crypto.Digest
+	hit      int
+	children []crypto.Digest
+	hs       crypto.HashScratch
+	rootMsg  []byte
+	vs       crypto.VerifyScratch
 	// pendingRoots tracks roots whose signature check is in flight on the
 	// batch-verify queue: later packets proving the same root park here and
 	// share the verdict instead of enqueueing duplicate checks.
 	pendingRoots map[crypto.Digest][]*packet.Packet
 
-	cache    *verifier.SharedCache
-	streamID uint64
-	batchQ   *crypto.BatchVerifyQueue
-	sink     func([]verifier.Event)
-	// maxBuffered caps pending-signature packets in deferred mode
-	// (0 = unbounded), mirroring verifier.WithMaxBuffered.
-	maxBuffered int
+	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
+	// signatures (only deferred mode buffers). Nothing is traced.
+	env verifier.Env
 }
 
-var (
-	_ scheme.Verifier         = (*treeVerifier)(nil)
-	_ scheme.CacheAware       = (*treeVerifier)(nil)
-	_ scheme.DeferredVerifier = (*treeVerifier)(nil)
-	_ scheme.BufferBounded    = (*treeVerifier)(nil)
-)
-
-// SetSharedCache implements scheme.CacheAware.
-func (tv *treeVerifier) SetSharedCache(c *verifier.SharedCache, streamID uint64) {
-	tv.cache = c
-	tv.streamID = streamID
-}
-
-// SetBatchVerify implements scheme.DeferredVerifier.
-func (tv *treeVerifier) SetBatchVerify(q *crypto.BatchVerifyQueue, sink func([]verifier.Event)) {
-	tv.batchQ = q
-	tv.sink = sink
-}
-
-// SetMaxBuffered implements scheme.BufferBounded (only deferred mode
-// buffers).
-func (tv *treeVerifier) SetMaxBuffered(n int) {
-	if n >= 0 {
-		tv.maxBuffered = n
-	}
-}
+var _ scheme.Verifier = (*treeVerifier)(nil)
 
 // leafDigestScratch, nodeDigestScratch and appendRootMessage are the
 // zero-allocation counterparts of leafDigest, nodeDigest and rootMessage;
@@ -346,17 +335,32 @@ func (tv *treeVerifier) appendRootMessage(blockID uint64, root crypto.Digest) []
 }
 
 // computeRoot walks the packet's sibling path up to the Merkle root,
-// reporting false for malformed paths.
+// reporting false for malformed paths. It hashes only up to the first
+// proven node; a carried sibling that differs from the table sends the
+// walk back to hashing, so the root returned is always the one the packet's
+// own path hashes to.
 func (tv *treeVerifier) computeRoot(p *packet.Packet) (crypto.Digest, bool) {
 	digest := tv.leafDigestScratch(p.BlockID, p.Index, p.Payload)
 	pos := int(p.Index) - 1
 	next := 0
 	if cap(tv.children) < tv.arity {
 		tv.children = make([]crypto.Digest, tv.arity)
+		tv.path = make([]crypto.Digest, tv.depth+1)
 	}
 	children := tv.children[:tv.arity]
-	for lvl := 0; lvl < tv.depth; lvl++ {
+	base, width := 0, tv.leaves
+	known := false
+	tv.hit = tv.depth + 1
+	for lvl := 0; ; lvl++ {
+		if !known && tv.node(lvl, base+pos) == digest {
+			known, tv.hit = true, lvl
+		}
+		tv.path[lvl] = digest
+		if lvl == tv.depth {
+			return digest, true
+		}
 		own := pos % tv.arity
+		group := base + pos - own
 		for slot := 0; slot < tv.arity; slot++ {
 			if slot == own {
 				children[slot] = digest
@@ -368,19 +372,71 @@ func (tv *treeVerifier) computeRoot(p *packet.Packet) (crypto.Digest, bool) {
 				return crypto.Digest{}, false
 			}
 			children[slot] = ref.Digest
+			known = known && tv.proven[group+slot] == ref.Digest
 		}
-		digest = tv.nodeDigestScratch(children)
+		base += width
+		width /= tv.arity
+		pos /= tv.arity
+		if known {
+			digest = tv.node(lvl+1, base+pos)
+		} else {
+			digest = tv.nodeDigestScratch(children)
+			tv.hit = tv.depth + 1
+		}
+	}
+}
+
+// node returns the proven digest of node i, on level lvl; zero, which no
+// hash equals, when there is none.
+func (tv *treeVerifier) node(lvl, i int) crypto.Digest {
+	if lvl == tv.depth {
+		return tv.root
+	}
+	if tv.proven == nil {
+		return crypto.Digest{}
+	}
+	return tv.proven[i]
+}
+
+// proveRoot makes root, whose signature was just checked, the table's root.
+func (tv *treeVerifier) proveRoot(root crypto.Digest) {
+	if tv.root != root {
+		tv.root = root
+		clear(tv.proven)
+	}
+}
+
+// remember enters the nodes of p's walk below its first proven one, and
+// their siblings, into the table. Call it only for the packet computeRoot
+// last walked, once its root is verified.
+func (tv *treeVerifier) remember(p *packet.Packet) {
+	tv.proveRoot(tv.path[tv.depth])
+	if tv.proven == nil {
+		tv.proven = make([]crypto.Digest, (tv.leaves*tv.arity-1)/(tv.arity-1)-1)
+	}
+	pos, next := int(p.Index)-1, 0
+	base, width := 0, tv.leaves
+	for lvl := 0; lvl < tv.hit && lvl < tv.depth; lvl++ {
+		tv.proven[base+pos] = tv.path[lvl]
+		own := pos % tv.arity
+		for slot := 0; slot < tv.arity; slot++ {
+			if slot != own {
+				tv.proven[base+pos-own+slot] = p.Hashes[next].Digest
+				next++
+			}
+		}
+		base += width
+		width /= tv.arity
 		pos /= tv.arity
 	}
-	return digest, true
 }
 
 // accept marks p authentic and publishes it to the shared cache.
 func (tv *treeVerifier) accept(p *packet.Packet) []verifier.Event {
 	tv.authentic[p.Index] = true
 	tv.stats.Authenticated++
-	if tv.cache != nil {
-		tv.cache.MarkAuthentic(tv.streamID, p.BlockID, tv.cache.DigestOf(p))
+	if tv.env.Cache != nil {
+		tv.env.Cache.MarkAuthentic(tv.env.StreamID, p.BlockID, tv.env.Cache.DigestOf(p))
 	}
 	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
 }
@@ -401,7 +457,7 @@ func (tv *treeVerifier) resolveRoot(p *packet.Packet, root crypto.Digest, ok boo
 			tv.stats.Rejected++
 			return
 		}
-		tv.verifiedRoots[root] = struct{}{}
+		tv.proveRoot(root)
 		events = append(events, tv.accept(pkt)...)
 	}
 	settle(p, ok)
@@ -415,8 +471,8 @@ func (tv *treeVerifier) resolveRoot(p *packet.Packet, root crypto.Digest, ok boo
 		}
 		settle(w, verified)
 	}
-	if len(events) > 0 && tv.sink != nil {
-		tv.sink(events)
+	if len(events) > 0 && tv.env.Sink != nil {
+		tv.env.Sink(events)
 	}
 }
 
@@ -434,15 +490,14 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event,
 	tv.stats.Received++
 	if tv.authentic == nil {
 		tv.authentic = make(map[uint32]bool)
-		tv.verifiedRoots = make(map[crypto.Digest]struct{})
 		tv.pendingRoots = make(map[crypto.Digest][]*packet.Packet)
 	}
 	if tv.authentic[p.Index] {
 		tv.stats.Duplicates++
 		return nil, nil
 	}
-	if tv.cache != nil {
-		if d := tv.cache.DigestOf(p); tv.cache.IsAuthentic(tv.streamID, p.BlockID, d) {
+	if tv.env.Cache != nil {
+		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
 			tv.stats.CacheHits++
 			return tv.accept(p), nil
 		}
@@ -456,12 +511,14 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event,
 		tv.stats.Rejected++
 		return nil, nil
 	}
-	if _, seen := tv.verifiedRoots[root]; seen {
+	if tv.hit <= tv.depth {
+		// The walk ended in the proven root.
+		tv.remember(p)
 		return tv.accept(p), nil
 	}
 	msg := tv.appendRootMessage(p.BlockID, root)
-	if tv.batchQ != nil {
-		if tv.maxBuffered > 0 && tv.stats.PendingSignature >= tv.maxBuffered {
+	if tv.env.BatchQ != nil {
+		if tv.env.MaxBuffered > 0 && tv.stats.PendingSignature >= tv.env.MaxBuffered {
 			tv.stats.DroppedOverflow++
 			return nil, nil
 		}
@@ -476,7 +533,7 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event,
 		tv.pendingRoots[root] = nil
 		// The queue retains the signed message; msg is reused scratch.
 		held := append([]byte(nil), msg...)
-		tv.batchQ.Enqueue(tv.pub, held, p.Signature, func(ok bool) {
+		tv.env.BatchQ.Enqueue(tv.pub, held, p.Signature, func(ok bool) {
 			tv.resolveRoot(p, root, ok)
 		})
 		return nil, nil
@@ -485,7 +542,7 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event,
 		tv.stats.Rejected++
 		return nil, nil
 	}
-	tv.verifiedRoots[root] = struct{}{}
+	tv.remember(p)
 	return tv.accept(p), nil
 }
 

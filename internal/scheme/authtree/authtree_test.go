@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/packet"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 func TestConformancePowerOfTwo(t *testing.T) {
@@ -14,6 +17,16 @@ func TestConformancePowerOfTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	schemetest.Conformance(t, s, schemetest.FixedClock)
+}
+
+// TestEnvConformance: every packet carries the root signature, so nothing
+// buffers outside deferred mode and nothing is traced.
+func TestEnvConformance(t *testing.T) {
+	s, err := New(24, crypto.NewSignerFromString("sender"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
 }
 
 func TestConformanceOddSize(t *testing.T) {
@@ -54,7 +67,7 @@ func TestEveryPacketIndependentlyVerifiable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pkts {
-		v, err := s.NewVerifier()
+		v, err := s.NewVerifier(verifier.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +109,7 @@ func TestWrongPathRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +138,7 @@ func TestTruncatedPathRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +165,7 @@ func TestPaddingCannotBeForged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +210,7 @@ func TestDuplicateCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +281,7 @@ func TestArityTamperedSiblingSlotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,4 +303,119 @@ func TestCorruptionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	schemetest.CorruptionSweep(t, s, schemetest.SweepParams{Reliable: []uint32{1}})
+}
+
+// TestProvenNodesDecideLikeColdVerifier: with the node table warmed by
+// other packets of the block, in any order, a packet is accepted exactly
+// when a verifier that has only seen one genuine packet would hash its
+// path to the signed root — genuine packets always, a packet with a
+// changed payload, index or sibling digest (at any level, however much of
+// the path below it is proven) never.
+func TestProvenNodesDecideLikeColdVerifier(t *testing.T) {
+	for _, shape := range []struct{ n, arity int }{{13, 2}, {16, 2}, {9, 3}, {20, 4}, {1, 2}} {
+		s, err := NewArity(shape.n, shape.arity, crypto.NewSignerFromString("s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts, err := s.Authenticate(7, schemetest.Payloads(shape.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(uint64(shape.n*31 + shape.arity))
+		for trial := 0; trial < 8; trial++ {
+			v, err := s.NewVerifier(verifier.Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest := func(p *packet.Packet) int {
+				evs, err := v.Ingest(p, time.Time{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(evs)
+			}
+			order := make([]int, shape.n)
+			for i := range order {
+				j := rng.Intn(i + 1)
+				order[i], order[j] = order[j], i
+			}
+			for k, at := range order {
+				p := pkts[at]
+				bad := *p
+				bad.Payload = append([]byte("x"), p.Payload...)
+				if ingest(&bad) != 0 {
+					t.Fatalf("n=%d arity=%d: changed payload accepted after %d packets", shape.n, shape.arity, k)
+				}
+				for h := range p.Hashes {
+					bad := *p
+					bad.Hashes = append(bad.Hashes[:0:0], p.Hashes...)
+					bad.Hashes[h].Digest[5] ^= 4
+					if ingest(&bad) != 0 {
+						t.Fatalf("n=%d arity=%d: changed sibling %d accepted after %d packets", shape.n, shape.arity, h, k)
+					}
+				}
+				if other := pkts[order[(k+1)%shape.n]]; other != p {
+					bad := *p
+					bad.Index = other.Index
+					if ingest(&bad) != 0 {
+						t.Fatalf("n=%d arity=%d: packet %d accepted as index %d", shape.n, shape.arity, p.Index, other.Index)
+					}
+				}
+				if ingest(p) != 1 {
+					t.Fatalf("n=%d arity=%d: genuine packet %d rejected after %d packets", shape.n, shape.arity, p.Index, k)
+				}
+			}
+			if st := v.Stats(); st.Authenticated != shape.n {
+				t.Fatalf("n=%d arity=%d: authenticated %d", shape.n, shape.arity, st.Authenticated)
+			}
+		}
+	}
+}
+
+// TestSecondSignedTreeStillVerifies: a sender that signs two different
+// blocks under one ID is at fault, but every packet still proves a signed
+// root, so all verify in any interleaving — the node table follows the
+// latest root rather than mixing nodes of two trees.
+func TestSecondSignedTreeStillVerifies(t *testing.T) {
+	const n = 16
+	s, err := New(n, crypto.NewSignerFromString("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Authenticate(3, schemetest.Payloads(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := schemetest.Payloads(2 * n)[n:]
+	b, err := s.Authenticate(3, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each index once, from either tree, in any order: a packet can find its
+	// lower path proven by its own tree under nodes the other has replaced.
+	rng := stats.NewRNG(11)
+	for trial := 0; trial < 200; trial++ {
+		v, err := s.NewVerifier(verifier.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]int, n)
+		for i := range order {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], i
+		}
+		for _, i := range order {
+			p := a[i]
+			if rng.Intn(2) == 1 {
+				p = b[i]
+			}
+			evs, err := v.Ingest(p, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(evs) != 1 || string(evs[0].Payload) != string(p.Payload) {
+				t.Fatalf("trial %d: packet %d not verified: %v (stats %+v)", trial, p.Index, evs, v.Stats())
+			}
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
-	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/verifier"
 )
@@ -178,97 +177,22 @@ func (c *Chained) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*pa
 var _ DeferredAuthenticator = (*Chained)(nil)
 
 // NewVerifier implements Scheme.
-func (c *Chained) NewVerifier() (Verifier, error) {
-	return newChainedVerifier(c.topo.N, c.signer.Public())
+func (c *Chained) NewVerifier(env verifier.Env) (Verifier, error) {
+	// Checked here so a bad env fails construction, not the first Ingest.
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	return &chainedVerifier{n: c.topo.N, pub: c.signer.Public(), env: env}, nil
 }
 
-// chainedVerifier adapts verifier.Chained to the Scheme interface with a
-// fixed block binding established by the first ingested packet.
+// chainedVerifier adapts verifier.Chained to the Scheme interface: the
+// engine is bound to a block ID, which a scheme-level verifier only learns
+// from the first packet it ingests.
 type chainedVerifier struct {
 	n     int
 	pub   crypto.Verifier
+	env   verifier.Env
 	inner *verifier.Chained
-
-	// Observability and bounding wiring is held until the inner engine
-	// exists (it is created lazily by the first packet).
-	tracer      obs.Tracer
-	metrics     *obs.Registry
-	maxBuffered int
-	cache       *verifier.SharedCache
-	streamID    uint64
-	batchQ      *crypto.BatchVerifyQueue
-	sink        func([]verifier.Event)
-	spans       *obs.SpanRing
-	spanStream  uint64
-}
-
-var (
-	_ obs.Instrumented = (*chainedVerifier)(nil)
-	_ BufferBounded    = (*chainedVerifier)(nil)
-	_ CacheAware       = (*chainedVerifier)(nil)
-	_ DeferredVerifier = (*chainedVerifier)(nil)
-	_ SpanAware        = (*chainedVerifier)(nil)
-)
-
-func newChainedVerifier(n int, pub crypto.Verifier) (*chainedVerifier, error) {
-	if pub == nil {
-		return nil, fmt.Errorf("scheme: nil public key")
-	}
-	return &chainedVerifier{n: n, pub: pub}, nil
-}
-
-// SetTracer implements obs.Instrumented.
-func (cv *chainedVerifier) SetTracer(t obs.Tracer) {
-	cv.tracer = t
-	if cv.inner != nil {
-		cv.inner.SetTracer(t)
-	}
-}
-
-// SetMetrics implements obs.Instrumented.
-func (cv *chainedVerifier) SetMetrics(m *obs.Registry) {
-	cv.metrics = m
-	if cv.inner != nil {
-		cv.inner.SetMetrics(m)
-	}
-}
-
-// SetMaxBuffered implements BufferBounded.
-func (cv *chainedVerifier) SetMaxBuffered(n int) {
-	if n < 0 {
-		return
-	}
-	cv.maxBuffered = n
-	if cv.inner != nil {
-		cv.inner.SetMaxBuffered(n)
-	}
-}
-
-// SetSharedCache implements CacheAware.
-func (cv *chainedVerifier) SetSharedCache(c *verifier.SharedCache, streamID uint64) {
-	cv.cache = c
-	cv.streamID = streamID
-	if cv.inner != nil {
-		cv.inner.SetSharedCache(c, streamID)
-	}
-}
-
-// SetBatchVerify implements DeferredVerifier.
-func (cv *chainedVerifier) SetBatchVerify(q *crypto.BatchVerifyQueue, sink func([]verifier.Event)) {
-	cv.batchQ = q
-	cv.sink = sink
-	if cv.inner != nil {
-		cv.inner.SetBatchVerify(q, sink)
-	}
-}
-
-// SetSpans implements SpanAware.
-func (cv *chainedVerifier) SetSpans(r *obs.SpanRing, streamID uint64) {
-	cv.spans = r
-	cv.spanStream = streamID
-	if cv.inner != nil {
-		cv.inner.SetSpans(r, streamID)
-	}
 }
 
 // Ingest implements Verifier. The first packet binds the verifier to its
@@ -278,25 +202,9 @@ func (cv *chainedVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Ev
 		if p == nil {
 			return nil, fmt.Errorf("scheme: nil packet")
 		}
-		inner, err := verifier.NewChained(p.BlockID, cv.n, cv.pub)
+		inner, err := verifier.NewChained(p.BlockID, cv.n, cv.pub, cv.env)
 		if err != nil {
 			return nil, err
-		}
-		if cv.tracer != nil {
-			inner.SetTracer(cv.tracer)
-		}
-		if cv.metrics != nil {
-			inner.SetMetrics(cv.metrics)
-		}
-		inner.SetMaxBuffered(cv.maxBuffered)
-		if cv.cache != nil {
-			inner.SetSharedCache(cv.cache, cv.streamID)
-		}
-		if cv.batchQ != nil {
-			inner.SetBatchVerify(cv.batchQ, cv.sink)
-		}
-		if cv.spans != nil {
-			inner.SetSpans(cv.spans, cv.spanStream)
 		}
 		cv.inner = inner
 	}

@@ -7,6 +7,7 @@ import (
 	"mcauth/internal/crypto"
 	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/verifier"
 )
 
 // diamond is a custom topology exercising the generic chained machinery
@@ -48,7 +49,7 @@ func TestChainedRedundantPathSurvivesLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.NewVerifier()
+		v, err := s.NewVerifier(verifier.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestChainedRuntimeErrors(t *testing.T) {
 	if _, err := s.Authenticate(1, schemetest.Payloads(3)); err == nil {
 		t.Error("wrong payload count should fail")
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/verifier"
 )
 
 // diamondCopies is the diamond with a replicated root, to check that all
@@ -31,7 +32,7 @@ func diamondCopies(t *testing.T, signer crypto.Signer) *scheme.Chained {
 // many distinct packets authenticated.
 func verifyAll(t *testing.T, s scheme.Scheme, pkts []*packet.Packet) int {
 	t.Helper()
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

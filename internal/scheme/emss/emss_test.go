@@ -8,6 +8,7 @@ import (
 	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/verifier"
 )
 
 func TestConformance(t *testing.T) {
@@ -24,6 +25,14 @@ func TestConformanceLargerSpacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	schemetest.Conformance(t, s, schemetest.FixedClock)
+}
+
+func TestEnvConformance(t *testing.T) {
+	s, err := New(Config{N: 24, M: 2, D: 1}, crypto.NewSignerFromString("sender"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
 }
 
 func TestValidation(t *testing.T) {
@@ -166,7 +175,7 @@ func TestSurvivesSingleLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.NewVerifier()
+		v, err := s.NewVerifier(verifier.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,14 @@ func TestConformance(t *testing.T) {
 	schemetest.Conformance(t, s, schemetest.FixedClock)
 }
 
+func TestEnvConformance(t *testing.T) {
+	s, err := New(24, crypto.NewSignerFromString("sender"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
+}
+
 func TestValidation(t *testing.T) {
 	if _, err := New(0, crypto.NewSignerFromString("s")); err == nil {
 		t.Error("n=0 should fail")

@@ -9,9 +9,7 @@ package scheme
 import (
 	"time"
 
-	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
-	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/verifier"
 )
@@ -33,8 +31,10 @@ type Scheme interface {
 	// vertices numbered in send order. For TESLA the graph uses the
 	// split message/key vertex encoding of Section 3.2.
 	Graph() (*depgraph.Graph, error)
-	// NewVerifier creates a fresh receiver-side verifier for one block.
-	NewVerifier() (Verifier, error)
+	// NewVerifier creates a fresh receiver-side verifier for one block,
+	// configured by env for its lifetime; the zero Env is the synchronous,
+	// unbounded, unobserved verifier.
+	NewVerifier(env verifier.Env) (Verifier, error)
 }
 
 // Verifier is the receiver-side state machine of a scheme.
@@ -96,50 +96,4 @@ func (pr *PendingRoot) Attach(sig []byte) { pr.attach(sig) }
 // difference as long as held packets are only sent after Attach.
 type DeferredAuthenticator interface {
 	AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packet.Packet, *PendingRoot, error)
-}
-
-// CacheAware is implemented by verifiers that can share a cross-subscriber
-// verification cache (the receiver fast path): packet digests are hashed
-// once per process and each proven-authentic digest is proven once per
-// stream, instead of once per subscriber. Layers that fan one stream out
-// to many subscribers (the stream demultiplexer, the serving daemon)
-// attach the cache via this interface, mirroring BufferBounded. streamID
-// must identify the stream — and therefore the signing key — the verifier
-// serves.
-type CacheAware interface {
-	SetSharedCache(c *verifier.SharedCache, streamID uint64)
-}
-
-// DeferredVerifier is implemented by verifiers that can defer signature
-// checks to a crypto.BatchVerifyQueue — the receive-side mirror of
-// DeferredAuthenticator. Ingest parks signature-carrying packets as
-// pending-signature; when the queue resolves, accepted packets
-// authenticate and their events are delivered through sink (the
-// originating Ingest has already returned). Callers own the resolve
-// policy and must resolve on the ingest goroutine.
-type DeferredVerifier interface {
-	SetBatchVerify(q *crypto.BatchVerifyQueue, sink func([]verifier.Event))
-}
-
-// SpanAware is implemented by verifiers that record causal lifecycle spans
-// (deferred_park, sig_resolve, authenticate, reject) into a shared
-// obs.SpanRing — the receive half of the end-to-end block trace whose
-// send half the serving tier records. streamID keys the spans (and their
-// derived trace IDs) to the mux stream the verifier serves, so sender-
-// and receiver-side spans of one block join on TraceID(stream, block)
-// with no wire changes. Layers that own the ring (the stream
-// demultiplexer, the serving daemon) attach it via this interface,
-// mirroring CacheAware.
-type SpanAware interface {
-	SetSpans(r *obs.SpanRing, streamID uint64)
-}
-
-// BufferBounded is implemented by verifiers whose pending-packet buffers
-// can be capped after construction. Scheme factories (NewVerifier) cannot
-// thread options through, so layers that must bound receiver memory under
-// adversarial floods — netsim, the stream demultiplexer — apply the cap via
-// this interface, mirroring verifier.WithMaxBuffered. Overflowing packets
-// are dropped and counted in Stats.DroppedOverflow.
-type BufferBounded interface {
-	SetMaxBuffered(n int)
 }

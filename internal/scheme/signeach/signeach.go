@@ -134,7 +134,10 @@ func (s *SignEach) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pa
 }
 
 // NewVerifier implements Scheme.
-func (s *SignEach) NewVerifier() (scheme.Verifier, error) {
+func (s *SignEach) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
 	// The signature cache only pays off for batch blobs (plain per-packet
 	// signatures never repeat an underlying check), but it is cheap and
 	// lets one verifier accept either form.
@@ -142,7 +145,7 @@ func (s *SignEach) NewVerifier() (scheme.Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig}, nil
+	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig, env: env}, nil
 }
 
 type signEachVerifier struct {
@@ -158,47 +161,19 @@ type signEachVerifier struct {
 	vs      crypto.VerifyScratch
 	content []byte
 
-	cache    *verifier.SharedCache
-	streamID uint64
-	batchQ   *crypto.BatchVerifyQueue
-	sink     func([]verifier.Event)
-	// maxBuffered caps pending-signature packets in deferred mode.
-	maxBuffered int
+	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
+	// signatures (only deferred mode buffers). Nothing is traced.
+	env verifier.Env
 }
 
-var (
-	_ scheme.Verifier         = (*signEachVerifier)(nil)
-	_ scheme.CacheAware       = (*signEachVerifier)(nil)
-	_ scheme.DeferredVerifier = (*signEachVerifier)(nil)
-	_ scheme.BufferBounded    = (*signEachVerifier)(nil)
-)
-
-// SetSharedCache implements scheme.CacheAware.
-func (sv *signEachVerifier) SetSharedCache(c *verifier.SharedCache, streamID uint64) {
-	sv.cache = c
-	sv.streamID = streamID
-}
-
-// SetBatchVerify implements scheme.DeferredVerifier.
-func (sv *signEachVerifier) SetBatchVerify(q *crypto.BatchVerifyQueue, sink func([]verifier.Event)) {
-	sv.batchQ = q
-	sv.sink = sink
-}
-
-// SetMaxBuffered implements scheme.BufferBounded (only deferred mode
-// buffers).
-func (sv *signEachVerifier) SetMaxBuffered(n int) {
-	if n >= 0 {
-		sv.maxBuffered = n
-	}
-}
+var _ scheme.Verifier = (*signEachVerifier)(nil)
 
 // accept marks p authentic and publishes it to the shared cache.
 func (sv *signEachVerifier) accept(p *packet.Packet) []verifier.Event {
 	sv.authentic[p.Index] = true
 	sv.stats.Authenticated++
-	if sv.cache != nil {
-		sv.cache.MarkAuthentic(sv.streamID, p.BlockID, sv.cache.DigestOf(p))
+	if sv.env.Cache != nil {
+		sv.env.Cache.MarkAuthentic(sv.env.StreamID, p.BlockID, sv.env.Cache.DigestOf(p))
 	}
 	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
 }
@@ -215,8 +190,8 @@ func (sv *signEachVerifier) resolve(p *packet.Packet, ok bool) {
 		return
 	}
 	events := sv.accept(p)
-	if sv.sink != nil {
-		sv.sink(events)
+	if sv.env.Sink != nil {
+		sv.env.Sink(events)
 	}
 }
 
@@ -236,22 +211,22 @@ func (sv *signEachVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Ev
 		sv.stats.Duplicates++
 		return nil, nil
 	}
-	if sv.cache != nil {
-		if d := sv.cache.DigestOf(p); sv.cache.IsAuthentic(sv.streamID, p.BlockID, d) {
+	if sv.env.Cache != nil {
+		if d := sv.env.Cache.DigestOf(p); sv.env.Cache.IsAuthentic(sv.env.StreamID, p.BlockID, d) {
 			sv.stats.CacheHits++
 			return sv.accept(p), nil
 		}
 	}
 	sv.content = p.AppendContent(sv.content[:0])
-	if sv.batchQ != nil {
-		if sv.maxBuffered > 0 && sv.stats.PendingSignature >= sv.maxBuffered {
+	if sv.env.BatchQ != nil {
+		if sv.env.MaxBuffered > 0 && sv.stats.PendingSignature >= sv.env.MaxBuffered {
 			sv.stats.DroppedOverflow++
 			return nil, nil
 		}
 		sv.stats.PendingSignature++
 		// The queue retains the content; sv.content is reused scratch.
 		held := append([]byte(nil), sv.content...)
-		sv.batchQ.Enqueue(sv.pub, held, p.Signature, func(ok bool) {
+		sv.env.BatchQ.Enqueue(sv.pub, held, p.Signature, func(ok bool) {
 			sv.resolve(p, ok)
 		})
 		return nil, nil

@@ -6,6 +6,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/verifier"
 )
 
 func TestConformance(t *testing.T) {
@@ -14,6 +15,16 @@ func TestConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	schemetest.Conformance(t, s, schemetest.FixedClock)
+}
+
+// TestEnvConformance: every packet carries its own signature, so nothing
+// buffers outside deferred mode and nothing is traced.
+func TestEnvConformance(t *testing.T) {
+	s, err := New(24, crypto.NewSignerFromString("sender"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
 }
 
 func TestValidation(t *testing.T) {
@@ -54,7 +65,7 @@ func TestIndependentVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver only the last packet: it must verify alone.
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestWrongKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +113,7 @@ func TestErrorsAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

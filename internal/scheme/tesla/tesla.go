@@ -266,8 +266,14 @@ func (s *Scheme) Graph() (*depgraph.Graph, error) {
 }
 
 // NewVerifier implements Scheme.
-func (s *Scheme) NewVerifier() (scheme.Verifier, error) {
-	return &teslaVerifier{pub: s.signer.Public(), maxBuffered: s.cfg.MaxBuffered}, nil
+func (s *Scheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	if env.MaxBuffered == 0 {
+		env.MaxBuffered = s.cfg.MaxBuffered
+	}
+	return &teslaVerifier{pub: s.signer.Public(), env: env, m: newTeslaMetrics(env.Metrics)}, nil
 }
 
 type pendingPacket struct {
@@ -278,15 +284,14 @@ type pendingPacket struct {
 type teslaVerifier struct {
 	pub crypto.Verifier
 
-	params      *bootstrapParams
-	blockID     uint64
-	bestIdx     int    // highest verified chain key index (0 = commitment)
-	bestKey     []byte // verified chain key at bestIdx (commitment at 0)
-	preBoot     []pendingPacket
-	buffered    map[int][]pendingPacket // by key interval, awaiting disclosure
-	authentic   map[uint32]bool
-	maxBuffered int // cap on preBoot+buffered; 0 = unbounded
-	stats       verifier.Stats
+	params    *bootstrapParams
+	blockID   uint64
+	bestIdx   int    // highest verified chain key index (0 = commitment)
+	bestKey   []byte // verified chain key at bestIdx (commitment at 0)
+	preBoot   []pendingPacket
+	buffered  map[int][]pendingPacket // by key interval, awaiting disclosure
+	authentic map[uint32]bool
+	stats     verifier.Stats
 
 	// Receiver fast path. Validating a disclosed key walks the PRF chain
 	// down to the last verified key anyway; chainKeys memoizes every
@@ -308,29 +313,18 @@ type teslaVerifier struct {
 	events   []verifier.Event
 	pendPool [][]pendingPacket
 
-	cache    *verifier.SharedCache
-	streamID uint64
-
-	tracer obs.Tracer
-	m      *teslaMetrics
+	// env: MaxBuffered caps preBoot+buffered (defaulting to the scheme
+	// config's cap), Tracer and Metrics as documented. Cache is consulted
+	// only after a packet passes the safety condition: MAC validity is
+	// timeless, but acceptance is not — a replay arriving after its key
+	// became public must still be dropped, so the deadline check can never
+	// be skipped. BatchQ, Sink and Spans are ignored: only the bootstrap
+	// packet is signed.
+	env verifier.Env
+	m   *teslaMetrics
 }
 
-var (
-	_ scheme.Verifier      = (*teslaVerifier)(nil)
-	_ obs.Instrumented     = (*teslaVerifier)(nil)
-	_ scheme.BufferBounded = (*teslaVerifier)(nil)
-	_ scheme.CacheAware    = (*teslaVerifier)(nil)
-)
-
-// SetSharedCache implements scheme.CacheAware. The cache is consulted
-// only after a packet passes the safety condition: MAC validity is
-// timeless, but acceptance is not — a replay arriving after its key
-// became public must still be dropped, so the deadline check can never be
-// skipped.
-func (tv *teslaVerifier) SetSharedCache(c *verifier.SharedCache, streamID uint64) {
-	tv.cache = c
-	tv.streamID = streamID
-}
+var _ scheme.Verifier = (*teslaVerifier)(nil)
 
 // teslaMetrics caches the registry instruments the verifier updates; the
 // metric names are shared with the hash-chained engine so runs aggregate
@@ -347,30 +341,17 @@ type teslaMetrics struct {
 	timeToAuth   *obs.Histogram
 }
 
-// SetTracer implements obs.Instrumented.
-func (tv *teslaVerifier) SetTracer(t obs.Tracer) { tv.tracer = t }
-
-// SetMetrics implements obs.Instrumented.
-func (tv *teslaVerifier) SetMetrics(reg *obs.Registry) {
+func newTeslaMetrics(reg *obs.Registry) *teslaMetrics {
 	if reg == nil {
-		tv.m = nil
-		return
+		return nil
 	}
-	tv.m = &teslaMetrics{
+	return &teslaMetrics{
 		reg:           reg,
 		authenticated: reg.Counter("verifier.authenticated"),
 		rejected:      reg.Counter("verifier.rejected"),
 		unsafe:        reg.Counter("verifier.unsafe"),
 		msgHighWater:  reg.Histogram("verifier.msg_buffer_high_water"),
 		timeToAuth:    reg.Histogram("verifier.time_to_auth_ns"),
-	}
-}
-
-// SetMaxBuffered implements scheme.BufferBounded, capping the pending
-// buffers after construction. Negative values are ignored.
-func (tv *teslaVerifier) SetMaxBuffered(n int) {
-	if n >= 0 {
-		tv.maxBuffered = n
 	}
 }
 
@@ -386,7 +367,7 @@ func (tv *teslaVerifier) pendingTotal() int {
 // bufferFull reports whether another pending packet would exceed the cap;
 // when full the packet is dropped and counted, never stored.
 func (tv *teslaVerifier) bufferFull(p *packet.Packet, at time.Time) bool {
-	if tv.maxBuffered <= 0 || tv.pendingTotal() < tv.maxBuffered {
+	if tv.env.MaxBuffered <= 0 || tv.pendingTotal() < tv.env.MaxBuffered {
 		return false
 	}
 	tv.stats.DroppedOverflow++
@@ -404,10 +385,10 @@ func (tv *teslaVerifier) bufferFull(p *packet.Packet, at time.Time) bool {
 }
 
 func (tv *teslaVerifier) emit(e obs.Event) {
-	if tv.tracer == nil {
+	if tv.env.Tracer == nil {
 		return
 	}
-	tv.tracer.Emit(e)
+	tv.env.Tracer.Emit(e)
 }
 
 // markAuthenticated records one successful authentication at time at of a
@@ -552,8 +533,8 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 	// a packet with this exact content already passed a real MAC check in
 	// this stream and block, and this arrival independently satisfied the
 	// safety condition.
-	if tv.cache != nil {
-		if d := tv.cache.DigestOf(p); tv.cache.IsAuthentic(tv.streamID, p.BlockID, d) {
+	if tv.env.Cache != nil {
+		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
 			tv.stats.CacheHits++
 			tv.authentic[p.Index] = true
 			tv.markAuthenticated(p, pend.arrived, at)
@@ -673,8 +654,8 @@ func (tv *teslaVerifier) verifyData(pend pendingPacket, at time.Time) {
 		return
 	}
 	tv.authentic[p.Index] = true
-	if tv.cache != nil {
-		tv.cache.MarkAuthentic(tv.streamID, p.BlockID, tv.cache.DigestOf(p))
+	if tv.env.Cache != nil {
+		tv.env.Cache.MarkAuthentic(tv.env.StreamID, p.BlockID, tv.env.Cache.DigestOf(p))
 	}
 	tv.markAuthenticated(p, pend.arrived, at)
 	tv.events = append(tv.events, verifier.Event{Index: p.Index, Payload: p.Payload})

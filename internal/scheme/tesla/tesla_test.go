@@ -11,6 +11,7 @@ import (
 	"mcauth/internal/packet"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 func testConfig(n, lag int) Config {
@@ -44,6 +45,14 @@ func TestConformance(t *testing.T) {
 	cfg := testConfig(10, 2)
 	s := newScheme(t, cfg)
 	schemetest.Conformance(t, s, promptClock(cfg))
+}
+
+// TestEnvConformance: only the bootstrap packet is signed, so there is no
+// signature check worth deferring (BatchQ) and no span site.
+func TestEnvConformance(t *testing.T) {
+	cfg := testConfig(24, 2)
+	schemetest.EnvConformance(t, newScheme(t, cfg), promptClock(cfg),
+		schemetest.Honours{MaxBuffered: true, Cache: true, Tracer: true, Metrics: true})
 }
 
 func TestValidation(t *testing.T) {
@@ -115,7 +124,7 @@ func TestLateArrivalDroppedAsUnsafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +158,7 @@ func TestKeyRecoveryAcrossLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestForgedDisclosedKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +235,7 @@ func TestBootstrapLateBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestForgedBootstrapRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +376,7 @@ func TestDuplicateBufferedPacketEmitsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +418,7 @@ func TestBufferCapBoundsFlood(t *testing.T) {
 	cfg := testConfig(10, 2)
 	cfg.MaxBuffered = 4
 	s := newScheme(t, cfg)
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

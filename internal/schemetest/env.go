@@ -1,0 +1,310 @@
+package schemetest
+
+import (
+	"slices"
+	"testing"
+
+	"mcauth/internal/crypto"
+	"mcauth/internal/fault"
+	"mcauth/internal/obs"
+	"mcauth/internal/packet"
+	"mcauth/internal/scheme"
+	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
+)
+
+// Honours states which verifier.Env fields change what a scheme's verifier
+// does. EnvConformance checks every claim in both directions, so a field a
+// scheme ignores is a stated fact rather than a silent no-op.
+type Honours struct {
+	// MaxBuffered: with no BatchQ, a cap of 1 drops overflow when the
+	// block's signature material arrives last. (Schemes that honour BatchQ
+	// always cap their parked signatures; that is checked regardless.)
+	MaxBuffered bool
+	// Cache: a second subscriber behind a warm cache records CacheHits.
+	Cache bool
+	// BatchQ: signature checks park on the queue and authenticate through
+	// Sink.
+	BatchQ bool
+	// Spans: an enabled ring records verification spans.
+	Spans bool
+	// Tracer: lifecycle events are emitted.
+	Tracer bool
+	// Metrics: verifier.* instruments are registered.
+	Metrics bool
+}
+
+// ChainedHonours is what every scheme built on the generic hash-chained
+// engine (internal/verifier) honours: all of Env.
+var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true, Spans: true, Tracer: true, Metrics: true}
+
+// arrival is one delivered packet and the clock reading it arrives at.
+type arrival struct {
+	p    *packet.Packet
+	wire int // 1-based send position, for the Clock
+}
+
+// envDelivery builds the one seeded delivery every Env sees: 15 % loss
+// (sparing a block's sole signature packet, the paper's standing
+// assumption that P_sign arrives), 15 % duplicates, 15 % wrong-key
+// forgeries and one pass of adjacent swaps. A forgery of an unsigned packet
+// stays behind its genuine twin: ahead of it, with both still unverifiable,
+// it would occupy the twin's message-buffer slot in the hash-chained engine
+// and the outcome would depend on when the signature resolves — a known
+// weakness outside what an Env may change.
+func envDelivery(t *testing.T, s scheme.Scheme, blockID uint64) (pkts []*packet.Packet, out []arrival) {
+	t.Helper()
+	pkts, err := s.Authenticate(blockID, Payloads(s.BlockSize()))
+	if err != nil {
+		t.Fatalf("Authenticate: %v", err)
+	}
+	signed := 0
+	for _, p := range pkts {
+		if len(p.Signature) > 0 {
+			signed++
+		}
+	}
+	rng := stats.NewRNG(20260928)
+	forger := fault.NewWrongKeyForger("env-conformance")
+	var lost, dups, forged int
+	for w, p := range pkts {
+		sole := signed == 1 && len(p.Signature) > 0
+		if !sole && rng.Bernoulli(0.15) {
+			lost++
+			continue
+		}
+		a := arrival{p, w + 1}
+		if rng.Bernoulli(0.15) {
+			f := arrival{forger.Forge(rng, p), w + 1}
+			forged++
+			if len(p.Signature) > 0 && rng.Bernoulli(0.5) {
+				out = append(out, f, a)
+			} else {
+				out = append(out, a, f)
+			}
+		} else {
+			out = append(out, a)
+		}
+		if rng.Bernoulli(0.15) {
+			out = append(out, a)
+			dups++
+		}
+	}
+	for i := 0; i+1 < len(out); i++ {
+		twin := out[i+1].p.Index == out[i].p.Index && fault.IsForgedPayload(out[i+1].p.Payload) &&
+			!fault.IsForgedPayload(out[i].p.Payload)
+		if !twin && rng.Bernoulli(0.3) {
+			out[i], out[i+1] = out[i+1], out[i]
+		}
+	}
+	if lost == 0 || dups == 0 || forged == 0 {
+		t.Fatalf("delivery is vacuous: %d lost, %d duplicated, %d forged", lost, dups, forged)
+	}
+	return pkts, out
+}
+
+// envRun is what one verifier made of the delivery.
+type envRun struct {
+	authed     []uint32 // sorted
+	stats      verifier.Stats
+	maxPending int // peak Stats().PendingSignature
+	sunk       int // events delivered through Sink
+}
+
+// runEnv feeds the delivery to a fresh verifier built with env. resolveEvery
+// > 0 resolves env.BatchQ by hand every that many packets; the queue is
+// always resolved at the end.
+func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival, clock Clock, resolveEvery int) envRun {
+	t.Helper()
+	var run envRun
+	seen := make(map[uint32]bool)
+	note := func(events []verifier.Event) {
+		for _, e := range events {
+			if fault.IsForgedPayload(e.Payload) {
+				t.Fatalf("forged payload authenticated at index %d", e.Index)
+			}
+			if seen[e.Index] {
+				t.Fatalf("index %d authenticated twice", e.Index)
+			}
+			seen[e.Index] = true
+			run.authed = append(run.authed, e.Index)
+		}
+	}
+	if env.BatchQ != nil {
+		env.Sink = func(events []verifier.Event) {
+			run.sunk += len(events)
+			note(events)
+		}
+	}
+	v, err := s.NewVerifier(env)
+	if err != nil {
+		t.Fatalf("NewVerifier(%+v): %v", env, err)
+	}
+	for i, a := range delivery {
+		events, err := v.Ingest(a.p, clock(a.wire))
+		if err != nil {
+			t.Fatalf("Ingest wire %d: %v", a.wire, err)
+		}
+		note(events)
+		run.maxPending = max(run.maxPending, v.Stats().PendingSignature)
+		if resolveEvery > 0 && i%resolveEvery == resolveEvery-1 {
+			env.BatchQ.Resolve()
+		}
+	}
+	if env.BatchQ != nil {
+		env.BatchQ.Resolve()
+	}
+	run.stats = v.Stats()
+	if run.stats.PendingSignature != 0 {
+		t.Fatalf("%d verdicts pending after the final resolve", run.stats.PendingSignature)
+	}
+	slices.Sort(run.authed)
+	return run
+}
+
+// EnvConformance is the contract of verifier.Env: one seeded delivery
+// (loss, duplicates, reorder, wrong-key forgeries) through a verifier built
+// with each environment authenticates the same index set as the zero Env —
+// for VertexMapper schemes exactly the dependence graph's verifiable set of
+// the genuine delivered packets — and each field has an observable effect
+// exactly where honours says the scheme honours it.
+func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours) {
+	t.Helper()
+	const stream, block = 7, 5
+	pkts, delivery := envDelivery(t, s, block)
+	queue := func(batch int) *crypto.BatchVerifyQueue {
+		q, err := crypto.NewBatchVerifyQueue(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	newCache := func() *verifier.SharedCache {
+		c, err := verifier.NewSharedCache(4 * len(pkts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ring := func() *obs.SpanRing {
+		r := obs.NewSpanRing(obs.DefaultSpanCapacity)
+		r.SetEnabled(true)
+		return r
+	}
+
+	zero := runEnv(t, s, verifier.Env{}, delivery, clock, 0)
+	if len(zero.authed) == 0 || len(zero.authed) == len(pkts) {
+		t.Fatalf("delivery is vacuous: zero Env authenticated %d of %d", len(zero.authed), len(pkts))
+	}
+	if want, ok := graphVerifiable(t, s, pkts, delivery); ok && !slices.Equal(zero.authed, want) {
+		t.Errorf("zero Env authenticated %v\ndependence graph says %v", zero.authed, want)
+	}
+	same := func(name string, run envRun) envRun {
+		t.Helper()
+		if !slices.Equal(run.authed, zero.authed) {
+			t.Errorf("%s authenticated %v\nzero Env authenticated %v", name, run.authed, zero.authed)
+		}
+		return run
+	}
+	effect := func(field string, honoured, observed bool) {
+		t.Helper()
+		if honoured != observed {
+			t.Errorf("Env.%s: honours says %v, observed effect %v", field, honoured, observed)
+		}
+	}
+
+	same("MaxBuffered (not binding)", runEnv(t, s, verifier.Env{MaxBuffered: len(delivery)}, delivery, clock, 0))
+
+	cache := newCache()
+	cold := same("cold Cache", runEnv(t, s, verifier.Env{Cache: cache, StreamID: stream}, delivery, clock, 0))
+	warm := same("warm Cache", runEnv(t, s, verifier.Env{Cache: cache, StreamID: stream}, delivery, clock, 0))
+	if cold.stats.CacheHits != 0 {
+		t.Errorf("first subscriber hit a cold cache %d times", cold.stats.CacheHits)
+	}
+	effect("Cache", honours.Cache, warm.stats.CacheHits > 0)
+
+	explicit := same("BatchQ, explicit Resolve", runEnv(t, s, verifier.Env{BatchQ: queue(1 << 20)}, delivery, clock, 4))
+	auto := same("BatchQ, auto-resolve", runEnv(t, s, verifier.Env{BatchQ: queue(2)}, delivery, clock, 0))
+	effect("BatchQ", honours.BatchQ, explicit.maxPending > 0 && explicit.sunk > 0)
+	effect("BatchQ", honours.BatchQ, auto.maxPending > 0 && auto.sunk > 0)
+
+	spans := ring()
+	same("Spans", runEnv(t, s, verifier.Env{Spans: spans, StreamID: stream}, delivery, clock, 0))
+	effect("Spans", honours.Spans, spans.Total() > 0)
+
+	var tracer obs.MemTracer
+	reg := obs.NewRegistry()
+	same("all fields", runEnv(t, s, verifier.Env{
+		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), BatchQ: queue(2),
+		Spans: ring(), Tracer: &tracer, Metrics: reg,
+	}, delivery, clock, 0))
+	effect("Tracer", honours.Tracer, len(tracer.Events()) > 0)
+	_, registered := reg.Snapshot().Counters["verifier.authenticated"]
+	effect("Metrics", honours.Metrics, registered)
+
+	// The cap, probed where it binds: the unsigned packets alone, so
+	// whatever can buffer does. Where every packet is signed nothing
+	// buffers outside deferred mode, whatever the order.
+	var starved []arrival
+	for w, p := range pkts {
+		if len(p.Signature) == 0 {
+			starved = append(starved, arrival{p, w + 1})
+		}
+	}
+	if len(starved) == 0 {
+		starved = delivery
+	}
+	capped := runEnv(t, s, verifier.Env{MaxBuffered: 1}, starved, clock, 0)
+	effect("MaxBuffered", honours.MaxBuffered, capped.stats.DroppedOverflow > 0)
+	if honours.BatchQ {
+		parked := runEnv(t, s, verifier.Env{MaxBuffered: 1, BatchQ: queue(1 << 20)}, delivery, clock, 0)
+		if parked.stats.DroppedOverflow == 0 {
+			t.Error("a cap of 1 dropped nothing with every signature check parked")
+		}
+	}
+	if _, err := s.NewVerifier(verifier.Env{MaxBuffered: -1}); err == nil {
+		t.Error("negative MaxBuffered should fail construction")
+	}
+}
+
+// graphVerifiable is the paper's condition (1) over the genuine delivered
+// packets: an index authenticates iff it arrived and a path of arrived
+// packets leads to it from an arrived signature. ok is false for schemes
+// whose wire indices do not map onto graph vertices (TESLA).
+func graphVerifiable(t *testing.T, s scheme.Scheme, pkts []*packet.Packet, delivery []arrival) (want []uint32, ok bool) {
+	t.Helper()
+	mapper, ok := s.(scheme.VertexMapper)
+	if !ok {
+		return nil, false
+	}
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := make([]bool, g.N()+1)
+	rootArrived := false
+	for _, a := range delivery {
+		if fault.IsForgedPayload(a.p.Payload) {
+			continue
+		}
+		if v, mapped := mapper.VertexOf(a.p.Index); mapped {
+			received[v] = true
+		}
+		rootArrived = rootArrived || len(a.p.Signature) > 0
+	}
+	if !rootArrived {
+		return nil, true
+	}
+	// VerifiableSet assumes the signature arrived, which was just checked.
+	verifiable, err := g.VerifiableSet(received)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if v, mapped := mapper.VertexOf(p.Index); mapped && received[v] && verifiable[v] {
+			want = append(want, p.Index)
+		}
+	}
+	slices.Sort(want)
+	return slices.Compact(want), true
+}

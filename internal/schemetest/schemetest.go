@@ -38,7 +38,7 @@ func DeliverAll(t *testing.T, s scheme.Scheme, blockID uint64, payloads [][]byte
 	if err != nil {
 		t.Fatalf("Authenticate: %v", err)
 	}
-	v, err := s.NewVerifier()
+	v, err := s.NewVerifier(verifier.Env{})
 	if err != nil {
 		t.Fatalf("NewVerifier: %v", err)
 	}
@@ -119,7 +119,7 @@ func Conformance(t *testing.T, s scheme.Scheme, clock Clock) {
 			if len(pkts[tampered].Payload) == 0 {
 				continue
 			}
-			v, err := s.NewVerifier()
+			v, err := s.NewVerifier(verifier.Env{})
 			if err != nil {
 				t.Fatal(err)
 			}

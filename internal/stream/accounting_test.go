@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,7 +33,7 @@ func (countingScheme) Authenticate(uint64, [][]byte) ([]*packet.Packet, error) {
 func (countingScheme) Graph() (*depgraph.Graph, error) {
 	return nil, errors.New("counting: receive-side stub")
 }
-func (c countingScheme) NewVerifier() (scheme.Verifier, error) {
+func (c countingScheme) NewVerifier(verifier.Env) (scheme.Verifier, error) {
 	return &countingVerifier{statsCalls: c.statsCalls}, nil
 }
 
@@ -139,14 +140,14 @@ func receiversOf(d *Demux) []*Receiver {
 
 // recordingScheme remembers every verifier it hands out, so a test can sum
 // their stats by brute force. The verifiers themselves are the real ones,
-// capability interfaces intact.
+// built with the environment the receiver asked for.
 type recordingScheme struct {
 	scheme.Scheme
 	handed []scheme.Verifier
 }
 
-func (rs *recordingScheme) NewVerifier() (scheme.Verifier, error) {
-	v, err := rs.Scheme.NewVerifier()
+func (rs *recordingScheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
+	v, err := rs.Scheme.NewVerifier(env)
 	if err == nil {
 		rs.handed = append(rs.handed, v)
 	}
@@ -311,13 +312,13 @@ func runAccounting(t *testing.T, s scheme.Scheme, steps []traceStep, cfg string)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first.SetSharedVerifyCache(cache, 1)
+		setEnv(t, first, verifier.Env{Cache: cache, StreamID: 1})
 		for _, st := range steps {
 			if st.p != nil {
 				first.Ingest(st.p, time.Time{})
 			}
 		}
-		rcv.SetSharedVerifyCache(cache, 1)
+		setEnv(t, rcv, verifier.Env{Cache: cache, StreamID: 1})
 	case "queue-explicit":
 		q = fastPathQueue(t, 1<<20) // never fills: only Resolve settles
 	case "queue-auto":
@@ -495,6 +496,105 @@ func TestDemuxDeferredOrderDeterministic(t *testing.T) {
 	for run := 1; run < 20; run++ {
 		if got := replay(); !reflect.DeepEqual(got, first) {
 			t.Fatalf("replay %d diverged from replay 0:\n%v\n%v", run, got, first)
+		}
+	}
+}
+
+// TestDemuxCloseSettlesParkedVerdicts is the stream-level mirror of
+// TestRetirementSettlesParkedVerdicts: a stream that leaves the demux (LRU
+// eviction or explicit Close) with verdicts parked in the shared
+// batch-verify queue, or resolved but not yet drained, still delivers them.
+// Under eviction churn the multiset of (stream, block, index) authenticated
+// through a shared queue equals the one authenticated inline.
+func TestDemuxCloseSettlesParkedVerdicts(t *testing.T) {
+	const streams, n, blocks, maxStreams = 5, 6, 3, 2
+	signer := crypto.NewSignerFromString("close-parked")
+	schemes := make([]scheme.Scheme, streams)
+	for id := range schemes {
+		if id%2 == 0 {
+			se, err := signeach.New(n, signer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemes[id] = se
+		} else {
+			schemes[id] = emssScheme(t, n)
+		}
+	}
+	// Whole blocks, stream after stream: with two live streams every
+	// third block evicts a stream whose last block is still parked.
+	type routed struct {
+		stream uint64
+		p      *packet.Packet
+	}
+	var trace []routed
+	for b := 0; b < blocks; b++ {
+		for id, s := range schemes {
+			payloads := make([][]byte, n)
+			for i := range payloads {
+				payloads[i] = fmt.Appendf(nil, "s%d-b%d-m%d", id, b, i)
+			}
+			pkts, err := s.Authenticate(uint64(b), payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkts {
+				trace = append(trace, routed{uint64(id), p})
+			}
+		}
+	}
+
+	replay := func(q *crypto.BatchVerifyQueue) (map[string]int, DemuxTotals) {
+		dmx, err := NewDemux(func(id uint64) (*Receiver, error) {
+			return NewReceiver(schemes[id], 4)
+		}, maxStreams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmx.SetVerifyFastPath(nil, q)
+		got := make(map[string]int)
+		note := func(auths []StreamAuthenticated) {
+			for _, a := range auths {
+				got[fmt.Sprintf("%d/%d/%d", a.StreamID, a.BlockID, a.Index)]++
+			}
+		}
+		for i, st := range trace {
+			auths, err := dmx.Ingest(st.stream, st.p, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			note(auths)
+			if i == len(trace)/2 {
+				// An explicit leave, mid-block for the stream being fed.
+				dmx.Close(st.stream)
+			}
+		}
+		if q != nil {
+			q.Resolve()
+		}
+		note(dmx.DrainDeferred())
+		return got, dmx.Totals()
+	}
+
+	inline, tot := replay(nil)
+	if tot.EvictedStreams == 0 {
+		t.Fatalf("trace never evicted a stream: %+v", tot)
+	}
+	if len(inline) < streams*blocks*(n-1) {
+		t.Fatalf("inline replay authenticated only %d messages", len(inline))
+	}
+	for _, batch := range []int{1 << 20, 64, 5} {
+		queued, _ := replay(fastPathQueue(t, batch))
+		if !reflect.DeepEqual(queued, inline) {
+			var missing []string
+			for k := range inline {
+				if queued[k] != inline[k] {
+					missing = append(missing, k)
+				}
+			}
+			slices.Sort(missing)
+			t.Errorf("queue(%d) authenticated %d messages, inline %d; stream/block/index lost or miscounted: %v",
+				batch, len(queued), len(inline), missing)
 		}
 	}
 }

@@ -47,13 +47,15 @@ type Demux struct {
 	lastActive map[uint64]int64 // tick of most recent packet, for eviction
 	tick       int64
 	totals     DemuxTotals
-	// Receiver fast path, applied to every receiver the factory creates
-	// from now on (see SetVerifyFastPath).
-	cache  *verifier.SharedCache
-	batchQ *crypto.BatchVerifyQueue
-	// spans, when attached, is handed to every new receiver keyed by its
-	// stream ID (see Receiver.SetSpans).
-	spans *obs.SpanRing
+	// env holds what the demux adds to the verifier environment of every
+	// receiver the factory creates from now on: Cache and BatchQ (see
+	// SetVerifyFastPath) and Spans (see SetSpans), keyed per receiver by
+	// its transport stream ID.
+	env verifier.Env
+	// orphaned holds deferred output of streams that were closed or
+	// evicted before anyone drained it; the next DrainDeferred returns it
+	// first.
+	orphaned []StreamAuthenticated
 }
 
 // liveStream is one entry of Demux.order.
@@ -90,22 +92,23 @@ func NewDemux(newReceiver func(streamID uint64) (*Receiver, error), maxStreams i
 // different stream's packet is being ingested are collected via
 // DrainDeferred. Either argument may be nil to enable only the other.
 func (d *Demux) SetVerifyFastPath(cache *verifier.SharedCache, q *crypto.BatchVerifyQueue) {
-	d.cache = cache
-	d.batchQ = q
+	d.env.Cache = cache
+	d.env.BatchQ = q
 }
 
 // SetSpans attaches a causal span ring to every stream receiver created
-// from now on, keyed by its transport stream ID (see Receiver.SetSpans).
+// from now on, keyed by its transport stream ID (see verifier.Env.Spans).
 func (d *Demux) SetSpans(r *obs.SpanRing) {
-	d.spans = r
+	d.env.Spans = r
 }
 
 // DrainDeferred collects messages authenticated by deferred batch-verify
-// verdicts across all live streams (see Receiver.DrainDeferred), stream by
-// stream in first-contact order; call it after resolving the batch-verify
-// queue directly.
+// verdicts: first those of streams closed since the last call, then every
+// live stream's (see Receiver.DrainDeferred) in first-contact order. Call
+// it after resolving the batch-verify queue directly.
 func (d *Demux) DrainDeferred() []StreamAuthenticated {
-	var out []StreamAuthenticated
+	out := d.orphaned
+	d.orphaned = nil
 	for _, s := range d.order {
 		for _, a := range s.r.DrainDeferred() {
 			out = append(out, StreamAuthenticated{StreamID: s.id, Authenticated: a})
@@ -166,14 +169,17 @@ func (d *Demux) receiver(streamID uint64) (*Receiver, error) {
 	if r == nil {
 		return nil, fmt.Errorf("stream: factory returned nil receiver for stream %d", streamID)
 	}
-	if d.cache != nil {
-		r.SetSharedVerifyCache(d.cache, streamID)
+	// What the demux has set overrides the factory's choice; the rest of
+	// the factory's environment stands.
+	r.env.StreamID = streamID
+	if d.env.Cache != nil {
+		r.env.Cache = d.env.Cache
 	}
-	if d.batchQ != nil {
-		r.SetBatchVerify(d.batchQ)
+	if d.env.BatchQ != nil {
+		r.env.BatchQ = d.env.BatchQ
 	}
-	if d.spans != nil {
-		r.SetSpans(d.spans, streamID)
+	if d.env.Spans != nil {
+		r.env.Spans = d.env.Spans
 	}
 	d.receivers[streamID] = r
 	d.order = append(d.order, liveStream{streamID, r})
@@ -201,10 +207,21 @@ func (d *Demux) Receiver(streamID uint64) *Receiver { return d.receivers[streamI
 
 // Close drops a stream's receiver state (an explicit leave, as opposed to
 // LRU eviction), reporting whether the stream was live. A later packet for
-// the stream re-joins it through the factory like any newcomer.
+// the stream re-joins it through the factory like any newcomer. Verdicts
+// the stream still has parked in the batch-verify queue are settled first
+// (the stream-level mirror of Receiver.retireVerifier) and its deferred
+// output is kept for the next DrainDeferred: once the receiver is out of
+// d.order nothing would collect them.
 func (d *Demux) Close(streamID uint64) bool {
-	if _, ok := d.receivers[streamID]; !ok {
+	r, ok := d.receivers[streamID]
+	if !ok {
 		return false
+	}
+	if r.env.BatchQ != nil && r.Totals().PendingSignature > 0 {
+		r.env.BatchQ.Resolve()
+	}
+	for _, a := range r.DrainDeferred() {
+		d.orphaned = append(d.orphaned, StreamAuthenticated{StreamID: streamID, Authenticated: a})
 	}
 	delete(d.receivers, streamID)
 	delete(d.lastActive, streamID)

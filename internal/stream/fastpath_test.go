@@ -25,6 +25,13 @@ func fastPathQueue(t *testing.T, batch int) *crypto.BatchVerifyQueue {
 	return q
 }
 
+func setEnv(t *testing.T, r *Receiver, env verifier.Env) {
+	t.Helper()
+	if err := r.SetEnv(env); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func authtreeBlock(t *testing.T, s *authtree.Tree, blockID uint64, n int) []*packet.Packet {
 	t.Helper()
 	payloads := make([][]byte, n)
@@ -180,7 +187,7 @@ func TestSharedCacheAcrossReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.SetSharedVerifyCache(cache, 7)
+	setEnv(t, first, verifier.Env{Cache: cache, StreamID: 7})
 	if got := ingestAll(first, pkts); got != n {
 		t.Fatalf("first subscriber authenticated %d, want %d", got, n)
 	}
@@ -192,7 +199,7 @@ func TestSharedCacheAcrossReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second.SetSharedVerifyCache(cache, 7)
+	setEnv(t, second, verifier.Env{Cache: cache, StreamID: 7})
 	if got := ingestAll(second, pkts); got != n {
 		t.Fatalf("second subscriber authenticated %d, want %d", got, n)
 	}
@@ -208,7 +215,7 @@ func TestSharedCacheAcrossReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	third.SetSharedVerifyCache(cache, 7)
+	setEnv(t, third, verifier.Env{Cache: cache, StreamID: 7})
 	if _, err := third.Ingest(pkts[0], time.Time{}); err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ type Totals struct {
 	EvictedBlocks  int
 	ActiveBlocks   int
 	// CacheHits counts packets authenticated straight from the shared
-	// verification cache (see SetSharedVerifyCache) without re-proving.
+	// verification cache (verifier.Env.Cache) without re-proving.
 	CacheHits int
 	// PendingSignature is the number of packets currently parked awaiting
 	// a deferred batch-verify verdict (a gauge, not a counter).
@@ -155,25 +155,14 @@ type Receiver struct {
 	// not leak one tombstone per block.
 	closed      map[uint64]bool
 	closedOrder []uint64
-	// maxBufferedPerBlock, when > 0, is applied to every new block
-	// verifier that supports scheme.BufferBounded, so one flooded block
-	// cannot grow memory without bound.
-	maxBufferedPerBlock int
 	// totals holds the receiver-level counters plus the folded stats of
 	// every retired block verifier (see retireVerifier); live verifiers are
 	// added on demand by Totals, never pushed here per packet.
 	totals Totals
-	// Receiver fast path (see SetSharedVerifyCache / SetBatchVerify):
-	// cache and batchQ are applied to every new block verifier that
-	// supports the corresponding scheme interface.
-	cache       *verifier.SharedCache
-	cacheStream uint64
-	batchQ      *crypto.BatchVerifyQueue
-	// spans, when attached, records a "decode" span per routed packet and
-	// is handed to every new scheme.SpanAware block verifier, which
-	// records the park/resolve/authenticate/reject tail of the trace.
-	spans      *obs.SpanRing
-	spanStream uint64
+	// env is the template every new block verifier is built from (see
+	// SetEnv and verifier.Env); Ingest stamps the block's Sink onto a copy.
+	// Its Spans ring also takes a "decode" span per routed packet.
+	env verifier.Env
 	// deferredOut accumulates messages authenticated by deferred batch
 	// verdicts; Ingest drains it into its return value, and DrainDeferred
 	// collects verdicts delivered by an explicit queue Resolve.
@@ -207,36 +196,29 @@ func NewReceiver(s scheme.Scheme, maxBlocks int) (*Receiver, error) {
 	}, nil
 }
 
-// SetSharedVerifyCache attaches a cross-subscriber verification cache: every
-// block verifier created from now on that implements scheme.CacheAware
-// authenticates cache-hit packets without re-proving them. streamID must
-// identify this receiver's stream (and therefore its signing key) within
-// the cache; receivers of different streams sharing one cache must use
-// distinct IDs.
-func (r *Receiver) SetSharedVerifyCache(c *verifier.SharedCache, streamID uint64) {
-	r.cache = c
-	r.cacheStream = streamID
+// SetEnv replaces the environment every block verifier created from now
+// on is built with (see verifier.Env for the fields; live blocks keep the
+// one they were built with). env.Sink is ignored: with a BatchQ the
+// receiver supplies its own per block, which is how deferred verdicts
+// reach DrainDeferred. With a MaxBuffered cap, the block-count bound caps
+// the receiver's total buffering at maxBlocks * MaxBuffered packets under
+// any flood.
+func (r *Receiver) SetEnv(env verifier.Env) error {
+	if err := env.Validate(); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	r.env = env
+	return nil
 }
 
-// SetBatchVerify defers signature checks of every scheme.DeferredVerifier
-// block verifier created from now on to q. Packets whose signature is
-// pending park inside their block verifier; verdicts resolve when q fills
-// (auto-resolve during some later Ingest) or when the caller invokes
+// SetBatchVerify sets the environment's BatchQ alone: block verifiers
+// created from now on park signature checks on q. Verdicts resolve when q
+// fills (auto-resolve during some later Ingest) or when the caller invokes
 // q.Resolve directly — after which DrainDeferred returns the newly
 // authenticated messages. The queue must only be resolved on the goroutine
 // that calls Ingest.
 func (r *Receiver) SetBatchVerify(q *crypto.BatchVerifyQueue) {
-	r.batchQ = q
-}
-
-// SetSpans attaches a causal span ring: each routed packet records a
-// "decode" span, and block verifiers created from now on that implement
-// scheme.SpanAware record the verification tail of the block's trace.
-// streamID keys the spans to this receiver's stream, matching the
-// sender-side spans of the same blocks.
-func (r *Receiver) SetSpans(ring *obs.SpanRing, streamID uint64) {
-	r.spans = ring
-	r.spanStream = streamID
+	r.env.BatchQ = q
 }
 
 // DrainDeferred returns (and clears) messages authenticated by deferred
@@ -274,18 +256,6 @@ func (r *Receiver) IngestWire(wire []byte, at time.Time) ([]Authenticated, error
 	return r.Ingest(p, at)
 }
 
-// SetMaxBufferedPerBlock caps the pending-packet buffer of every block
-// verifier created from now on (via scheme.BufferBounded); zero or negative
-// restores the default (unbounded). Together with the block-count bound
-// this caps the receiver's total buffering at maxBlocks * n packets under
-// any flood.
-func (r *Receiver) SetMaxBufferedPerBlock(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.maxBufferedPerBlock = n
-}
-
 // Ingest routes an already-decoded packet. Adversarial input — packets the
 // block verifier refuses outright — is counted in Totals.InvalidPackets and
 // tolerated: a forged datagram must never be able to stop the stream.
@@ -294,10 +264,10 @@ func (r *Receiver) Ingest(p *packet.Packet, at time.Time) ([]Authenticated, erro
 		return nil, errors.New("stream: nil packet")
 	}
 	r.totals.Packets++
-	if r.spans.Enabled() {
-		r.spans.Record(obs.Span{
+	if r.env.Spans.Enabled() {
+		r.env.Spans.Record(obs.Span{
 			Kind:   obs.SpanDecode,
-			Stream: r.spanStream,
+			Stream: r.env.StreamID,
 			Block:  p.BlockID,
 			Index:  p.Index,
 			TimeNS: obs.TimeNS(at),
@@ -309,26 +279,16 @@ func (r *Receiver) Ingest(p *packet.Packet, at time.Time) ([]Authenticated, erro
 	}
 	v, ok := r.verifiers[p.BlockID]
 	if !ok {
-		newV, err := r.s.NewVerifier()
+		env := r.env
+		if env.BatchQ != nil {
+			blockID := p.BlockID
+			env.Sink = func(events []verifier.Event) { r.noteDeferred(blockID, events) }
+		}
+		newV, err := r.s.NewVerifier(env)
 		if err != nil {
 			return nil, fmt.Errorf("stream: block %d: %w", p.BlockID, err)
 		}
 		v = newV
-		if bb, ok := v.(scheme.BufferBounded); ok && r.maxBufferedPerBlock > 0 {
-			bb.SetMaxBuffered(r.maxBufferedPerBlock)
-		}
-		if ca, ok := v.(scheme.CacheAware); ok && r.cache != nil {
-			ca.SetSharedCache(r.cache, r.cacheStream)
-		}
-		if dv, ok := v.(scheme.DeferredVerifier); ok && r.batchQ != nil {
-			blockID := p.BlockID
-			dv.SetBatchVerify(r.batchQ, func(events []verifier.Event) {
-				r.noteDeferred(blockID, events)
-			})
-		}
-		if sa, ok := v.(scheme.SpanAware); ok && r.spans != nil {
-			sa.SetSpans(r.spans, r.spanStream)
-		}
 		r.verifiers[p.BlockID] = v
 		r.order = append(r.order, p.BlockID)
 		r.evictIfNeeded()
@@ -398,8 +358,8 @@ func (r *Receiver) retireVerifier(blockID uint64) {
 		return
 	}
 	st := v.Stats()
-	if st.PendingSignature > 0 && r.batchQ != nil {
-		r.batchQ.Resolve()
+	if st.PendingSignature > 0 && r.env.BatchQ != nil {
+		r.env.BatchQ.Resolve()
 		st = v.Stats()
 	}
 	r.totals.fold(&st)

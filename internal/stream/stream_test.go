@@ -11,6 +11,7 @@ import (
 	"mcauth/internal/scheme/emss"
 	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stats"
+	"mcauth/internal/verifier"
 )
 
 func emssScheme(t *testing.T, n int) scheme.Scheme {
@@ -547,7 +548,10 @@ func TestMaxBufferedPerBlockBoundsFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcv.SetMaxBufferedPerBlock(8)
+	setEnv(t, rcv, verifier.Env{MaxBuffered: 8})
+	if err := rcv.SetEnv(verifier.Env{MaxBuffered: -1}); err == nil {
+		t.Error("negative cap should fail")
+	}
 	payloads := make([][]byte, 64)
 	for i := range payloads {
 		payloads[i] = []byte{byte(i)}

@@ -1,0 +1,62 @@
+package verifier
+
+import (
+	"fmt"
+
+	"mcauth/internal/crypto"
+	"mcauth/internal/obs"
+)
+
+// Env is everything a receiver-side verifier can be configured with,
+// supplied once at construction (scheme.Scheme.NewVerifier, NewChained) and
+// fixed for the verifier's lifetime. The zero Env is the synchronous,
+// unbounded, unobserved verifier. A scheme ignores the fields that have no
+// meaning for it (TESLA has no signature per packet to defer, so no BatchQ;
+// the per-packet-signature schemes buffer nothing outside deferred mode and
+// emit no trace); schemetest.EnvConformance pins which.
+type Env struct {
+	// StreamID identifies the stream — and therefore the signing key —
+	// the verifier serves. It keys Cache entries and Spans (sender- and
+	// receiver-side spans of one block join on TraceID(stream, block)), so
+	// verifiers of different streams sharing either must differ in it.
+	StreamID uint64
+	// MaxBuffered caps the packets held while awaiting authentication
+	// information (parked signatures included); overflow is dropped and
+	// counted in Stats.DroppedOverflow. Zero is the scheme's default
+	// (unbounded unless the scheme's own config says otherwise); negative
+	// is a construction error.
+	MaxBuffered int
+	// Cache shares proven-authentic packet digests across subscribers of
+	// one stream: digests are hashed once per process, a cache hit is
+	// accepted without re-proving, and every authentication is published
+	// back (see the forgery-safety argument in cache.go).
+	Cache *SharedCache
+	// BatchQ defers signature checks: Ingest parks signature-carrying
+	// packets and enqueues the check; when the queue resolves (threshold
+	// or explicit Resolve, always on the ingest goroutine — verifiers are
+	// not thread-safe) accepted packets authenticate and their events go
+	// to Sink, the originating Ingest having already returned.
+	BatchQ *crypto.BatchVerifyQueue
+	// Sink receives the events of deferred verdicts. stream.Receiver owns
+	// it (it stamps one per block); other callers set it alongside BatchQ.
+	Sink func([]Event)
+	// Spans records the verification tail of a block's causal trace
+	// (deferred_park, sig_resolve, authenticate, reject). The ring is
+	// nil-safe and checks an atomic enable flag first, so an attached but
+	// disabled ring costs one predictable branch per transition.
+	Spans *obs.SpanRing
+	// Tracer receives per-packet lifecycle events. Leave it an untyped
+	// nil when absent: a typed nil pointer in the interface would be
+	// called.
+	Tracer obs.Tracer
+	// Metrics receives the verifier.* instruments.
+	Metrics *obs.Registry
+}
+
+// Validate reports configuration no verifier accepts.
+func (e Env) Validate() error {
+	if e.MaxBuffered < 0 {
+		return fmt.Errorf("verifier: negative buffer cap %d", e.MaxBuffered)
+	}
+	return nil
+}

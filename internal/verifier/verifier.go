@@ -14,7 +14,7 @@
 // The engine is observable: it always measures arrival-to-authentication
 // latency (the paper's receiver delay) into Stats.TimeToAuth, and can
 // additionally emit per-packet lifecycle events and registry metrics when
-// wired up via SetTracer / SetMetrics (see internal/obs).
+// given a Tracer / Metrics registry in its Env (see internal/obs).
 package verifier
 
 import (
@@ -67,33 +67,8 @@ type Stats struct {
 	PendingSignature int
 }
 
-// Option configures a Chained verifier.
-type Option interface {
-	apply(*Chained)
-}
-
-type maxBufferedOption int
-
-func (o maxBufferedOption) apply(v *Chained) { v.maxBuffered = int(o) }
-
-// WithMaxBuffered caps the number of packets held while awaiting
-// authentication information; packets arriving with the buffer full are
-// dropped and counted in Stats.DroppedOverflow. Zero (the default) means
-// unbounded.
-func WithMaxBuffered(n int) Option { return maxBufferedOption(n) }
-
-// SetMaxBuffered applies the WithMaxBuffered cap after construction — the
-// hook layers that obtain verifiers from scheme factories (netsim, stream)
-// use to bound buffering under adversarial floods. Negative values are
-// ignored.
-func (v *Chained) SetMaxBuffered(n int) {
-	if n >= 0 {
-		v.maxBuffered = n
-	}
-}
-
 // metrics caches the registry instruments the engine updates, looked up
-// once at SetMetrics time so Ingest never touches the registry's lock.
+// once at construction so Ingest never touches the registry's lock.
 type metrics struct {
 	reg           *obs.Registry
 	authenticated *obs.Counter
@@ -135,111 +110,56 @@ type Chained struct {
 	n       uint32
 	pub     crypto.Verifier
 
-	trusted     map[uint32]crypto.Digest // digests proven authentic, by index
-	buffered    map[uint32]bufferedPacket
-	authentic   map[uint32]bool
-	maxBuffered int // 0 = unbounded
-	stats       Stats
+	// env is the verifier's configuration, fixed at construction.
+	env Env
+	m   *metrics
 
-	// Receiver fast path (see SetSharedCache / SetBatchVerify).
-	cache    *SharedCache
-	streamID uint64
-	batchQ   *crypto.BatchVerifyQueue
-	sink     func([]Event)
+	trusted   map[uint32]crypto.Digest // digests proven authentic, by index
+	buffered  map[uint32]bufferedPacket
+	authentic map[uint32]bool
+	stats     Stats
 	// pendingSig holds signature packets awaiting a deferred verdict. A
 	// slice per index, so an attacker racing a forged signature packet
 	// ahead of the genuine one cannot occupy the index and starve it.
 	pendingSig map[uint32][]bufferedPacket
-
-	tracer obs.Tracer
-	m      *metrics
-
-	// Causal span tracing (see SetSpans). spans is nil-safe and checks an
-	// atomic enable flag before any work, so the disabled cost is one
-	// predictable branch per lifecycle transition.
-	spans      *obs.SpanRing
-	spanStream uint64
 }
 
-var _ obs.Instrumented = (*Chained)(nil)
-
 // NewChained creates a verifier for one block of n packets signed by the
-// holder of pub.
-func NewChained(blockID uint64, n int, pub crypto.Verifier, opts ...Option) (*Chained, error) {
+// holder of pub, configured by env.
+func NewChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("verifier: block size %d must be >= 1", n)
 	}
 	if pub == nil {
 		return nil, errors.New("verifier: nil public key")
 	}
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
 	v := &Chained{
 		blockID:   blockID,
 		n:         uint32(n),
 		pub:       pub,
+		env:       env,
+		m:         newMetrics(env.Metrics),
 		trusted:   make(map[uint32]crypto.Digest),
 		buffered:  make(map[uint32]bufferedPacket),
 		authentic: make(map[uint32]bool),
 	}
-	for _, o := range opts {
-		o.apply(v)
-	}
-	if v.maxBuffered < 0 {
-		return nil, fmt.Errorf("verifier: negative buffer cap %d", v.maxBuffered)
+	if env.BatchQ != nil {
+		v.pendingSig = make(map[uint32][]bufferedPacket)
 	}
 	return v, nil
 }
 
-// SetTracer implements obs.Instrumented: subsequent ingests emit lifecycle
-// events to t (nil disables tracing).
-func (v *Chained) SetTracer(t obs.Tracer) { v.tracer = t }
-
-// SetMetrics implements obs.Instrumented: subsequent ingests update
-// verifier.* instruments in reg (nil disables).
-func (v *Chained) SetMetrics(reg *obs.Registry) { v.m = newMetrics(reg) }
-
-// SetSharedCache attaches the cross-subscriber verification cache: packet
-// digests are memoized through it, a packet whose digest the cache has
-// proven authentic for (streamID, block) is accepted without re-verifying
-// its signature or digest chain, and every authentication this verifier
-// performs is published back. streamID must identify the stream (and so
-// the signing key) this verifier serves. nil detaches.
-func (v *Chained) SetSharedCache(c *SharedCache, streamID uint64) {
-	v.cache = c
-	v.streamID = streamID
-}
-
-// SetBatchVerify defers signature-packet verification to q: Ingest parks
-// such packets as pending-signature and enqueues the check; when the
-// queue resolves (threshold or explicit Resolve), an accepting verdict
-// authenticates the packet and delivers its cascade of events to sink,
-// while a rejecting verdict counts a rejection. Verdicts must resolve on
-// the goroutine that ingests (the engine itself is not thread-safe). nil
-// q restores synchronous verification; sink is required otherwise.
-func (v *Chained) SetBatchVerify(q *crypto.BatchVerifyQueue, sink func([]Event)) {
-	v.batchQ = q
-	v.sink = sink
-	if q != nil && v.pendingSig == nil {
-		v.pendingSig = make(map[uint32][]bufferedPacket)
-	}
-}
-
-// SetSpans attaches a causal span ring: deferred parks, signature
-// resolutions, authentications and rejections are recorded as spans keyed
-// by (streamID, block), joining the sender-side spans of the serving tier
-// into one end-to-end trace. nil detaches.
-func (v *Chained) SetSpans(r *obs.SpanRing, streamID uint64) {
-	v.spans = r
-	v.spanStream = streamID
-}
-
 // span records one lifecycle span when the ring is attached and enabled.
 func (v *Chained) span(kind obs.SpanKind, index uint32, at time.Time, dur time.Duration, reason string) {
-	if !v.spans.Enabled() {
+	if !v.env.Spans.Enabled() {
 		return
 	}
-	v.spans.Record(obs.Span{
+	v.env.Spans.Record(obs.Span{
 		Kind:   kind,
-		Stream: v.spanStream,
+		Stream: v.env.StreamID,
 		Block:  v.blockID,
 		Index:  index,
 		TimeNS: obs.TimeNS(at),
@@ -251,8 +171,8 @@ func (v *Chained) span(kind obs.SpanKind, index uint32, at time.Time, dur time.D
 // digestOf computes p's content digest through the shared memo when one
 // is attached.
 func (v *Chained) digestOf(p *packet.Packet) crypto.Digest {
-	if v.cache != nil {
-		return v.cache.DigestOf(p)
+	if v.env.Cache != nil {
+		return v.env.Cache.DigestOf(p)
 	}
 	return p.Digest()
 }
@@ -282,8 +202,8 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	// proven authentic in this stream and block (by this or any other
 	// subscriber) is accepted without re-running its signature or digest
 	// check — see the forgery-safety argument in cache.go.
-	if v.cache != nil {
-		if d := v.cache.DigestOf(p); v.cache.IsAuthentic(v.streamID, p.BlockID, d) {
+	if v.env.Cache != nil {
+		if d := v.env.Cache.DigestOf(p); v.env.Cache.IsAuthentic(v.env.StreamID, p.BlockID, d) {
 			v.stats.CacheHits++
 			return v.accept(p, at), nil
 		}
@@ -292,7 +212,7 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	var events []Event
 	switch {
 	case len(p.Signature) > 0:
-		if v.batchQ != nil {
+		if v.env.BatchQ != nil {
 			v.deferSignature(p, at)
 			return nil, nil
 		}
@@ -304,7 +224,7 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	default:
 		want, ok := v.trusted[p.Index]
 		if !ok {
-			if v.maxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.maxBuffered {
+			if v.env.MaxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.env.MaxBuffered {
 				v.stats.DroppedOverflow++
 				v.m.countOverflow()
 				v.emit(obs.Event{
@@ -340,7 +260,7 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 // like any buffered packet (pending-signature floods are attacker
 // reachable).
 func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
-	if v.maxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.maxBuffered {
+	if v.env.MaxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.env.MaxBuffered {
 		v.stats.DroppedOverflow++
 		v.m.countOverflow()
 		v.emit(obs.Event{
@@ -358,7 +278,7 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 	})
 	// The verdict callback may run synchronously (threshold reached) or
 	// from a later Resolve on the ingest goroutine.
-	v.batchQ.Enqueue(v.pub, p.ContentBytes(), p.Signature, func(ok bool) {
+	v.env.BatchQ.Enqueue(v.pub, p.ContentBytes(), p.Signature, func(ok bool) {
 		v.resolveSignature(p, at, ok)
 	})
 }
@@ -384,8 +304,8 @@ func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool)
 		return
 	}
 	events := v.accept(p, arrived)
-	if v.sink != nil && len(events) > 0 {
-		v.sink(events)
+	if v.env.Sink != nil && len(events) > 0 {
+		v.env.Sink(events)
 	}
 }
 
@@ -422,8 +342,8 @@ func (v *Chained) reject(p *packet.Packet, at time.Time, reason string) {
 func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
 	v.authentic[p.Index] = true
 	v.stats.Authenticated++
-	if v.cache != nil {
-		v.cache.MarkAuthentic(v.streamID, p.BlockID, v.cache.DigestOf(p))
+	if v.env.Cache != nil {
+		v.env.Cache.MarkAuthentic(v.env.StreamID, p.BlockID, v.env.Cache.DigestOf(p))
 	}
 	latency := at.Sub(arrived)
 	if latency < 0 {
@@ -499,10 +419,10 @@ func (v *Chained) updateHashHighWater() {
 }
 
 func (v *Chained) emit(e obs.Event) {
-	if v.tracer == nil {
+	if v.env.Tracer == nil {
 		return
 	}
-	v.tracer.Emit(e)
+	v.env.Tracer.Emit(e)
 }
 
 func (m *metrics) countDuplicate() {

@@ -29,7 +29,7 @@ func buildChain(t *testing.T, signer crypto.Signer, blockID uint64) []*packet.Pa
 
 func newVerifier(t *testing.T, signer crypto.Signer, blockID uint64, n int) *Chained {
 	t.Helper()
-	v, err := NewChained(blockID, n, signer.Public())
+	v, err := NewChained(blockID, n, signer.Public(), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +213,10 @@ func TestIndexOutOfRange(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
-	if _, err := NewChained(1, 0, signer.Public()); err == nil {
+	if _, err := NewChained(1, 0, signer.Public(), Env{}); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := NewChained(1, 4, nil); err == nil {
+	if _, err := NewChained(1, 4, nil, Env{}); err == nil {
 		t.Error("nil key should fail")
 	}
 }
@@ -236,7 +236,7 @@ func TestHashBufferHighWater(t *testing.T) {
 func TestBufferCapDropsOverflow(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
 	pkts := buildChain(t, signer, 1)
-	v, err := NewChained(1, 4, signer.Public(), WithMaxBuffered(1))
+	v, err := NewChained(1, 4, signer.Public(), Env{MaxBuffered: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestBufferCapDropsOverflow(t *testing.T) {
 
 func TestBufferCapValidation(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
-	if _, err := NewChained(1, 4, signer.Public(), WithMaxBuffered(-1)); err == nil {
+	if _, err := NewChained(1, 4, signer.Public(), Env{MaxBuffered: -1}); err == nil {
 		t.Error("negative cap should fail")
 	}
 }

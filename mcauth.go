@@ -36,6 +36,7 @@ import (
 	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stream"
+	"mcauth/internal/verifier"
 )
 
 // Core re-exported types.
@@ -44,6 +45,9 @@ type (
 	Scheme = scheme.Scheme
 	// Verifier is a receiver-side verification state machine.
 	Verifier = scheme.Verifier
+	// VerifierEnv configures a Verifier at Scheme.NewVerifier; the zero
+	// value is the synchronous, unbounded, unobserved verifier.
+	VerifierEnv = verifier.Env
 	// Graph is a dependence-graph (Definition 1 of the paper).
 	Graph = depgraph.Graph
 	// Signer signs block signatures (Ed25519).

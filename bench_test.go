@@ -550,7 +550,7 @@ func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []se
 	return schemes, trace
 }
 
-// BenchmarkServeLoop is the receive loop of mcserved's receiverSession, per
+// BenchmarkServeLoop is the receive loop of serve.VerifySink.Packet, per
 // packet: Demux.Ingest, a queue Resolve every 32nd packet, DrainDeferred
 // after every packet — with 64 live blocks on every stream, the shared
 // cache and the batch-verify queue at the daemon's defaults. One op is one
@@ -560,7 +560,7 @@ func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []se
 func BenchmarkServeLoop(b *testing.B) {
 	const (
 		n           = 8
-		live        = 64 // receiverSession's stream.NewReceiver(s, 64)
+		live        = 64 // mcserved -connect: NewVerifySink(64, ...)
 		timedRounds = 16
 		verifyBatch = 32   // -verify-batch
 		verifyCache = 1024 // -verify-cache

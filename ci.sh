@@ -154,7 +154,9 @@ go tool cover -func="$diagdir/cover.out" | tail -n 1
 # (non-test code uses only its Payloads generator). A dirty tree is measured
 # against HEAD (untracked files count as added), a clean one against
 # HEAD~1. Informational only: no threshold, and no failure when there is
-# no parent to compare with.
+# no parent to compare with. Two riders on the same base: the non-test line
+# count of every cmd/* main package, so thin-main drift is visible, and
+# whether the change touched the benchmark (frozen outside a benchmark PR).
 loc_base=HEAD
 if git diff --quiet HEAD -- '*.go' 2>/dev/null &&
 	[ -z "$(git ls-files --others --exclude-standard -- '*.go' 2>/dev/null)" ]; then
@@ -172,3 +174,13 @@ fi
 		else print "net Go LOC: nothing to compare (no parent commit or no Go change)"
 	}
 '
+for d in cmd/*/; do
+	printf 'cmd LOC (non-test): %s %s\n' "$d" "$(find "$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+done
+if ! git rev-parse --verify -q "$loc_base" >/dev/null; then
+	:
+elif git diff --quiet "$loc_base" -- benchmark BENCHMARK.json; then
+	echo "benchmark/ and BENCHMARK.json: not edited vs $loc_base"
+else
+	echo "benchmark/ or BENCHMARK.json EDITED vs $loc_base (only a benchmark PR may)"
+fi

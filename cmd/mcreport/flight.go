@@ -23,11 +23,12 @@ var spanKindOrder = map[obs.SpanKind]int{
 	obs.SpanShardEnqueue: 1,
 	obs.SpanSignAttach:   2,
 	obs.SpanMuxWrite:     3,
-	obs.SpanDecode:       4,
-	obs.SpanDeferredPark: 5,
-	obs.SpanSigResolve:   6,
-	obs.SpanAuthenticate: 7,
-	obs.SpanReject:       8,
+	obs.SpanRelayIngest:  4,
+	obs.SpanDecode:       5,
+	obs.SpanDeferredPark: 6,
+	obs.SpanSigResolve:   7,
+	obs.SpanAuthenticate: 8,
+	obs.SpanReject:       9,
 }
 
 // traceGroup is one block's causally linked spans.

@@ -28,8 +28,7 @@
 //	    from the relay's local store, absorbing recovery traffic one hop
 //	    from the edge. Relays hold no keys and verify nothing; a
 //	    tampering relay only produces packets receivers reject. Relays
-//	    chain: a relay's -connect may point at another relay. See
-//	    relay.go.
+//	    chain: a relay's -connect may point at another relay.
 //
 // A fifth mode exercises the resilience machinery end to end:
 //
@@ -38,7 +37,7 @@
 //	    kill and restart the server every -kill-after with connection
 //	    resets, torn writes and stalled reads injected, then assert zero
 //	    forged authentications, no forked blocks, and measured session
-//	    resume. See chaos.go.
+//	    resume.
 //
 // Daemons are crash-recoverable when given -checkpoint FILE: block IDs are
 // write-ahead reserved there, so a killed and restarted daemon never
@@ -47,9 +46,13 @@
 // -reconnect-backoff) and resume their session via a hello carrying
 // per-stream replay cursors, answered from the server's per-stream repair
 // retention (-repair).
+//
+// The roles themselves are internal/serve; this package is their flags,
+// observability endpoints, signals and summaries.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,24 +62,18 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/obs"
-	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/scheme/authtree"
 	"mcauth/internal/scheme/emss"
 	"mcauth/internal/scheme/rohatgi"
 	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/server"
-	"mcauth/internal/stats"
-	"mcauth/internal/stream"
-	"mcauth/internal/transport"
-	"mcauth/internal/verifier"
+	"mcauth/internal/serve"
 )
 
 type options struct {
@@ -86,43 +83,17 @@ type options struct {
 	chaos   bool
 	relay   bool
 
-	streams  int
 	schemeID string
 	n        int
-	blocks   int
-	rate     time.Duration
 	duration time.Duration
 
-	batch int
-	flush time.Duration
-	key   string
-
-	verifyBatch int
-	verifyCache int
-
-	checkpoint   string
-	repair       int
-	writeTimeout time.Duration
-
-	reconnect        int
-	reconnectBackoff time.Duration
-
-	cycles    int
-	killAfter time.Duration
-	connReset float64
-	connStall float64
-	chaosSeed uint64
-	minAuth   float64
+	serve.Config
+	chaosCfg serve.ChaosConfig
+	telCfg   serve.TelemetryConfig
 
 	metrics         string
 	metricsInterval time.Duration
 	pprofAddr       string
-
-	spanBuf    int
-	flight     string
-	sloWindow  time.Duration
-	sloP99     time.Duration
-	sloMinAuth float64
 }
 
 func main() {
@@ -140,36 +111,36 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.connect, "connect", "", "act as a receiver: connect to a daemon and verify its streams")
 	fs.BoolVar(&o.chaos, "chaos", false, "run the chaos self-test: kill/restart the daemon across -cycles with conn faults injected, assert recovery invariants")
 	fs.BoolVar(&o.relay, "relay", false, "run as a fan-out relay: subscribe to -connect, retain -repair blocks per stream, and re-serve the feed (live + resume catch-up + MCRQ repairs) on -listen")
-	fs.IntVar(&o.streams, "streams", 64, "number of concurrent authenticated streams")
+	fs.IntVar(&o.Streams, "streams", 64, "number of concurrent authenticated streams")
 	fs.StringVar(&o.schemeID, "scheme", "mixed", "per-stream scheme: rohatgi|emss|augchain|authtree|signeach|mixed")
 	fs.IntVar(&o.n, "n", 8, "block size (payloads per block)")
-	fs.IntVar(&o.blocks, "blocks", 20, "blocks to publish per stream (demo mode)")
-	fs.DurationVar(&o.rate, "rate", 0, "inter-message gap per stream (0 = as fast as possible)")
+	fs.IntVar(&o.Blocks, "blocks", 20, "blocks to publish per stream (demo mode)")
+	fs.DurationVar(&o.Rate, "rate", 0, "inter-message gap per stream (0 = as fast as possible)")
 	fs.DurationVar(&o.duration, "duration", 0, "daemon lifetime (0 = until interrupt)")
-	fs.IntVar(&o.batch, "batch", 64, "block roots per signature (batch signer auto-flush threshold)")
-	fs.DurationVar(&o.flush, "flush", 50*time.Millisecond, "flush deadline for partial blocks and pending batches")
-	fs.StringVar(&o.key, "key", "mcserved-demo", "signing-key derivation string (receivers derive the matching public key)")
-	fs.IntVar(&o.verifyBatch, "verify-batch", 32, "receiver fast path: defer signature checks to a batch-verify queue holding this many pending packets, amortizing duplicate underlying checks (0 = verify synchronously)")
-	fs.IntVar(&o.verifyCache, "verify-cache", 1024, "receiver fast path: shared per-block verification cache entries — packets proven authentic once are accepted by digest on re-receipt (0 = off)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-recovery checkpoint file: block IDs are write-ahead reserved here, restarts resume past every emitted block")
-	fs.IntVar(&o.repair, "repair", 64, "blocks of per-stream packet retention for session-resume catch-up (0 disables)")
-	fs.DurationVar(&o.writeTimeout, "write-timeout", 10*time.Second, "per-packet write deadline on subscriber connections (0 = none); a stalled reader loses its conn instead of pinning the writer")
-	fs.IntVar(&o.reconnect, "reconnect", 8, "receiver: give up after this many consecutive failed dials (-1 = retry forever, 0 = single session, no reconnect)")
-	fs.DurationVar(&o.reconnectBackoff, "reconnect-backoff", 50*time.Millisecond, "receiver: initial redial backoff (doubles with jitter, capped at 1s)")
-	fs.IntVar(&o.cycles, "cycles", 5, "chaos: daemon kill/restart cycles")
-	fs.DurationVar(&o.killAfter, "kill-after", 300*time.Millisecond, "chaos: serving time before each kill")
-	fs.Float64Var(&o.connReset, "conn-reset", 0.01, "chaos: per-write probability a subscriber conn resets mid-frame")
-	fs.Float64Var(&o.connStall, "conn-stall", 0.005, "chaos: per-read probability the receiver stalls")
-	fs.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "chaos: fault-injection RNG seed")
-	fs.Float64Var(&o.minAuth, "min-auth", 0.3, "chaos: minimum fraction of published messages that must authenticate")
+	fs.IntVar(&o.Batch, "batch", 64, "block roots per signature (batch signer auto-flush threshold)")
+	fs.DurationVar(&o.Flush, "flush", 50*time.Millisecond, "flush deadline for partial blocks and pending batches")
+	fs.StringVar(&o.Key, "key", "mcserved-demo", "signing-key derivation string (receivers derive the matching public key)")
+	fs.IntVar(&o.VerifyBatch, "verify-batch", 32, "receiver fast path: defer signature checks to a batch-verify queue holding this many pending packets, amortizing duplicate underlying checks (0 = verify synchronously)")
+	fs.IntVar(&o.VerifyCache, "verify-cache", 1024, "receiver fast path: shared per-block verification cache entries — packets proven authentic once are accepted by digest on re-receipt (0 = off)")
+	fs.StringVar(&o.Checkpoint, "checkpoint", "", "crash-recovery checkpoint file: block IDs are write-ahead reserved here, restarts resume past every emitted block")
+	fs.IntVar(&o.Repair, "repair", 64, "blocks of per-stream packet retention for session-resume catch-up (0 disables)")
+	fs.DurationVar(&o.WriteTimeout, "write-timeout", 10*time.Second, "per-packet write deadline on subscriber connections (0 = none); a stalled reader loses its conn instead of pinning the writer")
+	fs.IntVar(&o.Reconnect, "reconnect", 8, "receiver: give up after this many consecutive failed dials (-1 = retry forever, 0 = single session, no reconnect)")
+	fs.DurationVar(&o.ReconnectBackoff, "reconnect-backoff", 50*time.Millisecond, "receiver: initial redial backoff (doubles with jitter, capped at 1s)")
+	fs.IntVar(&o.chaosCfg.Cycles, "cycles", 5, "chaos: daemon kill/restart cycles")
+	fs.DurationVar(&o.chaosCfg.KillAfter, "kill-after", 300*time.Millisecond, "chaos: serving time before each kill")
+	fs.Float64Var(&o.chaosCfg.ConnReset, "conn-reset", 0.01, "chaos: per-write probability a subscriber conn resets mid-frame")
+	fs.Float64Var(&o.chaosCfg.ConnStall, "conn-stall", 0.005, "chaos: per-read probability the receiver stalls")
+	fs.Uint64Var(&o.chaosCfg.Seed, "chaos-seed", 1, "chaos: fault-injection RNG seed")
+	fs.Float64Var(&o.chaosCfg.MinAuth, "min-auth", 0.3, "chaos: minimum fraction of published messages that must authenticate")
 	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics: '-' for a text table on stdout, else JSON to this file")
 	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "with -metrics FILE: append a timestamped JSONL metrics snapshot at this interval (plus one final line) instead of a single end-of-run object")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof (+/metrics, /statusz, /healthz, /slo) on this address")
-	fs.IntVar(&o.spanBuf, "span-buf", 8192, "causal span ring capacity: per-packet lifecycle spans (push, shard enqueue, sign attach, mux write, decode, deferred park, resolve, authenticate/reject) kept for the flight recorder (0 disables tracing)")
-	fs.StringVar(&o.flight, "flight", "", "write the flight-recorder post-mortem (JSONL) to this file on panic, SIGUSR1, chaos kill, or SLO budget exhaustion (render with mcreport -flight)")
-	fs.DurationVar(&o.sloWindow, "slo-window", time.Minute, "per-stream SLO sliding evaluation window")
-	fs.DurationVar(&o.sloP99, "slo-p99", 0, "per-stream SLO: p99 time-to-auth objective (0 = no latency objective)")
-	fs.Float64Var(&o.sloMinAuth, "slo-min-auth", 0, "per-stream SLO: minimum authenticated fraction objective, the paper's q_min as a live target (0 = off)")
+	fs.IntVar(&o.telCfg.SpanBuf, "span-buf", 8192, "causal span ring capacity: per-packet lifecycle spans (push, shard enqueue, sign attach, mux write, decode, deferred park, resolve, authenticate/reject) kept for the flight recorder (0 disables tracing)")
+	fs.StringVar(&o.telCfg.Flight, "flight", "", "write the flight-recorder post-mortem (JSONL) to this file on panic, SIGUSR1, chaos kill, or SLO budget exhaustion (render with mcreport -flight)")
+	fs.DurationVar(&o.telCfg.SLOWindow, "slo-window", time.Minute, "per-stream SLO sliding evaluation window")
+	fs.DurationVar(&o.telCfg.SLOP99, "slo-p99", 0, "per-stream SLO: p99 time-to-auth objective (0 = no latency objective)")
+	fs.Float64Var(&o.telCfg.SLOMinAuth, "slo-min-auth", 0, "per-stream SLO: minimum authenticated fraction objective, the paper's q_min as a live target (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -191,66 +162,68 @@ func parseOptions(args []string) (options, error) {
 	} else if modes != 1 {
 		return options{}, errors.New("pick exactly one of -demo, -listen, -connect, -chaos (or -relay with -connect and -listen)")
 	}
-	if o.streams < 1 {
-		return options{}, fmt.Errorf("streams %d must be >= 1", o.streams)
+	if o.Streams < 1 {
+		return options{}, fmt.Errorf("streams %d must be >= 1", o.Streams)
 	}
-	if o.blocks < 1 {
-		return options{}, fmt.Errorf("blocks %d must be >= 1", o.blocks)
+	if o.Blocks < 1 {
+		return options{}, fmt.Errorf("blocks %d must be >= 1", o.Blocks)
 	}
-	if o.repair < 0 {
-		return options{}, fmt.Errorf("repair %d must be >= 0", o.repair)
+	if o.Repair < 0 {
+		return options{}, fmt.Errorf("repair %d must be >= 0", o.Repair)
 	}
-	if o.verifyBatch < 0 {
-		return options{}, fmt.Errorf("verify-batch %d must be >= 0", o.verifyBatch)
+	if o.VerifyBatch < 0 {
+		return options{}, fmt.Errorf("verify-batch %d must be >= 0", o.VerifyBatch)
 	}
-	if o.verifyCache < 0 {
-		return options{}, fmt.Errorf("verify-cache %d must be >= 0", o.verifyCache)
+	if o.VerifyCache < 0 {
+		return options{}, fmt.Errorf("verify-cache %d must be >= 0", o.VerifyCache)
 	}
-	if o.reconnect < -1 {
-		return options{}, fmt.Errorf("reconnect %d must be >= -1", o.reconnect)
+	if o.Reconnect < -1 {
+		return options{}, fmt.Errorf("reconnect %d must be >= -1", o.Reconnect)
 	}
-	if o.reconnectBackoff <= 0 {
-		return options{}, fmt.Errorf("reconnect-backoff %v must be > 0", o.reconnectBackoff)
+	if o.ReconnectBackoff <= 0 {
+		return options{}, fmt.Errorf("reconnect-backoff %v must be > 0", o.ReconnectBackoff)
 	}
 	if o.chaos {
-		if o.cycles < 1 {
-			return options{}, fmt.Errorf("cycles %d must be >= 1", o.cycles)
+		if o.chaosCfg.Cycles < 1 {
+			return options{}, fmt.Errorf("cycles %d must be >= 1", o.chaosCfg.Cycles)
 		}
-		if o.killAfter <= 0 {
-			return options{}, fmt.Errorf("kill-after %v must be > 0", o.killAfter)
+		if o.chaosCfg.KillAfter <= 0 {
+			return options{}, fmt.Errorf("kill-after %v must be > 0", o.chaosCfg.KillAfter)
 		}
-		if o.connReset < 0 || o.connReset > 1 || o.connStall < 0 || o.connStall > 1 {
+		if o.chaosCfg.ConnReset < 0 || o.chaosCfg.ConnReset > 1 || o.chaosCfg.ConnStall < 0 || o.chaosCfg.ConnStall > 1 {
 			return options{}, errors.New("conn-reset and conn-stall must be in [0,1]")
 		}
-		if o.minAuth < 0 || o.minAuth > 1 {
-			return options{}, fmt.Errorf("min-auth %v must be in [0,1]", o.minAuth)
+		if o.chaosCfg.MinAuth < 0 || o.chaosCfg.MinAuth > 1 {
+			return options{}, fmt.Errorf("min-auth %v must be in [0,1]", o.chaosCfg.MinAuth)
 		}
 	}
 	if o.metricsInterval < 0 {
 		return options{}, fmt.Errorf("metrics-interval %v must be >= 0", o.metricsInterval)
 	}
-	if o.spanBuf < 0 {
-		return options{}, fmt.Errorf("span-buf %d must be >= 0", o.spanBuf)
+	if o.telCfg.SpanBuf < 0 {
+		return options{}, fmt.Errorf("span-buf %d must be >= 0", o.telCfg.SpanBuf)
 	}
-	if o.sloWindow <= 0 {
-		return options{}, fmt.Errorf("slo-window %v must be > 0", o.sloWindow)
+	if o.telCfg.SLOWindow <= 0 {
+		return options{}, fmt.Errorf("slo-window %v must be > 0", o.telCfg.SLOWindow)
 	}
-	if o.sloP99 < 0 {
-		return options{}, fmt.Errorf("slo-p99 %v must be >= 0", o.sloP99)
+	if o.telCfg.SLOP99 < 0 {
+		return options{}, fmt.Errorf("slo-p99 %v must be >= 0", o.telCfg.SLOP99)
 	}
-	if o.sloMinAuth < 0 || o.sloMinAuth > 1 {
-		return options{}, fmt.Errorf("slo-min-auth %v must be in [0,1]", o.sloMinAuth)
+	if o.telCfg.SLOMinAuth < 0 || o.telCfg.SLOMinAuth > 1 {
+		return options{}, fmt.Errorf("slo-min-auth %v must be in [0,1]", o.telCfg.SLOMinAuth)
 	}
 	if o.metricsInterval > 0 && (o.metrics == "" || o.metrics == "-") {
 		return options{}, errors.New("-metrics-interval needs -metrics FILE (the JSONL series goes to a file)")
 	}
+	o.Scheme = o.buildScheme
 	return o, nil
 }
 
 // buildScheme constructs stream id's scheme; "mixed" rotates the four
 // non-timed constructions so one daemon exercises deferred and
 // synchronous signing together.
-func buildScheme(kind string, n int, id uint64, signer crypto.Signer) (scheme.Scheme, error) {
+func (o options) buildScheme(id uint64, signer crypto.Signer) (scheme.Scheme, error) {
+	kind, n := o.schemeID, o.n
 	if kind == "mixed" {
 		kind = []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
 	}
@@ -281,20 +254,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// The crash artifact outlives the crash: a panic anywhere below dumps
 	// the flight record before re-panicking, and SIGUSR1 dumps on demand.
-	defer tel.recoverDump()
-	stopUSR1 := tel.installSIGUSR1()
-	defer stopUSR1()
+	defer tel.RecoverDump()
+	defer installSIGUSR1(tel)()
 	switch {
-	case o.relay:
-		err = runRelay(o, reg, tel, stdout)
-	case o.connect != "":
-		err = runReceiver(o, reg, tel, stdout)
-	case o.listen != "":
-		err = runDaemon(o, reg, health, tel, stdout)
 	case o.chaos:
-		err = runChaos(o, reg, tel, stdout)
+		err = o.Chaos(o.chaosCfg, reg, tel, stdout)
+	case o.demo:
+		fmt.Fprintf(stdout, "mcserved demo: %d streams (%s), %d blocks/stream, batch %d, flush %v\n",
+			o.Streams, o.schemeID, o.Blocks, o.Batch, o.Flush)
+		err = o.Demo(reg, tel, stdout)
 	default:
-		err = runDemo(o, reg, tel, stdout)
+		err = runRole(o, reg, health, tel, stdout)
 	}
 	if err != nil {
 		finish()
@@ -303,7 +273,7 @@ func run(args []string, stdout io.Writer) error {
 	return finish()
 }
 
-func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health, *telemetry, func() error, error) {
+func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health, *serve.Telemetry, func() error, error) {
 	var (
 		reg         *obs.Registry
 		metricsFile *os.File
@@ -311,8 +281,12 @@ func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health
 		err         error
 	)
 	health := &obs.Health{}
-	if o.metrics != "" || o.pprofAddr != "" {
+	// Relay, demo and chaos summaries and assertions read their instruments,
+	// so those roles run with a live registry even when nothing exports it.
+	if o.metrics != "" || o.pprofAddr != "" || o.relay || o.demo || o.chaos {
 		reg = obs.NewRegistry()
+	}
+	if o.metrics != "" || o.pprofAddr != "" {
 		if o.metrics != "" && o.metrics != "-" {
 			metricsFile, err = os.Create(o.metrics)
 			if err != nil {
@@ -321,7 +295,7 @@ func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health
 		}
 		crypto.Instrument(reg)
 	}
-	tel := newTelemetry(o, reg)
+	tel := serve.NewTelemetry(o.telCfg, reg)
 	if o.pprofAddr != "" {
 		ln, err := net.Listen("tcp", o.pprofAddr)
 		if err != nil {
@@ -336,14 +310,16 @@ func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health
 		exposer = obs.NewExposer(reg, obs.DefaultExposeInterval)
 		exposer.SetStatus(func(w io.Writer) {
 			fmt.Fprintf(w, "mcserved -streams %d -scheme %s -batch %d -flush %v (%s)\n",
-				o.streams, o.schemeID, o.batch, o.flush, health)
-			tel.writeStatus(w)
+				o.Streams, o.schemeID, o.Batch, o.Flush, health)
+			if slo := tel.SLO(); slo != nil {
+				_ = slo.WriteText(w)
+			}
 		})
 		exposer.Register(mux)
 		health.Register(mux)
-		tel.registerHTTP(mux)
 		endpoints := "/metrics, /statusz, /healthz"
-		if tel != nil {
+		if slo := tel.SLO(); slo != nil {
+			slo.Register(mux)
 			endpoints += ", /slo"
 		}
 		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/ (+%s)\n", ln.Addr(), endpoints)
@@ -415,531 +391,100 @@ func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health
 	return reg, health, tel, finish, nil
 }
 
-// startServer creates the server and opens every stream. When the options
-// name a checkpoint file it is opened (or resumed) here, so a restarted
-// daemon picks up every stream past its reserved watermark.
-func startServer(o options, reg *obs.Registry, tel *telemetry) (*server.Server, error) {
-	var cp *server.Checkpoint
-	if o.checkpoint != "" {
-		var err error
-		if cp, err = server.OpenCheckpoint(o.checkpoint); err != nil {
-			return nil, err
-		}
-	}
-	srv, err := server.New(server.Config{
-		Signer:             crypto.NewSignerFromString(o.key),
-		BatchSize:          o.batch,
-		FlushInterval:      o.flush,
-		MaxSubscriberQueue: 1 << 16,
-		Metrics:            reg,
-		Spans:              tel.spanRing(),
-		Checkpoint:         cp,
-		RepairBlocks:       o.repair,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for id := uint64(1); id <= uint64(o.streams); id++ {
-		id := id
-		if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
-			return buildScheme(o.schemeID, o.n, id, signer)
-		}); err != nil {
-			srv.Close()
-			return nil, err
-		}
-	}
-	return srv, nil
-}
-
-// publishAll drives every stream from its own goroutine until each has
-// sent its blocks (demo) or stop closes (daemon).
-func publishAll(srv *server.Server, o options, stop <-chan struct{}) *sync.WaitGroup {
-	var wg sync.WaitGroup
-	for id := uint64(1); id <= uint64(o.streams); id++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			sch, err := buildScheme(o.schemeID, o.n, id, crypto.NewSignerFromString(o.key))
-			if err != nil {
-				return
-			}
-			total := sch.BlockSize() * o.blocks
-			for i := 0; stop != nil || i < total; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				payload := []byte(fmt.Sprintf("stream-%d msg-%d", id, i))
-				if err := srv.Publish(id, payload); err != nil {
-					return // server closing
-				}
-				if o.rate > 0 {
-					time.Sleep(o.rate)
-				}
-			}
-		}(id)
-	}
-	return &wg
-}
-
-// verifyFastPath builds the receiver fast path the options ask for and
-// attaches it to the demux: a shared per-block verification cache
-// (-verify-cache) and/or a deferred batch-verify queue (-verify-batch).
-// It returns the queue (nil when batching is off) so the ingest loop can
-// resolve pending verdicts.
-func verifyFastPath(o options, reg *obs.Registry, dmx *stream.Demux) (*crypto.BatchVerifyQueue, error) {
-	var (
-		cache *verifier.SharedCache
-		q     *crypto.BatchVerifyQueue
-		err   error
-	)
-	if o.verifyCache > 0 {
-		if cache, err = verifier.NewSharedCache(o.verifyCache); err != nil {
-			return nil, err
-		}
-		if reg != nil {
-			cache.SetMetrics(reg)
-		}
-	}
-	if o.verifyBatch > 0 {
-		sigEntries := o.verifyCache
-		if sigEntries <= 0 {
-			sigEntries = 1024
-		}
-		sig, err := crypto.NewSigCache(sigEntries)
-		if err != nil {
-			return nil, err
-		}
-		if q, err = crypto.NewBatchVerifyQueue(o.verifyBatch, sig); err != nil {
-			return nil, err
-		}
-		q.SetMetrics(reg)
-	}
-	dmx.SetVerifyFastPath(cache, q)
-	return q, nil
-}
-
-func runDemo(o options, reg *obs.Registry, tel *telemetry, stdout io.Writer) error {
-	if reg == nil {
-		// The demo's summary reads the server instruments, so it always
-		// runs with a live registry.
-		reg = obs.NewRegistry()
-		tel.bindRegistry(reg)
-	}
-	srv, err := startServer(o, reg, tel)
-	if err != nil {
-		return err
-	}
-	sub, err := srv.Subscribe()
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	verified := make(chan [2]int64, 1)
+// installSIGUSR1 arms the on-demand flight dump; the returned function
+// removes the handler.
+func installSIGUSR1(tel *serve.Telemetry) func() {
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, syscall.SIGUSR1)
 	go func() {
-		dmx, err := stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
-			s, err := buildScheme(o.schemeID, o.n, id, crypto.BatchCapable(crypto.NewSignerFromString(o.key)))
-			if err != nil {
-				return nil, err
-			}
-			return stream.NewReceiver(s, o.blocks+2)
-		}, o.streams)
-		if err != nil {
-			verified <- [2]int64{}
-			return
-		}
-		dmx.SetSpans(tel.spanRing())
-		q, err := verifyFastPath(o, reg, dmx)
-		if err != nil {
-			verified <- [2]int64{}
-			return
-		}
-		var authed, padding, packets int64
-		count := func(auths []stream.StreamAuthenticated) {
-			for _, a := range auths {
-				if len(a.Payload) > 0 {
-					authed++
-				} else {
-					padding++
-				}
-			}
-		}
-		for d := range sub.C() {
-			auths, err := dmx.Ingest(d.StreamID, d.Packet, time.Now())
-			if err != nil {
-				break
-			}
-			count(auths)
-			if q != nil {
-				count(dmx.DrainDeferred())
-			}
-			if packets++; packets%sloFeedEvery == 0 {
-				tel.feedSLO(dmx)
-			}
-		}
-		if q != nil {
-			// Settle the tail: verdicts still pending when the feed ends.
-			q.Resolve()
-			count(dmx.DrainDeferred())
-		}
-		tel.feedSLO(dmx)
-		verified <- [2]int64{authed, padding}
-	}()
-
-	start := time.Now()
-	publishAll(srv, o, nil).Wait()
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	counts := <-verified
-
-	tot := srv.BatchTotals()
-	fmt.Fprintf(stdout, "mcserved demo: %d streams (%s), %d blocks/stream, batch %d, flush %v\n",
-		o.streams, o.schemeID, o.blocks, o.batch, o.flush)
-	fmt.Fprintf(stdout, "published        %d messages in %v (%.0f msg/s)\n",
-		reg.Counter("server.published").Value(), elapsed.Round(time.Millisecond),
-		float64(reg.Counter("server.published").Value())/elapsed.Seconds())
-	fmt.Fprintf(stdout, "blocks emitted   %d\n", reg.Counter("server.blocks").Value())
-	fmt.Fprintf(stdout, "verified         %d messages (+%d padding) by loopback receiver\n", counts[0], counts[1])
-	fmt.Fprintf(stdout, "signatures       %d over %d block roots (amortization %.2fx)\n",
-		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
-	hold := reg.Histogram("server.root_hold_ns").Data()
-	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v\n",
-		time.Duration(hold.Quantile(0.5)).Round(time.Microsecond),
-		time.Duration(hold.Quantile(0.99)).Round(time.Microsecond))
-	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", sub.Drops())
-	if counts[0] < reg.Counter("server.published").Value() {
-		return fmt.Errorf("verified %d of %d published messages", counts[0], reg.Counter("server.published").Value())
-	}
-	return nil
-}
-
-// helloReadTimeout is how long the daemon waits for a subscriber's resume
-// hello before treating the connection as a legacy full-stream feed.
-const helloReadTimeout = 2 * time.Second
-
-// serveConn runs one subscriber connection: subscribe first (so live
-// deliveries buffer during replay), then read the optional resume hello
-// and replay catch-up from the repair retention, then forward live. Every
-// write carries a deadline so a stalled TCP reader loses its connection
-// instead of pinning the writer goroutine. wrap, when non-nil, decorates
-// the conn (chaos fault injection).
-func serveConn(srv *server.Server, conn net.Conn, reg *obs.Registry, spans *obs.SpanRing, writeTimeout time.Duration, wrap func(net.Conn) net.Conn) {
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	defer conn.Close()
-	sub, err := srv.Subscribe()
-	if err != nil {
-		return
-	}
-	defer srv.Unsubscribe(sub)
-	mw := transport.NewMuxFrameWriter(conn)
-	mw.SetMetrics(reg)
-	mw.SetSpans(spans)
-	write := func(streamID uint64, p *packet.Packet) error {
-		if writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		return mw.WritePacket(streamID, p)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(helloReadTimeout))
-	points, herr := transport.ReadHello(conn)
-	_ = conn.SetReadDeadline(time.Time{})
-	if herr == nil {
-		// Replay before forwarding live: duplicates across the seam are
-		// possible and fine (receivers count and discard them).
-		for _, pt := range points {
-			for _, p := range srv.ResumeFrom(pt.StreamID, pt.From) {
-				if write(pt.StreamID, p) != nil {
-					return
-				}
-			}
-		}
-	}
-	for d := range sub.C() {
-		if write(d.StreamID, d.Packet) != nil {
-			return
-		}
-	}
-}
-
-// acceptLoop serves subscriber conns until the listener closes; the
-// returned WaitGroup tracks the per-conn goroutines.
-func acceptLoop(srv *server.Server, ln net.Listener, reg *obs.Registry, spans *obs.SpanRing, writeTimeout time.Duration, wrap func(net.Conn) net.Conn) *sync.WaitGroup {
-	var connWG sync.WaitGroup
-	connWG.Add(1)
-	go func() {
-		defer connWG.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			connWG.Add(1)
-			go func() {
-				defer connWG.Done()
-				serveConn(srv, conn, reg, spans, writeTimeout, wrap)
-			}()
+		for range ch {
+			tel.NoteFault("sigusr1", "operator-requested dump")
+			tel.Dump("sigusr1")
 		}
 	}()
-	return &connWG
+	return func() {
+		signal.Stop(ch) // no send can follow, so closing is safe
+		close(ch)
+	}
 }
 
-func runDaemon(o options, reg *obs.Registry, health *obs.Health, tel *telemetry, stdout io.Writer) error {
-	srv, err := startServer(o, reg, tel)
-	if err != nil {
-		return err
+// runRole runs one of the long-lived roles until interrupt, SIGTERM or
+// (for the listening roles) -duration cancels its context.
+func runRole(o options, reg *obs.Registry, health *obs.Health, tel *serve.Telemetry, stdout io.Writer) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if o.duration > 0 && o.listen != "" {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.duration)
+		defer cancel()
 	}
+	switch {
+	case o.relay:
+		return runRelay(ctx, o, reg, tel, stdout)
+	case o.connect != "":
+		return runReceiver(ctx, o, reg, tel, stdout)
+	default:
+		return runDaemon(ctx, o, reg, health, tel, stdout)
+	}
+}
+
+// runDaemon is -listen: Handler(server), with synthetic publishers.
+func runDaemon(ctx context.Context, o options, reg *obs.Registry, health *obs.Health, tel *serve.Telemetry, stdout io.Writer) error {
 	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
-		srv.Close()
 		return err
 	}
-	fmt.Fprintf(stdout, "mcserved: serving %d streams on %s\n", o.streams, ln.Addr())
-	health.SetReady()
-
-	stop := make(chan struct{})
-	pubs := publishAll(srv, o, stop)
-	connWG := acceptLoop(srv, ln, reg, tel.spanRing(), o.writeTimeout, nil)
-
-	interrupt := make(chan os.Signal, 1)
-	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(interrupt)
-	if o.duration > 0 {
-		select {
-		case <-interrupt:
-		case <-time.After(o.duration):
-		}
-	} else {
-		<-interrupt
+	d, err := o.StartDaemon(ln, reg, tel, nil)
+	if err != nil {
+		ln.Close()
+		return err
 	}
+	fmt.Fprintf(stdout, "mcserved: serving %d streams on %s\n", o.Streams, ln.Addr())
+	health.SetReady()
+	<-ctx.Done()
 	health.SetDraining()
-	close(stop)
-	pubs.Wait()
-	// Close drains, signs the final batch, and (with -checkpoint) records a
+	// Stop drains, signs the final batch, and (with -checkpoint) records a
 	// clean checkpoint — the flush-on-SIGTERM path.
-	err = srv.Close() // closes subscriber channels -> conn writers exit
-	ln.Close()
-	connWG.Wait()
-	tot := srv.BatchTotals()
+	err = d.Stop(false)
+	tot := d.Srv.BatchTotals()
 	fmt.Fprintf(stdout, "mcserved: stopped; %d signatures over %d roots (amortization %.2fx)\n",
 		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
 	return err
 }
 
-// maxReconnectBackoff caps the receiver's redial backoff.
-const maxReconnectBackoff = time.Second
-
-// receiverSession is a persistent verifying subscriber: one Demux whose
-// verification state survives reconnects, a dialer with capped exponential
-// backoff plus jitter, and a resume hello sent on every connect carrying
-// the Demux's per-stream replay cursors. The chaos harness reuses it with
-// an onAuth hook that cross-checks every authenticated payload.
-type receiverSession struct {
-	o    options
-	reg  *obs.Registry
-	tel  *telemetry
-	dial func() (net.Conn, error)
-	dmx  *stream.Demux
-	rng  *stats.RNG
-	// verifyQ, when set, is the deferred batch-verify queue shared by all
-	// stream receivers; the session loop resolves it (the verdict
-	// callbacks mutate verifier state, so resolution must stay on the
-	// ingest goroutine).
-	verifyQ *crypto.BatchVerifyQueue
-	// onAuth, when set, vets every authenticated message; an error aborts
-	// the session (a forged authentication made it through — fatal).
-	onAuth func(streamID uint64, a stream.Authenticated) error
-
-	packets, authed, padding int64
-	reconnects               int64
-	sessions                 int
-}
-
-func newReceiverSession(o options, reg *obs.Registry, tel *telemetry, addr string) (*receiverSession, error) {
-	dmx, err := stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
-		s, err := buildScheme(o.schemeID, o.n, id, crypto.BatchCapable(crypto.NewSignerFromString(o.key)))
-		if err != nil {
-			return nil, err
-		}
-		return stream.NewReceiver(s, 64)
-	}, o.streams)
-	if err != nil {
-		return nil, err
-	}
-	dmx.SetSpans(tel.spanRing())
-	q, err := verifyFastPath(o, reg, dmx)
-	if err != nil {
-		return nil, err
-	}
-	return &receiverSession{
-		o:       o,
-		reg:     reg,
-		tel:     tel,
-		dial:    func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		dmx:     dmx,
-		rng:     stats.NewRNG(uint64(time.Now().UnixNano())),
-		verifyQ: q,
-	}, nil
-}
-
-// run dials, verifies, and redials until stop closes, dial attempts are
-// exhausted, or verification fails. A connection-level failure (reset,
-// torn frame, EOF) ends the session and triggers a reconnect — never an
-// error: loss is the normal operating mode of this stack.
-func (rs *receiverSession) run(stop <-chan struct{}) error {
-	backoff := rs.o.reconnectBackoff
-	fails := 0
-	for {
-		select {
-		case <-stop:
-			return nil
-		default:
-		}
-		conn, err := rs.dial()
-		if err != nil {
-			fails++
-			if rs.o.reconnect >= 0 && fails > rs.o.reconnect {
-				if rs.sessions == 0 {
-					return fmt.Errorf("connect %s: %w", rs.o.connect, err)
-				}
-				return nil
-			}
-			// Jittered exponential backoff: sleep backoff plus up to half
-			// again, so a thundering herd of receivers spreads out.
-			delay := backoff + time.Duration(rs.rng.Intn(int(backoff/2)+1))
-			select {
-			case <-stop:
-				return nil
-			case <-time.After(delay):
-			}
-			backoff = min(2*backoff, maxReconnectBackoff)
-			continue
-		}
-		fails = 0
-		backoff = rs.o.reconnectBackoff
-		if rs.sessions > 0 {
-			rs.reconnects++
-			rs.reg.Counter("server.reconnects").Inc()
-		}
-		rs.sessions++
-		if err := rs.session(conn, stop); err != nil {
-			return err
-		}
-		if rs.o.reconnect == 0 {
-			return nil // legacy single-session mode
-		}
-	}
-}
-
-// session runs one connection: hello with resume cursors, then verify
-// until the conn dies or stop closes.
-func (rs *receiverSession) session(conn net.Conn, stop <-chan struct{}) error {
-	defer conn.Close()
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	go func() {
-		select {
-		case <-stop:
-			conn.Close() // unblocks the read loop
-		case <-watcherDone:
-		}
-	}()
-	points := make([]transport.ResumePoint, 0)
-	for id, from := range rs.dmx.ResumePoints() {
-		points = append(points, transport.ResumePoint{StreamID: id, From: from})
-	}
-	if err := transport.WriteHello(conn, points); err != nil {
-		return nil // conn-level: reconnect
-	}
-	mr := transport.NewMuxFrameReader(conn)
-	mr.SetMetrics(rs.reg)
-	for {
-		id, p, err := mr.ReadPacket()
-		if err != nil {
-			// EOF, reset, or torn frame: settle pending verdicts, then
-			// reconnect.
-			return rs.settleDeferred()
-		}
-		rs.packets++
-		auths, err := rs.dmx.Ingest(id, p, time.Now())
-		if err != nil {
-			return err
-		}
-		if rs.verifyQ != nil {
-			// Bound verdict latency: resolve at least once per queue-full
-			// of packets even when enqueues trickle in below the
-			// auto-resolve threshold.
-			if rs.packets%int64(rs.o.verifyBatch) == 0 && rs.verifyQ.Pending() > 0 {
-				rs.verifyQ.Resolve()
-			}
-			auths = append(auths, rs.dmx.DrainDeferred()...)
-		}
-		if rs.packets%sloFeedEvery == 0 {
-			rs.tel.feedSLO(rs.dmx)
-		}
-		if err := rs.handleAuths(auths); err != nil {
-			return err
-		}
-	}
-}
-
-// handleAuths vets and counts a batch of authenticated messages.
-func (rs *receiverSession) handleAuths(auths []stream.StreamAuthenticated) error {
-	for _, a := range auths {
-		if rs.onAuth != nil {
-			if err := rs.onAuth(a.StreamID, a.Authenticated); err != nil {
-				return err
-			}
-		}
-		if len(a.Payload) > 0 {
-			rs.authed++
-		} else {
-			rs.padding++
-		}
-	}
-	return nil
-}
-
-// settleDeferred resolves any still-pending deferred signature checks and
-// processes the resulting authentications (end of a session: the wire went
-// quiet, so nothing else will trigger a resolve).
-func (rs *receiverSession) settleDeferred() error {
-	// Sample the SLO at session end so the tail of a dying connection
-	// (packets that will now never authenticate) burns budget promptly.
-	defer rs.tel.feedSLO(rs.dmx)
-	if rs.verifyQ == nil {
-		return nil
-	}
-	if rs.verifyQ.Pending() > 0 {
-		rs.verifyQ.Resolve()
-	}
-	return rs.handleAuths(rs.dmx.DrainDeferred())
-}
-
-func runReceiver(o options, reg *obs.Registry, tel *telemetry, stdout io.Writer) error {
-	rs, err := newReceiverSession(o, reg, tel, o.connect)
+// runReceiver is -connect: Session(VerifySink).
+func runReceiver(ctx context.Context, o options, reg *obs.Registry, tel *serve.Telemetry, stdout io.Writer) error {
+	sink, err := o.NewVerifySink(64, reg, tel)
 	if err != nil {
 		return err
 	}
-	stop := make(chan struct{})
-	interrupt := make(chan os.Signal, 1)
-	signal.Notify(interrupt, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(interrupt)
-	go func() {
-		<-interrupt
-		close(stop)
-	}()
-	if err := rs.run(stop); err != nil {
+	sess := o.Session(o.connect, sink, reg, reg.Counter("server.reconnects"))
+	if err := sess.Run(ctx); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "mcserved receiver: %d packets, %d verified messages (+%d padding) across %d streams\n",
-		rs.packets, rs.authed, rs.padding, len(rs.dmx.StreamIDs()))
-	if rs.reconnects > 0 {
-		fmt.Fprintf(stdout, "mcserved receiver: %d reconnects across %d sessions\n", rs.reconnects, rs.sessions)
+		sink.Packets, sink.Authed, sink.Padding, sink.Streams())
+	if n := sess.Sessions; n > 1 {
+		fmt.Fprintf(stdout, "mcserved receiver: %d reconnects across %d sessions\n", n-1, n)
 	}
 	return nil
+}
+
+// runRelay is -relay: Session(Relay) + Handler(Relay).
+func runRelay(ctx context.Context, o options, reg *obs.Registry, tel *serve.Telemetry, stdout io.Writer) error {
+	relay, err := serve.NewRelay(o.Streams, o.Repair, reg, tel.SpanRing())
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", o.listen)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "mcserved relay: %s -> serving on %s (%d streams)\n", o.connect, ln.Addr(), o.Streams)
+	err = o.RunRelay(ctx, relay, o.connect, ln, reg, tel)
+	count := func(name string) int64 { return reg.Counter(name).Value() }
+	fmt.Fprintf(stdout, "mcserved relay: forwarded %d packets, served %d catch-up + %d repairs, %d reconnects, %d queue drops\n",
+		count(serve.MetricRelayForwarded), count(serve.MetricRelayCatchupServed), count(serve.MetricRelayReceiverRepairs),
+		count(serve.MetricRelayReconnects), count(serve.MetricRelayDrops))
+	return err
 }

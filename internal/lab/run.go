@@ -25,6 +25,7 @@ import (
 	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/schemetest"
+	"mcauth/internal/serve"
 	"mcauth/internal/server"
 	"mcauth/internal/stats"
 	"mcauth/internal/stream"
@@ -685,37 +686,32 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 		srv.Close()
 		return nil, nil, err
 	}
-	dmx, err := stream.NewDemux(func(uint64) (*stream.Receiver, error) {
-		s, err := mk(crypto.BatchCapable(crypto.NewSignerFromString(key)))
-		if err != nil {
-			return nil, err
-		}
-		return stream.NewReceiver(s, cfg.Server.Blocks+2)
-	}, cfg.Server.Streams)
+	sink, err := serve.NewVerifySink(serve.VerifyConfig{
+		NewReceiver: func(uint64) (*stream.Receiver, error) {
+			s, err := mk(crypto.BatchCapable(crypto.NewSignerFromString(key)))
+			if err != nil {
+				return nil, err
+			}
+			return stream.NewReceiver(s, cfg.Server.Blocks+2)
+		},
+		MaxStreams: cfg.Server.Streams,
+	})
 	if err != nil {
 		srv.Close()
 		return nil, nil, err
 	}
 
-	var churned bool
-	var resumeCatchup, preVerified int64
+	var resumeCatchup int64
 	if cfg.Server.Churn {
 		// Catch the late subscriber up before consuming live deliveries.
 		// Subscribe-then-replay means anything signed after the snapshot
 		// arrives live and anything before is replayed; overlap costs only
 		// duplicates the block verifiers already count and discard.
-		churned = true
 		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
 			for _, p := range srv.ResumeFrom(id, 0) {
-				auths, err := dmx.Ingest(id, p, time.Now())
-				if err != nil {
+				if err := sink.Packet(id, p); err != nil {
 					srv.Close()
 					return nil, nil, err
-				}
-				for _, a := range auths {
-					if len(a.Payload) > 0 {
-						preVerified++
-					}
 				}
 			}
 		}
@@ -726,27 +722,8 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 		}
 	}
 
-	type counts struct {
-		verified int64
-		err      error
-	}
-	done := make(chan counts, 1)
-	go func() {
-		var verified int64
-		for d := range sub.C() {
-			auths, err := dmx.Ingest(d.StreamID, d.Packet, time.Now())
-			if err != nil {
-				done <- counts{err: err}
-				return
-			}
-			for _, a := range auths {
-				if len(a.Payload) > 0 {
-					verified++
-				}
-			}
-		}
-		done <- counts{verified: verified}
-	}()
+	done := make(chan error, 1)
+	go func() { done <- sink.Drain(sub.C()) }()
 
 	if err := publishBlocks(firstLive, cfg.Server.Blocks); err != nil {
 		srv.Close()
@@ -755,14 +732,13 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 	if err := srv.Close(); err != nil {
 		return nil, nil, err
 	}
-	got := <-done
-	if got.err != nil {
-		return nil, nil, got.err
+	if err := <-done; err != nil {
+		return nil, nil, err
 	}
 	if drops := sub.Drops(); drops > 0 {
 		return nil, nil, fmt.Errorf("lab: server cell dropped %d deliveries (queue too small)", drops)
 	}
-	verified := got.verified + preVerified
+	verified := sink.Authed
 	if verified != published {
 		return nil, nil, fmt.Errorf("lab: server cell verified %d of %d published messages", verified, published)
 	}
@@ -777,7 +753,7 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 		Signatures:    tot.Signatures,
 		SignedRoots:   tot.SignedRoots,
 		Amortization:  tot.AmortizationRatio(),
-		Churned:       churned,
+		Churned:       cfg.Server.Churn,
 		ResumeCatchup: resumeCatchup,
 	}, &snap, nil
 }

@@ -9,6 +9,7 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme"
+	"mcauth/internal/serve"
 	"mcauth/internal/server"
 	"mcauth/internal/stats"
 	"mcauth/internal/stream"
@@ -115,37 +116,32 @@ func RunMultiStream(cfg MultiStreamConfig) (*MultiStreamResult, error) {
 		go func() {
 			// Receiver-side verifier stack: an independent scheme
 			// instance per stream (same key, so signatures verify),
-			// behind the standard demux.
-			dmx, err := stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
-				s, err := cfg.Scheme(id, crypto.BatchCapable(key))
-				if err != nil {
-					return nil, err
-				}
-				return stream.NewReceiver(s, cfg.BlocksPerStream+2)
-			}, cfg.Streams)
+			// behind the serving tier's verifying sink.
+			sink, err := serve.NewVerifySink(serve.VerifyConfig{
+				NewReceiver: func(id uint64) (*stream.Receiver, error) {
+					s, err := cfg.Scheme(id, crypto.BatchCapable(key))
+					if err != nil {
+						return nil, err
+					}
+					return stream.NewReceiver(s, cfg.BlocksPerStream+2)
+				},
+				MaxStreams: cfg.Streams,
+			})
 			if err != nil {
 				done <- recvResult{err: err}
 				return
 			}
-			res := recvResult{}
 			for d := range sub.C() {
 				if cfg.Loss != nil && rng.Bernoulli(cfg.Loss.Rate()) {
 					continue
 				}
-				auths, err := dmx.Ingest(d.StreamID, d.Packet, time.Now())
-				if err != nil {
-					res.err = err
+				if err = sink.Packet(d.StreamID, d.Packet); err != nil {
 					break
 				}
-				for _, a := range auths {
-					// Deadline flushes pad partial blocks with
-					// empty payloads; count only real messages.
-					if len(a.Payload) > 0 {
-						res.authenticated++
-					}
-				}
 			}
-			done <- res
+			// Deadline flushes pad partial blocks with empty payloads;
+			// Authed counts only real messages.
+			done <- recvResult{int(sink.Authed), err}
 		}()
 	}
 

@@ -26,6 +26,7 @@ import (
 	"mcauth/internal/packet"
 	"mcauth/internal/parallel"
 	"mcauth/internal/scheme"
+	"mcauth/internal/serve"
 	"mcauth/internal/stats"
 )
 
@@ -189,10 +190,10 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 
 	// Tree phase, sequential and RNG-free with respect to the receiver
-	// streams. serve[e] is the 1-based wire set node e offers downstream
+	// streams. offer[e] is the 1-based wire set node e offers downstream
 	// (store minus the signature class when withholding); extra[e] is the
 	// per-wire lateness its subtree inherits from upstream repairs.
-	serve := make([][]bool, nodes)
+	offer := make([][]bool, nodes)
 	extra := make([][]time.Duration, nodes)
 	reports := make([]RelayReport, nodes)
 	scratch := make([]bool, n+1)
@@ -208,7 +209,7 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 		} else {
 			parent := ocfg.Tree.Parent(e)
 			ocfg.Tree.EdgePatternInto(e, scratch)
-			ps, px := serve[parent], extra[parent]
+			ps, px := offer[parent], extra[parent]
 			for w := 0; w < n; w++ {
 				lateness[w] = px[w]
 				if ps[w+1] && scratch[w+1] {
@@ -243,7 +244,7 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 				rep.Forwarded++
 			}
 		}
-		serve[e] = sv
+		offer[e] = sv
 		extra[e] = lateness
 		reports[e] = rep
 	}
@@ -261,7 +262,7 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	// above a healthy relay is evidence of upstream loss, not malice.
 	servesSig := func(e int) bool {
 		for w := 0; w < n; w++ {
-			if sigWire[w] && serve[e][w+1] {
+			if sigWire[w] && offer[e][w+1] {
 				return true
 			}
 		}
@@ -318,11 +319,11 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 	leafPlan := make([]*repairPlan, len(leaves))
 	for li, leafNode := range leaves {
-		rp := &repairPlan{mask: serve[leafNode], extraDelay: extra[leafNode], rtt: repairRTT}
+		rp := &repairPlan{mask: offer[leafNode], extraDelay: extra[leafNode], rtt: repairRTT}
 		if ocfg.Relays {
 			avail := make([]bool, n)
 			for w := 0; w < n; w++ {
-				avail[w] = sigWire[w] && serve[leafNode][w+1]
+				avail[w] = sigWire[w] && offer[leafNode][w+1]
 			}
 			rp.available = avail
 			if poisoned[leafNode] {
@@ -358,11 +359,11 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 	if cfg.Metrics != nil {
 		var (
-			forwarded = cfg.Metrics.Counter("relay.forwarded")
-			upstream  = cfg.Metrics.Counter("relay.upstream_repairs")
-			served    = cfg.Metrics.Counter("relay.receiver_repairs")
-			wh        = cfg.Metrics.Counter("relay.withheld")
-			fl        = cfg.Metrics.Counter("relay.withholding_flagged")
+			forwarded = cfg.Metrics.Counter(serve.MetricRelayForwarded)
+			upstream  = cfg.Metrics.Counter(serve.MetricRelayUpstreamRepairs)
+			served    = cfg.Metrics.Counter(serve.MetricRelayReceiverRepairs)
+			wh        = cfg.Metrics.Counter(serve.MetricRelayWithheld)
+			fl        = cfg.Metrics.Counter(serve.MetricRelayFlagged)
 		)
 		for e := 1; e < nodes; e++ {
 			rep := &result.Relays[e]

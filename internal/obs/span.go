@@ -13,10 +13,11 @@ import (
 // SpanKind names one step of the serving-tier block lifecycle, in causal
 // order: the sender emits a block (push), a server shard queues it
 // (shard_enqueue), the batch signer attaches the block root's signature
-// (sign_attach), each packet is framed onto the wire (mux_write), decoded
-// on the receiver (decode), possibly parked awaiting a deferred batched
-// signature check (deferred_park) and later resolved (sig_resolve), and
-// finally authenticated or rejected. The reject reason uses the same
+// (sign_attach), each packet is framed onto the wire (mux_write), stored
+// and re-served by any relay on the way (relay_ingest, then the relay's
+// own mux_write), decoded on the receiver (decode), possibly parked
+// awaiting a deferred batched signature check (deferred_park) and later
+// resolved (sig_resolve), and finally authenticated or rejected. The reject reason uses the same
 // taxonomy as trace events ("bad_signature", "digest_mismatch", ...), so
 // spans join against diagnose culprit attribution.
 type SpanKind string
@@ -26,6 +27,7 @@ const (
 	SpanShardEnqueue SpanKind = "shard_enqueue"
 	SpanSignAttach   SpanKind = "sign_attach"
 	SpanMuxWrite     SpanKind = "mux_write"
+	SpanRelayIngest  SpanKind = "relay_ingest"
 	SpanDecode       SpanKind = "decode"
 	SpanDeferredPark SpanKind = "deferred_park"
 	SpanSigResolve   SpanKind = "sig_resolve"

@@ -1,0 +1,253 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"mcauth/internal/crypto"
+	"mcauth/internal/obs"
+	"mcauth/internal/scheme"
+	"mcauth/internal/server"
+	"mcauth/internal/stream"
+)
+
+// Config is mcserved's deployment flags: publisher, relay and receiver
+// must build matching schemes from the same key.
+type Config struct {
+	Streams int // stream IDs 1..Streams
+	// Scheme builds stream id's scheme around signer.
+	Scheme func(id uint64, signer crypto.Signer) (scheme.Scheme, error)
+	Key    string // derives the signing (and verification) key
+	// Blocks is how many blocks per stream the demo publishes, Rate the
+	// synthetic publishers' inter-message gap.
+	Blocks int
+	Rate   time.Duration
+	// Batch and Flush configure the batch signer, Checkpoint ("" = none)
+	// the crash-recovery file, Repair the per-stream retention in blocks.
+	Batch      int
+	Flush      time.Duration
+	Checkpoint string
+	Repair     int
+	// WriteTimeout is Handler's; VerifyBatch and VerifyCache are
+	// VerifyConfig's; Reconnect and ReconnectBackoff are Session's MaxFails
+	// and Backoff.
+	WriteTimeout             time.Duration
+	VerifyBatch, VerifyCache int
+	Reconnect                int
+	ReconnectBackoff         time.Duration
+}
+
+// startServer creates the server and opens every stream. A configured
+// checkpoint file is opened (or resumed) here, so a restarted daemon picks
+// up every stream past its reserved watermark.
+func (c Config) startServer(reg *obs.Registry, tel *Telemetry) (*server.Server, error) {
+	var cp *server.Checkpoint
+	if c.Checkpoint != "" {
+		var err error
+		if cp, err = server.OpenCheckpoint(c.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	srv, err := server.New(server.Config{
+		Signer:             crypto.NewSignerFromString(c.Key),
+		BatchSize:          c.Batch,
+		FlushInterval:      c.Flush,
+		MaxSubscriberQueue: 1 << 16,
+		Metrics:            reg,
+		Spans:              tel.SpanRing(),
+		Checkpoint:         cp,
+		RepairBlocks:       c.Repair,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for id := uint64(1); id <= uint64(c.Streams); id++ {
+		id := id
+		if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
+			return c.Scheme(id, signer)
+		}); err != nil {
+			srv.Close()
+			return nil, err
+		}
+	}
+	return srv, nil
+}
+
+// publish drives every stream from its own goroutine until each has sent
+// blocks blocks (0 = no limit), ctx is cancelled, or the server closes.
+func (c Config) publish(ctx context.Context, srv *server.Server, blocks int) {
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for id := uint64(1); id <= uint64(c.Streams); id++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			sch, err := c.Scheme(id, crypto.NewSignerFromString(c.Key))
+			if err != nil {
+				return
+			}
+			total := sch.BlockSize() * blocks
+			for i := 0; (blocks == 0 || i < total) && ctx.Err() == nil; i++ {
+				if err := srv.Publish(id, []byte(fmt.Sprintf("stream-%d msg-%d", id, i))); err != nil {
+					return // server closing
+				}
+				if c.Rate > 0 {
+					time.Sleep(c.Rate)
+				}
+			}
+		}(id)
+	}
+}
+
+// NewVerifySink builds the deployment's verifying subscriber, tolerating
+// live blocks of reorder and late signatures per stream.
+func (c Config) NewVerifySink(live int, reg *obs.Registry, tel *Telemetry) (*VerifySink, error) {
+	return NewVerifySink(VerifyConfig{
+		NewReceiver: func(id uint64) (*stream.Receiver, error) {
+			s, err := c.Scheme(id, crypto.BatchCapable(crypto.NewSignerFromString(c.Key)))
+			if err != nil {
+				return nil, err
+			}
+			return stream.NewReceiver(s, live)
+		},
+		MaxStreams:  c.Streams,
+		VerifyCache: c.VerifyCache,
+		VerifyBatch: c.VerifyBatch,
+		Metrics:     reg,
+		Tel:         tel,
+	})
+}
+
+// Session returns the deployment's upstream subscriber to addr.
+func (c Config) Session(addr string, sink Sink, reg *obs.Registry, reconnects *obs.Counter) *Session {
+	return &Session{
+		Addr:       addr,
+		Sink:       sink,
+		MaxFails:   c.Reconnect,
+		Backoff:    c.ReconnectBackoff,
+		Metrics:    reg,
+		Reconnects: reconnects,
+	}
+}
+
+// Daemon is one publishing incarnation: server, synthetic publishers, and
+// a Handler serving it on a listener.
+type Daemon struct {
+	Srv *server.Server
+
+	ln      net.Listener
+	stopPub context.CancelFunc
+	pubs    chan struct{}   // closed when the publishers have exited
+	conns   <-chan struct{} // closed when the Handler has
+}
+
+// listen serves feed on ln in the background; the returned channel closes
+// when Handler.Listen returns.
+func (c Config) listen(feed Feed, ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) <-chan struct{} {
+	h := &Handler{Feed: feed, Metrics: reg, Spans: tel.SpanRing(), WriteTimeout: c.WriteTimeout, Wrap: wrap}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Listen(ln)
+	}()
+	return done
+}
+
+// StartDaemon starts an incarnation on ln; wrap is its Handler's Wrap.
+func (c Config) StartDaemon(ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) (*Daemon, error) {
+	srv, err := c.startServer(reg, tel)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	d := &Daemon{Srv: srv, ln: ln, stopPub: cancel, pubs: make(chan struct{}), conns: c.listen(srv, ln, reg, tel, wrap)}
+	go func() {
+		defer close(d.pubs)
+		c.publish(ctx, srv, 0)
+	}()
+	return d, nil
+}
+
+// Stop ends the incarnation and returns once all of it has exited:
+// publishers, then the server — Close, or with kill the crash-equivalent
+// Kill — then the listener. Connections end on their own, after writing
+// out what the server had already queued for them.
+func (d *Daemon) Stop(kill bool) error {
+	d.stopPub()
+	<-d.pubs
+	var err error
+	if kill {
+		d.Srv.Kill()
+	} else {
+		err = d.Srv.Close()
+	}
+	d.ln.Close()
+	<-d.conns
+	return err
+}
+
+// RunRelay is the relay role: a Session feeding relay from upstream and a
+// Handler re-serving it on ln, until ctx is cancelled or upstream's redial
+// budget is exhausted. Everything it started has exited when it returns.
+func (c Config) RunRelay(ctx context.Context, relay *Relay, upstream string, ln net.Listener, reg *obs.Registry, tel *Telemetry) error {
+	conns := c.listen(relay, ln, reg, tel, nil)
+	err := c.Session(upstream, relay, reg, reg.Counter(MetricRelayReconnects)).Run(ctx)
+	ln.Close()
+	relay.Close()
+	<-conns
+	return err
+}
+
+// Demo runs publisher and verifying receiver in one process, prints the
+// summary (below the caller's header line), and fails unless every
+// published message verified.
+func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error {
+	srv, err := c.startServer(reg, tel)
+	if err != nil {
+		return err
+	}
+	sink, err := c.NewVerifySink(c.Blocks+2, reg, tel)
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	sub, err := srv.Subscribe()
+	if err != nil {
+		srv.Close()
+		return err
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- sink.Drain(sub.C()) }()
+
+	start := time.Now()
+	c.publish(context.Background(), srv, c.Blocks)
+	if err := srv.Close(); err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+	if err := <-drained; err != nil {
+		return err
+	}
+
+	published := reg.Counter("server.published").Value()
+	tot := srv.BatchTotals()
+	fmt.Fprintf(stdout, "published        %d messages in %v (%.0f msg/s)\n",
+		published, elapsed.Round(time.Millisecond), float64(published)/elapsed.Seconds())
+	fmt.Fprintf(stdout, "blocks emitted   %d\n", reg.Counter("server.blocks").Value())
+	fmt.Fprintf(stdout, "verified         %d messages (+%d padding) by loopback receiver\n", sink.Authed, sink.Padding)
+	fmt.Fprintf(stdout, "signatures       %d over %d block roots (amortization %.2fx)\n",
+		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
+	hold := reg.Histogram("server.root_hold_ns").Data()
+	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v\n",
+		time.Duration(hold.Quantile(0.5)).Round(time.Microsecond),
+		time.Duration(hold.Quantile(0.99)).Round(time.Microsecond))
+	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", sub.Drops())
+	if sink.Authed < published {
+		return fmt.Errorf("verified %d of %d published messages", sink.Authed, published)
+	}
+	return nil
+}

@@ -1,28 +1,35 @@
-// Daemon telemetry: the causal span ring, per-stream SLO tracker, and
-// failure flight recorder, wired together behind the -span-buf, -slo-*
-// and -flight flags. One telemetry value is shared by every role a run
-// plays (daemon, receiver, chaos harness), so an in-process soak records
+// Telemetry: the causal span ring, per-stream SLO tracker, and failure
+// flight recorder, wired together behind mcserved's -span-buf, -slo-* and
+// -flight flags. One Telemetry value is shared by every role a run plays
+// (daemon, receiver, relay, chaos harness), so an in-process soak records
 // both halves of each block's lifecycle into one ring and a single dump
 // carries the full sender→authenticate trace.
-package main
+package serve
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
+	"time"
 
 	"mcauth/internal/obs"
 	"mcauth/internal/stream"
 )
 
-// telemetry bundles the observability substrate one mcserved process
-// shares across its roles. A nil *telemetry is inert: every method is a
+// TelemetryConfig carries the telemetry flags.
+type TelemetryConfig struct {
+	SpanBuf int    // span ring capacity (0 disables tracing)
+	Flight  string // where Dump writes the post-mortem ("" = stderr)
+	// SLOWindow is the sliding evaluation window; SLOP99 and SLOMinAuth are
+	// the per-stream objectives (0 = none).
+	SLOWindow, SLOP99 time.Duration
+	SLOMinAuth        float64
+}
+
+// Telemetry bundles the observability substrate one mcserved process
+// shares across its roles. A nil *Telemetry is inert: every method is a
 // no-op, so call sites need no guards.
-type telemetry struct {
+type Telemetry struct {
 	spans  *obs.SpanRing
 	slo    *obs.SLOTracker
 	flight *obs.FlightRecorder
@@ -36,28 +43,28 @@ type telemetry struct {
 	prev map[uint64]stream.Totals
 
 	// sloRedOnce arms the budget-exhaustion dump: the first red window
-	// dumps, later ones don't spam.
+	// Dumps, later ones don't spam.
 	sloRedOnce sync.Once
 }
 
-// newTelemetry builds the substrate the options ask for, or nil when
+// NewTelemetry builds the substrate the config asks for, or nil when
 // every telemetry feature is off.
-func newTelemetry(o options, reg *obs.Registry) *telemetry {
-	if o.spanBuf <= 0 && o.flight == "" && o.sloP99 <= 0 && o.sloMinAuth <= 0 {
+func NewTelemetry(c TelemetryConfig, reg *obs.Registry) *Telemetry {
+	if c.SpanBuf <= 0 && c.Flight == "" && c.SLOP99 <= 0 && c.SLOMinAuth <= 0 {
 		return nil
 	}
-	t := &telemetry{reg: reg, flightPath: o.flight, prev: make(map[uint64]stream.Totals)}
-	if o.spanBuf > 0 {
-		t.spans = obs.NewSpanRing(o.spanBuf)
+	t := &Telemetry{reg: reg, flightPath: c.Flight, prev: make(map[uint64]stream.Totals)}
+	if c.SpanBuf > 0 {
+		t.spans = obs.NewSpanRing(c.SpanBuf)
 		t.spans.SetEnabled(true)
 	}
 	// The tracker always exists so /slo always answers; without -slo-p99
 	// or -slo-min-auth it reports per-stream attempts and auth fraction
 	// with no objectives (and can never go red).
 	t.slo = obs.NewSLOTracker(obs.SLOConfig{
-		Window:          o.sloWindow,
-		TimeToAuthP99:   o.sloP99,
-		MinAuthFraction: o.sloMinAuth,
+		Window:          c.SLOWindow,
+		TimeToAuthP99:   c.SLOP99,
+		MinAuthFraction: c.SLOMinAuth,
 	})
 	t.flight = obs.NewFlightRecorder(obs.FlightConfig{
 		Spans:    t.spans,
@@ -67,58 +74,36 @@ func newTelemetry(o options, reg *obs.Registry) *telemetry {
 	return t
 }
 
-// spanRing returns the live span ring (nil when tracing is off or t is
+// SpanRing returns the live span ring (nil when tracing is off or t is
 // nil) — safe to hand straight to SetSpans-style hooks, which are
 // themselves nil-tolerant.
-func (t *telemetry) spanRing() *obs.SpanRing {
+func (t *Telemetry) SpanRing() *obs.SpanRing {
 	if t == nil {
 		return nil
 	}
 	return t.spans
 }
 
-// bindRegistry late-binds a registry created after setup: chaos and demo
-// build a local one when no -metrics/-pprof was given, and the flight
-// recorder should snapshot it. A no-op once a registry is bound.
-func (t *telemetry) bindRegistry(reg *obs.Registry) {
-	if t == nil || t.reg != nil || reg == nil {
-		return
+// SLO returns the per-stream SLO tracker behind /slo and /statusz (nil
+// when t is nil).
+func (t *Telemetry) SLO() *obs.SLOTracker {
+	if t == nil {
+		return nil
 	}
-	t.reg = reg
-	t.flight = obs.NewFlightRecorder(obs.FlightConfig{
-		Spans:    t.spans,
-		Registry: reg,
-		SLO:      t.slo,
-	})
+	return t.slo
 }
 
-// registerHTTP mounts the machine-readable /slo endpoint.
-func (t *telemetry) registerHTTP(mux *http.ServeMux) {
-	if t == nil || t.slo == nil || mux == nil {
-		return
-	}
-	t.slo.Register(mux)
-}
-
-// writeStatus appends the SLO evaluation to a statusz writer.
-func (t *telemetry) writeStatus(w io.Writer) {
-	if t == nil || t.slo == nil {
-		return
-	}
-	_ = t.slo.WriteText(w)
-}
-
-// noteFault records one fault event into the flight ring.
-func (t *telemetry) noteFault(kind, detail string) {
+// NoteFault records one fault event into the flight ring.
+func (t *Telemetry) NoteFault(kind, detail string) {
 	if t == nil {
 		return
 	}
 	t.flight.NoteFault(kind, detail)
 }
 
-// dump writes the flight-recorder post-mortem to -flight (or stderr when
+// Dump writes the flight-recorder post-mortem to -flight (or stderr when
 // no file was named), logging where it went.
-func (t *telemetry) dump(reason string) {
+func (t *Telemetry) Dump(reason string) {
 	if t == nil || t.flight == nil {
 		return
 	}
@@ -133,38 +118,12 @@ func (t *telemetry) dump(reason string) {
 	fmt.Fprintf(os.Stderr, "mcserved: flight dump (%s) written to %s\n", reason, t.flightPath)
 }
 
-// installSIGUSR1 arms the on-demand dump signal; the returned stop
-// function removes the handler.
-func (t *telemetry) installSIGUSR1() func() {
-	if t == nil {
-		return func() {}
-	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGUSR1)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-ch:
-				t.noteFault("sigusr1", "operator-requested dump")
-				t.dump("sigusr1")
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		signal.Stop(ch)
-		close(done)
-	}
-}
-
-// recoverDump is the panic hook: deferred at the top of run, it dumps
+// RecoverDump is the panic hook: deferred at the top of run, it dumps
 // the flight record before re-panicking so the crash artifact survives.
-func (t *telemetry) recoverDump() {
+func (t *Telemetry) RecoverDump() {
 	if r := recover(); r != nil {
-		t.noteFault("panic", fmt.Sprint(r))
-		t.dump("panic")
+		t.NoteFault("panic", fmt.Sprint(r))
+		t.Dump("panic")
 		panic(r)
 	}
 }
@@ -179,7 +138,7 @@ const sloFeedEvery = 64
 // authenticated counts as failed — starvation under loss burns budget,
 // exactly the paper's non-authenticable fraction. Must be called from
 // the ingest goroutine (receiver totals are not locked).
-func (t *telemetry) feedSLO(dmx *stream.Demux) {
+func (t *Telemetry) feedSLO(dmx *stream.Demux) {
 	if t == nil || t.slo == nil || dmx == nil {
 		return
 	}
@@ -210,8 +169,8 @@ func (t *telemetry) feedSLO(dmx *stream.Demux) {
 	t.flight.NoteSnapshot()
 	if t.slo.Red() {
 		t.sloRedOnce.Do(func() {
-			t.noteFault("slo_red", "error budget exhausted")
-			t.dump("slo_budget_exhausted")
+			t.NoteFault("slo_red", "error budget exhausted")
+			t.Dump("slo_budget_exhausted")
 		})
 	}
 }

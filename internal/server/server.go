@@ -86,7 +86,7 @@ type Config struct {
 	// signature-class packets (signature or key disclosure present). Under
 	// backpressure data packets shed first: one lost data packet loses one
 	// message, one lost root packet can collapse the whole block's
-	// authentication. Default MaxSubscriberQueue/8, minimum 1.
+	// authentication. Default MaxSubscriberQueue/8, minimum 1 (NewFanout).
 	SigQueueReserve int
 }
 
@@ -118,12 +118,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RepairBlocks < 0 {
 		return c, fmt.Errorf("server: repair blocks %d must be >= 0", c.RepairBlocks)
 	}
-	if c.SigQueueReserve <= 0 {
-		c.SigQueueReserve = max(1, c.MaxSubscriberQueue/8)
-	}
-	// The reserve is a tail of the queue, so it must leave at least one
-	// data slot; a one-slot queue degenerates to no reservation.
-	c.SigQueueReserve = min(c.SigQueueReserve, c.MaxSubscriberQueue-1)
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -135,8 +129,6 @@ type metrics struct {
 	streams            *obs.Gauge
 	published          *obs.Counter
 	blocks             *obs.Counter
-	packetsDelivered   *obs.Counter
-	packetsDropped     *obs.Counter
 	batchFlushFull     *obs.Counter
 	batchFlushDeadline *obs.Counter
 	batchFlushDrain    *obs.Counter
@@ -147,12 +139,10 @@ type metrics struct {
 	// amortization ratio.
 	batchSignatures  *obs.Gauge
 	batchSignedRoots *obs.Gauge
-	// shedData / shedSig split the backpressure drops by packet class; a
-	// healthy shedding policy keeps shedSig near zero while shedData grows.
-	shedData *obs.Counter
-	shedSig  *obs.Counter
-	// resumeCatchup counts packets replayed to reconnecting subscribers.
+	// resumeCatchup counts packets replayed to reconnecting subscribers,
+	// repairPackets those re-served in answer to MCRQ repair requests.
 	resumeCatchup *obs.Counter
+	repairPackets *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) metrics {
@@ -160,8 +150,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		streams:            reg.Gauge("server.streams"),
 		published:          reg.Counter("server.published"),
 		blocks:             reg.Counter("server.blocks"),
-		packetsDelivered:   reg.Counter("server.packets_delivered"),
-		packetsDropped:     reg.Counter("server.packets_dropped_backpressure"),
 		batchFlushFull:     reg.Counter("server.batch_flush_full"),
 		batchFlushDeadline: reg.Counter("server.batch_flush_deadline"),
 		batchFlushDrain:    reg.Counter("server.batch_flush_drain"),
@@ -169,9 +157,8 @@ func newMetrics(reg *obs.Registry) metrics {
 		rootHold:           reg.Histogram("server.root_hold_ns"),
 		batchSignatures:    reg.Gauge("server.batch_signatures"),
 		batchSignedRoots:   reg.Gauge("server.batch_signed_roots"),
-		shedData:           reg.Counter("server.shed_data"),
-		shedSig:            reg.Counter("server.shed_sig"),
 		resumeCatchup:      reg.Counter("server.resume_catchup_packets"),
+		repairPackets:      reg.Counter("server.repair_packets"),
 	}
 }
 
@@ -193,8 +180,8 @@ type Server struct {
 	// draining the shards.
 	pubWG sync.WaitGroup
 
-	subMu sync.RWMutex
-	subs  map[*Subscriber]struct{}
+	// fan is the subscriber set every emitted packet is delivered to.
+	fan *Fanout
 
 	flusherStop chan struct{}
 	flusherDone chan struct{}
@@ -211,12 +198,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		signer:      bs,
-		m:           newMetrics(cfg.Metrics),
-		streams:     make(map[uint64]*Stream),
-		closing:     make(chan struct{}),
-		subs:        make(map[*Subscriber]struct{}),
+		cfg:     cfg,
+		signer:  bs,
+		m:       newMetrics(cfg.Metrics),
+		streams: make(map[uint64]*Stream),
+		closing: make(chan struct{}),
+		fan: NewFanout(cfg.MaxSubscriberQueue, cfg.SigQueueReserve, FanoutMetrics{
+			Delivered: cfg.Metrics.Counter("server.packets_delivered"),
+			Dropped:   cfg.Metrics.Counter("server.packets_dropped_backpressure"),
+			ShedData:  cfg.Metrics.Counter("server.shed_data"),
+			ShedSig:   cfg.Metrics.Counter("server.shed_sig"),
+		}),
 		flusherStop: make(chan struct{}),
 		flusherDone: make(chan struct{}),
 	}
@@ -432,7 +424,7 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 			st.repair.Add(db.BlockID, db.Held)
 		}
 		for _, p := range db.Held {
-			s.deliver(st.id, p)
+			s.fan.Deliver(st.id, p)
 		}
 	})
 	if err != nil {
@@ -484,14 +476,27 @@ func (s *Server) BatchTotals() crypto.BatchTotals { return s.signer.Totals() }
 // retention is disabled (RepairBlocks == 0). The packets are shared with
 // the repair store; callers must not mutate them.
 func (s *Server) ResumeFrom(id uint64, from uint64) []*packet.Packet {
-	s.mu.Lock()
-	st := s.streams[id]
-	s.mu.Unlock()
+	st := s.Stream(id)
 	if st == nil || st.repair == nil {
 		return nil
 	}
 	pkts := st.repair.Since(from)
 	s.m.resumeCatchup.Add(int64(len(pkts)))
+	return pkts
+}
+
+// Repair answers one MCRQ repair request from stream id's retention: the
+// block's signature-class packets for transport.NACKSigRequest, else the
+// packet at index (see RepairStore.Packets), counted in
+// server.repair_packets. Nil when the stream or block is unknown or
+// retention is disabled.
+func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
+	st := s.Stream(id)
+	if st == nil || st.repair == nil {
+		return nil
+	}
+	pkts := st.repair.Packets(blockID, index)
+	s.m.repairPackets.Add(int64(len(pkts)))
 	return pkts
 }
 
@@ -530,16 +535,6 @@ func (s *Server) stop() ([]*Stream, bool) {
 	return streams, true
 }
 
-// closeSubscribers ends every feed; consumers see their channels close.
-func (s *Server) closeSubscribers() {
-	s.subMu.Lock()
-	for sub := range s.subs {
-		close(sub.ch)
-	}
-	s.subs = nil
-	s.subMu.Unlock()
-}
-
 // Close drains and stops the server: it waits for in-flight publishes,
 // lets the shards work off their queues, pads out partial blocks, signs
 // the final batch, records a clean checkpoint, and closes every
@@ -570,7 +565,7 @@ func (s *Server) Close() error {
 		}
 		cpErr = s.cfg.Checkpoint.markClean(next)
 	}
-	s.closeSubscribers()
+	s.fan.Close()
 	return cpErr
 }
 
@@ -586,7 +581,7 @@ func (s *Server) Kill() {
 	if _, ok := s.stop(); !ok {
 		return
 	}
-	s.closeSubscribers()
+	s.fan.Close()
 }
 
 // shard is one worker: a bounded FIFO task queue drained by a single

@@ -142,7 +142,7 @@ func (st *Stream) emit(db *stream.DeferredBlock) {
 		st.repair.Add(db.BlockID, db.Immediate)
 	}
 	for _, p := range db.Immediate {
-		st.srv.deliver(st.id, p)
+		st.srv.fan.Deliver(st.id, p)
 	}
 	if db.Root != nil {
 		st.srv.enqueueRoot(st, db)

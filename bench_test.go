@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
@@ -25,12 +26,9 @@ import (
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/scheme/authtree"
 	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
 	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stats"
 	"mcauth/internal/stream"
 	"mcauth/internal/transport"
@@ -223,42 +221,21 @@ func benchPayloads(n, size int) [][]byte {
 
 func benchScheme(b *testing.B, name string) scheme.Scheme {
 	b.Helper()
-	signer := crypto.NewSignerFromString("bench")
-	var (
-		s   scheme.Scheme
-		err error
-	)
-	const n = 128
-	switch name {
-	case "rohatgi":
-		s, err = rohatgi.New(n, signer)
-	case "emss":
-		s, err = emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-	case "augchain":
-		s, err = augchain.New(augchain.Config{N: n, A: 3, B: 3}, signer)
-	case "authtree":
-		s, err = authtree.New(n, signer)
-	case "signeach":
-		s, err = signeach.New(n, signer)
-	case "tesla":
-		s, err = tesla.New(tesla.Config{
-			N: n, Lag: 4, Interval: time.Millisecond,
-			Start: time.Unix(0, 0), Seed: []byte("bench"),
-		}, signer)
-	default:
-		b.Fatalf("unknown scheme %q", name)
-	}
+	e, err := catalog.Build(catalog.Spec{
+		ID: name, N: 128, M: 2, D: 1, A: 3, B: 3,
+		Lag: 4, Interval: time.Millisecond, Seed: []byte("bench"),
+	}, crypto.NewSignerFromString("bench"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s
+	return e.Scheme
 }
 
 // BenchmarkAuthenticate measures sender-side cost per 128-packet block —
 // the amortization argument in CPU terms: sign-each pays 128 signatures
 // where the chained schemes pay one.
 func BenchmarkAuthenticate(b *testing.B) {
-	for _, name := range []string{"rohatgi", "emss", "augchain", "authtree", "signeach", "tesla"} {
+	for _, name := range catalog.IDs() {
 		b.Run(name, func(b *testing.B) {
 			s := benchScheme(b, name)
 			payloads := benchPayloads(s.BlockSize(), 512)
@@ -277,7 +254,7 @@ func BenchmarkAuthenticate(b *testing.B) {
 // BenchmarkVerify measures receiver-side cost per block with in-order
 // delivery and no loss.
 func BenchmarkVerify(b *testing.B) {
-	for _, name := range []string{"rohatgi", "emss", "augchain", "authtree", "signeach", "tesla"} {
+	for _, name := range catalog.IDs() {
 		b.Run(name, func(b *testing.B) {
 			s := benchScheme(b, name)
 			payloads := benchPayloads(s.BlockSize(), 512)
@@ -481,20 +458,12 @@ func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []se
 	signer := crypto.BatchCapable(crypto.NewSignerFromString("bench"))
 	schemes := make([]scheme.Scheme, streams)
 	for id := range schemes {
-		var err error
-		switch id % 4 {
-		case 0:
-			schemes[id], err = emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-		case 1:
-			schemes[id], err = rohatgi.New(n, signer)
-		case 2:
-			schemes[id], err = authtree.New(n, signer)
-		default:
-			schemes[id], err = signeach.New(n, signer)
-		}
+		kind := []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
+		e, err := catalog.Build(catalog.Spec{ID: kind, N: n, M: 2, D: 1}, signer)
 		if err != nil {
 			b.Fatal(err)
 		}
+		schemes[id] = e.Scheme
 	}
 	var (
 		trace []servePacket

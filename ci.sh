@@ -154,26 +154,40 @@ go tool cover -func="$diagdir/cover.out" | tail -n 1
 # (non-test code uses only its Payloads generator). A dirty tree is measured
 # against HEAD (untracked files count as added), a clean one against
 # HEAD~1. Informational only: no threshold, and no failure when there is
-# no parent to compare with. Two riders on the same base: the non-test line
-# count of every cmd/* main package, so thin-main drift is visible, and
-# whether the change touched the benchmark (frozen outside a benchmark PR).
+# no parent to compare with. Three riders on the same base: the same figure
+# per package directory (what a simplicity PR quotes in CHANGES.md), the
+# non-test line count of every cmd/* main package, so thin-main drift is
+# visible, and whether the change touched the benchmark (frozen outside a
+# benchmark PR). A fourth needs no base: the non-test files that import a
+# concrete scheme package from outside the scheme packages, the catalogue,
+# the frozen benchmark and the public surface — each is a place that picks
+# a scheme without internal/catalog.
 loc_base=HEAD
 if git diff --quiet HEAD -- '*.go' 2>/dev/null &&
 	[ -z "$(git ls-files --others --exclude-standard -- '*.go' 2>/dev/null)" ]; then
 	loc_base=HEAD~1
 fi
-{
+loc_numstat=$({
 	git diff --numstat "$loc_base" -- '*.go'
 	git ls-files --others --exclude-standard -- '*.go' | while read -r f; do
 		printf '%s\t0\t%s\n' "$(wc -l <"$f")" "$f"
 	done
-} 2>/dev/null | awk -v base="$loc_base" '
-	{ net = $1 - $2; if ($3 ~ /_test\.go$|^internal\/schemetest\//) test += net; else code += net; seen = 1 }
+} 2>/dev/null)
+printf '%s\n' "$loc_numstat" | awk -v base="$loc_base" '
+	NF == 3 { net = $1 - $2; if ($3 ~ /_test\.go$|^internal\/schemetest\//) test += net; else code += net; seen = 1 }
 	END {
 		if (seen) printf "net Go LOC vs %s: non-test %+d, test %+d\n", base, code, test
 		else print "net Go LOC: nothing to compare (no parent commit or no Go change)"
 	}
 '
+printf '%s\n' "$loc_numstat" | awk '
+	NF == 3 {
+		dir = $3; if (!sub(/\/[^\/]*$/, "", dir)) dir = "."
+		if ($3 ~ /_test\.go$|^internal\/schemetest\//) test[dir] += $1 - $2; else code[dir] += $1 - $2
+		dirs[dir] = 1
+	}
+	END { for (d in dirs) printf "net Go LOC: %s non-test %+d, test %+d\n", d, code[d], test[d] }
+' | sort
 for d in cmd/*/; do
 	printf 'cmd LOC (non-test): %s %s\n' "$d" "$(find "$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 done
@@ -184,3 +198,9 @@ elif git diff --quiet "$loc_base" -- benchmark BENCHMARK.json; then
 else
 	echo "benchmark/ or BENCHMARK.json EDITED vs $loc_base (only a benchmark PR may)"
 fi
+printf 'concrete-scheme importers outside internal/catalog: %s\n' "$(
+	grep -rl --include='*.go' '"mcauth/internal/scheme/' . |
+		grep -v -e '_test\.go$' -e '^\./internal/scheme/' -e '^\./internal/catalog/' \
+			-e '^\./benchmark/' -e '^\./examples/' -e '^\./mcauth\.go$' |
+		sort | tr '\n' ' ' || true
+)"

@@ -17,16 +17,12 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/stats"
 	"mcauth/internal/verifier"
 )
@@ -91,23 +87,16 @@ func run(args []string) error {
 			}
 			return replay(s, *trace, *metrics)
 		}
-		switch *schemeName {
-		case "rohatgi":
-			s, err = rohatgi.New(*n, signer)
-		case "emss":
-			s, err = emss.New(emss.Config{N: *n, M: *m, D: *d}, signer)
-		case "augchain":
-			s, err = augchain.New(augchain.Config{N: *n, A: *a, B: *b}, signer)
-		case "authtree":
-			s, err = authtree.New(*n, signer)
-		case "signeach":
-			s, err = signeach.New(*n, signer)
-		default:
+		// The split-vertex TESLA graph carries no slot semantics for the
+		// Section 3 metrics, so mcgraph offers every catalogue scheme but it.
+		if *schemeName == "tesla" {
 			return fmt.Errorf("unknown scheme %q", *schemeName)
 		}
+		entry, err := catalog.Build(catalog.Spec{ID: *schemeName, N: *n, M: *m, D: *d, A: *a, B: *b}, signer)
 		if err != nil {
 			return err
 		}
+		s = entry.Scheme
 		if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
 			return err
 		}

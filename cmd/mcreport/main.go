@@ -20,17 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
+	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/diagnose"
 	"mcauth/internal/obs"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 )
 
 type options struct {
@@ -57,7 +53,7 @@ func main() {
 func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("mcreport", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.scheme, "scheme", "", "rebuild this scheme's dependence graph for culprit attribution: rohatgi|emss|augchain|authtree|signeach|tesla")
+	fs.StringVar(&o.scheme, "scheme", "", "rebuild this scheme's dependence graph for culprit attribution: "+strings.Join(catalog.IDs(), "|"))
 	fs.IntVar(&o.n, "n", 100, "block size the trace was produced with")
 	fs.IntVar(&o.m, "m", 2, "EMSS m")
 	fs.IntVar(&o.d, "d", 1, "EMSS d")
@@ -77,55 +73,21 @@ func parseOptions(args []string) (options, error) {
 }
 
 // buildOptions rebuilds the graph-side half of the trace→graph join from
-// the -scheme flags. The TESLA graph's split vertex encoding has no sound
-// wire-index mapping, so tesla restricts the diagnosis scope to its data
-// packets and skips culprit attribution.
+// the -scheme flags.
 func buildOptions(o options) (diagnose.Options, error) {
-	var opts diagnose.Options
 	if o.scheme == "" {
-		return opts, nil
+		return diagnose.Options{}, nil
 	}
-	signer := crypto.NewSignerFromString("mcreport")
-	var s scheme.Scheme
-	var err error
-	switch o.scheme {
-	case "rohatgi":
-		s, err = rohatgi.New(o.n, signer)
-	case "emss":
-		s, err = emss.New(emss.Config{N: o.n, M: o.m, D: o.d}, signer)
-	case "augchain":
-		s, err = augchain.New(augchain.Config{N: o.n, A: o.a, B: o.b}, signer)
-	case "authtree":
-		s, err = authtree.New(o.n, signer)
-	case "signeach":
-		s, err = signeach.New(o.n, signer)
-	case "tesla":
-		indices := make([]uint32, o.n)
-		for i := range indices {
-			indices[i] = tesla.DataWireIndex(i + 1)
-		}
-		opts.DataIndices = indices
-		return opts, nil
-	default:
-		return opts, fmt.Errorf("unknown scheme %q", o.scheme)
-	}
+	// The join reads only wire indices and the dependence graph, so the
+	// TESLA schedule (mcsim's default spacing) and key seed are arbitrary.
+	entry, err := catalog.Build(catalog.Spec{
+		ID: o.scheme, N: o.n, M: o.m, D: o.d, A: o.a, B: o.b,
+		Lag: o.lag, Interval: 10 * time.Millisecond, Seed: []byte("mcreport"),
+	}, crypto.NewSignerFromString("mcreport"))
 	if err != nil {
-		return opts, err
+		return diagnose.Options{}, err
 	}
-	indices := make([]uint32, o.n)
-	for i := range indices {
-		indices[i] = uint32(i + 1)
-	}
-	opts.DataIndices = indices
-	if vm, ok := s.(scheme.VertexMapper); ok {
-		g, err := s.Graph()
-		if err != nil {
-			return opts, err
-		}
-		opts.Graph = g
-		opts.VertexOf = vm.VertexOf
-	}
-	return opts, nil
+	return entry.DiagnoseOptions()
 }
 
 func loadReport(path string, opts diagnose.Options) (*diagnose.Report, error) {

@@ -62,17 +62,15 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
 	"mcauth/internal/serve"
 )
 
@@ -112,7 +110,7 @@ func parseOptions(args []string) (options, error) {
 	fs.BoolVar(&o.chaos, "chaos", false, "run the chaos self-test: kill/restart the daemon across -cycles with conn faults injected, assert recovery invariants")
 	fs.BoolVar(&o.relay, "relay", false, "run as a fan-out relay: subscribe to -connect, retain -repair blocks per stream, and re-serve the feed (live + resume catch-up + MCRQ repairs) on -listen")
 	fs.IntVar(&o.Streams, "streams", 64, "number of concurrent authenticated streams")
-	fs.StringVar(&o.schemeID, "scheme", "mixed", "per-stream scheme: rohatgi|emss|augchain|authtree|signeach|mixed")
+	fs.StringVar(&o.schemeID, "scheme", "mixed", "per-stream scheme: "+servedSchemes())
 	fs.IntVar(&o.n, "n", 8, "block size (payloads per block)")
 	fs.IntVar(&o.Blocks, "blocks", 20, "blocks to publish per stream (demo mode)")
 	fs.DurationVar(&o.Rate, "rate", 0, "inter-message gap per stream (0 = as fast as possible)")
@@ -219,28 +217,27 @@ func parseOptions(args []string) (options, error) {
 	return o, nil
 }
 
-// buildScheme constructs stream id's scheme; "mixed" rotates the four
-// non-timed constructions so one daemon exercises deferred and
-// synchronous signing together.
+// servedSchemes is -scheme's accepted set: every catalogue scheme but
+// TESLA, plus the "mixed" rotation. The served wire carries no sender
+// clock, so receivers could not check TESLA's disclosure deadline.
+func servedSchemes() string {
+	served := slices.DeleteFunc(catalog.IDs(), func(id string) bool { return id == "tesla" })
+	return strings.Join(served, "|") + "|mixed"
+}
+
+// buildScheme constructs stream id's scheme at E_{2,1} / C_{2,2}; "mixed"
+// rotates the four non-timed constructions so one daemon exercises
+// deferred and synchronous signing together.
 func (o options) buildScheme(id uint64, signer crypto.Signer) (scheme.Scheme, error) {
-	kind, n := o.schemeID, o.n
+	kind := o.schemeID
 	if kind == "mixed" {
 		kind = []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
 	}
-	switch kind {
-	case "rohatgi":
-		return rohatgi.New(n, signer)
-	case "emss":
-		return emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-	case "augchain":
-		return augchain.New(augchain.Config{N: n, A: 2, B: 2}, signer)
-	case "authtree":
-		return authtree.New(n, signer)
-	case "signeach":
-		return signeach.New(n, signer)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", kind)
+	if kind == "tesla" {
+		return nil, fmt.Errorf("scheme \"tesla\" is not served: the served wire carries no sender clock, so receivers cannot check the disclosure deadline (accepted: %s)", servedSchemes())
 	}
+	entry, err := catalog.Build(catalog.Spec{ID: kind, N: o.n, M: 2, D: 1, A: 2, B: 2}, signer)
+	return entry.Scheme, err
 }
 
 func run(args []string, stdout io.Writer) error {

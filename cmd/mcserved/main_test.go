@@ -182,3 +182,18 @@ func TestOptionValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestTESLAIsADocumentedExclusion: -scheme tesla is refused with the
+// reason and the accepted names, not as an unknown scheme.
+func TestTESLAIsADocumentedExclusion(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-demo", "-streams", "1", "-scheme", "tesla"}, &out)
+	if err == nil {
+		t.Fatal("-scheme tesla accepted")
+	}
+	for _, want := range []string{"no sender clock", "rohatgi|emss|augchain|authtree|signeach|mixed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/fault"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 )
-
-// chaosSchemes is the full matrix the soak drives; every runnable scheme
-// must hold its invariants under every fault preset.
-var chaosSchemes = []string{"rohatgi", "emss", "augchain", "authtree", "signeach", "tesla"}
 
 // chaosMaxBuffered caps every verifier's pending buffer during the soak;
 // the run fails if any receiver buffers past it.
@@ -45,20 +41,17 @@ func runChaos(o options) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tpreset\tseed\tinjected\tforged inj/rej\tauthed\trejected\tbuf hw\tverdict")
 	violations := 0
-	for _, name := range chaosSchemes {
-		so := o
-		so.scheme = name
-		s, _, _, err := buildScheme(so, signer)
+	for _, name := range catalog.IDs() {
+		spec := o.spec()
+		spec.ID = name
+		entry, err := catalog.Build(spec, signer)
 		if err != nil {
 			return fmt.Errorf("chaos %s: %w", name, err)
 		}
+		s := entry.Scheme
 		payloads := make([][]byte, s.BlockSize())
 		for i := range payloads {
 			payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
-		}
-		reliable := []uint32{1}
-		if name == "emss" || name == "augchain" {
-			reliable = []uint32{uint32(o.n)}
 		}
 		for _, preset := range fault.PresetNames() {
 			fc, err := fault.Preset(preset, o.chaosRate)
@@ -70,10 +63,10 @@ func runChaos(o options) error {
 					Receivers:       o.receivers,
 					Loss:            lossModel,
 					Delay:           delayModel,
-					SendInterval:    o.interval,
-					Start:           time.Unix(0, 0),
+					SendInterval:    entry.SendInterval,
+					Start:           entry.Start,
 					Seed:            seed,
-					ReliableIndices: reliable,
+					ReliableIndices: entry.Signature,
 					SigRetransmits:  2,
 					Faults:          &fc,
 					MaxBuffered:     chaosMaxBuffered,
@@ -113,7 +106,7 @@ func runChaos(o options) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	runs := len(chaosSchemes) * len(fault.PresetNames()) * o.chaosSeeds
+	runs := len(catalog.IDs()) * len(fault.PresetNames()) * o.chaosSeeds
 	if violations > 0 {
 		return fmt.Errorf("chaos soak: %d of %d runs violated invariants", violations, runs)
 	}

@@ -17,23 +17,17 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"strings"
 	"text/tabwriter"
 	"time"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/diagnose"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stats"
 )
 
@@ -84,7 +78,7 @@ func main() {
 func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.scheme, "scheme", "emss", "scheme: rohatgi|emss|augchain|authtree|signeach|tesla")
+	fs.StringVar(&o.scheme, "scheme", "emss", "scheme: "+strings.Join(catalog.IDs(), "|"))
 	fs.IntVar(&o.n, "n", 100, "block size (payloads per block)")
 	fs.Float64Var(&o.p, "p", 0.1, "i.i.d. loss probability")
 	fs.IntVar(&o.burst, "burst", 0, "mean burst length; >1 switches to Gilbert-Elliott loss at rate p")
@@ -123,108 +117,23 @@ func parseOptions(args []string) (options, error) {
 	return o, nil
 }
 
-func buildScheme(o options, signer crypto.Signer) (scheme.Scheme, []uint32, float64, error) {
-	dataIdx := func(from, to int) []uint32 {
-		out := make([]uint32, 0, to-from+1)
-		for i := from; i <= to; i++ {
-			out = append(out, uint32(i))
-		}
-		return out
-	}
-	switch o.scheme {
-	case "rohatgi":
-		s, err := rohatgi.New(o.n, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		res, err := analysis.Rohatgi(o.n, o.p)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return s, dataIdx(1, o.n), res.QMin, nil
-	case "emss":
-		s, err := emss.New(emss.Config{N: o.n, M: o.m, D: o.d}, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		// Prefer the exact Markov evaluator when its window fits; the
-		// paper's recurrence is an optimistic upper bound (see
-		// EXPERIMENTS.md, "markovgap").
-		cfg := analysis.EMSS{N: o.n, M: o.m, D: o.d, P: o.p}
-		exact := analysis.MarkovExact{N: o.n, Offsets: cfg.Offsets(), P: o.p}
-		if exact.Validate() == nil {
-			qmin, err := exact.QMin()
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			return s, dataIdx(1, o.n), qmin, nil
-		}
-		qmin, err := cfg.QMin()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return s, dataIdx(1, o.n), qmin, nil
-	case "augchain":
-		s, err := augchain.New(augchain.Config{N: o.n, A: o.a, B: o.b}, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		qmin, err := analysis.AugChain{N: o.n, A: o.a, B: o.b, P: o.p}.QMin()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return s, dataIdx(1, o.n), qmin, nil
-	case "authtree":
-		s, err := authtree.New(o.n, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return s, dataIdx(1, o.n), 1, nil
-	case "signeach":
-		s, err := signeach.New(o.n, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return s, dataIdx(1, o.n), 1, nil
-	case "tesla":
-		cfg := tesla.Config{
-			N:        o.n,
-			Lag:      o.lag,
-			Interval: o.interval,
-			Start:    time.Unix(0, 0),
-			Seed:     []byte("mcsim"),
-		}
-		s, err := tesla.New(cfg, signer)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		qmin, err := analysis.TESLA{
-			N:     o.n,
-			P:     o.p,
-			TDisc: cfg.TDisclose().Seconds(),
-			Mu:    o.mu.Seconds(),
-			Sigma: o.sigma.Seconds(),
-		}.QMin()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		indices := make([]uint32, o.n)
-		for i := range indices {
-			indices[i] = tesla.DataWireIndex(i + 1)
-		}
-		return s, indices, qmin, nil
-	default:
-		return nil, nil, 0, fmt.Errorf("unknown scheme %q", o.scheme)
+// spec is the catalogue row the scheme flags select.
+func (o options) spec() catalog.Spec {
+	return catalog.Spec{
+		ID: o.scheme, N: o.n, M: o.m, D: o.d, A: o.a, B: o.b,
+		Lag: o.lag, Interval: o.interval, Seed: []byte("mcsim"),
 	}
 }
 
-// reliableIndices is the per-scheme signature-wire convention: trailing
-// signature for the chained constructions, leading for the rest.
-func reliableIndices(o options) []uint32 {
-	if o.scheme == "emss" || o.scheme == "augchain" {
-		return []uint32{uint32(o.n)}
+// buildEntry builds the selected scheme and its analytic q_min under the
+// -p loss rate and -mu/-sigma delay.
+func buildEntry(o options) (catalog.Entry, float64, error) {
+	entry, err := catalog.Build(o.spec(), crypto.NewSignerFromString("mcsim-sender"))
+	if err != nil {
+		return catalog.Entry{}, 0, err
 	}
-	return []uint32{1}
+	qmin, err := entry.QMin(o.p, o.mu, o.sigma)
+	return entry, qmin, err
 }
 
 // buildLossModel maps -p/-burst to the last-hop loss process.
@@ -348,11 +257,11 @@ func run(args []string) error {
 		}
 		mem = &obs.MemTracer{}
 	}
-	signer := crypto.NewSignerFromString("mcsim-sender")
-	s, dataIndices, analyticQMin, err := buildScheme(o, signer)
+	entry, analyticQMin, err := buildEntry(o)
 	if err != nil {
 		return err
 	}
+	s := entry.Scheme
 
 	lossModel, err := buildLossModel(o)
 	if err != nil {
@@ -369,15 +278,14 @@ func run(args []string) error {
 	}
 	// The signature / bootstrap packet is delivered reliably, matching
 	// the paper's standing assumption.
-	reliable := reliableIndices(o)
 	simCfg := netsim.Config{
 		Receivers:       o.receivers,
 		Loss:            lossModel,
 		Delay:           delayModel,
-		SendInterval:    o.interval,
-		Start:           time.Unix(0, 0),
+		SendInterval:    entry.SendInterval,
+		Start:           entry.Start,
 		Seed:            o.seed,
-		ReliableIndices: reliable,
+		ReliableIndices: entry.Signature,
 		LateJoiners:     o.latejoin,
 		Workers:         o.workers,
 		Metrics:         reg,
@@ -395,7 +303,7 @@ func run(args []string) error {
 		return err
 	}
 
-	measured := res.MinAuthRatio(dataIndices)
+	measured := res.MinAuthRatio(entry.Data)
 	var delivered, lost, authed, rejected, unsafe int
 	var latencies []float64
 	var timeToAuth obs.HistogramData
@@ -446,7 +354,7 @@ func run(args []string) error {
 		}
 	}
 	if mem != nil {
-		if err := writeReport(s, dataIndices, reliable[0], mem.Events(), reportJSON, reportMD); err != nil {
+		if err := writeReport(entry, mem.Events(), reportJSON, reportMD); err != nil {
 			return err
 		}
 	}
@@ -456,15 +364,10 @@ func run(args []string) error {
 // writeReport joins the in-memory trace with the scheme's dependence graph
 // and writes the root-cause report as JSON and markdown, plus a short text
 // rendering on stdout.
-func writeReport(s scheme.Scheme, dataIndices []uint32, root uint32, events []obs.Event, jsonOut, mdOut *os.File) error {
-	opts := diagnose.Options{RootIndex: root, DataIndices: dataIndices}
-	if vm, ok := s.(scheme.VertexMapper); ok {
-		g, err := s.Graph()
-		if err != nil {
-			return err
-		}
-		opts.Graph = g
-		opts.VertexOf = vm.VertexOf
+func writeReport(entry catalog.Entry, events []obs.Event, jsonOut, mdOut *os.File) error {
+	opts, err := entry.DiagnoseOptions()
+	if err != nil {
+		return err
 	}
 	rep, err := diagnose.BuildReport(events, 0, opts)
 	if err != nil {

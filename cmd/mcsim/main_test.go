@@ -280,3 +280,73 @@ func TestPprofServesMetrics(t *testing.T) {
 		t.Errorf("/statusz missing the run configuration:\n%s", body)
 	}
 }
+
+// TestPerPacketSchemesHaveNoReliableWire pins the signature-wire drift fix:
+// authtree and signeach have no signature packet, so no wire is exempt
+// from loss — at p > 0 some receiver loses wire 1 like any other.
+func TestPerPacketSchemesHaveNoReliableWire(t *testing.T) {
+	for _, name := range []string{"authtree", "signeach"} {
+		repPath := filepath.Join(t.TempDir(), "rep.json")
+		err := run([]string{
+			"-scheme", name, "-n", "8", "-p", "0.3",
+			"-receivers", "40", "-seed", "2", "-report", repPath,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(repPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep diagnose.Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatalf("report JSON: %v", err)
+		}
+		if rep.RootIndex != 0 {
+			t.Errorf("%s: report names wire %d as the signature packet; there is none", name, rep.RootIndex)
+		}
+		if len(rep.ByPosition) == 0 || rep.ByPosition[0].Index != 1 {
+			t.Fatalf("%s: report has no row for wire 1: %+v", name, rep.ByPosition)
+		}
+		if got := rep.ByPosition[0].Received; got >= 40 {
+			t.Errorf("%s: wire 1 reached %d of 40 receivers at p=0.3; it is being delivered reliably", name, got)
+		}
+	}
+}
+
+// TestOverlayRepairsOnlySignatureWires: relays NACK-repair and audit the
+// signature class. A chained scheme under a lossy tree edge gets repairs;
+// a per-packet scheme has no such class, so the same run repairs nothing
+// and flags no relay.
+func TestOverlayRepairsOnlySignatureWires(t *testing.T) {
+	overlay := func(name string) overlaySummary {
+		t.Helper()
+		sumPath := filepath.Join(t.TempDir(), "sum.json")
+		err := run([]string{
+			"-overlay", "-scheme", name, "-n", "8", "-p", "0.1", "-receivers", "400",
+			"-depth", "2", "-fanout", "4", "-edgep", "0.5", "-relays", "-summary", sumPath,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(sumPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum overlaySummary
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			t.Fatalf("summary JSON: %v", err)
+		}
+		return sum
+	}
+	if sum := overlay("emss"); sum.UpstreamRepaired == 0 {
+		t.Error("emss: no upstream repairs; the lossy edge never dropped a signature wire and the scenario proves nothing")
+	}
+	for _, name := range []string{"authtree", "signeach"} {
+		sum := overlay(name)
+		if sum.UpstreamRepaired != 0 || sum.ReceiverRepairs != 0 || len(sum.Flagged) != 0 {
+			t.Errorf("%s: %d upstream / %d last-hop repairs, flagged %v; a data packet is being treated as P_sign",
+				name, sum.UpstreamRepaired, sum.ReceiverRepairs, sum.Flagged)
+		}
+	}
+}

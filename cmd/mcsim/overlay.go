@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
-	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
@@ -52,11 +50,11 @@ func runOverlay(o options) error {
 	if o.chaos || o.latejoin > 0 {
 		return fmt.Errorf("-overlay composes with neither -chaos nor -latejoin")
 	}
-	signer := crypto.NewSignerFromString("mcsim-sender")
-	s, dataIndices, analyticQMin, err := buildScheme(o, signer)
+	entry, analyticQMin, err := buildEntry(o)
 	if err != nil {
 		return err
 	}
+	s := entry.Scheme
 	lossModel, err := buildLossModel(o)
 	if err != nil {
 		return err
@@ -91,10 +89,10 @@ func runOverlay(o options) error {
 	simCfg := netsim.Config{
 		Receivers:       o.receivers,
 		Delay:           delayModel,
-		SendInterval:    o.interval,
-		Start:           time.Unix(0, 0),
+		SendInterval:    entry.SendInterval,
+		Start:           entry.Start,
 		Seed:            o.seed,
-		ReliableIndices: reliableIndices(o),
+		ReliableIndices: entry.Signature,
 		Workers:         o.workers,
 	}
 	res, err := netsim.RunOverlay(s, simCfg, netsim.OverlayConfig{
@@ -126,7 +124,7 @@ func runOverlay(o options) error {
 		sum.Authenticated += rep.Stats.Authenticated
 	}
 	sum.AuthFraction = float64(sum.Authenticated) / float64(o.receivers*res.WireCount)
-	sum.MinQMin = res.MinAuthRatio(dataIndices)
+	sum.MinQMin = res.MinAuthRatio(entry.Data)
 	for _, rep := range res.Relays {
 		sum.UpstreamRepaired += rep.UpstreamRepaired
 		sum.ReceiverRepairs += rep.ServedRepairs

@@ -1,0 +1,260 @@
+// Package catalog is the one place a scheme name and its parameters turn
+// into a runnable instance plus the per-scheme facts every evaluation path
+// needs: which wire indices are data, which wire carries the signature,
+// the send spacing, and which evaluator gives q_min at loss rate p.
+//
+// The paper's claim is that Rohatgi, Wong-Lam, EMSS, the augmented chain
+// and TESLA are instances of one framework: a dependence graph rooted at
+// P_sign, analysed under the standing assumption that P_sign arrives, and
+// scored by q_min over the data packets. Per scheme that is one row of
+// facts, stated here once (rows, below) and checked against what each
+// scheme's Authenticate actually emits by TestCatalogMatchesWire.
+//
+// The catalogue is a leaf consumer of the scheme packages: commands, the
+// lab, the conformance suite, the experiments and tests import it; netsim,
+// serve, stream and server never do — they keep taking a scheme.Scheme or
+// an injected factory.
+package catalog
+
+import (
+	"fmt"
+	"time"
+
+	"mcauth/internal/analysis"
+	"mcauth/internal/crypto"
+	"mcauth/internal/diagnose"
+	"mcauth/internal/scheme"
+	"mcauth/internal/scheme/augchain"
+	"mcauth/internal/scheme/authtree"
+	"mcauth/internal/scheme/emss"
+	"mcauth/internal/scheme/rohatgi"
+	"mcauth/internal/scheme/signeach"
+	"mcauth/internal/scheme/tesla"
+)
+
+// Spec names a scheme and carries the union of the parameters the tools
+// take; a row reads the fields it needs and ignores the rest.
+type Spec struct {
+	// ID is one of IDs().
+	ID string
+	// N is the block size (payloads per block).
+	N int
+	// M and D are the EMSS E_{m,d} parameters.
+	M, D int
+	// A and B are the augmented chain C_{a,b} parameters. Aligning N to a
+	// segment boundary (analysis.AlignN) is the caller's decision.
+	A, B int
+	// Lag is the TESLA disclosure lag in intervals.
+	Lag int
+	// Interval is the sender's per-packet spacing, which for TESLA is also
+	// the key interval.
+	Interval time.Duration
+	// Start is the send time of the first wire packet (TESLA's T0); the
+	// zero value is the Unix epoch, the simulators' virtual T0.
+	Start time.Time
+	// Seed derives the TESLA key chain.
+	Seed []byte
+}
+
+// Entry is a built scheme with its wire conventions.
+type Entry struct {
+	Scheme scheme.Scheme
+	// Data lists the wire authentication indices of the payload-bearing
+	// packets, the set q_min is taken over.
+	Data []uint32
+	// Signature lists the wire indices carrying a signed root distinct
+	// from the packets it vouches for — the paper's P_sign, which the
+	// analysis assumes arrives (netsim.Config.ReliableIndices, the
+	// overlay's repair class, diagnose's root). Empty for the per-packet
+	// schemes, where every packet carries its own proof and no wire is
+	// privileged.
+	Signature []uint32
+	// SendInterval and Start are the sender's schedule, as given in the
+	// Spec.
+	SendInterval time.Duration
+	Start        time.Time
+
+	spec Spec
+	qmin func(s Spec, p, mu, sigma float64) (float64, error)
+}
+
+// row is one scheme's line in the catalogue.
+type row struct {
+	id    string
+	build func(Spec, crypto.Signer) (scheme.Scheme, error)
+	// data overrides the default data indices 1..N.
+	data func(Spec) []uint32
+	// signature is nil for schemes without a distinct signature packet.
+	signature func(Spec) []uint32
+	// qmin is the analytic q_min under i.i.d. loss at rate p, with
+	// Gaussian end-to-end delay (mu, sigma, in seconds) where timing
+	// matters. One rule for every chained topology: the exact evaluator
+	// when its Validate accepts the parameters, the paper's recurrence —
+	// an optimistic bound, see EXPERIMENTS.md "markovgap" — otherwise.
+	qmin func(s Spec, p, mu, sigma float64) (float64, error)
+}
+
+func firstWire(Spec) []uint32  { return []uint32{1} }
+func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
+
+// one is q_min for the per-packet schemes: any received packet verifies,
+// under any loss process.
+func one(Spec, float64, float64, float64) (float64, error) { return 1, nil }
+
+var rows = []row{
+	{
+		id: "rohatgi",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return rohatgi.New(s.N, k)
+		},
+		signature: firstWire,
+		qmin: func(s Spec, p, _, _ float64) (float64, error) {
+			res, err := analysis.Rohatgi(s.N, p)
+			return res.QMin, err
+		},
+	},
+	{
+		id: "emss",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return emss.New(emss.Config{N: s.N, M: s.M, D: s.D}, k)
+		},
+		signature: lastWire,
+		qmin: func(s Spec, p, _, _ float64) (float64, error) {
+			rec := analysis.EMSS{N: s.N, M: s.M, D: s.D, P: p}
+			exact := analysis.MarkovExact{N: s.N, Offsets: rec.Offsets(), P: p}
+			if exact.Validate() == nil {
+				return exact.QMin()
+			}
+			return rec.QMin()
+		},
+	},
+	{
+		id: "augchain",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return augchain.New(augchain.Config{N: s.N, A: s.A, B: s.B}, k)
+		},
+		signature: lastWire,
+		qmin: func(s Spec, p, _, _ float64) (float64, error) {
+			exact := analysis.AugChainExact{N: s.N, A: s.A, B: s.B, P: p}
+			if exact.Validate() == nil {
+				return exact.QMin()
+			}
+			return analysis.AugChain{N: s.N, A: s.A, B: s.B, P: p}.QMin()
+		},
+	},
+	{
+		id: "authtree",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return authtree.New(s.N, k)
+		},
+		qmin: one,
+	},
+	{
+		id: "signeach",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return signeach.New(s.N, k)
+		},
+		qmin: one,
+	},
+	{
+		id: "tesla",
+		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
+			return tesla.New(teslaConfig(s), k)
+		},
+		data: func(s Spec) []uint32 {
+			out := make([]uint32, s.N)
+			for i := range out {
+				out[i] = tesla.DataWireIndex(i + 1)
+			}
+			return out
+		},
+		signature: firstWire, // the signed bootstrap
+		qmin: func(s Spec, p, mu, sigma float64) (float64, error) {
+			return analysis.TESLA{
+				N: s.N, P: p, TDisc: teslaConfig(s).TDisclose().Seconds(), Mu: mu, Sigma: sigma,
+			}.QMin()
+		},
+	},
+}
+
+func teslaConfig(s Spec) tesla.Config {
+	return tesla.Config{N: s.N, Lag: s.Lag, Interval: s.Interval, Start: s.Start, Seed: s.Seed}
+}
+
+// IDs lists the scheme names in the order every tool prints them.
+func IDs() []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.id
+	}
+	return out
+}
+
+// Build constructs the scheme spec names, signing with signer, and binds
+// it to its row's wire conventions. Parameter errors are the scheme
+// constructor's own.
+func Build(spec Spec, signer crypto.Signer) (Entry, error) {
+	for _, r := range rows {
+		if r.id != spec.ID {
+			continue
+		}
+		if spec.Start.IsZero() {
+			spec.Start = time.Unix(0, 0)
+		}
+		s, err := r.build(spec, signer)
+		if err != nil {
+			return Entry{}, err
+		}
+		e := Entry{
+			Scheme:       s,
+			SendInterval: spec.Interval,
+			Start:        spec.Start,
+			spec:         spec,
+			qmin:         r.qmin,
+		}
+		if r.data != nil {
+			e.Data = r.data(spec)
+		} else {
+			e.Data = make([]uint32, spec.N)
+			for i := range e.Data {
+				e.Data[i] = uint32(i + 1)
+			}
+		}
+		if r.signature != nil {
+			e.Signature = r.signature(spec)
+		}
+		return e, nil
+	}
+	return Entry{}, fmt.Errorf("unknown scheme %q", spec.ID)
+}
+
+// QMin is the analytic minimum authentication probability over the data
+// packets under i.i.d. loss at rate p. mu and sigma are the mean and
+// standard deviation of the Gaussian end-to-end delay, which only TESLA's
+// safety condition reads; a constant delay below the disclosure lag
+// (sigma = 0) is the paper's ξ = 1 case. Evaluated on demand, so Build
+// costs no more than the constructor it wraps.
+func (e Entry) QMin(p float64, mu, sigma time.Duration) (float64, error) {
+	return e.qmin(e.spec, p, mu.Seconds(), sigma.Seconds())
+}
+
+// DiagnoseOptions is the graph-side half of the trace→graph join: the
+// data scope, the root wire, and — for schemes whose wire indices map onto
+// graph vertices — the dependence graph for culprit attribution. TESLA's
+// split vertex encoding has no sound wire-index mapping, so it gets the
+// scope and root only.
+func (e Entry) DiagnoseOptions() (diagnose.Options, error) {
+	opts := diagnose.Options{DataIndices: e.Data}
+	if len(e.Signature) > 0 {
+		opts.RootIndex = e.Signature[0]
+	}
+	if vm, ok := e.Scheme.(scheme.VertexMapper); ok {
+		g, err := e.Scheme.Graph()
+		if err != nil {
+			return diagnose.Options{}, err
+		}
+		opts.Graph = g
+		opts.VertexOf = vm.VertexOf
+	}
+	return opts, nil
+}

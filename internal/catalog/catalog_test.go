@@ -1,0 +1,217 @@
+package catalog
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"mcauth/internal/analysis"
+	"mcauth/internal/crypto"
+	"mcauth/internal/schemetest"
+)
+
+// wireCases is every ID at a few block sizes, including a ragged
+// authentication tree and, for each chained topology, one parameter set
+// the exact evaluator accepts and one it does not (an EMSS window past the
+// Markov limit, an augmented chain that ends mid-segment).
+var wireCases = []Spec{
+	{ID: "rohatgi", N: 6},
+	{ID: "rohatgi", N: 12},
+	{ID: "emss", N: 12, M: 2, D: 1},
+	{ID: "emss", N: 40, M: 2, D: 9},
+	{ID: "augchain", N: 13, A: 3, B: 3},
+	{ID: "augchain", N: 12, A: 3, B: 3},
+	{ID: "authtree", N: 16},
+	{ID: "authtree", N: 13},
+	{ID: "signeach", N: 8},
+	{ID: "tesla", N: 8, Lag: 2},
+	{ID: "tesla", N: 5, Lag: 3},
+}
+
+func build(t *testing.T, spec Spec) Entry {
+	t.Helper()
+	if spec.Interval == 0 {
+		spec.Interval = 10 * time.Millisecond
+	}
+	spec.Seed = []byte("catalog")
+	e, err := Build(spec, crypto.NewSignerFromString("catalog"))
+	if err != nil {
+		t.Fatalf("%+v: %v", spec, err)
+	}
+	return e
+}
+
+// TestCatalogMatchesWire checks every row against what the scheme's own
+// Authenticate emits, so the wire conventions are observed, not asserted:
+// Data is where the caller's payloads ride, Signature is where a signature
+// rides when only some packets carry one.
+func TestCatalogMatchesWire(t *testing.T) {
+	covered := make(map[string]bool)
+	for _, spec := range wireCases {
+		covered[spec.ID] = true
+		e := build(t, spec)
+		name := e.Scheme.Name()
+		payloads := schemetest.Payloads(e.Scheme.BlockSize())
+		isPayload := make(map[string]bool, len(payloads))
+		for _, p := range payloads {
+			isPayload[string(p)] = true
+		}
+		pkts, err := e.Scheme.Authenticate(1, payloads)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(pkts) != e.Scheme.WireCount() {
+			t.Errorf("%s: %d wire packets, WireCount says %d", name, len(pkts), e.Scheme.WireCount())
+		}
+		var data, signed []uint32
+		for _, p := range pkts {
+			if isPayload[string(p.Payload)] {
+				data = append(data, p.Index)
+			}
+			if len(p.Signature) > 0 {
+				signed = append(signed, p.Index)
+			}
+		}
+		if !reflect.DeepEqual(e.Data, data) {
+			t.Errorf("%s: Data = %v, payloads ride at %v", name, e.Data, data)
+		}
+		if len(signed) == len(pkts) {
+			// Every packet carries its own proof: no wire is P_sign.
+			signed = nil
+		}
+		if !reflect.DeepEqual(e.Signature, signed) {
+			t.Errorf("%s: Signature = %v, signatures ride at %v", name, e.Signature, signed)
+		}
+		if q, err := e.QMin(0, time.Millisecond, 0); err != nil || q != 1 {
+			t.Errorf("%s: QMin(0) = %v, %v; want 1", name, q, err)
+		}
+	}
+	for _, id := range IDs() {
+		if !covered[id] {
+			t.Errorf("scheme %q has no wire case", id)
+		}
+	}
+}
+
+// TestQMinExactWhenValid pins the one rule for chained topologies: the
+// exact evaluator exactly when its Validate accepts the parameters, the
+// recurrence otherwise. Both branches must be exercised per scheme, and the
+// two evaluators must differ at the probe point for the check to bite.
+func TestQMinExactWhenValid(t *testing.T) {
+	const p = 0.2
+	branches := make(map[string]bool)
+	for _, spec := range wireCases {
+		var (
+			valid          bool
+			exactQ, recurQ float64
+		)
+		switch spec.ID {
+		case "emss":
+			rec := analysis.EMSS{N: spec.N, M: spec.M, D: spec.D, P: p}
+			ex := analysis.MarkovExact{N: spec.N, Offsets: rec.Offsets(), P: p}
+			valid = ex.Validate() == nil
+			exactQ, _ = ex.QMin()
+			recurQ, _ = rec.QMin()
+		case "augchain":
+			ex := analysis.AugChainExact{N: spec.N, A: spec.A, B: spec.B, P: p}
+			valid = ex.Validate() == nil
+			exactQ, _ = ex.QMin()
+			recurQ, _ = analysis.AugChain{N: spec.N, A: spec.A, B: spec.B, P: p}.QMin()
+		default:
+			continue
+		}
+		want, branch := recurQ, "recurrence"
+		if valid {
+			want, branch = exactQ, "exact"
+			if exactQ == recurQ {
+				t.Fatalf("%+v: exact and recurrence agree at p=%v; the probe cannot tell them apart", spec, p)
+			}
+		}
+		branches[spec.ID+"/"+branch] = true
+		got, err := build(t, spec).QMin(p, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got <= 0 {
+			t.Errorf("%+v: QMin = %v, want the %s evaluator's %v", spec, got, branch, want)
+		}
+	}
+	for _, b := range []string{"emss/exact", "emss/recurrence", "augchain/exact", "augchain/recurrence"} {
+		if !branches[b] {
+			t.Errorf("no wire case exercises %s", b)
+		}
+	}
+}
+
+// TestTESLAQMinReadsDelay: TESLA is the one row whose q_min depends on the
+// caller's delay; a constant delay inside the disclosure lag is ξ = 1.
+func TestTESLAQMinReadsDelay(t *testing.T) {
+	e := build(t, Spec{ID: "tesla", N: 8, Lag: 2, Interval: 100 * time.Millisecond})
+	if q, err := e.QMin(0.25, time.Millisecond, 0); err != nil || q != 0.75 {
+		t.Errorf("ξ = 1 case: QMin = %v, %v; want 1-p = 0.75", q, err)
+	}
+	late, err := e.QMin(0.25, 200*time.Millisecond, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late < 0.37 || late > 0.38 {
+		t.Errorf("delay mean at the disclosure deadline: QMin = %v, want (1-p)/2", late)
+	}
+}
+
+func TestIDsOrder(t *testing.T) {
+	want := []string{"rohatgi", "emss", "augchain", "authtree", "signeach", "tesla"}
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs() = %v, want %v", got, want)
+	}
+}
+
+func TestBuildErrors(t *testing.T) {
+	signer := crypto.NewSignerFromString("catalog")
+	if _, err := Build(Spec{ID: "nope", N: 8}, signer); err == nil || err.Error() != `unknown scheme "nope"` {
+		t.Errorf("unknown ID: %v", err)
+	}
+	// Parameter errors are the constructor's own.
+	if _, err := Build(Spec{ID: "emss", N: 2, M: 5, D: 1}, signer); err == nil || !strings.HasPrefix(err.Error(), "emss:") {
+		t.Errorf("invalid EMSS parameters: %v", err)
+	}
+	if _, err := Build(Spec{ID: "tesla", N: 8, Lag: 2, Seed: []byte("s")}, signer); err == nil {
+		t.Error("TESLA without an interval accepted")
+	}
+}
+
+func TestScheduleAndDiagnoseOptions(t *testing.T) {
+	e := build(t, Spec{ID: "emss", N: 12, M: 2, D: 1})
+	if !e.Start.Equal(time.Unix(0, 0)) || e.SendInterval != 10*time.Millisecond {
+		t.Errorf("default schedule = %v every %v, want the epoch every 10ms", e.Start, e.SendInterval)
+	}
+	opts, err := e.DiagnoseOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.RootIndex != 12 || opts.Graph == nil || opts.VertexOf == nil || !reflect.DeepEqual(opts.DataIndices, e.Data) {
+		t.Errorf("emss join = %+v", opts)
+	}
+
+	at := time.Unix(9000, 0)
+	ts := build(t, Spec{ID: "tesla", N: 8, Lag: 2, Start: at})
+	if !ts.Start.Equal(at) {
+		t.Errorf("Start = %v, want %v", ts.Start, at)
+	}
+	opts, err = ts.DiagnoseOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.RootIndex != 1 || opts.Graph != nil || opts.VertexOf != nil {
+		t.Errorf("tesla join = %+v, want scope and root only", opts)
+	}
+
+	opts, err = build(t, Spec{ID: "authtree", N: 8}).DiagnoseOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.RootIndex != 0 || opts.Graph == nil {
+		t.Errorf("authtree join = %+v, want a graph and no root wire", opts)
+	}
+}

@@ -21,47 +21,29 @@ import (
 	"time"
 
 	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
-
-	acscheme "mcauth/internal/scheme/augchain"
 )
 
-// Case binds one scheme instance to its analytic reference and the wire
-// conventions the network measurement needs.
+// Case is one catalogue entry under test — the scheme, its analytic
+// reference and the wire conventions the network measurement needs — under
+// the name reports and baselines key on.
 type Case struct {
-	// Name labels the case in reports and test output.
 	Name string
-	// Scheme is the instance under test.
-	Scheme scheme.Scheme
-	// Analytic returns the reference q_min at loss rate p.
-	Analytic func(p float64) (float64, error)
-	// DataIndices are the wire authentication indices whose measured
-	// verification ratio constitutes q_min (the data packets).
-	DataIndices []uint32
-	// ReliableIndices are wire indices netsim must deliver losslessly,
-	// mirroring the paper's P_sign assumption (the Monte-Carlo layer
-	// forces the graph root received for the same reason).
-	ReliableIndices []uint32
-	// Start anchors the simulated clock; schemes with real-time
-	// semantics (TESLA) must see their own configured start time.
-	Start time.Time
-	// SendInterval is the simulated per-packet send spacing.
-	SendInterval time.Duration
-	// Delay is the network delay model; nil means a constant 1 ms.
-	Delay delay.Model
+	catalog.Entry
 }
+
+// caseDelay is the constant delivery delay of every measurement. Against
+// TESLA's 200 ms disclosure lag it never violates the safety condition, so
+// measured loss is purely erasure loss and must match Q evaluated at ξ = 1
+// (and the split-vertex graph, which excludes timing by construction).
+const caseDelay = time.Millisecond
 
 // Params tunes the statistical effort of one evaluation.
 type Params struct {
@@ -130,138 +112,38 @@ func (r Result) Check(p Params) error {
 	return nil
 }
 
-// dataIndices returns wire indices from..to inclusive.
-func dataIndices(from, to int) []uint32 {
-	out := make([]uint32, 0, to-from+1)
-	for i := from; i <= to; i++ {
-		out = append(out, uint32(i))
-	}
-	return out
-}
-
-// Suite builds the canonical conformance cases at block size n: every
-// hash-chained construction, TESLA, and the two per-packet baselines.
-// The augmented chain is aligned to a segment boundary (analysis.AlignN)
-// because the exact evaluator requires it; its case therefore runs at a
-// slightly larger block.
+// Suite builds the canonical conformance cases at block size n, one per
+// catalogue scheme: E_{2,1}, C_{3,3}, TESLA at lag 2. The augmented chain
+// is aligned to a segment boundary (analysis.AlignN) because the exact
+// evaluator requires it; its case therefore runs at a slightly larger
+// block.
 func Suite(n int) ([]Case, error) {
 	if n < 6 {
 		return nil, fmt.Errorf("conformance: block size %d too small for the suite", n)
 	}
 	signer := crypto.NewSignerFromString("conformance")
-	start := time.Unix(0, 0)
 	var cases []Case
-
-	ro, err := rohatgi.New(n, signer)
-	if err != nil {
-		return nil, err
+	for _, id := range catalog.IDs() {
+		spec := catalog.Spec{
+			ID: id, N: n, M: 2, D: 1, A: 3, B: 3, Lag: 2,
+			Interval: 10 * time.Millisecond, Seed: []byte("conformance"),
+		}
+		name := id
+		switch id {
+		case "emss":
+			name = "emss(E21)"
+		case "augchain":
+			name = "augchain(C33)"
+			spec.N = analysis.AlignN(n, spec.B)
+		case "tesla":
+			spec.Interval = 100 * time.Millisecond
+		}
+		e, err := catalog.Build(spec, signer)
+		if err != nil {
+			return nil, err
+		}
+		cases = append(cases, Case{Name: name, Entry: e})
 	}
-	cases = append(cases, Case{
-		Name:   "rohatgi",
-		Scheme: ro,
-		Analytic: func(p float64) (float64, error) {
-			res, err := analysis.Rohatgi(n, p)
-			if err != nil {
-				return 0, err
-			}
-			return res.QMin, nil
-		},
-		DataIndices:     dataIndices(1, n),
-		ReliableIndices: []uint32{1}, // signature packet sent first
-		Start:           start,
-	})
-
-	em, err := emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, Case{
-		Name:   "emss(E21)",
-		Scheme: em,
-		Analytic: func(p float64) (float64, error) {
-			return analysis.MarkovExact{N: n, Offsets: []int{1, 2}, P: p}.QMin()
-		},
-		DataIndices:     dataIndices(1, n),
-		ReliableIndices: []uint32{uint32(n)}, // signature packet sent last
-		Start:           start,
-	})
-
-	acN := analysis.AlignN(n, 3)
-	ac, err := acscheme.New(acscheme.Config{N: acN, A: 3, B: 3}, signer)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, Case{
-		Name:   "augchain(C33)",
-		Scheme: ac,
-		Analytic: func(p float64) (float64, error) {
-			return analysis.AugChainExact{N: acN, A: 3, B: 3, P: p}.QMin()
-		},
-		DataIndices:     dataIndices(1, acN),
-		ReliableIndices: []uint32{uint32(acN)},
-		Start:           start,
-	})
-
-	at, err := authtree.New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, Case{
-		Name:        "authtree",
-		Scheme:      at,
-		Analytic:    func(float64) (float64, error) { return 1, nil },
-		DataIndices: dataIndices(1, n),
-		Start:       start,
-	})
-
-	se, err := signeach.New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	cases = append(cases, Case{
-		Name:        "signeach",
-		Scheme:      se,
-		Analytic:    func(float64) (float64, error) { return 1, nil },
-		DataIndices: dataIndices(1, n),
-		Start:       start,
-	})
-
-	// TESLA under the ξ = 1 conditioning: a constant 1 ms delivery delay
-	// against a 200 ms disclosure lag never violates the safety
-	// condition, so measured loss is purely erasure loss and must match
-	// Q evaluated at ξ = 1 (and the split-vertex graph, which excludes
-	// timing by construction).
-	interval := 100 * time.Millisecond
-	lag := 2
-	tCfg := tesla.Config{
-		N:        n,
-		Lag:      lag,
-		Interval: interval,
-		Start:    start,
-		Seed:     []byte("conformance"),
-	}
-	ts, err := tesla.New(tCfg, signer)
-	if err != nil {
-		return nil, err
-	}
-	tDisc := tCfg.TDisclose().Seconds()
-	teslaData := make([]uint32, n)
-	for i := range teslaData {
-		teslaData[i] = tesla.DataWireIndex(i + 1)
-	}
-	cases = append(cases, Case{
-		Name:   "tesla",
-		Scheme: ts,
-		Analytic: func(p float64) (float64, error) {
-			c := analysis.TESLA{N: n, P: p, TDisc: tDisc, Mu: tDisc / 100, Sigma: tDisc / 200}
-			return c.QMinWithXi(1)
-		},
-		DataIndices:     teslaData,
-		ReliableIndices: []uint32{1}, // bootstrap carries the signature
-		Start:           start,
-		SendInterval:    interval,
-	})
-
 	return cases, nil
 }
 
@@ -269,7 +151,7 @@ func Suite(n int) ([]Case, error) {
 func Evaluate(c Case, p float64, params Params) (Result, error) {
 	r := Result{Case: c.Name, P: p}
 
-	analytic, err := c.Analytic(p)
+	analytic, err := c.QMin(p, caseDelay, 0)
 	if err != nil {
 		return r, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}
@@ -290,31 +172,32 @@ func Evaluate(c Case, p float64, params Params) (Result, error) {
 	}
 	r.MonteCarlo = mc.QMin
 
-	model, err := loss.NewBernoulli(p)
+	cfg, err := netsimConfig(c, p, params)
 	if err != nil {
 		return r, err
-	}
-	d := c.Delay
-	if d == nil {
-		d = delay.Constant{D: time.Millisecond}
-	}
-	interval := c.SendInterval
-	if interval == 0 {
-		interval = 10 * time.Millisecond
-	}
-	cfg := netsim.Config{
-		Receivers:       params.Receivers,
-		Loss:            model,
-		Delay:           d,
-		SendInterval:    interval,
-		Start:           c.Start,
-		Seed:            params.Seed + uint64(1000*p),
-		ReliableIndices: c.ReliableIndices,
 	}
 	res, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
 	if err != nil {
 		return r, fmt.Errorf("%s: netsim: %w", c.Name, err)
 	}
-	r.Measured = res.MinAuthRatio(c.DataIndices)
+	r.Measured = res.MinAuthRatio(c.Data)
 	return r, nil
+}
+
+// netsimConfig is the one netsim configuration a case runs under at
+// i.i.d. loss rate p, shared by the flat and overlay measurements.
+func netsimConfig(c Case, p float64, params Params) (netsim.Config, error) {
+	model, err := loss.NewBernoulli(p)
+	if err != nil {
+		return netsim.Config{}, err
+	}
+	return netsim.Config{
+		Receivers:       params.Receivers,
+		Loss:            model,
+		Delay:           delay.Constant{D: caseDelay},
+		SendInterval:    c.SendInterval,
+		Start:           c.Start,
+		Seed:            params.Seed + uint64(1000*p),
+		ReliableIndices: c.Signature,
+	}, nil
 }

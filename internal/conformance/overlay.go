@@ -37,9 +37,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"time"
 
-	"mcauth/internal/delay"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/schemetest"
@@ -70,32 +68,6 @@ func (r OverlayCellResult) Check(p Params) error {
 	return r.Result.Check(p)
 }
 
-// overlayNetsimConfig mirrors Evaluate's netsim configuration so the flat
-// and overlay runs share every knob.
-func overlayNetsimConfig(c Case, p float64, params Params) (netsim.Config, loss.Model, error) {
-	model, err := loss.NewBernoulli(p)
-	if err != nil {
-		return netsim.Config{}, nil, err
-	}
-	d := c.Delay
-	if d == nil {
-		d = delay.Constant{D: time.Millisecond}
-	}
-	interval := c.SendInterval
-	if interval == 0 {
-		interval = 10 * time.Millisecond
-	}
-	return netsim.Config{
-		Receivers:       params.Receivers,
-		Loss:            model,
-		Delay:           d,
-		SendInterval:    interval,
-		Start:           c.Start,
-		Seed:            params.Seed + uint64(1000*p),
-		ReliableIndices: c.ReliableIndices,
-	}, model, nil
-}
-
 // EvaluateOverlay runs one case at one i.i.d. loss rate through the
 // analytic, Monte-Carlo, flat-netsim and overlay-netsim layers. The
 // overlay uses a depth×fanout uniform tree with lossless edges, relays
@@ -107,7 +79,7 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 	if err != nil {
 		return r, err
 	}
-	cfg, model, err := overlayNetsimConfig(c, p, params)
+	cfg, err := netsimConfig(c, p, params)
 	if err != nil {
 		return r, err
 	}
@@ -117,7 +89,7 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 	if err != nil {
 		return r, fmt.Errorf("%s: flat netsim: %w", c.Name, err)
 	}
-	tree, err := loss.NewUniformTree(params.Seed, depth, fanout, nil, model)
+	tree, err := loss.NewUniformTree(params.Seed, depth, fanout, nil, cfg.Loss)
 	if err != nil {
 		return r, err
 	}
@@ -126,7 +98,7 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 		return r, fmt.Errorf("%s: overlay netsim: %w", c.Name, err)
 	}
 	r.Identical = reflect.DeepEqual(over.PerReceiver, flatRes.PerReceiver)
-	r.OverlayMeasured = over.MinAuthRatio(c.DataIndices)
+	r.OverlayMeasured = over.MinAuthRatio(c.Data)
 	return r, nil
 }
 
@@ -156,16 +128,16 @@ func (c CorrelatedCell) Escape() float64 { return math.Abs(c.AnalyticIID - c.Mea
 func EvaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (CorrelatedCell, error) {
 	marginal := 1 - (1-edgeP)*(1-leafP)
 	cell := CorrelatedCell{Case: c.Name, MarginalP: marginal}
-	analytic, err := c.Analytic(marginal)
+	analytic, err := c.QMin(marginal, caseDelay, 0)
 	if err != nil {
 		return cell, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}
 	cell.AnalyticIID = analytic
-	cfg, leafModel, err := overlayNetsimConfig(c, leafP, params)
+	cfg, err := netsimConfig(c, leafP, params)
 	if err != nil {
 		return cell, err
 	}
-	tree, err := loss.NewUniformTree(params.Seed, 2, fanout, nil, leafModel)
+	tree, err := loss.NewUniformTree(params.Seed, 2, fanout, nil, cfg.Loss)
 	if err != nil {
 		return cell, err
 	}
@@ -182,6 +154,6 @@ func EvaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params)
 	if err != nil {
 		return cell, fmt.Errorf("%s: overlay netsim: %w", c.Name, err)
 	}
-	cell.Measured = over.MinAuthRatio(c.DataIndices)
+	cell.Measured = over.MinAuthRatio(c.Data)
 	return cell, nil
 }

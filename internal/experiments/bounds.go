@@ -3,8 +3,8 @@ package experiments
 import (
 	"io"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
-	"mcauth/internal/scheme/emss"
 )
 
 // BoundsRow is one packet's Equation (1) bracket around its exact
@@ -25,11 +25,11 @@ func BoundsSeries() ([]BoundsRow, error) {
 		n = 18
 		p = 0.3
 	)
-	s, err := emss.New(emss.Config{N: n, M: 2, D: 1}, crypto.NewSignerFromString("bounds"))
+	e, err := catalog.Build(catalog.Spec{ID: "emss", N: n, M: 2, D: 1}, crypto.NewSignerFromString("bounds"))
 	if err != nil {
 		return nil, err
 	}
-	g, err := s.Graph()
+	g, err := e.Scheme.Graph()
 	if err != nil {
 		return nil, err
 	}

@@ -17,36 +17,50 @@ const (
 	cmpSigma = 0.2
 )
 
-// SchemeQMin evaluates one comparison scheme's analytic q_min.
-func SchemeQMin(name string, n int, p float64) (float64, error) {
-	switch name {
-	case "rohatgi":
+// comparison is the Figure 8 contenders, in plot order, each with the
+// formula the paper plots for it: the recurrences of Section 4, not the
+// exact evaluators the simulation tools prefer.
+var comparison = []struct {
+	name string
+	qmin func(n int, p float64) (float64, error)
+}{
+	{"rohatgi", func(n int, p float64) (float64, error) {
 		res, err := analysis.Rohatgi(n, p)
-		if err != nil {
-			return 0, err
-		}
-		return res.QMin, nil
-	case "authtree":
+		return res.QMin, err
+	}},
+	{"authtree", func(n int, p float64) (float64, error) {
 		res, err := analysis.AuthTree(n, p)
-		if err != nil {
-			return 0, err
-		}
-		return res.QMin, nil
-	case "emss(E21)":
+		return res.QMin, err
+	}},
+	{"emss(E21)", func(n int, p float64) (float64, error) {
 		return analysis.EMSS{N: n, M: 2, D: 1, P: p}.QMin()
-	case "ac(C33)":
+	}},
+	{"ac(C33)", func(n int, p float64) (float64, error) {
 		// Align the block to a chain boundary (see analysis.AlignN).
 		return analysis.AugChain{N: analysis.AlignN(n, 3), A: 3, B: 3, P: p}.QMin()
-	case "tesla":
+	}},
+	{"tesla", func(n int, p float64) (float64, error) {
 		return analysis.TESLA{N: n, P: p, TDisc: cmpTDisc, Mu: cmpMu, Sigma: cmpSigma}.QMin()
-	default:
-		return 0, fmt.Errorf("experiments: unknown scheme %q", name)
+	}},
+}
+
+// SchemeQMin evaluates one comparison scheme's analytic q_min.
+func SchemeQMin(name string, n int, p float64) (float64, error) {
+	for _, c := range comparison {
+		if c.name == name {
+			return c.qmin(n, p)
+		}
 	}
+	return 0, fmt.Errorf("experiments: unknown scheme %q", name)
 }
 
 // ComparisonSchemes lists the Figure 8 contenders.
 func ComparisonSchemes() []string {
-	return []string{"rohatgi", "authtree", "emss(E21)", "ac(C33)", "tesla"}
+	out := make([]string, len(comparison))
+	for i, c := range comparison {
+		out[i] = c.name
+	}
+	return out
 }
 
 // Fig8Row is one point of the scheme comparison.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
@@ -13,10 +14,6 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/parallel"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
@@ -35,75 +32,48 @@ type ValidateRow struct {
 const validateReceivers = 1500
 
 // ValidateSeries runs the measured-vs-analytic comparison. The analytic
-// reference is the exact Markov evaluator where available (EMSS), the
-// closed form for Rohatgi.
+// reference is the catalogue's: the exact Markov evaluator where available
+// (EMSS), the closed form for Rohatgi.
 func ValidateSeries() ([]ValidateRow, error) {
 	signer := crypto.NewSignerFromString("validate")
-	n := 12
+	const n = 12
+	schemes := []struct{ id, name string }{
+		{"rohatgi", "rohatgi"},
+		{"emss", "emss(E21,exact)"},
+	}
 	var rows []ValidateRow
 	for _, p := range []float64{0.1, 0.3} {
 		model, err := loss.NewBernoulli(p)
 		if err != nil {
 			return nil, err
 		}
-		cfg := netsim.Config{
-			Receivers:    validateReceivers,
-			Loss:         model,
-			Delay:        delay.Constant{D: time.Millisecond},
-			SendInterval: 10 * time.Millisecond,
-			Start:        time.Unix(0, 0),
-			Seed:         uint64(1000 * p),
-			Tracer:       Tracer,
-			Metrics:      Metrics,
+		for _, sc := range schemes {
+			e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
+			if err != nil {
+				return nil, err
+			}
+			res, err := netsim.Run(e.Scheme, netsim.Config{
+				Receivers:       validateReceivers,
+				Loss:            model,
+				Delay:           delay.Constant{D: time.Millisecond},
+				SendInterval:    e.SendInterval,
+				Start:           e.Start,
+				Seed:            uint64(1000 * p),
+				ReliableIndices: e.Signature,
+				Tracer:          Tracer,
+				Metrics:         Metrics,
+			}, 1, schemetest.Payloads(n))
+			if err != nil {
+				return nil, err
+			}
+			analytic, err := e.QMin(p, 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, ValidateRow{Scheme: sc.name, P: p, Analytic: analytic, Measured: res.MinAuthRatio(e.Data)})
 		}
-
-		ro, err := rohatgi.New(n, signer)
-		if err != nil {
-			return nil, err
-		}
-		cfg.ReliableIndices = []uint32{1}
-		measured, err := measureQMin(ro, cfg, dataIndices(1, n))
-		if err != nil {
-			return nil, err
-		}
-		roAna, err := analysis.Rohatgi(n, p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ValidateRow{Scheme: "rohatgi", P: p, Analytic: roAna.QMin, Measured: measured})
-
-		em, err := emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-		if err != nil {
-			return nil, err
-		}
-		cfg.ReliableIndices = []uint32{uint32(n)}
-		measured, err = measureQMin(em, cfg, dataIndices(1, n))
-		if err != nil {
-			return nil, err
-		}
-		emAna, err := analysis.MarkovExact{N: n, Offsets: []int{1, 2}, P: p}.QMin()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ValidateRow{Scheme: "emss(E21,exact)", P: p, Analytic: emAna, Measured: measured})
 	}
 	return rows, nil
-}
-
-func dataIndices(from, to int) []uint32 {
-	out := make([]uint32, 0, to-from+1)
-	for i := from; i <= to; i++ {
-		out = append(out, uint32(i))
-	}
-	return out
-}
-
-func measureQMin(s scheme.Scheme, cfg netsim.Config, indices []uint32) (float64, error) {
-	res, err := netsim.Run(s, cfg, 1, schemetest.Payloads(s.BlockSize()))
-	if err != nil {
-		return 0, err
-	}
-	return res.MinAuthRatio(indices), nil
 }
 
 func validateExperiment() Experiment {
@@ -150,31 +120,22 @@ const (
 // BurstSeries evaluates EMSS/AC/Rohatgi under increasing burstiness.
 func BurstSeries() ([]BurstRow, error) {
 	signer := crypto.NewSignerFromString("burst")
-	em, err := emss.New(emss.Config{N: burstN, M: 2, D: 1}, signer)
-	if err != nil {
-		return nil, err
-	}
-	ac, err := augchain.New(augchain.Config{N: burstN, A: 3, B: 3}, signer)
-	if err != nil {
-		return nil, err
-	}
-	ro, err := rohatgi.New(burstN, signer)
-	if err != nil {
-		return nil, err
-	}
 	schemes := []struct {
-		name    string
-		s       scheme.Scheme
-		offsets []int // periodic offsets for the exact evaluator; nil if N/A
+		id, name string
+		offsets  []int // periodic offsets for the exact evaluator; nil if N/A
 	}{
-		{"rohatgi", ro, []int{1}},
-		{"emss(E21)", em, []int{1, 2}},
-		{"ac(C33)", ac, nil},
+		{"rohatgi", "rohatgi", []int{1}},
+		{"emss", "emss(E21)", []int{1, 2}},
+		{"augchain", "ac(C33)", nil},
 	}
 	burstLens := []float64{1, 2, 5, 10}
 	var rows []BurstRow
 	for _, sc := range schemes {
-		g, err := sc.s.Graph()
+		e, err := catalog.Build(catalog.Spec{ID: sc.id, N: burstN, M: 2, D: 1, A: 3, B: 3}, signer)
+		if err != nil {
+			return nil, err
+		}
+		g, err := e.Scheme.Graph()
 		if err != nil {
 			return nil, err
 		}

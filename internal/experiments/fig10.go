@@ -5,15 +5,8 @@ import (
 	"io"
 	"time"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/schemetest"
 )
 
@@ -37,59 +30,27 @@ type Fig10Row struct {
 	QMin          float64 // analytic q_min at p = 0.1
 }
 
-// fig10Schemes builds the contenders over one block.
-func fig10Schemes() (map[string]scheme.Scheme, error) {
-	signer := crypto.NewSignerFromString("fig10")
-	out := make(map[string]scheme.Scheme, 6)
-	r, err := rohatgi.New(fig10N, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["rohatgi"] = r
-	em, err := emss.New(emss.Config{N: fig10N, M: 2, D: 1}, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["emss(E21)"] = em
-	ac, err := augchain.New(augchain.Config{N: fig10N, A: 3, B: 3}, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["ac(C33)"] = ac
-	at, err := authtree.New(fig10N, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["authtree"] = at
-	se, err := signeach.New(fig10N, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["signeach"] = se
-	ts, err := tesla.New(tesla.Config{
-		N:        fig10N,
-		Lag:      4,
-		Interval: 100 * time.Millisecond,
-		Start:    time.Unix(0, 0),
-		Seed:     []byte("fig10"),
-	}, signer)
-	if err != nil {
-		return nil, err
-	}
-	out["tesla"] = ts
-	return out, nil
-}
+// fig10Names labels the parameterized contenders: E_{2,1} and C_{3,3}.
+var fig10Names = map[string]string{"emss": "emss(E21)", "augchain": "ac(C33)"}
 
-// Fig10Series measures overhead and delay for every scheme.
+// Fig10Series measures overhead and delay for every catalogue scheme over
+// one block.
 func Fig10Series() ([]Fig10Row, error) {
-	schemes, err := fig10Schemes()
-	if err != nil {
-		return nil, err
-	}
-	order := []string{"rohatgi", "emss(E21)", "ac(C33)", "authtree", "signeach", "tesla"}
-	rows := make([]Fig10Row, 0, len(order))
-	for _, name := range order {
-		s := schemes[name]
+	signer := crypto.NewSignerFromString("fig10")
+	var rows []Fig10Row
+	for _, id := range catalog.IDs() {
+		e, err := catalog.Build(catalog.Spec{
+			ID: id, N: fig10N, M: 2, D: 1, A: 3, B: 3,
+			Lag: 4, Interval: 100 * time.Millisecond, Seed: []byte("fig10"),
+		}, signer)
+		if err != nil {
+			return nil, err
+		}
+		s := e.Scheme
+		name := id
+		if alias, ok := fig10Names[id]; ok {
+			name = alias
+		}
 		pkts, err := s.Authenticate(1, schemetest.Payloads(s.BlockSize()))
 		if err != nil {
 			return nil, err
@@ -115,19 +76,12 @@ func Fig10Series() ([]Fig10Row, error) {
 			OverheadBytes: float64(overhead) / float64(len(pkts)),
 			PaperEraBytes: paperEra,
 		}
-		switch name {
-		case "tesla":
+		if id == "tesla" {
 			// The split-vertex TESLA graph does not carry slot
 			// semantics; the receiver delay is the disclosure lag.
 			row.DelaySlots = 4
 			row.MsgBuffer = 4
-			row.QMin, err = analysis.TESLA{
-				N: fig10N, P: 0.1, TDisc: cmpTDisc, Mu: cmpMu, Sigma: cmpSigma,
-			}.QMin()
-			if err != nil {
-				return nil, err
-			}
-		default:
+		} else {
 			g, err := s.Graph()
 			if err != nil {
 				return nil, err
@@ -138,14 +92,14 @@ func Fig10Series() ([]Fig10Row, error) {
 			}
 			row.HashBuffer = g.HashBufferSize()
 			row.MsgBuffer = g.MessageBufferSize()
-			analyticName := name
-			if name == "signeach" {
-				analyticName = "authtree" // both have q = 1
-			}
-			row.QMin, err = SchemeQMin(analyticName, fig10N, 0.1)
-			if err != nil {
-				return nil, err
-			}
+		}
+		analyticName := name
+		if id == "signeach" {
+			analyticName = "authtree" // both have q = 1
+		}
+		row.QMin, err = SchemeQMin(analyticName, fig10N, 0.1)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}

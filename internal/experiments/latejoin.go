@@ -4,15 +4,11 @@ import (
 	"io"
 	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
 )
 
 // LateJoinRow reports how well a scheme serves receivers that join
@@ -30,30 +26,11 @@ type LateJoinRow struct {
 func LateJoinSeries() ([]LateJoinRow, error) {
 	signer := crypto.NewSignerFromString("latejoin")
 	const n = 32
-	ro, err := rohatgi.New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	em, err := emss.New(emss.Config{N: n, M: 2, D: 1}, signer)
-	if err != nil {
-		return nil, err
-	}
-	at, err := authtree.New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	se, err := signeach.New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	schemes := []struct {
-		name string
-		s    scheme.Scheme
-	}{
-		{"rohatgi (sig first)", ro},
-		{"emss (sig last)", em},
-		{"authtree (per-packet)", at},
-		{"signeach (per-packet)", se},
+	schemes := []struct{ id, name string }{
+		{"rohatgi", "rohatgi (sig first)"},
+		{"emss", "emss (sig last)"},
+		{"authtree", "authtree (per-packet)"},
+		{"signeach", "signeach (per-packet)"},
 	}
 	lossless, err := loss.NewBernoulli(0)
 	if err != nil {
@@ -61,18 +38,22 @@ func LateJoinSeries() ([]LateJoinRow, error) {
 	}
 	rows := make([]LateJoinRow, 0, len(schemes))
 	for _, sc := range schemes {
+		e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
+		if err != nil {
+			return nil, err
+		}
 		cfg := netsim.Config{
 			Receivers:    200,
 			LateJoiners:  200,
 			Loss:         lossless,
 			Delay:        delay.Constant{D: time.Millisecond},
-			SendInterval: 10 * time.Millisecond,
-			Start:        time.Unix(0, 0),
+			SendInterval: e.SendInterval,
+			Start:        e.Start,
 			Seed:         31,
 			Tracer:       Tracer,
 			Metrics:      Metrics,
 		}
-		res, err := netsim.Run(sc.s, cfg, 1, payloadsFor(sc.s))
+		res, err := netsim.Run(e.Scheme, cfg, 1, schemePayloads(n))
 		if err != nil {
 			return nil, err
 		}
@@ -88,14 +69,6 @@ func LateJoinSeries() ([]LateJoinRow, error) {
 		rows = append(rows, LateJoinRow{Scheme: sc.name, VerifiedOfDelivered: ratio})
 	}
 	return rows, nil
-}
-
-func payloadsFor(s scheme.Scheme) [][]byte {
-	out := make([][]byte, s.BlockSize())
-	for i := range out {
-		out[i] = []byte{byte(i)}
-	}
-	return out
 }
 
 func lateJoinExperiment() Experiment {

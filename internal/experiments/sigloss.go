@@ -4,7 +4,7 @@ import (
 	"io"
 	"time"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
@@ -27,9 +27,16 @@ type SigLossRow struct {
 func SigLossSeries() ([]SigLossRow, error) {
 	signer := crypto.NewSignerFromString("sigloss")
 	const n = 12
+	// The single-copy block is the reference: replicated signature packets
+	// reuse its wire indices, and its exact q_min is what the assumption
+	// promises.
+	ref, err := catalog.Build(catalog.Spec{ID: "emss", N: n, M: 2, D: 1}, signer)
+	if err != nil {
+		return nil, err
+	}
 	var rows []SigLossRow
 	for _, p := range []float64{0.1, 0.3} {
-		assumed, err := analysis.MarkovExact{N: n, Offsets: []int{1, 2}, P: p}.QMin()
+		assumed, err := ref.QMin(p, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +65,7 @@ func SigLossSeries() ([]SigLossRow, error) {
 			rows = append(rows, SigLossRow{
 				P:        p,
 				Copies:   copies,
-				Measured: res.MinAuthRatio(dataIndices(1, n)),
+				Measured: res.MinAuthRatio(ref.Data),
 				Assumed:  assumed,
 			})
 		}

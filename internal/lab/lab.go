@@ -30,7 +30,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+
+	"mcauth/internal/catalog"
 )
 
 // Config is the declarative sweep description. The cell set is the cross
@@ -163,11 +166,6 @@ const (
 	PathOverlay    = "overlay"
 )
 
-var knownSchemes = map[string]bool{
-	"rohatgi": true, "emss": true, "augchain": true,
-	"authtree": true, "signeach": true, "tesla": true,
-}
-
 // Normalize applies defaults in place and validates the config.
 func (c *Config) Normalize() error {
 	if c.Name == "" {
@@ -203,7 +201,7 @@ func (c *Config) Normalize() error {
 	}
 	for i := range c.Schemes {
 		s := &c.Schemes[i]
-		if !knownSchemes[s.ID] {
+		if !slices.Contains(catalog.IDs(), s.ID) {
 			return fmt.Errorf("lab: unknown scheme %q", s.ID)
 		}
 		if s.M == 0 {

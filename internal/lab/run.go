@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcauth/internal/analysis"
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
@@ -18,12 +19,6 @@ import (
 	"mcauth/internal/obs"
 	"mcauth/internal/parallel"
 	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
-	"mcauth/internal/scheme/emss"
-	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/serve"
 	"mcauth/internal/server"
@@ -165,140 +160,27 @@ type RunResult struct {
 // RunID is the result-directory basename.
 func (r *RunResult) RunID() string { return r.Name + "-" + r.Stamp }
 
-// cellCase binds a built scheme instance to its per-scheme evaluation
-// conventions (mirrors conformance.Case, parameterized by the sweep).
-type cellCase struct {
-	scheme          scheme.Scheme
-	analytic        func(p float64) (float64, error) // nil: no closed form
-	dataIndices     []uint32
-	reliableIndices []uint32
-	sendInterval    time.Duration
-	delay           delay.Model
-}
+// cellDelay is every cell's constant delivery delay. Against TESLA's
+// 100 ms interval it never violates the safety condition, so measured loss
+// is erasure-only and comparable to the analytic ξ = 1 case.
+const cellDelay = time.Millisecond
 
-func dataIndices(from, to int) []uint32 {
-	out := make([]uint32, 0, to-from+1)
-	for i := from; i <= to; i++ {
-		out = append(out, uint32(i))
+// cellEntry builds the cell's scheme with its wire conventions. The
+// augmented chain's exact evaluator needs segment alignment; the sweep's
+// block size is aligned up, and the cell records the aligned n.
+func cellEntry(c Cell, signer crypto.Signer) (catalog.Entry, error) {
+	sc := c.Scheme
+	spec := catalog.Spec{
+		ID: sc.ID, N: c.N, M: sc.M, D: sc.D, A: sc.A, B: sc.B, Lag: sc.Lag,
+		Interval: 10 * time.Millisecond, Seed: []byte("mclab"),
 	}
-	return out
-}
-
-// buildCase constructs the cell's scheme and evaluation conventions. The
-// analytic path only has closed forms for i.i.d. loss; gilbert cells run
-// Monte-Carlo and netsim only.
-func buildCase(c Cell, signer crypto.Signer) (cellCase, error) {
-	bernoulli := c.Loss.Model == "bernoulli"
-	start := time.Unix(0, 0)
-	cc := cellCase{
-		sendInterval: 10 * time.Millisecond,
-		delay:        delay.Constant{D: time.Millisecond},
-	}
-	n := c.N
-	switch c.Scheme.ID {
-	case "rohatgi":
-		s, err := rohatgi.New(n, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.dataIndices = dataIndices(1, n)
-		cc.reliableIndices = []uint32{1}
-		if bernoulli {
-			cc.analytic = func(p float64) (float64, error) {
-				res, err := analysis.Rohatgi(n, p)
-				if err != nil {
-					return 0, err
-				}
-				return res.QMin, nil
-			}
-		}
-	case "emss":
-		s, err := emss.New(emss.Config{N: n, M: c.Scheme.M, D: c.Scheme.D}, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.dataIndices = dataIndices(1, n)
-		cc.reliableIndices = []uint32{uint32(n)}
-		if bernoulli {
-			offsets := analysis.EMSS{N: n, M: c.Scheme.M, D: c.Scheme.D}.Offsets()
-			cc.analytic = func(p float64) (float64, error) {
-				exact := analysis.MarkovExact{N: n, Offsets: offsets, P: p}
-				if exact.Validate() == nil {
-					return exact.QMin()
-				}
-				return analysis.EMSS{N: n, M: c.Scheme.M, D: c.Scheme.D, P: p}.QMin()
-			}
-		}
+	switch sc.ID {
 	case "augchain":
-		// The exact evaluator needs segment alignment; the sweep's block
-		// size is aligned up, and the cell records the aligned n.
-		acN := analysis.AlignN(n, c.Scheme.B)
-		s, err := augchain.New(augchain.Config{N: acN, A: c.Scheme.A, B: c.Scheme.B}, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.dataIndices = dataIndices(1, acN)
-		cc.reliableIndices = []uint32{uint32(acN)}
-		if bernoulli {
-			a, b := c.Scheme.A, c.Scheme.B
-			cc.analytic = func(p float64) (float64, error) {
-				return analysis.AugChainExact{N: acN, A: a, B: b, P: p}.QMin()
-			}
-		}
-	case "authtree":
-		s, err := authtree.New(n, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.dataIndices = dataIndices(1, n)
-		cc.reliableIndices = []uint32{1}
-		cc.analytic = func(float64) (float64, error) { return 1, nil }
-	case "signeach":
-		s, err := signeach.New(n, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.dataIndices = dataIndices(1, n)
-		cc.analytic = func(float64) (float64, error) { return 1, nil }
+		spec.N = analysis.AlignN(c.N, sc.B)
 	case "tesla":
-		// Conformance's ξ = 1 conditioning: constant 1 ms delivery against
-		// the configured disclosure lag never violates safety, so measured
-		// loss is erasure-only and comparable to QMinWithXi(1).
-		interval := 100 * time.Millisecond
-		tCfg := tesla.Config{
-			N:        n,
-			Lag:      c.Scheme.Lag,
-			Interval: interval,
-			Start:    start,
-			Seed:     []byte("mclab"),
-		}
-		s, err := tesla.New(tCfg, signer)
-		if err != nil {
-			return cellCase{}, err
-		}
-		cc.scheme = s
-		cc.sendInterval = interval
-		cc.dataIndices = make([]uint32, n)
-		for i := range cc.dataIndices {
-			cc.dataIndices[i] = tesla.DataWireIndex(i + 1)
-		}
-		cc.reliableIndices = []uint32{1}
-		if bernoulli {
-			tDisc := tCfg.TDisclose().Seconds()
-			cc.analytic = func(p float64) (float64, error) {
-				a := analysis.TESLA{N: n, P: p, TDisc: tDisc, Mu: tDisc / 100, Sigma: tDisc / 200}
-				return a.QMinWithXi(1)
-			}
-		}
-	default:
-		return cellCase{}, fmt.Errorf("lab: unknown scheme %q", c.Scheme.ID)
+		spec.Interval = 100 * time.Millisecond
 	}
-	return cc, nil
+	return catalog.Build(spec, signer)
 }
 
 func buildLoss(l LossConfig) (loss.Model, error) {
@@ -360,8 +242,7 @@ func Run(cfg Config, workers int, outDir, stamp string) (*RunResult, string, err
 }
 
 func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
-	signer := crypto.NewSignerFromString("mclab")
-	cc, err := buildCase(c, signer)
+	entry, err := cellEntry(c, crypto.NewSignerFromString("mclab"))
 	if err != nil {
 		return cellArtifacts{}, fmt.Errorf("%s: %w", c.ID(), err)
 	}
@@ -372,24 +253,24 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	res := CellResult{
 		ID:        c.ID(),
 		SchemeID:  c.Scheme.ID,
-		Scheme:    cc.scheme.Name(),
+		Scheme:    entry.Scheme.Name(),
 		LossModel: c.Loss.Model,
 		Loss:      lossModel.Name(),
 		P:         c.Loss.P,
-		N:         cc.scheme.BlockSize(),
+		N:         entry.Scheme.BlockSize(),
 		Receivers: c.Receivers,
 		Seed:      seed,
 	}
 
 	// Overhead: graph hashes/packet (Equation 2) and measured wire bytes
 	// per payload beyond the payload itself.
-	g, err := cc.scheme.Graph()
+	g, err := entry.Scheme.Graph()
 	if err != nil {
 		return cellArtifacts{}, fmt.Errorf("%s: graph: %w", c.ID(), err)
 	}
 	res.OverheadHashesPerPacket = g.AvgHashesPerPacket()
-	payloads := schemetest.Payloads(cc.scheme.BlockSize())
-	pkts, err := cc.scheme.Authenticate(1, payloads)
+	payloads := schemetest.Payloads(entry.Scheme.BlockSize())
+	pkts, err := entry.Scheme.Authenticate(1, payloads)
 	if err != nil {
 		return cellArtifacts{}, fmt.Errorf("%s: authenticate: %w", c.ID(), err)
 	}
@@ -402,8 +283,10 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	}
 	res.OverheadBytesPerPacket = float64(wireBytes-payloadBytes) / float64(len(payloads))
 
-	if cfg.HasPath(PathAnalytic) && cc.analytic != nil {
-		q, err := cc.analytic(c.Loss.P)
+	// The closed forms assume i.i.d. loss; a scheme with no signature
+	// packet authenticates whatever arrives under any loss process.
+	if cfg.HasPath(PathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
+		q, err := entry.QMin(c.Loss.P, cellDelay, 0)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.ID(), err)
 		}
@@ -434,21 +317,21 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 		simCfg := netsim.Config{
 			Receivers:       c.Receivers,
 			Loss:            lossModel,
-			Delay:           cc.delay,
-			SendInterval:    cc.sendInterval,
-			Start:           time.Unix(0, 0),
+			Delay:           delay.Constant{D: cellDelay},
+			SendInterval:    entry.SendInterval,
+			Start:           entry.Start,
 			Seed:            seed,
-			ReliableIndices: cc.reliableIndices,
+			ReliableIndices: entry.Signature,
 			Workers:         1,
 			Tracer:          mem,
 			Metrics:         reg,
 		}
-		sim, err := netsim.Run(cc.scheme, simCfg, 1, payloads)
+		sim, err := netsim.Run(entry.Scheme, simCfg, 1, payloads)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.ID(), err)
 		}
 		res.HasMeasured = true
-		res.Measured = sim.MinAuthRatio(cc.dataIndices)
+		res.Measured = sim.MinAuthRatio(entry.Data)
 		var timeToAuth obs.HistogramData
 		for i := range sim.PerReceiver {
 			rep := &sim.PerReceiver[i]
@@ -460,13 +343,9 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 		res.Sent = sim.WireCount * c.Receivers
 		res.TimeToAuthNS = summarize(timeToAuth)
 
-		opts := diagnose.Options{DataIndices: cc.dataIndices}
-		if len(cc.reliableIndices) > 0 {
-			opts.RootIndex = cc.reliableIndices[0]
-		}
-		if vm, ok := cc.scheme.(scheme.VertexMapper); ok {
-			opts.Graph = g
-			opts.VertexOf = vm.VertexOf
+		opts, err := entry.DiagnoseOptions()
+		if err != nil {
+			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.ID(), err)
 		}
 		rep, err := diagnose.BuildReport(mem.Events(), 0, opts)
 		if err != nil {
@@ -483,7 +362,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	}
 
 	if cfg.HasPath(PathOverlay) {
-		or, err := runOverlayCell(cfg, c, cc, seed, lossModel)
+		or, err := runOverlayCell(cfg, c, entry, seed, lossModel)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: overlay: %w", c.ID(), err)
 		}
@@ -491,7 +370,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	}
 
 	if cfg.HasPath(PathServer) && c.Scheme.ID != "tesla" {
-		sr, snap, err := runServerCell(cfg, c, cc)
+		sr, snap, err := runServerCell(cfg, c, entry)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: server: %w", c.ID(), err)
 		}
@@ -531,15 +410,15 @@ func overlayTree(ov *OverlayConfig, seed uint64, leaf loss.Model) (*loss.TreeMod
 // tree twice — relays off, then relays on — and summarizes the repair
 // gain. Both runs share the seed, tree and receiver RNG schedule, so the
 // only difference is whether relays serve signature repairs.
-func runOverlayCell(cfg Config, c Cell, cc cellCase, seed uint64, lossModel loss.Model) (*OverlayCellResult, error) {
+func runOverlayCell(cfg Config, c Cell, entry catalog.Entry, seed uint64, lossModel loss.Model) (*OverlayCellResult, error) {
 	ov := cfg.Overlay
 	simCfg := netsim.Config{
 		Receivers:       c.Receivers,
-		Delay:           cc.delay,
-		SendInterval:    cc.sendInterval,
-		Start:           time.Unix(0, 0),
+		Delay:           delay.Constant{D: cellDelay},
+		SendInterval:    entry.SendInterval,
+		Start:           entry.Start,
 		Seed:            seed ^ 0x66616e6f7574, // decorrelate from the flat netsim path
-		ReliableIndices: cc.reliableIndices,
+		ReliableIndices: entry.Signature,
 		Workers:         1,
 	}
 	out := &OverlayCellResult{
@@ -547,9 +426,9 @@ func runOverlayCell(cfg Config, c Cell, cc cellCase, seed uint64, lossModel loss
 		Fanout:     ov.Fanout,
 		EdgeP:      ov.EdgeP,
 		LossyEdges: ov.LossyEdges,
-		Repairable: len(cc.reliableIndices) > 0 && ov.LossyEdges > 0 && ov.EdgeP > 0,
+		Repairable: len(entry.Signature) > 0 && ov.LossyEdges > 0 && ov.EdgeP > 0,
 	}
-	payloads := schemetest.Payloads(cc.scheme.BlockSize())
+	payloads := schemetest.Payloads(entry.Scheme.BlockSize())
 	authFraction := func(relays bool) (*netsim.OverlayResult, float64, error) {
 		tree, err := overlayTree(ov, seed, lossModel)
 		if err != nil {
@@ -560,7 +439,7 @@ func runOverlayCell(cfg Config, c Cell, cc cellCase, seed uint64, lossModel loss
 			Relays:    relays,
 			RepairRTT: time.Duration(ov.RepairRTTMS) * time.Millisecond,
 		}
-		res, err := netsim.RunOverlay(cc.scheme, simCfg, ocfg, 1, payloads)
+		res, err := netsim.RunOverlay(entry.Scheme, simCfg, ocfg, 1, payloads)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -595,7 +474,7 @@ func runOverlayCell(cfg Config, c Cell, cc cellCase, seed uint64, lossModel loss
 // the verifier joins and is caught up from the server's repair retention
 // via ResumeFrom before following the second half live. It must still
 // verify every published message — the session-resume guarantee.
-func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapshot, error) {
+func runServerCell(cfg Config, c Cell, entry catalog.Entry) (*ServerResult, *obs.Snapshot, error) {
 	reg := obs.NewRegistry()
 	key := "mclab-server"
 	scfg := server.Config{
@@ -614,13 +493,8 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 		return nil, nil, err
 	}
 	mk := func(signer crypto.Signer) (scheme.Scheme, error) {
-		sc := c.Scheme
-		cell := Cell{Scheme: sc, Loss: c.Loss, N: c.N, Receivers: c.Receivers}
-		built, err := buildCase(cell, signer)
-		if err != nil {
-			return nil, err
-		}
-		return built.scheme, nil
+		built, err := cellEntry(c, signer)
+		return built.Scheme, err
 	}
 	for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
 		if err := srv.OpenStream(id, mk); err != nil {
@@ -629,7 +503,7 @@ func runServerCell(cfg Config, c Cell, cc cellCase) (*ServerResult, *obs.Snapsho
 		}
 	}
 
-	blockSize := cc.scheme.BlockSize()
+	blockSize := entry.Scheme.BlockSize()
 	var published int64
 	publishBlocks := func(from, to int) error {
 		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {

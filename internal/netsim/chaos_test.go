@@ -6,53 +6,53 @@ import (
 	"testing"
 	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/fault"
 	"mcauth/internal/obs"
-	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
-	"mcauth/internal/scheme/authtree"
 	"mcauth/internal/scheme/emss"
 	"mcauth/internal/scheme/rohatgi"
-	"mcauth/internal/scheme/signeach"
-	"mcauth/internal/scheme/tesla"
 	"mcauth/internal/stats"
 	"mcauth/internal/verifier"
 )
 
-// chaosScheme pairs a scheme with the wiring netsim needs to drive it.
-type chaosScheme struct {
-	name     string
-	s        scheme.Scheme
-	reliable []uint32
-	interval time.Duration
-	start    time.Time
-}
-
-func chaosSchemes(t *testing.T) []chaosScheme {
+// chaosEntries builds one instance of every catalogue scheme, each bound
+// to the wiring netsim needs to drive it.
+func chaosEntries(t *testing.T) []catalog.Entry {
 	t.Helper()
 	signer := crypto.NewSignerFromString("chaos")
-	start := time.Unix(5000, 0)
-	mk := func(s scheme.Scheme, err error) scheme.Scheme {
-		t.Helper()
+	specs := map[string]catalog.Spec{
+		"rohatgi":  {N: 12},
+		"emss":     {N: 12, M: 2, D: 1},
+		"augchain": {N: 12, A: 3, B: 3},
+		"authtree": {N: 16},
+		"signeach": {N: 8},
+		"tesla": {
+			N: 8, Lag: 2, Interval: 20 * time.Millisecond,
+			Start: time.Unix(9000, 0), Seed: []byte("chaos"),
+		},
+	}
+	var out []catalog.Entry
+	for _, id := range catalog.IDs() {
+		spec, ok := specs[id]
+		if !ok {
+			t.Fatalf("no chaos parameters for catalogue scheme %q", id)
+		}
+		spec.ID = id
+		if spec.Interval == 0 {
+			spec.Interval = 10 * time.Millisecond
+		}
+		if spec.Start.IsZero() {
+			spec.Start = time.Unix(5000, 0)
+		}
+		e, err := catalog.Build(spec, signer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		out = append(out, e)
 	}
-	teslaCfg := tesla.Config{
-		N: 8, Lag: 2, Interval: 20 * time.Millisecond,
-		Start: time.Unix(9000, 0), Seed: []byte("chaos"),
-	}
-	return []chaosScheme{
-		{"rohatgi", mk(rohatgi.New(12, signer)), []uint32{1}, 10 * time.Millisecond, start},
-		{"emss", mk(emss.New(emss.Config{N: 12, M: 2, D: 1}, signer)), []uint32{12}, 10 * time.Millisecond, start},
-		{"augchain", mk(augchain.New(augchain.Config{N: 12, A: 3, B: 3}, signer)), []uint32{12}, 10 * time.Millisecond, start},
-		{"authtree", mk(authtree.New(16, signer)), []uint32{1}, 10 * time.Millisecond, start},
-		{"signeach", mk(signeach.New(8, signer)), nil, 10 * time.Millisecond, start},
-		{"tesla", mk(tesla.New(teslaCfg, signer)), []uint32{1}, teslaCfg.Interval, teslaCfg.Start},
-	}
+	return out
 }
 
 // TestChaosSoak is the robustness gate: every scheme runs under every fault
@@ -66,7 +66,8 @@ func TestChaosSoak(t *testing.T) {
 	)
 	seeds := []uint64{1, 2, 3}
 	presetTotals := make(map[string]FaultTotals)
-	for _, cs := range chaosSchemes(t) {
+	for _, cs := range chaosEntries(t) {
+		name := cs.Scheme.Name()
 		for _, preset := range fault.PresetNames() {
 			fc, err := fault.Preset(preset, rate)
 			if err != nil {
@@ -79,19 +80,19 @@ func TestChaosSoak(t *testing.T) {
 					Receivers:       8,
 					Loss:            bern(t, 0.1),
 					Delay:           delay.Constant{D: 5 * time.Millisecond},
-					SendInterval:    cs.interval,
-					Start:           cs.start,
+					SendInterval:    cs.SendInterval,
+					Start:           cs.Start,
 					Seed:            seed,
-					ReliableIndices: cs.reliable,
+					ReliableIndices: cs.Signature,
 					SigRetransmits:  2,
 					Faults:          &fc,
 					MaxBuffered:     maxBuffered,
 					Tracer:          tracer,
 					Metrics:         reg,
 				}
-				res, err := Run(cs.s, cfg, 1, testPayloads(cs.s.BlockSize()))
+				res, err := Run(cs.Scheme, cfg, 1, testPayloads(cs.Scheme.BlockSize()))
 				if err != nil {
-					t.Fatalf("%s/%s seed %d: %v", cs.name, preset, seed, err)
+					t.Fatalf("%s/%s seed %d: %v", name, preset, seed, err)
 				}
 				ft := res.FaultTotals()
 				agg := presetTotals[preset]
@@ -106,19 +107,19 @@ func TestChaosSoak(t *testing.T) {
 				// Security invariant: nothing forged ever authenticates.
 				if ft.ForgedAuthenticated != 0 {
 					t.Errorf("%s/%s seed %d: %d forged packets authenticated",
-						cs.name, preset, seed, ft.ForgedAuthenticated)
+						name, preset, seed, ft.ForgedAuthenticated)
 				}
 				// Liveness: the adversary degrades but does not stop the
 				// genuine stream.
 				if res.TotalAuthenticated() == 0 {
-					t.Errorf("%s/%s seed %d: nothing authenticated", cs.name, preset, seed)
+					t.Errorf("%s/%s seed %d: nothing authenticated", name, preset, seed)
 				}
 				// Bounded memory: no verifier buffered past the cap.
 				if hw := res.MaxBufferHighWater(); hw > maxBuffered {
 					t.Errorf("%s/%s seed %d: buffer high water %d > cap %d",
-						cs.name, preset, seed, hw, maxBuffered)
+						name, preset, seed, hw, maxBuffered)
 				}
-				checkTraceConsistency(t, cs.name, preset, tracer, reg, res, ft)
+				checkTraceConsistency(t, name, preset, tracer, reg, res, ft)
 			}
 		}
 	}

@@ -105,7 +105,7 @@ func parseOptions(args []string) (options, error) {
 	fs.BoolVar(&o.chaos, "chaos", false, "run the fault-injection soak: every scheme x every fault preset x -chaosseeds seeds")
 	fs.Float64Var(&o.chaosRate, "chaosrate", 0.02, "per-packet fault injection rate for -chaos")
 	fs.IntVar(&o.chaosSeeds, "chaosseeds", 3, "seeds per scheme/preset cell for -chaos")
-	fs.StringVar(&o.trace, "trace", "", "write a JSONL packet-lifecycle trace to this file")
+	fs.StringVar(&o.trace, "trace", "", "write a JSONL packet-lifecycle trace to this file; each receiver's events are the same at any -workers, the file as a whole only at -workers 1 (receivers interleave otherwise)")
 	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics: '-' for a text table on stdout, else JSON to this file")
 	fs.StringVar(&o.report, "report", "", "write a root-cause diagnosis report: JSON to this file, markdown alongside it at <file>.md")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")

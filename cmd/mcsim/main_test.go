@@ -283,7 +283,10 @@ func TestPprofServesMetrics(t *testing.T) {
 
 // TestPerPacketSchemesHaveNoReliableWire pins the signature-wire drift fix:
 // authtree and signeach have no signature packet, so no wire is exempt
-// from loss — at p > 0 some receiver loses wire 1 like any other.
+// from loss — at p > 0 some receiver loses wire 1 like any other. And what
+// does arrive verifies on its own and is traced as such: the report, which
+// is built from the trace, authenticates every delivered packet and blames
+// loss alone.
 func TestPerPacketSchemesHaveNoReliableWire(t *testing.T) {
 	for _, name := range []string{"authtree", "signeach"} {
 		repPath := filepath.Join(t.TempDir(), "rep.json")
@@ -310,6 +313,15 @@ func TestPerPacketSchemesHaveNoReliableWire(t *testing.T) {
 		}
 		if got := rep.ByPosition[0].Received; got >= 40 {
 			t.Errorf("%s: wire 1 reached %d of 40 receivers at p=0.3; it is being delivered reliably", name, got)
+		}
+		if rep.Delivered == 0 || rep.Authenticated != rep.Delivered {
+			t.Errorf("%s: report authenticates %d of %d delivered packets", name, rep.Authenticated, rep.Delivered)
+		}
+		if len(rep.Causes) != 1 || rep.Causes[diagnose.CausePacketLost] != rep.Unauthenticated {
+			t.Errorf("%s: root causes %v, want only %s", name, rep.Causes, diagnose.CausePacketLost)
+		}
+		if rep.TimeToAuthNS.Count != int64(rep.Authenticated) {
+			t.Errorf("%s: %d time-to-auth observations for %d authenticated", name, rep.TimeToAuthNS.Count, rep.Authenticated)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -181,21 +180,15 @@ func (t TimedSnapshot) WriteJSONLine(w io.Writer) error {
 // lines (a daemon killed mid-write leaves a torn last line) and reporting
 // how many were skipped.
 func ReadSnapshotLines(r io.Reader) (series []TimedSnapshot, skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	skipped, err = scanJSONL(r, 1<<24, func(line []byte) bool {
 		var t TimedSnapshot
 		if json.Unmarshal(line, &t) != nil || (t.Metrics.Counters == nil && t.Metrics.Gauges == nil && t.Metrics.Histograms == nil) {
-			skipped++
-			continue
+			return false
 		}
 		series = append(series, t)
-	}
-	return series, skipped, sc.Err()
+		return true
+	})
+	return series, skipped, err
 }
 
 // WriteText writes a human-readable metrics table: counters and gauges as

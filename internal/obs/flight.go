@@ -83,12 +83,8 @@ type FlightRecorder struct {
 	cfg FlightConfig
 
 	mu     sync.Mutex
-	faults []FaultEvent // ring, oldest at faultStart
-	fStart int
-	fN     int
-	snaps  []TimedSnapshot // ring, oldest at sStart
-	sStart int
-	sN     int
+	faults ring[FaultEvent]
+	snaps  ring[TimedSnapshot]
 }
 
 // NewFlightRecorder builds a recorder over cfg.
@@ -104,8 +100,8 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	}
 	return &FlightRecorder{
 		cfg:    cfg,
-		faults: make([]FaultEvent, 0, cfg.MaxFaults),
-		snaps:  make([]TimedSnapshot, 0, cfg.MaxSnapshots),
+		faults: newRing[FaultEvent](cfg.MaxFaults),
+		snaps:  newRing[TimedSnapshot](cfg.MaxSnapshots),
 	}
 }
 
@@ -116,13 +112,7 @@ func (fr *FlightRecorder) NoteFault(kind, detail string) {
 	}
 	e := FaultEvent{Type: FlightTypeFault, TimeNS: fr.cfg.Clock().UnixNano(), Kind: kind, Detail: detail}
 	fr.mu.Lock()
-	if fr.fN < cap(fr.faults) {
-		fr.faults = append(fr.faults, e)
-		fr.fN++
-	} else {
-		fr.faults[fr.fStart] = e
-		fr.fStart = (fr.fStart + 1) % cap(fr.faults)
-	}
+	fr.faults.push(e)
 	fr.mu.Unlock()
 }
 
@@ -135,13 +125,7 @@ func (fr *FlightRecorder) NoteSnapshot() {
 	}
 	t := TimedSnapshot{AtUnixNS: fr.cfg.Clock().UnixNano(), Metrics: fr.cfg.Registry.Snapshot()}
 	fr.mu.Lock()
-	if fr.sN < cap(fr.snaps) {
-		fr.snaps = append(fr.snaps, t)
-		fr.sN++
-	} else {
-		fr.snaps[fr.sStart] = t
-		fr.sStart = (fr.sStart + 1) % cap(fr.snaps)
-	}
+	fr.snaps.push(t)
 	fr.mu.Unlock()
 }
 
@@ -152,21 +136,7 @@ func (fr *FlightRecorder) Faults() int {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return fr.fN
-}
-
-func (fr *FlightRecorder) snapshotRings() (faults []FaultEvent, snaps []TimedSnapshot) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	faults = make([]FaultEvent, 0, fr.fN)
-	for i := 0; i < fr.fN; i++ {
-		faults = append(faults, fr.faults[(fr.fStart+i)%cap(fr.faults)])
-	}
-	snaps = make([]TimedSnapshot, 0, fr.sN)
-	for i := 0; i < fr.sN; i++ {
-		snaps = append(snaps, fr.snaps[(fr.sStart+i)%cap(fr.snaps)])
-	}
-	return faults, snaps
+	return len(fr.faults.buf)
 }
 
 // Dump serializes the recorder's state as JSONL: one flight_meta header,
@@ -181,7 +151,9 @@ func (fr *FlightRecorder) Dump(w io.Writer, reason string) error {
 	if fr.cfg.Registry != nil {
 		fr.NoteSnapshot() // terminal at-incident state
 	}
-	faults, snaps := fr.snapshotRings()
+	fr.mu.Lock()
+	faults, snaps := fr.faults.snapshot(), fr.snaps.snapshot()
+	fr.mu.Unlock()
 	spans := fr.cfg.Spans.Snapshot()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
@@ -256,66 +228,53 @@ type FlightDump struct {
 // and counted, like every other JSONL reader here; a stream with no
 // flight_meta line fails, since it is then not a flight dump at all.
 func ReadFlightDump(r io.Reader) (*FlightDump, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var (
 		d       FlightDump
-		skipped int
 		gotMeta bool
 	)
-	for sc.Scan() {
-		b := sc.Bytes()
-		if len(bytesTrimSpace(b)) == 0 {
-			continue
-		}
+	skipped, err := scanJSONL(r, 1<<24, func(b []byte) bool {
 		var probe struct {
 			Type string `json:"type"`
 		}
 		if json.Unmarshal(b, &probe) != nil {
-			skipped++
-			continue
+			return false
 		}
 		switch probe.Type {
 		case FlightTypeMeta:
 			if json.Unmarshal(b, &d.Meta) != nil {
-				skipped++
-				continue
+				return false
 			}
 			gotMeta = true
 		case FlightTypeMetrics:
 			var l flightMetricsLine
 			if json.Unmarshal(b, &l) != nil {
-				skipped++
-				continue
+				return false
 			}
 			d.Snapshots = append(d.Snapshots, TimedSnapshot{AtUnixNS: l.AtUnixNS, Metrics: l.Metrics})
 		case FlightTypeSLO:
 			var l flightSLOLine
 			if json.Unmarshal(b, &l) != nil {
-				skipped++
-				continue
+				return false
 			}
-			s := l.SLO
-			d.SLO = &s
+			d.SLO = &l.SLO
 		case FlightTypeFault:
 			var f FaultEvent
 			if json.Unmarshal(b, &f) != nil {
-				skipped++
-				continue
+				return false
 			}
 			d.Faults = append(d.Faults, f)
 		case SpanTypeField:
 			var s Span
 			if json.Unmarshal(b, &s) != nil || s.Kind == "" {
-				skipped++
-				continue
+				return false
 			}
 			d.Spans = append(d.Spans, s)
 		default:
-			skipped++
+			return false
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, skipped, fmt.Errorf("obs: flight: %w", err)
 	}
 	if !gotMeta {

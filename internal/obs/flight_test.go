@@ -83,7 +83,7 @@ func TestFlightRecorderFaultRingBounded(t *testing.T) {
 	if fr.Faults() != 3 {
 		t.Fatalf("Faults = %d, want bounded at 3", fr.Faults())
 	}
-	faults, _ := fr.snapshotRings()
+	faults := fr.faults.snapshot()
 	if faults[0].Detail != strings.Repeat("x", 7) {
 		t.Fatalf("oldest kept fault = %+v, want the 8th", faults[0])
 	}

@@ -92,9 +92,7 @@ func TraceID(stream, block uint64) uint64 {
 type SpanRing struct {
 	on    atomic.Bool
 	mu    sync.Mutex
-	buf   []Span
-	start int   // index of the oldest span when full
-	n     int   // live spans in buf
+	held  ring[Span]
 	total int64 // spans recorded over the ring's lifetime
 }
 
@@ -108,7 +106,7 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanRing{buf: make([]Span, 0, capacity)}
+	return &SpanRing{held: newRing[Span](capacity)}
 }
 
 // SetEnabled switches recording on or off. Off is the zero state.
@@ -135,16 +133,7 @@ func (r *SpanRing) Record(s Span) {
 	s.Type = SpanTypeField
 	s.Trace = TraceID(s.Stream, s.Block)
 	r.mu.Lock()
-	if r.n < cap(r.buf) {
-		r.buf = append(r.buf, s)
-		r.n++
-	} else {
-		r.buf[r.start] = s
-		r.start++
-		if r.start == cap(r.buf) {
-			r.start = 0
-		}
-	}
+	r.held.push(s)
 	r.total++
 	r.mu.Unlock()
 }
@@ -173,7 +162,7 @@ func (r *SpanRing) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return len(r.held.buf)
 }
 
 // Total returns the number of spans recorded over the ring's lifetime,
@@ -194,11 +183,7 @@ func (r *SpanRing) Snapshot() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Span, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%cap(r.buf)])
-	}
-	return out
+	return r.held.snapshot()
 }
 
 // WriteJSONL writes the buffered spans oldest-first, one JSON object per
@@ -231,21 +216,15 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 // counted, mirroring ReadJSONL's tolerance. Only an I/O error (or an
 // over-long line) is a hard error.
 func ReadSpans(r io.Reader) (spans []Span, skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		b := sc.Bytes()
-		if len(bytesTrimSpace(b)) == 0 {
-			continue
-		}
+	skipped, err = scanJSONL(r, 1<<20, func(line []byte) bool {
 		var s Span
-		if json.Unmarshal(b, &s) != nil || s.Type != SpanTypeField || s.Kind == "" {
-			skipped++
-			continue
+		if json.Unmarshal(line, &s) != nil || s.Type != SpanTypeField || s.Kind == "" {
+			return false
 		}
 		spans = append(spans, s)
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return spans, skipped, fmt.Errorf("obs: span: %w", err)
 	}
 	return spans, skipped, nil

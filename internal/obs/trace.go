@@ -169,50 +169,23 @@ func (t *JSONLTracer) Close() error {
 }
 
 // ReadJSONL decodes a JSONL trace back into events — the read half of the
-// round trip, used by tests and analysis tooling.
-//
-// Real trace files get damaged: a crashed run leaves a truncated final
-// line, and interleaved stderr (a panic, a shell echo) can land between
-// records. Lines that do not decode as events are skipped and counted
-// rather than failing the whole read, so the intact majority of a damaged
-// trace stays analyzable; callers that care surface the skipped count.
-// Only an I/O error (or a line exceeding the 1 MiB scanner limit) is a
-// hard error.
+// round trip, used by tests and analysis tooling. Lines that do not decode
+// as events are skipped and counted rather than failing the whole read (see
+// scanJSONL); only an I/O error (or a line exceeding the 1 MiB scanner
+// limit) is a hard error.
 func ReadJSONL(r io.Reader) (events []Event, skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		b := sc.Bytes()
-		if len(bytesTrimSpace(b)) == 0 {
-			continue
-		}
+	skipped, err = scanJSONL(r, 1<<20, func(line []byte) bool {
 		var e Event
-		if json.Unmarshal(b, &e) != nil || e.Type == "" {
-			skipped++
-			continue
+		if json.Unmarshal(line, &e) != nil || e.Type == "" {
+			return false
 		}
 		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return events, skipped, fmt.Errorf("obs: trace: %w", err)
 	}
 	return events, skipped, nil
-}
-
-// bytesTrimSpace trims ASCII whitespace without allocating (the only
-// whitespace a JSONL writer emits).
-func bytesTrimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r' || b[0] == '\n') {
-		b = b[1:]
-	}
-	for len(b) > 0 {
-		c := b[len(b)-1]
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			break
-		}
-		b = b[:len(b)-1]
-	}
-	return b
 }
 
 // MultiTracer fans every event out to each member tracer, so one run can

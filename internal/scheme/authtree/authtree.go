@@ -250,7 +250,7 @@ func (t *Tree) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, leaves: t.leaves, pub: t.signer.Public(), env: env}, nil
+	return &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, leaves: t.leaves, pub: t.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
 }
 
 type treeVerifier struct {
@@ -261,7 +261,6 @@ type treeVerifier struct {
 	pub    crypto.Verifier
 
 	authentic map[uint32]bool
-	stats     verifier.Stats
 
 	// Receiver fast path. Every packet of a block repeats the same root
 	// signature and neighbouring packets share most of their path, so the
@@ -291,11 +290,19 @@ type treeVerifier struct {
 	// pendingRoots tracks roots whose signature check is in flight on the
 	// batch-verify queue: later packets proving the same root park here and
 	// share the verdict instead of enqueueing duplicate checks.
-	pendingRoots map[crypto.Digest][]*packet.Packet
+	pendingRoots map[crypto.Digest][]parked
 
 	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
-	// signatures (only deferred mode buffers). Nothing is traced.
+	// signatures (only deferred mode buffers).
 	env verifier.Env
+	rec verifier.Recorder
+}
+
+// parked is a packet awaiting another packet's deferred root verdict, with
+// its arrival time.
+type parked struct {
+	p       *packet.Packet
+	arrived time.Time
 }
 
 var _ scheme.Verifier = (*treeVerifier)(nil)
@@ -431,43 +438,41 @@ func (tv *treeVerifier) remember(p *packet.Packet) {
 	}
 }
 
-// accept marks p authentic and publishes it to the shared cache.
-func (tv *treeVerifier) accept(p *packet.Packet) []verifier.Event {
+// accept marks p authentic on arrival: nothing here waits except on a
+// deferred verdict, which stands at the packet's arrival time.
+func (tv *treeVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event {
 	tv.authentic[p.Index] = true
-	tv.stats.Authenticated++
-	if tv.env.Cache != nil {
-		tv.env.Cache.MarkAuthentic(tv.env.StreamID, p.BlockID, tv.env.Cache.DigestOf(p))
-	}
+	tv.rec.Authenticated(p, at, at)
 	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
 }
 
 // resolveRoot applies a deferred signature verdict for the root digest p
 // proved its path against, settling every packet parked on the same root.
-func (tv *treeVerifier) resolveRoot(p *packet.Packet, root crypto.Digest, ok bool) {
+func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 	waiters := tv.pendingRoots[root]
 	delete(tv.pendingRoots, root)
 	var events []verifier.Event
-	settle := func(pkt *packet.Packet, verified bool) {
-		tv.stats.PendingSignature--
-		if tv.authentic[pkt.Index] {
-			tv.stats.Duplicates++
+	settle := func(w parked, verified bool) {
+		tv.rec.Resolved(w.p, w.arrived)
+		if tv.authentic[w.p.Index] {
+			tv.rec.Duplicate()
 			return
 		}
 		if !verified {
-			tv.stats.Rejected++
+			tv.rec.Rejected(w.p, w.arrived, "bad_signature")
 			return
 		}
 		tv.proveRoot(root)
-		events = append(events, tv.accept(pkt)...)
+		events = append(events, tv.accept(w.p, w.arrived)...)
 	}
-	settle(p, ok)
+	settle(first, ok)
 	for _, w := range waiters {
 		verified := ok
 		if !verified {
 			// The enqueued copy's signature bytes failed; the waiter
 			// carries its own — give it its own synchronous check.
-			msg := tv.appendRootMessage(w.BlockID, root)
-			verified = crypto.VerifyAnyCached(nil, &tv.vs, tv.pub, msg, w.Signature)
+			msg := tv.appendRootMessage(w.p.BlockID, root)
+			verified = crypto.VerifyAnyCached(nil, &tv.vs, tv.pub, msg, w.p.Signature)
 		}
 		settle(w, verified)
 	}
@@ -480,71 +485,68 @@ func (tv *treeVerifier) resolveRoot(p *packet.Packet, root crypto.Digest, ok boo
 // recomputing the root from its leaf and sibling path; the signature over
 // a given root is checked at most once per verifier, and at most once per
 // stream when a shared cache is attached.
-func (tv *treeVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event, error) {
+func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event, error) {
 	if p == nil {
 		return nil, fmt.Errorf("authtree: nil packet")
 	}
 	if p.Index < 1 || int(p.Index) > tv.n {
 		return nil, fmt.Errorf("authtree: index %d out of [1,%d]", p.Index, tv.n)
 	}
-	tv.stats.Received++
+	tv.rec.Received()
 	if tv.authentic == nil {
 		tv.authentic = make(map[uint32]bool)
-		tv.pendingRoots = make(map[crypto.Digest][]*packet.Packet)
+		tv.pendingRoots = make(map[crypto.Digest][]parked)
 	}
 	if tv.authentic[p.Index] {
-		tv.stats.Duplicates++
+		tv.rec.Duplicate()
 		return nil, nil
 	}
 	if tv.env.Cache != nil {
 		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
-			tv.stats.CacheHits++
-			return tv.accept(p), nil
+			tv.rec.CacheHit()
+			return tv.accept(p, at), nil
 		}
 	}
 	if len(p.Hashes) != tv.depth*(tv.arity-1) {
-		tv.stats.Rejected++
+		tv.rec.Rejected(p, at, "bad_path")
 		return nil, nil
 	}
 	root, ok := tv.computeRoot(p)
 	if !ok {
-		tv.stats.Rejected++
+		tv.rec.Rejected(p, at, "bad_path")
 		return nil, nil
 	}
 	if tv.hit <= tv.depth {
 		// The walk ended in the proven root.
 		tv.remember(p)
-		return tv.accept(p), nil
+		return tv.accept(p, at), nil
 	}
 	msg := tv.appendRootMessage(p.BlockID, root)
 	if tv.env.BatchQ != nil {
-		if tv.env.MaxBuffered > 0 && tv.stats.PendingSignature >= tv.env.MaxBuffered {
-			tv.stats.DroppedOverflow++
+		if !tv.rec.Park(p, at, 0) {
 			return nil, nil
 		}
 		if waiters, pending := tv.pendingRoots[root]; pending {
 			// This root's signature check is already in flight; share its
 			// verdict rather than enqueue a duplicate.
-			tv.stats.PendingSignature++
-			tv.pendingRoots[root] = append(waiters, p)
+			tv.pendingRoots[root] = append(waiters, parked{p, at})
 			return nil, nil
 		}
-		tv.stats.PendingSignature++
 		tv.pendingRoots[root] = nil
 		// The queue retains the signed message; msg is reused scratch.
 		held := append([]byte(nil), msg...)
 		tv.env.BatchQ.Enqueue(tv.pub, held, p.Signature, func(ok bool) {
-			tv.resolveRoot(p, root, ok)
+			tv.resolveRoot(parked{p, at}, root, ok)
 		})
 		return nil, nil
 	}
 	if !crypto.VerifyAnyCached(nil, &tv.vs, tv.pub, msg, p.Signature) {
-		tv.stats.Rejected++
+		tv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}
 	tv.remember(p)
-	return tv.accept(p), nil
+	return tv.accept(p, at), nil
 }
 
 // Stats implements scheme.Verifier.
-func (tv *treeVerifier) Stats() verifier.Stats { return tv.stats }
+func (tv *treeVerifier) Stats() verifier.Stats { return tv.rec.Stats() }

@@ -145,14 +145,13 @@ func (s *SignEach) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig, env: env}, nil
+	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig, env: env, rec: verifier.NewRecorder(env)}, nil
 }
 
 type signEachVerifier struct {
 	n         int
 	pub       crypto.Verifier
 	authentic map[uint32]bool
-	stats     verifier.Stats
 
 	// Receiver fast path: content staging and blob path walks reuse
 	// scratch, and the underlying public-key check of each batch blob is
@@ -162,81 +161,78 @@ type signEachVerifier struct {
 	content []byte
 
 	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
-	// signatures (only deferred mode buffers). Nothing is traced.
+	// signatures (only deferred mode buffers).
 	env verifier.Env
+	rec verifier.Recorder
 }
 
 var _ scheme.Verifier = (*signEachVerifier)(nil)
 
-// accept marks p authentic and publishes it to the shared cache.
-func (sv *signEachVerifier) accept(p *packet.Packet) []verifier.Event {
+// accept marks p authentic on arrival: nothing here waits except on a
+// deferred verdict, which stands at the packet's arrival time.
+func (sv *signEachVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event {
 	sv.authentic[p.Index] = true
-	sv.stats.Authenticated++
-	if sv.env.Cache != nil {
-		sv.env.Cache.MarkAuthentic(sv.env.StreamID, p.BlockID, sv.env.Cache.DigestOf(p))
-	}
+	sv.rec.Authenticated(p, at, at)
 	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
 }
 
 // resolve applies one deferred signature verdict.
-func (sv *signEachVerifier) resolve(p *packet.Packet, ok bool) {
-	sv.stats.PendingSignature--
+func (sv *signEachVerifier) resolve(p *packet.Packet, arrived time.Time, ok bool) {
+	sv.rec.Resolved(p, arrived)
 	if sv.authentic[p.Index] {
-		sv.stats.Duplicates++
+		sv.rec.Duplicate()
 		return
 	}
 	if !ok {
-		sv.stats.Rejected++
+		sv.rec.Rejected(p, arrived, "bad_signature")
 		return
 	}
-	events := sv.accept(p)
+	events := sv.accept(p, arrived)
 	if sv.env.Sink != nil {
 		sv.env.Sink(events)
 	}
 }
 
 // Ingest implements scheme.Verifier.
-func (sv *signEachVerifier) Ingest(p *packet.Packet, _ time.Time) ([]verifier.Event, error) {
+func (sv *signEachVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event, error) {
 	if p == nil {
 		return nil, fmt.Errorf("signeach: nil packet")
 	}
 	if p.Index < 1 || int(p.Index) > sv.n {
 		return nil, fmt.Errorf("signeach: index %d out of [1,%d]", p.Index, sv.n)
 	}
-	sv.stats.Received++
+	sv.rec.Received()
 	if sv.authentic == nil {
 		sv.authentic = make(map[uint32]bool)
 	}
 	if sv.authentic[p.Index] {
-		sv.stats.Duplicates++
+		sv.rec.Duplicate()
 		return nil, nil
 	}
 	if sv.env.Cache != nil {
 		if d := sv.env.Cache.DigestOf(p); sv.env.Cache.IsAuthentic(sv.env.StreamID, p.BlockID, d) {
-			sv.stats.CacheHits++
-			return sv.accept(p), nil
+			sv.rec.CacheHit()
+			return sv.accept(p, at), nil
 		}
 	}
 	sv.content = p.AppendContent(sv.content[:0])
 	if sv.env.BatchQ != nil {
-		if sv.env.MaxBuffered > 0 && sv.stats.PendingSignature >= sv.env.MaxBuffered {
-			sv.stats.DroppedOverflow++
+		if !sv.rec.Park(p, at, 0) {
 			return nil, nil
 		}
-		sv.stats.PendingSignature++
 		// The queue retains the content; sv.content is reused scratch.
 		held := append([]byte(nil), sv.content...)
 		sv.env.BatchQ.Enqueue(sv.pub, held, p.Signature, func(ok bool) {
-			sv.resolve(p, ok)
+			sv.resolve(p, at, ok)
 		})
 		return nil, nil
 	}
 	if !crypto.VerifyAnyCached(sv.sig, &sv.vs, sv.pub, sv.content, p.Signature) {
-		sv.stats.Rejected++
+		sv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}
-	return sv.accept(p), nil
+	return sv.accept(p, at), nil
 }
 
 // Stats implements scheme.Verifier.
-func (sv *signEachVerifier) Stats() verifier.Stats { return sv.stats }
+func (sv *signEachVerifier) Stats() verifier.Stats { return sv.rec.Stats() }

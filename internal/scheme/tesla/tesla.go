@@ -22,7 +22,6 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
-	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
 	"mcauth/internal/verifier"
@@ -273,7 +272,7 @@ func (s *Scheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	if env.MaxBuffered == 0 {
 		env.MaxBuffered = s.cfg.MaxBuffered
 	}
-	return &teslaVerifier{pub: s.signer.Public(), env: env, m: newTeslaMetrics(env.Metrics)}, nil
+	return &teslaVerifier{pub: s.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
 }
 
 type pendingPacket struct {
@@ -291,7 +290,6 @@ type teslaVerifier struct {
 	preBoot   []pendingPacket
 	buffered  map[int][]pendingPacket // by key interval, awaiting disclosure
 	authentic map[uint32]bool
-	stats     verifier.Stats
 
 	// Receiver fast path. Validating a disclosed key walks the PRF chain
 	// down to the last verified key anyway; chainKeys memoizes every
@@ -314,46 +312,16 @@ type teslaVerifier struct {
 	pendPool [][]pendingPacket
 
 	// env: MaxBuffered caps preBoot+buffered (defaulting to the scheme
-	// config's cap), Tracer and Metrics as documented. Cache is consulted
-	// only after a packet passes the safety condition: MAC validity is
-	// timeless, but acceptance is not — a replay arriving after its key
-	// became public must still be dropped, so the deadline check can never
-	// be skipped. BatchQ, Sink and Spans are ignored: only the bootstrap
-	// packet is signed.
+	// config's cap). Cache is consulted only after a packet passes the
+	// safety condition: MAC validity is timeless, but acceptance is not — a
+	// replay arriving after its key became public must still be dropped, so
+	// the deadline check can never be skipped. BatchQ and Sink are ignored:
+	// only the bootstrap packet is signed.
 	env verifier.Env
-	m   *teslaMetrics
+	rec verifier.Recorder
 }
 
 var _ scheme.Verifier = (*teslaVerifier)(nil)
-
-// teslaMetrics caches the registry instruments the verifier updates; the
-// metric names are shared with the hash-chained engine so runs aggregate
-// under one verifier.* namespace.
-type teslaMetrics struct {
-	reg           *obs.Registry
-	authenticated *obs.Counter
-	rejected      *obs.Counter
-	unsafe        *obs.Counter
-	// overflow is registered lazily on the first eviction so unbounded
-	// (and never-overflowing) runs keep their metrics dump unchanged.
-	overflow     *obs.Counter
-	msgHighWater *obs.Histogram
-	timeToAuth   *obs.Histogram
-}
-
-func newTeslaMetrics(reg *obs.Registry) *teslaMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &teslaMetrics{
-		reg:           reg,
-		authenticated: reg.Counter("verifier.authenticated"),
-		rejected:      reg.Counter("verifier.rejected"),
-		unsafe:        reg.Counter("verifier.unsafe"),
-		msgHighWater:  reg.Histogram("verifier.msg_buffer_high_water"),
-		timeToAuth:    reg.Histogram("verifier.time_to_auth_ns"),
-	}
-}
 
 // pendingTotal is the current pending-buffer occupancy.
 func (tv *teslaVerifier) pendingTotal() int {
@@ -364,65 +332,6 @@ func (tv *teslaVerifier) pendingTotal() int {
 	return total
 }
 
-// bufferFull reports whether another pending packet would exceed the cap;
-// when full the packet is dropped and counted, never stored.
-func (tv *teslaVerifier) bufferFull(p *packet.Packet, at time.Time) bool {
-	if tv.env.MaxBuffered <= 0 || tv.pendingTotal() < tv.env.MaxBuffered {
-		return false
-	}
-	tv.stats.DroppedOverflow++
-	if tv.m != nil {
-		if tv.m.overflow == nil {
-			tv.m.overflow = tv.m.reg.Counter("verifier.overflow_dropped")
-		}
-		tv.m.overflow.Inc()
-	}
-	tv.emit(obs.Event{
-		Type: obs.EventOverflowDropped, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: tv.pendingTotal(),
-	})
-	return true
-}
-
-func (tv *teslaVerifier) emit(e obs.Event) {
-	if tv.env.Tracer == nil {
-		return
-	}
-	tv.env.Tracer.Emit(e)
-}
-
-// markAuthenticated records one successful authentication at time at of a
-// packet that arrived at arrived, feeding the receiver-delay histogram.
-func (tv *teslaVerifier) markAuthenticated(p *packet.Packet, arrived, at time.Time) {
-	tv.stats.Authenticated++
-	latency := at.Sub(arrived)
-	if latency < 0 {
-		latency = 0
-	}
-	tv.stats.TimeToAuth.Observe(latency.Nanoseconds())
-	if tv.m != nil {
-		tv.m.authenticated.Inc()
-		tv.m.timeToAuth.Observe(latency.Nanoseconds())
-	}
-	tv.emit(obs.Event{
-		Type: obs.EventAuthenticated, Index: p.Index, Block: p.BlockID,
-		TimeNS: obs.TimeNS(at), LatencyNS: latency.Nanoseconds(),
-	})
-}
-
-func (tv *teslaVerifier) markRejected(p *packet.Packet, at time.Time, reason string) {
-	tv.stats.Rejected++
-	if tv.m != nil {
-		tv.m.rejected.Inc()
-	}
-	e := obs.Event{Type: obs.EventRejected, TimeNS: obs.TimeNS(at), Reason: reason}
-	if p != nil {
-		e.Index = p.Index
-		e.Block = p.BlockID
-	}
-	tv.emit(e)
-}
-
 // Ingest implements scheme.Verifier. The returned event slice is reused
 // by the next Ingest call; callers must consume or copy it before
 // ingesting again.
@@ -430,7 +339,7 @@ func (tv *teslaVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Even
 	if p == nil {
 		return nil, errors.New("tesla: nil packet")
 	}
-	tv.stats.Received++
+	tv.rec.Received()
 	if tv.authentic == nil {
 		tv.authentic = make(map[uint32]bool)
 		tv.buffered = make(map[int][]pendingPacket)
@@ -444,11 +353,9 @@ func (tv *teslaVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Even
 		// Cannot evaluate the safety condition before the bootstrap;
 		// hold the packet with its arrival time (bounded: a pre-
 		// bootstrap flood must not grow memory without limit).
-		if tv.bufferFull(p, at) {
-			return nil, nil
+		if tv.rec.Hold(p, at, tv.pendingTotal()) {
+			tv.preBoot = append(tv.preBoot, pendingPacket{p: p, arrived: at})
 		}
-		tv.preBoot = append(tv.preBoot, pendingPacket{p: p, arrived: at})
-		tv.trackBufferHighWater(p, at)
 		return nil, nil
 	}
 	if p.BlockID != tv.blockID {
@@ -459,23 +366,23 @@ func (tv *teslaVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Even
 
 func (tv *teslaVerifier) ingestBootstrap(p *packet.Packet, at time.Time) ([]verifier.Event, error) {
 	if tv.params != nil {
-		tv.stats.Duplicates++
+		tv.rec.Duplicate()
 		return nil, nil
 	}
 	if !tv.pub.Verify(p.ContentBytes(), p.Signature) {
-		tv.markRejected(p, at, "bad_signature")
+		tv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}
 	bp, err := parseBootstrap(p.Payload)
 	if err != nil {
-		tv.markRejected(p, at, "bad_bootstrap")
+		tv.rec.Rejected(p, at, "bad_bootstrap")
 		return nil, nil
 	}
 	tv.params = &bp
 	tv.blockID = p.BlockID
 	tv.bestIdx = 0
 	tv.bestKey = bp.commitment
-	tv.markAuthenticated(p, at, at)
+	tv.rec.Authenticated(p, at, at)
 
 	held := tv.preBoot
 	tv.preBoot = nil
@@ -504,12 +411,12 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 		return tv.events, nil
 	}
 	if tv.authentic[p.Index] {
-		tv.stats.Duplicates++
+		tv.rec.Duplicate()
 		return tv.events, nil
 	}
 	interval := int(p.KeyIndex)
 	if interval > tv.params.n {
-		tv.markRejected(p, at, "bad_interval")
+		tv.rec.Rejected(p, at, "bad_interval")
 		return tv.events, nil
 	}
 	// Safety condition: the packet must have arrived before the sender
@@ -519,14 +426,7 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 	deadline := tv.params.start.
 		Add(time.Duration(interval+tv.params.lag) * tv.params.interval)
 	if !pend.arrived.Before(deadline) {
-		tv.stats.Unsafe++
-		if tv.m != nil {
-			tv.m.unsafe.Inc()
-		}
-		tv.emit(obs.Event{
-			Type: obs.EventUnsafe, Index: p.Index, Block: p.BlockID,
-			TimeNS: obs.TimeNS(at), Reason: "deadline",
-		})
+		tv.rec.Unsafe(p, at)
 		return tv.events, nil
 	}
 	// Shared-cache fast path — safe only here, after the deadline check:
@@ -535,10 +435,8 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 	// safety condition.
 	if tv.env.Cache != nil {
 		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
-			tv.stats.CacheHits++
-			tv.authentic[p.Index] = true
-			tv.markAuthenticated(p, pend.arrived, at)
-			tv.events = append(tv.events, verifier.Event{Index: p.Index, Payload: p.Payload})
+			tv.rec.CacheHit()
+			tv.accept(pend, at)
 			return tv.events, nil
 		}
 	}
@@ -546,7 +444,7 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 		tv.verifyData(pend, at)
 		return tv.events, nil
 	}
-	if tv.bufferFull(p, at) {
+	if !tv.rec.Hold(p, at, tv.pendingTotal()) {
 		return tv.events, nil
 	}
 	pends, live := tv.buffered[interval]
@@ -556,7 +454,6 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 		tv.pendPool = tv.pendPool[:last]
 	}
 	tv.buffered[interval] = append(pends, pend)
-	tv.trackBufferHighWater(p, at)
 	return tv.events, nil
 }
 
@@ -575,7 +472,7 @@ func (tv *teslaVerifier) absorbKey(idx int, key []byte, at time.Time) {
 	// Genuine chain elements are exactly KeySize bytes (the PRF truncates
 	// to KeySize); anything else cannot reproduce the commitment.
 	if len(key) != crypto.KeySize {
-		tv.markRejected(nil, at, "bad_key_chain")
+		tv.rec.Rejected(nil, at, "bad_key_chain")
 		return
 	}
 	if tv.chainKeys == nil {
@@ -587,22 +484,27 @@ func (tv *teslaVerifier) absorbKey(idx int, key []byte, at time.Time) {
 	for i := idx; i > tv.bestIdx; i-- {
 		tv.chainKeys[i] = cur
 		if err := crypto.RecoverEarlierKeyInto(&tv.ms, cur[:], cur[:], i, i-1); err != nil {
-			tv.markRejected(nil, at, "bad_key_chain")
+			tv.rec.Rejected(nil, at, "bad_key_chain")
 			return
 		}
 	}
 	if !bytesEqual(cur[:], tv.bestKey) {
-		tv.markRejected(nil, at, "bad_key_chain")
+		tv.rec.Rejected(nil, at, "bad_key_chain")
 		return
 	}
 	for i := idx; i > tv.bestIdx; i-- {
 		tv.haveKey[i] = true
 	}
+	covered := tv.bestIdx
 	tv.bestIdx = idx
 	tv.bestKey = append(tv.bestKey[:0], key...)
 
-	for interval, pends := range tv.buffered {
-		if interval > idx {
+	// Packets park only under intervals past the best key, so the newly
+	// covered intervals are all there is to release; ascending, so the
+	// event order is a function of the delivery, not of map iteration.
+	for interval := covered + 1; interval <= idx; interval++ {
+		pends, parked := tv.buffered[interval]
+		if !parked {
 			continue
 		}
 		for _, pend := range pends {
@@ -638,45 +540,35 @@ func (tv *teslaVerifier) verifyData(pend pendingPacket, at time.Time) {
 	if tv.authentic[p.Index] {
 		// A duplicate of this wire packet was buffered before the key
 		// arrived; emit nothing twice.
-		tv.stats.Duplicates++
+		tv.rec.Duplicate()
 		return
 	}
 	interval := int(p.KeyIndex)
 	chainKey, ok := tv.intervalChainKey(interval)
 	if !ok {
-		tv.markRejected(p, at, "bad_key_chain")
+		tv.rec.Rejected(p, at, "bad_key_chain")
 		return
 	}
 	crypto.DeriveMACKeyInto(&tv.ms, tv.mkBuf[:], chainKey)
 	tv.content = p.AppendContent(tv.content[:0])
 	if !tv.ms.Verify(tv.mkBuf[:], tv.content, p.MAC) {
-		tv.markRejected(p, at, "bad_mac")
+		tv.rec.Rejected(p, at, "bad_mac")
 		return
 	}
+	tv.accept(pend, at)
+}
+
+// accept marks a packet authentic at time at and appends its event to
+// tv.events.
+func (tv *teslaVerifier) accept(pend pendingPacket, at time.Time) {
+	p := pend.p
 	tv.authentic[p.Index] = true
-	if tv.env.Cache != nil {
-		tv.env.Cache.MarkAuthentic(tv.env.StreamID, p.BlockID, tv.env.Cache.DigestOf(p))
-	}
-	tv.markAuthenticated(p, pend.arrived, at)
+	tv.rec.Authenticated(p, pend.arrived, at)
 	tv.events = append(tv.events, verifier.Event{Index: p.Index, Payload: p.Payload})
 }
 
-func (tv *teslaVerifier) trackBufferHighWater(p *packet.Packet, at time.Time) {
-	total := tv.pendingTotal()
-	if total > tv.stats.MsgBufferHighWater {
-		tv.stats.MsgBufferHighWater = total
-		if tv.m != nil {
-			tv.m.msgHighWater.Observe(int64(total))
-		}
-	}
-	tv.emit(obs.Event{
-		Type: obs.EventMsgBuffered, Index: p.Index, Block: p.BlockID,
-		TimeNS: obs.TimeNS(at), Depth: total,
-	})
-}
-
 // Stats implements scheme.Verifier.
-func (tv *teslaVerifier) Stats() verifier.Stats { return tv.stats }
+func (tv *teslaVerifier) Stats() verifier.Stats { return tv.rec.Stats() }
 
 func bytesEqual(a, b []byte) bool {
 	if len(a) != len(b) {

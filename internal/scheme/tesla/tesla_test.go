@@ -2,6 +2,7 @@ package tesla
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -48,11 +49,11 @@ func TestConformance(t *testing.T) {
 }
 
 // TestEnvConformance: only the bootstrap packet is signed, so there is no
-// signature check worth deferring (BatchQ) and no span site.
+// signature check worth deferring (BatchQ).
 func TestEnvConformance(t *testing.T) {
 	cfg := testConfig(24, 2)
 	schemetest.EnvConformance(t, newScheme(t, cfg), promptClock(cfg),
-		schemetest.Honours{MaxBuffered: true, Cache: true, Tracer: true, Metrics: true})
+		schemetest.Honours{MaxBuffered: true, Cache: true})
 }
 
 func TestValidation(t *testing.T) {
@@ -191,6 +192,48 @@ func TestKeyRecoveryAcrossLoss(t *testing.T) {
 		}
 		if !authenticated[w] {
 			t.Errorf("data packet %d never authenticated", i)
+		}
+	}
+}
+
+// TestReleaseOrderIsIntervalOrder: one disclosure that frees several
+// intervals releases them ascending, so the events Ingest returns (and the
+// trace) are a function of the delivery. The parked intervals live in a map;
+// ranging over it made the order differ from verifier to verifier.
+func TestReleaseOrderIsIntervalOrder(t *testing.T) {
+	// Lag 5 of 6: data packets 1..5 disclose nothing, so all five park.
+	cfg := testConfig(6, 5)
+	s := newScheme(t, cfg)
+	pkts, err := s.Authenticate(1, schemetest.Payloads(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := promptClock(cfg)
+	const k5 = 6 + 1 + 4 // wire position of the trailing packet disclosing K_5
+	if pkts[k5-1].DisclosedKeyIndex != 5 {
+		t.Fatalf("wire %d discloses K_%d, want K_5", k5, pkts[k5-1].DisclosedKeyIndex)
+	}
+	want := []uint32{2, 3, 4, 5, 6}
+	for run := 0; run < 20; run++ {
+		v, err := s.NewVerifier(verifier.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 1; w <= 6; w++ {
+			if evs, err := v.Ingest(pkts[w-1], clock(w)); err != nil || (w > 1 && len(evs) != 0) {
+				t.Fatalf("wire %d: events %v, err %v", w, evs, err)
+			}
+		}
+		evs, err := v.Ingest(pkts[k5-1], clock(k5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint32
+		for _, e := range evs {
+			got = append(got, e.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d released %v, want %v", run, got, want)
 		}
 	}
 }

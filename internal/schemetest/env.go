@@ -15,7 +15,10 @@ import (
 
 // Honours states which verifier.Env fields change what a scheme's verifier
 // does. EnvConformance checks every claim in both directions, so a field a
-// scheme ignores is a stated fact rather than a silent no-op.
+// scheme ignores is a stated fact rather than a silent no-op. The
+// observation fields (Spans, Tracer, Metrics) are not here: every verifier
+// reports through a verifier.Recorder, so every scheme honours them, and
+// EnvConformance checks that against the authenticated set.
 type Honours struct {
 	// MaxBuffered: with no BatchQ, a cap of 1 drops overflow when the
 	// block's signature material arrives last. (Schemes that honour BatchQ
@@ -26,17 +29,11 @@ type Honours struct {
 	// BatchQ: signature checks park on the queue and authenticate through
 	// Sink.
 	BatchQ bool
-	// Spans: an enabled ring records verification spans.
-	Spans bool
-	// Tracer: lifecycle events are emitted.
-	Tracer bool
-	// Metrics: verifier.* instruments are registered.
-	Metrics bool
 }
 
 // ChainedHonours is what every scheme built on the generic hash-chained
 // engine (internal/verifier) honours: all of Env.
-var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true, Spans: true, Tracer: true, Metrics: true}
+var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true}
 
 // arrival is one delivered packet and the clock reading it arrives at.
 type arrival struct {
@@ -159,7 +156,72 @@ func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival,
 		t.Fatalf("%d verdicts pending after the final resolve", run.stats.PendingSignature)
 	}
 	slices.Sort(run.authed)
+	checkLedger(t, env, delivery, run)
 	return run
+}
+
+// checkLedger holds every sink env attaches to what the run authenticated:
+// one authentication is one Stats count, one receiver-delay observation, one
+// verifier.authenticated increment, one authenticate span and one
+// authenticated event, for every scheme. The ledger may count past the
+// Events only for signed packets: TESLA authenticates its bootstrap, which
+// carries the schedule and no message, without an Event. env's sinks must
+// be fresh.
+func checkLedger(t *testing.T, env verifier.Env, delivery []arrival, run envRun) {
+	t.Helper()
+	silent := make(map[uint32]bool)
+	for _, a := range delivery {
+		_, reported := slices.BinarySearch(run.authed, a.p.Index)
+		if len(a.p.Signature) > 0 && !fault.IsForgedPayload(a.p.Payload) && !reported {
+			silent[a.p.Index] = true
+		}
+	}
+	n := run.stats.Authenticated
+	if n < len(run.authed) || n > len(run.authed)+len(silent) || run.stats.TimeToAuth.Count != int64(n) {
+		t.Errorf("%d Events and %d signed packets without one, Stats counts %d authenticated with %d time-to-auth observations",
+			len(run.authed), len(silent), n, run.stats.TimeToAuth.Count)
+	}
+	if env.Spans != nil {
+		spans := 0
+		for _, s := range env.Spans.Snapshot() {
+			if s.Kind == obs.SpanAuthenticate {
+				spans++
+			}
+		}
+		if spans != n {
+			t.Errorf("Stats counts %d authenticated, the ring holds %d authenticate spans", n, spans)
+		}
+	}
+	if env.Metrics != nil {
+		got := env.Metrics.Snapshot().Counters
+		for name, want := range map[string]int{
+			"verifier.authenticated": n,
+			"verifier.rejected":      run.stats.Rejected,
+			"verifier.duplicates":    run.stats.Duplicates,
+		} {
+			if got[name] != int64(want) {
+				t.Errorf("Stats counts %d, %s = %d", want, name, got[name])
+			}
+		}
+	}
+	if tracer, ok := env.Tracer.(*obs.MemTracer); ok {
+		var traced []uint32
+		events := 0
+		for _, e := range tracer.Events() {
+			if e.Type != obs.EventAuthenticated {
+				continue
+			}
+			events++
+			if !silent[e.Index] {
+				traced = append(traced, e.Index)
+			}
+		}
+		slices.Sort(traced)
+		if events != n || !slices.Equal(traced, run.authed) {
+			t.Errorf("Stats counts %d authenticated, %d authenticated events, for %v beside signed packets; Events for %v",
+				n, events, traced, run.authed)
+		}
+	}
 }
 
 // EnvConformance is the contract of verifier.Env: one seeded delivery
@@ -227,20 +289,17 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 	auto := same("BatchQ, auto-resolve", runEnv(t, s, verifier.Env{BatchQ: queue(2)}, delivery, clock, 0))
 	effect("BatchQ", honours.BatchQ, explicit.maxPending > 0 && explicit.sunk > 0)
 	effect("BatchQ", honours.BatchQ, auto.maxPending > 0 && auto.sunk > 0)
+	if explicit.stats.MsgBufferHighWater < explicit.maxPending {
+		t.Errorf("%d signatures parked at once, message buffer high water %d", explicit.maxPending, explicit.stats.MsgBufferHighWater)
+	}
 
-	spans := ring()
-	same("Spans", runEnv(t, s, verifier.Env{Spans: spans, StreamID: stream}, delivery, clock, 0))
-	effect("Spans", honours.Spans, spans.Total() > 0)
-
-	var tracer obs.MemTracer
-	reg := obs.NewRegistry()
+	same("Spans", runEnv(t, s, verifier.Env{Spans: ring(), StreamID: stream}, delivery, clock, 0))
+	same("Tracer", runEnv(t, s, verifier.Env{Tracer: new(obs.MemTracer)}, delivery, clock, 0))
+	same("Metrics", runEnv(t, s, verifier.Env{Metrics: obs.NewRegistry()}, delivery, clock, 0))
 	same("all fields", runEnv(t, s, verifier.Env{
 		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), BatchQ: queue(2),
-		Spans: ring(), Tracer: &tracer, Metrics: reg,
+		Spans: ring(), Tracer: new(obs.MemTracer), Metrics: obs.NewRegistry(),
 	}, delivery, clock, 0))
-	effect("Tracer", honours.Tracer, len(tracer.Events()) > 0)
-	_, registered := reg.Snapshot().Counters["verifier.authenticated"]
-	effect("Metrics", honours.Metrics, registered)
 
 	// The cap, probed where it binds: the unsigned packets alone, so
 	// whatever can buffer does. Where every packet is signed nothing

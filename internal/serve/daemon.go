@@ -13,6 +13,7 @@ import (
 	"mcauth/internal/scheme"
 	"mcauth/internal/server"
 	"mcauth/internal/stream"
+	"mcauth/internal/verifier"
 )
 
 // Config is mcserved's deployment flags: publisher, relay and receiver
@@ -112,7 +113,14 @@ func (c Config) NewVerifySink(live int, reg *obs.Registry, tel *Telemetry) (*Ver
 			if err != nil {
 				return nil, err
 			}
-			return stream.NewReceiver(s, live)
+			r, err := stream.NewReceiver(s, live)
+			if err != nil {
+				return nil, err
+			}
+			// The demux adds the cache, queue and span ring; the registry
+			// is what makes the verifier.* names of a simulation appear
+			// on a receiver's /metrics too.
+			return r, r.SetEnv(verifier.Env{Metrics: reg})
 		},
 		MaxStreams:  c.Streams,
 		VerifyCache: c.VerifyCache,

@@ -10,10 +10,12 @@ import (
 // Env is everything a receiver-side verifier can be configured with,
 // supplied once at construction (scheme.Scheme.NewVerifier, NewChained) and
 // fixed for the verifier's lifetime. The zero Env is the synchronous,
-// unbounded, unobserved verifier. A scheme ignores the fields that have no
-// meaning for it (TESLA has no signature per packet to defer, so no BatchQ;
-// the per-packet-signature schemes buffer nothing outside deferred mode and
-// emit no trace); schemetest.EnvConformance pins which.
+// unbounded, unobserved verifier. A scheme ignores the behaviour fields that
+// have no meaning for it (TESLA has no signature per packet to defer, so no
+// BatchQ; the per-packet-signature schemes buffer nothing outside deferred
+// mode, so MaxBuffered binds only there); schemetest.EnvConformance pins
+// which. The observation fields — Spans, Tracer, Metrics — no scheme can
+// ignore: every verifier reports through a Recorder built from its Env.
 type Env struct {
 	// StreamID identifies the stream — and therefore the signing key —
 	// the verifier serves. It keys Cache entries and Spans (sender- and

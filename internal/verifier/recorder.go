@@ -1,0 +1,216 @@
+package verifier
+
+import (
+	"time"
+
+	"mcauth/internal/obs"
+	"mcauth/internal/packet"
+)
+
+// Recorder is a verifier's ledger: the only code that counts into Stats,
+// bumps the verifier.* instruments, publishes authentications to the shared
+// cache, records lifecycle spans and emits trace events. Every scheme's
+// verifier holds one by value and reports each fact to it once, so all six
+// schemes are observed through the same sinks under the same names, and a
+// verifier keeps only the state its protocol needs. It takes everything from
+// the Env it is built with; with the zero Env it fills Stats and nothing
+// else. Like the verifier that owns it, it is not safe for concurrent use.
+type Recorder struct {
+	stream uint64
+	cap    int
+	cache  *SharedCache
+	spans  *obs.SpanRing
+	tracer obs.Tracer
+	reg    *obs.Registry
+	stats  Stats
+
+	// Instruments are looked up once at construction so Ingest never takes
+	// the registry's lock; on a nil registry they are nil and no-op.
+	authenticated *obs.Counter
+	rejected      *obs.Counter
+	duplicates    *obs.Counter
+	msgHighWater  *obs.Histogram
+	hashHighWater *obs.Histogram
+	timeToAuth    *obs.Histogram
+	// overflow and unsafe register on first use, so the metrics dump of a
+	// run that never drops a packet stays free of them.
+	overflow *obs.Counter
+	unsafe   *obs.Counter
+}
+
+// NewRecorder builds the ledger of one verifier configured by env.
+func NewRecorder(env Env) Recorder {
+	reg := env.Metrics
+	return Recorder{
+		stream:        env.StreamID,
+		cap:           env.MaxBuffered,
+		cache:         env.Cache,
+		spans:         env.Spans,
+		tracer:        env.Tracer,
+		reg:           reg,
+		authenticated: reg.Counter("verifier.authenticated"),
+		rejected:      reg.Counter("verifier.rejected"),
+		duplicates:    reg.Counter("verifier.duplicates"),
+		msgHighWater:  reg.Histogram("verifier.msg_buffer_high_water"),
+		hashHighWater: reg.Histogram("verifier.hash_buffer_high_water"),
+		timeToAuth:    reg.Histogram("verifier.time_to_auth_ns"),
+	}
+}
+
+// Stats returns a snapshot of the counters.
+func (r *Recorder) Stats() Stats { return r.stats }
+
+// Received counts one ingested packet.
+func (r *Recorder) Received() { r.stats.Received++ }
+
+// Duplicate counts a packet ingested (or resolved) more than once.
+func (r *Recorder) Duplicate() {
+	r.stats.Duplicates++
+	r.duplicates.Inc()
+}
+
+// CacheHit counts a packet accepted straight from the shared cache.
+func (r *Recorder) CacheHit() { r.stats.CacheHits++ }
+
+// Hold admits p to the message buffer, or drops it when the buffer is at its
+// cap: on true the caller stores p, on false the drop is already counted.
+// held is the number of packets the verifier holds besides parked
+// signatures, which the Recorder counts itself, so the depth it caps,
+// tracks the high-water mark of and traces is every packet awaiting
+// authentication information.
+func (r *Recorder) Hold(p *packet.Packet, at time.Time, held int) bool {
+	depth := held + r.stats.PendingSignature
+	if r.cap > 0 && depth >= r.cap {
+		r.stats.DroppedOverflow++
+		r.countLazily(&r.overflow, "verifier.overflow_dropped")
+		r.emit(obs.Event{
+			Type: obs.EventOverflowDropped, Index: p.Index,
+			Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: depth,
+		})
+		return false
+	}
+	depth++
+	if depth > r.stats.MsgBufferHighWater {
+		r.stats.MsgBufferHighWater = depth
+		r.msgHighWater.Observe(int64(depth))
+	}
+	r.emit(obs.Event{
+		Type: obs.EventMsgBuffered, Index: p.Index,
+		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: depth,
+	})
+	return true
+}
+
+// Park is Hold for a signature packet awaiting a deferred verdict: parked
+// packets count against the cap like any buffered packet (pending-signature
+// floods are attacker reachable). Every Park that returns true is paired
+// with one Resolved.
+func (r *Recorder) Park(p *packet.Packet, at time.Time, held int) bool {
+	if !r.Hold(p, at, held) {
+		return false
+	}
+	r.stats.PendingSignature++
+	r.span(obs.SpanDeferredPark, p, at, 0, "")
+	return true
+}
+
+// Resolved unparks p when its deferred verdict is in; the caller reports
+// the verdict itself next (Authenticated, Rejected or Duplicate).
+func (r *Recorder) Resolved(p *packet.Packet, at time.Time) {
+	r.stats.PendingSignature--
+	r.span(obs.SpanSigResolve, p, at, 0, "")
+}
+
+// HashBuffered traces a trusted digest that arrived ahead of its packet,
+// carried by a packet of the given block.
+func (r *Recorder) HashBuffered(block uint64, index uint32, at time.Time) {
+	r.emit(obs.Event{Type: obs.EventHashBuffered, Index: index, Block: block, TimeNS: obs.TimeNS(at)})
+}
+
+// HashDepth tracks the hash buffer's high-water mark: depth is the number of
+// trusted digests currently held for packets not yet authenticated.
+func (r *Recorder) HashDepth(depth int) {
+	if depth > r.stats.HashBufferHighWater {
+		r.stats.HashBufferHighWater = depth
+		r.hashHighWater.Observe(int64(depth))
+	}
+}
+
+// Authenticated records that p, which arrived at arrived, was proven
+// authentic at at: the receiver-delay observation, the shared-cache
+// publication, the authenticate span and the authenticated event.
+func (r *Recorder) Authenticated(p *packet.Packet, arrived, at time.Time) {
+	r.stats.Authenticated++
+	if r.cache != nil {
+		r.cache.MarkAuthentic(r.stream, p.BlockID, r.cache.DigestOf(p))
+	}
+	latency := at.Sub(arrived)
+	if latency < 0 {
+		latency = 0
+	}
+	r.stats.TimeToAuth.Observe(latency.Nanoseconds())
+	r.authenticated.Inc()
+	r.timeToAuth.Observe(latency.Nanoseconds())
+	r.span(obs.SpanAuthenticate, p, at, latency, "")
+	r.emit(obs.Event{
+		Type: obs.EventAuthenticated, Index: p.Index, Block: p.BlockID,
+		TimeNS: obs.TimeNS(at), LatencyNS: latency.Nanoseconds(),
+	})
+}
+
+// Rejected records a failed signature, digest, MAC or key check. p is nil
+// when what failed belongs to no one packet (a disclosed TESLA key off the
+// chain); the record then carries no index or block.
+func (r *Recorder) Rejected(p *packet.Packet, at time.Time, reason string) {
+	if p == nil {
+		p = &packet.Packet{}
+	}
+	r.stats.Rejected++
+	r.rejected.Inc()
+	r.span(obs.SpanReject, p, at, 0, reason)
+	r.emit(obs.Event{
+		Type: obs.EventRejected, Index: p.Index,
+		Block: p.BlockID, TimeNS: obs.TimeNS(at), Reason: reason,
+	})
+}
+
+// Unsafe records a TESLA packet dropped by the safety condition: it arrived
+// after its key's disclosure deadline.
+func (r *Recorder) Unsafe(p *packet.Packet, at time.Time) {
+	r.stats.Unsafe++
+	r.countLazily(&r.unsafe, "verifier.unsafe")
+	r.emit(obs.Event{
+		Type: obs.EventUnsafe, Index: p.Index, Block: p.BlockID,
+		TimeNS: obs.TimeNS(at), Reason: "deadline",
+	})
+}
+
+// countLazily bumps a counter that registers on first use.
+func (r *Recorder) countLazily(c **obs.Counter, name string) {
+	if *c == nil {
+		*c = r.reg.Counter(name)
+	}
+	(*c).Inc()
+}
+
+// span records one lifecycle span when the ring is attached and enabled.
+func (r *Recorder) span(kind obs.SpanKind, p *packet.Packet, at time.Time, dur time.Duration, reason string) {
+	if !r.spans.Enabled() {
+		return
+	}
+	r.spans.Record(obs.Span{
+		Kind:   kind,
+		Stream: r.stream,
+		Block:  p.BlockID,
+		Index:  p.Index,
+		TimeNS: obs.TimeNS(at),
+		DurNS:  dur.Nanoseconds(),
+		Reason: reason,
+	})
+}
+
+func (r *Recorder) emit(e obs.Event) {
+	if r.tracer != nil {
+		r.tracer.Emit(e)
+	}
+}

@@ -11,10 +11,11 @@
 // trusted digest; trusted digests originate from the block signature and
 // propagate along dependence edges.
 //
-// The engine is observable: it always measures arrival-to-authentication
-// latency (the paper's receiver delay) into Stats.TimeToAuth, and can
-// additionally emit per-packet lifecycle events and registry metrics when
-// given a Tracer / Metrics registry in its Env (see internal/obs).
+// The engine is observable through its Recorder, as every scheme's verifier
+// is: it always measures arrival-to-authentication latency (the paper's
+// receiver delay) into Stats.TimeToAuth, and additionally emits per-packet
+// lifecycle events, spans and registry metrics when its Env carries a
+// Tracer, span ring or Metrics registry (see internal/obs).
 package verifier
 
 import (
@@ -67,36 +68,6 @@ type Stats struct {
 	PendingSignature int
 }
 
-// metrics caches the registry instruments the engine updates, looked up
-// once at construction so Ingest never touches the registry's lock.
-type metrics struct {
-	reg           *obs.Registry
-	authenticated *obs.Counter
-	rejected      *obs.Counter
-	duplicates    *obs.Counter
-	// overflow is registered lazily on the first eviction so unbounded
-	// (and never-overflowing) runs keep their metrics dump unchanged.
-	overflow      *obs.Counter
-	msgHighWater  *obs.Histogram
-	hashHighWater *obs.Histogram
-	timeToAuth    *obs.Histogram
-}
-
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		return nil
-	}
-	return &metrics{
-		reg:           reg,
-		authenticated: reg.Counter("verifier.authenticated"),
-		rejected:      reg.Counter("verifier.rejected"),
-		duplicates:    reg.Counter("verifier.duplicates"),
-		msgHighWater:  reg.Histogram("verifier.msg_buffer_high_water"),
-		hashHighWater: reg.Histogram("verifier.hash_buffer_high_water"),
-		timeToAuth:    reg.Histogram("verifier.time_to_auth_ns"),
-	}
-}
-
 // buffered is one message-buffer entry: the packet plus its arrival time,
 // kept so the cascade can measure arrival-to-authentication latency.
 type bufferedPacket struct {
@@ -112,12 +83,11 @@ type Chained struct {
 
 	// env is the verifier's configuration, fixed at construction.
 	env Env
-	m   *metrics
+	rec Recorder
 
 	trusted   map[uint32]crypto.Digest // digests proven authentic, by index
 	buffered  map[uint32]bufferedPacket
 	authentic map[uint32]bool
-	stats     Stats
 	// pendingSig holds signature packets awaiting a deferred verdict. A
 	// slice per index, so an attacker racing a forged signature packet
 	// ahead of the genuine one cannot occupy the index and starve it.
@@ -141,7 +111,7 @@ func NewChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, 
 		n:         uint32(n),
 		pub:       pub,
 		env:       env,
-		m:         newMetrics(env.Metrics),
+		rec:       NewRecorder(env),
 		trusted:   make(map[uint32]crypto.Digest),
 		buffered:  make(map[uint32]bufferedPacket),
 		authentic: make(map[uint32]bool),
@@ -150,22 +120,6 @@ func NewChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, 
 		v.pendingSig = make(map[uint32][]bufferedPacket)
 	}
 	return v, nil
-}
-
-// span records one lifecycle span when the ring is attached and enabled.
-func (v *Chained) span(kind obs.SpanKind, index uint32, at time.Time, dur time.Duration, reason string) {
-	if !v.env.Spans.Enabled() {
-		return
-	}
-	v.env.Spans.Record(obs.Span{
-		Kind:   kind,
-		Stream: v.env.StreamID,
-		Block:  v.blockID,
-		Index:  index,
-		TimeNS: obs.TimeNS(at),
-		DurNS:  dur.Nanoseconds(),
-		Reason: reason,
-	})
 }
 
 // digestOf computes p's content digest through the shared memo when one
@@ -191,10 +145,9 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	if p.Index < 1 || p.Index > v.n {
 		return nil, fmt.Errorf("verifier: index %d out of [1,%d]", p.Index, v.n)
 	}
-	v.stats.Received++
+	v.rec.Received()
 	if _, dup := v.buffered[p.Index]; v.authentic[p.Index] || dup {
-		v.stats.Duplicates++
-		v.m.countDuplicate()
+		v.rec.Duplicate()
 		return nil, nil
 	}
 
@@ -204,7 +157,7 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	// check — see the forgery-safety argument in cache.go.
 	if v.env.Cache != nil {
 		if d := v.env.Cache.DigestOf(p); v.env.Cache.IsAuthentic(v.env.StreamID, p.BlockID, d) {
-			v.stats.CacheHits++
+			v.rec.CacheHit()
 			return v.accept(p, at), nil
 		}
 	}
@@ -217,37 +170,20 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 			return nil, nil
 		}
 		if !v.pub.Verify(p.ContentBytes(), p.Signature) {
-			v.reject(p, at, "bad_signature")
+			v.rec.Rejected(p, at, "bad_signature")
 			return nil, nil
 		}
 		events = v.accept(p, at)
 	default:
 		want, ok := v.trusted[p.Index]
 		if !ok {
-			if v.env.MaxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.env.MaxBuffered {
-				v.stats.DroppedOverflow++
-				v.m.countOverflow()
-				v.emit(obs.Event{
-					Type: obs.EventOverflowDropped, Index: p.Index,
-					Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
-				})
-				return nil, nil
+			if v.rec.Hold(p, at, len(v.buffered)) {
+				v.buffered[p.Index] = bufferedPacket{p: p, arrived: at}
 			}
-			v.buffered[p.Index] = bufferedPacket{p: p, arrived: at}
-			if len(v.buffered) > v.stats.MsgBufferHighWater {
-				v.stats.MsgBufferHighWater = len(v.buffered)
-				if v.m != nil {
-					v.m.msgHighWater.Observe(int64(len(v.buffered)))
-				}
-			}
-			v.emit(obs.Event{
-				Type: obs.EventMsgBuffered, Index: p.Index,
-				Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
-			})
 			return nil, nil
 		}
 		if v.digestOf(p) != want {
-			v.reject(p, at, "digest_mismatch")
+			v.rec.Rejected(p, at, "digest_mismatch")
 			return nil, nil
 		}
 		events = v.accept(p, at)
@@ -256,26 +192,12 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 }
 
 // deferSignature parks a signature packet pending its batch verdict and
-// enqueues the underlying check. The packet counts against the buffer cap
-// like any buffered packet (pending-signature floods are attacker
-// reachable).
+// enqueues the underlying check.
 func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
-	if v.env.MaxBuffered > 0 && len(v.buffered)+v.stats.PendingSignature >= v.env.MaxBuffered {
-		v.stats.DroppedOverflow++
-		v.m.countOverflow()
-		v.emit(obs.Event{
-			Type: obs.EventOverflowDropped, Index: p.Index,
-			Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered),
-		})
+	if !v.rec.Park(p, at, len(v.buffered)) {
 		return
 	}
 	v.pendingSig[p.Index] = append(v.pendingSig[p.Index], bufferedPacket{p: p, arrived: at})
-	v.stats.PendingSignature++
-	v.span(obs.SpanDeferredPark, p.Index, at, 0, "")
-	v.emit(obs.Event{
-		Type: obs.EventMsgBuffered, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: len(v.buffered) + v.stats.PendingSignature,
-	})
 	// The verdict callback may run synchronously (threshold reached) or
 	// from a later Resolve on the ingest goroutine.
 	v.env.BatchQ.Enqueue(v.pub, p.ContentBytes(), p.Signature, func(ok bool) {
@@ -291,16 +213,15 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 // instead).
 func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool) {
 	v.unparkPending(p)
-	v.span(obs.SpanSigResolve, p.Index, arrived, 0, "")
+	v.rec.Resolved(p, arrived)
 	if v.authentic[p.Index] {
 		// Another copy of the signature packet (or a cascade) got there
 		// first.
-		v.stats.Duplicates++
-		v.m.countDuplicate()
+		v.rec.Duplicate()
 		return
 	}
 	if !ok {
-		v.reject(p, arrived, "bad_signature")
+		v.rec.Rejected(p, arrived, "bad_signature")
 		return
 	}
 	events := v.accept(p, arrived)
@@ -316,7 +237,6 @@ func (v *Chained) unparkPending(p *packet.Packet) {
 		if list[i].p == p {
 			list[i] = list[len(list)-1]
 			list = list[:len(list)-1]
-			v.stats.PendingSignature--
 			break
 		}
 	}
@@ -327,38 +247,11 @@ func (v *Chained) unparkPending(p *packet.Packet) {
 	}
 }
 
-func (v *Chained) reject(p *packet.Packet, at time.Time, reason string) {
-	v.stats.Rejected++
-	v.m.countRejected()
-	v.span(obs.SpanReject, p.Index, at, 0, reason)
-	v.emit(obs.Event{
-		Type: obs.EventRejected, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Reason: reason,
-	})
-}
-
-// authenticate records one successful authentication at time `at` of a
-// packet that arrived at `arrived`.
+// authenticate marks p, which arrived at arrived, authentic at time at.
 func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
 	v.authentic[p.Index] = true
-	v.stats.Authenticated++
-	if v.env.Cache != nil {
-		v.env.Cache.MarkAuthentic(v.env.StreamID, p.BlockID, v.env.Cache.DigestOf(p))
-	}
-	latency := at.Sub(arrived)
-	if latency < 0 {
-		latency = 0
-	}
-	v.stats.TimeToAuth.Observe(latency.Nanoseconds())
-	if v.m != nil {
-		v.m.authenticated.Inc()
-		v.m.timeToAuth.Observe(latency.Nanoseconds())
-	}
-	v.span(obs.SpanAuthenticate, p.Index, at, latency, "")
-	v.emit(obs.Event{
-		Type: obs.EventAuthenticated, Index: p.Index, Block: p.BlockID,
-		TimeNS: obs.TimeNS(at), LatencyNS: latency.Nanoseconds(),
-	})
+	delete(v.buffered, p.Index)
+	v.rec.Authenticated(p, arrived, at)
 }
 
 // accept marks p authentic, trusts its carried hashes, and cascades into
@@ -367,7 +260,6 @@ func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
 func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 	events := []Event{{Index: p.Index, Payload: p.Payload}}
 	v.authenticate(p, at, at)
-	delete(v.buffered, p.Index)
 
 	queue := []*packet.Packet{p}
 	for len(queue) > 0 {
@@ -381,70 +273,28 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 			waiting, ok := v.buffered[h.TargetIndex]
 			if !ok {
 				if !v.authentic[h.TargetIndex] {
-					v.emit(obs.Event{
-						Type: obs.EventHashBuffered, Index: h.TargetIndex,
-						Block: p.BlockID, TimeNS: obs.TimeNS(at),
-					})
+					v.rec.HashBuffered(p.BlockID, h.TargetIndex, at)
 				}
 				continue
 			}
 			if v.digestOf(waiting.p) != h.Digest {
-				v.reject(waiting.p, at, "digest_mismatch")
+				v.rec.Rejected(waiting.p, at, "digest_mismatch")
 				delete(v.buffered, h.TargetIndex)
 				continue
 			}
 			v.authenticate(waiting.p, waiting.arrived, at)
-			delete(v.buffered, waiting.p.Index)
 			events = append(events, Event{Index: waiting.p.Index, Payload: waiting.p.Payload})
 			queue = append(queue, waiting.p)
 		}
 	}
-	v.updateHashHighWater()
-	return events
-}
-
-func (v *Chained) updateHashHighWater() {
 	pendingHashes := 0
 	for idx := range v.trusted {
 		if !v.authentic[idx] {
 			pendingHashes++
 		}
 	}
-	if pendingHashes > v.stats.HashBufferHighWater {
-		v.stats.HashBufferHighWater = pendingHashes
-		if v.m != nil {
-			v.m.hashHighWater.Observe(int64(pendingHashes))
-		}
-	}
-}
-
-func (v *Chained) emit(e obs.Event) {
-	if v.env.Tracer == nil {
-		return
-	}
-	v.env.Tracer.Emit(e)
-}
-
-func (m *metrics) countDuplicate() {
-	if m != nil {
-		m.duplicates.Inc()
-	}
-}
-
-func (m *metrics) countRejected() {
-	if m != nil {
-		m.rejected.Inc()
-	}
-}
-
-func (m *metrics) countOverflow() {
-	if m == nil {
-		return
-	}
-	if m.overflow == nil {
-		m.overflow = m.reg.Counter("verifier.overflow_dropped")
-	}
-	m.overflow.Inc()
+	v.rec.HashDepth(pendingHashes)
+	return events
 }
 
 // IsAuthentic reports whether the packet at index has been authenticated.
@@ -454,4 +304,4 @@ func (v *Chained) IsAuthentic(index uint32) bool { return v.authentic[index] }
 func (v *Chained) PendingCount() int { return len(v.buffered) }
 
 // Stats returns a snapshot of the verifier's counters.
-func (v *Chained) Stats() Stats { return v.stats }
+func (v *Chained) Stats() Stats { return v.rec.Stats() }

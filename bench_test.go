@@ -289,10 +289,11 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // BenchmarkVerifySpanOverhead measures the tracing tax on the receiver
-// verify path in its three states: "off" (no span ring attached, the
-// library default), "disabled" (a ring attached but not enabled — every
-// span site costs one atomic load) and "enabled" (the mcserved default:
-// every authentication records a span). The ci gate holds disabled within
+// verify path in its three states: "off" (no trace sink attached, the
+// library default), "disabled" (a ring attached but switched off — every
+// record site costs one atomic load) and "enabled" (the mcserved default:
+// every buffering and authentication writes a record). The ci gate holds
+// disabled within
 // 2% of off, which is what "near-zero overhead when disabled" means as an
 // enforced number; enabled against off is printed, not gated — the cost of
 // telemetry switched on, as a measured number.
@@ -311,7 +312,7 @@ func BenchmarkVerifySpanOverhead(b *testing.B) {
 			}
 			var env verifier.Env
 			if mode != "off" {
-				env = verifier.Env{Spans: obs.NewSpanRing(obs.DefaultSpanCapacity), StreamID: 1}
+				env = verifier.Env{Spans: obs.NewSpanSink(4096, nil), StreamID: 1}
 				env.Spans.SetEnabled(mode == "enabled")
 			}
 			b.SetBytes(int64(s.BlockSize() * 512))

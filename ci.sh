@@ -70,17 +70,19 @@ go test -run='^$' -bench='Benchmark(Verify|ServeLoop)($|/)' -benchtime=100x -ben
 		END { exit bad }
 	'
 
-# Telemetry tier: the span JSONL schema golden (wire compatibility with
-# the PR 1 tracer), a flight-recorder smoke under serving chaos — the dump
+# Telemetry tier: the trace JSONL schema goldens (the one record every
+# sink writes and obs.ReadSpans reads: spans.golden.jsonl pins the serving
+# tier's lines, an interchange format; trace.golden.jsonl one line per
+# lifecycle kind), a flight-recorder smoke under serving chaos — the dump
 # must render as a post-mortem containing at least one complete
 # sender->authenticate block lifecycle — and the tracing-overhead gate:
-# with a span ring attached but disabled, BenchmarkVerify may not slow
-# down by more than 2% vs no ring at all. -count interleaves off/disabled
+# with a trace sink attached but disabled, BenchmarkVerify may not slow
+# down by more than 2% vs no sink at all. -count interleaves off/disabled
 # pairs; the gate takes the best paired delta, so a systematic tracing tax
 # fails every pair while one-off scheduler noise fails none. The enabled
 # ring's paired delta is printed beside it, ungated: the cost of telemetry
 # switched on, as a measured number.
-go test -count=1 -run 'TestSpanGoldenSchema' ./internal/obs
+go test -count=1 -run 'TestSpanGoldenSchema|TestTraceGoldenSchema' ./internal/obs
 go test -count=1 -run 'TestGoldenFlightReport|TestFlightReportContent' ./cmd/mcreport
 go run ./cmd/mcserved -chaos -cycles 2 -streams 2 -n 8 -blocks 6 \
 	-rate 300us -kill-after 250ms -batch 8 -flush 30ms \
@@ -152,8 +154,12 @@ diff "$labdir/overlay-w1.json" "$labdir/overlay-w8.json"
 # scheme's trace is a function of the run: with one worker, three runs of
 # each scheme the catalogue lists (mcsim prints catalog.IDs() in its -scheme
 # help) must write byte-identical traces; with more, only each receiver's
-# subsequence is fixed. And no scheme is dark: authtree's report, which is
+# subsequence is fixed. Writer and reader agree on every line of every
+# scheme's trace: mcreport's skipped_trace_lines is omitted when zero, so its
+# presence in the JSON report means some line the sink wrote did not read
+# back as a trace record. And no scheme is dark: authtree's report, which is
 # built from the trace, authenticates packets.
+go build -o "$labdir/mcreport" ./cmd/mcreport
 schemes=$("$labdir/mcsim" -h 2>&1 | sed -n 's/.*scheme: \([a-z|]*\) (default.*/\1/p' | tr '|' ' ')
 test -n "$schemes"
 for s in $schemes; do
@@ -163,6 +169,11 @@ for s in $schemes; do
 	done
 	cmp "$labdir/trace-$s-1.jsonl" "$labdir/trace-$s-2.jsonl"
 	cmp "$labdir/trace-$s-1.jsonl" "$labdir/trace-$s-3.jsonl"
+	"$labdir/mcreport" -json "$labdir/trace-$s.report.json" "$labdir/trace-$s-1.jsonl" >/dev/null
+	if grep skipped_trace_lines "$labdir/trace-$s.report.json"; then
+		echo "ledger smoke: mcreport skipped lines of the $s trace mcsim wrote" >&2
+		exit 1
+	fi
 done
 "$labdir/mcsim" -scheme authtree -n 16 -p 0.2 -receivers 20 -report "$labdir/authtree-rep.json" \
 	| awk -F'authenticated=' '/^packets: / { n = $2 + 0 } END { if (n < 1) { print "ledger smoke: authtree report authenticates nothing"; exit 1 } }'

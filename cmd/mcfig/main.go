@@ -48,16 +48,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	experiments.Workers = *workers
 	var metricsFile *os.File
-	var tracer *obs.JSONLTracer
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return fmt.Errorf("trace output unwritable: %w", err)
-		}
-		tracer = obs.NewJSONLTracer(f)
-		experiments.Tracer = tracer
-		defer func() { experiments.Tracer = nil }()
+	tracer, err := obs.OpenTrace(*trace, 0)
+	if err != nil {
+		return err
 	}
+	experiments.Tracer = tracer
+	defer func() { experiments.Tracer = nil }()
 	if *metrics != "" {
 		if *metrics != "-" {
 			f, err := os.Create(*metrics)
@@ -81,10 +77,8 @@ func run(args []string, stdout io.Writer) error {
 		stopProfiles()
 		return err
 	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("trace output: %w", err)
-		}
+	if err := tracer.Close(); err != nil {
+		return err
 	}
 	if reg := experiments.Metrics; reg != nil {
 		snap := reg.Snapshot()

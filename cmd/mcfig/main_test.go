@@ -49,7 +49,7 @@ func TestObservabilityOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, skipped, err := obs.ReadJSONL(f)
+	events, skipped, err := obs.ReadSpans(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestObservabilityOutputs(t *testing.T) {
 	}
 	var sent int64
 	for _, e := range events {
-		if e.Type == obs.EventSent {
+		if e.Kind == obs.SpanSent {
 			sent++
 		}
 	}

@@ -20,11 +20,13 @@ import (
 	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
+	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
+	"mcauth/internal/loss"
+	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme"
 	"mcauth/internal/stats"
-	"mcauth/internal/verifier"
 )
 
 func main() {
@@ -85,7 +87,7 @@ func run(args []string) error {
 			if err := report(s, *dot, *export, *perPacket, *p, *trials); err != nil {
 				return err
 			}
-			return replay(s, *trace, *metrics)
+			return replay(s, []uint32{uint32(topo.Root)}, *trace, *metrics)
 		}
 		// The split-vertex TESLA graph carries no slot semantics for the
 		// Section 3 metrics, so mcgraph offers every catalogue scheme but it.
@@ -103,7 +105,7 @@ func run(args []string) error {
 		if err := report(s, *dot, *export, *perPacket, *p, *trials); err != nil {
 			return err
 		}
-		return replay(s, *trace, *metrics)
+		return replay(s, entry.Signature, *trace, *metrics)
 	}
 	if err := body(); err != nil {
 		stopProfiles()
@@ -144,22 +146,19 @@ func maybePrune(s scheme.Scheme, signer crypto.Signer, target, p float64) (schem
 
 // replay pushes one lossless, in-order block through the scheme's verifier
 // with observability wired up, so the static graph view can be compared
-// against the verifier's actual packet lifecycle (same -trace/-metrics
-// semantics as mcsim, minus the network).
-func replay(s scheme.Scheme, tracePath, metricsPath string) error {
+// against the verifier's actual packet lifecycle: a one-receiver netsim run
+// with no loss and no delay, so -trace/-metrics mean what they mean in
+// mcsim. signature is the run's P_sign (catalog.Entry.Signature).
+func replay(s scheme.Scheme, signature []uint32, tracePath, metricsPath string) error {
 	if tracePath == "" && metricsPath == "" {
 		return nil
 	}
-	var tracer *obs.JSONLTracer
+	tracer, err := obs.OpenTrace(tracePath, 0)
+	if err != nil {
+		return err
+	}
 	var reg *obs.Registry
 	var metricsFile *os.File
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return fmt.Errorf("trace output unwritable: %w", err)
-		}
-		tracer = obs.NewJSONLTracer(f)
-	}
 	if metricsPath != "" {
 		reg = obs.NewRegistry()
 		if metricsPath != "-" {
@@ -175,52 +174,22 @@ func replay(s scheme.Scheme, tracePath, metricsPath string) error {
 	for i := range payloads {
 		payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
 	}
-	pkts, err := s.Authenticate(1, payloads)
-	if err != nil {
-		return err
-	}
-	env := verifier.Env{Metrics: reg}
-	if tracer != nil {
-		env.Tracer = obs.ReceiverTracer{T: tracer, Receiver: 0}
-	}
-	v, err := s.NewVerifier(env)
-	if err != nil {
-		return err
-	}
-	start := time.Unix(0, 0)
-	if tracer != nil {
-		meta := obs.Event{
-			Type:     obs.EventRunMeta,
-			Receiver: -1,
-			Scheme:   s.Name(),
-			Wire:     len(pkts),
-			Block:    1,
-			TimeNS:   obs.TimeNS(start),
-		}
-		for _, p := range pkts {
-			if len(p.Signature) > 0 {
-				meta.Root = p.Index
-				break
-			}
-		}
-		tracer.Emit(meta)
-	}
-	const step = time.Millisecond
-	for i, p := range pkts {
-		at := start.Add(time.Duration(i) * step)
-		if tracer != nil {
-			tracer.Emit(obs.Event{Type: obs.EventSent, Receiver: -1, Wire: i + 1, Index: p.Index, Block: p.BlockID, TimeNS: obs.TimeNS(at)})
-			tracer.Emit(obs.Event{Type: obs.EventDelivered, Receiver: 0, Wire: i + 1, Index: p.Index, Block: p.BlockID, TimeNS: obs.TimeNS(at)})
-		}
-		if _, err := v.Ingest(p, at); err != nil {
-			return fmt.Errorf("replay ingest wire %d: %w", i+1, err)
-		}
+	if _, err := netsim.Run(s, netsim.Config{
+		Receivers:       1,
+		Loss:            loss.Bernoulli{},
+		Delay:           delay.Constant{},
+		SendInterval:    time.Millisecond,
+		Start:           time.Unix(0, 0),
+		ReliableIndices: signature,
+		Workers:         1,
+		Tracer:          tracer,
+		Metrics:         reg,
+	}, 1, payloads); err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			return fmt.Errorf("trace output: %w", err)
-		}
+	if err := tracer.Close(); err != nil {
+		return err
 	}
 	if reg != nil {
 		snap := reg.Snapshot()

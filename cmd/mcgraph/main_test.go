@@ -81,22 +81,22 @@ func TestReplayObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, skipped, err := obs.ReadJSONL(f)
+	events, skipped, err := obs.ReadSpans(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 {
 		t.Fatalf("trace has %d undecodable lines", skipped)
 	}
-	if len(events) == 0 || events[0].Type != obs.EventRunMeta {
+	if len(events) == 0 || events[0].Kind != obs.SpanRunMeta {
 		t.Fatal("trace must start with run_meta")
 	}
 	var delivered, authed int
 	for _, e := range events {
-		switch e.Type {
-		case obs.EventDelivered:
+		switch e.Kind {
+		case obs.SpanDelivered:
 			delivered++
-		case obs.EventAuthenticated:
+		case obs.SpanAuthenticate:
 			authed++
 		}
 	}

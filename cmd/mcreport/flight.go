@@ -19,16 +19,20 @@ import (
 // spanKindOrder ranks lifecycle stages in pipeline order so a trace's
 // spans render sender-to-receiver even when timestamps tie.
 var spanKindOrder = map[obs.SpanKind]int{
-	obs.SpanPush:         0,
-	obs.SpanShardEnqueue: 1,
-	obs.SpanSignAttach:   2,
-	obs.SpanMuxWrite:     3,
-	obs.SpanRelayIngest:  4,
-	obs.SpanDecode:       5,
-	obs.SpanDeferredPark: 6,
-	obs.SpanSigResolve:   7,
-	obs.SpanAuthenticate: 8,
-	obs.SpanReject:       9,
+	obs.SpanPush:            0,
+	obs.SpanShardEnqueue:    1,
+	obs.SpanSignAttach:      2,
+	obs.SpanMuxWrite:        3,
+	obs.SpanRelayIngest:     4,
+	obs.SpanDecode:          5,
+	obs.SpanHashBuffered:    6,
+	obs.SpanMsgBuffered:     7,
+	obs.SpanOverflowDropped: 8,
+	obs.SpanDeferredPark:    9,
+	obs.SpanSigResolve:      10,
+	obs.SpanAuthenticate:    11,
+	obs.SpanReject:          12,
+	obs.SpanUnsafe:          13,
 }
 
 // traceGroup is one block's causally linked spans.
@@ -174,6 +178,9 @@ func writeFlightReport(w io.Writer, d *obs.FlightDump, skipped int) error {
 			}
 			if s.DurNS != 0 {
 				fmt.Fprintf(w, " dur %v", time.Duration(s.DurNS).Round(time.Microsecond))
+			}
+			if s.Depth != 0 {
+				fmt.Fprintf(w, " depth %d", s.Depth)
 			}
 			if s.Reason != "" {
 				fmt.Fprintf(w, " reason=%s", s.Reason)

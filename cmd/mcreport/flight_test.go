@@ -20,8 +20,7 @@ func writeFlightFixture(t *testing.T, path string) {
 	now := base
 	clock := func() time.Time { return now }
 
-	ring := obs.NewSpanRing(64)
-	ring.SetEnabled(true)
+	ring := obs.NewSpanSink(64, nil)
 	stamp := func(kind obs.SpanKind, stream, block uint64, index uint32, at time.Duration, dur time.Duration, reason string) {
 		ring.Record(obs.Span{
 			Kind: kind, Stream: stream, Block: block, Index: index,

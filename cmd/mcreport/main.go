@@ -13,7 +13,7 @@
 // The scheme flags rebuild the dependence graph so hash-path-cut diagnoses
 // carry their frontier-cut culprit sets; without them the report still
 // classifies every failure but names no culprits. Scheme, wire count, and
-// root index come from the trace's run_meta event.
+// root index come from the trace's run_meta record.
 package main
 
 import (
@@ -96,11 +96,11 @@ func loadReport(path string, opts diagnose.Options) (*diagnose.Report, error) {
 		return nil, err
 	}
 	defer f.Close()
-	events, skipped, err := obs.ReadJSONL(f)
+	spans, skipped, err := obs.ReadSpans(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	rep, err := diagnose.BuildReport(events, skipped, opts)
+	rep, err := diagnose.BuildReport(spans, skipped, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

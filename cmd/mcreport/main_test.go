@@ -32,11 +32,10 @@ func writeTrace(t *testing.T, path string, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
+	tracer, err := obs.OpenTrace(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewJSONLTracer(f)
 	payloads := make([][]byte, n)
 	for i := range payloads {
 		payloads[i] = []byte("payload")
@@ -210,5 +209,55 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{filepath.Join(dir, "missing.jsonl")}); err == nil {
 		t.Error("missing trace should fail")
+	}
+}
+
+// TestSpanFixtureIsNotAnAllClear is the regression for the serving tier's
+// span fixture read as a lifecycle trace: it holds a reject and no sent
+// record, so the report must refuse, naming what is missing, rather than
+// print "every received packet authenticated" over it.
+func TestSpanFixtureIsNotAnAllClear(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "obs", "testdata", "spans.golden.jsonl")
+	out, err := capture(t, func() error { return run([]string{fixture}) })
+	if err == nil || !strings.Contains(err.Error(), "no sent records among 9 trace records") {
+		t.Errorf("run = %v, want a refusal naming the missing sent records", err)
+	}
+	if strings.Contains(out, "every received packet authenticated") {
+		t.Errorf("all-clear printed over a file holding a reject:\n%s", out)
+	}
+}
+
+// TestForeignLinesAreSkippedAndCounted: lines of another type sharing the
+// file — the pre-span event grammar, a flight-dump header — are not trace
+// records, so they reach the report only as skipped_trace_lines.
+func TestForeignLinesAreSkippedAndCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mixed.jsonl")
+	writeTrace(t, path, 3)
+	clean, err := loadReport(path, diagnose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"rejected","recv":0,"index":3,"block":1,"reason":"digest_mismatch"}` + "\n" +
+		`{"type":"flight_meta","reason":"sigusr1"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := loadReport(path, diagnose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.SkippedTraceLines != 0 || mixed.SkippedTraceLines != 2 {
+		t.Errorf("skipped_trace_lines = %d clean, %d with two foreign lines; want 0 and 2",
+			clean.SkippedTraceLines, mixed.SkippedTraceLines)
+	}
+	mixed.SkippedTraceLines = 0
+	if lines := diagnose.Diff(clean, mixed); len(lines) != 0 {
+		t.Errorf("foreign lines changed the diagnosis: %v", lines)
 	}
 }

@@ -150,16 +150,17 @@ func buildLossModel(o options) (loss.Model, error) {
 // unwritable path fails the run immediately with a clear error instead of
 // silently discarding the data after the simulation has burned CPU.
 // It returns the tracer and registry to wire into the run (either may be
-// nil) plus a finish func that writes/flushes the outputs.
-func setupObservability(o options) (tracer *obs.JSONLTracer, reg *obs.Registry, finish func() error, err error) {
+// nil) plus a finish func that writes/flushes the outputs. The tracer
+// writes -trace and keeps the run in memory for -report.
+func setupObservability(o options) (tracer *obs.SpanSink, reg *obs.Registry, finish func() error, err error) {
 	var metricsFile *os.File
 
-	if o.trace != "" {
-		f, err := os.Create(o.trace)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("trace output unwritable: %w", err)
-		}
-		tracer = obs.NewJSONLTracer(f)
+	keep := 0
+	if o.report != "" {
+		keep = obs.KeepAll
+	}
+	if tracer, err = obs.OpenTrace(o.trace, keep); err != nil {
+		return nil, nil, nil, err
 	}
 	if o.metrics != "" || o.pprofAddr != "" {
 		// The pprof listener also serves /metrics and /statusz, so a live
@@ -207,10 +208,8 @@ func setupObservability(o options) (tracer *obs.JSONLTracer, reg *obs.Registry, 
 			exposer.Refresh()
 			exposer.Close()
 		}
-		if tracer != nil {
-			if err := tracer.Close(); err != nil {
-				return fmt.Errorf("trace output: %w", err)
-			}
+		if err := tracer.Close(); err != nil {
+			return err
 		}
 		if metricsFile != nil {
 			if err := reg.Snapshot().WriteJSON(metricsFile); err != nil {
@@ -245,7 +244,6 @@ func run(args []string) error {
 		return err
 	}
 	var reportJSON, reportMD *os.File
-	var mem *obs.MemTracer
 	if o.report != "" {
 		reportJSON, err = os.Create(o.report)
 		if err != nil {
@@ -255,7 +253,6 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("report output unwritable: %w", err)
 		}
-		mem = &obs.MemTracer{}
 	}
 	entry, analyticQMin, err := buildEntry(o)
 	if err != nil {
@@ -288,15 +285,8 @@ func run(args []string) error {
 		ReliableIndices: entry.Signature,
 		LateJoiners:     o.latejoin,
 		Workers:         o.workers,
+		Tracer:          tracer,
 		Metrics:         reg,
-	}
-	switch {
-	case tracer != nil && mem != nil:
-		simCfg.Tracer = obs.MultiTracer{tracer, mem}
-	case tracer != nil:
-		simCfg.Tracer = tracer
-	case mem != nil:
-		simCfg.Tracer = mem
 	}
 	res, err := netsim.Run(s, simCfg, 1, payloads)
 	if err != nil {
@@ -353,8 +343,8 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if mem != nil {
-		if err := writeReport(entry, mem.Events(), reportJSON, reportMD); err != nil {
+	if reportJSON != nil {
+		if err := writeReport(entry, tracer.Snapshot(), reportJSON, reportMD); err != nil {
 			return err
 		}
 	}
@@ -364,12 +354,12 @@ func run(args []string) error {
 // writeReport joins the in-memory trace with the scheme's dependence graph
 // and writes the root-cause report as JSON and markdown, plus a short text
 // rendering on stdout.
-func writeReport(entry catalog.Entry, events []obs.Event, jsonOut, mdOut *os.File) error {
+func writeReport(entry catalog.Entry, spans []obs.Span, jsonOut, mdOut *os.File) error {
 	opts, err := entry.DiagnoseOptions()
 	if err != nil {
 		return err
 	}
-	rep, err := diagnose.BuildReport(events, 0, opts)
+	rep, err := diagnose.BuildReport(spans, 0, opts)
 	if err != nil {
 		return err
 	}

@@ -75,7 +75,7 @@ func TestObservabilityOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, skipped, err := obs.ReadJSONL(f)
+	events, skipped, err := obs.ReadSpans(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestObservabilityOutputs(t *testing.T) {
 	authedByRecv := make(map[int]int64)
 	var totalAuthed int64
 	for _, e := range events {
-		if e.Type == obs.EventAuthenticated {
+		if e.Kind == obs.SpanAuthenticate {
 			authedByRecv[e.Receiver]++
 			totalAuthed++
 		}

@@ -1,5 +1,5 @@
 // Package diagnose joins a run's packet-lifecycle trace (internal/obs
-// JSONL events) with the scheme's dependence graph to answer, for every
+// trace records) with the scheme's dependence graph to answer, for every
 // packet that failed to authenticate at a receiver, *why* — attributing
 // each failure to exactly one root cause from a closed taxonomy, and, for
 // hash-path cuts, to the minimal set of lost predecessor packets whose
@@ -68,7 +68,7 @@ type Options struct {
 	// without a sound mapping (TESLA's split encoding) leave both nil.
 	VertexOf func(index uint32) (int, bool)
 	// RootIndex is the wire index of the signature/bootstrap packet. 0
-	// means "take it from the trace's run_meta event"; if neither is set,
+	// means "take it from the trace's run_meta record"; if neither is set,
 	// the signature-lost cause is never assigned.
 	RootIndex uint32
 	// DataIndices restricts diagnosis to these wire indices (e.g. to
@@ -93,7 +93,7 @@ type PacketDiagnosis struct {
 	Culprits []uint32 `json:"culprits,omitempty"`
 }
 
-// pktState folds every event about one (receiver, index) pair into
+// pktState folds every record about one (receiver, index) pair into
 // order-independent flags: each field is a monotone "has this ever
 // happened" bit (or a first-writer-wins reason string), so the fold result
 // does not depend on event order within the pair, and pairs are
@@ -101,7 +101,7 @@ type PacketDiagnosis struct {
 type pktState struct {
 	deliveredGenuine bool
 	// deliveredFaulty marks a delivery of a mutated or forged copy of
-	// this index (the delivered event carried a fault kind).
+	// this index (the delivered record carried a fault kind).
 	deliveredFaulty bool
 	faultyReason    string
 	dropReason      string
@@ -114,14 +114,14 @@ type pktState struct {
 }
 
 // runState is everything the classifier and the report builder need,
-// extracted from the raw event stream in one pass.
+// extracted from the raw record stream in one pass.
 type runState struct {
 	scheme    string
 	wireCount int
 	rootIndex uint32
-	hasMeta   bool
+	records   int // trace records folded, of any kind
 
-	indices   []uint32 // indices seen in sent events, ascending unique
+	indices   []uint32 // indices seen in sent records, ascending unique
 	receivers []int    // receiver IDs seen, ascending
 
 	// pkts[r][index] is the folded per-packet state.
@@ -152,39 +152,43 @@ func (rs *runState) pkt(recv int, index uint32) *pktState {
 	return st
 }
 
-// collect folds the event stream into runState.
-func collect(events []obs.Event) *runState {
-	rs := &runState{pkts: make(map[int]map[uint32]*pktState)}
+// collect folds the trace into runState. run_meta and sent are the source's
+// records; the receiver-side lifecycle kinds belong to the receiver stamped
+// on them; the serving tier's hops (push ... decode, deferred_park,
+// sig_resolve) say nothing this join reads.
+func collect(spans []obs.Span) *runState {
+	rs := &runState{pkts: make(map[int]map[uint32]*pktState), records: len(spans)}
 	indexSet := make(map[uint32]bool)
 	recvSet := make(map[int]bool)
-	for i := range events {
-		e := &events[i]
-		if e.Receiver >= 0 {
-			recvSet[e.Receiver] = true
-		}
-		switch e.Type {
-		case obs.EventRunMeta:
-			rs.hasMeta = true
+	for i := range spans {
+		e := &spans[i]
+		switch e.Kind {
+		case obs.SpanRunMeta:
 			rs.scheme = e.Scheme
 			rs.wireCount = e.Wire
 			rs.rootIndex = e.Root
 			continue
-		case obs.EventSent:
+		case obs.SpanSent:
 			rs.sent++
 			if e.Index > 0 {
 				indexSet[e.Index] = true
 			}
 			continue
+		case obs.SpanDelivered, obs.SpanDropped, obs.SpanAuthenticate, obs.SpanReject,
+			obs.SpanUnsafe, obs.SpanOverflowDropped, obs.SpanMsgBuffered, obs.SpanHashBuffered,
+			obs.SpanCorrupted, obs.SpanForgedInjected, obs.SpanForgedRejected:
+			recvSet[e.Receiver] = true
+		default:
+			continue
 		}
-		if e.Receiver < 0 || e.Index == 0 {
-			// Receiver-side bookkeeping events without an index (e.g.
-			// TESLA key-chain rejections) cannot be attributed to a
-			// packet; they still shaped the counters above.
+		if e.Index == 0 {
+			// Receiver-side bookkeeping without an index (e.g. TESLA
+			// key-chain rejections) cannot be attributed to a packet.
 			continue
 		}
 		st := rs.pkt(e.Receiver, e.Index)
-		switch e.Type {
-		case obs.EventDelivered:
+		switch e.Kind {
+		case obs.SpanDelivered:
 			if e.Reason == "" { // non-genuine arrivals carry their fault kind
 				st.deliveredGenuine = true
 			} else {
@@ -193,39 +197,39 @@ func collect(events []obs.Event) *runState {
 					st.faultyReason = e.Reason
 				}
 			}
-		case obs.EventDropped:
+		case obs.SpanDropped:
 			if st.dropReason == "" || e.Reason == "loss" {
 				// Prefer the channel-loss reason when several wire copies
 				// of the index died different deaths.
 				st.dropReason = e.Reason
 			}
-		case obs.EventAuthenticated:
+		case obs.SpanAuthenticate:
 			st.authenticated = true
-			rs.timeToAuth.Observe(e.LatencyNS)
-		case obs.EventRejected:
+			rs.timeToAuth.Observe(e.DurNS)
+		case obs.SpanReject:
 			st.rejected = true
 			if st.rejectReason == "" {
 				st.rejectReason = e.Reason
 			}
-		case obs.EventUnsafe:
+		case obs.SpanUnsafe:
 			st.unsafe = true
 			if st.unsafeReason == "" {
 				st.unsafeReason = e.Reason
 			}
-		case obs.EventOverflowDropped:
+		case obs.SpanOverflowDropped:
 			st.overflow = true
 			rs.overflowDrops++
-		case obs.EventMsgBuffered:
+		case obs.SpanMsgBuffered:
 			rs.bufferDepth.Observe(int64(e.Depth))
-		case obs.EventCorrupted:
+		case obs.SpanCorrupted:
 			if e.Reason == "truncated" {
 				rs.truncated++
 			} else {
 				rs.corrupted++
 			}
-		case obs.EventForgedInjected:
+		case obs.SpanForgedInjected:
 			rs.forgedInjected++
-		case obs.EventForgedRejected:
+		case obs.SpanForgedRejected:
 			rs.forgedRejected++
 		}
 	}
@@ -259,14 +263,19 @@ func (o Options) scope(rs *runState) []uint32 {
 // first-match-wins down the failure chain a packet traverses: it must
 // arrive, be accepted, beat its deadline, fit the buffer, and then have an
 // intact authentication path — the first stage that failed is the cause.
-func Diagnose(events []obs.Event, opts Options) ([]PacketDiagnosis, error) {
-	rs := collect(events)
+func Diagnose(spans []obs.Span, opts Options) ([]PacketDiagnosis, error) {
+	rs := collect(spans)
 	return diagnose(rs, opts)
 }
 
 func diagnose(rs *runState, opts Options) ([]PacketDiagnosis, error) {
 	if (opts.Graph == nil) != (opts.VertexOf == nil) {
 		return nil, fmt.Errorf("diagnose: Graph and VertexOf must be set together")
+	}
+	if rs.sent == 0 {
+		// Without the source's wire sequence nothing is in scope, and an
+		// empty diagnosis would read as "every packet authenticated".
+		return nil, fmt.Errorf("diagnose: no sent records among %d trace records: not a simulated run's lifecycle trace (a daemon's flight dump renders with mcreport -flight)", rs.records)
 	}
 	rootIndex := opts.RootIndex
 	if rootIndex == 0 {

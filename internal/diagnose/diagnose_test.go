@@ -3,6 +3,7 @@ package diagnose
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,27 +36,27 @@ func identity(index uint32) (int, bool) { return int(index), true }
 // TestClassificationSynthetic drives each cause through a hand-built
 // event stream: one receiver, a 5-packet chain rooted at packet 1.
 func TestClassificationSynthetic(t *testing.T) {
-	sent := func(idx uint32) obs.Event {
-		return obs.Event{Type: obs.EventSent, Receiver: -1, Wire: int(idx), Index: idx}
+	sent := func(idx uint32) obs.Span {
+		return obs.Span{Kind: obs.SpanSent, Wire: int(idx), Index: idx}
 	}
-	ev := func(typ obs.EventType, idx uint32, reason string) obs.Event {
-		return obs.Event{Type: typ, Receiver: 0, Index: idx, Reason: reason}
+	ev := func(typ obs.SpanKind, idx uint32, reason string) obs.Span {
+		return obs.Span{Kind: typ, Index: idx, Reason: reason}
 	}
-	events := []obs.Event{
-		{Type: obs.EventRunMeta, Receiver: -1, Scheme: "test", Wire: 6, Root: 1},
+	events := []obs.Span{
+		{Kind: obs.SpanRunMeta, Scheme: "test", Wire: 6, Root: 1},
 		sent(1), sent(2), sent(3), sent(4), sent(5), sent(6),
 		// 1 (root): delivered + authenticated.
-		ev(obs.EventDelivered, 1, ""), ev(obs.EventAuthenticated, 1, ""),
+		ev(obs.SpanDelivered, 1, ""), ev(obs.SpanAuthenticate, 1, ""),
 		// 2: lost on the channel.
-		ev(obs.EventDropped, 2, "loss"),
+		ev(obs.SpanDropped, 2, "loss"),
 		// 3: delivered but rejected (tampered).
-		ev(obs.EventDelivered, 3, ""), ev(obs.EventRejected, 3, "digest_mismatch"),
+		ev(obs.SpanDelivered, 3, ""), ev(obs.SpanReject, 3, "digest_mismatch"),
 		// 4: delivered but dropped by the bounded buffer.
-		ev(obs.EventDelivered, 4, ""), ev(obs.EventOverflowDropped, 4, ""),
+		ev(obs.SpanDelivered, 4, ""), ev(obs.SpanOverflowDropped, 4, ""),
 		// 5: delivered, path cut by the loss of 2.
-		ev(obs.EventDelivered, 5, ""),
+		ev(obs.SpanDelivered, 5, ""),
 		// 6: delivered past its TESLA deadline.
-		ev(obs.EventDelivered, 6, ""), ev(obs.EventUnsafe, 6, "deadline"),
+		ev(obs.SpanDelivered, 6, ""), ev(obs.SpanUnsafe, 6, "deadline"),
 	}
 	g := chainGraph(t, 6)
 	diags, err := Diagnose(events, Options{Graph: g, VertexOf: identity})
@@ -85,14 +86,14 @@ func TestClassificationSynthetic(t *testing.T) {
 // TestSignatureLost: nothing at the receiver can authenticate because the
 // root itself never did.
 func TestSignatureLost(t *testing.T) {
-	events := []obs.Event{
-		{Type: obs.EventRunMeta, Receiver: -1, Scheme: "test", Wire: 3, Root: 1},
-		{Type: obs.EventSent, Receiver: -1, Wire: 1, Index: 1},
-		{Type: obs.EventSent, Receiver: -1, Wire: 2, Index: 2},
-		{Type: obs.EventSent, Receiver: -1, Wire: 3, Index: 3},
-		{Type: obs.EventDropped, Receiver: 0, Index: 1, Reason: "loss"},
-		{Type: obs.EventDelivered, Receiver: 0, Index: 2},
-		{Type: obs.EventDelivered, Receiver: 0, Index: 3},
+	events := []obs.Span{
+		{Kind: obs.SpanRunMeta, Scheme: "test", Wire: 3, Root: 1},
+		{Kind: obs.SpanSent, Wire: 1, Index: 1},
+		{Kind: obs.SpanSent, Wire: 2, Index: 2},
+		{Kind: obs.SpanSent, Wire: 3, Index: 3},
+		{Kind: obs.SpanDropped, Index: 1, Reason: "loss"},
+		{Kind: obs.SpanDelivered, Index: 2},
+		{Kind: obs.SpanDelivered, Index: 3},
 	}
 	diags, err := Diagnose(events, Options{})
 	if err != nil {
@@ -122,9 +123,9 @@ func emssScheme(t *testing.T, n int) *scheme.Chained {
 	return s
 }
 
-func runTraced(t *testing.T, s scheme.Scheme, cfg netsim.Config, n int) (*netsim.Result, []obs.Event) {
+func runTraced(t *testing.T, s scheme.Scheme, cfg netsim.Config, n int) (*netsim.Result, []obs.Span) {
 	t.Helper()
-	mem := &obs.MemTracer{}
+	mem := obs.NewSpanSink(obs.KeepAll, nil)
 	cfg.Tracer = mem
 	payloads := make([][]byte, n)
 	for i := range payloads {
@@ -134,7 +135,7 @@ func runTraced(t *testing.T, s scheme.Scheme, cfg netsim.Config, n int) (*netsim
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, mem.Events()
+	return res, mem.Snapshot()
 }
 
 func lossyConfig(t *testing.T, p float64, receivers int, seed uint64, root uint32) netsim.Config {
@@ -340,13 +341,13 @@ func TestDiffReportsChanges(t *testing.T) {
 
 // TestDataIndicesScope restricts diagnosis to a subset of indices.
 func TestDataIndicesScope(t *testing.T) {
-	events := []obs.Event{
-		{Type: obs.EventSent, Receiver: -1, Wire: 1, Index: 1},
-		{Type: obs.EventSent, Receiver: -1, Wire: 2, Index: 2},
-		{Type: obs.EventSent, Receiver: -1, Wire: 3, Index: 3},
-		{Type: obs.EventDropped, Receiver: 0, Index: 1, Reason: "loss"},
-		{Type: obs.EventDropped, Receiver: 0, Index: 2, Reason: "loss"},
-		{Type: obs.EventDropped, Receiver: 0, Index: 3, Reason: "loss"},
+	events := []obs.Span{
+		{Kind: obs.SpanSent, Wire: 1, Index: 1},
+		{Kind: obs.SpanSent, Wire: 2, Index: 2},
+		{Kind: obs.SpanSent, Wire: 3, Index: 3},
+		{Kind: obs.SpanDropped, Index: 1, Reason: "loss"},
+		{Kind: obs.SpanDropped, Index: 2, Reason: "loss"},
+		{Kind: obs.SpanDropped, Index: 3, Reason: "loss"},
 	}
 	diags, err := Diagnose(events, Options{DataIndices: []uint32{2}})
 	if err != nil {
@@ -365,5 +366,19 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := Diagnose(nil, Options{VertexOf: identity}); err == nil {
 		t.Error("VertexOf without Graph accepted")
+	}
+}
+
+// TestRefusesTraceWithoutSource: records with no sent among them — a
+// daemon's ring, say — put nothing in scope, and an empty diagnosis would
+// read as the all-clear, so the join refuses and says what is missing.
+func TestRefusesTraceWithoutSource(t *testing.T) {
+	spans := []obs.Span{
+		{Kind: obs.SpanDecode, Stream: 3, Block: 17, Index: 4},
+		{Kind: obs.SpanReject, Stream: 3, Block: 17, Index: 4, Reason: "digest_mismatch"},
+	}
+	_, err := BuildReport(spans, 0, Options{})
+	if err == nil || !strings.Contains(err.Error(), "no sent records among 2") {
+		t.Fatalf("BuildReport = %v, want a refusal naming the missing sent records", err)
 	}
 }

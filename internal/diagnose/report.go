@@ -68,8 +68,9 @@ type Report struct {
 	WireCount int    `json:"wire_count"`
 	Receivers int    `json:"receivers"`
 	RootIndex uint32 `json:"root_index,omitempty"`
-	// SkippedTraceLines counts undecodable lines the trace reader skipped
-	// (obs.ReadJSONL); nonzero means the analysis ran on a damaged trace.
+	// SkippedTraceLines counts the lines the trace reader (obs.ReadSpans)
+	// skipped as damaged or not trace records; nonzero means the analysis
+	// ran on a damaged or mixed trace.
 	SkippedTraceLines int `json:"skipped_trace_lines,omitempty"`
 
 	Sent            int `json:"sent"`
@@ -109,9 +110,9 @@ const topCulpritsLimit = 10
 
 // BuildReport runs the full trace→graph join: classify every
 // unauthenticated packet and aggregate the run summaries. skippedLines is
-// the undecodable-line count from obs.ReadJSONL (0 for in-memory traces).
-func BuildReport(events []obs.Event, skippedLines int, opts Options) (*Report, error) {
-	rs := collect(events)
+// the skipped-line count from obs.ReadSpans (0 for in-memory traces).
+func BuildReport(spans []obs.Span, skippedLines int, opts Options) (*Report, error) {
+	rs := collect(spans)
 	diagnoses, err := diagnose(rs, opts)
 	if err != nil {
 		return nil, err

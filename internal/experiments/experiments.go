@@ -34,9 +34,9 @@ var Workers int
 // figure regeneration. Like Workers, set it before running experiments;
 // it is not synchronized with running experiments. Emission order across
 // sweep points is non-deterministic — downstream consumers must treat
-// the stream as an unordered bag of events (obs tracers and the diagnose
-// package already do).
-var Tracer obs.Tracer
+// the stream as an unordered bag of records (the diagnose package already
+// does).
+var Tracer *obs.SpanSink
 
 // Metrics, when non-nil, is threaded into every netsim run an experiment
 // performs, so `mcfig -metrics` aggregates netsim.* counters across a

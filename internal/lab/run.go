@@ -313,7 +313,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	arts := cellArtifacts{}
 	if cfg.HasPath(PathNetsim) {
 		reg := obs.NewRegistry()
-		mem := &obs.MemTracer{}
+		mem := obs.NewSpanSink(obs.KeepAll, nil)
 		simCfg := netsim.Config{
 			Receivers:       c.Receivers,
 			Loss:            lossModel,
@@ -347,7 +347,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.ID(), err)
 		}
-		rep, err := diagnose.BuildReport(mem.Events(), 0, opts)
+		rep, err := diagnose.BuildReport(mem.Snapshot(), 0, opts)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.ID(), err)
 		}

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -74,7 +76,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seed := range seeds {
-				tracer := &obs.MemTracer{}
+				tracer := obs.NewSpanSink(obs.KeepAll, nil)
 				reg := obs.NewRegistry()
 				cfg := Config{
 					Receivers:       8,
@@ -193,11 +195,11 @@ func TestForgedBeforeGenuineIsRejected(t *testing.T) {
 
 // checkTraceConsistency cross-checks the three books a run keeps: the
 // per-receiver report counters, the metrics registry, and the trace events.
-func checkTraceConsistency(t *testing.T, name, preset string, tracer *obs.MemTracer, reg *obs.Registry, res *Result, ft FaultTotals) {
+func checkTraceConsistency(t *testing.T, name, preset string, tracer *obs.SpanSink, reg *obs.Registry, res *Result, ft FaultTotals) {
 	t.Helper()
-	byType := make(map[obs.EventType]int)
-	for _, e := range tracer.Events() {
-		byType[e.Type]++
+	byType := make(map[obs.SpanKind]int)
+	for _, e := range tracer.Snapshot() {
+		byType[e.Kind]++
 	}
 	delivered := 0
 	for i := range res.PerReceiver {
@@ -209,11 +211,11 @@ func checkTraceConsistency(t *testing.T, name, preset string, tracer *obs.MemTra
 		report  int
 		counter int64
 	}{
-		{"delivered", byType[obs.EventDelivered], delivered, reg.Counter("netsim.delivered").Value()},
-		{"corrupted+truncated", byType[obs.EventCorrupted], ft.Corrupted + ft.Truncated,
+		{"delivered", byType[obs.SpanDelivered], delivered, reg.Counter("netsim.delivered").Value()},
+		{"corrupted+truncated", byType[obs.SpanCorrupted], ft.Corrupted + ft.Truncated,
 			reg.Counter("netsim.corrupted").Value() + reg.Counter("netsim.truncated").Value()},
-		{"forged_injected", byType[obs.EventForgedInjected], ft.ForgedInjected, reg.Counter("netsim.forged_injected").Value()},
-		{"forged_rejected", byType[obs.EventForgedRejected], ft.ForgedRejected, reg.Counter("netsim.forged_rejected").Value()},
+		{"forged_injected", byType[obs.SpanForgedInjected], ft.ForgedInjected, reg.Counter("netsim.forged_injected").Value()},
+		{"forged_rejected", byType[obs.SpanForgedRejected], ft.ForgedRejected, reg.Counter("netsim.forged_rejected").Value()},
 	}
 	for _, c := range checks {
 		if c.events != c.report || int64(c.report) != c.counter {
@@ -270,8 +272,8 @@ func TestFaultsDisabledMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(faults *fault.Config) (*Result, []obs.Event) {
-		tracer := &obs.MemTracer{}
+	run := func(faults *fault.Config) (*Result, []obs.Span) {
+		tracer := obs.NewSpanSink(obs.KeepAll, nil)
 		cfg := baseConfig(t, 0.2, 8)
 		cfg.ReliableIndices = []uint32{1}
 		cfg.Faults = faults
@@ -284,7 +286,7 @@ func TestFaultsDisabledMatchesBaseline(t *testing.T) {
 		// per-receiver event streams are the deterministic artifact, so
 		// canonicalize by grouping on receiver (stable: preserves each
 		// receiver's own order) before comparing.
-		ev := tracer.Events()
+		ev := tracer.Snapshot()
 		sort.SliceStable(ev, func(i, j int) bool { return ev[i].Receiver < ev[j].Receiver })
 		return res, ev
 	}
@@ -372,5 +374,71 @@ func TestChaosValidation(t *testing.T) {
 	okCfg.Faults = &fc
 	if err := okCfg.Validate(); err != nil {
 		t.Errorf("valid chaos config rejected: %v", err)
+	}
+}
+
+// TestTraceRoundTripEveryScheme is the writer/reader property of the one
+// trace grammar: for every catalogue scheme, a seeded lossy, reordered and
+// forged run written through the sink reads back with ReadSpans as the very
+// records the sink kept, none skipped — and between them the runs exercise
+// every simulator-side kind and every field only lifecycle records carry.
+func TestTraceRoundTripEveryScheme(t *testing.T) {
+	faults := fault.Config{CorruptRate: 0.1, TruncateRate: 0.1, DuplicateRate: 0.1, ForgeRate: 0.15, ReorderRate: 0.2}
+	kinds := make(map[obs.SpanKind]int)
+	var ooo, depth, root int
+	for _, e := range chaosEntries(t) {
+		var buf bytes.Buffer
+		sink := obs.NewSpanSink(obs.KeepAll, &buf)
+		cfg := Config{
+			Receivers:       4,
+			Loss:            bern(t, 0.15),
+			Delay:           delay.Constant{D: 5 * time.Millisecond},
+			SendInterval:    e.SendInterval,
+			Start:           e.Start,
+			Seed:            20261003,
+			ReliableIndices: e.Signature,
+			Faults:          &faults,
+			MaxBuffered:     3,
+			Workers:         1,
+			Tracer:          sink,
+		}
+		if _, err := Run(e.Scheme, cfg, 1, testPayloads(e.Scheme.BlockSize())); err != nil {
+			t.Fatalf("%s: %v", e.Scheme.Name(), err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, skipped, err := obs.ReadSpans(&buf)
+		if err != nil || skipped != 0 {
+			t.Fatalf("%s: ReadSpans skipped %d lines, err %v", e.Scheme.Name(), skipped, err)
+		}
+		if want := sink.Snapshot(); !slices.Equal(got, want) {
+			t.Errorf("%s: %d records read back differ from the %d written", e.Scheme.Name(), len(got), len(want))
+		}
+		for _, s := range got {
+			kinds[s.Kind]++
+			if s.OutOfOrder {
+				ooo++
+			}
+			if s.Depth > 0 {
+				depth++
+			}
+			if s.Root > 0 {
+				root++
+			}
+		}
+	}
+	for _, k := range []obs.SpanKind{
+		obs.SpanRunMeta, obs.SpanSent, obs.SpanDropped, obs.SpanDelivered,
+		obs.SpanCorrupted, obs.SpanForgedInjected, obs.SpanForgedRejected,
+		obs.SpanMsgBuffered, obs.SpanHashBuffered, obs.SpanOverflowDropped,
+		obs.SpanAuthenticate, obs.SpanReject, obs.SpanUnsafe,
+	} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s record in any scheme's run", k)
+		}
+	}
+	if ooo == 0 || depth == 0 || root == 0 {
+		t.Errorf("fields not exercised: %d ooo, %d depth, %d root records", ooo, depth, root)
 	}
 }

@@ -12,8 +12,8 @@
 // which is what makes measured-vs-analytic comparison meaningful.
 //
 // Runs are observable: set Config.Tracer to record every packet's
-// lifecycle (sent, dropped, delivered, buffered, authenticated, ...) as
-// attributed events, and Config.Metrics to aggregate netsim.* and
+// lifecycle (sent, dropped, delivered, buffered, authenticate, ...) as
+// attributed trace records, and Config.Metrics to aggregate netsim.* and
 // verifier.* instruments. Both default to off and cost nothing when off.
 package netsim
 
@@ -81,10 +81,9 @@ type Config struct {
 	// derived before the concurrent phase, so results do not depend on
 	// this setting.
 	Workers int
-	// Tracer, when non-nil, receives every packet-lifecycle event of the
-	// run with per-receiver attribution. It must be safe for concurrent
-	// use (receivers run in parallel).
-	Tracer obs.Tracer
+	// Tracer, when non-nil, receives every packet-lifecycle record of the
+	// run with per-receiver attribution.
+	Tracer *obs.SpanSink
 	// Metrics, when non-nil, aggregates netsim.* counters and the
 	// verifiers' instruments across all receivers.
 	Metrics *obs.Registry
@@ -299,25 +298,22 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	}
 
 	metrics := newRunMetrics(cfg.Metrics, faultsOn || adversarial)
-	if cfg.Tracer != nil {
+	if cfg.Tracer.Enabled() {
 		// One run_meta record leads the trace so offline tooling (mcreport)
 		// can interpret it without re-supplying the run's flags: scheme
 		// name, wire count, and the signature packet's index (the first
 		// reliable index, by the layer convention that ReliableIndices
 		// leads with P_sign).
-		meta := obs.Event{
-			Type: obs.EventRunMeta, Receiver: -1, Scheme: s.Name(),
+		meta := obs.Span{
+			Kind: obs.SpanRunMeta, Scheme: s.Name(),
 			Wire: len(pkts), Block: blockID, TimeNS: obs.TimeNS(cfg.Start),
 		}
 		if len(cfg.ReliableIndices) > 0 {
 			meta.Root = cfg.ReliableIndices[0]
 		}
-		cfg.Tracer.Emit(meta)
+		cfg.Tracer.Record(meta)
 		for w, p := range pkts {
-			cfg.Tracer.Emit(obs.Event{
-				Type: obs.EventSent, Receiver: -1, Wire: w + 1,
-				Index: p.Index, Block: p.BlockID, TimeNS: obs.TimeNS(sendTimes[w]),
-			})
+			traceWire(cfg.Tracer, obs.SpanSent, w, p, sendTimes[w], "")
 		}
 	}
 	if metrics != nil {
@@ -330,6 +326,17 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		wires:     wires,
 		metrics:   metrics,
 	}, nil
+}
+
+// traceWire records one simulator-side fact about the copy of p at 0-based
+// wire position w.
+func traceWire(t *obs.SpanSink, kind obs.SpanKind, w int, p *packet.Packet, at time.Time, reason string) {
+	if t.Enabled() {
+		t.Record(obs.Span{
+			Kind: kind, Wire: w + 1, Index: p.Index, Block: p.BlockID,
+			TimeNS: obs.TimeNS(at), Reason: reason,
+		})
+	}
 }
 
 // receiverStreams derives every receiver's RNG stream and join position
@@ -430,27 +437,19 @@ func runReceiver(
 		ReceivedByIndex: make([]bool, maxIndex+1),
 		VerifiedByIndex: make([]bool, maxIndex+1),
 	}
-	var tracer obs.Tracer
-	if cfg.Tracer != nil {
-		tracer = obs.ReceiverTracer{T: cfg.Tracer, Receiver: recv}
-	}
+	tracer := cfg.Tracer.ForReceiver(recv)
 	drop := func(w int, p *packet.Packet, reason string) {
 		report.Lost++
 		if metrics != nil {
 			metrics.dropped.Inc()
 		}
-		if tracer != nil {
-			tracer.Emit(obs.Event{
-				Type: obs.EventDropped, Wire: w + 1, Index: p.Index,
-				Block: p.BlockID, TimeNS: obs.TimeNS(sendTimes[w]), Reason: reason,
-			})
-		}
+		traceWire(tracer, obs.SpanDropped, w, p, sendTimes[w], reason)
 	}
 	// noteFault tallies one adversarial delivery and traces it. Corruption
-	// and truncation share EventCorrupted with a distinguishing reason.
+	// and truncation share SpanCorrupted with a distinguishing reason.
 	noteFault := func(w int, p *packet.Packet, at time.Time, k fault.Kind) {
 		var (
-			typ    obs.EventType
+			typ    obs.SpanKind
 			reason string
 		)
 		switch k {
@@ -459,13 +458,13 @@ func runReceiver(
 			if metrics != nil {
 				metrics.corrupted.Inc()
 			}
-			typ, reason = obs.EventCorrupted, "corrupted"
+			typ, reason = obs.SpanCorrupted, "corrupted"
 		case fault.KindTruncated:
 			report.Truncated++
 			if metrics != nil {
 				metrics.truncated.Inc()
 			}
-			typ, reason = obs.EventCorrupted, "truncated"
+			typ, reason = obs.SpanCorrupted, "truncated"
 		case fault.KindDuplicate:
 			report.Duplicated++
 			if metrics != nil {
@@ -477,28 +476,18 @@ func runReceiver(
 			if metrics != nil {
 				metrics.forgedInjected.Inc()
 			}
-			typ = obs.EventForgedInjected
+			typ = obs.SpanForgedInjected
 		default:
 			return
 		}
-		if tracer != nil {
-			tracer.Emit(obs.Event{
-				Type: typ, Wire: w + 1, Index: p.Index,
-				Block: p.BlockID, TimeNS: obs.TimeNS(at), Reason: reason,
-			})
-		}
+		traceWire(tracer, typ, w, p, at, reason)
 	}
 	forgedRejected := func(w int, p *packet.Packet, at time.Time) {
 		report.ForgedRejected++
 		if metrics != nil {
 			metrics.forgedRejected.Inc()
 		}
-		if tracer != nil {
-			tracer.Emit(obs.Event{
-				Type: obs.EventForgedRejected, Wire: w + 1, Index: p.Index,
-				Block: p.BlockID, TimeNS: obs.TimeNS(at),
-			})
-		}
+		traceWire(tracer, obs.SpanForgedRejected, w, p, at, "")
 	}
 	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled()
 	// The overlay's forged-repair path injects adversarial deliveries with
@@ -564,12 +553,7 @@ func runReceiver(
 				if derr != nil {
 					// The mutation destroyed the framing; the datagram
 					// dies at the parser — equivalent to a channel drop.
-					if tracer != nil {
-						tracer.Emit(obs.Event{
-							Type: obs.EventDropped, Wire: w + 1, Index: p.Index,
-							Block: p.BlockID, TimeNS: obs.TimeNS(at), Reason: d.Kind.String(),
-						})
-					}
+					traceWire(tracer, obs.SpanDropped, w, p, at, d.Kind.String())
 					continue
 				}
 			}
@@ -579,7 +563,7 @@ func runReceiver(
 	// Deliver in arrival order: jitter reorders packets naturally.
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at.Before(arrivals[j].at) })
 
-	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Tracer: tracer, Metrics: cfg.Metrics})
+	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Spans: tracer, Metrics: cfg.Metrics})
 	if err != nil {
 		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
 	}
@@ -603,7 +587,7 @@ func runReceiver(
 				metrics.outOfOrder.Inc()
 			}
 		}
-		if tracer != nil {
+		if tracer.Enabled() {
 			// Non-genuine deliveries (mutated or forged datagrams) carry
 			// their fault kind, so a trace reader can recover which indices
 			// genuinely arrived — the receive pattern the diagnosis join
@@ -612,8 +596,8 @@ func runReceiver(
 			if !genuine {
 				reason = a.kind.String()
 			}
-			tracer.Emit(obs.Event{
-				Type: obs.EventDelivered, Wire: a.wire + 1, Index: p.Index,
+			tracer.Record(obs.Span{
+				Kind: obs.SpanDelivered, Wire: a.wire + 1, Index: p.Index,
 				Block: p.BlockID, TimeNS: obs.TimeNS(a.at), OutOfOrder: outOfOrder,
 				Reason: reason,
 			})

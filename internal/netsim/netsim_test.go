@@ -353,7 +353,7 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tracer := obs.NewJSONLTracer(&buf)
+	tracer := obs.NewSpanSink(0, &buf)
 	reg := obs.NewRegistry()
 	cfg := baseConfig(t, 0.3, 8)
 	cfg.Tracer = tracer
@@ -365,7 +365,7 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, skipped, err := obs.ReadJSONL(&buf)
+	events, skipped, err := obs.ReadSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,17 +377,17 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	dropped := make(map[int]int)
 	sent := 0
 	for _, e := range events {
-		switch e.Type {
-		case obs.EventSent:
-			if e.Receiver != -1 {
-				t.Errorf("sent event attributed to receiver %d", e.Receiver)
+		switch e.Kind {
+		case obs.SpanSent:
+			if e.Receiver != 0 {
+				t.Errorf("sent record attributed to receiver %d", e.Receiver)
 			}
 			sent++
-		case obs.EventAuthenticated:
+		case obs.SpanAuthenticate:
 			authed[e.Receiver]++
-		case obs.EventDelivered:
+		case obs.SpanDelivered:
 			delivered[e.Receiver]++
-		case obs.EventDropped:
+		case obs.SpanDropped:
 			dropped[e.Receiver]++
 			if e.Reason != "loss" && e.Reason != "late_join" {
 				t.Errorf("drop reason %q", e.Reason)
@@ -436,14 +436,14 @@ func TestTracerOffEmitsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := &obs.MemTracer{}
+	mem := obs.NewSpanSink(obs.KeepAll, nil)
 	cfg.Tracer = mem
 	cfg.Metrics = obs.NewRegistry()
 	traced, err := Run(s, cfg, 1, testPayloads(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mem.Events()) == 0 {
+	if len(mem.Snapshot()) == 0 {
 		t.Fatal("traced run emitted no events")
 	}
 	if plain.TotalAuthenticated() != traced.TotalAuthenticated() {

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// Flight-recorder JSONL record types. Every line a dump writes carries a
-// "type" field, so a dump is a valid mixed JSONL stream: ReadSpans picks
-// the spans out of it, ReadJSONL skips what it does not know, and
-// ReadFlightDump reassembles the whole artifact.
+// Flight-recorder JSONL header record types. Every line a dump writes
+// carries a "type" field, so a dump is a valid mixed JSONL stream: ReadSpans
+// picks the trace records out of it, skipping and counting these headers,
+// and ReadFlightDump reassembles the whole artifact.
 const (
 	FlightTypeMeta    = "flight_meta"
 	FlightTypeMetrics = "flight_metrics"
@@ -60,8 +60,8 @@ type flightSLOLine struct {
 // FlightConfig wires a recorder to the telemetry it preserves. Any field
 // may be nil; the dump simply omits that section.
 type FlightConfig struct {
-	// Spans is the live span ring; Dump snapshots it at dump time.
-	Spans *SpanRing
+	// Spans is the live trace sink; Dump snapshots it at dump time.
+	Spans *SpanSink
 	// Registry is snapshotted once per NoteSnapshot and once at Dump.
 	Registry *Registry
 	// SLO contributes the per-stream budget evaluation at dump time.
@@ -185,12 +185,9 @@ func (fr *FlightRecorder) Dump(w io.Writer, reason string) error {
 			return fmt.Errorf("obs: flight: %w", err)
 		}
 	}
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("obs: flight: %w", err)
-		}
-	}
-	return bw.Flush()
+	// bufio reuses a writer that is already big enough, so this appends to
+	// bw and flushes it.
+	return WriteSpansJSONL(bw, spans)
 }
 
 // DumpFile writes the dump to path (truncating an earlier dump: the
@@ -232,14 +229,8 @@ func ReadFlightDump(r io.Reader) (*FlightDump, int, error) {
 		d       FlightDump
 		gotMeta bool
 	)
-	skipped, err := scanJSONL(r, 1<<24, func(b []byte) bool {
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if json.Unmarshal(b, &probe) != nil {
-			return false
-		}
-		switch probe.Type {
+	spans, skipped, err := readSpans(r, 1<<24, func(typ string, b []byte) bool {
+		switch typ {
 		case FlightTypeMeta:
 			if json.Unmarshal(b, &d.Meta) != nil {
 				return false
@@ -263,12 +254,6 @@ func ReadFlightDump(r io.Reader) (*FlightDump, int, error) {
 				return false
 			}
 			d.Faults = append(d.Faults, f)
-		case SpanTypeField:
-			var s Span
-			if json.Unmarshal(b, &s) != nil || s.Kind == "" {
-				return false
-			}
-			d.Spans = append(d.Spans, s)
 		default:
 			return false
 		}
@@ -280,5 +265,6 @@ func ReadFlightDump(r io.Reader) (*FlightDump, int, error) {
 	if !gotMeta {
 		return nil, skipped, fmt.Errorf("obs: flight: no flight_meta record (not a flight dump?)")
 	}
+	d.Spans = spans
 	return &d, skipped, nil
 }

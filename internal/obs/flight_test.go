@@ -11,8 +11,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	clk := newSLOClock()
 	reg := NewRegistry()
 	reg.Counter("verify.cache_hits").Add(42)
-	ring := NewSpanRing(16)
-	ring.SetEnabled(true)
+	ring := NewSpanSink(16, nil)
 	for _, s := range lifecycleSpans() {
 		ring.Record(s)
 	}

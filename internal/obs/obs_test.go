@@ -177,78 +177,76 @@ func TestSnapshotExposition(t *testing.T) {
 	}
 }
 
-func TestJSONLTracerRoundTrip(t *testing.T) {
+// TestSinkWriteThroughRoundTrip writes records through a sink that keeps
+// them too (one run feeding a -trace file and an in-memory report at once)
+// and reads the stream back equal to what was kept.
+func TestSinkWriteThroughRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewJSONLTracer(&buf)
-	in := []Event{
-		{Type: EventSent, Receiver: -1, Wire: 1, Index: 1, TimeNS: 1000},
-		{Type: EventDropped, Receiver: 0, Wire: 2, Index: 2, Reason: "loss"},
-		{Type: EventDelivered, Receiver: 1, Wire: 3, Index: 3, OutOfOrder: true},
-		{Type: EventAuthenticated, Receiver: 1, Wire: 3, Index: 3, Block: 9, LatencyNS: 12345},
+	tr := NewSpanSink(KeepAll, &buf)
+	in := []Span{
+		{Kind: SpanSent, Wire: 1, Index: 1, TimeNS: 1000},
+		{Kind: SpanDropped, Wire: 2, Index: 2, Reason: "loss"},
+		{Kind: SpanDelivered, Wire: 3, Index: 3, OutOfOrder: true},
+		{Kind: SpanAuthenticate, Index: 3, Block: 9, DurNS: 12345},
 	}
 	for _, e := range in {
-		tr.Emit(e)
+		tr.Record(e)
 	}
-	if tr.Events() != int64(len(in)) {
-		t.Fatalf("emitted %d, want %d", tr.Events(), len(in))
+	if tr.Total() != int64(len(in)) {
+		t.Fatalf("recorded %d, want %d", tr.Total(), len(in))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, skipped, err := ReadJSONL(&buf)
+	out, skipped, err := ReadSpans(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 {
 		t.Fatalf("skipped %d lines of a clean trace", skipped)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("read %d events, want %d", len(out), len(in))
+	kept := tr.Snapshot()
+	if len(out) != len(in) || len(kept) != len(in) {
+		t.Fatalf("read %d and kept %d records, want %d", len(out), len(kept), len(in))
 	}
 	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("event %d: %+v != %+v", i, out[i], in[i])
+		want := in[i]
+		want.Type, want.Trace = SpanTypeField, TraceID(want.Stream, want.Block)
+		if out[i] != want || kept[i] != want {
+			t.Errorf("record %d: read %+v, kept %+v, want %+v", i, out[i], kept[i], want)
 		}
 	}
 }
 
-// TestReadJSONLDamagedTrace feeds ReadJSONL the damage real trace files
-// accumulate — interleaved stderr garbage, blank lines, non-event JSON,
-// and a final line truncated mid-record — and expects the intact events
-// back with a per-line skip count instead of a hard error.
-func TestReadJSONLDamagedTrace(t *testing.T) {
+// TestReadSpansDamagedTrace feeds ReadSpans the damage real trace files
+// accumulate — interleaved stderr garbage, blank lines, JSON that is not a
+// trace record, and a final line truncated mid-record — and expects the
+// intact records back with a per-line skip count instead of a hard error.
+func TestReadSpansDamagedTrace(t *testing.T) {
 	in := strings.Join([]string{
-		`{"type":"sent","recv":-1,"wire":1,"index":1}`,
+		`{"type":"span","kind":"sent","wire":1,"index":1}`,
 		`panic: runtime error: index out of range`,
 		``,
-		`{"not":"an event"}`,
-		`{"type":"delivered","recv":0,"wire":1,"index":1}`,
+		`{"not":"a record"}`,
+		`{"type":"span","kind":"delivered","wire":1,"index":1}`,
 		`42`,
-		`{"type":"authenticated","recv":0,"wire":1,"ind`, // truncated, no newline
+		`{"type":"sent","recv":-1,"wire":1,"index":1}`,       // the pre-span event grammar
+		`{"type":"span","kind":"authenticate","wire":1,"ind`, // truncated, no newline
 	}, "\n")
-	events, skipped, err := ReadJSONL(strings.NewReader(in))
+	spans, skipped, err := ReadSpans(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("read %d events, want 2: %+v", len(events), events)
+	if len(spans) != 2 {
+		t.Fatalf("read %d records, want 2: %+v", len(spans), spans)
 	}
-	if events[0].Type != EventSent || events[1].Type != EventDelivered {
-		t.Errorf("wrong events survived: %+v", events)
+	if spans[0].Kind != SpanSent || spans[1].Kind != SpanDelivered {
+		t.Errorf("wrong records survived: %+v", spans)
 	}
-	// Skipped: the panic line, the non-event object, the bare number, and
-	// the truncated tail. Blank lines are not damage.
-	if skipped != 4 {
-		t.Errorf("skipped = %d, want 4", skipped)
-	}
-}
-
-func TestMultiTracerFansOut(t *testing.T) {
-	a, b := &MemTracer{}, &MemTracer{}
-	mt := MultiTracer{a, b}
-	mt.Emit(Event{Type: EventSent, Index: 1})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatalf("fan-out got %d/%d events, want 1/1", len(a.Events()), len(b.Events()))
+	// Skipped: the panic line, the foreign object, the bare number, the old
+	// event line and the truncated tail. Blank lines are not damage.
+	if skipped != 5 {
+		t.Errorf("skipped = %d, want 5", skipped)
 	}
 }
 
@@ -312,13 +310,13 @@ func TestSnapshotExpositionDeterministic(t *testing.T) {
 	}
 }
 
-func TestReceiverTracerStampsReceiver(t *testing.T) {
-	mem := &MemTracer{}
-	rt := ReceiverTracer{T: mem, Receiver: 42}
-	rt.Emit(Event{Type: EventAuthenticated, Index: 5})
-	evs := mem.Events()
-	if len(evs) != 1 || evs[0].Receiver != 42 {
-		t.Fatalf("events = %+v, want one event with recv 42", evs)
+func TestSinkViewStampsReceiver(t *testing.T) {
+	sink := NewSpanSink(KeepAll, nil)
+	sink.ForReceiver(42).Record(Span{Kind: SpanAuthenticate, Index: 5})
+	sink.Record(Span{Kind: SpanSent, Index: 5, Receiver: 7})
+	got := sink.Snapshot()
+	if len(got) != 2 || got[0].Receiver != 42 || got[1].Receiver != 0 {
+		t.Fatalf("records = %+v, want recv 42 from the view and 0 from the sink itself", got)
 	}
 }
 
@@ -329,12 +327,12 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 	return 0, bytes.ErrTooLarge
 }
 
-func TestJSONLTracerReportsWriteError(t *testing.T) {
-	tr := NewJSONLTracer(&failingWriter{})
+func TestSinkReportsWriteError(t *testing.T) {
+	tr := NewSpanSink(0, &failingWriter{})
 	// Overflow the 64 KiB buffer so the flush path hits the writer.
-	big := Event{Type: EventSent, Reason: strings.Repeat("x", 1<<10)}
+	big := Span{Kind: SpanSent, Reason: strings.Repeat("x", 1<<10)}
 	for i := 0; i < 100; i++ {
-		tr.Emit(big)
+		tr.Record(big)
 	}
 	if err := tr.Close(); err == nil {
 		t.Error("Close should surface the write error")

@@ -1,6 +1,7 @@
 // Package obs is the zero-dependency observability layer of the repo: a
 // metrics registry (counters, gauges, log-scale histograms) with text and
-// JSON exposition, and a packet-lifecycle event tracer emitting JSONL.
+// JSON exposition, and one trace record (Span) with one sink and one JSONL
+// reader for packet lifecycles and causal block traces alike.
 //
 // The paper reads four metrics off the dependence graph — authentication
 // probability, overhead, receiver delay, buffer size — but a simulator

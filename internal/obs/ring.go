@@ -1,20 +1,24 @@
 package obs
 
-// ring keeps the newest cap(buf) values pushed to it, oldest first. The
-// zero ring holds nothing; size it with newRing.
+// ring keeps the newest limit values pushed to it, oldest first: every
+// value when limit is negative, none when it is zero (the zero ring). It
+// grows as it fills, so a ring nothing is pushed to holds no memory for the
+// collector to scan.
 type ring[T any] struct {
 	buf   []T
 	start int // index of the oldest value once full
+	limit int
 }
 
-func newRing[T any](capacity int) ring[T] {
-	return ring[T]{buf: make([]T, 0, capacity)}
-}
+func newRing[T any](limit int) ring[T] { return ring[T]{limit: limit} }
 
 // push stores v, evicting the oldest value when full.
 func (r *ring[T]) push(v T) {
-	if len(r.buf) < cap(r.buf) {
+	if r.limit < 0 || len(r.buf) < r.limit {
 		r.buf = append(r.buf, v)
+		return
+	}
+	if r.limit == 0 {
 		return
 	}
 	r.buf[r.start] = v

@@ -5,10 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
@@ -35,21 +35,26 @@ func lifecycleSpans() []Span {
 // planner), so a drift here must be a deliberate choice, not an accident.
 // Regenerate with: go test ./internal/obs -run TestSpanGoldenSchema -update
 func TestSpanGoldenSchema(t *testing.T) {
-	r := NewSpanRing(16)
-	r.SetEnabled(true)
+	r := NewSpanSink(16, nil)
 	for _, s := range lifecycleSpans() {
 		r.Record(s)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := WriteSpansJSONL(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "spans.golden.jsonl")
+	checkGolden(t, filepath.Join("testdata", "spans.golden.jsonl"), buf.Bytes())
+}
+
+// checkGolden compares got with the golden file, or rewrites it under
+// -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -58,9 +63,9 @@ func TestSpanGoldenSchema(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Errorf("span JSONL schema drifted from %s;\nrerun with -update if the change is intended.\n--- got ---\n%s\n--- want ---\n%s",
-			golden, buf.Bytes(), want)
+			golden, got, want)
 	}
 }
 
@@ -99,7 +104,7 @@ func TestReadSpansSkipsForeignLines(t *testing.T) {
 		`{"type":"flight_meta","reason":"x"}`,
 		`{"type":"span","trace":1,"kind":"push","stream":1,"block":2}`,
 		`not json at all`,
-		`{"type":"authenticated","recv":0}`, // trace event, not a span
+		`{"type":"authenticated","recv":0}`, // the pre-span event grammar
 		`{"type":"span","trace":1,"kind":"decode","stream":1,"block":2,"index":3}`,
 		``,
 		`{"type":"span"}`, // span without a kind: damaged
@@ -133,55 +138,62 @@ func TestTraceIDDeterministicAndScattering(t *testing.T) {
 }
 
 func TestSpanRingBoundedEviction(t *testing.T) {
-	r := NewSpanRing(4)
-	r.SetEnabled(true)
+	r := NewSpanSink(4, nil)
 	for b := uint64(0); b < 10; b++ {
 		r.Record(Span{Kind: SpanPush, Stream: 1, Block: b})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
 	}
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
 	}
 	snap := r.Snapshot()
+	if len(snap) != 4 {
+		t.Fatalf("kept %d, want 4", len(snap))
+	}
 	for i, s := range snap {
 		if want := uint64(6 + i); s.Block != want {
 			t.Errorf("snapshot[%d].Block = %d, want %d (oldest-first, newest kept)", i, s.Block, want)
 		}
 	}
+	all, none := NewSpanSink(KeepAll, nil), NewSpanSink(0, nil)
+	for b := uint64(0); b < 10; b++ {
+		all.Record(Span{Kind: SpanPush, Block: b})
+		none.Record(Span{Kind: SpanPush, Block: b})
+	}
+	if len(all.Snapshot()) != 10 || len(none.Snapshot()) != 0 || none.Total() != 10 {
+		t.Fatalf("KeepAll kept %d of 10, keep 0 kept %d (total %d)", len(all.Snapshot()), len(none.Snapshot()), none.Total())
+	}
 }
 
 func TestSpanRingDisabledRecordsNothing(t *testing.T) {
-	r := NewSpanRing(4)
-	r.Add(SpanPush, 1, 1, 0, 0, "")
+	r := NewSpanSink(4, nil)
+	r.SetEnabled(false)
+	r.ForReceiver(2).Record(Span{Kind: SpanPush, Stream: 1, Block: 1})
 	r.Record(Span{Kind: SpanPush, Stream: 1, Block: 1})
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("disabled ring stored spans: len=%d total=%d", r.Len(), r.Total())
+	if len(r.Snapshot()) != 0 || r.Total() != 0 {
+		t.Fatalf("disabled sink stored spans: len=%d total=%d", len(r.Snapshot()), r.Total())
 	}
-	var nilRing *SpanRing
-	nilRing.Record(Span{Kind: SpanPush})
-	nilRing.Add(SpanPush, 1, 1, 0, 0, "")
-	nilRing.SetEnabled(true)
-	if nilRing.Enabled() || nilRing.Len() != 0 || nilRing.Total() != 0 || nilRing.Snapshot() != nil {
-		t.Fatal("nil ring must be inert")
+	var nilSink *SpanSink
+	nilSink.Record(Span{Kind: SpanPush})
+	nilSink.SetEnabled(true)
+	if nilSink.Enabled() || nilSink.ForReceiver(1) != nil || nilSink.Total() != 0 || nilSink.Snapshot() != nil {
+		t.Fatal("nil sink must be inert")
 	}
-	if err := nilRing.WriteJSONL(&bytes.Buffer{}); err != nil {
+	if err := nilSink.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSpanRingConcurrentRecord(t *testing.T) {
-	r := NewSpanRing(128)
-	r.SetEnabled(true)
+	r := NewSpanSink(128, nil)
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			view := r.ForReceiver(w)
 			for i := 0; i < per; i++ {
-				r.Add(SpanDecode, uint64(w), uint64(i), uint32(i), time.Microsecond, "")
+				view.Record(Span{Kind: SpanDecode, Stream: uint64(w), Block: uint64(i), Index: uint32(i)})
 			}
 		}(w)
 	}
@@ -189,7 +201,59 @@ func TestSpanRingConcurrentRecord(t *testing.T) {
 	if r.Total() != workers*per {
 		t.Fatalf("Total = %d, want %d", r.Total(), workers*per)
 	}
-	if r.Len() != 128 {
-		t.Fatalf("Len = %d, want capacity 128", r.Len())
+	if n := len(r.Snapshot()); n != 128 {
+		t.Fatalf("kept %d, want capacity 128", n)
+	}
+}
+
+// lifecycleTrace is one record of every lifecycle kind — the vocabulary of
+// a simulated run — with the fields its emitter sets.
+func lifecycleTrace() []Span {
+	const t0 = int64(1_000_000)
+	return []Span{
+		{Kind: SpanRunMeta, Block: 1, TimeNS: t0, Wire: 5, Scheme: "emss(n=4,m=2,d=1)", Root: 5},
+		{Kind: SpanSent, Block: 1, Index: 1, TimeNS: t0 + 1, Wire: 1},
+		{Kind: SpanDropped, Block: 1, Index: 3, TimeNS: t0 + 2, Reason: "loss", Receiver: 1, Wire: 3},
+		{Kind: SpanDelivered, Block: 1, Index: 1, TimeNS: t0 + 3, Reason: "forged", Receiver: 1, Wire: 1, OutOfOrder: true},
+		{Kind: SpanCorrupted, Block: 1, Index: 4, TimeNS: t0 + 4, Reason: "truncated", Receiver: 1, Wire: 4},
+		{Kind: SpanForgedInjected, Block: 1, Index: 1, TimeNS: t0 + 5, Receiver: 1, Wire: 1},
+		{Kind: SpanForgedRejected, Block: 1, Index: 1, TimeNS: t0 + 6, Receiver: 1, Wire: 1},
+		{Kind: SpanMsgBuffered, Block: 1, Index: 2, TimeNS: t0 + 7, Receiver: 1, Depth: 1},
+		{Kind: SpanHashBuffered, Block: 1, Index: 4, TimeNS: t0 + 8, Receiver: 1},
+		{Kind: SpanOverflowDropped, Block: 1, Index: 4, TimeNS: t0 + 9, Receiver: 1, Depth: 1},
+		{Kind: SpanAuthenticate, Block: 1, Index: 2, TimeNS: t0 + 10, DurNS: 7, Receiver: 1},
+		{Kind: SpanReject, Block: 1, Index: 1, TimeNS: t0 + 11, Reason: "bad_signature", Receiver: 1},
+		{Kind: SpanUnsafe, Block: 1, Index: 3, TimeNS: t0 + 12, Reason: "deadline", Receiver: 1},
+	}
+}
+
+// TestTraceGoldenSchema pins one line per lifecycle kind beside the serving
+// tier's lines in spans.golden.jsonl: together they are the whole trace
+// grammar. The lines go through the sink's write-through, each stamped by
+// its receiver's view, and read back equal.
+// Regenerate with: go test ./internal/obs -run TestTraceGoldenSchema -update
+func TestTraceGoldenSchema(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewSpanSink(KeepAll, &buf)
+	for _, s := range lifecycleTrace() {
+		sink.ForReceiver(s.Receiver).Record(s)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "trace.golden.jsonl"), buf.Bytes())
+	got, skipped, err := ReadSpans(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("ReadSpans: %d skipped, err %v", skipped, err)
+	}
+	if !slices.Equal(got, sink.Snapshot()) {
+		t.Errorf("read back %+v\nrecorded %+v", got, sink.Snapshot())
+	}
+	kinds := make(map[SpanKind]bool)
+	for _, s := range got {
+		kinds[s.Kind] = true
+	}
+	if len(kinds) != len(got) {
+		t.Errorf("%d records cover %d kinds, want one line per kind", len(got), len(kinds))
 	}
 }

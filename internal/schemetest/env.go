@@ -16,7 +16,7 @@ import (
 // Honours states which verifier.Env fields change what a scheme's verifier
 // does. EnvConformance checks every claim in both directions, so a field a
 // scheme ignores is a stated fact rather than a silent no-op. The
-// observation fields (Spans, Tracer, Metrics) are not here: every verifier
+// observation fields (Spans, Metrics) are not here: every verifier
 // reports through a verifier.Recorder, so every scheme honours them, and
 // EnvConformance checks that against the authenticated set.
 type Honours struct {
@@ -161,12 +161,12 @@ func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival,
 }
 
 // checkLedger holds every sink env attaches to what the run authenticated:
-// one authentication is one Stats count, one receiver-delay observation, one
-// verifier.authenticated increment, one authenticate span and one
-// authenticated event, for every scheme. The ledger may count past the
-// Events only for signed packets: TESLA authenticates its bootstrap, which
-// carries the schedule and no message, without an Event. env's sinks must
-// be fresh.
+// Stats == verifier.authenticated == authenticate records == the
+// authenticated set, for every scheme — one authentication is one Stats
+// count, one receiver-delay observation, one counter increment and one
+// authenticate record naming the index. The ledger may count past the Events
+// only for signed packets: TESLA authenticates its bootstrap, which carries
+// the schedule and no message, without an Event. env's sinks must be fresh.
 func checkLedger(t *testing.T, env verifier.Env, delivery []arrival, run envRun) {
 	t.Helper()
 	silent := make(map[uint32]bool)
@@ -181,17 +181,6 @@ func checkLedger(t *testing.T, env verifier.Env, delivery []arrival, run envRun)
 		t.Errorf("%d Events and %d signed packets without one, Stats counts %d authenticated with %d time-to-auth observations",
 			len(run.authed), len(silent), n, run.stats.TimeToAuth.Count)
 	}
-	if env.Spans != nil {
-		spans := 0
-		for _, s := range env.Spans.Snapshot() {
-			if s.Kind == obs.SpanAuthenticate {
-				spans++
-			}
-		}
-		if spans != n {
-			t.Errorf("Stats counts %d authenticated, the ring holds %d authenticate spans", n, spans)
-		}
-	}
 	if env.Metrics != nil {
 		got := env.Metrics.Snapshot().Counters
 		for name, want := range map[string]int{
@@ -204,22 +193,22 @@ func checkLedger(t *testing.T, env verifier.Env, delivery []arrival, run envRun)
 			}
 		}
 	}
-	if tracer, ok := env.Tracer.(*obs.MemTracer); ok {
+	if env.Spans != nil {
 		var traced []uint32
-		events := 0
-		for _, e := range tracer.Events() {
-			if e.Type != obs.EventAuthenticated {
+		records := 0
+		for _, s := range env.Spans.Snapshot() {
+			if s.Kind != obs.SpanAuthenticate {
 				continue
 			}
-			events++
-			if !silent[e.Index] {
-				traced = append(traced, e.Index)
+			records++
+			if !silent[s.Index] {
+				traced = append(traced, s.Index)
 			}
 		}
 		slices.Sort(traced)
-		if events != n || !slices.Equal(traced, run.authed) {
-			t.Errorf("Stats counts %d authenticated, %d authenticated events, for %v beside signed packets; Events for %v",
-				n, events, traced, run.authed)
+		if records != n || !slices.Equal(traced, run.authed) {
+			t.Errorf("Stats counts %d authenticated, %d authenticate records, for %v beside signed packets; Events for %v",
+				n, records, traced, run.authed)
 		}
 	}
 }
@@ -248,11 +237,7 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 		}
 		return c
 	}
-	ring := func() *obs.SpanRing {
-		r := obs.NewSpanRing(obs.DefaultSpanCapacity)
-		r.SetEnabled(true)
-		return r
-	}
+	sink := func() *obs.SpanSink { return obs.NewSpanSink(obs.KeepAll, nil) }
 
 	zero := runEnv(t, s, verifier.Env{}, delivery, clock, 0)
 	if len(zero.authed) == 0 || len(zero.authed) == len(pkts) {
@@ -293,12 +278,11 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 		t.Errorf("%d signatures parked at once, message buffer high water %d", explicit.maxPending, explicit.stats.MsgBufferHighWater)
 	}
 
-	same("Spans", runEnv(t, s, verifier.Env{Spans: ring(), StreamID: stream}, delivery, clock, 0))
-	same("Tracer", runEnv(t, s, verifier.Env{Tracer: new(obs.MemTracer)}, delivery, clock, 0))
+	same("Spans", runEnv(t, s, verifier.Env{Spans: sink(), StreamID: stream}, delivery, clock, 0))
 	same("Metrics", runEnv(t, s, verifier.Env{Metrics: obs.NewRegistry()}, delivery, clock, 0))
 	same("all fields", runEnv(t, s, verifier.Env{
 		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), BatchQ: queue(2),
-		Spans: ring(), Tracer: new(obs.MemTracer), Metrics: obs.NewRegistry(),
+		Spans: sink(), Metrics: obs.NewRegistry(),
 	}, delivery, clock, 0))
 
 	// The cap, probed where it binds: the unsigned packets alone, so

@@ -59,7 +59,7 @@ func (c Config) startServer(reg *obs.Registry, tel *Telemetry) (*server.Server, 
 		FlushInterval:      c.Flush,
 		MaxSubscriberQueue: 1 << 16,
 		Metrics:            reg,
-		Spans:              tel.SpanRing(),
+		Spans:              tel.Spans(),
 		Checkpoint:         cp,
 		RepairBlocks:       c.Repair,
 	})
@@ -156,7 +156,7 @@ type Daemon struct {
 // listen serves feed on ln in the background; the returned channel closes
 // when Handler.Listen returns.
 func (c Config) listen(feed Feed, ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) <-chan struct{} {
-	h := &Handler{Feed: feed, Metrics: reg, Spans: tel.SpanRing(), WriteTimeout: c.WriteTimeout, Wrap: wrap}
+	h := &Handler{Feed: feed, Metrics: reg, Spans: tel.Spans(), WriteTimeout: c.WriteTimeout, Wrap: wrap}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -36,7 +36,7 @@ func TestMixedDemoLeavesNoStreamDark(t *testing.T) {
 		t.Errorf("verifier.authenticated = %d for %d published messages", got, published)
 	}
 	spans := make(map[uint64]int)
-	for _, s := range tel.SpanRing().Snapshot() {
+	for _, s := range tel.Spans().Snapshot() {
 		if s.Kind == obs.SpanAuthenticate {
 			spans[s.Stream]++
 		}

@@ -44,7 +44,7 @@ type Relay struct {
 	*server.Fanout
 
 	streams, repairBlocks int
-	spans                 *obs.SpanRing
+	spans                 *obs.SpanSink
 	forwarded, catchup    *obs.Counter // relay.forwarded, relay.catchup_served
 	repairs               *obs.Counter // relay.receiver_repairs
 	// mutate, when set (tests only), replaces every packet at ingest — the
@@ -60,7 +60,7 @@ type Relay struct {
 // NewRelay creates a relay for stream IDs 1..streams retaining
 // repairBlocks blocks of each; reg receives the relay.* counters and spans
 // a relay_ingest span per packet (nil disables either).
-func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanRing) (*Relay, error) {
+func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanSink) (*Relay, error) {
 	if repairBlocks < 1 {
 		return nil, errors.New("relay needs -repair > 0 (it exists to serve catch-up and repairs from retention)")
 	}

@@ -71,7 +71,7 @@ type testRelay struct {
 func startTestRelay(t *testing.T, c Config, reg *obs.Registry, tel *Telemetry, upstream, addr string,
 	mutate func(uint64, *packet.Packet) *packet.Packet) *testRelay {
 	t.Helper()
-	relay, err := NewRelay(c.Streams, c.Repair, reg, tel.SpanRing())
+	relay, err := NewRelay(c.Streams, c.Repair, reg, tel.Spans())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestSpansJoinThreeHops(t *testing.T) {
 
 	kinds := func(tel *Telemetry) map[uint64]map[obs.SpanKind]bool {
 		out := make(map[uint64]map[obs.SpanKind]bool)
-		for _, s := range tel.SpanRing().Snapshot() {
+		for _, s := range tel.Spans().Snapshot() {
 			if out[s.Trace] == nil {
 				out[s.Trace] = make(map[obs.SpanKind]bool)
 			}

@@ -46,7 +46,7 @@ type Handler struct {
 	// Metrics receives the transport.* write accounting and Spans a
 	// mux_write span per packet leaving the process (nil disables either).
 	Metrics *obs.Registry
-	Spans   *obs.SpanRing
+	Spans   *obs.SpanSink
 	// WriteTimeout is the per-packet write deadline (0 = none): a stalled
 	// reader loses its connection instead of pinning the writer.
 	WriteTimeout time.Duration

@@ -30,7 +30,7 @@ type TelemetryConfig struct {
 // shares across its roles. A nil *Telemetry is inert: every method is a
 // no-op, so call sites need no guards.
 type Telemetry struct {
-	spans  *obs.SpanRing
+	spans  *obs.SpanSink
 	slo    *obs.SLOTracker
 	flight *obs.FlightRecorder
 	reg    *obs.Registry
@@ -55,8 +55,7 @@ func NewTelemetry(c TelemetryConfig, reg *obs.Registry) *Telemetry {
 	}
 	t := &Telemetry{reg: reg, flightPath: c.Flight, prev: make(map[uint64]stream.Totals)}
 	if c.SpanBuf > 0 {
-		t.spans = obs.NewSpanRing(c.SpanBuf)
-		t.spans.SetEnabled(true)
+		t.spans = obs.NewSpanSink(c.SpanBuf, nil)
 	}
 	// The tracker always exists so /slo always answers; without -slo-p99
 	// or -slo-min-auth it reports per-stream attempts and auth fraction
@@ -74,10 +73,10 @@ func NewTelemetry(c TelemetryConfig, reg *obs.Registry) *Telemetry {
 	return t
 }
 
-// SpanRing returns the live span ring (nil when tracing is off or t is
-// nil) — safe to hand straight to SetSpans-style hooks, which are
-// themselves nil-tolerant.
-func (t *Telemetry) SpanRing() *obs.SpanRing {
+// Spans returns the live trace sink (nil when tracing is off or t is nil)
+// — safe to hand straight to SetSpans-style hooks, which are themselves
+// nil-tolerant.
+func (t *Telemetry) Spans() *obs.SpanSink {
 	if t == nil {
 		return nil
 	}

@@ -56,7 +56,7 @@ func NewVerifySink(c VerifyConfig) (*VerifySink, error) {
 	if err != nil {
 		return nil, err
 	}
-	dmx.SetSpans(c.Tel.SpanRing())
+	dmx.SetSpans(c.Tel.Spans())
 	v := &VerifySink{dmx: dmx, verifyBatch: int64(c.VerifyBatch), tel: c.Tel}
 	var cache *verifier.SharedCache
 	if c.VerifyCache > 0 {

@@ -67,7 +67,7 @@ type Config struct {
 	// sign_attach half of the end-to-end trace (receivers record the
 	// other half into their own ring; the two join on the deterministic
 	// obs.TraceID). Nil disables span recording.
-	Spans *obs.SpanRing
+	Spans *obs.SpanSink
 	// Clock defaults to time.Now; tests inject virtual time.
 	Clock func() time.Time
 	// Checkpoint enables crash recovery: streams write-ahead reserve block

@@ -98,7 +98,7 @@ func (d *Demux) SetVerifyFastPath(cache *verifier.SharedCache, q *crypto.BatchVe
 
 // SetSpans attaches a causal span ring to every stream receiver created
 // from now on, keyed by its transport stream ID (see verifier.Env.Spans).
-func (d *Demux) SetSpans(r *obs.SpanRing) {
+func (d *Demux) SetSpans(r *obs.SpanSink) {
 	d.env.Spans = r
 }
 

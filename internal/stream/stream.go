@@ -33,7 +33,7 @@ type Sender struct {
 	oldestPending time.Time
 	// Causal span tracing (see SetSpans): each emitted block records a
 	// "push" span, the root of its end-to-end trace.
-	spans      *obs.SpanRing
+	spans      *obs.SpanSink
 	spanStream uint64
 }
 
@@ -49,7 +49,7 @@ func NewSender(s scheme.Scheme, startBlock uint64) (*Sender, error) {
 // records a "push" span keyed by (streamID, block ID), the root of the
 // block's end-to-end trace (shard enqueue, sign attach, mux write, and the
 // receiver-side spans all derive the same trace ID). nil detaches.
-func (snd *Sender) SetSpans(r *obs.SpanRing, streamID uint64) {
+func (snd *Sender) SetSpans(r *obs.SpanSink, streamID uint64) {
 	snd.spans = r
 	snd.spanStream = streamID
 }

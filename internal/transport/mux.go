@@ -29,7 +29,7 @@ const muxIDSize = 8
 type MuxFrameWriter struct {
 	w     io.Writer
 	m     *wireMetrics
-	spans *obs.SpanRing
+	spans *obs.SpanSink
 	buf   []byte
 }
 
@@ -41,7 +41,7 @@ func (mw *MuxFrameWriter) SetMetrics(reg *obs.Registry) { mw.m = newWireMetrics(
 
 // SetSpans records a mux_write span per framed packet into r (nil
 // disables), marking the moment a packet leaves the serving process.
-func (mw *MuxFrameWriter) SetSpans(r *obs.SpanRing) { mw.spans = r }
+func (mw *MuxFrameWriter) SetSpans(r *obs.SpanSink) { mw.spans = r }
 
 // WritePacket frames one packet under its stream ID with a single Write.
 func (mw *MuxFrameWriter) WritePacket(streamID uint64, p *packet.Packet) error {

@@ -14,8 +14,8 @@ import (
 // have no meaning for it (TESLA has no signature per packet to defer, so no
 // BatchQ; the per-packet-signature schemes buffer nothing outside deferred
 // mode, so MaxBuffered binds only there); schemetest.EnvConformance pins
-// which. The observation fields — Spans, Tracer, Metrics — no scheme can
-// ignore: every verifier reports through a Recorder built from its Env.
+// which. The observation fields — Spans, Metrics — no scheme can ignore:
+// every verifier reports through a Recorder built from its Env.
 type Env struct {
 	// StreamID identifies the stream — and therefore the signing key —
 	// the verifier serves. It keys Cache entries and Spans (sender- and
@@ -42,15 +42,14 @@ type Env struct {
 	// Sink receives the events of deferred verdicts. stream.Receiver owns
 	// it (it stamps one per block); other callers set it alongside BatchQ.
 	Sink func([]Event)
-	// Spans records the verification tail of a block's causal trace
-	// (deferred_park, sig_resolve, authenticate, reject). The ring is
-	// nil-safe and checks an atomic enable flag first, so an attached but
-	// disabled ring costs one predictable branch per transition.
-	Spans *obs.SpanRing
-	// Tracer receives per-packet lifecycle events. Leave it an untyped
-	// nil when absent: a typed nil pointer in the interface would be
-	// called.
-	Tracer obs.Tracer
+	// Spans receives one trace record per fact the verifier reports
+	// (msg_buffered, hash_buffered, overflow_dropped, deferred_park,
+	// sig_resolve, authenticate, reject, unsafe): the verification tail of
+	// a block's causal trace. The sink is nil-safe and checks an atomic
+	// enable flag first, so an attached but disabled sink costs one
+	// predictable branch per fact. A simulated receiver passes its own
+	// view (SpanSink.ForReceiver), which stamps the receiver.
+	Spans *obs.SpanSink
 	// Metrics receives the verifier.* instruments.
 	Metrics *obs.Registry
 }

@@ -9,9 +9,9 @@ import (
 
 // Recorder is a verifier's ledger: the only code that counts into Stats,
 // bumps the verifier.* instruments, publishes authentications to the shared
-// cache, records lifecycle spans and emits trace events. Every scheme's
-// verifier holds one by value and reports each fact to it once, so all six
-// schemes are observed through the same sinks under the same names, and a
+// cache and writes trace records. Every scheme's verifier holds one by
+// value and reports each fact to it once, so all six schemes are observed
+// through the same sinks under the same names, one record per fact, and a
 // verifier keeps only the state its protocol needs. It takes everything from
 // the Env it is built with; with the zero Env it fills Stats and nothing
 // else. Like the verifier that owns it, it is not safe for concurrent use.
@@ -19,8 +19,7 @@ type Recorder struct {
 	stream uint64
 	cap    int
 	cache  *SharedCache
-	spans  *obs.SpanRing
-	tracer obs.Tracer
+	spans  *obs.SpanSink
 	reg    *obs.Registry
 	stats  Stats
 
@@ -46,7 +45,6 @@ func NewRecorder(env Env) Recorder {
 		cap:           env.MaxBuffered,
 		cache:         env.Cache,
 		spans:         env.Spans,
-		tracer:        env.Tracer,
 		reg:           reg,
 		authenticated: reg.Counter("verifier.authenticated"),
 		rejected:      reg.Counter("verifier.rejected"),
@@ -83,10 +81,7 @@ func (r *Recorder) Hold(p *packet.Packet, at time.Time, held int) bool {
 	if r.cap > 0 && depth >= r.cap {
 		r.stats.DroppedOverflow++
 		r.countLazily(&r.overflow, "verifier.overflow_dropped")
-		r.emit(obs.Event{
-			Type: obs.EventOverflowDropped, Index: p.Index,
-			Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: depth,
-		})
+		r.record(obs.SpanOverflowDropped, p.BlockID, p.Index, at, 0, depth, "")
 		return false
 	}
 	depth++
@@ -94,10 +89,7 @@ func (r *Recorder) Hold(p *packet.Packet, at time.Time, held int) bool {
 		r.stats.MsgBufferHighWater = depth
 		r.msgHighWater.Observe(int64(depth))
 	}
-	r.emit(obs.Event{
-		Type: obs.EventMsgBuffered, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Depth: depth,
-	})
+	r.record(obs.SpanMsgBuffered, p.BlockID, p.Index, at, 0, depth, "")
 	return true
 }
 
@@ -110,7 +102,7 @@ func (r *Recorder) Park(p *packet.Packet, at time.Time, held int) bool {
 		return false
 	}
 	r.stats.PendingSignature++
-	r.span(obs.SpanDeferredPark, p, at, 0, "")
+	r.record(obs.SpanDeferredPark, p.BlockID, p.Index, at, 0, 0, "")
 	return true
 }
 
@@ -118,13 +110,13 @@ func (r *Recorder) Park(p *packet.Packet, at time.Time, held int) bool {
 // the verdict itself next (Authenticated, Rejected or Duplicate).
 func (r *Recorder) Resolved(p *packet.Packet, at time.Time) {
 	r.stats.PendingSignature--
-	r.span(obs.SpanSigResolve, p, at, 0, "")
+	r.record(obs.SpanSigResolve, p.BlockID, p.Index, at, 0, 0, "")
 }
 
 // HashBuffered traces a trusted digest that arrived ahead of its packet,
 // carried by a packet of the given block.
 func (r *Recorder) HashBuffered(block uint64, index uint32, at time.Time) {
-	r.emit(obs.Event{Type: obs.EventHashBuffered, Index: index, Block: block, TimeNS: obs.TimeNS(at)})
+	r.record(obs.SpanHashBuffered, block, index, at, 0, 0, "")
 }
 
 // HashDepth tracks the hash buffer's high-water mark: depth is the number of
@@ -138,7 +130,7 @@ func (r *Recorder) HashDepth(depth int) {
 
 // Authenticated records that p, which arrived at arrived, was proven
 // authentic at at: the receiver-delay observation, the shared-cache
-// publication, the authenticate span and the authenticated event.
+// publication and the authenticate record.
 func (r *Recorder) Authenticated(p *packet.Packet, arrived, at time.Time) {
 	r.stats.Authenticated++
 	if r.cache != nil {
@@ -151,27 +143,20 @@ func (r *Recorder) Authenticated(p *packet.Packet, arrived, at time.Time) {
 	r.stats.TimeToAuth.Observe(latency.Nanoseconds())
 	r.authenticated.Inc()
 	r.timeToAuth.Observe(latency.Nanoseconds())
-	r.span(obs.SpanAuthenticate, p, at, latency, "")
-	r.emit(obs.Event{
-		Type: obs.EventAuthenticated, Index: p.Index, Block: p.BlockID,
-		TimeNS: obs.TimeNS(at), LatencyNS: latency.Nanoseconds(),
-	})
+	r.record(obs.SpanAuthenticate, p.BlockID, p.Index, at, latency, 0, "")
 }
 
 // Rejected records a failed signature, digest, MAC or key check. p is nil
 // when what failed belongs to no one packet (a disclosed TESLA key off the
 // chain); the record then carries no index or block.
 func (r *Recorder) Rejected(p *packet.Packet, at time.Time, reason string) {
-	if p == nil {
-		p = &packet.Packet{}
-	}
 	r.stats.Rejected++
 	r.rejected.Inc()
-	r.span(obs.SpanReject, p, at, 0, reason)
-	r.emit(obs.Event{
-		Type: obs.EventRejected, Index: p.Index,
-		Block: p.BlockID, TimeNS: obs.TimeNS(at), Reason: reason,
-	})
+	if p == nil {
+		r.record(obs.SpanReject, 0, 0, at, 0, 0, reason)
+		return
+	}
+	r.record(obs.SpanReject, p.BlockID, p.Index, at, 0, 0, reason)
 }
 
 // Unsafe records a TESLA packet dropped by the safety condition: it arrived
@@ -179,10 +164,7 @@ func (r *Recorder) Rejected(p *packet.Packet, at time.Time, reason string) {
 func (r *Recorder) Unsafe(p *packet.Packet, at time.Time) {
 	r.stats.Unsafe++
 	r.countLazily(&r.unsafe, "verifier.unsafe")
-	r.emit(obs.Event{
-		Type: obs.EventUnsafe, Index: p.Index, Block: p.BlockID,
-		TimeNS: obs.TimeNS(at), Reason: "deadline",
-	})
+	r.record(obs.SpanUnsafe, p.BlockID, p.Index, at, 0, 0, "deadline")
 }
 
 // countLazily bumps a counter that registers on first use.
@@ -193,24 +175,20 @@ func (r *Recorder) countLazily(c **obs.Counter, name string) {
 	(*c).Inc()
 }
 
-// span records one lifecycle span when the ring is attached and enabled.
-func (r *Recorder) span(kind obs.SpanKind, p *packet.Packet, at time.Time, dur time.Duration, reason string) {
+// record writes the one trace record of a fact when a sink is attached and
+// enabled.
+func (r *Recorder) record(kind obs.SpanKind, block uint64, index uint32, at time.Time, dur time.Duration, depth int, reason string) {
 	if !r.spans.Enabled() {
 		return
 	}
 	r.spans.Record(obs.Span{
 		Kind:   kind,
 		Stream: r.stream,
-		Block:  p.BlockID,
-		Index:  p.Index,
+		Block:  block,
+		Index:  index,
 		TimeNS: obs.TimeNS(at),
 		DurNS:  dur.Nanoseconds(),
 		Reason: reason,
+		Depth:  depth,
 	})
-}
-
-func (r *Recorder) emit(e obs.Event) {
-	if r.tracer != nil {
-		r.tracer.Emit(e)
-	}
 }

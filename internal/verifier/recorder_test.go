@@ -60,8 +60,8 @@ func TestRecorderZeroEnv(t *testing.T) {
 // counter and the trace.
 func TestRecorderCapCountsParkedSignatures(t *testing.T) {
 	reg := obs.NewRegistry()
-	var tracer obs.MemTracer
-	r := NewRecorder(Env{MaxBuffered: 2, Metrics: reg, Tracer: &tracer})
+	tracer := obs.NewSpanSink(obs.KeepAll, nil)
+	r := NewRecorder(Env{MaxBuffered: 2, Metrics: reg, Spans: tracer})
 	p := &packet.Packet{BlockID: 1, Index: 1}
 	at := time.Unix(0, 0)
 	if _, registered := reg.Snapshot().Counters["verifier.overflow_dropped"]; registered {
@@ -79,14 +79,17 @@ func TestRecorderCapCountsParkedSignatures(t *testing.T) {
 	if c := reg.Snapshot().Counters["verifier.overflow_dropped"]; c != 2 {
 		t.Errorf("verifier.overflow_dropped = %d, want 2", c)
 	}
-	var kinds []obs.EventType
-	for _, e := range tracer.Events() {
-		kinds = append(kinds, e.Type)
-		if e.Depth != 1 && e.Depth != 2 {
-			t.Errorf("%s at depth %d", e.Type, e.Depth)
+	var kinds []obs.SpanKind
+	for _, e := range tracer.Snapshot() {
+		kinds = append(kinds, e.Kind)
+		if e.Kind != obs.SpanDeferredPark && e.Depth != 1 && e.Depth != 2 {
+			t.Errorf("%s at depth %d", e.Kind, e.Depth)
 		}
 	}
-	want := []obs.EventType{obs.EventMsgBuffered, obs.EventMsgBuffered, obs.EventOverflowDropped, obs.EventOverflowDropped}
+	want := []obs.SpanKind{
+		obs.SpanMsgBuffered, obs.SpanDeferredPark, obs.SpanMsgBuffered,
+		obs.SpanOverflowDropped, obs.SpanOverflowDropped,
+	}
 	if !slices.Equal(kinds, want) {
 		t.Errorf("traced %v, want %v", kinds, want)
 	}

@@ -13,9 +13,9 @@
 //
 // The engine is observable through its Recorder, as every scheme's verifier
 // is: it always measures arrival-to-authentication latency (the paper's
-// receiver delay) into Stats.TimeToAuth, and additionally emits per-packet
-// lifecycle events, spans and registry metrics when its Env carries a
-// Tracer, span ring or Metrics registry (see internal/obs).
+// receiver delay) into Stats.TimeToAuth, and additionally writes per-packet
+// trace records and registry metrics when its Env carries a trace sink
+// (Spans) or Metrics registry (see internal/obs).
 package verifier
 
 import (

@@ -134,19 +134,38 @@ test -s "$labdir/dashboard.html"
 # Overlay tier: the relay fan-out path. The relay control-frame decoder
 # (resume hellos + MCRQ repair requests share one wire) gets a fuzz smoke;
 # a 10^5-receiver run through a 3-level tree with a correlated lossy edge
-# must produce byte-identical summaries at -workers 1, 2 and 8; and the
-# overlay lab sweep must pass the require_overlay_gain gate — relays
-# serving signature repairs must measurably raise the downstream
-# authenticated fraction over passive forwarding.
+# must produce byte-identical summaries at -workers 1, 2 and 8, and verify
+# its signature once, not once per receiver; and the overlay lab sweep must
+# pass the require_overlay_gain gate — relays serving signature repairs must
+# measurably raise the downstream authenticated fraction over passive
+# forwarding.
 go test -fuzz=FuzzRelayFrame -fuzztime=10s -run='^$' ./internal/transport
 go build -o "$labdir/mcsim" ./cmd/mcsim
-for w in 1 2 8; do
+overlay_run() {
+	w=$1
+	shift
 	"$labdir/mcsim" -overlay -scheme emss -n 8 -p 0.1 -receivers 100000 \
 		-depth 2 -fanout 4 -edgep 0.5 -relays -workers "$w" \
-		-summary "$labdir/overlay-w$w.json" >/dev/null
-done
+		-summary "$labdir/overlay-w$w.json" "$@" >/dev/null
+}
+overlay_run 1 -metrics "$labdir/overlay-metrics.json"
+overlay_run 2
+overlay_run 8
 diff "$labdir/overlay-w1.json" "$labdir/overlay-w2.json"
 diff "$labdir/overlay-w1.json" "$labdir/overlay-w8.json"
+# The run's receivers share one signature-verdict memo (verifier.Env.Sigs),
+# so the public-key operations of a run are bounded by its signature-carrying
+# wire packets — one, for an EMSS block — not by its 10^5 receivers. A count
+# that repeats exactly, not a timing.
+awk -F'[:,]' '
+	/"crypto.verify_ops"/ { ops = $2 + 0; seen = 1 }
+	END {
+		if (!seen || ops != 1) {
+			printf "overlay memo gate: crypto.verify_ops = %d for one signature packet and 100000 receivers\n", ops
+			exit 1
+		}
+	}
+' "$labdir/overlay-metrics.json"
 "$labdir/mclab" run examples/lab/overlay.json -out "$labdir/overlay" -workers 4 -stamp ci >/dev/null
 "$labdir/mclab" check -out "$labdir/overlay"
 

@@ -233,11 +233,11 @@ func run(args []string) error {
 	if o.chaos {
 		return runChaos(o)
 	}
-	if o.overlay {
-		return runOverlay(o)
-	}
-	if o.summary != "" {
+	if o.summary != "" && !o.overlay {
 		return fmt.Errorf("-summary needs -overlay")
+	}
+	if o.overlay && o.latejoin > 0 {
+		return fmt.Errorf("-overlay does not compose with -latejoin")
 	}
 	tracer, reg, finishObs, err := setupObservability(o)
 	if err != nil {
@@ -258,6 +258,30 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	simulate := runFlat
+	if o.overlay {
+		simulate = runOverlay
+	}
+	if err := simulate(o, entry, analyticQMin, tracer, reg); err != nil {
+		return err
+	}
+	if o.metrics == "-" {
+		fmt.Println()
+		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
+			return err
+		}
+	}
+	if reportJSON != nil {
+		if err := writeReport(entry, tracer.Snapshot(), reportJSON, reportMD); err != nil {
+			return err
+		}
+	}
+	return finishObs()
+}
+
+// runFlat simulates the flat topology — every receiver one lossy hop from
+// the source — and prints its table.
+func runFlat(o options, entry catalog.Entry, analyticQMin float64, tracer *obs.SpanSink, reg *obs.Registry) error {
 	s := entry.Scheme
 
 	lossModel, err := buildLossModel(o)
@@ -334,21 +358,7 @@ func run(args []string) error {
 			time.Duration(timeToAuth.Quantile(0.90)),
 			time.Duration(timeToAuth.Quantile(0.99)))
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if o.metrics == "-" {
-		fmt.Println()
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
-			return err
-		}
-	}
-	if reportJSON != nil {
-		if err := writeReport(entry, tracer.Snapshot(), reportJSON, reportMD); err != nil {
-			return err
-		}
-	}
-	return finishObs()
+	return w.Flush()
 }
 
 // writeReport joins the in-memory trace with the scheme's dependence graph

@@ -362,3 +362,70 @@ func TestOverlayRepairsOnlySignatureWires(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlayHonoursObservabilityFlags: -overlay used to return before the
+// observability outputs were opened, so these flags were accepted and
+// ignored. The metrics, the trace, the report and the summary must now
+// describe the same run — and its one signature packet is checked once for
+// all 400 receivers.
+func TestOverlayHonoursObservabilityFlags(t *testing.T) {
+	dir := t.TempDir()
+	paths := map[string]string{}
+	args := []string{
+		"-overlay", "-scheme", "emss", "-n", "8", "-p", "0.1", "-receivers", "400",
+		"-depth", "2", "-fanout", "4", "-edgep", "0.5", "-relays",
+	}
+	for _, name := range []string{"summary", "metrics", "trace", "report", "cpuprofile", "memprofile"} {
+		paths[name] = filepath.Join(dir, name)
+		args = append(args, "-"+name, paths[name])
+	}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range paths {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("-%s wrote nothing in overlay mode (%v)", name, err)
+		}
+	}
+	var sum overlaySummary
+	var snap obs.Snapshot
+	var rep diagnose.Report
+	for name, into := range map[string]any{"summary": &sum, "metrics": &snap, "report": &rep} {
+		raw, err := os.ReadFile(paths[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, into); err != nil {
+			t.Fatalf("-%s JSON: %v", name, err)
+		}
+	}
+	f, err := os.Open(paths["trace"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, skipped, err := obs.ReadSpans(f)
+	if err != nil || skipped != 0 {
+		t.Fatalf("trace: %v, %d lines skipped", err, skipped)
+	}
+	traced := 0
+	for _, s := range spans {
+		if s.Kind == obs.SpanAuthenticate {
+			traced++
+		}
+	}
+	if got := int(snap.Counters["verifier.authenticated"]); got != sum.Authenticated || traced != got || rep.Authenticated != got {
+		t.Errorf("authenticated: summary %d, metrics %d, trace %d, report %d", sum.Authenticated, got, traced, rep.Authenticated)
+	}
+	if got := snap.Counters["crypto.verify_ops"]; got != 1 {
+		t.Errorf("crypto.verify_ops = %d for one signature packet", got)
+	}
+
+	bad := filepath.Join(dir, "no-such-dir", "out")
+	if err := run([]string{"-overlay", "-scheme", "emss", "-n", "8", "-receivers", "4", "-metrics", bad}); err == nil {
+		t.Error("-overlay -metrics to an unwritable path should fail")
+	}
+	if err := run([]string{"-overlay", "-scheme", "emss", "-n", "8", "-receivers", "4", "-latejoin", "1"}); err == nil {
+		t.Error("-overlay -latejoin should fail: the overlay cannot honour it")
+	}
+}

@@ -15,9 +15,11 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/obs"
 )
 
 // overlaySummary is the deterministic digest -summary writes: everything
@@ -46,14 +48,8 @@ type overlaySummary struct {
 	RelayReports []netsim.RelayReport `json:"relay_reports"`
 }
 
-func runOverlay(o options) error {
-	if o.chaos || o.latejoin > 0 {
-		return fmt.Errorf("-overlay composes with neither -chaos nor -latejoin")
-	}
-	entry, analyticQMin, err := buildEntry(o)
-	if err != nil {
-		return err
-	}
+// runOverlay is runFlat's counterpart for -overlay.
+func runOverlay(o options, entry catalog.Entry, analyticQMin float64, tracer *obs.SpanSink, reg *obs.Registry) error {
 	s := entry.Scheme
 	lossModel, err := buildLossModel(o)
 	if err != nil {
@@ -94,6 +90,8 @@ func runOverlay(o options) error {
 		Seed:            o.seed,
 		ReliableIndices: entry.Signature,
 		Workers:         o.workers,
+		Tracer:          tracer,
+		Metrics:         reg,
 	}
 	res, err := netsim.RunOverlay(s, simCfg, netsim.OverlayConfig{
 		Tree:      tree,

@@ -88,6 +88,17 @@ func ApproxQ(g *depgraph.Graph, p float64) ([]float64, error) {
 		return nil, err
 	}
 	q := make([]float64, g.N()+1)
+	approxQInto(q, g, order, p)
+	return q, nil
+}
+
+// approxQInto evaluates the ApproxQ recurrence into q, which has g.N()+1
+// entries and is zero outside order. order is a topological order from the
+// root of g, or of a graph g was obtained from by removing edges: removing
+// an edge invalidates no topological order, and a vertex the removal cut
+// off from the root evaluates to exactly 0, the value ApproxQ gives the
+// unreachable — it has no providers, or only providers that are 0.
+func approxQInto(q []float64, g *depgraph.Graph, order []int, p float64) {
 	q[0] = math.NaN()
 	q[g.Root()] = 1
 	for _, v := range order {
@@ -104,7 +115,6 @@ func ApproxQ(g *depgraph.Graph, p float64) ([]float64, error) {
 		}
 		q[v] = 1 - broken
 	}
-	return q, nil
 }
 
 // minQ returns the minimum over non-root vertices.

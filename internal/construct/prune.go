@@ -29,18 +29,18 @@ func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
 		return Plan{}, 0, fmt.Errorf("construct: graph has %d vertices, constraint says %d", g.N(), c.N)
 	}
 	work := g.Clone()
-	meets := func() (bool, error) {
-		q, err := ApproxQ(work, c.P)
-		if err != nil {
-			return false, err
-		}
-		return minQ(q, work.Root()) >= c.TargetQMin, nil
-	}
-	ok, err := meets()
+	// One topological order serves every trial below: a trial only removes
+	// an edge, and a restored edge was in the graph the order came from.
+	order, err := work.TopoFromRoot()
 	if err != nil {
 		return Plan{}, 0, err
 	}
-	if !ok {
+	q := make([]float64, work.N()+1)
+	meets := func() bool {
+		approxQInto(q, work, order, c.P)
+		return minQ(q, work.Root()) >= c.TargetQMin
+	}
+	if !meets() {
 		// Nothing to prune from an infeasible starting point; report
 		// it honestly.
 		plan, err := newPlan(work, c.P, c.TargetQMin)
@@ -53,11 +53,7 @@ func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
 			if err := work.RemoveEdge(e[0], e[1]); err != nil {
 				return Plan{}, 0, err
 			}
-			ok, err := meets()
-			if err != nil {
-				return Plan{}, 0, err
-			}
-			if ok {
+			if meets() {
 				removed++
 				removedThisPass++
 				continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mcauth/internal/obs"
@@ -161,6 +162,74 @@ func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
 	// Nil cache and nil scratch still verify correctly.
 	if !VerifyAnyCached(nil, nil, pub, msg, sig) {
 		t.Fatalf("nil-cache verify rejected genuine signature")
+	}
+}
+
+// TestVerifyCachedMatchesVerify pins VerifyCached to pub.Verify: every key
+// kind against every signature shape, with the cache nil, cold and warm, and
+// with a failed check never stored. The plain key's refusal of a valid batch
+// blob is the case VerifyAnyCached answers differently.
+func TestVerifyCachedMatchesVerify(t *testing.T) {
+	signer := NewSignerFromString("vc")
+	content := []byte("signed content")
+	plainSig := signer.Sign(content)
+	blobs, err := BatchSign(signer, [][]byte{[]byte("sibling"), content, []byte("other")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]byte(nil), content...)
+	tampered[0] ^= 1
+	keys := []struct {
+		name string
+		pub  Verifier
+	}{
+		{"plain", signer.Public()},
+		{"batch", BatchCapable(signer).Public()},
+		{"wrong-plain", NewSignerFromString("vc-other").Public()},
+		{"wrong-batch", BatchCapable(NewSignerFromString("vc-other")).Public()},
+	}
+	sigs := []struct {
+		name    string
+		content []byte
+		sig     []byte
+	}{
+		{"valid-plain", content, plainSig},
+		{"valid-blob", content, blobs[1]},
+		{"truncated-plain", content, plainSig[:SignatureSize-1]},
+		{"truncated-blob", content, blobs[1][:len(blobs[1])-1]},
+		{"empty", content, nil},
+		{"tampered-content-plain", tampered, plainSig},
+		{"tampered-content-blob", tampered, blobs[1]},
+		{"sibling-blob", content, blobs[0]},
+	}
+	for _, k := range keys {
+		for _, sg := range sigs {
+			want := k.pub.Verify(sg.content, sg.sig)
+			cache, err := NewSigCache(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scratch VerifyScratch
+			for _, c := range []struct {
+				name    string
+				cache   *SigCache
+				scratch *VerifyScratch
+			}{{"nil", nil, nil}, {"cold", cache, &scratch}, {"warm", cache, &scratch}} {
+				if got := VerifyCached(c.cache, c.scratch, k.pub, sg.content, sg.sig); got != want {
+					t.Errorf("%s key, %s, %s cache: VerifyCached = %v, Verify = %v", k.name, sg.name, c.name, got, want)
+				}
+			}
+			stored := 0
+			if want {
+				stored = 1
+			}
+			if cache.Len() != stored {
+				t.Errorf("%s key, %s: cache holds %d checks, want %d", k.name, sg.name, cache.Len(), stored)
+			}
+			if st := cache.Stats(); want && (st.Hits != 1 || st.Misses != 1) {
+				t.Errorf("%s key, %s: stats %+v, want the warm lookup to hit", k.name, sg.name, st)
+			}
+		}
 	}
 }
 
@@ -335,6 +404,65 @@ func TestSigCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if cache.Len() > 64 {
 		t.Fatalf("cache exceeded bound: %d", cache.Len())
+	}
+}
+
+// countingVerifier counts the public-key operations that reach it.
+type countingVerifier struct {
+	Verifier
+	ops atomic.Int64
+}
+
+func (v *countingVerifier) Verify(data, sig []byte) bool {
+	v.ops.Add(1)
+	return v.Verifier.Verify(data, sig)
+}
+
+// TestSigCacheConcurrentFirstLookups releases many goroutines onto one cold
+// cache with the same check, as netsim's workers do with a block's signature
+// packet: a valid signature costs one public-key operation however they
+// interleave, a forged one costs each caller its own, and the counters read
+// the same as if the calls had come one after another.
+func TestSigCacheConcurrentFirstLookups(t *testing.T) {
+	const callers = 16
+	signer := NewSignerFromString("first-lookups")
+	msg := []byte("signature packet content")
+	good := signer.Sign(msg)
+	bad := append([]byte(nil), good...)
+	bad[0] ^= 1
+	for _, tc := range []struct {
+		name             string
+		sig              []byte
+		want             bool
+		ops, hit, stored int64
+	}{
+		{"valid", good, true, 1, callers - 1, 1},
+		{"forged", bad, false, callers, 0, 0},
+	} {
+		cache, err := NewSigCache(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub := &countingVerifier{Verifier: signer.Public()}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if got := VerifyAnyCached(cache, nil, pub, msg, tc.sig); got != tc.want {
+					t.Errorf("%s signature: verdict %v", tc.name, got)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		st := cache.Stats()
+		if pub.ops.Load() != tc.ops || st.Hits != tc.hit || st.Misses != callers-tc.hit || int64(cache.Len()) != tc.stored {
+			t.Errorf("%s signature, %d concurrent callers: %d public-key operations, stats %+v, %d stored; want %d operations, %d hits, %d stored",
+				tc.name, callers, pub.ops.Load(), st, cache.Len(), tc.ops, tc.hit, tc.stored)
+		}
 	}
 }
 

@@ -69,10 +69,21 @@ type SigCacheStats struct {
 // it fills, it becomes the previous generation and the old previous is
 // dropped. Rotation is O(1) per insert, unlike scan-based LRU. Safe for
 // concurrent use.
+//
+// Concurrent first lookups of one check run it once: the synchronous path
+// (VerifyCached, VerifyAnyCached) claims a missed key while it verifies, and
+// a second goroutine missing the same key waits for that verdict rather than
+// repeat the public-key operation. Simulated receivers are all handed the
+// same signed bytes at once, so without the claim the number of real checks —
+// and with it crypto.verify_ops and the hit/miss counts — would depend on the
+// worker count. A check that fails is not stored, so each waiter then claims
+// and runs it in turn: a miss always ends in the caller's own check.
 type SigCache struct {
 	mu        sync.Mutex
 	max       int
 	cur, prev map[sigKey]struct{}
+	checking  map[sigKey]struct{} // keys claimed by a check running now
+	settled   sync.Cond           // on mu; broadcast when a claim is released
 	stats     SigCacheStats
 }
 
@@ -81,14 +92,15 @@ func NewSigCache(max int) (*SigCache, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("crypto: sig cache size %d must be >= 1", max)
 	}
-	return &SigCache{max: max, cur: make(map[sigKey]struct{})}, nil
+	c := &SigCache{max: max, cur: make(map[sigKey]struct{}), checking: make(map[sigKey]struct{})}
+	c.settled.L = &c.mu
+	return c, nil
 }
 
-// seen reports whether the check previously succeeded, promoting hits
-// from the previous generation so hot entries survive rotation.
-func (c *SigCache) seen(k sigKey) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// hitLocked reports whether the check previously succeeded, counting the
+// hit and promoting it from the previous generation so hot entries survive
+// rotation.
+func (c *SigCache) hitLocked(k sigKey) bool {
 	if _, ok := c.cur[k]; ok {
 		c.stats.Hits++
 		return true
@@ -98,8 +110,49 @@ func (c *SigCache) seen(k sigKey) bool {
 		c.storeLocked(k)
 		return true
 	}
+	return false
+}
+
+// seen reports whether the check previously succeeded.
+func (c *SigCache) seen(k sigKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.hitLocked(k) {
+		return true
+	}
 	c.stats.Misses++
 	return false
+}
+
+// begin is seen for a caller that will run the missed check at once: false
+// claims k, first waiting out any claim another goroutine holds on it, and
+// the caller must release the claim with end.
+func (c *SigCache) begin(k sigKey) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if c.hitLocked(k) {
+			return true
+		}
+		if _, claimed := c.checking[k]; !claimed {
+			c.checking[k] = struct{}{}
+			c.stats.Misses++
+			return false
+		}
+		c.settled.Wait()
+	}
+}
+
+// end releases the claim begin took on k, recording the check if it
+// succeeded.
+func (c *SigCache) end(k sigKey, ok bool) {
+	c.mu.Lock()
+	delete(c.checking, k)
+	if ok {
+		c.storeLocked(k)
+	}
+	c.mu.Unlock()
+	c.settled.Broadcast()
 }
 
 // store records a successful check.
@@ -230,6 +283,23 @@ func VerifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, cont
 	return verifyCachedPlain(cache, pub, scratch.msg, inner)
 }
 
+// VerifyCached returns exactly what pub.Verify(content, sig) returns — a
+// plain key still refuses a batch blob, which VerifyAnyCached would accept —
+// but skips the public-key operation when cache has seen the same check
+// succeed. cache and scratch may be nil, as for VerifyAnyCached. A Verifier
+// of a type this package does not define is called directly: its Verify is
+// not known to be a function of the cache key.
+func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content, sig []byte) bool {
+	switch v := pub.(type) {
+	case *ed25519Verifier:
+		return verifyCachedPlain(cache, v, content, sig)
+	case *batchVerifier:
+		return VerifyAnyCached(cache, scratch, v.inner, content, sig)
+	default:
+		return pub.Verify(content, sig)
+	}
+}
+
 // verifyCachedPlain runs one plain signature check through the cache.
 func verifyCachedPlain(cache *SigCache, pub Verifier, msg, sig []byte) bool {
 	if len(sig) != SignatureSize {
@@ -239,12 +309,10 @@ func verifyCachedPlain(cache *SigCache, pub Verifier, msg, sig []byte) bool {
 		return pub.Verify(msg, sig)
 	}
 	k := makeSigKey(pub, msg, sig)
-	if cache.seen(k) {
+	if cache.begin(k) {
 		return true
 	}
-	if !pub.Verify(msg, sig) {
-		return false
-	}
-	cache.store(k)
-	return true
+	ok := pub.Verify(msg, sig)
+	cache.end(k, ok)
+	return ok
 }

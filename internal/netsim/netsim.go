@@ -22,6 +22,7 @@ import (
 	"sort"
 	"time"
 
+	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/fault"
 	"mcauth/internal/loss"
@@ -235,6 +236,23 @@ type blockPlan struct {
 	sendTimes []time.Time
 	wires     [][]byte // encoded wire images; only for faulted runs
 	metrics   *runMetrics
+	// sigs is the run's signature-verdict memo, handed to every receiver's
+	// verifier: all receivers are sent the same signed bytes, so each
+	// distinct signature is checked once per run instead of once per
+	// receiver. verifier.Env.Sigs says why receivers stay independent.
+	sigs *crypto.SigCache
+}
+
+// exportSigMemo publishes the memo's lookup counts once the receivers are
+// done: misses is the public-key operations the run paid for, and the same
+// at any worker count (see crypto.SigCache on concurrent first lookups).
+func (p *blockPlan) exportSigMemo(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	st := p.sigs.Stats()
+	reg.Counter("netsim.sig_memo_hits").Add(st.Hits)
+	reg.Counter("netsim.sig_memo_misses").Add(st.Misses)
 }
 
 // prepareBlock authenticates the block and derives the sender-side plan.
@@ -297,6 +315,13 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		}
 	}
 
+	// Only successful checks are stored and there is at most one genuine
+	// signature per wire packet, so the memo never rotates.
+	sigs, err := crypto.NewSigCache(len(pkts))
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
+	}
+
 	metrics := newRunMetrics(cfg.Metrics, faultsOn || adversarial)
 	if cfg.Tracer.Enabled() {
 		// One run_meta record leads the trace so offline tooling (mcreport)
@@ -325,6 +350,7 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		sendTimes: sendTimes,
 		wires:     wires,
 		metrics:   metrics,
+		sigs:      sigs,
 	}, nil
 }
 
@@ -385,6 +411,7 @@ func Run(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	plan.exportSigMemo(cfg.Metrics)
 	return result, nil
 }
 
@@ -563,7 +590,7 @@ func runReceiver(
 	// Deliver in arrival order: jitter reorders packets naturally.
 	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at.Before(arrivals[j].at) })
 
-	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Spans: tracer, Metrics: cfg.Metrics})
+	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Sigs: plan.sigs, Spans: tracer, Metrics: cfg.Metrics})
 	if err != nil {
 		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
 	}

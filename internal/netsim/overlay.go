@@ -354,6 +354,7 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	if err != nil {
 		return nil, err
 	}
+	plan.exportSigMemo(cfg.Metrics)
 	for r := range result.PerReceiver {
 		result.Relays[leaves[r%len(leaves)]].ServedRepairs += result.PerReceiver[r].Repaired
 	}

@@ -472,7 +472,7 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 			// The enqueued copy's signature bytes failed; the waiter
 			// carries its own — give it its own synchronous check.
 			msg := tv.appendRootMessage(w.p.BlockID, root)
-			verified = crypto.VerifyAnyCached(nil, &tv.vs, tv.pub, msg, w.p.Signature)
+			verified = crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, msg, w.p.Signature)
 		}
 		settle(w, verified)
 	}
@@ -540,7 +540,7 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 		})
 		return nil, nil
 	}
-	if !crypto.VerifyAnyCached(nil, &tv.vs, tv.pub, msg, p.Signature) {
+	if !crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, msg, p.Signature) {
 		tv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}

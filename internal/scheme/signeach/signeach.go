@@ -138,14 +138,16 @@ func (s *SignEach) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	// The signature cache only pays off for batch blobs (plain per-packet
-	// signatures never repeat an underlying check), but it is cheap and
-	// lets one verifier accept either form.
-	sig, err := crypto.NewSigCache(crypto.MaxBatch)
-	if err != nil {
-		return nil, err
+	// Without a shared memo the verifier keeps its own: the K blobs of one
+	// MABS batch share an inner signature, so it pays off within one block.
+	if env.Sigs == nil {
+		sigs, err := crypto.NewSigCache(crypto.MaxBatch)
+		if err != nil {
+			return nil, err
+		}
+		env.Sigs = sigs
 	}
-	return &signEachVerifier{n: s.n, pub: s.signer.Public(), sig: sig, env: env, rec: verifier.NewRecorder(env)}, nil
+	return &signEachVerifier{n: s.n, pub: s.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
 }
 
 type signEachVerifier struct {
@@ -155,8 +157,8 @@ type signEachVerifier struct {
 
 	// Receiver fast path: content staging and blob path walks reuse
 	// scratch, and the underlying public-key check of each batch blob is
-	// cached, so the K packets of one MABS batch cost one Ed25519 verify.
-	sig     *crypto.SigCache
+	// cached in env.Sigs, so the K packets of one MABS batch cost one
+	// Ed25519 verify.
 	vs      crypto.VerifyScratch
 	content []byte
 
@@ -227,7 +229,7 @@ func (sv *signEachVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.E
 		})
 		return nil, nil
 	}
-	if !crypto.VerifyAnyCached(sv.sig, &sv.vs, sv.pub, sv.content, p.Signature) {
+	if !crypto.VerifyAnyCached(sv.env.Sigs, &sv.vs, sv.pub, sv.content, p.Signature) {
 		sv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}

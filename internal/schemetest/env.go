@@ -18,7 +18,9 @@ import (
 // scheme ignores is a stated fact rather than a silent no-op. The
 // observation fields (Spans, Metrics) are not here: every verifier
 // reports through a verifier.Recorder, so every scheme honours them, and
-// EnvConformance checks that against the authenticated set.
+// EnvConformance checks that against the authenticated set. Nor is Sigs:
+// every scheme has a synchronous signature check and every one goes through
+// the memo, which EnvConformance checks by the memo's own hit count.
 type Honours struct {
 	// MaxBuffered: with no BatchQ, a cap of 1 drops overflow when the
 	// block's signature material arrives last. (Schemes that honour BatchQ
@@ -278,10 +280,25 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 		t.Errorf("%d signatures parked at once, message buffer high water %d", explicit.maxPending, explicit.stats.MsgBufferHighWater)
 	}
 
+	// One signature memo under every verifier of the delivery, as netsim
+	// shares one among a run's receivers: the first verifier fills it, the
+	// second settles its signature checks from it, and the wrong-key
+	// forgeries in the delivery are refused by both.
+	sigs, err := crypto.NewSigCache(len(pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("cold Sigs", runEnv(t, s, verifier.Env{Sigs: sigs}, delivery, clock, 0))
+	filled := sigs.Stats()
+	same("warm Sigs", runEnv(t, s, verifier.Env{Sigs: sigs}, delivery, clock, 0))
+	if warmed := sigs.Stats(); warmed.Hits == filled.Hits || warmed.Misses-filled.Misses >= filled.Misses {
+		t.Errorf("Env.Sigs: second verifier behind a filled memo: lookups went %+v -> %+v, want new hits and fewer misses than the first", filled, warmed)
+	}
+
 	same("Spans", runEnv(t, s, verifier.Env{Spans: sink(), StreamID: stream}, delivery, clock, 0))
 	same("Metrics", runEnv(t, s, verifier.Env{Metrics: obs.NewRegistry()}, delivery, clock, 0))
 	same("all fields", runEnv(t, s, verifier.Env{
-		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), BatchQ: queue(2),
+		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs, BatchQ: queue(2),
 		Spans: sink(), Metrics: obs.NewRegistry(),
 	}, delivery, clock, 0))
 

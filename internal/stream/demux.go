@@ -48,7 +48,7 @@ type Demux struct {
 	tick       int64
 	totals     DemuxTotals
 	// env holds what the demux adds to the verifier environment of every
-	// receiver the factory creates from now on: Cache and BatchQ (see
+	// receiver the factory creates from now on: Cache, BatchQ and Sigs (see
 	// SetVerifyFastPath) and Spans (see SetSpans), keyed per receiver by
 	// its transport stream ID.
 	env verifier.Env
@@ -88,12 +88,19 @@ func NewDemux(newReceiver func(streamID uint64) (*Receiver, error), maxStreams i
 // receiver created from now on: cache (when non-nil) shares proven-
 // authentic packet digests across all of the demux's streams, keyed by
 // the transport stream ID, and q (when non-nil) defers signature checks
-// to a shared batch-verify queue. Deferred verdicts that resolve while a
-// different stream's packet is being ingested are collected via
-// DrainDeferred. Either argument may be nil to enable only the other.
+// to a shared batch-verify queue, whose signature cache also becomes the
+// receivers' synchronous memo (verifier.Env.Sigs) so that a check a
+// verifier runs itself — authtree's per-waiter fallback — shares it.
+// Deferred verdicts that resolve while a different stream's packet is being
+// ingested are collected via DrainDeferred. Either argument may be nil to
+// enable only the other.
 func (d *Demux) SetVerifyFastPath(cache *verifier.SharedCache, q *crypto.BatchVerifyQueue) {
 	d.env.Cache = cache
 	d.env.BatchQ = q
+	d.env.Sigs = nil
+	if q != nil {
+		d.env.Sigs = q.Cache()
+	}
 }
 
 // SetSpans attaches a causal span ring to every stream receiver created
@@ -177,6 +184,9 @@ func (d *Demux) receiver(streamID uint64) (*Receiver, error) {
 	}
 	if d.env.BatchQ != nil {
 		r.env.BatchQ = d.env.BatchQ
+	}
+	if d.env.Sigs != nil {
+		r.env.Sigs = d.env.Sigs
 	}
 	if d.env.Spans != nil {
 		r.env.Spans = d.env.Spans

@@ -33,6 +33,21 @@ type Env struct {
 	// accepted without re-proving, and every authentication is published
 	// back (see the forgery-safety argument in cache.go).
 	Cache *SharedCache
+	// Sigs memoises the synchronous signature check of every scheme's
+	// verifier: a check whose (public key, SHA-256 of the signed content,
+	// signature bytes) already succeeded skips the public-key operation.
+	// nil is the same code reaching pub.Verify. It is sound to share among
+	// any verifiers whatever, simulated receivers of one run included: only
+	// successes are stored (see crypto.SigCache), the memoised function is
+	// pure, and a hit says only "this signature over these bytes is valid",
+	// which every holder of the public key may learn for itself. What a
+	// verifier authenticates therefore still depends on its own received
+	// packets alone, as the dependence-graph model requires — unlike Cache,
+	// which carries one verifier's chain conclusions to the next and so must
+	// stay per-receiver in a simulation. The serving tier passes the
+	// SigCache behind its BatchQ, so a synchronous check and a deferred one
+	// each settle what the other already paid for.
+	Sigs *crypto.SigCache
 	// BatchQ defers signature checks: Ingest parks signature-carrying
 	// packets and enqueues the check; when the queue resolves (threshold
 	// or explicit Resolve, always on the ingest goroutine — verifiers are

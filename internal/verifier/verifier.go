@@ -84,6 +84,7 @@ type Chained struct {
 	// env is the verifier's configuration, fixed at construction.
 	env Env
 	rec Recorder
+	vs  crypto.VerifyScratch // batch-blob path walk staging for the signature check
 
 	trusted   map[uint32]crypto.Digest // digests proven authentic, by index
 	buffered  map[uint32]bufferedPacket
@@ -169,7 +170,7 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 			v.deferSignature(p, at)
 			return nil, nil
 		}
-		if !v.pub.Verify(p.ContentBytes(), p.Signature) {
+		if !crypto.VerifyCached(v.env.Sigs, &v.vs, v.pub, p.ContentBytes(), p.Signature) {
 			v.rec.Rejected(p, at, "bad_signature")
 			return nil, nil
 		}

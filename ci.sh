@@ -15,6 +15,13 @@ go build ./...
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
 
+# Signer-loop tier: the batch signer's hold rule and the long-lived loop
+# that arms it (internal/server/hold.go), five times over under the race
+# detector. The loop is a goroutine with a timer that Close and Kill must
+# join: these tests fail on a goroutine left behind, on a signature landing
+# after Kill, and on a hold that ignores the measured root rate.
+go test -race -count=5 -run 'TestRootHold' ./internal/server
+
 # Robustness tier: a short seeded chaos soak under the race detector, then
 # a fuzz smoke pass over the two attacker-facing decoders.
 go run -race ./cmd/mcsim -chaos -n 24 -receivers 6 -chaosseeds 2 >/dev/null

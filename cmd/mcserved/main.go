@@ -115,8 +115,8 @@ func parseOptions(args []string) (options, error) {
 	fs.IntVar(&o.Blocks, "blocks", 20, "blocks to publish per stream (demo mode)")
 	fs.DurationVar(&o.Rate, "rate", 0, "inter-message gap per stream (0 = as fast as possible)")
 	fs.DurationVar(&o.duration, "duration", 0, "daemon lifetime (0 = until interrupt)")
-	fs.IntVar(&o.Batch, "batch", 64, "block roots per signature (batch signer auto-flush threshold)")
-	fs.DurationVar(&o.Flush, "flush", 50*time.Millisecond, "flush deadline for partial blocks and pending batches")
+	fs.IntVar(&o.Batch, "batch", 64, "ceiling on block roots per signature: the batch signs at once when this many are pending, and sooner at low load (see -flush)")
+	fs.DurationVar(&o.Flush, "flush", 50*time.Millisecond, "ceiling on how long a partial block or an unsigned root may wait; a root waits flush x min(1, roots/s x flush / batch) from the first root of its batch")
 	fs.StringVar(&o.Key, "key", "mcserved-demo", "signing-key derivation string (receivers derive the matching public key)")
 	fs.IntVar(&o.VerifyBatch, "verify-batch", 32, "receiver fast path: defer signature checks to a batch-verify queue holding this many pending packets, amortizing duplicate underlying checks (0 = verify synchronously)")
 	fs.IntVar(&o.VerifyCache, "verify-cache", 1024, "receiver fast path: shared per-block verification cache entries — packets proven authentic once are accepted by digest on re-receipt (0 = off)")

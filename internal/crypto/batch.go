@@ -94,7 +94,7 @@ func batchRootFromPath(leaf Digest, index, count uint32, path []byte) (Digest, b
 // BatchSign signs all contents with one underlying signature and returns
 // one self-contained signature blob per content, in input order. A batch
 // of one still produces a (73-byte) batch blob; callers who want plain
-// signatures for singletons should sign directly.
+// signatures for singletons should sign directly, as BatchSigner does.
 func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 	if signer == nil {
 		return nil, errors.New("crypto: nil signer")
@@ -224,6 +224,9 @@ type pendingItem struct {
 
 // BatchTotals snapshots a BatchSigner's lifetime counters.
 type BatchTotals struct {
+	// Enqueued is how many messages Enqueue has accepted, signed or still
+	// pending; its growth over time is the signer's arrival rate.
+	Enqueued int64
 	// Signatures is how many underlying signature operations ran.
 	Signatures int64
 	// SignedRoots is how many messages those signatures covered. The
@@ -244,9 +247,11 @@ func (t BatchTotals) AmortizationRatio() float64 {
 
 // BatchSigner accumulates messages and signs them MaxBatch-at-a-time (or
 // whenever Flush is called — callers own the flush-deadline policy, since
-// only they know how much latency a pending message may absorb). It is
-// safe for concurrent use; deliver callbacks run outside the internal lock
-// and may re-enter the signer.
+// only they know how much latency a pending message may absorb). A flush
+// that holds exactly one message signs it plainly (SignatureSize bytes, no
+// one-leaf blob); batch-aware verifiers accept either form and the totals
+// count both the same. It is safe for concurrent use; deliver callbacks
+// run outside the internal lock and may re-enter the signer.
 type BatchSigner struct {
 	mu      sync.Mutex
 	inner   Signer
@@ -285,6 +290,7 @@ func (b *BatchSigner) Enqueue(content []byte, deliver func(sig []byte)) (int, er
 	}
 	b.mu.Lock()
 	b.pending = append(b.pending, pendingItem{content: content, deliver: deliver})
+	b.totals.Enqueued++
 	if len(b.pending) < b.max {
 		n := len(b.pending)
 		b.mu.Unlock()
@@ -312,13 +318,6 @@ func (b *BatchSigner) Flush() (int, error) {
 	return len(items), nil
 }
 
-// Pending returns the number of messages awaiting a signature.
-func (b *BatchSigner) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
-
 // Totals snapshots the lifetime counters.
 func (b *BatchSigner) Totals() BatchTotals {
 	b.mu.Lock()
@@ -334,13 +333,18 @@ func (b *BatchSigner) flushLocked() ([]signedItem, error) {
 	if len(b.pending) == 0 {
 		return nil, nil
 	}
-	contents := make([][]byte, len(b.pending))
-	for i, it := range b.pending {
-		contents[i] = it.content
-	}
-	blobs, err := BatchSign(b.inner, contents)
-	if err != nil {
-		return nil, err
+	var blobs [][]byte
+	if len(b.pending) == 1 {
+		blobs = [][]byte{b.inner.Sign(b.pending[0].content)}
+	} else {
+		contents := make([][]byte, len(b.pending))
+		for i, it := range b.pending {
+			contents[i] = it.content
+		}
+		var err error
+		if blobs, err = BatchSign(b.inner, contents); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]signedItem, len(b.pending))
 	for i, it := range b.pending {

@@ -162,6 +162,79 @@ func TestBatchSignerAutoFlushAndTotals(t *testing.T) {
 	}
 }
 
+// A flush holding one message signs it plainly: 64 bytes, not a 73-byte
+// one-leaf blob. Both singleton forms verify under the batch-aware key —
+// synchronously and through the deferred queue — and the totals cannot
+// tell them apart.
+func TestBatchSignerSingletonSignsPlain(t *testing.T) {
+	signer := NewSignerFromString("singleton")
+	b, err := NewBatchSigner(signer, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("the only pending root")
+	var plain []byte
+	if _, err := b.Enqueue(msg, func(sig []byte) { plain = sig }); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := b.Flush(); err != nil || n != 1 {
+		t.Fatalf("flush signed %d (%v), want 1", n, err)
+	}
+	if len(plain) != SignatureSize {
+		t.Fatalf("singleton flush produced %d bytes, want a plain %d-byte signature", len(plain), SignatureSize)
+	}
+	if !signer.Public().Verify(msg, plain) {
+		t.Fatal("singleton signature does not verify under the plain key")
+	}
+	blobs, err := BatchSign(signer, [][]byte{msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewBatchVerifyQueue(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := b.Public()
+	for name, sig := range map[string][]byte{"plain": plain, "blob": blobs[0]} {
+		if !pub.Verify(msg, sig) {
+			t.Errorf("%s singleton rejected by the batch-aware verifier", name)
+		}
+		if pub.Verify([]byte("another root"), sig) {
+			t.Errorf("%s singleton verifies the wrong content", name)
+		}
+		deferred := false
+		q.Enqueue(signer.Public(), msg, sig, func(ok bool) { deferred = ok })
+		q.Resolve()
+		if !deferred {
+			t.Errorf("%s singleton rejected by the deferred queue", name)
+		}
+	}
+	// One flush of one message reads the same as one flush of a one-leaf
+	// batch did: one signature, one root.
+	if tot := b.Totals(); tot != (BatchTotals{Enqueued: 1, Signatures: 1, SignedRoots: 1, Flushes: 1}) {
+		t.Fatalf("totals %+v, want one signature over one root in one flush", tot)
+	}
+	// A second message alone in the next flush, then a pair: the pair is
+	// a blob again.
+	var pair [2][]byte
+	for i := range pair {
+		if _, err := b.Enqueue(msg, func(sig []byte) { pair[i] = sig }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sig := range pair {
+		if len(sig) == SignatureSize || !pub.Verify(msg, sig) {
+			t.Errorf("pair member %d: %d-byte signature, verifies %v; want a verifying blob", i, len(sig), pub.Verify(msg, sig))
+		}
+	}
+	if tot := b.Totals(); tot.Enqueued != 3 || tot.Signatures != 2 || tot.SignedRoots != 3 {
+		t.Fatalf("totals %+v, want 2 signatures over 3 roots", tot)
+	}
+}
+
 func TestBatchSignerConcurrentEnqueue(t *testing.T) {
 	signer := NewSignerFromString("conc")
 	b, err := NewBatchSigner(signer, 7)

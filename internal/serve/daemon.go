@@ -27,7 +27,8 @@ type Config struct {
 	// synthetic publishers' inter-message gap.
 	Blocks int
 	Rate   time.Duration
-	// Batch and Flush configure the batch signer, Checkpoint ("" = none)
+	// Batch and Flush are the batch signer's ceilings (server.Config's
+	// BatchSize and FlushInterval), Checkpoint ("" = none)
 	// the crash-recovery file, Repair the per-stream retention in blocks.
 	Batch      int
 	Flush      time.Duration
@@ -250,9 +251,11 @@ func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error 
 	fmt.Fprintf(stdout, "signatures       %d over %d block roots (amortization %.2fx)\n",
 		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
 	hold := reg.Histogram("server.root_hold_ns").Data()
-	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v\n",
+	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v  (target %v at %d roots/s)\n",
 		time.Duration(hold.Quantile(0.5)).Round(time.Microsecond),
-		time.Duration(hold.Quantile(0.99)).Round(time.Microsecond))
+		time.Duration(hold.Quantile(0.99)).Round(time.Microsecond),
+		time.Duration(reg.Gauge("server.root_hold_target_ns").Value()).Round(time.Microsecond),
+		reg.Gauge("server.root_rate_per_s").Value())
 	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", sub.Drops())
 	if sink.Authed < published {
 		return fmt.Errorf("verified %d of %d published messages", sink.Authed, published)

@@ -4,9 +4,11 @@
 // construction parallelizes across streams while staying strictly ordered
 // within one (everything for a stream runs on its shard goroutine). Block
 // root signatures are amortized through one crypto.BatchSigner — up to
-// BatchSize roots per underlying signature — with a flush deadline so a
-// withheld signature packet never waits longer than roughly one
-// FlushInterval beyond the scheme's own dependence-graph delay bound.
+// BatchSize roots per underlying signature — and held for company no
+// longer than the measured root arrival rate can repay (rootHold): a
+// withheld signature packet never waits longer than one FlushInterval
+// beyond the scheme's own dependence-graph delay bound, and at low load
+// waits a small fraction of it.
 // Receivers subscribe through bounded queues with drop-and-count
 // semantics: under backpressure the server degrades exactly like the
 // best-effort multicast network the paper models, and can never deadlock
@@ -48,11 +50,16 @@ type Config struct {
 	// Shards is the worker-pool width; streams hash onto shards. Default:
 	// min(8, GOMAXPROCS).
 	Shards int
-	// BatchSize is the auto-flush threshold of the batch signer (how many
-	// block roots one signature may cover). Default 64.
+	// BatchSize is the ceiling on how many block roots one signature
+	// covers: the batch signer signs at once when that many are pending.
+	// Below the rate that fills it inside FlushInterval, batches are
+	// smaller (see rootHold). Default 64.
 	BatchSize int
-	// FlushInterval bounds how long a partial block or an unsigned batch
-	// may sit pending. Default 50ms.
+	// FlushInterval is the ceiling on how long a partial block or an
+	// unsigned root may sit pending. A partial block waits that long; a
+	// root waits FlushInterval × min(1, rate·FlushInterval / BatchSize)
+	// from the first root of its batch, the full FlushInterval while the
+	// root arrival rate is still unmeasured. Default 50ms.
 	FlushInterval time.Duration
 	// MaxPendingPublish bounds each stream's in-flight publishes; Publish
 	// blocks (backpressure) when the stream is that far behind. Default 256.
@@ -134,6 +141,11 @@ type metrics struct {
 	batchFlushDrain    *obs.Counter
 	batchFill          *obs.Histogram
 	rootHold           *obs.Histogram
+	// rootHoldTarget / rootRate are the signer loop's two numbers as of
+	// the last batch it armed: the hold it chose and the root arrival
+	// rate (per second, 0 while unmeasured) it chose it from.
+	rootHoldTarget *obs.Gauge
+	rootRate       *obs.Gauge
 	// batchSignatures / batchSignedRoots mirror the batch signer's
 	// lifetime totals into /metrics; their quotient is the signature
 	// amortization ratio.
@@ -155,6 +167,8 @@ func newMetrics(reg *obs.Registry) metrics {
 		batchFlushDrain:    reg.Counter("server.batch_flush_drain"),
 		batchFill:          reg.Histogram("server.batch_fill"),
 		rootHold:           reg.Histogram("server.root_hold_ns"),
+		rootHoldTarget:     reg.Gauge("server.root_hold_target_ns"),
+		rootRate:           reg.Gauge("server.root_rate_per_s"),
 		batchSignatures:    reg.Gauge("server.batch_signatures"),
 		batchSignedRoots:   reg.Gauge("server.batch_signed_roots"),
 		resumeCatchup:      reg.Counter("server.resume_catchup_packets"),
@@ -183,11 +197,16 @@ type Server struct {
 	// fan is the subscriber set every emitted packet is delivered to.
 	fan *Fanout
 
-	flusherStop chan struct{}
-	flusherDone chan struct{}
+	// loopStop ends the flusher and the signer loop; loops counts them.
+	// rootKick wakes the signer loop, with the time a root found the batch
+	// empty.
+	loopStop chan struct{}
+	loops    sync.WaitGroup
+	rootKick chan time.Time
 }
 
-// New starts a server (its shard workers and flusher run until Close).
+// New starts a server (its shard workers, flusher and signer loop run
+// until Close or Kill).
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -209,14 +228,17 @@ func New(cfg Config) (*Server, error) {
 			ShedData:  cfg.Metrics.Counter("server.shed_data"),
 			ShedSig:   cfg.Metrics.Counter("server.shed_sig"),
 		}),
-		flusherStop: make(chan struct{}),
-		flusherDone: make(chan struct{}),
+		loopStop: make(chan struct{}),
+		rootKick: make(chan time.Time, 1),
 	}
+	s.m.rootHoldTarget.Set(cfg.FlushInterval.Nanoseconds())
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = newShard(cfg.Shards * cfg.MaxPendingPublish)
 	}
+	s.loops.Add(2)
 	go s.flusher()
+	go s.signLoop()
 	return s, nil
 }
 
@@ -358,18 +380,19 @@ func (s *Server) tryDispatch(st *Stream, fn func()) bool {
 	}
 }
 
-// flusher enforces the two deadlines: partial blocks older than
-// FlushInterval are padded out, and pending batch roots are signed. Worst
-// case a root is held for one tick past its deadline (tick == deadline),
-// so receiver-visible signature delay is bounded by 2×FlushInterval on
-// top of the scheme's own dependence-graph delay.
+// flusher enforces the partial-block deadline: a block older than
+// FlushInterval is padded out, at most one tick (== FlushInterval) late.
+// Its root then goes the way of every root — into the batch, whose
+// deadline signLoop owns — so receiver-visible signature delay is bounded
+// by one FlushInterval on top of block fill and the scheme's own
+// dependence-graph delay.
 func (s *Server) flusher() {
-	defer close(s.flusherDone)
+	defer s.loops.Done()
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.flusherStop:
+		case <-s.loopStop:
 			return
 		case <-t.C:
 		}
@@ -387,13 +410,6 @@ func (s *Server) flusher() {
 					st.flushPartial()
 				}
 			})
-		}
-		if s.signer.Pending() > 0 {
-			if n, err := s.signer.Flush(); err == nil && n > 0 {
-				s.m.batchFlushDeadline.Inc()
-				s.m.batchFill.Observe(int64(n))
-				s.noteBatchTotals()
-			}
 		}
 	}
 }
@@ -433,10 +449,18 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 		st.errors.Add(1)
 		return
 	}
-	if pending == 0 {
+	switch pending {
+	case 0:
 		s.m.batchFlushFull.Inc()
 		s.m.batchFill.Observe(int64(s.signer.MaxBatchSize()))
 		s.noteBatchTotals()
+	case 1:
+		// First root of a new batch: its hold starts now. A kick still
+		// waiting is older, so the loop arms no later than this root asks.
+		select {
+		case s.rootKick <- time.Now():
+		default:
+		}
 	}
 }
 
@@ -501,7 +525,9 @@ func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
 }
 
 // stop runs the shutdown steps Close and Kill share: mark closed, stop
-// the flusher, wait out in-flight publishes, and drain the shard workers.
+// the flusher and the signer loop (waiting out a signature in progress, so
+// none lands after stop returns), wait out in-flight publishes, and drain
+// the shard workers.
 // Returns the surviving streams (now exclusively owned by the caller) and
 // false if the server was already stopped.
 func (s *Server) stop() ([]*Stream, bool) {
@@ -514,8 +540,8 @@ func (s *Server) stop() ([]*Stream, bool) {
 	close(s.closing)
 	s.mu.Unlock()
 
-	close(s.flusherStop)
-	<-s.flusherDone
+	close(s.loopStop)
+	s.loops.Wait()
 	s.pubWG.Wait()
 	for _, sh := range s.shards {
 		close(sh.tasks)
@@ -571,7 +597,8 @@ func (s *Server) Close() error {
 
 // Kill stops the server the way a crash would: no partial-block flush, no
 // final batch signature, no clean checkpoint — pending batch roots die
-// unsigned, so their blocks' withheld signature packets are never
+// unsigned, their hold timer stopped with the signer loop, so their
+// blocks' withheld signature packets are never
 // delivered, exactly what subscribers of a SIGKILLed daemon observe. The
 // write-ahead checkpoint still guarantees a restart never reuses a block
 // ID. In-flight publishes finish (the process boundary in this in-process

@@ -18,8 +18,8 @@ import (
 )
 
 // testScheme builds stream id's scheme: the four non-timed constructions
-// round-robin, so the pool mixes deferred signing (chained schemes) with
-// the synchronous fallback (authtree, signeach).
+// round-robin, so the pool mixes deferred signing (chained schemes,
+// authtree) with the synchronous fallback (signeach).
 func testScheme(id uint64, signer crypto.Signer) (scheme.Scheme, error) {
 	switch id % 4 {
 	case 0:
@@ -239,7 +239,7 @@ func TestServerDeadlineFlushBoundsDelay(t *testing.T) {
 	// flush signs it. The receiver's time-to-auth for the packets
 	// waiting on the root is then bounded by the dependence-graph delay
 	// (zero extra sends here: packets arrive back-to-back) plus at most
-	// two flush intervals of signature hold.
+	// one flush interval of signature hold.
 	start := time.Now()
 	for i := 0; i < 8; i++ {
 		if err := srv.Publish(id, []byte(fmt.Sprintf("m%d", i))); err != nil {

@@ -1,9 +1,12 @@
 package construct
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mcauth/internal/depgraph"
+	"mcauth/internal/parallel"
 	"mcauth/internal/stats"
 )
 
@@ -131,5 +134,52 @@ func TestPrunePolicyGraphDropsClampDuplicates(t *testing.T) {
 	}
 	if removed < before/5 {
 		t.Errorf("only %d of %d edges pruned; expected substantial savings", removed, before)
+	}
+}
+
+// TestPruneSharedGraphUnderParallel: the graph's neighbour accessors hand
+// out its own slices, so many readers of one graph are safe exactly as long
+// as none of them writes through a view — which the race detector checks
+// here (ci.sh runs the suite under -race): concurrent ApproxQ and Prune
+// calls on one shared input, Prune mutating only its clone, all reaching the
+// sequential answers and leaving the input as it was.
+func TestPruneSharedGraphUnderParallel(t *testing.T) {
+	c := Constraint{N: 40, P: 0.2, TargetQMin: 0.85}
+	plan, _, err := Probabilistic(c, stats.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := plan.Graph
+	before := g.Edges()
+	wantQ, err := ApproxQ(g, c.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan, wantRemoved, err := Prune(g, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantRemoved == 0 {
+		t.Fatal("nothing to prune: the clone is never mutated")
+	}
+	err = parallel.ForEach(8, make([]struct{}, 16), func(i int, _ struct{}) error {
+		if i%2 == 0 {
+			q, err := ApproxQ(g, c.P)
+			if err == nil && !reflect.DeepEqual(q[1:], wantQ[1:]) {
+				err = fmt.Errorf("task %d: ApproxQ differs from the sequential run", i)
+			}
+			return err
+		}
+		pruned, removed, err := Prune(g, c)
+		if err == nil && (removed != wantRemoved || !reflect.DeepEqual(pruned.Graph.Edges(), wantPlan.Graph.Edges())) {
+			err = fmt.Errorf("task %d: Prune removed %d edges, sequentially %d", i, removed, wantRemoved)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Edges(), before) {
+		t.Error("pruning clones changed the shared input graph")
 	}
 }

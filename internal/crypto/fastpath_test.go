@@ -215,7 +215,7 @@ func TestVerifyCachedMatchesVerify(t *testing.T) {
 				cache   *SigCache
 				scratch *VerifyScratch
 			}{{"nil", nil, nil}, {"cold", cache, &scratch}, {"warm", cache, &scratch}} {
-				if got := VerifyCached(c.cache, c.scratch, k.pub, sg.content, sg.sig); got != want {
+				if got := VerifyCached(c.cache, c.scratch, k.pub, sg.content, nil, sg.sig); got != want {
 					t.Errorf("%s key, %s, %s cache: VerifyCached = %v, Verify = %v", k.name, sg.name, c.name, got, want)
 				}
 			}

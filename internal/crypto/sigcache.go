@@ -19,8 +19,9 @@ type sigKey struct {
 
 // makeSigKey builds the cache key for a plain signature check. Public
 // keys are used verbatim when they are already digest-sized (Ed25519) and
-// hashed down otherwise, so distinct keys can never alias.
-func makeSigKey(pub Verifier, msg, sig []byte) sigKey {
+// hashed down otherwise, so distinct keys can never alias. sum, when the
+// caller already holds it, is HashBytes(msg).
+func makeSigKey(pub Verifier, msg []byte, sum *Digest, sig []byte) sigKey {
 	var k sigKey
 	pb := verifierKeyBytes(pub)
 	if len(pb) == HashSize {
@@ -28,7 +29,11 @@ func makeSigKey(pub Verifier, msg, sig []byte) sigKey {
 	} else {
 		k.pub = HashBytes(pb)
 	}
-	k.msg = HashBytes(msg)
+	if sum != nil {
+		k.msg = *sum
+	} else {
+		k.msg = HashBytes(msg)
+	}
 	copy(k.sig[:], sig)
 	return k
 }
@@ -260,11 +265,16 @@ func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool
 // nil (no caching) and scratch may be nil (allocates staging per call).
 // Results match Verifier.Verify / VerifyBatchBlob exactly.
 func VerifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content, sig []byte) bool {
+	return verifyAnyCached(cache, scratch, pub, content, nil, sig)
+}
+
+// verifyAnyCached is VerifyAnyCached with VerifyCached's sum.
+func verifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content []byte, sum *Digest, sig []byte) bool {
 	if pub == nil {
 		return false
 	}
 	if len(sig) == SignatureSize {
-		return verifyCachedPlain(cache, pub, content, sig)
+		return verifyCachedPlain(cache, pub, content, sum, sig)
 	}
 	if scratch == nil {
 		scratch = &VerifyScratch{}
@@ -280,35 +290,37 @@ func VerifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, cont
 	}
 	scratch.msg = append(scratch.msg[:0], batchRootLabel...)
 	scratch.msg = append(scratch.msg, root[:]...)
-	return verifyCachedPlain(cache, pub, scratch.msg, inner)
+	return verifyCachedPlain(cache, pub, scratch.msg, nil, inner)
 }
 
 // VerifyCached returns exactly what pub.Verify(content, sig) returns — a
 // plain key still refuses a batch blob, which VerifyAnyCached would accept —
 // but skips the public-key operation when cache has seen the same check
-// succeed. cache and scratch may be nil, as for VerifyAnyCached. A Verifier
-// of a type this package does not define is called directly: its Verify is
-// not known to be a function of the cache key.
-func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content, sig []byte) bool {
+// succeed. cache and scratch may be nil, as for VerifyAnyCached. sum is nil
+// or HashBytes(content) when the caller already holds it, so that a plain
+// signature's cache key hashes nothing. A Verifier of a type this package
+// does not define is called directly: its Verify is not known to be a
+// function of the cache key.
+func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content []byte, sum *Digest, sig []byte) bool {
 	switch v := pub.(type) {
 	case *ed25519Verifier:
-		return verifyCachedPlain(cache, v, content, sig)
+		return verifyCachedPlain(cache, v, content, sum, sig)
 	case *batchVerifier:
-		return VerifyAnyCached(cache, scratch, v.inner, content, sig)
+		return verifyAnyCached(cache, scratch, v.inner, content, sum, sig)
 	default:
 		return pub.Verify(content, sig)
 	}
 }
 
 // verifyCachedPlain runs one plain signature check through the cache.
-func verifyCachedPlain(cache *SigCache, pub Verifier, msg, sig []byte) bool {
+func verifyCachedPlain(cache *SigCache, pub Verifier, msg []byte, sum *Digest, sig []byte) bool {
 	if len(sig) != SignatureSize {
 		return false
 	}
 	if cache == nil {
 		return pub.Verify(msg, sig)
 	}
-	k := makeSigKey(pub, msg, sig)
+	k := makeSigKey(pub, msg, sum, sig)
 	if cache.begin(k) {
 		return true
 	}

@@ -228,7 +228,7 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 		if !ok {
 			continue // verdict stays false
 		}
-		k := makeSigKey(it.pub, msg, sig)
+		k := makeSigKey(it.pub, msg, nil, sig)
 		g, exists := groups[k]
 		if !exists {
 			// msg may point into q.scratch; copy so later reductions

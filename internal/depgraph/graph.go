@@ -158,15 +158,16 @@ func (g *Graph) OutDegree(i int) int { return len(g.out[i]) }
 // authentication information for it.
 func (g *Graph) InDegree(i int) int { return len(g.in[i]) }
 
-// OutNeighbors returns a copy of the targets of edges out of i, ascending.
-func (g *Graph) OutNeighbors(i int) []int {
-	return append([]int(nil), g.out[i]...)
-}
+// OutNeighbors returns the targets of edges out of i, ascending. Like
+// InNeighbors it returns the graph's own slice, not a copy: a read-only view
+// that the next AddEdge or RemoveEdge touching i may rewrite in place. Callers
+// iterate it and must not write to it; its capacity is clipped, so an append
+// copies rather than grow into the graph's storage.
+func (g *Graph) OutNeighbors(i int) []int { return g.out[i][:len(g.out[i]):len(g.out[i])] }
 
-// InNeighbors returns a copy of the sources of edges into i, ascending.
-func (g *Graph) InNeighbors(i int) []int {
-	return append([]int(nil), g.in[i]...)
-}
+// InNeighbors returns the sources of edges into i, ascending: a read-only
+// view under the OutNeighbors contract.
+func (g *Graph) InNeighbors(i int) []int { return g.in[i][:len(g.in[i]):len(g.in[i])] }
 
 // Edges returns all edges as [2]int{from, to} pairs in deterministic order.
 func (g *Graph) Edges() [][2]int {

@@ -2,6 +2,8 @@ package depgraph
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,12 +115,72 @@ func TestDegreesAndNeighbors(t *testing.T) {
 	if got := g.InNeighbors(5); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("InNeighbors(5) = %v", got)
 	}
-	// Mutating the returned slice must not affect the graph.
-	nbrs := g.OutNeighbors(1)
-	nbrs[0] = 99
-	if g.OutNeighbors(1)[0] != 2 {
-		t.Error("OutNeighbors exposed internal state")
+	// The accessors return read-only views with clipped capacity, so an
+	// append copies rather than grow into the graph's own storage.
+	if out, in := g.OutNeighbors(1), g.InNeighbors(5); cap(out) != len(out) || cap(in) != len(in) {
+		t.Errorf("view capacities %d/%d exceed lengths %d/%d", cap(out), cap(in), len(out), len(in))
 	}
+}
+
+// TestNeighborViews pins the view contract of InNeighbors / OutNeighbors:
+// ascending whatever the insertion order, consistent with the degrees and
+// with each other after removals, and never shared between a graph and its
+// Clone — Prune mutates a clone while the original keeps serving its views.
+func TestNeighborViews(t *testing.T) {
+	g, err := New(9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]int{{1, 9}, {1, 3}, {1, 5}, {3, 9}, {5, 9}, {1, 2}, {2, 9}, {1, 4}, {1, 6}, {1, 7}, {1, 8}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	if err := g.RemoveEdge(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	check := func(g *Graph) {
+		t.Helper()
+		edges := 0
+		for v := 1; v <= g.N(); v++ {
+			out, in := g.OutNeighbors(v), g.InNeighbors(v)
+			if !sort.IntsAreSorted(out) || !sort.IntsAreSorted(in) {
+				t.Fatalf("vertex %d: views not ascending: out %v in %v", v, out, in)
+			}
+			if len(out) != g.OutDegree(v) || len(in) != g.InDegree(v) {
+				t.Fatalf("vertex %d: view lengths %d/%d, degrees %d/%d", v, len(out), len(in), g.OutDegree(v), g.InDegree(v))
+			}
+			for _, w := range out {
+				if !g.HasEdge(v, w) || sort.SearchInts(g.InNeighbors(w), v) == len(g.InNeighbors(w)) {
+					t.Fatalf("edge %d -> %d in the out view but not in the graph", v, w)
+				}
+			}
+			edges += len(out)
+		}
+		if edges != g.NumEdges() {
+			t.Fatalf("views hold %d edges, NumEdges %d", edges, g.NumEdges())
+		}
+	}
+	check(g)
+
+	c := g.Clone()
+	wantOut := append([]int(nil), g.OutNeighbors(1)...)
+	wantIn := append([]int(nil), g.InNeighbors(9)...)
+	// Every mutation of the clone that rewrites a neighbour list in place:
+	// a removal from the middle, an insertion at the front.
+	if err := c.RemoveEdge(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveEdge(2, 9); err != nil {
+		t.Fatal(err)
+	}
+	c.MustAddEdge(4, 9)
+	check(c)
+	if got := g.OutNeighbors(1); !reflect.DeepEqual(got, wantOut) {
+		t.Errorf("mutating the clone rewrote the original's out view: %v, want %v", got, wantOut)
+	}
+	if got := g.InNeighbors(9); !reflect.DeepEqual(got, wantIn) {
+		t.Errorf("mutating the clone rewrote the original's in view: %v, want %v", got, wantIn)
+	}
+	check(g)
 }
 
 func TestLabel(t *testing.T) {

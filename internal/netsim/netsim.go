@@ -19,7 +19,8 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -232,7 +233,8 @@ func newRunMetrics(reg *obs.Registry, faultsOn bool) *runMetrics {
 // Run and the overlay RunOverlay entry points.
 type blockPlan struct {
 	pkts      []*packet.Packet
-	reliable  map[uint32]bool
+	maxIndex  uint32 // largest packet index on the wire
+	reliable  []bool // by packet index: never lost on the last hop
 	sendTimes []time.Time
 	wires     [][]byte // encoded wire images; only for faulted runs
 	metrics   *runMetrics
@@ -241,7 +243,28 @@ type blockPlan struct {
 	// distinct signature is checked once per run instead of once per
 	// receiver. verifier.Env.Sigs says why receivers stay independent.
 	sigs *crypto.SigCache
+	// digests is the run's content-digest memo, built here and only read
+	// afterwards: every receiver is handed the same genuine *packet.Packet
+	// values, so each is hashed once per run instead of once per receiver
+	// that has to check it. verifier.Env.Digests says why that is sound; a
+	// delivery the adversary made is another pointer and is hashed for real.
+	digests verifier.DigestMemo
+	// scratch recycles the receivers' working memory between the receivers
+	// one worker simulates in turn.
+	scratch sync.Pool
 }
+
+// receiverScratch is what one simulated receiver needs while it runs and
+// nothing of afterwards.
+type receiverScratch struct {
+	received  []bool      // the loss pattern, by 1-based wire position
+	arrivals  []arrival   // surviving deliveries, then sorted by arrival
+	arrivedAt []time.Time // by packet index; valid where ReceivedByIndex is set
+}
+
+// newDigestMemo builds a run's digest memo; a variable so a test can run
+// without one and compare.
+var newDigestMemo = verifier.NewDigestMemo
 
 // exportSigMemo publishes the memo's lookup counts once the receivers are
 // done: misses is the public-key operations the run paid for, and the same
@@ -266,7 +289,11 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	if err != nil {
 		return nil, fmt.Errorf("netsim: authenticate: %w", err)
 	}
-	reliable := make(map[uint32]bool, len(cfg.ReliableIndices))
+	maxIndex := uint32(0)
+	for _, p := range pkts {
+		maxIndex = max(maxIndex, p.Index)
+	}
+	reliable := make([]bool, maxIndex+1)
 	if cfg.SigRetransmits > 0 {
 		// Real recovery replaces the assumption: each "reliable" index is
 		// re-sent at the tail of the block, and every copy is subject to
@@ -284,7 +311,9 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		}
 	} else {
 		for _, idx := range cfg.ReliableIndices {
-			reliable[idx] = true
+			if idx <= maxIndex {
+				reliable[idx] = true
+			}
 		}
 	}
 	sendTimes := make([]time.Time, len(pkts))
@@ -346,11 +375,13 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	}
 	return &blockPlan{
 		pkts:      pkts,
+		maxIndex:  maxIndex,
 		reliable:  reliable,
 		sendTimes: sendTimes,
 		wires:     wires,
 		metrics:   metrics,
 		sigs:      sigs,
+		digests:   newDigestMemo(pkts),
 	}, nil
 }
 
@@ -453,17 +484,18 @@ func runReceiver(
 ) (ReceiverReport, error) {
 	pkts, wires, sendTimes := plan.pkts, plan.wires, plan.sendTimes
 	reliable, metrics := plan.reliable, plan.metrics
-	maxIndex := uint32(0)
-	for _, p := range pkts {
-		if p.Index > maxIndex {
-			maxIndex = p.Index
-		}
-	}
+	slots := int(plan.maxIndex) + 1
+	byIndex := make([]bool, 2*slots) // both per-index outcomes in one allocation
 	report := ReceiverReport{
 		JoinedAtWire:    joinAt,
-		ReceivedByIndex: make([]bool, maxIndex+1),
-		VerifiedByIndex: make([]bool, maxIndex+1),
+		ReceivedByIndex: byIndex[:slots:slots],
+		VerifiedByIndex: byIndex[slots:],
 	}
+	sc, _ := plan.scratch.Get().(*receiverScratch)
+	if sc == nil {
+		sc = &receiverScratch{received: make([]bool, len(pkts)+1), arrivedAt: make([]time.Time, slots)}
+	}
+	defer plan.scratch.Put(sc)
 	tracer := cfg.Tracer.ForReceiver(recv)
 	drop := func(w int, p *packet.Packet, reason string) {
 		report.Lost++
@@ -528,8 +560,9 @@ func runReceiver(
 		}
 		inj = in
 	}
-	received := lossModel.Sample(rng, len(pkts))
-	var arrivals []arrival
+	received := sc.received
+	lossModel.SampleInto(rng, received)
+	arrivals := sc.arrivals[:0]
 	for w, p := range pkts {
 		if w+1 < joinAt {
 			drop(w, p, "late_join")
@@ -588,13 +621,17 @@ func runReceiver(
 		}
 	}
 	// Deliver in arrival order: jitter reorders packets naturally.
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].at.Before(arrivals[j].at) })
+	slices.SortFunc(arrivals, func(a, b arrival) int { return a.at.Compare(b.at) })
+	sc.arrivals = arrivals
 
-	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.MaxBuffered, Sigs: plan.sigs, Spans: tracer, Metrics: cfg.Metrics})
+	v, err := s.NewVerifier(verifier.Env{
+		MaxBuffered: cfg.MaxBuffered, Sigs: plan.sigs, Digests: plan.digests,
+		Spans: tracer, Metrics: cfg.Metrics,
+	})
 	if err != nil {
 		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
 	}
-	arrivedAt := make(map[uint32]time.Time, len(arrivals))
+	arrivedAt := sc.arrivedAt
 	maxWireSeen := -1
 	for _, a := range arrivals {
 		p := a.p
@@ -661,8 +698,12 @@ func runReceiver(
 			if int(e.Index) < len(report.VerifiedByIndex) {
 				report.VerifiedByIndex[e.Index] = true
 			}
-			if t0, ok := arrivedAt[e.Index]; ok {
-				report.AuthLatencies = append(report.AuthLatencies, a.at.Sub(t0))
+			if report.Received(e.Index) {
+				if report.AuthLatencies == nil {
+					// Each genuine arrival authenticates at most once.
+					report.AuthLatencies = make([]time.Duration, 0, len(arrivals))
+				}
+				report.AuthLatencies = append(report.AuthLatencies, a.at.Sub(arrivedAt[e.Index]))
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mcauth/internal/crypto"
 )
@@ -69,6 +70,7 @@ func (p *Packet) ContentBytes() []byte {
 // counterpart of ContentBytes for verify hot paths that reuse one buffer
 // across packets.
 func (p *Packet) AppendContent(buf []byte) []byte {
+	buf = slices.Grow(buf, p.contentSize())
 	var scratch [8]byte
 	binary.BigEndian.PutUint64(scratch[:], p.BlockID)
 	buf = append(buf, scratch[:8]...)

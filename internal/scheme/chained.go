@@ -38,6 +38,7 @@ type Chained struct {
 	topo   Topology
 	graph  *depgraph.Graph
 	signer crypto.Signer
+	pub    crypto.Verifier // signer.Public(), which copies the key per call
 	// fillOrder lists vertices so that every packet appears after all
 	// packets whose hashes it carries (reverse topological order).
 	fillOrder []int
@@ -76,7 +77,7 @@ func NewChained(topo Topology, signer crypto.Signer) (*Chained, error) {
 	for i, v := range order {
 		fill[len(order)-1-i] = v
 	}
-	return &Chained{topo: topo, graph: g, signer: signer, fillOrder: fill}, nil
+	return &Chained{topo: topo, graph: g, signer: signer, pub: signer.Public(), fillOrder: fill}, nil
 }
 
 // Name implements Scheme.
@@ -123,13 +124,18 @@ func (c *Chained) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Pac
 			Payload: payloads[i-1],
 		}
 	}
-	// Fill hashes children-first so carried digests are final.
+	// Fill hashes children-first so carried digests are final: a packet is
+	// hashed once, when its own hashes are in, however many packets carry it.
+	digests := make([]crypto.Digest, c.topo.N+1)
 	for _, v := range c.fillOrder {
-		for _, to := range c.graph.OutNeighbors(v) {
-			pkts[v].Hashes = append(pkts[v].Hashes, packet.HashRef{
-				TargetIndex: uint32(to),
-				Digest:      pkts[to].Digest(),
-			})
+		if out := c.graph.OutNeighbors(v); len(out) > 0 {
+			pkts[v].Hashes = make([]packet.HashRef, len(out))
+			for k, to := range out {
+				pkts[v].Hashes[k] = packet.HashRef{TargetIndex: uint32(to), Digest: digests[to]}
+			}
+		}
+		if c.graph.InDegree(v) > 0 {
+			digests[v] = pkts[v].Digest()
 		}
 	}
 	root := pkts[c.topo.Root]
@@ -182,7 +188,7 @@ func (c *Chained) NewVerifier(env verifier.Env) (Verifier, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return &chainedVerifier{n: c.topo.N, pub: c.signer.Public(), env: env}, nil
+	return &chainedVerifier{n: c.topo.N, pub: c.pub, env: env}, nil
 }
 
 // chainedVerifier adapts verifier.Chained to the Scheme interface: the

@@ -369,7 +369,7 @@ func (tv *teslaVerifier) ingestBootstrap(p *packet.Packet, at time.Time) ([]veri
 		tv.rec.Duplicate()
 		return nil, nil
 	}
-	if !crypto.VerifyCached(tv.env.Sigs, nil, tv.pub, p.ContentBytes(), p.Signature) {
+	if !crypto.VerifyCached(tv.env.Sigs, nil, tv.pub, p.ContentBytes(), nil, p.Signature) {
 		tv.rec.Rejected(p, at, "bad_signature")
 		return nil, nil
 	}

@@ -1,6 +1,7 @@
 package schemetest
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -31,11 +32,16 @@ type Honours struct {
 	// BatchQ: signature checks park on the queue and authenticate through
 	// Sink.
 	BatchQ bool
+	// Digests: a packet's content digest is looked up in the memo before
+	// it is hashed, so a memo entry that is wrong de-authenticates its
+	// packet — the memo is trusted input, which is why only the party that
+	// built the packets may fill it.
+	Digests bool
 }
 
 // ChainedHonours is what every scheme built on the generic hash-chained
 // engine (internal/verifier) honours: all of Env.
-var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true}
+var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true, Digests: true}
 
 // arrival is one delivered packet and the clock reading it arrives at.
 type arrival struct {
@@ -102,9 +108,38 @@ func envDelivery(t *testing.T, s scheme.Scheme, blockID uint64) (pkts []*packet.
 	return pkts, out
 }
 
+// withCorruptedCopies stands a bit-flipped copy in for every packet the
+// delivery lost: the corrupted datagram of a faulted channel. A copy is a
+// packet of its own — to a digest memo keyed by packet, a stranger — that
+// fails whatever check its scheme applies, so the genuine delivered set and
+// with it the authenticated set stay what they were. (Only a lost packet's
+// copy is ever checked: behind a delivered twin it would be a duplicate, and
+// ahead of one it would take the twin's buffer slot, as envDelivery says.)
+func withCorruptedCopies(pkts []*packet.Packet, delivery []arrival) []arrival {
+	delivered := make(map[uint32]bool)
+	for _, a := range delivery {
+		delivered[a.p.Index] = true
+	}
+	var out []arrival
+	next := 0 // first wire position not yet passed
+	for _, a := range delivery {
+		for ; next < a.wire-1; next++ {
+			if p := pkts[next]; !delivered[p.Index] {
+				cp := *p
+				cp.Payload = slices.Clone(p.Payload)
+				cp.Payload[0] ^= 0x01
+				out = append(out, arrival{&cp, next + 1})
+			}
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
 // envRun is what one verifier made of the delivery.
 type envRun struct {
 	authed     []uint32 // sorted
+	order      []uint32 // the same indices in the order they authenticated
 	stats      verifier.Stats
 	maxPending int // peak Stats().PendingSignature
 	sunk       int // events delivered through Sink
@@ -157,6 +192,7 @@ func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival,
 	if run.stats.PendingSignature != 0 {
 		t.Fatalf("%d verdicts pending after the final resolve", run.stats.PendingSignature)
 	}
+	run.order = slices.Clone(run.authed)
 	slices.Sort(run.authed)
 	checkLedger(t, env, delivery, run)
 	return run
@@ -295,10 +331,40 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 		t.Errorf("Env.Sigs: second verifier behind a filled memo: lookups went %+v -> %+v, want new hits and fewer misses than the first", filled, warmed)
 	}
 
+	// The digest memo of a simulated run, built from the sender's own
+	// packets, beside everything that is not one of them: the delivery's
+	// wrong-key forgeries and a bit-flipped copy of each lost packet. Its
+	// verifier must do what the zero Env's does, event for event; that a
+	// chained verifier reads it at all shows in a poisoned entry
+	// de-authenticating its packet.
+	memo := verifier.NewDigestMemo(pkts)
+	corrupted := withCorruptedCopies(pkts, delivery)
+	if len(corrupted) == len(delivery) {
+		t.Fatal("delivery is vacuous: no lost packet to corrupt")
+	}
+	plain := same("corrupted copies", runEnv(t, s, verifier.Env{}, corrupted, clock, 0))
+	if plain.stats.Rejected <= zero.stats.Rejected {
+		t.Fatalf("delivery is vacuous: %d corrupted copies, none rejected", len(corrupted)-len(delivery))
+	}
+	memod := same("Digests", runEnv(t, s, verifier.Env{Digests: memo}, corrupted, clock, 0))
+	if !slices.Equal(memod.order, plain.order) || memod.stats != plain.stats {
+		t.Errorf("Env.Digests: authenticated %v, stats %+v\nzero Env:    authenticated %v, stats %+v",
+			memod.order, memod.stats, plain.order, plain.stats)
+	}
+	poisoned := maps.Clone(memo)
+	for _, a := range delivery {
+		if _, ok := slices.BinarySearch(zero.authed, a.p.Index); ok && len(a.p.Signature) == 0 && !fault.IsForgedPayload(a.p.Payload) {
+			poisoned[a.p] = crypto.HashBytes([]byte("poisoned"))
+			break
+		}
+	}
+	wrong := runEnv(t, s, verifier.Env{Digests: poisoned}, corrupted, clock, 0)
+	effect("Digests", honours.Digests, !slices.Equal(wrong.authed, zero.authed))
+
 	same("Spans", runEnv(t, s, verifier.Env{Spans: sink(), StreamID: stream}, delivery, clock, 0))
 	same("Metrics", runEnv(t, s, verifier.Env{Metrics: obs.NewRegistry()}, delivery, clock, 0))
 	same("all fields", runEnv(t, s, verifier.Env{
-		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs, BatchQ: queue(2),
+		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs, Digests: memo, BatchQ: queue(2),
 		Spans: sink(), Metrics: obs.NewRegistry(),
 	}, delivery, clock, 0))
 

@@ -5,6 +5,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/obs"
+	"mcauth/internal/packet"
 )
 
 // Env is everything a receiver-side verifier can be configured with,
@@ -48,6 +49,17 @@ type Env struct {
 	// SigCache behind its BatchQ, so a synchronous check and a deferred one
 	// each settle what the other already paid for.
 	Sigs *crypto.SigCache
+	// Digests holds content digests computed before the verifiers were
+	// built, by packet pointer: a hash-chained verifier looks a packet's
+	// digest up here before hashing it, and reuses it as the Sigs key of a
+	// signature packet. It is never written after construction, so any
+	// number of verifiers read it without a lock. A simulation fills it
+	// with the genuine wire packets of the run, hashed once instead of once
+	// per receiver; that is sound for the reason Sigs is: the memoised
+	// function is pure and a lookup says only what the holder of that very
+	// packet would compute itself. A forged, corrupted or re-decoded
+	// delivery is a different pointer, misses, and is hashed for real.
+	Digests DigestMemo
 	// BatchQ defers signature checks: Ingest parks signature-carrying
 	// packets and enqueues the check; when the queue resolves (threshold
 	// or explicit Resolve, always on the ingest goroutine — verifiers are
@@ -67,6 +79,22 @@ type Env struct {
 	Spans *obs.SpanSink
 	// Metrics receives the verifier.* instruments.
 	Metrics *obs.Registry
+}
+
+// DigestMemo maps packets to their content digests (Env.Digests). The key is
+// the pointer, not the content: an entry is right only while its packet is
+// not modified, as wire packets are not once authenticated.
+type DigestMemo map[*packet.Packet]crypto.Digest
+
+// NewDigestMemo hashes each distinct packet of pkts once.
+func NewDigestMemo(pkts []*packet.Packet) DigestMemo {
+	m := make(DigestMemo, len(pkts))
+	for _, p := range pkts {
+		if _, ok := m[p]; !ok {
+			m[p] = p.Digest()
+		}
+	}
+	return m
 }
 
 // Validate reports configuration no verifier accepts.

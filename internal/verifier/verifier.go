@@ -68,11 +68,29 @@ type Stats struct {
 	PendingSignature int
 }
 
-// buffered is one message-buffer entry: the packet plus its arrival time,
-// kept so the cascade can measure arrival-to-authentication latency.
+// bufferedPacket is one message-buffer entry: the packet plus its arrival
+// time, kept so the cascade can measure arrival-to-authentication latency.
 type bufferedPacket struct {
 	p       *packet.Packet
 	arrived time.Time
+}
+
+// slot is everything the verifier knows about one packet index: the two
+// buffers of the paper's receiver are indexed by a packet's position 1..n in
+// the block's dependence graph, so both are columns of one array.
+type slot struct {
+	// digest is the hash-buffer entry, valid once trusted: the digest the
+	// packet at this index must have, carried by an authenticated packet.
+	digest    crypto.Digest
+	trusted   bool
+	authentic bool
+	// held is the message-buffer entry: the packet that arrived ahead of
+	// its authentication information (held.p nil when there is none).
+	held bufferedPacket
+	// parked holds signature packets awaiting a deferred verdict. A list,
+	// so an attacker racing a forged signature packet ahead of the genuine
+	// one cannot occupy the index and starve it.
+	parked []bufferedPacket
 }
 
 // Chained verifies one block of a hash-chained scheme.
@@ -86,13 +104,17 @@ type Chained struct {
 	rec Recorder
 	vs  crypto.VerifyScratch // batch-blob path walk staging for the signature check
 
-	trusted   map[uint32]crypto.Digest // digests proven authentic, by index
-	buffered  map[uint32]bufferedPacket
-	authentic map[uint32]bool
-	// pendingSig holds signature packets awaiting a deferred verdict. A
-	// slice per index, so an attacker racing a forged signature packet
-	// ahead of the genuine one cannot occupy the index and starve it.
-	pendingSig map[uint32][]bufferedPacket
+	slots []slot // by packet index; slot 0 is unused
+	// held counts the message-buffer entries and hashDepth the trusted
+	// digests whose packet is not yet authentic: the depths of the two
+	// buffers, kept as the slots change instead of recounted.
+	held      int
+	hashDepth int
+	queue     []*packet.Packet // the cascade's work list, reused across accepts
+	content   []byte           // authenticated-content staging for hashing and the signature check
+	// queueBuf backs queue until a cascade outgrows it, so a short block's
+	// verifier is two allocations: itself and its slots.
+	queueBuf [8]*packet.Packet
 }
 
 // NewChained creates a verifier for one block of n packets signed by the
@@ -108,28 +130,28 @@ func NewChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, 
 		return nil, err
 	}
 	v := &Chained{
-		blockID:   blockID,
-		n:         uint32(n),
-		pub:       pub,
-		env:       env,
-		rec:       NewRecorder(env),
-		trusted:   make(map[uint32]crypto.Digest),
-		buffered:  make(map[uint32]bufferedPacket),
-		authentic: make(map[uint32]bool),
+		blockID: blockID,
+		n:       uint32(n),
+		pub:     pub,
+		env:     env,
+		rec:     NewRecorder(env),
+		slots:   make([]slot, n+1),
 	}
-	if env.BatchQ != nil {
-		v.pendingSig = make(map[uint32][]bufferedPacket)
-	}
+	v.queue = v.queueBuf[:0]
 	return v, nil
 }
 
-// digestOf computes p's content digest through the shared memo when one
-// is attached.
+// digestOf returns p's content digest: looked up when the Env was built with
+// it (Digests) or shares a memo (Cache), hashed here otherwise.
 func (v *Chained) digestOf(p *packet.Packet) crypto.Digest {
+	if d, ok := v.env.Digests[p]; ok {
+		return d
+	}
 	if v.env.Cache != nil {
 		return v.env.Cache.DigestOf(p)
 	}
-	return p.Digest()
+	v.content = p.AppendContent(v.content[:0])
+	return crypto.HashBytes(v.content)
 }
 
 // Ingest processes one arriving packet at the given receiver-local time.
@@ -147,7 +169,8 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		return nil, fmt.Errorf("verifier: index %d out of [1,%d]", p.Index, v.n)
 	}
 	v.rec.Received()
-	if _, dup := v.buffered[p.Index]; v.authentic[p.Index] || dup {
+	s := &v.slots[p.Index]
+	if s.authentic || s.held.p != nil {
 		v.rec.Duplicate()
 		return nil, nil
 	}
@@ -163,42 +186,44 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		}
 	}
 
-	var events []Event
 	switch {
 	case len(p.Signature) > 0:
 		if v.env.BatchQ != nil {
 			v.deferSignature(p, at)
 			return nil, nil
 		}
-		if !crypto.VerifyCached(v.env.Sigs, &v.vs, v.pub, p.ContentBytes(), p.Signature) {
+		// A digest the Env already holds is the memo key's hash of the
+		// signed content, so a memoised check hashes nothing.
+		var sum *crypto.Digest
+		if d, ok := v.env.Digests[p]; ok {
+			sum = &d
+		}
+		v.content = p.AppendContent(v.content[:0])
+		if !crypto.VerifyCached(v.env.Sigs, &v.vs, v.pub, v.content, sum, p.Signature) {
 			v.rec.Rejected(p, at, "bad_signature")
 			return nil, nil
 		}
-		events = v.accept(p, at)
-	default:
-		want, ok := v.trusted[p.Index]
-		if !ok {
-			if v.rec.Hold(p, at, len(v.buffered)) {
-				v.buffered[p.Index] = bufferedPacket{p: p, arrived: at}
-			}
-			return nil, nil
+	case !s.trusted:
+		if v.rec.Hold(p, at, v.held) {
+			s.held = bufferedPacket{p: p, arrived: at}
+			v.held++
 		}
-		if v.digestOf(p) != want {
-			v.rec.Rejected(p, at, "digest_mismatch")
-			return nil, nil
-		}
-		events = v.accept(p, at)
+		return nil, nil
+	case v.digestOf(p) != s.digest:
+		v.rec.Rejected(p, at, "digest_mismatch")
+		return nil, nil
 	}
-	return events, nil
+	return v.accept(p, at), nil
 }
 
 // deferSignature parks a signature packet pending its batch verdict and
 // enqueues the underlying check.
 func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
-	if !v.rec.Park(p, at, len(v.buffered)) {
+	if !v.rec.Park(p, at, v.held) {
 		return
 	}
-	v.pendingSig[p.Index] = append(v.pendingSig[p.Index], bufferedPacket{p: p, arrived: at})
+	s := &v.slots[p.Index]
+	s.parked = append(s.parked, bufferedPacket{p: p, arrived: at})
 	// The verdict callback may run synchronously (threshold reached) or
 	// from a later Resolve on the ingest goroutine.
 	v.env.BatchQ.Enqueue(v.pub, p.ContentBytes(), p.Signature, func(ok bool) {
@@ -215,7 +240,7 @@ func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
 func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool) {
 	v.unparkPending(p)
 	v.rec.Resolved(p, arrived)
-	if v.authentic[p.Index] {
+	if v.slots[p.Index].authentic {
 		// Another copy of the signature packet (or a cascade) got there
 		// first.
 		v.rec.Duplicate()
@@ -233,54 +258,73 @@ func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool)
 
 // unparkPending removes one pending-signature entry for p.
 func (v *Chained) unparkPending(p *packet.Packet) {
-	list := v.pendingSig[p.Index]
-	for i := range list {
-		if list[i].p == p {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+	s := &v.slots[p.Index]
+	for i := range s.parked {
+		if s.parked[i].p == p {
+			last := len(s.parked) - 1
+			s.parked[i] = s.parked[last]
+			s.parked[last] = bufferedPacket{}
+			s.parked = s.parked[:last]
+			return
 		}
-	}
-	if len(list) == 0 {
-		delete(v.pendingSig, p.Index)
-	} else {
-		v.pendingSig[p.Index] = list
 	}
 }
 
 // authenticate marks p, which arrived at arrived, authentic at time at.
 func (v *Chained) authenticate(p *packet.Packet, arrived, at time.Time) {
-	v.authentic[p.Index] = true
-	delete(v.buffered, p.Index)
+	s := &v.slots[p.Index]
+	s.authentic = true
+	if s.trusted {
+		v.hashDepth--
+	}
+	v.unhold(s)
 	v.rec.Authenticated(p, arrived, at)
+}
+
+// unhold empties s's message-buffer entry, if it has one.
+func (v *Chained) unhold(s *slot) {
+	if s.held.p != nil {
+		s.held = bufferedPacket{}
+		v.held--
+	}
 }
 
 // accept marks p authentic, trusts its carried hashes, and cascades into
 // the message buffer. It returns the authentication events in cascade
 // order.
 func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
-	events := []Event{{Index: p.Index, Payload: p.Payload}}
+	// Room for p and the first wave of the cascade: at most one packet per
+	// hash p carries, and no more than the message buffer holds.
+	events := make([]Event, 1, 1+min(v.held, len(p.Hashes)))
+	events[0] = Event{Index: p.Index, Payload: p.Payload}
 	v.authenticate(p, at, at)
 
-	queue := []*packet.Packet{p}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range cur.Hashes {
-			if _, known := v.trusted[h.TargetIndex]; known {
+	queue := append(v.queue[:0], p)
+	for head := 0; head < len(queue); head++ {
+		for _, h := range queue[head].Hashes {
+			// A hash for an index outside the block can authenticate
+			// nothing: it is not trusted and not counted.
+			if h.TargetIndex < 1 || h.TargetIndex > v.n {
 				continue
 			}
-			v.trusted[h.TargetIndex] = h.Digest
-			waiting, ok := v.buffered[h.TargetIndex]
-			if !ok {
-				if !v.authentic[h.TargetIndex] {
+			s := &v.slots[h.TargetIndex]
+			if s.trusted {
+				continue
+			}
+			s.trusted, s.digest = true, h.Digest
+			if !s.authentic {
+				v.hashDepth++
+			}
+			waiting := s.held
+			if waiting.p == nil {
+				if !s.authentic {
 					v.rec.HashBuffered(p.BlockID, h.TargetIndex, at)
 				}
 				continue
 			}
 			if v.digestOf(waiting.p) != h.Digest {
 				v.rec.Rejected(waiting.p, at, "digest_mismatch")
-				delete(v.buffered, h.TargetIndex)
+				v.unhold(s)
 				continue
 			}
 			v.authenticate(waiting.p, waiting.arrived, at)
@@ -288,21 +332,19 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 			queue = append(queue, waiting.p)
 		}
 	}
-	pendingHashes := 0
-	for idx := range v.trusted {
-		if !v.authentic[idx] {
-			pendingHashes++
-		}
-	}
-	v.rec.HashDepth(pendingHashes)
+	clear(queue)
+	v.queue = queue[:0]
+	v.rec.HashDepth(v.hashDepth)
 	return events
 }
 
 // IsAuthentic reports whether the packet at index has been authenticated.
-func (v *Chained) IsAuthentic(index uint32) bool { return v.authentic[index] }
+func (v *Chained) IsAuthentic(index uint32) bool {
+	return index <= v.n && v.slots[index].authentic
+}
 
 // PendingCount returns the number of packets still buffered unverified.
-func (v *Chained) PendingCount() int { return len(v.buffered) }
+func (v *Chained) PendingCount() int { return v.held }
 
 // Stats returns a snapshot of the verifier's counters.
 func (v *Chained) Stats() Stats { return v.rec.Stats() }

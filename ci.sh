@@ -50,6 +50,25 @@ go run ./cmd/mcreport -scheme emss -n 20 -diff "$diagdir/a.jsonl" "$diagdir/b.js
 test -s "$diagdir/rep.json"
 test -s "$diagdir/rep.json.md"
 
+# Analytic tier: one exact evaluator (depgraph.ExactAuthProbChannel), and it
+# stays one. The burst table carries an exact number in every row, the
+# markovgap table equals its golden byte for byte, the special-case
+# evaluators it replaced are not spelled anywhere in Go, and the widest case
+# they accepted (E_{4,4}, n=300: a 16-bit frontier) still answers inside 2 s.
+go build -o "$diagdir/mcfig" ./cmd/mcfig
+go build -o "$diagdir/mcgraph" ./cmd/mcgraph
+"$diagdir/mcfig" -fig burst > "$diagdir/burst.txt"
+if grep -n 'n/a' "$diagdir/burst.txt"; then
+	echo "analytic tier: the burst table has a row without an exact value" >&2
+	exit 1
+fi
+"$diagdir/mcfig" -fig markovgap | cmp - cmd/mcfig/testdata/markovgap.golden
+if grep -rn 'analysis\.\(MarkovExact\|AugChainExact\)' --include='*.go' .; then
+	echo "analytic tier: a special-case exact evaluator is back" >&2
+	exit 1
+fi
+timeout 2 "$diagdir/mcgraph" -scheme emss -n 300 -m 4 -d 4 -p 0.3 -q | grep -q 'q_min=[0-9.]*, exact'
+
 # Perf tier: compile and run every benchmark once so the bench harness
 # cannot bit-rot; real measurements come from `go run ./benchmark`.
 go test -run='^$' -bench=. -benchtime=1x . >/dev/null

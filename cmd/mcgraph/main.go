@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,8 +51,8 @@ func run(args []string) error {
 		topoPath   = fs.String("topo", "", "load a custom topology from a JSON file instead of -scheme")
 		export     = fs.Bool("export", false, "emit the topology as JSON instead of metrics")
 		pruneTo    = fs.Float64("prune", 0, "prune redundant edges while keeping q_min above this target (uses -p as the design loss rate)")
-		perPacket  = fs.Bool("q", false, "print per-packet q_i (exact for n<=22, Monte-Carlo beyond)")
-		trials     = fs.Int("trials", 20000, "Monte-Carlo trials for large blocks")
+		perPacket  = fs.Bool("q", false, "print per-packet q_i (exact; Monte-Carlo for a graph the exact evaluator cannot sweep)")
+		trials     = fs.Int("trials", 20000, "Monte-Carlo trials when -q falls back to sampling")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		trace      = fs.String("trace", "", "replay one lossless block through the verifier and write its JSONL lifecycle trace to this file")
@@ -250,16 +251,16 @@ func report(s scheme.Scheme, dot, export, perPacket bool, p float64, trials int)
 		return nil
 	}
 
-	var res depgraph.AuthResult
-	if g.N() <= 22 {
-		res, err = g.ExactAuthProb(p)
-	} else {
+	by := "exact"
+	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	if errors.Is(err, depgraph.ErrFrontier) {
+		by = fmt.Sprintf("monte-carlo, %d trials", trials)
 		res, err = g.MonteCarloAuthProb(depgraph.BernoulliPattern(p), trials, stats.NewRNG(1))
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nper-packet q_i at p=%.3f (q_min=%.4f):\n", p, res.QMin)
+	fmt.Printf("\nper-packet q_i at p=%.3f (q_min=%.4f, %s):\n", p, res.QMin, by)
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "packet\tq_i\tshortest path\tdisjoint paths")
 	dists := g.ShortestPathLengths()

@@ -126,14 +126,14 @@ func (o options) spec() catalog.Spec {
 }
 
 // buildEntry builds the selected scheme and its analytic q_min under the
-// -p loss rate and -mu/-sigma delay.
-func buildEntry(o options) (catalog.Entry, float64, error) {
+// -p loss rate and -mu/-sigma delay, printed with the evaluator that gave it.
+func buildEntry(o options) (catalog.Entry, string, error) {
 	entry, err := catalog.Build(o.spec(), crypto.NewSignerFromString("mcsim-sender"))
 	if err != nil {
-		return catalog.Entry{}, 0, err
+		return catalog.Entry{}, "", err
 	}
-	qmin, err := entry.QMin(o.p, o.mu, o.sigma)
-	return entry, qmin, err
+	qmin, by, err := entry.QMin(o.p, o.mu, o.sigma)
+	return entry, fmt.Sprintf("%.4f (%s)", qmin, by), err
 }
 
 // buildLossModel maps -p/-burst to the last-hop loss process.
@@ -254,7 +254,7 @@ func run(args []string) error {
 			return fmt.Errorf("report output unwritable: %w", err)
 		}
 	}
-	entry, analyticQMin, err := buildEntry(o)
+	entry, analytic, err := buildEntry(o)
 	if err != nil {
 		return err
 	}
@@ -262,7 +262,7 @@ func run(args []string) error {
 	if o.overlay {
 		simulate = runOverlay
 	}
-	if err := simulate(o, entry, analyticQMin, tracer, reg); err != nil {
+	if err := simulate(o, entry, analytic, tracer, reg); err != nil {
 		return err
 	}
 	if o.metrics == "-" {
@@ -281,7 +281,7 @@ func run(args []string) error {
 
 // runFlat simulates the flat topology — every receiver one lossy hop from
 // the source — and prints its table.
-func runFlat(o options, entry catalog.Entry, analyticQMin float64, tracer *obs.SpanSink, reg *obs.Registry) error {
+func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSink, reg *obs.Registry) error {
 	s := entry.Scheme
 
 	lossModel, err := buildLossModel(o)
@@ -343,7 +343,7 @@ func runFlat(o options, entry catalog.Entry, analyticQMin float64, tracer *obs.S
 	fmt.Fprintf(w, "authenticated\t%d\n", authed)
 	fmt.Fprintf(w, "rejected (tampered)\t%d\n", rejected)
 	fmt.Fprintf(w, "unsafe (TESLA late)\t%d\n", unsafe)
-	fmt.Fprintf(w, "analytic q_min\t%.4f\n", analyticQMin)
+	fmt.Fprintf(w, "analytic q_min\t%s\n", analytic)
 	fmt.Fprintf(w, "measured q_min\t%.4f\n", measured)
 	if len(latencies) > 0 {
 		summary, err := stats.Summarize(latencies)

@@ -64,19 +64,24 @@ func ExampleNewRohatgi() {
 }
 
 // ExampleAnalyticEMSS evaluates the paper's Equation (8) recurrence and
-// the exact Markov evaluation side by side.
+// the exact evaluation of the scheme's own dependence graph side by side.
 func ExampleAnalyticEMSS() {
 	recurrence, err := mcauth.AnalyticEMSS{N: 100, M: 2, D: 1, P: 0.1}.QMin()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	exact, err := mcauth.AnalyticMarkovExact{N: 100, Offsets: []int{1, 2}, P: 0.1}.QMin()
+	s, err := mcauth.NewEMSS(mcauth.EMSSConfig{N: 100, M: 2, D: 1}, mcauth.NewSigner("example-sender"))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("recurrence=%.4f exact=%.4f\n", recurrence, exact)
+	exact, err := mcauth.AnalyticMarkovExact(s, 0.1)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("recurrence=%.4f exact=%.4f\n", recurrence, exact.QMin)
 	// Output: recurrence=0.9877 exact=0.4090
 }
 

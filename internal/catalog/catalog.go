@@ -17,12 +17,15 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/diagnose"
+	"mcauth/internal/loss"
 	"mcauth/internal/scheme"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/scheme/authtree"
@@ -75,8 +78,15 @@ type Entry struct {
 	Start        time.Time
 
 	spec Spec
-	qmin func(s Spec, p, mu, sigma float64) (float64, error)
+	qmin func(e Entry, p, mu, sigma float64) (float64, string, error)
 }
+
+// The evaluators a QMin can come from.
+const (
+	Exact      = "exact"       // depgraph.ExactAuthProbChannel on the scheme's own graph
+	Recurrence = "recurrence"  // the paper's independence recurrence: an optimistic bound
+	ClosedForm = "closed-form" // a single path, a per-packet proof, TESLA's Equations 6-7
+)
 
 // row is one scheme's line in the catalogue.
 type row struct {
@@ -88,10 +98,8 @@ type row struct {
 	signature func(Spec) []uint32
 	// qmin is the analytic q_min under i.i.d. loss at rate p, with
 	// Gaussian end-to-end delay (mu, sigma, in seconds) where timing
-	// matters. One rule for every chained topology: the exact evaluator
-	// when its Validate accepts the parameters, the paper's recurrence —
-	// an optimistic bound, see EXPERIMENTS.md "markovgap" — otherwise.
-	qmin func(s Spec, p, mu, sigma float64) (float64, error)
+	// matters, and the evaluator it came from.
+	qmin func(e Entry, p, mu, sigma float64) (float64, string, error)
 }
 
 func firstWire(Spec) []uint32  { return []uint32{1} }
@@ -99,7 +107,28 @@ func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
 
 // one is q_min for the per-packet schemes: any received packet verifies,
 // under any loss process.
-func one(Spec, float64, float64, float64) (float64, error) { return 1, nil }
+func one(Entry, float64, float64, float64) (float64, string, error) { return 1, ClosedForm, nil }
+
+// chained is the one rule for the multi-path hash-chained topologies: exact
+// on the graph the scheme emits when its frontier fits the evaluator, the
+// paper's recurrence when it does not.
+func chained(recurrence func(s Spec, p float64) (float64, error)) func(Entry, float64, float64, float64) (float64, string, error) {
+	return func(e Entry, p, _, _ float64) (float64, string, error) {
+		g, err := e.Scheme.Graph()
+		if err != nil {
+			return 0, "", err
+		}
+		res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+		if err == nil {
+			return res.QMin, Exact, nil
+		}
+		if !errors.Is(err, depgraph.ErrFrontier) {
+			return 0, "", err
+		}
+		q, err := recurrence(e.spec, p)
+		return q, Recurrence, err
+	}
+}
 
 var rows = []row{
 	{
@@ -108,9 +137,9 @@ var rows = []row{
 			return rohatgi.New(s.N, k)
 		},
 		signature: firstWire,
-		qmin: func(s Spec, p, _, _ float64) (float64, error) {
-			res, err := analysis.Rohatgi(s.N, p)
-			return res.QMin, err
+		qmin: func(e Entry, p, _, _ float64) (float64, string, error) {
+			res, err := analysis.Rohatgi(e.spec.N, p)
+			return res.QMin, ClosedForm, err
 		},
 	},
 	{
@@ -119,14 +148,9 @@ var rows = []row{
 			return emss.New(emss.Config{N: s.N, M: s.M, D: s.D}, k)
 		},
 		signature: lastWire,
-		qmin: func(s Spec, p, _, _ float64) (float64, error) {
-			rec := analysis.EMSS{N: s.N, M: s.M, D: s.D, P: p}
-			exact := analysis.MarkovExact{N: s.N, Offsets: rec.Offsets(), P: p}
-			if exact.Validate() == nil {
-				return exact.QMin()
-			}
-			return rec.QMin()
-		},
+		qmin: chained(func(s Spec, p float64) (float64, error) {
+			return analysis.EMSS{N: s.N, M: s.M, D: s.D, P: p}.QMin()
+		}),
 	},
 	{
 		id: "augchain",
@@ -134,13 +158,9 @@ var rows = []row{
 			return augchain.New(augchain.Config{N: s.N, A: s.A, B: s.B}, k)
 		},
 		signature: lastWire,
-		qmin: func(s Spec, p, _, _ float64) (float64, error) {
-			exact := analysis.AugChainExact{N: s.N, A: s.A, B: s.B, P: p}
-			if exact.Validate() == nil {
-				return exact.QMin()
-			}
+		qmin: chained(func(s Spec, p float64) (float64, error) {
 			return analysis.AugChain{N: s.N, A: s.A, B: s.B, P: p}.QMin()
-		},
+		}),
 	},
 	{
 		id: "authtree",
@@ -169,10 +189,11 @@ var rows = []row{
 			return out
 		},
 		signature: firstWire, // the signed bootstrap
-		qmin: func(s Spec, p, mu, sigma float64) (float64, error) {
-			return analysis.TESLA{
-				N: s.N, P: p, TDisc: teslaConfig(s).TDisclose().Seconds(), Mu: mu, Sigma: sigma,
+		qmin: func(e Entry, p, mu, sigma float64) (float64, string, error) {
+			q, err := analysis.TESLA{
+				N: e.spec.N, P: p, TDisc: teslaConfig(e.spec).TDisclose().Seconds(), Mu: mu, Sigma: sigma,
 			}.QMin()
+			return q, ClosedForm, err
 		},
 	},
 }
@@ -232,10 +253,12 @@ func Build(spec Spec, signer crypto.Signer) (Entry, error) {
 // packets under i.i.d. loss at rate p. mu and sigma are the mean and
 // standard deviation of the Gaussian end-to-end delay, which only TESLA's
 // safety condition reads; a constant delay below the disclosure lag
-// (sigma = 0) is the paper's ξ = 1 case. Evaluated on demand, so Build
+// (sigma = 0) is the paper's ξ = 1 case. by names the evaluator that
+// answered (Exact, Recurrence or ClosedForm), so a fallback to the
+// recurrence's upper bound is never silent. Evaluated on demand, so Build
 // costs no more than the constructor it wraps.
-func (e Entry) QMin(p float64, mu, sigma time.Duration) (float64, error) {
-	return e.qmin(e.spec, p, mu.Seconds(), sigma.Seconds())
+func (e Entry) QMin(p float64, mu, sigma time.Duration) (q float64, by string, err error) {
+	return e.qmin(e, p, mu.Seconds(), sigma.Seconds())
 }
 
 // DiagnoseOptions is the graph-side half of the trace→graph join: the

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,20 +9,25 @@ import (
 
 	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
+	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
 )
 
 // wireCases is every ID at a few block sizes, including a ragged
-// authentication tree and, for each chained topology, one parameter set
-// the exact evaluator accepts and one it does not (an EMSS window past the
-// Markov limit, an augmented chain that ends mid-segment).
+// authentication tree and, for each chained topology, parameter sets the
+// exact evaluator carries (among them the two the evaluators it replaced
+// refused: an EMSS window of 18, an augmented chain that ends mid-segment)
+// and one whose frontier is a bit past its cap.
 var wireCases = []Spec{
 	{ID: "rohatgi", N: 6},
 	{ID: "rohatgi", N: 12},
 	{ID: "emss", N: 12, M: 2, D: 1},
 	{ID: "emss", N: 40, M: 2, D: 9},
+	{ID: "emss", N: 40, M: 3, D: 7},
 	{ID: "augchain", N: 13, A: 3, B: 3},
-	{ID: "augchain", N: 12, A: 3, B: 3},
+	{ID: "augchain", N: 27, A: 3, B: 3},
+	{ID: "augchain", N: 265, A: 11, B: 10},
 	{ID: "authtree", N: 16},
 	{ID: "authtree", N: 13},
 	{ID: "signeach", N: 8},
@@ -83,7 +89,7 @@ func TestCatalogMatchesWire(t *testing.T) {
 		if !reflect.DeepEqual(e.Signature, signed) {
 			t.Errorf("%s: Signature = %v, signatures ride at %v", name, e.Signature, signed)
 		}
-		if q, err := e.QMin(0, time.Millisecond, 0); err != nil || q != 1 {
+		if q, _, err := e.QMin(0, time.Millisecond, 0); err != nil || q != 1 {
 			t.Errorf("%s: QMin(0) = %v, %v; want 1", name, q, err)
 		}
 	}
@@ -95,46 +101,44 @@ func TestCatalogMatchesWire(t *testing.T) {
 }
 
 // TestQMinExactWhenValid pins the one rule for chained topologies: the
-// exact evaluator exactly when its Validate accepts the parameters, the
-// recurrence otherwise. Both branches must be exercised per scheme, and the
-// two evaluators must differ at the probe point for the check to bite.
+// exact evaluator whenever it can sweep the scheme's graph, the recurrence —
+// labelled as such — otherwise. Both branches must be exercised per scheme,
+// and the two evaluators must differ at the probe point for the check to
+// bite.
 func TestQMinExactWhenValid(t *testing.T) {
 	const p = 0.2
 	branches := make(map[string]bool)
 	for _, spec := range wireCases {
-		var (
-			valid          bool
-			exactQ, recurQ float64
-		)
+		var recurQ float64
 		switch spec.ID {
 		case "emss":
-			rec := analysis.EMSS{N: spec.N, M: spec.M, D: spec.D, P: p}
-			ex := analysis.MarkovExact{N: spec.N, Offsets: rec.Offsets(), P: p}
-			valid = ex.Validate() == nil
-			exactQ, _ = ex.QMin()
-			recurQ, _ = rec.QMin()
+			recurQ, _ = analysis.EMSS{N: spec.N, M: spec.M, D: spec.D, P: p}.QMin()
 		case "augchain":
-			ex := analysis.AugChainExact{N: spec.N, A: spec.A, B: spec.B, P: p}
-			valid = ex.Validate() == nil
-			exactQ, _ = ex.QMin()
 			recurQ, _ = analysis.AugChain{N: spec.N, A: spec.A, B: spec.B, P: p}.QMin()
 		default:
 			continue
 		}
-		want, branch := recurQ, "recurrence"
-		if valid {
-			want, branch = exactQ, "exact"
-			if exactQ == recurQ {
-				t.Fatalf("%+v: exact and recurrence agree at p=%v; the probe cannot tell them apart", spec, p)
-			}
-		}
-		branches[spec.ID+"/"+branch] = true
-		got, err := build(t, spec).QMin(p, 0, 0)
+		e := build(t, spec)
+		g, err := e.Scheme.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want || got <= 0 {
-			t.Errorf("%+v: QMin = %v, want the %s evaluator's %v", spec, got, branch, want)
+		want, branch := recurQ, Recurrence
+		if res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel()); err == nil {
+			want, branch = res.QMin, Exact
+			if res.QMin == recurQ {
+				t.Fatalf("%+v: exact and recurrence agree at p=%v; the probe cannot tell them apart", spec, p)
+			}
+		} else if !errors.Is(err, depgraph.ErrFrontier) {
+			t.Fatal(err)
+		}
+		branches[spec.ID+"/"+branch] = true
+		got, by, err := e.QMin(p, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got <= 0 || by != branch {
+			t.Errorf("%+v: QMin = %v (%s), want the %s evaluator's %v", spec, got, by, branch, want)
 		}
 	}
 	for _, b := range []string{"emss/exact", "emss/recurrence", "augchain/exact", "augchain/recurrence"} {
@@ -144,14 +148,26 @@ func TestQMinExactWhenValid(t *testing.T) {
 	}
 }
 
+// TestQMinNamesClosedForms: the rows with nothing to approximate say so.
+func TestQMinNamesClosedForms(t *testing.T) {
+	for _, spec := range wireCases {
+		if spec.ID == "emss" || spec.ID == "augchain" {
+			continue
+		}
+		if _, by, err := build(t, spec).QMin(0.2, time.Millisecond, 0); err != nil || by != ClosedForm {
+			t.Errorf("%+v: answered by %q, %v; want %q", spec, by, err, ClosedForm)
+		}
+	}
+}
+
 // TestTESLAQMinReadsDelay: TESLA is the one row whose q_min depends on the
 // caller's delay; a constant delay inside the disclosure lag is ξ = 1.
 func TestTESLAQMinReadsDelay(t *testing.T) {
 	e := build(t, Spec{ID: "tesla", N: 8, Lag: 2, Interval: 100 * time.Millisecond})
-	if q, err := e.QMin(0.25, time.Millisecond, 0); err != nil || q != 0.75 {
+	if q, _, err := e.QMin(0.25, time.Millisecond, 0); err != nil || q != 0.75 {
 		t.Errorf("ξ = 1 case: QMin = %v, %v; want 1-p = 0.75", q, err)
 	}
-	late, err := e.QMin(0.25, 200*time.Millisecond, 50*time.Millisecond)
+	late, _, err := e.QMin(0.25, 200*time.Millisecond, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

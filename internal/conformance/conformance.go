@@ -114,9 +114,9 @@ func (r Result) Check(p Params) error {
 
 // Suite builds the canonical conformance cases at block size n, one per
 // catalogue scheme: E_{2,1}, C_{3,3}, TESLA at lag 2. The augmented chain
-// is aligned to a segment boundary (analysis.AlignN) because the exact
-// evaluator requires it; its case therefore runs at a slightly larger
-// block.
+// is aligned to a segment boundary (analysis.AlignN), so that it is the
+// paper's C_{a,b} with no dangling run of inserted packets; its case
+// therefore runs at a slightly larger block.
 func Suite(n int) ([]Case, error) {
 	if n < 6 {
 		return nil, fmt.Errorf("conformance: block size %d too small for the suite", n)
@@ -151,7 +151,7 @@ func Suite(n int) ([]Case, error) {
 func Evaluate(c Case, p float64, params Params) (Result, error) {
 	r := Result{Case: c.Name, P: p}
 
-	analytic, err := c.QMin(p, caseDelay, 0)
+	analytic, _, err := c.QMin(p, caseDelay, 0)
 	if err != nil {
 		return r, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}

@@ -128,7 +128,7 @@ func (c CorrelatedCell) Escape() float64 { return math.Abs(c.AnalyticIID - c.Mea
 func EvaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (CorrelatedCell, error) {
 	marginal := 1 - (1-edgeP)*(1-leafP)
 	cell := CorrelatedCell{Case: c.Name, MarginalP: marginal}
-	analytic, err := c.QMin(marginal, caseDelay, 0)
+	analytic, _, err := c.QMin(marginal, caseDelay, 0)
 	if err != nil {
 		return cell, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}

@@ -348,20 +348,21 @@ func (g *Graph) ExactAuthProbVector(probs []float64) (AuthResult, error) {
 			}
 		}
 	}
-	res := AuthResult{Q: make([]float64, g.n+1), QMin: 1}
+	return exactResult(probVerifiable, probReceived), nil
+}
+
+// exactResult turns Pr{i received and verifiable} and Pr{i received} into
+// q_i and q_min. A packet that is never received (p == 1, not the root) has
+// a conditioning event of probability zero; by convention q_i = 0 (the
+// packet can never be verified).
+func exactResult(verifiable, received []float64) AuthResult {
+	res := AuthResult{Q: make([]float64, len(received)), QMin: 1}
 	res.Q[0] = math.NaN()
-	for i := 1; i <= g.n; i++ {
-		if probReceived[i] == 0 {
-			// p == 1 and i is not the root: conditioning event has
-			// probability zero; by convention report q_i = 0 (the
-			// packet can never be verified).
-			res.Q[i] = 0
-		} else {
-			res.Q[i] = probVerifiable[i] / probReceived[i]
+	for i := 1; i < len(received); i++ {
+		if received[i] > 0 {
+			res.Q[i] = verifiable[i] / received[i]
 		}
-		if res.Q[i] < res.QMin {
-			res.QMin = res.Q[i]
-		}
+		res.QMin = min(res.QMin, res.Q[i])
 	}
-	return res, nil
+	return res
 }

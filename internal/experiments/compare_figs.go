@@ -19,7 +19,7 @@ const (
 
 // comparison is the Figure 8 contenders, in plot order, each with the
 // formula the paper plots for it: the recurrences of Section 4, not the
-// exact evaluators the simulation tools prefer.
+// exact evaluator the simulation tools prefer.
 var comparison = []struct {
 	name string
 	qmin func(n int, p float64) (float64, error)

@@ -291,6 +291,29 @@ func TestBurstSeriesShape(t *testing.T) {
 	}
 }
 
+// TestBurstConformance: the two bursty columns of the burst table measure
+// the same quantity, q_min given that the signature packet arrived. Every
+// row's conditioned Monte-Carlo estimate must sit within 4σ (binomial at the
+// exact value, over the trials in which a packet arrives) of the exact one.
+func TestBurstConformance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rows, err := BurstSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 12 {
+		t.Fatalf("%d rows, want 3 schemes x 4 burst lengths", len(rows))
+	}
+	for _, r := range rows {
+		sigma := math.Sqrt(r.QMinExact * (1 - r.QMinExact) / (burstTrials * (1 - burstRate)))
+		if d := math.Abs(r.QMinMC - r.QMinExact); d > 4*sigma {
+			t.Errorf("%s burst %v: Monte-Carlo %.4f vs exact %.4f (%.1fσ)", r.Scheme, r.BurstLen, r.QMinMC, r.QMinExact, d/sigma)
+		}
+	}
+}
+
 func TestBoundsSeriesShape(t *testing.T) {
 	rows, err := BoundsSeries()
 	if err != nil {

@@ -36,7 +36,7 @@ func SigLossSeries() ([]SigLossRow, error) {
 	}
 	var rows []SigLossRow
 	for _, p := range []float64{0.1, 0.3} {
-		assumed, err := ref.QMin(p, 0, 0)
+		assumed, _, err := ref.QMin(p, 0, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -166,8 +166,9 @@ func (r *RunResult) RunID() string { return r.Name + "-" + r.Stamp }
 const cellDelay = time.Millisecond
 
 // cellEntry builds the cell's scheme with its wire conventions. The
-// augmented chain's exact evaluator needs segment alignment; the sweep's
-// block size is aligned up, and the cell records the aligned n.
+// augmented chain's block is aligned up to a segment boundary — the paper's
+// C_{a,b}, with no dangling run of inserted packets — and the cell records
+// the aligned n.
 func cellEntry(c Cell, signer crypto.Signer) (catalog.Entry, error) {
 	sc := c.Scheme
 	spec := catalog.Spec{
@@ -286,7 +287,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	// The closed forms assume i.i.d. loss; a scheme with no signature
 	// packet authenticates whatever arrives under any loss process.
 	if cfg.HasPath(PathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
-		q, err := entry.QMin(c.Loss.P, cellDelay, 0)
+		q, _, err := entry.QMin(c.Loss.P, cellDelay, 0)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.ID(), err)
 		}

@@ -77,6 +77,12 @@ func (b Bernoulli) SampleInto(rng *stats.RNG, recv []bool) {
 // Rate implements Model.
 func (b Bernoulli) Rate() float64 { return b.P }
 
+// Channel is the model as the one-state loss process the exact evaluator
+// (depgraph.ExactAuthProbChannel) sweeps.
+func (b Bernoulli) Channel() depgraph.Channel {
+	return depgraph.Channel{Trans: [][]float64{{1}}, Loss: []float64{b.P}, Stationary: []float64{1}}
+}
+
 // Name implements Model.
 func (b Bernoulli) Name() string { return fmt.Sprintf("bernoulli(p=%.3g)", b.P) }
 
@@ -149,6 +155,20 @@ func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
 		} else if rng.Bernoulli(g.PGoodToBad) {
 			bad = true
 		}
+	}
+}
+
+// Channel is the model as a two-state loss process (Good, Bad), started
+// stationary as SampleInto starts it.
+func (g GilbertElliott) Channel() depgraph.Channel {
+	bad := g.StationaryBad()
+	return depgraph.Channel{
+		Trans: [][]float64{
+			{1 - g.PGoodToBad, g.PGoodToBad},
+			{g.PBadToGood, 1 - g.PBadToGood},
+		},
+		Loss:       []float64{g.PGood, g.PBad},
+		Stationary: []float64{1 - bad, bad},
 	}
 }
 

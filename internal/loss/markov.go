@@ -1,8 +1,11 @@
 package loss
 
-import "fmt"
+import (
+	"fmt"
 
-import "mcauth/internal/stats"
+	"mcauth/internal/depgraph"
+	"mcauth/internal/stats"
+)
 
 // MarkovChain is the paper's "m-state Markov model" future-work extension
 // in full generality: an m-state chain where state s drops packets with
@@ -102,9 +105,14 @@ func (mc *MarkovChain) computeStationary() []float64 {
 	return pi
 }
 
-// Stationary returns a copy of the stationary state distribution.
-func (mc *MarkovChain) Stationary() []float64 {
-	return append([]float64(nil), mc.stationary...)
+// Channel is the chain as the loss process the exact evaluator sweeps: a
+// copy, so the caller may not reach the model's own tables through it.
+func (mc *MarkovChain) Channel() depgraph.Channel {
+	return depgraph.Channel{
+		Trans:      deepCopy(mc.Transitions),
+		Loss:       append([]float64(nil), mc.LossProb...),
+		Stationary: append([]float64(nil), mc.stationary...),
+	}
 }
 
 // Sample implements Model; the chain starts stationary.
@@ -147,16 +155,4 @@ func (mc *MarkovChain) Rate() float64 {
 // Name implements Model.
 func (mc *MarkovChain) Name() string {
 	return fmt.Sprintf("markov(m=%d, rate=%.3g)", len(mc.Transitions), mc.Rate())
-}
-
-// AsMarkovChain converts a GilbertElliott model to its 2-state general
-// form, for cross-checking the two implementations.
-func (g GilbertElliott) AsMarkovChain() (*MarkovChain, error) {
-	return NewMarkovChain(
-		[][]float64{
-			{1 - g.PGoodToBad, g.PGoodToBad},
-			{g.PBadToGood, 1 - g.PBadToGood},
-		},
-		[]float64{g.PGood, g.PBad},
-	)
 }

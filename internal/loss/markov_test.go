@@ -34,14 +34,15 @@ func TestMarkovChainMatchesGilbertElliott(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := ge.AsMarkovChain()
+	// The same chain in general m-state form.
+	mc, err := NewMarkovChain(ge.Channel().Trans, ge.Channel().Loss)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(mc.Rate()-ge.Rate()) > 1e-9 {
 		t.Errorf("rates differ: markov %v vs gilbert %v", mc.Rate(), ge.Rate())
 	}
-	st := mc.Stationary()
+	st := mc.Channel().Stationary
 	if math.Abs(st[1]-ge.StationaryBad()) > 1e-9 {
 		t.Errorf("stationary bad %v vs %v", st[1], ge.StationaryBad())
 	}
@@ -77,7 +78,7 @@ func TestMarkovChainThreeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mc.Stationary()
+	st := mc.Channel().Stationary
 	sum := 0.0
 	for _, p := range st {
 		sum += p

@@ -215,19 +215,22 @@ func TestEMSSMeasuredMatchesMarkovExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := analysis.MarkovExact{N: n, Offsets: []int{1, 2}, P: p}.Q()
+	g, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rev := 2; rev <= n; rev++ {
-		send := uint32(n + 1 - rev)
-		received, verified := res.Counts(send)
+	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for send := 1; send < n; send++ {
+		received, verified := res.Counts(uint32(send))
 		iv, err := stats.WilsonInterval(verified, received, 0.9999)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !iv.Contains(exact.Q[rev]) {
-			t.Errorf("reversed %d: exact %v outside measured CI %+v", rev, exact.Q[rev], iv)
+		if !iv.Contains(exact.Q[send]) {
+			t.Errorf("packet %d: exact %v outside measured CI %+v", send, exact.Q[send], iv)
 		}
 	}
 }

@@ -205,31 +205,31 @@ func TestSegments(t *testing.T) {
 
 func TestGraphMatchesAugChainExact(t *testing.T) {
 	// Two independent exact computations of the same quantity: exhaustive
-	// enumeration over the runnable construction's graph vs the two-level
-	// Markov evaluator.
-	cfg := Config{N: 13, A: 2, B: 2}
-	p := 0.3
-	s, err := New(cfg, crypto.NewSignerFromString("s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := g.ExactAuthProb(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	markov, err := analysis.AugChainExact{N: cfg.N, A: cfg.A, B: cfg.B, P: p}.Q()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rev := 1; rev <= cfg.N; rev++ {
-		send := cfg.N + 1 - rev
-		if diff := math.Abs(exact.Q[send] - markov.Q[rev]); diff > 1e-12 {
-			t.Errorf("reversed %d (send %d): graph %v vs markov-exact %v",
-				rev, send, exact.Q[send], markov.Q[rev])
+	// enumeration over the runnable construction's graph vs the frontier
+	// sweep of it, on a block that ends on a chain packet and on one that
+	// ends in a dangling run of inserted packets.
+	for _, cfg := range []Config{{N: 13, A: 2, B: 2}, {N: 12, A: 3, B: 3}} {
+		p := 0.3
+		s, err := New(cfg, crypto.NewSignerFromString("s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := g.ExactAuthProb(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= cfg.N; i++ {
+			if diff := math.Abs(exact.Q[i] - sweep.Q[i]); diff > 1e-12 {
+				t.Errorf("%+v packet %d: enumeration %v vs sweep %v", cfg, i, exact.Q[i], sweep.Q[i])
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
+	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/verifier"
 )
@@ -78,9 +79,9 @@ func TestRootIsLastPacket(t *testing.T) {
 }
 
 func TestGraphMatchesMarkovExact(t *testing.T) {
-	// The exact enumeration over the runnable construction's dependence
-	// graph must agree with the exact Markov-window evaluator: they are
-	// two independent computations of the same quantity.
+	// The exhaustive enumeration over the runnable construction's
+	// dependence graph must agree with the frontier sweep of the same
+	// graph: two independent computations of the same quantity.
 	n, p := 14, 0.3
 	s, err := New(Config{N: n, M: 2, D: 1}, crypto.NewSignerFromString("s"))
 	if err != nil {
@@ -94,15 +95,13 @@ func TestGraphMatchesMarkovExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	markov, err := analysis.MarkovExact{N: n, Offsets: []int{1, 2}, P: p}.Q()
+	sweep, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rev := 1; rev <= n; rev++ {
-		send := n + 1 - rev
-		if diff := math.Abs(exact.Q[send] - markov.Q[rev]); diff > 1e-12 {
-			t.Errorf("reversed %d (send %d): graph %v vs markov %v",
-				rev, send, exact.Q[send], markov.Q[rev])
+	for i := 1; i <= n; i++ {
+		if diff := math.Abs(exact.Q[i] - sweep.Q[i]); diff > 1e-12 {
+			t.Errorf("packet %d: enumeration %v vs sweep %v", i, exact.Q[i], sweep.Q[i])
 		}
 	}
 }

@@ -13,8 +13,9 @@
 //     authentication probabilities (exact, Monte-Carlo, bounds),
 //     communication overhead, receiver delay and buffer sizes are derived.
 //   - Analytic evaluators for all the paper's closed forms and recurrences,
-//     plus an exact Markov-window evaluator, a lossy-multicast network
-//     simulator, and the Section 5 construction toolkit.
+//     one exact evaluator over any dependence graph of bounded frontier, a
+//     lossy-multicast network simulator, and the Section 5 construction
+//     toolkit.
 //
 // The facade re-exports the most common entry points; the sub-packages
 // under internal/ carry the full API surface used by the cmd/ tools,
@@ -27,6 +28,7 @@ import (
 	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
+	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/scheme"
 	"mcauth/internal/scheme/augchain"
@@ -142,7 +144,7 @@ func NewStreamReceiver(s Scheme, maxBlocks int) (*StreamReceiver, error) {
 	return stream.NewReceiver(s, maxBlocks)
 }
 
-// Analytic evaluators (paper Equations 6-10 and the exact Markov window).
+// Analytic evaluators (paper Equations 6-10).
 type (
 	// AnalyticEMSS evaluates the E_{m,d} recurrence (Equations 8-9).
 	AnalyticEMSS = analysis.EMSS
@@ -152,10 +154,20 @@ type (
 	AnalyticTESLA = analysis.TESLA
 	// AnalyticPeriodic evaluates any periodic topology (Equation 9).
 	AnalyticPeriodic = analysis.Periodic
-	// AnalyticMarkovExact computes exact q_i for positive-offset
-	// periodic topologies.
-	AnalyticMarkovExact = analysis.MarkovExact
 )
+
+// AnalyticMarkovExact computes the exact q_i of s under i.i.d. loss at rate
+// p, with no independence approximation: the frontier sweep of s's own
+// dependence graph (Graph.ExactAuthProbChannel, which also takes bursty
+// channels). It fails, with an error matching depgraph.ErrFrontier, on a
+// graph whose root is in mid-block or whose frontier exceeds 20 bits.
+func AnalyticMarkovExact(s Scheme, p float64) (depgraph.AuthResult, error) {
+	g, err := s.Graph()
+	if err != nil {
+		return depgraph.AuthResult{}, err
+	}
+	return g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+}
 
 // AnalyticRohatgi returns the closed-form q_i of the simple hash chain.
 func AnalyticRohatgi(n int, p float64) (analysis.Result, error) {

@@ -72,11 +72,15 @@ func TestFacadeAnalytics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := AnalyticMarkovExact{N: 1000, Offsets: []int{1, 2}, P: 0.1}.QMin()
+	s, err := NewEMSS(EMSSConfig{N: 1000, M: 2, D: 1}, NewSigner("facade"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact > qmin {
-		t.Errorf("exact %v exceeds recurrence %v", exact, qmin)
+	exact, err := AnalyticMarkovExact(s, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.QMin > qmin {
+		t.Errorf("exact %v exceeds recurrence %v", exact.QMin, qmin)
 	}
 }

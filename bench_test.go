@@ -694,6 +694,67 @@ func BenchmarkMonteCarloAuthProb(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloAuthProbBursty is the `burst` experiment's shape: an
+// E_{2,1} block of 60 under a Gilbert–Elliott channel (stationary loss 0.1,
+// mean burst 5, lossless Good, total-loss Bad), 20 000 trials. Three coin
+// flips per packet against BenchmarkMonteCarloAuthProb's one.
+func BenchmarkMonteCarloAuthProbBursty(b *testing.B) {
+	s, err := emss.New(emss.Config{N: 60, M: 2, D: 1}, crypto.NewSignerFromString("bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := s.Graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ge, err := loss.NewGilbertElliott(0.1*0.2/0.9, 0.2, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(1)
+	pattern := loss.PatternInto(ge)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.MonteCarloAuthProbInto(pattern, 20000, rng, depgraph.MCOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLossSample measures the loss samplers alone: one op is one
+// 1024-packet pattern (SampleInto, no allocation).
+func BenchmarkLossSample(b *testing.B) {
+	bernoulli, err := loss.NewBernoulli(0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gilbert, err := loss.NewGilbertElliott(0.05, 0.25, 0.01, 0.8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	markov3, err := loss.NewMarkovChain(
+		[][]float64{{0.9, 0.08, 0.02}, {0.3, 0.6, 0.1}, {0.2, 0.2, 0.6}},
+		[]float64{0.01, 0.3, 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name  string
+		model loss.Model
+	}{{"bernoulli", bernoulli}, {"gilbert", gilbert}, {"markov3", markov3}} {
+		b.Run(m.name, func(b *testing.B) {
+			rng := stats.NewRNG(1)
+			received := make([]bool, 1025)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.model.SampleInto(rng, received)
+			}
+		})
+	}
+}
+
 // BenchmarkMonteCarloAuthProbParallel measures the sharded Monte-Carlo
 // engine across worker counts (n=100, 20000 trials); results are
 // bit-identical for every setting, only wall-clock changes.

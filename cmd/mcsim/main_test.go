@@ -49,6 +49,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-scheme", "emss", "-n", "2", "-m", "5"}); err == nil {
 		t.Error("invalid EMSS parameters should fail")
 	}
+	// NaN parses as a float and fails every `p < 0 || p > 1` test.
+	if err := run([]string{"-scheme", "authtree", "-n", "16", "-p", "NaN"}); err == nil {
+		t.Error("-p NaN should fail, not run as a lossless channel")
+	}
 }
 
 // TestObservabilityOutputs drives a full run with -trace and -metrics and

@@ -52,10 +52,10 @@ func (c Constraint) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("construct: block size %d must be >= 2", c.N)
 	}
-	if c.P < 0 || c.P >= 1 {
+	if !(c.P >= 0 && c.P < 1) { // spelled so that NaN fails
 		return fmt.Errorf("construct: loss rate %v out of [0,1)", c.P)
 	}
-	if c.TargetQMin <= 0 || c.TargetQMin > 1 {
+	if !(c.TargetQMin > 0 && c.TargetQMin <= 1) {
 		return fmt.Errorf("construct: target q_min %v out of (0,1]", c.TargetQMin)
 	}
 	if c.MaxOutDegree < 0 {
@@ -333,9 +333,10 @@ func randomGraph(n int, rho float64, rng *stats.RNG) (*depgraph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	edge := stats.NewCoin(rho)
 	for v := 2; v <= n; v++ {
 		for u := 1; u < v; u++ {
-			if rng.Bernoulli(rho) {
+			if rng.Flip(edge) {
 				if err := g.AddEdge(u, v); err != nil {
 					return nil, err
 				}

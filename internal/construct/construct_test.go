@@ -18,6 +18,8 @@ func TestConstraintValidation(t *testing.T) {
 		{N: 10, P: 1.0, TargetQMin: 0.9},
 		{N: 10, P: 0.1, TargetQMin: 0},
 		{N: 10, P: 0.1, TargetQMin: 1.1},
+		{N: 10, P: math.NaN(), TargetQMin: 0.9},
+		{N: 10, P: 0.1, TargetQMin: math.NaN()},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -34,10 +34,9 @@ var (
 type Graph struct {
 	n    int
 	root int
-	out  [][]int // out[i] lists j with edge i -> j, sorted
+	out  [][]int // out[i] lists j with edge i -> j, sorted: the edge set itself
 	in   [][]int // in[j] lists i with edge i -> j, sorted
-	set  map[int64]struct{}
-	m    int // number of edges
+	m    int     // number of edges
 }
 
 // New creates an empty dependence-graph over packets 1..n with the given
@@ -54,7 +53,6 @@ func New(n, root int) (*Graph, error) {
 		root: root,
 		out:  make([][]int, n+1),
 		in:   make([][]int, n+1),
-		set:  make(map[int64]struct{}),
 	}, nil
 }
 
@@ -66,10 +64,6 @@ func (g *Graph) Root() int { return g.root }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return g.m }
-
-func edgeKey(from, to int) int64 {
-	return int64(from)<<32 | int64(uint32(to))
-}
 
 // AddEdge inserts the dependence edge from -> to (packet `from` carries the
 // authentication information for packet `to`). It rejects out-of-range
@@ -88,13 +82,13 @@ func (g *Graph) AddEdge(from, to int) error {
 	if to == g.root {
 		return fmt.Errorf("depgraph: edge into root %d (the root is authenticated by the signature)", g.root)
 	}
-	key := edgeKey(from, to)
-	if _, dup := g.set[key]; dup {
+	row := g.out[from]
+	at := sort.SearchInts(row, to)
+	if at < len(row) && row[at] == to {
 		return fmt.Errorf("depgraph: duplicate edge %d -> %d", from, to)
 	}
-	g.set[key] = struct{}{}
-	g.out[from] = insertSorted(g.out[from], to)
-	g.in[to] = insertSorted(g.in[to], from)
+	g.out[from] = insertAt(row, at, to)
+	g.in[to] = insertAt(g.in[to], sort.SearchInts(g.in[to], from), from)
 	g.m++
 	return nil
 }
@@ -111,11 +105,9 @@ func (g *Graph) MustAddEdge(from, to int) {
 // RemoveEdge deletes the edge from -> to; it fails if the edge does not
 // exist. Used by the Section 5 optimizers to prune redundant edges.
 func (g *Graph) RemoveEdge(from, to int) error {
-	key := edgeKey(from, to)
-	if _, ok := g.set[key]; !ok {
+	if !g.HasEdge(from, to) {
 		return fmt.Errorf("depgraph: no edge %d -> %d", from, to)
 	}
-	delete(g.set, key)
 	g.out[from] = removeSorted(g.out[from], to)
 	g.in[to] = removeSorted(g.in[to], from)
 	g.m--
@@ -127,18 +119,22 @@ func removeSorted(s []int, v int) []int {
 	return append(s[:i], s[i+1:]...)
 }
 
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
+func insertAt(s []int, i, v int) []int {
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
 }
 
-// HasEdge reports whether the edge from -> to exists.
+// HasEdge reports whether the edge from -> to exists; endpoints outside
+// 1..n name no edge.
 func (g *Graph) HasEdge(from, to int) bool {
-	_, ok := g.set[edgeKey(from, to)]
-	return ok
+	if from < 1 || from > g.n {
+		return false
+	}
+	row := g.out[from]
+	i := sort.SearchInts(row, to)
+	return i < len(row) && row[i] == to
 }
 
 // Label returns the label i - j of edge (P_i, P_j). It returns an error if
@@ -186,7 +182,7 @@ func (g *Graph) Validate() error {
 	if err := g.checkAcyclic(); err != nil {
 		return err
 	}
-	reach := g.reachableFromRoot()
+	reach, _ := g.reachableFromRoot()
 	for v := 1; v <= g.n; v++ {
 		if !reach[v] {
 			return fmt.Errorf("%w: vertex %d", ErrNotRooted, v)
@@ -234,28 +230,28 @@ func (g *Graph) checkAcyclic() error {
 	return nil
 }
 
-func (g *Graph) reachableFromRoot() []bool {
-	reach := make([]bool, g.n+1)
+// reachableFromRoot marks the vertices some path from the root reaches and
+// returns them in breadth-first order, root first.
+func (g *Graph) reachableFromRoot() (reach []bool, bfs []int) {
+	reach = make([]bool, g.n+1)
 	reach[g.root] = true
-	queue := []int{g.root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.out[v] {
+	bfs = append(make([]int, 0, g.n), g.root)
+	for head := 0; head < len(bfs); head++ {
+		for _, w := range g.out[bfs[head]] {
 			if !reach[w] {
 				reach[w] = true
-				queue = append(queue, w)
+				bfs = append(bfs, w)
 			}
 		}
 	}
-	return reach
+	return reach, bfs
 }
 
 // Unreachable returns the vertices that cannot be authenticated even
 // without loss (no path from the root). Probabilistic constructions
 // (Section 5) may produce a few such vertices.
 func (g *Graph) Unreachable() []int {
-	reach := g.reachableFromRoot()
+	reach, _ := g.reachableFromRoot()
 	var out []int
 	for v := 1; v <= g.n; v++ {
 		if !reach[v] {
@@ -272,31 +268,35 @@ func (g *Graph) TopoFromRoot() ([]int, error) {
 	if err := g.checkAcyclic(); err != nil {
 		return nil, err
 	}
-	reach := g.reachableFromRoot()
+	order, _ := g.orderFromRoot()
+	return order, nil
+}
+
+// orderFromRoot returns the reachable vertices root first, and whether the
+// order is topological. It is (Kahn's algorithm over the reachable part)
+// unless a cycle is reachable from the root; then no such order exists and
+// the breadth-first order is returned instead.
+func (g *Graph) orderFromRoot() (order []int, topological bool) {
+	_, bfs := g.reachableFromRoot()
 	indeg := make([]int, g.n+1)
-	for v := 1; v <= g.n; v++ {
-		if !reach[v] {
-			continue
-		}
+	for _, v := range bfs {
 		for _, w := range g.out[v] {
 			indeg[w]++
 		}
 	}
-	var queue []int
-	queue = append(queue, g.root)
-	order := make([]int, 0, g.n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.out[v] {
+	order = append(make([]int, 0, len(bfs)), g.root)
+	for head := 0; head < len(order); head++ {
+		for _, w := range g.out[order[head]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}
-	return order, nil
+	if len(order) < len(bfs) {
+		return bfs, false
+	}
+	return order, true
 }
 
 // Clone returns a deep copy of the graph.
@@ -306,15 +306,11 @@ func (g *Graph) Clone() *Graph {
 		root: g.root,
 		out:  make([][]int, g.n+1),
 		in:   make([][]int, g.n+1),
-		set:  make(map[int64]struct{}, len(g.set)),
 		m:    g.m,
 	}
 	for i := 1; i <= g.n; i++ {
 		c.out[i] = append([]int(nil), g.out[i]...)
 		c.in[i] = append([]int(nil), g.in[i]...)
-	}
-	for k := range g.set {
-		c.set[k] = struct{}{}
 	}
 	return c
 }

@@ -71,6 +71,9 @@ func TestExactVectorValidation(t *testing.T) {
 	if _, err := g.ExactAuthProbVector([]float64{0, 0.1}); err == nil {
 		t.Error("wrong length should fail")
 	}
+	if _, err := g.ExactAuthProbVector([]float64{0, 0.1, math.NaN(), 0.1, 0.1}); err == nil {
+		t.Error("NaN probability should fail")
+	}
 	if _, err := g.ExactAuthProbVector([]float64{0, 0.1, 1.5, 0.1, 0.1}); err == nil {
 		t.Error("out-of-range probability should fail")
 	}

@@ -3,6 +3,7 @@ package depgraph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mcauth/internal/parallel"
 	"mcauth/internal/stats"
@@ -40,9 +41,10 @@ func (p ReceivePattern) Into() ReceivePatternInto {
 // independently with probability p (the paper's Section 4.1 network model)
 // without allocating.
 func BernoulliPatternInto(p float64) ReceivePatternInto {
+	lose := stats.NewCoin(p)
 	return func(rng *stats.RNG, received []bool) error {
 		for i := 1; i < len(received); i++ {
-			received[i] = !rng.Bernoulli(p)
+			received[i] = !rng.Flip(lose)
 		}
 		return nil
 	}
@@ -62,9 +64,13 @@ func BernoulliPattern(p float64) ReceivePattern {
 // HeterogeneousPatternInto fills a pattern with per-packet loss
 // probabilities probs (index 0 unused) without allocating.
 func HeterogeneousPatternInto(probs []float64) ReceivePatternInto {
+	lose := make([]stats.Coin, len(probs))
+	for i, p := range probs {
+		lose[i] = stats.NewCoin(p)
+	}
 	return func(rng *stats.RNG, received []bool) error {
-		for i := 1; i < len(received) && i < len(probs); i++ {
-			received[i] = !rng.Bernoulli(probs[i])
+		for i := 1; i < len(received) && i < len(lose); i++ {
+			received[i] = !rng.Flip(lose[i])
 		}
 		return nil
 	}
@@ -185,10 +191,50 @@ type mcCounts struct {
 	ver  []int
 }
 
+// laneTrials is how many trials one machine word carries: trial t of a group
+// is bit t of every vertex's word.
+const laneTrials = 64
+
+// verifiableLanes is VerifiableSetInto for 64 loss patterns at once. Bit t
+// of recv[v] says packet v arrived in pattern t; on return bit t of ver[v]
+// says v is verifiable in pattern t. The predicate is pure AND/OR — v is
+// verifiable iff it arrived and some in-neighbour is verifiable — so one
+// ver[w] |= ver[v] & recv[w] per edge settles all 64 patterns. The root's
+// word is taken as given, not forced to all ones: a lane the caller left out
+// of recv[root] stays empty everywhere, which is how a short last group is
+// masked. order and topological come from orderFromRoot: in a topological
+// order one pass reaches the fixpoint; otherwise (a cycle, which AddEdge does
+// not reject) passes repeat until none adds a bit, which is the same set the
+// scalar search reaches.
+func (g *Graph) verifiableLanes(order []int, topological bool, recv, ver []uint64) {
+	clear(ver)
+	ver[g.root] = recv[g.root]
+	for {
+		var added uint64
+		for _, v := range order {
+			from := ver[v]
+			if from == 0 {
+				continue
+			}
+			for _, w := range g.out[v] {
+				add := from & recv[w] &^ ver[w]
+				ver[w] |= add
+				added |= add
+			}
+		}
+		if topological || added == 0 {
+			return
+		}
+	}
+}
+
 // MonteCarloAuthProbInto is MonteCarloAuthProb with a scratch-reuse
-// pattern: each worker keeps one received/verifiable/queue scratch set for
-// its whole shard, so a native Into pattern makes the trial loop
-// allocation-free.
+// pattern: each worker keeps one received scratch and one pair of lane words
+// per vertex for its whole shard, so a native Into pattern makes the trial
+// loop allocation-free. A shard samples its trials one at a time, in trial
+// order, from its own generator — the result is a function of (seed, trials,
+// shard size) only — but propagates and tallies them 64 to a word
+// (verifiableLanes).
 func (g *Graph) MonteCarloAuthProbInto(pattern ReceivePatternInto, trials int, rng *stats.RNG, opts MCOptions) (AuthResult, error) {
 	if trials <= 0 {
 		return AuthResult{}, fmt.Errorf("depgraph: trials %d must be positive", trials)
@@ -207,24 +253,32 @@ func (g *Graph) MonteCarloAuthProbInto(pattern ReceivePatternInto, trials int, r
 	for remaining := trials; remaining > 0; remaining -= shardSize {
 		shards = append(shards, mcShard{rng: rng.Split(), trials: min(shardSize, remaining)})
 	}
+	order, topological := g.orderFromRoot()
 	counts, err := parallel.Map(opts.Workers, shards, func(_ int, sh mcShard) (mcCounts, error) {
 		c := mcCounts{recv: make([]int, g.n+1), ver: make([]int, g.n+1)}
 		received := make([]bool, g.n+1)
-		verifiable := make([]bool, g.n+1)
-		queue := make([]int, 0, g.n)
-		for t := 0; t < sh.trials; t++ {
-			if err := pattern(sh.rng, received); err != nil {
-				return mcCounts{}, err
-			}
-			received[g.root] = true
-			queue, _ = g.VerifiableSetInto(received, verifiable, queue)
-			for i := 1; i <= g.n; i++ {
-				if received[i] {
-					c.recv[i]++
-					if verifiable[i] {
-						c.ver[i]++
-					}
+		lanes := make([]uint64, 2*(g.n+1))
+		recv, ver := lanes[:g.n+1], lanes[g.n+1:]
+		for done := 0; done < sh.trials; done += laneTrials {
+			clear(recv)
+			for t := 0; t < min(laneTrials, sh.trials-done); t++ {
+				if err := pattern(sh.rng, received); err != nil {
+					return mcCounts{}, err
 				}
+				received[g.root] = true
+				// Index 0, no packet, rides along: nothing reads its word.
+				for i, arrived := range received {
+					var bit uint64
+					if arrived {
+						bit = 1
+					}
+					recv[i] |= bit << t
+				}
+			}
+			g.verifiableLanes(order, topological, recv, ver)
+			for i := 1; i <= g.n; i++ {
+				c.recv[i] += bits.OnesCount64(recv[i])
+				c.ver[i] += bits.OnesCount64(ver[i])
 			}
 		}
 		return c, nil
@@ -305,7 +359,7 @@ func (g *Graph) ExactAuthProbVector(probs []float64) (AuthResult, error) {
 		return AuthResult{}, fmt.Errorf("depgraph: %d loss probabilities, want %d", len(probs), g.n+1)
 	}
 	for i := 1; i <= g.n; i++ {
-		if probs[i] < 0 || probs[i] > 1 {
+		if !(probs[i] >= 0 && probs[i] <= 1) { // spelled so that NaN fails
 			return AuthResult{}, fmt.Errorf("depgraph: loss probability[%d] = %v out of [0,1]", i, probs[i])
 		}
 	}

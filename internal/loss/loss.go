@@ -54,7 +54,7 @@ var _ Model = Bernoulli{}
 
 // NewBernoulli validates p and returns the model.
 func NewBernoulli(p float64) (Bernoulli, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // spelled so that NaN fails
 		return Bernoulli{}, fmt.Errorf("loss: probability %v out of [0,1]", p)
 	}
 	return Bernoulli{P: p}, nil
@@ -69,8 +69,9 @@ func (b Bernoulli) Sample(rng *stats.RNG, n int) []bool {
 
 // SampleInto implements Model.
 func (b Bernoulli) SampleInto(rng *stats.RNG, recv []bool) {
+	lose := stats.NewCoin(b.P)
 	for i := 1; i < len(recv); i++ {
-		recv[i] = !rng.Bernoulli(b.P)
+		recv[i] = !rng.Flip(lose)
 	}
 }
 
@@ -102,7 +103,7 @@ var _ Model = GilbertElliott{}
 // NewGilbertElliott validates the parameters.
 func NewGilbertElliott(pGoodToBad, pBadToGood, pGood, pBad float64) (GilbertElliott, error) {
 	for _, v := range []float64{pGoodToBad, pBadToGood, pGood, pBad} {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return GilbertElliott{}, fmt.Errorf("loss: parameter %v out of [0,1]", v)
 		}
 	}
@@ -141,19 +142,16 @@ func (g GilbertElliott) Sample(rng *stats.RNG, n int) []bool {
 
 // SampleInto implements Model.
 func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
+	loseGood, loseBad := stats.NewCoin(g.PGood), stats.NewCoin(g.PBad)
+	toBad, toGood := stats.NewCoin(g.PGoodToBad), stats.NewCoin(g.PBadToGood)
 	bad := rng.Bernoulli(g.StationaryBad())
 	for i := 1; i < len(recv); i++ {
-		pLoss := g.PGood
 		if bad {
-			pLoss = g.PBad
-		}
-		recv[i] = !rng.Bernoulli(pLoss)
-		if bad {
-			if rng.Bernoulli(g.PBadToGood) {
-				bad = false
-			}
-		} else if rng.Bernoulli(g.PGoodToBad) {
-			bad = true
+			recv[i] = !rng.Flip(loseBad)
+			bad = !rng.Flip(toGood)
+		} else {
+			recv[i] = !rng.Flip(loseGood)
+			bad = rng.Flip(toBad)
 		}
 	}
 }

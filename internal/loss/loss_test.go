@@ -48,6 +48,9 @@ func TestBernoulliValidation(t *testing.T) {
 	if _, err := NewBernoulli(1.1); err == nil {
 		t.Error("p>1 should fail")
 	}
+	if _, err := NewBernoulli(math.NaN()); err == nil {
+		t.Error("NaN should fail: it is below no bound and above none")
+	}
 }
 
 func TestGilbertElliottStationary(t *testing.T) {
@@ -105,6 +108,13 @@ func TestGilbertElliottValidation(t *testing.T) {
 	}
 	if _, err := NewGilbertElliott(0, 0, 0, 1); err == nil {
 		t.Error("degenerate chain should fail")
+	}
+	for i := 0; i < 4; i++ {
+		args := [4]float64{0.1, 0.5, 0, 1}
+		args[i] = math.NaN()
+		if _, err := NewGilbertElliott(args[0], args[1], args[2], args[3]); err == nil {
+			t.Errorf("NaN as parameter %d should fail", i)
+		}
 	}
 }
 

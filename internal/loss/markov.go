@@ -19,6 +19,7 @@ type MarkovChain struct {
 	LossProb []float64
 
 	stationary []float64
+	lose       []stats.Coin // LossProb, prepared once for SampleInto
 }
 
 var _ Model = (*MarkovChain)(nil)
@@ -40,7 +41,7 @@ func NewMarkovChain(transitions [][]float64, lossProb []float64) (*MarkovChain, 
 		}
 		sum := 0.0
 		for j, pij := range row {
-			if pij < 0 || pij > 1 {
+			if !(pij >= 0 && pij <= 1) {
 				return nil, fmt.Errorf("loss: transition[%d][%d] = %v out of [0,1]", i, j, pij)
 			}
 			sum += pij
@@ -50,7 +51,7 @@ func NewMarkovChain(transitions [][]float64, lossProb []float64) (*MarkovChain, 
 		}
 	}
 	for i, p := range lossProb {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("loss: loss probability[%d] = %v out of [0,1]", i, p)
 		}
 	}
@@ -59,6 +60,10 @@ func NewMarkovChain(transitions [][]float64, lossProb []float64) (*MarkovChain, 
 		LossProb:    append([]float64(nil), lossProb...),
 	}
 	mc.stationary = mc.computeStationary()
+	mc.lose = make([]stats.Coin, m)
+	for i, p := range lossProb {
+		mc.lose[i] = stats.NewCoin(p)
+	}
 	return mc, nil
 }
 
@@ -126,7 +131,7 @@ func (mc *MarkovChain) Sample(rng *stats.RNG, n int) []bool {
 func (mc *MarkovChain) SampleInto(rng *stats.RNG, recv []bool) {
 	state := sampleIndex(rng, mc.stationary)
 	for i := 1; i < len(recv); i++ {
-		recv[i] = !rng.Bernoulli(mc.LossProb[state])
+		recv[i] = !rng.Flip(mc.lose[state])
 		state = sampleIndex(rng, mc.Transitions[state])
 	}
 }

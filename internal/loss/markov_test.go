@@ -19,6 +19,8 @@ func TestMarkovChainValidation(t *testing.T) {
 		{"row not stochastic", [][]float64{{0.5, 0.4}, {0.5, 0.5}}, []float64{0, 1}},
 		{"negative entry", [][]float64{{1.1, -0.1}, {0.5, 0.5}}, []float64{0, 1}},
 		{"loss out of range", [][]float64{{0.5, 0.5}, {0.5, 0.5}}, []float64{0, 1.5}},
+		{"NaN entry", [][]float64{{math.NaN(), 0.5}, {0.5, 0.5}}, []float64{0, 1}},
+		{"NaN loss", [][]float64{{0.5, 0.5}, {0.5, 0.5}}, []float64{0, math.NaN()}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,43 +1,48 @@
 package stats
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). Simulations in this repository take
 // an explicit *RNG rather than relying on a global source so that every
 // experiment is reproducible from its seed.
 type RNG struct {
-	s [4]uint64
+	// The four state words are fields, not an array, which keeps Uint64
+	// within the compiler's inlining budget: the sampler loops that flip a
+	// coin per packet then run the generator step in line.
+	s0, s1, s2, s3 uint64
 }
 
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
 	// SplitMix64 expansion of the seed into the xoshiro state.
 	x := seed
-	for i := range r.s {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
-	}
-	return r
+	return &RNG{s0: splitMix64(&x), s1: splitMix64(&x), s2: splitMix64(&x), s3: splitMix64(&x)}
+}
+
+func splitMix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
 	return result
 }
-
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -52,15 +57,47 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Bernoulli returns true with probability p.
+// Coin is a Bernoulli trial prepared once and flipped many times: the
+// probability as an integer threshold on the 53 bits Float64 is made of.
+// Float64 returns k/2^53 for the integer k = Uint64()>>11, and both k/2^53
+// and p·2^53 are exact in float64, so k/2^53 < p holds exactly when
+// k < ceil(p·2^53): Flip draws the word Float64() < p would draw and gives
+// the same answer without the conversion, the division or the float compare.
+// The zero value never comes up.
+type Coin struct {
+	// threshold is ceil(p·2^53), in [1, 2^53-1] for 0 < p < 1. The two ends
+	// are the coins that draw nothing: 0 never comes up, 2^53 always does.
+	threshold uint64
+}
+
+const coinAlways = 1 << 53
+
+// NewCoin prepares a coin that comes up with probability p. p <= 0 never
+// comes up and p >= 1 always does, neither drawing from the generator; NaN
+// is no probability and is taken as never (converting it to an integer
+// would be implementation-defined).
+func NewCoin(p float64) Coin {
+	switch {
+	case !(p > 0):
+		return Coin{}
+	case p >= 1:
+		return Coin{threshold: coinAlways}
+	}
+	return Coin{threshold: uint64(math.Ceil(p * coinAlways))}
+}
+
+// Flip flips a prepared coin.
+func (r *RNG) Flip(c Coin) bool {
+	if c.threshold == 0 || c.threshold == coinAlways {
+		return c.threshold != 0
+	}
+	return r.Uint64()>>11 < c.threshold
+}
+
+// Bernoulli returns true with probability p. A loop that flips one
+// probability many times prepares it once with NewCoin.
 func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	return r.Flip(NewCoin(p))
 }
 
 // Normal returns a Gaussian sample with the given mean and standard

@@ -37,72 +37,28 @@ import (
 
 // --- Figures -------------------------------------------------------------
 
-func BenchmarkFig3TESLADelaySurface(b *testing.B) {
+// benchFigure renders one registered experiment per iteration, as
+// `mcfig -fig id` does.
+func benchFigure(b *testing.B, id string) {
+	e, ok := experiments.Get(id)
+	if !ok {
+		b.Fatalf("no experiment %q", id)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3Series(); err != nil {
+		if err := e.Run(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig4TESLADisclosureSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5AugmentedChainAB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6AugmentedChainFixedLevel1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7EMSSMD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8SchemeComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8aSeries(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.Fig8bSeries(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9CloseUp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10OverheadDelay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10Series(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig3TESLADelaySurface(b *testing.B)         { benchFigure(b, "fig3") }
+func BenchmarkFig4TESLADisclosureSweep(b *testing.B)      { benchFigure(b, "fig4") }
+func BenchmarkFig5AugmentedChainAB(b *testing.B)          { benchFigure(b, "fig5") }
+func BenchmarkFig6AugmentedChainFixedLevel1(b *testing.B) { benchFigure(b, "fig6") }
+func BenchmarkFig7EMSSMD(b *testing.B)                    { benchFigure(b, "fig7") }
+func BenchmarkFig8SchemeComparison(b *testing.B)          { benchFigure(b, "fig8") }
+func BenchmarkFig9CloseUp(b *testing.B)                   { benchFigure(b, "fig9") }
+func BenchmarkFig10OverheadDelay(b *testing.B)            { benchFigure(b, "fig10") }
 
 // --- Ablations -----------------------------------------------------------
 
@@ -355,13 +311,29 @@ func BenchmarkVerifyServing(b *testing.B) {
 	const n = 128
 	for _, k := range []int{16, 64} {
 		b.Run(fmt.Sprintf("signeach/K=%d", k), func(b *testing.B) {
-			s, err := signeach.NewBatched(n, k, crypto.NewSignerFromString("bench"))
+			signer := crypto.NewSignerFromString("bench")
+			s, err := signeach.New(n, signer)
 			if err != nil {
 				b.Fatal(err)
 			}
 			pkts, err := s.Authenticate(1, benchPayloads(n, 512))
 			if err != nil {
 				b.Fatal(err)
+			}
+			// Re-sign in MABS runs of K: each packet carries its run's batch
+			// blob in place of a plain signature.
+			for start := 0; start < n; start += k {
+				contents := make([][]byte, min(k, n-start))
+				for i := range contents {
+					contents[i] = pkts[start+i].ContentBytes()
+				}
+				blobs, err := crypto.BatchSign(signer, contents)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, blob := range blobs {
+					pkts[start+i].Signature = blob
+				}
 			}
 			at := time.Unix(0, 0)
 			b.SetBytes(int64(n * 512))
@@ -880,7 +852,8 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameRoundTrip measures the byte-stream transport framing.
+// BenchmarkFrameRoundTrip measures the stream-tagged byte-stream framing
+// the serving tier speaks (transport.MuxFrameWriter / MuxFrameReader).
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	s := benchScheme(b, "emss")
 	pkts, err := s.Authenticate(1, benchPayloads(s.BlockSize(), 512))
@@ -890,15 +863,15 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		fw := transport.NewFrameWriter(&buf)
+		fw := transport.NewMuxFrameWriter(&buf)
 		for _, p := range pkts {
-			if err := fw.WritePacket(p); err != nil {
+			if err := fw.WritePacket(1, p); err != nil {
 				b.Fatal(err)
 			}
 		}
-		fr := transport.NewFrameReader(&buf)
+		fr := transport.NewMuxFrameReader(&buf)
 		for range pkts {
-			if _, err := fr.ReadPacket(); err != nil {
+			if _, _, err := fr.ReadPacket(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,6 +15,13 @@ go build ./...
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
 
+# Audit tier: every exported identifier in internal/ is referenced by a
+# non-test file outside its package, or named with a reason in
+# internal/audit/testdata/unreferenced_allow.txt. The audit type-checks the
+# module and the standard library from source (about 15 s under the race
+# detector, 3 s without), so it skips under -race and runs here instead.
+go test -count=1 -run TestUnreferencedExports ./internal/audit
+
 # Signer-loop tier: the batch signer's hold rule and the long-lived loop
 # that arms it (internal/server/hold.go), five times over under the race
 # detector. The loop is a goroutine with a timer that Close and Kill must

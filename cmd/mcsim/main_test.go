@@ -321,8 +321,8 @@ func TestPerPacketSchemesHaveNoReliableWire(t *testing.T) {
 		if rep.Delivered == 0 || rep.Authenticated != rep.Delivered {
 			t.Errorf("%s: report authenticates %d of %d delivered packets", name, rep.Authenticated, rep.Delivered)
 		}
-		if len(rep.Causes) != 1 || rep.Causes[diagnose.CausePacketLost] != rep.Unauthenticated {
-			t.Errorf("%s: root causes %v, want only %s", name, rep.Causes, diagnose.CausePacketLost)
+		if len(rep.Causes) != 1 || rep.Causes["packet-lost"] != rep.Unauthenticated {
+			t.Errorf("%s: root causes %v, want only packet-lost", name, rep.Causes)
 		}
 		if rep.TimeToAuthNS.Count != int64(rep.Authenticated) {
 			t.Errorf("%s: %d time-to-auth observations for %d authenticated", name, rep.TimeToAuthNS.Count, rep.Authenticated)

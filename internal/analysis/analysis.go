@@ -79,10 +79,10 @@ func AuthTree(n int, p float64) (Result, error) {
 	return res, nil
 }
 
-// AuthTreeHashesPerPacket returns the number of hashes each packet carries
+// authTreeHashesPerPacket returns the number of hashes each packet carries
 // in a balanced binary authentication tree over n packets: the sibling
 // hashes along the root path, ceil(log2 n).
-func AuthTreeHashesPerPacket(n int) int {
+func authTreeHashesPerPacket(n int) int {
 	if n <= 1 {
 		return 0
 	}

@@ -84,7 +84,7 @@ func TestAuthTreeHashesPerPacket(t *testing.T) {
 		{1000, 10},
 	}
 	for _, tt := range tests {
-		if got := AuthTreeHashesPerPacket(tt.n); got != tt.want {
+		if got := authTreeHashesPerPacket(tt.n); got != tt.want {
 			t.Errorf("AuthTreeHashesPerPacket(%d) = %d, want %d", tt.n, got, tt.want)
 		}
 	}

@@ -76,9 +76,11 @@ func (c AugChain) Q() (Result, error) {
 			chain[x] = 1
 			continue
 		}
-		broken := 1.0
-		broken *= 1 - (1-c.P)*chain[x-1]
-		broken *= 1 - (1-c.P)*chain[x-c.A]
+		broken := 1 - (1-c.P)*chain[x-1]
+		if c.A > 1 {
+			// At a = 1 both links name P(x-1,0): one packet, one factor.
+			broken *= 1 - (1-c.P)*chain[x-c.A]
+		}
 		chain[x] = 1 - broken
 	}
 	for x := 0; x < segments; x++ {

@@ -60,6 +60,14 @@ func (c EMSS) QMin() (float64, error) {
 	return res.QMin, nil
 }
 
+// maxFixedPointIters and fixedPointTol bound FixedPoint's iteration; the
+// map is a monotone contraction on [0,1] in practice, so convergence is
+// fast.
+const (
+	maxFixedPointIters = 10000
+	fixedPointTol      = 1e-12
+)
+
 // FixedPoint returns the large-n limit q* of the E_{m,1}-style recurrence,
 // obtained by solving q = 1 - (1 - (1-p)q)^m numerically. For E_{2,1} it
 // has the closed form q* = (1-2p)/(1-p)^2 (clamped to [0,1]), against which
@@ -84,10 +92,10 @@ func (c EMSS) FixedPoint() (float64, error) {
 	return q, nil
 }
 
-// ClosedFormLowerBoundE21 is the paper's closed-form lower bound for
+// closedFormLowerBoundE21 is the paper's closed-form lower bound for
 // E_{2,1}: q_min >= 1 - p/(1-p), clamped to [0,1]. It is only informative
 // for p < 1/2.
-func ClosedFormLowerBoundE21(p float64) float64 {
+func closedFormLowerBoundE21(p float64) float64 {
 	if p >= 1 {
 		return 0
 	}

@@ -120,7 +120,7 @@ func TestEMSSFixedPointClosedFormE21(t *testing.T) {
 
 func TestEMSSClosedFormLowerBound(t *testing.T) {
 	for _, p := range []float64{0.05, 0.1, 0.2, 0.3, 0.45} {
-		bound := ClosedFormLowerBoundE21(p)
+		bound := closedFormLowerBoundE21(p)
 		qmin, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
 		if err != nil {
 			t.Fatal(err)
@@ -129,10 +129,10 @@ func TestEMSSClosedFormLowerBound(t *testing.T) {
 			t.Errorf("p=%v: QMin %v below paper bound %v", p, qmin, bound)
 		}
 	}
-	if ClosedFormLowerBoundE21(0.6) != 0 {
+	if closedFormLowerBoundE21(0.6) != 0 {
 		t.Error("bound should clamp to 0 for p > 1/2")
 	}
-	if ClosedFormLowerBoundE21(1) != 0 {
+	if closedFormLowerBoundE21(1) != 0 {
 		t.Error("bound at p=1 should be 0")
 	}
 }

@@ -156,7 +156,7 @@ func TestMarkovAbsorptionDecay(t *testing.T) {
 	if deep > 0.01 {
 		t.Errorf("exact QMin(n=2000) = %v, want near 0 (absorption)", deep)
 	}
-	rec, err := analysis.Periodic{N: 2000, Offsets: []int{1, 2}, P: 0.3}.QMin()
+	rec, err := analysis.EMSS{N: 2000, M: 2, D: 1, P: 0.3}.QMin()
 	if err != nil {
 		t.Fatal(err)
 	}

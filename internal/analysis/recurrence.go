@@ -1,28 +1,19 @@
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Periodic describes a hash-chaining topology with a periodic structure
 // (Equation 9): in reversed indexing (signature packet = P_1), packet P_i
-// relies on the packets {P_{i-a} : a in Offsets}. Offsets may be negative
-// (a packet may place its hash in a packet farther from the signature than
-// itself), in which case the recurrence becomes a fixed-point system.
+// relies on the packets {P_{i-a} : a in Offsets}, every offset positive.
+// An offset a < 1 would have P_i rely on a packet no nearer the signature
+// than itself; together with the positive offsets that makes the
+// dependences cyclic, and a packet cannot carry the hash of a packet that
+// carries its own hash, so no hash chain builds such a topology.
 type Periodic struct {
 	N       int
 	Offsets []int
 	P       float64
 }
-
-// maxFixedPointIters bounds the fixed-point iteration for systems with
-// negative offsets; the map is a monotone contraction on [0,1]^N in
-// practice, so convergence is fast.
-const (
-	maxFixedPointIters = 10000
-	fixedPointTol      = 1e-12
-)
 
 // Validate checks the parameters.
 func (c Periodic) Validate() error {
@@ -34,11 +25,11 @@ func (c Periodic) Validate() error {
 	}
 	seen := make(map[int]bool, len(c.Offsets))
 	for _, a := range c.Offsets {
-		if a == 0 {
-			return fmt.Errorf("analysis: offset 0 is a self-dependence")
+		if a < 1 {
+			return fmt.Errorf("analysis: offset %d < 1: a packet can only rely on packets nearer the signature, or the dependences are cyclic", a)
 		}
-		if a <= -c.N || a >= c.N {
-			return fmt.Errorf("analysis: offset %d out of (-n, n) for n=%d", a, c.N)
+		if a >= c.N {
+			return fmt.Errorf("analysis: offset %d out of [1, n) for n=%d", a, c.N)
 		}
 		if seen[a] {
 			return fmt.Errorf("analysis: duplicate offset %d", a)
@@ -48,51 +39,33 @@ func (c Periodic) Validate() error {
 	return nil
 }
 
-// maxPositiveOffset returns the largest positive offset, or 0 if none.
-func (c Periodic) maxPositiveOffset() int {
+// maxOffset returns the largest offset.
+func (c Periodic) maxOffset() int {
 	maxA := 0
 	for _, a := range c.Offsets {
-		if a > maxA {
-			maxA = a
-		}
+		maxA = max(maxA, a)
 	}
 	return maxA
-}
-
-func (c Periodic) hasNegativeOffset() bool {
-	for _, a := range c.Offsets {
-		if a < 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // boundary returns the highest index covered by the initial condition
 // q_i = 1. Following the paper's explicit E_{2,1} initial condition
 // (q_1 = q_2 = q_3 = 1 with max offset 2), the signature packet directly
-// carries the hashes of the first maxPositiveOffset packets after it, so
-// indices up to maxPositiveOffset+1 have q = 1.
+// carries the hashes of the first maxOffset packets after it, so indices up
+// to maxOffset+1 have q = 1.
 func (c Periodic) boundary() int {
-	b := c.maxPositiveOffset() + 1
-	if b > c.N {
-		b = c.N
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return min(c.maxOffset()+1, c.N)
 }
 
 // update computes the right-hand side of Equation (9) for index i given the
 // current q vector: q_i = 1 - prod_{a in A} [1 - (1-p) q_{i-a}], skipping
-// offsets that fall outside 1..N.
+// offsets that fall before P_1.
 func (c Periodic) update(q []float64, i int) float64 {
 	prod := 1.0
 	found := false
 	for _, a := range c.Offsets {
 		j := i - a
-		if j < 1 || j > c.N {
+		if j < 1 {
 			continue
 		}
 		found = true
@@ -106,11 +79,8 @@ func (c Periodic) update(q []float64, i int) float64 {
 	return 1 - prod
 }
 
-// Q evaluates the recurrence and returns per-packet authentication
-// probabilities. With only positive offsets this is a single forward pass;
-// with negative offsets the coupled system is solved by monotone
-// fixed-point iteration from the all-ones vector (which converges to the
-// greatest fixed point, the physically meaningful solution).
+// Q evaluates the recurrence in one forward pass and returns per-packet
+// authentication probabilities.
 func (c Periodic) Q() (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
@@ -120,38 +90,9 @@ func (c Periodic) Q() (Result, error) {
 	for i := 1; i <= boundary; i++ {
 		res.Q[i] = 1
 	}
-	if !c.hasNegativeOffset() {
-		for i := boundary + 1; i <= c.N; i++ {
-			res.Q[i] = c.update(res.Q, i)
-		}
-		res.finalize()
-		return res, nil
-	}
 	for i := boundary + 1; i <= c.N; i++ {
-		res.Q[i] = 1
+		res.Q[i] = c.update(res.Q, i)
 	}
-	for iter := 0; iter < maxFixedPointIters; iter++ {
-		maxDelta := 0.0
-		for i := boundary + 1; i <= c.N; i++ {
-			next := c.update(res.Q, i)
-			if d := math.Abs(next - res.Q[i]); d > maxDelta {
-				maxDelta = d
-			}
-			res.Q[i] = next
-		}
-		if maxDelta < fixedPointTol {
-			res.finalize()
-			return res, nil
-		}
-	}
-	return Result{}, fmt.Errorf("analysis: fixed point did not converge in %d iterations", maxFixedPointIters)
-}
-
-// QMin is a convenience wrapper returning only the block minimum.
-func (c Periodic) QMin() (float64, error) {
-	res, err := c.Q()
-	if err != nil {
-		return 0, err
-	}
-	return res.QMin, nil
+	res.finalize()
+	return res, nil
 }

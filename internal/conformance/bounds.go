@@ -35,19 +35,19 @@ type Bound struct {
 // cells by loss rate (0.1 written as 0.10000000000000001 still matches).
 const pMatchTol = 1e-9
 
-// Matches reports whether the bound applies to the named cell at rate p.
-func (b Bound) Matches(caseName string, p float64) bool {
+// matches reports whether the bound applies to the named cell at rate p.
+func (b Bound) matches(caseName string, p float64) bool {
 	if b.Case != "*" && b.Case != "" && b.Case != caseName {
 		return false
 	}
 	return b.P < 0 || math.Abs(b.P-p) <= pMatchTol
 }
 
-// Check evaluates the bound against one result. hasAnalytic and hasMC
+// check evaluates the bound against one result. hasAnalytic and hasMC
 // gate the cross-layer tolerance checks for cells where a layer did not
 // run (e.g. bursty loss with no closed form); the MinQMin floor applies
 // whenever a measured value is present (hasMeasured).
-func (b Bound) Check(r Result, params Params, hasAnalytic, hasMC, hasMeasured bool) error {
+func (b Bound) check(r Result, params Params, hasAnalytic, hasMC, hasMeasured bool) error {
 	mcTol := b.MCTol
 	if mcTol == 0 {
 		mcTol = params.MCTol
@@ -57,13 +57,13 @@ func (b Bound) Check(r Result, params Params, hasAnalytic, hasMC, hasMeasured bo
 		netsimTol = params.NetsimTol
 	}
 	if hasAnalytic && hasMC {
-		if d := r.MCDelta(); d > mcTol {
+		if d := r.mcDelta(); d > mcTol {
 			return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs Monte-Carlo %.4f (Δ=%.4f > %.4f)",
 				r.Case, r.P, r.Analytic, r.MonteCarlo, d, mcTol)
 		}
 	}
 	if hasAnalytic && hasMeasured {
-		if d := r.NetsimDelta(); d > netsimTol {
+		if d := r.netsimDelta(); d > netsimTol {
 			return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs netsim-measured %.4f (Δ=%.4f > %.4f)",
 				r.Case, r.P, r.Analytic, r.Measured, d, netsimTol)
 		}
@@ -79,11 +79,11 @@ func (b Bound) Check(r Result, params Params, hasAnalytic, hasMC, hasMeasured bo
 // wildcard tolerance row composes with per-case floors.
 type Table []Bound
 
-// For returns every bound applying to the named cell at rate p.
-func (t Table) For(caseName string, p float64) []Bound {
+// matching returns every bound applying to the named cell at rate p.
+func (t Table) matching(caseName string, p float64) []Bound {
 	var out []Bound
 	for _, b := range t {
-		if b.Matches(caseName, p) {
+		if b.matches(caseName, p) {
 			out = append(out, b)
 		}
 	}
@@ -94,17 +94,17 @@ func (t Table) For(caseName string, p float64) []Bound {
 // table order. Cells no bound matches pass vacuously.
 func (t Table) Check(r Result, params Params, hasAnalytic, hasMC, hasMeasured bool) []error {
 	var errs []error
-	for _, b := range t.For(r.Case, r.P) {
-		if err := b.Check(r, params, hasAnalytic, hasMC, hasMeasured); err != nil {
+	for _, b := range t.matching(r.Case, r.P) {
+		if err := b.check(r, params, hasAnalytic, hasMC, hasMeasured); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errs
 }
 
-// ReadTable decodes a JSON bound table (the committed-baselines format of
+// readTable decodes a JSON bound table (the committed-baselines format of
 // `mclab check`).
-func ReadTable(r io.Reader) (Table, error) {
+func readTable(r io.Reader) (Table, error) {
 	var t Table
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -119,9 +119,9 @@ func ReadTable(r io.Reader) (Table, error) {
 	return t, nil
 }
 
-// WriteTable encodes the table as indented JSON, sorted by (case, p) so
+// writeTable encodes the table as indented JSON, sorted by (case, p) so
 // regenerated baseline files diff cleanly.
-func (t Table) WriteTable(w io.Writer) error {
+func (t Table) writeTable(w io.Writer) error {
 	sorted := make(Table, len(t))
 	copy(sorted, t)
 	sort.SliceStable(sorted, func(i, j int) bool {

@@ -7,17 +7,17 @@ import (
 
 func TestBoundMatching(t *testing.T) {
 	b := Bound{Case: "emss(E21)", P: 0.1}
-	if !b.Matches("emss(E21)", 0.1) {
+	if !b.matches("emss(E21)", 0.1) {
 		t.Error("exact match failed")
 	}
-	if !b.Matches("emss(E21)", 0.1+1e-12) {
+	if !b.matches("emss(E21)", 0.1+1e-12) {
 		t.Error("float round-trip match failed")
 	}
-	if b.Matches("emss(E21)", 0.2) || b.Matches("rohatgi", 0.1) {
+	if b.matches("emss(E21)", 0.2) || b.matches("rohatgi", 0.1) {
 		t.Error("mismatched cell matched")
 	}
 	wild := Bound{Case: "*", P: -1}
-	if !wild.Matches("anything", 0.73) {
+	if !wild.matches("anything", 0.73) {
 		t.Error("wildcard must match every cell")
 	}
 }
@@ -27,29 +27,29 @@ func TestBoundCheckTolerancesAndFloor(t *testing.T) {
 	r := Result{Case: "emss(E21)", P: 0.1, Analytic: 0.80, MonteCarlo: 0.79, Measured: 0.78}
 
 	// Within default tolerances, no floor: passes.
-	if err := (Bound{Case: "*", P: -1}).Check(r, params, true, true, true); err != nil {
+	if err := (Bound{Case: "*", P: -1}).check(r, params, true, true, true); err != nil {
 		t.Errorf("in-tolerance cell flagged: %v", err)
 	}
 	// Tight per-bound MC tolerance overrides the default.
-	if err := (Bound{Case: "*", P: -1, MCTol: 0.001}).Check(r, params, true, true, true); err == nil {
+	if err := (Bound{Case: "*", P: -1, MCTol: 0.001}).check(r, params, true, true, true); err == nil {
 		t.Error("tight MC tolerance not enforced")
 	}
 	// Netsim tolerance violation.
-	if err := (Bound{Case: "*", P: -1, NetsimTol: 0.01}).Check(r, params, true, true, true); err == nil {
+	if err := (Bound{Case: "*", P: -1, NetsimTol: 0.01}).check(r, params, true, true, true); err == nil {
 		t.Error("tight netsim tolerance not enforced")
 	}
 	// Floor above the measured value fails even with analytic layers off.
-	err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).Check(r, params, false, false, true)
+	err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(r, params, false, false, true)
 	if err == nil || !strings.Contains(err.Error(), "baseline floor") {
 		t.Errorf("floor violation not reported: %v", err)
 	}
 	// Without a measured value the floor is vacuous.
-	if err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).Check(r, params, true, true, false); err != nil {
+	if err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(r, params, true, true, false); err != nil {
 		t.Errorf("floor applied without measurement: %v", err)
 	}
 	// Missing analytic layer disables the delta checks.
 	bad := Result{Case: "x", P: 0.5, MonteCarlo: 0.2, Measured: 0.2}
-	if err := (Bound{Case: "*", P: -1, MCTol: 0.001, NetsimTol: 0.001}).Check(bad, params, false, true, true); err != nil {
+	if err := (Bound{Case: "*", P: -1, MCTol: 0.001, NetsimTol: 0.001}).check(bad, params, false, true, true); err != nil {
 		t.Errorf("delta checks ran without analytic reference: %v", err)
 	}
 }
@@ -61,17 +61,17 @@ func TestTableReadWriteRoundTrip(t *testing.T) {
 		{Case: "emss(E21)", P: 0.1, MCTol: 0.05, NetsimTol: 0.1, MinQMin: 0.6},
 	}
 	var buf strings.Builder
-	if err := in.WriteTable(&buf); err != nil {
+	if err := in.writeTable(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTable(strings.NewReader(buf.String()))
+	out, err := readTable(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("round-trip length %d, want %d", len(out), len(in))
 	}
-	// WriteTable sorts by (case, p): "*" < "emss(E21)" < "rohatgi".
+	// writeTable sorts by (case, p): "*" < "emss(E21)" < "rohatgi".
 	if out[0].Case != "*" || out[1].Case != "emss(E21)" || out[2].Case != "rohatgi" {
 		t.Errorf("table not sorted: %+v", out)
 	}
@@ -79,10 +79,10 @@ func TestTableReadWriteRoundTrip(t *testing.T) {
 		t.Errorf("values lost in round-trip: %+v", out)
 	}
 
-	if _, err := ReadTable(strings.NewReader(`[{"case":"x","p":0.1,"min_qmin":2}]`)); err == nil {
+	if _, err := readTable(strings.NewReader(`[{"case":"x","p":0.1,"min_qmin":2}]`)); err == nil {
 		t.Error("out-of-range min_qmin accepted")
 	}
-	if _, err := ReadTable(strings.NewReader(`[{"case":"x","p":0.1,"unknown_knob":1}]`)); err == nil {
+	if _, err := readTable(strings.NewReader(`[{"case":"x","p":0.1,"unknown_knob":1}]`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 }

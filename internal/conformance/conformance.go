@@ -73,8 +73,8 @@ func DefaultParams() Params {
 	}
 }
 
-// ShortParams trades precision for runtime (tests under -short).
-func ShortParams() Params {
+// shortParams trades precision for runtime (tests under -short).
+func shortParams() Params {
 	return Params{
 		MCTrials:  8000,
 		Receivers: 500,
@@ -93,31 +93,31 @@ type Result struct {
 	Measured   float64
 }
 
-// MCDelta is the analytic-vs-Monte-Carlo disagreement.
-func (r Result) MCDelta() float64 { return math.Abs(r.Analytic - r.MonteCarlo) }
+// mcDelta is the analytic-vs-Monte-Carlo disagreement.
+func (r Result) mcDelta() float64 { return math.Abs(r.Analytic - r.MonteCarlo) }
 
-// NetsimDelta is the analytic-vs-measured disagreement.
-func (r Result) NetsimDelta() float64 { return math.Abs(r.Analytic - r.Measured) }
+// netsimDelta is the analytic-vs-measured disagreement.
+func (r Result) netsimDelta() float64 { return math.Abs(r.Analytic - r.Measured) }
 
-// Check returns an error if either disagreement exceeds its tolerance.
-func (r Result) Check(p Params) error {
-	if d := r.MCDelta(); d > p.MCTol {
+// check returns an error if either disagreement exceeds its tolerance.
+func (r Result) check(p Params) error {
+	if d := r.mcDelta(); d > p.MCTol {
 		return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs Monte-Carlo %.4f (Δ=%.4f > %.4f)",
 			r.Case, r.P, r.Analytic, r.MonteCarlo, d, p.MCTol)
 	}
-	if d := r.NetsimDelta(); d > p.NetsimTol {
+	if d := r.netsimDelta(); d > p.NetsimTol {
 		return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs netsim-measured %.4f (Δ=%.4f > %.4f)",
 			r.Case, r.P, r.Analytic, r.Measured, d, p.NetsimTol)
 	}
 	return nil
 }
 
-// Suite builds the canonical conformance cases at block size n, one per
+// suite builds the canonical conformance cases at block size n, one per
 // catalogue scheme: E_{2,1}, C_{3,3}, TESLA at lag 2. The augmented chain
 // is aligned to a segment boundary (analysis.AlignN), so that it is the
 // paper's C_{a,b} with no dangling run of inserted packets; its case
 // therefore runs at a slightly larger block.
-func Suite(n int) ([]Case, error) {
+func suite(n int) ([]Case, error) {
 	if n < 6 {
 		return nil, fmt.Errorf("conformance: block size %d too small for the suite", n)
 	}
@@ -147,8 +147,8 @@ func Suite(n int) ([]Case, error) {
 	return cases, nil
 }
 
-// Evaluate runs one case at one loss rate through all three layers.
-func Evaluate(c Case, p float64, params Params) (Result, error) {
+// evaluate runs one case at one loss rate through all three layers.
+func evaluate(c Case, p float64, params Params) (Result, error) {
 	r := Result{Case: c.Name, P: p}
 
 	analytic, _, err := c.QMin(p, caseDelay, 0)

@@ -19,9 +19,9 @@ var lossRates = []float64{0.05, 0.15, 0.30}
 func TestAnalyticMonteCarloNetsimAgree(t *testing.T) {
 	params := DefaultParams()
 	if testing.Short() {
-		params = ShortParams()
+		params = shortParams()
 	}
-	cases, err := Suite(12)
+	cases, err := suite(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestAnalyticMonteCarloNetsimAgree(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, p := range lossRates {
-				r, err := Evaluate(c, p, params)
+				r, err := evaluate(c, p, params)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := r.Check(params); err != nil {
+				if err := r.check(params); err != nil {
 					t.Error(err)
 				}
 				t.Logf("p=%.2f analytic=%.4f mc=%.4f measured=%.4f",
@@ -50,16 +50,16 @@ func TestAnalyticMonteCarloNetsimAgree(t *testing.T) {
 // TestBaselinesAreLossless pins the q = 1 property of the per-packet
 // schemes: any received packet verifies, at every loss rate.
 func TestBaselinesAreLossless(t *testing.T) {
-	cases, err := Suite(12)
+	cases, err := suite(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := ShortParams()
+	params := shortParams()
 	for _, c := range cases {
 		if c.Name != "authtree" && c.Name != "signeach" {
 			continue
 		}
-		r, err := Evaluate(c, 0.30, params)
+		r, err := evaluate(c, 0.30, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestBaselinesAreLossless(t *testing.T) {
 // TestMonteCarloDeterministicAcrossWorkers guards the sharded estimator:
 // the conformance numbers must not depend on the worker count.
 func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
-	cases, err := Suite(12)
+	cases, err := suite(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEvaluateValidation covers the error paths.
 func TestEvaluateValidation(t *testing.T) {
-	if _, err := Suite(3); err == nil {
+	if _, err := suite(3); err == nil {
 		t.Error("undersized suite accepted")
 	}
-	cases, err := Suite(12)
+	cases, err := suite(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(cases[0], 1.5, ShortParams()); err == nil {
+	if _, err := evaluate(cases[0], 1.5, shortParams()); err == nil {
 		t.Error("impossible loss rate accepted")
 	}
 }

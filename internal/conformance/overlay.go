@@ -65,7 +65,7 @@ func (r OverlayCellResult) Check(p Params) error {
 		return fmt.Errorf("%s at p=%.2f: overlay q_min %.6f != flat %.6f despite identical reports",
 			r.Case, r.P, r.OverlayMeasured, r.Measured)
 	}
-	return r.Result.Check(p)
+	return r.Result.check(p)
 }
 
 // EvaluateOverlay runs one case at one i.i.d. loss rate through the
@@ -74,7 +74,7 @@ func (r OverlayCellResult) Check(p Params) error {
 // off, and the case's Bernoulli model on the last hop — the configuration
 // the exact row of the tolerance table governs.
 func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (OverlayCellResult, error) {
-	flat, err := Evaluate(c, p, params)
+	flat, err := evaluate(c, p, params)
 	r := OverlayCellResult{Result: flat}
 	if err != nil {
 		return r, err
@@ -84,7 +84,7 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 		return r, err
 	}
 	// Re-run the flat path on this exact config to get the per-receiver
-	// reports the bit-identity check needs (Evaluate only returns q_min).
+	// reports the bit-identity check needs (evaluate only returns q_min).
 	flatRes, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
 	if err != nil {
 		return r, fmt.Errorf("%s: flat netsim: %w", c.Name, err)
@@ -102,10 +102,10 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 	return r, nil
 }
 
-// CorrelatedCell is one overlay run under a lossy shared tree edge,
+// correlatedCell is one overlay run under a lossy shared tree edge,
 // compared against the i.i.d. closed form evaluated at the same marginal
 // per-receiver loss rate.
-type CorrelatedCell struct {
+type correlatedCell struct {
 	Case string
 	// MarginalP is the per-receiver marginal loss rate (edge and leaf
 	// composed), the rate an i.i.d. observer would measure.
@@ -117,17 +117,17 @@ type CorrelatedCell struct {
 	Measured float64
 }
 
-// Escape is how far the measured value sits from the i.i.d. prediction.
-func (c CorrelatedCell) Escape() float64 { return math.Abs(c.AnalyticIID - c.Measured) }
+// escape is how far the measured value sits from the i.i.d. prediction.
+func (c correlatedCell) escape() float64 { return math.Abs(c.AnalyticIID - c.Measured) }
 
-// EvaluateCorrelated runs one case over a depth-2 tree whose first
+// evaluateCorrelated runs one case over a depth-2 tree whose first
 // mid-tree edge loses packets with probability edgeP (shared by the whole
 // subtree) while every last hop loses i.i.d. at leafP. There is no
 // tolerance for this cell — it exists to measure how far correlated loss
 // escapes the analytic bound, and the simulation layer is authoritative.
-func EvaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (CorrelatedCell, error) {
+func evaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (correlatedCell, error) {
 	marginal := 1 - (1-edgeP)*(1-leafP)
-	cell := CorrelatedCell{Case: c.Name, MarginalP: marginal}
+	cell := correlatedCell{Case: c.Name, MarginalP: marginal}
 	analytic, _, err := c.QMin(marginal, caseDelay, 0)
 	if err != nil {
 		return cell, fmt.Errorf("%s: analytic: %w", c.Name, err)

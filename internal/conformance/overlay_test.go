@@ -9,7 +9,7 @@ import (
 // exact-parity and correlated-escape properties are non-trivial.
 func overlayCases(t *testing.T) []Case {
 	t.Helper()
-	cases, err := Suite(12)
+	cases, err := suite(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func overlayCases(t *testing.T) []Case {
 // be bit-identical to the flat run (zero tolerance), and therefore agree
 // with the analytic and Monte-Carlo layers within the flat tolerances.
 func TestOverlayConformanceCells(t *testing.T) {
-	params := ShortParams()
+	params := shortParams()
 	for _, c := range overlayCases(t) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -65,17 +65,17 @@ func TestOverlayConformanceCells(t *testing.T) {
 // source of truth, and there is nothing to "fix" when they disagree with
 // the formula.
 func TestCorrelatedEdgeEscapesAnalyticBound(t *testing.T) {
-	params := ShortParams()
+	params := shortParams()
 	for _, c := range overlayCases(t) {
-		cell, err := EvaluateCorrelated(c, 0.5, 0.1, 2, params)
+		cell, err := evaluateCorrelated(c, 0.5, 0.1, 2, params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: marginal p=%.3f analytic(iid)=%.4f measured=%.4f escape=%.4f",
-			cell.Case, cell.MarginalP, cell.AnalyticIID, cell.Measured, cell.Escape())
-		if cell.Escape() <= params.NetsimTol {
+			cell.Case, cell.MarginalP, cell.AnalyticIID, cell.Measured, cell.escape())
+		if cell.escape() <= params.NetsimTol {
 			t.Errorf("%s: escape %.4f within statistical tolerance %.4f — the scenario does not demonstrate the bound's failure",
-				cell.Case, cell.Escape(), params.NetsimTol)
+				cell.Case, cell.escape(), params.NetsimTol)
 		}
 	}
 }

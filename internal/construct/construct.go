@@ -17,7 +17,7 @@
 //
 // Graphs are scored with the paper's own evaluation model: the
 // independence-approximation recurrence generalized to arbitrary DAGs
-// (ApproxQ), exactly Equation (9) applied vertex by vertex in topological
+// (approxQ), exactly Equation (9) applied vertex by vertex in topological
 // order.
 package construct
 
@@ -47,8 +47,8 @@ type Constraint struct {
 	MaxOutDegree int
 }
 
-// Validate checks the constraint.
-func (c Constraint) Validate() error {
+// validate checks the constraint.
+func (c Constraint) validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("construct: block size %d must be >= 2", c.N)
 	}
@@ -69,7 +69,7 @@ func (c Constraint) allowsEdgeFrom(g *depgraph.Graph, u int) bool {
 	return c.MaxOutDegree == 0 || g.OutDegree(u) < c.MaxOutDegree
 }
 
-// ApproxQ evaluates the paper's independence-approximation recurrence on an
+// approxQ evaluates the paper's independence-approximation recurrence on an
 // arbitrary rooted DAG: q(root) = 1 and, in topological order,
 //
 //	q(v) = 1 - Π_{u in in(v)} [1 - r(u) q(u)]
@@ -79,7 +79,7 @@ func (c Constraint) allowsEdgeFrom(g *depgraph.Graph, u int) bool {
 // the paper's boundary conditions (q = 1 for packets covered directly by
 // the signature packet). Unreachable vertices get q = 0. This is the
 // generalization of Equation (9) used to score candidate constructions.
-func ApproxQ(g *depgraph.Graph, p float64) ([]float64, error) {
+func approxQ(g *depgraph.Graph, p float64) ([]float64, error) {
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("construct: loss rate %v out of [0,1]", p)
 	}
@@ -92,11 +92,11 @@ func ApproxQ(g *depgraph.Graph, p float64) ([]float64, error) {
 	return q, nil
 }
 
-// approxQInto evaluates the ApproxQ recurrence into q, which has g.N()+1
+// approxQInto evaluates the approxQ recurrence into q, which has g.N()+1
 // entries and is zero outside order. order is a topological order from the
 // root of g, or of a graph g was obtained from by removing edges: removing
 // an edge invalidates no topological order, and a vertex the removal cut
-// off from the root evaluates to exactly 0, the value ApproxQ gives the
+// off from the root evaluates to exactly 0, the value approxQ gives the
 // unreachable — it has no providers, or only providers that are 0.
 func approxQInto(q []float64, g *depgraph.Graph, order []int, p float64) {
 	q[0] = math.NaN()
@@ -134,7 +134,7 @@ func minQ(q []float64, root int) float64 {
 // Plan is the outcome of a construction.
 type Plan struct {
 	Graph *depgraph.Graph
-	// QMin is the achieved minimum probability under ApproxQ.
+	// QMin is the achieved minimum probability under approxQ.
 	QMin float64
 	// EdgesPerPacket is the overhead |E|/n the plan costs.
 	EdgesPerPacket float64
@@ -143,7 +143,7 @@ type Plan struct {
 }
 
 func newPlan(g *depgraph.Graph, p float64, target float64) (Plan, error) {
-	q, err := ApproxQ(g, p)
+	q, err := approxQ(g, p)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -164,7 +164,7 @@ func newPlan(g *depgraph.Graph, p float64, target float64) (Plan, error) {
 // forward edges (lower to higher index) are placed, preserving the
 // zero-receiver-delay property Section 5 calls out.
 func Greedy(c Constraint) (Plan, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Plan{}, err
 	}
 	g, err := depgraph.New(c.N, 1)
@@ -226,7 +226,7 @@ func Greedy(c Constraint) (Plan, error) {
 // returns the first (fewest-edges) policy that meets the target, realized
 // as a concrete graph.
 func PolicySearch(c Constraint, maxM, maxD int) (Plan, int, int, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Plan{}, 0, 0, err
 	}
 	if maxM < 1 || maxD < 1 {
@@ -285,7 +285,7 @@ func policyGraph(n, m, d int) (*depgraph.Graph, error) {
 // "negligibly small" in number; patching keeps Definition 1's reachability
 // requirement).
 func Probabilistic(c Constraint, rng *stats.RNG) (Plan, float64, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Plan{}, 0, err
 	}
 	if rng == nil {

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"mcauth/internal/analysis"
-	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
-	"mcauth/internal/scheme/emss"
 	"mcauth/internal/stats"
 )
 
@@ -22,21 +20,21 @@ func TestConstraintValidation(t *testing.T) {
 		{N: 10, P: 0.1, TargetQMin: math.NaN()},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("constraint %+v should fail", c)
 		}
 	}
 }
 
 func TestApproxQMatchesPeriodicRecurrence(t *testing.T) {
-	// On the E_{m,d}-shaped graph, ApproxQ must reproduce the Equation
+	// On the E_{m,d}-shaped graph, approxQ must reproduce the Equation
 	// (9) recurrence (they are the same computation).
 	n, p := 40, 0.3
 	g, err := policyGraph(n, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ApproxQ(g, p)
+	q, err := approxQ(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func TestApproxQMatchesPeriodicRecurrence(t *testing.T) {
 	// index v directly.
 	for v := 2; v <= n; v++ {
 		if math.Abs(q[v]-rec.Q[v]) > 1e-12 {
-			t.Errorf("vertex %d: ApproxQ %v vs recurrence %v", v, q[v], rec.Q[v])
+			t.Errorf("vertex %d: approxQ %v vs recurrence %v", v, q[v], rec.Q[v])
 		}
 	}
 }
@@ -58,7 +56,7 @@ func TestApproxQChainExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := ApproxQ(g, 0.2)
+	q, err := approxQ(g, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestApproxQUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.MustAddEdge(1, 2)
-	q, err := ApproxQ(g, 0.1)
+	q, err := approxQ(g, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,77 +189,6 @@ func TestProbabilisticValidation(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesOfflineEMSS(t *testing.T) {
-	// Streaming construction cut at n must equal the offline E_{m,d}
-	// topology.
-	o, err := NewOnline(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 15
-	for i := 0; i < n; i++ {
-		o.Append()
-	}
-	got, err := o.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := emss.New(emss.Config{N: n, M: 2, D: 1}, crypto.NewSignerFromString("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != want.NumEdges() || got.Root() != want.Root() {
-		t.Fatalf("online graph differs: %d edges root %d vs %d edges root %d",
-			got.NumEdges(), got.Root(), want.NumEdges(), want.Root())
-	}
-	for _, e := range want.Edges() {
-		if !got.HasEdge(e[0], e[1]) {
-			t.Errorf("online graph missing edge %v", e)
-		}
-	}
-}
-
-func TestOnlineAppendCarries(t *testing.T) {
-	o, err := NewOnline(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 6; i++ {
-		o.Append()
-	}
-	idx, carries := o.Append() // 7th packet
-	if idx != 7 {
-		t.Fatalf("index = %d, want 7", idx)
-	}
-	if len(carries) != 2 || carries[0] != 4 || carries[1] != 1 {
-		t.Errorf("carries = %v, want [4 1]", carries)
-	}
-	if o.Len() != 7 {
-		t.Errorf("Len = %d, want 7", o.Len())
-	}
-}
-
-func TestOnlineValidation(t *testing.T) {
-	if _, err := NewOnline(0, 1); err == nil {
-		t.Error("m=0 should fail")
-	}
-	if _, err := NewOnline(1, 0); err == nil {
-		t.Error("d=0 should fail")
-	}
-	o, err := NewOnline(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Append()
-	if _, err := o.Finalize(); err == nil {
-		t.Error("finalize with one packet should fail")
-	}
-}
-
 func TestGreedyRespectsOutDegreeCap(t *testing.T) {
 	c := Constraint{N: 60, P: 0.2, TargetQMin: 0.9, MaxOutDegree: 3}
 	plan, err := Greedy(c)
@@ -276,7 +203,7 @@ func TestGreedyRespectsOutDegreeCap(t *testing.T) {
 			t.Errorf("vertex %d out-degree %d exceeds cap", v, d)
 		}
 	}
-	if err := (Constraint{N: 10, P: 0.1, TargetQMin: 0.5, MaxOutDegree: -1}).Validate(); err == nil {
+	if err := (Constraint{N: 10, P: 0.1, TargetQMin: 0.5, MaxOutDegree: -1}).validate(); err == nil {
 		t.Error("negative cap should fail validation")
 	}
 }
@@ -311,7 +238,7 @@ func TestGreedyBeatsChainRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainQ, err := ApproxQ(chain, c.P)
+	chainQ, err := approxQ(chain, c.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +308,7 @@ func TestProbabilisticLowTargetSparseGraphPatched(t *testing.T) {
 	}
 }
 
-// Property: ApproxQ (the paper's independence model) upper-bounds the
+// Property: approxQ (the paper's independence model) upper-bounds the
 // exact authentication probability on arbitrary forward DAGs — the
 // break events of shared paths are positively correlated (FKG), so
 // treating them as independent can only overestimate survival.
@@ -403,7 +330,7 @@ func TestApproxQUpperBoundsExactProperty(t *testing.T) {
 			}
 		}
 		p := 0.1 + 0.5*rng.Float64()
-		approx, err := ApproxQ(g, p)
+		approx, err := approxQ(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // root is preserved (a removal that disconnects a vertex drives its q to 0
 // and is rejected by the constraint check, for any target > 0).
 func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Plan{}, 0, err
 	}
 	if g == nil {

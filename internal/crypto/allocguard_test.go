@@ -22,7 +22,7 @@ func TestMACScratchAllocFree(t *testing.T) {
 	var s MACScratch
 	key := []byte("alloc-guard-key")
 	data := make([]byte, 1200)
-	mac := s.Sum(key, data)
+	mac := s.sum(key, data)
 	// First Sum may grow the internal buffer; steady state must not.
 	if n := testing.AllocsPerRun(100, func() {
 		if !s.Verify(key, data, mac[:]) {
@@ -67,7 +67,7 @@ func TestKeychainIntoAllocFree(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("RecoverEarlierKeyInto: %.1f allocs/op, want 0", n)
 	}
-	mk := make([]byte, MACSize)
+	mk := make([]byte, macSize)
 	if n := testing.AllocsPerRun(100, func() {
 		DeriveMACKeyInto(&s, mk, out)
 	}); n > 0 {

@@ -7,7 +7,7 @@
 // signature, so receivers need only the ordinary public key.
 //
 // The blob format is distinguishable from a plain Ed25519 signature by
-// length (a plain signature is exactly SignatureSize bytes; a batch blob
+// length (a plain signature is exactly signatureSize bytes; a batch blob
 // never is), so a batch-aware Verifier transparently accepts both — a
 // sender can switch batching on or off without a key rollover.
 package crypto
@@ -21,7 +21,7 @@ import (
 
 // MaxBatch bounds how many messages one signature may cover. The limit
 // keeps the authentication path (32 bytes per tree level) comfortably
-// inside packet.MaxBlobSize.
+// inside the packet format's signature-blob limit.
 const MaxBatch = 1024
 
 // Domain-separation labels: leaves and interior nodes hash under distinct
@@ -39,7 +39,7 @@ const batchSigTag = 0xB5
 
 // batch blob layout: tag(1) | leafCount(4) | leafIndex(4) | sig(64) |
 // path(depth * HashSize).
-const batchHeaderSize = 1 + 4 + 4 + SignatureSize
+const batchHeaderSize = 1 + 4 + 4 + signatureSize
 
 func batchLeaf(content []byte) Digest {
 	return HashConcat(batchLeafLabel, content)
@@ -124,8 +124,8 @@ func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 	}
 	root := levels[len(levels)-1][0]
 	sig := signer.Sign(batchRootMessage(root))
-	if len(sig) != SignatureSize {
-		return nil, fmt.Errorf("crypto: inner signature is %d bytes, want %d", len(sig), SignatureSize)
+	if len(sig) != signatureSize {
+		return nil, fmt.Errorf("crypto: inner signature is %d bytes, want %d", len(sig), signatureSize)
 	}
 
 	count := uint32(len(contents))
@@ -151,15 +151,15 @@ func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 	return blobs, nil
 }
 
-// VerifyBatchBlob checks one batch signature blob against content under
+// verifyBatchBlob checks one batch signature blob against content under
 // pub. It rejects plain signatures (use Verifier.Verify for those).
-func VerifyBatchBlob(pub Verifier, content, blob []byte) bool {
+func verifyBatchBlob(pub Verifier, content, blob []byte) bool {
 	if pub == nil || len(blob) < batchHeaderSize || blob[0] != batchSigTag {
 		return false
 	}
 	count := binary.BigEndian.Uint32(blob[1:5])
 	index := binary.BigEndian.Uint32(blob[5:9])
-	sig := blob[9 : 9+SignatureSize]
+	sig := blob[9 : 9+signatureSize]
 	path := blob[batchHeaderSize:]
 	if len(path)%HashSize != 0 {
 		return false
@@ -177,10 +177,10 @@ type batchVerifier struct {
 	inner Verifier
 }
 
-// NewBatchVerifier wraps a Verifier so it also accepts batch signature
+// newBatchVerifier wraps a Verifier so it also accepts batch signature
 // blobs produced by BatchSign / BatchSigner under the same key. Plain
-// signatures (exactly SignatureSize bytes) still verify directly.
-func NewBatchVerifier(inner Verifier) Verifier {
+// signatures (exactly signatureSize bytes) still verify directly.
+func newBatchVerifier(inner Verifier) Verifier {
 	if bv, ok := inner.(*batchVerifier); ok {
 		return bv
 	}
@@ -188,10 +188,10 @@ func NewBatchVerifier(inner Verifier) Verifier {
 }
 
 func (v *batchVerifier) Verify(data, sig []byte) bool {
-	if len(sig) == SignatureSize {
+	if len(sig) == signatureSize {
 		return v.inner.Verify(data, sig)
 	}
-	return VerifyBatchBlob(v.inner, data, sig)
+	return verifyBatchBlob(v.inner, data, sig)
 }
 
 func (v *batchVerifier) Bytes() []byte { return v.inner.Bytes() }
@@ -214,7 +214,7 @@ func BatchCapable(s Signer) Signer {
 
 func (s *batchCapableSigner) Sign(data []byte) []byte { return s.inner.Sign(data) }
 
-func (s *batchCapableSigner) Public() Verifier { return NewBatchVerifier(s.inner.Public()) }
+func (s *batchCapableSigner) Public() Verifier { return newBatchVerifier(s.inner.Public()) }
 
 // pendingItem is one enqueued message awaiting the batch signature.
 type pendingItem struct {
@@ -248,7 +248,7 @@ func (t BatchTotals) AmortizationRatio() float64 {
 // BatchSigner accumulates messages and signs them MaxBatch-at-a-time (or
 // whenever Flush is called — callers own the flush-deadline policy, since
 // only they know how much latency a pending message may absorb). A flush
-// that holds exactly one message signs it plainly (SignatureSize bytes, no
+// that holds exactly one message signs it plainly (signatureSize bytes, no
 // one-leaf blob); batch-aware verifiers accept either form and the totals
 // count both the same. It is safe for concurrent use; deliver callbacks
 // run outside the internal lock and may re-enter the signer.
@@ -276,8 +276,8 @@ func NewBatchSigner(inner Signer, maxBatch int) (*BatchSigner, error) {
 // MaxBatchSize returns the configured auto-flush threshold.
 func (b *BatchSigner) MaxBatchSize() int { return b.max }
 
-// Public returns a batch-aware verification key.
-func (b *BatchSigner) Public() Verifier { return NewBatchVerifier(b.inner.Public()) }
+// public returns a batch-aware verification key.
+func (b *BatchSigner) public() Verifier { return newBatchVerifier(b.inner.Public()) }
 
 // Enqueue adds content to the pending batch; deliver is invoked with the
 // signature blob when the batch is signed. The content slice is retained

@@ -17,7 +17,7 @@ func batchContents(n int) [][]byte {
 
 func TestBatchSignVerifyAllSizes(t *testing.T) {
 	signer := NewSignerFromString("batch")
-	pub := NewBatchVerifier(signer.Public())
+	pub := newBatchVerifier(signer.Public())
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 64} {
 		contents := batchContents(n)
 		blobs, err := BatchSign(signer, contents)
@@ -25,7 +25,7 @@ func TestBatchSignVerifyAllSizes(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i, blob := range blobs {
-			if len(blob) == SignatureSize {
+			if len(blob) == signatureSize {
 				t.Fatalf("n=%d: blob %d is indistinguishable from a plain signature", n, i)
 			}
 			if !pub.Verify(contents[i], blob) {
@@ -42,7 +42,7 @@ func TestBatchSignVerifyAllSizes(t *testing.T) {
 
 func TestBatchVerifierStillAcceptsPlainSignatures(t *testing.T) {
 	signer := NewSignerFromString("plain")
-	pub := NewBatchVerifier(signer.Public())
+	pub := newBatchVerifier(signer.Public())
 	msg := []byte("ordinary message")
 	sig := signer.Sign(msg)
 	if !pub.Verify(msg, sig) {
@@ -76,7 +76,7 @@ func TestBatchCapableSignerRoundTrip(t *testing.T) {
 
 func TestBatchBlobTamperRejected(t *testing.T) {
 	signer := NewSignerFromString("tamper")
-	pub := NewBatchVerifier(signer.Public())
+	pub := newBatchVerifier(signer.Public())
 	contents := batchContents(5)
 	blobs, err := BatchSign(signer, contents)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestBatchBlobTamperRejected(t *testing.T) {
 		}
 	}
 	// Truncations and extensions must fail too.
-	for _, cut := range []int{1, SignatureSize, len(blob) - 1} {
+	for _, cut := range []int{1, signatureSize, len(blob) - 1} {
 		if pub.Verify(contents[2], blob[:cut]) {
 			t.Fatalf("accepted truncation to %d bytes", cut)
 		}
@@ -144,7 +144,7 @@ func TestBatchSignerAutoFlushAndTotals(t *testing.T) {
 	if again, _ := b.Flush(); again != 0 {
 		t.Fatalf("idle flush signed %d", again)
 	}
-	pub := b.Public()
+	pub := b.public()
 	for i, sig := range sigs {
 		if sig == nil {
 			t.Fatalf("content %d never signed", i)
@@ -180,8 +180,8 @@ func TestBatchSignerSingletonSignsPlain(t *testing.T) {
 	if n, err := b.Flush(); err != nil || n != 1 {
 		t.Fatalf("flush signed %d (%v), want 1", n, err)
 	}
-	if len(plain) != SignatureSize {
-		t.Fatalf("singleton flush produced %d bytes, want a plain %d-byte signature", len(plain), SignatureSize)
+	if len(plain) != signatureSize {
+		t.Fatalf("singleton flush produced %d bytes, want a plain %d-byte signature", len(plain), signatureSize)
 	}
 	if !signer.Public().Verify(msg, plain) {
 		t.Fatal("singleton signature does not verify under the plain key")
@@ -194,7 +194,7 @@ func TestBatchSignerSingletonSignsPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := b.Public()
+	pub := b.public()
 	for name, sig := range map[string][]byte{"plain": plain, "blob": blobs[0]} {
 		if !pub.Verify(msg, sig) {
 			t.Errorf("%s singleton rejected by the batch-aware verifier", name)
@@ -226,7 +226,7 @@ func TestBatchSignerSingletonSignsPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sig := range pair {
-		if len(sig) == SignatureSize || !pub.Verify(msg, sig) {
+		if len(sig) == signatureSize || !pub.Verify(msg, sig) {
 			t.Errorf("pair member %d: %d-byte signature, verifies %v; want a verifying blob", i, len(sig), pub.Verify(msg, sig))
 		}
 	}
@@ -246,7 +246,7 @@ func TestBatchSignerConcurrentEnqueue(t *testing.T) {
 		mu    sync.Mutex
 		got   int
 		wg    sync.WaitGroup
-		pub   = b.Public()
+		pub   = b.public()
 		check = func(content, sig []byte) {
 			if !pub.Verify(content, sig) {
 				t.Error("concurrent signature does not verify")

@@ -22,8 +22,8 @@ import (
 // Sizes of the concrete primitives, in bytes.
 const (
 	HashSize      = sha256.Size
-	MACSize       = sha256.Size
-	SignatureSize = ed25519.SignatureSize
+	macSize       = sha256.Size
+	signatureSize = ed25519.SignatureSize
 	KeySize       = 16 // symmetric MAC key size used by TESLA key chains
 )
 
@@ -78,9 +78,9 @@ func MAC(key, data []byte) []byte {
 	return sum
 }
 
-// VerifyMAC reports whether mac is a valid HMAC-SHA256 of data under key,
+// verifyMAC reports whether mac is a valid HMAC-SHA256 of data under key,
 // in constant time.
-func VerifyMAC(key, data, mac []byte) bool {
+func verifyMAC(key, data, mac []byte) bool {
 	return hmac.Equal(MAC(key, data), mac)
 }
 
@@ -173,9 +173,9 @@ func (v *ed25519Verifier) Bytes() []byte {
 	return out
 }
 
-// ParseVerifier reconstructs a Verifier from bytes produced by
+// parseVerifier reconstructs a Verifier from bytes produced by
 // Verifier.Bytes.
-func ParseVerifier(b []byte) (Verifier, error) {
+func parseVerifier(b []byte) (Verifier, error) {
 	if len(b) != ed25519.PublicKeySize {
 		return nil, errors.New("crypto: malformed public key")
 	}

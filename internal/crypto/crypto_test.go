@@ -38,17 +38,17 @@ func TestMACRoundTrip(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	msg := []byte("stream packet 42")
 	mac := MAC(key, msg)
-	if !VerifyMAC(key, msg, mac) {
+	if !verifyMAC(key, msg, mac) {
 		t.Error("valid MAC rejected")
 	}
-	if VerifyMAC(key, []byte("stream packet 43"), mac) {
+	if verifyMAC(key, []byte("stream packet 43"), mac) {
 		t.Error("MAC accepted for different message")
 	}
-	if VerifyMAC([]byte("0123456789abcdeg"), msg, mac) {
+	if verifyMAC([]byte("0123456789abcdeg"), msg, mac) {
 		t.Error("MAC accepted under different key")
 	}
 	mac[0] ^= 1
-	if VerifyMAC(key, msg, mac) {
+	if verifyMAC(key, msg, mac) {
 		t.Error("tampered MAC accepted")
 	}
 }
@@ -57,8 +57,8 @@ func TestSignerRoundTrip(t *testing.T) {
 	s := NewSignerFromString("sender")
 	msg := []byte("block signature")
 	sig := s.Sign(msg)
-	if len(sig) != SignatureSize {
-		t.Fatalf("signature size %d, want %d", len(sig), SignatureSize)
+	if len(sig) != signatureSize {
+		t.Fatalf("signature size %d, want %d", len(sig), signatureSize)
 	}
 	v := s.Public()
 	if !v.Verify(msg, sig) {
@@ -83,14 +83,14 @@ func TestVerifierSerializeRoundTrip(t *testing.T) {
 	s := NewSignerFromString("sender")
 	msg := []byte("hello")
 	sig := s.Sign(msg)
-	parsed, err := ParseVerifier(s.Public().Bytes())
+	parsed, err := parseVerifier(s.Public().Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !parsed.Verify(msg, sig) {
 		t.Error("parsed verifier rejected valid signature")
 	}
-	if _, err := ParseVerifier([]byte{1, 2, 3}); err == nil {
+	if _, err := parseVerifier([]byte{1, 2, 3}); err == nil {
 		t.Error("malformed public key should be rejected")
 	}
 }
@@ -116,8 +116,8 @@ func TestKeyChainConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kc.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", kc.Len())
+	if kc.size() != 10 {
+		t.Fatalf("Len = %d, want 10", kc.size())
 	}
 	commit := kc.Commitment()
 	for i := 1; i <= 10; i++ {
@@ -125,7 +125,7 @@ func TestKeyChainConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !VerifyAgainstCommitment(commit, k, i) {
+		if !verifyAgainstCommitment(commit, k, i) {
 			t.Errorf("key %d failed commitment verification", i)
 		}
 	}
@@ -160,7 +160,7 @@ func TestKeyChainRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A lost K_7 is recoverable from K_15.
-	k7, err := RecoverEarlierKey(k15, 15, 7)
+	k7, err := recoverEarlierKey(k15, 15, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestKeyChainRecovery(t *testing.T) {
 	if !bytes.Equal(k7, want) {
 		t.Error("recovered key differs from chain key")
 	}
-	if _, err := RecoverEarlierKey(k15, 15, 15); err == nil {
+	if _, err := recoverEarlierKey(k15, 15, 15); err == nil {
 		t.Error("recovering same index should fail")
 	}
-	if _, err := RecoverEarlierKey(k15, 15, -1); err == nil {
+	if _, err := recoverEarlierKey(k15, 15, -1); err == nil {
 		t.Error("negative target should fail")
 	}
 }
@@ -186,7 +186,7 @@ func TestKeyChainForgeryRejected(t *testing.T) {
 	}
 	commit := kc.Commitment()
 	fake := make([]byte, KeySize)
-	if VerifyAgainstCommitment(commit, fake, 3) {
+	if verifyAgainstCommitment(commit, fake, 3) {
 		t.Error("arbitrary bytes verified against commitment")
 	}
 	k3, err := kc.Key(3)
@@ -194,10 +194,10 @@ func TestKeyChainForgeryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A genuine key claimed at the wrong index must fail.
-	if VerifyAgainstCommitment(commit, k3, 2) {
+	if verifyAgainstCommitment(commit, k3, 2) {
 		t.Error("key accepted at wrong index")
 	}
-	if VerifyAgainstCommitment(commit, k3, 0) {
+	if verifyAgainstCommitment(commit, k3, 0) {
 		t.Error("index 0 must never verify")
 	}
 }
@@ -250,7 +250,7 @@ func TestKeyChainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		first, err := RecoverEarlierKey(last, length, 1)
+		first, err := recoverEarlierKey(last, length, 1)
 		if err != nil {
 			return false
 		}
@@ -259,7 +259,7 @@ func TestKeyChainProperty(t *testing.T) {
 			return false
 		}
 		return bytes.Equal(first, want) &&
-			VerifyAgainstCommitment(kc.Commitment(), last, length)
+			verifyAgainstCommitment(kc.Commitment(), last, length)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -267,8 +267,8 @@ func TestKeyChainProperty(t *testing.T) {
 }
 
 func TestIntervalKeyID(t *testing.T) {
-	a := IntervalKeyID(7)
-	b := IntervalKeyID(8)
+	a := intervalKeyID(7)
+	b := intervalKeyID(8)
 	if bytes.Equal(a, b) {
 		t.Error("distinct indices must encode distinctly")
 	}
@@ -285,7 +285,7 @@ func TestInstrumentationCountsOps(t *testing.T) {
 	HashBytes([]byte("data"))
 	HashConcat([]byte("a"), []byte("b"))
 	mac := MAC([]byte("key"), []byte("data"))
-	VerifyMAC([]byte("key"), []byte("data"), mac)
+	verifyMAC([]byte("key"), []byte("data"), mac)
 	signer := NewSignerFromString("instr")
 	sig := signer.Sign([]byte("msg"))
 	signer.Public().Verify([]byte("msg"), sig)
@@ -294,7 +294,7 @@ func TestInstrumentationCountsOps(t *testing.T) {
 	if got := snap.Counters["crypto.hash_ops"]; got != 2 {
 		t.Errorf("hash_ops = %d, want 2", got)
 	}
-	// VerifyMAC recomputes the MAC, so two MAC ops total.
+	// verifyMAC recomputes the MAC, so two MAC ops total.
 	if got := snap.Counters["crypto.mac_ops"]; got != 2 {
 		t.Errorf("mac_ops = %d, want 2", got)
 	}

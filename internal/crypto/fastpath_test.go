@@ -21,7 +21,7 @@ func TestMACScratchMatchesHMAC(t *testing.T) {
 			key := bytes.Repeat([]byte{byte(kl + 1)}, kl)
 			data := bytes.Repeat([]byte{byte(dl + 7)}, dl)
 			want := MAC(key, data)
-			got := s.Sum(key, data)
+			got := s.sum(key, data)
 			if !bytes.Equal(got[:], want) {
 				t.Fatalf("MACScratch.Sum(key %d, data %d) diverges from MAC", kl, dl)
 			}
@@ -65,7 +65,7 @@ func TestKeychainIntoMatchesLegacy(t *testing.T) {
 	var s MACScratch
 	k30, _ := kc.Key(30)
 	for target := 0; target < 30; target += 7 {
-		want, err := RecoverEarlierKey(k30, 30, target)
+		want, err := recoverEarlierKey(k30, 30, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestKeychainIntoMatchesLegacy(t *testing.T) {
 	if err := RecoverEarlierKeyInto(&s, aliased, aliased, 30, 5); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := RecoverEarlierKey(k30, 30, 5)
+	want, _ := recoverEarlierKey(k30, 30, 5)
 	if !bytes.Equal(aliased, want) {
 		t.Fatalf("aliased RecoverEarlierKeyInto diverges")
 	}
@@ -129,7 +129,7 @@ func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
 		if !VerifyAnyCached(cache, &scratch, pub, c, blobs[i]) {
 			t.Fatalf("blob %d rejected", i)
 		}
-		if !VerifyBatchBlob(pub, c, blobs[i]) {
+		if !verifyBatchBlob(pub, c, blobs[i]) {
 			t.Fatalf("blob %d rejected by legacy path", i)
 		}
 	}
@@ -195,7 +195,7 @@ func TestVerifyCachedMatchesVerify(t *testing.T) {
 	}{
 		{"valid-plain", content, plainSig},
 		{"valid-blob", content, blobs[1]},
-		{"truncated-plain", content, plainSig[:SignatureSize-1]},
+		{"truncated-plain", content, plainSig[:signatureSize-1]},
 		{"truncated-blob", content, blobs[1][:len(blobs[1])-1]},
 		{"empty", content, nil},
 		{"tampered-content-plain", tampered, plainSig},

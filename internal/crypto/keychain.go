@@ -57,8 +57,8 @@ func NewKeyChain(seed []byte, length int) (*KeyChain, error) {
 	return &KeyChain{keys: keys}, nil
 }
 
-// Len returns the number of usable (non-commitment) keys K_1 .. K_n.
-func (kc *KeyChain) Len() int { return len(kc.keys) - 1 }
+// size returns the number of usable (non-commitment) keys K_1 .. K_n.
+func (kc *KeyChain) size() int { return len(kc.keys) - 1 }
 
 // Commitment returns K_0, the value the sender signs into the bootstrap
 // packet.
@@ -68,15 +68,15 @@ func (kc *KeyChain) Commitment() []byte {
 
 // Key returns chain element K_i for 1 <= i <= Len().
 func (kc *KeyChain) Key(i int) ([]byte, error) {
-	if i < 1 || i > kc.Len() {
-		return nil, fmt.Errorf("crypto: key index %d out of [1,%d]", i, kc.Len())
+	if i < 1 || i > kc.size() {
+		return nil, fmt.Errorf("crypto: key index %d out of [1,%d]", i, kc.size())
 	}
 	return clone(kc.keys[i]), nil
 }
 
-// VerifyAgainstCommitment reports whether key is the genuine chain element
+// verifyAgainstCommitment reports whether key is the genuine chain element
 // K_i relative to commitment K_0, by iterating the PRF i times.
-func VerifyAgainstCommitment(commitment, key []byte, i int) bool {
+func verifyAgainstCommitment(commitment, key []byte, i int) bool {
 	if i < 1 {
 		return false
 	}
@@ -87,9 +87,9 @@ func VerifyAgainstCommitment(commitment, key []byte, i int) bool {
 	return bytesEqual(cur, commitment)
 }
 
-// RecoverEarlierKey derives K_target from a later element K_from
+// recoverEarlierKey derives K_target from a later element K_from
 // (target < from). It returns an error if target >= from.
-func RecoverEarlierKey(fromKey []byte, from, target int) ([]byte, error) {
+func recoverEarlierKey(fromKey []byte, from, target int) ([]byte, error) {
 	if target >= from {
 		return nil, fmt.Errorf("crypto: cannot recover key %d from earlier key %d", target, from)
 	}
@@ -107,7 +107,7 @@ func RecoverEarlierKey(fromKey []byte, from, target int) ([]byte, error) {
 // scratch, allocating nothing in steady state. out and key may alias: the
 // key is consumed before out is written.
 func prfStepInto(s *MACScratch, out, key []byte) {
-	sum := s.Sum(key, labelChain)
+	sum := s.sum(key, labelChain)
 	copy(out[:KeySize], sum[:KeySize])
 }
 
@@ -115,13 +115,13 @@ func prfStepInto(s *MACScratch, out, key []byte) {
 // element K_i into out (KeySize bytes) using scratch. Identical output to
 // DeriveMACKey.
 func DeriveMACKeyInto(s *MACScratch, out, chainKey []byte) {
-	sum := s.Sum(chainKey, labelMAC)
+	sum := s.sum(chainKey, labelMAC)
 	copy(out[:KeySize], sum[:KeySize])
 }
 
 // RecoverEarlierKeyInto derives K_target from a later element K_from into
 // out (KeySize bytes) using scratch, with identical results to
-// RecoverEarlierKey but no per-step allocations. out and fromKey may
+// recoverEarlierKey but no per-step allocations. out and fromKey may
 // alias.
 func RecoverEarlierKeyInto(s *MACScratch, out, fromKey []byte, from, target int) error {
 	if target >= from {
@@ -139,8 +139,8 @@ func RecoverEarlierKeyInto(s *MACScratch, out, fromKey []byte, from, target int)
 	return nil
 }
 
-// IntervalKeyID encodes a key index for inclusion in wire packets.
-func IntervalKeyID(i int) []byte {
+// intervalKeyID encodes a key index for inclusion in wire packets.
+func intervalKeyID(i int) []byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(i))
 	return buf[:]

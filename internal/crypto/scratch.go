@@ -19,10 +19,10 @@ type MACScratch struct {
 	buf []byte
 }
 
-// Sum computes HMAC-SHA256(key, data). It allocates only when the
+// sum computes HMAC-SHA256(key, data). It allocates only when the
 // internal buffer must grow to fit data, so steady-state calls with
 // bounded data sizes are allocation-free.
-func (s *MACScratch) Sum(key, data []byte) [MACSize]byte {
+func (s *MACScratch) sum(key, data []byte) [macSize]byte {
 	var start time.Time
 	in := instr.Load()
 	if in != nil {
@@ -63,7 +63,7 @@ func (s *MACScratch) Sum(key, data []byte) [MACSize]byte {
 // Verify reports whether mac is a valid HMAC-SHA256 of data under key, in
 // constant time, without allocating.
 func (s *MACScratch) Verify(key, data, mac []byte) bool {
-	sum := s.Sum(key, data)
+	sum := s.sum(key, data)
 	return hmac.Equal(sum[:], mac)
 }
 

@@ -14,7 +14,7 @@ import (
 type sigKey struct {
 	pub Digest
 	msg Digest
-	sig [SignatureSize]byte
+	sig [signatureSize]byte
 }
 
 // makeSigKey builds the cache key for a plain signature check. Public
@@ -250,7 +250,7 @@ func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool
 	}
 	count = binary.BigEndian.Uint32(blob[1:5])
 	index = binary.BigEndian.Uint32(blob[5:9])
-	sig = blob[9 : 9+SignatureSize]
+	sig = blob[9 : 9+signatureSize]
 	path = blob[batchHeaderSize:]
 	if len(path)%HashSize != 0 {
 		return 0, 0, nil, nil, false
@@ -263,7 +263,7 @@ func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool
 // that already succeeded. Batch blobs always pay the (cheap) Merkle path
 // walk; only the underlying public-key operation is cached. cache may be
 // nil (no caching) and scratch may be nil (allocates staging per call).
-// Results match Verifier.Verify / VerifyBatchBlob exactly.
+// Results match Verifier.Verify / verifyBatchBlob exactly.
 func VerifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content, sig []byte) bool {
 	return verifyAnyCached(cache, scratch, pub, content, nil, sig)
 }
@@ -273,7 +273,7 @@ func verifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, cont
 	if pub == nil {
 		return false
 	}
-	if len(sig) == SignatureSize {
+	if len(sig) == signatureSize {
 		return verifyCachedPlain(cache, pub, content, sum, sig)
 	}
 	if scratch == nil {
@@ -314,7 +314,7 @@ func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content
 
 // verifyCachedPlain runs one plain signature check through the cache.
 func verifyCachedPlain(cache *SigCache, pub Verifier, msg []byte, sum *Digest, sig []byte) bool {
-	if len(sig) != SignatureSize {
+	if len(sig) != signatureSize {
 		return false
 	}
 	if cache == nil {

@@ -287,7 +287,7 @@ func (q *BatchVerifyQueue) reduceCheck(it pendingVerify) (msg, sig []byte, ok bo
 	if it.pub == nil || len(it.sig) == 0 {
 		return nil, nil, false
 	}
-	if len(it.sig) == SignatureSize {
+	if len(it.sig) == signatureSize {
 		return it.content, it.sig, true
 	}
 	count, index, inner, path, ok := splitBatchBlob(it.sig)

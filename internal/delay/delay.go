@@ -81,37 +81,3 @@ func (g Gaussian) CDF(d time.Duration) float64 {
 
 // Name implements Model.
 func (g Gaussian) Name() string { return fmt.Sprintf("gaussian(mu=%v, sigma=%v)", g.Mu, g.Sigma) }
-
-// Empirical samples uniformly from a recorded set of delays.
-type Empirical struct {
-	samples []time.Duration
-}
-
-var _ Model = (*Empirical)(nil)
-
-// NewEmpirical builds a model from recorded delays.
-func NewEmpirical(samples []time.Duration) (*Empirical, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("delay: empty sample set")
-	}
-	return &Empirical{samples: append([]time.Duration(nil), samples...)}, nil
-}
-
-// Sample implements Model.
-func (e *Empirical) Sample(rng *stats.RNG) time.Duration {
-	return e.samples[rng.Intn(len(e.samples))]
-}
-
-// CDF implements Model.
-func (e *Empirical) CDF(d time.Duration) float64 {
-	count := 0
-	for _, s := range e.samples {
-		if s <= d {
-			count++
-		}
-	}
-	return float64(count) / float64(len(e.samples))
-}
-
-// Name implements Model.
-func (e *Empirical) Name() string { return fmt.Sprintf("empirical(n=%d)", len(e.samples)) }

@@ -93,37 +93,12 @@ func TestGaussianTruncation(t *testing.T) {
 	}
 }
 
-func TestEmpirical(t *testing.T) {
-	samples := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}
-	e, err := NewEmpirical(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CDF(2 * time.Millisecond); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("CDF = %v, want 0.5", got)
-	}
-	rng := stats.NewRNG(23)
-	for i := 0; i < 100; i++ {
-		d := e.Sample(rng)
-		if d < time.Millisecond || d > 4*time.Millisecond {
-			t.Fatalf("sample %v outside recorded range", d)
-		}
-	}
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("empty samples should fail")
-	}
-}
-
 func TestNames(t *testing.T) {
 	g, err := NewGaussian(time.Second, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEmpirical([]time.Duration{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Model{Constant{D: time.Second}, g, e} {
+	for _, m := range []Model{Constant{D: time.Second}, g} {
 		if m.Name() == "" {
 			t.Error("empty model name")
 		}

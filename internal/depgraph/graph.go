@@ -25,8 +25,8 @@ import (
 
 // Common validation errors.
 var (
-	ErrNotRooted = errors.New("depgraph: some vertex is unreachable from the root")
-	ErrCyclic    = errors.New("depgraph: graph contains a cycle")
+	errNotRooted = errors.New("depgraph: some vertex is unreachable from the root")
+	errCyclic    = errors.New("depgraph: graph contains a cycle")
 )
 
 // Graph is a dependence-graph over packets 1..n. The zero value is not
@@ -185,7 +185,7 @@ func (g *Graph) Validate() error {
 	reach, _ := g.reachableFromRoot()
 	for v := 1; v <= g.n; v++ {
 		if !reach[v] {
-			return fmt.Errorf("%w: vertex %d", ErrNotRooted, v)
+			return fmt.Errorf("%w: vertex %d", errNotRooted, v)
 		}
 	}
 	return nil
@@ -216,7 +216,7 @@ func (g *Graph) checkAcyclic() error {
 				f.next++
 				switch state[w] {
 				case inStack:
-					return fmt.Errorf("%w: back edge %d -> %d", ErrCyclic, f.v, w)
+					return fmt.Errorf("%w: back edge %d -> %d", errCyclic, f.v, w)
 				case unvisited:
 					state[w] = inStack
 					stack = append(stack, frame{v: w})

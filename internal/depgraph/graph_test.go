@@ -217,7 +217,7 @@ func TestValidateDetectsUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = g.Validate()
-	if !errors.Is(err, ErrNotRooted) {
+	if !errors.Is(err, errNotRooted) {
 		t.Errorf("Validate() = %v, want ErrNotRooted", err)
 	}
 	un := g.Unreachable()
@@ -236,10 +236,10 @@ func TestValidateDetectsCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.Validate(); !errors.Is(err, ErrCyclic) {
+	if err := g.Validate(); !errors.Is(err, errCyclic) {
 		t.Errorf("Validate() = %v, want ErrCyclic", err)
 	}
-	if _, err := g.TopoFromRoot(); !errors.Is(err, ErrCyclic) {
+	if _, err := g.TopoFromRoot(); !errors.Is(err, errCyclic) {
 		t.Errorf("TopoFromRoot() = %v, want ErrCyclic", err)
 	}
 }

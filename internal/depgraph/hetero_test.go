@@ -118,6 +118,9 @@ func TestSpread(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousPatternMatchesExact checks the per-packet-loss exact
+// evaluation against Monte-Carlo under a pattern that loses packet i with
+// probability probs[i].
 func TestHeterogeneousPatternMatchesExact(t *testing.T) {
 	g := emssGraph(t, 10)
 	probs := []float64{0, 0, 0.1, 0.2, 0.5, 0.1, 0.4, 0.3, 0.2, 0.1, 0.6}
@@ -125,7 +128,14 @@ func TestHeterogeneousPatternMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := g.MonteCarloAuthProb(HeterogeneousPattern(probs), 60000, stats.NewRNG(17))
+	hetero := func(rng *stats.RNG, n int) []bool {
+		recv := make([]bool, n+1)
+		for i := 1; i <= n; i++ {
+			recv[i] = rng.Float64() >= probs[i]
+		}
+		return recv
+	}
+	mc, err := g.MonteCarloAuthProb(hetero, 60000, stats.NewRNG(17))
 	if err != nil {
 		t.Fatal(err)
 	}

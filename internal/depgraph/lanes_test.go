@@ -148,7 +148,7 @@ func TestMonteCarloMatchesScalarLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			if shardSize == 0 {
-				shardSize = DefaultMCShardSize
+				shardSize = defaultMCShardSize
 			}
 			recv, ver := scalarMonteCarlo(t, g, pattern, trials, shardSize, b)
 			name := fmt.Sprintf("graph %d, %d trials in shards of %d", i, trials, shardSize)

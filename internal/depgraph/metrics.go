@@ -19,10 +19,10 @@ func DefaultSizes() SizeSpec {
 	return SizeSpec{HashSize: 32, SigSize: 64, SigCopies: 1}
 }
 
-// PaperEraSizes returns sizes typical of the paper's 2003 setting
+// paperEraSizes returns sizes typical of the paper's 2003 setting
 // (16-byte MD5-style hashes, 128-byte RSA-1024 signatures), useful for
 // reproducing Figure 10's absolute overhead numbers.
-func PaperEraSizes() SizeSpec {
+func paperEraSizes() SizeSpec {
 	return SizeSpec{HashSize: 16, SigSize: 128, SigCopies: 1}
 }
 

@@ -205,7 +205,7 @@ func TestPaperAndDefaultSizes(t *testing.T) {
 	if s := DefaultSizes(); s.HashSize != 32 || s.SigSize != 64 {
 		t.Errorf("DefaultSizes = %+v", s)
 	}
-	if s := PaperEraSizes(); s.HashSize != 16 || s.SigSize != 128 {
+	if s := paperEraSizes(); s.HashSize != 16 || s.SigSize != 128 {
 		t.Errorf("PaperEraSizes = %+v", s)
 	}
 }

@@ -61,32 +61,6 @@ func BernoulliPattern(p float64) ReceivePattern {
 	}
 }
 
-// HeterogeneousPatternInto fills a pattern with per-packet loss
-// probabilities probs (index 0 unused) without allocating.
-func HeterogeneousPatternInto(probs []float64) ReceivePatternInto {
-	lose := make([]stats.Coin, len(probs))
-	for i, p := range probs {
-		lose[i] = stats.NewCoin(p)
-	}
-	return func(rng *stats.RNG, received []bool) error {
-		for i := 1; i < len(received) && i < len(lose); i++ {
-			received[i] = !rng.Flip(lose[i])
-		}
-		return nil
-	}
-}
-
-// HeterogeneousPattern is the allocating form of HeterogeneousPatternInto;
-// both draw the same RNG stream.
-func HeterogeneousPattern(probs []float64) ReceivePattern {
-	into := HeterogeneousPatternInto(probs)
-	return func(rng *stats.RNG, n int) []bool {
-		recv := make([]bool, n+1)
-		_ = into(rng, recv) // never fails
-		return recv
-	}
-}
-
 // VerifiableSet computes, for a given loss pattern, exactly which received
 // packets are verifiable: P_i is verifiable iff it is received and there is
 // a path from P_sign to P_i whose vertices are all received (condition (1)
@@ -153,19 +127,18 @@ type AuthResult struct {
 // additive, the merged AuthResult is bit-identical for a given seed and
 // shard plan regardless of how many workers ran the shards.
 type MCOptions struct {
-	// Workers bounds the worker pool; <= 0 selects
-	// parallel.DefaultWorkers (GOMAXPROCS).
+	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS workers.
 	Workers int
 	// ShardSize is the number of trials per shard; <= 0 selects
-	// DefaultMCShardSize. Changing it changes the sample streams (and so
+	// defaultMCShardSize. Changing it changes the sample streams (and so
 	// the estimate), exactly like changing the seed would.
 	ShardSize int
 }
 
-// DefaultMCShardSize is the default trials-per-shard: small enough that
+// defaultMCShardSize is the default trials-per-shard: small enough that
 // typical trial budgets (10^3..10^5) spread across every core, large
 // enough that per-shard scratch setup is amortized to noise.
-const DefaultMCShardSize = 512
+const defaultMCShardSize = 512
 
 // MonteCarloAuthProb estimates q_i for every packet by sampling trials loss
 // patterns from pattern and propagating verifiability through the graph.
@@ -244,7 +217,7 @@ func (g *Graph) MonteCarloAuthProbInto(pattern ReceivePatternInto, trials int, r
 	}
 	shardSize := opts.ShardSize
 	if shardSize <= 0 {
-		shardSize = DefaultMCShardSize
+		shardSize = defaultMCShardSize
 	}
 	// Build the shard plan up front: all use of the caller's rng happens
 	// here, sequentially, so the caller's generator advances identically

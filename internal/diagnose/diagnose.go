@@ -26,36 +26,36 @@ import (
 type Cause string
 
 const (
-	// CausePacketLost: the packet never genuinely arrived — channel loss,
+	// causePacketLost: the packet never genuinely arrived — channel loss,
 	// late join, or a fault mutation that destroyed the datagram framing.
-	CausePacketLost Cause = "packet-lost"
-	// CauseSignatureLost: the packet arrived, but the block's signature
+	causePacketLost Cause = "packet-lost"
+	// causeSignatureLost: the packet arrived, but the block's signature
 	// packet never authenticated at this receiver, so no trust could flow
 	// to anything.
-	CauseSignatureLost Cause = "signature-lost"
-	// CauseHashPathCut: the packet and the signature both arrived, but
+	causeSignatureLost Cause = "signature-lost"
+	// causeHashPathCut: the packet and the signature both arrived, but
 	// every root-to-packet path in the dependence graph runs through a
 	// lost packet. The diagnosis carries the frontier-cut culprit set.
-	CauseHashPathCut Cause = "hash-path-cut"
-	// CauseBufferDrop: the verifier's bounded message buffer was full when
+	causeHashPathCut Cause = "hash-path-cut"
+	// causeBufferDrop: the verifier's bounded message buffer was full when
 	// the packet arrived and it was discarded (the DoS guard).
-	CauseBufferDrop Cause = "dropped-by-bounded-buffer"
-	// CauseRejected: the verifier refused the packet — bad signature,
+	causeBufferDrop Cause = "dropped-by-bounded-buffer"
+	// causeRejected: the verifier refused the packet — bad signature,
 	// digest mismatch, bad MAC — i.e. corruption or forgery.
-	CauseRejected Cause = "rejected-corrupt/forged"
-	// CauseDeadline: TESLA only — the packet arrived after its key's
+	causeRejected Cause = "rejected-corrupt/forged"
+	// causeDeadline: TESLA only — the packet arrived after its key's
 	// disclosure deadline and was dropped by the safety condition.
-	CauseDeadline Cause = "deadline-exceeded"
+	causeDeadline Cause = "deadline-exceeded"
 )
 
-// CauseOrder fixes the rendering order of causes in reports.
-var CauseOrder = []Cause{
-	CausePacketLost,
-	CauseRejected,
-	CauseDeadline,
-	CauseBufferDrop,
-	CauseSignatureLost,
-	CauseHashPathCut,
+// causeOrder fixes the rendering order of causes in reports.
+var causeOrder = []Cause{
+	causePacketLost,
+	causeRejected,
+	causeDeadline,
+	causeBufferDrop,
+	causeSignatureLost,
+	causeHashPathCut,
 }
 
 // Options configures the trace→graph join.
@@ -77,9 +77,9 @@ type Options struct {
 	DataIndices []uint32
 }
 
-// PacketDiagnosis is the verdict for one unauthenticated packet at one
+// packetDiagnosis is the verdict for one unauthenticated packet at one
 // receiver.
-type PacketDiagnosis struct {
+type packetDiagnosis struct {
 	Receiver int    `json:"receiver"`
 	Index    uint32 `json:"index"`
 	Cause    Cause  `json:"cause"`
@@ -258,17 +258,17 @@ func (o Options) scope(rs *runState) []uint32 {
 	return out
 }
 
-// Diagnose classifies every unauthenticated packet of the traced run into
+// diagnoseSpans classifies every unauthenticated packet of the traced run into
 // exactly one root cause, sorted by (receiver, index). Classification is
 // first-match-wins down the failure chain a packet traverses: it must
 // arrive, be accepted, beat its deadline, fit the buffer, and then have an
 // intact authentication path — the first stage that failed is the cause.
-func Diagnose(spans []obs.Span, opts Options) ([]PacketDiagnosis, error) {
+func diagnoseSpans(spans []obs.Span, opts Options) ([]packetDiagnosis, error) {
 	rs := collect(spans)
 	return diagnose(rs, opts)
 }
 
-func diagnose(rs *runState, opts Options) ([]PacketDiagnosis, error) {
+func diagnose(rs *runState, opts Options) ([]packetDiagnosis, error) {
 	if (opts.Graph == nil) != (opts.VertexOf == nil) {
 		return nil, fmt.Errorf("diagnose: Graph and VertexOf must be set together")
 	}
@@ -297,7 +297,7 @@ func diagnose(rs *runState, opts Options) ([]PacketDiagnosis, error) {
 		}
 	}
 
-	var out []PacketDiagnosis
+	var out []packetDiagnosis
 	for _, recv := range rs.receivers {
 		states := rs.pkts[recv]
 		var finder *depgraph.CulpritFinder // built lazily: only cut diagnoses pay for it
@@ -309,24 +309,24 @@ func diagnose(rs *runState, opts Options) ([]PacketDiagnosis, error) {
 			if st.authenticated {
 				continue
 			}
-			d := PacketDiagnosis{Receiver: recv, Index: idx}
+			d := packetDiagnosis{Receiver: recv, Index: idx}
 			switch {
 			case !st.deliveredGenuine && st.deliveredFaulty && st.rejected:
 				// The only copy that arrived was mutated or forged and the
 				// verifier refused it — corruption, not channel loss.
-				d.Cause, d.Reason = CauseRejected, firstNonEmpty(st.rejectReason, st.faultyReason)
+				d.Cause, d.Reason = causeRejected, firstNonEmpty(st.rejectReason, st.faultyReason)
 			case !st.deliveredGenuine:
-				d.Cause, d.Reason = CausePacketLost, firstNonEmpty(st.dropReason, st.faultyReason)
+				d.Cause, d.Reason = causePacketLost, firstNonEmpty(st.dropReason, st.faultyReason)
 			case st.rejected:
-				d.Cause, d.Reason = CauseRejected, st.rejectReason
+				d.Cause, d.Reason = causeRejected, st.rejectReason
 			case st.unsafe:
-				d.Cause, d.Reason = CauseDeadline, st.unsafeReason
+				d.Cause, d.Reason = causeDeadline, st.unsafeReason
 			case st.overflow:
-				d.Cause = CauseBufferDrop
+				d.Cause = causeBufferDrop
 			case rootIndex != 0 && !stateAuthenticated(states, rootIndex):
-				d.Cause = CauseSignatureLost
+				d.Cause = causeSignatureLost
 			default:
-				d.Cause = CauseHashPathCut
+				d.Cause = causeHashPathCut
 				if opts.Graph != nil {
 					if finder == nil {
 						var err error

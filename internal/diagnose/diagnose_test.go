@@ -59,16 +59,16 @@ func TestClassificationSynthetic(t *testing.T) {
 		ev(obs.SpanDelivered, 6, ""), ev(obs.SpanUnsafe, 6, "deadline"),
 	}
 	g := chainGraph(t, 6)
-	diags, err := Diagnose(events, Options{Graph: g, VertexOf: identity})
+	diags, err := diagnoseSpans(events, Options{Graph: g, VertexOf: identity})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[uint32]Cause{
-		2: CausePacketLost,
-		3: CauseRejected,
-		4: CauseBufferDrop,
-		5: CauseHashPathCut,
-		6: CauseDeadline,
+		2: causePacketLost,
+		3: causeRejected,
+		4: causeBufferDrop,
+		5: causeHashPathCut,
+		6: causeDeadline,
 	}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d diagnoses, want %d: %+v", len(diags), len(want), diags)
@@ -95,14 +95,14 @@ func TestSignatureLost(t *testing.T) {
 		{Kind: obs.SpanDelivered, Index: 2},
 		{Kind: obs.SpanDelivered, Index: 3},
 	}
-	diags, err := Diagnose(events, Options{})
+	diags, err := diagnoseSpans(events, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCauses := map[uint32]Cause{
-		1: CausePacketLost,
-		2: CauseSignatureLost,
-		3: CauseSignatureLost,
+		1: causePacketLost,
+		2: causeSignatureLost,
+		3: causeSignatureLost,
 	}
 	for _, d := range diags {
 		if wantCauses[d.Index] != d.Cause {
@@ -175,7 +175,7 @@ func TestNetsimGroundTruth(t *testing.T) {
 	res, events := runTraced(t, s, lossyConfig(t, 0.3, receivers, 7, uint32(n)), n)
 
 	opts := diagnoseOptions(t, s)
-	diags, err := Diagnose(events, opts)
+	diags, err := diagnoseSpans(events, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func TestNetsimGroundTruth(t *testing.T) {
 	// Validate culprit sets against the graph directly.
 	for _, d := range diags {
 		rep := &res.PerReceiver[d.Receiver]
-		if d.Cause == CausePacketLost && rep.Received(d.Index) {
+		if d.Cause == causePacketLost && rep.Received(d.Index) {
 			t.Errorf("receiver %d index %d: diagnosed lost but simulator says received", d.Receiver, d.Index)
 		}
-		if d.Cause != CauseHashPathCut {
+		if d.Cause != causeHashPathCut {
 			continue
 		}
 		cut++
@@ -253,7 +253,7 @@ func TestFaultPresetRun(t *testing.T) {
 	if rep.Faults.Corrupted != totals.Corrupted || rep.Faults.Truncated != totals.Truncated {
 		t.Errorf("report faults %+v, simulator %+v", rep.Faults, totals)
 	}
-	if totals.Corrupted > 0 && rep.Causes[CauseRejected] == 0 {
+	if totals.Corrupted > 0 && rep.Causes[causeRejected] == 0 {
 		t.Error("corruption run produced no rejected-corrupt/forged diagnoses")
 	}
 	for _, d := range rep.Diagnoses {
@@ -333,7 +333,7 @@ func TestDiffReportsChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	repB.Authenticated++
-	repB.Causes[CausePacketLost]++
+	repB.Causes[causePacketLost]++
 	if diff := Diff(repA, repB); len(diff) < 2 {
 		t.Errorf("doctored report diff too small: %v", diff)
 	}
@@ -349,11 +349,11 @@ func TestDataIndicesScope(t *testing.T) {
 		{Kind: obs.SpanDropped, Index: 2, Reason: "loss"},
 		{Kind: obs.SpanDropped, Index: 3, Reason: "loss"},
 	}
-	diags, err := Diagnose(events, Options{DataIndices: []uint32{2}})
+	diags, err := diagnoseSpans(events, Options{DataIndices: []uint32{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || diags[0].Index != 2 || diags[0].Cause != CausePacketLost {
+	if len(diags) != 1 || diags[0].Index != 2 || diags[0].Cause != causePacketLost {
 		t.Fatalf("scoped diagnosis = %+v, want exactly index 2 packet-lost", diags)
 	}
 }
@@ -361,10 +361,10 @@ func TestDataIndicesScope(t *testing.T) {
 // TestOptionsValidation rejects a graph without a vertex mapping.
 func TestOptionsValidation(t *testing.T) {
 	g := chainGraph(t, 3)
-	if _, err := Diagnose(nil, Options{Graph: g}); err == nil {
+	if _, err := diagnoseSpans(nil, Options{Graph: g}); err == nil {
 		t.Error("Graph without VertexOf accepted")
 	}
-	if _, err := Diagnose(nil, Options{VertexOf: identity}); err == nil {
+	if _, err := diagnoseSpans(nil, Options{VertexOf: identity}); err == nil {
 		t.Error("VertexOf without Graph accepted")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"mcauth/internal/obs"
 )
 
-// QuantileSet condenses a histogram for the report: deterministic for a
+// quantileSet condenses a histogram for the report: deterministic for a
 // given set of observations because it is computed from the additive
 // bucket counts, never from observation order.
-type QuantileSet struct {
+type quantileSet struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
 	P50   float64 `json:"p50"`
@@ -21,8 +21,8 @@ type QuantileSet struct {
 	Max   int64   `json:"max"`
 }
 
-func quantiles(h obs.HistogramData) QuantileSet {
-	qs := QuantileSet{
+func quantiles(h obs.HistogramData) quantileSet {
+	qs := quantileSet{
 		Count: h.Count,
 		Mean:  h.Mean(),
 		P50:   h.Quantile(0.50),
@@ -35,24 +35,24 @@ func quantiles(h obs.HistogramData) QuantileSet {
 	return qs
 }
 
-// PositionStat is the authentication outcome of one wire index across
+// positionStat is the authentication outcome of one wire index across
 // receivers: the empirical q_i of the paper, by block position.
-type PositionStat struct {
+type positionStat struct {
 	Index         uint32  `json:"index"`
 	Received      int     `json:"received"`
 	Authenticated int     `json:"authenticated"`
 	AuthRatio     float64 `json:"auth_ratio"`
 }
 
-// CulpritCount ranks a culprit wire index by how many hash-path-cut
+// culpritCount ranks a culprit wire index by how many hash-path-cut
 // diagnoses (across all receivers) blame it.
-type CulpritCount struct {
+type culpritCount struct {
 	Index uint32 `json:"index"`
 	Count int    `json:"count"`
 }
 
-// FaultCounts tallies the adversarial-channel events seen in the trace.
-type FaultCounts struct {
+// faultCounts tallies the adversarial-channel events seen in the trace.
+type faultCounts struct {
 	Corrupted      int `json:"corrupted,omitempty"`
 	Truncated      int `json:"truncated,omitempty"`
 	ForgedInjected int `json:"forged_injected,omitempty"`
@@ -82,14 +82,14 @@ type Report struct {
 	Causes map[Cause]int `json:"causes"`
 	// TopCulprits ranks lost packets by how many hash-path-cut failures
 	// blame them (descending count, ascending index; at most 10).
-	TopCulprits []CulpritCount `json:"top_culprits,omitempty"`
+	TopCulprits []culpritCount `json:"top_culprits,omitempty"`
 	// ByPosition is the per-wire-index outcome over the diagnosis scope.
-	ByPosition []PositionStat `json:"by_position"`
+	ByPosition []positionStat `json:"by_position"`
 
 	// TimeToAuthNS summarizes arrival-to-authentication latency.
-	TimeToAuthNS QuantileSet `json:"time_to_auth_ns"`
+	TimeToAuthNS quantileSet `json:"time_to_auth_ns"`
 	// BufferDepth summarizes message-buffer occupancy after buffering.
-	BufferDepth QuantileSet `json:"buffer_depth"`
+	BufferDepth quantileSet `json:"buffer_depth"`
 	// OverflowDrops counts bounded-buffer evictions.
 	OverflowDrops int `json:"overflow_drops,omitempty"`
 
@@ -97,11 +97,11 @@ type Report struct {
 	// 2's average), present when a graph was supplied.
 	OverheadHashesPerPacket float64 `json:"overhead_hashes_per_packet,omitempty"`
 
-	Faults FaultCounts `json:"faults"`
+	Faults faultCounts `json:"faults"`
 
 	// Diagnoses is the full per-packet verdict list, sorted by
 	// (receiver, index).
-	Diagnoses []PacketDiagnosis `json:"diagnoses,omitempty"`
+	Diagnoses []packetDiagnosis `json:"diagnoses,omitempty"`
 }
 
 // topCulpritsLimit bounds the ranking in the report; the full culprit
@@ -132,7 +132,7 @@ func BuildReport(spans []obs.Span, skippedLines int, opts Options) (*Report, err
 		TimeToAuthNS:      quantiles(rs.timeToAuth),
 		BufferDepth:       quantiles(rs.bufferDepth),
 		OverflowDrops:     rs.overflowDrops,
-		Faults: FaultCounts{
+		Faults: faultCounts{
 			Corrupted:      rs.corrupted,
 			Truncated:      rs.truncated,
 			ForgedInjected: rs.forgedInjected,
@@ -144,16 +144,16 @@ func BuildReport(spans []obs.Span, skippedLines int, opts Options) (*Report, err
 		rep.OverheadHashesPerPacket = opts.Graph.AvgHashesPerPacket()
 	}
 
-	culpritCount := make(map[uint32]int)
+	cuts := make(map[uint32]int)
 	for _, d := range diagnoses {
 		rep.Causes[d.Cause]++
 		for _, c := range d.Culprits {
-			culpritCount[c]++
+			cuts[c]++
 		}
 	}
 	rep.Unauthenticated = len(diagnoses)
-	for c := range culpritCount {
-		rep.TopCulprits = append(rep.TopCulprits, CulpritCount{Index: c, Count: culpritCount[c]})
+	for c := range cuts {
+		rep.TopCulprits = append(rep.TopCulprits, culpritCount{Index: c, Count: cuts[c]})
 	}
 	sort.Slice(rep.TopCulprits, func(i, j int) bool {
 		a, b := rep.TopCulprits[i], rep.TopCulprits[j]
@@ -167,7 +167,7 @@ func BuildReport(spans []obs.Span, skippedLines int, opts Options) (*Report, err
 	}
 
 	for _, idx := range opts.scope(rs) {
-		ps := PositionStat{Index: idx}
+		ps := positionStat{Index: idx}
 		for _, recv := range rs.receivers {
 			st := rs.pkts[recv][idx]
 			if st == nil {
@@ -207,7 +207,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	bw.printf("packets: sent=%d delivered=%d authenticated=%d unauthenticated=%d\n",
 		r.Sent, r.Delivered, r.Authenticated, r.Unauthenticated)
 	bw.printf("\nroot causes:\n")
-	for _, c := range CauseOrder {
+	for _, c := range causeOrder {
 		if n := r.Causes[c]; n > 0 {
 			bw.printf("  %-26s %d\n", c, n)
 		}
@@ -230,7 +230,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	if r.OverheadHashesPerPacket > 0 {
 		bw.printf("overhead: %.2f hashes/packet\n", r.OverheadHashesPerPacket)
 	}
-	if r.Faults != (FaultCounts{}) {
+	if r.Faults != (faultCounts{}) {
 		bw.printf("faults: corrupted=%d truncated=%d forged_injected=%d forged_rejected=%d\n",
 			r.Faults.Corrupted, r.Faults.Truncated, r.Faults.ForgedInjected, r.Faults.ForgedRejected)
 	}
@@ -261,7 +261,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		bw.printf("| Overhead (hashes/packet) | %.2f |\n", r.OverheadHashesPerPacket)
 	}
 	bw.printf("\n## Root causes\n\n| Cause | Count |\n|---|---|\n")
-	for _, c := range CauseOrder {
+	for _, c := range causeOrder {
 		if n := r.Causes[c]; n > 0 {
 			bw.printf("| %s | %d |\n", c, n)
 		}
@@ -282,7 +282,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	bw.printf("- buffer depth: n=%d mean=%.1f p50=%.0f p90=%.0f p99=%.0f max=%d (overflow drops: %d)\n",
 		r.BufferDepth.Count, r.BufferDepth.Mean, r.BufferDepth.P50,
 		r.BufferDepth.P90, r.BufferDepth.P99, r.BufferDepth.Max, r.OverflowDrops)
-	if r.Faults != (FaultCounts{}) {
+	if r.Faults != (faultCounts{}) {
 		bw.printf("- faults: corrupted=%d truncated=%d forged_injected=%d forged_rejected=%d\n",
 			r.Faults.Corrupted, r.Faults.Truncated, r.Faults.ForgedInjected, r.Faults.ForgedRejected)
 	}
@@ -338,7 +338,7 @@ func Diff(a, b *Report) []string {
 	if a.Unauthenticated != b.Unauthenticated {
 		add("unauthenticated: %d vs %d", a.Unauthenticated, b.Unauthenticated)
 	}
-	for _, c := range CauseOrder {
+	for _, c := range causeOrder {
 		if a.Causes[c] != b.Causes[c] {
 			add("cause %s: %d vs %d", c, a.Causes[c], b.Causes[c])
 		}
@@ -356,7 +356,7 @@ func Diff(a, b *Report) []string {
 		add("faults: %+v vs %+v", a.Faults, b.Faults)
 	}
 	// Per-position stats: align by index.
-	bPos := make(map[uint32]PositionStat, len(b.ByPosition))
+	bPos := make(map[uint32]positionStat, len(b.ByPosition))
 	for _, p := range b.ByPosition {
 		bPos[p.Index] = p
 	}
@@ -379,10 +379,10 @@ func Diff(a, b *Report) []string {
 		}
 	}
 	// Per-packet diagnoses: both sides are sorted by (receiver, index).
-	diagKey := func(d PacketDiagnosis) string {
+	diagKey := func(d packetDiagnosis) string {
 		return fmt.Sprintf("r%d/i%d", d.Receiver, d.Index)
 	}
-	bd := make(map[string]PacketDiagnosis, len(b.Diagnoses))
+	bd := make(map[string]packetDiagnosis, len(b.Diagnoses))
 	for _, d := range b.Diagnoses {
 		bd[diagKey(d)] = d
 	}

@@ -7,9 +7,9 @@ import (
 	"mcauth/internal/crypto"
 )
 
-// BoundsRow is one packet's Equation (1) bracket around its exact
+// boundsRow is one packet's Equation (1) bracket around its exact
 // authentication probability.
-type BoundsRow struct {
+type boundsRow struct {
 	Packet int // reversed index (1 = signature packet)
 	Lower  float64
 	Exact  float64
@@ -17,10 +17,10 @@ type BoundsRow struct {
 	Paths  int // vertex-disjoint paths from the signature packet
 }
 
-// BoundsSeries evaluates Equation (1) on EMSS E_{2,1} with n = 18 at
+// boundsSeries evaluates Equation (1) on EMSS E_{2,1} with n = 18 at
 // p = 0.3: the lower bound assumes maximally overlapping paths (only the
 // shortest matters), the upper bound assumes disjoint paths.
-func BoundsSeries() ([]BoundsRow, error) {
+func boundsSeries() ([]boundsRow, error) {
 	const (
 		n = 18
 		p = 0.3
@@ -37,7 +37,7 @@ func BoundsSeries() ([]BoundsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]BoundsRow, 0, n-1)
+	rows := make([]boundsRow, 0, n-1)
 	for rev := 2; rev <= n; rev++ {
 		send := n + 1 - rev
 		b, err := g.AuthProbBounds(send, p, 100000)
@@ -48,7 +48,7 @@ func BoundsSeries() ([]BoundsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, BoundsRow{
+		rows = append(rows, boundsRow{
 			Packet: rev,
 			Lower:  b.Lower,
 			Exact:  exact.Q[send],
@@ -70,7 +70,7 @@ func boundsExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := BoundsSeries()
+		rows, err := boundsSeries()
 		if err != nil {
 			return err
 		}

@@ -7,32 +7,32 @@ import (
 	"mcauth/internal/parallel"
 )
 
-// Fig5Row is one point of the augmented-chain parameter sweep.
-type Fig5Row struct {
+// fig5Row is one point of the augmented-chain parameter sweep.
+type fig5Row struct {
 	P    float64
 	A    int
 	B    int
 	QMin float64
 }
 
-// Fig5Series computes C_{a,b} q_min over (a, b) at fixed n = 1000,
+// fig5Series computes C_{a,b} q_min over (a, b) at fixed n = 1000,
 // evaluating the sweep points on the worker pool.
-func Fig5Series() ([]Fig5Row, error) {
+func fig5Series() ([]fig5Row, error) {
 	as := []int{1, 2, 3, 5, 8}
 	bs := []int{1, 2, 3, 5, 8}
 	ps := []float64{0.1, 0.3, 0.5}
-	points := make([]Fig5Row, 0, len(as)*len(bs)*len(ps))
+	points := make([]fig5Row, 0, len(as)*len(bs)*len(ps))
 	for _, p := range ps {
 		for _, a := range as {
 			for _, b := range bs {
-				points = append(points, Fig5Row{P: p, A: a, B: b})
+				points = append(points, fig5Row{P: p, A: a, B: b})
 			}
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt Fig5Row) (Fig5Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig5Row) (fig5Row, error) {
 		qmin, err := analysis.AugChain{N: analysis.AlignN(1000, pt.B), A: pt.A, B: pt.B, P: pt.P}.QMin()
 		if err != nil {
-			return Fig5Row{}, err
+			return fig5Row{}, err
 		}
 		pt.QMin = qmin
 		return pt, nil
@@ -49,7 +49,7 @@ func fig5Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig5Series()
+		rows, err := fig5Series()
 		if err != nil {
 			return err
 		}
@@ -62,8 +62,8 @@ func fig5Experiment() Experiment {
 	return e
 }
 
-// Fig6Row is one point of the fixed-first-level sweep.
-type Fig6Row struct {
+// fig6Row is one point of the fixed-first-level sweep.
+type fig6Row struct {
 	P    float64
 	B    int
 	N    int
@@ -74,21 +74,21 @@ type Fig6Row struct {
 // hence n) varies.
 const fig6Level1 = 200
 
-// Fig6Series computes C_{3,b} q_min with the first-level length held
+// fig6Series computes C_{3,b} q_min with the first-level length held
 // constant, evaluating the sweep points on the worker pool.
-func Fig6Series() ([]Fig6Row, error) {
+func fig6Series() ([]fig6Row, error) {
 	bs := []int{1, 2, 4, 8, 16}
 	ps := []float64{0.1, 0.3, 0.5}
-	points := make([]Fig6Row, 0, len(bs)*len(ps))
+	points := make([]fig6Row, 0, len(bs)*len(ps))
 	for _, p := range ps {
 		for _, b := range bs {
-			points = append(points, Fig6Row{P: p, B: b, N: analysis.NForLevel1Length(fig6Level1, b)})
+			points = append(points, fig6Row{P: p, B: b, N: analysis.NForLevel1Length(fig6Level1, b)})
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt Fig6Row) (Fig6Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig6Row) (fig6Row, error) {
 		qmin, err := analysis.AugChain{N: pt.N, A: 3, B: pt.B, P: pt.P}.QMin()
 		if err != nil {
-			return Fig6Row{}, err
+			return fig6Row{}, err
 		}
 		pt.QMin = qmin
 		return pt, nil
@@ -105,7 +105,7 @@ func fig6Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig6Series()
+		rows, err := fig6Series()
 		if err != nil {
 			return err
 		}
@@ -118,35 +118,35 @@ func fig6Experiment() Experiment {
 	return e
 }
 
-// Fig7Row is one point of the EMSS parameter sweep.
-type Fig7Row struct {
+// fig7Row is one point of the EMSS parameter sweep.
+type fig7Row struct {
 	P    float64
 	M    int
 	D    int
 	QMin float64
 }
 
-// Fig7Series computes E_{m,d} q_min over (m, d) at n = 1000, evaluating
+// fig7Series computes E_{m,d} q_min over (m, d) at n = 1000, evaluating
 // the sweep points on the worker pool.
-func Fig7Series() ([]Fig7Row, error) {
+func fig7Series() ([]fig7Row, error) {
 	ms := []int{1, 2, 3, 4, 5, 6}
 	ds := []int{1, 5, 10, 50, 100, 200}
 	ps := []float64{0.1, 0.3, 0.5}
-	var points []Fig7Row
+	var points []fig7Row
 	for _, p := range ps {
 		for _, m := range ms {
 			for _, d := range ds {
 				if m*d >= 1000 {
 					continue
 				}
-				points = append(points, Fig7Row{P: p, M: m, D: d})
+				points = append(points, fig7Row{P: p, M: m, D: d})
 			}
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt Fig7Row) (Fig7Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig7Row) (fig7Row, error) {
 		qmin, err := analysis.EMSS{N: 1000, M: pt.M, D: pt.D, P: pt.P}.QMin()
 		if err != nil {
-			return Fig7Row{}, err
+			return fig7Row{}, err
 		}
 		pt.QMin = qmin
 		return pt, nil
@@ -164,7 +164,7 @@ func fig7Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig7Series()
+		rows, err := fig7Series()
 		if err != nil {
 			return err
 		}

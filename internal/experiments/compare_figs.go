@@ -44,8 +44,8 @@ var comparison = []struct {
 	}},
 }
 
-// SchemeQMin evaluates one comparison scheme's analytic q_min.
-func SchemeQMin(name string, n int, p float64) (float64, error) {
+// schemeQMin evaluates one comparison scheme's analytic q_min.
+func schemeQMin(name string, n int, p float64) (float64, error) {
 	for _, c := range comparison {
 		if c.name == name {
 			return c.qmin(n, p)
@@ -54,8 +54,8 @@ func SchemeQMin(name string, n int, p float64) (float64, error) {
 	return 0, fmt.Errorf("experiments: unknown scheme %q", name)
 }
 
-// ComparisonSchemes lists the Figure 8 contenders.
-func ComparisonSchemes() []string {
+// comparisonSchemes lists the Figure 8 contenders.
+func comparisonSchemes() []string {
 	out := make([]string, len(comparison))
 	for i, c := range comparison {
 		out[i] = c.name
@@ -63,8 +63,8 @@ func ComparisonSchemes() []string {
 	return out
 }
 
-// Fig8Row is one point of the scheme comparison.
-type Fig8Row struct {
+// fig8Row is one point of the scheme comparison.
+type fig8Row struct {
 	Scheme string
 	P      float64
 	N      int
@@ -79,21 +79,21 @@ type fig8Point struct {
 	n      int
 }
 
-func fig8Sweep(points []fig8Point) ([]Fig8Row, error) {
-	return parallel.Map(Workers, points, func(_ int, pt fig8Point) (Fig8Row, error) {
-		qmin, err := SchemeQMin(pt.scheme, pt.n, pt.p)
+func fig8Sweep(points []fig8Point) ([]fig8Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig8Point) (fig8Row, error) {
+		qmin, err := schemeQMin(pt.scheme, pt.n, pt.p)
 		if err != nil {
-			return Fig8Row{}, err
+			return fig8Row{}, err
 		}
-		return Fig8Row{Scheme: pt.scheme, P: pt.p, N: pt.n, QMin: qmin}, nil
+		return fig8Row{Scheme: pt.scheme, P: pt.p, N: pt.n, QMin: qmin}, nil
 	})
 }
 
-// Fig8aSeries sweeps loss rate at n = 1000.
-func Fig8aSeries() ([]Fig8Row, error) {
+// fig8aSeries sweeps loss rate at n = 1000.
+func fig8aSeries() ([]fig8Row, error) {
 	ps := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	var points []fig8Point
-	for _, name := range ComparisonSchemes() {
+	for _, name := range comparisonSchemes() {
 		for _, p := range ps {
 			points = append(points, fig8Point{scheme: name, p: p, n: 1000})
 		}
@@ -101,11 +101,11 @@ func Fig8aSeries() ([]Fig8Row, error) {
 	return fig8Sweep(points)
 }
 
-// Fig8bSeries sweeps block size at p = 0.1.
-func Fig8bSeries() ([]Fig8Row, error) {
+// fig8bSeries sweeps block size at p = 0.1.
+func fig8bSeries() ([]fig8Row, error) {
 	ns := []int{100, 200, 500, 1000, 2000}
 	var points []fig8Point
-	for _, name := range ComparisonSchemes() {
+	for _, name := range comparisonSchemes() {
 		for _, n := range ns {
 			points = append(points, fig8Point{scheme: name, p: 0.1, n: n})
 		}
@@ -127,7 +127,7 @@ func fig8Experiment() Experiment {
 		if _, err := fmt.Fprintln(w, "(a) q_min vs loss rate p at n=1000"); err != nil {
 			return err
 		}
-		rowsA, err := Fig8aSeries()
+		rowsA, err := fig8aSeries()
 		if err != nil {
 			return err
 		}
@@ -141,7 +141,7 @@ func fig8Experiment() Experiment {
 		if _, err := fmt.Fprintln(w, "\n(b) q_min vs block size n at p=0.1"); err != nil {
 			return err
 		}
-		rowsB, err := Fig8bSeries()
+		rowsB, err := fig8bSeries()
 		if err != nil {
 			return err
 		}
@@ -154,9 +154,9 @@ func fig8Experiment() Experiment {
 	return e
 }
 
-// Fig9Series takes a closer look at EMSS/AC/TESLA across n at p = 0.1 and
+// fig9Series takes a closer look at EMSS/AC/TESLA across n at p = 0.1 and
 // p = 0.5.
-func Fig9Series() ([]Fig8Row, error) {
+func fig9Series() ([]fig8Row, error) {
 	ns := []int{200, 500, 1000, 2000, 5000}
 	schemes := []string{"emss(E21)", "ac(C33)", "tesla"}
 	var points []fig8Point
@@ -181,7 +181,7 @@ func fig9Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig9Series()
+		rows, err := fig9Series()
 		if err != nil {
 			return err
 		}

@@ -22,7 +22,7 @@ import (
 )
 
 // Workers bounds the worker pool used for sweep-point evaluation and
-// RunAll; <= 0 (the default) selects parallel.DefaultWorkers. Because
+// RunAll; <= 0 (the default) selects GOMAXPROCS workers. Because
 // every fan-out collects results in input order, the rendered output is
 // byte-identical for any setting. Set it before running experiments (the
 // mcfig/mcsim -workers flag does); it is not synchronized with running

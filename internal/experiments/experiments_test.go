@@ -56,7 +56,7 @@ func TestAllExperimentsRender(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	rows, err := Fig3Series()
+	rows, err := fig3Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	rows, err := Fig4Series()
+	rows, err := fig4Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	rows, err := Fig5Series()
+	rows, err := fig5Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6Series()
+	rows, err := fig6Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7Series()
+	rows, err := fig7Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows, err := Fig8aSeries()
+	rows, err := fig8aSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rows, err := Fig9Series()
+	rows, err := fig9Series()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	rows, err := Fig10Series()
+	rows, err := fig10Series()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]Fig10Row, len(rows))
+	byName := make(map[string]fig10Row, len(rows))
 	for _, r := range rows {
 		byName[r.Scheme] = r
 	}
@@ -253,7 +253,7 @@ func TestValidateSeriesAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := ValidateSeries()
+	rows, err := validateSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestBurstSeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := BurstSeries()
+	rows, err := burstSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBurstConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := BurstSeries()
+	rows, err := burstSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestBurstConformance(t *testing.T) {
 }
 
 func TestBoundsSeriesShape(t *testing.T) {
-	rows, err := BoundsSeries()
+	rows, err := boundsSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestBoundsSeriesShape(t *testing.T) {
 }
 
 func TestLateJoinSeriesShape(t *testing.T) {
-	rows, err := LateJoinSeries()
+	rows, err := lateJoinSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,18 +355,18 @@ func TestSigLossSeriesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := SigLossSeries()
+	rows, err := sigLossSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(p float64, copies int) SigLossRow {
+	get := func(p float64, copies int) sigLossRow {
 		for _, r := range rows {
 			if r.P == p && r.Copies == copies {
 				return r
 			}
 		}
 		t.Fatalf("missing row p=%v copies=%d", p, copies)
-		return SigLossRow{}
+		return sigLossRow{}
 	}
 	for _, p := range []float64{0.1, 0.3} {
 		one, three := get(p, 1), get(p, 3)
@@ -387,7 +387,7 @@ func TestSigLossSeriesShape(t *testing.T) {
 }
 
 func TestConstructSeriesShape(t *testing.T) {
-	rows, err := ConstructSeries()
+	rows, err := constructSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestConstructSeriesShape(t *testing.T) {
 		}
 	}
 	// Greedy cost grows with the target.
-	var greedy []ConstructRow
+	var greedy []constructRow
 	for _, r := range rows {
 		if strings.HasPrefix(r.Builder, "greedy") {
 			greedy = append(greedy, r)
@@ -412,7 +412,7 @@ func TestConstructSeriesShape(t *testing.T) {
 }
 
 func TestMarkovGapSeriesShape(t *testing.T) {
-	rows, err := MarkovGapSeries()
+	rows, err := markovGapSeries()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 	"mcauth/internal/stats"
 )
 
-// ValidateRow compares a scheme's analytic q_min against the verification
+// validateRow compares a scheme's analytic q_min against the verification
 // ratio measured end-to-end over the simulated multicast network.
-type ValidateRow struct {
+type validateRow struct {
 	Scheme   string
 	P        float64
 	Analytic float64
@@ -31,17 +31,17 @@ type ValidateRow struct {
 // binomial noise near ±0.02 for mid-range q.
 const validateReceivers = 1500
 
-// ValidateSeries runs the measured-vs-analytic comparison. The analytic
+// validateSeries runs the measured-vs-analytic comparison. The analytic
 // reference is the catalogue's: the exact evaluator on the scheme's graph
 // for EMSS, the closed form for Rohatgi.
-func ValidateSeries() ([]ValidateRow, error) {
+func validateSeries() ([]validateRow, error) {
 	signer := crypto.NewSignerFromString("validate")
 	const n = 12
 	schemes := []struct{ id, name string }{
 		{"rohatgi", "rohatgi"},
 		{"emss", "emss(E21,exact)"},
 	}
-	var rows []ValidateRow
+	var rows []validateRow
 	for _, p := range []float64{0.1, 0.3} {
 		model, err := loss.NewBernoulli(p)
 		if err != nil {
@@ -70,7 +70,7 @@ func ValidateSeries() ([]ValidateRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, ValidateRow{Scheme: sc.name, P: p, Analytic: analytic, Measured: res.MinAuthRatio(e.Data)})
+			rows = append(rows, validateRow{Scheme: sc.name, P: p, Analytic: analytic, Measured: res.MinAuthRatio(e.Data)})
 		}
 	}
 	return rows, nil
@@ -86,7 +86,7 @@ func validateExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := ValidateSeries()
+		rows, err := validateSeries()
 		if err != nil {
 			return err
 		}
@@ -99,10 +99,10 @@ func validateExperiment() Experiment {
 	return e
 }
 
-// BurstRow compares schemes under bursty (Gilbert-Elliott) loss at a fixed
+// burstRow compares schemes under bursty (Gilbert-Elliott) loss at a fixed
 // stationary loss rate — the m-state Markov extension the paper names as
 // future work. Every q_min is conditional on the signature packet arriving.
-type BurstRow struct {
+type burstRow struct {
 	Scheme    string
 	BurstLen  float64 // mean burst length in packets
 	QMinMC    float64 // Monte-Carlo q_min on the dependence graph
@@ -117,8 +117,8 @@ const (
 	burstTrials = 20000
 )
 
-// BurstSeries evaluates EMSS/AC/Rohatgi under increasing burstiness.
-func BurstSeries() ([]BurstRow, error) {
+// burstSeries evaluates EMSS/AC/Rohatgi under increasing burstiness.
+func burstSeries() ([]burstRow, error) {
 	signer := crypto.NewSignerFromString("burst")
 	schemes := []struct{ id, name string }{
 		{"rohatgi", "rohatgi"},
@@ -126,7 +126,7 @@ func BurstSeries() ([]BurstRow, error) {
 		{"augchain", "ac(C33)"},
 	}
 	burstLens := []float64{1, 2, 5, 10}
-	var rows []BurstRow
+	var rows []burstRow
 	for _, sc := range schemes {
 		e, err := catalog.Build(catalog.Spec{ID: sc.id, N: burstN, M: 2, D: 1, A: 3, B: 3}, signer)
 		if err != nil {
@@ -174,7 +174,7 @@ func BurstSeries() ([]BurstRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, BurstRow{
+			rows = append(rows, burstRow{
 				Scheme:    sc.name,
 				BurstLen:  bl,
 				QMinMC:    mc.QMin,
@@ -197,7 +197,7 @@ func burstExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := BurstSeries()
+		rows, err := burstSeries()
 		if err != nil {
 			return err
 		}
@@ -210,9 +210,9 @@ func burstExperiment() Experiment {
 	return e
 }
 
-// ConstructRow reports the edge cost of meeting a design target with each
+// constructRow reports the edge cost of meeting a design target with each
 // Section 5 builder.
-type ConstructRow struct {
+type constructRow struct {
 	Target   float64
 	Builder  string
 	EdgesPkt float64
@@ -220,16 +220,16 @@ type ConstructRow struct {
 	Met      bool
 }
 
-// ConstructSeries sweeps design targets at n = 100, p = 0.2.
-func ConstructSeries() ([]ConstructRow, error) {
-	var rows []ConstructRow
+// constructSeries sweeps design targets at n = 100, p = 0.2.
+func constructSeries() ([]constructRow, error) {
+	var rows []constructRow
 	for _, target := range []float64{0.5, 0.8, 0.9, 0.99} {
 		c := construct.Constraint{N: 100, P: 0.2, TargetQMin: target, MaxOutDegree: 6}
 		greedy, err := construct.Greedy(c)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ConstructRow{
+		rows = append(rows, constructRow{
 			Target: target, Builder: "greedy",
 			EdgesPkt: greedy.EdgesPerPacket, QMin: greedy.QMin, Met: greedy.Met,
 		})
@@ -237,7 +237,7 @@ func ConstructSeries() ([]ConstructRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ConstructRow{
+		rows = append(rows, constructRow{
 			Target: target, Builder: "policy(m=" + itoa(m) + ",d=" + itoa(d) + ")",
 			EdgesPkt: policy.EdgesPerPacket, QMin: policy.QMin, Met: policy.Met,
 		})
@@ -245,7 +245,7 @@ func ConstructSeries() ([]ConstructRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ConstructRow{
+		rows = append(rows, constructRow{
 			Target: target, Builder: "probabilistic(rho=" + f3(rho) + ")",
 			EdgesPkt: prob.EdgesPerPacket, QMin: prob.QMin, Met: prob.Met,
 		})
@@ -253,7 +253,7 @@ func ConstructSeries() ([]ConstructRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ConstructRow{
+		rows = append(rows, constructRow{
 			Target: target, Builder: "probabilistic+prune",
 			EdgesPkt: pruned.EdgesPerPacket, QMin: pruned.QMin, Met: pruned.Met,
 		})
@@ -271,7 +271,7 @@ func constructExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := ConstructSeries()
+		rows, err := constructSeries()
 		if err != nil {
 			return err
 		}
@@ -288,9 +288,9 @@ func constructExperiment() Experiment {
 	return e
 }
 
-// MarkovGapRow quantifies the gap between the paper's independence
+// markovGapRow quantifies the gap between the paper's independence
 // recurrence and the exact evaluation of the same topology.
-type MarkovGapRow struct {
+type markovGapRow struct {
 	Scheme     string
 	P          float64
 	N          int
@@ -312,11 +312,11 @@ func exactQMin(spec catalog.Spec, p float64) (float64, error) {
 	return q, err
 }
 
-// MarkovGapSeries sweeps block size for p in {0.1, 0.3}, for both EMSS
+// markovGapSeries sweeps block size for p in {0.1, 0.3}, for both EMSS
 // E_{2,1} and the augmented chain C_{3,2} (blocks aligned to chain
 // boundaries). Each (p, n) grid point — two rows — is evaluated on the
 // worker pool.
-func MarkovGapSeries() ([]MarkovGapRow, error) {
+func markovGapSeries() ([]markovGapRow, error) {
 	type gapPoint struct {
 		p float64
 		n int
@@ -327,26 +327,26 @@ func MarkovGapSeries() ([]MarkovGapRow, error) {
 			points = append(points, gapPoint{p: p, n: n})
 		}
 	}
-	pairs, err := parallel.Map(Workers, points, func(_ int, pt gapPoint) ([2]MarkovGapRow, error) {
+	pairs, err := parallel.Map(Workers, points, func(_ int, pt gapPoint) ([2]markovGapRow, error) {
 		rec, err := analysis.EMSS{N: pt.n, M: 2, D: 1, P: pt.p}.QMin()
 		if err != nil {
-			return [2]MarkovGapRow{}, err
+			return [2]markovGapRow{}, err
 		}
 		exact, err := exactQMin(catalog.Spec{ID: "emss", N: pt.n, M: 2, D: 1}, pt.p)
 		if err != nil {
-			return [2]MarkovGapRow{}, err
+			return [2]markovGapRow{}, err
 		}
 
 		an := analysis.AlignN(pt.n, 2)
 		acRec, err := analysis.AugChain{N: an, A: 3, B: 2, P: pt.p}.QMin()
 		if err != nil {
-			return [2]MarkovGapRow{}, err
+			return [2]markovGapRow{}, err
 		}
 		acExact, err := exactQMin(catalog.Spec{ID: "augchain", N: an, A: 3, B: 2}, pt.p)
 		if err != nil {
-			return [2]MarkovGapRow{}, err
+			return [2]markovGapRow{}, err
 		}
-		return [2]MarkovGapRow{
+		return [2]markovGapRow{
 			{Scheme: "emss(E21)", P: pt.p, N: pt.n, Recurrence: rec, Exact: exact},
 			{Scheme: "ac(C32)", P: pt.p, N: an, Recurrence: acRec, Exact: acExact},
 		}, nil
@@ -354,7 +354,7 @@ func MarkovGapSeries() ([]MarkovGapRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]MarkovGapRow, 0, 2*len(pairs))
+	rows := make([]markovGapRow, 0, 2*len(pairs))
 	for _, pair := range pairs {
 		rows = append(rows, pair[0], pair[1])
 	}
@@ -372,7 +372,7 @@ func markovGapExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := MarkovGapSeries()
+		rows, err := markovGapSeries()
 		if err != nil {
 			return err
 		}

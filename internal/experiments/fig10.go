@@ -14,8 +14,8 @@ import (
 // from the actual wire packets this library produces (Ed25519 + SHA-256).
 const fig10N = 128
 
-// Fig10Row summarizes one scheme's overhead and delay.
-type Fig10Row struct {
+// fig10Row summarizes one scheme's overhead and delay.
+type fig10Row struct {
 	Scheme        string
 	HashesPerPkt  float64 // average carried hashes per wire packet
 	OverheadBytes float64 // measured wire authentication overhead per packet
@@ -33,11 +33,11 @@ type Fig10Row struct {
 // fig10Names labels the parameterized contenders: E_{2,1} and C_{3,3}.
 var fig10Names = map[string]string{"emss": "emss(E21)", "augchain": "ac(C33)"}
 
-// Fig10Series measures overhead and delay for every catalogue scheme over
+// fig10Series measures overhead and delay for every catalogue scheme over
 // one block.
-func Fig10Series() ([]Fig10Row, error) {
+func fig10Series() ([]fig10Row, error) {
 	signer := crypto.NewSignerFromString("fig10")
-	var rows []Fig10Row
+	var rows []fig10Row
 	for _, id := range catalog.IDs() {
 		e, err := catalog.Build(catalog.Spec{
 			ID: id, N: fig10N, M: 2, D: 1, A: 3, B: 3,
@@ -70,7 +70,7 @@ func Fig10Series() ([]Fig10Row, error) {
 			}
 		}
 		paperEra := float64(16*(hashes+macs+keys)+128*sigs) / float64(len(pkts))
-		row := Fig10Row{
+		row := fig10Row{
 			Scheme:        name,
 			HashesPerPkt:  float64(hashes) / float64(len(pkts)),
 			OverheadBytes: float64(overhead) / float64(len(pkts)),
@@ -97,7 +97,7 @@ func Fig10Series() ([]Fig10Row, error) {
 		if id == "signeach" {
 			analyticName = "authtree" // both have q = 1
 		}
-		row.QMin, err = SchemeQMin(analyticName, fig10N, 0.1)
+		row.QMin, err = schemeQMin(analyticName, fig10N, 0.1)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func fig10Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig10Series()
+		rows, err := fig10Series()
 		if err != nil {
 			return err
 		}

@@ -11,19 +11,19 @@ import (
 	"mcauth/internal/netsim"
 )
 
-// LateJoinRow reports how well a scheme serves receivers that join
+// lateJoinRow reports how well a scheme serves receivers that join
 // mid-block — the paper's long-lived sessions where "recipients join and
 // leave frequently".
-type LateJoinRow struct {
+type lateJoinRow struct {
 	Scheme string
 	// VerifiedOfDelivered is the fraction of post-join delivered packets
 	// late joiners managed to authenticate.
 	VerifiedOfDelivered float64
 }
 
-// LateJoinSeries runs every receiver as a late joiner over a lossless
+// lateJoinSeries runs every receiver as a late joiner over a lossless
 // network, isolating the synchronization effect.
-func LateJoinSeries() ([]LateJoinRow, error) {
+func lateJoinSeries() ([]lateJoinRow, error) {
 	signer := crypto.NewSignerFromString("latejoin")
 	const n = 32
 	schemes := []struct{ id, name string }{
@@ -36,7 +36,7 @@ func LateJoinSeries() ([]LateJoinRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]LateJoinRow, 0, len(schemes))
+	rows := make([]lateJoinRow, 0, len(schemes))
 	for _, sc := range schemes {
 		e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
 		if err != nil {
@@ -66,7 +66,7 @@ func LateJoinSeries() ([]LateJoinRow, error) {
 		if delivered > 0 {
 			ratio = float64(verified) / float64(delivered)
 		}
-		rows = append(rows, LateJoinRow{Scheme: sc.name, VerifiedOfDelivered: ratio})
+		rows = append(rows, lateJoinRow{Scheme: sc.name, VerifiedOfDelivered: ratio})
 	}
 	return rows, nil
 }
@@ -82,7 +82,7 @@ func lateJoinExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := LateJoinSeries()
+		rows, err := lateJoinSeries()
 		if err != nil {
 			return err
 		}

@@ -12,19 +12,19 @@ import (
 	"mcauth/internal/scheme/emss"
 )
 
-// SigLossRow measures what the paper's "P_sign always arrives" assumption
+// sigLossRow measures what the paper's "P_sign always arrives" assumption
 // costs when the signature packet is NOT protected, and how quickly
 // replication (the paper's own remedy) restores it.
-type SigLossRow struct {
+type sigLossRow struct {
 	P        float64
 	Copies   int
 	Measured float64 // min verification ratio over data packets, sig lossy
 	Assumed  float64 // exact analytic q_min under the always-arrives assumption
 }
 
-// SigLossSeries runs EMSS E_{2,1} end-to-end without any reliable-delivery
+// sigLossSeries runs EMSS E_{2,1} end-to-end without any reliable-delivery
 // crutch, sweeping signature-packet replication.
-func SigLossSeries() ([]SigLossRow, error) {
+func sigLossSeries() ([]sigLossRow, error) {
 	signer := crypto.NewSignerFromString("sigloss")
 	const n = 12
 	// The single-copy block is the reference: replicated signature packets
@@ -34,7 +34,7 @@ func SigLossSeries() ([]SigLossRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []SigLossRow
+	var rows []sigLossRow
 	for _, p := range []float64{0.1, 0.3} {
 		assumed, _, err := ref.QMin(p, 0, 0)
 		if err != nil {
@@ -62,7 +62,7 @@ func SigLossSeries() ([]SigLossRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, SigLossRow{
+			rows = append(rows, sigLossRow{
 				P:        p,
 				Copies:   copies,
 				Measured: res.MinAuthRatio(ref.Data),
@@ -92,7 +92,7 @@ func sigLossExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := SigLossSeries()
+		rows, err := sigLossSeries()
 		if err != nil {
 			return err
 		}

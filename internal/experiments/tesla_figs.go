@@ -16,32 +16,32 @@ const (
 	fig3P     = 0.1
 )
 
-// Fig3Row is one point of the TESLA delay surface.
-type Fig3Row struct {
+// fig3Row is one point of the TESLA delay surface.
+type fig3Row struct {
 	Sigma float64 // delay std-dev, seconds
 	Alpha float64 // mu = alpha * TDisc
 	QMin  float64
 }
 
-// Fig3Series computes q_min against network delay mean and jitter,
+// fig3Series computes q_min against network delay mean and jitter,
 // evaluating the sweep points on the worker pool.
-func Fig3Series() ([]Fig3Row, error) {
+func fig3Series() ([]fig3Row, error) {
 	sigmas := []float64{0.05, 0.1, 0.2, 0.3, 0.5}
 	alphas := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	points := make([]Fig3Row, 0, len(sigmas)*len(alphas))
+	points := make([]fig3Row, 0, len(sigmas)*len(alphas))
 	for _, sigma := range sigmas {
 		for _, alpha := range alphas {
-			points = append(points, Fig3Row{Sigma: sigma, Alpha: alpha})
+			points = append(points, fig3Row{Sigma: sigma, Alpha: alpha})
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt Fig3Row) (Fig3Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig3Row) (fig3Row, error) {
 		cfg, err := analysis.TESLAWithAlpha(fig3N, fig3P, fig3TDisc, pt.Alpha, pt.Sigma)
 		if err != nil {
-			return Fig3Row{}, err
+			return fig3Row{}, err
 		}
 		qmin, err := cfg.QMin()
 		if err != nil {
-			return Fig3Row{}, err
+			return fig3Row{}, err
 		}
 		pt.QMin = qmin
 		return pt, nil
@@ -59,7 +59,7 @@ func fig3Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig3Series()
+		rows, err := fig3Series()
 		if err != nil {
 			return err
 		}
@@ -72,8 +72,8 @@ func fig3Experiment() Experiment {
 	return e
 }
 
-// Fig4Row is one point of the disclosure-delay sweep.
-type Fig4Row struct {
+// fig4Row is one point of the disclosure-delay sweep.
+type fig4Row struct {
 	Mu    float64 // mean delay, seconds
 	P     float64 // loss rate
 	Ratio float64 // TDisc / sigma
@@ -84,21 +84,21 @@ type Fig4Row struct {
 // normalized T_disclose/sigma.
 const fig4Sigma = 0.1
 
-// Fig4Series computes q_min against normalized disclosure delay and
+// fig4Series computes q_min against normalized disclosure delay and
 // loss, evaluating the sweep points on the worker pool.
-func Fig4Series() ([]Fig4Row, error) {
+func fig4Series() ([]fig4Row, error) {
 	mus := []float64{0.2, 0.5, 0.8}
 	ps := []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9}
 	ratios := []float64{1, 2, 4, 8, 16}
-	points := make([]Fig4Row, 0, len(mus)*len(ps)*len(ratios))
+	points := make([]fig4Row, 0, len(mus)*len(ps)*len(ratios))
 	for _, mu := range mus {
 		for _, p := range ps {
 			for _, ratio := range ratios {
-				points = append(points, Fig4Row{Mu: mu, P: p, Ratio: ratio})
+				points = append(points, fig4Row{Mu: mu, P: p, Ratio: ratio})
 			}
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt Fig4Row) (Fig4Row, error) {
+	return parallel.Map(Workers, points, func(_ int, pt fig4Row) (fig4Row, error) {
 		cfg := analysis.TESLA{
 			N:     fig3N,
 			P:     pt.P,
@@ -108,7 +108,7 @@ func Fig4Series() ([]Fig4Row, error) {
 		}
 		qmin, err := cfg.QMin()
 		if err != nil {
-			return Fig4Row{}, err
+			return fig4Row{}, err
 		}
 		pt.QMin = qmin
 		return pt, nil
@@ -126,7 +126,7 @@ func fig4Experiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := Fig4Series()
+		rows, err := fig4Series()
 		if err != nil {
 			return err
 		}

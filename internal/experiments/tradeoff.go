@@ -6,10 +6,10 @@ import (
 	"mcauth/internal/analysis"
 )
 
-// TradeoffRow is one point in the overhead <-> robustness design space of
+// tradeoffRow is one point in the overhead <-> robustness design space of
 // Section 3.1: adding edges (hashes per packet) buys authentication
 // probability.
-type TradeoffRow struct {
+type tradeoffRow struct {
 	Scheme   string
 	EdgesPkt float64
 	QMin     float64
@@ -18,11 +18,11 @@ type TradeoffRow struct {
 	DelaySlots int
 }
 
-// TradeoffSeries sweeps the EMSS edge budget and spacing at p = 0.3,
+// tradeoffSeries sweeps the EMSS edge budget and spacing at p = 0.3,
 // n = 1000, mapping the paper's three-way tradeoff between overhead,
 // robustness and receiver delay.
-func TradeoffSeries() ([]TradeoffRow, error) {
-	var rows []TradeoffRow
+func tradeoffSeries() ([]tradeoffRow, error) {
+	var rows []tradeoffRow
 	// Edge-budget axis: m at d = 1 (delay = block length for
 	// signature-last schemes; the span shown is the hash spread).
 	for m := 1; m <= 6; m++ {
@@ -30,7 +30,7 @@ func TradeoffSeries() ([]TradeoffRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TradeoffRow{
+		rows = append(rows, tradeoffRow{
 			Scheme:     "emss(E_{" + itoa(m) + ",1})",
 			EdgesPkt:   float64(m),
 			QMin:       qmin,
@@ -44,7 +44,7 @@ func TradeoffSeries() ([]TradeoffRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TradeoffRow{
+		rows = append(rows, tradeoffRow{
 			Scheme:     "emss(E_{2," + itoa(d) + "})",
 			EdgesPkt:   2,
 			QMin:       qmin,
@@ -65,7 +65,7 @@ func tradeoffExperiment() Experiment {
 		if err := banner(w, e); err != nil {
 			return err
 		}
-		rows, err := TradeoffSeries()
+		rows, err := tradeoffSeries()
 		if err != nil {
 			return err
 		}

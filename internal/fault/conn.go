@@ -43,8 +43,8 @@ type ConnFaultConfig struct {
 	StallDelay time.Duration
 }
 
-// Validate checks the configuration.
-func (c ConnFaultConfig) Validate() error {
+// validate checks the configuration.
+func (c ConnFaultConfig) validate() error {
 	rates := map[string]float64{
 		"reset":         c.ResetRate,
 		"partial write": c.PartialWriteRate,
@@ -61,8 +61,8 @@ func (c ConnFaultConfig) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the configuration injects anything.
-func (c ConnFaultConfig) Enabled() bool {
+// enabled reports whether the configuration injects anything.
+func (c ConnFaultConfig) enabled() bool {
 	return c.ResetRate > 0 || c.PartialWriteRate > 0 || c.ReadStallRate > 0
 }
 
@@ -84,7 +84,7 @@ type ConnFaults struct {
 
 // NewConnFaults builds the injector.
 func NewConnFaults(cfg ConnFaultConfig) (*ConnFaults, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.StallDelay == 0 {
@@ -119,7 +119,7 @@ func (cf *ConnFaults) intn(n int) int {
 // Wrap returns conn with fault injection applied to Read and Write. A nil
 // ConnFaults (or one with nothing enabled) returns conn unchanged.
 func (cf *ConnFaults) Wrap(conn net.Conn) net.Conn {
-	if cf == nil || !cf.cfg.Enabled() {
+	if cf == nil || !cf.cfg.enabled() {
 		return conn
 	}
 	return &faultyConn{Conn: conn, cf: cf}

@@ -15,17 +15,17 @@ func TestConnFaultConfigValidate(t *testing.T) {
 		{ReadStallRate: -1},
 		{StallDelay: -time.Second},
 	} {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 		if _, err := NewConnFaults(cfg); err == nil {
 			t.Errorf("NewConnFaults accepted %+v", cfg)
 		}
 	}
-	if (ConnFaultConfig{}).Enabled() {
+	if (ConnFaultConfig{}).enabled() {
 		t.Error("zero config reports Enabled")
 	}
-	if !(ConnFaultConfig{ResetRate: 0.1}).Enabled() {
+	if !(ConnFaultConfig{ResetRate: 0.1}).enabled() {
 		t.Error("reset-only config reports disabled")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// Benchmark is one row of a BENCH_<sha>.json file (scripts/bench.sh
+// benchmark is one row of a BENCH_<sha>.json file (scripts/bench.sh
 // output). Numeric fields are pointers because the script emits JSON null
 // for metrics a benchmark does not report (e.g. MB/s).
-type Benchmark struct {
+type benchmark struct {
 	Name        string   `json:"name"`
 	Iterations  int64    `json:"iterations"`
 	NsPerOp     *float64 `json:"ns_per_op"`
@@ -31,24 +31,24 @@ type BenchFile struct {
 	// GeneratedAtUnix orders snapshots in the trajectory; files from before
 	// the field existed carry 0 and sort oldest, tie-broken by filename.
 	GeneratedAtUnix int64       `json:"generated_at_unix,omitempty"`
-	Benchmarks      []Benchmark `json:"benchmarks"`
+	Benchmarks      []benchmark `json:"benchmarks"`
 
 	// File is the source path (not serialized).
 	File string `json:"-"`
 }
 
-// Dirty reports whether the snapshot was taken on an unclean working
+// dirty reports whether the snapshot was taken on an unclean working
 // tree (scripts/bench.sh -dirty). Older files tag only the filename, so
-// both the commit field and the source path are consulted. Dirty
+// both the commit field and the source path are consulted. dirty
 // snapshots render in the dashboard but never gate: their numbers are
 // not attributable to any commit.
-func (b *BenchFile) Dirty() bool {
+func (b *BenchFile) dirty() bool {
 	return strings.HasSuffix(b.Commit, "-dirty") ||
 		strings.Contains(filepath.Base(b.File), "-dirty")
 }
 
-// ShortCommit trims the commit hash for display, preserving a -dirty tag.
-func (b *BenchFile) ShortCommit() string {
+// shortCommit trims the commit hash for display, preserving a -dirty tag.
+func (b *BenchFile) shortCommit() string {
 	c := b.Commit
 	dirty := ""
 	if s, ok := strings.CutSuffix(c, "-dirty"); ok {
@@ -60,8 +60,8 @@ func (b *BenchFile) ShortCommit() string {
 	return c + dirty
 }
 
-// ReadBenchFile loads one BENCH_<sha>.json.
-func ReadBenchFile(path string) (*BenchFile, error) {
+// readBenchFile loads one BENCH_<sha>.json.
+func readBenchFile(path string) (*BenchFile, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func LoadBenchHistory(dirs ...string) ([]*BenchFile, error) {
 		}
 		sort.Strings(matches)
 		for _, m := range matches {
-			bf, err := ReadBenchFile(m)
+			bf, err := readBenchFile(m)
 			if err != nil {
 				return nil, err
 			}
@@ -105,26 +105,26 @@ func LoadBenchHistory(dirs ...string) ([]*BenchFile, error) {
 
 // BenchSeries pivots the history into per-benchmark trajectories, keyed by
 // benchmark name, each in history order.
-type BenchPoint struct {
+type benchPoint struct {
 	File      *BenchFile
-	Benchmark Benchmark
+	Benchmark benchmark
 }
 
-// SeriesByName pivots history (already chronological) into per-benchmark
+// seriesByName pivots history (already chronological) into per-benchmark
 // trajectories. Names are the map's sorted-key iteration responsibility of
 // the caller.
-func SeriesByName(history []*BenchFile) map[string][]BenchPoint {
-	out := make(map[string][]BenchPoint)
+func seriesByName(history []*BenchFile) map[string][]benchPoint {
+	out := make(map[string][]benchPoint)
 	for _, bf := range history {
 		for _, bm := range bf.Benchmarks {
-			out[bm.Name] = append(out[bm.Name], BenchPoint{File: bf, Benchmark: bm})
+			out[bm.Name] = append(out[bm.Name], benchPoint{File: bf, Benchmark: bm})
 		}
 	}
 	return out
 }
 
-// SortedNames returns the series keys in sorted order.
-func SortedNames[V any](m map[string]V) []string {
+// sortedNames returns the series keys in sorted order.
+func sortedNames[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)

@@ -102,7 +102,7 @@ func RenderMarkdown(w io.Writer, in DashboardInput) error {
 			b.WriteString("| cell | objective | target | actual | state |\n|---|---|---:|---:|---|\n")
 			evaluated := false
 			for _, c := range run.Cells {
-				for _, ob := range run.Config.SLO.EvaluateCell(c) {
+				for _, ob := range run.Config.SLO.evaluateCell(c) {
 					evaluated = true
 					target, actual := fq(ob.Target), fq(ob.Actual)
 					if ob.Name == "tta_p99" {
@@ -165,8 +165,8 @@ func RenderMarkdown(w io.Writer, in DashboardInput) error {
 		b.WriteString("\n## Benchmark trajectory\n\n")
 		b.WriteString("One row per snapshot per benchmark, oldest first; Δns is against the " +
 			"best (lowest) ns/op anywhere in the history.\n\n")
-		series := SeriesByName(in.Bench)
-		for _, name := range SortedNames(series) {
+		series := seriesByName(in.Bench)
+		for _, name := range sortedNames(series) {
 			points := series[name]
 			best := math.Inf(1)
 			for _, pt := range points {
@@ -191,7 +191,7 @@ func RenderMarkdown(w io.Writer, in DashboardInput) error {
 				if v := pt.Benchmark.AllocsPerOp; v != nil {
 					aop = fmt.Sprintf("%.0f", *v)
 				}
-				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", pt.File.ShortCommit(), ns, delta, bop, aop)
+				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", pt.File.shortCommit(), ns, delta, bop, aop)
 			}
 			b.WriteString("\n")
 		}

@@ -82,8 +82,8 @@ func ReadBaselines(path string) (Baselines, error) {
 	return b, nil
 }
 
-// WriteBaselines writes the gate file as indented JSON.
-func (b Baselines) WriteBaselines(w io.Writer) error {
+// writeBaselines writes the gate file as indented JSON.
+func (b Baselines) writeBaselines(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(b)
@@ -151,7 +151,7 @@ func (b Baselines) CheckRun(run *RunResult) []error {
 			errs = append(errs, fmt.Errorf("run %s: require_server_resume set and config asks for churn, but no cell produced a churn server result", run.RunID()))
 		}
 	}
-	if b.RequireOverlayGain > 0 && run.Config.HasPath(PathOverlay) {
+	if b.RequireOverlayGain > 0 && run.Config.hasPath(pathOverlay) {
 		repairable := false
 		for _, c := range run.Cells {
 			if c.Overlay != nil && c.Overlay.Repairable {
@@ -166,7 +166,7 @@ func (b Baselines) CheckRun(run *RunResult) []error {
 	// SLO objectives ride in the run's own config rather than the
 	// baselines file: the sweep declares its service level, the gate
 	// enforces it.
-	errs = append(errs, CheckSLO(run)...)
+	errs = append(errs, checkSLO(run)...)
 	return errs
 }
 
@@ -183,7 +183,7 @@ func (b Baselines) CheckRun(run *RunResult) []error {
 func (b Baselines) CheckBench(history []*BenchFile) []error {
 	clean := history[:0:0]
 	for _, bf := range history {
-		if !bf.Dirty() {
+		if !bf.dirty() {
 			clean = append(clean, bf)
 		}
 	}
@@ -195,7 +195,7 @@ func (b Baselines) CheckBench(history []*BenchFile) []error {
 		return errs
 	}
 	latest := clean[len(clean)-1]
-	series := SeriesByName(clean[:len(clean)-1])
+	series := seriesByName(clean[:len(clean)-1])
 	for _, bm := range latest.Benchmarks {
 		points := series[bm.Name]
 		if len(points) == 0 {
@@ -206,7 +206,7 @@ func (b Baselines) CheckBench(history []*BenchFile) []error {
 		for _, pt := range points {
 			if pt.Benchmark.NsPerOp != nil && *pt.Benchmark.NsPerOp < bestNs {
 				bestNs = *pt.Benchmark.NsPerOp
-				bestNsFile = pt.File.ShortCommit()
+				bestNsFile = pt.File.shortCommit()
 			}
 			if pt.Benchmark.AllocsPerOp != nil && *pt.Benchmark.AllocsPerOp < bestAllocs {
 				bestAllocs = *pt.Benchmark.AllocsPerOp
@@ -259,14 +259,14 @@ func (b Baselines) checkAllocCeilings(latest *BenchFile) []error {
 		if *bm.AllocsPerOp > ceil {
 			errs = append(errs, fmt.Errorf(
 				"%s: %.0f allocs/op exceeds absolute ceiling %.0f (%s)",
-				bm.Name, *bm.AllocsPerOp, ceil, latest.ShortCommit()))
+				bm.Name, *bm.AllocsPerOp, ceil, latest.shortCommit()))
 		}
 	}
 	return errs
 }
 
-// DefaultBaselines is the starting gate: conformance-default tolerances on
+// defaultBaselines is the starting gate: conformance-default tolerances on
 // every cell, no q_min floors, 10% bench threshold.
-func DefaultBaselines() Baselines {
+func defaultBaselines() Baselines {
 	return Baselines{Bounds: conformance.DefaultTable(), BenchThreshold: 0.10}
 }

@@ -53,31 +53,31 @@ type Config struct {
 	// augmented chain aligns each up to its segment boundary.
 	BlockSizes []int `json:"block_sizes,omitempty"`
 	// Schemes lists the constructions under test.
-	Schemes []SchemeConfig `json:"schemes"`
+	Schemes []schemeConfig `json:"schemes"`
 	// Loss lists the loss channels.
-	Loss []LossConfig `json:"loss"`
+	Loss []lossConfig `json:"loss"`
 	// Paths selects the evaluation layers: "analytic", "montecarlo",
 	// "netsim", "server". Default: analytic, montecarlo, netsim.
 	Paths []string `json:"paths,omitempty"`
 	// Server tunes the serving-tier path (ignored unless "server" is in
 	// Paths).
-	Server ServerConfig `json:"server,omitempty"`
+	Server serverConfig `json:"server,omitempty"`
 	// Overlay tunes the relay fan-out path (ignored unless "overlay" is
 	// in Paths). Nil with the overlay path selected gets the defaults.
-	Overlay *OverlayConfig `json:"overlay,omitempty"`
+	Overlay *overlayConfig `json:"overlay,omitempty"`
 	// SLO, when set, declares per-cell service objectives the sweep must
 	// meet: a floor on the measured authenticated fraction (the paper's
 	// q_min, netsim path) and a ceiling on the simulated time-to-auth p99.
 	// Objectives are rendered in the dashboard and enforced by
 	// `mclab check`. Nil means no objectives (existing configs and their
 	// artifacts are unchanged).
-	SLO *SLOObjectives `json:"slo,omitempty"`
+	SLO *sloObjectives `json:"slo,omitempty"`
 }
 
-// SLOObjectives are the sweep-level service objectives. Zero-valued
+// sloObjectives are the sweep-level service objectives. Zero-valued
 // fields are unset: each objective only gates when its target is set and
 // the cell ran the layer that produces the quantity.
-type SLOObjectives struct {
+type sloObjectives struct {
 	// MinAuthFraction is the floor on each cell's measured q_min
 	// (netsim-path authenticated fraction), in (0, 1].
 	MinAuthFraction float64 `json:"min_auth_fraction,omitempty"`
@@ -86,8 +86,8 @@ type SLOObjectives struct {
 	TTAP99NS int64 `json:"tta_p99_ns,omitempty"`
 }
 
-// SchemeConfig selects one construction and its knobs.
-type SchemeConfig struct {
+// schemeConfig selects one construction and its knobs.
+type schemeConfig struct {
 	// ID is one of rohatgi|emss|augchain|authtree|signeach|tesla.
 	ID string `json:"id"`
 	// M, D are the EMSS E_{m,d} offsets (default 2, 1).
@@ -100,8 +100,8 @@ type SchemeConfig struct {
 	Lag int `json:"lag,omitempty"`
 }
 
-// LossConfig selects one loss channel.
-type LossConfig struct {
+// lossConfig selects one loss channel.
+type lossConfig struct {
 	// Model is "bernoulli" or "gilbert".
 	Model string `json:"model"`
 	// P is the long-run loss rate.
@@ -110,11 +110,11 @@ type LossConfig struct {
 	Burst float64 `json:"burst,omitempty"`
 }
 
-// ServerConfig tunes the serving-tier cell path. Wall-clock quantities the
+// serverConfig tunes the serving-tier cell path. Wall-clock quantities the
 // server produces (root-hold times) are recorded in server_metrics.json,
 // which is excluded from the byte-identity contract; everything in
 // cells.json stays deterministic.
-type ServerConfig struct {
+type serverConfig struct {
 	// Streams is the number of concurrent streams (default 8).
 	Streams int `json:"streams,omitempty"`
 	// Blocks is the number of blocks published per stream (default 4).
@@ -130,7 +130,7 @@ type ServerConfig struct {
 	Churn bool `json:"churn,omitempty"`
 }
 
-// OverlayConfig tunes the relay fan-out path: each cell re-runs its
+// overlayConfig tunes the relay fan-out path: each cell re-runs its
 // netsim configuration through netsim.RunOverlay on a uniform multicast
 // tree, twice — relays off (passive forwarding) and relays on (NACK
 // signature repairs served from relay retention) — and records the
@@ -141,7 +141,7 @@ type ServerConfig struct {
 // analytic closed forms cannot express (they assume i.i.d. per-receiver
 // loss), so overlay cells are gated on the measured repair gain —
 // relays-on minus relays-off — not on agreement with the formula.
-type OverlayConfig struct {
+type overlayConfig struct {
 	// Depth and Fanout shape the uniform relay tree (defaults 2 and 4:
 	// a 3-level source → mid → leaf topology with 16 leaf relays).
 	Depth  int `json:"depth,omitempty"`
@@ -159,15 +159,15 @@ type OverlayConfig struct {
 
 // Path names.
 const (
-	PathAnalytic   = "analytic"
-	PathMonteCarlo = "montecarlo"
-	PathNetsim     = "netsim"
-	PathServer     = "server"
-	PathOverlay    = "overlay"
+	pathAnalytic   = "analytic"
+	pathMonteCarlo = "montecarlo"
+	pathNetsim     = "netsim"
+	pathServer     = "server"
+	pathOverlay    = "overlay"
 )
 
-// Normalize applies defaults in place and validates the config.
-func (c *Config) Normalize() error {
+// normalize applies defaults in place and validates the config.
+func (c *Config) normalize() error {
 	if c.Name == "" {
 		return fmt.Errorf("lab: config needs a name")
 	}
@@ -242,18 +242,18 @@ func (c *Config) Normalize() error {
 		}
 	}
 	if len(c.Paths) == 0 {
-		c.Paths = []string{PathAnalytic, PathMonteCarlo, PathNetsim}
+		c.Paths = []string{pathAnalytic, pathMonteCarlo, pathNetsim}
 	}
 	for _, p := range c.Paths {
 		switch p {
-		case PathAnalytic, PathMonteCarlo, PathNetsim, PathServer, PathOverlay:
+		case pathAnalytic, pathMonteCarlo, pathNetsim, pathServer, pathOverlay:
 		default:
 			return fmt.Errorf("lab: unknown path %q", p)
 		}
 	}
-	if c.HasPath(PathOverlay) {
+	if c.hasPath(pathOverlay) {
 		if c.Overlay == nil {
-			c.Overlay = &OverlayConfig{}
+			c.Overlay = &overlayConfig{}
 		}
 		o := c.Overlay
 		if o.Depth == 0 {
@@ -313,8 +313,8 @@ func (c *Config) Normalize() error {
 	return nil
 }
 
-// HasPath reports whether the normalized config runs the named path.
-func (c *Config) HasPath(name string) bool {
+// hasPath reports whether the normalized config runs the named path.
+func (c *Config) hasPath(name string) bool {
 	for _, p := range c.Paths {
 		if p == name {
 			return true
@@ -336,47 +336,47 @@ func ReadConfig(path string) (Config, error) {
 		return Config{}, err
 	}
 	defer f.Close()
-	return DecodeConfig(f)
+	return decodeConfig(f)
 }
 
-// DecodeConfig parses and normalizes a JSON scenario config.
-func DecodeConfig(r io.Reader) (Config, error) {
+// decodeConfig parses and normalizes a JSON scenario config.
+func decodeConfig(r io.Reader) (Config, error) {
 	var c Config
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("lab: config: %w", err)
 	}
-	if err := c.Normalize(); err != nil {
+	if err := c.normalize(); err != nil {
 		return Config{}, err
 	}
 	return c, nil
 }
 
-// Cell is one point of the sweep's cross product.
-type Cell struct {
-	Scheme    SchemeConfig
-	Loss      LossConfig
+// cell is one point of the sweep's cross product.
+type cell struct {
+	Scheme    schemeConfig
+	Loss      lossConfig
 	N         int
 	Receivers int
 }
 
-// ID labels the cell in results and dashboard rows ("/"-separated: "|"
+// id labels the cell in results and dashboard rows ("/"-separated: "|"
 // would break markdown table cells).
-func (c Cell) ID() string {
+func (c cell) id() string {
 	return fmt.Sprintf("%s/%s(p=%g)/n=%d/r=%d", c.Scheme.ID, c.Loss.Model, c.Loss.P, c.N, c.Receivers)
 }
 
-// Cells enumerates the sweep in deterministic order: scheme-major, then
+// cells enumerates the sweep in deterministic order: scheme-major, then
 // loss, block size, scale — the iteration order every run artifact and
 // the dashboard inherit.
-func (c *Config) Cells() []Cell {
-	var out []Cell
+func (c *Config) cells() []cell {
+	var out []cell
 	for _, s := range c.Schemes {
 		for _, l := range c.Loss {
 			for _, n := range c.BlockSizes {
 				for _, r := range c.Receivers {
-					out = append(out, Cell{Scheme: s, Loss: l, N: n, Receivers: r})
+					out = append(out, cell{Scheme: s, Loss: l, N: n, Receivers: r})
 				}
 			}
 		}

@@ -18,14 +18,14 @@ func smokeConfig() Config {
 		Trials:     400,
 		Receivers:  []int{40},
 		BlockSizes: []int{8},
-		Schemes:    []SchemeConfig{{ID: "rohatgi"}, {ID: "emss"}},
-		Loss:       []LossConfig{{Model: "bernoulli", P: 0.2}, {Model: "gilbert", P: 0.25}},
+		Schemes:    []schemeConfig{{ID: "rohatgi"}, {ID: "emss"}},
+		Loss:       []lossConfig{{Model: "bernoulli", P: 0.2}, {Model: "gilbert", P: 0.25}},
 	}
 }
 
 func TestConfigNormalizeAndCells(t *testing.T) {
-	c := Config{Name: "x", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "gilbert", P: 0.1}}}
-	if err := c.Normalize(); err != nil {
+	c := Config{Name: "x", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "gilbert", P: 0.1}}}
+	if err := c.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Trials != 4000 || c.Receivers[0] != 200 || c.BlockSizes[0] != 16 {
@@ -34,12 +34,12 @@ func TestConfigNormalizeAndCells(t *testing.T) {
 	if c.Schemes[0].M != 2 || c.Schemes[0].D != 1 || c.Loss[0].Burst != 4 {
 		t.Errorf("scheme/loss defaults not applied: %+v", c)
 	}
-	if c.HasPath(PathServer) || !c.HasPath(PathNetsim) {
+	if c.hasPath(pathServer) || !c.hasPath(pathNetsim) {
 		t.Errorf("default paths wrong: %v", c.Paths)
 	}
 
 	smoke := smokeConfig()
-	cells := smoke.Cells()
+	cells := smoke.cells()
 	if len(cells) != 4 {
 		t.Fatalf("cell count = %d, want 4", len(cells))
 	}
@@ -47,20 +47,20 @@ func TestConfigNormalizeAndCells(t *testing.T) {
 	if cells[0].Scheme.ID != "rohatgi" || cells[1].Scheme.ID != "rohatgi" || cells[2].Scheme.ID != "emss" {
 		t.Errorf("cells not scheme-major: %+v", cells)
 	}
-	if id := cells[1].ID(); id != "rohatgi/gilbert(p=0.25)/n=8/r=40" {
+	if id := cells[1].id(); id != "rohatgi/gilbert(p=0.25)/n=8/r=40" {
 		t.Errorf("cell ID = %q", id)
 	}
 
 	for _, bad := range []Config{
-		{Name: "", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "bernoulli"}}},
-		{Name: "a b", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "bernoulli"}}},
-		{Name: "x", Schemes: []SchemeConfig{{ID: "nope"}}, Loss: []LossConfig{{Model: "bernoulli"}}},
-		{Name: "x", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "bernoulli", P: 1.5}}},
-		{Name: "x", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "waves"}}},
-		{Name: "x", Schemes: []SchemeConfig{{ID: "emss"}}, Loss: []LossConfig{{Model: "bernoulli"}}, Paths: []string{"quantum"}},
+		{Name: "", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "bernoulli"}}},
+		{Name: "a b", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "bernoulli"}}},
+		{Name: "x", Schemes: []schemeConfig{{ID: "nope"}}, Loss: []lossConfig{{Model: "bernoulli"}}},
+		{Name: "x", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "bernoulli", P: 1.5}}},
+		{Name: "x", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "waves"}}},
+		{Name: "x", Schemes: []schemeConfig{{ID: "emss"}}, Loss: []lossConfig{{Model: "bernoulli"}}, Paths: []string{"quantum"}},
 	} {
 		bad := bad
-		if err := bad.Normalize(); err == nil {
+		if err := bad.normalize(); err == nil {
 			t.Errorf("invalid config accepted: %+v", bad)
 		}
 	}
@@ -68,7 +68,7 @@ func TestConfigNormalizeAndCells(t *testing.T) {
 	if _, err := ReadConfig("sweep.yaml"); err == nil || !strings.Contains(err.Error(), "YAML") {
 		t.Errorf("YAML config must get a targeted error, got %v", err)
 	}
-	if _, err := DecodeConfig(strings.NewReader(`{"name":"x","unknown":1}`)); err == nil {
+	if _, err := decodeConfig(strings.NewReader(`{"name":"x","unknown":1}`)); err == nil {
 		t.Error("unknown config field accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestRunLayersAgree(t *testing.T) {
 	}
 
 	// The run directory round-trips.
-	back, err := LoadRun(dir)
+	back, err := loadRun(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestRunServerPath(t *testing.T) {
 		Trials:     50,
 		Receivers:  []int{4},
 		BlockSizes: []int{4},
-		Schemes:    []SchemeConfig{{ID: "emss"}},
-		Loss:       []LossConfig{{Model: "bernoulli", P: 0.1}},
-		Paths:      []string{PathServer},
-		Server:     ServerConfig{Streams: 3, Blocks: 2, Batch: 4},
+		Schemes:    []schemeConfig{{ID: "emss"}},
+		Loss:       []lossConfig{{Model: "bernoulli", P: 0.1}},
+		Paths:      []string{pathServer},
+		Server:     serverConfig{Streams: 3, Blocks: 2, Batch: 4},
 	}
 	run, dir, err := Run(cfg, 2, t.TempDir(), "")
 	if err != nil {
@@ -235,14 +235,14 @@ func TestOverlayConfigNormalize(t *testing.T) {
 	base := func() Config {
 		return Config{
 			Name:    "ov",
-			Schemes: []SchemeConfig{{ID: "emss"}},
-			Loss:    []LossConfig{{Model: "bernoulli", P: 0.1}},
-			Paths:   []string{PathOverlay},
+			Schemes: []schemeConfig{{ID: "emss"}},
+			Loss:    []lossConfig{{Model: "bernoulli", P: 0.1}},
+			Paths:   []string{pathOverlay},
 		}
 	}
 	c := base()
-	c.Overlay = &OverlayConfig{EdgeP: 0.4}
-	if err := c.Normalize(); err != nil {
+	c.Overlay = &overlayConfig{EdgeP: 0.4}
+	if err := c.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	o := c.Overlay
@@ -251,14 +251,14 @@ func TestOverlayConfigNormalize(t *testing.T) {
 	}
 	// Nil overlay block with the path selected gets full defaults.
 	c2 := base()
-	if err := c2.Normalize(); err != nil {
+	if err := c2.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Overlay == nil || c2.Overlay.Depth != 2 || c2.Overlay.LossyEdges != 0 {
 		t.Errorf("nil overlay block not defaulted: %+v", c2.Overlay)
 	}
 
-	for name, ov := range map[string]*OverlayConfig{
+	for name, ov := range map[string]*overlayConfig{
 		"edge_p out of range":        {EdgeP: 1.0},
 		"negative rtt":               {RepairRTTMS: -1},
 		"lossy edges beyond fanout":  {EdgeP: 0.5, Fanout: 2, LossyEdges: 3},
@@ -267,7 +267,7 @@ func TestOverlayConfigNormalize(t *testing.T) {
 	} {
 		bad := base()
 		bad.Overlay = ov
-		if err := bad.Normalize(); err == nil {
+		if err := bad.normalize(); err == nil {
 			t.Errorf("%s: invalid overlay config accepted: %+v", name, ov)
 		}
 	}
@@ -285,10 +285,10 @@ func TestRunOverlayPath(t *testing.T) {
 		Trials:     50,
 		Receivers:  []int{48},
 		BlockSizes: []int{12},
-		Schemes:    []SchemeConfig{{ID: "emss"}},
-		Loss:       []LossConfig{{Model: "bernoulli", P: 0.1}},
-		Paths:      []string{PathOverlay},
-		Overlay:    &OverlayConfig{Depth: 2, Fanout: 4, EdgeP: 0.5, LossyEdges: 2},
+		Schemes:    []schemeConfig{{ID: "emss"}},
+		Loss:       []lossConfig{{Model: "bernoulli", P: 0.1}},
+		Paths:      []string{pathOverlay},
+		Overlay:    &overlayConfig{Depth: 2, Fanout: 4, EdgeP: 0.5, LossyEdges: 2},
 	}
 	base := t.TempDir()
 	var dirs [2]string
@@ -340,10 +340,10 @@ func TestRunOverlayPath(t *testing.T) {
 // fails, non-repairable cells pass, and a sweep that asks for the overlay
 // path but produces no repairable cell fails at run level.
 func TestOverlayGate(t *testing.T) {
-	mkRun := func(o *OverlayCellResult, overlayPath bool) *RunResult {
-		cfg := Config{Name: "g", Paths: []string{PathNetsim}}
+	mkRun := func(o *overlayCellResult, overlayPath bool) *RunResult {
+		cfg := Config{Name: "g", Paths: []string{pathNetsim}}
 		if overlayPath {
-			cfg.Paths = append(cfg.Paths, PathOverlay)
+			cfg.Paths = append(cfg.Paths, pathOverlay)
 		}
 		return &RunResult{
 			Name: "g", Stamp: "s", Config: cfg,
@@ -351,19 +351,19 @@ func TestOverlayGate(t *testing.T) {
 		}
 	}
 	b := Baselines{RequireOverlayGain: 0.05}
-	healthy := &OverlayCellResult{Repairable: true, Gain: 0.08, UpstreamRepaired: 2, AuthOff: 0.4, AuthOn: 0.48}
+	healthy := &overlayCellResult{Repairable: true, Gain: 0.08, UpstreamRepaired: 2, AuthOff: 0.4, AuthOn: 0.48}
 	if errs := b.CheckRun(mkRun(healthy, true)); len(errs) != 0 {
 		t.Errorf("healthy overlay cell gated: %v", errs)
 	}
-	low := &OverlayCellResult{Repairable: true, Gain: 0.01, UpstreamRepaired: 2}
+	low := &overlayCellResult{Repairable: true, Gain: 0.01, UpstreamRepaired: 2}
 	if errs := b.CheckRun(mkRun(low, true)); len(errs) != 1 || !strings.Contains(errs[0].Error(), "below required floor") {
 		t.Errorf("below-floor gain not gated: %v", errs)
 	}
-	vacuous := &OverlayCellResult{Repairable: true, Gain: 0.5, UpstreamRepaired: 0}
+	vacuous := &overlayCellResult{Repairable: true, Gain: 0.5, UpstreamRepaired: 0}
 	if errs := b.CheckRun(mkRun(vacuous, true)); len(errs) != 1 || !strings.Contains(errs[0].Error(), "vacuous") {
 		t.Errorf("vacuous scenario not gated: %v", errs)
 	}
-	inert := &OverlayCellResult{Repairable: false, Gain: 0}
+	inert := &overlayCellResult{Repairable: false, Gain: 0}
 	if errs := b.CheckRun(mkRun(inert, false)); len(errs) != 0 {
 		t.Errorf("non-repairable cell gated: %v", errs)
 	}
@@ -395,13 +395,13 @@ func TestGatesInjectedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := DefaultBaselines()
+	ok := defaultBaselines()
 	if errs := ok.CheckRun(run); len(errs) != 0 {
 		t.Fatalf("healthy run fails default gates: %v", errs)
 	}
 	// Inject an impossible floor on the rohatgi cells: at p=0.2 a hash
 	// chain cannot authenticate 99.9% of packets.
-	bad := DefaultBaselines()
+	bad := defaultBaselines()
 	bad.Bounds = append(bad.Bounds, conformance.Bound{Case: "rohatgi", P: 0.2, MinQMin: 0.999})
 	errs := bad.CheckRun(run)
 	if len(errs) == 0 {
@@ -420,7 +420,7 @@ func TestGatesInjectedViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.WriteBaselines(f); err != nil {
+	if err := bad.writeBaselines(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -445,7 +445,7 @@ func TestBenchGate(t *testing.T) {
 		return &BenchFile{
 			Commit:          commit,
 			GeneratedAtUnix: at,
-			Benchmarks:      []Benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(allocs)}},
+			Benchmarks:      []benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(allocs)}},
 			File:            "BENCH_" + commit + ".json",
 		}
 	}
@@ -481,7 +481,7 @@ func TestBenchGateDirtyFilter(t *testing.T) {
 		return &BenchFile{
 			Commit:          commit,
 			GeneratedAtUnix: at,
-			Benchmarks:      []Benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(10)}},
+			Benchmarks:      []benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(10)}},
 			File:            "BENCH_" + commit + ".json",
 		}
 	}
@@ -513,7 +513,7 @@ func TestBenchGateAllocCeilings(t *testing.T) {
 	mk := func(name string, allocs float64) *BenchFile {
 		return &BenchFile{
 			Commit:     "aaaaaaa1",
-			Benchmarks: []Benchmark{{Name: name, AllocsPerOp: f(allocs)}},
+			Benchmarks: []benchmark{{Name: name, AllocsPerOp: f(allocs)}},
 			File:       "BENCH_aaaaaaa1.json",
 		}
 	}
@@ -567,7 +567,7 @@ func TestDashboardRender(t *testing.T) {
 	f := func(v float64) *float64 { return &v }
 	bench := []*BenchFile{{
 		Commit:     "0123456789abcdef",
-		Benchmarks: []Benchmark{{Name: "BenchmarkMC", NsPerOp: f(1234.5), AllocsPerOp: f(3)}},
+		Benchmarks: []benchmark{{Name: "BenchmarkMC", NsPerOp: f(1234.5), AllocsPerOp: f(3)}},
 	}}
 	in := DashboardInput{Runs: []*RunResult{run}, Bench: bench}
 	var a, b strings.Builder

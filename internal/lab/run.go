@@ -26,10 +26,10 @@ import (
 	"mcauth/internal/stream"
 )
 
-// QSummary condenses a histogram into the quantile triple the dashboard
+// qSummary condenses a histogram into the quantile triple the dashboard
 // and gates consume. Computed from additive bucket counts, so it is
 // deterministic for any worker count.
-type QSummary struct {
+type qSummary struct {
 	Count int64   `json:"count"`
 	Mean  float64 `json:"mean"`
 	P50   float64 `json:"p50"`
@@ -38,8 +38,8 @@ type QSummary struct {
 	Max   int64   `json:"max"`
 }
 
-func summarize(h obs.HistogramData) QSummary {
-	s := QSummary{
+func summarize(h obs.HistogramData) qSummary {
+	s := qSummary{
 		Count: h.Count,
 		Mean:  h.Mean(),
 		P50:   h.P50(),
@@ -52,11 +52,11 @@ func summarize(h obs.HistogramData) QSummary {
 	return s
 }
 
-// ServerResult is the deterministic summary of one cell's serving-tier
+// serverResult is the deterministic summary of one cell's serving-tier
 // path. Wall-clock quantities (root-hold latencies) are written to the
 // run's server_metrics.json instead, which is outside the byte-identity
 // contract.
-type ServerResult struct {
+type serverResult struct {
 	Streams      int     `json:"streams"`
 	Blocks       int     `json:"blocks"`
 	Batch        int     `json:"batch"`
@@ -73,12 +73,12 @@ type ServerResult struct {
 	ResumeCatchup int64 `json:"resume_catchup,omitempty"`
 }
 
-// OverlayCellResult is the deterministic summary of one cell's relay
+// overlayCellResult is the deterministic summary of one cell's relay
 // fan-out path: the same netsim configuration pushed through
 // netsim.RunOverlay twice on the same seeded tree — relays off and relays
 // on — so the gain column isolates what relay-served signature repairs
 // buy under the configured correlated edge loss.
-type OverlayCellResult struct {
+type overlayCellResult struct {
 	Depth      int     `json:"depth"`
 	Fanout     int     `json:"fanout"`
 	EdgeP      float64 `json:"edge_p"`
@@ -140,13 +140,13 @@ type CellResult struct {
 
 	// TimeToAuthNS summarizes simulated arrival-to-authentication latency
 	// (netsim path only).
-	TimeToAuthNS QSummary `json:"time_to_auth_ns"`
+	TimeToAuthNS qSummary `json:"time_to_auth_ns"`
 
 	// Causes is the diagnose root-cause tally (netsim path only).
 	Causes map[string]int `json:"causes,omitempty"`
 
-	Server  *ServerResult      `json:"server,omitempty"`
-	Overlay *OverlayCellResult `json:"overlay,omitempty"`
+	Server  *serverResult      `json:"server,omitempty"`
+	Overlay *overlayCellResult `json:"overlay,omitempty"`
 }
 
 // RunResult is everything one sweep writes to its result directory.
@@ -169,7 +169,7 @@ const cellDelay = time.Millisecond
 // augmented chain's block is aligned up to a segment boundary — the paper's
 // C_{a,b}, with no dangling run of inserted packets — and the cell records
 // the aligned n.
-func cellEntry(c Cell, signer crypto.Signer) (catalog.Entry, error) {
+func cellEntry(c cell, signer crypto.Signer) (catalog.Entry, error) {
 	sc := c.Scheme
 	spec := catalog.Spec{
 		ID: sc.ID, N: c.N, M: sc.M, D: sc.D, A: sc.A, B: sc.B, Lag: sc.Lag,
@@ -184,7 +184,7 @@ func cellEntry(c Cell, signer crypto.Signer) (catalog.Entry, error) {
 	return catalog.Build(spec, signer)
 }
 
-func buildLoss(l LossConfig) (loss.Model, error) {
+func buildLoss(l lossConfig) (loss.Model, error) {
 	switch l.Model {
 	case "bernoulli":
 		return loss.NewBernoulli(l.P)
@@ -217,14 +217,14 @@ type cellArtifacts struct {
 // Every written artifact is byte-identical for any workers value except
 // server_metrics.json, which records wall-clock serving latencies.
 func Run(cfg Config, workers int, outDir, stamp string) (*RunResult, string, error) {
-	if err := cfg.Normalize(); err != nil {
+	if err := cfg.normalize(); err != nil {
 		return nil, "", err
 	}
 	if stamp == "" {
 		stamp = time.Now().UTC().Format("20060102T150405Z")
 	}
-	cells := cfg.Cells()
-	arts, err := parallel.Map(workers, cells, func(i int, c Cell) (cellArtifacts, error) {
+	cells := cfg.cells()
+	arts, err := parallel.Map(workers, cells, func(i int, c cell) (cellArtifacts, error) {
 		return runCell(cfg, c, cellSeed(cfg.Seed, i))
 	})
 	if err != nil {
@@ -242,17 +242,17 @@ func Run(cfg Config, workers int, outDir, stamp string) (*RunResult, string, err
 	return run, dir, nil
 }
 
-func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
+func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	entry, err := cellEntry(c, crypto.NewSignerFromString("mclab"))
 	if err != nil {
-		return cellArtifacts{}, fmt.Errorf("%s: %w", c.ID(), err)
+		return cellArtifacts{}, fmt.Errorf("%s: %w", c.id(), err)
 	}
 	lossModel, err := buildLoss(c.Loss)
 	if err != nil {
-		return cellArtifacts{}, fmt.Errorf("%s: %w", c.ID(), err)
+		return cellArtifacts{}, fmt.Errorf("%s: %w", c.id(), err)
 	}
 	res := CellResult{
-		ID:        c.ID(),
+		ID:        c.id(),
 		SchemeID:  c.Scheme.ID,
 		Scheme:    entry.Scheme.Name(),
 		LossModel: c.Loss.Model,
@@ -267,13 +267,13 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 	// per payload beyond the payload itself.
 	g, err := entry.Scheme.Graph()
 	if err != nil {
-		return cellArtifacts{}, fmt.Errorf("%s: graph: %w", c.ID(), err)
+		return cellArtifacts{}, fmt.Errorf("%s: graph: %w", c.id(), err)
 	}
 	res.OverheadHashesPerPacket = g.AvgHashesPerPacket()
 	payloads := schemetest.Payloads(entry.Scheme.BlockSize())
 	pkts, err := entry.Scheme.Authenticate(1, payloads)
 	if err != nil {
-		return cellArtifacts{}, fmt.Errorf("%s: authenticate: %w", c.ID(), err)
+		return cellArtifacts{}, fmt.Errorf("%s: authenticate: %w", c.id(), err)
 	}
 	wireBytes, payloadBytes := 0, 0
 	for _, p := range pkts {
@@ -286,17 +286,17 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 
 	// The closed forms assume i.i.d. loss; a scheme with no signature
 	// packet authenticates whatever arrives under any loss process.
-	if cfg.HasPath(PathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
+	if cfg.hasPath(pathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
 		q, _, err := entry.QMin(c.Loss.P, cellDelay, 0)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.id(), err)
 		}
 		if !math.IsNaN(q) {
 			res.HasAnalytic, res.Analytic = true, q
 		}
 	}
 
-	if cfg.HasPath(PathMonteCarlo) {
+	if cfg.hasPath(pathMonteCarlo) {
 		// Inner MC workers stay at 1: the sweep parallelizes across cells,
 		// and the estimate is identical for any worker split anyway.
 		mc, err := g.MonteCarloAuthProbInto(
@@ -306,13 +306,13 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 			depgraph.MCOptions{Workers: 1},
 		)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: monte-carlo: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: monte-carlo: %w", c.id(), err)
 		}
 		res.HasMonteCarlo, res.MonteCarlo = true, mc.QMin
 	}
 
 	arts := cellArtifacts{}
-	if cfg.HasPath(PathNetsim) {
+	if cfg.hasPath(pathNetsim) {
 		reg := obs.NewRegistry()
 		mem := obs.NewSpanSink(obs.KeepAll, nil)
 		simCfg := netsim.Config{
@@ -329,7 +329,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 		}
 		sim, err := netsim.Run(entry.Scheme, simCfg, 1, payloads)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
 		}
 		res.HasMeasured = true
 		res.Measured = sim.MinAuthRatio(entry.Data)
@@ -346,11 +346,11 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 
 		opts, err := entry.DiagnoseOptions()
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.id(), err)
 		}
 		rep, err := diagnose.BuildReport(mem.Snapshot(), 0, opts)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.id(), err)
 		}
 		arts.report = rep
 		if len(rep.Causes) > 0 {
@@ -362,18 +362,18 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 		arts.metrics = reg.Snapshot()
 	}
 
-	if cfg.HasPath(PathOverlay) {
+	if cfg.hasPath(pathOverlay) {
 		or, err := runOverlayCell(cfg, c, entry, seed, lossModel)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: overlay: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: overlay: %w", c.id(), err)
 		}
 		res.Overlay = or
 	}
 
-	if cfg.HasPath(PathServer) && c.Scheme.ID != "tesla" {
+	if cfg.hasPath(pathServer) && c.Scheme.ID != "tesla" {
 		sr, snap, err := runServerCell(cfg, c, entry)
 		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: server: %w", c.ID(), err)
+			return cellArtifacts{}, fmt.Errorf("%s: server: %w", c.id(), err)
 		}
 		res.Server = sr
 		arts.serverMetrics = snap
@@ -388,7 +388,7 @@ func runCell(cfg Config, c Cell, seed uint64) (cellArtifacts, error) {
 // LossyEdges mid-tree edges. Called once per overlay run — edge patterns
 // are a pure function of the tree seed, so the relays-off and relays-on
 // runs see identical loss.
-func overlayTree(ov *OverlayConfig, seed uint64, leaf loss.Model) (*loss.TreeModel, error) {
+func overlayTree(ov *overlayConfig, seed uint64, leaf loss.Model) (*loss.TreeModel, error) {
 	tree, err := loss.NewUniformTree(seed^0x6f7665726c6179, ov.Depth, ov.Fanout, nil, leaf)
 	if err != nil {
 		return nil, err
@@ -411,7 +411,7 @@ func overlayTree(ov *OverlayConfig, seed uint64, leaf loss.Model) (*loss.TreeMod
 // tree twice — relays off, then relays on — and summarizes the repair
 // gain. Both runs share the seed, tree and receiver RNG schedule, so the
 // only difference is whether relays serve signature repairs.
-func runOverlayCell(cfg Config, c Cell, entry catalog.Entry, seed uint64, lossModel loss.Model) (*OverlayCellResult, error) {
+func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossModel loss.Model) (*overlayCellResult, error) {
 	ov := cfg.Overlay
 	simCfg := netsim.Config{
 		Receivers:       c.Receivers,
@@ -422,7 +422,7 @@ func runOverlayCell(cfg Config, c Cell, entry catalog.Entry, seed uint64, lossMo
 		ReliableIndices: entry.Signature,
 		Workers:         1,
 	}
-	out := &OverlayCellResult{
+	out := &overlayCellResult{
 		Depth:      ov.Depth,
 		Fanout:     ov.Fanout,
 		EdgeP:      ov.EdgeP,
@@ -475,7 +475,7 @@ func runOverlayCell(cfg Config, c Cell, entry catalog.Entry, seed uint64, lossMo
 // the verifier joins and is caught up from the server's repair retention
 // via ResumeFrom before following the second half live. It must still
 // verify every published message — the session-resume guarantee.
-func runServerCell(cfg Config, c Cell, entry catalog.Entry) (*ServerResult, *obs.Snapshot, error) {
+func runServerCell(cfg Config, c cell, entry catalog.Entry) (*serverResult, *obs.Snapshot, error) {
 	reg := obs.NewRegistry()
 	key := "mclab-server"
 	scfg := server.Config{
@@ -509,7 +509,7 @@ func runServerCell(cfg Config, c Cell, entry catalog.Entry) (*ServerResult, *obs
 	publishBlocks := func(from, to int) error {
 		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
 			for i := from * blockSize; i < to*blockSize; i++ {
-				if err := srv.Publish(id, []byte(fmt.Sprintf("cell %s stream-%d msg-%d", c.ID(), id, i))); err != nil {
+				if err := srv.Publish(id, []byte(fmt.Sprintf("cell %s stream-%d msg-%d", c.id(), id, i))); err != nil {
 					return err
 				}
 				published++
@@ -619,7 +619,7 @@ func runServerCell(cfg Config, c Cell, entry catalog.Entry) (*ServerResult, *obs
 	}
 	tot := srv.BatchTotals()
 	snap := reg.Snapshot()
-	return &ServerResult{
+	return &serverResult{
 		Streams:       cfg.Server.Streams,
 		Blocks:        cfg.Server.Blocks,
 		Batch:         cfg.Server.Batch,
@@ -706,8 +706,8 @@ func writeJSONFile(path string, v any) error {
 	return f.Close()
 }
 
-// LoadRun reads a result directory written by Run.
-func LoadRun(dir string) (*RunResult, error) {
+// loadRun reads a result directory written by Run.
+func loadRun(dir string) (*RunResult, error) {
 	f, err := os.Open(filepath.Join(dir, "cells.json"))
 	if err != nil {
 		return nil, err
@@ -740,7 +740,7 @@ func LoadRuns(outDir string) ([]*RunResult, error) {
 		if _, err := os.Stat(filepath.Join(dir, "cells.json")); err != nil {
 			continue
 		}
-		run, err := LoadRun(dir)
+		run, err := loadRun(dir)
 		if err != nil {
 			return nil, err
 		}

@@ -2,28 +2,28 @@ package lab
 
 import "fmt"
 
-// CellObjective is one cell's evaluation against one sweep objective.
+// cellObjective is one cell's evaluation against one sweep objective.
 // Target and Actual share the objective's unit (a fraction for
 // auth_fraction, nanoseconds for tta_p99).
-type CellObjective struct {
+type cellObjective struct {
 	Name   string
 	Target float64
 	Actual float64
 	Met    bool
 }
 
-// EvaluateCell checks one cell against the objectives. An objective only
+// evaluateCell checks one cell against the objectives. An objective only
 // produces a result when its target is set and the cell carries the
 // quantity it bounds: auth_fraction needs the netsim measured q_min,
 // tta_p99 needs latency samples (per-packet schemes record none, so they
 // pass vacuously rather than gate on a missing histogram).
-func (o *SLOObjectives) EvaluateCell(c CellResult) []CellObjective {
+func (o *sloObjectives) evaluateCell(c CellResult) []cellObjective {
 	if o == nil {
 		return nil
 	}
-	var out []CellObjective
+	var out []cellObjective
 	if o.MinAuthFraction > 0 && c.HasMeasured {
-		out = append(out, CellObjective{
+		out = append(out, cellObjective{
 			Name:   "auth_fraction",
 			Target: o.MinAuthFraction,
 			Actual: c.Measured,
@@ -31,7 +31,7 @@ func (o *SLOObjectives) EvaluateCell(c CellResult) []CellObjective {
 		})
 	}
 	if o.TTAP99NS > 0 && c.TimeToAuthNS.Count > 0 {
-		out = append(out, CellObjective{
+		out = append(out, cellObjective{
 			Name:   "tta_p99",
 			Target: float64(o.TTAP99NS),
 			Actual: c.TimeToAuthNS.P99,
@@ -41,13 +41,13 @@ func (o *SLOObjectives) EvaluateCell(c CellResult) []CellObjective {
 	return out
 }
 
-// CheckSLO evaluates every cell of a run against the run's own configured
+// checkSLO evaluates every cell of a run against the run's own configured
 // objectives and returns one error per missed objective, in cell order.
 // Runs without an SLO block pass vacuously.
-func CheckSLO(run *RunResult) []error {
+func checkSLO(run *RunResult) []error {
 	var errs []error
 	for _, c := range run.Cells {
-		for _, ob := range run.Config.SLO.EvaluateCell(c) {
+		for _, ob := range run.Config.SLO.evaluateCell(c) {
 			if ob.Met {
 				continue
 			}

@@ -7,26 +7,26 @@ import (
 	"testing"
 )
 
-func sloRun(slo *SLOObjectives) *RunResult {
+func sloRun(slo *sloObjectives) *RunResult {
 	return &RunResult{
 		Name:  "slo",
 		Stamp: "20260808-000000",
 		Config: Config{
 			Name: "slo", Trials: 100,
-			Schemes: []SchemeConfig{{ID: "emss"}},
-			Loss:    []LossConfig{{Model: "bernoulli", P: 0.2}},
+			Schemes: []schemeConfig{{ID: "emss"}},
+			Loss:    []lossConfig{{Model: "bernoulli", P: 0.2}},
 			SLO:     slo,
 		},
 		Cells: []CellResult{
 			{
 				ID: "emss/bernoulli(p=0.2)/n=16/r=8", SchemeID: "emss",
 				HasMeasured: true, Measured: 0.95,
-				TimeToAuthNS: QSummary{Count: 100, P99: 40e6},
+				TimeToAuthNS: qSummary{Count: 100, P99: 40e6},
 			},
 			{
 				ID: "emss/bernoulli(p=0.4)/n=16/r=8", SchemeID: "emss",
 				HasMeasured: true, Measured: 0.60,
-				TimeToAuthNS: QSummary{Count: 100, P99: 250e6},
+				TimeToAuthNS: qSummary{Count: 100, P99: 250e6},
 			},
 			// Per-packet schemes record no latency; analytic-only cells
 			// carry no measured q_min. Neither quantity gates.
@@ -36,8 +36,8 @@ func sloRun(slo *SLOObjectives) *RunResult {
 }
 
 func TestSLOObjectivesGate(t *testing.T) {
-	run := sloRun(&SLOObjectives{MinAuthFraction: 0.9, TTAP99NS: 100e6})
-	errs := CheckSLO(run)
+	run := sloRun(&sloObjectives{MinAuthFraction: 0.9, TTAP99NS: 100e6})
+	errs := checkSLO(run)
 	if len(errs) != 2 {
 		t.Fatalf("want 2 missed objectives (cell 2 auth_fraction + tta_p99), got %d: %v", len(errs), errs)
 	}
@@ -47,7 +47,7 @@ func TestSLOObjectivesGate(t *testing.T) {
 		}
 	}
 	// The run-level gate reports the same misses.
-	gateErrs := DefaultBaselines().CheckRun(run)
+	gateErrs := defaultBaselines().CheckRun(run)
 	if len(gateErrs) < 2 {
 		t.Errorf("CheckRun should enforce the config's SLO block, got %v", gateErrs)
 	}
@@ -55,18 +55,18 @@ func TestSLOObjectivesGate(t *testing.T) {
 
 func TestSLOObjectivesVacuous(t *testing.T) {
 	// No SLO block: nothing gates.
-	if errs := CheckSLO(sloRun(nil)); len(errs) != 0 {
+	if errs := checkSLO(sloRun(nil)); len(errs) != 0 {
 		t.Fatalf("nil SLO must pass vacuously, got %v", errs)
 	}
 	// Objectives set but met exactly at the boundary.
-	run := sloRun(&SLOObjectives{MinAuthFraction: 0.60, TTAP99NS: 250e6})
-	if errs := CheckSLO(run); len(errs) != 0 {
+	run := sloRun(&sloObjectives{MinAuthFraction: 0.60, TTAP99NS: 250e6})
+	if errs := checkSLO(run); len(errs) != 0 {
 		t.Fatalf("boundary values meet the objective, got %v", errs)
 	}
 	// A cell without the gated quantity never fails the objective.
-	only := sloRun(&SLOObjectives{MinAuthFraction: 0.9, TTAP99NS: 1})
+	only := sloRun(&sloObjectives{MinAuthFraction: 0.9, TTAP99NS: 1})
 	only.Cells = only.Cells[2:]
-	if errs := CheckSLO(only); len(errs) != 0 {
+	if errs := checkSLO(only); len(errs) != 0 {
 		t.Fatalf("cells without measured/latency data must pass vacuously, got %v", errs)
 	}
 }
@@ -74,24 +74,24 @@ func TestSLOObjectivesVacuous(t *testing.T) {
 func TestSLOConfigNormalize(t *testing.T) {
 	base := Config{
 		Name:    "x",
-		Schemes: []SchemeConfig{{ID: "emss"}},
-		Loss:    []LossConfig{{Model: "bernoulli", P: 0.2}},
+		Schemes: []schemeConfig{{ID: "emss"}},
+		Loss:    []lossConfig{{Model: "bernoulli", P: 0.2}},
 	}
 	for _, tc := range []struct {
 		name string
-		slo  *SLOObjectives
+		slo  *sloObjectives
 		ok   bool
 	}{
 		{"nil", nil, true},
-		{"auth only", &SLOObjectives{MinAuthFraction: 0.9}, true},
-		{"tta only", &SLOObjectives{TTAP99NS: 1e6}, true},
-		{"empty block", &SLOObjectives{}, false},
-		{"fraction above 1", &SLOObjectives{MinAuthFraction: 1.5}, false},
-		{"negative tta", &SLOObjectives{TTAP99NS: -1}, false},
+		{"auth only", &sloObjectives{MinAuthFraction: 0.9}, true},
+		{"tta only", &sloObjectives{TTAP99NS: 1e6}, true},
+		{"empty block", &sloObjectives{}, false},
+		{"fraction above 1", &sloObjectives{MinAuthFraction: 1.5}, false},
+		{"negative tta", &sloObjectives{TTAP99NS: -1}, false},
 	} {
 		c := base
 		c.SLO = tc.slo
-		err := c.Normalize()
+		err := c.normalize()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
@@ -102,7 +102,7 @@ func TestSLOConfigNormalize(t *testing.T) {
 
 	// Configs without an SLO block must serialize without the key, so
 	// existing config echoes and goldens stay byte-identical.
-	if err := base.Normalize(); err != nil {
+	if err := base.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := json.Marshal(base)
@@ -115,7 +115,7 @@ func TestSLOConfigNormalize(t *testing.T) {
 }
 
 func TestSLODashboardSection(t *testing.T) {
-	run := sloRun(&SLOObjectives{MinAuthFraction: 0.9, TTAP99NS: 100e6})
+	run := sloRun(&sloObjectives{MinAuthFraction: 0.9, TTAP99NS: 100e6})
 	var md bytes.Buffer
 	if err := RenderMarkdown(&md, DashboardInput{Runs: []*RunResult{run}}); err != nil {
 		t.Fatal(err)

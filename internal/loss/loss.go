@@ -30,11 +30,6 @@ type Model interface {
 	Name() string
 }
 
-// Pattern adapts a Model to the depgraph Monte-Carlo estimator.
-func Pattern(m Model) depgraph.ReceivePattern {
-	return m.Sample
-}
-
 // PatternInto adapts a Model to the depgraph Monte-Carlo estimator's
 // scratch-reuse interface; trials sampled through it allocate nothing.
 func PatternInto(m Model) depgraph.ReceivePatternInto {
@@ -118,14 +113,14 @@ func NewGilbertElliott(pGoodToBad, pBadToGood, pGood, pBad float64) (GilbertElli
 	}, nil
 }
 
-// StationaryBad returns the stationary probability of the Bad state.
-func (g GilbertElliott) StationaryBad() float64 {
+// stationaryBad returns the stationary probability of the Bad state.
+func (g GilbertElliott) stationaryBad() float64 {
 	return g.PGoodToBad / (g.PGoodToBad + g.PBadToGood)
 }
 
-// MeanBurstLength returns the expected number of consecutive packets spent
+// meanBurstLength returns the expected number of consecutive packets spent
 // in the Bad state once entered.
-func (g GilbertElliott) MeanBurstLength() float64 {
+func (g GilbertElliott) meanBurstLength() float64 {
 	if g.PBadToGood == 0 {
 		return 0
 	}
@@ -144,7 +139,7 @@ func (g GilbertElliott) Sample(rng *stats.RNG, n int) []bool {
 func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
 	loseGood, loseBad := stats.NewCoin(g.PGood), stats.NewCoin(g.PBad)
 	toBad, toGood := stats.NewCoin(g.PGoodToBad), stats.NewCoin(g.PBadToGood)
-	bad := rng.Bernoulli(g.StationaryBad())
+	bad := rng.Bernoulli(g.stationaryBad())
 	for i := 1; i < len(recv); i++ {
 		if bad {
 			recv[i] = !rng.Flip(loseBad)
@@ -159,7 +154,7 @@ func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
 // Channel is the model as a two-state loss process (Good, Bad), started
 // stationary as SampleInto starts it.
 func (g GilbertElliott) Channel() depgraph.Channel {
-	bad := g.StationaryBad()
+	bad := g.stationaryBad()
 	return depgraph.Channel{
 		Trans: [][]float64{
 			{1 - g.PGoodToBad, g.PGoodToBad},
@@ -172,13 +167,13 @@ func (g GilbertElliott) Channel() depgraph.Channel {
 
 // Rate implements Model: the stationary loss probability.
 func (g GilbertElliott) Rate() float64 {
-	pb := g.StationaryBad()
+	pb := g.stationaryBad()
 	return (1-pb)*g.PGood + pb*g.PBad
 }
 
 // Name implements Model.
 func (g GilbertElliott) Name() string {
-	return fmt.Sprintf("gilbert(pi_bad=%.3g, burst=%.3g)", g.StationaryBad(), g.MeanBurstLength())
+	return fmt.Sprintf("gilbert(pi_bad=%.3g, burst=%.3g)", g.stationaryBad(), g.meanBurstLength())
 }
 
 // SingleBurst loses exactly one contiguous run of Length packets with a

@@ -2,6 +2,7 @@ package loss
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mcauth/internal/stats"
@@ -59,8 +60,8 @@ func TestGilbertElliottStationary(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBad := 0.1 / 0.5
-	if math.Abs(g.StationaryBad()-wantBad) > 1e-12 {
-		t.Errorf("StationaryBad = %v, want %v", g.StationaryBad(), wantBad)
+	if math.Abs(g.stationaryBad()-wantBad) > 1e-12 {
+		t.Errorf("StationaryBad = %v, want %v", g.stationaryBad(), wantBad)
 	}
 	wantRate := 0.8*wantBad + 0.01*(1-wantBad)
 	if math.Abs(g.Rate()-wantRate) > 1e-12 {
@@ -70,8 +71,8 @@ func TestGilbertElliottStationary(t *testing.T) {
 	if math.Abs(measured-wantRate) > 0.01 {
 		t.Errorf("measured rate %v, want ~%v", measured, wantRate)
 	}
-	if math.Abs(g.MeanBurstLength()-2.5) > 1e-12 {
-		t.Errorf("MeanBurstLength = %v, want 2.5", g.MeanBurstLength())
+	if math.Abs(g.meanBurstLength()-2.5) > 1e-12 {
+		t.Errorf("MeanBurstLength = %v, want 2.5", g.meanBurstLength())
 	}
 }
 
@@ -207,9 +208,13 @@ func TestPatternAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := Pattern(m)
-	recv := pattern(stats.NewRNG(9), 20)
-	if len(recv) != 21 {
-		t.Errorf("adapter returned %d flags, want 21", len(recv))
+	recv := make([]bool, 21)
+	if err := PatternInto(m)(stats.NewRNG(9), recv); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]bool, 21)
+	m.SampleInto(stats.NewRNG(9), want)
+	if !slices.Equal(recv, want) {
+		t.Errorf("adapter filled %v, the model samples %v", recv, want)
 	}
 }

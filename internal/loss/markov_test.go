@@ -45,8 +45,8 @@ func TestMarkovChainMatchesGilbertElliott(t *testing.T) {
 		t.Errorf("rates differ: markov %v vs gilbert %v", mc.Rate(), ge.Rate())
 	}
 	st := mc.Channel().Stationary
-	if math.Abs(st[1]-ge.StationaryBad()) > 1e-9 {
-		t.Errorf("stationary bad %v vs %v", st[1], ge.StationaryBad())
+	if math.Abs(st[1]-ge.stationaryBad()) > 1e-9 {
+		t.Errorf("stationary bad %v vs %v", st[1], ge.stationaryBad())
 	}
 	// Measured loss rates agree.
 	rng := stats.NewRNG(1)

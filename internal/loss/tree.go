@@ -40,10 +40,10 @@ type TreeModel struct {
 	leaf   Model   // per-receiver last-hop model; nil = lossless
 }
 
-// NewTree creates a tree holding only the source (node 0). leaf is the
+// newTree creates a tree holding only the source (node 0). leaf is the
 // independent per-receiver last-hop loss model; nil means a lossless last
 // hop.
-func NewTree(seed uint64, leaf Model) *TreeModel {
+func newTree(seed uint64, leaf Model) *TreeModel {
 	return &TreeModel{
 		seed:   seed,
 		parent: []int{-1},
@@ -63,13 +63,13 @@ func NewUniformTree(seed uint64, depth, fanout int, edge, leaf Model) (*TreeMode
 	if depth > 0 && fanout < 1 {
 		return nil, fmt.Errorf("loss: tree fanout %d must be >= 1", fanout)
 	}
-	t := NewTree(seed, leaf)
+	t := newTree(seed, leaf)
 	level := []int{0}
 	for d := 0; d < depth; d++ {
 		var next []int
 		for _, p := range level {
 			for k := 0; k < fanout; k++ {
-				id, err := t.AddNode(p, edge)
+				id, err := t.addNode(p, edge)
 				if err != nil {
 					return nil, err
 				}
@@ -81,11 +81,11 @@ func NewUniformTree(seed uint64, depth, fanout int, edge, leaf Model) (*TreeMode
 	return t, nil
 }
 
-// AddNode attaches a new relay under parent with the given edge loss
+// addNode attaches a new relay under parent with the given edge loss
 // process (nil = lossless edge) and returns its node index. Parents must
 // exist already, so node indices are always topologically ordered
 // (parent < child).
-func (t *TreeModel) AddNode(parent int, edge Model) (int, error) {
+func (t *TreeModel) addNode(parent int, edge Model) (int, error) {
 	if parent < 0 || parent >= len(t.parent) {
 		return 0, fmt.Errorf("loss: tree parent %d out of [0,%d)", parent, len(t.parent))
 	}
@@ -110,9 +110,6 @@ func (t *TreeModel) Nodes() int { return len(t.parent) }
 // Parent returns the parent of node (-1 for the source).
 func (t *TreeModel) Parent(node int) int { return t.parent[node] }
 
-// EdgeModel returns the loss process feeding node (nil = lossless).
-func (t *TreeModel) EdgeModel(node int) Model { return t.edge[node] }
-
 // LeafModel returns the per-receiver last-hop model (nil = lossless).
 func (t *TreeModel) LeafModel() Model { return t.leaf }
 
@@ -132,15 +129,15 @@ func (t *TreeModel) Leaves() []int {
 	return out
 }
 
-// LeafFor maps receiver r to its leaf node, round-robin over Leaves.
-func (t *TreeModel) LeafFor(r int) int {
+// leafFor maps receiver r to its leaf node, round-robin over Leaves.
+func (t *TreeModel) leafFor(r int) int {
 	leaves := t.Leaves()
 	return leaves[r%len(leaves)]
 }
 
-// Path returns the edges (named by their lower node) from the source to
+// path returns the edges (named by their lower node) from the source to
 // node, in root-to-node order. Empty for the source itself.
-func (t *TreeModel) Path(node int) []int {
+func (t *TreeModel) path(node int) []int {
 	var rev []int
 	for n := node; n > 0; n = t.parent[n] {
 		rev = append(rev, n)
@@ -176,22 +173,22 @@ func (t *TreeModel) EdgePatternInto(node int, recv []bool) {
 	m.SampleInto(stats.NewRNG(t.edgeSeed(node)), recv)
 }
 
-// Receiver returns receiver r's composed loss model under the shared-fate
+// receiver returns receiver r's composed loss model under the shared-fate
 // semantics: edge patterns are drawn from the tree seed (identical for
 // every receiver under the edge), the last hop from the caller's RNG. The
 // returned model keeps internal scratch and must not be shared across
 // goroutines; derive one per receiver.
-func (t *TreeModel) Receiver(r int) Model {
-	return &treePath{t: t, path: t.Path(t.LeafFor(r)), shared: true}
+func (t *TreeModel) receiver(r int) Model {
+	return &treePath{t: t, path: t.path(t.leafFor(r)), shared: true}
 }
 
-// Marginal returns receiver r's loss model with edge patterns redrawn from
+// marginal returns receiver r's loss model with edge patterns redrawn from
 // the caller's RNG on every Sample — the i.i.d. marginal distribution of
 // the receiver's loss, for Monte-Carlo estimation over many independent
 // blocks. Across trials the marginal loss rate of packet i converges to
 // 1 - prod(1-rate_e) over the path edges and last hop.
-func (t *TreeModel) Marginal(r int) Model {
-	return &treePath{t: t, path: t.Path(t.LeafFor(r)), shared: false}
+func (t *TreeModel) marginal(r int) Model {
+	return &treePath{t: t, path: t.path(t.leafFor(r)), shared: false}
 }
 
 // treePath is one receiver's root-path view of the tree.

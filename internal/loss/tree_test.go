@@ -14,9 +14,9 @@ import (
 // Bernoulli last hop. Receivers round-robin over leaves 3..6.
 func testTree(t *testing.T, seed uint64, edgeP, leafP float64) *TreeModel {
 	t.Helper()
-	tree := NewTree(seed, Bernoulli{P: leafP})
+	tree := newTree(seed, Bernoulli{P: leafP})
 	for _, parent := range []int{0, 0, 1, 1, 2, 2} {
-		if _, err := tree.AddNode(parent, Bernoulli{P: edgeP}); err != nil {
+		if _, err := tree.addNode(parent, Bernoulli{P: edgeP}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,20 +33,20 @@ func TestTreeTopology(t *testing.T) {
 	if got := tree.Leaves(); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
 		t.Fatalf("Leaves() = %v, want [3 4 5 6]", got)
 	}
-	if got := tree.LeafFor(5); got != 4 {
+	if got := tree.leafFor(5); got != 4 {
 		t.Fatalf("LeafFor(5) = %d, want 4", got)
 	}
-	if got := tree.Path(6); !reflect.DeepEqual(got, []int{2, 6}) {
+	if got := tree.path(6); !reflect.DeepEqual(got, []int{2, 6}) {
 		t.Fatalf("Path(6) = %v, want [2 6]", got)
 	}
-	if got := tree.Path(0); len(got) != 0 {
+	if got := tree.path(0); len(got) != 0 {
 		t.Fatalf("Path(0) = %v, want empty", got)
 	}
 	if p := tree.Parent(0); p != -1 {
 		t.Fatalf("Parent(0) = %d, want -1", p)
 	}
 	// A bare tree's only leaf is the source itself.
-	if got := NewTree(9, nil).Leaves(); !reflect.DeepEqual(got, []int{0}) {
+	if got := newTree(9, nil).Leaves(); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("bare tree Leaves() = %v, want [0]", got)
 	}
 }
@@ -65,7 +65,7 @@ func TestUniformTree(t *testing.T) {
 		t.Fatalf("leaves = %d, want 16", got)
 	}
 	for _, leaf := range tree.Leaves() {
-		if got := len(tree.Path(leaf)); got != 2 {
+		if got := len(tree.path(leaf)); got != 2 {
 			t.Fatalf("leaf %d path length %d, want 2", leaf, got)
 		}
 	}
@@ -84,13 +84,13 @@ func TestUniformTree(t *testing.T) {
 	}
 }
 
-// TestTreeBuildErrors pins AddNode/SetEdge bounds checking.
+// TestTreeBuildErrors pins addNode/SetEdge bounds checking.
 func TestTreeBuildErrors(t *testing.T) {
-	tree := NewTree(1, nil)
-	if _, err := tree.AddNode(1, nil); err == nil {
+	tree := newTree(1, nil)
+	if _, err := tree.addNode(1, nil); err == nil {
 		t.Fatal("AddNode under a missing parent accepted")
 	}
-	if _, err := tree.AddNode(-1, nil); err == nil {
+	if _, err := tree.addNode(-1, nil); err == nil {
 		t.Fatal("AddNode under a negative parent accepted")
 	}
 	if err := tree.SetEdge(0, Bernoulli{P: 0.5}); err == nil {
@@ -108,9 +108,9 @@ func TestTreeBuildErrors(t *testing.T) {
 // — must still produce byte-identical patterns, while receivers under the
 // other mid relay lose nothing.
 func TestTreeSharedFate(t *testing.T) {
-	tree := NewTree(42, nil)
+	tree := newTree(42, nil)
 	for _, parent := range []int{0, 0, 1, 1, 2, 2} {
-		if _, err := tree.AddNode(parent, nil); err != nil {
+		if _, err := tree.addNode(parent, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,8 +119,8 @@ func TestTreeSharedFate(t *testing.T) {
 	}
 	const n = 512
 	// Receivers 0 and 1 sit on leaves 3 and 4, both under edge 1.
-	under0 := tree.Receiver(0).Sample(stats.NewRNG(1000), n)
-	under1 := tree.Receiver(1).Sample(stats.NewRNG(2000), n)
+	under0 := tree.receiver(0).Sample(stats.NewRNG(1000), n)
+	under1 := tree.receiver(1).Sample(stats.NewRNG(2000), n)
 	if !reflect.DeepEqual(under0, under1) {
 		t.Fatal("receivers under the same lossy edge diverge")
 	}
@@ -135,7 +135,7 @@ func TestTreeSharedFate(t *testing.T) {
 	}
 	// Receivers 2 and 3 sit on leaves 5 and 6, under the lossless branch.
 	for r := 2; r <= 3; r++ {
-		got := tree.Receiver(r).Sample(stats.NewRNG(uint64(r)), n)
+		got := tree.receiver(r).Sample(stats.NewRNG(uint64(r)), n)
 		for i := 1; i <= n; i++ {
 			if !got[i] {
 				t.Fatalf("receiver %d under the lossless branch lost packet %d", r, i)
@@ -157,7 +157,7 @@ func TestTreeMarginalRate(t *testing.T) {
 	)
 	tree := testTree(t, 7, edgeP, leafP)
 	want := 1 - (1-edgeP)*(1-edgeP)*(1-leafP) // two tree edges + last hop
-	m := tree.Marginal(0)
+	m := tree.marginal(0)
 	if got := m.Rate(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Rate() = %v, want %v", got, want)
 	}
@@ -190,14 +190,14 @@ func TestTreeFlatParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := NewTree(11, leaf)
+	tree := newTree(11, leaf)
 	for _, parent := range []int{0, 0, 1, 2} {
-		if _, err := tree.AddNode(parent, nil); err != nil {
+		if _, err := tree.addNode(parent, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const n = 96
-	for _, mk := range []func(int) Model{tree.Receiver, tree.Marginal} {
+	for _, mk := range []func(int) Model{tree.receiver, tree.marginal} {
 		for r := 0; r < 3; r++ {
 			rngTree := stats.NewRNG(500 + uint64(r))
 			rngFlat := stats.NewRNG(500 + uint64(r))
@@ -225,7 +225,7 @@ func TestTreeDeterminism(t *testing.T) {
 	)
 	want := make([][]bool, receivers)
 	for r := range want {
-		want[r] = tree.Receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
+		want[r] = tree.receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
 	}
 	// Re-sample every receiver concurrently; each goroutine derives its
 	// own treePath (the per-receiver models hold scratch and are not
@@ -236,7 +236,7 @@ func TestTreeDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			got[r] = tree.Receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
+			got[r] = tree.receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
 		}(r)
 	}
 	wg.Wait()
@@ -255,10 +255,10 @@ func treeTestModels(t *testing.T) []Model {
 	lossy := testTree(t, 5, 0.2, 0.3)
 	clean := testTree(t, 5, 0, 0.3)
 	return []Model{
-		lossy.Receiver(0),
-		lossy.Marginal(1),
-		clean.Receiver(2),
-		clean.Marginal(3),
+		lossy.receiver(0),
+		lossy.marginal(1),
+		clean.receiver(2),
+		clean.marginal(3),
 	}
 }
 

@@ -79,7 +79,7 @@ type Config struct {
 	// ReliableIndices packets, since it was not yet subscribed.
 	LateJoiners int
 	// Workers bounds how many receivers are simulated concurrently; <= 0
-	// selects parallel.DefaultWorkers. Each receiver's RNG stream is
+	// selects GOMAXPROCS. Each receiver's RNG stream is
 	// derived before the concurrent phase, so results do not depend on
 	// this setting.
 	Workers int

@@ -31,8 +31,8 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// SnapshotOf condenses histogram data for exposition.
-func SnapshotOf(d HistogramData) HistogramSnapshot {
+// snapshotOf condenses histogram data for exposition.
+func snapshotOf(d HistogramData) HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: d.Count,
 		Sum:   d.Sum,
@@ -48,7 +48,7 @@ func SnapshotOf(d HistogramData) HistogramSnapshot {
 	}
 	for i, c := range d.Buckets {
 		if c > 0 {
-			s.Buckets = append(s.Buckets, Bucket{Le: BucketUpperBound(i), Count: c})
+			s.Buckets = append(s.Buckets, Bucket{Le: bucketUpperBound(i), Count: c})
 		}
 	}
 	return s
@@ -93,7 +93,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[k] = v.Value()
 	}
 	for k, v := range hists {
-		s.Histograms[k] = SnapshotOf(v.Data())
+		s.Histograms[k] = snapshotOf(v.Data())
 	}
 	return s
 }

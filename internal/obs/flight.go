@@ -15,10 +15,10 @@ import (
 // picks the trace records out of it, skipping and counting these headers,
 // and ReadFlightDump reassembles the whole artifact.
 const (
-	FlightTypeMeta    = "flight_meta"
-	FlightTypeMetrics = "flight_metrics"
-	FlightTypeSLO     = "flight_slo"
-	FlightTypeFault   = "fault"
+	flightTypeMeta    = "flight_meta"
+	flightTypeMetrics = "flight_metrics"
+	flightTypeSLO     = "flight_slo"
+	flightTypeFault   = "fault"
 )
 
 // FaultEvent is one noteworthy incident in the recorder's timeline: a
@@ -110,7 +110,7 @@ func (fr *FlightRecorder) NoteFault(kind, detail string) {
 	if fr == nil {
 		return
 	}
-	e := FaultEvent{Type: FlightTypeFault, TimeNS: fr.cfg.Clock().UnixNano(), Kind: kind, Detail: detail}
+	e := FaultEvent{Type: flightTypeFault, TimeNS: fr.cfg.Clock().UnixNano(), Kind: kind, Detail: detail}
 	fr.mu.Lock()
 	fr.faults.push(e)
 	fr.mu.Unlock()
@@ -129,8 +129,8 @@ func (fr *FlightRecorder) NoteSnapshot() {
 	fr.mu.Unlock()
 }
 
-// Faults returns the number of buffered fault events.
-func (fr *FlightRecorder) Faults() int {
+// faultCount returns the number of buffered fault events.
+func (fr *FlightRecorder) faultCount() int {
 	if fr == nil {
 		return 0
 	}
@@ -158,7 +158,7 @@ func (fr *FlightRecorder) Dump(w io.Writer, reason string) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
 	meta := FlightMeta{
-		Type:      FlightTypeMeta,
+		Type:      flightTypeMeta,
 		Reason:    reason,
 		AtUnixNS:  now.UnixNano(),
 		Spans:     len(spans),
@@ -170,24 +170,24 @@ func (fr *FlightRecorder) Dump(w io.Writer, reason string) error {
 		return fmt.Errorf("obs: flight: %w", err)
 	}
 	for _, s := range snaps {
-		if err := enc.Encode(flightMetricsLine{Type: FlightTypeMetrics, AtUnixNS: s.AtUnixNS, Metrics: s.Metrics}); err != nil {
+		if err := enc.Encode(flightMetricsLine{Type: flightTypeMetrics, AtUnixNS: s.AtUnixNS, Metrics: s.Metrics}); err != nil {
 			return fmt.Errorf("obs: flight: %w", err)
 		}
 	}
 	if fr.cfg.SLO != nil {
-		if err := enc.Encode(flightSLOLine{Type: FlightTypeSLO, SLO: fr.cfg.SLO.Status()}); err != nil {
+		if err := enc.Encode(flightSLOLine{Type: flightTypeSLO, SLO: fr.cfg.SLO.status()}); err != nil {
 			return fmt.Errorf("obs: flight: %w", err)
 		}
 	}
 	for _, f := range faults {
-		f.Type = FlightTypeFault
+		f.Type = flightTypeFault
 		if err := enc.Encode(f); err != nil {
 			return fmt.Errorf("obs: flight: %w", err)
 		}
 	}
 	// bufio reuses a writer that is already big enough, so this appends to
 	// bw and flushes it.
-	return WriteSpansJSONL(bw, spans)
+	return writeSpansJSONL(bw, spans)
 }
 
 // DumpFile writes the dump to path (truncating an earlier dump: the
@@ -231,24 +231,24 @@ func ReadFlightDump(r io.Reader) (*FlightDump, int, error) {
 	)
 	spans, skipped, err := readSpans(r, 1<<24, func(typ string, b []byte) bool {
 		switch typ {
-		case FlightTypeMeta:
+		case flightTypeMeta:
 			if json.Unmarshal(b, &d.Meta) != nil {
 				return false
 			}
 			gotMeta = true
-		case FlightTypeMetrics:
+		case flightTypeMetrics:
 			var l flightMetricsLine
 			if json.Unmarshal(b, &l) != nil {
 				return false
 			}
 			d.Snapshots = append(d.Snapshots, TimedSnapshot{AtUnixNS: l.AtUnixNS, Metrics: l.Metrics})
-		case FlightTypeSLO:
+		case flightTypeSLO:
 			var l flightSLOLine
 			if json.Unmarshal(b, &l) != nil {
 				return false
 			}
 			d.SLO = &l.SLO
-		case FlightTypeFault:
+		case flightTypeFault:
 			var f FaultEvent
 			if json.Unmarshal(b, &f) != nil {
 				return false

@@ -28,8 +28,8 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	clk.Advance(time.Second)
 	fr.NoteFault("kill", "cycle 1")
 	fr.NoteFault("restart", "cycle 1")
-	if fr.Faults() != 2 {
-		t.Fatalf("Faults = %d, want 2", fr.Faults())
+	if fr.faultCount() != 2 {
+		t.Fatalf("Faults = %d, want 2", fr.faultCount())
 	}
 
 	var buf bytes.Buffer
@@ -60,7 +60,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	if len(d.Faults) != 2 || d.Faults[0].Kind != "kill" || d.Faults[1].Kind != "restart" {
 		t.Fatalf("faults = %+v", d.Faults)
 	}
-	if d.SLO == nil || d.SLO.State != SLORed {
+	if d.SLO == nil || d.SLO.State != sloRed {
 		t.Fatalf("slo section = %+v, want red", d.SLO)
 	}
 
@@ -79,8 +79,8 @@ func TestFlightRecorderFaultRingBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fr.NoteFault("kill", strings.Repeat("x", i))
 	}
-	if fr.Faults() != 3 {
-		t.Fatalf("Faults = %d, want bounded at 3", fr.Faults())
+	if fr.faultCount() != 3 {
+		t.Fatalf("Faults = %d, want bounded at 3", fr.faultCount())
 	}
 	faults := fr.faults.snapshot()
 	if faults[0].Detail != strings.Repeat("x", 7) {
@@ -118,7 +118,7 @@ func TestFlightRecorderNilInert(t *testing.T) {
 	var fr *FlightRecorder
 	fr.NoteFault("kill", "")
 	fr.NoteSnapshot()
-	if fr.Faults() != 0 {
+	if fr.faultCount() != 0 {
 		t.Fatal("nil recorder holds faults")
 	}
 	if err := fr.Dump(&bytes.Buffer{}, "x"); err != nil {

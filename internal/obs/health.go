@@ -9,9 +9,9 @@ import (
 // ready once it accepts work, and drains when shutdown has begun but
 // in-flight work is still finishing.
 const (
-	HealthStarting int32 = iota
-	HealthReady
-	HealthDraining
+	healthStarting int32 = iota
+	healthReady
+	healthDraining
 )
 
 // Health is a process-level readiness flag served at /healthz. Load
@@ -26,7 +26,7 @@ type Health struct {
 // SetReady marks the process ready to accept work.
 func (h *Health) SetReady() {
 	if h != nil {
-		h.state.Store(HealthReady)
+		h.state.Store(healthReady)
 	}
 }
 
@@ -34,24 +34,24 @@ func (h *Health) SetReady() {
 // in-flight work, but no longer a target for new work.
 func (h *Health) SetDraining() {
 	if h != nil {
-		h.state.Store(HealthDraining)
+		h.state.Store(healthDraining)
 	}
 }
 
-// State returns the current lifecycle state (HealthStarting for nil).
-func (h *Health) State() int32 {
+// current returns the lifecycle state (healthStarting for nil).
+func (h *Health) current() int32 {
 	if h == nil {
-		return HealthStarting
+		return healthStarting
 	}
 	return h.state.Load()
 }
 
 // String names the state for /healthz bodies and logs.
 func (h *Health) String() string {
-	switch h.State() {
-	case HealthReady:
+	switch h.current() {
+	case healthReady:
 		return "ready"
-	case HealthDraining:
+	case healthDraining:
 		return "draining"
 	default:
 		return "starting"
@@ -62,7 +62,7 @@ func (h *Health) String() string {
 // name.
 func (h *Health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if h.State() == HealthReady {
+	if h.current() == healthReady {
 		w.WriteHeader(http.StatusOK)
 	} else {
 		w.WriteHeader(http.StatusServiceUnavailable)

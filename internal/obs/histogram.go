@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// NumBuckets is the fixed bucket count of every histogram. Buckets are
+// numBuckets is the fixed bucket count of every histogram. Buckets are
 // log-scale powers of two: bucket 0 counts values <= 1 (including zero and
 // negatives), bucket i counts values in (2^(i-1), 2^i]. Sixty-four buckets
 // cover the whole int64 range, so nanosecond latencies and buffer depths
 // share one shape with no configuration.
-const NumBuckets = 64
+const numBuckets = 64
 
-// BucketUpperBound returns the inclusive upper bound of bucket i
+// bucketUpperBound returns the inclusive upper bound of bucket i
 // (math.MaxInt64 for the last bucket).
-func BucketUpperBound(i int) int64 {
+func bucketUpperBound(i int) int64 {
 	if i <= 0 {
 		return 1
 	}
@@ -34,8 +34,8 @@ func bucketFor(v int64) int {
 	for x := uint64(v - 1); x > 0; x >>= 1 {
 		b++
 	}
-	if b >= NumBuckets {
-		b = NumBuckets - 1
+	if b >= numBuckets {
+		b = numBuckets - 1
 	}
 	return b
 }
@@ -49,7 +49,7 @@ type HistogramData struct {
 	Sum     int64
 	MinSeen int64 // valid only when Count > 0
 	MaxSeen int64
-	Buckets [NumBuckets]int64
+	Buckets [numBuckets]int64
 }
 
 // Observe records one value.
@@ -151,9 +151,9 @@ func (h HistogramData) Quantile(q float64) float64 {
 		if float64(cum+c) >= rank {
 			lo := float64(0)
 			if i > 0 {
-				lo = float64(BucketUpperBound(i - 1))
+				lo = float64(bucketUpperBound(i - 1))
 			}
-			hi := float64(BucketUpperBound(i))
+			hi := float64(bucketUpperBound(i))
 			frac := (rank - float64(cum)) / float64(c)
 			est := lo + frac*(hi-lo)
 			if est < float64(h.MinSeen) {
@@ -225,14 +225,4 @@ func (h *Histogram) Data() HistogramData {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.data
-}
-
-// MergeData folds a plain HistogramData into the instrument.
-func (h *Histogram) MergeData(o HistogramData) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.data.Merge(o)
-	h.mu.Unlock()
 }

@@ -167,11 +167,11 @@ func TestConcurrentObserveSnapshotDeterminism(t *testing.T) {
 		t.Fatalf("concurrent fold diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 
-	a, err := json.Marshal(SnapshotOf(h.Data()))
+	a, err := json.Marshal(snapshotOf(h.Data()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(SnapshotOf(want))
+	b, err := json.Marshal(snapshotOf(want))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func (e *Exposer) Refresh() {
 	e.mu.Unlock()
 }
 
-// Latest returns the most recent periodic snapshot and when it was taken.
-func (e *Exposer) Latest() (Snapshot, time.Time) {
+// latest returns the most recent periodic snapshot and when it was taken.
+func (e *Exposer) latest() (Snapshot, time.Time) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.snap, e.taken
@@ -94,7 +94,7 @@ func (e *Exposer) Register(mux *http.ServeMux) {
 }
 
 func (e *Exposer) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap, _ := e.Latest()
+	snap, _ := e.latest()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = snap.WritePrometheus(w)
 }

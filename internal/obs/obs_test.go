@@ -24,15 +24,15 @@ func TestBucketBoundaries(t *testing.T) {
 		{17, 5},
 		{1 << 20, 20},
 		{1<<20 + 1, 21},
-		{math.MaxInt64, NumBuckets - 1},
+		{math.MaxInt64, numBuckets - 1},
 	}
 	for _, c := range cases {
 		if got := bucketFor(c.v); got != c.want {
 			t.Errorf("bucketFor(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
-	for i := 1; i < NumBuckets-1; i++ {
-		ub := BucketUpperBound(i)
+	for i := 1; i < numBuckets-1; i++ {
+		ub := bucketUpperBound(i)
 		if got := bucketFor(ub); got != i {
 			t.Errorf("upper bound %d of bucket %d lands in bucket %d", ub, i, got)
 		}
@@ -211,7 +211,7 @@ func TestSinkWriteThroughRoundTrip(t *testing.T) {
 	}
 	for i := range in {
 		want := in[i]
-		want.Type, want.Trace = SpanTypeField, TraceID(want.Stream, want.Block)
+		want.Type, want.Trace = spanTypeField, traceID(want.Stream, want.Block)
 		if out[i] != want || kept[i] != want {
 			t.Errorf("record %d: read %+v, kept %+v, want %+v", i, out[i], kept[i], want)
 		}
@@ -263,7 +263,7 @@ func TestEmptyHistogramNeverNaN(t *testing.T) {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, v)
 		}
 	}
-	s := SnapshotOf(h)
+	s := snapshotOf(h)
 	if s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 ||
 		s.Mean != 0 || s.P50 != 0 || s.P90 != 0 || s.P99 != 0 || s.Buckets != nil {
 		t.Errorf("empty snapshot not zero-valued: %+v", s)

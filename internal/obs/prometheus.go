@@ -21,7 +21,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		pn := PrometheusName(n)
+		pn := prometheusName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[n]); err != nil {
 			return err
 		}
@@ -32,7 +32,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		pn := PrometheusName(n)
+		pn := prometheusName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[n]); err != nil {
 			return err
 		}
@@ -43,7 +43,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if err := writePrometheusHistogram(w, PrometheusName(n), s.Histograms[n]); err != nil {
+		if err := writePrometheusHistogram(w, prometheusName(n), s.Histograms[n]); err != nil {
 			return err
 		}
 	}
@@ -72,10 +72,10 @@ func writePrometheusHistogram(w io.Writer, pn string, h HistogramSnapshot) error
 	return err
 }
 
-// PrometheusName maps a registry instrument name onto the Prometheus
+// prometheusName maps a registry instrument name onto the Prometheus
 // metric-name charset [a-zA-Z_:][a-zA-Z0-9_:]*. The registry convention
 // `layer.metric_name` becomes `layer_metric_name`.
-func PrometheusName(name string) string {
+func prometheusName(name string) string {
 	var b strings.Builder
 	b.Grow(len(name))
 	for i, r := range name {

@@ -124,7 +124,7 @@ func TestPrometheusName(t *testing.T) {
 		"a-b c":                    "a_b_c",
 	}
 	for in, want := range cases {
-		if got := PrometheusName(in); got != want {
+		if got := prometheusName(in); got != want {
 			t.Errorf("PrometheusName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -56,7 +56,7 @@ func TestSnapshotP95Exposed(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		d.Observe(v)
 	}
-	s := SnapshotOf(d)
+	s := snapshotOf(d)
 	if s.P95 != d.Quantile(0.95) {
 		t.Errorf("snapshot P95 = %v, want %v", s.P95, d.Quantile(0.95))
 	}

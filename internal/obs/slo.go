@@ -17,10 +17,10 @@ import (
 // "idle" before MinSample attempts have accumulated (too little data to
 // judge either way).
 const (
-	SLOIdle = "idle"
-	SLOOk   = "ok"
-	SLOWarn = "warn"
-	SLORed  = "red"
+	sloIdle = "idle"
+	sloOk   = "ok"
+	sloWarn = "warn"
+	sloRed  = "red"
 )
 
 // SLOConfig declares the per-stream objectives the tracker evaluates.
@@ -88,7 +88,7 @@ type sloStream struct {
 
 // SLOTracker evaluates declarative per-stream SLOs over a sliding window
 // with error-budget/burn-rate accounting. Feed it outcome deltas with
-// Observe; read it via Status, the /slo HTTP handler, Export (gauges on a
+// Observe; read it via status, the /slo HTTP handler, Export (gauges on a
 // metrics registry), or WriteText (statusz section). All methods are
 // nil-safe and concurrency-safe.
 type SLOTracker struct {
@@ -197,22 +197,22 @@ const sloAllowedSlowFraction = 0.01
 func burnState(burn float64) string {
 	switch {
 	case burn >= 1:
-		return SLORed
+		return sloRed
 	case burn > 0.5:
-		return SLOWarn
+		return sloWarn
 	default:
-		return SLOOk
+		return sloOk
 	}
 }
 
 func worseState(a, b string) string {
 	rank := func(s string) int {
 		switch s {
-		case SLORed:
+		case sloRed:
 			return 3
-		case SLOWarn:
+		case sloWarn:
 			return 2
-		case SLOOk:
+		case sloOk:
 			return 1
 		default:
 			return 0
@@ -249,9 +249,9 @@ func countAbove(h HistogramData, threshold int64) float64 {
 		}
 		lo := int64(0)
 		if i > 0 {
-			lo = BucketUpperBound(i - 1)
+			lo = bucketUpperBound(i - 1)
 		}
-		hi := BucketUpperBound(i)
+		hi := bucketUpperBound(i)
 		switch {
 		case lo >= threshold:
 			above += float64(c)
@@ -273,7 +273,7 @@ func (t *SLOTracker) evaluate(stream uint64, w SLOSample) StreamSLO {
 		Failed:        w.Failed,
 		TTAP50NS:      w.TimeToAuth.P50(),
 		TTAP99NS:      w.TimeToAuth.P99(),
-		State:         SLOIdle,
+		State:         sloIdle,
 	}
 	if s.Attempts > 0 {
 		s.AuthFraction = float64(w.Authenticated) / float64(s.Attempts)
@@ -281,7 +281,7 @@ func (t *SLOTracker) evaluate(stream uint64, w SLOSample) StreamSLO {
 	if s.Attempts < t.cfg.MinSample {
 		return s
 	}
-	s.State = SLOOk
+	s.State = sloOk
 	if q := t.cfg.MinAuthFraction; q > 0 {
 		failFrac := 0.0
 		if s.Attempts > 0 {
@@ -323,10 +323,10 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Status evaluates every stream over the current window. Streams are
+// status evaluates every stream over the current window. Streams are
 // sorted by ID; the document state is the worst stream state.
-func (t *SLOTracker) Status() SLOStatus {
-	out := SLOStatus{State: SLOIdle}
+func (t *SLOTracker) status() SLOStatus {
+	out := SLOStatus{State: sloIdle}
 	if t == nil {
 		return out
 	}
@@ -353,16 +353,16 @@ func (t *SLOTracker) Status() SLOStatus {
 // Red reports whether any stream's budget is currently exhausted — the
 // flight-recorder trigger condition.
 func (t *SLOTracker) Red() bool {
-	return t != nil && t.Status().State == SLORed
+	return t != nil && t.status().State == sloRed
 }
 
-// ServeHTTP renders Status as JSON: the machine-readable /slo endpoint the
+// ServeHTTP renders status as JSON: the machine-readable /slo endpoint the
 // adaptive planner polls.
 func (t *SLOTracker) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(t.Status())
+	_ = enc.Encode(t.status())
 }
 
 // Register installs the /slo handler on mux.
@@ -378,7 +378,7 @@ func (t *SLOTracker) Export(reg *Registry) {
 	if t == nil || reg == nil {
 		return
 	}
-	st := t.Status()
+	st := t.status()
 	red := int64(0)
 	for _, s := range st.Streams {
 		prefix := fmt.Sprintf("slo.stream.%d.", s.Stream)
@@ -388,16 +388,16 @@ func (t *SLOTracker) Export(reg *Registry) {
 		for _, o := range s.Objectives {
 			reg.Gauge(prefix + o.Name + "_burn_milli").Set(int64(o.BurnRate * 1000))
 		}
-		if s.State == SLORed {
+		if s.State == sloRed {
 			red++
 		}
 	}
 	reg.Gauge("slo.red_streams").Set(red)
 }
 
-// WriteText renders Status as a human-readable table (statusz section).
+// WriteText renders status as a human-readable table (statusz section).
 func (t *SLOTracker) WriteText(w io.Writer) error {
-	st := t.Status()
+	st := t.status()
 	fmt.Fprintf(w, "--- slo (window %v, state %s) ---\n", time.Duration(st.WindowNS), st.State)
 	if len(st.Streams) == 0 {
 		_, err := fmt.Fprintln(w, "no streams observed")

@@ -34,7 +34,7 @@ func newTestTracker(clk *sloClock) *SLOTracker {
 
 func streamStatus(t *testing.T, tr *SLOTracker, id uint64) StreamSLO {
 	t.Helper()
-	st := tr.Status()
+	st := tr.status()
 	for _, s := range st.Streams {
 		if s.Stream == id {
 			return s
@@ -60,7 +60,7 @@ func TestSLOIdleBelowMinSample(t *testing.T) {
 	tr := newTestTracker(clk)
 	tr.Observe(1, SLOSample{Authenticated: 5, TimeToAuth: ttaSample(1000)})
 	s := streamStatus(t, tr, 1)
-	if s.State != SLOIdle {
+	if s.State != sloIdle {
 		t.Fatalf("state = %q, want idle below MinSample", s.State)
 	}
 }
@@ -74,7 +74,7 @@ func TestSLOHealthyStreamOk(t *testing.T) {
 	}
 	tr.Observe(1, SLOSample{Authenticated: 100, TimeToAuth: ttaSample(fast...)})
 	s := streamStatus(t, tr, 1)
-	if s.State != SLOOk {
+	if s.State != sloOk {
 		t.Fatalf("state = %q, want ok: %+v", s.State, s)
 	}
 	if s.AuthFraction != 1 {
@@ -96,7 +96,7 @@ func TestSLOAuthFractionRedUnderLoss(t *testing.T) {
 	tr.Observe(1, SLOSample{Authenticated: 70, Failed: 30, TimeToAuth: ttaSample(1000)})
 	s := streamStatus(t, tr, 1)
 	o := objective(t, s, "auth_fraction")
-	if o.State != SLORed || s.State != SLORed {
+	if o.State != sloRed || s.State != sloRed {
 		t.Fatalf("want red, got objective=%q stream=%q (%+v)", o.State, s.State, o)
 	}
 	if o.BurnRate < 2.5 || o.BurnRate > 3.5 {
@@ -108,7 +108,7 @@ func TestSLOAuthFractionRedUnderLoss(t *testing.T) {
 	if !tr.Red() {
 		t.Fatal("tracker must report red")
 	}
-	if st := tr.Status(); st.State != SLORed {
+	if st := tr.status(); st.State != sloRed {
 		t.Fatalf("document state = %q, want red", st.State)
 	}
 }
@@ -127,14 +127,14 @@ func TestSLOLatencyObjectiveRed(t *testing.T) {
 	}
 	tr.Observe(2, SLOSample{Authenticated: 100, TimeToAuth: ttaSample(vals...)})
 	s := streamStatus(t, tr, 2)
-	if o := objective(t, s, "auth_fraction"); o.State != SLOOk {
+	if o := objective(t, s, "auth_fraction"); o.State != sloOk {
 		t.Fatalf("auth_fraction = %q, want ok", o.State)
 	}
 	o := objective(t, s, "tta_p99")
-	if o.State != SLORed {
+	if o.State != sloRed {
 		t.Fatalf("tta_p99 state = %q, want red (%+v)", o.State, o)
 	}
-	if s.State != SLORed {
+	if s.State != sloRed {
 		t.Fatalf("stream state = %q, want red", s.State)
 	}
 }
@@ -151,7 +151,7 @@ func TestSLOWindowExpiryRecovers(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	tr.Observe(1, SLOSample{Authenticated: 50, TimeToAuth: ttaSample(1000)})
 	s := streamStatus(t, tr, 1)
-	if s.State != SLOOk {
+	if s.State != sloOk {
 		t.Fatalf("state after window expiry = %q, want ok (%+v)", s.State, s)
 	}
 	if s.Attempts != 50 {
@@ -172,7 +172,7 @@ func TestSLOServeHTTPAndExport(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("/slo not JSON: %v\n%s", err, rec.Body.String())
 	}
-	if st.State != SLORed || len(st.Streams) != 1 || st.Streams[0].Stream != 7 {
+	if st.State != sloRed || len(st.Streams) != 1 || st.Streams[0].Stream != 7 {
 		t.Fatalf("unexpected /slo document: %+v", st)
 	}
 
@@ -204,7 +204,7 @@ func TestSLONilTrackerInert(t *testing.T) {
 	if tr.Red() {
 		t.Fatal("nil tracker red")
 	}
-	if st := tr.Status(); st.State != SLOIdle || len(st.Streams) != 0 {
+	if st := tr.status(); st.State != sloIdle || len(st.Streams) != 0 {
 		t.Fatalf("nil tracker status = %+v", st)
 	}
 	tr.Export(NewRegistry())

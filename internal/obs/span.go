@@ -60,21 +60,21 @@ const (
 	SpanForgedRejected SpanKind = "forged_rejected"
 )
 
-// SpanTypeField is the value of the "type" JSON field on every trace
+// spanTypeField is the value of the "type" JSON field on every trace
 // line. Trace lines share files with other record types (a flight dump's
 // header sections, stray stderr); ReadSpans takes the lines of this type
 // and skips and counts every other.
-const SpanTypeField = "span"
+const spanTypeField = "span"
 
 // Span is the one trace record: one JSONL line per fact, whoever reports
 // it. Zero-valued optional fields are elided from the encoding. Records of
-// the same block share a trace ID (TraceID is a pure function of stream
+// the same block share a trace ID (traceID is a pure function of stream
 // and block), so sender- and receiver-side processes link causally with no
 // wire changes.
 type Span struct {
 	// Type is always "span" on encoded records.
 	Type string `json:"type"`
-	// Trace is the causal trace ID: TraceID(Stream, Block).
+	// Trace is the causal trace ID: traceID(Stream, Block).
 	Trace uint64 `json:"trace"`
 	// Kind is the fact.
 	Kind SpanKind `json:"kind"`
@@ -116,11 +116,11 @@ type Span struct {
 	Root uint32 `json:"root,omitempty"`
 }
 
-// TraceID derives the causal trace ID for a block deterministically from
+// traceID derives the causal trace ID for a block deterministically from
 // (stream, block) — a splitmix64 finalizer over the pair, so sender and
 // receiver sides compute the same ID independently and distinct blocks
 // scatter across the ID space.
-func TraceID(stream, block uint64) uint64 {
+func traceID(stream, block uint64) uint64 {
 	x := stream*0x9e3779b97f4a7c15 + block
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -226,8 +226,8 @@ func (s *SpanSink) Record(sp Span) {
 	if !s.Enabled() {
 		return
 	}
-	sp.Type = SpanTypeField
-	sp.Trace = TraceID(sp.Stream, sp.Block)
+	sp.Type = spanTypeField
+	sp.Trace = traceID(sp.Stream, sp.Block)
 	sp.Receiver = s.recv
 	s.mu.Lock()
 	s.held.push(sp)
@@ -285,15 +285,15 @@ func (s *SpanSink) Close() error {
 	return nil
 }
 
-// WriteSpansJSONL encodes spans one JSON object per line, the lines
+// writeSpansJSONL encodes spans one JSON object per line, the lines
 // ReadSpans reads. Hand-built spans get their Type and Trace stamped.
-func WriteSpansJSONL(w io.Writer, spans []Span) error {
+func writeSpansJSONL(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
 	for _, s := range spans {
-		s.Type = SpanTypeField
+		s.Type = spanTypeField
 		if s.Trace == 0 {
-			s.Trace = TraceID(s.Stream, s.Block)
+			s.Trace = traceID(s.Stream, s.Block)
 		}
 		if err := enc.Encode(s); err != nil {
 			return fmt.Errorf("obs: span: %w", err)
@@ -323,7 +323,7 @@ func readSpans(r io.Reader, maxLine int, other func(typ string, line []byte) boo
 		// A line of another type may clash with Span's field types; its
 		// "type" is decoded all the same, and other decodes it again.
 		bad := json.Unmarshal(line, &s)
-		if s.Type != SpanTypeField {
+		if s.Type != spanTypeField {
 			return other != nil && s.Type != "" && other(s.Type, line)
 		}
 		if bad != nil || s.Kind == "" {

@@ -40,7 +40,7 @@ func TestSpanGoldenSchema(t *testing.T) {
 		r.Record(s)
 	}
 	var buf bytes.Buffer
-	if err := WriteSpansJSONL(&buf, r.Snapshot()); err != nil {
+	if err := writeSpansJSONL(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, filepath.Join("testdata", "spans.golden.jsonl"), buf.Bytes())
@@ -72,7 +72,7 @@ func checkGolden(t *testing.T, golden string, got []byte) {
 func TestSpanRoundTrip(t *testing.T) {
 	in := lifecycleSpans()
 	var buf bytes.Buffer
-	if err := WriteSpansJSONL(&buf, in); err != nil {
+	if err := writeSpansJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	got, skipped, err := ReadSpans(&buf)
@@ -87,14 +87,14 @@ func TestSpanRoundTrip(t *testing.T) {
 	}
 	for i := range got {
 		want := in[i]
-		want.Type = SpanTypeField
-		want.Trace = TraceID(want.Stream, want.Block)
+		want.Type = spanTypeField
+		want.Trace = traceID(want.Stream, want.Block)
 		if got[i] != want {
 			t.Errorf("span %d = %+v, want %+v", i, got[i], want)
 		}
-		if got[i].Trace != TraceID(want.Stream, want.Block) {
+		if got[i].Trace != traceID(want.Stream, want.Block) {
 			t.Errorf("span %d trace = %d, want TraceID(%d,%d)=%d",
-				i, got[i].Trace, want.Stream, want.Block, TraceID(want.Stream, want.Block))
+				i, got[i].Trace, want.Stream, want.Block, traceID(want.Stream, want.Block))
 		}
 	}
 }
@@ -122,13 +122,13 @@ func TestReadSpansSkipsForeignLines(t *testing.T) {
 }
 
 func TestTraceIDDeterministicAndScattering(t *testing.T) {
-	if TraceID(3, 17) != TraceID(3, 17) {
+	if traceID(3, 17) != traceID(3, 17) {
 		t.Fatal("TraceID not deterministic")
 	}
 	seen := make(map[uint64]bool)
 	for stream := uint64(0); stream < 8; stream++ {
 		for block := uint64(0); block < 64; block++ {
-			id := TraceID(stream, block)
+			id := traceID(stream, block)
 			if seen[id] {
 				t.Fatalf("TraceID collision at stream=%d block=%d", stream, block)
 			}

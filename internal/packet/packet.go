@@ -22,9 +22,9 @@ import (
 
 // Limits guarding the decoder against malformed input.
 const (
-	MaxPayloadSize = 1 << 20 // 1 MiB
-	MaxHashes      = 1 << 12
-	MaxBlobSize    = 1 << 10 // signature / MAC / key fields
+	maxPayloadSize = 1 << 20 // 1 MiB
+	maxHashes      = 1 << 12
+	maxBlobSize    = 1 << 10 // signature / MAC / key fields
 )
 
 // HashRef is a carried hash: the digest of the packet at TargetIndex within
@@ -128,15 +128,15 @@ func (p *Packet) Encode() ([]byte, error) {
 // one buffer across packets instead of allocating per Encode. buf may be
 // nil. On error buf is returned unextended.
 func (p *Packet) AppendEncode(buf []byte) ([]byte, error) {
-	if len(p.Payload) > MaxPayloadSize {
-		return buf, fmt.Errorf("packet: payload %d exceeds %d bytes", len(p.Payload), MaxPayloadSize)
+	if len(p.Payload) > maxPayloadSize {
+		return buf, fmt.Errorf("packet: payload %d exceeds %d bytes", len(p.Payload), maxPayloadSize)
 	}
-	if len(p.Hashes) > MaxHashes {
-		return buf, fmt.Errorf("packet: %d hashes exceed %d", len(p.Hashes), MaxHashes)
+	if len(p.Hashes) > maxHashes {
+		return buf, fmt.Errorf("packet: %d hashes exceed %d", len(p.Hashes), maxHashes)
 	}
 	for _, blob := range [][]byte{p.Signature, p.MAC, p.DisclosedKey} {
-		if len(blob) > MaxBlobSize {
-			return buf, fmt.Errorf("packet: auth field %d exceeds %d bytes", len(blob), MaxBlobSize)
+		if len(blob) > maxBlobSize {
+			return buf, fmt.Errorf("packet: auth field %d exceeds %d bytes", len(blob), maxBlobSize)
 		}
 	}
 	buf = p.AppendContent(buf)
@@ -156,9 +156,9 @@ func appendBlob(buf, blob []byte) []byte {
 	return append(buf, blob...)
 }
 
-// ErrTruncated indicates the wire bytes end before the structure is
+// errTruncated indicates the wire bytes end before the structure is
 // complete.
-var ErrTruncated = errors.New("packet: truncated")
+var errTruncated = errors.New("packet: truncated")
 
 type decoder struct {
 	buf []byte
@@ -167,7 +167,7 @@ type decoder struct {
 
 func (d *decoder) u32() (uint32, error) {
 	if d.off+4 > len(d.buf) {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	v := binary.BigEndian.Uint32(d.buf[d.off:])
 	d.off += 4
@@ -176,7 +176,7 @@ func (d *decoder) u32() (uint32, error) {
 
 func (d *decoder) u64() (uint64, error) {
 	if d.off+8 > len(d.buf) {
-		return 0, ErrTruncated
+		return 0, errTruncated
 	}
 	v := binary.BigEndian.Uint64(d.buf[d.off:])
 	d.off += 8
@@ -185,7 +185,7 @@ func (d *decoder) u64() (uint64, error) {
 
 func (d *decoder) bytes(n int) ([]byte, error) {
 	if n < 0 || d.off+n > len(d.buf) {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
@@ -228,15 +228,15 @@ func DecodeInto(p *Packet, wire []byte) error {
 	if p.KeyIndex, err = d.u32(); err != nil {
 		return err
 	}
-	if p.Payload, err = d.blobInto(p.Payload, MaxPayloadSize); err != nil {
+	if p.Payload, err = d.blobInto(p.Payload, maxPayloadSize); err != nil {
 		return err
 	}
 	nHashes, err := d.u32()
 	if err != nil {
 		return err
 	}
-	if nHashes > MaxHashes {
-		return fmt.Errorf("packet: %d hashes exceed %d", nHashes, MaxHashes)
+	if nHashes > maxHashes {
+		return fmt.Errorf("packet: %d hashes exceed %d", nHashes, maxHashes)
 	}
 	if cap(p.Hashes) >= int(nHashes) {
 		p.Hashes = p.Hashes[:nHashes]
@@ -253,13 +253,13 @@ func DecodeInto(p *Packet, wire []byte) error {
 		}
 		copy(p.Hashes[i].Digest[:], raw)
 	}
-	if p.Signature, err = d.blobInto(p.Signature, MaxBlobSize); err != nil {
+	if p.Signature, err = d.blobInto(p.Signature, maxBlobSize); err != nil {
 		return err
 	}
-	if p.MAC, err = d.blobInto(p.MAC, MaxBlobSize); err != nil {
+	if p.MAC, err = d.blobInto(p.MAC, maxBlobSize); err != nil {
 		return err
 	}
-	if p.DisclosedKey, err = d.blobInto(p.DisclosedKey, MaxBlobSize); err != nil {
+	if p.DisclosedKey, err = d.blobInto(p.DisclosedKey, maxBlobSize); err != nil {
 		return err
 	}
 	if p.DisclosedKeyIndex, err = d.u32(); err != nil {

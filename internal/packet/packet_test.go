@@ -114,15 +114,15 @@ func TestOverheadBytes(t *testing.T) {
 }
 
 func TestEncodeLimits(t *testing.T) {
-	p := &Packet{Index: 1, Payload: make([]byte, MaxPayloadSize+1)}
+	p := &Packet{Index: 1, Payload: make([]byte, maxPayloadSize+1)}
 	if _, err := p.Encode(); err == nil {
 		t.Error("oversized payload should fail")
 	}
-	p = &Packet{Index: 1, Hashes: make([]HashRef, MaxHashes+1)}
+	p = &Packet{Index: 1, Hashes: make([]HashRef, maxHashes+1)}
 	if _, err := p.Encode(); err == nil {
 		t.Error("too many hashes should fail")
 	}
-	p = &Packet{Index: 1, Signature: make([]byte, MaxBlobSize+1)}
+	p = &Packet{Index: 1, Signature: make([]byte, maxBlobSize+1)}
 	if _, err := p.Encode(); err == nil {
 		t.Error("oversized signature should fail")
 	}
@@ -175,12 +175,12 @@ func TestContentBytesDeterministic(t *testing.T) {
 // Property: encode/decode round-trips arbitrary packets.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(blockID uint64, index, keyIdx uint32, payload []byte, nHashes uint8, sig, mac, key []byte) bool {
-		if len(payload) > MaxPayloadSize {
-			payload = payload[:MaxPayloadSize]
+		if len(payload) > maxPayloadSize {
+			payload = payload[:maxPayloadSize]
 		}
 		trim := func(b []byte) []byte {
-			if len(b) > MaxBlobSize {
-				return b[:MaxBlobSize]
+			if len(b) > maxBlobSize {
+				return b[:maxBlobSize]
 			}
 			if len(b) == 0 {
 				return nil
@@ -266,7 +266,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 
 func TestAppendEncodeErrorLeavesBufUnextended(t *testing.T) {
 	p := samplePacket()
-	p.Signature = make([]byte, MaxBlobSize+1)
+	p.Signature = make([]byte, maxBlobSize+1)
 	buf := []byte("prefix")
 	got, err := p.AppendEncode(buf)
 	if err == nil {

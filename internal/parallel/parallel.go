@@ -15,15 +15,15 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the pool width used when a caller passes workers <= 0:
+// defaultWorkers is the pool width used when a caller passes workers <= 0:
 // one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Clamp resolves a workers knob: <= 0 selects DefaultWorkers, and the pool
+// clamp resolves a workers knob: <= 0 selects defaultWorkers, and the pool
 // is never wider than the number of items.
-func Clamp(workers, items int) int {
+func clamp(workers, items int) int {
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	if workers > items {
 		workers = items
@@ -35,7 +35,7 @@ func Clamp(workers, items int) int {
 }
 
 // Map applies fn to every element of items on a pool of at most workers
-// goroutines (workers <= 0 selects DefaultWorkers) and returns the results
+// goroutines (workers <= 0 selects defaultWorkers) and returns the results
 // in input order. fn receives the element's index and value; it must be
 // safe to call concurrently with itself.
 //
@@ -49,7 +49,7 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 	if len(items) == 0 {
 		return results, nil
 	}
-	workers = Clamp(workers, len(items))
+	workers = clamp(workers, len(items))
 	if workers == 1 {
 		// Fast path: no goroutines, no synchronization.
 		for i, item := range items {

@@ -114,13 +114,13 @@ func TestForEachError(t *testing.T) {
 }
 
 func TestClamp(t *testing.T) {
-	if got := Clamp(0, 100); got != DefaultWorkers() {
-		t.Fatalf("Clamp(0, 100) = %d, want %d", got, DefaultWorkers())
+	if got := clamp(0, 100); got != defaultWorkers() {
+		t.Fatalf("Clamp(0, 100) = %d, want %d", got, defaultWorkers())
 	}
-	if got := Clamp(16, 4); got != 4 {
+	if got := clamp(16, 4); got != 4 {
 		t.Fatalf("Clamp(16, 4) = %d, want 4", got)
 	}
-	if got := Clamp(-3, 0); got != 1 {
+	if got := clamp(-3, 0); got != 1 {
 		t.Fatalf("Clamp(-3, 0) = %d, want 1", got)
 	}
 }

@@ -138,7 +138,7 @@ func TestRecurrenceUpperBoundsMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := g.MonteCarloAuthProb(loss.Pattern(model), 40000, stats.NewRNG(7))
+	mc, err := g.MonteCarloAuthProb(model.Sample, 40000, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,8 @@ func (t *Tree) BlockSize() int { return t.n }
 // WireCount implements Scheme.
 func (t *Tree) WireCount() int { return t.n }
 
-// HashesPerPacket returns the sibling-path width (arity-1)·depth.
-func (t *Tree) HashesPerPacket() int { return (t.arity - 1) * t.depth }
+// hashesPerPacket returns the sibling-path width (arity-1)·depth.
+func (t *Tree) hashesPerPacket() int { return (t.arity - 1) * t.depth }
 
 // Graph implements Scheme. Every packet is individually verifiable (in the
 // paper's terms, every packet is P_sign); this is rendered as a star from

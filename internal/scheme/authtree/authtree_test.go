@@ -244,10 +244,10 @@ func TestArityOverheadTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bin.HashesPerPacket(); got != 6 {
+	if got := bin.hashesPerPacket(); got != 6 {
 		t.Errorf("binary hashes/pkt = %d, want 6", got)
 	}
-	if got := oct.HashesPerPacket(); got != 14 {
+	if got := oct.hashesPerPacket(); got != 14 {
 		t.Errorf("8-ary hashes/pkt = %d, want 14", got)
 	}
 	pkts, err := oct.Authenticate(1, schemetest.Payloads(64))

@@ -47,42 +47,35 @@ func New(cfg Config, signer crypto.Signer) (*scheme.Chained, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var edges [][2]int
-	for s := 1; s < cfg.N; s++ {
-		for k := 1; k <= cfg.M; k++ {
-			carrier := s + k*cfg.D
-			if carrier > cfg.N {
-				// The signature packet absorbs dangling hashes:
-				// the paper's "hashes of the final few packets"
-				// ride in the signature packet. Only one edge
-				// from the root per target.
-				carrier = cfg.N
-			}
-			if carrier == s {
-				continue
-			}
-			edges = appendEdge(edges, carrier, s)
-		}
-	}
 	return scheme.NewChained(scheme.Topology{
 		Name:       fmt.Sprintf("emss(E_{%d,%d}, n=%d)", cfg.M, cfg.D, cfg.N),
 		N:          cfg.N,
 		Root:       cfg.N,
-		Edges:      edges,
+		Edges:      edges(cfg),
 		RootCopies: cfg.SigCopies,
 	}, signer)
 }
 
-// appendEdge adds an edge once.
-func appendEdge(edges [][2]int, from, to int) [][2]int {
-	for _, e := range edges {
-		if e[0] == from && e[1] == to {
-			return edges
+// edges lists the E_{m,d} dependence edges, target by target in send
+// order. The signature packet absorbs dangling hashes (the paper's "hashes
+// of the final few packets" ride in the signature packet), so a target's
+// carriers stop at the first one that reaches the root: one edge from the
+// root per target. No other pair of edges can coincide, since a target's
+// unclamped carriers are distinct.
+func edges(cfg Config) [][2]int {
+	out := make([][2]int, 0, (cfg.N-1)*cfg.M)
+	for s := 1; s < cfg.N; s++ {
+		for k := 1; k <= cfg.M; k++ {
+			carrier := min(s+k*cfg.D, cfg.N)
+			out = append(out, [2]int{carrier, s})
+			if carrier == cfg.N {
+				break
+			}
 		}
 	}
-	return append(edges, [2]int{from, to})
+	return out
 }
 
-// ReversedIndex maps a send-order index to the paper's reversed indexing
+// reversedIndex maps a send-order index to the paper's reversed indexing
 // (signature packet = 1), for comparison with the analytic recurrences.
-func ReversedIndex(sendIndex, n int) int { return n + 1 - sendIndex }
+func reversedIndex(sendIndex, n int) int { return n + 1 - sendIndex }

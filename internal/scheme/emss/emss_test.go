@@ -2,6 +2,7 @@ package emss
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,11 +197,45 @@ func TestSurvivesSingleLoss(t *testing.T) {
 }
 
 func TestReversedIndex(t *testing.T) {
-	if got := ReversedIndex(10, 10); got != 1 {
+	if got := reversedIndex(10, 10); got != 1 {
 		t.Errorf("ReversedIndex(10,10) = %d, want 1", got)
 	}
-	if got := ReversedIndex(1, 10); got != 10 {
+	if got := reversedIndex(1, 10); got != 10 {
 		t.Errorf("ReversedIndex(1,10) = %d, want 10", got)
+	}
+}
+
+// TestEdgesMatchDedupingBuilder pins the edge list, order included (it is
+// the order hashes are placed in carriers), to the original construction:
+// every clamped carrier appended once, each candidate checked against all
+// edges built so far.
+func TestEdgesMatchDedupingBuilder(t *testing.T) {
+	reference := func(cfg Config) [][2]int {
+		var out [][2]int
+		for s := 1; s < cfg.N; s++ {
+			for k := 1; k <= cfg.M; k++ {
+				e := [2]int{min(s+k*cfg.D, cfg.N), s}
+				if !slices.Contains(out, e) {
+					out = append(out, e)
+				}
+			}
+		}
+		return out
+	}
+	for n := 2; n <= 40; n++ {
+		for m := 1; m < n; m++ {
+			for d := 1; m*d < n; d++ {
+				cfg := Config{N: n, M: m, D: d}
+				if got, want := edges(cfg), reference(cfg); !slices.Equal(got, want) {
+					t.Fatalf("E_{%d,%d} n=%d: edges %v, want %v", m, d, n, got, want)
+				}
+			}
+		}
+	}
+	for _, cfg := range []Config{{N: 1000, M: 2, D: 1}, {N: 1000, M: 6, D: 3}, {N: 301, M: 4, D: 7}} {
+		if got, want := edges(cfg), reference(cfg); !slices.Equal(got, want) {
+			t.Fatalf("%+v: edge lists differ", cfg)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 // SignEach is the baseline scheme over blocks of n packets.
 type SignEach struct {
 	n      int
-	k      int // > 0: sign in Merkle batches of k (MABS); 0: one signature per packet
 	signer crypto.Signer
 }
 
@@ -36,33 +35,8 @@ func New(n int, signer crypto.Signer) (*SignEach, error) {
 	return &SignEach{n: n, signer: signer}, nil
 }
 
-// NewBatched builds the baseline with Merkle batch signing (the MABS
-// construction): packets are signed in runs of k, so each packet carries
-// a self-contained batch signature blob instead of a plain signature and
-// one signing operation amortizes over k packets. Receivers verify each
-// blob independently (robustness is unchanged); with a signature cache
-// the underlying public-key check also amortizes k-fold on the receive
-// side, which is the realistic serving configuration the K=16/64 verify
-// benchmarks measure.
-func NewBatched(n, k int, signer crypto.Signer) (*SignEach, error) {
-	s, err := New(n, signer)
-	if err != nil {
-		return nil, err
-	}
-	if k < 1 || k > crypto.MaxBatch {
-		return nil, fmt.Errorf("signeach: batch size %d out of [1,%d]", k, crypto.MaxBatch)
-	}
-	s.k = k
-	return s, nil
-}
-
 // Name implements Scheme.
-func (s *SignEach) Name() string {
-	if s.k > 0 {
-		return fmt.Sprintf("signeach(n=%d, K=%d)", s.n, s.k)
-	}
-	return fmt.Sprintf("signeach(n=%d)", s.n)
-}
+func (s *SignEach) Name() string { return fmt.Sprintf("signeach(n=%d)", s.n) }
 
 // BlockSize implements Scheme.
 func (s *SignEach) BlockSize() int { return s.n }
@@ -107,26 +81,6 @@ func (s *SignEach) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pa
 			Payload: payload,
 		}
 	}
-	if s.k > 0 {
-		for start := 0; start < s.n; start += s.k {
-			end := start + s.k
-			if end > s.n {
-				end = s.n
-			}
-			contents := make([][]byte, end-start)
-			for i := range contents {
-				contents[i] = pkts[start+i].ContentBytes()
-			}
-			blobs, err := crypto.BatchSign(s.signer, contents)
-			if err != nil {
-				return nil, err
-			}
-			for i := range blobs {
-				pkts[start+i].Signature = blobs[i]
-			}
-		}
-		return pkts, nil
-	}
 	for _, p := range pkts {
 		p.Signature = s.signer.Sign(p.ContentBytes())
 	}
@@ -138,8 +92,9 @@ func (s *SignEach) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	// Without a shared memo the verifier keeps its own: the K blobs of one
-	// MABS batch share an inner signature, so it pays off within one block.
+	// Without a shared memo the verifier keeps its own: a sender that signs
+	// in Merkle batches (MABS) gives the K blobs of one batch a shared inner
+	// signature, so it pays off within one block.
 	if env.Sigs == nil {
 		sigs, err := crypto.NewSigCache(crypto.MaxBatch)
 		if err != nil {

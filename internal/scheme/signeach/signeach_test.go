@@ -1,6 +1,7 @@
 package signeach
 
 import (
+	"crypto/ed25519"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestEveryPacketSigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pkts {
-		if len(p.Signature) != crypto.SignatureSize {
+		if len(p.Signature) != ed25519.SignatureSize {
 			t.Errorf("packet %d signature size %d", p.Index, len(p.Signature))
 		}
 		if len(p.Hashes) != 0 {

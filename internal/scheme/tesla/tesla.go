@@ -125,8 +125,8 @@ func (s *Scheme) BlockSize() int { return s.cfg.N }
 // packets.
 func (s *Scheme) WireCount() int { return s.cfg.N + 1 + s.cfg.Lag }
 
-// Config returns the scheme's configuration.
-func (s *Scheme) Config() Config { return s.cfg }
+// config returns the scheme's configuration.
+func (s *Scheme) config() Config { return s.cfg }
 
 // DataWireIndex returns the wire index of data packet i.
 func DataWireIndex(i int) uint32 { return uint32(i + 1) }

@@ -403,7 +403,7 @@ func TestNameAndConfigAccessors(t *testing.T) {
 	if s.Name() != "tesla(n=7, lag=3)" {
 		t.Errorf("Name = %q", s.Name())
 	}
-	got := s.Config()
+	got := s.config()
 	if got.N != 7 || got.Lag != 3 || got.Interval != cfg.Interval {
 		t.Errorf("Config = %+v", got)
 	}

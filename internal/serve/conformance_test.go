@@ -17,9 +17,9 @@ import (
 	"mcauth/internal/transport"
 )
 
-// The Feed conformance suite: a downstream subscriber must not be able to
+// The feed conformance suite: a downstream subscriber must not be able to
 // tell a signing server from a keyless relay. Every case runs against both
-// feeds through the one Handler, over net.Pipe.
+// feeds through the one handler, over net.Pipe.
 
 const confN = 8 // block size of the suite's one emss stream (ID 1)
 
@@ -27,9 +27,9 @@ func confScheme(signer crypto.Signer) (scheme.Scheme, error) {
 	return emss.New(emss.Config{N: confN, M: 2, D: 1}, signer)
 }
 
-// feedFixture is one Feed under test.
+// feedFixture is one feed under test.
 type feedFixture struct {
-	feed Feed
+	feed feed
 	// produce makes the feed emit the given blocks of stream 1.
 	produce func(t *testing.T, from, to uint64)
 	// close ends every subscription, as stopping the feed's process does.
@@ -139,7 +139,7 @@ type confClient struct {
 	conn   net.Conn
 	mr     *transport.MuxFrameReader
 	out    chan func() error // control-frame writes, queued
-	served chan struct{}     // closed when ServeConn returns
+	served chan struct{}     // closed when serveConn returns
 }
 
 func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *confClient {
@@ -149,10 +149,10 @@ func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *co
 		t: t, conn: client, mr: transport.NewMuxFrameReader(client),
 		out: make(chan func() error, 16), served: make(chan struct{}),
 	}
-	h := &Handler{Feed: f.feed, WriteTimeout: writeTimeout}
+	h := &handler{Feed: f.feed, WriteTimeout: writeTimeout}
 	go func() {
 		defer close(c.served)
-		h.ServeConn(srvEnd)
+		h.serveConn(srvEnd)
 	}()
 	written := make(chan struct{})
 	go func() {

@@ -34,7 +34,7 @@ type Config struct {
 	Flush      time.Duration
 	Checkpoint string
 	Repair     int
-	// WriteTimeout is Handler's; VerifyBatch and VerifyCache are
+	// WriteTimeout is the handler's; VerifyBatch and VerifyCache are
 	// VerifyConfig's; Reconnect and ReconnectBackoff are Session's MaxFails
 	// and Backoff.
 	WriteTimeout             time.Duration
@@ -132,7 +132,7 @@ func (c Config) NewVerifySink(live int, reg *obs.Registry, tel *Telemetry) (*Ver
 }
 
 // Session returns the deployment's upstream subscriber to addr.
-func (c Config) Session(addr string, sink Sink, reg *obs.Registry, reconnects *obs.Counter) *Session {
+func (c Config) Session(addr string, sink sink, reg *obs.Registry, reconnects *obs.Counter) *Session {
 	return &Session{
 		Addr:       addr,
 		Sink:       sink,
@@ -144,29 +144,29 @@ func (c Config) Session(addr string, sink Sink, reg *obs.Registry, reconnects *o
 }
 
 // Daemon is one publishing incarnation: server, synthetic publishers, and
-// a Handler serving it on a listener.
+// a handler serving it on a listener.
 type Daemon struct {
 	Srv *server.Server
 
 	ln      net.Listener
 	stopPub context.CancelFunc
 	pubs    chan struct{}   // closed when the publishers have exited
-	conns   <-chan struct{} // closed when the Handler has
+	conns   <-chan struct{} // closed when the handler has
 }
 
 // listen serves feed on ln in the background; the returned channel closes
-// when Handler.Listen returns.
-func (c Config) listen(feed Feed, ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) <-chan struct{} {
-	h := &Handler{Feed: feed, Metrics: reg, Spans: tel.Spans(), WriteTimeout: c.WriteTimeout, Wrap: wrap}
+// when handler.listen returns.
+func (c Config) listen(feed feed, ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) <-chan struct{} {
+	h := &handler{Feed: feed, Metrics: reg, Spans: tel.Spans(), WriteTimeout: c.WriteTimeout, Wrap: wrap}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		h.Listen(ln)
+		h.listen(ln)
 	}()
 	return done
 }
 
-// StartDaemon starts an incarnation on ln; wrap is its Handler's Wrap.
+// StartDaemon starts an incarnation on ln; wrap is its handler's Wrap.
 func (c Config) StartDaemon(ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) (*Daemon, error) {
 	srv, err := c.startServer(reg, tel)
 	if err != nil {
@@ -200,7 +200,7 @@ func (d *Daemon) Stop(kill bool) error {
 }
 
 // RunRelay is the relay role: a Session feeding relay from upstream and a
-// Handler re-serving it on ln, until ctx is cancelled or upstream's redial
+// handler re-serving it on ln, until ctx is cancelled or upstream's redial
 // budget is exhausted. Everything it started has exited when it returns.
 func (c Config) RunRelay(ctx context.Context, relay *Relay, upstream string, ln net.Listener, reg *obs.Registry, tel *Telemetry) error {
 	conns := c.listen(relay, ln, reg, tel, nil)

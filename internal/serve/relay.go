@@ -22,8 +22,8 @@ const (
 	MetricRelayCatchupServed   = "relay.catchup_served"
 	MetricRelayReconnects      = "relay.reconnects"
 	MetricRelayDrops           = "relay.drops"
-	MetricRelayShedData        = "relay.shed_data"
-	MetricRelayShedSig         = "relay.shed_sig"
+	metricRelayShedData        = "relay.shed_data"
+	metricRelayShedSig         = "relay.shed_sig"
 )
 
 // relayQueueDepth bounds each downstream subscriber's delivery queue; a
@@ -31,8 +31,8 @@ const (
 // signatures), never the relay's upstream read loop.
 const relayQueueDepth = 1 << 12
 
-// Relay is a mid-tree fan-out node: a Sink that retains every upstream
-// packet in bounded per-stream repair stores and fans it out, and a Feed
+// Relay is a mid-tree fan-out node: a sink that retains every upstream
+// packet in bounded per-stream repair stores and fans it out, and a feed
 // that re-serves live traffic, resume catch-up and MCRQ repairs from that
 // retention — so recovery traffic is absorbed one hop from the edge
 // instead of converging on the signer. It never needs the signing key:
@@ -67,8 +67,8 @@ func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanSink)
 	return &Relay{
 		Fanout: server.NewFanout(relayQueueDepth, 0, server.FanoutMetrics{
 			Dropped:  reg.Counter(MetricRelayDrops),
-			ShedData: reg.Counter(MetricRelayShedData),
-			ShedSig:  reg.Counter(MetricRelayShedSig),
+			ShedData: reg.Counter(metricRelayShedData),
+			ShedSig:  reg.Counter(metricRelayShedSig),
 		}),
 		streams:      streams,
 		repairBlocks: repairBlocks,

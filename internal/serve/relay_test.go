@@ -376,11 +376,11 @@ func TestRelayConcurrentControlPlane(t *testing.T) {
 
 	const conns, rounds = 2, 40
 	ln := listen(t, "127.0.0.1:0")
-	h := &Handler{Feed: f.feed, WriteTimeout: 5 * time.Second}
+	h := &handler{Feed: f.feed, WriteTimeout: 5 * time.Second}
 	listened := make(chan struct{})
 	go func() {
 		defer close(listened)
-		h.Listen(ln)
+		h.listen(ln)
 	}()
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
@@ -443,13 +443,13 @@ func TestRelayShedsDataBeforeSignatures(t *testing.T) {
 	const blocks = relayQueueDepth/confN + 100
 	f.produce(t, 0, blocks)
 	reg := func(name string) int64 { return f.reg.Counter(name).Value() }
-	if reg(MetricRelayShedData) == 0 {
+	if reg(metricRelayShedData) == 0 {
 		t.Fatal("nothing shed: the scenario is vacuous")
 	}
-	if got := reg(MetricRelayShedSig); got != 0 {
+	if got := reg(metricRelayShedSig); got != 0 {
 		t.Errorf("%d signature packets shed while data was still queued", got)
 	}
-	if got, want := reg(MetricRelayDrops), reg(MetricRelayShedData)+reg(MetricRelayShedSig); got != want {
+	if got, want := reg(MetricRelayDrops), reg(metricRelayShedData)+reg(metricRelayShedSig); got != want {
 		t.Errorf("relay.drops = %d, want shed_data + shed_sig = %d", got, want)
 	}
 	if got := stalled.Drops(); got != reg(MetricRelayDrops) {
@@ -468,7 +468,7 @@ func TestRelayShedsDataBeforeSignatures(t *testing.T) {
 
 // TestSpansJoinThreeHops: publisher -> relay -> receiver, each with its own
 // span ring. Some block must be traceable through all three hops under one
-// obs.TraceID: signed and framed by the publisher, ingested and re-framed
+// trace ID: signed and framed by the publisher, ingested and re-framed
 // by the relay, decoded and authenticated by the receiver.
 func TestSpansJoinThreeHops(t *testing.T) {
 	c := relayTestConfig("test-relay-spans")

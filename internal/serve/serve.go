@@ -1,14 +1,13 @@
 // Package serve is the serving loop, written once. A receiver
 // authenticates exactly what its dependence graph says is verifiable from
 // whatever arrives, so who forwarded a packet does not matter: a relay is
-// a keyless subscriber that is also a feed. Handler serves downstream
-// connections from a Feed (*server.Server or *Relay); Session is the
-// redialing upstream subscriber and hands every packet to a Sink
+// a keyless subscriber that is also a feed. handler serves downstream
+// connections from a feed (*server.Server or *Relay); Session is the
+// redialing upstream subscriber and hands every packet to a sink
 // (*VerifySink or *Relay). mcserved's roles are compositions: -listen is
-// Handler(server), -connect is Session(VerifySink), -relay is
-// Session(Relay) + Handler(Relay); -demo, -chaos, netsim.RunMultiStream
-// and the lab's server cells drive the same VerifySink from a subscriber
-// channel.
+// handler(server), -connect is Session(VerifySink), -relay is
+// Session(Relay) + handler(Relay); -demo, -chaos and the lab's server
+// cells drive the same VerifySink from a subscriber channel.
 package serve
 
 import (
@@ -22,8 +21,8 @@ import (
 	"mcauth/internal/transport"
 )
 
-// Feed is what a downstream connection is served from.
-type Feed interface {
+// feed is what a downstream connection is served from.
+type feed interface {
 	// Subscribe opens a live feed of everything emitted from now on.
 	Subscribe(streamIDs ...uint64) (*server.Subscriber, error)
 	Unsubscribe(*server.Subscriber)
@@ -36,13 +35,13 @@ type Feed interface {
 	Repair(streamID, blockID uint64, index uint32) []*packet.Packet
 }
 
-// HelloTimeout is how long a handler waits for a subscriber's first
+// helloTimeout is how long a handler waits for a subscriber's first
 // control frame before treating the connection as a legacy live-only feed.
-const HelloTimeout = 2 * time.Second
+const helloTimeout = 2 * time.Second
 
-// Handler serves downstream subscriber connections from one Feed.
-type Handler struct {
-	Feed Feed
+// handler serves downstream subscriber connections from one feed.
+type handler struct {
+	Feed feed
 	// Metrics receives the transport.* write accounting and Spans a
 	// mux_write span per packet leaving the process (nil disables either).
 	Metrics *obs.Registry
@@ -54,10 +53,10 @@ type Handler struct {
 	Wrap func(net.Conn) net.Conn
 }
 
-// Listen serves every connection ln accepts until ln closes, and returns
+// listen serves every connection ln accepts until ln closes, and returns
 // once every connection has ended — which they do when the feed closes
 // their subscriptions (Server.Close / Kill, Fanout.Close).
-func (h *Handler) Listen(ln net.Listener) {
+func (h *handler) listen(ln net.Listener) {
 	var conns sync.WaitGroup
 	defer conns.Wait()
 	for {
@@ -68,20 +67,20 @@ func (h *Handler) Listen(ln net.Listener) {
 		conns.Add(1)
 		go func() {
 			defer conns.Done()
-			h.ServeConn(conn)
+			h.serveConn(conn)
 		}()
 	}
 }
 
-// ServeConn runs one subscriber connection to its end: subscribe first (so
+// serveConn runs one subscriber connection to its end: subscribe first (so
 // live deliveries buffer during replay), answer the first control frame
-// under HelloTimeout, then forward live while a control reader answers
+// under helloTimeout, then forward live while a control reader answers
 // further hellos and MCRQ repair requests. A connection whose first frame
 // never arrives or does not parse is a legacy subscriber: live only, its
 // read side ignored. The session ends when the subscription closes, a
 // write fails or times out, or the control plane dies; the control reader
-// has exited when ServeConn returns.
-func (h *Handler) ServeConn(conn net.Conn) {
+// has exited when serveConn returns.
+func (h *handler) serveConn(conn net.Conn) {
 	if h.Wrap != nil {
 		conn = h.Wrap(conn)
 	}
@@ -126,7 +125,7 @@ func (h *Handler) ServeConn(conn net.Conn) {
 		return nil
 	}
 
-	_ = conn.SetReadDeadline(time.Now().Add(HelloTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	cf, err := transport.ReadControlFrame(conn)
 	_ = conn.SetReadDeadline(time.Time{})
 	if err == nil {

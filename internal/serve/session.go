@@ -12,9 +12,9 @@ import (
 	"mcauth/internal/transport"
 )
 
-// Sink consumes what a Session reads off its upstream connection. All
+// sink consumes what a Session reads off its upstream connection. All
 // three methods are called from the Session's goroutine only.
-type Sink interface {
+type sink interface {
 	// Cursors returns the resume points for the next connection's hello.
 	Cursors() []transport.ResumePoint
 	// Packet takes one upstream packet; an error is fatal to the Session.
@@ -30,13 +30,13 @@ const maxBackoff = time.Second
 // hello carrying the sink's cursors, reads mux frames into the sink, and
 // redials with capped, jittered exponential backoff when the connection
 // dies. From upstream's point of view a verifying receiver and a relay are
-// the same subscriber; they differ only in the Sink.
+// the same subscriber; they differ only in the sink.
 type Session struct {
 	// Addr is the upstream TCP address; Wrap, when non-nil, decorates each
 	// dialed conn (fault injection).
 	Addr string
 	Wrap func(net.Conn) net.Conn
-	Sink Sink
+	Sink sink
 	// MaxFails is how many consecutive failed dials end Run (-1 = retry
 	// forever, 0 = a single session with no reconnect).
 	MaxFails int

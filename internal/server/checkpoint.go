@@ -65,34 +65,20 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Path returns the checkpoint's file path.
-func (cp *Checkpoint) Path() string { return cp.path }
-
-// Clean reports whether the checkpoint was written by a graceful shutdown
+// isClean reports whether the checkpoint was written by a graceful shutdown
 // (true) or left behind by a crash (false once any reservation lands).
-func (cp *Checkpoint) Clean() bool {
+func (cp *Checkpoint) isClean() bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	return cp.clean
 }
 
-// StartBlock returns where a restored stream must begin: its reserved
+// startBlock returns where a restored stream must begin: its reserved
 // watermark, or 0 for streams the checkpoint has never seen.
-func (cp *Checkpoint) StartBlock(streamID uint64) uint64 {
+func (cp *Checkpoint) startBlock(streamID uint64) uint64 {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	return cp.reserved[streamID]
-}
-
-// Streams lists the stream IDs the checkpoint knows (unordered).
-func (cp *Checkpoint) Streams() []uint64 {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	out := make([]uint64, 0, len(cp.reserved))
-	for id := range cp.reserved {
-		out = append(out, id)
-	}
-	return out
 }
 
 // reserve durably raises the stream's watermark to at least through,

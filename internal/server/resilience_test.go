@@ -31,8 +31,8 @@ func TestOpenCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.StartBlock(1) != 0 || cp.Clean() {
-		t.Fatalf("fresh checkpoint: start %d clean %v", cp.StartBlock(1), cp.Clean())
+	if cp.startBlock(1) != 0 || cp.isClean() {
+		t.Fatalf("fresh checkpoint: start %d clean %v", cp.startBlock(1), cp.isClean())
 	}
 
 	// Corrupt file: refusing to guess is the only safe answer — resuming
@@ -118,10 +118,10 @@ func TestCheckpointRestoreNeverForksBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Clean() {
+	if cp.isClean() {
 		t.Fatal("checkpoint marked clean after a kill")
 	}
-	if got := cp.StartBlock(1); got != 4 {
+	if got := cp.startBlock(1); got != 4 {
 		t.Fatalf("restored start block %d, want reservation watermark 4", got)
 	}
 
@@ -186,10 +186,10 @@ func TestCheckpointCleanRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cp.Clean() {
+	if !cp.isClean() {
 		t.Fatal("graceful Close left a dirty checkpoint")
 	}
-	if got := cp.StartBlock(7); got != 2 {
+	if got := cp.startBlock(7); got != 2 {
 		t.Fatalf("clean restart start block %d, want exact next 2", got)
 	}
 }
@@ -239,8 +239,8 @@ func TestServerCloseRacesCloseStreamAndPublish(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = srv.CloseStream(2)
-			_ = srv.CloseStream(3)
+			_ = srv.closeStream(2)
+			_ = srv.closeStream(3)
 		}()
 		wg.Add(1)
 		go func() {
@@ -367,7 +367,7 @@ func TestResumeFromReplaysVerifiableCatchUp(t *testing.T) {
 		t.Error("ResumeFrom on an unknown stream returned packets")
 	}
 
-	sch, err := emssBuilder(4)(srv.SchemeSigner())
+	sch, err := emssBuilder(4)(srv.schemeSigner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,11 @@ import (
 var (
 	// ErrClosed is returned once Close has begun.
 	ErrClosed = errors.New("server: closed")
-	// ErrUnknownStream is returned for operations on streams never opened
+	// errUnknownStream is returned for operations on streams never opened
 	// (or already closed).
-	ErrUnknownStream = errors.New("server: unknown stream")
-	// ErrStreamExists is returned when opening an already-open stream ID.
-	ErrStreamExists = errors.New("server: stream exists")
+	errUnknownStream = errors.New("server: unknown stream")
+	// errStreamExists is returned when opening an already-open stream ID.
+	errStreamExists = errors.New("server: stream exists")
 )
 
 // Config parameterizes a Server. The zero value of every field except
@@ -73,7 +73,7 @@ type Config struct {
 	// stream the server opens: the sender-side push/shard_enqueue/
 	// sign_attach half of the end-to-end trace (receivers record the
 	// other half into their own ring; the two join on the deterministic
-	// obs.TraceID). Nil disables span recording.
+	// trace ID of stream and block). Nil disables span recording.
 	Spans *obs.SpanSink
 	// Clock defaults to time.Now; tests inject virtual time.
 	Clock func() time.Time
@@ -242,9 +242,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SchemeSigner returns the batch-aware signing key stream schemes must be
+// schemeSigner returns the batch-aware signing key stream schemes must be
 // built from (OpenStream passes it to the scheme factory).
-func (s *Server) SchemeSigner() crypto.Signer { return crypto.BatchCapable(s.cfg.Signer) }
+func (s *Server) schemeSigner() crypto.Signer { return crypto.BatchCapable(s.cfg.Signer) }
 
 // OpenStream creates stream id. The factory receives the server's
 // batch-aware signer and must construct the stream's scheme from it, so
@@ -253,7 +253,7 @@ func (s *Server) OpenStream(id uint64, build func(signer crypto.Signer) (scheme.
 	if build == nil {
 		return errors.New("server: nil scheme factory")
 	}
-	sch, err := build(s.SchemeSigner())
+	sch, err := build(s.schemeSigner())
 	if err != nil {
 		return fmt.Errorf("server: stream %d: %w", id, err)
 	}
@@ -262,7 +262,7 @@ func (s *Server) OpenStream(id uint64, build func(signer crypto.Signer) (scheme.
 	// so restarted streams can never fork a block ID.
 	var start uint64
 	if s.cfg.Checkpoint != nil {
-		start = s.cfg.Checkpoint.StartBlock(id)
+		start = s.cfg.Checkpoint.startBlock(id)
 	}
 	snd, err := stream.NewSender(sch, start)
 	if err != nil {
@@ -283,17 +283,17 @@ func (s *Server) OpenStream(id uint64, build func(signer crypto.Signer) (scheme.
 		return ErrClosed
 	}
 	if _, ok := s.streams[id]; ok {
-		return ErrStreamExists
+		return errStreamExists
 	}
 	s.streams[id] = st
 	s.m.streams.Set(int64(len(s.streams)))
 	return nil
 }
 
-// CloseStream removes stream id, flushing its partial block (padded, per
+// closeStream removes stream id, flushing its partial block (padded, per
 // stream.Sender.Flush semantics) through its shard so in-flight publishes
 // ahead of it still land first.
-func (s *Server) CloseStream(id uint64) error {
+func (s *Server) closeStream(id uint64) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -302,13 +302,13 @@ func (s *Server) CloseStream(id uint64) error {
 	st, ok := s.streams[id]
 	if !ok {
 		s.mu.Unlock()
-		return ErrUnknownStream
+		return errUnknownStream
 	}
 	delete(s.streams, id)
 	s.m.streams.Set(int64(len(s.streams)))
 	// Joining pubWG under the same lock that checked closed keeps the
 	// dispatch below ordered before Close's shard-channel close — without
-	// it, CloseStream racing Close could send on a closed task channel.
+	// it, closeStream racing Close could send on a closed task channel.
 	s.pubWG.Add(1)
 	s.mu.Unlock()
 	defer s.pubWG.Done()
@@ -330,7 +330,7 @@ func (s *Server) Publish(id uint64, payload []byte) error {
 	st, ok := s.streams[id]
 	if !ok {
 		s.mu.Unlock()
-		return ErrUnknownStream
+		return errUnknownStream
 	}
 	s.pubWG.Add(1)
 	s.mu.Unlock()
@@ -349,7 +349,6 @@ func (s *Server) Publish(id uint64, payload []byte) error {
 		return ErrClosed
 	}
 	s.m.published.Inc()
-	st.published.Add(1)
 	st.m.published.Inc()
 	return nil
 }
@@ -444,9 +443,8 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 		}
 	})
 	if err != nil {
-		// Only reachable via signer misuse (validated sizes); surface on
-		// the stream's error counter rather than crashing the shard.
-		st.errors.Add(1)
+		// Only reachable via signer misuse (validated sizes): the block is
+		// lost rather than the shard crashed.
 		return
 	}
 	switch pending {
@@ -472,8 +470,8 @@ func (s *Server) noteBatchTotals() {
 	s.m.batchSignedRoots.Set(tot.SignedRoots)
 }
 
-// Streams lists the open stream IDs (unordered).
-func (s *Server) Streams() []uint64 {
+// streamIDs lists the open stream IDs (unordered).
+func (s *Server) streamIDs() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]uint64, 0, len(s.streams))

@@ -355,11 +355,11 @@ func TestServerConcurrentStreamLifecycle(t *testing.T) {
 					}
 				}
 				if i%2 == 0 {
-					if err := srv.CloseStream(id); err != nil {
+					if err := srv.closeStream(id); err != nil {
 						t.Errorf("close %d: %v", id, err)
 						return
 					}
-					if err := srv.Publish(id, []byte("late")); !errors.Is(err, ErrUnknownStream) {
+					if err := srv.Publish(id, []byte("late")); !errors.Is(err, errUnknownStream) {
 						t.Errorf("publish after close = %v, want ErrUnknownStream", err)
 						return
 					}
@@ -418,19 +418,19 @@ func TestServerErrorPaths(t *testing.T) {
 	if err := open(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := open(1); !errors.Is(err, ErrStreamExists) {
+	if err := open(1); !errors.Is(err, errStreamExists) {
 		t.Errorf("duplicate open = %v, want ErrStreamExists", err)
 	}
-	if err := srv.Publish(99, []byte("x")); !errors.Is(err, ErrUnknownStream) {
+	if err := srv.Publish(99, []byte("x")); !errors.Is(err, errUnknownStream) {
 		t.Errorf("unknown publish = %v, want ErrUnknownStream", err)
 	}
-	if err := srv.CloseStream(99); !errors.Is(err, ErrUnknownStream) {
+	if err := srv.closeStream(99); !errors.Is(err, errUnknownStream) {
 		t.Errorf("unknown close = %v, want ErrUnknownStream", err)
 	}
-	if ids := srv.Streams(); len(ids) != 1 || ids[0] != 1 {
+	if ids := srv.streamIDs(); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("Streams() = %v", ids)
 	}
-	if st := srv.Stream(1); st == nil || st.ID() != 1 {
+	if st := srv.Stream(1); st == nil || st.id != 1 {
 		t.Error("Stream(1) handle missing")
 	}
 	if err := srv.Close(); err != nil {
@@ -442,7 +442,7 @@ func TestServerErrorPaths(t *testing.T) {
 	if err := srv.Publish(1, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after close = %v, want ErrClosed", err)
 	}
-	if err := srv.CloseStream(1); !errors.Is(err, ErrClosed) {
+	if err := srv.closeStream(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("close stream after close = %v, want ErrClosed", err)
 	}
 	if _, err := srv.Subscribe(); !errors.Is(err, ErrClosed) {

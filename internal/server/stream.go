@@ -22,9 +22,7 @@ type Stream struct {
 	// dispatching to the shard, the shard task releases when done.
 	tokens chan struct{}
 
-	published atomic.Int64
-	blocks    atomic.Int64
-	errors    atomic.Int64
+	blocks atomic.Int64
 
 	// reserved caches the stream's durably checkpointed block-ID watermark
 	// (shard goroutine / Close drain only — same single-threaded discipline
@@ -59,25 +57,14 @@ func newStream(srv *Server, id uint64, snd *stream.Sender) *Stream {
 	}
 }
 
-// ID returns the stream's wire identifier.
-func (st *Stream) ID() uint64 { return st.id }
-
-// Published returns how many messages have been accepted for the stream.
-func (st *Stream) Published() int64 { return st.published.Load() }
-
 // Blocks returns how many blocks the stream has emitted.
 func (st *Stream) Blocks() int64 { return st.blocks.Load() }
-
-// Errors returns how many internal scheme/signer failures the stream has
-// absorbed (each loses one block; they indicate misconfiguration).
-func (st *Stream) Errors() int64 { return st.errors.Load() }
 
 // process appends one message, emitting the block it completes. Shard
 // goroutine only.
 func (st *Stream) process(payload []byte) {
 	db, err := st.snd.PushDeferredAt(payload, st.srv.cfg.Clock())
 	if err != nil {
-		st.errors.Add(1)
 		return
 	}
 	st.emit(db)
@@ -88,7 +75,6 @@ func (st *Stream) process(payload []byte) {
 func (st *Stream) flushPartial() {
 	db, err := st.snd.FlushDeferred()
 	if err != nil {
-		st.errors.Add(1)
 		return
 	}
 	st.emit(db)
@@ -124,7 +110,6 @@ func (st *Stream) emit(db *stream.DeferredBlock) {
 		return
 	}
 	if !st.ensureReserved(db.BlockID) {
-		st.errors.Add(1)
 		return
 	}
 	st.blocks.Add(1)

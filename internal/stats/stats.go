@@ -25,30 +25,25 @@ func NormalCDF(x, mu, sigma float64) float64 {
 		}
 		return 0
 	}
-	return StdNormalCDF((x - mu) / sigma)
+	return stdNormalCDF((x - mu) / sigma)
 }
 
-// StdNormalCDF returns Phi(z) for the standard normal distribution.
-func StdNormalCDF(z float64) float64 {
+// stdNormalCDF returns Phi(z) for the standard normal distribution.
+func stdNormalCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
 
-// StdNormalPDF returns the standard normal density phi(z).
-func StdNormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
-}
-
-// StdNormalQuantile returns z such that Phi(z) = p, for p in (0, 1).
+// stdNormalQuantile returns z such that Phi(z) = p, for p in (0, 1).
 // It uses bisection on the CDF, which is plenty accurate for the
 // confidence-interval use in this repository.
-func StdNormalQuantile(p float64) (float64, error) {
+func stdNormalQuantile(p float64) (float64, error) {
 	if p <= 0 || p >= 1 {
 		return 0, fmt.Errorf("stats: quantile probability %v out of (0,1)", p)
 	}
 	lo, hi := -40.0, 40.0
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if StdNormalCDF(mid) < p {
+		if stdNormalCDF(mid) < p {
 			lo = mid
 		} else {
 			hi = mid
@@ -67,14 +62,14 @@ type Summary struct {
 	Max    float64
 }
 
-// ErrEmptySample is returned when a summary or quantile of an empty sample
+// errEmptySample is returned when a summary or quantile of an empty sample
 // is requested.
-var ErrEmptySample = errors.New("stats: empty sample")
+var errEmptySample = errors.New("stats: empty sample")
 
 // Summarize computes descriptive statistics over xs.
 func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, ErrEmptySample
+		return Summary{}, errEmptySample
 	}
 	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
 	var sum float64
@@ -100,11 +95,11 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
+// quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between closest ranks. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
+func quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmptySample
+		return 0, errEmptySample
 	}
 	if q < 0 || q > 1 {
 		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
@@ -149,7 +144,7 @@ func WilsonInterval(successes, trials int, confidence float64) (Interval, error)
 	if confidence <= 0 || confidence >= 1 {
 		return Interval{}, fmt.Errorf("stats: confidence %v out of (0,1)", confidence)
 	}
-	z, err := StdNormalQuantile(1 - (1-confidence)/2)
+	z, err := stdNormalQuantile(1 - (1-confidence)/2)
 	if err != nil {
 		return Interval{}, err
 	}

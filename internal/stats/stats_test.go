@@ -19,7 +19,7 @@ func TestStdNormalCDFKnownValues(t *testing.T) {
 		{3, 0.9986501},
 	}
 	for _, tt := range tests {
-		got := StdNormalCDF(tt.z)
+		got := stdNormalCDF(tt.z)
 		if math.Abs(got-tt.want) > 1e-6 {
 			t.Errorf("StdNormalCDF(%v) = %v, want %v", tt.z, got, tt.want)
 		}
@@ -29,7 +29,7 @@ func TestStdNormalCDFKnownValues(t *testing.T) {
 func TestNormalCDFShiftScale(t *testing.T) {
 	// Phi((x-mu)/sigma) must equal the standardized evaluation.
 	got := NormalCDF(2.5, 1.0, 0.5)
-	want := StdNormalCDF(3.0)
+	want := stdNormalCDF(3.0)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("NormalCDF(2.5,1,0.5) = %v, want %v", got, want)
 	}
@@ -46,11 +46,11 @@ func TestNormalCDFDegenerateSigma(t *testing.T) {
 
 func TestStdNormalQuantileInvertsCDF(t *testing.T) {
 	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.9, 0.975, 0.999} {
-		z, err := StdNormalQuantile(p)
+		z, err := stdNormalQuantile(p)
 		if err != nil {
 			t.Fatalf("StdNormalQuantile(%v): %v", p, err)
 		}
-		if back := StdNormalCDF(z); math.Abs(back-p) > 1e-9 {
+		if back := stdNormalCDF(z); math.Abs(back-p) > 1e-9 {
 			t.Errorf("CDF(Quantile(%v)) = %v", p, back)
 		}
 	}
@@ -58,7 +58,7 @@ func TestStdNormalQuantileInvertsCDF(t *testing.T) {
 
 func TestStdNormalQuantileRejectsOutOfRange(t *testing.T) {
 	for _, p := range []float64{-0.1, 0, 1, 1.5} {
-		if _, err := StdNormalQuantile(p); err == nil {
+		if _, err := stdNormalQuantile(p); err == nil {
 			t.Errorf("StdNormalQuantile(%v) should fail", p)
 		}
 	}
@@ -79,7 +79,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err != ErrEmptySample {
+	if _, err := Summarize(nil); err != errEmptySample {
 		t.Errorf("err = %v, want ErrEmptySample", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestQuantile(t *testing.T) {
 		{0.25, 1.75},
 	}
 	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
+		got, err := quantile(xs, tt.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +111,10 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
+	if _, err := quantile(nil, 0.5); err == nil {
 		t.Error("empty sample should fail")
 	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
+	if _, err := quantile([]float64{1}, 1.5); err == nil {
 		t.Error("out-of-range q should fail")
 	}
 }
@@ -256,7 +256,7 @@ func TestStdNormalCDFMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return StdNormalCDF(a) <= StdNormalCDF(b)+1e-15
+		return stdNormalCDF(a) <= stdNormalCDF(b)+1e-15
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

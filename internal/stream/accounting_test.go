@@ -544,7 +544,7 @@ func TestDemuxCloseSettlesParkedVerdicts(t *testing.T) {
 		}
 	}
 
-	replay := func(q *crypto.BatchVerifyQueue) (map[string]int, DemuxTotals) {
+	replay := func(q *crypto.BatchVerifyQueue) (map[string]int, demuxTotals) {
 		dmx, err := NewDemux(func(id uint64) (*Receiver, error) {
 			return NewReceiver(schemes[id], 4)
 		}, maxStreams)
@@ -566,14 +566,14 @@ func TestDemuxCloseSettlesParkedVerdicts(t *testing.T) {
 			note(auths)
 			if i == len(trace)/2 {
 				// An explicit leave, mid-block for the stream being fed.
-				dmx.Close(st.stream)
+				dmx.closeStream(st.stream)
 			}
 		}
 		if q != nil {
 			q.Resolve()
 		}
 		note(dmx.DrainDeferred())
-		return got, dmx.Totals()
+		return got, dmx.counters()
 	}
 
 	inline, tot := replay(nil)

@@ -20,8 +20,8 @@ type StreamAuthenticated struct {
 	Authenticated
 }
 
-// DemuxTotals aggregates a Demux's lifetime counters.
-type DemuxTotals struct {
+// demuxTotals aggregates a Demux's lifetime counters.
+type demuxTotals struct {
 	ActiveStreams  int
 	EvictedStreams int
 	// RejectedStreams counts packets dropped because the per-stream
@@ -46,7 +46,7 @@ type Demux struct {
 	order      []liveStream
 	lastActive map[uint64]int64 // tick of most recent packet, for eviction
 	tick       int64
-	totals     DemuxTotals
+	totals     demuxTotals
 	// env holds what the demux adds to the verifier environment of every
 	// receiver the factory creates from now on: Cache, BatchQ and Sigs (see
 	// SetVerifyFastPath) and Spans (see SetSpans), keyed per receiver by
@@ -142,8 +142,8 @@ func (d *Demux) Ingest(streamID uint64, p *packet.Packet, at time.Time) ([]Strea
 	return out, nil
 }
 
-// IngestWire decodes one wire datagram and routes it.
-func (d *Demux) IngestWire(streamID uint64, wire []byte, at time.Time) ([]StreamAuthenticated, error) {
+// ingestWire decodes one wire datagram and routes it.
+func (d *Demux) ingestWire(streamID uint64, wire []byte, at time.Time) ([]StreamAuthenticated, error) {
 	r, err := d.receiver(streamID)
 	if err != nil || r == nil {
 		return nil, err
@@ -207,7 +207,7 @@ func (d *Demux) evictColdest() {
 			coldest = s.id
 		}
 	}
-	d.Close(coldest)
+	d.closeStream(coldest)
 	d.totals.EvictedStreams++
 }
 
@@ -215,14 +215,14 @@ func (d *Demux) evictColdest() {
 // for per-stream stats.
 func (d *Demux) Receiver(streamID uint64) *Receiver { return d.receivers[streamID] }
 
-// Close drops a stream's receiver state (an explicit leave, as opposed to
+// closeStream drops a stream's receiver state (an explicit leave, as opposed to
 // LRU eviction), reporting whether the stream was live. A later packet for
 // the stream re-joins it through the factory like any newcomer. Verdicts
 // the stream still has parked in the batch-verify queue are settled first
 // (the stream-level mirror of Receiver.retireVerifier) and its deferred
 // output is kept for the next DrainDeferred: once the receiver is out of
 // d.order nothing would collect them.
-func (d *Demux) Close(streamID uint64) bool {
+func (d *Demux) closeStream(streamID uint64) bool {
 	r, ok := d.receivers[streamID]
 	if !ok {
 		return false
@@ -265,9 +265,9 @@ func (d *Demux) StreamIDs() []uint64 {
 	return out
 }
 
-// Totals returns the demux-level counters; per-stream counters live on
+// counters returns the demux-level counters; per-stream counters live on
 // the individual Receivers.
-func (d *Demux) Totals() DemuxTotals {
+func (d *Demux) counters() demuxTotals {
 	t := d.totals
 	t.ActiveStreams = len(d.receivers)
 	return t

@@ -73,7 +73,7 @@ func TestDemuxRoutesInterleavedStreams(t *testing.T) {
 	if dmx.Receiver(10) == nil || dmx.Receiver(99) != nil {
 		t.Error("Receiver lookup wrong")
 	}
-	if tot := dmx.Totals(); tot.ActiveStreams != 3 || tot.EvictedStreams != 0 {
+	if tot := dmx.counters(); tot.ActiveStreams != 3 || tot.EvictedStreams != 0 {
 		t.Errorf("totals %+v", tot)
 	}
 }
@@ -86,7 +86,7 @@ func TestDemuxIngestWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dmx.IngestWire(5, wire, time.Time{})
+		got, err := dmx.ingestWire(5, wire, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestDemuxEvictsColdestStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tot := dmx.Totals(); tot.ActiveStreams != 2 || tot.EvictedStreams != 1 {
+	if tot := dmx.counters(); tot.ActiveStreams != 2 || tot.EvictedStreams != 1 {
 		t.Fatalf("totals %+v, want 2 active / 1 evicted", tot)
 	}
 	// Stream 1 was coldest and must be gone; 2 and 3 remain.
@@ -144,10 +144,10 @@ func TestDemuxRejectedStreams(t *testing.T) {
 	if auths, err := dmx.Ingest(500, pkts[0], time.Time{}); err != nil || auths != nil {
 		t.Fatalf("rejected stream: %v, %v", auths, err)
 	}
-	if _, err := dmx.IngestWire(501, []byte("junk"), time.Time{}); err != nil {
+	if _, err := dmx.ingestWire(501, []byte("junk"), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if tot := dmx.Totals(); tot.RejectedStreams != 2 {
+	if tot := dmx.counters(); tot.RejectedStreams != 2 {
 		t.Fatalf("rejected %d, want 2", tot.RejectedStreams)
 	}
 }
@@ -232,7 +232,7 @@ func TestDemuxChurn(t *testing.T) {
 	if dmx.Receiver(1) != nil {
 		t.Fatal("stream 1 should have been evicted")
 	}
-	if tot := dmx.Totals(); tot.EvictedStreams != 1 {
+	if tot := dmx.counters(); tot.EvictedStreams != 1 {
 		t.Fatalf("evictions = %d, want 1", tot.EvictedStreams)
 	}
 
@@ -244,11 +244,11 @@ func TestDemuxChurn(t *testing.T) {
 
 	// Explicit leave: Close drops the state immediately; the same ID can
 	// rejoin through the factory afterwards.
-	if !dmx.Close(1) {
-		t.Fatal("Close(1) found no stream")
+	if !dmx.closeStream(1) {
+		t.Fatal("closeStream(1) found no stream")
 	}
-	if dmx.Close(1) {
-		t.Fatal("second Close(1) claimed to drop state again")
+	if dmx.closeStream(1) {
+		t.Fatal("second closeStream(1) claimed to drop state again")
 	}
 	if dmx.Receiver(1) != nil {
 		t.Fatal("closed stream still live")

@@ -394,25 +394,6 @@ func (r *Receiver) CloseBlock(blockID uint64) {
 	r.markClosed(blockID)
 }
 
-// Starved returns the IDs of live blocks that have ingested packets but
-// authenticated none — the signature/bootstrap packet is missing, so every
-// received packet sits in the buffer unverifiable. These are the blocks a
-// NACK-capable transport should re-request authentication material for.
-func (r *Receiver) Starved() []uint64 {
-	var out []uint64
-	for _, id := range r.order {
-		v, ok := r.verifiers[id]
-		if !ok {
-			continue
-		}
-		st := v.Stats()
-		if st.Received > 0 && st.Authenticated == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Totals returns the receiver's lifetime counters: its own, the retired
 // blocks' folded stats, and one read of every live verifier at call time.
 // It does not change the receiver.

@@ -511,35 +511,6 @@ func TestInvalidPacketToleratedNotFatal(t *testing.T) {
 	}
 }
 
-func TestStarvedReportsSignaturelessBlocks(t *testing.T) {
-	s := emssScheme(t, 4)
-	rcv, err := NewReceiver(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, err := s.Authenticate(7, [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deliver everything except the signature packet (EMSS: the last).
-	for _, p := range pkts[:len(pkts)-1] {
-		if _, err := rcv.Ingest(p, time.Unix(0, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	starved := rcv.Starved()
-	if len(starved) != 1 || starved[0] != 7 {
-		t.Fatalf("Starved = %v, want [7]", starved)
-	}
-	// The signature packet unblocks the block; it leaves the starved set.
-	if _, err := rcv.Ingest(pkts[len(pkts)-1], time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := rcv.Starved(); len(got) != 0 {
-		t.Fatalf("Starved after signature = %v, want empty", got)
-	}
-}
-
 func TestMaxBufferedPerBlockBoundsFlood(t *testing.T) {
 	// Distinct unverifiable packets for one block must stop accumulating
 	// at the per-block cap.

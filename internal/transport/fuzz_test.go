@@ -17,7 +17,7 @@ import (
 func FuzzFrameReader(f *testing.F) {
 	// Seed with a valid framed stream and interesting corruptions of it.
 	var valid bytes.Buffer
-	fw := NewFrameWriter(&valid)
+	fw := newFrameWriter(&valid)
 	seedPkts := []*packet.Packet{
 		{BlockID: 1, Index: 1, Payload: []byte("hello")},
 		{
@@ -27,7 +27,7 @@ func FuzzFrameReader(f *testing.F) {
 		},
 	}
 	for _, p := range seedPkts {
-		if err := fw.WritePacket(p); err != nil {
+		if err := fw.writePacket(p); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -36,19 +36,19 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	// A header claiming 2 MiB with no bytes behind it.
 	huge := make([]byte, 4)
-	binary.BigEndian.PutUint32(huge, MaxFrameSize)
+	binary.BigEndian.PutUint32(huge, maxFrameSize)
 	f.Add(huge)
 	// A header claiming more than the cap.
 	over := make([]byte, 4)
-	binary.BigEndian.PutUint32(over, MaxFrameSize+1)
+	binary.BigEndian.PutUint32(over, maxFrameSize+1)
 	f.Add(over)
 	// Truncated mid-frame.
 	f.Add(valid.Bytes()[:valid.Len()/2])
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		fr := NewFrameReader(bytes.NewReader(stream))
+		fr := newFrameReader(bytes.NewReader(stream))
 		for i := 0; i < 64; i++ {
-			p, err := fr.ReadPacket()
+			p, err := fr.readPacket()
 			if err != nil {
 				return // any error ends the stream; it must just not panic
 			}
@@ -70,11 +70,11 @@ func FuzzFrameReader(f *testing.F) {
 func TestFrameReaderLyingPrefixStopsEarly(t *testing.T) {
 	var buf bytes.Buffer
 	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, MaxFrameSize)
+	binary.BigEndian.PutUint32(hdr, maxFrameSize)
 	buf.Write(hdr)
 	buf.Write([]byte("only a few bytes"))
-	fr := NewFrameReader(&buf)
-	if _, err := fr.ReadPacket(); err == nil {
+	fr := newFrameReader(&buf)
+	if _, err := fr.readPacket(); err == nil {
 		t.Fatal("truncated frame should error")
 	}
 }
@@ -85,19 +85,19 @@ func TestFrameReaderLargeFrameStillWorks(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcdefgh"), (frameAllocChunk/8)+100)
 	p := &packet.Packet{BlockID: 9, Index: 1, Payload: payload}
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WritePacket(p); err != nil {
+	fw := newFrameWriter(&buf)
+	if err := fw.writePacket(p); err != nil {
 		t.Fatal(err)
 	}
-	fr := NewFrameReader(&buf)
-	got, err := fr.ReadPacket()
+	fr := newFrameReader(&buf)
+	got, err := fr.readPacket()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Payload, payload) {
 		t.Fatal("multi-chunk frame corrupted")
 	}
-	if _, err := fr.ReadPacket(); err != io.EOF {
+	if _, err := fr.readPacket(); err != io.EOF {
 		t.Fatalf("want EOF after the only frame, got %v", err)
 	}
 }
@@ -131,10 +131,10 @@ func FuzzMuxFrameReader(f *testing.F) {
 	f.Add(short)
 	// A header claiming the cap with no bytes behind it, and one over it.
 	huge := make([]byte, 4)
-	binary.BigEndian.PutUint32(huge, MaxFrameSize+muxIDSize)
+	binary.BigEndian.PutUint32(huge, maxFrameSize+muxIDSize)
 	f.Add(huge)
 	over := make([]byte, 4)
-	binary.BigEndian.PutUint32(over, MaxFrameSize+muxIDSize+1)
+	binary.BigEndian.PutUint32(over, maxFrameSize+muxIDSize+1)
 	f.Add(over)
 	// Truncated mid-frame, and a torn-write seam: a valid stream cut and
 	// restarted mid-frame, as an injected partial write produces.

@@ -18,13 +18,13 @@ import (
 //	[4B length][8B stream ID][packet encoding]
 //
 // where length counts the stream ID plus the packet encoding, so a plain
-// FrameReader pointed at a mux stream fails fast instead of mis-decoding.
+// frameReader pointed at a mux stream fails fast instead of mis-decoding.
 
 // muxIDSize is the stream-ID prefix inside each mux frame.
 const muxIDSize = 8
 
 // MuxFrameWriter writes stream-tagged, length-prefixed packets to a byte
-// stream. Like FrameWriter it reuses one internal buffer and is not safe
+// stream. Like frameWriter it reuses one internal buffer and is not safe
 // for concurrent use.
 type MuxFrameWriter struct {
 	w     io.Writer
@@ -54,11 +54,11 @@ func (mw *MuxFrameWriter) WritePacket(streamID uint64, p *packet.Packet) error {
 	}
 	mw.buf = buf
 	frameLen := len(buf) - 4
-	if frameLen-muxIDSize > MaxFrameSize {
+	if frameLen-muxIDSize > maxFrameSize {
 		if mw.m != nil {
 			mw.m.oversizeFrames.Inc()
 		}
-		return fmt.Errorf("transport: frame %d exceeds %d bytes", frameLen-muxIDSize, MaxFrameSize)
+		return fmt.Errorf("transport: frame %d exceeds %d bytes", frameLen-muxIDSize, maxFrameSize)
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(frameLen))
 	if _, err := mw.w.Write(buf); err != nil {
@@ -82,16 +82,16 @@ func (mw *MuxFrameWriter) WritePacket(streamID uint64, p *packet.Packet) error {
 
 // MuxFrameReader reads stream-tagged, length-prefixed packets.
 type MuxFrameReader struct {
-	fr *FrameReader
+	fr *frameReader
 }
 
 // NewMuxFrameReader wraps r.
 func NewMuxFrameReader(r io.Reader) *MuxFrameReader {
-	return &MuxFrameReader{fr: NewFrameReader(r)}
+	return &MuxFrameReader{fr: newFrameReader(r)}
 }
 
 // SetMetrics enables transport.* accounting in reg (nil disables).
-func (mr *MuxFrameReader) SetMetrics(reg *obs.Registry) { mr.fr.SetMetrics(reg) }
+func (mr *MuxFrameReader) SetMetrics(reg *obs.Registry) { mr.fr.setMetrics(reg) }
 
 // ReadPacket reads one frame and returns the stream ID and decoded
 // packet; io.EOF at a clean end of stream.
@@ -110,11 +110,11 @@ func (mr *MuxFrameReader) ReadPacket() (uint64, *packet.Packet, error) {
 	if size < muxIDSize {
 		return 0, nil, fmt.Errorf("transport: mux frame %d bytes, need at least %d", size, muxIDSize)
 	}
-	if size-muxIDSize > MaxFrameSize {
+	if size-muxIDSize > maxFrameSize {
 		if mr.fr.m != nil {
 			mr.fr.m.oversizeFrames.Inc()
 		}
-		return 0, nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size-muxIDSize, MaxFrameSize)
+		return 0, nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size-muxIDSize, maxFrameSize)
 	}
 	var idBuf [muxIDSize]byte
 	if _, err := io.ReadFull(mr.fr.r, idBuf[:]); err != nil {

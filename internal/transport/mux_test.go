@@ -70,7 +70,7 @@ func TestMuxFrameReaderRejectsMalformed(t *testing.T) {
 	}
 	// Oversized frame claim.
 	buf.Reset()
-	binary.Write(&buf, binary.BigEndian, uint32(MaxFrameSize+muxIDSize+1))
+	binary.Write(&buf, binary.BigEndian, uint32(maxFrameSize+muxIDSize+1))
 	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
 		t.Error("oversized frame accepted")
 	}
@@ -94,13 +94,13 @@ func TestMuxFrameReaderRejectsMalformed(t *testing.T) {
 
 func TestMuxWriterRefusesOversizedPacket(t *testing.T) {
 	mw := NewMuxFrameWriter(io.Discard)
-	big := &packet.Packet{BlockID: 1, Index: 1, Payload: bytes.Repeat([]byte("x"), MaxFrameSize)}
+	big := &packet.Packet{BlockID: 1, Index: 1, Payload: bytes.Repeat([]byte("x"), maxFrameSize)}
 	if err := mw.WritePacket(1, big); err == nil {
 		t.Error("oversized packet accepted")
 	}
 }
 
-// A plain FrameReader pointed at mux output must fail loudly (the mux
+// A plain frameReader pointed at mux output must fail loudly (the mux
 // length prefix includes the stream ID, so the packet decode fails)
 // rather than silently yielding packets.
 func TestPlainReaderRejectsMuxStream(t *testing.T) {
@@ -109,7 +109,7 @@ func TestPlainReaderRejectsMuxStream(t *testing.T) {
 	if err := mw.WritePacket(3, muxPacket(1, "payload")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFrameReader(&buf).ReadPacket(); err == nil {
+	if _, err := newFrameReader(&buf).readPacket(); err == nil {
 		t.Error("plain reader decoded a mux frame")
 	}
 }

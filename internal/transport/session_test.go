@@ -93,7 +93,7 @@ func TestRepairStoreAddAndSince(t *testing.T) {
 		rs.Add(id, []*packet.Packet{mk(id, 3, true)})
 	}
 	// Capacity 3: block 0 must be evicted, 1-3 retained whole.
-	if got := rs.Blocks(); got != 3 {
+	if got := len(rs.blocks); got != 3 {
 		t.Fatalf("retained %d blocks, want 3", got)
 	}
 	if got := rs.Since(0); len(got) != 9 {

@@ -13,19 +13,17 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"mcauth/internal/fault"
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/stream"
 )
 
-// MaxFrameSize bounds a single packet's encoding on the wire.
-const MaxFrameSize = 1 << 21 // 2 MiB: payload cap plus headers
+// maxFrameSize bounds a single packet's encoding on the wire.
+const maxFrameSize = 1 << 21 // 2 MiB: payload cap plus headers
 
-// frameAllocChunk caps how much ReadPacket allocates before frame bytes
+// frameAllocChunk caps how much readPacket allocates before frame bytes
 // actually arrive: the 4-byte length prefix is attacker-controlled on a raw
 // stream, so the buffer grows chunk by chunk as data is read instead of
 // trusting the prefix — a lying 2 MiB header backed by a truncated stream
@@ -45,13 +43,9 @@ type wireMetrics struct {
 	decodeErrors   *obs.Counter
 	datagramsSent  *obs.Counter
 	datagramsRead  *obs.Counter
-	// Recovery counters (send retries, NACKs, repairs served) are
-	// registered lazily on first use, so dumps of runs that never
-	// exercise the recovery path stay unchanged. Each is touched by a
-	// single goroutine (retrying sender, NACK loop, repair responder).
-	sendRetries   *obs.Counter
-	nacksSent     *obs.Counter
-	repairsServed *obs.Counter
+	// sendRetries is registered lazily on the first retry, so dumps of
+	// runs that never retry stay unchanged.
+	sendRetries *obs.Counter
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
@@ -82,44 +76,24 @@ func (m *wireMetrics) countSendRetry() {
 	m.sendRetries.Inc()
 }
 
-func (m *wireMetrics) countNACKSent() {
-	if m == nil {
-		return
-	}
-	if m.nacksSent == nil {
-		m.nacksSent = m.reg.Counter("transport.nacks_sent")
-	}
-	m.nacksSent.Inc()
-}
-
-func (m *wireMetrics) countRepairServed() {
-	if m == nil {
-		return
-	}
-	if m.repairsServed == nil {
-		m.repairsServed = m.reg.Counter("transport.repairs_served")
-	}
-	m.repairsServed.Inc()
-}
-
-// FrameWriter writes length-prefixed packets to a byte stream. It is not
-// safe for concurrent use: WritePacket reuses one internal buffer across
+// frameWriter writes length-prefixed packets to a byte stream. It is not
+// safe for concurrent use: writePacket reuses one internal buffer across
 // calls so steady-state framing does not allocate.
-type FrameWriter struct {
+type frameWriter struct {
 	w   io.Writer
 	m   *wireMetrics
-	buf []byte // scratch: header + frame, reused across WritePacket calls
+	buf []byte // scratch: header + frame, reused across writePacket calls
 }
 
-// NewFrameWriter wraps w.
-func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+// newFrameWriter wraps w.
+func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
-// SetMetrics enables transport.* accounting in reg (nil disables).
-func (fw *FrameWriter) SetMetrics(reg *obs.Registry) { fw.m = newWireMetrics(reg) }
+// setMetrics enables transport.* accounting in reg (nil disables).
+func (fw *frameWriter) setMetrics(reg *obs.Registry) { fw.m = newWireMetrics(reg) }
 
-// WritePacket encodes and frames one packet, issuing a single Write of
+// writePacket encodes and frames one packet, issuing a single Write of
 // header plus frame.
-func (fw *FrameWriter) WritePacket(p *packet.Packet) error {
+func (fw *frameWriter) writePacket(p *packet.Packet) error {
 	// Reserve the 4-byte length prefix, encode in place, then patch the
 	// prefix once the frame length is known.
 	fw.buf = append(fw.buf[:0], 0, 0, 0, 0)
@@ -129,11 +103,11 @@ func (fw *FrameWriter) WritePacket(p *packet.Packet) error {
 	}
 	fw.buf = buf
 	wireLen := len(buf) - 4
-	if wireLen > MaxFrameSize {
+	if wireLen > maxFrameSize {
 		if fw.m != nil {
 			fw.m.oversizeFrames.Inc()
 		}
-		return fmt.Errorf("transport: frame %d exceeds %d bytes", wireLen, MaxFrameSize)
+		return fmt.Errorf("transport: frame %d exceeds %d bytes", wireLen, maxFrameSize)
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(wireLen))
 	if _, err := fw.w.Write(buf); err != nil {
@@ -146,23 +120,23 @@ func (fw *FrameWriter) WritePacket(p *packet.Packet) error {
 	return nil
 }
 
-// FrameReader reads length-prefixed packets from a byte stream.
-type FrameReader struct {
+// frameReader reads length-prefixed packets from a byte stream.
+type frameReader struct {
 	r *bufio.Reader
 	m *wireMetrics
 }
 
-// NewFrameReader wraps r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: bufio.NewReader(r)}
+// newFrameReader wraps r.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
 }
 
-// SetMetrics enables transport.* accounting in reg (nil disables).
-func (fr *FrameReader) SetMetrics(reg *obs.Registry) { fr.m = newWireMetrics(reg) }
+// setMetrics enables transport.* accounting in reg (nil disables).
+func (fr *frameReader) setMetrics(reg *obs.Registry) { fr.m = newWireMetrics(reg) }
 
-// ReadPacket reads and decodes one packet; it returns io.EOF at a clean
+// readPacket reads and decodes one packet; it returns io.EOF at a clean
 // end of stream.
-func (fr *FrameReader) ReadPacket() (*packet.Packet, error) {
+func (fr *frameReader) readPacket() (*packet.Packet, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -174,11 +148,11 @@ func (fr *FrameReader) ReadPacket() (*packet.Packet, error) {
 		return nil, fmt.Errorf("transport: read header: %w", err)
 	}
 	size := binary.BigEndian.Uint32(hdr[:])
-	if size > MaxFrameSize {
+	if size > maxFrameSize {
 		if fr.m != nil {
 			fr.m.oversizeFrames.Inc()
 		}
-		return nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size, MaxFrameSize)
+		return nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size, maxFrameSize)
 	}
 	wire := make([]byte, 0, min(int(size), frameAllocChunk))
 	for len(wire) < int(size) {
@@ -211,13 +185,10 @@ type DatagramSender struct {
 	conn net.PacketConn
 	addr net.Addr
 	m    *wireMetrics
-	// inj, when non-nil, is the chaos hook: Send routes every datagram
-	// through the adversarial channel (see SetFaults).
-	inj *fault.Injector
 }
 
-// SetMetrics enables transport.* accounting in reg (nil disables).
-func (ds *DatagramSender) SetMetrics(reg *obs.Registry) { ds.m = newWireMetrics(reg) }
+// setMetrics enables transport.* accounting in reg (nil disables).
+func (ds *DatagramSender) setMetrics(reg *obs.Registry) { ds.m = newWireMetrics(reg) }
 
 // NewDatagramSender binds a sender to conn and the destination addr.
 func NewDatagramSender(conn net.PacketConn, addr net.Addr) (*DatagramSender, error) {
@@ -227,14 +198,11 @@ func NewDatagramSender(conn net.PacketConn, addr net.Addr) (*DatagramSender, err
 	return &DatagramSender{conn: conn, addr: addr}, nil
 }
 
-// Send transmits one packet as a single datagram.
-func (ds *DatagramSender) Send(p *packet.Packet) error {
+// send transmits one packet as a single datagram.
+func (ds *DatagramSender) send(p *packet.Packet) error {
 	wire, err := p.Encode()
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
-	}
-	if ds.inj != nil {
-		return ds.sendFaulted(wire, p)
 	}
 	if _, err := ds.conn.WriteTo(wire, ds.addr); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
@@ -242,19 +210,6 @@ func (ds *DatagramSender) Send(p *packet.Packet) error {
 	if ds.m != nil {
 		ds.m.datagramsSent.Inc()
 		ds.m.bytesWritten.Add(int64(len(wire)))
-	}
-	return nil
-}
-
-// SendBlock transmits a block's packets with the given inter-packet gap.
-func (ds *DatagramSender) SendBlock(pkts []*packet.Packet, gap time.Duration) error {
-	for _, p := range pkts {
-		if err := ds.Send(p); err != nil {
-			return err
-		}
-		if gap > 0 {
-			time.Sleep(gap)
-		}
 	}
 	return nil
 }
@@ -274,16 +229,11 @@ type Listener struct {
 	m       *wireMetrics
 	readErr error
 	closed  bool
-
-	// NACK re-request loop state (see EnableNACK in recovery.go).
-	nackStop  chan struct{}
-	nackDone  chan struct{}
-	nacksSent atomic.Int64
 }
 
-// SetMetrics enables transport.* accounting in reg (nil disables). Safe
+// setMetrics enables transport.* accounting in reg (nil disables). Safe
 // to call while the read loop runs.
-func (l *Listener) SetMetrics(reg *obs.Registry) {
+func (l *Listener) setMetrics(reg *obs.Registry) {
 	m := newWireMetrics(reg)
 	l.mu.Lock()
 	l.m = m
@@ -321,7 +271,7 @@ func (l *Listener) Events() <-chan stream.Authenticated { return l.events }
 func (l *Listener) loop() {
 	defer close(l.done)
 	defer close(l.events)
-	buf := make([]byte, MaxFrameSize)
+	buf := make([]byte, maxFrameSize)
 	for {
 		n, _, err := l.conn.ReadFrom(buf)
 		if err != nil {
@@ -370,13 +320,8 @@ func (l *Listener) Close() error {
 	l.mu.Lock()
 	alreadyClosed := l.closed
 	l.closed = true
-	nackStop, nackDone := l.nackStop, l.nackDone
 	l.mu.Unlock()
 	if !alreadyClosed {
-		if nackStop != nil {
-			close(nackStop)
-			<-nackDone
-		}
 		close(l.stop)
 		// Closing the conn unblocks ReadFrom.
 		if err := l.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {

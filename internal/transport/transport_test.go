@@ -41,15 +41,15 @@ func testBlockPackets(t *testing.T, n int, blockID uint64) ([]*packet.Packet, *s
 func TestFrameRoundTrip(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 6, 1)
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
+	fw := newFrameWriter(&buf)
 	for _, p := range pkts {
-		if err := fw.WritePacket(p); err != nil {
+		if err := fw.writePacket(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fr := NewFrameReader(&buf)
+	fr := newFrameReader(&buf)
 	for _, want := range pkts {
-		got, err := fr.ReadPacket()
+		got, err := fr.readPacket()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame round trip mismatch at index %d", want.Index)
 		}
 	}
-	if _, err := fr.ReadPacket(); !errors.Is(err, io.EOF) {
+	if _, err := fr.readPacket(); !errors.Is(err, io.EOF) {
 		t.Errorf("end of stream err = %v, want io.EOF", err)
 	}
 }
@@ -65,13 +65,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameReaderTruncation(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	var buf bytes.Buffer
-	if err := NewFrameWriter(&buf).WritePacket(pkts[0]); err != nil {
+	if err := newFrameWriter(&buf).writePacket(pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{1, 3, len(full) - 1} {
-		fr := NewFrameReader(bytes.NewReader(full[:cut]))
-		if _, err := fr.ReadPacket(); err == nil {
+		fr := newFrameReader(bytes.NewReader(full[:cut]))
+		if _, err := fr.readPacket(); err == nil {
 			t.Errorf("truncated frame at %d bytes should fail", cut)
 		}
 	}
@@ -81,16 +81,16 @@ func TestFrameReaderOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}
 	buf.Write(hdr)
-	fr := NewFrameReader(&buf)
-	if _, err := fr.ReadPacket(); err == nil {
+	fr := newFrameReader(&buf)
+	if _, err := fr.readPacket(); err == nil {
 		t.Error("oversize frame length should fail before allocation")
 	}
 }
 
 func TestFrameWriterPropagatesErrors(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
-	fw := NewFrameWriter(failingWriter{})
-	if err := fw.WritePacket(pkts[0]); err == nil {
+	fw := newFrameWriter(failingWriter{})
+	if err := fw.writePacket(pkts[0]); err == nil {
 		t.Error("write error should propagate")
 	}
 }
@@ -105,19 +105,19 @@ func TestFrameStreamThroughReceiver(t *testing.T) {
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
 	go func() {
-		fw := NewFrameWriter(client)
+		fw := newFrameWriter(client)
 		for _, p := range pkts {
-			if err := fw.WritePacket(p); err != nil {
+			if err := fw.writePacket(p); err != nil {
 				errCh <- err
 				return
 			}
 		}
 		errCh <- client.Close()
 	}()
-	fr := NewFrameReader(server)
+	fr := newFrameReader(server)
 	authenticated := 0
 	for {
-		p, err := fr.ReadPacket()
+		p, err := fr.readPacket()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -165,8 +165,11 @@ func TestDatagramUDPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.SendBlock(pkts, 100*time.Microsecond); err != nil {
-		t.Fatal(err)
+	for _, p := range pkts {
+		if err := sender.send(p); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	got := make(map[uint32]bool)
 	timeout := time.After(5 * time.Second)
@@ -250,18 +253,18 @@ func TestFrameMetrics(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	fw.SetMetrics(reg)
+	fw := newFrameWriter(&buf)
+	fw.setMetrics(reg)
 	for _, p := range pkts {
-		if err := fw.WritePacket(p); err != nil {
+		if err := fw.writePacket(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	written := buf.Len()
-	fr := NewFrameReader(&buf)
-	fr.SetMetrics(reg)
+	fr := newFrameReader(&buf)
+	fr.setMetrics(reg)
 	for range pkts {
-		if _, err := fr.ReadPacket(); err != nil {
+		if _, err := fr.readPacket(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,15 +287,15 @@ func TestShortReadCounted(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	if err := fw.WritePacket(pkts[0]); err != nil {
+	fw := newFrameWriter(&buf)
+	if err := fw.writePacket(pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate mid-frame: the reader sees a short body read.
 	truncated := buf.Bytes()[:buf.Len()-3]
-	fr := NewFrameReader(bytes.NewReader(truncated))
-	fr.SetMetrics(reg)
-	if _, err := fr.ReadPacket(); err == nil {
+	fr := newFrameReader(bytes.NewReader(truncated))
+	fr.setMetrics(reg)
+	if _, err := fr.readPacket(); err == nil {
 		t.Fatal("truncated frame should fail")
 	}
 	if got := reg.Snapshot().Counters["transport.short_reads"]; got != 1 {
@@ -303,10 +306,10 @@ func TestShortReadCounted(t *testing.T) {
 func TestOversizeFrameCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	fr := NewFrameReader(bytes.NewReader(hdr[:]))
-	fr.SetMetrics(reg)
-	if _, err := fr.ReadPacket(); err == nil {
+	binary.BigEndian.PutUint32(hdr[:], maxFrameSize+1)
+	fr := newFrameReader(bytes.NewReader(hdr[:]))
+	fr.setMetrics(reg)
+	if _, err := fr.readPacket(); err == nil {
 		t.Fatal("oversize frame should fail")
 	}
 	if got := reg.Snapshot().Counters["transport.oversize_frames"]; got != 1 {

@@ -83,11 +83,11 @@ func TestChainedIgnoresOutOfBlockHashTargets(t *testing.T) {
 	}
 	ingest(t, v, pkts[2])
 	st := v.Stats()
-	if st.Authenticated != n || st.Rejected != 0 || st.HashBufferHighWater != 2 || v.PendingCount() != 0 {
-		t.Errorf("stats %+v, pending %d", st, v.PendingCount())
+	if st.Authenticated != n || st.Rejected != 0 || st.HashBufferHighWater != 2 || v.pendingCount() != 0 {
+		t.Errorf("stats %+v, pending %d", st, v.pendingCount())
 	}
 	for _, idx := range []uint32{0, n + 1, 1 << 31, ^uint32(0)} {
-		if v.IsAuthentic(idx) {
+		if v.isAuthentic(idx) {
 			t.Errorf("IsAuthentic(%d) for an index outside the block", idx)
 		}
 	}
@@ -231,7 +231,7 @@ func TestChainedReplayMatchesRecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&out, "%03d %-6s P%-2d -> %s pending %d\n", i, st.kind, st.p.Index, eventIndices(events), v.PendingCount())
+			fmt.Fprintf(&out, "%03d %-6s P%-2d -> %s pending %d\n", i, st.kind, st.p.Index, eventIndices(events), v.pendingCount())
 			if mode.deferred && i%9 == 8 {
 				fmt.Fprintf(&out, "  resolve %d\n", env.BatchQ.Resolve())
 			}
@@ -242,11 +242,11 @@ func TestChainedReplayMatchesRecorded(t *testing.T) {
 		s := v.Stats()
 		fmt.Fprintf(&out, "stats received %d authenticated %d rejected %d duplicates %d msg_hw %d hash_hw %d overflow %d cache_hits %d pending_sig %d pending %d\n",
 			s.Received, s.Authenticated, s.Rejected, s.Duplicates, s.MsgBufferHighWater, s.HashBufferHighWater,
-			s.DroppedOverflow, s.CacheHits, s.PendingSignature, v.PendingCount())
+			s.DroppedOverflow, s.CacheHits, s.PendingSignature, v.pendingCount())
 		fmt.Fprintf(&out, "time_to_auth count %d sum %d min %d max %d\n", s.TimeToAuth.Count, s.TimeToAuth.Sum, s.TimeToAuth.MinSeen, s.TimeToAuth.MaxSeen)
 		out.WriteString("authentic ")
 		for idx := uint32(0); idx <= n+1; idx++ {
-			if v.IsAuthentic(idx) {
+			if v.isAuthentic(idx) {
 				out.WriteByte('1')
 			} else {
 				out.WriteByte('0')

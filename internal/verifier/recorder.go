@@ -113,15 +113,15 @@ func (r *Recorder) Resolved(p *packet.Packet, at time.Time) {
 	r.record(obs.SpanSigResolve, p.BlockID, p.Index, at, 0, 0, "")
 }
 
-// HashBuffered traces a trusted digest that arrived ahead of its packet,
+// hashBuffered traces a trusted digest that arrived ahead of its packet,
 // carried by a packet of the given block.
-func (r *Recorder) HashBuffered(block uint64, index uint32, at time.Time) {
+func (r *Recorder) hashBuffered(block uint64, index uint32, at time.Time) {
 	r.record(obs.SpanHashBuffered, block, index, at, 0, 0, "")
 }
 
-// HashDepth tracks the hash buffer's high-water mark: depth is the number of
+// hashDepth tracks the hash buffer's high-water mark: depth is the number of
 // trusted digests currently held for packets not yet authenticated.
-func (r *Recorder) HashDepth(depth int) {
+func (r *Recorder) hashDepth(depth int) {
 	if depth > r.stats.HashBufferHighWater {
 		r.stats.HashBufferHighWater = depth
 		r.hashHighWater.Observe(int64(depth))

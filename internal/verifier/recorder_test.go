@@ -26,9 +26,9 @@ func TestRecorderZeroEnv(t *testing.T) {
 	if !r.Park(p, at, 1) {
 		t.Error("an uncapped buffer turned a signature away")
 	}
-	r.HashBuffered(p.BlockID, 4, at)
-	r.HashDepth(3)
-	r.HashDepth(1)
+	r.hashBuffered(p.BlockID, 4, at)
+	r.hashDepth(3)
+	r.hashDepth(1)
 	r.Authenticated(p, at, at.Add(5*time.Millisecond))
 	r.Authenticated(p, at, at.Add(-time.Second)) // a clock stepping back is no latency
 	r.Rejected(p, at, "bad_signature")

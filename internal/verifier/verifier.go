@@ -318,7 +318,7 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 			waiting := s.held
 			if waiting.p == nil {
 				if !s.authentic {
-					v.rec.HashBuffered(p.BlockID, h.TargetIndex, at)
+					v.rec.hashBuffered(p.BlockID, h.TargetIndex, at)
 				}
 				continue
 			}
@@ -334,17 +334,17 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 	}
 	clear(queue)
 	v.queue = queue[:0]
-	v.rec.HashDepth(v.hashDepth)
+	v.rec.hashDepth(v.hashDepth)
 	return events
 }
 
-// IsAuthentic reports whether the packet at index has been authenticated.
-func (v *Chained) IsAuthentic(index uint32) bool {
+// isAuthentic reports whether the packet at index has been authenticated.
+func (v *Chained) isAuthentic(index uint32) bool {
 	return index <= v.n && v.slots[index].authentic
 }
 
-// PendingCount returns the number of packets still buffered unverified.
-func (v *Chained) PendingCount() int { return v.held }
+// pendingCount returns the number of packets still buffered unverified.
+func (v *Chained) pendingCount() int { return v.held }
 
 // Stats returns a snapshot of the verifier's counters.
 func (v *Chained) Stats() Stats { return v.rec.Stats() }

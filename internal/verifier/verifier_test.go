@@ -77,8 +77,8 @@ func TestOutOfOrderCascade(t *testing.T) {
 			t.Fatalf("packet %d verified without signature", idx+1)
 		}
 	}
-	if v.PendingCount() != 3 {
-		t.Fatalf("PendingCount = %d, want 3", v.PendingCount())
+	if v.pendingCount() != 3 {
+		t.Fatalf("PendingCount = %d, want 3", v.pendingCount())
 	}
 	// The signature packet arrives last and cascades through everything.
 	events := ingest(t, v, pkts[0])
@@ -89,7 +89,7 @@ func TestOutOfOrderCascade(t *testing.T) {
 		t.Errorf("MsgBufferHighWater = %d, want 3", v.Stats().MsgBufferHighWater)
 	}
 	for i := uint32(1); i <= 4; i++ {
-		if !v.IsAuthentic(i) {
+		if !v.isAuthentic(i) {
 			t.Errorf("packet %d not authentic after cascade", i)
 		}
 	}
@@ -104,14 +104,14 @@ func TestLossBreaksChainDownstreamOnly(t *testing.T) {
 	ingest(t, v, pkts[0])
 	ingest(t, v, pkts[2])
 	ingest(t, v, pkts[3])
-	if !v.IsAuthentic(1) {
+	if !v.isAuthentic(1) {
 		t.Error("P1 should verify")
 	}
-	if v.IsAuthentic(3) || v.IsAuthentic(4) {
+	if v.isAuthentic(3) || v.isAuthentic(4) {
 		t.Error("P3/P4 must not verify with P2 lost")
 	}
-	if v.PendingCount() != 2 {
-		t.Errorf("PendingCount = %d, want 2", v.PendingCount())
+	if v.pendingCount() != 2 {
+		t.Errorf("PendingCount = %d, want 2", v.pendingCount())
 	}
 }
 
@@ -128,7 +128,7 @@ func TestTamperedPayloadRejected(t *testing.T) {
 	if v.Stats().Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", v.Stats().Rejected)
 	}
-	if v.IsAuthentic(2) {
+	if v.isAuthentic(2) {
 		t.Error("tampered packet marked authentic")
 	}
 }
@@ -255,10 +255,10 @@ func TestBufferCapDropsOverflow(t *testing.T) {
 	// arrives verifiable directly).
 	ingest(t, v, pkts[0])
 	ingest(t, v, pkts[1])
-	if !v.IsAuthentic(3) {
+	if !v.isAuthentic(3) {
 		t.Error("buffered packet lost despite fitting in the cap")
 	}
-	if v.IsAuthentic(4) {
+	if v.isAuthentic(4) {
 		t.Error("dropped packet cannot become authentic")
 	}
 }

@@ -260,6 +260,10 @@ type receiverScratch struct {
 	received  []bool      // the loss pattern, by 1-based wire position
 	arrivals  []arrival   // surviving deliveries, then sorted by arrival
 	arrivedAt []time.Time // by packet index; valid where ReceivedByIndex is set
+	// v is the verifier, Reset with each receiver's Env (its Spans view
+	// differs per receiver). No receiver's BatchQ outlives it, so no
+	// verdict is ever parked at a Reset.
+	v scheme.Verifier
 }
 
 // newDigestMemo builds a run's digest memo; a variable so a test can run
@@ -400,11 +404,13 @@ func traceWire(t *obs.SpanSink, kind obs.SpanKind, w int, p *packet.Packet, at t
 // from the run seed. All root RNG use happens here, before the receiver
 // goroutines start, so the concurrent phase never touches shared RNG
 // state — and results cannot depend on the worker count.
-func receiverStreams(cfg Config, wireCount int) ([]*stats.RNG, []int) {
+func receiverStreams(cfg Config, wireCount int) ([]stats.RNG, []int) {
 	root := stats.NewRNG(cfg.Seed)
-	rngs := make([]*stats.RNG, cfg.Receivers)
+	rngs := make([]stats.RNG, cfg.Receivers)
 	for r := range rngs {
-		rngs[r] = root.Split()
+		// root.Split(), copied into the one slice: NewRNG inlines, so the
+		// copy allocates nothing.
+		rngs[r] = *stats.NewRNG(root.Uint64())
 	}
 	joinAt := make([]int, cfg.Receivers)
 	for r := range joinAt {
@@ -431,8 +437,8 @@ func Run(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte) (*Resul
 		WireCount:   len(plan.pkts),
 		PerReceiver: make([]ReceiverReport, cfg.Receivers),
 	}
-	err = parallel.ForEach(cfg.Workers, rngs, func(r int, rng *stats.RNG) error {
-		report, err := runReceiver(s, cfg, r, plan, joinAt[r], rng, cfg.Loss, nil)
+	err = parallel.ForEach(cfg.Workers, rngs, func(r int, _ stats.RNG) error {
+		report, err := runReceiver(s, cfg, r, plan, joinAt[r], &rngs[r], cfg.Loss, nil)
 		if err != nil {
 			return err
 		}
@@ -624,13 +630,20 @@ func runReceiver(
 	slices.SortFunc(arrivals, func(a, b arrival) int { return a.at.Compare(b.at) })
 	sc.arrivals = arrivals
 
-	v, err := s.NewVerifier(verifier.Env{
+	env := verifier.Env{
 		MaxBuffered: cfg.MaxBuffered, Sigs: plan.sigs, Digests: plan.digests,
 		Spans: tracer, Metrics: cfg.Metrics,
-	})
+	}
+	var err error
+	if sc.v == nil {
+		sc.v, err = s.NewVerifier(env)
+	} else {
+		err = sc.v.Reset(env)
+	}
 	if err != nil {
 		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
 	}
+	v := sc.v
 	arrivedAt := sc.arrivedAt
 	maxWireSeen := -1
 	for _, a := range arrivals {

@@ -342,9 +342,9 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 		Relays:  reports,
 		Flagged: flagged,
 	}
-	err = parallel.ForEach(cfg.Workers, rngs, func(r int, rng *stats.RNG) error {
+	err = parallel.ForEach(cfg.Workers, rngs, func(r int, _ stats.RNG) error {
 		li := r % len(leaves)
-		report, err := runReceiver(s, vcfg, r, plan, joinAt[r], rng, vcfg.Loss, leafPlan[li])
+		report, err := runReceiver(s, vcfg, r, plan, joinAt[r], &rngs[r], vcfg.Loss, leafPlan[li])
 		if err != nil {
 			return err
 		}

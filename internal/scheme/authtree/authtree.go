@@ -247,10 +247,11 @@ var _ scheme.DeferredAuthenticator = (*Tree)(nil)
 
 // NewVerifier implements Scheme.
 func (t *Tree) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
-	if err := env.Validate(); err != nil {
+	tv := &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, leaves: t.leaves, pub: t.signer.Public()}
+	if err := tv.Reset(env); err != nil {
 		return nil, err
 	}
-	return &treeVerifier{n: t.n, arity: t.arity, depth: t.depth, leaves: t.leaves, pub: t.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
+	return tv, nil
 }
 
 type treeVerifier struct {
@@ -291,6 +292,9 @@ type treeVerifier struct {
 	// batch-verify queue: later packets proving the same root park here and
 	// share the verdict instead of enqueueing duplicate checks.
 	pendingRoots map[crypto.Digest][]parked
+	// events is what Ingest returns and Sink is passed (see
+	// scheme.Verifier.Ingest on who owns it).
+	events []verifier.Event
 
 	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
 	// signatures (only deferred mode buffers).
@@ -438,12 +442,31 @@ func (tv *treeVerifier) remember(p *packet.Packet) {
 	}
 }
 
-// accept marks p authentic on arrival: nothing here waits except on a
-// deferred verdict, which stands at the packet's arrival time.
+// Reset implements scheme.Verifier: the proven-node table and the signed
+// root go with the rest, so nothing proven for one block vouches for the
+// next.
+func (tv *treeVerifier) Reset(env verifier.Env) error {
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	tv.env, tv.rec = env, verifier.NewRecorder(env)
+	clear(tv.authentic)
+	clear(tv.pendingRoots)
+	tv.root = crypto.Digest{}
+	clear(tv.proven)
+	clear(tv.events)
+	tv.events = tv.events[:0]
+	return nil
+}
+
+// accept marks p authentic on arrival — nothing here waits except on a
+// deferred verdict, which stands at the packet's arrival time — and appends
+// its event to tv.events.
 func (tv *treeVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event {
 	tv.authentic[p.Index] = true
 	tv.rec.Authenticated(p, at, at)
-	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
+	tv.events = append(tv.events, verifier.Event{Index: p.Index, Payload: p.Payload})
+	return tv.events
 }
 
 // resolveRoot applies a deferred signature verdict for the root digest p
@@ -451,7 +474,7 @@ func (tv *treeVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event 
 func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 	waiters := tv.pendingRoots[root]
 	delete(tv.pendingRoots, root)
-	var events []verifier.Event
+	tv.events = tv.events[:0]
 	settle := func(w parked, verified bool) {
 		tv.rec.Resolved(w.p, w.arrived)
 		if tv.authentic[w.p.Index] {
@@ -463,7 +486,7 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 			return
 		}
 		tv.proveRoot(root)
-		events = append(events, tv.accept(w.p, w.arrived)...)
+		tv.accept(w.p, w.arrived)
 	}
 	settle(first, ok)
 	for _, w := range waiters {
@@ -476,8 +499,8 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 		}
 		settle(w, verified)
 	}
-	if len(events) > 0 && tv.env.Sink != nil {
-		tv.env.Sink(events)
+	if len(tv.events) > 0 && tv.env.Sink != nil {
+		tv.env.Sink(tv.events)
 	}
 }
 
@@ -497,6 +520,7 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 		tv.authentic = make(map[uint32]bool)
 		tv.pendingRoots = make(map[crypto.Digest][]parked)
 	}
+	tv.events = tv.events[:0]
 	if tv.authentic[p.Index] {
 		tv.rec.Duplicate()
 		return nil, nil

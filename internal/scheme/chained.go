@@ -184,11 +184,11 @@ var _ DeferredAuthenticator = (*Chained)(nil)
 
 // NewVerifier implements Scheme.
 func (c *Chained) NewVerifier(env verifier.Env) (Verifier, error) {
-	// Checked here so a bad env fails construction, not the first Ingest.
-	if err := env.Validate(); err != nil {
+	cv := &chainedVerifier{n: c.topo.N, pub: c.pub}
+	if err := cv.Reset(env); err != nil {
 		return nil, err
 	}
-	return &chainedVerifier{n: c.topo.N, pub: c.pub, env: env}, nil
+	return cv, nil
 }
 
 // chainedVerifier adapts verifier.Chained to the Scheme interface: the
@@ -198,28 +198,39 @@ type chainedVerifier struct {
 	n     int
 	pub   crypto.Verifier
 	env   verifier.Env
-	inner *verifier.Chained
+	bound bool // inner has been reset for this block's first packet
+	inner verifier.Chained
+}
+
+// Reset implements Verifier. The engine itself resets on the first packet,
+// which names the block.
+func (cv *chainedVerifier) Reset(env verifier.Env) error {
+	// Checked here so a bad env fails the Reset, not the first Ingest.
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	cv.env, cv.bound = env, false
+	return nil
 }
 
 // Ingest implements Verifier. The first packet binds the verifier to its
 // block ID.
 func (cv *chainedVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event, error) {
-	if cv.inner == nil {
+	if !cv.bound {
 		if p == nil {
 			return nil, fmt.Errorf("scheme: nil packet")
 		}
-		inner, err := verifier.NewChained(p.BlockID, cv.n, cv.pub, cv.env)
-		if err != nil {
+		if err := cv.inner.Reset(p.BlockID, cv.n, cv.pub, cv.env); err != nil {
 			return nil, err
 		}
-		cv.inner = inner
+		cv.bound = true
 	}
 	return cv.inner.Ingest(p, at)
 }
 
 // Stats implements Verifier.
 func (cv *chainedVerifier) Stats() verifier.Stats {
-	if cv.inner == nil {
+	if !cv.bound {
 		return verifier.Stats{}
 	}
 	return cv.inner.Stats()

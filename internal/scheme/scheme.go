@@ -32,18 +32,30 @@ type Scheme interface {
 	// split message/key vertex encoding of Section 3.2.
 	Graph() (*depgraph.Graph, error)
 	// NewVerifier creates a fresh receiver-side verifier for one block,
-	// configured by env for its lifetime; the zero Env is the synchronous,
-	// unbounded, unobserved verifier.
+	// configured by env until its next Reset; the zero Env is the
+	// synchronous, unbounded, unobserved verifier. Every scheme builds it
+	// as its zero verifier followed by Reset(env), so a reset verifier and
+	// a new one are the same thing.
 	NewVerifier(env verifier.Env) (Verifier, error)
 }
 
 // Verifier is the receiver-side state machine of a scheme.
 type Verifier interface {
 	// Ingest consumes one arriving wire packet (at the given receiver-
-	// local time) and returns the packets newly authenticated by it.
+	// local time) and returns the packets newly authenticated by it. The
+	// returned events belong to the verifier and stay valid until its next
+	// Ingest, Reset or deferred verdict (verifier.Env.Sink); a caller that
+	// keeps them copies them.
 	Ingest(p *packet.Packet, at time.Time) ([]verifier.Event, error)
 	// Stats returns the verifier's counters.
 	Stats() verifier.Stats
+	// Reset makes the verifier a fresh one for the next block, configured
+	// by env, keeping its storage: after Reset it behaves, counts and
+	// traces exactly as NewVerifier(env)'s would. A signature still parked
+	// on the old Env's BatchQ would resolve into the new block, so reset
+	// only a verifier with Stats().PendingSignature == 0, or one whose
+	// queue is never resolved again.
+	Reset(env verifier.Env) error
 }
 
 // VertexMapper is implemented by schemes whose wire authentication indices

@@ -89,20 +89,11 @@ func (s *SignEach) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pa
 
 // NewVerifier implements Scheme.
 func (s *SignEach) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
-	if err := env.Validate(); err != nil {
+	sv := &signEachVerifier{n: s.n, pub: s.signer.Public()}
+	if err := sv.Reset(env); err != nil {
 		return nil, err
 	}
-	// Without a shared memo the verifier keeps its own: a sender that signs
-	// in Merkle batches (MABS) gives the K blobs of one batch a shared inner
-	// signature, so it pays off within one block.
-	if env.Sigs == nil {
-		sigs, err := crypto.NewSigCache(crypto.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		env.Sigs = sigs
-	}
-	return &signEachVerifier{n: s.n, pub: s.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
+	return sv, nil
 }
 
 type signEachVerifier struct {
@@ -113,9 +104,17 @@ type signEachVerifier struct {
 	// Receiver fast path: content staging and blob path walks reuse
 	// scratch, and the underlying public-key check of each batch blob is
 	// cached in env.Sigs, so the K packets of one MABS batch cost one
-	// Ed25519 verify.
+	// Ed25519 verify. Without a shared memo the verifier keeps its own,
+	// ownSigs, across Resets: a sender that signs in Merkle batches gives
+	// the K blobs of one batch a shared inner signature, so it pays off
+	// within one block, and a verdict memo is sound to keep (see
+	// verifier.Env.Sigs).
 	vs      crypto.VerifyScratch
 	content []byte
+	ownSigs *crypto.SigCache
+	// events is what Ingest returns and Sink is passed (see
+	// scheme.Verifier.Ingest on who owns it).
+	events []verifier.Event
 
 	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
 	// signatures (only deferred mode buffers).
@@ -123,14 +122,38 @@ type signEachVerifier struct {
 	rec verifier.Recorder
 }
 
+// Reset implements scheme.Verifier.
+func (sv *signEachVerifier) Reset(env verifier.Env) error {
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	if env.Sigs == nil {
+		if sv.ownSigs == nil {
+			sigs, err := crypto.NewSigCache(crypto.MaxBatch)
+			if err != nil {
+				return err
+			}
+			sv.ownSigs = sigs
+		}
+		env.Sigs = sv.ownSigs
+	}
+	sv.env, sv.rec = env, verifier.NewRecorder(env)
+	clear(sv.authentic)
+	clear(sv.events)
+	sv.events = sv.events[:0]
+	return nil
+}
+
 var _ scheme.Verifier = (*signEachVerifier)(nil)
 
-// accept marks p authentic on arrival: nothing here waits except on a
-// deferred verdict, which stands at the packet's arrival time.
+// accept marks p authentic on arrival — nothing here waits except on a
+// deferred verdict, which stands at the packet's arrival time — and returns
+// its event in sv.events.
 func (sv *signEachVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event {
 	sv.authentic[p.Index] = true
 	sv.rec.Authenticated(p, at, at)
-	return []verifier.Event{{Index: p.Index, Payload: p.Payload}}
+	sv.events = append(sv.events[:0], verifier.Event{Index: p.Index, Payload: p.Payload})
+	return sv.events
 }
 
 // resolve applies one deferred signature verdict.

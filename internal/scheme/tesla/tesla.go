@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -266,13 +267,11 @@ func (s *Scheme) Graph() (*depgraph.Graph, error) {
 
 // NewVerifier implements Scheme.
 func (s *Scheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
-	if err := env.Validate(); err != nil {
+	tv := &teslaVerifier{pub: s.signer.Public(), defaultCap: s.cfg.MaxBuffered}
+	if err := tv.Reset(env); err != nil {
 		return nil, err
 	}
-	if env.MaxBuffered == 0 {
-		env.MaxBuffered = s.cfg.MaxBuffered
-	}
-	return &teslaVerifier{pub: s.signer.Public(), env: env, rec: verifier.NewRecorder(env)}, nil
+	return tv, nil
 }
 
 type pendingPacket struct {
@@ -281,7 +280,8 @@ type pendingPacket struct {
 }
 
 type teslaVerifier struct {
-	pub crypto.Verifier
+	pub        crypto.Verifier
+	defaultCap int // the scheme config's MaxBuffered, for an Env without one
 
 	params    *bootstrapParams
 	blockID   uint64
@@ -322,6 +322,31 @@ type teslaVerifier struct {
 }
 
 var _ scheme.Verifier = (*teslaVerifier)(nil)
+
+// Reset implements scheme.Verifier: the bootstrap parameters and every
+// verified chain key go with the rest, so the next block bootstraps anew.
+func (tv *teslaVerifier) Reset(env verifier.Env) error {
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	if env.MaxBuffered == 0 {
+		env.MaxBuffered = tv.defaultCap
+	}
+	tv.env, tv.rec = env, verifier.NewRecorder(env)
+	tv.params, tv.blockID, tv.bestIdx, tv.bestKey = nil, 0, 0, nil
+	clear(tv.preBoot)
+	tv.preBoot = tv.preBoot[:0]
+	for interval, pends := range tv.buffered {
+		clear(pends)
+		tv.pendPool = append(tv.pendPool, pends[:0])
+		delete(tv.buffered, interval)
+	}
+	clear(tv.authentic)
+	tv.haveKey = tv.haveKey[:0]
+	clear(tv.events)
+	tv.events = tv.events[:0]
+	return nil
+}
 
 // pendingTotal is the current pending-buffer occupancy.
 func (tv *teslaVerifier) pendingTotal() int {
@@ -475,9 +500,10 @@ func (tv *teslaVerifier) absorbKey(idx int, key []byte, at time.Time) {
 		tv.rec.Rejected(nil, at, "bad_key_chain")
 		return
 	}
-	if tv.chainKeys == nil {
-		tv.chainKeys = make([][crypto.KeySize]byte, tv.params.n+1)
-		tv.haveKey = make([]bool, tv.params.n+1)
+	if len(tv.haveKey) == 0 {
+		tv.chainKeys = slices.Grow(tv.chainKeys[:0], tv.params.n+1)[:tv.params.n+1]
+		tv.haveKey = slices.Grow(tv.haveKey, tv.params.n+1)[:tv.params.n+1]
+		clear(tv.haveKey)
 	}
 	var cur [crypto.KeySize]byte
 	copy(cur[:], key)

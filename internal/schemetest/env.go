@@ -1,7 +1,9 @@
 package schemetest
 
 import (
+	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -143,12 +145,21 @@ type envRun struct {
 	stats      verifier.Stats
 	maxPending int // peak Stats().PendingSignature
 	sunk       int // events delivered through Sink
+	spans      []obs.Span
+	metrics    obs.Snapshot
 }
 
 // runEnv feeds the delivery to a fresh verifier built with env. resolveEvery
 // > 0 resolves env.BatchQ by hand every that many packets; the queue is
 // always resolved at the end.
 func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival, clock Clock, resolveEvery int) envRun {
+	t.Helper()
+	return runBuilt(t, s.NewVerifier, env, delivery, clock, resolveEvery)
+}
+
+// runBuilt is runEnv with the verifier made by build: NewVerifier, or Reset
+// on one that served another block.
+func runBuilt(t *testing.T, build func(verifier.Env) (scheme.Verifier, error), env verifier.Env, delivery []arrival, clock Clock, resolveEvery int) envRun {
 	t.Helper()
 	var run envRun
 	seen := make(map[uint32]bool)
@@ -170,9 +181,9 @@ func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival,
 			note(events)
 		}
 	}
-	v, err := s.NewVerifier(env)
+	v, err := build(env)
 	if err != nil {
-		t.Fatalf("NewVerifier(%+v): %v", env, err)
+		t.Fatalf("building a verifier with %+v: %v", env, err)
 	}
 	for i, a := range delivery {
 		events, err := v.Ingest(a.p, clock(a.wire))
@@ -194,6 +205,7 @@ func runEnv(t *testing.T, s scheme.Scheme, env verifier.Env, delivery []arrival,
 	}
 	run.order = slices.Clone(run.authed)
 	slices.Sort(run.authed)
+	run.spans, run.metrics = env.Spans.Snapshot(), env.Metrics.Snapshot()
 	checkLedger(t, env, delivery, run)
 	return run
 }
@@ -391,6 +403,195 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 	if _, err := s.NewVerifier(verifier.Env{MaxBuffered: -1}); err == nil {
 		t.Error("negative MaxBuffered should fail construction")
 	}
+	resetConformance(t, s, clock, honours, block)
+}
+
+// resetConformance pins scheme.Verifier.Reset to NewVerifier: a verifier
+// dirtied with block k, then Reset with any Env shape EnvConformance builds,
+// replays block k (a simulator's next receiver of the same block) and block
+// k+1 (a stream's next block) exactly as a new verifier does — the same
+// events in the same order, the same Stats, the same trace records and
+// metrics. The replay opens with a bad-signature copy of the first signed
+// packet, which a fresh verifier refuses; state proven for block k that
+// survived the Reset would accept it.
+func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours, block uint64) {
+	t.Helper()
+	const stream = 7
+	queue := func(batch int) *crypto.BatchVerifyQueue {
+		q, err := crypto.NewBatchVerifyQueue(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	newCache := func() *verifier.SharedCache {
+		c, err := verifier.NewSharedCache(4 * s.WireCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	newSigs := func() *crypto.SigCache {
+		c, err := crypto.NewSigCache(s.WireCount())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	sink := func() *obs.SpanSink { return obs.NewSpanSink(obs.KeepAll, nil) }
+
+	// dirty leaves a verifier with what block leaves behind: the delivery's
+	// authenticated, buffered, duplicated and refused packets, deferred
+	// verdicts resolved packet by packet, a warm cache, then a forgery of
+	// every packet — signed with the attacker's key when deferred, and
+	// parked on the queue, which is never resolved again: Reset must drop
+	// what is parked, not wait for it. capped sets a buffer cap the flood
+	// overflows; a cap also starves a chain that signs its last packet, so
+	// the uncapped run is the one that authenticates.
+	dirty := func(deferred, capped bool) scheme.Verifier {
+		pkts, delivery := envDelivery(t, s, block)
+		env := verifier.Env{
+			StreamID: stream, Cache: newCache(), Sigs: newSigs(),
+			Digests: verifier.NewDigestMemo(pkts), Spans: sink(), Metrics: obs.NewRegistry(),
+		}
+		if capped {
+			env.MaxBuffered = 1
+		}
+		if deferred {
+			env.BatchQ, env.Sink = queue(1<<20), func([]verifier.Event) {}
+		}
+		v, err := s.NewVerifier(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest := func(a arrival) {
+			if _, err := v.Ingest(a.p, clock(a.wire)); err != nil {
+				t.Fatalf("dirtying: Ingest wire %d: %v", a.wire, err)
+			}
+		}
+		for _, a := range withBadSignature(delivery) {
+			ingest(a)
+			if deferred {
+				env.BatchQ.Resolve()
+			}
+		}
+		rng := stats.NewRNG(block)
+		forger := fault.NewWrongKeyForger("reset-conformance")
+		signed := slices.IndexFunc(pkts, func(p *packet.Packet) bool { return len(p.Signature) > 0 })
+		for w, p := range pkts {
+			f := forger.Forge(rng, p)
+			if deferred && len(f.Signature) == 0 {
+				f.Signature = forger.Forge(rng, pkts[signed]).Signature
+			}
+			ingest(arrival{f, w + 1})
+		}
+		st := v.Stats()
+		switch {
+		case st.Received == 0 || st.Duplicates == 0:
+		case capped && (honours.MaxBuffered || deferred && honours.BatchQ) && st.DroppedOverflow == 0:
+		case !capped && (st.Authenticated == 0 || st.Rejected == 0):
+		case !capped && deferred && honours.BatchQ && st.PendingSignature == 0:
+		default:
+			return v
+		}
+		t.Fatalf("dirtying is vacuous (deferred %v, capped %v): %+v", deferred, capped, st)
+		return nil
+	}
+
+	for _, replay := range []uint64{block, block + 1} {
+		pkts, delivery := envDelivery(t, s, replay)
+		delivery = withBadSignature(delivery)
+		var starved []arrival
+		for w, p := range pkts {
+			if len(p.Signature) == 0 {
+				starved = append(starved, arrival{p, w + 1})
+			}
+		}
+		if len(starved) == 0 {
+			starved = delivery
+		}
+		warmCache := func() *verifier.SharedCache {
+			c := newCache()
+			runEnv(t, s, verifier.Env{Cache: c, StreamID: stream}, delivery, clock, 0)
+			return c
+		}
+		warmSigs := func() *crypto.SigCache {
+			c := newSigs()
+			runEnv(t, s, verifier.Env{Sigs: c}, delivery, clock, 0)
+			return c
+		}
+		memo := verifier.NewDigestMemo(pkts)
+		poisoned := maps.Clone(memo)
+		for _, p := range pkts {
+			if len(p.Signature) == 0 {
+				poisoned[p] = crypto.HashBytes([]byte("poisoned"))
+				break
+			}
+		}
+		shapes := []struct {
+			name         string
+			env          func() verifier.Env // fresh state on every call
+			delivery     []arrival
+			resolveEvery int
+		}{
+			{"zero", func() verifier.Env { return verifier.Env{} }, delivery, 0},
+			{"MaxBuffered (not binding)", func() verifier.Env { return verifier.Env{MaxBuffered: len(delivery)} }, delivery, 0},
+			{"cold Cache", func() verifier.Env { return verifier.Env{Cache: newCache(), StreamID: stream} }, delivery, 0},
+			{"warm Cache", func() verifier.Env { return verifier.Env{Cache: warmCache(), StreamID: stream} }, delivery, 0},
+			{"BatchQ, explicit Resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(1 << 20)} }, delivery, 4},
+			{"BatchQ, auto-resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(2)} }, delivery, 0},
+			{"cold Sigs", func() verifier.Env { return verifier.Env{Sigs: newSigs()} }, delivery, 0},
+			{"warm Sigs", func() verifier.Env { return verifier.Env{Sigs: warmSigs()} }, delivery, 0},
+			{"Digests", func() verifier.Env { return verifier.Env{Digests: memo} }, withCorruptedCopies(pkts, delivery), 0},
+			{"poisoned Digests", func() verifier.Env { return verifier.Env{Digests: poisoned} }, delivery, 0},
+			{"Spans", func() verifier.Env { return verifier.Env{Spans: sink(), StreamID: stream} }, delivery, 0},
+			{"Metrics", func() verifier.Env { return verifier.Env{Metrics: obs.NewRegistry()} }, delivery, 0},
+			{"all fields", func() verifier.Env {
+				return verifier.Env{
+					StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: newSigs(), Digests: memo,
+					BatchQ: queue(2), Spans: sink(), Metrics: obs.NewRegistry(),
+				}
+			}, delivery, 0},
+			{"MaxBuffered 1", func() verifier.Env { return verifier.Env{MaxBuffered: 1} }, starved, 0},
+			{"MaxBuffered 1, BatchQ", func() verifier.Env { return verifier.Env{MaxBuffered: 1, BatchQ: queue(1 << 20)} }, delivery, 0},
+		}
+		for _, sh := range shapes {
+			env := sh.env()
+			fresh := runEnv(t, s, env, sh.delivery, clock, sh.resolveEvery)
+			for _, capped := range []bool{false, true} {
+				v := dirty(env.BatchQ != nil, capped)
+				reset := runBuilt(t, func(env verifier.Env) (scheme.Verifier, error) { return v, v.Reset(env) },
+					sh.env(), sh.delivery, clock, sh.resolveEvery)
+				name := fmt.Sprintf("block %d after block %d (capped %v), %s", replay, block, capped, sh.name)
+				if !slices.Equal(reset.order, fresh.order) || reset.stats != fresh.stats || reset.sunk != fresh.sunk ||
+					reset.maxPending != fresh.maxPending {
+					t.Errorf("%s: Reset authenticated %v (%d sunk), stats %+v\nNewVerifier authenticated %v (%d sunk), stats %+v",
+						name, reset.order, reset.sunk, reset.stats, fresh.order, fresh.sunk, fresh.stats)
+				}
+				if !slices.Equal(reset.spans, fresh.spans) || !reflect.DeepEqual(reset.metrics, fresh.metrics) {
+					t.Errorf("%s: Reset traced %d records and metrics %+v\nNewVerifier traced %d and %+v",
+						name, len(reset.spans), reset.metrics, len(fresh.spans), fresh.metrics)
+				}
+			}
+		}
+	}
+	if v := dirty(false, false); v.Reset(verifier.Env{MaxBuffered: -1}) == nil {
+		t.Error("negative MaxBuffered should fail Reset")
+	}
+}
+
+// withBadSignature puts a copy of the delivery's first signed packet, its
+// signature bit-flipped, ahead of it.
+func withBadSignature(delivery []arrival) []arrival {
+	for i, a := range delivery {
+		if len(a.p.Signature) > 0 && !fault.IsForgedPayload(a.p.Payload) {
+			bad := *a.p
+			bad.Signature = slices.Clone(a.p.Signature)
+			bad.Signature[len(bad.Signature)-1] ^= 0x01
+			return slices.Insert(slices.Clone(delivery), i, arrival{&bad, a.wire})
+		}
+	}
+	return delivery
 }
 
 // graphVerifiable is the paper's condition (1) over the genuine delivered

@@ -16,11 +16,19 @@ type RNG struct {
 	s0, s1, s2, s3 uint64
 }
 
-// NewRNG returns a generator seeded deterministically from seed.
+// NewRNG returns a generator seeded deterministically from seed. It stays
+// small enough to inline, so a caller that copies the generator out
+// (*NewRNG(seed)) allocates nothing.
 func NewRNG(seed uint64) *RNG {
-	// SplitMix64 expansion of the seed into the xoshiro state.
+	r := new(RNG)
+	r.seed(seed)
+	return r
+}
+
+// seed sets the state to the SplitMix64 expansion of seed.
+func (r *RNG) seed(seed uint64) {
 	x := seed
-	return &RNG{s0: splitMix64(&x), s1: splitMix64(&x), s2: splitMix64(&x), s3: splitMix64(&x)}
+	r.s0, r.s1, r.s2, r.s3 = splitMix64(&x), splitMix64(&x), splitMix64(&x), splitMix64(&x)
 }
 
 func splitMix64(x *uint64) uint64 {

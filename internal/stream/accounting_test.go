@@ -53,6 +53,11 @@ func (v *countingVerifier) Stats() verifier.Stats {
 	return v.st
 }
 
+func (v *countingVerifier) Reset(verifier.Env) error {
+	v.st = verifier.Stats{}
+	return nil
+}
+
 // TestAccountingReadsNoVerifierPerPacket is the count-based scaling guard:
 // Ingest and DrainDeferred never call Verifier.Stats, however many blocks
 // and streams are live; retirement reads the departing verifier once and
@@ -138,28 +143,45 @@ func receiversOf(d *Demux) []*Receiver {
 	return out
 }
 
-// recordingScheme remembers every verifier it hands out, so a test can sum
-// their stats by brute force. The verifiers themselves are the real ones,
-// built with the environment the receiver asked for.
+// recordingScheme remembers every verifier it hands out, and the stats of
+// every block one of them served before a Reset, so a test can sum them by
+// brute force. The verifiers themselves are the real ones, built and reset
+// with the environment the receiver asked for.
 type recordingScheme struct {
 	scheme.Scheme
 	handed []scheme.Verifier
+	served []verifier.Stats // a verifier's stats at each of its Resets
 }
 
 func (rs *recordingScheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
 	v, err := rs.Scheme.NewVerifier(env)
-	if err == nil {
-		rs.handed = append(rs.handed, v)
+	if err != nil {
+		return nil, err
 	}
-	return v, err
+	rv := &recordingVerifier{Verifier: v, rs: rs}
+	rs.handed = append(rs.handed, rv)
+	return rv, nil
+}
+
+type recordingVerifier struct {
+	scheme.Verifier
+	rs *recordingScheme
+}
+
+func (rv *recordingVerifier) Reset(env verifier.Env) error {
+	rv.rs.served = append(rv.rs.served, rv.Stats())
+	return rv.Verifier.Reset(env)
 }
 
 // sum is the oracle: the per-verifier counters Totals reports, added over
-// every verifier ever handed out, live or retired.
+// every block any verifier handed out served, live or retired.
 func (rs *recordingScheme) sum() Totals {
 	var t Totals
+	all := slices.Clone(rs.served)
 	for _, v := range rs.handed {
-		st := v.Stats()
+		all = append(all, v.Stats())
+	}
+	for _, st := range all {
 		t.Authenticated += st.Authenticated
 		t.Rejected += st.Rejected
 		t.Unsafe += st.Unsafe

@@ -230,3 +230,119 @@ func TestSharedCacheAcrossReceivers(t *testing.T) {
 		t.Error("tampered packet not counted rejected")
 	}
 }
+
+// TestSyncAndDeferredEventsInOneIngest: a block verifier's events live in
+// its own buffer, reused by its next Ingest, Reset or deferred verdict, and
+// the receiver recycles retired verifiers. With one live block, each block's
+// first packet (proven in the shared cache) authenticates synchronously in
+// the same Ingest that evicts the previous block, whose parked signature is
+// then resolved and cascades through the block's held packets. Both sets of
+// messages must come out of that Ingest with their own payloads, and stay so
+// while the recycled verifiers serve the blocks after.
+func TestSyncAndDeferredEventsInOneIngest(t *testing.T) {
+	const n, blocks = 6, 5
+	s := emssScheme(t, n) // the signature packet is the last one
+	cache, err := verifier.NewSharedCache(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingScheme{Scheme: s}
+	rcv, err := NewReceiver(rec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setEnv(t, rcv, verifier.Env{Cache: cache, BatchQ: fastPathQueue(t, 1<<10)})
+
+	payload := func(b uint64, i uint32) string { return fmt.Sprintf("b%d-m%d", b, i) }
+	var outs [][]Authenticated
+	for b := uint64(0); b < blocks; b++ {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = []byte(payload(b, uint32(i+1)))
+		}
+		pkts, err := s.Authenticate(b, payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache.MarkAuthentic(0, b, cache.DigestOf(pkts[0]))
+		for _, p := range pkts {
+			out, err := rcv.Ingest(p, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+	}
+	rcv.CloseBlock(blocks - 1)
+	outs = append(outs, rcv.DrainDeferred())
+
+	got := make(map[uint64]int)
+	for k, out := range outs {
+		sync, deferred := 0, 0
+		for _, a := range out {
+			if want := payload(a.BlockID, a.Index); string(a.Payload) != want {
+				t.Fatalf("output %d: block %d index %d carries %q, want %q", k, a.BlockID, a.Index, a.Payload, want)
+			}
+			got[a.BlockID]++
+			if a.Index == 1 {
+				sync++
+			} else {
+				deferred++
+			}
+		}
+		// Output k*n, the first packet of block k > 0, carries both.
+		if k%n == 0 && k > 0 && k < blocks*n && (sync != 1 || deferred != n-1) {
+			t.Fatalf("first packet of block %d: %d synchronous and %d deferred messages, want 1 and %d", k/n, sync, deferred, n-1)
+		}
+	}
+	for b := uint64(0); b < blocks; b++ {
+		if got[b] != n {
+			t.Errorf("block %d: %d messages, want %d", b, got[b], n)
+		}
+	}
+	if len(rec.handed) != 2 {
+		t.Errorf("%d blocks through one live slot built %d verifiers, want 2 (the live one and the spare)", blocks, len(rec.handed))
+	}
+}
+
+// TestParkedVerifierIsNotRecycled: a retired verifier whose signature is
+// still parked — on a queue the receiver no longer resolves — is dropped,
+// not reset for the next block, where its verdict would land.
+func TestParkedVerifierIsNotRecycled(t *testing.T) {
+	s, err := signeach.New(2, crypto.NewSignerFromString("parked-spare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingScheme{Scheme: s}
+	rcv, err := NewReceiver(rec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fastPathQueue(t, 1<<10)
+	rcv.SetBatchVerify(old)
+	blockOf := func(id uint64) []*packet.Packet {
+		pkts, err := s.Authenticate(id, [][]byte{{byte(id)}, {byte(id)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkts
+	}
+	if _, err := rcv.Ingest(blockOf(0)[0], time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	rcv.SetBatchVerify(fastPathQueue(t, 1<<10))
+	for b := uint64(1); b <= 3; b++ {
+		if _, err := rcv.Ingest(blockOf(b)[0], time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Block 0's verifier retired parked; block 1's retired clean (its
+	// verdict resolved on the current queue) and served block 3.
+	if len(rec.handed) != 3 || len(rec.served) != 1 {
+		t.Fatalf("built %d verifiers and reset %d times, want 3 and 1", len(rec.handed), len(rec.served))
+	}
+	old.Resolve()
+	if st := rec.handed[0].Stats(); st.Authenticated != 1 || st.PendingSignature != 0 {
+		t.Fatalf("block 0's verifier after its queue resolved: %+v", st)
+	}
+}

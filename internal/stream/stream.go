@@ -149,6 +149,9 @@ type Receiver struct {
 	maxBlocks int
 	verifiers map[uint64]scheme.Verifier
 	order     []uint64 // insertion order, for eviction
+	// spare is the last retired block verifier with no verdict parked, Reset
+	// for the next block instead of building one (see retireVerifier).
+	spare scheme.Verifier
 	// closed remembers recently evicted/closed blocks so their late
 	// packets are dropped instead of resurrecting verification state.
 	// It is itself bounded (closedOrder) so an unbounded stream does
@@ -284,11 +287,15 @@ func (r *Receiver) Ingest(p *packet.Packet, at time.Time) ([]Authenticated, erro
 			blockID := p.BlockID
 			env.Sink = func(events []verifier.Event) { r.noteDeferred(blockID, events) }
 		}
-		newV, err := r.s.NewVerifier(env)
+		var err error
+		if v, r.spare = r.spare, nil; v != nil {
+			err = v.Reset(env)
+		} else {
+			v, err = r.s.NewVerifier(env)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("stream: block %d: %w", p.BlockID, err)
 		}
-		v = newV
 		r.verifiers[p.BlockID] = v
 		r.order = append(r.order, p.BlockID)
 		r.evictIfNeeded()
@@ -351,7 +358,9 @@ func (t *Totals) fold(st *verifier.Stats) {
 // retireVerifier folds a departing block verifier's stats into the lifetime
 // totals, exactly once, before dropping its state. Verdicts still parked in
 // the batch-verify queue are settled first: once the verifier is gone
-// nothing would count them.
+// nothing would count them. The verifier becomes the spare unless a verdict
+// is still parked on it (a queue other than the current Env's), whose
+// callback would otherwise resolve into the next block.
 func (r *Receiver) retireVerifier(blockID uint64) {
 	v, ok := r.verifiers[blockID]
 	if !ok {
@@ -364,6 +373,9 @@ func (r *Receiver) retireVerifier(blockID uint64) {
 	}
 	r.totals.fold(&st)
 	delete(r.verifiers, blockID)
+	if st.PendingSignature == 0 {
+		r.spare = v
+	}
 }
 
 func (r *Receiver) markClosed(blockID uint64) {

@@ -9,8 +9,8 @@ import (
 )
 
 // Env is everything a receiver-side verifier can be configured with,
-// supplied once at construction (scheme.Scheme.NewVerifier, NewChained) and
-// fixed for the verifier's lifetime. The zero Env is the synchronous,
+// supplied at construction or Reset (scheme.Verifier.Reset, Chained.Reset)
+// and fixed until the next Reset. The zero Env is the synchronous,
 // unbounded, unobserved verifier. A scheme ignores the behaviour fields that
 // have no meaning for it (TESLA has no signature per packet to defer, so no
 // BatchQ; the per-packet-signature schemes buffer nothing outside deferred
@@ -68,6 +68,9 @@ type Env struct {
 	BatchQ *crypto.BatchVerifyQueue
 	// Sink receives the events of deferred verdicts. stream.Receiver owns
 	// it (it stamps one per block); other callers set it alongside BatchQ.
+	// The slice it is passed is the verifier's, as Ingest's result is:
+	// valid until the verifier's next Ingest, Reset or deferred verdict,
+	// so a Sink that keeps events copies them.
 	Sink func([]Event)
 	// Spans receives one trace record per fact the verifier reports
 	// (msg_buffered, hash_buffered, overflow_dropped, deferred_park,

@@ -60,7 +60,7 @@ func TestChainedIgnoresOutOfBlockHashTargets(t *testing.T) {
 	pkts[1].Signature = signer.Sign(pkts[1].ContentBytes())
 
 	tracer := obs.NewSpanSink(obs.KeepAll, nil)
-	v, err := NewChained(1, n, signer.Public(), Env{Spans: tracer})
+	v, err := newChained(1, n, signer.Public(), Env{Spans: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestChainedIgnoresOutOfBlockHashTargets(t *testing.T) {
 	}
 }
 
-// TestChainedSteadyStateAllocs guards the index-addressed layout: once built,
-// a verifier allocates at most once per ingested packet (the event slice an
-// accepting Ingest returns) whether the block buffers entirely and cascades
+// TestChainedSteadyStateAllocs guards the index-addressed layout and the
+// verifier-owned event buffer: a verifier Reset for a block it has served
+// before allocates nothing, whether the block buffers entirely and cascades
 // once or authenticates packet by packet — no map growth, no per-packet
-// digest staging, no cascade queue.
+// digest staging or event slice, no cascade queue, no new slots.
 func TestChainedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -109,34 +109,25 @@ func TestChainedSteadyStateAllocs(t *testing.T) {
 	for i, p := range inOrder {
 		reverse[n-1-i] = p
 	}
-	at := time.Unix(0, 0)
+	at, pub := time.Unix(0, 0), signer.Public()
 	for name, order := range map[string][]*packet.Packet{"in-order": inOrder, "reverse": reverse} {
-		// The verifiers are built ahead: AllocsPerRun calls the function
-		// once to warm up, then runs times.
-		const runs = 5
-		vs := make([]*Chained, runs+1)
-		for i := range vs {
-			vs[i] = newVerifier(t, signer, 1, n)
-		}
-		next := 0
-		perBlock := testing.AllocsPerRun(runs, func() {
-			v := vs[next]
-			next++
+		// AllocsPerRun's warm-up run grows the buffers once.
+		v := new(Chained)
+		perBlock := testing.AllocsPerRun(5, func() {
+			if err := v.Reset(1, n, pub, Env{}); err != nil {
+				t.Fatal(err)
+			}
 			for _, p := range order {
 				if _, err := v.Ingest(p, at); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		for _, v := range vs {
-			if st := v.Stats(); st.Authenticated != n {
-				t.Fatalf("%s: authenticated %d of %d", name, st.Authenticated, n)
-			}
+		if st := v.Stats(); st.Authenticated != n {
+			t.Fatalf("%s: authenticated %d of %d", name, st.Authenticated, n)
 		}
-		// One event slice per accepting Ingest, doubling growth of the one
-		// cascade's slice, and the staging buffers' first growth.
-		if limit := float64(n + 16); perBlock > limit {
-			t.Errorf("%s: %.0f allocations per %d-packet block, want <= %.0f", name, perBlock, n, limit)
+		if perBlock > 0 {
+			t.Errorf("%s: %.0f allocations per %d-packet block after Reset, want 0", name, perBlock, n)
 		}
 	}
 }
@@ -222,7 +213,7 @@ func TestChainedReplayMatchesRecorded(t *testing.T) {
 			env.BatchQ = q
 			env.Sink = func(events []Event) { fmt.Fprintf(&out, "  sink %s\n", eventIndices(events)) }
 		}
-		v, err := NewChained(7, n, signer.Public(), env)
+		v, err := newChained(7, n, signer.Public(), env)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ package verifier
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -93,13 +94,14 @@ type slot struct {
 	parked []bufferedPacket
 }
 
-// Chained verifies one block of a hash-chained scheme.
+// Chained verifies one block of a hash-chained scheme. The zero Chained is
+// ready for Reset, the only way it is configured.
 type Chained struct {
 	blockID uint64
 	n       uint32
 	pub     crypto.Verifier
 
-	// env is the verifier's configuration, fixed at construction.
+	// env is the verifier's configuration, fixed until the next Reset.
 	env Env
 	rec Recorder
 	vs  crypto.VerifyScratch // batch-blob path walk staging for the signature check
@@ -112,33 +114,40 @@ type Chained struct {
 	hashDepth int
 	queue     []*packet.Packet // the cascade's work list, reused across accepts
 	content   []byte           // authenticated-content staging for hashing and the signature check
+	// events is what accept returns: the verifier's, valid until its next
+	// Ingest, Reset or deferred verdict.
+	events []Event
 	// queueBuf backs queue until a cascade outgrows it, so a short block's
 	// verifier is two allocations: itself and its slots.
 	queueBuf [8]*packet.Packet
 }
 
-// NewChained creates a verifier for one block of n packets signed by the
-// holder of pub, configured by env.
-func NewChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, error) {
+// Reset makes v a fresh verifier for one block of n packets signed by the
+// holder of pub, configured by env, keeping the storage it already has.
+// Nothing of the previous block survives: a signature still parked on the
+// old Env's BatchQ must not resolve into v afterwards, so reset only a
+// verifier with Stats().PendingSignature == 0 or whose queue is dropped.
+func (v *Chained) Reset(blockID uint64, n int, pub crypto.Verifier, env Env) error {
 	if n < 1 {
-		return nil, fmt.Errorf("verifier: block size %d must be >= 1", n)
+		return fmt.Errorf("verifier: block size %d must be >= 1", n)
 	}
 	if pub == nil {
-		return nil, errors.New("verifier: nil public key")
+		return errors.New("verifier: nil public key")
 	}
 	if err := env.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	v := &Chained{
-		blockID: blockID,
-		n:       uint32(n),
-		pub:     pub,
-		env:     env,
-		rec:     NewRecorder(env),
-		slots:   make([]slot, n+1),
+	v.blockID, v.n, v.pub, v.env = blockID, uint32(n), pub, env
+	v.rec = NewRecorder(env)
+	v.slots = slices.Grow(v.slots[:0], n+1)[:n+1]
+	clear(v.slots)
+	v.held, v.hashDepth = 0, 0
+	if v.queue == nil {
+		v.queue = v.queueBuf[:0]
 	}
-	v.queue = v.queueBuf[:0]
-	return v, nil
+	clear(v.events)
+	v.events = v.events[:0]
+	return nil
 }
 
 // digestOf returns p's content digest: looked up when the Env was built with
@@ -157,7 +166,8 @@ func (v *Chained) digestOf(p *packet.Packet) crypto.Digest {
 // Ingest processes one arriving packet at the given receiver-local time.
 // The timestamp orders buffering against authentication for the receiver-
 // delay measurement; hash-chained schemes have no timing condition of
-// their own.
+// their own. The returned events are v's, valid until its next Ingest,
+// Reset or deferred verdict.
 func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 	if p == nil {
 		return nil, errors.New("verifier: nil packet")
@@ -291,12 +301,9 @@ func (v *Chained) unhold(s *slot) {
 
 // accept marks p authentic, trusts its carried hashes, and cascades into
 // the message buffer. It returns the authentication events in cascade
-// order.
+// order, in v's events buffer.
 func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
-	// Room for p and the first wave of the cascade: at most one packet per
-	// hash p carries, and no more than the message buffer holds.
-	events := make([]Event, 1, 1+min(v.held, len(p.Hashes)))
-	events[0] = Event{Index: p.Index, Payload: p.Payload}
+	events := append(v.events[:0], Event{Index: p.Index, Payload: p.Payload})
 	v.authenticate(p, at, at)
 
 	queue := append(v.queue[:0], p)
@@ -334,6 +341,7 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 	}
 	clear(queue)
 	v.queue = queue[:0]
+	v.events = events
 	v.rec.hashDepth(v.hashDepth)
 	return events
 }

@@ -27,9 +27,18 @@ func buildChain(t *testing.T, signer crypto.Signer, blockID uint64) []*packet.Pa
 	return pkts[1:]
 }
 
+// newChained is the zero Chained, Reset: how every verifier is built.
+func newChained(blockID uint64, n int, pub crypto.Verifier, env Env) (*Chained, error) {
+	v := new(Chained)
+	if err := v.Reset(blockID, n, pub, env); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 func newVerifier(t *testing.T, signer crypto.Signer, blockID uint64, n int) *Chained {
 	t.Helper()
-	v, err := NewChained(blockID, n, signer.Public(), Env{})
+	v, err := newChained(blockID, n, signer.Public(), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +222,10 @@ func TestIndexOutOfRange(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
-	if _, err := NewChained(1, 0, signer.Public(), Env{}); err == nil {
+	if _, err := newChained(1, 0, signer.Public(), Env{}); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := NewChained(1, 4, nil, Env{}); err == nil {
+	if _, err := newChained(1, 4, nil, Env{}); err == nil {
 		t.Error("nil key should fail")
 	}
 }
@@ -236,7 +245,7 @@ func TestHashBufferHighWater(t *testing.T) {
 func TestBufferCapDropsOverflow(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
 	pkts := buildChain(t, signer, 1)
-	v, err := NewChained(1, 4, signer.Public(), Env{MaxBuffered: 1})
+	v, err := newChained(1, 4, signer.Public(), Env{MaxBuffered: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +274,7 @@ func TestBufferCapDropsOverflow(t *testing.T) {
 
 func TestBufferCapValidation(t *testing.T) {
 	signer := crypto.NewSignerFromString("s")
-	if _, err := NewChained(1, 4, signer.Public(), Env{MaxBuffered: -1}); err == nil {
+	if _, err := newChained(1, 4, signer.Public(), Env{MaxBuffered: -1}); err == nil {
 		t.Error("negative cap should fail")
 	}
 }

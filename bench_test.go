@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
@@ -62,25 +61,33 @@ func BenchmarkFig10OverheadDelay(b *testing.B)            { benchFigure(b, "fig1
 
 // --- Ablations -----------------------------------------------------------
 
+// recurrenceQMin is the recurrence's q_min on the E_{m,d} graph of 1000
+// packets at p = 0.3.
+func recurrenceQMin(b *testing.B, m, d int) float64 {
+	g, err := emss.Config{N: 1000, M: m, D: d}.Graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := g.Recurrence(0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.QMin
+}
+
 // BenchmarkAblationEdgeBudget sweeps the overhead<->robustness tradeoff of
 // Section 3.1: q_min as the per-packet hash budget m grows.
 func BenchmarkAblationEdgeBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for m := 1; m <= 6; m++ {
-			if _, err := (analysis.EMSS{N: 1000, M: m, D: 1, P: 0.3}).QMin(); err != nil {
-				b.Fatal(err)
-			}
+			recurrenceQMin(b, m, 1)
 		}
 	}
 	// Report the tradeoff once.
 	b.StopTimer()
 	if b.N > 0 {
 		for m := 1; m <= 6; m++ {
-			qmin, err := analysis.EMSS{N: 1000, M: m, D: 1, P: 0.3}.QMin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Logf("m=%d (edges/pkt≈%d): q_min=%.4f", m, m, qmin)
+			b.Logf("m=%d (edges/pkt≈%d): q_min=%.4f", m, m, recurrenceQMin(b, m, 1))
 		}
 	}
 }
@@ -90,9 +97,7 @@ func BenchmarkAblationEdgeBudget(b *testing.B) {
 func BenchmarkAblationDelayConstraint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range []int{1, 10, 100, 400} {
-			if _, err := (analysis.EMSS{N: 1000, M: 2, D: d, P: 0.3}).QMin(); err != nil {
-				b.Fatal(err)
-			}
+			recurrenceQMin(b, 2, d)
 		}
 	}
 }
@@ -123,8 +128,13 @@ func BenchmarkAblationPathDiversity(b *testing.B) {
 // recurrence against the exact evaluator on the same E_{2,1} block.
 func BenchmarkAblationRecurrenceVsExact(b *testing.B) {
 	b.Run("recurrence", func(b *testing.B) {
+		g, err := emss.Config{N: 1000, M: 2, D: 1}.Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := (analysis.EMSS{N: 1000, M: 2, D: 1, P: 0.3}).QMin(); err != nil {
+			if _, err := g.Recurrence(0.3); err != nil {
 				b.Fatal(err)
 			}
 		}

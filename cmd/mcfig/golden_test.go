@@ -13,12 +13,16 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // goldenFigures are the figures pinned byte-for-byte: fast to regenerate,
 // fully deterministic, and together covering the TESLA evaluator (fig3),
-// the cross-scheme comparison (fig8), the wire-format overhead measurement
+// every recurrence series (fig5-9, tradeoff), the Equation (1) bracket
+// around the exact q_i (bounds), the wire-format overhead measurement
 // (fig10), the recurrence-vs-exact gap study (markovgap), and the two that
 // are functions of the random stream: Monte-Carlo under bursty loss (burst)
 // and the randomised graph constructors (construct). A change to the
 // generator, a sampler or the trial loop that moves a drawn bit moves these.
-var goldenFigures = []string{"fig3", "fig8", "fig10", "markovgap", "burst", "construct"}
+var goldenFigures = []string{
+	"fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"tradeoff", "bounds", "markovgap", "burst", "construct",
+}
 
 // figOutput regenerates one figure with the given worker-pool size.
 func figOutput(t *testing.T, fig string, workers int) []byte {

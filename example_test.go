@@ -63,15 +63,16 @@ func ExampleNewRohatgi() {
 	// Output: edges=9 hashes/pkt=0.9 delay=0
 }
 
-// ExampleAnalyticEMSS evaluates the paper's Equation (8) recurrence and
-// the exact evaluation of the scheme's own dependence graph side by side.
-func ExampleAnalyticEMSS() {
-	recurrence, err := mcauth.AnalyticEMSS{N: 100, M: 2, D: 1, P: 0.1}.QMin()
+// ExampleAnalyticRecurrence evaluates the paper's Equation (8) recurrence
+// and the exact evaluation of the scheme's own dependence graph side by
+// side.
+func ExampleAnalyticRecurrence() {
+	s, err := mcauth.NewEMSS(mcauth.EMSSConfig{N: 100, M: 2, D: 1}, mcauth.NewSigner("example-sender"))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	s, err := mcauth.NewEMSS(mcauth.EMSSConfig{N: 100, M: 2, D: 1}, mcauth.NewSigner("example-sender"))
+	recurrence, err := mcauth.AnalyticRecurrence(s, 0.1)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -81,7 +82,7 @@ func ExampleAnalyticEMSS() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("recurrence=%.4f exact=%.4f\n", recurrence, exact.QMin)
+	fmt.Printf("recurrence=%.4f exact=%.4f\n", recurrence.QMin, exact.QMin)
 	// Output: recurrence=0.9877 exact=0.4090
 }
 

@@ -81,11 +81,11 @@ func run() error {
 		100*float64(totalVerified)/float64(totalDelivered))
 
 	// Compare with what the analysis predicts for this block size.
-	qmin, err := mcauth.AnalyticAugChain{N: framesPerBlock, A: 3, B: 3, P: 0.1}.QMin()
+	rec, err := mcauth.AnalyticRecurrence(s, 0.1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("analytic q_min under i.i.d. loss at the same rate: %.3f\n", qmin)
+	fmt.Printf("analytic q_min under i.i.d. loss at the same rate: %.3f\n", rec.QMin)
 	fmt.Println("(bursty loss hits harder than i.i.d. at the same rate — see `mcfig -fig burst`)")
 	return nil
 }

@@ -1,9 +1,9 @@
-// Package analysis implements the paper's analytic evaluators for the
-// authentication probability of the studied schemes: the Rohatgi closed
-// form (Section 3 example), the TESLA formula under the Gaussian delay
-// model (Equations 6-7), the EMSS recurrence and its generalization to any
-// periodic hash-chaining topology (Equations 8-9), and the two-level
-// augmented-chain recurrence (Equation 10).
+// Package analysis implements the paper's closed forms for the
+// authentication probability: the Rohatgi chain (Section 3 example), the
+// Wong-Lam authentication tree, and TESLA under the Gaussian delay model
+// (Equations 6-7). The independence recurrence of Equations (8)-(10) is a
+// function of the dependence graph, (*depgraph.Graph).Recurrence, evaluated
+// on the graph a scheme emits.
 //
 // Packet indices follow the paper's Section 4.2 convention: indices are
 // reversed so that the signature packet is P_1 and packets sent earlier
@@ -43,7 +43,7 @@ func validateNP(n int, p float64) error {
 	if n < 1 {
 		return fmt.Errorf("analysis: block size %d must be >= 1", n)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // spelled so that NaN fails
 		return fmt.Errorf("analysis: loss probability %v out of [0,1]", p)
 	}
 	return nil
@@ -77,14 +77,4 @@ func AuthTree(n int, p float64) (Result, error) {
 	}
 	res.finalize()
 	return res, nil
-}
-
-// authTreeHashesPerPacket returns the number of hashes each packet carries
-// in a balanced binary authentication tree over n packets: the sibling
-// hashes along the root path, ceil(log2 n).
-func authTreeHashesPerPacket(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(math.Ceil(math.Log2(float64(n))))
 }

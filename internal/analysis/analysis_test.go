@@ -3,6 +3,9 @@ package analysis
 import (
 	"math"
 	"testing"
+
+	"mcauth/internal/crypto"
+	"mcauth/internal/scheme/authtree"
 )
 
 func TestRohatgiClosedForm(t *testing.T) {
@@ -73,6 +76,8 @@ func TestAuthTreeAlwaysOne(t *testing.T) {
 }
 
 func TestAuthTreeHashesPerPacket(t *testing.T) {
+	// Every packet of a balanced binary authentication tree over n packets
+	// carries the sibling hashes along its root path, ceil(log2 n).
 	tests := []struct {
 		n    int
 		want int
@@ -84,8 +89,18 @@ func TestAuthTreeHashesPerPacket(t *testing.T) {
 		{1000, 10},
 	}
 	for _, tt := range tests {
-		if got := authTreeHashesPerPacket(tt.n); got != tt.want {
-			t.Errorf("AuthTreeHashesPerPacket(%d) = %d, want %d", tt.n, got, tt.want)
+		s, err := authtree.New(tt.n, crypto.NewSignerFromString("authtree"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts, err := s.Authenticate(1, make([][]byte, tt.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			if len(p.Hashes) != tt.want {
+				t.Fatalf("n=%d: packet %d carries %d hashes, want %d", tt.n, p.Index, len(p.Hashes), tt.want)
+			}
 		}
 	}
 }
@@ -93,5 +108,32 @@ func TestAuthTreeHashesPerPacket(t *testing.T) {
 func TestAuthTreeValidation(t *testing.T) {
 	if _, err := AuthTree(0, 0.1); err == nil {
 		t.Error("n=0 should fail")
+	}
+}
+
+// TestNaNRejected: a NaN parameter fails every closed form's validation
+// rather than report perfect, or NaN, authentication.
+func TestNaNRejected(t *testing.T) {
+	nan := math.NaN()
+	tesla := TESLA{N: 10, P: 0.1, TDisc: 1, Mu: 0.5, Sigma: 0.1}
+	withNaN := func(set func(*TESLA)) TESLA {
+		c := tesla
+		set(&c)
+		return c
+	}
+	for name, run := range map[string]func() error{
+		"Rohatgi p":      func() error { _, err := Rohatgi(10, nan); return err },
+		"AuthTree p":     func() error { _, err := AuthTree(10, nan); return err },
+		"TESLA p":        func() error { _, err := withNaN(func(c *TESLA) { c.P = nan }).QMin(); return err },
+		"TESLA TDisc":    func() error { _, err := withNaN(func(c *TESLA) { c.TDisc = nan }).QMin(); return err },
+		"TESLA Mu":       func() error { _, err := withNaN(func(c *TESLA) { c.Mu = nan }).QMin(); return err },
+		"TESLA Sigma":    func() error { _, err := withNaN(func(c *TESLA) { c.Sigma = nan }).QMin(); return err },
+		"TESLAWithAlpha": func() error { _, err := TESLAWithAlpha(10, 0.1, 1, nan, 0.1); return err },
+		"QWithXi":        func() error { _, err := tesla.QWithXi(nan); return err },
+		"QMinWithXi":     func() error { _, err := tesla.QMinWithXi(nan); return err },
+	} {
+		if run() == nil {
+			t.Errorf("%s = NaN accepted", name)
+		}
 	}
 }

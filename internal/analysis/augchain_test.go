@@ -1,40 +1,53 @@
-package analysis
+package analysis_test
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"mcauth/internal/scheme/augchain"
 )
 
+// In the paper's reversed indexing C_{a,b}'s packet P(x,y) — segment x,
+// position y in [0,b], y = 0 the first-level chain packet — is index
+// x(b+1)+y+1, the signature packet P(0,0) being index 1.
+func augIndex(b, x, y int) int { return x*(b+1) + y + 1 }
+
 func TestAugChainValidation(t *testing.T) {
-	cases := []AugChain{
-		{N: 100, A: 0, B: 3, P: 0.1},
-		{N: 100, A: 3, B: 0, P: 0.1},
-		{N: 100, A: 3, B: 3, P: 1.5},
-		{N: 3, A: 3, B: 3, P: 0.1}, // n < b+2
-	}
-	for _, c := range cases {
-		if err := c.Validate(); err == nil {
+	for _, c := range []augchain.Config{
+		{N: 100, A: 0, B: 3},
+		{N: 100, A: 3, B: 0},
+		{N: 3, A: 3, B: 3}, // n < b+2
+	} {
+		if _, err := c.Graph(); err == nil {
 			t.Errorf("config %+v should fail", c)
 		}
+	}
+	if _, err := augGraph(t, 100, 3, 3).Recurrence(1.5); err == nil {
+		t.Error("p = 1.5 should fail")
 	}
 }
 
 func TestAugChainIndexing(t *testing.T) {
-	c := AugChain{N: 17, A: 2, B: 3, P: 0.1}
-	if got := c.index(0, 0); got != 1 {
-		t.Errorf("index(0,0) = %d, want 1 (signature packet)", got)
+	// Equation (10)'s grid on the emitted C_{2,3} graph of 17 packets, sent
+	// in reverse: reversed index r is send index 18-r.
+	c := augchain.Config{N: 17, A: 2, B: 3}
+	g := augGraph(t, c.N, c.A, c.B)
+	send := func(x, y int) int { return c.N + 1 - augIndex(c.B, x, y) }
+	if g.Root() != send(0, 0) {
+		t.Errorf("root %d, want P(0,0) at send index %d", g.Root(), send(0, 0))
 	}
-	if got := c.index(1, 0); got != 5 {
-		t.Errorf("index(1,0) = %d, want 5", got)
+	// P(1,0) hangs off P(0,0) alone: at a = 2 both chain links name it.
+	if got := g.InNeighbors(send(1, 0)); !slices.Equal(got, []int{send(0, 0)}) {
+		t.Errorf("P(1,0) providers %v, want P(0,0)", got)
 	}
-	if got := c.index(1, 2); got != 7 {
-		t.Errorf("index(1,2) = %d, want 7", got)
+	// P(1,2) hangs off P(1,3) and P(1,0).
+	if got := g.InNeighbors(send(1, 2)); !slices.Equal(got, []int{send(1, 3), send(1, 0)}) {
+		t.Errorf("P(1,2) providers %v, want P(1,3), P(1,0)", got)
 	}
-	if !c.exists(4, 0) { // index 17
-		t.Error("index 17 should exist")
-	}
-	if c.exists(4, 1) { // index 18 > 17
-		t.Error("index 18 should not exist")
+	// Index 17 is P(4,0), the last chain packet; P(4,1) would be 18.
+	if augIndex(c.B, 4, 0) != g.N() || augIndex(c.B, 4, 1) <= g.N() {
+		t.Errorf("P(4,0) at %d, P(4,1) at %d of %d", augIndex(c.B, 4, 0), augIndex(c.B, 4, 1), g.N())
 	}
 	if got := c.Segments(); got != 5 {
 		t.Errorf("Segments = %d, want 5", got)
@@ -42,40 +55,30 @@ func TestAugChainIndexing(t *testing.T) {
 }
 
 func TestAugChainChainPacketsNearSignature(t *testing.T) {
-	c := AugChain{N: 100, A: 3, B: 3, P: 0.5}
-	res, err := c.Q()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := augQ(t, 100, 3, 3, 0.5)
 	// Chain packets x <= a are directly covered by the signature packet.
 	for x := 0; x <= 3; x++ {
-		if got := res.Q[c.index(x, 0)]; got != 1 {
+		if got := res.Q[augIndex(3, x, 0)]; got != 1 {
 			t.Errorf("chain packet x=%d q = %v, want 1", x, got)
 		}
 	}
 	// A later chain packet must be below 1 at p=0.5.
-	if got := res.Q[c.index(10, 0)]; got >= 1 {
+	if got := res.Q[augIndex(3, 10, 0)]; got >= 1 {
 		t.Errorf("chain packet x=10 q = %v, want < 1", got)
 	}
 }
 
 func TestAugChainNoLoss(t *testing.T) {
-	qmin, err := AugChain{N: 200, A: 3, B: 3, P: 0}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qmin != 1 {
-		t.Errorf("QMin at p=0 = %v, want 1", qmin)
+	if q := augQ(t, 200, 3, 3, 0).QMin; q != 1 {
+		t.Errorf("QMin at p=0 = %v, want 1", q)
 	}
 }
 
 func TestAugChainMonotoneInP(t *testing.T) {
+	g := augGraph(t, 500, 3, 3)
 	prev := 1.0
 	for _, p := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
-		qmin, err := AugChain{N: 500, A: 3, B: 3, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
+		qmin := recurrence(t, g, p).QMin
 		if qmin > prev+1e-12 {
 			t.Errorf("QMin increased with p=%v", p)
 		}
@@ -85,13 +88,9 @@ func TestAugChainMonotoneInP(t *testing.T) {
 
 func TestAugChainQMinRisesWithA(t *testing.T) {
 	// Paper, Figure 5: q_min drops when a decreases (fixed n).
-	p := 0.3
 	prev := -1.0
 	for _, a := range []int{1, 2, 4, 8} {
-		qmin, err := AugChain{N: 1000, A: a, B: 3, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
+		qmin := augQ(t, 1000, a, 3, 0.3).QMin
 		if qmin < prev-1e-9 {
 			t.Errorf("QMin fell when a rose to %d", a)
 		}
@@ -102,13 +101,9 @@ func TestAugChainQMinRisesWithA(t *testing.T) {
 func TestAugChainQMinRisesWithBFixedN(t *testing.T) {
 	// Paper, Figure 5: for fixed block size n, increasing b shortens the
 	// first-level chain, so q_min rises.
-	p := 0.3
 	prev := -1.0
 	for _, b := range []int{1, 3, 7, 15} {
-		qmin, err := AugChain{N: 1000, A: 3, B: b, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
+		qmin := augQ(t, 1000, 3, b, 0.3).QMin
 		if qmin < prev-1e-9 {
 			t.Errorf("QMin fell when b rose to %d (fixed n)", b)
 		}
@@ -119,16 +114,9 @@ func TestAugChainQMinRisesWithBFixedN(t *testing.T) {
 func TestAugChainInsensitiveToBFixedLevel1(t *testing.T) {
 	// Paper, Figure 6: with the first-level length fixed (n grows with
 	// b), q_min barely moves once b is larger than a small value.
-	p := 0.3
-	level1 := 100
 	var qmins []float64
 	for _, b := range []int{2, 4, 8, 16} {
-		n := NForLevel1Length(level1, b)
-		qmin, err := AugChain{N: n, A: 3, B: b, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qmins = append(qmins, qmin)
+		qmins = append(qmins, augQ(t, augchain.NForLevel1Length(100, b), 3, b, 0.3).QMin)
 	}
 	for i := 1; i < len(qmins); i++ {
 		if math.Abs(qmins[i]-qmins[0]) > 0.02 {
@@ -138,13 +126,18 @@ func TestAugChainInsensitiveToBFixedLevel1(t *testing.T) {
 }
 
 func TestNForLevel1Length(t *testing.T) {
-	// level1 chain packets at indices 1, b+2, 2(b+1)+1, ...
-	if got := NForLevel1Length(5, 3); got != 17 {
+	// level1 chain packets at reversed indices 1, b+2, 2(b+1)+1, ...
+	if got := augchain.NForLevel1Length(5, 3); got != 17 {
 		t.Errorf("NForLevel1Length(5,3) = %d, want 17", got)
 	}
-	c := AugChain{N: NForLevel1Length(5, 3), A: 2, B: 3, P: 0.1}
-	if got := c.Segments(); got != 5 {
+	if got := (augchain.Config{N: augchain.NForLevel1Length(5, 3), A: 2, B: 3}).Segments(); got != 5 {
 		t.Errorf("Segments = %d, want 5", got)
+	}
+	// AlignN rounds up to the next such size, at least one whole segment.
+	for _, c := range []struct{ n, b, want int }{{17, 3, 17}, {18, 3, 21}, {1000, 3, 1001}, {3, 3, 5}} {
+		if got := augchain.AlignN(c.n, c.b); got != c.want {
+			t.Errorf("AlignN(%d,%d) = %d, want %d", c.n, c.b, got, c.want)
+		}
 	}
 }
 
@@ -154,14 +147,8 @@ func TestAugChainSimilarToEMSSE21(t *testing.T) {
 	// ends on a chain-packet boundary (n = 250*(b+1)+1) so the last
 	// segment is not dangling.
 	for _, p := range []float64{0.1, 0.3} {
-		ac, err := AugChain{N: 1001, A: 3, B: 3, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		emss, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ac := augQ(t, 1001, 3, 3, p).QMin
+		emss := emssQ(t, 1000, 2, 1, p).QMin
 		if math.Abs(ac-emss) > 0.1 {
 			t.Errorf("p=%v: AC %v vs EMSS %v diverge", p, ac, emss)
 		}
@@ -169,16 +156,16 @@ func TestAugChainSimilarToEMSSE21(t *testing.T) {
 }
 
 func TestAugChainRangeProperty(t *testing.T) {
-	for _, c := range []AugChain{
-		{N: 50, A: 1, B: 1, P: 0.5},
-		{N: 51, A: 5, B: 4, P: 0.9},
-		{N: 52, A: 2, B: 9, P: 0.2},
+	for _, c := range []struct {
+		n, a, b int
+		p       float64
+	}{
+		{50, 1, 1, 0.5},
+		{51, 5, 4, 0.9},
+		{52, 2, 9, 0.2},
 	} {
-		res, err := c.Q()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= c.N; i++ {
+		res := augQ(t, c.n, c.a, c.b, c.p)
+		for i := 1; i <= c.n; i++ {
 			if res.Q[i] < 0 || res.Q[i] > 1 || math.IsNaN(res.Q[i]) {
 				t.Fatalf("config %+v: Q[%d] = %v", c, i, res.Q[i])
 			}

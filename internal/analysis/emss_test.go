@@ -1,46 +1,43 @@
-package analysis
+package analysis_test
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"mcauth/internal/analysis"
+	"mcauth/internal/scheme/emss"
 )
 
 func TestEMSSOffsets(t *testing.T) {
-	c := EMSS{N: 100, M: 3, D: 4, P: 0.1}
-	got := c.Offsets()
-	want := []int{4, 8, 12}
-	if len(got) != len(want) {
-		t.Fatalf("Offsets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Offsets = %v, want %v", got, want)
-		}
+	// P_i relies on the packets d, 2d, ..., md nearer the signature: in send
+	// order, packet s's hash rides in s+4, s+8 and s+12.
+	g := emssGraph(t, 100, 3, 4)
+	if got, want := g.InNeighbors(10), []int{14, 18, 22}; !slices.Equal(got, want) {
+		t.Fatalf("carriers of packet 10 = %v, want %v", got, want)
 	}
 }
 
 func TestEMSSValidation(t *testing.T) {
-	cases := []EMSS{
-		{N: 100, M: 0, D: 1, P: 0.1},
-		{N: 100, M: 2, D: 0, P: 0.1},
-		{N: 10, M: 5, D: 2, P: 0.1}, // m*d >= n
-		{N: 100, M: 2, D: 1, P: -1}, // bad p
-		{N: 0, M: 1, D: 1, P: 0.1},  // bad n
-	}
-	for _, c := range cases {
-		if err := c.Validate(); err == nil {
+	for _, c := range []emss.Config{
+		{N: 100, M: 0, D: 1},
+		{N: 100, M: 2, D: 0},
+		{N: 10, M: 5, D: 2}, // m*d >= n
+		{N: 0, M: 1, D: 1},  // bad n
+	} {
+		if _, err := c.Graph(); err == nil {
 			t.Errorf("config %+v should fail", c)
 		}
+	}
+	if _, err := emssGraph(t, 100, 2, 1).Recurrence(-1); err == nil {
+		t.Error("p = -1 should fail")
 	}
 }
 
 func TestEMSSE21MatchesExplicitRecurrence(t *testing.T) {
 	// Hand-roll Equation (8) and compare.
 	n, p := 50, 0.3
-	res, err := EMSS{N: n, M: 2, D: 1, P: p}.Q()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := emssQ(t, n, 2, 1, p)
 	q := make([]float64, n+1)
 	q[1], q[2], q[3] = 1, 1, 1
 	for i := 4; i <= n; i++ {
@@ -60,11 +57,7 @@ func TestEMSSLevelsOffInM(t *testing.T) {
 	p := 0.3
 	qmins := make([]float64, 0, 6)
 	for m := 1; m <= 6; m++ {
-		qmin, err := EMSS{N: 1000, M: m, D: 1, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qmins = append(qmins, qmin)
+		qmins = append(qmins, emssQ(t, 1000, m, 1, p).QMin)
 	}
 	// Monotone in m.
 	for i := 1; i < len(qmins); i++ {
@@ -84,55 +77,66 @@ func TestEMSSInsensitiveToD(t *testing.T) {
 	// Paper, Figure 7: q_min is much less sensitive to d than to m as
 	// long as the change in d stays below ~20%% of n.
 	p := 0.3
-	base, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread, err := EMSS{N: 1000, M: 2, D: 20, P: p}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := emssQ(t, 1000, 2, 1, p).QMin
+	spread := emssQ(t, 1000, 2, 20, p).QMin
 	if math.Abs(spread-base) > 0.05 {
 		t.Errorf("d=1 vs d=20 QMin moved too much: %v vs %v", base, spread)
 	}
 }
 
 func TestEMSSFixedPointClosedFormE21(t *testing.T) {
+	// The large-n limit q* of E_{2,1} is the greatest solution of
+	// q = 1 - (1 - (1-p)q)^2, which iteration from 1 reaches since the map
+	// is monotone on [0,1]; it has the closed form (1-2p)/(1-p)^2.
 	for _, p := range []float64{0.1, 0.2, 0.3, 0.4} {
-		fp, err := EMSS{N: 1000, M: 2, D: 1, P: p}.FixedPoint()
-		if err != nil {
-			t.Fatal(err)
+		fp := 1.0
+		for range 10000 {
+			fp = 1 - math.Pow(1-(1-p)*fp, 2)
 		}
 		want := (1 - 2*p) / ((1 - p) * (1 - p))
 		if math.Abs(fp-want) > 1e-9 {
 			t.Errorf("p=%v: fixed point %v, want %v", p, fp, want)
 		}
 		// The deep-block q_min approaches the fixed point.
-		qmin, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(qmin-fp) > 1e-6 {
+		if qmin := emssQ(t, 1000, 2, 1, p).QMin; math.Abs(qmin-fp) > 1e-6 {
 			t.Errorf("p=%v: QMin %v far from fixed point %v", p, qmin, fp)
 		}
 	}
 }
 
 func TestEMSSClosedFormLowerBound(t *testing.T) {
+	// The paper's closed-form lower bound for E_{2,1}: q_min >= 1 - p/(1-p),
+	// informative for p < 1/2.
 	for _, p := range []float64{0.05, 0.1, 0.2, 0.3, 0.45} {
-		bound := closedFormLowerBoundE21(p)
-		qmin, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qmin < bound-1e-9 {
+		bound := 1 - p/(1-p)
+		if qmin := emssQ(t, 1000, 2, 1, p).QMin; qmin < bound-1e-9 {
 			t.Errorf("p=%v: QMin %v below paper bound %v", p, qmin, bound)
 		}
 	}
-	if closedFormLowerBoundE21(0.6) != 0 {
-		t.Error("bound should clamp to 0 for p > 1/2")
+}
+
+func TestTESLABeatsChainedSchemesAtHighLoss(t *testing.T) {
+	// Paper, Figure 8: at large p TESLA is significantly better than
+	// EMSS/AC given a generous disclosure delay.
+	p := 0.5
+	tesla, err := analysis.TESLA{N: 1000, P: p, TDisc: 5, Mu: 0.5, Sigma: 0.2}.QMin()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if closedFormLowerBoundE21(1) != 0 {
-		t.Error("bound at p=1 should be 0")
+	if emss := emssQ(t, 1000, 2, 1, p).QMin; tesla <= emss {
+		t.Errorf("at p=0.5 TESLA (%v) should beat EMSS (%v)", tesla, emss)
+	}
+}
+
+func TestEMSSBeatsTESLAAtLowLoss(t *testing.T) {
+	// Paper, Figure 8: EMSS/AC can outperform TESLA at small p (TESLA
+	// pays the timing factor xi < 1).
+	p := 0.02
+	tesla, err := analysis.TESLA{N: 1000, P: p, TDisc: 1, Mu: 0.8, Sigma: 0.3}.QMin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emss := emssQ(t, 1000, 2, 1, p).QMin; emss <= tesla {
+		t.Errorf("at p=0.02 EMSS (%v) should beat TESLA with tight TDisc (%v)", emss, tesla)
 	}
 }

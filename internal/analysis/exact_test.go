@@ -5,20 +5,19 @@ import (
 	"testing"
 
 	"mcauth/internal/analysis"
-	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
-	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/stats"
 )
 
-// The recurrences of this package against the truth: the exact evaluator
-// (depgraph.ExactAuthProbChannel) swept over the graph each recurrence
-// models. The evaluator's own differential suite is in internal/depgraph.
+// The closed forms and the recurrence against the truth: the exact
+// evaluator (depgraph.ExactAuthProbChannel) swept over the same graph. The
+// evaluator's own differential suite is in internal/depgraph.
 
-// periodicGraph is the topology analysis.Periodic models, in its reversed
-// indexing (signature packet = vertex 1): P_i hangs off P_{i-a} for every
-// offset a, and off the signature packet where i-a would fall before it.
+// periodicGraph is the periodic topology of Equation (9) in the paper's
+// reversed indexing (signature packet = vertex 1): P_i hangs off P_{i-a} for
+// every offset a, and off the signature packet where i-a would fall before
+// it.
 func periodicGraph(t *testing.T, n int, offsets ...int) *depgraph.Graph {
 	t.Helper()
 	g, err := depgraph.New(n, 1)
@@ -58,23 +57,10 @@ func geChain(t *testing.T, rate, burstLen float64) loss.GilbertElliott {
 	return ge
 }
 
-// augChainQ is the exact Q of the runnable C_{a,b} graph, re-indexed like
-// analysis.AugChain (reversed linear order, signature packet = 1).
+// augChainQ is the exact Q of the emitted C_{a,b} graph, reversed.
 func augChainQ(t *testing.T, n, a, b int, p float64) depgraph.AuthResult {
 	t.Helper()
-	s, err := augchain.New(augchain.Config{N: n, A: a, B: b}, crypto.NewSignerFromString("s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := exactQ(t, g, iid(p))
-	for i, j := 1, n; i < j; i, j = i+1, j-1 {
-		res.Q[i], res.Q[j] = res.Q[j], res.Q[i]
-	}
-	return res
+	return reversed(exactQ(t, augGraph(t, n, a, b), iid(p)))
 }
 
 func TestMarkovSingleOffsetIsChain(t *testing.T) {
@@ -133,11 +119,8 @@ func TestRecurrenceUpperBoundsMarkovExact(t *testing.T) {
 	// must upper-bound the exact probability everywhere.
 	for _, offsets := range [][]int{{1, 2}, {1, 3}, {2, 4}, {1, 2, 3}} {
 		for _, p := range []float64{0.1, 0.3, 0.5} {
-			rec, err := analysis.Periodic{N: 100, Offsets: offsets, P: p}.Q()
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact := exactQ(t, periodicGraph(t, 100, offsets...), iid(p))
+			g := periodicGraph(t, 100, offsets...)
+			rec, exact := recurrence(t, g, p), exactQ(t, g, iid(p))
 			for i := 1; i <= 100; i++ {
 				if exact.Q[i] > rec.Q[i]+1e-9 {
 					t.Errorf("offsets %v p=%v: exact Q[%d]=%v exceeds recurrence %v",
@@ -156,11 +139,7 @@ func TestMarkovAbsorptionDecay(t *testing.T) {
 	if deep > 0.01 {
 		t.Errorf("exact QMin(n=2000) = %v, want near 0 (absorption)", deep)
 	}
-	rec, err := analysis.EMSS{N: 2000, M: 2, D: 1, P: 0.3}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec < 0.5 {
+	if rec := emssQ(t, 2000, 2, 1, 0.3).QMin; rec < 0.5 {
 		t.Errorf("recurrence QMin = %v, expected positive fixed point", rec)
 	}
 }
@@ -253,14 +232,8 @@ func TestAugChainExactNoLoss(t *testing.T) {
 
 func TestAugChainExactRecurrenceUpperBounds(t *testing.T) {
 	for _, p := range []float64{0.1, 0.3, 0.5} {
-		exact := augChainQ(t, 301, 3, 2, p)
-		rec, err := analysis.AugChain{N: 301, A: 3, B: 2, P: p}.Q()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Skip segment 0's inserted packets: the recurrence discounts
-		// the root's reception there (see the augchain scheme tests).
-		for i := 4; i <= 301; i++ {
+		exact, rec := augChainQ(t, 301, 3, 2, p), augQ(t, 301, 3, 2, p)
+		for i := 1; i <= 301; i++ {
 			if exact.Q[i] > rec.Q[i]+1e-9 {
 				t.Errorf("p=%v index %d: exact %v exceeds recurrence %v",
 					p, i, exact.Q[i], rec.Q[i])
@@ -277,11 +250,7 @@ func TestAugChainExactDecaysWithDepth(t *testing.T) {
 	if deep >= shallow {
 		t.Errorf("exact q_min should decay with n: %v vs %v", deep, shallow)
 	}
-	rec, err := analysis.AugChain{N: 901, A: 3, B: 2, P: 0.3}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec <= deep {
+	if rec := augQ(t, 901, 3, 2, 0.3).QMin; rec <= deep {
 		t.Errorf("recurrence %v should exceed exact %v at depth", rec, deep)
 	}
 }

@@ -28,18 +28,19 @@ type TESLA struct {
 	Sigma float64
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. Every check here and in the constructors
+// below is spelled so that NaN fails it.
 func (c TESLA) Validate() error {
 	if err := validateNP(c.N, c.P); err != nil {
 		return err
 	}
-	if c.TDisc < 0 {
+	if !(c.TDisc >= 0) {
 		return fmt.Errorf("analysis: TESLA disclosure delay %v must be >= 0", c.TDisc)
 	}
-	if c.Mu < 0 {
+	if !(c.Mu >= 0) {
 		return fmt.Errorf("analysis: TESLA mean delay %v must be >= 0", c.Mu)
 	}
-	if c.Sigma < 0 {
+	if !(c.Sigma >= 0) {
 		return fmt.Errorf("analysis: TESLA delay sigma %v must be >= 0", c.Sigma)
 	}
 	return nil
@@ -48,7 +49,7 @@ func (c TESLA) Validate() error {
 // TESLAWithAlpha builds a TESLA config with Mu = alpha * TDisc, the
 // parameterization of Figures 3-4.
 func TESLAWithAlpha(n int, p, tDisc, alpha, sigma float64) (TESLA, error) {
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
 		return TESLA{}, fmt.Errorf("analysis: TESLA alpha %v out of [0,1]", alpha)
 	}
 	c := TESLA{N: n, P: p, TDisc: tDisc, Mu: alpha * tDisc, Sigma: sigma}
@@ -94,7 +95,7 @@ func (c TESLA) QWithXi(xi float64) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
-	if xi < 0 || xi > 1 {
+	if !(xi >= 0 && xi <= 1) {
 		return Result{}, fmt.Errorf("analysis: TESLA xi %v out of [0,1]", xi)
 	}
 	res := newResult(c.N)
@@ -111,7 +112,7 @@ func (c TESLA) QMinWithXi(xi float64) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	if xi < 0 || xi > 1 {
+	if !(xi >= 0 && xi <= 1) {
 		return 0, fmt.Errorf("analysis: TESLA xi %v out of [0,1]", xi)
 	}
 	return (1 - c.P) * xi, nil

@@ -154,37 +154,3 @@ func TestTESLAQWithXi(t *testing.T) {
 		t.Error("negative xi should fail")
 	}
 }
-
-func TestTESLABeatsChainedSchemesAtHighLoss(t *testing.T) {
-	// Paper, Figure 8: at large p TESLA is significantly better than
-	// EMSS/AC given a generous disclosure delay.
-	p := 0.5
-	tesla, err := TESLA{N: 1000, P: p, TDisc: 5, Mu: 0.5, Sigma: 0.2}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	emss, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tesla <= emss {
-		t.Errorf("at p=0.5 TESLA (%v) should beat EMSS (%v)", tesla, emss)
-	}
-}
-
-func TestEMSSBeatsTESLAAtLowLoss(t *testing.T) {
-	// Paper, Figure 8: EMSS/AC can outperform TESLA at small p (TESLA
-	// pays the timing factor xi < 1).
-	p := 0.02
-	tesla, err := TESLA{N: 1000, P: p, TDisc: 1, Mu: 0.8, Sigma: 0.3}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	emss, err := EMSS{N: 1000, M: 2, D: 1, P: p}.QMin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emss <= tesla {
-		t.Errorf("at p=0.02 EMSS (%v) should beat TESLA with tight TDisc (%v)", emss, tesla)
-	}
-}

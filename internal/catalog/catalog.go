@@ -45,7 +45,7 @@ type Spec struct {
 	// M and D are the EMSS E_{m,d} parameters.
 	M, D int
 	// A and B are the augmented chain C_{a,b} parameters. Aligning N to a
-	// segment boundary (analysis.AlignN) is the caller's decision.
+	// segment boundary (augchain.AlignN) is the caller's decision.
 	A, B int
 	// Lag is the TESLA disclosure lag in intervals.
 	Lag int
@@ -83,9 +83,9 @@ type Entry struct {
 
 // The evaluators a QMin can come from.
 const (
-	Exact      = "exact"       // depgraph.ExactAuthProbChannel on the scheme's own graph
-	Recurrence = "recurrence"  // the paper's independence recurrence: an optimistic bound
-	ClosedForm = "closed-form" // a single path, a per-packet proof, TESLA's Equations 6-7
+	exact      = "exact"       // depgraph.ExactAuthProbChannel on the scheme's own graph
+	recurrence = "recurrence"  // the paper's independence recurrence: an optimistic bound
+	closedForm = "closed-form" // a single path, a per-packet proof, TESLA's Equations 6-7
 )
 
 // row is one scheme's line in the catalogue.
@@ -107,27 +107,25 @@ func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
 
 // one is q_min for the per-packet schemes: any received packet verifies,
 // under any loss process.
-func one(Entry, float64, float64, float64) (float64, string, error) { return 1, ClosedForm, nil }
+func one(Entry, float64, float64, float64) (float64, string, error) { return 1, closedForm, nil }
 
 // chained is the one rule for the multi-path hash-chained topologies: exact
 // on the graph the scheme emits when its frontier fits the evaluator, the
-// paper's recurrence when it does not.
-func chained(recurrence func(s Spec, p float64) (float64, error)) func(Entry, float64, float64, float64) (float64, string, error) {
-	return func(e Entry, p, _, _ float64) (float64, string, error) {
-		g, err := e.Scheme.Graph()
-		if err != nil {
-			return 0, "", err
-		}
-		res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
-		if err == nil {
-			return res.QMin, Exact, nil
-		}
-		if !errors.Is(err, depgraph.ErrFrontier) {
-			return 0, "", err
-		}
-		q, err := recurrence(e.spec, p)
-		return q, Recurrence, err
+// paper's recurrence on the same graph when it does not.
+func chained(e Entry, p, _, _ float64) (float64, string, error) {
+	g, err := e.Scheme.Graph()
+	if err != nil {
+		return 0, "", err
 	}
+	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	if err == nil {
+		return res.QMin, exact, nil
+	}
+	if !errors.Is(err, depgraph.ErrFrontier) {
+		return 0, "", err
+	}
+	res, err = g.Recurrence(p)
+	return res.QMin, recurrence, err
 }
 
 var rows = []row{
@@ -139,7 +137,7 @@ var rows = []row{
 		signature: firstWire,
 		qmin: func(e Entry, p, _, _ float64) (float64, string, error) {
 			res, err := analysis.Rohatgi(e.spec.N, p)
-			return res.QMin, ClosedForm, err
+			return res.QMin, closedForm, err
 		},
 	},
 	{
@@ -148,9 +146,7 @@ var rows = []row{
 			return emss.New(emss.Config{N: s.N, M: s.M, D: s.D}, k)
 		},
 		signature: lastWire,
-		qmin: chained(func(s Spec, p float64) (float64, error) {
-			return analysis.EMSS{N: s.N, M: s.M, D: s.D, P: p}.QMin()
-		}),
+		qmin:      chained,
 	},
 	{
 		id: "augchain",
@@ -158,9 +154,7 @@ var rows = []row{
 			return augchain.New(augchain.Config{N: s.N, A: s.A, B: s.B}, k)
 		},
 		signature: lastWire,
-		qmin: chained(func(s Spec, p float64) (float64, error) {
-			return analysis.AugChain{N: s.N, A: s.A, B: s.B, P: p}.QMin()
-		}),
+		qmin:      chained,
 	},
 	{
 		id: "authtree",
@@ -193,7 +187,7 @@ var rows = []row{
 			q, err := analysis.TESLA{
 				N: e.spec.N, P: p, TDisc: teslaConfig(e.spec).TDisclose().Seconds(), Mu: mu, Sigma: sigma,
 			}.QMin()
-			return q, ClosedForm, err
+			return q, closedForm, err
 		},
 	},
 }
@@ -254,7 +248,7 @@ func Build(spec Spec, signer crypto.Signer) (Entry, error) {
 // standard deviation of the Gaussian end-to-end delay, which only TESLA's
 // safety condition reads; a constant delay below the disclosure lag
 // (sigma = 0) is the paper's ξ = 1 case. by names the evaluator that
-// answered (Exact, Recurrence or ClosedForm), so a fallback to the
+// answered ("exact", "recurrence" or "closed-form"), so a fallback to the
 // recurrence's upper bound is never silent. Evaluated on demand, so Build
 // costs no more than the constructor it wraps.
 func (e Entry) QMin(p float64, mu, sigma time.Duration) (q float64, by string, err error) {

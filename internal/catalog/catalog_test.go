@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
@@ -109,13 +108,7 @@ func TestQMinExactWhenValid(t *testing.T) {
 	const p = 0.2
 	branches := make(map[string]bool)
 	for _, spec := range wireCases {
-		var recurQ float64
-		switch spec.ID {
-		case "emss":
-			recurQ, _ = analysis.EMSS{N: spec.N, M: spec.M, D: spec.D, P: p}.QMin()
-		case "augchain":
-			recurQ, _ = analysis.AugChain{N: spec.N, A: spec.A, B: spec.B, P: p}.QMin()
-		default:
+		if spec.ID != "emss" && spec.ID != "augchain" {
 			continue
 		}
 		e := build(t, spec)
@@ -123,9 +116,14 @@ func TestQMinExactWhenValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, branch := recurQ, Recurrence
+		rec, err := g.Recurrence(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recurQ := rec.QMin
+		want, branch := recurQ, recurrence
 		if res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel()); err == nil {
-			want, branch = res.QMin, Exact
+			want, branch = res.QMin, exact
 			if res.QMin == recurQ {
 				t.Fatalf("%+v: exact and recurrence agree at p=%v; the probe cannot tell them apart", spec, p)
 			}
@@ -154,8 +152,8 @@ func TestQMinNamesClosedForms(t *testing.T) {
 		if spec.ID == "emss" || spec.ID == "augchain" {
 			continue
 		}
-		if _, by, err := build(t, spec).QMin(0.2, time.Millisecond, 0); err != nil || by != ClosedForm {
-			t.Errorf("%+v: answered by %q, %v; want %q", spec, by, err, ClosedForm)
+		if _, by, err := build(t, spec).QMin(0.2, time.Millisecond, 0); err != nil || by != closedForm {
+			t.Errorf("%+v: answered by %q, %v; want %q", spec, by, err, closedForm)
 		}
 	}
 }

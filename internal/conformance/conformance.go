@@ -1,7 +1,8 @@
 // Package conformance cross-validates the three independent evaluation
 // paths the repo provides for every authentication scheme:
 //
-//  1. the analytic recurrence / closed form (internal/analysis),
+//  1. the analytic evaluator the catalogue names for the scheme (exact,
+//     the recurrence on its dependence graph, or a closed form),
 //  2. Monte-Carlo estimation on the dependence graph (internal/depgraph),
 //  3. end-to-end measurement over the simulated multicast network
 //     (internal/netsim), running the real signer, verifier and wire
@@ -20,13 +21,13 @@ import (
 	"math"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
@@ -114,7 +115,7 @@ func (r Result) check(p Params) error {
 
 // suite builds the canonical conformance cases at block size n, one per
 // catalogue scheme: E_{2,1}, C_{3,3}, TESLA at lag 2. The augmented chain
-// is aligned to a segment boundary (analysis.AlignN), so that it is the
+// is aligned to a segment boundary (augchain.AlignN), so that it is the
 // paper's C_{a,b} with no dangling run of inserted packets; its case
 // therefore runs at a slightly larger block.
 func suite(n int) ([]Case, error) {
@@ -134,7 +135,7 @@ func suite(n int) ([]Case, error) {
 			name = "emss(E21)"
 		case "augchain":
 			name = "augchain(C33)"
-			spec.N = analysis.AlignN(n, spec.B)
+			spec.N = augchain.AlignN(n, spec.B)
 		case "tesla":
 			spec.Interval = 100 * time.Millisecond
 		}

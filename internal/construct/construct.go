@@ -16,14 +16,14 @@
 //     with probability rho, binary-searching the cheapest rho.
 //
 // Graphs are scored with the paper's own evaluation model: the
-// independence-approximation recurrence generalized to arbitrary DAGs
-// (approxQ), exactly Equation (9) applied vertex by vertex in topological
-// order.
+// independence recurrence of Equation (9) on the dependence graph,
+// (*depgraph.Graph).Recurrence. Greedy's incremental build applies the same
+// recurrence one vertex at a time; its finished plan is scored again by
+// Recurrence.
 package construct
 
 import (
 	"fmt"
-	"math"
 
 	"mcauth/internal/depgraph"
 	"mcauth/internal/stats"
@@ -69,72 +69,10 @@ func (c Constraint) allowsEdgeFrom(g *depgraph.Graph, u int) bool {
 	return c.MaxOutDegree == 0 || g.OutDegree(u) < c.MaxOutDegree
 }
 
-// approxQ evaluates the paper's independence-approximation recurrence on an
-// arbitrary rooted DAG: q(root) = 1 and, in topological order,
-//
-//	q(v) = 1 - Π_{u in in(v)} [1 - r(u) q(u)]
-//
-// where r(u) = 1-p is the provider's reception probability, except
-// r(root) = 1 since P_sign is assumed always received — this reproduces
-// the paper's boundary conditions (q = 1 for packets covered directly by
-// the signature packet). Unreachable vertices get q = 0. This is the
-// generalization of Equation (9) used to score candidate constructions.
-func approxQ(g *depgraph.Graph, p float64) ([]float64, error) {
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("construct: loss rate %v out of [0,1]", p)
-	}
-	order, err := g.TopoFromRoot()
-	if err != nil {
-		return nil, err
-	}
-	q := make([]float64, g.N()+1)
-	approxQInto(q, g, order, p)
-	return q, nil
-}
-
-// approxQInto evaluates the approxQ recurrence into q, which has g.N()+1
-// entries and is zero outside order. order is a topological order from the
-// root of g, or of a graph g was obtained from by removing edges: removing
-// an edge invalidates no topological order, and a vertex the removal cut
-// off from the root evaluates to exactly 0, the value approxQ gives the
-// unreachable — it has no providers, or only providers that are 0.
-func approxQInto(q []float64, g *depgraph.Graph, order []int, p float64) {
-	q[0] = math.NaN()
-	q[g.Root()] = 1
-	for _, v := range order {
-		if v == g.Root() {
-			continue
-		}
-		broken := 1.0
-		for _, u := range g.InNeighbors(v) {
-			r := 1 - p
-			if u == g.Root() {
-				r = 1
-			}
-			broken *= 1 - r*q[u]
-		}
-		q[v] = 1 - broken
-	}
-}
-
-// minQ returns the minimum over non-root vertices.
-func minQ(q []float64, root int) float64 {
-	qmin := 1.0
-	for v := 1; v < len(q); v++ {
-		if v == root {
-			continue
-		}
-		if q[v] < qmin {
-			qmin = q[v]
-		}
-	}
-	return qmin
-}
-
 // Plan is the outcome of a construction.
 type Plan struct {
 	Graph *depgraph.Graph
-	// QMin is the achieved minimum probability under approxQ.
+	// QMin is the achieved minimum probability under the recurrence.
 	QMin float64
 	// EdgesPerPacket is the overhead |E|/n the plan costs.
 	EdgesPerPacket float64
@@ -143,16 +81,15 @@ type Plan struct {
 }
 
 func newPlan(g *depgraph.Graph, p float64, target float64) (Plan, error) {
-	q, err := approxQ(g, p)
+	res, err := g.Recurrence(p)
 	if err != nil {
 		return Plan{}, err
 	}
-	qmin := minQ(q, g.Root())
 	return Plan{
 		Graph:          g,
-		QMin:           qmin,
+		QMin:           res.QMin,
 		EdgesPerPacket: float64(g.NumEdges()) / float64(g.N()),
-		Met:            qmin >= target,
+		Met:            res.QMin >= target,
 	}, nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/depgraph"
+	"mcauth/internal/scheme/emss"
 	"mcauth/internal/stats"
 )
 
@@ -27,26 +27,30 @@ func TestConstraintValidation(t *testing.T) {
 }
 
 func TestApproxQMatchesPeriodicRecurrence(t *testing.T) {
-	// On the E_{m,d}-shaped graph, approxQ must reproduce the Equation
-	// (9) recurrence (they are the same computation).
+	// The uniform policy m = 2, d = 1 is EMSS E_{2,1} sent signature
+	// first: its recurrence is the one Figures 7-9 plot, packet for packet.
 	n, p := 40, 0.3
 	g, err := policyGraph(n, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := approxQ(g, p)
+	q, err := g.Recurrence(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analysis.Periodic{N: n, Offsets: []int{1, 2}, P: p}.Q()
+	e21, err := emss.Config{N: n, M: 2, D: 1}.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// policyGraph is signature-first: vertex v corresponds to reversed
-	// index v directly.
-	for v := 2; v <= n; v++ {
-		if math.Abs(q[v]-rec.Q[v]) > 1e-12 {
-			t.Errorf("vertex %d: approxQ %v vs recurrence %v", v, q[v], rec.Q[v])
+	rec, err := e21.Recurrence(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The E_{2,1} signature packet is sent last: vertex v here is n+1-v
+	// there.
+	for v := 1; v <= n; v++ {
+		if q.Q[v] != rec.Q[n+1-v] {
+			t.Errorf("vertex %d: policy %v vs E_{2,1} %v", v, q.Q[v], rec.Q[n+1-v])
 		}
 	}
 }
@@ -56,15 +60,15 @@ func TestApproxQChainExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := approxQ(g, 0.2)
+	res, err := g.Recurrence(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single path: the approximation is exact, (1-p)^(v-2).
 	for v := 2; v <= 12; v++ {
 		want := math.Pow(0.8, float64(v-2))
-		if math.Abs(q[v]-want) > 1e-12 {
-			t.Errorf("q[%d] = %v, want %v", v, q[v], want)
+		if math.Abs(res.Q[v]-want) > 1e-12 {
+			t.Errorf("q[%d] = %v, want %v", v, res.Q[v], want)
 		}
 	}
 }
@@ -75,12 +79,12 @@ func TestApproxQUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.MustAddEdge(1, 2)
-	q, err := approxQ(g, 0.1)
+	res, err := g.Recurrence(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q[3] != 0 {
-		t.Errorf("unreachable q = %v, want 0", q[3])
+	if res.Q[3] != 0 || res.QMin != 0 {
+		t.Errorf("unreachable q = %v, q_min %v; want 0", res.Q[3], res.QMin)
 	}
 }
 
@@ -238,12 +242,12 @@ func TestGreedyBeatsChainRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainQ, err := approxQ(chain, c.P)
+	chainQ, err := chain.Recurrence(c.P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.QMin <= minQ(chainQ, 1) {
-		t.Errorf("greedy qmin %v not better than chain %v", plan.QMin, minQ(chainQ, 1))
+	if plan.QMin <= chainQ.QMin {
+		t.Errorf("greedy qmin %v not better than chain %v", plan.QMin, chainQ.QMin)
 	}
 }
 
@@ -305,44 +309,5 @@ func TestProbabilisticLowTargetSparseGraphPatched(t *testing.T) {
 	}
 	if err := plan.Graph.Validate(); err != nil {
 		t.Errorf("patched graph invalid: %v", err)
-	}
-}
-
-// Property: approxQ (the paper's independence model) upper-bounds the
-// exact authentication probability on arbitrary forward DAGs — the
-// break events of shared paths are positively correlated (FKG), so
-// treating them as independent can only overestimate survival.
-func TestApproxQUpperBoundsExactProperty(t *testing.T) {
-	rng := stats.NewRNG(123)
-	for trial := 0; trial < 30; trial++ {
-		n := 8 + rng.Intn(6)
-		g, err := depgraph.New(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 2; v <= n; v++ {
-			// Ensure reachability, then sprinkle extra edges.
-			g.MustAddEdge(v-1, v)
-			for u := 1; u < v-1; u++ {
-				if rng.Bernoulli(0.25) {
-					g.MustAddEdge(u, v)
-				}
-			}
-		}
-		p := 0.1 + 0.5*rng.Float64()
-		approx, err := approxQ(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := g.ExactAuthProb(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 2; v <= n; v++ {
-			if exact.Q[v] > approx[v]+1e-9 {
-				t.Fatalf("trial %d vertex %d: exact %v exceeds approx %v (n=%d p=%v)",
-					trial, v, exact.Q[v], approx[v], n, p)
-			}
-		}
 	}
 }

@@ -37,8 +37,13 @@ func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
 	}
 	q := make([]float64, work.N()+1)
 	meets := func() bool {
-		approxQInto(q, work, order, c.P)
-		return minQ(q, work.Root()) >= c.TargetQMin
+		work.RecurrenceInto(q, order, c.P)
+		for _, qv := range q[1:] {
+			if qv < c.TargetQMin {
+				return false
+			}
+		}
+		return true
 	}
 	if !meets() {
 		// Nothing to prune from an infeasible starting point; report

@@ -140,7 +140,7 @@ func TestPrunePolicyGraphDropsClampDuplicates(t *testing.T) {
 // TestPruneSharedGraphUnderParallel: the graph's neighbour accessors hand
 // out its own slices, so many readers of one graph are safe exactly as long
 // as none of them writes through a view — which the race detector checks
-// here (ci.sh runs the suite under -race): concurrent approxQ and Prune
+// here (ci.sh runs the suite under -race): concurrent Recurrence and Prune
 // calls on one shared input, Prune mutating only its clone, all reaching the
 // sequential answers and leaving the input as it was.
 func TestPruneSharedGraphUnderParallel(t *testing.T) {
@@ -151,7 +151,7 @@ func TestPruneSharedGraphUnderParallel(t *testing.T) {
 	}
 	g := plan.Graph
 	before := g.Edges()
-	wantQ, err := approxQ(g, c.P)
+	wantQ, err := g.Recurrence(c.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +164,9 @@ func TestPruneSharedGraphUnderParallel(t *testing.T) {
 	}
 	err = parallel.ForEach(8, make([]struct{}, 16), func(i int, _ struct{}) error {
 		if i%2 == 0 {
-			q, err := approxQ(g, c.P)
-			if err == nil && !reflect.DeepEqual(q[1:], wantQ[1:]) {
-				err = fmt.Errorf("task %d: ApproxQ differs from the sequential run", i)
+			q, err := g.Recurrence(c.P)
+			if err == nil && !reflect.DeepEqual(q.Q[1:], wantQ.Q[1:]) {
+				err = fmt.Errorf("task %d: Recurrence differs from the sequential run", i)
 			}
 			return err
 		}

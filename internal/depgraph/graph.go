@@ -39,21 +39,58 @@ type Graph struct {
 	m    int     // number of edges
 }
 
-// New creates an empty dependence-graph over packets 1..n with the given
-// root vertex (the packet the signature applies to, usually 1 or n).
-func New(n, root int) (*Graph, error) {
+// New creates the dependence-graph over packets 1..n with the given root
+// vertex (the packet the signature applies to, usually 1 or n) and edges,
+// each rejected as AddEdge would reject it. The neighbour rows are cut from
+// two flat arrays, one row per vertex with room for exactly its edges.
+func New(n, root int, edges ...[2]int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("depgraph: block size %d must be >= 1", n)
 	}
 	if root < 1 || root > n {
 		return nil, fmt.Errorf("depgraph: root %d out of [1,%d]", root, n)
 	}
-	return &Graph{
-		n:    n,
-		root: root,
-		out:  make([][]int, n+1),
-		in:   make([][]int, n+1),
-	}, nil
+	g := &Graph{n: n, root: root, m: len(edges)}
+	deg := make([]int, n+1)
+	for _, e := range edges {
+		if err := g.checkEdge(e[0], e[1]); err != nil {
+			return nil, err
+		}
+		deg[e[0]]++
+	}
+	g.out = carve(deg, len(edges))
+	clear(deg)
+	for _, e := range edges {
+		deg[e[1]]++
+	}
+	g.in = carve(deg, len(edges))
+	for _, e := range edges {
+		g.out[e[0]] = append(g.out[e[0]], e[1])
+		g.in[e[1]] = append(g.in[e[1]], e[0])
+	}
+	for v := 1; v <= n; v++ {
+		sort.Ints(g.out[v])
+		sort.Ints(g.in[v])
+		for i, row := 1, g.out[v]; i < len(row); i++ {
+			if row[i] == row[i-1] {
+				return nil, fmt.Errorf("depgraph: duplicate edge %d -> %d", v, row[i])
+			}
+		}
+	}
+	return g, nil
+}
+
+// carve returns one empty row per vertex, row v with room for deg[v]
+// entries, cut from one array of total entries. Each row's capacity ends
+// where the next row begins, so appending past it reallocates instead of
+// writing into the neighbouring row.
+func carve(deg []int, total int) [][]int {
+	flat := make([]int, total)
+	rows := make([][]int, len(deg))
+	for v, d := range deg {
+		rows[v], flat = flat[:0:d], flat[d:]
+	}
+	return rows
 }
 
 // N returns the number of packets in the block.
@@ -70,6 +107,23 @@ func (g *Graph) NumEdges() int { return g.m }
 // endpoints, self-loops, duplicate edges, and edges into the root (nothing
 // authenticates P_sign except the signature itself).
 func (g *Graph) AddEdge(from, to int) error {
+	if err := g.checkEdge(from, to); err != nil {
+		return err
+	}
+	row := g.out[from]
+	at := sort.SearchInts(row, to)
+	if at < len(row) && row[at] == to {
+		return fmt.Errorf("depgraph: duplicate edge %d -> %d", from, to)
+	}
+	g.out[from] = insertAt(row, at, to)
+	g.in[to] = insertAt(g.in[to], sort.SearchInts(g.in[to], from), from)
+	g.m++
+	return nil
+}
+
+// checkEdge is the part of AddEdge's check that needs no other edge:
+// endpoints in range, no self-loop, nothing into the root.
+func (g *Graph) checkEdge(from, to int) error {
 	if from < 1 || from > g.n {
 		return fmt.Errorf("depgraph: edge source %d out of [1,%d]", from, g.n)
 	}
@@ -82,14 +136,6 @@ func (g *Graph) AddEdge(from, to int) error {
 	if to == g.root {
 		return fmt.Errorf("depgraph: edge into root %d (the root is authenticated by the signature)", g.root)
 	}
-	row := g.out[from]
-	at := sort.SearchInts(row, to)
-	if at < len(row) && row[at] == to {
-		return fmt.Errorf("depgraph: duplicate edge %d -> %d", from, to)
-	}
-	g.out[from] = insertAt(row, at, to)
-	g.in[to] = insertAt(g.in[to], sort.SearchInts(g.in[to], from), from)
-	g.m++
 	return nil
 }
 
@@ -203,11 +249,12 @@ func (g *Graph) checkAcyclic() error {
 		v    int
 		next int
 	}
+	var stack []frame // one stack for every start, not one each
 	for start := 1; start <= g.n; start++ {
 		if state[start] != unvisited {
 			continue
 		}
-		stack := []frame{{v: start}}
+		stack = append(stack[:0], frame{v: start})
 		state[start] = inStack
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -299,18 +346,19 @@ func (g *Graph) orderFromRoot() (order []int, topological bool) {
 	return order, true
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, its rows cut from flat arrays as
+// New cuts them.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		n:    g.n,
-		root: g.root,
-		out:  make([][]int, g.n+1),
-		in:   make([][]int, g.n+1),
-		m:    g.m,
+	return &Graph{n: g.n, root: g.root, m: g.m, out: cloneRows(g.out, g.m), in: cloneRows(g.in, g.m)}
+}
+
+// cloneRows copies rows, which hold total entries, into one flat array.
+func cloneRows(rows [][]int, total int) [][]int {
+	flat := make([]int, 0, total)
+	out := make([][]int, len(rows))
+	for v, row := range rows {
+		flat = append(flat, row...)
+		out[v] = flat[len(flat)-len(row) : len(flat) : len(flat)]
 	}
-	for i := 1; i <= g.n; i++ {
-		c.out[i] = append([]int(nil), g.out[i]...)
-		c.in[i] = append([]int(nil), g.in[i]...)
-	}
-	return c
+	return out
 }

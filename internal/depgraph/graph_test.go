@@ -91,8 +91,13 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := g.AddEdge(tt.from, tt.to); err == nil {
-				t.Errorf("AddEdge(%d,%d) should fail", tt.from, tt.to)
+			err := g.AddEdge(tt.from, tt.to)
+			if err == nil {
+				t.Fatalf("AddEdge(%d,%d) should fail", tt.from, tt.to)
+			}
+			// New refuses the same edge in its list with the same error.
+			if _, newErr := New(5, 1, [2]int{1, 2}, [2]int{tt.from, tt.to}); newErr == nil || newErr.Error() != err.Error() {
+				t.Errorf("New with edge %d -> %d: %v, AddEdge: %v", tt.from, tt.to, newErr, err)
 			}
 		})
 	}
@@ -127,12 +132,21 @@ func TestDegreesAndNeighbors(t *testing.T) {
 // with each other after removals, and never shared between a graph and its
 // Clone — Prune mutates a clone while the original keeps serving its views.
 func TestNeighborViews(t *testing.T) {
+	edges := [][2]int{{1, 9}, {1, 3}, {1, 5}, {3, 9}, {5, 9}, {1, 2}, {2, 9}, {1, 4}, {1, 6}, {1, 7}, {1, 8}}
 	g, err := New(9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range [][2]int{{1, 9}, {1, 3}, {1, 5}, {3, 9}, {5, 9}, {1, 2}, {2, 9}, {1, 4}, {1, 6}, {1, 7}, {1, 8}} {
+	for _, e := range edges {
 		g.MustAddEdge(e[0], e[1])
+	}
+	// New takes the same list in one go, into rows cut from flat arrays.
+	flat, err := New(9, 1, edges...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flat.Edges(), g.Edges()) {
+		t.Fatalf("New's edges %v, AddEdge's %v", flat.Edges(), g.Edges())
 	}
 	if err := g.RemoveEdge(1, 5); err != nil {
 		t.Fatal(err)
@@ -151,6 +165,11 @@ func TestNeighborViews(t *testing.T) {
 			for _, w := range out {
 				if !g.HasEdge(v, w) || sort.SearchInts(g.InNeighbors(w), v) == len(g.InNeighbors(w)) {
 					t.Fatalf("edge %d -> %d in the out view but not in the graph", v, w)
+				}
+			}
+			for _, u := range in {
+				if !g.HasEdge(u, v) {
+					t.Fatalf("edge %d -> %d in the in view but not in the graph", u, v)
 				}
 			}
 			edges += len(out)
@@ -174,6 +193,10 @@ func TestNeighborViews(t *testing.T) {
 	}
 	c.MustAddEdge(4, 9)
 	check(c)
+	// A full row of New's grows by reallocating, not into the row after it:
+	// 4's one in-edge and 5's sit side by side in the flat array.
+	flat.MustAddEdge(2, 4)
+	check(flat)
 	if got := g.OutNeighbors(1); !reflect.DeepEqual(got, wantOut) {
 		t.Errorf("mutating the clone rewrote the original's out view: %v, want %v", got, wantOut)
 	}

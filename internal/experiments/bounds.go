@@ -5,6 +5,7 @@ import (
 
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
+	"mcauth/internal/loss"
 )
 
 // boundsRow is one packet's Equation (1) bracket around its exact
@@ -33,7 +34,7 @@ func boundsSeries() ([]boundsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact, err := g.ExactAuthProb(p)
+	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,43 @@ package experiments
 
 import (
 	"io"
+	"slices"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scheme/augchain"
+	"mcauth/internal/scheme/emss"
 )
+
+// recurrenceGrid is the recurrence's q_min on each topology at every loss
+// rate in ps: graph builds a topology once, on the worker pool, and
+// grid[t][i] is topology t at ps[i].
+func recurrenceGrid[T any](topologies []T, ps []float64, graph func(T) (*depgraph.Graph, error)) ([][]float64, error) {
+	return parallel.Map(Workers, topologies, func(_ int, t T) ([]float64, error) {
+		g, err := graph(t)
+		if err != nil {
+			return nil, err
+		}
+		return recurrenceQMins(g, ps)
+	})
+}
+
+// recurrenceQMins is the recurrence's q_min on g at every loss rate in ps:
+// Recurrence, with the graph's one topological order and one q vector
+// reused across the loss rates.
+func recurrenceQMins(g *depgraph.Graph, ps []float64) ([]float64, error) {
+	order, err := g.TopoFromRoot()
+	if err != nil {
+		return nil, err
+	}
+	q := make([]float64, g.N()+1)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		g.RecurrenceInto(q, order, p)
+		out[i] = slices.Min(q[1:])
+	}
+	return out, nil
+}
 
 // fig5Row is one point of the augmented-chain parameter sweep.
 type fig5Row struct {
@@ -15,28 +48,26 @@ type fig5Row struct {
 	QMin float64
 }
 
-// fig5Series computes C_{a,b} q_min over (a, b) at fixed n = 1000,
-// evaluating the sweep points on the worker pool.
+// fig5Series computes C_{a,b} q_min over (a, b) at fixed n = 1000.
 func fig5Series() ([]fig5Row, error) {
-	as := []int{1, 2, 3, 5, 8}
-	bs := []int{1, 2, 3, 5, 8}
 	ps := []float64{0.1, 0.3, 0.5}
-	points := make([]fig5Row, 0, len(as)*len(bs)*len(ps))
-	for _, p := range ps {
-		for _, a := range as {
-			for _, b := range bs {
-				points = append(points, fig5Row{P: p, A: a, B: b})
-			}
+	var cfgs []augchain.Config
+	for _, a := range []int{1, 2, 3, 5, 8} {
+		for _, b := range []int{1, 2, 3, 5, 8} {
+			cfgs = append(cfgs, augchain.Config{N: augchain.AlignN(1000, b), A: a, B: b})
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt fig5Row) (fig5Row, error) {
-		qmin, err := analysis.AugChain{N: analysis.AlignN(1000, pt.B), A: pt.A, B: pt.B, P: pt.P}.QMin()
-		if err != nil {
-			return fig5Row{}, err
+	grid, err := recurrenceGrid(cfgs, ps, augchain.Config.Graph)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]fig5Row, 0, len(cfgs)*len(ps))
+	for i, p := range ps {
+		for t, c := range cfgs {
+			rows = append(rows, fig5Row{P: p, A: c.A, B: c.B, QMin: grid[t][i]})
 		}
-		pt.QMin = qmin
-		return pt, nil
-	})
+	}
+	return rows, nil
 }
 
 func fig5Experiment() Experiment {
@@ -75,24 +106,24 @@ type fig6Row struct {
 const fig6Level1 = 200
 
 // fig6Series computes C_{3,b} q_min with the first-level length held
-// constant, evaluating the sweep points on the worker pool.
+// constant.
 func fig6Series() ([]fig6Row, error) {
-	bs := []int{1, 2, 4, 8, 16}
 	ps := []float64{0.1, 0.3, 0.5}
-	points := make([]fig6Row, 0, len(bs)*len(ps))
-	for _, p := range ps {
-		for _, b := range bs {
-			points = append(points, fig6Row{P: p, B: b, N: analysis.NForLevel1Length(fig6Level1, b)})
+	var cfgs []augchain.Config
+	for _, b := range []int{1, 2, 4, 8, 16} {
+		cfgs = append(cfgs, augchain.Config{N: augchain.NForLevel1Length(fig6Level1, b), A: 3, B: b})
+	}
+	grid, err := recurrenceGrid(cfgs, ps, augchain.Config.Graph)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]fig6Row, 0, len(cfgs)*len(ps))
+	for i, p := range ps {
+		for t, c := range cfgs {
+			rows = append(rows, fig6Row{P: p, B: c.B, N: c.N, QMin: grid[t][i]})
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt fig6Row) (fig6Row, error) {
-		qmin, err := analysis.AugChain{N: pt.N, A: 3, B: pt.B, P: pt.P}.QMin()
-		if err != nil {
-			return fig6Row{}, err
-		}
-		pt.QMin = qmin
-		return pt, nil
-	})
+	return rows, nil
 }
 
 func fig6Experiment() Experiment {
@@ -126,31 +157,28 @@ type fig7Row struct {
 	QMin float64
 }
 
-// fig7Series computes E_{m,d} q_min over (m, d) at n = 1000, evaluating
-// the sweep points on the worker pool.
+// fig7Series computes E_{m,d} q_min over (m, d) at n = 1000.
 func fig7Series() ([]fig7Row, error) {
-	ms := []int{1, 2, 3, 4, 5, 6}
-	ds := []int{1, 5, 10, 50, 100, 200}
 	ps := []float64{0.1, 0.3, 0.5}
-	var points []fig7Row
-	for _, p := range ps {
-		for _, m := range ms {
-			for _, d := range ds {
-				if m*d >= 1000 {
-					continue
-				}
-				points = append(points, fig7Row{P: p, M: m, D: d})
+	var cfgs []emss.Config
+	for _, m := range []int{1, 2, 3, 4, 5, 6} {
+		for _, d := range []int{1, 5, 10, 50, 100, 200} {
+			if m*d < 1000 {
+				cfgs = append(cfgs, emss.Config{N: 1000, M: m, D: d})
 			}
 		}
 	}
-	return parallel.Map(Workers, points, func(_ int, pt fig7Row) (fig7Row, error) {
-		qmin, err := analysis.EMSS{N: 1000, M: pt.M, D: pt.D, P: pt.P}.QMin()
-		if err != nil {
-			return fig7Row{}, err
+	grid, err := recurrenceGrid(cfgs, ps, emss.Config.Graph)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]fig7Row, 0, len(cfgs)*len(ps))
+	for i, p := range ps {
+		for t, c := range cfgs {
+			rows = append(rows, fig7Row{P: p, M: c.M, D: c.D, QMin: grid[t][i]})
 		}
-		pt.QMin = qmin
-		return pt, nil
-	})
+	}
+	return rows, nil
 }
 
 func fig7Experiment() Experiment {

@@ -3,9 +3,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"mcauth/internal/analysis"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scheme/augchain"
+	"mcauth/internal/scheme/emss"
 )
 
 // TESLA comparison parameters for Figures 8-9: a disclosure delay chosen
@@ -17,50 +21,79 @@ const (
 	cmpSigma = 0.2
 )
 
-// comparison is the Figure 8 contenders, in plot order, each with the
-// formula the paper plots for it: the recurrences of Section 4, not the
-// exact evaluator the simulation tools prefer.
-var comparison = []struct {
-	name string
-	qmin func(n int, p float64) (float64, error)
-}{
-	{"rohatgi", func(n int, p float64) (float64, error) {
+// contender is one of the Figure 8 schemes with the formula the paper plots
+// for it: a closed form, or the Section 4 recurrence on the scheme's
+// dependence graph — not the exact evaluator the simulation tools prefer.
+type contender struct {
+	name  string
+	qmin  func(n int, p float64) (float64, error) // the closed form, where graph is nil
+	graph func(n int) (*depgraph.Graph, error)
+}
+
+// qmins evaluates c at block size n and every loss rate in ps, building a
+// chained topology's graph once.
+func (c contender) qmins(n int, ps []float64) ([]float64, error) {
+	if c.graph != nil {
+		g, err := c.graph(n)
+		if err != nil {
+			return nil, err
+		}
+		return recurrenceQMins(g, ps)
+	}
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		q, err := c.qmin(n, p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = q
+	}
+	return out, nil
+}
+
+// comparison is the Figure 8 contenders, in plot order.
+var comparison = []contender{
+	{name: "rohatgi", qmin: func(n int, p float64) (float64, error) {
 		res, err := analysis.Rohatgi(n, p)
 		return res.QMin, err
 	}},
-	{"authtree", func(n int, p float64) (float64, error) {
+	{name: "authtree", qmin: func(n int, p float64) (float64, error) {
 		res, err := analysis.AuthTree(n, p)
 		return res.QMin, err
 	}},
-	{"emss(E21)", func(n int, p float64) (float64, error) {
-		return analysis.EMSS{N: n, M: 2, D: 1, P: p}.QMin()
+	{name: "emss(E21)", graph: func(n int) (*depgraph.Graph, error) {
+		return emss.Config{N: n, M: 2, D: 1}.Graph()
 	}},
-	{"ac(C33)", func(n int, p float64) (float64, error) {
-		// Align the block to a chain boundary (see analysis.AlignN).
-		return analysis.AugChain{N: analysis.AlignN(n, 3), A: 3, B: 3, P: p}.QMin()
+	{name: "ac(C33)", graph: func(n int) (*depgraph.Graph, error) {
+		// Align the block to a chain boundary (see augchain.AlignN).
+		return augchain.Config{N: augchain.AlignN(n, 3), A: 3, B: 3}.Graph()
 	}},
-	{"tesla", func(n int, p float64) (float64, error) {
+	{name: "tesla", qmin: func(n int, p float64) (float64, error) {
 		return analysis.TESLA{N: n, P: p, TDisc: cmpTDisc, Mu: cmpMu, Sigma: cmpSigma}.QMin()
 	}},
 }
 
-// schemeQMin evaluates one comparison scheme's analytic q_min.
-func schemeQMin(name string, n int, p float64) (float64, error) {
+// contenderNamed looks a Figure 8 contender up by name.
+func contenderNamed(name string) (contender, error) {
 	for _, c := range comparison {
 		if c.name == name {
-			return c.qmin(n, p)
+			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("experiments: unknown scheme %q", name)
+	return contender{}, fmt.Errorf("experiments: unknown scheme %q", name)
 }
 
-// comparisonSchemes lists the Figure 8 contenders.
-func comparisonSchemes() []string {
-	out := make([]string, len(comparison))
-	for i, c := range comparison {
-		out[i] = c.name
+// schemeQMin evaluates one comparison scheme's analytic q_min.
+func schemeQMin(name string, n int, p float64) (float64, error) {
+	c, err := contenderNamed(name)
+	if err != nil {
+		return 0, err
 	}
-	return out
+	q, err := c.qmins(n, []float64{p})
+	if err != nil {
+		return 0, err
+	}
+	return q[0], nil
 }
 
 // fig8Row is one point of the scheme comparison.
@@ -71,46 +104,43 @@ type fig8Row struct {
 	QMin   float64
 }
 
-// fig8Point is one (scheme, p, n) cell of a comparison sweep; the points
-// are enumerated up front and evaluated on the worker pool.
-type fig8Point struct {
-	scheme string
-	p      float64
-	n      int
-}
-
-func fig8Sweep(points []fig8Point) ([]fig8Row, error) {
-	return parallel.Map(Workers, points, func(_ int, pt fig8Point) (fig8Row, error) {
-		qmin, err := schemeQMin(pt.scheme, pt.n, pt.p)
-		if err != nil {
-			return fig8Row{}, err
+// fig8Sweep evaluates every contender at every block size in ns and loss
+// rate in ps, one (contender, n) cell per worker-pool task: cells[k][i] is
+// the k-th cell, contender-major, at ps[i].
+func fig8Sweep(contenders []contender, ns []int, ps []float64) ([][]fig8Row, error) {
+	type cell struct {
+		c contender
+		n int
+	}
+	var cells []cell
+	for _, c := range contenders {
+		for _, n := range ns {
+			cells = append(cells, cell{c, n})
 		}
-		return fig8Row{Scheme: pt.scheme, P: pt.p, N: pt.n, QMin: qmin}, nil
+	}
+	return parallel.Map(Workers, cells, func(_ int, cl cell) ([]fig8Row, error) {
+		qs, err := cl.c.qmins(cl.n, ps)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]fig8Row, len(ps))
+		for i, p := range ps {
+			rows[i] = fig8Row{Scheme: cl.c.name, P: p, N: cl.n, QMin: qs[i]}
+		}
+		return rows, nil
 	})
 }
 
 // fig8aSeries sweeps loss rate at n = 1000.
 func fig8aSeries() ([]fig8Row, error) {
-	ps := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	var points []fig8Point
-	for _, name := range comparisonSchemes() {
-		for _, p := range ps {
-			points = append(points, fig8Point{scheme: name, p: p, n: 1000})
-		}
-	}
-	return fig8Sweep(points)
+	cells, err := fig8Sweep(comparison, []int{1000}, []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9})
+	return slices.Concat(cells...), err
 }
 
 // fig8bSeries sweeps block size at p = 0.1.
 func fig8bSeries() ([]fig8Row, error) {
-	ns := []int{100, 200, 500, 1000, 2000}
-	var points []fig8Point
-	for _, name := range comparisonSchemes() {
-		for _, n := range ns {
-			points = append(points, fig8Point{scheme: name, p: 0.1, n: n})
-		}
-	}
-	return fig8Sweep(points)
+	cells, err := fig8Sweep(comparison, []int{100, 200, 500, 1000, 2000}, []float64{0.1})
+	return slices.Concat(cells...), err
 }
 
 func fig8Experiment() Experiment {
@@ -157,17 +187,26 @@ func fig8Experiment() Experiment {
 // fig9Series takes a closer look at EMSS/AC/TESLA across n at p = 0.1 and
 // p = 0.5.
 func fig9Series() ([]fig8Row, error) {
-	ns := []int{200, 500, 1000, 2000, 5000}
-	schemes := []string{"emss(E21)", "ac(C33)", "tesla"}
-	var points []fig8Point
-	for _, p := range []float64{0.1, 0.5} {
-		for _, name := range schemes {
-			for _, n := range ns {
-				points = append(points, fig8Point{scheme: name, p: p, n: n})
-			}
+	var contenders []contender
+	for _, name := range []string{"emss(E21)", "ac(C33)", "tesla"} {
+		c, err := contenderNamed(name)
+		if err != nil {
+			return nil, err
+		}
+		contenders = append(contenders, c)
+	}
+	ps := []float64{0.1, 0.5}
+	cells, err := fig8Sweep(contenders, []int{200, 500, 1000, 2000, 5000}, ps)
+	if err != nil {
+		return nil, err
+	}
+	var rows []fig8Row
+	for i := range ps {
+		for _, cell := range cells {
+			rows = append(rows, cell[i])
 		}
 	}
-	return fig8Sweep(points)
+	return rows, nil
 }
 
 func fig9Experiment() Experiment {

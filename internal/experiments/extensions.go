@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
@@ -14,6 +13,8 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scheme/augchain"
+	"mcauth/internal/scheme/emss"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
@@ -298,18 +299,21 @@ type markovGapRow struct {
 	Exact      float64
 }
 
-// exactQMin is the catalogue's q_min for spec at loss rate p, refused
-// unless the exact evaluator gave it.
-func exactQMin(spec catalog.Spec, p float64) (float64, error) {
-	e, err := catalog.Build(spec, crypto.NewSignerFromString("markovgap"))
+// gapRow evaluates the recurrence and the exact evaluator on one graph.
+func gapRow(scheme string, p float64, graph func() (*depgraph.Graph, error)) (markovGapRow, error) {
+	g, err := graph()
 	if err != nil {
-		return 0, err
+		return markovGapRow{}, err
 	}
-	q, by, err := e.QMin(p, 0, 0)
-	if err == nil && by != catalog.Exact {
-		err = fmt.Errorf("experiments: %s n=%d answered by the %s evaluator, want exact", spec.ID, spec.N, by)
+	rec, err := g.Recurrence(p)
+	if err != nil {
+		return markovGapRow{}, err
 	}
-	return q, err
+	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	if err != nil {
+		return markovGapRow{}, fmt.Errorf("experiments: %s n=%d: %w", scheme, g.N(), err)
+	}
+	return markovGapRow{Scheme: scheme, P: p, N: g.N(), Recurrence: rec.QMin, Exact: exact.QMin}, nil
 }
 
 // markovGapSeries sweeps block size for p in {0.1, 0.3}, for both EMSS
@@ -328,28 +332,12 @@ func markovGapSeries() ([]markovGapRow, error) {
 		}
 	}
 	pairs, err := parallel.Map(Workers, points, func(_ int, pt gapPoint) ([2]markovGapRow, error) {
-		rec, err := analysis.EMSS{N: pt.n, M: 2, D: 1, P: pt.p}.QMin()
+		e, err := gapRow("emss(E21)", pt.p, emss.Config{N: pt.n, M: 2, D: 1}.Graph)
 		if err != nil {
 			return [2]markovGapRow{}, err
 		}
-		exact, err := exactQMin(catalog.Spec{ID: "emss", N: pt.n, M: 2, D: 1}, pt.p)
-		if err != nil {
-			return [2]markovGapRow{}, err
-		}
-
-		an := analysis.AlignN(pt.n, 2)
-		acRec, err := analysis.AugChain{N: an, A: 3, B: 2, P: pt.p}.QMin()
-		if err != nil {
-			return [2]markovGapRow{}, err
-		}
-		acExact, err := exactQMin(catalog.Spec{ID: "augchain", N: an, A: 3, B: 2}, pt.p)
-		if err != nil {
-			return [2]markovGapRow{}, err
-		}
-		return [2]markovGapRow{
-			{Scheme: "emss(E21)", P: pt.p, N: pt.n, Recurrence: rec, Exact: exact},
-			{Scheme: "ac(C32)", P: pt.p, N: an, Recurrence: acRec, Exact: acExact},
-		}, nil
+		ac, err := gapRow("ac(C32)", pt.p, augchain.Config{N: augchain.AlignN(pt.n, 2), A: 3, B: 2}.Graph)
+		return [2]markovGapRow{e, ac}, err
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package experiments
 import (
 	"io"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/scheme/emss"
 )
 
 // tradeoffRow is one point in the overhead <-> robustness design space of
@@ -22,34 +22,29 @@ type tradeoffRow struct {
 // n = 1000, mapping the paper's three-way tradeoff between overhead,
 // robustness and receiver delay.
 func tradeoffSeries() ([]tradeoffRow, error) {
-	var rows []tradeoffRow
+	var cfgs []emss.Config
 	// Edge-budget axis: m at d = 1 (delay = block length for
 	// signature-last schemes; the span shown is the hash spread).
 	for m := 1; m <= 6; m++ {
-		qmin, err := analysis.EMSS{N: 1000, M: m, D: 1, P: 0.3}.QMin()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, tradeoffRow{
-			Scheme:     "emss(E_{" + itoa(m) + ",1})",
-			EdgesPkt:   float64(m),
-			QMin:       qmin,
-			DelaySlots: m, // hash spread m*d
-		})
+		cfgs = append(cfgs, emss.Config{N: 1000, M: m, D: 1})
 	}
 	// Delay axis: spacing d at m = 2 — buffering grows with d while the
 	// edge budget is constant.
 	for _, d := range []int{1, 5, 20, 100, 300} {
-		qmin, err := analysis.EMSS{N: 1000, M: 2, D: d, P: 0.3}.QMin()
-		if err != nil {
-			return nil, err
+		cfgs = append(cfgs, emss.Config{N: 1000, M: 2, D: d})
+	}
+	grid, err := recurrenceGrid(cfgs, []float64{0.3}, emss.Config.Graph)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]tradeoffRow, len(cfgs))
+	for t, c := range cfgs {
+		rows[t] = tradeoffRow{
+			Scheme:     "emss(E_{" + itoa(c.M) + "," + itoa(c.D) + "})",
+			EdgesPkt:   float64(c.M),
+			QMin:       grid[t][0],
+			DelaySlots: c.M * c.D, // hash spread m*d
 		}
-		rows = append(rows, tradeoffRow{
-			Scheme:     "emss(E_{2," + itoa(d) + "})",
-			EdgesPkt:   2,
-			QMin:       qmin,
-			DelaySlots: 2 * d,
-		})
 	}
 	return rows, nil
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
@@ -19,6 +18,7 @@ import (
 	"mcauth/internal/obs"
 	"mcauth/internal/parallel"
 	"mcauth/internal/scheme"
+	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/serve"
 	"mcauth/internal/server"
@@ -177,7 +177,7 @@ func cellEntry(c cell, signer crypto.Signer) (catalog.Entry, error) {
 	}
 	switch sc.ID {
 	case "augchain":
-		spec.N = analysis.AlignN(c.N, sc.B)
+		spec.N = augchain.AlignN(c.N, sc.B)
 	case "tesla":
 		spec.Interval = 100 * time.Millisecond
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
@@ -104,18 +103,14 @@ func TestGraphNearSignatureMatchesRecurrence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analysis.AugChain{N: cfg.N, A: cfg.A, B: cfg.B, P: p}.Q()
+	rec, err := g.Recurrence(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Segment 0's inserted packets (rev <= b+1) hang directly off the
-	// always-received root and have exact q = 1, which the recurrence's
-	// uniform form discounts; start past them.
-	for rev := cfg.B + 2; rev <= 7; rev++ {
-		send := cfg.N + 1 - rev
-		if diff := math.Abs(exact.Q[send] - rec.Q[rev]); diff > 0.06 {
-			t.Errorf("reversed %d (send %d): graph %v vs recurrence %v",
-				rev, send, exact.Q[send], rec.Q[rev])
+	// The seven packets sent last, nearest the signature packet.
+	for send := cfg.N - 6; send <= cfg.N; send++ {
+		if diff := math.Abs(exact.Q[send] - rec.Q[send]); diff > 0.06 {
+			t.Errorf("packet %d: graph %v vs recurrence %v", send, exact.Q[send], rec.Q[send])
 		}
 	}
 }
@@ -142,18 +137,13 @@ func TestRecurrenceUpperBoundsMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analysis.AugChain{N: cfg.N, A: cfg.A, B: cfg.B, P: p}.Q()
+	rec, err := g.Recurrence(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Skip segment 0's inserted packets (rev <= b+1): they hang directly
-	// off the always-received signature packet, so their true q is 1
-	// while the recurrence's uniform form discounts the root's
-	// reception.
-	for rev := cfg.B + 2; rev <= cfg.N; rev++ {
-		send := cfg.N + 1 - rev
-		if mc.Q[send] > rec.Q[rev]+0.02 {
-			t.Errorf("reversed %d: MC %v exceeds recurrence %v", rev, mc.Q[send], rec.Q[rev])
+	for i := 1; i <= cfg.N; i++ {
+		if mc.Q[i] > rec.Q[i]+0.02 {
+			t.Errorf("packet %d: MC %v exceeds recurrence %v", i, mc.Q[i], rec.Q[i])
 		}
 	}
 }

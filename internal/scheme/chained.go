@@ -27,6 +27,19 @@ type Topology struct {
 	RootCopies int
 }
 
+// Graph builds the topology's dependence graph and checks it is one: acyclic,
+// every vertex reachable from the root.
+func (t Topology) Graph() (*depgraph.Graph, error) {
+	g, err := depgraph.New(t.N, t.Root, t.Edges...)
+	if err == nil {
+		err = g.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scheme %s: %w", t.Name, err)
+	}
+	return g, nil
+}
+
 // maxRootCopies bounds replication; beyond a handful of copies the
 // residual loss probability p^copies is negligible for any practical p.
 const maxRootCopies = 8
@@ -55,17 +68,9 @@ func NewChained(topo Topology, signer crypto.Signer) (*Chained, error) {
 	if topo.RootCopies < 0 || topo.RootCopies > maxRootCopies {
 		return nil, fmt.Errorf("scheme %s: root copies %d out of [0,%d]", topo.Name, topo.RootCopies, maxRootCopies)
 	}
-	g, err := depgraph.New(topo.N, topo.Root)
+	g, err := topo.Graph()
 	if err != nil {
-		return nil, fmt.Errorf("scheme %s: %w", topo.Name, err)
-	}
-	for _, e := range topo.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("scheme %s: %w", topo.Name, err)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("scheme %s: %w", topo.Name, err)
+		return nil, err
 	}
 	order, err := g.TopoFromRoot()
 	if err != nil {

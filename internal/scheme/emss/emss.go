@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/scheme"
 )
 
@@ -47,13 +48,27 @@ func New(cfg Config, signer crypto.Signer) (*scheme.Chained, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return scheme.NewChained(scheme.Topology{
-		Name:       fmt.Sprintf("emss(E_{%d,%d}, n=%d)", cfg.M, cfg.D, cfg.N),
-		N:          cfg.N,
-		Root:       cfg.N,
-		Edges:      edges(cfg),
-		RootCopies: cfg.SigCopies,
-	}, signer)
+	return scheme.NewChained(cfg.topology(), signer)
+}
+
+// Graph builds the dependence graph of New's scheme without a signer, for
+// evaluation alone.
+func (c Config) Graph() (*depgraph.Graph, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c.topology().Graph()
+}
+
+// topology is the E_{m,d} layout New signs and Graph evaluates.
+func (c Config) topology() scheme.Topology {
+	return scheme.Topology{
+		Name:       fmt.Sprintf("emss(E_{%d,%d}, n=%d)", c.M, c.D, c.N),
+		N:          c.N,
+		Root:       c.N,
+		Edges:      edges(c),
+		RootCopies: c.SigCopies,
+	}
 }
 
 // edges lists the E_{m,d} dependence edges, target by target in send

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
@@ -124,15 +123,13 @@ func TestRecurrenceUpperBoundsGraphExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := analysis.EMSS{N: n, M: 2, D: 1, P: p}.Q()
+	rec, err := g.Recurrence(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rev := 1; rev <= n; rev++ {
-		send := n + 1 - rev
-		if exact.Q[send] > rec.Q[rev]+1e-9 {
-			t.Errorf("reversed %d: graph exact %v exceeds recurrence %v",
-				rev, exact.Q[send], rec.Q[rev])
+	for i := 1; i <= n; i++ {
+		if exact.Q[i] > rec.Q[i]+1e-9 {
+			t.Errorf("packet %d: graph exact %v exceeds recurrence %v", i, exact.Q[i], rec.Q[i])
 		}
 	}
 }

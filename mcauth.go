@@ -144,17 +144,20 @@ func NewStreamReceiver(s Scheme, maxBlocks int) (*StreamReceiver, error) {
 	return stream.NewReceiver(s, maxBlocks)
 }
 
-// Analytic evaluators (paper Equations 6-10).
-type (
-	// AnalyticEMSS evaluates the E_{m,d} recurrence (Equations 8-9).
-	AnalyticEMSS = analysis.EMSS
-	// AnalyticAugChain evaluates the C_{a,b} recurrence (Equation 10).
-	AnalyticAugChain = analysis.AugChain
-	// AnalyticTESLA evaluates TESLA under Gaussian delay (Equations 6-7).
-	AnalyticTESLA = analysis.TESLA
-	// AnalyticPeriodic evaluates any periodic topology (Equation 9).
-	AnalyticPeriodic = analysis.Periodic
-)
+// AnalyticTESLA evaluates TESLA under Gaussian delay (Equations 6-7).
+type AnalyticTESLA = analysis.TESLA
+
+// AnalyticRecurrence computes the paper's independence recurrence for s
+// under i.i.d. loss at rate p (Equations 8-10) on s's own dependence graph
+// (Graph.Recurrence): an upper bound on AnalyticMarkovExact's q_i, at any
+// block size.
+func AnalyticRecurrence(s Scheme, p float64) (depgraph.AuthResult, error) {
+	g, err := s.Graph()
+	if err != nil {
+		return depgraph.AuthResult{}, err
+	}
+	return g.Recurrence(p)
+}
 
 // AnalyticMarkovExact computes the exact q_i of s under i.i.d. loss at rate
 // p, with no independence approximation: the frontier sweep of s's own

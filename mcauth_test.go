@@ -68,11 +68,11 @@ func TestFacadeAnalytics(t *testing.T) {
 	if res.QMin <= 0 || res.QMin >= 1 {
 		t.Errorf("QMin = %v out of (0,1)", res.QMin)
 	}
-	qmin, err := AnalyticEMSS{N: 1000, M: 2, D: 1, P: 0.1}.QMin()
+	s, err := NewEMSS(EMSSConfig{N: 1000, M: 2, D: 1}, NewSigner("facade"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewEMSS(EMSSConfig{N: 1000, M: 2, D: 1}, NewSigner("facade"))
+	rec, err := AnalyticRecurrence(s, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFacadeAnalytics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.QMin > qmin {
-		t.Errorf("exact %v exceeds recurrence %v", exact.QMin, qmin)
+	if exact.QMin > rec.QMin {
+		t.Errorf("exact %v exceeds recurrence %v", exact.QMin, rec.QMin)
 	}
 }

@@ -678,8 +678,10 @@ func BenchmarkMonteCarloAuthProb(b *testing.B) {
 
 // BenchmarkMonteCarloAuthProbBursty is the `burst` experiment's shape: an
 // E_{2,1} block of 60 under a Gilbert–Elliott channel (stationary loss 0.1,
-// mean burst 5, lossless Good, total-loss Bad), 20 000 trials. Three coin
-// flips per packet against BenchmarkMonteCarloAuthProb's one.
+// mean burst 5, lossless Good, total-loss Bad), 20 000 trials. The
+// lane-native sampler flips two bit-sliced coins per packet for 64 trials,
+// and the loss coin, at 0 or 1, draws nothing: one drawing flip per packet,
+// as for BenchmarkMonteCarloAuthProb's Bernoulli loss.
 func BenchmarkMonteCarloAuthProbBursty(b *testing.B) {
 	s, err := emss.New(emss.Config{N: 60, M: 2, D: 1}, crypto.NewSignerFromString("bench"))
 	if err != nil {

@@ -2,6 +2,7 @@ package construct
 
 import (
 	"fmt"
+	"slices"
 
 	"mcauth/internal/depgraph"
 )
@@ -36,20 +37,35 @@ func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
 		return Plan{}, 0, err
 	}
 	q := make([]float64, work.N()+1)
-	meets := func() bool {
-		work.RecurrenceInto(q, order, c.P)
-		for _, qv := range q[1:] {
-			if qv < c.TargetQMin {
-				return false
-			}
-		}
-		return true
-	}
-	if !meets() {
+	work.RecurrenceInto(q, order, c.P)
+	if slices.Min(q[1:]) < c.TargetQMin {
 		// Nothing to prune from an infeasible starting point; report
 		// it honestly.
 		plan, err := newPlan(work, c.P, c.TargetQMin)
 		return plan, 0, err
+	}
+	// From here q always holds the recurrence of the current graph, and
+	// every vertex meets the target (so every vertex is in order). Removing
+	// (u, v) changes in(v) alone, so only v and what follows it in the
+	// order can change. meetsFrom re-evaluates that suffix in order, so
+	// each value is bit for bit what a full evaluation gives; at the first
+	// vertex below target it restores what it overwrote and fails.
+	pos := make([]int, work.N()+1)
+	for k, v := range order {
+		pos[v] = k
+	}
+	saved := make([]float64, len(order))
+	meetsFrom := func(start int) bool {
+		for k, v := range order[start:] {
+			saved[k] = q[v]
+			if q[v] = work.RecurrenceAt(q, v, c.P); q[v] < c.TargetQMin {
+				for j, w := range order[start : start+k+1] {
+					q[w] = saved[j]
+				}
+				return false
+			}
+		}
+		return true
 	}
 	removed := 0
 	for {
@@ -58,7 +74,7 @@ func Prune(g *depgraph.Graph, c Constraint) (Plan, int, error) {
 			if err := work.RemoveEdge(e[0], e[1]); err != nil {
 				return Plan{}, 0, err
 			}
-			if meets() {
+			if meetsFrom(pos[e[1]]) {
 				removed++
 				removedThisPass++
 				continue

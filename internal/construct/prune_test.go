@@ -183,3 +183,85 @@ func TestPruneSharedGraphUnderParallel(t *testing.T) {
 		t.Error("pruning clones changed the shared input graph")
 	}
 }
+
+// pruneFullRecompute is Prune as it was before a trial re-evaluated only
+// the removed edge's suffix of the order: every trial evaluates the whole
+// graph.
+func pruneFullRecompute(t *testing.T, g *depgraph.Graph, c Constraint) (Plan, int) {
+	t.Helper()
+	work := g.Clone()
+	order, err := work.TopoFromRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, work.N()+1)
+	meets := func() bool {
+		work.RecurrenceInto(q, order, c.P)
+		for _, qv := range q[1:] {
+			if qv < c.TargetQMin {
+				return false
+			}
+		}
+		return true
+	}
+	removed := 0
+	for again := meets(); again; {
+		again = false
+		for _, e := range work.Edges() {
+			if err := work.RemoveEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+			if meets() {
+				removed++
+				again = true
+				continue
+			}
+			work.MustAddEdge(e[0], e[1])
+		}
+	}
+	plan, err := newPlan(work, c.P, c.TargetQMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, removed
+}
+
+// TestPruneSuffixMatchesFullRecompute is Prune's differential test: on
+// seeded random graphs — dense and sparse, feasible and not, with loose and
+// tight targets — the suffix re-evaluation returns the same plan (edges,
+// q_min, cost, met) and the same removed count as re-evaluating the whole
+// graph on every trial.
+func TestPruneSuffixMatchesFullRecompute(t *testing.T) {
+	rng := stats.NewRNG(0x9e6c)
+	var pruned, infeasible int
+	for i := 0; i < 120; i++ {
+		n := 2 + rng.Intn(60)
+		c := Constraint{N: n, P: 0.4 * rng.Float64(), TargetQMin: 0.3 + 0.69*rng.Float64()}
+		g, err := randomGraph(n, 0.05+0.6*rng.Float64(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantRemoved := pruneFullRecompute(t, g, c)
+		got, removed, err := Prune(g, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("graph %d (n=%d p=%.3f target=%.3f)", i, n, c.P, c.TargetQMin)
+		if removed != wantRemoved || !reflect.DeepEqual(got.Graph.Edges(), want.Graph.Edges()) {
+			t.Fatalf("%s: removed %d edges, full recompute %d; edge sets equal: %v",
+				name, removed, wantRemoved, reflect.DeepEqual(got.Graph.Edges(), want.Graph.Edges()))
+		}
+		if got.QMin != want.QMin || got.EdgesPerPacket != want.EdgesPerPacket || got.Met != want.Met {
+			t.Fatalf("%s: plan %+v, full recompute %+v", name, got, want)
+		}
+		if removed > 0 {
+			pruned++
+		}
+		if !want.Met {
+			infeasible++
+		}
+	}
+	if pruned < 40 || infeasible < 10 {
+		t.Errorf("suite pruned %d graphs and started %d infeasible; want at least 40 and 10", pruned, infeasible)
+	}
+}

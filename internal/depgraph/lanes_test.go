@@ -130,20 +130,21 @@ func scalarMonteCarlo(t *testing.T, g *Graph, pattern ReceivePatternInto, trials
 	return recv, ver
 }
 
-// TestMonteCarloMatchesScalarLoop runs the estimator and the scalar loop it
-// replaced from equal generators on graphs the pins do not hold — cyclic
-// ones, and roots in mid-block — across shard and word boundaries: equal
-// tallies, equal generators afterwards.
+// TestMonteCarloMatchesScalarLoop runs the estimator on a per-trial sampler
+// (through PerTrial) and the scalar loop it replaced from equal generators
+// on graphs the pins do not hold — cyclic ones, and roots in mid-block —
+// across shard and word boundaries: equal tallies, equal generators
+// afterwards.
 func TestMonteCarloMatchesScalarLoop(t *testing.T) {
 	rng := stats.NewRNG(0x5ca1a)
-	pattern := BernoulliPatternInto(0.3)
+	pattern := BernoulliPattern(0.3).Into()
 	for i := 0; i < 24; i++ {
 		g := laneTestGraph(t, rng, i)
 		for _, plan := range [][2]int{{1, 0}, {64, 0}, {100, 0}, {513, 0}, {200, 37}, {130, 64}} {
 			trials, shardSize := plan[0], plan[1]
 			seed := rng.Uint64()
 			a, b := stats.NewRNG(seed), stats.NewRNG(seed)
-			got, err := g.MonteCarloAuthProbInto(pattern, trials, a, MCOptions{Workers: 1 + i%3, ShardSize: shardSize})
+			got, err := g.MonteCarloAuthProbInto(PerTrial(pattern), trials, a, MCOptions{Workers: 1 + i%3, ShardSize: shardSize})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,15 +77,22 @@ func TestMonteCarloParallelDeterminism(t *testing.T) {
 }
 
 // TestMonteCarloLegacyWrapperMatchesInto checks the wrapper contract: the
-// allocating API draws the same RNG stream as the Into API, so both
-// produce bit-identical results from the same seed.
+// allocating API is the lane API over PerTrial, so an allocating pattern and
+// a scratch one drawing the same per-trial stream produce bit-identical
+// results from the same seed.
 func TestMonteCarloLegacyWrapperMatchesInto(t *testing.T) {
 	g := mcTestGraph(t, 40)
 	legacy, err := g.MonteCarloAuthProb(BernoulliPattern(0.3), 2000, stats.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	into, err := g.MonteCarloAuthProbInto(BernoulliPatternInto(0.3), 2000, stats.NewRNG(42), MCOptions{})
+	perTrial := PerTrial(func(rng *stats.RNG, received []bool) error {
+		for i := 1; i < len(received); i++ {
+			received[i] = !rng.Bernoulli(0.3)
+		}
+		return nil
+	})
+	into, err := g.MonteCarloAuthProbInto(perTrial, 2000, stats.NewRNG(42), MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

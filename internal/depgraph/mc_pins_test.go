@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -43,33 +44,45 @@ func mcPinGraphs(t *testing.T) map[string]*depgraph.Graph {
 	}
 }
 
-// mcPinPatterns are the pinned samplers: every loop the coin change touches.
-func mcPinPatterns(t *testing.T) map[string]depgraph.ReceivePatternInto {
+// mcPinModels are the pinned bursty channels: a Gilbert–Elliott channel
+// with lossless Good and total-loss Bad as in the `burst` experiment, one
+// with fractional loss in both states, and a three-state chain.
+func mcPinModels(t *testing.T) (burst5, fractional loss.GilbertElliott, markov3 *loss.MarkovChain) {
 	t.Helper()
 	fractional, err := loss.NewGilbertElliott(0.05, 0.3, 0.02, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	markov3, err := loss.NewMarkovChain(
+	markov3, err = loss.NewMarkovChain(
 		[][]float64{{0.9, 0.08, 0.02}, {0.3, 0.6, 0.1}, {0.2, 0.2, 0.6}},
 		[]float64{0.01, 0.3, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]depgraph.ReceivePatternInto{
+	return burstChannel(t, 5), fractional, markov3
+}
+
+// mcPinPatterns are the pinned samplers: lane-native Bernoulli and
+// Gilbert–Elliott, and the three-state chain through depgraph.PerTrial.
+func mcPinPatterns(t *testing.T) map[string]depgraph.ReceiveLanes {
+	t.Helper()
+	burst5, fractional, markov3 := mcPinModels(t)
+	return map[string]depgraph.ReceiveLanes{
 		"bernoulli_0.1":      depgraph.BernoulliPatternInto(0.1),
-		"gilbert_burst5":     loss.PatternInto(burstChannel(t, 5)),
+		"gilbert_burst5":     loss.PatternInto(burst5),
 		"gilbert_fractional": loss.PatternInto(fractional),
 		"markov3":            loss.PatternInto(markov3),
 	}
 }
 
 // TestMonteCarloPinned holds MonteCarloAuthProbInto, its samplers and the
-// generator under them to the outputs recorded in testdata/mc_pins.json at
-// the commit before the trial loop went word-parallel and the coin flips
-// integer: the same tallies per packet, the same advance of the caller's
-// generator, at trial counts on both sides of a 64-trial word and a
-// 512-trial shard, whatever the worker count.
+// generator under them to the outputs recorded in testdata/mc_pins.json: the
+// same tallies per packet, the same advance of the caller's generator, at
+// trial counts on both sides of a 64-trial word and a 512-trial shard,
+// whatever the worker count. The markov3 rows date from before the trial
+// loop went word-parallel and the coin flips integer, and PerTrial keeps
+// them; the Bernoulli and Gilbert–Elliott rows were recorded when those
+// samplers went lane-native.
 func TestMonteCarloPinned(t *testing.T) {
 	graphs, patterns := mcPinGraphs(t), mcPinPatterns(t)
 	run := func(graph, pattern string, trials, workers int) mcPin {
@@ -126,6 +139,72 @@ func TestMonteCarloPinned(t *testing.T) {
 				t.Errorf("%s / %s / %d trials / %d workers: run drifted from the pin\n got received %v\nwant received %v\n got verified %v\nwant verified %v\n got next %d, want %d",
 					pin.Graph, pin.Pattern, pin.Trials, workers,
 					got.Received, pin.Received, got.Verified, pin.Verified, got.Next, pin.Next)
+			}
+		}
+	}
+}
+
+// TestLaneSamplersLeaveOtherLanes: a lane sampler redraws the lanes it is
+// given and no bit of any other lane, natively or through PerTrial — the
+// contract the `burst` experiment's redraw of root-losing lanes rests on.
+func TestLaneSamplersLeaveOtherLanes(t *testing.T) {
+	patterns := mcPinPatterns(t)
+	patterns["per_trial"] = depgraph.PerTrial(depgraph.BernoulliPattern(0.4).Into())
+	rng := stats.NewRNG(0x1a7e5)
+	for name, sample := range patterns {
+		for round := 0; round < 200; round++ {
+			recv := make([]uint64, 1+rng.Intn(70))
+			for i := range recv {
+				recv[i] = rng.Uint64()
+			}
+			before := append([]uint64(nil), recv...)
+			lanes := rng.Uint64() & rng.Uint64()
+			if round%10 == 0 {
+				lanes = 0
+			}
+			if err := sample(rng, recv, lanes); err != nil {
+				t.Fatal(err)
+			}
+			for i := range recv {
+				if changed := (recv[i] ^ before[i]) &^ lanes; changed != 0 {
+					t.Fatalf("%s: word %d of %d changed outside lanes %#x: %#x", name, i, len(recv), lanes, changed)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneNativeMatchesPerTrial: the lane-native Bernoulli and
+// Gilbert–Elliott samplers draw other words than SampleInto, one trial per
+// lane, but the same law. On every pinned graph, each packet's estimate
+// from 20 000 lane-native trials lies within 4σ of the one from 20 000
+// per-trial trials (σ of the difference of two binomial estimates at their
+// pooled value).
+func TestLaneNativeMatchesPerTrial(t *testing.T) {
+	burst5, fractional, _ := mcPinModels(t)
+	const trials = 20000
+	for _, m := range []loss.Model{loss.Bernoulli{P: 0.1}, burst5, fractional} {
+		perTrial := depgraph.PerTrial(func(rng *stats.RNG, received []bool) error {
+			m.SampleInto(rng, received)
+			return nil
+		})
+		for name, g := range mcPinGraphs(t) {
+			native, err := g.MonteCarloAuthProbInto(loss.PatternInto(m), trials, stats.NewRNG(1), depgraph.MCOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := g.MonteCarloAuthProbInto(perTrial, trials, stats.NewRNG(2), depgraph.MCOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= g.N(); i++ {
+				r1, r2 := float64(native.ReceivedCounts[i]), float64(ref.ReceivedCounts[i])
+				q := float64(native.VerifiedCounts[i]+ref.VerifiedCounts[i]) / (r1 + r2)
+				sigma := math.Sqrt(q * (1 - q) * (1/r1 + 1/r2))
+				if d := math.Abs(native.Q[i] - ref.Q[i]); d > 4*sigma {
+					t.Errorf("%s on %s, packet %d: lane-native q %.4f, per-trial %.4f (%.1fσ)",
+						m.Name(), name, i, native.Q[i], ref.Q[i], d/sigma)
+				}
 			}
 		}
 	}

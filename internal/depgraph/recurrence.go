@@ -28,34 +28,43 @@ func (g *Graph) Recurrence(p float64) (AuthResult, error) {
 }
 
 // RecurrenceInto evaluates the recurrence into q: q(root) = 1 and, vertex by
-// vertex in order,
+// vertex in order, q(v) = RecurrenceAt(q, v, p). q has N()+1 entries and is
+// zero outside order; q[0] is set to NaN. order is a topological order from
+// the root of g, or of a graph g was obtained from by removing edges:
+// removing an edge invalidates no topological order, and a vertex the
+// removal cut off from the root evaluates to exactly 0, the value Recurrence
+// gives the unreachable, since it has no providers or only providers that
+// are 0. p must lie in [0,1].
+func (g *Graph) RecurrenceInto(q []float64, order []int, p float64) {
+	q[0] = math.NaN()
+	q[g.root] = 1
+	for _, v := range order {
+		if v != g.root {
+			q[v] = g.RecurrenceAt(q, v, p)
+		}
+	}
+}
+
+// RecurrenceAt is the recurrence's step at a vertex v other than the root,
+// from the values q holds for v's providers:
 //
 //	q(v) = 1 - Π_{u in in(v)} [1 - r(u) q(u)]
 //
 // where r(u) = 1-p is the provider's reception probability, except r(root)
 // = 1: P_sign is assumed received, which reproduces the paper's boundary
 // conditions (q = 1 for the packets the signature packet covers directly).
-// q has N()+1 entries and is zero outside order; q[0] is set to NaN. order
-// is a topological order from the root of g, or of a graph g was obtained
-// from by removing edges: removing an edge invalidates no topological order,
-// and a vertex the removal cut off from the root evaluates to exactly 0, the
-// value Recurrence gives the unreachable, since it has no providers or only
-// providers that are 0. p must lie in [0,1].
-func (g *Graph) RecurrenceInto(q []float64, order []int, p float64) {
-	q[0] = math.NaN()
-	q[g.root] = 1
-	for _, v := range order {
-		if v == g.root {
-			continue
+// The product runs over in(v) in its stored order, so re-evaluating v after
+// its providers gives the bits RecurrenceInto gives — which lets a caller
+// that changed only in(v) re-evaluate just v and what follows it in the
+// order.
+func (g *Graph) RecurrenceAt(q []float64, v int, p float64) float64 {
+	broken := 1.0
+	for _, u := range g.in[v] {
+		r := 1 - p
+		if u == g.root {
+			r = 1
 		}
-		broken := 1.0
-		for _, u := range g.in[v] {
-			r := 1 - p
-			if u == g.root {
-				r = 1
-			}
-			broken *= 1 - r*q[u]
-		}
-		q[v] = 1 - broken
+		broken *= 1 - r*q[u]
 	}
+	return 1 - broken
 }

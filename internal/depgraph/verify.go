@@ -17,14 +17,20 @@ type ReceivePattern func(rng *stats.RNG, n int) []bool
 
 // ReceivePatternInto is the scratch-reuse form of ReceivePattern: it fills
 // received[1..len(received)-1] in place instead of allocating a fresh slice
-// per trial. It is the form the Monte-Carlo hot loop consumes; a pattern
-// that draws the same RNG values as its allocating counterpart produces
-// bit-identical estimates through either entry point.
+// per trial. PerTrial turns one into the Monte-Carlo kernel's ReceiveLanes.
 type ReceivePatternInto func(rng *stats.RNG, received []bool) error
 
+// ReceiveLanes samples loss patterns 64 at a time, in the layout the
+// Monte-Carlo kernel propagates: bit t of recv[i] says packet i arrived in
+// pattern t (recv has n+1 words; word 0 is unused). It draws a fresh
+// pattern into every lane set in lanes and leaves the other bits of every
+// word alone. BernoulliPatternInto and loss.PatternInto sample the lanes
+// natively, with bit-sliced coins (stats.(*RNG).FlipLanes); PerTrial adapts
+// any per-trial sampler.
+type ReceiveLanes func(rng *stats.RNG, recv []uint64, lanes uint64) error
+
 // Into adapts an allocating pattern to the scratch interface. The adapter
-// still allocates one slice per call; hot paths should prefer a native
-// Into pattern (BernoulliPatternInto, loss.PatternInto).
+// still allocates one slice per call.
 func (p ReceivePattern) Into() ReceivePatternInto {
 	return func(rng *stats.RNG, received []bool) error {
 		n := len(received) - 1
@@ -37,26 +43,54 @@ func (p ReceivePattern) Into() ReceivePatternInto {
 	}
 }
 
-// BernoulliPatternInto fills the pattern where each packet is lost
-// independently with probability p (the paper's Section 4.1 network model)
-// without allocating.
-func BernoulliPatternInto(p float64) ReceivePatternInto {
-	lose := stats.NewCoin(p)
-	return func(rng *stats.RNG, received []bool) error {
-		for i := 1; i < len(received); i++ {
-			received[i] = !rng.Flip(lose)
+// PerTrial adapts a per-trial sampler to the kernel: one pattern per lane of
+// lanes, lowest lane first, each sampled into a scratch (one per call, so
+// per 64 trials) and packed into its lane. Trials are drawn in trial order
+// from the shard's generator, so the estimate is the one the sampler's own
+// stream gives, trial by trial.
+func PerTrial(p ReceivePatternInto) ReceiveLanes {
+	return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+		received := make([]bool, len(recv))
+		for ; lanes != 0; lanes &= lanes - 1 {
+			t := bits.TrailingZeros64(lanes)
+			if err := p(rng, received); err != nil {
+				return err
+			}
+			// Index 0, no packet, rides along: nothing reads its word.
+			for i, arrived := range received {
+				var bit uint64
+				if arrived {
+					bit = 1
+				}
+				recv[i] = recv[i]&^(1<<t) | bit<<t
+			}
 		}
 		return nil
 	}
 }
 
-// BernoulliPattern is the allocating form of BernoulliPatternInto; both
-// draw the same RNG stream.
+// BernoulliPatternInto samples the patterns where each packet is lost
+// independently with probability p (the paper's Section 4.1 network model)
+// into the kernel's lanes: one bit-sliced flip of 64 coins per packet.
+func BernoulliPatternInto(p float64) ReceiveLanes {
+	lose := stats.NewCoin(p)
+	return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+		for i := 1; i < len(recv); i++ {
+			recv[i] = recv[i]&^lanes | lanes&^rng.FlipLanes(lose, lose, 0)
+		}
+		return nil
+	}
+}
+
+// BernoulliPattern is the per-trial form of the same loss model: n flips
+// per pattern, the stream MonteCarloAuthProb has always drawn for it.
 func BernoulliPattern(p float64) ReceivePattern {
-	into := BernoulliPatternInto(p)
+	lose := stats.NewCoin(p)
 	return func(rng *stats.RNG, n int) []bool {
 		recv := make([]bool, n+1)
-		_ = into(rng, recv) // never fails
+		for i := 1; i <= n; i++ {
+			recv[i] = !rng.Flip(lose)
+		}
 		return recv
 	}
 }
@@ -148,7 +182,7 @@ func (g *Graph) MonteCarloAuthProb(pattern ReceivePattern, trials int, rng *stat
 	if pattern == nil {
 		return AuthResult{}, fmt.Errorf("depgraph: nil receive pattern")
 	}
-	return g.MonteCarloAuthProbInto(pattern.Into(), trials, rng, MCOptions{})
+	return g.MonteCarloAuthProbInto(PerTrial(pattern.Into()), trials, rng, MCOptions{})
 }
 
 // mcShard is one unit of the deterministic execution plan: an independent
@@ -201,18 +235,18 @@ func (g *Graph) verifiableLanes(order []int, topological bool, recv, ver []uint6
 	}
 }
 
-// MonteCarloAuthProbInto is MonteCarloAuthProb with a scratch-reuse
-// pattern: each worker keeps one received scratch and one pair of lane words
-// per vertex for its whole shard, so a native Into pattern makes the trial
-// loop allocation-free. A shard samples its trials one at a time, in trial
-// order, from its own generator — the result is a function of (seed, trials,
-// shard size) only — but propagates and tallies them 64 to a word
-// (verifiableLanes).
-func (g *Graph) MonteCarloAuthProbInto(pattern ReceivePatternInto, trials int, rng *stats.RNG, opts MCOptions) (AuthResult, error) {
+// MonteCarloAuthProbInto is MonteCarloAuthProb with a lane sampler: each
+// worker keeps one pair of lane words per vertex for its whole shard, and
+// the shard's sampler draws 64 trials at a time into them (trial t of a
+// group is lane t) from the shard's own generator — the result is a function
+// of (seed, trials, shard size) only — which verifiableLanes then propagates
+// and the shard tallies 64 to a word. A native lane sampler makes the trial
+// loop allocation-free.
+func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *stats.RNG, opts MCOptions) (AuthResult, error) {
 	if trials <= 0 {
 		return AuthResult{}, fmt.Errorf("depgraph: trials %d must be positive", trials)
 	}
-	if pattern == nil {
+	if sample == nil {
 		return AuthResult{}, fmt.Errorf("depgraph: nil receive pattern")
 	}
 	shardSize := opts.ShardSize
@@ -229,25 +263,15 @@ func (g *Graph) MonteCarloAuthProbInto(pattern ReceivePatternInto, trials int, r
 	order, topological := g.orderFromRoot()
 	counts, err := parallel.Map(opts.Workers, shards, func(_ int, sh mcShard) (mcCounts, error) {
 		c := mcCounts{recv: make([]int, g.n+1), ver: make([]int, g.n+1)}
-		received := make([]bool, g.n+1)
 		lanes := make([]uint64, 2*(g.n+1))
 		recv, ver := lanes[:g.n+1], lanes[g.n+1:]
 		for done := 0; done < sh.trials; done += laneTrials {
+			group := ^uint64(0) >> (laneTrials - min(laneTrials, sh.trials-done))
 			clear(recv)
-			for t := 0; t < min(laneTrials, sh.trials-done); t++ {
-				if err := pattern(sh.rng, received); err != nil {
-					return mcCounts{}, err
-				}
-				received[g.root] = true
-				// Index 0, no packet, rides along: nothing reads its word.
-				for i, arrived := range received {
-					var bit uint64
-					if arrived {
-						bit = 1
-					}
-					recv[i] |= bit << t
-				}
+			if err := sample(sh.rng, recv, group); err != nil {
+				return mcCounts{}, err
 			}
+			recv[g.root] |= group
 			g.verifiableLanes(order, topological, recv, ver)
 			for i := 1; i <= g.n; i++ {
 				c.recv[i] += bits.OnesCount64(recv[i])

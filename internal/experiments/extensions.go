@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mcauth/internal/catalog"
@@ -156,16 +157,15 @@ func burstSeries() ([]burstRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Redraw a pattern that lost the root: the estimator alone
+			// Redraw every lane that lost the root: the estimator alone
 			// only marks the root received, which keeps the bursts that
 			// took the root's neighbours with it, while the exact
 			// column conditions on the root arriving.
-			rootArrives := func(rng *stats.RNG, received []bool) error {
-				for {
-					if ge.SampleInto(rng, received); received[g.Root()] {
-						return nil
-					}
+			rootArrives := func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+				for redo := lanes; redo != 0; redo = lanes &^ recv[g.Root()] {
+					ge.SampleLanes(rng, recv, redo)
 				}
+				return nil
 			}
 			mc, err := g.MonteCarloAuthProbInto(rootArrives, burstTrials, stats.NewRNG(uint64(bl*17)), mcOpts)
 			if err != nil {
@@ -221,45 +221,38 @@ type constructRow struct {
 	Met      bool
 }
 
-// constructSeries sweeps design targets at n = 100, p = 0.2.
+// constructSeries sweeps design targets at n = 100, p = 0.2, one target per
+// task on the worker pool (each seeds its own generator).
 func constructSeries() ([]constructRow, error) {
-	var rows []constructRow
-	for _, target := range []float64{0.5, 0.8, 0.9, 0.99} {
+	perTarget, err := parallel.Map(Workers, []float64{0.5, 0.8, 0.9, 0.99}, func(_ int, target float64) ([]constructRow, error) {
 		c := construct.Constraint{N: 100, P: 0.2, TargetQMin: target, MaxOutDegree: 6}
 		greedy, err := construct.Greedy(c)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, constructRow{
-			Target: target, Builder: "greedy",
-			EdgesPkt: greedy.EdgesPerPacket, QMin: greedy.QMin, Met: greedy.Met,
-		})
 		policy, m, d, err := construct.PolicySearch(c, 8, 4)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, constructRow{
-			Target: target, Builder: "policy(m=" + itoa(m) + ",d=" + itoa(d) + ")",
-			EdgesPkt: policy.EdgesPerPacket, QMin: policy.QMin, Met: policy.Met,
-		})
 		prob, rho, err := construct.Probabilistic(c, stats.NewRNG(uint64(target*1000)))
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, constructRow{
-			Target: target, Builder: "probabilistic(rho=" + f3(rho) + ")",
-			EdgesPkt: prob.EdgesPerPacket, QMin: prob.QMin, Met: prob.Met,
-		})
 		pruned, _, err := construct.Prune(prob.Graph, c)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, constructRow{
-			Target: target, Builder: "probabilistic+prune",
-			EdgesPkt: pruned.EdgesPerPacket, QMin: pruned.QMin, Met: pruned.Met,
-		})
-	}
-	return rows, nil
+		return []constructRow{
+			{Target: target, Builder: "greedy", EdgesPkt: greedy.EdgesPerPacket, QMin: greedy.QMin, Met: greedy.Met},
+			{Target: target, Builder: "policy(m=" + itoa(m) + ",d=" + itoa(d) + ")",
+				EdgesPkt: policy.EdgesPerPacket, QMin: policy.QMin, Met: policy.Met},
+			{Target: target, Builder: "probabilistic(rho=" + f3(rho) + ")",
+				EdgesPkt: prob.EdgesPerPacket, QMin: prob.QMin, Met: prob.Met},
+			{Target: target, Builder: "probabilistic+prune",
+				EdgesPkt: pruned.EdgesPerPacket, QMin: pruned.QMin, Met: pruned.Met},
+		}, nil
+	})
+	return slices.Concat(perTarget...), err
 }
 
 func constructExperiment() Experiment {

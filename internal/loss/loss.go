@@ -3,7 +3,7 @@
 // augmented chain was designed against single bursts, and the paper's
 // future work names the m-state Markov model — both are covered here by the
 // single-burst and Gilbert-Elliott models. All models implement Model and
-// adapt to depgraph.ReceivePattern via Pattern.
+// adapt to the depgraph Monte-Carlo kernel via PatternInto.
 package loss
 
 import (
@@ -30,13 +30,28 @@ type Model interface {
 	Name() string
 }
 
-// PatternInto adapts a Model to the depgraph Monte-Carlo estimator's
-// scratch-reuse interface; trials sampled through it allocate nothing.
-func PatternInto(m Model) depgraph.ReceivePatternInto {
-	return func(rng *stats.RNG, received []bool) error {
+// laneSampler is a Model that also samples 64 patterns at a time into the
+// Monte-Carlo kernel's lanes (depgraph.ReceiveLanes), with bit-sliced coins.
+// Its lanes follow the model's law but not SampleInto's stream.
+type laneSampler interface {
+	SampleLanes(rng *stats.RNG, recv []uint64, lanes uint64)
+}
+
+// PatternInto adapts a Model to the depgraph Monte-Carlo estimator: the
+// model's own lane sampler where it has one (Bernoulli, GilbertElliott),
+// else SampleInto one trial per lane through depgraph.PerTrial, which keeps
+// that model's stream.
+func PatternInto(m Model) depgraph.ReceiveLanes {
+	if l, ok := m.(laneSampler); ok {
+		return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+			l.SampleLanes(rng, recv, lanes)
+			return nil
+		}
+	}
+	return depgraph.PerTrial(func(rng *stats.RNG, received []bool) error {
 		m.SampleInto(rng, received)
 		return nil
-	}
+	})
 }
 
 // Bernoulli is the paper's i.i.d. loss model: each packet lost with
@@ -67,6 +82,16 @@ func (b Bernoulli) SampleInto(rng *stats.RNG, recv []bool) {
 	lose := stats.NewCoin(b.P)
 	for i := 1; i < len(recv); i++ {
 		recv[i] = !rng.Flip(lose)
+	}
+}
+
+// SampleLanes draws a fresh pattern into every lane of lanes (bit t of
+// recv[i]: packet i arrived in pattern t) and leaves the other bits alone:
+// one bit-sliced flip of 64 coins per packet.
+func (b Bernoulli) SampleLanes(rng *stats.RNG, recv []uint64, lanes uint64) {
+	lose := stats.NewCoin(b.P)
+	for i := 1; i < len(recv); i++ {
+		recv[i] = recv[i]&^lanes | lanes&^rng.FlipLanes(lose, lose, 0)
 	}
 }
 
@@ -119,11 +144,8 @@ func (g GilbertElliott) stationaryBad() float64 {
 }
 
 // meanBurstLength returns the expected number of consecutive packets spent
-// in the Bad state once entered.
+// in the Bad state once entered: +Inf for a Bad state the chain never leaves.
 func (g GilbertElliott) meanBurstLength() float64 {
-	if g.PBadToGood == 0 {
-		return 0
-	}
 	return 1 / g.PBadToGood
 }
 
@@ -148,6 +170,25 @@ func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
 			recv[i] = !rng.Flip(loseGood)
 			bad = rng.Flip(toBad)
 		}
+	}
+}
+
+// SampleLanes is SampleInto for 64 chains at once, one per lane of lanes,
+// each started stationary: the state word has bit t set while lane t is
+// Bad, and each packet takes two bit-sliced flips — loss, then transition —
+// with the state word choosing each lane's coin. Bits outside lanes are left
+// alone. A coin at 0 or 1 (a lossless Good, a total-loss Bad) decides
+// without drawing.
+func (g GilbertElliott) SampleLanes(rng *stats.RNG, recv []uint64, lanes uint64) {
+	loseGood, loseBad := stats.NewCoin(g.PGood), stats.NewCoin(g.PBad)
+	toBad, toGood := stats.NewCoin(g.PGoodToBad), stats.NewCoin(g.PBadToGood)
+	start := stats.NewCoin(g.stationaryBad())
+	bad := rng.FlipLanes(start, start, 0)
+	for i := 1; i < len(recv); i++ {
+		recv[i] = recv[i]&^lanes | lanes&^rng.FlipLanes(loseGood, loseBad, bad)
+		// A Good lane turns Bad on its toBad flip, a Bad lane Good on its
+		// toGood flip: either way the state changes where the flip came up.
+		bad ^= rng.FlipLanes(toBad, toGood, bad)
 	}
 }
 

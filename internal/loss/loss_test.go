@@ -203,18 +203,121 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestPatternAdapter: PatternInto hands the Monte-Carlo kernel a model's
+// own lane sampler where it has one, and otherwise SampleInto once per lane,
+// lowest lane first — the model's per-trial stream, packed.
 func TestPatternAdapter(t *testing.T) {
-	m, err := NewBernoulli(0.5)
+	const lanes uint64 = 0x8000_0000_0000_0a05
+	for _, m := range testModels(t) {
+		got := make([]uint64, 21)
+		if err := PatternInto(m)(stats.NewRNG(9), got, lanes); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, 21)
+		if l, ok := m.(laneSampler); ok {
+			l.SampleLanes(stats.NewRNG(9), want, lanes)
+		} else {
+			rng, trial := stats.NewRNG(9), make([]bool, 21)
+			for lane := 0; lane < 64; lane++ {
+				if lanes>>lane&1 == 0 {
+					continue
+				}
+				m.SampleInto(rng, trial)
+				for i, arrived := range trial {
+					if arrived {
+						want[i] |= 1 << lane
+					}
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: adapter filled %x, want %x", m.Name(), got, want)
+		}
+	}
+	if _, ok := Model(Bernoulli{}).(laneSampler); !ok {
+		t.Error("Bernoulli has no lane sampler")
+	}
+	if _, ok := Model(GilbertElliott{}).(laneSampler); !ok {
+		t.Error("GilbertElliott has no lane sampler")
+	}
+}
+
+// TestLaneSamplersMatchLaw: each lane of SampleLanes is a draw of the
+// model. Over 64 lanes × 300 calls of 100-packet patterns, the loss rate and,
+// for Gilbert–Elliott, the rate of a loss following a loss (the burstiness
+// the state word carries from packet to packet) match SampleInto's over as
+// many patterns, within 4σ of the pooled binomial estimate.
+func TestLaneSamplersMatchLaw(t *testing.T) {
+	ge, err := NewGilbertElliott(0.05, 0.3, 0.01, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := make([]bool, 21)
-	if err := PatternInto(m)(stats.NewRNG(9), recv); err != nil {
-		t.Fatal(err)
+	const n, calls = 100, 300
+	type tally struct{ lost, pairs, lostAfterLoss int }
+	count := func(tl *tally, arrived func(i int) bool) {
+		for i := 1; i <= n; i++ {
+			if !arrived(i) {
+				tl.lost++
+			}
+			if i > 1 && !arrived(i-1) {
+				tl.pairs++
+				if !arrived(i) {
+					tl.lostAfterLoss++
+				}
+			}
+		}
 	}
-	want := make([]bool, 21)
-	m.SampleInto(stats.NewRNG(9), want)
-	if !slices.Equal(recv, want) {
-		t.Errorf("adapter filled %v, the model samples %v", recv, want)
+	for _, m := range []interface {
+		Model
+		laneSampler
+	}{Bernoulli{P: 0.2}, ge} {
+		var lanes, trials tally
+		rng := stats.NewRNG(31)
+		recv, trial := make([]uint64, n+1), make([]bool, n+1)
+		for c := 0; c < calls; c++ {
+			m.SampleLanes(rng, recv, ^uint64(0))
+			for lane := 0; lane < 64; lane++ {
+				count(&lanes, func(i int) bool { return recv[i]>>lane&1 == 1 })
+				m.SampleInto(rng, trial)
+				count(&trials, func(i int) bool { return trial[i] })
+			}
+		}
+		agree := func(what string, hitsA, ofA, hitsB, ofB int) {
+			a, b := float64(hitsA)/float64(ofA), float64(hitsB)/float64(ofB)
+			p := float64(hitsA+hitsB) / float64(ofA+ofB)
+			sigma := math.Sqrt(p * (1 - p) * (1/float64(ofA) + 1/float64(ofB)))
+			if d := math.Abs(a - b); d > 4*sigma {
+				t.Errorf("%s %s: lanes %.4f, SampleInto %.4f (%.1fσ)", m.Name(), what, a, b, d/sigma)
+			}
+		}
+		agree("loss rate", lanes.lost, calls*64*n, trials.lost, calls*64*n)
+		agree("loss after loss", lanes.lostAfterLoss, lanes.pairs, trials.lostAfterLoss, trials.pairs)
+	}
+}
+
+// TestGilbertElliottNeverLeavingBad: a Bad state with PBadToGood = 0 is one
+// NewGilbertElliott accepts whenever PGoodToBad > 0. Its bursts never end,
+// so the mean burst length is +Inf, and the name says so instead of 0.
+func TestGilbertElliottNeverLeavingBad(t *testing.T) {
+	for _, tt := range []struct {
+		pGoodToBad, pBadToGood float64
+		burst                  float64
+		name                   string
+	}{
+		{0.1, 0.5, 2, "gilbert(pi_bad=0.167, burst=2)"},
+		{0.1, 1, 1, "gilbert(pi_bad=0.0909, burst=1)"},
+		{0.1, 0, math.Inf(1), "gilbert(pi_bad=1, burst=+Inf)"},
+		{1, 0, math.Inf(1), "gilbert(pi_bad=1, burst=+Inf)"},
+	} {
+		g, err := NewGilbertElliott(tt.pGoodToBad, tt.pBadToGood, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.meanBurstLength(); got != tt.burst {
+			t.Errorf("toBad=%v toGood=%v: mean burst %v, want %v", tt.pGoodToBad, tt.pBadToGood, got, tt.burst)
+		}
+		if got := g.Name(); got != tt.name {
+			t.Errorf("toBad=%v toGood=%v: Name() = %q, want %q", tt.pGoodToBad, tt.pBadToGood, got, tt.name)
+		}
 	}
 }

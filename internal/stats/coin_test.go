@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -105,6 +106,77 @@ func TestFlipMatchesFloatBernoulli(t *testing.T) {
 	}
 }
 
+// TestFlipLanesMarginals: every lane of FlipLanes comes up with its own
+// coin's probability, whichever coin sel gives it. For each pair of the
+// probabilities below (including the two that never and always come up,
+// and the two one ulp of the 53-bit grid inside them) the up-count of each
+// coin's lanes under random sel lies within 4σ of the binomial mean — which
+// for the four extreme coins leaves no slack at all.
+func TestFlipLanesMarginals(t *testing.T) {
+	ps := []float64{0, 0x1p-53, 0.011, 0.1, 0.5, 1 - 0x1p-53, 1}
+	rng := NewRNG(0x1a4e5)
+	const calls = 1500
+	for _, p0 := range ps {
+		for _, p1 := range ps {
+			c0, c1 := NewCoin(p0), NewCoin(p1)
+			var lanes, ups [2]int
+			for call := 0; call < calls; call++ {
+				sel := rng.Uint64()
+				up := rng.FlipLanes(c0, c1, sel)
+				lanes[1] += bits.OnesCount64(sel)
+				ups[1] += bits.OnesCount64(up & sel)
+				lanes[0] += bits.OnesCount64(^sel)
+				ups[0] += bits.OnesCount64(up &^ sel)
+			}
+			for k, p := range [2]float64{p0, p1} {
+				mean := float64(lanes[k]) * p
+				sigma := math.Sqrt(float64(lanes[k]) * p * (1 - p))
+				if d := math.Abs(float64(ups[k]) - mean); d > 4*sigma {
+					t.Errorf("c0=%v c1=%v: the c%d lanes came up %d times in %d, want %.1f ± 4×%.1f",
+						p0, p1, k, ups[k], lanes[k], mean, sigma)
+				}
+			}
+		}
+	}
+}
+
+// TestFlipLanesBitOrder pins the comparison to the draw: at p = 2^-k the
+// threshold is the single bit 53-k, so a lane comes up exactly when the top
+// k bits of its integer — bit t of each of the first k words — are all zero.
+func TestFlipLanesBitOrder(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		coin := NewCoin(math.Ldexp(1, -k))
+		for seed := uint64(0); seed < 50; seed++ {
+			ref := NewRNG(seed)
+			var ones uint64
+			for i := 0; i < k; i++ {
+				ones |= ref.Uint64()
+			}
+			if got := NewRNG(seed).FlipLanes(coin, coin, 0); got != ^ones {
+				t.Fatalf("p=2^-%d seed %d: FlipLanes = %#x, want %#x", k, seed, got, ^ones)
+			}
+		}
+	}
+}
+
+// TestFlipLanesCertainCoinsDrawNothing: lanes whose coins never or always
+// come up are decided without the generator, as Flip decides them.
+func TestFlipLanesCertainCoinsDrawNothing(t *testing.T) {
+	never, always := NewCoin(0), NewCoin(1)
+	r := NewRNG(8)
+	for _, sel := range []uint64{0, ^uint64(0), 0xf0f0f0f0f0f0f0f0} {
+		if got := r.FlipLanes(never, always, sel); got != sel {
+			t.Errorf("sel %#x: FlipLanes(never, always) = %#x", sel, got)
+		}
+		if got := r.FlipLanes(always, never, sel); got != ^sel {
+			t.Errorf("sel %#x: FlipLanes(always, never) = %#x", sel, got)
+		}
+	}
+	if *r != *NewRNG(8) {
+		t.Error("certain coins drew from the generator")
+	}
+}
+
 // TestCoinNaNNeverComesUp: NaN is no probability. Every constructor that
 // takes one refuses it; should one reach a coin anyway, the coin is the
 // never-coin by an explicit case, not by whatever uint64(NaN) converts to.
@@ -117,3 +189,31 @@ func TestCoinNaNNeverComesUp(t *testing.T) {
 		t.Error("Bernoulli(NaN) came up or drew from the generator")
 	}
 }
+
+// BenchmarkFlip64 is 64 coins at p = 0.1 per op: 64 Flips, one word each,
+// against one FlipLanes, about seven to eight words for all 64 lanes.
+func BenchmarkFlip64(b *testing.B) {
+	coin := NewCoin(0.1)
+	var sink uint64
+	b.Run("Flip", func(b *testing.B) {
+		r := NewRNG(1)
+		for i := 0; i < b.N; i++ {
+			var up uint64
+			for t := 0; t < 64; t++ {
+				if r.Flip(coin) {
+					up |= 1 << t
+				}
+			}
+			sink ^= up
+		}
+	})
+	b.Run("FlipLanes", func(b *testing.B) {
+		r := NewRNG(1)
+		for i := 0; i < b.N; i++ {
+			sink ^= r.FlipLanes(coin, coin, 0)
+		}
+	})
+	benchSink = sink
+}
+
+var benchSink uint64

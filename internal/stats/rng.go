@@ -102,6 +102,43 @@ func (r *RNG) Flip(c Coin) bool {
 	return r.Uint64()>>11 < c.threshold
 }
 
+// FlipLanes flips 64 independent coins, one per bit: bit t of the result is
+// a flip of c1 where bit t of sel is set, else of c0. Each lane's law is
+// exactly Flip's — it compares a uniform 53-bit integer with the coin's
+// threshold — but the 64 integers are compared bit-sliced, most significant
+// bit first: round b draws one word whose bit t is bit b of lane t's integer,
+// and every lane whose bit differs from its threshold's bit is decided (up
+// where the threshold has the 1). Each round decides each open lane with
+// probability 1/2, so 64 lanes need about seven to eight words instead of
+// 64; the loop ends once no lane is open. A lane that matches its threshold
+// in all 53 bits equals it, which is not below it. Lanes whose coin never or
+// always comes up decide without drawing, as Flip's do, so a call in which
+// every lane has such a coin leaves the generator alone.
+func (r *RNG) FlipLanes(c0, c1 Coin, sel uint64) uint64 {
+	var up, open uint64
+	switch c0.threshold {
+	case 0:
+	case coinAlways:
+		up = ^sel
+	default:
+		open = ^sel
+	}
+	switch c1.threshold {
+	case 0:
+	case coinAlways:
+		up |= sel
+	default:
+		open |= sel
+	}
+	for b := 52; open != 0 && b >= 0; b-- {
+		w := r.Uint64()
+		thr := -(c1.threshold>>b&1)&sel | -(c0.threshold>>b&1)&^sel
+		up |= open & thr &^ w
+		open &^= w ^ thr
+	}
+	return up
+}
+
 // Bernoulli returns true with probability p. A loop that flips one
 // probability many times prepares it once with NewCoin.
 func (r *RNG) Bernoulli(p float64) bool {

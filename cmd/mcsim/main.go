@@ -28,7 +28,6 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
-	"mcauth/internal/stats"
 )
 
 type options struct {
@@ -319,18 +318,12 @@ func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSi
 
 	measured := res.MinAuthRatio(entry.Data)
 	var delivered, lost, authed, rejected, unsafe int
-	var latencies []float64
-	var timeToAuth obs.HistogramData
 	for _, rep := range res.PerReceiver {
 		delivered += rep.Delivered
 		lost += rep.Lost
 		authed += rep.Stats.Authenticated
 		rejected += rep.Stats.Rejected
 		unsafe += rep.Stats.Unsafe
-		timeToAuth.Merge(rep.Stats.TimeToAuth)
-		for _, l := range rep.AuthLatencies {
-			latencies = append(latencies, float64(l))
-		}
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -345,14 +338,9 @@ func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSi
 	fmt.Fprintf(w, "unsafe (TESLA late)\t%d\n", unsafe)
 	fmt.Fprintf(w, "analytic q_min\t%s\n", analytic)
 	fmt.Fprintf(w, "measured q_min\t%.4f\n", measured)
-	if len(latencies) > 0 {
-		summary, err := stats.Summarize(latencies)
-		if err == nil {
-			fmt.Fprintf(w, "auth latency mean/max\t%v / %v\n",
-				time.Duration(summary.Mean), time.Duration(summary.Max))
-		}
-	}
-	if timeToAuth.Count > 0 {
+	if timeToAuth := res.TimeToAuth; timeToAuth.Count > 0 {
+		fmt.Fprintf(w, "auth latency mean/max\t%v / %v\n",
+			time.Duration(timeToAuth.Mean()), time.Duration(timeToAuth.MaxSeen))
 		fmt.Fprintf(w, "time-to-auth p50/p90/p99\t%v / %v / %v\n",
 			time.Duration(timeToAuth.Quantile(0.50)),
 			time.Duration(timeToAuth.Quantile(0.90)),

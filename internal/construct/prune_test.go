@@ -162,19 +162,19 @@ func TestPruneSharedGraphUnderParallel(t *testing.T) {
 	if wantRemoved == 0 {
 		t.Fatal("nothing to prune: the clone is never mutated")
 	}
-	err = parallel.ForEach(8, make([]struct{}, 16), func(i int, _ struct{}) error {
+	_, err = parallel.Map(8, make([]struct{}, 16), func(i int, _ struct{}) (struct{}, error) {
 		if i%2 == 0 {
 			q, err := g.Recurrence(c.P)
 			if err == nil && !reflect.DeepEqual(q.Q[1:], wantQ.Q[1:]) {
 				err = fmt.Errorf("task %d: Recurrence differs from the sequential run", i)
 			}
-			return err
+			return struct{}{}, err
 		}
 		pruned, removed, err := Prune(g, c)
 		if err == nil && (removed != wantRemoved || !reflect.DeepEqual(pruned.Graph.Edges(), wantPlan.Graph.Edges())) {
 			err = fmt.Errorf("task %d: Prune removed %d edges, sequentially %d", i, removed, wantRemoved)
 		}
-		return err
+		return struct{}{}, err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -333,16 +333,14 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 		}
 		res.HasMeasured = true
 		res.Measured = sim.MinAuthRatio(entry.Data)
-		var timeToAuth obs.HistogramData
 		for i := range sim.PerReceiver {
 			rep := &sim.PerReceiver[i]
 			res.Delivered += rep.Delivered
 			res.Lost += rep.Lost
 			res.Authenticated += rep.Stats.Authenticated
-			timeToAuth.Merge(rep.Stats.TimeToAuth)
 		}
 		res.Sent = sim.WireCount * c.Receivers
-		res.TimeToAuthNS = summarize(timeToAuth)
+		res.TimeToAuthNS = summarize(sim.TimeToAuth)
 
 		opts, err := entry.DiagnoseOptions()
 		if err != nil {

@@ -20,7 +20,6 @@ package netsim
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -137,8 +136,9 @@ type ReceiverReport struct {
 	// JoinedAtWire is the first wire index this receiver was subscribed
 	// for (1 = from the start).
 	JoinedAtWire int
-	// Verifier counters (authenticated, rejected, unsafe, buffers).
-	Stats verifier.Stats
+	// Verifier counters (authenticated, rejected, unsafe, buffers). The
+	// receiver's latencies are in Result.TimeToAuth, with every other's.
+	Stats verifier.Counts
 	// ReceivedByIndex and VerifiedByIndex are per-wire-index outcomes,
 	// indexed by packet index (1-based; slot 0 is unused). They are
 	// slices rather than maps because the wire count is known up front —
@@ -147,9 +147,6 @@ type ReceiverReport struct {
 	// accessors for bounds-safe lookups.
 	ReceivedByIndex []bool
 	VerifiedByIndex []bool
-	// AuthLatencies holds, for each authenticated packet, the time from
-	// its arrival to its authentication (the measured receiver delay).
-	AuthLatencies []time.Duration
 	// Repaired counts packets this receiver lost on its last hop but
 	// recovered via a NACK signature repair served by its local relay.
 	// Always zero for flat (non-overlay) runs and overlay runs with
@@ -188,6 +185,10 @@ func (r *ReceiverReport) Verified(index uint32) bool {
 type Result struct {
 	WireCount   int
 	PerReceiver []ReceiverReport
+	// TimeToAuth merges every receiver verifier's arrival-to-authentication
+	// histogram (verifier.Stats.TimeToAuth), in nanoseconds: the run's
+	// measured receiver delay.
+	TimeToAuth obs.HistogramData
 }
 
 // runMetrics caches the netsim.* instruments so receiver goroutines never
@@ -249,21 +250,19 @@ type blockPlan struct {
 	// that has to check it. verifier.Env.Digests says why that is sound; a
 	// delivery the adversary made is another pointer and is hashed for real.
 	digests verifier.DigestMemo
-	// scratch recycles the receivers' working memory between the receivers
-	// one worker simulates in turn.
-	scratch sync.Pool
 }
 
-// receiverScratch is what one simulated receiver needs while it runs and
-// nothing of afterwards.
+// receiverScratch is what a chunk of receivers, simulated one after another,
+// needs while they run and nothing of afterwards.
 type receiverScratch struct {
-	received  []bool      // the loss pattern, by 1-based wire position
-	arrivals  []arrival   // surviving deliveries, then sorted by arrival
-	arrivedAt []time.Time // by packet index; valid where ReceivedByIndex is set
+	received []bool    // the loss pattern, by 1-based wire position
+	arrivals []arrival // surviving deliveries, then sorted by arrival
 	// v is the verifier, Reset with each receiver's Env (its Spans view
 	// differs per receiver). No receiver's BatchQ outlives it, so no
 	// verdict is ever parked at a Reset.
 	v scheme.Verifier
+	// timeToAuth merges the chunk's receivers' latency histograms.
+	timeToAuth obs.HistogramData
 }
 
 // newDigestMemo builds a run's digest memo; a variable so a test can run
@@ -432,21 +431,53 @@ func Run(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	return runReceivers(s, cfg, plan, nil)
+}
+
+// receiverChunk is how many receivers one scratch simulates in turn. It is a
+// constant, not a function of Workers, so which receivers share a scratch
+// and the order the chunks' histograms merge in are the same at any worker
+// count.
+const receiverChunk = 128
+
+// runReceivers simulates every receiver of the run, in chunks of
+// receiverChunk on the worker pool: each chunk owns one scratch and one
+// latency histogram, and the histograms merge into Result.TimeToAuth in
+// chunk order. Receiver r is served by relays[r%len(relays)]; no relays is
+// the flat topology.
+func runReceivers(s scheme.Scheme, cfg Config, plan *blockPlan, relays []*repairPlan) (*Result, error) {
 	rngs, joinAt := receiverStreams(cfg, len(plan.pkts))
 	result := &Result{
 		WireCount:   len(plan.pkts),
 		PerReceiver: make([]ReceiverReport, cfg.Receivers),
 	}
-	err = parallel.ForEach(cfg.Workers, rngs, func(r int, _ stats.RNG) error {
-		report, err := runReceiver(s, cfg, r, plan, joinAt[r], &rngs[r], cfg.Loss, nil)
-		if err != nil {
-			return err
+	// Both per-index outcomes of every receiver come from one array; each
+	// receiver's rows are capacity-clipped, so none can grow into the next.
+	slots := int(plan.maxIndex) + 1
+	byIndex := make([]bool, 2*slots*cfg.Receivers)
+	chunks := make([]struct{}, (cfg.Receivers+receiverChunk-1)/receiverChunk)
+	tta, err := parallel.Map(cfg.Workers, chunks, func(c int, _ struct{}) (obs.HistogramData, error) {
+		sc := receiverScratch{received: make([]bool, len(plan.pkts)+1)}
+		for r := c * receiverChunk; r < min((c+1)*receiverChunk, cfg.Receivers); r++ {
+			rows := byIndex[2*slots*r : 2*slots*(r+1) : 2*slots*(r+1)]
+			report := &result.PerReceiver[r]
+			report.JoinedAtWire = joinAt[r]
+			report.ReceivedByIndex, report.VerifiedByIndex = rows[:slots:slots], rows[slots:]
+			var rp *repairPlan
+			if len(relays) > 0 {
+				rp = relays[r%len(relays)]
+			}
+			if err := runReceiver(s, cfg, r, plan, &rngs[r], rp, &sc, report); err != nil {
+				return obs.HistogramData{}, err
+			}
 		}
-		result.PerReceiver[r] = report
-		return nil
+		return sc.timeToAuth, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i := range tta {
+		result.TimeToAuth.Merge(tta[i])
 	}
 	plan.exportSigMemo(cfg.Metrics)
 	return result, nil
@@ -478,30 +509,23 @@ type repairPlan struct {
 	forged     []*packet.Packet // non-nil: the relay store is poisoned; forged[w] replaces repairs of wire w
 }
 
+// runReceiver simulates receiver recv on sc into report, which arrives with
+// JoinedAtWire and its zeroed per-index rows set, and merges its verifier's
+// latencies into sc.timeToAuth. cfg.Loss is its last hop; rp, when non-nil,
+// is its serving relay.
 func runReceiver(
 	s scheme.Scheme,
 	cfg Config,
 	recv int,
 	plan *blockPlan,
-	joinAt int,
 	rng *stats.RNG,
-	lossModel loss.Model,
 	rp *repairPlan,
-) (ReceiverReport, error) {
+	sc *receiverScratch,
+	report *ReceiverReport,
+) error {
 	pkts, wires, sendTimes := plan.pkts, plan.wires, plan.sendTimes
 	reliable, metrics := plan.reliable, plan.metrics
-	slots := int(plan.maxIndex) + 1
-	byIndex := make([]bool, 2*slots) // both per-index outcomes in one allocation
-	report := ReceiverReport{
-		JoinedAtWire:    joinAt,
-		ReceivedByIndex: byIndex[:slots:slots],
-		VerifiedByIndex: byIndex[slots:],
-	}
-	sc, _ := plan.scratch.Get().(*receiverScratch)
-	if sc == nil {
-		sc = &receiverScratch{received: make([]bool, len(pkts)+1), arrivedAt: make([]time.Time, slots)}
-	}
-	defer plan.scratch.Put(sc)
+	joinAt := report.JoinedAtWire
 	tracer := cfg.Tracer.ForReceiver(recv)
 	drop := func(w int, p *packet.Packet, reason string) {
 		report.Lost++
@@ -562,12 +586,12 @@ func runReceiver(
 	if faultsOn {
 		in, err := fault.NewInjector(*cfg.Faults, rng.Split())
 		if err != nil {
-			return ReceiverReport{}, fmt.Errorf("netsim: %w", err)
+			return fmt.Errorf("netsim: %w", err)
 		}
 		inj = in
 	}
 	received := sc.received
-	lossModel.SampleInto(rng, received)
+	cfg.Loss.SampleInto(rng, received)
 	arrivals := sc.arrivals[:0]
 	for w, p := range pkts {
 		if w+1 < joinAt {
@@ -641,10 +665,9 @@ func runReceiver(
 		err = sc.v.Reset(env)
 	}
 	if err != nil {
-		return ReceiverReport{}, fmt.Errorf("netsim: new verifier: %w", err)
+		return fmt.Errorf("netsim: new verifier: %w", err)
 	}
 	v := sc.v
-	arrivedAt := sc.arrivedAt
 	maxWireSeen := -1
 	for _, a := range arrivals {
 		p := a.p
@@ -652,7 +675,6 @@ func runReceiver(
 		genuine := a.kind == fault.KindPass || a.kind == fault.KindDuplicate
 		if genuine && int(p.Index) < len(report.ReceivedByIndex) {
 			report.ReceivedByIndex[p.Index] = true
-			arrivedAt[p.Index] = a.at
 		}
 		outOfOrder := a.wire < maxWireSeen
 		if a.wire > maxWireSeen {
@@ -679,14 +701,14 @@ func runReceiver(
 				Reason: reason,
 			})
 		}
-		var before verifier.Stats
+		rejectedBefore := 0
 		if a.kind == fault.KindForged {
-			before = v.Stats()
+			rejectedBefore = v.Stats().Rejected
 		}
 		events, err := v.Ingest(p, a.at)
 		if err != nil {
 			if !adversarial {
-				return ReceiverReport{}, fmt.Errorf("netsim: ingest wire %d: %w", a.wire+1, err)
+				return fmt.Errorf("netsim: ingest wire %d: %w", a.wire+1, err)
 			}
 			// Under an adversarial channel a refused delivery (index out
 			// of range after a bit flip, block mismatch, ...) is expected
@@ -697,7 +719,7 @@ func runReceiver(
 			}
 			continue
 		}
-		if a.kind == fault.KindForged && v.Stats().Rejected > before.Rejected {
+		if a.kind == fault.KindForged && v.Stats().Rejected > rejectedBefore {
 			forgedRejected(a.wire, p, a.at)
 		}
 		for _, e := range events {
@@ -711,17 +733,12 @@ func runReceiver(
 			if int(e.Index) < len(report.VerifiedByIndex) {
 				report.VerifiedByIndex[e.Index] = true
 			}
-			if report.Received(e.Index) {
-				if report.AuthLatencies == nil {
-					// Each genuine arrival authenticates at most once.
-					report.AuthLatencies = make([]time.Duration, 0, len(arrivals))
-				}
-				report.AuthLatencies = append(report.AuthLatencies, a.at.Sub(arrivedAt[e.Index]))
-			}
 		}
 	}
-	report.Stats = v.Stats()
-	return report, nil
+	st := v.Stats()
+	report.Stats = st.Counts
+	sc.timeToAuth.Merge(st.TimeToAuth)
+	return nil
 }
 
 // AuthRatioByIndex aggregates, across receivers, the fraction of receivers

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -457,31 +458,109 @@ func TestTracerOffEmitsNothing(t *testing.T) {
 	}
 }
 
-func TestVerifierTimeToAuthMatchesNetsimLatencies(t *testing.T) {
-	// The verifier-internal receiver-delay histogram must agree with
-	// netsim's own arrival-to-auth measurement (satellite check for
-	// transport-driven runs, which have only the verifier's numbers).
-	s, err := emss.New(emss.Config{N: 10, M: 2, D: 1}, crypto.NewSignerFromString("s"))
+// TestTimeToAuthMatchesRegistry: the run's merged receiver-delay histogram
+// is every receiver verifier's TimeToAuth, so it must equal what the same
+// verifiers observed into the registry's verifier.time_to_auth_ns — count,
+// sum, extrema and every bucket — for all six schemes, over several chunks
+// of receivers on several workers. TESLA's bootstrap authentication counts
+// in both.
+func TestTimeToAuthMatchesRegistry(t *testing.T) {
+	g, err := delay.NewGaussian(30*time.Millisecond, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := baseConfig(t, 0.2, 10)
-	res, err := Run(s, cfg, 1, testPayloads(10))
+	for _, e := range chaosEntries(t) {
+		reg := obs.NewRegistry()
+		cfg := Config{
+			Receivers:       2*receiverChunk + 44,
+			Loss:            bern(t, 0.2),
+			Delay:           g,
+			SendInterval:    e.SendInterval,
+			Start:           e.Start,
+			Seed:            11,
+			ReliableIndices: e.Signature,
+			Workers:         3,
+			Metrics:         reg,
+		}
+		res, err := Run(e.Scheme, cfg, 1, testPayloads(e.Scheme.BlockSize()))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Scheme.Name(), err)
+		}
+		want := reg.Histogram("verifier.time_to_auth_ns").Data()
+		if want.Count == 0 {
+			t.Fatalf("%s: nothing authenticated; the comparison is vacuous", e.Scheme.Name())
+		}
+		if res.TimeToAuth != want {
+			t.Errorf("%s: Result.TimeToAuth count %d sum %d [%d, %d], registry count %d sum %d [%d, %d] (buckets equal: %v)",
+				e.Scheme.Name(), res.TimeToAuth.Count, res.TimeToAuth.Sum, res.TimeToAuth.MinSeen, res.TimeToAuth.MaxSeen,
+				want.Count, want.Sum, want.MinSeen, want.MaxSeen, res.TimeToAuth.Buckets == want.Buckets)
+		}
+		if got := int64(res.TotalAuthenticated()); res.TimeToAuth.Count != got {
+			t.Errorf("%s: %d latencies for %d authenticated packets", e.Scheme.Name(), res.TimeToAuth.Count, got)
+		}
+	}
+}
+
+// TestReceiverChunksWorkerInvariant: receivers are simulated in fixed chunks
+// whatever the worker count, so at receiver counts around the chunk size
+// every report and the merged TimeToAuth are identical at 1, 2 and 8
+// workers, flat and overlay. Every receiver's per-index rows are
+// capacity-clipped slices of one run-wide array, so none can grow into its
+// neighbour's.
+func TestReceiverChunksWorkerInvariant(t *testing.T) {
+	const n = 12
+	g, err := delay.NewGaussian(40*time.Millisecond, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, rep := range res.PerReceiver {
-		if int(rep.Stats.TimeToAuth.Count) != rep.Stats.Authenticated {
-			t.Errorf("receiver %d: histogram count %d, authenticated %d",
-				r, rep.Stats.TimeToAuth.Count, rep.Stats.Authenticated)
-		}
-		var netsimSum int64
-		for _, l := range rep.AuthLatencies {
-			netsimSum += l.Nanoseconds()
-		}
-		if rep.Stats.TimeToAuth.Sum != netsimSum {
-			t.Errorf("receiver %d: verifier latency sum %d, netsim sum %d",
-				r, rep.Stats.TimeToAuth.Sum, netsimSum)
+	runs := map[string]func(cfg Config) (*Result, error){
+		"flat": func(cfg Config) (*Result, error) {
+			return Run(overlayScheme(t, n), cfg, 1, testPayloads(n))
+		},
+		"overlay": func(cfg Config) (*Result, error) {
+			s, base, ocfg := lossyOverlay(t, true)
+			base.Receivers, base.Workers, base.Delay, base.LateJoiners = cfg.Receivers, cfg.Workers, cfg.Delay, cfg.LateJoiners
+			res, err := RunOverlay(s, base, ocfg, 1, testPayloads(n))
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		},
+	}
+	for name, run := range runs {
+		for _, receivers := range []int{1, receiverChunk - 1, receiverChunk, receiverChunk + 1, 300} {
+			var base *Result
+			for _, workers := range []int{1, 2, 8} {
+				cfg := baseConfig(t, 0.2, receivers)
+				cfg.ReliableIndices = []uint32{n}
+				cfg.Delay = g
+				cfg.LateJoiners = receivers / 10
+				cfg.Workers = workers
+				got, err := run(cfg)
+				if err != nil {
+					t.Fatalf("%s receivers=%d workers=%d: %v", name, receivers, workers, err)
+				}
+				for r := range got.PerReceiver {
+					rep := &got.PerReceiver[r]
+					if cap(rep.ReceivedByIndex) != len(rep.ReceivedByIndex) || cap(rep.VerifiedByIndex) != len(rep.VerifiedByIndex) {
+						t.Fatalf("%s receiver %d: rows of len %d/%d have cap %d/%d", name, r,
+							len(rep.ReceivedByIndex), len(rep.VerifiedByIndex), cap(rep.ReceivedByIndex), cap(rep.VerifiedByIndex))
+					}
+				}
+				if base == nil {
+					if got.TimeToAuth.Count == 0 {
+						t.Fatalf("%s receivers=%d: nothing authenticated", name, receivers)
+					}
+					base = got
+					continue
+				}
+				if !reflect.DeepEqual(got.PerReceiver, base.PerReceiver) {
+					t.Errorf("%s receivers=%d workers=%d: receiver reports differ from workers=1", name, receivers, workers)
+				}
+				if got.TimeToAuth != base.TimeToAuth {
+					t.Errorf("%s receivers=%d workers=%d: TimeToAuth differs from workers=1", name, receivers, workers)
+				}
+			}
 		}
 	}
 }
@@ -514,12 +593,8 @@ func TestLatencyMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range res.PerReceiver {
-		for _, l := range rep.AuthLatencies {
-			if l != 0 {
-				t.Fatalf("rohatgi latency %v, want 0", l)
-			}
-		}
+	if tta := res.TimeToAuth; tta.Count == 0 || tta.MaxSeen != 0 {
+		t.Fatalf("rohatgi: %d latencies, max %v, want some, all 0", tta.Count, time.Duration(tta.MaxSeen))
 	}
 	// Signature-last EMSS: the first packet waits for the signature, so
 	// some latencies must be positive.
@@ -531,15 +606,7 @@ func TestLatencyMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	positive := false
-	for _, rep := range res2.PerReceiver {
-		for _, l := range rep.AuthLatencies {
-			if l > 0 {
-				positive = true
-			}
-		}
-	}
-	if !positive {
+	if res2.TimeToAuth.MaxSeen <= 0 {
 		t.Error("signature-last scheme should show positive auth latency")
 	}
 }

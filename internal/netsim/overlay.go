@@ -24,7 +24,6 @@ import (
 	"mcauth/internal/fault"
 	"mcauth/internal/loss"
 	"mcauth/internal/packet"
-	"mcauth/internal/parallel"
 	"mcauth/internal/scheme"
 	"mcauth/internal/serve"
 	"mcauth/internal/stats"
@@ -333,28 +332,12 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 		leafPlan[li] = rp
 	}
 
-	rngs, joinAt := receiverStreams(cfg, n)
-	result := &OverlayResult{
-		Result: Result{
-			WireCount:   n,
-			PerReceiver: make([]ReceiverReport, cfg.Receivers),
-		},
-		Relays:  reports,
-		Flagged: flagged,
-	}
-	err = parallel.ForEach(cfg.Workers, rngs, func(r int, _ stats.RNG) error {
-		li := r % len(leaves)
-		report, err := runReceiver(s, vcfg, r, plan, joinAt[r], &rngs[r], vcfg.Loss, leafPlan[li])
-		if err != nil {
-			return err
-		}
-		result.PerReceiver[r] = report
-		return nil
-	})
+	// Receivers attach to the leaves round-robin.
+	flat, err := runReceivers(s, vcfg, plan, leafPlan)
 	if err != nil {
 		return nil, err
 	}
-	plan.exportSigMemo(cfg.Metrics)
+	result := &OverlayResult{Result: *flat, Relays: reports, Flagged: flagged}
 	for r := range result.PerReceiver {
 		result.Relays[leaves[r%len(leaves)]].ServedRepairs += result.PerReceiver[r].Repaired
 	}

@@ -60,7 +60,7 @@ func TestOverlayFlatParity(t *testing.T) {
 		if over.WireCount != flat.WireCount {
 			t.Fatalf("retrans=%d: wire count %d != flat %d", retrans, over.WireCount, flat.WireCount)
 		}
-		if !reflect.DeepEqual(over.PerReceiver, flat.PerReceiver) {
+		if !reflect.DeepEqual(over.PerReceiver, flat.PerReceiver) || over.TimeToAuth != flat.TimeToAuth {
 			t.Fatalf("retrans=%d: overlay (relays off, lossless edges) diverges from flat run", retrans)
 		}
 	}

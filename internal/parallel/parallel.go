@@ -109,14 +109,3 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 	}
 	return results, nil
 }
-
-// ForEach is Map for side-effecting work: it applies fn to every element on
-// the bounded pool and returns the lowest-index error, if any. fn typically
-// writes to a caller-owned slot at its index, which keeps the aggregate
-// result deterministic for any worker count.
-func ForEach[T any](workers int, items []T, fn func(i int, item T) error) error {
-	_, err := Map(workers, items, func(i int, item T) (struct{}, error) {
-		return struct{}{}, fn(i, item)
-	})
-	return err
-}

@@ -1,9 +1,7 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -79,37 +77,6 @@ func TestMapEmptyAndSingle(t *testing.T) {
 	got, err = Map(8, []int{41}, func(i, v int) (int, error) { return v + 1, nil })
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("single: got %v, %v", got, err)
-	}
-}
-
-func TestForEachVisitsEverything(t *testing.T) {
-	items := make([]int, 333)
-	for i := range items {
-		items[i] = i
-	}
-	var sum atomic.Int64
-	if err := ForEach(5, items, func(_, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(333 * 332 / 2)
-	if sum.Load() != want {
-		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
-func TestForEachError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := ForEach(3, make([]int, 10), func(i, _ int) error {
-		if i == 6 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
 	}
 }
 

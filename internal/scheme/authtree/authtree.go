@@ -449,7 +449,8 @@ func (tv *treeVerifier) Reset(env verifier.Env) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	tv.env, tv.rec = env, verifier.NewRecorder(env)
+	tv.env = env
+	tv.rec.Reset(env)
 	clear(tv.authentic)
 	clear(tv.pendingRoots)
 	tv.root = crypto.Digest{}

@@ -137,7 +137,8 @@ func (sv *signEachVerifier) Reset(env verifier.Env) error {
 		}
 		env.Sigs = sv.ownSigs
 	}
-	sv.env, sv.rec = env, verifier.NewRecorder(env)
+	sv.env = env
+	sv.rec.Reset(env)
 	clear(sv.authentic)
 	clear(sv.events)
 	sv.events = sv.events[:0]

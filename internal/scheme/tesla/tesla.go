@@ -332,7 +332,8 @@ func (tv *teslaVerifier) Reset(env verifier.Env) error {
 	if env.MaxBuffered == 0 {
 		env.MaxBuffered = tv.defaultCap
 	}
-	tv.env, tv.rec = env, verifier.NewRecorder(env)
+	tv.env = env
+	tv.rec.Reset(env)
 	tv.params, tv.blockID, tv.bestIdx, tv.bestKey = nil, 0, 0, nil
 	clear(tv.preBoot)
 	tv.preBoot = tv.preBoot[:0]

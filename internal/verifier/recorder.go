@@ -13,8 +13,9 @@ import (
 // value and reports each fact to it once, so all six schemes are observed
 // through the same sinks under the same names, one record per fact, and a
 // verifier keeps only the state its protocol needs. It takes everything from
-// the Env it is built with; with the zero Env it fills Stats and nothing
-// else. Like the verifier that owns it, it is not safe for concurrent use.
+// the Env it was last Reset with; with the zero Env it fills Stats and
+// nothing else. Like the verifier that owns it, it is not safe for
+// concurrent use.
 type Recorder struct {
 	stream uint64
 	cap    int
@@ -37,10 +38,10 @@ type Recorder struct {
 	unsafe   *obs.Counter
 }
 
-// NewRecorder builds the ledger of one verifier configured by env.
-func NewRecorder(env Env) Recorder {
+// Reset makes r the empty ledger of a verifier configured by env, in place.
+func (r *Recorder) Reset(env Env) {
 	reg := env.Metrics
-	return Recorder{
+	*r = Recorder{
 		stream:        env.StreamID,
 		cap:           env.MaxBuffered,
 		cache:         env.Cache,

@@ -13,7 +13,8 @@ import (
 // attached — nil tracer, ring, registry and cache, the path every library
 // caller without observability takes: nothing panics and Stats holds it all.
 func TestRecorderZeroEnv(t *testing.T) {
-	r := NewRecorder(Env{})
+	var r Recorder
+	r.Reset(Env{})
 	p := &packet.Packet{BlockID: 3, Index: 2}
 	at := time.Unix(10, 0)
 
@@ -37,13 +38,12 @@ func TestRecorderZeroEnv(t *testing.T) {
 
 	got := r.Stats()
 	tta := got.TimeToAuth
-	got.TimeToAuth = obs.HistogramData{}
-	want := Stats{
+	want := Counts{
 		Received: 1, Duplicates: 1, CacheHits: 1, Authenticated: 2, Rejected: 2, Unsafe: 1,
 		MsgBufferHighWater: 2, HashBufferHighWater: 3, PendingSignature: 1,
 	}
-	if got != want {
-		t.Errorf("Stats = %+v\nwant    %+v", got, want)
+	if got.Counts != want {
+		t.Errorf("Counts = %+v\nwant     %+v", got.Counts, want)
 	}
 	if tta.Count != 2 || tta.MinSeen != 0 || tta.MaxSeen != (5*time.Millisecond).Nanoseconds() {
 		t.Errorf("TimeToAuth = %d observations in [%d, %d], want 2 in [0, 5ms]", tta.Count, tta.MinSeen, tta.MaxSeen)
@@ -51,6 +51,10 @@ func TestRecorderZeroEnv(t *testing.T) {
 	r.Resolved(p, at)
 	if r.Stats().PendingSignature != 0 {
 		t.Errorf("PendingSignature = %d after the verdict", r.Stats().PendingSignature)
+	}
+	r.Reset(Env{})
+	if r.Stats() != (Stats{}) {
+		t.Errorf("Stats after Reset = %+v, want zero", r.Stats())
 	}
 }
 
@@ -61,7 +65,8 @@ func TestRecorderZeroEnv(t *testing.T) {
 func TestRecorderCapCountsParkedSignatures(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewSpanSink(obs.KeepAll, nil)
-	r := NewRecorder(Env{MaxBuffered: 2, Metrics: reg, Spans: tracer})
+	var r Recorder
+	r.Reset(Env{MaxBuffered: 2, Metrics: reg, Spans: tracer})
 	p := &packet.Packet{BlockID: 1, Index: 1}
 	at := time.Unix(0, 0)
 	if _, registered := reg.Snapshot().Counters["verifier.overflow_dropped"]; registered {

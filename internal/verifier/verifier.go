@@ -35,8 +35,21 @@ type Event struct {
 	Payload []byte
 }
 
-// Stats summarizes a verifier's lifetime.
+// Stats summarizes a verifier's lifetime: its counters and its latency
+// histogram.
 type Stats struct {
+	Counts
+
+	// TimeToAuth is the histogram of arrival-to-authentication latency
+	// over this verifier's authenticated packets, in nanoseconds — the
+	// measured receiver delay of the paper, recorded inside the engine
+	// so transport-driven runs get receiver-delay numbers too.
+	TimeToAuth obs.HistogramData
+}
+
+// Counts is the counter half of Stats, small enough to keep one per
+// simulated receiver.
+type Counts struct {
 	Received      int // packets ingested
 	Authenticated int // packets proven authentic
 	Rejected      int // packets whose digest or signature failed (tampering)
@@ -54,12 +67,6 @@ type Stats struct {
 	// paper notes receiver buffering "is subject to Denial of Service
 	// attacks").
 	DroppedOverflow int
-
-	// TimeToAuth is the histogram of arrival-to-authentication latency
-	// over this verifier's authenticated packets, in nanoseconds — the
-	// measured receiver delay of the paper, recorded inside the engine
-	// so transport-driven runs get receiver-delay numbers too.
-	TimeToAuth obs.HistogramData
 
 	// CacheHits counts packets accepted straight from a SharedCache
 	// (content digest already proven authentic by another subscriber).
@@ -138,7 +145,7 @@ func (v *Chained) Reset(blockID uint64, n int, pub crypto.Verifier, env Env) err
 		return err
 	}
 	v.blockID, v.n, v.pub, v.env = blockID, uint32(n), pub, env
-	v.rec = NewRecorder(env)
+	v.rec.Reset(env)
 	v.slots = slices.Grow(v.slots[:0], n+1)[:n+1]
 	clear(v.slots)
 	v.held, v.hashDepth = 0, 0

@@ -59,9 +59,11 @@ test -s "$diagdir/rep.json.md"
 
 # Analytic tier: one exact evaluator (depgraph.ExactAuthProbChannel), and it
 # stays one. The burst table carries an exact number in every row, the
-# markovgap table equals its golden byte for byte, the special-case
-# evaluators it replaced are not spelled anywhere in Go, and the widest case
-# they accepted (E_{4,4}, n=300: a 16-bit frontier) still answers inside 2 s.
+# markovgap table equals its golden byte for byte, the widest case the
+# special-case evaluators it replaced accepted (E_{4,4}, n=300: a 16-bit
+# frontier) still answers inside 2 s, and every q_min but TESLA's comes from
+# the scheme's own graph: no Go file imports internal/analysis, the deleted
+# package of closed forms, and the Rohatgi chain's q_min is labelled exact.
 go build -o "$diagdir/mcfig" ./cmd/mcfig
 go build -o "$diagdir/mcgraph" ./cmd/mcgraph
 "$diagdir/mcfig" -fig burst > "$diagdir/burst.txt"
@@ -70,11 +72,12 @@ if grep -n 'n/a' "$diagdir/burst.txt"; then
 	exit 1
 fi
 "$diagdir/mcfig" -fig markovgap | cmp - cmd/mcfig/testdata/markovgap.golden
-if grep -rn 'analysis\.\(MarkovExact\|AugChainExact\)' --include='*.go' .; then
-	echo "analytic tier: a special-case exact evaluator is back" >&2
+timeout 2 "$diagdir/mcgraph" -scheme emss -n 300 -m 4 -d 4 -p 0.3 -q | grep -q 'q_min=[0-9.]*, exact'
+if grep -rn '"mcauth/internal/analysis"' --include='*.go' .; then
+	echo "analytic tier: a closed-form q_min package is imported again" >&2
 	exit 1
 fi
-timeout 2 "$diagdir/mcgraph" -scheme emss -n 300 -m 4 -d 4 -p 0.3 -q | grep -q 'q_min=[0-9.]*, exact'
+go run ./cmd/mcsim -scheme rohatgi -receivers 10 | grep -q '(exact)'
 
 # Perf tier: compile and run every benchmark once so the bench harness
 # cannot bit-rot; real measurements come from `go run ./benchmark`.

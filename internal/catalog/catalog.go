@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/diagnose"
@@ -85,7 +84,7 @@ type Entry struct {
 const (
 	exact      = "exact"       // depgraph.ExactAuthProbChannel on the scheme's own graph
 	recurrence = "recurrence"  // the paper's independence recurrence: an optimistic bound
-	closedForm = "closed-form" // a single path, a per-packet proof, TESLA's Equations 6-7
+	closedForm = "closed-form" // TESLA's Equation 7
 )
 
 // row is one scheme's line in the catalogue.
@@ -96,23 +95,21 @@ type row struct {
 	data func(Spec) []uint32
 	// signature is nil for schemes without a distinct signature packet.
 	signature func(Spec) []uint32
-	// qmin is the analytic q_min under i.i.d. loss at rate p, with
-	// Gaussian end-to-end delay (mu, sigma, in seconds) where timing
-	// matters, and the evaluator it came from.
+	// qmin overrides the default rule, graph: the analytic q_min under
+	// i.i.d. loss at rate p, with Gaussian end-to-end delay (mu, sigma, in
+	// seconds) where timing matters, and the evaluator it came from.
 	qmin func(e Entry, p, mu, sigma float64) (float64, string, error)
 }
 
 func firstWire(Spec) []uint32  { return []uint32{1} }
 func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
 
-// one is q_min for the per-packet schemes: any received packet verifies,
-// under any loss process.
-func one(Entry, float64, float64, float64) (float64, string, error) { return 1, closedForm, nil }
-
-// chained is the one rule for the multi-path hash-chained topologies: exact
-// on the graph the scheme emits when its frontier fits the evaluator, the
-// paper's recurrence on the same graph when it does not.
-func chained(e Entry, p, _, _ float64) (float64, string, error) {
+// graph is the one rule for every scheme whose graph carries its q_min:
+// exact on the graph the scheme emits when its frontier fits the evaluator,
+// the paper's recurrence on the same graph when it does not. A path
+// (Rohatgi) or a star (the per-packet schemes) has a one-bit frontier, so
+// it answers exactly at any block size.
+func graph(e Entry, p, _, _ float64) (float64, string, error) {
 	g, err := e.Scheme.Graph()
 	if err != nil {
 		return 0, "", err
@@ -135,10 +132,6 @@ var rows = []row{
 			return rohatgi.New(s.N, k)
 		},
 		signature: firstWire,
-		qmin: func(e Entry, p, _, _ float64) (float64, string, error) {
-			res, err := analysis.Rohatgi(e.spec.N, p)
-			return res.QMin, closedForm, err
-		},
 	},
 	{
 		id: "emss",
@@ -146,7 +139,6 @@ var rows = []row{
 			return emss.New(emss.Config{N: s.N, M: s.M, D: s.D}, k)
 		},
 		signature: lastWire,
-		qmin:      chained,
 	},
 	{
 		id: "augchain",
@@ -154,21 +146,18 @@ var rows = []row{
 			return augchain.New(augchain.Config{N: s.N, A: s.A, B: s.B}, k)
 		},
 		signature: lastWire,
-		qmin:      chained,
 	},
 	{
 		id: "authtree",
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return authtree.New(s.N, k)
 		},
-		qmin: one,
 	},
 	{
 		id: "signeach",
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return signeach.New(s.N, k)
 		},
-		qmin: one,
 	},
 	{
 		id: "tesla",
@@ -184,9 +173,7 @@ var rows = []row{
 		},
 		signature: firstWire, // the signed bootstrap
 		qmin: func(e Entry, p, mu, sigma float64) (float64, string, error) {
-			q, err := analysis.TESLA{
-				N: e.spec.N, P: p, TDisc: teslaConfig(e.spec).TDisclose().Seconds(), Mu: mu, Sigma: sigma,
-			}.QMin()
+			q, err := tesla.QMin(p, teslaConfig(e.spec).TDisclose().Seconds(), mu, sigma)
 			return q, closedForm, err
 		},
 	},
@@ -226,6 +213,9 @@ func Build(spec Spec, signer crypto.Signer) (Entry, error) {
 			Start:        spec.Start,
 			spec:         spec,
 			qmin:         r.qmin,
+		}
+		if e.qmin == nil {
+			e.qmin = graph
 		}
 		if r.data != nil {
 			e.Data = r.data(spec)

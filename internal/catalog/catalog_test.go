@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +101,7 @@ func TestCatalogMatchesWire(t *testing.T) {
 	}
 }
 
-// TestQMinExactWhenValid pins the one rule for chained topologies: the
+// TestQMinExactWhenValid pins the graph rule on the chained topologies: the
 // exact evaluator whenever it can sweep the scheme's graph, the recurrence —
 // labelled as such — otherwise. Both branches must be exercised per scheme,
 // and the two evaluators must differ at the probe point for the check to
@@ -146,14 +148,65 @@ func TestQMinExactWhenValid(t *testing.T) {
 	}
 }
 
-// TestQMinNamesClosedForms: the rows with nothing to approximate say so.
+// TestQMinNamesClosedForms: TESLA's Equation 7 is the one closed form. The
+// path and the stars answer exactly at any block size, and agree with their
+// closed forms, (1-p)^(n-2) and 1.
 func TestQMinNamesClosedForms(t *testing.T) {
-	for _, spec := range wireCases {
+	const p = 0.2
+	large := []Spec{{ID: "rohatgi", N: 5000}, {ID: "authtree", N: 5000}, {ID: "signeach", N: 5000}}
+	for _, spec := range slices.Concat(wireCases, large) {
 		if spec.ID == "emss" || spec.ID == "augchain" {
 			continue
 		}
-		if _, by, err := build(t, spec).QMin(0.2, time.Millisecond, 0); err != nil || by != closedForm {
-			t.Errorf("%+v: answered by %q, %v; want %q", spec, by, err, closedForm)
+		want, wantBy := 1.0, exact
+		switch spec.ID {
+		case "rohatgi":
+			want = math.Pow(1-p, float64(spec.N-2))
+		case "tesla":
+			want, wantBy = 1-p, closedForm // a constant delay inside the lag: ξ = 1
+		}
+		q, by, err := build(t, spec).QMin(p, time.Millisecond, 0)
+		if err != nil || by != wantBy || math.Abs(q-want) > 1e-12 {
+			t.Errorf("%+v: QMin = %v by %q, %v; want %v by %q", spec, q, by, err, want, wantBy)
+		}
+	}
+}
+
+// TestQMinEdgeInputs: every row rejects a loss rate that is NaN or outside
+// [0,1], and TESLA a negative delay (Entry.QMin takes durations, so a NaN
+// delay cannot reach it; tesla.QMin's own tests reject NaN). At p = 1 the
+// channel never delivers the signature packet the exact evaluator
+// conditions on, so every row it answers for fails rather than report a
+// number; the recurrence, past the frontier cap, answers 0, and TESLA's
+// Equation 7 answers 0.
+func TestQMinEdgeInputs(t *testing.T) {
+	for _, spec := range wireCases {
+		e := build(t, spec)
+		for _, p := range []float64{math.NaN(), -0.1, 1.5} {
+			if q, by, err := e.QMin(p, time.Millisecond, 0); err == nil {
+				t.Errorf("%+v: QMin(p=%v) = %v by %q, want an error", spec, p, q, by)
+			}
+		}
+		_, byAtP, err := e.QMin(0.2, time.Millisecond, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, by, err := e.QMin(1, time.Millisecond, 0)
+		switch byAtP {
+		case exact:
+			if err == nil || !strings.Contains(err.Error(), "channel never delivers the signature packet") {
+				t.Errorf("%+v: QMin(p=1) = %v by %q, %v; want the undelivered-signature error", spec, q, by, err)
+			}
+		default:
+			if err != nil || q != 0 || by != byAtP {
+				t.Errorf("%+v: QMin(p=1) = %v by %q, %v; want 0 by %q", spec, q, by, err, byAtP)
+			}
+		}
+	}
+	e := build(t, Spec{ID: "tesla", N: 8, Lag: 2})
+	for _, d := range [][2]time.Duration{{-time.Millisecond, 0}, {time.Millisecond, -time.Millisecond}} {
+		if q, _, err := e.QMin(0.1, d[0], d[1]); err == nil {
+			t.Errorf("TESLA QMin(mu=%v, sigma=%v) = %v, want an error", d[0], d[1], q)
 		}
 	}
 }

@@ -17,9 +17,9 @@
 //
 // Graphs are scored with the paper's own evaluation model: the
 // independence recurrence of Equation (9) on the dependence graph,
-// (*depgraph.Graph).Recurrence. Greedy's incremental build applies the same
-// recurrence one vertex at a time; its finished plan is scored again by
-// Recurrence.
+// (*depgraph.Graph).Recurrence. Greedy's incremental build takes the same
+// recurrence's step, (*depgraph.Graph).RecurrenceAt, after every edge it
+// adds; its finished plan is scored again by Recurrence.
 package construct
 
 import (
@@ -110,18 +110,9 @@ func Greedy(c Constraint) (Plan, error) {
 	}
 	q := make([]float64, c.N+1)
 	q[1] = 1
-	reception := func(u int) float64 {
-		if u == g.Root() {
-			return 1 // P_sign is assumed always received
-		}
-		return 1 - c.P
-	}
 	for v := 2; v <= c.N; v++ {
-		broken := 1.0
-		for {
-			if 1-broken >= c.TargetQMin && g.InDegree(v) > 0 {
-				break
-			}
+		// q[v] is 0 until v has a provider, below any valid target.
+		for q[v] < c.TargetQMin {
 			best := 0
 			bestScore := -1.0
 			for u := v - 1; u >= 1; u-- {
@@ -138,7 +129,7 @@ func Greedy(c Constraint) (Plan, error) {
 			if err := g.AddEdge(best, v); err != nil {
 				return Plan{}, err
 			}
-			broken *= 1 - reception(best)*q[best]
+			q[v] = g.RecurrenceAt(q, v, c.P)
 			if g.InDegree(v) >= v-1 {
 				break // every predecessor is already a parent
 			}
@@ -149,9 +140,8 @@ func Greedy(c Constraint) (Plan, error) {
 			if err := g.AddEdge(v-1, v); err != nil {
 				return Plan{}, err
 			}
-			broken *= 1 - reception(v-1)*q[v-1]
+			q[v] = g.RecurrenceAt(q, v, c.P)
 		}
-		q[v] = 1 - broken
 	}
 	return newPlan(g, c.P, c.TargetQMin)
 }

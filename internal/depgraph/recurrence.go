@@ -53,18 +53,21 @@ func (g *Graph) RecurrenceInto(q []float64, order []int, p float64) {
 // where r(u) = 1-p is the provider's reception probability, except r(root)
 // = 1: P_sign is assumed received, which reproduces the paper's boundary
 // conditions (q = 1 for the packets the signature packet covers directly).
-// The product runs over in(v) in its stored order, so re-evaluating v after
-// its providers gives the bits RecurrenceInto gives — which lets a caller
-// that changed only in(v) re-evaluate just v and what follows it in the
-// order.
+// The product is accumulated as a running union, c ← c + x(1-c) for each
+// provider term x = r(u) q(u), which equals 1 - Π(1-x) without cancelling
+// when every x is small (a long chain's q decays far below 1e-16). It runs
+// over in(v) in its stored order, so re-evaluating v after its providers
+// gives the bits RecurrenceInto gives — which lets a caller that changed
+// only in(v) re-evaluate just v and what follows it in the order.
 func (g *Graph) RecurrenceAt(q []float64, v int, p float64) float64 {
-	broken := 1.0
+	c := 0.0
 	for _, u := range g.in[v] {
 		r := 1 - p
 		if u == g.root {
 			r = 1
 		}
-		broken *= 1 - r*q[u]
+		x := r * q[u]
+		c += x * (1 - c)
 	}
-	return 1 - broken
+	return c
 }

@@ -1,6 +1,7 @@
 package depgraph_test
 
 import (
+	"math"
 	"testing"
 
 	"mcauth/internal/depgraph"
@@ -43,6 +44,36 @@ func TestRecurrenceUpperBoundsExactProperty(t *testing.T) {
 				t.Fatalf("trial %d vertex %d: exact %v exceeds recurrence %v (n=%d p=%v)",
 					trial, v, exact.Q[v], approx.Q[v], n, p)
 			}
+		}
+	}
+}
+
+// TestRecurrenceChainMatchesClosedForm: on a single path the recurrence is
+// exact, q_i = (1-p)^(i-2), and it must stay so to relative precision deep
+// in the chain, where q falls far below the spacing of doubles near 1.
+func TestRecurrenceChainMatchesClosedForm(t *testing.T) {
+	const n = 1000
+	edges := make([][2]int, 0, n-1)
+	for i := 1; i < n; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	g, err := depgraph.New(n, 1, edges...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{0.05, 0.3} {
+		res, err := g.Recurrence(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 2; i <= n; i++ {
+			want := math.Pow(1-p, float64(i-2))
+			if math.Abs(res.Q[i]-want) > 1e-9*want {
+				t.Fatalf("p=%v: Q[%d] = %v, want %v", p, i, res.Q[i], want)
+			}
+		}
+		if want := math.Pow(1-p, n-2); math.Abs(res.QMin-want) > 1e-9*want {
+			t.Errorf("p=%v: QMin = %v, want %v", p, res.QMin, want)
 		}
 	}
 }

@@ -5,11 +5,15 @@ import (
 	"io"
 	"slices"
 
-	"mcauth/internal/analysis"
+	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scheme"
 	"mcauth/internal/scheme/augchain"
+	"mcauth/internal/scheme/authtree"
 	"mcauth/internal/scheme/emss"
+	"mcauth/internal/scheme/rohatgi"
+	"mcauth/internal/scheme/tesla"
 )
 
 // TESLA comparison parameters for Figures 8-9: a disclosure delay chosen
@@ -22,16 +26,17 @@ const (
 )
 
 // contender is one of the Figure 8 schemes with the formula the paper plots
-// for it: a closed form, or the Section 4 recurrence on the scheme's
-// dependence graph — not the exact evaluator the simulation tools prefer.
+// for it: the Section 4 recurrence on the scheme's dependence graph — exact
+// on a path or a star, and not the exact evaluator the simulation tools
+// prefer — or, for TESLA, Equation 7.
 type contender struct {
 	name  string
-	qmin  func(n int, p float64) (float64, error) // the closed form, where graph is nil
 	graph func(n int) (*depgraph.Graph, error)
+	qmin  func(p float64) (float64, error) // Equation 7, where graph is nil
 }
 
 // qmins evaluates c at block size n and every loss rate in ps, building a
-// chained topology's graph once.
+// graph once.
 func (c contender) qmins(n int, ps []float64) ([]float64, error) {
 	if c.graph != nil {
 		g, err := c.graph(n)
@@ -42,7 +47,7 @@ func (c contender) qmins(n int, ps []float64) ([]float64, error) {
 	}
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		q, err := c.qmin(n, p)
+		q, err := c.qmin(p)
 		if err != nil {
 			return nil, err
 		}
@@ -51,16 +56,25 @@ func (c contender) qmins(n int, ps []float64) ([]float64, error) {
 	return out, nil
 }
 
+// signedGraph is the graph of a scheme whose constructor takes a signer;
+// the graph does not depend on the key.
+func signedGraph[S scheme.Scheme](build func(int, crypto.Signer) (S, error)) func(int) (*depgraph.Graph, error) {
+	return func(n int) (*depgraph.Graph, error) {
+		s, err := build(n, crypto.NewSignerFromString("fig8"))
+		if err != nil {
+			return nil, err
+		}
+		return s.Graph()
+	}
+}
+
+// teslaQMin is Equation 7 at the comparison's disclosure and delay.
+func teslaQMin(p float64) (float64, error) { return tesla.QMin(p, cmpTDisc, cmpMu, cmpSigma) }
+
 // comparison is the Figure 8 contenders, in plot order.
 var comparison = []contender{
-	{name: "rohatgi", qmin: func(n int, p float64) (float64, error) {
-		res, err := analysis.Rohatgi(n, p)
-		return res.QMin, err
-	}},
-	{name: "authtree", qmin: func(n int, p float64) (float64, error) {
-		res, err := analysis.AuthTree(n, p)
-		return res.QMin, err
-	}},
+	{name: "rohatgi", graph: signedGraph(rohatgi.New)},
+	{name: "authtree", graph: signedGraph(authtree.New)},
 	{name: "emss(E21)", graph: func(n int) (*depgraph.Graph, error) {
 		return emss.Config{N: n, M: 2, D: 1}.Graph()
 	}},
@@ -68,9 +82,7 @@ var comparison = []contender{
 		// Align the block to a chain boundary (see augchain.AlignN).
 		return augchain.Config{N: augchain.AlignN(n, 3), A: 3, B: 3}.Graph()
 	}},
-	{name: "tesla", qmin: func(n int, p float64) (float64, error) {
-		return analysis.TESLA{N: n, P: p, TDisc: cmpTDisc, Mu: cmpMu, Sigma: cmpSigma}.QMin()
-	}},
+	{name: "tesla", qmin: teslaQMin},
 }
 
 // contenderNamed looks a Figure 8 contender up by name.
@@ -81,19 +93,6 @@ func contenderNamed(name string) (contender, error) {
 		}
 	}
 	return contender{}, fmt.Errorf("experiments: unknown scheme %q", name)
-}
-
-// schemeQMin evaluates one comparison scheme's analytic q_min.
-func schemeQMin(name string, n int, p float64) (float64, error) {
-	c, err := contenderNamed(name)
-	if err != nil {
-		return 0, err
-	}
-	q, err := c.qmins(n, []float64{p})
-	if err != nil {
-		return 0, err
-	}
-	return q[0], nil
 }
 
 // fig8Row is one point of the scheme comparison.

@@ -3,15 +3,14 @@ package experiments
 import (
 	"io"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scheme/tesla"
 )
 
-// Figure 3 parameters: n = 1000, T_disclose = 1 s (per the paper), loss
-// p = 0.1 (the paper leaves p implicit; the surface shape is p-independent
-// up to the (1-p) factor).
+// Figure 3 parameters: T_disclose = 1 s (per the paper), loss p = 0.1 (the
+// paper leaves p implicit; the surface shape is p-independent up to the
+// (1-p) factor). The paper's n = 1000 does not enter Equation 7.
 const (
-	fig3N     = 1000
 	fig3TDisc = 1.0
 	fig3P     = 0.1
 )
@@ -35,16 +34,9 @@ func fig3Series() ([]fig3Row, error) {
 		}
 	}
 	return parallel.Map(Workers, points, func(_ int, pt fig3Row) (fig3Row, error) {
-		cfg, err := analysis.TESLAWithAlpha(fig3N, fig3P, fig3TDisc, pt.Alpha, pt.Sigma)
-		if err != nil {
-			return fig3Row{}, err
-		}
-		qmin, err := cfg.QMin()
-		if err != nil {
-			return fig3Row{}, err
-		}
+		qmin, err := tesla.QMin(fig3P, fig3TDisc, pt.Alpha*fig3TDisc, pt.Sigma)
 		pt.QMin = qmin
-		return pt, nil
+		return pt, err
 	})
 }
 
@@ -99,19 +91,9 @@ func fig4Series() ([]fig4Row, error) {
 		}
 	}
 	return parallel.Map(Workers, points, func(_ int, pt fig4Row) (fig4Row, error) {
-		cfg := analysis.TESLA{
-			N:     fig3N,
-			P:     pt.P,
-			TDisc: pt.Ratio * fig4Sigma,
-			Mu:    pt.Mu,
-			Sigma: fig4Sigma,
-		}
-		qmin, err := cfg.QMin()
-		if err != nil {
-			return fig4Row{}, err
-		}
+		qmin, err := tesla.QMin(pt.P, pt.Ratio*fig4Sigma, pt.Mu, fig4Sigma)
 		pt.QMin = qmin
-		return pt, nil
+		return pt, err
 	})
 }
 

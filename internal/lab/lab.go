@@ -1,7 +1,7 @@
 // Package lab is the experiment-orchestration layer (ROADMAP item 5): it
 // takes a declarative scenario config (schemes × loss models × block sizes
 // × scales), executes every cell of the sweep through the repo's existing
-// evaluation paths — the analytic closed forms (internal/analysis),
+// evaluation paths — the analytic q_min of each catalogue row (internal/catalog),
 // Monte-Carlo on the dependence graph (internal/depgraph), the end-to-end
 // network simulation (internal/netsim) and the batch-signing serving tier
 // (internal/server) — and collects each run into a timestamped result

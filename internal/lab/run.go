@@ -284,7 +284,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	}
 	res.OverheadBytesPerPacket = float64(wireBytes-payloadBytes) / float64(len(payloads))
 
-	// The closed forms assume i.i.d. loss; a scheme with no signature
+	// The analytic q_min assumes i.i.d. loss; a scheme with no signature
 	// packet authenticates whatever arrives under any loss process.
 	if cfg.hasPath(pathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
 		q, _, err := entry.QMin(c.Loss.P, cellDelay, 0)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
@@ -187,19 +186,17 @@ func TestRohatgiMeasuredMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := analysis.Rohatgi(n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In Rohatgi send order equals the analytic chain order.
+	// In Rohatgi send order equals the analytic chain order, and the closed
+	// form is q_i = (1-p)^(i-2): every packet between P_i and the signature
+	// packet survives.
 	for i := 2; i <= n; i++ {
 		received, verified := res.Counts(uint32(i))
 		iv, err := stats.WilsonInterval(verified, received, 0.9999)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !iv.Contains(want.Q[i]) {
-			t.Errorf("packet %d: analytic %v outside measured CI %+v", i, want.Q[i], iv)
+		if want := math.Pow(1-p, float64(i-2)); !iv.Contains(want) {
+			t.Errorf("packet %d: analytic %v outside measured CI %+v", i, want, iv)
 		}
 	}
 }
@@ -316,25 +313,18 @@ func TestTESLAMeasuredMatchesEquation7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ana := analysis.TESLA{
-		N:     n,
-		P:     p,
-		TDisc: tDisc.Seconds(),
-		Mu:    mu.Seconds(),
-		Sigma: sigma.Seconds(),
-	}
-	want, err := ana.Q()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Equation (6): q_i = λ_i·ξ, with λ_i = 1 - p^(n+1-i) (some later packet
+	// discloses the key) and ξ = Φ((T_disc-μ)/σ) (the packet beats its key's
+	// disclosure).
+	xi := stats.NormalCDF(tDisc.Seconds(), mu.Seconds(), sigma.Seconds())
 	for i := 1; i <= n; i++ {
 		ratios := res.AuthRatioByIndex()
 		got := ratios[tesla.DataWireIndex(i)]
-		if math.Abs(got-want.Q[i]) > 0.04 {
-			t.Errorf("data %d: measured %v vs analytic %v", i, got, want.Q[i])
+		if want := (1 - math.Pow(p, float64(n+1-i))) * xi; math.Abs(got-want) > 0.04 {
+			t.Errorf("data %d: measured %v vs analytic %v", i, got, want)
 		}
 	}
-	qmin, err := ana.QMin()
+	qmin, err := tesla.QMin(p, tDisc.Seconds(), mu.Seconds(), sigma.Seconds())
 	if err != nil {
 		t.Fatal(err)
 	}

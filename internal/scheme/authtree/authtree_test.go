@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/loss"
 	"mcauth/internal/packet"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
@@ -417,5 +418,79 @@ func TestSecondSignedTreeStillVerifies(t *testing.T) {
 				t.Fatalf("trial %d: packet %d not verified: %v (stats %+v)", trial, p.Index, evs, v.Stats())
 			}
 		}
+	}
+}
+
+func TestAuthTreeAlwaysOne(t *testing.T) {
+	// Every packet carries its full authentication information: on the
+	// star the tree emits, q_i = 1 for every packet at any loss rate.
+	s, err := New(50, crypto.NewSignerFromString("authtree"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: 0.9}.Channel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QMin != 1 {
+		t.Errorf("QMin = %v, want 1", res.QMin)
+	}
+	for i := 1; i <= 50; i++ {
+		if res.Q[i] != 1 {
+			t.Errorf("Q[%d] = %v, want 1", i, res.Q[i])
+		}
+	}
+}
+
+func TestAuthTreeHashesPerPacket(t *testing.T) {
+	// Every packet of a balanced binary authentication tree over n packets
+	// carries the sibling hashes along its root path, ceil(log2 n).
+	tests := []struct {
+		n    int
+		want int
+	}{
+		{1, 0},
+		{2, 1},
+		{8, 3},
+		{9, 4},
+		{1000, 10},
+	}
+	for _, tt := range tests {
+		s, err := New(tt.n, crypto.NewSignerFromString("authtree"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts, err := s.Authenticate(1, make([][]byte, tt.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			if len(p.Hashes) != tt.want {
+				t.Fatalf("n=%d: packet %d carries %d hashes, want %d", tt.n, p.Index, len(p.Hashes), tt.want)
+			}
+		}
+	}
+}
+
+func TestAuthTreeValidation(t *testing.T) {
+	if _, err := New(0, crypto.NewSignerFromString("authtree")); err == nil {
+		t.Error("n=0 should fail")
+	}
+	// At p = 1 no packet arrives, not even one to verify: the star's exact
+	// evaluation fails rather than answer q = 1.
+	s, err := New(8, crypto.NewSignerFromString("authtree"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: 1}.Channel()); err == nil {
+		t.Errorf("p=1: QMin = %v, want an error", res.QMin)
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
+	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
 )
 
@@ -64,13 +65,17 @@ func TestGraphShape(t *testing.T) {
 	}
 }
 
-func TestGraphMatchesClosedForm(t *testing.T) {
-	// The exact per-packet authentication probability of the runnable
-	// construction's graph must equal the analytic closed form. In this
-	// scheme send order equals chain order, and the analytic reversed
-	// index i corresponds to send index i as well (a single path is
-	// symmetric).
-	n, p := 10, 0.3
+// chainQ is the closed form on the chain: q_1 = 1 and q_i = (1-p)^(i-2),
+// every packet strictly between P_i and the signature packet surviving.
+func chainQ(i int, p float64) float64 {
+	if i == 1 {
+		return 1
+	}
+	return math.Pow(1-p, float64(i-2))
+}
+
+func chainGraph(t *testing.T, n int) *depgraph.Graph {
+	t.Helper()
 	s, err := New(n, crypto.NewSignerFromString("s"))
 	if err != nil {
 		t.Fatal(err)
@@ -79,18 +84,60 @@ func TestGraphMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := g.ExactAuthProb(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := analysis.Rohatgi(n, p)
+	return g
+}
+
+func TestGraphMatchesClosedForm(t *testing.T) {
+	// The exact per-packet authentication probability of the runnable
+	// construction's graph must equal the closed form. In this scheme send
+	// order equals chain order, and the paper's reversed index i
+	// corresponds to send index i as well (a single path is symmetric).
+	n, p := 10, 0.3
+	exact, err := chainGraph(t, n).ExactAuthProb(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		if math.Abs(exact.Q[i]-want.Q[i]) > 1e-12 {
-			t.Errorf("Q[%d] graph %v vs analytic %v", i, exact.Q[i], want.Q[i])
+		if want := chainQ(i, p); math.Abs(exact.Q[i]-want) > 1e-12 {
+			t.Errorf("Q[%d] graph %v vs closed form %v", i, exact.Q[i], want)
 		}
+	}
+}
+
+func TestRohatgiClosedForm(t *testing.T) {
+	// A single path has no correlation to ignore, so the paper's
+	// recurrence is exact on it too, q_min included.
+	n, p := 10, 0.2
+	res, err := chainGraph(t, n).Recurrence(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if want := chainQ(i, p); math.Abs(res.Q[i]-want) > 1e-12 {
+			t.Errorf("Q[%d] = %v, want %v", i, res.Q[i], want)
+		}
+	}
+	if want := chainQ(n, p); math.Abs(res.QMin-want) > 1e-12 {
+		t.Errorf("QMin = %v, want %v", res.QMin, want)
+	}
+}
+
+func TestRohatgiCollapsesWithN(t *testing.T) {
+	// The paper's headline observation: Rohatgi's robustness is
+	// "incredibly low" — q_min decays geometrically in n.
+	qmin := func(n int) float64 {
+		res, err := chainGraph(t, n).ExactAuthProbChannel(loss.Bernoulli{P: 0.1}.Channel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.QMin
+	}
+	small, large := qmin(10), qmin(1000)
+	if large >= small {
+		t.Errorf("QMin should collapse with n: %v vs %v", large, small)
+	}
+	if large > 1e-10 {
+		t.Errorf("QMin(n=1000, p=0.1) = %v, should be vanishing", large)
 	}
 }
 
@@ -100,4 +147,19 @@ func TestCorruptionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	schemetest.CorruptionSweep(t, s, schemetest.SweepParams{Reliable: []uint32{1}})
+}
+
+func TestRohatgiValidation(t *testing.T) {
+	if _, err := New(0, crypto.NewSignerFromString("s")); err == nil {
+		t.Error("n=0 should fail")
+	}
+	g := chainGraph(t, 10)
+	for _, p := range []float64{-1, 1.5, math.NaN()} {
+		if _, err := g.Recurrence(p); err == nil {
+			t.Errorf("recurrence at p=%v should fail", p)
+		}
+		if _, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel()); err == nil {
+			t.Errorf("exact at p=%v should fail", p)
+		}
+	}
 }

@@ -25,6 +25,7 @@ import (
 	"mcauth/internal/depgraph"
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
+	"mcauth/internal/stats"
 	"mcauth/internal/verifier"
 )
 
@@ -80,6 +81,30 @@ func (c Config) Validate() error {
 // T_disclose.
 func (c Config) TDisclose() time.Duration {
 	return time.Duration(c.Lag) * c.Interval
+}
+
+// QMin is the paper's Equation (7), q_min = (1-p)·ξ: the minimum
+// authentication probability over a block under i.i.d. loss at rate p and
+// Gaussian end-to-end delay of mean mu and standard deviation sigma, with
+// key-disclosure delay tDisc, all in one time unit. The last data packet's
+// key has one later carrier, so its λ_n = 1-p is the least of Equation
+// (6)'s λ_i = 1 - p^(n+1-i); ξ = Φ((tDisc-mu)/sigma) is the chance a packet
+// arrives before its key is disclosed (the safety condition). Every check
+// is spelled so that NaN fails it.
+func QMin(p, tDisc, mu, sigma float64) (float64, error) {
+	if !(p >= 0 && p <= 1) {
+		return 0, fmt.Errorf("tesla: loss probability %v out of [0,1]", p)
+	}
+	if !(tDisc >= 0) {
+		return 0, fmt.Errorf("tesla: disclosure delay %v must be >= 0", tDisc)
+	}
+	if !(mu >= 0) {
+		return 0, fmt.Errorf("tesla: mean delay %v must be >= 0", mu)
+	}
+	if !(sigma >= 0) {
+		return 0, fmt.Errorf("tesla: delay sigma %v must be >= 0", sigma)
+	}
+	return (1 - p) * stats.NormalCDF(tDisc, mu, sigma), nil
 }
 
 // SendTime returns the scheduled send time of the given wire index

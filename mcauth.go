@@ -12,10 +12,10 @@
 //   - The dependence-graph core: every scheme exposes its graph, from which
 //     authentication probabilities (exact, Monte-Carlo, bounds),
 //     communication overhead, receiver delay and buffer sizes are derived.
-//   - Analytic evaluators for all the paper's closed forms and recurrences,
-//     one exact evaluator over any dependence graph of bounded frontier, a
-//     lossy-multicast network simulator, and the Section 5 construction
-//     toolkit.
+//   - Analytic evaluators on each scheme's own graph — the paper's
+//     recurrence and one exact evaluator over any dependence graph of
+//     bounded frontier — plus TESLA's Equation 7, a lossy-multicast network
+//     simulator, and the Section 5 construction toolkit.
 //
 // The facade re-exports the most common entry points; the sub-packages
 // under internal/ carry the full API surface used by the cmd/ tools,
@@ -25,7 +25,6 @@ package mcauth
 import (
 	"time"
 
-	"mcauth/internal/analysis"
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
@@ -144,8 +143,12 @@ func NewStreamReceiver(s Scheme, maxBlocks int) (*StreamReceiver, error) {
 	return stream.NewReceiver(s, maxBlocks)
 }
 
-// AnalyticTESLA evaluates TESLA under Gaussian delay (Equations 6-7).
-type AnalyticTESLA = analysis.TESLA
+// AnalyticTESLA is TESLA's q_min under i.i.d. loss at rate p and Gaussian
+// end-to-end delay (mean mu, deviation sigma) with disclosure delay tDisc,
+// all in one time unit: Equation 7, (1-p)·Φ((tDisc-mu)/sigma).
+func AnalyticTESLA(p, tDisc, mu, sigma float64) (float64, error) {
+	return tesla.QMin(p, tDisc, mu, sigma)
+}
 
 // AnalyticRecurrence computes the paper's independence recurrence for s
 // under i.i.d. loss at rate p (Equations 8-10) on s's own dependence graph
@@ -170,11 +173,6 @@ func AnalyticMarkovExact(s Scheme, p float64) (depgraph.AuthResult, error) {
 		return depgraph.AuthResult{}, err
 	}
 	return g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
-}
-
-// AnalyticRohatgi returns the closed-form q_i of the simple hash chain.
-func AnalyticRohatgi(n int, p float64) (analysis.Result, error) {
-	return analysis.Rohatgi(n, p)
 }
 
 // TESLAAt builds a TESLA configuration with one packet per interval

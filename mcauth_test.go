@@ -1,6 +1,7 @@
 package mcauth
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -61,12 +62,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeAnalytics(t *testing.T) {
-	res, err := AnalyticRohatgi(100, 0.1)
+	chain, err := NewRohatgi(100, NewSigner("facade"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.QMin <= 0 || res.QMin >= 1 {
-		t.Errorf("QMin = %v out of (0,1)", res.QMin)
+	res, err := AnalyticMarkovExact(chain, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Pow(0.9, 98); math.Abs(res.QMin-want) > 1e-12 {
+		t.Errorf("Rohatgi QMin = %v, want (1-p)^(n-2) = %v", res.QMin, want)
+	}
+	if q, err := AnalyticTESLA(0.1, 1, 0.5, 0.2); err != nil || q <= 0.89 || q >= 0.9 {
+		t.Errorf("AnalyticTESLA = %v, %v; want just under 1-p", q, err)
 	}
 	s, err := NewEMSS(EMSSConfig{N: 1000, M: 2, D: 1}, NewSigner("facade"))
 	if err != nil {

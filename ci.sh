@@ -29,6 +29,13 @@ go test -count=1 -run TestUnreferencedExports ./internal/audit
 # after Kill, and on a hold that ignores the measured root rate.
 go test -race -count=5 -run 'TestRootHold' ./internal/server
 
+# Deferred-verify tier: a BatchVerifyQueue pass verifies its distinct
+# checks on up to GOMAXPROCS goroutines. -cpu runs the queue's tests, and the
+# stream and serve tests that resolve it, at several widths, so the parallel
+# branch runs under the race detector even on a 1-CPU runner.
+go test -race -cpu 1,2,4 -run 'BatchVerifyQueue|SigCache' ./internal/crypto
+go test -race -cpu 1,4 ./internal/stream ./internal/serve
+
 # Robustness tier: a short seeded chaos soak under the race detector, then
 # a fuzz smoke pass over the two attacker-facing decoders.
 go run -race ./cmd/mcsim -chaos -n 24 -receivers 6 -chaosseeds 2 >/dev/null

@@ -187,6 +187,8 @@ func newBatchVerifier(inner Verifier) Verifier {
 	return &batchVerifier{inner: inner}
 }
 
+// Verify holds no state of its own (a blob's Merkle walk allocates per
+// call), so it is safe for concurrent use whenever the inner key is.
 func (v *batchVerifier) Verify(data, sig []byte) bool {
 	if len(sig) == signatureSize {
 		return v.inner.Verify(data, sig)

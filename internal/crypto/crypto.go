@@ -95,7 +95,9 @@ type Signer interface {
 
 // Verifier checks digital signatures.
 type Verifier interface {
-	// Verify reports whether sig is a valid signature of data.
+	// Verify reports whether sig is a valid signature of data. It must be
+	// safe for concurrent use: a BatchVerifyQueue pass runs its distinct
+	// checks in parallel, and simulated receivers share one key.
 	Verify(data, sig []byte) bool
 	// Bytes returns a serializable encoding of the public key.
 	Bytes() []byte
@@ -154,6 +156,9 @@ func (s *ed25519Signer) Public() Verifier {
 	return &ed25519Verifier{pub: pub}
 }
 
+// Verify is safe for concurrent use: the key is never written after
+// construction, ed25519.Verify keeps no state, and the instruments are
+// atomic counters.
 func (v *ed25519Verifier) Verify(data, sig []byte) bool {
 	if len(sig) != ed25519.SignatureSize {
 		return false

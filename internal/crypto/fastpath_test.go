@@ -3,6 +3,9 @@ package crypto
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,8 +310,8 @@ func TestBatchVerifyQueueDedup(t *testing.T) {
 	}
 }
 
-// TestBatchVerifyQueueFallback checks that a failed group re-verifies
-// per item, isolating the bad signature without poisoning good ones.
+// TestBatchVerifyQueueFallback checks that a forged signature is isolated
+// without poisoning good ones, and costs one check, not two.
 func TestBatchVerifyQueueFallback(t *testing.T) {
 	signer := NewSignerFromString("bvq-fb")
 	pub := signer.Public()
@@ -332,9 +335,11 @@ func TestBatchVerifyQueueFallback(t *testing.T) {
 	if verdicts["bad"] {
 		t.Fatalf("forged signature accepted")
 	}
+	// The forged member repeats its group's failed check byte for byte, so
+	// it is rejected without a second one: one check per distinct signature.
 	tot := q.Totals()
-	if tot.Fallbacks != 1 {
-		t.Fatalf("Fallbacks = %d, want 1 (the forged group's lone member)", tot.Fallbacks)
+	if tot.Fallbacks != 0 || tot.Checks != 2 {
+		t.Fatalf("Fallbacks = %d, Checks = %d; want 0 and 2 (one check per group)", tot.Fallbacks, tot.Checks)
 	}
 	if tot.Accepted != 2 || tot.Rejected != 1 {
 		t.Fatalf("totals = %+v, want 2 accepted / 1 rejected", tot)
@@ -381,6 +386,121 @@ func TestBatchVerifyQueueAutoResolve(t *testing.T) {
 	}
 }
 
+// TestBatchVerifyQueueWorkerInvariant runs one seeded mix of checks — good,
+// forged and wrong-key plain signatures, blobs from three batch flushes, one
+// blob with a forged Merkle path, malformed blobs, and duplicates of all of
+// them — through two resolve passes, the second over a cache the first
+// warmed, at GOMAXPROCS 1, 2 and 8. The parallel verify phase must not show:
+// the verdict sequence, the queue totals and the cache counters are the
+// same at every width, every verdict is the key's own, and every public-key
+// operation is one the totals count.
+func TestBatchVerifyQueueWorkerInvariant(t *testing.T) {
+	signer := NewSignerFromString("bvq-workers")
+	other := NewSignerFromString("bvq-workers-other")
+	type check struct{ content, sig []byte }
+	var pool []check
+	for i := 0; i < 24; i++ {
+		msg := []byte(fmt.Sprintf("plain-%d", i))
+		sig := signer.Sign(msg)
+		pool = append(pool, check{msg, sig})
+		switch i % 4 {
+		case 1:
+			forged := append([]byte(nil), sig...)
+			forged[i%signatureSize] ^= 1
+			pool = append(pool, check{msg, forged})
+		case 2:
+			pool = append(pool, check{msg, other.Sign(msg)})
+		}
+	}
+	for flush := 0; flush < 3; flush++ {
+		contents := make([][]byte, 12+flush)
+		for i := range contents {
+			contents[i] = []byte(fmt.Sprintf("flush-%d-%d", flush, i))
+		}
+		blobs, err := BatchSign(signer, contents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range contents {
+			pool = append(pool, check{contents[i], blobs[i]})
+		}
+		if flush == 0 {
+			badPath := append([]byte(nil), blobs[3]...)
+			badPath[batchHeaderSize+1] ^= 1
+			truncated := blobs[4][:len(blobs[4])-1]
+			badTag := append([]byte{0}, blobs[5][1:]...)
+			pool = append(pool, check{contents[3], badPath}, check{contents[4], truncated},
+				check{contents[5], badTag}, check{contents[6], nil})
+		}
+	}
+	key := BatchCapable(signer).Public()
+	// The first pass draws 80 checks at random; the second holds every
+	// check of the pool once, shuffled into random duplicates.
+	rng := rand.New(rand.NewSource(37))
+	first := make([]int, 80)
+	for i := range first {
+		first[i] = rng.Intn(len(pool))
+	}
+	second := rng.Perm(len(pool))
+	for len(second) < 160 {
+		second = append(second, second[rng.Intn(len(second))])
+	}
+	rng.Shuffle(len(second), func(i, j int) { second[i], second[j] = second[j], second[i] })
+	draws := append(first[:len(first):len(first)], second...)
+
+	type run struct {
+		verdicts []bool
+		totals   VerifyTotals
+		stats    SigCacheStats
+		ops      int64
+	}
+	resolve := func(procs int) run {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cache, err := NewSigCache(1 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewBatchVerifyQueue(1<<20, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub := &countingVerifier{Verifier: signer.Public()}
+		var r run
+		for _, pass := range [][]int{first, second} {
+			for _, d := range pass {
+				c := pool[d]
+				if _, err := q.Enqueue(pub, c.content, c.sig, func(ok bool) { r.verdicts = append(r.verdicts, ok) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q.Resolve()
+		}
+		r.totals, r.stats, r.ops = q.Totals(), cache.Stats(), pub.ops.Load()
+		return r
+	}
+
+	base := resolve(1)
+	for i, d := range draws {
+		if want := key.Verify(pool[d].content, pool[d].sig); base.verdicts[i] != want {
+			t.Fatalf("check %d (pool %d): verdict %v, the key says %v", i, d, base.verdicts[i], want)
+		}
+	}
+	if base.ops != base.totals.Checks || base.totals.CacheHits == 0 || base.totals.Rejected == 0 ||
+		base.totals.Checks >= base.totals.Enqueued {
+		t.Fatalf("GOMAXPROCS 1: %d public-key operations, totals %+v; want as many operations as checks, cache hits, rejections and dedup", base.ops, base.totals)
+	}
+	for _, procs := range []int{2, 8} {
+		got := resolve(procs)
+		if !slices.Equal(got.verdicts, base.verdicts) {
+			t.Errorf("GOMAXPROCS %d: verdict sequence differs from GOMAXPROCS 1", procs)
+		}
+		if got.totals != base.totals || got.stats != base.stats || got.ops != base.ops {
+			t.Errorf("GOMAXPROCS %d: totals %+v, cache %+v, %d operations; GOMAXPROCS 1: %+v, %+v, %d",
+				procs, got.totals, got.stats, got.ops, base.totals, base.stats, base.ops)
+		}
+	}
+}
+
 // TestSigCacheConcurrent hammers one cache from many goroutines under the
 // race detector.
 func TestSigCacheConcurrent(t *testing.T) {
@@ -407,7 +527,8 @@ func TestSigCacheConcurrent(t *testing.T) {
 	}
 }
 
-// countingVerifier counts the public-key operations that reach it.
+// countingVerifier counts the public-key operations that reach it. The
+// count is atomic, so it is safe for concurrent use as Verifier requires.
 type countingVerifier struct {
 	Verifier
 	ops atomic.Int64

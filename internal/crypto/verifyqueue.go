@@ -4,17 +4,21 @@
 // queue by underlying signature check — every packet of a Wong–Lam tree
 // block repeats one root signature, and every blob of a batch-signature
 // flush shares one inner signature — so one amortized pass performs each
-// distinct Ed25519 verification once. A failed deduped check falls back to
-// verifying its members individually, so a forged signature is isolated
-// without poisoning verdicts that happen to share its group.
+// distinct Ed25519 verification once, and the distinct checks of a pass
+// run on every core. A failed deduped check rejects the members that repeat
+// it and re-verifies only those whose own message differs (a digest
+// collision), so a forged signature costs one check without poisoning a
+// verdict that merely shares its group.
 package crypto
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
 	"mcauth/internal/obs"
+	"mcauth/internal/parallel"
 )
 
 // pendingVerify is one enqueued signature check awaiting resolution.
@@ -39,7 +43,9 @@ type VerifyTotals struct {
 	// public-key operation at all.
 	CacheHits int64
 	// Fallbacks counts per-item re-verifications run because a deduped
-	// group's representative check failed.
+	// group's check failed and the item's own signed message differs from
+	// the group's (a digest collision). Items that repeat the failed check
+	// byte for byte are rejected without one.
 	Fallbacks int64
 	// Accepted and Rejected count the verdicts delivered.
 	Accepted int64
@@ -58,7 +64,10 @@ func (t VerifyTotals) AmortizationRatio() float64 {
 // BatchVerifyQueue accumulates pending signature checks across packets
 // and streams and resolves them in amortized passes. It is safe for
 // concurrent use; verdict callbacks run outside the internal lock, in
-// enqueue order, and may re-enter the queue. Callers own the resolve
+// enqueue order on the resolving goroutine, and may re-enter the queue. A
+// pass runs its distinct public-key checks on up to GOMAXPROCS goroutines
+// (Verifier.Verify is safe for concurrent use); verdicts, totals and cache
+// statistics are the same at any width. Callers own the resolve
 // policy (threshold and deadline), exactly like BatchSigner's flush
 // policy; the queue auto-resolves when maxPending checks accumulate so a
 // missing deadline can only bound latency, not correctness.
@@ -203,17 +212,22 @@ func (q *BatchVerifyQueue) Totals() VerifyTotals {
 // verifyGroup is one distinct underlying signature check and the pending
 // items that reduce to it.
 type verifyGroup struct {
+	key     sigKey
 	pub     Verifier
 	msg     []byte // the actually-signed message (root message for blobs)
 	sig     []byte // the plain / inner signature
 	members []int  // indices into the pending slice
+	strays  []int  // members whose own message differs from msg
 }
 
-// resolveLocked settles the pending queue: malformed checks fail fast,
-// well-formed ones are grouped by underlying (pub, message, signature)
-// check, each group is verified once (through the cache when present),
-// and a failed group re-verifies its members individually. Verdict
-// callbacks are returned for the caller to run after unlocking.
+// resolveLocked settles the pending queue in three phases. On the caller,
+// in enqueue order: malformed checks fail fast, well-formed ones are grouped
+// by underlying (pub, message, signature) check, and each group is looked
+// up in the cache. On every core: the groups the cache missed are verified,
+// once each. On the caller again, in enqueue order: passing checks are
+// stored, a failed group re-verifies only its strays, and the totals are
+// counted. Verdict callbacks are returned for the caller to run after
+// unlocking.
 func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 	if len(q.pending) == 0 {
 		return nil, nil
@@ -222,7 +236,7 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 	q.pending = nil
 	verdicts := make([]bool, len(items))
 	groups := make(map[sigKey]*verifyGroup)
-	order := make([]sigKey, 0, len(items))
+	var order []*verifyGroup
 	for i, it := range items {
 		msg, sig, ok := q.reduceCheck(it)
 		if !ok {
@@ -233,35 +247,47 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 		if !exists {
 			// msg may point into q.scratch; copy so later reductions
 			// cannot clobber it before the group is verified.
-			g = &verifyGroup{pub: it.pub, msg: append([]byte(nil), msg...), sig: sig}
+			g = &verifyGroup{key: k, pub: it.pub, msg: append([]byte(nil), msg...), sig: sig}
 			groups[k] = g
-			order = append(order, k)
+			order = append(order, g)
+		} else if !bytes.Equal(msg, g.msg) {
+			g.strays = append(g.strays, i)
 		}
 		g.members = append(g.members, i)
 	}
-	for _, k := range order {
-		g := groups[k]
-		if q.cache != nil && q.cache.seen(k) {
+	misses := order
+	if q.cache != nil {
+		misses = nil
+		for _, g := range order {
+			if !q.cache.seen(g.key) {
+				misses = append(misses, g)
+				continue
+			}
 			q.totals.CacheHits += int64(len(g.members))
 			for _, i := range g.members {
 				verdicts[i] = true
 			}
-			continue
 		}
+	}
+	passed, _ := parallel.Map(0, misses, func(_ int, g *verifyGroup) (bool, error) {
+		return g.pub.Verify(g.msg, g.sig), nil
+	})
+	for j, g := range misses {
 		q.totals.Checks++
-		if g.pub != nil && g.pub.Verify(g.msg, g.sig) {
+		if passed[j] {
 			if q.cache != nil {
-				q.cache.store(k)
+				q.cache.store(g.key)
 			}
 			for _, i := range g.members {
 				verdicts[i] = true
 			}
 			continue
 		}
-		// The deduped check failed: isolate the bad signature by
-		// re-verifying each member on its own, so a digest collision or
-		// a single forged blob can never reject an honest sibling.
-		for _, i := range g.members {
+		// The deduped check failed. A member with the group's key and
+		// message repeats it exactly and stays rejected; a stray is a
+		// different check, so it is verified on its own and a digest
+		// collision can never reject an honest sibling.
+		for _, i := range g.strays {
 			q.totals.Checks++
 			q.totals.Fallbacks++
 			it := items[i]

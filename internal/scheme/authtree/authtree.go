@@ -9,6 +9,7 @@
 package authtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -492,9 +493,11 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 	settle(first, ok)
 	for _, w := range waiters {
 		verified := ok
-		if !verified {
-			// The enqueued copy's signature bytes failed; the waiter
-			// carries its own — give it its own synchronous check.
+		if !verified && !bytes.Equal(w.p.Signature, first.p.Signature) {
+			// The enqueued copy's signature bytes failed. A waiter
+			// carrying the same bytes proves the same root, so it would
+			// only repeat that check; one carrying its own gets its own
+			// synchronous check.
 			msg := tv.appendRootMessage(w.p.BlockID, root)
 			verified = crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, msg, w.p.Signature)
 		}

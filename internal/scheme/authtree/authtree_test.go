@@ -6,6 +6,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/loss"
+	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
@@ -418,6 +419,58 @@ func TestSecondSignedTreeStillVerifies(t *testing.T) {
 				t.Fatalf("trial %d: packet %d not verified: %v (stats %+v)", trial, p.Index, evs, v.Stats())
 			}
 		}
+	}
+}
+
+// TestForgedRootSignatureCostsOneCheck: k packets of a block carrying the
+// same forged root signature park on one deferred check, and its failure
+// rejects them all without another public-key operation. A genuine packet
+// parked behind them carries other signature bytes, so it still gets its
+// own check and authenticates.
+func TestForgedRootSignatureCostsOneCheck(t *testing.T) {
+	const k = 6
+	s, err := New(8, crypto.NewSignerFromString("s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := s.Authenticate(1, schemetest.Payloads(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]byte(nil), pkts[0].Signature...)
+	forged[7] ^= 1
+	q, err := crypto.NewBatchVerifyQueue(1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var authed []uint32
+	v, err := s.NewVerifier(verifier.Env{BatchQ: q, Sink: func(evs []verifier.Event) {
+		for _, ev := range evs {
+			authed = append(authed, ev.Index)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	crypto.Instrument(reg)
+	defer crypto.Uninstrument()
+	for _, p := range pkts[:k] {
+		bad := *p
+		bad.Signature = append([]byte(nil), forged...)
+		if _, err := v.Ingest(&bad, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Ingest(pkts[k], time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	q.Resolve()
+	if ops := reg.Counter("crypto.verify_ops").Value(); ops != 2 {
+		t.Errorf("%d forged copies and one genuine waiter ran %d public-key operations, want 2", k, ops)
+	}
+	if st := v.Stats(); st.Rejected != k || len(authed) != 1 || authed[0] != pkts[k].Index {
+		t.Errorf("rejected %d, authenticated %v; want %d rejected and packet %d", st.Rejected, authed, k, pkts[k].Index)
 	}
 }
 

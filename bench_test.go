@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +29,7 @@ import (
 	"mcauth/internal/scheme/authtree"
 	"mcauth/internal/scheme/emss"
 	"mcauth/internal/scheme/signeach"
+	"mcauth/internal/server"
 	"mcauth/internal/stats"
 	"mcauth/internal/stream"
 	"mcauth/internal/transport"
@@ -609,6 +611,76 @@ func BenchmarkServeLoop(b *testing.B) {
 			}
 			b.StopTimer()
 			settle()
+		})
+	}
+}
+
+// BenchmarkPublish is the server layer's rung: server.Publish on the
+// benchmark's mixed rotation (emss / rohatgi / authtree / signeach by
+// stream id, n = 8) over 8 streams, 256-byte payloads and batches of up to
+// 64 roots, into one subscriber that only drains. One op is one message:
+// the publishers split b.N, each going round every stream from its own
+// offset. Close, which pads and signs what is left, is not timed.
+func BenchmarkPublish(b *testing.B) {
+	const (
+		streams = 8
+		n       = 8
+	)
+	payloads := benchPayloads(streams*n, 256)
+	for _, publishers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("publishers=%d", publishers), func(b *testing.B) {
+			srv, err := server.New(server.Config{
+				Signer:             crypto.NewSignerFromString("bench"),
+				BatchSize:          64,
+				MaxSubscriberQueue: 1 << 16,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for id := uint64(1); id <= streams; id++ {
+				kind := []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
+				if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
+					e, err := catalog.Build(catalog.Spec{ID: kind, N: n, M: 2, D: 1}, signer)
+					return e.Scheme, err
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sub, err := srv.Subscribe()
+			if err != nil {
+				b.Fatal(err)
+			}
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				for range sub.C() {
+				}
+			}()
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for g := 0; g < publishers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i, k := g, 0; i < b.N; i, k = i+publishers, k+1 {
+						id := uint64((k+g*streams/publishers)%streams + 1)
+						if err := srv.Publish(id, payloads[i%len(payloads)]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			<-drained
+			if drops := sub.Drops(); drops != 0 {
+				b.Fatalf("the draining subscriber dropped %d packets", drops)
+			}
 		})
 	}
 }

@@ -22,12 +22,15 @@ go test -race -shuffle=on ./...
 # detector, 3 s without), so it skips under -race and runs here instead.
 go test -count=1 -run TestUnreferencedExports ./internal/audit
 
-# Signer-loop tier: the batch signer's hold rule and the long-lived loop
-# that arms it (internal/server/hold.go), five times over under the race
-# detector. The loop is a goroutine with a timer that Close and Kill must
-# join: these tests fail on a goroutine left behind, on a signature landing
-# after Kill, and on a hold that ignores the measured root rate.
-go test -race -count=5 -run 'TestRootHold' ./internal/server
+# Server tier: the whole serving package three times over under the race
+# detector at three widths. Publish runs a stream's work on the caller's
+# goroutine under the stream's lock, the flusher takes that lock with
+# TryLock, and Close and Kill wait out in-flight publishes and join the
+# signer loop (a goroutine with a timer, internal/server/hold.go). These
+# tests fail on a data race between publishers of one stream, on a stream's
+# blocks leaving out of order, on a goroutine left behind, on a signature
+# landing after Kill, and on a hold that ignores the measured root rate.
+go test -race -count=3 -cpu 1,2,4 ./internal/server
 
 # Deferred-verify tier: a BatchVerifyQueue pass verifies its distinct
 # checks on up to GOMAXPROCS goroutines. -cpu runs the queue's tests, and the
@@ -113,11 +116,19 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 # allocation, trips it. Its bursty twin (BenchmarkMonteCarloAuthProbBursty:
 # 20 000 trials in 40 shards, lane-native Gilbert-Elliott) makes 170 the same
 # way and is held to 220, which a per-group allocation in the lane sampler
-# (313 groups of 64 trials) trips as well. Timing is not gated.
+# (313 groups of 64 trials) trips as well. The server's publish path
+# (BenchmarkPublish: one op is one message of the mixed rotation over 8
+# streams, at 1 and 2 publishers) makes 5 allocs/op over 4096 messages —
+# the block's packets, digests and batch signatures amortized over its 8
+# messages — and is held to 6, about 1.3 times that. It runs at 4096x, not
+# 100x, so that batches fill and sign inside the timed loop.
+# Timing is not gated.
 go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verifier
-go test -run='^$' -bench='Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb(Bursty)?)($|/)' -benchtime=100x -benchmem . \
-	| awk '
-		/^Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb)/ {
+{
+	go test -run='^$' -bench='Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb(Bursty)?)($|/)' -benchtime=100x -benchmem .
+	go test -run='^$' -bench='BenchmarkPublish/' -benchtime=4096x -benchmem .
+} | awk '
+		/^Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb|Publish)/ {
 			for (i = 3; i < NF; i++) if ($(i + 1) == "allocs/op") allocs = $i
 			ceil = 64
 			if ($1 ~ /rohatgi/) ceil = 16
@@ -127,6 +138,7 @@ go test -run='^$' -bench='Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthP
 			if ($1 ~ /NetsimBlock/) ceil = 580
 			if ($1 ~ /MonteCarloAuthProb/) ceil = 64
 			if ($1 ~ /MonteCarloAuthProbBursty/) ceil = 220
+			if ($1 ~ /Publish/) ceil = 6
 			if (allocs + 0 > ceil) {
 				printf "verify-bench gate: %s at %s allocs/op exceeds ceiling %d\n", $1, allocs, ceil
 				bad = 1

@@ -1,6 +1,7 @@
 // Command mcserved is the serving daemon: it multiplexes many
-// authenticated streams through a sharded internal/server with batched
-// signing, and feeds receivers over the transport mux framing.
+// authenticated streams through internal/server — each stream's blocks
+// built on the goroutine that publishes to it, their roots signed in
+// batches — and feeds receivers over the transport mux framing.
 //
 // Three modes:
 //

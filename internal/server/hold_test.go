@@ -150,17 +150,6 @@ func publishRoots(t *testing.T, srv *Server, n int, gap time.Duration) {
 	}
 }
 
-// awaitBlocks waits for the shard to have emitted n blocks.
-func awaitBlocks(t *testing.T, reg *obs.Registry, n int64) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); reg.Counter("server.blocks").Value() < n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d blocks emitted", reg.Counter("server.blocks").Value(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // signaturePackets drains a closed subscription and counts root packets.
 func signaturePackets(sub *Subscriber) int {
 	n := 0
@@ -180,7 +169,9 @@ func TestRootHoldHourIntervalSignsOnlyOnClose(t *testing.T) {
 	const batch, roots = 8, 21
 	srv, sub, reg := holdServer(t, batch, time.Hour)
 	publishRoots(t, srv, roots, 0)
-	awaitBlocks(t, reg, roots)
+	if got := reg.Counter("server.blocks").Value(); got != roots {
+		t.Fatalf("%d of %d blocks emitted when Publish returned", got, roots)
+	}
 	time.Sleep(20 * time.Millisecond)
 	if n := reg.Counter("server.batch_flush_deadline").Value(); n != 0 {
 		t.Fatalf("%d deadline flushes before Close", n)
@@ -216,7 +207,9 @@ func TestRootHoldSaturatedKeepsAmortization(t *testing.T) {
 	done := make(chan int, 1)
 	go func() { done <- signaturePackets(sub) }()
 	publishRoots(t, srv, roots, 0)
-	awaitBlocks(t, reg, roots)
+	if got := reg.Counter("server.blocks").Value(); got != roots {
+		t.Fatalf("%d of %d blocks emitted when Publish returned", got, roots)
+	}
 	if got := reg.Gauge("server.root_hold_target_ns").Value(); got != (50 * time.Millisecond).Nanoseconds() {
 		t.Errorf("saturated hold target %v, want the full interval", time.Duration(got))
 	}
@@ -281,7 +274,9 @@ func TestRootHoldKillLeavesPendingRootUnsigned(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, sub, reg := holdServer(t, 64, flush)
 	publishRoots(t, srv, 2, 0)
-	awaitBlocks(t, reg, 2)
+	if got := reg.Counter("server.blocks").Value(); got != 2 {
+		t.Fatalf("%d of %d blocks emitted when Publish returned", got, 2)
+	}
 	srv.Kill()
 	if tot := srv.BatchTotals(); tot.Enqueued != 2 || tot.Signatures != 0 {
 		t.Fatalf("at Kill: %+v, want 2 roots pending and none signed", tot)

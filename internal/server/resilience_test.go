@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -203,11 +204,12 @@ func mustOpenCheckpoint(t *testing.T, path string) *Checkpoint {
 	return cp
 }
 
-// TestServerCloseRacesCloseStreamAndPublish hammers the shutdown paths
-// under the race detector: publishers, stream closers, and Close all
-// running concurrently. Errors are expected (the server is going away);
-// data races, sends on closed channels, and deadlocks are not.
-func TestServerCloseRacesCloseStreamAndPublish(t *testing.T) {
+// TestServerCloseRacesPublish hammers the shutdown path under the race
+// detector: publishers on every stream, two of them sharing each stream,
+// racing Close. A publish either lands before Close takes the streams over
+// or fails with ErrClosed; data races, other errors and deadlocks fail the
+// test.
+func TestServerCloseRacesPublish(t *testing.T) {
 	key := crypto.NewSignerFromString("close-race")
 	for iter := 0; iter < 20; iter++ {
 		srv, err := New(Config{
@@ -225,23 +227,20 @@ func TestServerCloseRacesCloseStreamAndPublish(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
-		for id := uint64(1); id <= streams; id++ {
+		for g := 0; g < 2*streams; g++ {
 			wg.Add(1)
 			go func(id uint64) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
 					if err := srv.Publish(id, []byte("racing")); err != nil {
-						return // server or stream closed under us — fine
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("stream %d: %v", id, err)
+						}
+						return
 					}
 				}
-			}(id)
+			}(uint64(g%streams + 1))
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = srv.closeStream(2)
-			_ = srv.closeStream(3)
-		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

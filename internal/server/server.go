@@ -1,11 +1,12 @@
 // Package server is the concurrent serving path: a long-running daemon
 // multiplexing many independent authenticated streams. Each stream owns a
-// stream.Sender; streams are sharded across a bounded worker pool so block
-// construction parallelizes across streams while staying strictly ordered
-// within one (everything for a stream runs on its shard goroutine). Block
-// root signatures are amortized through one crypto.BatchSigner — up to
-// BatchSize roots per underlying signature — and held for company no
-// longer than the measured root arrival rate can repay (rootHold): a
+// stream.Sender behind its own lock, and Publish does the stream's work —
+// block construction, authentication, fan-out of the immediate packets —
+// on the goroutine that calls it: streams parallelize across the
+// goroutines that publish to them while staying strictly ordered within
+// one. Block root signatures are amortized through one crypto.BatchSigner
+// — up to BatchSize roots per underlying signature — and held for company
+// no longer than the measured root arrival rate can repay (rootHold): a
 // withheld signature packet never waits longer than one FlushInterval
 // beyond the scheme's own dependence-graph delay bound, and at low load
 // waits a small fraction of it.
@@ -18,7 +19,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -47,9 +47,6 @@ type Config struct {
 	// server are built from its batch-capable wrapping, so their verifiers
 	// accept both plain and batched signatures.
 	Signer crypto.Signer
-	// Shards is the worker-pool width; streams hash onto shards. Default:
-	// min(8, GOMAXPROCS).
-	Shards int
 	// BatchSize is the ceiling on how many block roots one signature
 	// covers: the batch signer signs at once when that many are pending.
 	// Below the rate that fills it inside FlushInterval, batches are
@@ -61,19 +58,18 @@ type Config struct {
 	// from the first root of its batch, the full FlushInterval while the
 	// root arrival rate is still unmeasured. Default 50ms.
 	FlushInterval time.Duration
-	// MaxPendingPublish bounds each stream's in-flight publishes; Publish
-	// blocks (backpressure) when the stream is that far behind. Default 256.
-	MaxPendingPublish int
 	// MaxSubscriberQueue bounds each subscriber's delivery queue; overflow
 	// is dropped and counted, never blocked on. Default 1024.
 	MaxSubscriberQueue int
 	// Metrics receives server.* instruments (nil disables).
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives causal lifecycle spans for every
-	// stream the server opens: the sender-side push/shard_enqueue/
-	// sign_attach half of the end-to-end trace (receivers record the
-	// other half into their own ring; the two join on the deterministic
-	// trace ID of stream and block). Nil disables span recording.
+	// stream the server opens: the sender-side half of the end-to-end
+	// trace — push when a block is authenticated, shard_enqueue when the
+	// server emits it, sign_attach when its root signature lands
+	// (receivers record the other half into their own ring; the two join
+	// on the deterministic trace ID of stream and block). Nil disables
+	// span recording.
 	Spans *obs.SpanSink
 	// Clock defaults to time.Now; tests inject virtual time.
 	Clock func() time.Time
@@ -101,9 +97,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Signer == nil {
 		return c, errors.New("server: nil signer")
 	}
-	if c.Shards <= 0 {
-		c.Shards = min(8, runtime.GOMAXPROCS(0))
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
@@ -112,9 +105,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 50 * time.Millisecond
-	}
-	if c.MaxPendingPublish <= 0 {
-		c.MaxPendingPublish = 256
 	}
 	if c.MaxSubscriberQueue <= 0 {
 		c.MaxSubscriberQueue = 1024
@@ -176,22 +166,18 @@ func newMetrics(reg *obs.Registry) metrics {
 	}
 }
 
-// Server multiplexes authenticated streams over a sharded worker pool
-// with batched signing. Create with New, stop with Close.
+// Server multiplexes authenticated streams with batched signing. Create
+// with New, stop with Close.
 type Server struct {
 	cfg    Config
 	signer *crypto.BatchSigner
-	shards []*shard
 	m      metrics
 
 	mu      sync.Mutex
 	streams map[uint64]*Stream
 	closed  bool
-	// closing is closed at the start of Close so publishers blocked on
-	// backpressure abort instead of deadlocking the drain.
-	closing chan struct{}
-	// pubWG counts in-flight Publish calls; Close waits for them before
-	// draining the shards.
+	// pubWG counts in-flight Publish calls; Close and Kill wait for them
+	// before they take the streams over.
 	pubWG sync.WaitGroup
 
 	// fan is the subscriber set every emitted packet is delivered to.
@@ -205,8 +191,8 @@ type Server struct {
 	rootKick chan time.Time
 }
 
-// New starts a server (its shard workers, flusher and signer loop run
-// until Close or Kill).
+// New starts a server (its flusher and signer loop run until Close or
+// Kill).
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -221,7 +207,6 @@ func New(cfg Config) (*Server, error) {
 		signer:  bs,
 		m:       newMetrics(cfg.Metrics),
 		streams: make(map[uint64]*Stream),
-		closing: make(chan struct{}),
 		fan: NewFanout(cfg.MaxSubscriberQueue, cfg.SigQueueReserve, FanoutMetrics{
 			Delivered: cfg.Metrics.Counter("server.packets_delivered"),
 			Dropped:   cfg.Metrics.Counter("server.packets_dropped_backpressure"),
@@ -232,10 +217,6 @@ func New(cfg Config) (*Server, error) {
 		rootKick: make(chan time.Time, 1),
 	}
 	s.m.rootHoldTarget.Set(cfg.FlushInterval.Nanoseconds())
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = newShard(cfg.Shards * cfg.MaxPendingPublish)
-	}
 	s.loops.Add(2)
 	go s.flusher()
 	go s.signLoop()
@@ -290,37 +271,12 @@ func (s *Server) OpenStream(id uint64, build func(signer crypto.Signer) (scheme.
 	return nil
 }
 
-// closeStream removes stream id, flushing its partial block (padded, per
-// stream.Sender.Flush semantics) through its shard so in-flight publishes
-// ahead of it still land first.
-func (s *Server) closeStream(id uint64) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	st, ok := s.streams[id]
-	if !ok {
-		s.mu.Unlock()
-		return errUnknownStream
-	}
-	delete(s.streams, id)
-	s.m.streams.Set(int64(len(s.streams)))
-	// Joining pubWG under the same lock that checked closed keeps the
-	// dispatch below ordered before Close's shard-channel close — without
-	// it, closeStream racing Close could send on a closed task channel.
-	s.pubWG.Add(1)
-	s.mu.Unlock()
-	defer s.pubWG.Done()
-	// Ordered behind the stream's pending publish tasks; if the server is
-	// racing into Close, the drain pass flushes instead.
-	s.dispatch(st, func() { st.flushPartial() })
-	return nil
-}
-
-// Publish appends one message to stream id. When the stream has
-// MaxPendingPublish publishes in flight, Publish blocks (per-stream
-// backpressure) until the shard catches up or the server closes.
+// Publish appends one message to stream id and does the stream's work
+// on the calling goroutine, under the stream's lock: a message that
+// completes a block returns only after the block is authenticated, its
+// immediate packets are fanned out and its root is in the batch signer.
+// Concurrent publishers to one stream take turns; publishers to different
+// streams run in parallel.
 func (s *Server) Publish(id uint64, payload []byte) error {
 	s.mu.Lock()
 	if s.closed {
@@ -336,47 +292,12 @@ func (s *Server) Publish(id uint64, payload []byte) error {
 	s.mu.Unlock()
 	defer s.pubWG.Done()
 
-	select {
-	case st.tokens <- struct{}{}:
-	case <-s.closing:
-		return ErrClosed
-	}
-	if !s.dispatch(st, func() {
-		defer func() { <-st.tokens }()
-		st.process(payload)
-	}) {
-		<-st.tokens
-		return ErrClosed
-	}
+	st.mu.Lock()
+	st.process(payload)
+	st.mu.Unlock()
 	s.m.published.Inc()
 	st.m.published.Inc()
 	return nil
-}
-
-// dispatch queues fn on the stream's shard, reporting false if the server
-// closed instead. Per-stream ordering holds because a stream always maps
-// to the same shard.
-func (s *Server) dispatch(st *Stream, fn func()) bool {
-	sh := s.shards[int(st.id%uint64(len(s.shards)))]
-	select {
-	case sh.tasks <- fn:
-		return true
-	case <-s.closing:
-		return false
-	}
-}
-
-// tryDispatch is dispatch without blocking; the flusher uses it so a full
-// shard queue delays a deadline flush to the next tick rather than
-// stalling the flusher.
-func (s *Server) tryDispatch(st *Stream, fn func()) bool {
-	sh := s.shards[int(st.id%uint64(len(s.shards)))]
-	select {
-	case sh.tasks <- fn:
-		return true
-	default:
-		return false
-	}
 }
 
 // flusher enforces the partial-block deadline: a block older than
@@ -403,20 +324,24 @@ func (s *Server) flusher() {
 		}
 		s.mu.Unlock()
 		for _, st := range due {
-			st := st
-			s.tryDispatch(st, func() {
-				if st.snd.Due(now) {
-					st.flushPartial()
-				}
-			})
+			// A stream busy publishing is flushed on the next tick
+			// rather than stalling the flusher behind it.
+			if !st.mu.TryLock() {
+				continue
+			}
+			if st.snd.Due(now) {
+				st.flushPartial()
+			}
+			st.mu.Unlock()
 		}
 	}
 }
 
 // enqueueRoot hands a pending block root to the batch signer; the deliver
 // callback attaches the signature and releases the held packets. Called
-// from shard goroutines (and the Close drain), so an auto-flush triggered
-// here delivers for every stream that contributed to the batch.
+// under st's lock (or on the Close drain), so a count-full flush triggered
+// here delivers for every stream that contributed to the batch — which is
+// why the callback takes no stream lock.
 func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 	t0 := s.cfg.Clock()
 	pending, err := s.signer.Enqueue(db.Root.Content, func(sig []byte) {
@@ -444,7 +369,7 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 	})
 	if err != nil {
 		// Only reachable via signer misuse (validated sizes): the block is
-		// lost rather than the shard crashed.
+		// lost rather than the server crashed.
 		return
 	}
 	switch pending {
@@ -524,8 +449,7 @@ func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
 
 // stop runs the shutdown steps Close and Kill share: mark closed, stop
 // the flusher and the signer loop (waiting out a signature in progress, so
-// none lands after stop returns), wait out in-flight publishes, and drain
-// the shard workers.
+// none lands after stop returns), and wait out in-flight publishes.
 // Returns the surviving streams (now exclusively owned by the caller) and
 // false if the server was already stopped.
 func (s *Server) stop() ([]*Stream, bool) {
@@ -535,19 +459,12 @@ func (s *Server) stop() ([]*Stream, bool) {
 		return nil, false
 	}
 	s.closed = true
-	close(s.closing)
 	s.mu.Unlock()
 
 	close(s.loopStop)
 	s.loops.Wait()
 	s.pubWG.Wait()
-	for _, sh := range s.shards {
-		close(sh.tasks)
-	}
-	for _, sh := range s.shards {
-		<-sh.done
-	}
-	// Shards are gone; stream state is exclusively ours now.
+	// No publisher or flusher is left; stream state is exclusively ours.
 	s.mu.Lock()
 	streams := make([]*Stream, 0, len(s.streams))
 	for _, st := range s.streams {
@@ -560,10 +477,9 @@ func (s *Server) stop() ([]*Stream, bool) {
 }
 
 // Close drains and stops the server: it waits for in-flight publishes,
-// lets the shards work off their queues, pads out partial blocks, signs
-// the final batch, records a clean checkpoint, and closes every
-// subscriber channel. Publishers blocked on backpressure at Close time
-// abort with ErrClosed.
+// pads out partial blocks, signs the final batch, records a clean
+// checkpoint, and closes every subscriber channel. Publish calls that
+// begin after Close fail with ErrClosed.
 func (s *Server) Close() error {
 	streams, ok := s.stop()
 	if !ok {
@@ -599,30 +515,11 @@ func (s *Server) Close() error {
 // blocks' withheld signature packets are never
 // delivered, exactly what subscribers of a SIGKILLed daemon observe. The
 // write-ahead checkpoint still guarantees a restart never reuses a block
-// ID. In-flight publishes finish (the process boundary in this in-process
-// simulation is the shard drain); subscriber channels close. Chaos
-// harnesses call this between cycles.
+// ID. Publishes already in flight finish first; subscriber channels
+// close. Chaos harnesses call this between cycles.
 func (s *Server) Kill() {
 	if _, ok := s.stop(); !ok {
 		return
 	}
 	s.fan.Close()
-}
-
-// shard is one worker: a bounded FIFO task queue drained by a single
-// goroutine, so all state reached from its tasks is single-threaded.
-type shard struct {
-	tasks chan func()
-	done  chan struct{}
-}
-
-func newShard(queue int) *shard {
-	sh := &shard{tasks: make(chan func(), queue), done: make(chan struct{})}
-	go func() {
-		defer close(sh.done)
-		for fn := range sh.tasks {
-			fn()
-		}
-	}()
-	return sh
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -275,10 +276,8 @@ func TestServerBackpressureNeverDeadlocks(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := New(Config{
 		Signer:             key,
-		Shards:             2,
 		BatchSize:          4,
 		FlushInterval:      10 * time.Millisecond,
-		MaxPendingPublish:  2,
 		MaxSubscriberQueue: 1,
 		Metrics:            reg,
 	})
@@ -354,16 +353,6 @@ func TestServerConcurrentStreamLifecycle(t *testing.T) {
 						return
 					}
 				}
-				if i%2 == 0 {
-					if err := srv.closeStream(id); err != nil {
-						t.Errorf("close %d: %v", id, err)
-						return
-					}
-					if err := srv.Publish(id, []byte("late")); !errors.Is(err, errUnknownStream) {
-						t.Errorf("publish after close = %v, want ErrUnknownStream", err)
-						return
-					}
-				}
 			}
 		}(g)
 	}
@@ -424,9 +413,6 @@ func TestServerErrorPaths(t *testing.T) {
 	if err := srv.Publish(99, []byte("x")); !errors.Is(err, errUnknownStream) {
 		t.Errorf("unknown publish = %v, want ErrUnknownStream", err)
 	}
-	if err := srv.closeStream(99); !errors.Is(err, errUnknownStream) {
-		t.Errorf("unknown close = %v, want ErrUnknownStream", err)
-	}
 	if ids := srv.streamIDs(); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("Streams() = %v", ids)
 	}
@@ -441,9 +427,6 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 	if err := srv.Publish(1, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after close = %v, want ErrClosed", err)
-	}
-	if err := srv.closeStream(1); !errors.Is(err, ErrClosed) {
-		t.Errorf("close stream after close = %v, want ErrClosed", err)
 	}
 	if _, err := srv.Subscribe(); !errors.Is(err, ErrClosed) {
 		t.Errorf("subscribe after close = %v, want ErrClosed", err)
@@ -487,5 +470,123 @@ func TestSubscriberFilter(t *testing.T) {
 	}
 	if got == 0 {
 		t.Fatal("filtered subscriber saw nothing from stream 1")
+	}
+}
+
+// Several goroutines publish to the same streams at once — the mixed
+// rotation, a checkpoint reserving a few block IDs at a time, and a
+// flusher ticking fast enough to race them — and the stream invariants
+// hold: every message authenticates at a verifying subscriber, each
+// stream's immediate packets reach a subscriber in block-ID order, and a
+// server restarted on the checkpoint starts every stream above each block
+// ID it emitted.
+func TestServerConcurrentPublishersKeepStreamInvariants(t *testing.T) {
+	const (
+		streams    = 8
+		publishers = 4
+		perStream  = 40 // messages each publisher sends to each stream
+	)
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	key := crypto.NewSignerFromString("concurrent-publishers")
+	srv, err := New(Config{
+		Signer:             key,
+		Checkpoint:         mustOpenCheckpoint(t, path),
+		ReserveChunk:       4,
+		BatchSize:          8,
+		FlushInterval:      2 * time.Millisecond,
+		MaxSubscriberQueue: 1 << 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified, err := srv.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := consume(t, verified, key, streams)
+	raw, err := srv.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type order struct {
+		last, max uint64
+		any       bool
+	}
+	orders := make(chan map[uint64]*order, 1)
+	go func() {
+		seen := make(map[uint64]*order)
+		for d := range raw.C() {
+			o := seen[d.StreamID]
+			if o == nil {
+				o = &order{}
+				seen[d.StreamID] = o
+			}
+			id := d.Packet.BlockID
+			o.max = max(o.max, id)
+			// Held packets carry the block's root signature and follow
+			// it out of the batch signer; signeach signs synchronously,
+			// so all of its packets are immediate.
+			if len(d.Packet.Signature) > 0 && d.StreamID%4 != 3 {
+				continue
+			}
+			if o.any && id < o.last {
+				t.Errorf("stream %d: immediate packet of block %d after block %d", d.StreamID, id, o.last)
+			}
+			o.last, o.any = id, true
+		}
+		orders <- seen
+	}()
+	for id := uint64(1); id <= streams; id++ {
+		if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
+			return testScheme(id, signer)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < publishers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perStream; i++ {
+				for k := 0; k < streams; k++ {
+					id := uint64((g+k)%streams + 1)
+					if err := srv.Publish(id, []byte(fmt.Sprintf("p%d-s%d-m%d", g, id, i))); err != nil {
+						t.Errorf("publisher %d, stream %d: %v", g, id, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, seen := <-counts, <-orders
+	for id := uint64(1); id <= streams; id++ {
+		if got[id] != publishers*perStream {
+			t.Errorf("stream %d: authenticated %d of %d published", id, got[id], publishers*perStream)
+		}
+	}
+
+	restarted, err := New(Config{Signer: key, Checkpoint: mustOpenCheckpoint(t, path)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for id := uint64(1); id <= streams; id++ {
+		if err := restarted.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
+			return testScheme(id, signer)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		o := seen[id]
+		if o == nil {
+			t.Fatalf("stream %d emitted nothing", id)
+		}
+		if next := restarted.Stream(id).snd.NextBlockID(); next <= o.max {
+			t.Errorf("stream %d restarts at block %d, at or below emitted block %d", id, next, o.max)
+		}
 	}
 }

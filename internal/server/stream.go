@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mcauth/internal/obs"
@@ -9,26 +10,36 @@ import (
 	"mcauth/internal/transport"
 )
 
-// Stream is one authenticated stream's server-side state. All sender
-// mutation happens on the stream's shard goroutine (or on the Close
-// drain, after the shards have exited), so the stream.Sender needs no
-// lock; the counters are atomic because readers snapshot them from
-// other goroutines.
+// Stream is one authenticated stream's server-side state. Every sender
+// mutation happens under mu — on a publishing goroutine, or on the
+// flusher — or on the Close drain once both are gone. Three invariants
+// follow and the serving tier relies on them:
+//
+//   - One stream's blocks are emitted in order: its immediate packets
+//     reach every subscriber queue in block-ID order.
+//   - Block IDs are reserved in the checkpoint under mu before the block is
+//     emitted, so no block is visible under an ID a restart could reuse.
+//   - The batch signer's deliver callbacks take no stream lock. They run on
+//     whichever goroutine fills the batch or fires its timer, and touch only
+//     the DeferredBlock, the RepairStore and the Fanout, so a publisher
+//     holding one stream's lock can sign another stream's root without a
+//     lock-order cycle.
+//
+// The counters are atomic because readers snapshot them from other
+// goroutines.
 type Stream struct {
 	srv *Server
 	id  uint64
+
+	mu  sync.Mutex
 	snd *stream.Sender
-	// tokens bounds in-flight publishes: Publish acquires before
-	// dispatching to the shard, the shard task releases when done.
-	tokens chan struct{}
+	// reserved caches the stream's durably checkpointed block-ID watermark
+	// (guarded by mu, like snd). Blocks below it may be emitted without
+	// touching the checkpoint; reaching it forces a new write-ahead
+	// reservation.
+	reserved uint64
 
 	blocks atomic.Int64
-
-	// reserved caches the stream's durably checkpointed block-ID watermark
-	// (shard goroutine / Close drain only — same single-threaded discipline
-	// as snd). Blocks below it may be emitted without touching the
-	// checkpoint; reaching it forces a new write-ahead reservation.
-	reserved uint64
 
 	// repair retains recently emitted packets for session-resume catch-up
 	// (nil when Config.RepairBlocks is 0).
@@ -46,10 +57,9 @@ type streamMetrics struct {
 
 func newStream(srv *Server, id uint64, snd *stream.Sender) *Stream {
 	return &Stream{
-		srv:    srv,
-		id:     id,
-		snd:    snd,
-		tokens: make(chan struct{}, srv.cfg.MaxPendingPublish),
+		srv: srv,
+		id:  id,
+		snd: snd,
 		m: streamMetrics{
 			published: srv.cfg.Metrics.Counter(fmt.Sprintf("server.stream.%d.published", id)),
 			blocks:    srv.cfg.Metrics.Counter(fmt.Sprintf("server.stream.%d.blocks", id)),
@@ -60,8 +70,8 @@ func newStream(srv *Server, id uint64, snd *stream.Sender) *Stream {
 // Blocks returns how many blocks the stream has emitted.
 func (st *Stream) Blocks() int64 { return st.blocks.Load() }
 
-// process appends one message, emitting the block it completes. Shard
-// goroutine only.
+// process appends one message, emitting the block it completes. Holds
+// st.mu.
 func (st *Stream) process(payload []byte) {
 	db, err := st.snd.PushDeferredAt(payload, st.srv.cfg.Clock())
 	if err != nil {
@@ -71,7 +81,7 @@ func (st *Stream) process(payload []byte) {
 }
 
 // flushPartial pads out and emits a partially filled block (deadline
-// flush, stream close, or server drain). Shard goroutine or Close drain.
+// flush or server drain). Holds st.mu, or runs on the Close drain.
 func (st *Stream) flushPartial() {
 	db, err := st.snd.FlushDeferred()
 	if err != nil {
@@ -84,8 +94,8 @@ func (st *Stream) flushPartial() {
 // before blockID becomes externally visible: nothing is emitted under an
 // ID the checkpoint has not durably reserved, so a restart (which resumes
 // at the watermark) can never fork a block. Reserving a chunk at a time
-// amortizes the fsync over ReserveChunk blocks. Shard goroutine / Close
-// drain only.
+// amortizes the fsync over ReserveChunk blocks. Holds st.mu, or runs on
+// the Close drain.
 func (st *Stream) ensureReserved(blockID uint64) bool {
 	cp := st.srv.cfg.Checkpoint
 	if cp == nil || blockID < st.reserved {

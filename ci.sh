@@ -105,10 +105,11 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 # per chunk, both per-index rows of every receiver cut from one array), with
 # headroom for the runtime's own jitter, not for a map, a per-packet event
 # slice, a per-receiver verifier or per-receiver rows coming back. The
-# ceilings fire pre-commit, without needing a committed snapshot;
-# lab/baselines.json bench_alloc_ceilings applies the same kind of ceiling to
-# the latest clean snapshot under lab/bench, and takes these values once a
-# snapshot of a commit that has them exists. The Monte-Carlo estimator
+# serving-configuration verify (BenchmarkVerifyServing: a 128-packet block
+# whose one signature is shared over K roots, through the signature cache
+# and the deferred batch-verify queue) makes 21 allocs/op for signeach at
+# K = 16 and 64, and 880 and 3056 for authtree at K = 16 and 64; each is
+# held to about 1.3 times that: 28, 1150 and 4000. The Monte-Carlo estimator
 # (BenchmarkMonteCarloAuthProb: 1000 trials in two shards on one worker) is
 # held to 64: it makes 18 — the shard plan, one vertex order per call, and per
 # shard a generator, two tallies and the lane words — so the order or the
@@ -125,7 +126,7 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 # Timing is not gated.
 go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verifier
 {
-	go test -run='^$' -bench='Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb(Bursty)?)($|/)' -benchtime=100x -benchmem .
+	go test -run='^$' -bench='Benchmark(Verify|VerifyServing|ServeLoop|NetsimBlock|MonteCarloAuthProb(Bursty)?)($|/)' -benchtime=100x -benchmem .
 	go test -run='^$' -bench='BenchmarkPublish/' -benchtime=4096x -benchmem .
 } | awk '
 		/^Benchmark(Verify|ServeLoop|NetsimBlock|MonteCarloAuthProb|Publish)/ {
@@ -139,6 +140,9 @@ go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verif
 			if ($1 ~ /MonteCarloAuthProb/) ceil = 64
 			if ($1 ~ /MonteCarloAuthProbBursty/) ceil = 220
 			if ($1 ~ /Publish/) ceil = 6
+			if ($1 ~ /VerifyServing\/signeach/) ceil = 28
+			if ($1 ~ /VerifyServing\/authtree\/K=16/) ceil = 1150
+			if ($1 ~ /VerifyServing\/authtree\/K=64/) ceil = 4000
 			if (allocs + 0 > ceil) {
 				printf "verify-bench gate: %s at %s allocs/op exceeds ceiling %d\n", $1, allocs, ceil
 				bad = 1
@@ -188,8 +192,8 @@ go test -run='^$' -bench='BenchmarkVerifySpanOverhead/' -benchtime=500x -count=5
 	'
 
 # Lab tier: the bundled example sweep must run at two worker counts with
-# byte-identical artifacts, render a dashboard joining the committed
-# BENCH_*.json history, and pass the committed regression gates.
+# byte-identical artifacts, render a dashboard, and pass the committed
+# regression gates.
 labdir=$(mktemp -d)
 trap 'rm -rf "$diagdir" "$labdir"' EXIT
 go build -o "$labdir/mclab" ./cmd/mclab

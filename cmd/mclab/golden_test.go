@@ -33,8 +33,7 @@ func renderSweep(t *testing.T, outDir string) []byte {
 	t.Helper()
 	mdPath := filepath.Join(outDir, "dashboard.md")
 	err := cmdRender([]string{
-		"-out", outDir, "-bench", filepath.Join("testdata", "bench"),
-		"-md", mdPath, "-html", filepath.Join(outDir, "dashboard.html"),
+		"-out", outDir, "-md", mdPath, "-html", filepath.Join(outDir, "dashboard.html"),
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +46,10 @@ func renderSweep(t *testing.T, outDir string) []byte {
 }
 
 // TestGoldenDashboard pins the rendered markdown dashboard byte-for-byte:
-// the bundled example sweep (fixed seed and stamp) joined with the two
-// bench fixtures under testdata/bench. Every layer under it — cell
-// execution, artifact layout, bench ingestion, rendering — is
-// deterministic, so the bytes are identical on every machine and at every
-// -workers setting (the workers 1 vs 4 comparison is part of the test).
+// the bundled example sweep (fixed seed and stamp). Every layer under it —
+// cell execution, artifact layout, rendering — is deterministic, so the
+// bytes are identical on every machine and at every -workers setting (the
+// workers 1 vs 4 comparison is part of the test).
 // Regenerate with: go test ./cmd/mclab -run TestGoldenDashboard -update
 func TestGoldenDashboard(t *testing.T) {
 	base := t.TempDir()
@@ -99,11 +97,10 @@ func TestGoldenDashboard(t *testing.T) {
 func TestCheckGates(t *testing.T) {
 	outDir := t.TempDir()
 	runSweep(t, outDir, 2)
-	benchFlag := filepath.Join("testdata", "bench")
 
 	var out, errOut strings.Builder
 	err := cmdCheck([]string{
-		"-out", outDir, "-bench", benchFlag,
+		"-out", outDir,
 		"-baselines", filepath.Join("..", "..", "lab", "baselines.json"),
 	}, &out, &errOut)
 	if err != nil {
@@ -116,13 +113,13 @@ func TestCheckGates(t *testing.T) {
 	// Inject an impossible floor: rohatgi at 20% loss cannot authenticate
 	// 99.9% of packets.
 	badPath := filepath.Join(t.TempDir(), "bad.json")
-	bad := `{"bounds":[{"case":"rohatgi","p":0.2,"min_qmin":0.999}],"bench_threshold":0.1}`
+	bad := `{"bounds":[{"case":"rohatgi","p":0.2,"min_qmin":0.999}]}`
 	if err := os.WriteFile(badPath, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
 	errOut.Reset()
-	err = cmdCheck([]string{"-out", outDir, "-bench", benchFlag, "-baselines", badPath}, &out, &errOut)
+	err = cmdCheck([]string{"-out", outDir, "-baselines", badPath}, &out, &errOut)
 	if err == nil {
 		t.Fatal("injected q_min floor violation not detected")
 	}
@@ -147,5 +144,11 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 	if err := cmdCheck([]string{"-baselines", "does-not-exist.json"}, io.Discard, io.Discard); err == nil {
 		t.Error("check with missing baselines accepted")
+	}
+	if err := cmdRender([]string{"-bench", "."}, io.Discard); err == nil {
+		t.Error("render accepted the retired -bench flag")
+	}
+	if err := cmdCheck([]string{"-bench", "."}, io.Discard, io.Discard); err == nil {
+		t.Error("check accepted the retired -bench flag")
 	}
 }

@@ -8,16 +8,15 @@
 // Usage:
 //
 //	mclab run examples/lab/basic.json           # execute a sweep
-//	mclab render                                # join runs + BENCH history
+//	mclab render                                # join runs into a dashboard
 //	mclab check                                 # evaluate regression gates
 //
 // run writes a timestamped result directory under -out (config echo,
 // per-cell q_min across layers, obs metrics snapshots, diagnose reports).
-// render joins every run under -out with every BENCH_*.json under the
-// -bench directories into one markdown+HTML dashboard. check evaluates the
-// committed baselines (conformance bound tables plus a bench-delta
-// threshold) against the newest run and bench snapshot and exits non-zero
-// on any violation.
+// render joins every run under -out into one markdown+HTML dashboard.
+// check evaluates the committed baselines (conformance bound tables plus
+// the serving and overlay floors) against the newest run and exits
+// non-zero on any violation.
 package main
 
 import (
@@ -35,8 +34,8 @@ import (
 
 const usage = `usage:
   mclab run <config.json> [-out DIR] [-workers N] [-stamp STAMP]
-  mclab render [-out DIR] [-bench DIR,DIR...] [-md FILE] [-html FILE]
-  mclab check [-out DIR] [-bench DIR,DIR...] [-baselines FILE]
+  mclab render [-out DIR] [-md FILE] [-html FILE]
+  mclab check [-out DIR] [-baselines FILE]
 `
 
 func main() {
@@ -99,19 +98,7 @@ func cmdRun(args []string, out io.Writer) error {
 	return nil
 }
 
-// benchDirs splits the -bench flag; the default looks for BENCH_*.json in
-// the repo root and the committed lab/bench history.
-func benchDirs(flagVal string) []string {
-	var out []string
-	for _, d := range strings.Split(flagVal, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func gatherInput(outDir string, bench []string) (lab.DashboardInput, error) {
+func gatherInput(outDir string) (lab.DashboardInput, error) {
 	runs, err := lab.LoadRuns(outDir)
 	if err != nil {
 		return lab.DashboardInput{}, err
@@ -126,17 +113,12 @@ func gatherInput(outDir string, bench []string) (lab.DashboardInput, error) {
 			in.ServerMetrics[run.RunID()] = sm
 		}
 	}
-	in.Bench, err = lab.LoadBenchHistory(bench...)
-	if err != nil {
-		return lab.DashboardInput{}, err
-	}
 	return in, nil
 }
 
 func cmdRender(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mclab render", flag.ContinueOnError)
 	outDir := fs.String("out", "lab-results", "result directory root to join")
-	bench := fs.String("bench", ".,lab/bench", "comma-separated directories scanned for BENCH_*.json")
 	mdPath := fs.String("md", "lab-results/dashboard.md", "markdown dashboard output")
 	htmlPath := fs.String("html", "lab-results/dashboard.html", "HTML dashboard output (empty to skip)")
 	if err := fs.Parse(args); err != nil {
@@ -145,7 +127,7 @@ func cmdRender(args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("render takes no positional arguments")
 	}
-	in, err := gatherInput(*outDir, benchDirs(*bench))
+	in, err := gatherInput(*outDir)
 	if err != nil {
 		return err
 	}
@@ -159,7 +141,7 @@ func cmdRender(args []string, out io.Writer) error {
 	if err := os.WriteFile(*mdPath, []byte(md.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "mclab: dashboard: %s (%d runs, %d bench snapshots)\n", *mdPath, len(in.Runs), len(in.Bench))
+	fmt.Fprintf(out, "mclab: dashboard: %s (%d runs)\n", *mdPath, len(in.Runs))
 	if *htmlPath != "" {
 		f, err := os.Create(*htmlPath)
 		if err != nil {
@@ -180,7 +162,6 @@ func cmdRender(args []string, out io.Writer) error {
 func cmdCheck(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("mclab check", flag.ContinueOnError)
 	outDir := fs.String("out", "lab-results", "result directory root")
-	bench := fs.String("bench", ".,lab/bench", "comma-separated directories scanned for BENCH_*.json")
 	baselinesPath := fs.String("baselines", "lab/baselines.json", "committed gate file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -196,24 +177,15 @@ func cmdCheck(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	history, err := lab.LoadBenchHistory(benchDirs(*bench)...)
-	if err != nil {
-		return err
-	}
 
 	var violations []error
 	if len(runs) == 0 {
 		fmt.Fprintf(out, "mclab: check: no runs under %s; q_min gates not evaluated\n", *outDir)
 	} else {
 		latest := runs[len(runs)-1]
-		errs := baselines.CheckRun(latest)
-		fmt.Fprintf(out, "mclab: check: run %s: %d cells, %d violation(s)\n", latest.RunID(), len(latest.Cells), len(errs))
-		violations = append(violations, errs...)
+		violations = baselines.CheckRun(latest)
+		fmt.Fprintf(out, "mclab: check: run %s: %d cells, %d violation(s)\n", latest.RunID(), len(latest.Cells), len(violations))
 	}
-	errs := baselines.CheckBench(history)
-	fmt.Fprintf(out, "mclab: check: bench history: %d snapshot(s), %d violation(s)\n", len(history), len(errs))
-	violations = append(violations, errs...)
-
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(errOut, "mclab: VIOLATION:", v)

@@ -138,9 +138,7 @@ func buildEntry(o options) (catalog.Entry, string, error) {
 // buildLossModel maps -p/-burst to the last-hop loss process.
 func buildLossModel(o options) (loss.Model, error) {
 	if o.burst > 1 {
-		pBadToGood := 1 / float64(o.burst)
-		pGoodToBad := o.p * pBadToGood / (1 - o.p)
-		return loss.NewGilbertElliott(pGoodToBad, pBadToGood, 0, 1)
+		return loss.NewBursty(o.p, float64(o.burst))
 	}
 	return loss.NewBernoulli(o.p)
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mcauth/internal/catalog"
+	"mcauth/internal/crypto"
 )
 
 func TestRegistry(t *testing.T) {
@@ -246,6 +249,25 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if byName["tesla"].QMin <= 0 {
 		t.Error("tesla q_min missing")
+	}
+	// The C_{3,3} row reads q_min off the 128-packet block it measures,
+	// whose last segment dangles, not off Figure 8's aligned 129-packet
+	// chain.
+	ac, err := catalog.Build(catalog.Spec{ID: "augchain", N: fig10N, A: 3, B: 3},
+		crypto.NewSignerFromString("fig10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ac.Scheme.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.Recurrence(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := byName["ac(C33)"].QMin; got != want.QMin {
+		t.Errorf("ac(C33) q_min = %v, want %v from its own %d-packet graph", got, want.QMin, fig10N)
 	}
 }
 

@@ -148,12 +148,7 @@ func burstSeries() ([]burstRow, error) {
 			return nil, err
 		}
 		for _, bl := range burstLens {
-			// Mean burst length bl => PBadToGood = 1/bl; choose
-			// PGoodToBad for stationary loss = burstRate with
-			// PBad = 1, PGood = 0: pi_bad = rate.
-			pBadToGood := 1 / bl
-			pGoodToBad := burstRate * pBadToGood / (1 - burstRate)
-			ge, err := loss.NewGilbertElliott(pGoodToBad, pBadToGood, 0, 1)
+			ge, err := loss.NewBursty(burstRate, bl)
 			if err != nil {
 				return nil, err
 			}

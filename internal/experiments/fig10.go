@@ -96,18 +96,6 @@ func fig10Series() ([]fig10Row, error) {
 			}
 			row.HashBuffer = g.HashBufferSize()
 			row.MsgBuffer = g.MessageBufferSize()
-			if id == "augchain" {
-				// q_min is Figure 8's C_{3,3}, aligned to a chain
-				// boundary (129 packets); the 128-packet block measured
-				// here ends mid-segment.
-				ac, err := contenderNamed(name)
-				if err != nil {
-					return nil, err
-				}
-				if g, err = ac.graph(fig10N); err != nil {
-					return nil, err
-				}
-			}
 			res, err := g.Recurrence(0.1)
 			if err != nil {
 				return nil, err

@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"math"
 	"strings"
 
 	"mcauth/internal/obs"
 )
 
 // DashboardInput joins everything the renderer draws from: lab runs in
-// chronological order, their wall-clock server snapshots (keyed run ID →
-// cell ID), and the BENCH_<sha>.json history.
+// chronological order and their wall-clock server snapshots (keyed run ID
+// → cell ID).
 type DashboardInput struct {
 	Runs          []*RunResult
 	ServerMetrics map[string]map[string]obs.Snapshot
-	Bench         []*BenchFile
 }
 
 func fq(v float64) string { return fmt.Sprintf("%.4f", v) }
@@ -48,7 +46,7 @@ func optQ(has bool, v float64) string {
 func RenderMarkdown(w io.Writer, in DashboardInput) error {
 	var b strings.Builder
 	b.WriteString("# mcauth lab dashboard\n\n")
-	fmt.Fprintf(&b, "%d lab run(s), %d bench snapshot(s).\n", len(in.Runs), len(in.Bench))
+	fmt.Fprintf(&b, "%d lab run(s).\n", len(in.Runs))
 
 	if len(in.Runs) > 0 {
 		b.WriteString("\n## Runs\n\n")
@@ -158,42 +156,6 @@ func RenderMarkdown(w io.Writer, in DashboardInput) error {
 				fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %.1f | %s |\n",
 					c.ID, s.Published, s.Verified, s.Signatures, s.SignedRoots, s.Amortization, hold)
 			}
-		}
-	}
-
-	if len(in.Bench) > 0 {
-		b.WriteString("\n## Benchmark trajectory\n\n")
-		b.WriteString("One row per snapshot per benchmark, oldest first; Δns is against the " +
-			"best (lowest) ns/op anywhere in the history.\n\n")
-		series := seriesByName(in.Bench)
-		for _, name := range sortedNames(series) {
-			points := series[name]
-			best := math.Inf(1)
-			for _, pt := range points {
-				if pt.Benchmark.NsPerOp != nil && *pt.Benchmark.NsPerOp < best {
-					best = *pt.Benchmark.NsPerOp
-				}
-			}
-			fmt.Fprintf(&b, "### %s\n\n", name)
-			b.WriteString("| commit | ns/op | Δns vs best | B/op | allocs/op |\n|---|---:|---:|---:|---:|\n")
-			for _, pt := range points {
-				ns, delta := "—", "—"
-				if v := pt.Benchmark.NsPerOp; v != nil {
-					ns = fmt.Sprintf("%.1f", *v)
-					if !math.IsInf(best, 1) && best > 0 {
-						delta = fmt.Sprintf("%+.1f%%", 100*(*v/best-1))
-					}
-				}
-				bop, aop := "—", "—"
-				if v := pt.Benchmark.BytesPerOp; v != nil {
-					bop = fmt.Sprintf("%.0f", *v)
-				}
-				if v := pt.Benchmark.AllocsPerOp; v != nil {
-					aop = fmt.Sprintf("%.0f", *v)
-				}
-				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", pt.File.shortCommit(), ns, delta, bop, aop)
-			}
-			b.WriteString("\n")
 		}
 	}
 

@@ -6,31 +6,17 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"mcauth/internal/conformance"
 )
 
-// Baselines is the committed gate file `mclab check` evaluates a run and
-// the bench history against. Bounds reuse the conformance bound-table
-// machinery, so the same tolerances that gate `go test` conformance cells
-// gate lab sweeps.
+// Baselines is the committed gate file `mclab check` evaluates a run
+// against. Bounds reuse the conformance bound-table machinery, so the same
+// tolerances that gate `go test` conformance cells gate lab sweeps.
 type Baselines struct {
 	// Bounds gate the sweep's q_min cells. Bound.Case matches the cell's
 	// scheme id (rohatgi, emss, ...); Bound.P the loss rate.
 	Bounds conformance.Table `json:"bounds"`
-	// BenchThreshold is the allowed fractional regression of the latest
-	// bench snapshot vs the best strictly-older snapshot per benchmark
-	// (0.10 = +10%). Zero disables the bench gate.
-	BenchThreshold float64 `json:"bench_threshold,omitempty"`
-	// BenchAllocCeilings are absolute allocs/op ceilings for named
-	// benchmarks, checked against the latest clean snapshot. Unlike the
-	// relative BenchThreshold they hold even when every snapshot in the
-	// history regressed together, which is what keeps the zero-alloc
-	// verify fast path honest. A key matches the benchmark name exactly
-	// or with a -<procs> suffix (go test appends GOMAXPROCS when > 1).
-	BenchAllocCeilings map[string]float64 `json:"bench_alloc_ceilings,omitempty"`
 	// RequireServerResume gates the serving tier's session-resume path:
 	// every cell that ran the server path with churn enabled must have
 	// replayed catch-up packets to its late subscriber and verified every
@@ -62,14 +48,6 @@ func ReadBaselines(path string) (Baselines, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&b); err != nil {
 		return Baselines{}, fmt.Errorf("lab: baselines %s: %w", path, err)
-	}
-	if b.BenchThreshold < 0 {
-		return Baselines{}, fmt.Errorf("lab: baselines %s: bench_threshold %g must be >= 0", path, b.BenchThreshold)
-	}
-	for name, ceil := range b.BenchAllocCeilings {
-		if ceil < 0 {
-			return Baselines{}, fmt.Errorf("lab: baselines %s: alloc ceiling for %s is negative", path, name)
-		}
 	}
 	if b.RequireOverlayGain < 0 || b.RequireOverlayGain > 1 {
 		return Baselines{}, fmt.Errorf("lab: baselines %s: require_overlay_gain %g out of [0,1]", path, b.RequireOverlayGain)
@@ -170,103 +148,8 @@ func (b Baselines) CheckRun(run *RunResult) []error {
 	return errs
 }
 
-// CheckBench gates the newest clean bench snapshot against the best
-// strictly-older clean snapshot per benchmark: ns/op may not regress by
-// more than the threshold fraction, and allocs/op by more than the
-// threshold fraction plus an absolute slack of 2 allocations (so
-// near-zero counts are not gated on integer jitter). Dirty-tree
-// snapshots are dropped from the comparison entirely — as baseline and
-// as candidate — so only commit-attributable numbers ever gate.
-// Benchmarks with no older measurement pass vacuously; an empty or
-// single-file clean history passes the relative gate, but absolute
-// alloc ceilings still apply to the latest clean snapshot.
-func (b Baselines) CheckBench(history []*BenchFile) []error {
-	clean := history[:0:0]
-	for _, bf := range history {
-		if !bf.dirty() {
-			clean = append(clean, bf)
-		}
-	}
-	var errs []error
-	if len(clean) > 0 {
-		errs = append(errs, b.checkAllocCeilings(clean[len(clean)-1])...)
-	}
-	if b.BenchThreshold <= 0 || len(clean) < 2 {
-		return errs
-	}
-	latest := clean[len(clean)-1]
-	series := seriesByName(clean[:len(clean)-1])
-	for _, bm := range latest.Benchmarks {
-		points := series[bm.Name]
-		if len(points) == 0 {
-			continue
-		}
-		bestNs, bestAllocs := math.Inf(1), math.Inf(1)
-		var bestNsFile string
-		for _, pt := range points {
-			if pt.Benchmark.NsPerOp != nil && *pt.Benchmark.NsPerOp < bestNs {
-				bestNs = *pt.Benchmark.NsPerOp
-				bestNsFile = pt.File.shortCommit()
-			}
-			if pt.Benchmark.AllocsPerOp != nil && *pt.Benchmark.AllocsPerOp < bestAllocs {
-				bestAllocs = *pt.Benchmark.AllocsPerOp
-			}
-		}
-		if bm.NsPerOp != nil && !math.IsInf(bestNs, 1) {
-			if limit := bestNs * (1 + b.BenchThreshold); *bm.NsPerOp > limit {
-				errs = append(errs, fmt.Errorf(
-					"%s: %.1f ns/op regresses %.1f%% over best baseline %.1f ns/op (%s; threshold %.0f%%)",
-					bm.Name, *bm.NsPerOp, 100*(*bm.NsPerOp/bestNs-1), bestNs, bestNsFile, 100*b.BenchThreshold))
-			}
-		}
-		if bm.AllocsPerOp != nil && !math.IsInf(bestAllocs, 1) {
-			if limit := bestAllocs*(1+b.BenchThreshold) + 2; *bm.AllocsPerOp > limit {
-				errs = append(errs, fmt.Errorf(
-					"%s: %.0f allocs/op regresses over best baseline %.0f allocs/op (threshold %.0f%% + 2)",
-					bm.Name, *bm.AllocsPerOp, bestAllocs, 100*b.BenchThreshold))
-			}
-		}
-	}
-	return errs
-}
-
-// checkAllocCeilings applies the absolute allocs/op ceilings to one
-// snapshot. Ceiling keys match the benchmark name exactly or with a
-// trailing -<procs> tag; benchmarks absent from the snapshot pass
-// vacuously (the ceiling gates regressions, not bench coverage).
-func (b Baselines) checkAllocCeilings(latest *BenchFile) []error {
-	if len(b.BenchAllocCeilings) == 0 {
-		return nil
-	}
-	var errs []error
-	for _, bm := range latest.Benchmarks {
-		if bm.AllocsPerOp == nil {
-			continue
-		}
-		name := bm.Name
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		ceil, ok := b.BenchAllocCeilings[name]
-		if !ok {
-			ceil, ok = b.BenchAllocCeilings[bm.Name]
-		}
-		if !ok {
-			continue
-		}
-		if *bm.AllocsPerOp > ceil {
-			errs = append(errs, fmt.Errorf(
-				"%s: %.0f allocs/op exceeds absolute ceiling %.0f (%s)",
-				bm.Name, *bm.AllocsPerOp, ceil, latest.shortCommit()))
-		}
-	}
-	return errs
-}
-
 // defaultBaselines is the starting gate: conformance-default tolerances on
-// every cell, no q_min floors, 10% bench threshold.
+// every cell, no q_min floors.
 func defaultBaselines() Baselines {
-	return Baselines{Bounds: conformance.DefaultTable(), BenchThreshold: 0.10}
+	return Baselines{Bounds: conformance.DefaultTable()}
 }

@@ -8,14 +8,13 @@
 // directory: config echo, per-cell q_min across layers, obs metrics
 // snapshots, and internal/diagnose root-cause reports.
 //
-// On top of collected runs, the dashboard renderer joins every historical
-// BENCH_<sha>.json perf snapshot with every lab run into one
-// markdown+HTML dashboard, and the gate evaluator (mclab check) turns
-// committed baselines — conformance bound tables plus bench-delta
-// thresholds — into a non-zero exit status, so each future PR's effect on
-// the paper's central quantities (authentication probability vs overhead)
-// and on the perf trajectory is a visible, gated data point instead of a
-// buried JSON file.
+// On top of collected runs, the dashboard renderer joins every lab run
+// into one markdown+HTML dashboard, and the gate evaluator (mclab check)
+// turns committed baselines — conformance bound tables plus the serving
+// and overlay floors — into a non-zero exit status, so a change's effect
+// on the paper's central quantities (authentication probability vs
+// overhead) is a visible, gated data point instead of a buried JSON file.
+// Performance is measured elsewhere, by `go run ./benchmark`.
 //
 // Cells execute on internal/parallel with a deterministic per-cell seed
 // schedule, so every artifact a run writes is byte-identical at any

@@ -436,125 +436,26 @@ func TestGatesInjectedViolation(t *testing.T) {
 	}
 }
 
-// TestBenchGate exercises the bench-delta gate on synthetic history: a
-// regression beyond the threshold fails, one within passes, and the best
-// baseline is taken across all older snapshots, not just the previous one.
-func TestBenchGate(t *testing.T) {
-	f := func(v float64) *float64 { return &v }
-	mk := func(commit string, at int64, ns, allocs float64) *BenchFile {
-		return &BenchFile{
-			Commit:          commit,
-			GeneratedAtUnix: at,
-			Benchmarks:      []benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(allocs)}},
-			File:            "BENCH_" + commit + ".json",
-		}
-	}
-	b := Baselines{BenchThreshold: 0.10}
-	// Best ns/op is the middle snapshot; latest regresses 50% over it.
-	history := []*BenchFile{mk("aaaaaaa1", 1, 120, 10), mk("bbbbbbb2", 2, 100, 10), mk("ccccccc3", 3, 150, 10)}
-	errs := b.CheckBench(history)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "regresses") {
-		t.Fatalf("50%% ns/op regression not gated: %v", errs)
-	}
-	// Within threshold: passes.
-	if errs := b.CheckBench([]*BenchFile{mk("a1", 1, 100, 10), mk("b2", 2, 105, 11)}); len(errs) != 0 {
-		t.Errorf("in-threshold delta gated: %v", errs)
-	}
-	// Alloc regression beyond threshold + slack.
-	if errs := b.CheckBench([]*BenchFile{mk("a1", 1, 100, 10), mk("b2", 2, 100, 20)}); len(errs) != 1 {
-		t.Errorf("alloc regression not gated: %v", errs)
-	}
-	// Zero threshold or single file disables the gate.
-	if errs := (Baselines{}).CheckBench(history); len(errs) != 0 {
-		t.Errorf("disabled gate fired: %v", errs)
-	}
-	if errs := b.CheckBench(history[:1]); len(errs) != 0 {
-		t.Errorf("single-file history gated: %v", errs)
-	}
-}
-
-// TestBenchGateDirtyFilter: dirty-tree snapshots neither set baselines
-// nor get gated; only clean commits compare against each other.
-func TestBenchGateDirtyFilter(t *testing.T) {
-	f := func(v float64) *float64 { return &v }
-	mk := func(commit string, at int64, ns float64) *BenchFile {
-		return &BenchFile{
-			Commit:          commit,
-			GeneratedAtUnix: at,
-			Benchmarks:      []benchmark{{Name: "BenchmarkMC", NsPerOp: f(ns), AllocsPerOp: f(10)}},
-			File:            "BENCH_" + commit + ".json",
-		}
-	}
-	b := Baselines{BenchThreshold: 0.10}
-	// A dirty snapshot with an absurdly fast number must not become the
-	// baseline the clean latest is judged against.
-	if errs := b.CheckBench([]*BenchFile{mk("aaaaaaa1", 1, 100), mk("bbbbbbb2-dirty", 2, 1), mk("ccccccc3", 3, 105)}); len(errs) != 0 {
-		t.Errorf("dirty snapshot served as baseline: %v", errs)
-	}
-	// A dirty latest is not gated at all (its regression is not
-	// attributable), but the newest clean snapshot before it still is.
-	if errs := b.CheckBench([]*BenchFile{mk("aaaaaaa1", 1, 100), mk("ccccccc3", 3, 150), mk("bbbbbbb2-dirty", 4, 999)}); len(errs) != 1 {
-		t.Errorf("clean regression hidden behind dirty latest: %v", errs)
-	}
-	// Legacy files tag only the filename.
-	legacy := mk("bbbbbbb2", 2, 1)
-	legacy.File = "BENCH_bbbbbb2-dirty.json"
-	if errs := b.CheckBench([]*BenchFile{mk("aaaaaaa1", 1, 100), legacy, mk("ccccccc3", 3, 105)}); len(errs) != 0 {
-		t.Errorf("filename-tagged dirty snapshot served as baseline: %v", errs)
-	}
-}
-
-// TestBenchGateAllocCeilings: absolute allocs/op ceilings hold on the
-// latest clean snapshot even with no prior history, and match names
-// carrying a GOMAXPROCS suffix.
-func TestBenchGateAllocCeilings(t *testing.T) {
-	f := func(v float64) *float64 { return &v }
-	b := Baselines{BenchAllocCeilings: map[string]float64{"BenchmarkVerify/tesla": 80}}
-	mk := func(name string, allocs float64) *BenchFile {
-		return &BenchFile{
-			Commit:     "aaaaaaa1",
-			Benchmarks: []benchmark{{Name: name, AllocsPerOp: f(allocs)}},
-			File:       "BENCH_aaaaaaa1.json",
-		}
-	}
-	if errs := b.CheckBench([]*BenchFile{mk("BenchmarkVerify/tesla", 35)}); len(errs) != 0 {
-		t.Errorf("under-ceiling snapshot gated: %v", errs)
-	}
-	if errs := b.CheckBench([]*BenchFile{mk("BenchmarkVerify/tesla", 500)}); len(errs) != 1 {
-		t.Errorf("over-ceiling snapshot not gated: %v", errs)
-	}
-	if errs := b.CheckBench([]*BenchFile{mk("BenchmarkVerify/tesla-4", 500)}); len(errs) != 1 {
-		t.Errorf("GOMAXPROCS-suffixed name not matched: %v", errs)
-	}
-	dirty := mk("BenchmarkVerify/tesla", 500)
-	dirty.Commit = "aaaaaaa1-dirty"
-	if errs := b.CheckBench([]*BenchFile{dirty}); len(errs) != 0 {
-		t.Errorf("ceiling applied to dirty snapshot: %v", errs)
-	}
-}
-
-// TestBenchHistoryOrdering checks generated_at_unix ordering with
-// filename tie-breaks for pre-field files.
-func TestBenchHistoryOrdering(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+// TestReadBaselinesRejectsBenchKeys: a gate file carrying bench_threshold
+// or bench_alloc_ceilings, keys Baselines does not define, is refused with
+// an error naming the file, not read as though those gates were enforced.
+func TestReadBaselinesRejectsBenchKeys(t *testing.T) {
+	for _, body := range []string{
+		`{"bounds":[],"bench_threshold":0.1}`,
+		`{"bounds":[],"bench_alloc_ceilings":{"BenchmarkVerify/tesla":80}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "stale.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	write("BENCH_new.json", `{"commit":"new","generated_at_unix":200,"benchmarks":[]}`)
-	write("BENCH_old.json", `{"commit":"old","generated_at_unix":100,"benchmarks":[]}`)
-	write("BENCH_legacy.json", `{"commit":"legacy","benchmarks":[]}`) // no field → oldest
-	write("ignored.json", `{}`)
-	history, err := LoadBenchHistory(dir, filepath.Join(dir, "does-not-exist"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(history) != 3 {
-		t.Fatalf("history length = %d, want 3", len(history))
-	}
-	if history[0].Commit != "legacy" || history[1].Commit != "old" || history[2].Commit != "new" {
-		t.Errorf("history misordered: %s %s %s", history[0].Commit, history[1].Commit, history[2].Commit)
+		_, err := ReadBaselines(path)
+		if err == nil {
+			t.Errorf("%s accepted", body)
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", body, err)
+		}
 	}
 }
 
@@ -564,12 +465,7 @@ func TestDashboardRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(v float64) *float64 { return &v }
-	bench := []*BenchFile{{
-		Commit:     "0123456789abcdef",
-		Benchmarks: []benchmark{{Name: "BenchmarkMC", NsPerOp: f(1234.5), AllocsPerOp: f(3)}},
-	}}
-	in := DashboardInput{Runs: []*RunResult{run}, Bench: bench}
+	in := DashboardInput{Runs: []*RunResult{run}}
 	var a, b strings.Builder
 	if err := RenderMarkdown(&a, in); err != nil {
 		t.Fatal(err)
@@ -586,9 +482,6 @@ func TestDashboardRender(t *testing.T) {
 		"## q_min vs overhead — smoke-20260101T000000Z",
 		"rohatgi/bernoulli(p=0.2)/n=8/r=40",
 		"### Time to authentication",
-		"## Benchmark trajectory",
-		"### BenchmarkMC",
-		"| 0123456",
 	} {
 		if !strings.Contains(md, want) {
 			t.Errorf("dashboard missing %q", want)

@@ -189,9 +189,7 @@ func buildLoss(l lossConfig) (loss.Model, error) {
 	case "bernoulli":
 		return loss.NewBernoulli(l.P)
 	case "gilbert":
-		pBadToGood := 1 / l.Burst
-		pGoodToBad := l.P * pBadToGood / (1 - l.P)
-		return loss.NewGilbertElliott(pGoodToBad, pBadToGood, 0, 1)
+		return loss.NewBursty(l.P, l.Burst)
 	default:
 		return nil, fmt.Errorf("lab: unknown loss model %q", l.Model)
 	}

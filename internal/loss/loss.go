@@ -138,6 +138,20 @@ func NewGilbertElliott(pGoodToBad, pBadToGood, pGood, pBad float64) (GilbertElli
 	}, nil
 }
 
+// NewBursty returns the Gilbert–Elliott chain with stationary loss rate p
+// and mean burst length burst (in packets, at least 1): a lossless Good
+// state, an always-lossy Bad state left with probability 1/burst, and
+// entered at the rate that makes Bad's stationary share p. burst = 1 is
+// i.i.d. loss at rate p drawn through the chain.
+func NewBursty(p, burst float64) (GilbertElliott, error) {
+	if !(burst >= 1) {
+		return GilbertElliott{}, fmt.Errorf("loss: mean burst length %v must be >= 1", burst)
+	}
+	pBadToGood := 1 / burst
+	pGoodToBad := p * pBadToGood / (1 - p)
+	return NewGilbertElliott(pGoodToBad, pBadToGood, 0, 1)
+}
+
 // stationaryBad returns the stationary probability of the Bad state.
 func (g GilbertElliott) stationaryBad() float64 {
 	return g.PGoodToBad / (g.PGoodToBad + g.PBadToGood)

@@ -119,6 +119,46 @@ func TestGilbertElliottValidation(t *testing.T) {
 	}
 }
 
+// TestNewBursty: the chain NewBursty builds loses p of the packets in
+// stationarity, in bursts of mean length b, and rejects a burst shorter
+// than one packet and a rate its Good state cannot reach.
+func TestNewBursty(t *testing.T) {
+	for _, tt := range []struct {
+		p, burst float64
+		ok       bool
+	}{
+		{0.1, 1, true},
+		{0.1, 4, true},
+		{0.25, 5, true},
+		{0, 3, true},
+		{0.1, 0.5, false},
+		{0.1, math.NaN(), false},
+		{0.1, 0, false},
+		{1, 4, false},
+		{0.6, 1, false},
+	} {
+		g, err := NewBursty(tt.p, tt.burst)
+		if !tt.ok {
+			if err == nil {
+				t.Errorf("p=%v burst=%v accepted", tt.p, tt.burst)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("p=%v burst=%v: %v", tt.p, tt.burst, err)
+		}
+		if math.Abs(g.Rate()-tt.p) > 1e-12 {
+			t.Errorf("p=%v burst=%v: stationary loss %v", tt.p, tt.burst, g.Rate())
+		}
+		if math.Abs(g.meanBurstLength()-tt.burst) > 1e-12 {
+			t.Errorf("p=%v burst=%v: mean burst %v", tt.p, tt.burst, g.meanBurstLength())
+		}
+		if g.PGood != 0 || g.PBad != 1 {
+			t.Errorf("p=%v burst=%v: state losses %v/%v, want 0/1", tt.p, tt.burst, g.PGood, g.PBad)
+		}
+	}
+}
+
 func TestSingleBurst(t *testing.T) {
 	m, err := NewSingleBurst(5)
 	if err != nil {

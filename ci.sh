@@ -1,8 +1,21 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, and the full test suite under the race
-# detector (the netsim receiver pool and obs instruments are concurrent).
+# Verification in tiers. `./ci.sh` runs every tier in the order below;
+# `./ci.sh <tier>` runs that one tier alone; an unknown name fails and
+# lists the valid ones. Each tier builds the tools it runs, and all of
+# them share one temporary directory that is removed on exit.
 set -eux
 
+tiers="test audit server deferred_verify robustness serving_chaos diagnostics analytic perf verify_fastpath telemetry lab overlay ledger coverage loc"
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+diagdir="$work/diag"
+labdir="$work/lab"
+mkdir -p "$diagdir" "$labdir"
+
+# Tier-1 verification: vet, build, and the full test suite under the race
+# detector (the netsim receiver pool and obs instruments are concurrent).
+tier_test() {
 fmt_diff=$(gofmt -l .)
 if [ -n "$fmt_diff" ]; then
 	echo "gofmt needed on:" >&2
@@ -14,13 +27,16 @@ go build ./...
 # -shuffle=on randomizes test and subtest order so inter-test state
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
+}
 
 # Audit tier: every exported identifier in internal/ is referenced by a
 # non-test file outside its package, or named with a reason in
 # internal/audit/testdata/unreferenced_allow.txt. The audit type-checks the
 # module and the standard library from source (about 15 s under the race
 # detector, 3 s without), so it skips under -race and runs here instead.
+tier_audit() {
 go test -count=1 -run TestUnreferencedExports ./internal/audit
+}
 
 # Server tier: the whole serving package three times over under the race
 # detector at three widths. Publish runs a stream's work on the caller's
@@ -29,35 +45,44 @@ go test -count=1 -run TestUnreferencedExports ./internal/audit
 # signer loop (a goroutine with a timer, internal/server/hold.go). These
 # tests fail on a data race between publishers of one stream, on a stream's
 # blocks leaving out of order, on a goroutine left behind, on a signature
-# landing after Kill, and on a hold that ignores the measured root rate.
+# landing after Kill, on a hold that ignores the measured root rate, and on
+# a batch that waits out its hold after its fill target (the 1 + rate·hold
+# roots the hold waits for) is in, or spends past the signature bound.
+tier_server() {
 go test -race -count=3 -cpu 1,2,4 ./internal/server
+}
 
 # Deferred-verify tier: a BatchVerifyQueue pass verifies its distinct
 # checks on up to GOMAXPROCS goroutines. -cpu runs the queue's tests, and the
 # stream and serve tests that resolve it, at several widths, so the parallel
 # branch runs under the race detector even on a 1-CPU runner.
+tier_deferred_verify() {
 go test -race -cpu 1,2,4 -run 'BatchVerifyQueue|SigCache' ./internal/crypto
 go test -race -cpu 1,4 ./internal/stream ./internal/serve
+}
 
 # Robustness tier: a short seeded chaos soak under the race detector, then
 # a fuzz smoke pass over the two attacker-facing decoders.
+tier_robustness() {
 go run -race ./cmd/mcsim -chaos -n 24 -receivers 6 -chaosseeds 2 >/dev/null
 go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/packet
 go test -fuzz=FuzzFrameReader -fuzztime=10s -run='^$' ./internal/transport
 go test -fuzz=FuzzMuxFrameReader -fuzztime=10s -run='^$' ./internal/transport
+}
 
 # Serving-chaos tier: kill/restart the serving daemon across three cycles
 # with connection faults injected, under the race detector. The harness
 # asserts its own invariants (no forged authentications, session resume
 # replayed catch-up, faults actually fired) and exits non-zero otherwise.
+tier_serving_chaos() {
 go run -race ./cmd/mcserved -chaos -cycles 3 -streams 4 -n 8 -blocks 4 \
 	-rate 300us -kill-after 250ms -batch 16 -flush 30ms \
 	-conn-reset 0.02 -conn-stall 0.01 -chaos-seed 7 -key ci-chaos >/dev/null
+}
 
 # Diagnostics tier: a small lossy run must produce a root-cause report that
 # mcreport can re-read, and two identical-seed traces must diff empty.
-diagdir=$(mktemp -d)
-trap 'rm -rf "$diagdir"' EXIT
+tier_diagnostics() {
 go run ./cmd/mcsim -scheme emss -n 20 -p 0.25 -receivers 8 -seed 5 \
 	-trace "$diagdir/a.jsonl" -report "$diagdir/rep.json" >/dev/null
 go run ./cmd/mcsim -scheme emss -n 20 -p 0.25 -receivers 8 -seed 5 \
@@ -66,6 +91,7 @@ go run ./cmd/mcreport -scheme emss -n 20 "$diagdir/a.jsonl" >/dev/null
 go run ./cmd/mcreport -scheme emss -n 20 -diff "$diagdir/a.jsonl" "$diagdir/b.jsonl"
 test -s "$diagdir/rep.json"
 test -s "$diagdir/rep.json.md"
+}
 
 # Analytic tier: one exact evaluator (depgraph.ExactAuthProbChannel), and it
 # stays one. The burst table carries an exact number in every row, the
@@ -74,6 +100,7 @@ test -s "$diagdir/rep.json.md"
 # frontier) still answers inside 2 s, and every q_min but TESLA's comes from
 # the scheme's own graph: no Go file imports internal/analysis, the deleted
 # package of closed forms, and the Rohatgi chain's q_min is labelled exact.
+tier_analytic() {
 go build -o "$diagdir/mcfig" ./cmd/mcfig
 go build -o "$diagdir/mcgraph" ./cmd/mcgraph
 "$diagdir/mcfig" -fig burst > "$diagdir/burst.txt"
@@ -88,10 +115,13 @@ if grep -rn '"mcauth/internal/analysis"' --include='*.go' .; then
 	exit 1
 fi
 go run ./cmd/mcsim -scheme rohatgi -receivers 10 | grep -q '(exact)'
+}
 
 # Perf tier: compile and run every benchmark once so the bench harness
 # cannot bit-rot; real measurements come from `go run ./benchmark`.
+tier_perf() {
 go test -run='^$' -bench=. -benchtime=1x . >/dev/null
+}
 
 # Verify fast-path tier: the zero-alloc guards (AllocsPerRun on the
 # ...Into/scratch/cached paths — they skip under -race, so this is their
@@ -124,6 +154,7 @@ go test -run='^$' -bench=. -benchtime=1x . >/dev/null
 # messages — and is held to 6, about 1.3 times that. It runs at 4096x, not
 # 100x, so that batches fill and sign inside the timed loop.
 # Timing is not gated.
+tier_verify_fastpath() {
 go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verifier
 {
 	go test -run='^$' -bench='Benchmark(Verify|VerifyServing|ServeLoop|NetsimBlock|MonteCarloAuthProb(Bursty)?)($|/)' -benchtime=100x -benchmem .
@@ -150,6 +181,7 @@ go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verif
 		}
 		END { exit bad }
 	'
+}
 
 # Telemetry tier: the trace JSONL schema goldens (the one record every
 # sink writes and obs.ReadSpans reads: spans.golden.jsonl pins the serving
@@ -163,6 +195,7 @@ go test -count=1 -run='AllocFree|SteadyState' ./internal/crypto ./internal/verif
 # fails every pair while one-off scheduler noise fails none. The enabled
 # ring's paired delta is printed beside it, ungated: the cost of telemetry
 # switched on, as a measured number.
+tier_telemetry() {
 go test -count=1 -run 'TestSpanGoldenSchema|TestTraceGoldenSchema' ./internal/obs
 go test -count=1 -run 'TestGoldenFlightReport|TestFlightReportContent' ./cmd/mcreport
 go run ./cmd/mcserved -chaos -cycles 2 -streams 2 -n 8 -blocks 6 \
@@ -190,12 +223,12 @@ go test -run='^$' -bench='BenchmarkVerifySpanOverhead/' -benchtime=500x -count=5
 			if (best > 0.02) { print "span-overhead gate: disabled tracing exceeds 2% overhead in every pair"; exit 1 }
 		}
 	'
+}
 
 # Lab tier: the bundled example sweep must run at two worker counts with
 # byte-identical artifacts, render a dashboard, and pass the committed
 # regression gates.
-labdir=$(mktemp -d)
-trap 'rm -rf "$diagdir" "$labdir"' EXIT
+tier_lab() {
 go build -o "$labdir/mclab" ./cmd/mclab
 "$labdir/mclab" run examples/lab/basic.json -out "$labdir/w1" -workers 1 -stamp ci >/dev/null
 "$labdir/mclab" run examples/lab/basic.json -out "$labdir/w4" -workers 4 -stamp ci >/dev/null
@@ -211,6 +244,7 @@ test -s "$labdir/dashboard.html"
 # check gates only the latest run under a root.
 "$labdir/mclab" run examples/lab/churn.json -out "$labdir/churn" -workers 4 -stamp ci >/dev/null
 "$labdir/mclab" check -out "$labdir/churn"
+}
 
 # Overlay tier: the relay fan-out path. The relay control-frame decoder
 # (resume hellos + MCRQ repair requests share one wire) gets a fuzz smoke;
@@ -220,8 +254,10 @@ test -s "$labdir/dashboard.html"
 # pass the require_overlay_gain gate — relays serving signature repairs must
 # measurably raise the downstream authenticated fraction over passive
 # forwarding.
+tier_overlay() {
 go test -fuzz=FuzzRelayFrame -fuzztime=10s -run='^$' ./internal/transport
 go build -o "$labdir/mcsim" ./cmd/mcsim
+go build -o "$labdir/mclab" ./cmd/mclab
 overlay_run() {
 	w=$1
 	shift
@@ -249,6 +285,7 @@ awk -F'[:,]' '
 ' "$labdir/overlay-metrics.json"
 "$labdir/mclab" run examples/lab/overlay.json -out "$labdir/overlay" -workers 4 -stamp ci >/dev/null
 "$labdir/mclab" check -out "$labdir/overlay"
+}
 
 # Ledger tier: every scheme reports through verifier.Recorder, so every
 # scheme's trace is a function of the run: with one worker, three runs of
@@ -259,6 +296,8 @@ awk -F'[:,]' '
 # presence in the JSON report means some line the sink wrote did not read
 # back as a trace record. And no scheme is dark: authtree's report, which is
 # built from the trace, authenticates packets.
+tier_ledger() {
+go build -o "$labdir/mcsim" ./cmd/mcsim
 go build -o "$labdir/mcreport" ./cmd/mcreport
 schemes=$("$labdir/mcsim" -h 2>&1 | sed -n 's/.*scheme: \([a-z|]*\) (default.*/\1/p' | tr '|' ' ')
 test -n "$schemes"
@@ -277,11 +316,14 @@ for s in $schemes; do
 done
 "$labdir/mcsim" -scheme authtree -n 16 -p 0.2 -receivers 20 -report "$labdir/authtree-rep.json" \
 	| awk -F'authenticated=' '/^packets: / { n = $2 + 0 } END { if (n < 1) { print "ledger smoke: authtree report authenticates nothing"; exit 1 } }'
+}
 
 # Coverage tier: per-package statement coverage from a quick -short pass
 # and the aggregate figure. Informational only — no threshold is enforced.
+tier_coverage() {
 go test -short -count=1 -coverprofile="$diagdir/cover.out" ./...
 go tool cover -func="$diagdir/cover.out" | tail -n 1
+}
 
 # LOC tier: net Go lines of this change against its parent commit, non-test
 # and test summed separately — the figure a simplicity PR reports in
@@ -299,6 +341,7 @@ go tool cover -func="$diagdir/cover.out" | tail -n 1
 # concrete scheme package from outside the scheme packages, the catalogue,
 # the frozen benchmark and the public surface — each is a place that picks
 # a scheme without internal/catalog.
+tier_loc() {
 loc_base=HEAD
 if git diff --quiet HEAD -- '*.go' 2>/dev/null &&
 	[ -z "$(git ls-files --others --exclude-standard -- '*.go' 2>/dev/null)" ]; then
@@ -341,3 +384,21 @@ printf 'concrete-scheme importers outside internal/catalog: %s\n' "$(
 			-e '^\./benchmark/' -e '^\./examples/' -e '^\./mcauth\.go$' |
 		sort | tr '\n' ' ' || true
 )"
+}
+
+case "${1-}" in
+"")
+	for t in $tiers; do
+		"tier_$t"
+	done
+	;;
+*)
+	case " $tiers " in
+	*" $1 "*) "tier_$1" ;;
+	*)
+		echo "ci.sh: unknown tier '$1'; valid tiers: $tiers" >&2
+		exit 2
+		;;
+	esac
+	;;
+esac

@@ -275,9 +275,6 @@ func NewBatchSigner(inner Signer, maxBatch int) (*BatchSigner, error) {
 	return &BatchSigner{inner: inner, max: maxBatch}, nil
 }
 
-// MaxBatchSize returns the configured auto-flush threshold.
-func (b *BatchSigner) MaxBatchSize() int { return b.max }
-
 // public returns a batch-aware verification key.
 func (b *BatchSigner) public() Verifier { return newBatchVerifier(b.inner.Public()) }
 
@@ -309,8 +306,18 @@ func (b *BatchSigner) Enqueue(content []byte, deliver func(sig []byte)) (int, er
 
 // Flush signs every pending message now and returns how many were signed.
 // A no-op (and nil error) when nothing is pending.
-func (b *BatchSigner) Flush() (int, error) {
+func (b *BatchSigner) Flush() (int, error) { return b.FlushAt(1) }
+
+// FlushAt signs the pending batch if at least n messages are pending and
+// returns how many it signed. The check and the signing happen under one
+// lock, so of two callers that both saw the batch reach n, the second
+// finds it signed (or refilling) and signs nothing.
+func (b *BatchSigner) FlushAt(n int) (int, error) {
 	b.mu.Lock()
+	if len(b.pending) < n {
+		b.mu.Unlock()
+		return 0, nil
+	}
 	items, err := b.flushLocked()
 	b.mu.Unlock()
 	if err != nil {

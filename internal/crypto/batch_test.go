@@ -162,6 +162,28 @@ func TestBatchSignerAutoFlushAndTotals(t *testing.T) {
 	}
 }
 
+// FlushAt signs only a batch that has reached its count, so the second of
+// two callers that saw the same batch reach it signs nothing.
+func TestBatchSignerFlushAt(t *testing.T) {
+	b, err := NewBatchSigner(NewSignerFromString("flushat"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range batchContents(3) {
+		if _, err := b.Enqueue(c, func([]byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct{ at, want int }{{4, 0}, {3, 3}, {3, 0}, {1, 0}} {
+		if n, err := b.FlushAt(step.at); err != nil || n != step.want {
+			t.Fatalf("FlushAt(%d) = %d, %v; want %d signed", step.at, n, err, step.want)
+		}
+	}
+	if tot := b.Totals(); tot.Signatures != 1 || tot.SignedRoots != 3 {
+		t.Fatalf("totals %+v, want one signature over 3 roots", tot)
+	}
+}
+
 // A flush holding one message signs it plainly: 64 bytes, not a 73-byte
 // one-leaf blob. Both singleton forms verify under the batch-aware key —
 // synchronously and through the deferred queue — and the totals cannot
@@ -241,7 +263,9 @@ func TestBatchSignerConcurrentEnqueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const goroutines, perG = 8, 50
+	// Enqueue signs at 7; a goroutine that brings the batch to fillAt signs
+	// it with FlushAt, as the server does below BatchSize.
+	const goroutines, perG, fillAt = 8, 50, 3
 	var (
 		mu    sync.Mutex
 		got   int
@@ -262,7 +286,11 @@ func TestBatchSignerConcurrentEnqueue(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				content := []byte(fmt.Sprintf("g%d-i%d", g, i))
-				if _, err := b.Enqueue(content, func(sig []byte) { check(content, sig) }); err != nil {
+				pending, err := b.Enqueue(content, func(sig []byte) { check(content, sig) })
+				if err == nil && pending >= fillAt {
+					_, err = b.FlushAt(fillAt)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -284,6 +312,10 @@ func TestBatchSignerConcurrentEnqueue(t *testing.T) {
 	}
 	if tot.Signatures >= tot.SignedRoots {
 		t.Fatalf("no amortization: %d signatures for %d roots", tot.Signatures, tot.SignedRoots)
+	}
+	// Only the final Flush may sign fewer than fillAt.
+	if tot.SignedRoots < fillAt*(tot.Signatures-1) {
+		t.Fatalf("%d signatures over %d roots: a racing FlushAt signed a batch short of %d", tot.Signatures, tot.SignedRoots, fillAt)
 	}
 }
 

@@ -251,10 +251,11 @@ func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error 
 	fmt.Fprintf(stdout, "signatures       %d over %d block roots (amortization %.2fx)\n",
 		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
 	hold := reg.Histogram("server.root_hold_ns").Data()
-	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v  (target %v at %d roots/s)\n",
+	fmt.Fprintf(stdout, "root hold        p50 %v  p99 %v  (target %v or %d roots, at %d roots/s)\n",
 		time.Duration(hold.Quantile(0.5)).Round(time.Microsecond),
 		time.Duration(hold.Quantile(0.99)).Round(time.Microsecond),
 		time.Duration(reg.Gauge("server.root_hold_target_ns").Value()).Round(time.Microsecond),
+		reg.Gauge("server.batch_fill_target").Value(),
 		reg.Gauge("server.root_rate_per_s").Value())
 	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", sub.Drops())
 	if sink.Authed < published {

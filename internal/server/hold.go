@@ -1,6 +1,9 @@
 package server
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // rateUnknown is the root arrival rate before its first measurement.
 const rateUnknown = -1.0
@@ -19,7 +22,8 @@ const rateUnknown = -1.0
 // spent at rate/(1 + rate²·flush²/batch) per second, which peaks at
 // rate = √batch/flush and never exceeds √batch/flush (half that, in
 // fact): the latency a short hold buys is paid for with a bounded number
-// of signatures, whatever the load.
+// of signatures, whatever the load. fillTarget closes the batch as soon
+// as those 1 + rate·hold roots are in.
 func rootHold(flush time.Duration, batch int, rate float64) time.Duration {
 	if rate < 0 {
 		return flush
@@ -29,6 +33,22 @@ func rootHold(flush time.Duration, batch int, rate float64) time.Duration {
 		return flush
 	}
 	return time.Duration(fill * float64(flush))
+}
+
+// fillTarget is the count that goes with the hold: the 1 + rate·hold
+// roots the hold waits for, at most batch, and batch while the rate is
+// unknown. A batch is signed once that many roots are pending or its hold
+// runs out, whichever comes first. Evenly spread arrivals fill the target
+// only as the hold runs out, so they are signed as they were without it;
+// a burst fills it early, and the rest of the hold would gather nothing
+// the hold was sized for. Every batch the target closes covers at least
+// 1 + rate·hold roots, so the signature spend stays under √batch/flush;
+// from the fill rate up the target is batch, the count-full flush.
+func fillTarget(flush time.Duration, batch int, rate float64) int {
+	if rate < 0 {
+		return batch
+	}
+	return int(math.Min(float64(batch), math.Ceil(1+rate*rootHold(flush, batch, rate).Seconds())))
 }
 
 // rootRate measures the root arrival rate as a pull over the batch
@@ -57,15 +77,16 @@ func (r *rootRate) sample(now time.Time, enqueued int64) float64 {
 	return r.perSec
 }
 
-// signLoop owns the batch's deadline. enqueueRoot kicks it when a root
-// finds the batch empty; the loop arms one timer for rootHold from that
-// root's arrival and signs whatever is pending when it fires. A count-full
-// flush inside Enqueue empties the batch under an armed timer; the root
-// after it kicks again and the timer is re-armed from that root. So a root
-// is signed no later than one FlushInterval after the first of its batch
-// (plus timer latency), and a fire that finds the batch already signed is
-// a no-op. The timer runs on the wall clock, as the flusher's ticker does,
-// and so does the rate that sizes it. Stopping the loop stops the timer:
+// signLoop owns the batch's deadline and fill target. enqueueRoot kicks it
+// when a root finds the batch empty; the loop sets the fill target, arms
+// one timer for rootHold from that root's arrival and signs whatever is
+// pending when it fires. A flush at the fill target, inside enqueueRoot,
+// empties the batch under an armed timer; the root after it kicks again
+// and the timer is re-armed from that root. So a root is signed no later
+// than one FlushInterval after the first of its batch (plus timer
+// latency), and a fire that finds the batch already signed is a no-op.
+// The timer runs on the wall clock, as the flusher's ticker does, and so
+// does the rate that sizes it. Stopping the loop stops the timer:
 // roots pending at Kill stay unsigned, Close signs them itself once the
 // loop has exited.
 func (s *Server) signLoop() {
@@ -91,15 +112,18 @@ func (s *Server) signLoop() {
 		case first := <-s.rootKick:
 			perSec := rate.sample(first, s.signer.Totals().Enqueued)
 			hold := rootHold(s.cfg.FlushInterval, s.cfg.BatchSize, perSec)
+			fill := fillTarget(s.cfg.FlushInterval, s.cfg.BatchSize, perSec)
+			s.fillTarget.Store(int64(fill))
 			s.m.rootHoldTarget.Set(hold.Nanoseconds())
-			s.m.rootRate.Set(int64(max(perSec, 0)))
+			s.m.batchFillTarget.Set(int64(fill))
+			// A measured rate under one root a second still reads 1: 0 is
+			// "not measured yet".
+			s.m.rootRate.Set(int64(math.Ceil(max(perSec, 0))))
 			disarm()
 			timer.Reset(hold - time.Since(first))
 		case <-timer.C:
 			if n, err := s.signer.Flush(); err == nil && n > 0 {
-				s.m.batchFlushDeadline.Inc()
-				s.m.batchFill.Observe(int64(n))
-				s.noteBatchTotals()
+				s.noteFlush(s.m.batchFlushDeadline, n)
 			}
 		}
 	}

@@ -6,10 +6,11 @@
 // goroutines that publish to them while staying strictly ordered within
 // one. Block root signatures are amortized through one crypto.BatchSigner
 // — up to BatchSize roots per underlying signature — and held for company
-// no longer than the measured root arrival rate can repay (rootHold): a
-// withheld signature packet never waits longer than one FlushInterval
-// beyond the scheme's own dependence-graph delay bound, and at low load
-// waits a small fraction of it.
+// no longer than the measured root arrival rate can repay (rootHold), or
+// until the company that hold waits for is in (fillTarget): a withheld
+// signature packet never waits longer than one FlushInterval beyond the
+// scheme's own dependence-graph delay bound, and at low load waits a small
+// fraction of it.
 // Receivers subscribe through bounded queues with drop-and-count
 // semantics: under backpressure the server degrades exactly like the
 // best-effort multicast network the paper models, and can never deadlock
@@ -17,9 +18,12 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcauth/internal/crypto"
@@ -48,15 +52,18 @@ type Config struct {
 	// accept both plain and batched signatures.
 	Signer crypto.Signer
 	// BatchSize is the ceiling on how many block roots one signature
-	// covers: the batch signer signs at once when that many are pending.
-	// Below the rate that fills it inside FlushInterval, batches are
-	// smaller (see rootHold). Default 64.
+	// covers. A batch is signed as soon as it holds its fill target,
+	// min(BatchSize, ⌈1 + rate·hold⌉) roots for the measured root arrival
+	// rate and the hold below (see fillTarget): BatchSize while the rate
+	// is unmeasured and from the rate that fills it inside FlushInterval
+	// up, fewer below it. Default 64.
 	BatchSize int
 	// FlushInterval is the ceiling on how long a partial block or an
 	// unsigned root may sit pending. A partial block waits that long; a
-	// root waits FlushInterval × min(1, rate·FlushInterval / BatchSize)
-	// from the first root of its batch, the full FlushInterval while the
-	// root arrival rate is still unmeasured. Default 50ms.
+	// batch whose fill target has not come in is signed
+	// FlushInterval × min(1, rate·FlushInterval / BatchSize) after its
+	// first root, the full FlushInterval while the root arrival rate is
+	// still unmeasured. Default 50ms.
 	FlushInterval time.Duration
 	// MaxSubscriberQueue bounds each subscriber's delivery queue; overflow
 	// is dropped and counted, never blocked on. Default 1024.
@@ -131,11 +138,13 @@ type metrics struct {
 	batchFlushDrain    *obs.Counter
 	batchFill          *obs.Histogram
 	rootHold           *obs.Histogram
-	// rootHoldTarget / rootRate are the signer loop's two numbers as of
-	// the last batch it armed: the hold it chose and the root arrival
-	// rate (per second, 0 while unmeasured) it chose it from.
-	rootHoldTarget *obs.Gauge
-	rootRate       *obs.Gauge
+	// rootHoldTarget / batchFillTarget / rootRate are the signer loop's
+	// numbers as of the last batch it armed: the hold and the fill target
+	// it chose, and the root arrival rate (per second, rounded up; 0 while
+	// unmeasured) it chose them from.
+	rootHoldTarget  *obs.Gauge
+	batchFillTarget *obs.Gauge
+	rootRate        *obs.Gauge
 	// batchSignatures / batchSignedRoots mirror the batch signer's
 	// lifetime totals into /metrics; their quotient is the signature
 	// amortization ratio.
@@ -158,6 +167,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		batchFill:          reg.Histogram("server.batch_fill"),
 		rootHold:           reg.Histogram("server.root_hold_ns"),
 		rootHoldTarget:     reg.Gauge("server.root_hold_target_ns"),
+		batchFillTarget:    reg.Gauge("server.batch_fill_target"),
 		rootRate:           reg.Gauge("server.root_rate_per_s"),
 		batchSignatures:    reg.Gauge("server.batch_signatures"),
 		batchSignedRoots:   reg.Gauge("server.batch_signed_roots"),
@@ -185,10 +195,12 @@ type Server struct {
 
 	// loopStop ends the flusher and the signer loop; loops counts them.
 	// rootKick wakes the signer loop, with the time a root found the batch
-	// empty.
-	loopStop chan struct{}
-	loops    sync.WaitGroup
-	rootKick chan time.Time
+	// empty. fillTarget is the pending count at which enqueueRoot signs
+	// the batch, set by the signer loop (see fillTarget).
+	loopStop   chan struct{}
+	loops      sync.WaitGroup
+	rootKick   chan time.Time
+	fillTarget atomic.Int64
 }
 
 // New starts a server (its flusher and signer loop run until Close or
@@ -217,6 +229,8 @@ func New(cfg Config) (*Server, error) {
 		rootKick: make(chan time.Time, 1),
 	}
 	s.m.rootHoldTarget.Set(cfg.FlushInterval.Nanoseconds())
+	s.m.batchFillTarget.Set(int64(cfg.BatchSize))
+	s.fillTarget.Store(int64(cfg.BatchSize))
 	s.loops.Add(2)
 	go s.flusher()
 	go s.signLoop()
@@ -310,6 +324,7 @@ func (s *Server) flusher() {
 	defer s.loops.Done()
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
+	var due []*Stream // reused tick to tick; only this goroutine touches it
 	for {
 		select {
 		case <-s.loopStop:
@@ -318,11 +333,14 @@ func (s *Server) flusher() {
 		}
 		now := s.cfg.Clock()
 		s.mu.Lock()
-		due := make([]*Stream, 0)
+		due = due[:0]
 		for _, st := range s.streams {
 			due = append(due, st)
 		}
 		s.mu.Unlock()
+		// In stream ID order, so the order of deadline flushes, and with it
+		// the leaf order of the batch their roots join, repeats run to run.
+		slices.SortFunc(due, func(a, b *Stream) int { return cmp.Compare(a.id, b.id) })
 		for _, st := range due {
 			// A stream busy publishing is flushed on the next tick
 			// rather than stalling the flusher behind it.
@@ -337,11 +355,12 @@ func (s *Server) flusher() {
 	}
 }
 
-// enqueueRoot hands a pending block root to the batch signer; the deliver
-// callback attaches the signature and releases the held packets. Called
-// under st's lock (or on the Close drain), so a count-full flush triggered
-// here delivers for every stream that contributed to the batch — which is
-// why the callback takes no stream lock.
+// enqueueRoot hands a pending block root to the batch signer and signs
+// the batch if the root brings it to its fill target; the deliver callback
+// attaches the signature and releases the held packets. Called under st's
+// lock (or on the Close drain), so a count-full flush triggered here
+// delivers for every stream that contributed to the batch — which is why
+// the callback takes no stream lock.
 func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 	t0 := s.cfg.Clock()
 	pending, err := s.signer.Enqueue(db.Root.Content, func(sig []byte) {
@@ -372,12 +391,7 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 		// lost rather than the server crashed.
 		return
 	}
-	switch pending {
-	case 0:
-		s.m.batchFlushFull.Inc()
-		s.m.batchFill.Observe(int64(s.signer.MaxBatchSize()))
-		s.noteBatchTotals()
-	case 1:
+	if pending == 1 {
 		// First root of a new batch: its hold starts now. A kick still
 		// waiting is older, so the loop arms no later than this root asks.
 		select {
@@ -385,6 +399,24 @@ func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
 		default:
 		}
 	}
+	// A batch at its fill target is count-full: Enqueue signs one that
+	// reaches BatchSize itself (pending 0), a lower target is signed here.
+	switch fill := int(s.fillTarget.Load()); {
+	case pending == 0:
+		s.noteFlush(s.m.batchFlushFull, s.cfg.BatchSize)
+	case pending >= fill:
+		if n, err := s.signer.FlushAt(fill); err == nil && n > 0 {
+			s.noteFlush(s.m.batchFlushFull, n)
+		}
+	}
+}
+
+// noteFlush counts one flush of n roots under its kind and mirrors the
+// signer's totals.
+func (s *Server) noteFlush(kind *obs.Counter, n int) {
+	kind.Inc()
+	s.m.batchFill.Observe(int64(n))
+	s.noteBatchTotals()
 }
 
 // noteBatchTotals mirrors the signer's lifetime totals into the gauges

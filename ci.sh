@@ -62,12 +62,14 @@ go test -race -cpu 1,4 ./internal/stream ./internal/serve
 }
 
 # Robustness tier: a short seeded chaos soak under the race detector, then
-# a fuzz smoke pass over the two attacker-facing decoders.
+# a fuzz smoke pass over the attacker-facing decoders: the packet, both
+# framings, and the batch-signature blob inside a packet's signature field.
 tier_robustness() {
 go run -race ./cmd/mcsim -chaos -n 24 -receivers 6 -chaosseeds 2 >/dev/null
 go test -fuzz=FuzzDecode -fuzztime=10s -run='^$' ./internal/packet
 go test -fuzz=FuzzFrameReader -fuzztime=10s -run='^$' ./internal/transport
 go test -fuzz=FuzzMuxFrameReader -fuzztime=10s -run='^$' ./internal/transport
+go test -fuzz=FuzzBatchBlob -fuzztime=10s -run='^$' ./internal/crypto
 }
 
 # Serving-chaos tier: kill/restart the serving daemon across three cycles

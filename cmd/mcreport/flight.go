@@ -20,7 +20,7 @@ import (
 // spans render sender-to-receiver even when timestamps tie.
 var spanKindOrder = map[obs.SpanKind]int{
 	obs.SpanPush:            0,
-	obs.SpanShardEnqueue:    1,
+	obs.SpanEmit:            1,
 	obs.SpanSignAttach:      2,
 	obs.SpanMuxWrite:        3,
 	obs.SpanRelayIngest:     4,

@@ -29,7 +29,7 @@ func writeFlightFixture(t *testing.T, path string) {
 	}
 	// Block 9 on stream 2: the full sender->authenticate path.
 	stamp(obs.SpanPush, 2, 9, 0, 0, 0, "")
-	stamp(obs.SpanShardEnqueue, 2, 9, 0, 10*time.Microsecond, 0, "")
+	stamp(obs.SpanEmit, 2, 9, 0, 10*time.Microsecond, 0, "")
 	stamp(obs.SpanSignAttach, 2, 9, 0, 900*time.Microsecond, 890*time.Microsecond, "")
 	stamp(obs.SpanMuxWrite, 2, 9, 1, time.Millisecond, 0, "")
 	stamp(obs.SpanDecode, 2, 9, 1, 2*time.Millisecond, 0, "")
@@ -38,7 +38,7 @@ func writeFlightFixture(t *testing.T, path string) {
 	stamp(obs.SpanAuthenticate, 2, 9, 1, 3100*time.Microsecond, 1100*time.Microsecond, "")
 	// Block 10 on stream 2 dies on the wire: written, never decoded.
 	stamp(obs.SpanPush, 2, 10, 0, 4*time.Millisecond, 0, "")
-	stamp(obs.SpanShardEnqueue, 2, 10, 0, 4010*time.Microsecond, 0, "")
+	stamp(obs.SpanEmit, 2, 10, 0, 4010*time.Microsecond, 0, "")
 	stamp(obs.SpanMuxWrite, 2, 10, 1, 5*time.Millisecond, 0, "")
 	// Block 11 on stream 3 is rejected at the receiver.
 	stamp(obs.SpanDecode, 3, 11, 2, 6*time.Millisecond, 0, "")

@@ -135,7 +135,7 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics: '-' for a text table on stdout, else JSON to this file")
 	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "with -metrics FILE: append a timestamped JSONL metrics snapshot at this interval (plus one final line) instead of a single end-of-run object")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof (+/metrics, /statusz, /healthz, /slo) on this address")
-	fs.IntVar(&o.telCfg.SpanBuf, "span-buf", 8192, "trace ring capacity: per-packet lifecycle records (push, shard enqueue, sign attach, mux write, decode, buffering, deferred park, resolve, authenticate/reject) kept for the flight recorder (0 disables tracing)")
+	fs.IntVar(&o.telCfg.SpanBuf, "span-buf", 8192, "trace ring capacity: per-packet lifecycle records (push, emit, sign attach, mux write, decode, buffering, deferred park, resolve, authenticate/reject) kept for the flight recorder (0 disables tracing)")
 	fs.StringVar(&o.telCfg.Flight, "flight", "", "write the flight-recorder post-mortem (JSONL) to this file on panic, SIGUSR1, chaos kill, or SLO budget exhaustion (render with mcreport -flight)")
 	fs.DurationVar(&o.telCfg.SLOWindow, "slo-window", time.Minute, "per-stream SLO sliding evaluation window")
 	fs.DurationVar(&o.telCfg.SLOP99, "slo-p99", 0, "per-stream SLO: p99 time-to-auth objective (0 = no latency objective)")

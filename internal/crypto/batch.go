@@ -8,8 +8,9 @@
 //
 // The blob format is distinguishable from a plain Ed25519 signature by
 // length (a plain signature is exactly signatureSize bytes; a batch blob
-// never is), so a batch-aware Verifier transparently accepts both — a
-// sender can switch batching on or off without a key rollover.
+// is at least batchMinSize), so a batch-aware Verifier transparently
+// accepts both — a sender can switch batching on or off without a key
+// rollover.
 package crypto
 
 import (
@@ -37,9 +38,52 @@ var (
 // batchSigTag leads every batch signature blob.
 const batchSigTag = 0xB5
 
-// batch blob layout: tag(1) | leafCount(4) | leafIndex(4) | sig(64) |
-// path(depth * HashSize).
-const batchHeaderSize = 1 + 4 + 4 + signatureSize
+// batch blob layout: tag(1) | uvarint leafCount | uvarint leafIndex |
+// sig(64) | path(depth * HashSize), both varints minimal. The shortest
+// blob (one varint byte each, no path) is batchMinSize = 67 bytes, so a
+// plain 64-byte signature never parses as a blob.
+const batchMinSize = 1 + 1 + 1 + signatureSize
+
+// appendBatchHeader appends a blob's tag, leaf count and leaf index.
+func appendBatchHeader(blob []byte, count, index uint32) []byte {
+	blob = binary.AppendUvarint(append(blob, batchSigTag), uint64(count))
+	return binary.AppendUvarint(blob, uint64(index))
+}
+
+// batchUvarint reads one minimal varint of at most MaxBatch from the front
+// of b and returns it with its length (0 when b holds none).
+func batchUvarint(b []byte) (uint32, int) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) || v > MaxBatch {
+		return 0, 0
+	}
+	return uint32(v), n
+}
+
+// splitBatchBlob parses a batch signature blob into its inner signature
+// and the Merkle context needed to recompute the signed root message. It
+// accepts only the one encoding appendBatchHeader writes: minimal
+// varints, 1 <= count <= MaxBatch, index < count, and a whole number of
+// path hashes.
+func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool) {
+	if len(blob) < batchMinSize || blob[0] != batchSigTag {
+		return 0, 0, nil, nil, false
+	}
+	rest := blob[1:]
+	count, n := batchUvarint(rest)
+	if n == 0 {
+		return 0, 0, nil, nil, false
+	}
+	rest = rest[n:]
+	if index, n = batchUvarint(rest); n == 0 {
+		return 0, 0, nil, nil, false
+	}
+	rest = rest[n:]
+	if count == 0 || index >= count || len(rest) < signatureSize || (len(rest)-signatureSize)%HashSize != 0 {
+		return 0, 0, nil, nil, false
+	}
+	return count, index, rest[:signatureSize], rest[signatureSize:], true
+}
 
 func batchLeaf(content []byte) Digest {
 	return HashConcat(batchLeafLabel, content)
@@ -93,7 +137,7 @@ func batchRootFromPath(leaf Digest, index, count uint32, path []byte) (Digest, b
 
 // BatchSign signs all contents with one underlying signature and returns
 // one self-contained signature blob per content, in input order. A batch
-// of one still produces a (73-byte) batch blob; callers who want plain
+// of one still produces a (67-byte) batch blob; callers who want plain
 // signatures for singletons should sign directly, as BatchSigner does.
 func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 	if signer == nil {
@@ -131,11 +175,8 @@ func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 	count := uint32(len(contents))
 	blobs := make([][]byte, len(contents))
 	for i := range contents {
-		blob := make([]byte, 0, batchHeaderSize+len(levels)*HashSize)
-		blob = append(blob, batchSigTag)
-		blob = binary.BigEndian.AppendUint32(blob, count)
-		blob = binary.BigEndian.AppendUint32(blob, uint32(i))
-		blob = append(blob, sig...)
+		blob := make([]byte, 0, 1+2*binary.MaxVarintLen32+signatureSize+len(levels)*HashSize)
+		blob = append(appendBatchHeader(blob, count, uint32(i)), sig...)
 		idx := uint32(i)
 		width := count
 		for _, level := range levels[:len(levels)-1] {
@@ -154,14 +195,11 @@ func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 // verifyBatchBlob checks one batch signature blob against content under
 // pub. It rejects plain signatures (use Verifier.Verify for those).
 func verifyBatchBlob(pub Verifier, content, blob []byte) bool {
-	if pub == nil || len(blob) < batchHeaderSize || blob[0] != batchSigTag {
+	if pub == nil {
 		return false
 	}
-	count := binary.BigEndian.Uint32(blob[1:5])
-	index := binary.BigEndian.Uint32(blob[5:9])
-	sig := blob[9 : 9+signatureSize]
-	path := blob[batchHeaderSize:]
-	if len(path)%HashSize != 0 {
+	count, index, sig, path, ok := splitBatchBlob(blob)
+	if !ok {
 		return false
 	}
 	root, ok := batchRootFromPath(batchLeaf(content), index, count, path)

@@ -337,3 +337,91 @@ func TestNewBatchSignerValidation(t *testing.T) {
 		t.Error("nil deliver accepted")
 	}
 }
+
+// TestBatchBlobHeader: the blob header has one encoding. A blob rebuilt
+// from a real one's signature and path verifies when its header is the
+// canonical one, and is refused by the parser when the count or index is
+// an overlong varint, the count is 0 or over MaxBatch, or the index is not
+// below the count. A 64-byte signature still verifies as plain.
+func TestBatchBlobHeader(t *testing.T) {
+	signer := NewSignerFromString("header")
+	pub := newBatchVerifier(signer.Public())
+	contents := batchContents(2)
+	blobs, err := BatchSign(signer, contents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count 2 and index 1 are one varint byte each.
+	sigAndPath := blobs[1][3:]
+	header := func(varints ...byte) []byte {
+		return append(append([]byte{batchSigTag}, varints...), sigAndPath...)
+	}
+	if !bytes.Equal(header(2, 1), blobs[1]) || !pub.Verify(contents[1], header(2, 1)) {
+		t.Fatal("the canonical header does not rebuild a verifying blob")
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{
+		{"overlong count", header(0x82, 0x00, 1)},
+		{"overlong index", header(2, 0x81, 0x00)},
+		{"count 0", header(0, 0)},
+		{"index equal to count", header(2, 2)},
+		{"index above count", header(2, 0x80, 0x01)},
+		{"count over MaxBatch", append(appendBatchHeader(nil, MaxBatch+1, 1), sigAndPath...)},
+	} {
+		if _, _, _, _, ok := splitBatchBlob(c.blob); ok {
+			t.Errorf("%s: parsed as a blob", c.name)
+		}
+		if pub.Verify(contents[1], c.blob) {
+			t.Errorf("%s: verified", c.name)
+		}
+	}
+	plain := signer.Sign(contents[0])
+	if _, _, _, _, ok := splitBatchBlob(plain); ok {
+		t.Error("a plain signature parsed as a blob")
+	}
+	if !pub.Verify(contents[0], plain) {
+		t.Error("a plain signature no longer verifies")
+	}
+}
+
+// FuzzBatchBlob feeds arbitrary bytes to the blob parser, the signature
+// field's attacker-controlled varint reader: the split and the Merkle path
+// walk never panic, an accepted blob re-encodes byte for byte, and a
+// 64-byte input, a plain signature's length, is never parsed as a blob.
+func FuzzBatchBlob(f *testing.F) {
+	signer := NewSignerFromString("fuzz")
+	for _, n := range []int{1, 2, 5, 64} {
+		blobs, err := BatchSign(signer, batchContents(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blobs[n-1])
+	}
+	f.Add(signer.Sign([]byte("plain")))
+	f.Add([]byte{})
+	f.Add([]byte{batchSigTag})
+	f.Add(append([]byte{batchSigTag, 0x82, 0x00, 1}, make([]byte, signatureSize+HashSize)...))
+
+	var hs HashScratch
+	leaf := batchLeaf([]byte("leaf"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		count, index, sig, path, ok := splitBatchBlob(blob)
+		if !ok {
+			return
+		}
+		if len(blob) == signatureSize {
+			t.Fatal("a 64-byte input parsed as a blob")
+		}
+		again := append(append(appendBatchHeader(nil, count, index), sig...), path...)
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("blob %x re-encodes as %x", blob, again)
+		}
+		root, ok := batchRootFromPath(leaf, index, count, path)
+		rootScratch, okScratch := batchRootFromPathScratch(&hs, leaf, index, count, path)
+		if ok != okScratch || root != rootScratch {
+			t.Fatal("the two path walks disagree")
+		}
+	})
+}

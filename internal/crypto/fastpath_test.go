@@ -426,7 +426,7 @@ func TestBatchVerifyQueueWorkerInvariant(t *testing.T) {
 		}
 		if flush == 0 {
 			badPath := append([]byte(nil), blobs[3]...)
-			badPath[batchHeaderSize+1] ^= 1
+			badPath[len(badPath)-HashSize+1] ^= 1
 			truncated := blobs[4][:len(blobs[4])-1]
 			badTag := append([]byte{0}, blobs[5][1:]...)
 			pool = append(pool, check{contents[3], badPath}, check{contents[4], truncated},

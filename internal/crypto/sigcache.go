@@ -1,7 +1,6 @@
 package crypto
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -240,22 +239,6 @@ func batchRootFromPathScratch(hs *HashScratch, leaf Digest, index, count uint32,
 		return Digest{}, false
 	}
 	return node, true
-}
-
-// splitBatchBlob parses a batch signature blob into its inner signature
-// and the Merkle context needed to recompute the signed root message.
-func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool) {
-	if len(blob) < batchHeaderSize || blob[0] != batchSigTag {
-		return 0, 0, nil, nil, false
-	}
-	count = binary.BigEndian.Uint32(blob[1:5])
-	index = binary.BigEndian.Uint32(blob[5:9])
-	sig = blob[9 : 9+signatureSize]
-	path = blob[batchHeaderSize:]
-	if len(path)%HashSize != 0 {
-		return 0, 0, nil, nil, false
-	}
-	return count, index, sig, path, true
 }
 
 // VerifyAnyCached checks sig — a plain Ed25519 signature or a batch

@@ -13,8 +13,8 @@ import (
 
 // SpanKind names one fact about a packet or block. There is one vocabulary
 // for the whole stack. The serving tier's kinds follow a block in causal
-// order: the sender authenticates it (push), the server emits it
-// (shard_enqueue), the batch signer attaches the block root's signature
+// order: the sender authenticates it (push), the server emits it (emit),
+// the batch signer attaches the block root's signature
 // (sign_attach), each packet is framed onto the wire (mux_write), stored
 // and re-served by any relay on the way (relay_ingest, then the relay's own
 // mux_write) and decoded on the receiver (decode). The simulator's kinds
@@ -29,15 +29,13 @@ type SpanKind string
 const (
 	// Serving tier, sender to receiver.
 	SpanPush SpanKind = "push"
-	// SpanShardEnqueue marks the server emitting the block: its ID
-	// reserved, its immediate packets fanned out, its root handed to the
-	// batch signer. The wire name predates the caller-runs server and is
-	// kept so recorded traces still read.
-	SpanShardEnqueue SpanKind = "shard_enqueue"
-	SpanSignAttach   SpanKind = "sign_attach"
-	SpanMuxWrite     SpanKind = "mux_write"
-	SpanRelayIngest  SpanKind = "relay_ingest"
-	SpanDecode       SpanKind = "decode"
+	// SpanEmit marks the server emitting the block: its ID reserved, its
+	// immediate packets fanned out, its root handed to the batch signer.
+	SpanEmit        SpanKind = "emit"
+	SpanSignAttach  SpanKind = "sign_attach"
+	SpanMuxWrite    SpanKind = "mux_write"
+	SpanRelayIngest SpanKind = "relay_ingest"
+	SpanDecode      SpanKind = "decode"
 	// Verifier (verifier.Recorder is the only emitter).
 	SpanMsgBuffered     SpanKind = "msg_buffered"
 	SpanHashBuffered    SpanKind = "hash_buffered"

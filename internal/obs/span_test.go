@@ -19,7 +19,7 @@ func lifecycleSpans() []Span {
 	base := int64(1_700_000_000_000_000_000)
 	return []Span{
 		{Kind: SpanPush, Stream: 3, Block: 17, TimeNS: base},
-		{Kind: SpanShardEnqueue, Stream: 3, Block: 17, TimeNS: base + 1_000},
+		{Kind: SpanEmit, Stream: 3, Block: 17, TimeNS: base + 1_000},
 		{Kind: SpanSignAttach, Stream: 3, Block: 17, TimeNS: base + 5_000_000, DurNS: 4_900_000},
 		{Kind: SpanMuxWrite, Stream: 3, Block: 17, Index: 1, TimeNS: base + 5_100_000},
 		{Kind: SpanDecode, Stream: 3, Block: 17, Index: 1, TimeNS: base + 5_400_000},

@@ -1,20 +1,38 @@
-// Package packet defines the wire format shared by all runnable
-// authentication schemes: a stream packet carrying a payload, the hashes of
-// other packets (the dependence edges of the scheme's graph), and — on the
-// signature packet or TESLA packets — a signature, MAC and disclosed key.
+// Package packet defines the packet shared by all runnable authentication
+// schemes: a stream packet carrying a payload, the hashes of other packets
+// (the dependence edges of the scheme's graph), and — on the signature
+// packet or TESLA packets — a signature, MAC and disclosed key.
 //
-// The "authenticated content" of a packet is the deterministic encoding of
-// (BlockID, Index, KeyIndex, Payload, Hashes). Chained-hash schemes store
-// the SHA-256 digest of that content in other packets; the block signature
-// and the TESLA MAC are computed over it. The digest therefore binds the
+// A packet has two encodings. The "authenticated content" is the
+// deterministic fixed-width encoding of (BlockID, Index, KeyIndex, Payload,
+// Hashes) that AppendContent writes. Chained-hash schemes store the
+// SHA-256 digest of that content in other packets; the block signature and
+// the TESLA MAC are computed over it. The digest therefore binds the
 // carried hashes transitively: verifying one packet makes the hashes it
 // carries trustworthy.
+//
+// The wire encoding that AppendEncode writes and DecodeInto reads carries
+// the same fields plus the authentication ones, with every integer as a
+// minimal unsigned varint:
+//
+//	BlockID | Index | KeyIndex | len(Payload) Payload |
+//	len(Hashes) { TargetIndex Digest(32) }* |
+//	len(Signature) Signature | len(MAC) MAC |
+//	len(DisclosedKey) DisclosedKey | DisclosedKeyIndex
+//
+// The decoder accepts exactly one wire form per packet: it rejects
+// overlong varints, values wider than their field, lengths over the
+// limits below (before allocating), and trailing bytes. Receivers hash the
+// content encoding, never the wire bytes, so the wire form moves no digest
+// or signature.
 package packet
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"mcauth/internal/crypto"
@@ -107,15 +125,36 @@ func (p *Packet) HashFor(target uint32) (crypto.Digest, bool) {
 	return crypto.Digest{}, false
 }
 
-// OverheadBytes returns the authentication overhead this packet carries on
-// the wire: everything except the payload and fixed header.
+// OverheadBytes returns the authentication overhead this packet carries,
+// counted at its signed-content size: 4 + 32 bytes per hash reference plus
+// the signature, MAC and disclosed key. It is the paper's per-packet
+// communication overhead and independent of the wire encoding; the bytes
+// the packet really costs on the wire beyond its payload are
+// EncodedSize() - len(Payload).
 func (p *Packet) OverheadBytes() int {
 	return len(p.Hashes)*(4+crypto.HashSize) + len(p.Signature) + len(p.MAC) + len(p.DisclosedKey)
 }
 
-// EncodedSize returns the exact wire length Encode produces.
+// uvarintLen is the length of v as a minimal unsigned varint.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// EncodedSize returns the exact wire length AppendEncode produces, each
+// integer counted at its minimal varint length. EncodedSize() -
+// len(Payload) is what the packet costs on the wire beyond its payload,
+// before framing.
 func (p *Packet) EncodedSize() int {
-	return p.contentSize() + 3*4 + len(p.Signature) + len(p.MAC) + len(p.DisclosedKey) + 4
+	n := uvarintLen(p.BlockID) + uvarintLen(uint64(p.Index)) + uvarintLen(uint64(p.KeyIndex)) +
+		uvarintLen(uint64(len(p.Payload))) + len(p.Payload) +
+		uvarintLen(uint64(len(p.Hashes))) + len(p.Hashes)*crypto.HashSize
+	for _, h := range p.Hashes {
+		n += uvarintLen(uint64(h.TargetIndex))
+	}
+	for _, blob := range [...][]byte{p.Signature, p.MAC, p.DisclosedKey} {
+		n += uvarintLen(uint64(len(blob))) + len(blob)
+	}
+	return n + uvarintLen(uint64(p.DisclosedKeyIndex))
 }
 
 // Encode serializes the packet.
@@ -134,80 +173,127 @@ func (p *Packet) AppendEncode(buf []byte) ([]byte, error) {
 	if len(p.Hashes) > maxHashes {
 		return buf, fmt.Errorf("packet: %d hashes exceed %d", len(p.Hashes), maxHashes)
 	}
-	for _, blob := range [][]byte{p.Signature, p.MAC, p.DisclosedKey} {
+	for _, blob := range [...][]byte{p.Signature, p.MAC, p.DisclosedKey} {
 		if len(blob) > maxBlobSize {
 			return buf, fmt.Errorf("packet: auth field %d exceeds %d bytes", len(blob), maxBlobSize)
 		}
 	}
-	buf = p.AppendContent(buf)
+	buf = appendUvarint(buf, p.BlockID)
+	buf = appendUvarint(buf, uint64(p.Index))
+	buf = appendUvarint(buf, uint64(p.KeyIndex))
+	buf = appendBlob(buf, p.Payload)
+	buf = appendUvarint(buf, uint64(len(p.Hashes)))
+	for _, h := range p.Hashes {
+		buf = appendUvarint(buf, uint64(h.TargetIndex))
+		buf = append(buf, h.Digest[:]...)
+	}
 	buf = appendBlob(buf, p.Signature)
 	buf = appendBlob(buf, p.MAC)
 	buf = appendBlob(buf, p.DisclosedKey)
-	var scratch [4]byte
-	binary.BigEndian.PutUint32(scratch[:], p.DisclosedKeyIndex)
-	buf = append(buf, scratch[:]...)
-	return buf, nil
+	return appendUvarint(buf, uint64(p.DisclosedKeyIndex)), nil
+}
+
+// appendUvarint is binary.AppendUvarint with the one-byte case, most
+// fields of most packets, inlined.
+func appendUvarint(buf []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(buf, byte(v))
+	}
+	return binary.AppendUvarint(buf, v)
 }
 
 func appendBlob(buf, blob []byte) []byte {
-	var scratch [4]byte
-	binary.BigEndian.PutUint32(scratch[:], uint32(len(blob)))
-	buf = append(buf, scratch[:]...)
-	return append(buf, blob...)
+	return append(appendUvarint(buf, uint64(len(blob))), blob...)
 }
 
-// errTruncated indicates the wire bytes end before the structure is
-// complete.
-var errTruncated = errors.New("packet: truncated")
+// Decode errors that carry no value.
+var (
+	errTruncated  = errors.New("packet: truncated")
+	errOverflow   = errors.New("packet: varint overflows 64 bits")
+	errNonMinimal = errors.New("packet: varint is not minimal")
+)
 
+// decoder reads the wire encoding front to back. The first failure sticks
+// in err; later reads return zero values, and DecodeInto checks err before
+// it allocates or returns.
 type decoder struct {
 	buf []byte
 	off int
+	err error
 }
 
-func (d *decoder) u32() (uint32, error) {
-	if d.off+4 > len(d.buf) {
-		return 0, errTruncated
+// short is uvarint's fast path, inlined at every call site: a one- or
+// two-byte varint no larger than limit, which covers most fields of most
+// packets. Every limit admits a one-byte value, and a second byte of 1 to
+// 0x7f ends the varint without being the zero an overlong encoding ends
+// in. ok is false, and nothing is consumed, otherwise; uvarint then
+// decodes the field or reports why it cannot.
+func (d *decoder) short(limit uint64) (uint64, bool) {
+	b := d.buf[d.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return uint64(b[0]), true
 	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
+	if len(b) > 1 && b[1]-1 < 0x7f {
+		if v := uint64(b[0]&0x7f) | uint64(b[1])<<7; v <= limit {
+			d.off += 2
+			return v, true
+		}
+	}
+	return 0, false
 }
 
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, errTruncated
+// uvarint reads one minimal unsigned varint no larger than limit. An
+// overlong encoding (a zero final byte after the first) is rejected, so
+// every value has exactly one wire form.
+func (d *decoder) uvarint(limit uint64) uint64 {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.fail(errTruncated)
+	case n < 0:
+		d.fail(errOverflow)
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.fail(errNonMinimal)
+	case v > limit:
+		d.fail(fmt.Errorf("packet: field value %d exceeds %d", v, limit))
+	default:
+		d.off += n
+		return v
 	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
+	return 0
 }
 
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.buf) {
-		return nil, errTruncated
+func (d *decoder) bytes(n uint64) []byte {
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail(errTruncated)
+		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b, nil
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
 }
 
 // blobInto decodes a length-prefixed field into dst's capacity, growing
-// only when the field outgrows it. Empty fields return dst truncated to
-// zero length (nil stays nil), so callers must test emptiness with len.
-func (d *decoder) blobInto(dst []byte, limit int) ([]byte, error) {
-	n, err := d.u32()
-	if err != nil {
-		return dst, err
+// only when the field outgrows it. The length is checked against limit
+// before anything is read or allocated. Empty fields return dst truncated
+// to zero length (nil stays nil), so callers must test emptiness with len.
+func (d *decoder) blobInto(dst []byte, limit uint64) []byte {
+	n, ok := d.short(limit)
+	if !ok {
+		n = d.uvarint(limit)
 	}
-	if int(n) > limit {
-		return dst, fmt.Errorf("packet: field length %d exceeds limit %d", n, limit)
+	raw := d.bytes(n)
+	if d.err != nil {
+		return dst
 	}
-	raw, err := d.bytes(int(n))
-	if err != nil {
-		return dst, err
-	}
-	return append(dst[:0], raw...), nil
+	return append(dst[:0], raw...)
 }
 
 // DecodeInto parses wire bytes produced by Encode into p, reusing the
@@ -218,25 +304,26 @@ func (d *decoder) blobInto(dst []byte, limit int) ([]byte, error) {
 // zero-length, and nil only if they were nil in p.
 func DecodeInto(p *Packet, wire []byte) error {
 	d := &decoder{buf: wire}
-	var err error
-	if p.BlockID, err = d.u64(); err != nil {
-		return err
+	v, ok := d.short(math.MaxUint64)
+	if !ok {
+		v = d.uvarint(math.MaxUint64)
 	}
-	if p.Index, err = d.u32(); err != nil {
-		return err
+	p.BlockID = v
+	if v, ok = d.short(math.MaxUint32); !ok {
+		v = d.uvarint(math.MaxUint32)
 	}
-	if p.KeyIndex, err = d.u32(); err != nil {
-		return err
+	p.Index = uint32(v)
+	if v, ok = d.short(math.MaxUint32); !ok {
+		v = d.uvarint(math.MaxUint32)
 	}
-	if p.Payload, err = d.blobInto(p.Payload, maxPayloadSize); err != nil {
-		return err
+	p.KeyIndex = uint32(v)
+	p.Payload = d.blobInto(p.Payload, maxPayloadSize)
+	nHashes, ok := d.short(maxHashes)
+	if !ok {
+		nHashes = d.uvarint(maxHashes)
 	}
-	nHashes, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if nHashes > maxHashes {
-		return fmt.Errorf("packet: %d hashes exceed %d", nHashes, maxHashes)
+	if d.err != nil {
+		return d.err
 	}
 	if cap(p.Hashes) >= int(nHashes) {
 		p.Hashes = p.Hashes[:nHashes]
@@ -244,26 +331,21 @@ func DecodeInto(p *Packet, wire []byte) error {
 		p.Hashes = make([]HashRef, nHashes)
 	}
 	for i := range p.Hashes {
-		if p.Hashes[i].TargetIndex, err = d.u32(); err != nil {
-			return err
+		if v, ok = d.short(math.MaxUint32); !ok {
+			v = d.uvarint(math.MaxUint32)
 		}
-		raw, err := d.bytes(crypto.HashSize)
-		if err != nil {
-			return err
-		}
-		copy(p.Hashes[i].Digest[:], raw)
+		p.Hashes[i].TargetIndex = uint32(v)
+		copy(p.Hashes[i].Digest[:], d.bytes(crypto.HashSize))
 	}
-	if p.Signature, err = d.blobInto(p.Signature, maxBlobSize); err != nil {
-		return err
+	p.Signature = d.blobInto(p.Signature, maxBlobSize)
+	p.MAC = d.blobInto(p.MAC, maxBlobSize)
+	p.DisclosedKey = d.blobInto(p.DisclosedKey, maxBlobSize)
+	if v, ok = d.short(math.MaxUint32); !ok {
+		v = d.uvarint(math.MaxUint32)
 	}
-	if p.MAC, err = d.blobInto(p.MAC, maxBlobSize); err != nil {
-		return err
-	}
-	if p.DisclosedKey, err = d.blobInto(p.DisclosedKey, maxBlobSize); err != nil {
-		return err
-	}
-	if p.DisclosedKeyIndex, err = d.u32(); err != nil {
-		return err
+	p.DisclosedKeyIndex = uint32(v)
+	if d.err != nil {
+		return d.err
 	}
 	if d.off != len(wire) {
 		return fmt.Errorf("packet: %d trailing bytes", len(wire)-d.off)

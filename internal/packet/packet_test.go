@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -155,13 +157,51 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 func TestDecodeHugeLengthRejected(t *testing.T) {
 	// A length field claiming more than the limit must be rejected
 	// before allocation.
-	var wire []byte
-	wire = append(wire, make([]byte, 8)...) // BlockID
-	wire = append(wire, make([]byte, 4)...) // Index
-	wire = append(wire, make([]byte, 4)...) // KeyIndex
-	wire = append(wire, 0xff, 0xff, 0xff, 0xff)
+	wire := []byte{0, 0, 0} // BlockID, Index, KeyIndex
+	wire = binary.AppendUvarint(wire, 0xffffffff)
 	if _, err := Decode(wire); err == nil {
 		t.Error("huge payload length should fail")
+	}
+}
+
+// TestDecodeRejectsNonCanonical: every packet has exactly one wire form,
+// so overlong varints, values wider than their field and lengths over the
+// limits are rejected, each at a position where the rest of the wire is
+// well formed.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	valid, err := (&Packet{BlockID: 1, Index: 1}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(valid); err != nil {
+		t.Fatalf("baseline packet rejected: %v", err)
+	}
+	// wire is BlockID=1, Index, KeyIndex=0, payload length, then the
+	// minimal packet's tail: no hashes, three empty blobs, key index 0.
+	wire := func(index, payloadLen []byte) []byte {
+		w := append([]byte{1}, index...)
+		w = append(w, 0)
+		w = append(w, payloadLen...)
+		return append(w, 0, 0, 0, 0, 0)
+	}
+	cases := []struct {
+		name string
+		wire []byte
+	}{
+		{"overlong zero block ID", append([]byte{0x80, 0x00}, valid[1:]...)},
+		{"overlong index", wire([]byte{0x81, 0x00}, []byte{0})},
+		{"index of 2^32", wire(binary.AppendUvarint(nil, 1<<32), []byte{0})},
+		{"block ID over 64 bits", append(bytes.Repeat([]byte{0xff}, 10), valid[1:]...)},
+		{"payload one over the limit", wire([]byte{1}, binary.AppendUvarint(nil, maxPayloadSize+1))},
+		{"hash count one over the limit", append([]byte{1, 1, 0, 0}, binary.AppendUvarint(nil, maxHashes+1)...)},
+	}
+	for _, c := range cases {
+		_, err := Decode(c.wire)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if errors.Is(err, errTruncated) {
+			t.Errorf("%s: rejected only as truncated, not for its field", c.name)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives causal lifecycle spans for every
 	// stream the server opens: the sender-side half of the end-to-end
-	// trace — push when a block is authenticated, shard_enqueue when the
-	// server emits it, sign_attach when its root signature lands
+	// trace — push when a block is authenticated, emit when the server
+	// emits it, sign_attach when its root signature lands
 	// (receivers record the other half into their own ring; the two join
 	// on the deterministic trace ID of stream and block). Nil disables
 	// span recording.

@@ -127,7 +127,7 @@ func (st *Stream) emit(db *stream.DeferredBlock) {
 	st.m.blocks.Inc()
 	if spans := st.srv.cfg.Spans; spans.Enabled() {
 		spans.Record(obs.Span{
-			Kind:   obs.SpanShardEnqueue,
+			Kind:   obs.SpanEmit,
 			Stream: st.id,
 			Block:  db.BlockID,
 			TimeNS: st.srv.cfg.Clock().UnixNano(),

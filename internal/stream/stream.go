@@ -47,7 +47,7 @@ func NewSender(s scheme.Scheme, startBlock uint64) (*Sender, error) {
 
 // SetSpans attaches a causal span ring: every block this sender emits
 // records a "push" span keyed by (streamID, block ID), the root of the
-// block's end-to-end trace (shard enqueue, sign attach, mux write, and the
+// block's end-to-end trace (emit, sign attach, mux write, and the
 // receiver-side spans all derive the same trace ID). nil detaches.
 func (snd *Sender) SetSpans(r *obs.SpanSink, streamID uint64) {
 	snd.spans = r

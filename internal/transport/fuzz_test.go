@@ -35,18 +35,16 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	// A header claiming 2 MiB with no bytes behind it.
-	huge := make([]byte, 4)
-	binary.BigEndian.PutUint32(huge, maxFrameSize)
-	f.Add(huge)
+	f.Add(binary.AppendUvarint(nil, maxFrameSize))
 	// A header claiming more than the cap.
-	over := make([]byte, 4)
-	binary.BigEndian.PutUint32(over, maxFrameSize+1)
-	f.Add(over)
+	f.Add(binary.AppendUvarint(nil, maxFrameSize+1))
 	// Truncated mid-frame.
 	f.Add(valid.Bytes()[:valid.Len()/2])
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
+		var reframed bytes.Buffer
+		fw := newFrameWriter(&reframed)
 		for i := 0; i < 64; i++ {
 			p, err := fr.readPacket()
 			if err != nil {
@@ -55,10 +53,13 @@ func FuzzFrameReader(f *testing.F) {
 			if p == nil {
 				t.Fatal("nil packet with nil error")
 			}
-			// A decoded packet must re-encode: decoder output is always a
-			// well-formed structure.
-			if _, err := p.Encode(); err != nil {
-				t.Fatalf("decoded packet does not re-encode: %v", err)
+			// An accepted frame re-frames to the bytes it was read from:
+			// the frames read so far, re-framed, are a prefix of the input.
+			if err := fw.writePacket(p); err != nil {
+				t.Fatalf("decoded packet does not re-frame: %v", err)
+			}
+			if !bytes.HasPrefix(stream, reframed.Bytes()) {
+				t.Fatalf("frame %d re-frames to different bytes", i)
 			}
 		}
 	})
@@ -69,9 +70,7 @@ func FuzzFrameReader(f *testing.F) {
 // most one chunk, not try to fill 2 MiB.
 func TestFrameReaderLyingPrefixStopsEarly(t *testing.T) {
 	var buf bytes.Buffer
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, maxFrameSize)
-	buf.Write(hdr)
+	buf.Write(binary.AppendUvarint(nil, maxFrameSize))
 	buf.Write([]byte("only a few bytes"))
 	fr := newFrameReader(&buf)
 	if _, err := fr.readPacket(); err == nil {
@@ -125,26 +124,24 @@ func FuzzMuxFrameReader(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
-	// A frame shorter than the stream-ID prefix.
-	short := make([]byte, 4)
-	binary.BigEndian.PutUint32(short, muxIDSize-1)
-	f.Add(short)
+	// A zero-length frame, too short for any stream ID.
+	f.Add([]byte{0})
 	// A header claiming the cap with no bytes behind it, and one over it.
-	huge := make([]byte, 4)
-	binary.BigEndian.PutUint32(huge, maxFrameSize+muxIDSize)
-	f.Add(huge)
-	over := make([]byte, 4)
-	binary.BigEndian.PutUint32(over, maxFrameSize+muxIDSize+1)
-	f.Add(over)
+	f.Add(binary.AppendUvarint(nil, maxFrameSize))
+	f.Add(binary.AppendUvarint(nil, maxFrameSize+1))
 	// Truncated mid-frame, and a torn-write seam: a valid stream cut and
 	// restarted mid-frame, as an injected partial write produces.
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	torn := append([]byte{}, valid.Bytes()[:valid.Len()/3]...)
 	torn = append(torn, valid.Bytes()...)
 	f.Add(torn)
+	// A length of 1 in front of a 2-byte stream-ID varint.
+	f.Add([]byte{1, 0x80, 0x01, 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		mr := NewMuxFrameReader(bytes.NewReader(stream))
+		var reframed bytes.Buffer
+		mw := NewMuxFrameWriter(&reframed)
 		for i := 0; i < 64; i++ {
 			id, p, err := mr.ReadPacket()
 			if err != nil {
@@ -153,8 +150,12 @@ func FuzzMuxFrameReader(f *testing.F) {
 			if p == nil {
 				t.Fatalf("nil packet with nil error (stream %d)", id)
 			}
-			if _, err := p.Encode(); err != nil {
-				t.Fatalf("decoded packet does not re-encode: %v", err)
+			// An accepted frame re-frames to the bytes it was read from.
+			if err := mw.WritePacket(id, p); err != nil {
+				t.Fatalf("decoded packet does not re-frame: %v", err)
+			}
+			if !bytes.HasPrefix(stream, reframed.Bytes()) {
+				t.Fatalf("frame %d re-frames to different bytes", i)
 			}
 		}
 	})

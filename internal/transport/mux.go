@@ -15,13 +15,12 @@ import (
 // authenticated streams, as the serving daemon (internal/server) emits
 // them. Each frame is
 //
-//	[4B length][8B stream ID][packet encoding]
+//	[uvarint length][uvarint stream ID][packet encoding]
 //
-// where length counts the stream ID plus the packet encoding, so a plain
-// frameReader pointed at a mux stream fails fast instead of mis-decoding.
-
-// muxIDSize is the stream-ID prefix inside each mux frame.
-const muxIDSize = 8
+// where length counts the stream ID plus the packet encoding and both
+// varints are minimal, so a plain frameReader pointed at a mux stream
+// reads every packet field one place late and fails instead of
+// mis-decoding.
 
 // MuxFrameWriter writes stream-tagged, length-prefixed packets to a byte
 // stream. Like frameWriter it reuses one internal buffer and is not safe
@@ -45,22 +44,21 @@ func (mw *MuxFrameWriter) SetSpans(r *obs.SpanSink) { mw.spans = r }
 
 // WritePacket frames one packet under its stream ID with a single Write.
 func (mw *MuxFrameWriter) WritePacket(streamID uint64, p *packet.Packet) error {
-	// Reserve length prefix + stream ID, encode in place, patch the prefix.
-	mw.buf = append(mw.buf[:0], make([]byte, 4+muxIDSize)...)
-	binary.BigEndian.PutUint64(mw.buf[4:], streamID)
-	buf, err := p.AppendEncode(mw.buf)
+	var id [binary.MaxVarintLen64]byte
+	idLen := binary.PutUvarint(id[:], streamID)
+	frameLen := idLen + p.EncodedSize()
+	buf := append(binary.AppendUvarint(mw.buf[:0], uint64(frameLen)), id[:idLen]...)
+	buf, err := p.AppendEncode(buf)
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
 	mw.buf = buf
-	frameLen := len(buf) - 4
-	if frameLen-muxIDSize > maxFrameSize {
+	if frameLen > maxFrameSize {
 		if mw.m != nil {
 			mw.m.oversizeFrames.Inc()
 		}
-		return fmt.Errorf("transport: frame %d exceeds %d bytes", frameLen-muxIDSize, maxFrameSize)
+		return fmt.Errorf("transport: frame %d exceeds %d bytes", frameLen, maxFrameSize)
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(frameLen))
 	if _, err := mw.w.Write(buf); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
@@ -96,57 +94,26 @@ func (mr *MuxFrameReader) SetMetrics(reg *obs.Registry) { mr.fr.setMetrics(reg) 
 // ReadPacket reads one frame and returns the stream ID and decoded
 // packet; io.EOF at a clean end of stream.
 func (mr *MuxFrameReader) ReadPacket() (uint64, *packet.Packet, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(mr.fr.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
+	size, hdrLen, err := mr.fr.readLength()
+	if err != nil {
+		return 0, nil, err
+	}
+	streamID, idLen, err := readUvarint(mr.fr.r)
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF // the length prefix promised a frame
+	}
+	if err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) && mr.fr.m != nil {
-			mr.fr.m.shortReads.Inc()
-		}
-		return 0, nil, fmt.Errorf("transport: read header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size < muxIDSize {
-		return 0, nil, fmt.Errorf("transport: mux frame %d bytes, need at least %d", size, muxIDSize)
-	}
-	if size-muxIDSize > maxFrameSize {
-		if mr.fr.m != nil {
-			mr.fr.m.oversizeFrames.Inc()
-		}
-		return 0, nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size-muxIDSize, maxFrameSize)
-	}
-	var idBuf [muxIDSize]byte
-	if _, err := io.ReadFull(mr.fr.r, idBuf[:]); err != nil {
-		if mr.fr.m != nil {
 			mr.fr.m.shortReads.Inc()
 		}
 		return 0, nil, fmt.Errorf("transport: read stream id: %w", err)
 	}
-	streamID := binary.BigEndian.Uint64(idBuf[:])
-	wireSize := int(size) - muxIDSize
-	wire := make([]byte, 0, min(wireSize, frameAllocChunk))
-	for len(wire) < wireSize {
-		chunk := min(wireSize-len(wire), frameAllocChunk)
-		start := len(wire)
-		wire = append(wire, make([]byte, chunk)...)
-		if _, err := io.ReadFull(mr.fr.r, wire[start:]); err != nil {
-			if mr.fr.m != nil {
-				mr.fr.m.shortReads.Inc()
-			}
-			return 0, nil, fmt.Errorf("transport: read frame: %w", err)
-		}
+	if idLen > size {
+		return 0, nil, fmt.Errorf("transport: mux frame %d bytes, shorter than its %d-byte stream ID", size, idLen)
 	}
-	p, err := packet.Decode(wire)
+	p, err := mr.fr.readBody(size-idLen, hdrLen+size)
 	if err != nil {
-		if mr.fr.m != nil {
-			mr.fr.m.decodeErrors.Inc()
-		}
-		return 0, nil, fmt.Errorf("transport: %w", err)
-	}
-	if mr.fr.m != nil {
-		mr.fr.m.framesRead.Inc()
-		mr.fr.m.bytesRead.Add(int64(len(hdr) + muxIDSize + len(wire)))
+		return 0, nil, err
 	}
 	return streamID, p, nil
 }

@@ -60,35 +60,36 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// minimalPacket is the wire encoding of Packet{BlockID: 1, Index: 1}, and
+// minimalFrame frames it under stream 9.
+var (
+	minimalPacket = []byte{1, 1, 0, 0, 0, 0, 0, 0, 0}
+	minimalFrame  = append([]byte{10, 9}, minimalPacket...)
+)
+
 func TestMuxFrameReaderRejectsMalformed(t *testing.T) {
-	// Frame shorter than a stream ID.
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.BigEndian, uint32(4))
-	buf.WriteString("xxxx")
-	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
-		t.Error("undersized frame accepted")
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		// A length of 1 in front of a 2-byte stream-ID varint.
+		{"undersized frame", append([]byte{1, 0x80, 0x01}, "xxxx"...)},
+		{"oversized frame claim", binary.AppendUvarint(nil, maxFrameSize+1)},
+		{"truncated frame", append([]byte{100, 9}, "short"...)},
+		// Valid framing around a garbage packet encoding.
+		{"undecodable packet", append([]byte{4, 9}, "zzz"...)},
+		// minimalFrame with its length, then its stream ID, spelled as
+		// overlong varints.
+		{"overlong length", append([]byte{0x8a, 0x00, 9}, minimalPacket...)},
+		{"overlong stream ID", append([]byte{11, 0x89, 0x00}, minimalPacket...)},
 	}
-	// Oversized frame claim.
-	buf.Reset()
-	binary.Write(&buf, binary.BigEndian, uint32(maxFrameSize+muxIDSize+1))
-	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
-		t.Error("oversized frame accepted")
+	if _, _, err := NewMuxFrameReader(bytes.NewReader(minimalFrame)).ReadPacket(); err != nil {
+		t.Fatalf("baseline frame rejected: %v", err)
 	}
-	// Truncated body.
-	buf.Reset()
-	binary.Write(&buf, binary.BigEndian, uint32(100))
-	binary.Write(&buf, binary.BigEndian, uint64(9))
-	buf.WriteString("short")
-	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
-		t.Error("truncated frame accepted")
-	}
-	// Valid framing around a garbage packet encoding.
-	buf.Reset()
-	binary.Write(&buf, binary.BigEndian, uint32(muxIDSize+3))
-	binary.Write(&buf, binary.BigEndian, uint64(9))
-	buf.WriteString("zzz")
-	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
-		t.Error("undecodable packet accepted")
+	for _, c := range cases {
+		if _, _, err := NewMuxFrameReader(bytes.NewReader(c.frame)).ReadPacket(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -101,8 +102,8 @@ func TestMuxWriterRefusesOversizedPacket(t *testing.T) {
 }
 
 // A plain frameReader pointed at mux output must fail loudly (the mux
-// length prefix includes the stream ID, so the packet decode fails)
-// rather than silently yielding packets.
+// length prefix includes the stream ID, so the packet decode reads every
+// field one place late and fails) rather than silently yielding packets.
 func TestPlainReaderRejectsMuxStream(t *testing.T) {
 	var buf bytes.Buffer
 	mw := NewMuxFrameWriter(&buf)

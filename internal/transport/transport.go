@@ -2,7 +2,14 @@
 // connections: one datagram per packet for packet-oriented transports
 // (UDP — the natural carrier for the paper's best-effort multicast), and a
 // length-prefixed framing for byte-stream transports (TCP, pipes). The
-// wire format is internal/packet's encoding in both cases.
+// wire format is internal/packet's encoding in both cases. A plain frame
+// is
+//
+//	[uvarint length][packet encoding]
+//
+// with the length a minimal unsigned varint, as every integer of
+// internal/packet's wire encoding is; the mux framing (mux.go) adds a
+// stream ID.
 package transport
 
 import (
@@ -20,15 +27,49 @@ import (
 	"mcauth/internal/stream"
 )
 
-// maxFrameSize bounds a single packet's encoding on the wire.
+// maxFrameSize bounds a frame's length prefix: the packet encoding plus,
+// on the mux framing, its stream ID.
 const maxFrameSize = 1 << 21 // 2 MiB: payload cap plus headers
 
-// frameAllocChunk caps how much readPacket allocates before frame bytes
-// actually arrive: the 4-byte length prefix is attacker-controlled on a raw
+// frameAllocChunk caps how much a frame read allocates before frame bytes
+// actually arrive: the length prefix is attacker-controlled on a raw
 // stream, so the buffer grows chunk by chunk as data is read instead of
 // trusting the prefix — a lying 2 MiB header backed by a truncated stream
 // costs one chunk, not 2 MiB.
 const frameAllocChunk = 64 * 1024
+
+var (
+	errVarintOverflow   = errors.New("transport: varint overflows 64 bits")
+	errVarintNonMinimal = errors.New("transport: varint is not minimal")
+)
+
+// readUvarint reads one minimal unsigned varint from r and returns it with
+// the number of bytes it took. It returns io.EOF only when r ends before
+// the first byte, io.ErrUnexpectedEOF when it ends inside the varint, and
+// rejects overlong encodings, so every header has one wire form.
+func readUvarint(r io.ByteReader) (uint64, int, error) {
+	var v uint64
+	for n := 0; n < binary.MaxVarintLen64; n++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if n > 0 && errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, n, err
+		}
+		if n == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, n + 1, errVarintOverflow
+		}
+		v |= uint64(b&0x7f) << (7 * n)
+		if b < 0x80 {
+			if n > 0 && b == 0 {
+				return 0, n + 1, errVarintNonMinimal
+			}
+			return v, n + 1, nil
+		}
+	}
+	return 0, binary.MaxVarintLen64, errVarintOverflow
+}
 
 // wireMetrics caches the transport.* instruments; a nil *wireMetrics (the
 // default) disables all accounting.
@@ -94,22 +135,18 @@ func (fw *frameWriter) setMetrics(reg *obs.Registry) { fw.m = newWireMetrics(reg
 // writePacket encodes and frames one packet, issuing a single Write of
 // header plus frame.
 func (fw *frameWriter) writePacket(p *packet.Packet) error {
-	// Reserve the 4-byte length prefix, encode in place, then patch the
-	// prefix once the frame length is known.
-	fw.buf = append(fw.buf[:0], 0, 0, 0, 0)
-	buf, err := p.AppendEncode(fw.buf)
+	size := p.EncodedSize()
+	buf, err := p.AppendEncode(binary.AppendUvarint(fw.buf[:0], uint64(size)))
 	if err != nil {
 		return fmt.Errorf("transport: encode: %w", err)
 	}
 	fw.buf = buf
-	wireLen := len(buf) - 4
-	if wireLen > maxFrameSize {
+	if size > maxFrameSize {
 		if fw.m != nil {
 			fw.m.oversizeFrames.Inc()
 		}
-		return fmt.Errorf("transport: frame %d exceeds %d bytes", wireLen, maxFrameSize)
+		return fmt.Errorf("transport: frame %d exceeds %d bytes", size, maxFrameSize)
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(wireLen))
 	if _, err := fw.w.Write(buf); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
@@ -137,26 +174,43 @@ func (fr *frameReader) setMetrics(reg *obs.Registry) { fr.m = newWireMetrics(reg
 // readPacket reads and decodes one packet; it returns io.EOF at a clean
 // end of stream.
 func (fr *frameReader) readPacket() (*packet.Packet, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	size, hdrLen, err := fr.readLength()
+	if err != nil {
+		return nil, err
+	}
+	return fr.readBody(size, hdrLen+size)
+}
+
+// readLength reads a frame's length prefix and returns it with the
+// prefix's own length. It returns io.EOF at a clean end of stream and
+// rejects a prefix over maxFrameSize before any frame byte is read.
+func (fr *frameReader) readLength() (size, hdrLen int, err error) {
+	v, hdrLen, err := readUvarint(fr.r)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return 0, 0, io.EOF
 		}
 		if errors.Is(err, io.ErrUnexpectedEOF) && fr.m != nil {
 			fr.m.shortReads.Inc()
 		}
-		return nil, fmt.Errorf("transport: read header: %w", err)
+		return 0, 0, fmt.Errorf("transport: read header: %w", err)
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size > maxFrameSize {
+	if v > maxFrameSize {
 		if fr.m != nil {
 			fr.m.oversizeFrames.Inc()
 		}
-		return nil, fmt.Errorf("transport: frame %d exceeds %d bytes", size, maxFrameSize)
+		return 0, 0, fmt.Errorf("transport: frame %d exceeds %d bytes", v, maxFrameSize)
 	}
-	wire := make([]byte, 0, min(int(size), frameAllocChunk))
-	for len(wire) < int(size) {
-		chunk := min(int(size)-len(wire), frameAllocChunk)
+	return int(v), hdrLen, nil
+}
+
+// readBody reads size bytes of packet encoding, growing its buffer chunk
+// by chunk as they arrive, and decodes them. frameBytes is the whole
+// frame's length on the wire, for transport.bytes_read.
+func (fr *frameReader) readBody(size, frameBytes int) (*packet.Packet, error) {
+	wire := make([]byte, 0, min(size, frameAllocChunk))
+	for len(wire) < size {
+		chunk := min(size-len(wire), frameAllocChunk)
 		start := len(wire)
 		wire = append(wire, make([]byte, chunk)...)
 		if _, err := io.ReadFull(fr.r, wire[start:]); err != nil {
@@ -175,7 +229,7 @@ func (fr *frameReader) readPacket() (*packet.Packet, error) {
 	}
 	if fr.m != nil {
 		fr.m.framesRead.Inc()
-		fr.m.bytesRead.Add(int64(len(hdr) + len(wire)))
+		fr.m.bytesRead.Add(int64(frameBytes))
 	}
 	return p, nil
 }

@@ -79,8 +79,7 @@ func TestFrameReaderTruncation(t *testing.T) {
 
 func TestFrameReaderOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	buf.Write(hdr)
+	buf.Write(binary.AppendUvarint(nil, 0xffffffff))
 	fr := newFrameReader(&buf)
 	if _, err := fr.readPacket(); err == nil {
 		t.Error("oversize frame length should fail before allocation")
@@ -305,9 +304,8 @@ func TestShortReadCounted(t *testing.T) {
 
 func TestOversizeFrameCounted(t *testing.T) {
 	reg := obs.NewRegistry()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], maxFrameSize+1)
-	fr := newFrameReader(bytes.NewReader(hdr[:]))
+	hdr := binary.AppendUvarint(nil, maxFrameSize+1)
+	fr := newFrameReader(bytes.NewReader(hdr))
 	fr.setMetrics(reg)
 	if _, err := fr.readPacket(); err == nil {
 		t.Fatal("oversize frame should fail")

@@ -22,7 +22,7 @@ func TestMACScratchAllocFree(t *testing.T) {
 	var s MACScratch
 	key := []byte("alloc-guard-key")
 	data := make([]byte, 1200)
-	mac := s.sum(key, data)
+	mac := s.Sum(key, data)
 	// First Sum may grow the internal buffer; steady state must not.
 	if n := testing.AllocsPerRun(100, func() {
 		if !s.Verify(key, data, mac[:]) {
@@ -50,14 +50,11 @@ func TestHashScratchAllocFree(t *testing.T) {
 
 func TestKeychainIntoAllocFree(t *testing.T) {
 	requireAllocFree(t)
-	kc, err := NewKeyChain([]byte("alloc-guard-seed"), 64)
+	keys, err := keyChain([]byte("alloc-guard-seed"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k64, err := kc.Key(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k64 := keys[64]
 	var s MACScratch
 	out := make([]byte, KeySize)
 	if n := testing.AllocsPerRun(100, func() {
@@ -67,7 +64,7 @@ func TestKeychainIntoAllocFree(t *testing.T) {
 	}); n > 0 {
 		t.Errorf("RecoverEarlierKeyInto: %.1f allocs/op, want 0", n)
 	}
-	mk := make([]byte, macSize)
+	mk := make([]byte, MACSize)
 	if n := testing.AllocsPerRun(100, func() {
 		DeriveMACKeyInto(&s, mk, out)
 	}); n > 0 {

@@ -85,12 +85,20 @@ func splitBatchBlob(blob []byte) (count, index uint32, sig, path []byte, ok bool
 	return count, index, rest[:signatureSize], rest[signatureSize:], true
 }
 
-func batchLeaf(content []byte) Digest {
-	return HashConcat(batchLeafLabel, content)
+// batchLeaf, batchNode and batchRootFromPath hash on the caller's scratch.
+func batchLeaf(hs *HashScratch, content []byte) Digest {
+	hs.Reset()
+	hs.Write(batchLeafLabel)
+	hs.Write(content)
+	return hs.Sum()
 }
 
-func batchNode(left, right Digest) Digest {
-	return HashConcat(batchNodeLabel, left[:], right[:])
+func batchNode(hs *HashScratch, left, right []byte) Digest {
+	hs.Reset()
+	hs.Write(batchNodeLabel)
+	hs.Write(left)
+	hs.Write(right)
+	return hs.Sum()
 }
 
 func batchRootMessage(root Digest) []byte {
@@ -101,10 +109,9 @@ func batchRootMessage(root Digest) []byte {
 
 // batchRootFromPath folds a leaf back up to the Merkle root. Odd nodes are
 // promoted unchanged (no duplication), so the walk consumes a path element
-// only at levels where the node has a sibling; it reports how many path
-// elements a valid proof must contain, and fails if the supplied path has
-// the wrong length.
-func batchRootFromPath(leaf Digest, index, count uint32, path []byte) (Digest, bool) {
+// only at levels where the node has a sibling; it fails if the supplied
+// path has the wrong length for the leaf's position.
+func batchRootFromPath(hs *HashScratch, leaf Digest, index, count uint32, path []byte) (Digest, bool) {
 	if count == 0 || index >= count || count > MaxBatch {
 		return Digest{}, false
 	}
@@ -117,14 +124,13 @@ func batchRootFromPath(leaf Digest, index, count uint32, path []byte) (Digest, b
 			if off+HashSize > len(path) {
 				return Digest{}, false
 			}
-			var sib Digest
-			copy(sib[:], path[off:off+HashSize])
-			off += HashSize
+			sib := path[off : off+HashSize]
 			if idx&1 == 0 {
-				node = batchNode(node, sib)
+				node = batchNode(hs, node[:], sib)
 			} else {
-				node = batchNode(sib, node)
+				node = batchNode(hs, sib, node[:])
 			}
+			off += HashSize
 		}
 		idx /= 2
 		width = (width + 1) / 2
@@ -150,16 +156,17 @@ func BatchSign(signer Signer, contents [][]byte) ([][]byte, error) {
 		return nil, fmt.Errorf("crypto: batch %d exceeds %d", len(contents), MaxBatch)
 	}
 	// Build every tree level; levels[0] holds the leaves.
+	var hs HashScratch
 	levels := [][]Digest{make([]Digest, len(contents))}
 	for i, c := range contents {
-		levels[0][i] = batchLeaf(c)
+		levels[0][i] = batchLeaf(&hs, c)
 	}
 	for len(levels[len(levels)-1]) > 1 {
 		prev := levels[len(levels)-1]
 		next := make([]Digest, 0, (len(prev)+1)/2)
 		for i := 0; i < len(prev); i += 2 {
 			if i+1 < len(prev) {
-				next = append(next, batchNode(prev[i], prev[i+1]))
+				next = append(next, batchNode(&hs, prev[i][:], prev[i+1][:]))
 			} else {
 				next = append(next, prev[i]) // odd node promoted
 			}
@@ -202,7 +209,8 @@ func verifyBatchBlob(pub Verifier, content, blob []byte) bool {
 	if !ok {
 		return false
 	}
-	root, ok := batchRootFromPath(batchLeaf(content), index, count, path)
+	var hs HashScratch
+	root, ok := batchRootFromPath(&hs, batchLeaf(&hs, content), index, count, path)
 	if !ok {
 		return false
 	}

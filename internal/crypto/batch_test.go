@@ -405,7 +405,7 @@ func FuzzBatchBlob(f *testing.F) {
 	f.Add(append([]byte{batchSigTag, 0x82, 0x00, 1}, make([]byte, signatureSize+HashSize)...))
 
 	var hs HashScratch
-	leaf := batchLeaf([]byte("leaf"))
+	leaf := batchLeaf(&hs, []byte("leaf"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		count, index, sig, path, ok := splitBatchBlob(blob)
 		if !ok {
@@ -418,8 +418,8 @@ func FuzzBatchBlob(f *testing.F) {
 		if !bytes.Equal(again, blob) {
 			t.Fatalf("blob %x re-encodes as %x", blob, again)
 		}
-		root, ok := batchRootFromPath(leaf, index, count, path)
-		rootScratch, okScratch := batchRootFromPathScratch(&hs, leaf, index, count, path)
+		root, ok := batchRootWalk(leaf, index, count, path)
+		rootScratch, okScratch := batchRootFromPath(&hs, leaf, index, count, path)
 		if ok != okScratch || root != rootScratch {
 			t.Fatal("the two path walks disagree")
 		}

@@ -12,9 +12,7 @@ package crypto
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -22,7 +20,7 @@ import (
 // Sizes of the concrete primitives, in bytes.
 const (
 	HashSize      = sha256.Size
-	macSize       = sha256.Size
+	MACSize       = sha256.Size // HMAC-SHA256
 	signatureSize = ed25519.SignatureSize
 	KeySize       = 16 // symmetric MAC key size used by TESLA key chains
 )
@@ -41,47 +39,10 @@ func HashBytes(data []byte) Digest {
 	return sha256.Sum256(data)
 }
 
-// HashConcat hashes the concatenation of the given byte slices. It is used
-// to bind a packet's payload together with the hashes it carries, which is
-// the "hash concatenation" linking step of chained-hash schemes.
-func HashConcat(parts ...[]byte) Digest {
-	var start time.Time
-	in := instr.Load()
-	if in != nil {
-		start = time.Now()
-	}
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-	}
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	if in != nil {
-		in.record(in.hashOps, in.hashNS, start)
-	}
-	return d
-}
-
 // MAC computes HMAC-SHA256 of data under key.
 func MAC(key, data []byte) []byte {
-	var start time.Time
-	in := instr.Load()
-	if in != nil {
-		start = time.Now()
-	}
-	m := hmac.New(sha256.New, key)
-	m.Write(data)
-	sum := m.Sum(nil)
-	if in != nil {
-		in.record(in.macOps, in.macNS, start)
-	}
-	return sum
-}
-
-// verifyMAC reports whether mac is a valid HMAC-SHA256 of data under key,
-// in constant time.
-func verifyMAC(key, data, mac []byte) bool {
-	return hmac.Equal(MAC(key, data), mac)
+	sum := new(MACScratch).Sum(key, data)
+	return sum[:]
 }
 
 // Signer produces digital signatures. The sender holds a Signer; receivers
@@ -176,15 +137,4 @@ func (v *ed25519Verifier) Bytes() []byte {
 	out := make([]byte, len(v.pub))
 	copy(out, v.pub)
 	return out
-}
-
-// parseVerifier reconstructs a Verifier from bytes produced by
-// Verifier.Bytes.
-func parseVerifier(b []byte) (Verifier, error) {
-	if len(b) != ed25519.PublicKeySize {
-		return nil, errors.New("crypto: malformed public key")
-	}
-	pub := make(ed25519.PublicKey, len(b))
-	copy(pub, b)
-	return &ed25519Verifier{pub: pub}, nil
 }

@@ -21,16 +21,20 @@ func TestHashBytesDeterministic(t *testing.T) {
 }
 
 func TestHashConcatBoundary(t *testing.T) {
-	// HashConcat must equal hashing the raw concatenation; two different
-	// splits of the same bytes agree (we bind structure at the packet
-	// encoding layer, not here).
-	a := HashConcat([]byte("ab"), []byte("c"))
-	b := HashConcat([]byte("a"), []byte("bc"))
-	if a != b {
-		t.Error("HashConcat must hash the concatenation")
+	// A HashScratch must hash the raw concatenation of its writes; two
+	// different splits of the same bytes agree (we bind structure at the
+	// packet encoding layer, not here).
+	var s HashScratch
+	s.Write([]byte("ab"))
+	s.Write([]byte("c"))
+	a := s.Sum()
+	s.Write([]byte("a"))
+	s.Write([]byte("bc"))
+	if b := s.Sum(); a != b {
+		t.Error("HashScratch must hash the concatenation")
 	}
 	if a != HashBytes([]byte("abc")) {
-		t.Error("HashConcat disagrees with HashBytes")
+		t.Error("HashScratch disagrees with HashBytes")
 	}
 }
 
@@ -112,124 +116,113 @@ func TestDifferentSignersDistinct(t *testing.T) {
 }
 
 func TestKeyChainConstruction(t *testing.T) {
-	kc, err := NewKeyChain([]byte("seed"), 10)
+	keys, err := keyChain([]byte("seed"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kc.size() != 10 {
-		t.Fatalf("Len = %d, want 10", kc.size())
+	if len(keys) != 11 {
+		t.Fatalf("%d chain elements, want 11", len(keys))
 	}
-	commit := kc.Commitment()
 	for i := 1; i <= 10; i++ {
-		k, err := kc.Key(i)
-		if err != nil {
+		if !verifyAgainstCommitment(keys[0], keys[i], i) {
+			t.Errorf("key %d failed commitment verification", i)
+		}
+	}
+	// The scratch derivation draws the same chain from the same seed,
+	// reading the seed as the element past the chain's end.
+	var s MACScratch
+	got := make([]byte, KeySize)
+	for i := 0; i <= 10; i++ {
+		if err := RecoverEarlierKeyInto(&s, got, []byte("seed"), 11, i); err != nil {
 			t.Fatal(err)
 		}
-		if !verifyAgainstCommitment(commit, k, i) {
-			t.Errorf("key %d failed commitment verification", i)
+		if !bytes.Equal(got, keys[i]) {
+			t.Errorf("RecoverEarlierKeyInto(seed, 11 -> %d) diverges from the chain", i)
 		}
 	}
 }
 
 func TestKeyChainErrors(t *testing.T) {
-	if _, err := NewKeyChain([]byte("seed"), 0); err == nil {
-		t.Error("zero length should fail")
+	var s MACScratch
+	out := make([]byte, KeySize)
+	key := make([]byte, KeySize)
+	if err := RecoverEarlierKeyInto(&s, out, key, 5, 5); err == nil {
+		t.Error("recovering the same index should fail")
 	}
-	if _, err := NewKeyChain(nil, 5); err == nil {
-		t.Error("empty seed should fail")
+	if err := RecoverEarlierKeyInto(&s, out, key, 5, 6); err == nil {
+		t.Error("recovering a later key should fail")
 	}
-	kc, err := NewKeyChain([]byte("seed"), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kc.Key(0); err == nil {
-		t.Error("Key(0) should fail (commitment is not a usable key)")
-	}
-	if _, err := kc.Key(6); err == nil {
-		t.Error("Key beyond chain should fail")
+	if err := RecoverEarlierKeyInto(&s, out, key, 5, -1); err == nil {
+		t.Error("negative target should fail")
 	}
 }
 
 func TestKeyChainRecovery(t *testing.T) {
-	kc, err := NewKeyChain([]byte("seed"), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k15, err := kc.Key(15)
+	keys, err := keyChain([]byte("seed"), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A lost K_7 is recoverable from K_15.
-	k7, err := recoverEarlierKey(k15, 15, 7)
+	k7, err := recoverEarlierKey(keys[15], 15, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := kc.Key(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(k7, want) {
+	if !bytes.Equal(k7, keys[7]) {
 		t.Error("recovered key differs from chain key")
 	}
-	if _, err := recoverEarlierKey(k15, 15, 15); err == nil {
+	if _, err := recoverEarlierKey(keys[15], 15, 15); err == nil {
 		t.Error("recovering same index should fail")
 	}
-	if _, err := recoverEarlierKey(k15, 15, -1); err == nil {
+	if _, err := recoverEarlierKey(keys[15], 15, -1); err == nil {
 		t.Error("negative target should fail")
 	}
 }
 
 func TestKeyChainForgeryRejected(t *testing.T) {
-	kc, err := NewKeyChain([]byte("seed"), 5)
+	keys, err := keyChain([]byte("seed"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := kc.Commitment()
+	commit := keys[0]
 	fake := make([]byte, KeySize)
 	if verifyAgainstCommitment(commit, fake, 3) {
 		t.Error("arbitrary bytes verified against commitment")
 	}
-	k3, err := kc.Key(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A genuine key claimed at the wrong index must fail.
-	if verifyAgainstCommitment(commit, k3, 2) {
+	if verifyAgainstCommitment(commit, keys[3], 2) {
 		t.Error("key accepted at wrong index")
 	}
-	if verifyAgainstCommitment(commit, k3, 0) {
+	if verifyAgainstCommitment(commit, keys[3], 0) {
 		t.Error("index 0 must never verify")
 	}
 }
 
 func TestDeriveMACKeyDomainSeparation(t *testing.T) {
-	kc, err := NewKeyChain([]byte("seed"), 3)
+	keys, err := keyChain([]byte("seed"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := kc.Key(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := DeriveMACKey(k1)
-	if bytes.Equal(mk, k1) {
+	var s MACScratch
+	mk := make([]byte, KeySize)
+	DeriveMACKeyInto(&s, mk, keys[1])
+	if bytes.Equal(mk, keys[1]) {
 		t.Error("MAC key must differ from chain key")
 	}
-	if bytes.Equal(mk, prfStep(k1)) {
+	if bytes.Equal(mk, prfStep(keys[1])) {
 		t.Error("MAC key must differ from next chain element")
 	}
 }
 
 func TestKeyChainDeterministic(t *testing.T) {
-	a, err := NewKeyChain([]byte("s"), 8)
-	if err != nil {
+	var s MACScratch
+	a, b := make([]byte, KeySize), make([]byte, KeySize)
+	if err := RecoverEarlierKeyInto(&s, a, []byte("s"), 9, 0); err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewKeyChain([]byte("s"), 8)
-	if err != nil {
+	if err := RecoverEarlierKeyInto(&s, b, []byte("s"), 9, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Commitment(), b.Commitment()) {
+	if !bytes.Equal(a, b) {
 		t.Error("same seed must give same chain")
 	}
 }
@@ -242,38 +235,20 @@ func TestKeyChainProperty(t *testing.T) {
 			seed = []byte{0}
 		}
 		length := int(ln%30) + 2
-		kc, err := NewKeyChain(seed, length)
+		keys, err := keyChain(seed, length)
 		if err != nil {
 			return false
 		}
-		last, err := kc.Key(length)
-		if err != nil {
-			return false
-		}
+		last := keys[length]
 		first, err := recoverEarlierKey(last, length, 1)
 		if err != nil {
 			return false
 		}
-		want, err := kc.Key(1)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(first, want) &&
-			verifyAgainstCommitment(kc.Commitment(), last, length)
+		return bytes.Equal(first, keys[1]) &&
+			verifyAgainstCommitment(keys[0], last, length)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntervalKeyID(t *testing.T) {
-	a := intervalKeyID(7)
-	b := intervalKeyID(8)
-	if bytes.Equal(a, b) {
-		t.Error("distinct indices must encode distinctly")
-	}
-	if len(a) != 8 {
-		t.Errorf("encoded ID length %d, want 8", len(a))
 	}
 }
 
@@ -283,7 +258,9 @@ func TestInstrumentationCountsOps(t *testing.T) {
 	defer Uninstrument()
 
 	HashBytes([]byte("data"))
-	HashConcat([]byte("a"), []byte("b"))
+	var hs HashScratch
+	hs.Write([]byte("ab"))
+	hs.Sum()
 	mac := MAC([]byte("key"), []byte("data"))
 	verifyMAC([]byte("key"), []byte("data"), mac)
 	signer := NewSignerFromString("instr")

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -23,8 +25,10 @@ func TestMACScratchMatchesHMAC(t *testing.T) {
 		for _, dl := range dataLens {
 			key := bytes.Repeat([]byte{byte(kl + 1)}, kl)
 			data := bytes.Repeat([]byte{byte(dl + 7)}, dl)
-			want := MAC(key, data)
-			got := s.sum(key, data)
+			m := hmac.New(sha256.New, key)
+			m.Write(data)
+			want := m.Sum(nil)
+			got := s.Sum(key, data)
 			if !bytes.Equal(got[:], want) {
 				t.Fatalf("MACScratch.Sum(key %d, data %d) diverges from MAC", kl, dl)
 			}
@@ -40,33 +44,33 @@ func TestMACScratchMatchesHMAC(t *testing.T) {
 }
 
 // TestHashScratchMatchesHashConcat checks the flat-buffer concatenation
-// hash against HashConcat.
+// hash against SHA-256 of the joined parts.
 func TestHashScratchMatchesHashConcat(t *testing.T) {
 	var s HashScratch
 	parts := [][]byte{[]byte("alpha"), {}, []byte("beta"), bytes.Repeat([]byte{9}, 500)}
-	want := HashConcat(parts...)
+	want := Digest(sha256.Sum256(bytes.Join(parts, nil)))
 	for _, p := range parts {
 		s.Write(p)
 	}
 	if got := s.Sum(); got != want {
-		t.Fatalf("HashScratch.Sum diverges from HashConcat")
+		t.Fatalf("HashScratch.Sum diverges from SHA-256 of the concatenation")
 	}
 	// Sum resets: a second round must match a fresh concatenation.
 	s.Write([]byte("gamma"))
-	if got, want := s.Sum(), HashConcat([]byte("gamma")); got != want {
+	if got, want := s.Sum(), HashBytes([]byte("gamma")); got != want {
 		t.Fatalf("HashScratch did not reset after Sum")
 	}
 }
 
 // TestKeychainIntoMatchesLegacy checks the Into key-chain derivations
-// against the allocating originals.
+// against the allocating oracles.
 func TestKeychainIntoMatchesLegacy(t *testing.T) {
-	kc, err := NewKeyChain([]byte("into-seed"), 40)
+	keys, err := keyChain([]byte("into-seed"), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s MACScratch
-	k30, _ := kc.Key(30)
+	k30 := keys[30]
 	for target := 0; target < 30; target += 7 {
 		want, err := recoverEarlierKey(k30, 30, target)
 		if err != nil {
@@ -94,8 +98,8 @@ func TestKeychainIntoMatchesLegacy(t *testing.T) {
 	}
 	mk := make([]byte, KeySize)
 	DeriveMACKeyInto(&s, mk, k30)
-	if !bytes.Equal(mk, DeriveMACKey(k30)) {
-		t.Fatalf("DeriveMACKeyInto diverges from DeriveMACKey")
+	if !bytes.Equal(mk, deriveMACKey(k30)) {
+		t.Fatalf("DeriveMACKeyInto diverges from its oracle")
 	}
 }
 

@@ -12,17 +12,18 @@ const sha256BlockSize = 64
 // MACScratch computes HMAC-SHA256 without the per-call allocations of
 // hmac.New: the ipad/opad staging area is a single flat buffer reused
 // across calls, and the digest is produced by direct sha256.Sum256 calls
-// (which the compiler keeps on the stack). Output is byte-identical to
-// MAC. A MACScratch is not safe for concurrent use; hot paths hold one
-// per goroutine (typically one per verifier).
+// (which the compiler keeps on the stack). MAC is a MACScratch used once.
+// A MACScratch is not safe for concurrent use; hot paths hold one per
+// goroutine (typically one per verifier, and one per block a sender
+// builds).
 type MACScratch struct {
 	buf []byte
 }
 
-// sum computes HMAC-SHA256(key, data). It allocates only when the
+// Sum computes HMAC-SHA256(key, data). It allocates only when the
 // internal buffer must grow to fit data, so steady-state calls with
 // bounded data sizes are allocation-free.
-func (s *MACScratch) sum(key, data []byte) [macSize]byte {
+func (s *MACScratch) Sum(key, data []byte) [MACSize]byte {
 	var start time.Time
 	in := instr.Load()
 	if in != nil {
@@ -63,13 +64,13 @@ func (s *MACScratch) sum(key, data []byte) [macSize]byte {
 // Verify reports whether mac is a valid HMAC-SHA256 of data under key, in
 // constant time, without allocating.
 func (s *MACScratch) Verify(key, data, mac []byte) bool {
-	sum := s.sum(key, data)
+	sum := s.Sum(key, data)
 	return hmac.Equal(sum[:], mac)
 }
 
 // HashScratch hashes a concatenation of parts with a single flat buffer
 // and one direct sha256.Sum256 call, avoiding the hash.Hash interface
-// allocations of HashConcat. Not safe for concurrent use.
+// allocations. Not safe for concurrent use.
 type HashScratch struct {
 	buf []byte
 }
@@ -81,7 +82,7 @@ func (s *HashScratch) Reset() { s.buf = s.buf[:0] }
 func (s *HashScratch) Write(p []byte) { s.buf = append(s.buf, p...) }
 
 // Sum hashes the accumulated concatenation and resets the scratch for the
-// next use. Output is identical to HashConcat over the same writes.
+// next use.
 func (s *HashScratch) Sum() Digest {
 	var start time.Time
 	in := instr.Load()

@@ -197,50 +197,6 @@ type VerifyScratch struct {
 	msg []byte // batch root-message staging
 }
 
-// batchLeafScratch is batchLeaf without the HashConcat allocations.
-func batchLeafScratch(hs *HashScratch, content []byte) Digest {
-	hs.Reset()
-	hs.Write(batchLeafLabel)
-	hs.Write(content)
-	return hs.Sum()
-}
-
-// batchRootFromPathScratch is batchRootFromPath with node hashing done in
-// the caller's scratch. Identical results.
-func batchRootFromPathScratch(hs *HashScratch, leaf Digest, index, count uint32, path []byte) (Digest, bool) {
-	if count == 0 || index >= count || count > MaxBatch {
-		return Digest{}, false
-	}
-	node := leaf
-	idx, width := index, count
-	off := 0
-	for width > 1 {
-		sibling := idx ^ 1
-		if sibling < width {
-			if off+HashSize > len(path) {
-				return Digest{}, false
-			}
-			hs.Reset()
-			hs.Write(batchNodeLabel)
-			if idx&1 == 0 {
-				hs.Write(node[:])
-				hs.Write(path[off : off+HashSize])
-			} else {
-				hs.Write(path[off : off+HashSize])
-				hs.Write(node[:])
-			}
-			node = hs.Sum()
-			off += HashSize
-		}
-		idx /= 2
-		width = (width + 1) / 2
-	}
-	if off != len(path) {
-		return Digest{}, false
-	}
-	return node, true
-}
-
 // VerifyAnyCached checks sig — a plain Ed25519 signature or a batch
 // signature blob — of content under pub, consulting cache to skip checks
 // that already succeeded. Batch blobs always pay the (cheap) Merkle path
@@ -266,8 +222,8 @@ func verifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, cont
 	if !ok {
 		return false
 	}
-	leaf := batchLeafScratch(&scratch.hs, content)
-	root, ok := batchRootFromPathScratch(&scratch.hs, leaf, index, count, path)
+	leaf := batchLeaf(&scratch.hs, content)
+	root, ok := batchRootFromPath(&scratch.hs, leaf, index, count, path)
 	if !ok {
 		return false
 	}

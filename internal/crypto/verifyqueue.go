@@ -320,8 +320,8 @@ func (q *BatchVerifyQueue) reduceCheck(it pendingVerify) (msg, sig []byte, ok bo
 	if !ok {
 		return nil, nil, false
 	}
-	leaf := batchLeafScratch(&q.scratch.hs, it.content)
-	root, ok := batchRootFromPathScratch(&q.scratch.hs, leaf, index, count, path)
+	leaf := batchLeaf(&q.scratch.hs, it.content)
+	root, ok := batchRootFromPath(&q.scratch.hs, leaf, index, count, path)
 	if !ok {
 		return nil, nil, false
 	}

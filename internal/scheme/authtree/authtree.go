@@ -25,6 +25,7 @@ var (
 	labelLeaf = []byte("authtree-leaf-v1")
 	labelNode = []byte("authtree-node-v1")
 	labelRoot = []byte("authtree-root-v1")
+	labelPad  = []byte("authtree-pad-v1")
 )
 
 // maxArity bounds the tree degree; beyond this the per-packet path is
@@ -112,40 +113,46 @@ func (t *Tree) VertexOf(index uint32) (int, bool) {
 	return int(index), true
 }
 
-func leafDigest(blockID uint64, index uint32, payload []byte) crypto.Digest {
+// leafDigest, nodeDigest and paddingDigest hash on the caller's scratch:
+// the sender holds one per block, the verifier one for its lifetime.
+func leafDigest(hs *crypto.HashScratch, blockID uint64, index uint32, payload []byte) crypto.Digest {
 	var hdr [12]byte
 	binary.BigEndian.PutUint64(hdr[:8], blockID)
 	binary.BigEndian.PutUint32(hdr[8:], index)
-	return crypto.HashConcat(labelLeaf, hdr[:], payload)
+	hs.Reset()
+	hs.Write(labelLeaf)
+	hs.Write(hdr[:])
+	hs.Write(payload)
+	return hs.Sum()
 }
 
-func nodeDigest(children []crypto.Digest) crypto.Digest {
-	parts := make([][]byte, 0, len(children)+1)
-	parts = append(parts, labelNode)
+func nodeDigest(hs *crypto.HashScratch, children []crypto.Digest) crypto.Digest {
+	hs.Reset()
+	hs.Write(labelNode)
 	for i := range children {
-		parts = append(parts, children[i][:])
+		hs.Write(children[i][:])
 	}
-	return crypto.HashConcat(parts...)
-}
-
-func rootMessage(blockID uint64, n int, root crypto.Digest) []byte {
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[:8], blockID)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(n))
-	msg := make([]byte, 0, len(labelRoot)+len(hdr)+len(root))
-	msg = append(msg, labelRoot...)
-	msg = append(msg, hdr[:]...)
-	msg = append(msg, root[:]...)
-	return msg
+	return hs.Sum()
 }
 
 // paddingDigest fills leaves beyond n; it is domain-separated so no real
 // packet can collide with it.
-func paddingDigest(blockID uint64, position int) crypto.Digest {
+func paddingDigest(hs *crypto.HashScratch, blockID uint64, position int) crypto.Digest {
 	var hdr [12]byte
 	binary.BigEndian.PutUint64(hdr[:8], blockID)
 	binary.BigEndian.PutUint32(hdr[8:], uint32(position))
-	return crypto.HashConcat([]byte("authtree-pad-v1"), hdr[:])
+	hs.Reset()
+	hs.Write(labelPad)
+	hs.Write(hdr[:])
+	return hs.Sum()
+}
+
+// appendRootMessage appends the message the block signature covers to buf.
+func appendRootMessage(buf []byte, blockID uint64, n int, root crypto.Digest) []byte {
+	buf = append(buf, labelRoot...)
+	buf = binary.BigEndian.AppendUint64(buf, blockID)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	return append(buf, root[:]...)
 }
 
 // pathRef encodes a sibling's (level, slot) as the HashRef target index.
@@ -154,56 +161,58 @@ func (t *Tree) pathRef(level, slot int) uint32 {
 }
 
 // buildPackets constructs the block's packets with their sibling paths
-// filled in, signatures left empty, and returns them with the tree root.
-func (t *Tree) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Packet, crypto.Digest, error) {
+// filled in, signatures left empty, and returns them with the message the
+// block signature covers. The tree's nodes, the packets and their carried
+// hashes each come from one slab, every packet's Hashes
+// capacity-limited, and all hashing runs on one scratch.
+func (t *Tree) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Packet, []byte, error) {
 	if len(payloads) != t.n {
-		return nil, crypto.Digest{}, fmt.Errorf("authtree: got %d payloads, want %d", len(payloads), t.n)
+		return nil, nil, fmt.Errorf("authtree: got %d payloads, want %d", len(payloads), t.n)
 	}
-	// levels[0] = leaves ... levels[depth] = [root].
-	levels := make([][]crypto.Digest, t.depth+1)
-	levels[0] = make([]crypto.Digest, t.leaves)
+	// nodes holds every level, leaves first and the root last: the layout
+	// of the verifier's proven table.
+	nodes := make([]crypto.Digest, (t.leaves*t.arity-1)/(t.arity-1))
+	var hs crypto.HashScratch
 	for i := 0; i < t.leaves; i++ {
 		if i < t.n {
-			levels[0][i] = leafDigest(blockID, uint32(i+1), payloads[i])
+			nodes[i] = leafDigest(&hs, blockID, uint32(i+1), payloads[i])
 		} else {
-			levels[0][i] = paddingDigest(blockID, i)
+			nodes[i] = paddingDigest(&hs, blockID, i)
 		}
 	}
-	for lvl := 1; lvl <= t.depth; lvl++ {
-		prev := levels[lvl-1]
-		cur := make([]crypto.Digest, len(prev)/t.arity)
-		for i := range cur {
-			cur[i] = nodeDigest(prev[i*t.arity : (i+1)*t.arity])
+	for base, width := 0, t.leaves; width > 1; base, width = base+width, width/t.arity {
+		for i := 0; i < width/t.arity; i++ {
+			nodes[base+width+i] = nodeDigest(&hs, nodes[base+i*t.arity:base+(i+1)*t.arity])
 		}
-		levels[lvl] = cur
 	}
-	root := levels[t.depth][0]
 
+	h := t.hashesPerPacket()
+	pk := make([]packet.Packet, t.n)
 	pkts := make([]*packet.Packet, t.n)
-	for i := 0; i < t.n; i++ {
-		p := &packet.Packet{
-			BlockID: blockID,
-			Index:   uint32(i + 1),
-			Payload: payloads[i],
-		}
-		pos := i
+	refs := make([]packet.HashRef, t.n*h)
+	for i := range pk {
+		p := &pk[i]
+		*p = packet.Packet{BlockID: blockID, Index: uint32(i + 1), Payload: payloads[i]}
+		p.Hashes, refs = refs[:0:h], refs[h:]
+		pos, base, width := i, 0, t.leaves
 		for lvl := 0; lvl < t.depth; lvl++ {
-			base := (pos / t.arity) * t.arity
 			own := pos % t.arity
 			for slot := 0; slot < t.arity; slot++ {
-				if slot == own {
-					continue
+				if slot != own {
+					p.Hashes = append(p.Hashes, packet.HashRef{
+						TargetIndex: t.pathRef(lvl, slot),
+						Digest:      nodes[base+pos-own+slot],
+					})
 				}
-				p.Hashes = append(p.Hashes, packet.HashRef{
-					TargetIndex: t.pathRef(lvl, slot),
-					Digest:      levels[lvl][base+slot],
-				})
 			}
+			base += width
+			width /= t.arity
 			pos /= t.arity
 		}
 		pkts[i] = p
 	}
-	return pkts, root, nil
+	msg := make([]byte, 0, len(labelRoot)+12+crypto.HashSize)
+	return pkts, appendRootMessage(msg, blockID, t.n, nodes[len(nodes)-1]), nil
 }
 
 // Authenticate implements Scheme: it builds the Merkle tree over the
@@ -211,11 +220,11 @@ func (t *Tree) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Packet
 // and its sibling path. Each sibling is stored as a HashRef whose
 // TargetIndex encodes its (level, child-slot) position.
 func (t *Tree) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet, error) {
-	pkts, root, err := t.buildPackets(blockID, payloads)
+	pkts, msg, err := t.buildPackets(blockID, payloads)
 	if err != nil {
 		return nil, err
 	}
-	sig := t.signer.Sign(rootMessage(blockID, t.n, root))
+	sig := t.signer.Sign(msg)
 	for _, p := range pkts {
 		p.Signature = sig
 	}
@@ -228,7 +237,7 @@ func (t *Tree) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet
 // signature across many blocks. All wire positions are held, since every
 // packet carries the signature.
 func (t *Tree) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packet.Packet, *scheme.PendingRoot, error) {
-	pkts, root, err := t.buildPackets(blockID, payloads)
+	pkts, msg, err := t.buildPackets(blockID, payloads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +245,7 @@ func (t *Tree) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packe
 	for i := range held {
 		held[i] = i
 	}
-	pr := scheme.NewPendingRoot(rootMessage(blockID, t.n, root), held, func(sig []byte) {
+	pr := scheme.NewPendingRoot(msg, held, func(sig []byte) {
 		for _, p := range pkts {
 			p.Signature = sig
 		}
@@ -312,47 +321,13 @@ type parked struct {
 
 var _ scheme.Verifier = (*treeVerifier)(nil)
 
-// leafDigestScratch, nodeDigestScratch and appendRootMessage are the
-// zero-allocation counterparts of leafDigest, nodeDigest and rootMessage;
-// identical outputs.
-func (tv *treeVerifier) leafDigestScratch(blockID uint64, index uint32, payload []byte) crypto.Digest {
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[:8], blockID)
-	binary.BigEndian.PutUint32(hdr[8:], index)
-	tv.hs.Reset()
-	tv.hs.Write(labelLeaf)
-	tv.hs.Write(hdr[:])
-	tv.hs.Write(payload)
-	return tv.hs.Sum()
-}
-
-func (tv *treeVerifier) nodeDigestScratch(children []crypto.Digest) crypto.Digest {
-	tv.hs.Reset()
-	tv.hs.Write(labelNode)
-	for i := range children {
-		tv.hs.Write(children[i][:])
-	}
-	return tv.hs.Sum()
-}
-
-func (tv *treeVerifier) appendRootMessage(blockID uint64, root crypto.Digest) []byte {
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[:8], blockID)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(tv.n))
-	msg := append(tv.rootMsg[:0], labelRoot...)
-	msg = append(msg, hdr[:]...)
-	msg = append(msg, root[:]...)
-	tv.rootMsg = msg
-	return msg
-}
-
 // computeRoot walks the packet's sibling path up to the Merkle root,
 // reporting false for malformed paths. It hashes only up to the first
 // proven node; a carried sibling that differs from the table sends the
 // walk back to hashing, so the root returned is always the one the packet's
 // own path hashes to.
 func (tv *treeVerifier) computeRoot(p *packet.Packet) (crypto.Digest, bool) {
-	digest := tv.leafDigestScratch(p.BlockID, p.Index, p.Payload)
+	digest := leafDigest(&tv.hs, p.BlockID, p.Index, p.Payload)
 	pos := int(p.Index) - 1
 	next := 0
 	if cap(tv.children) < tv.arity {
@@ -392,7 +367,7 @@ func (tv *treeVerifier) computeRoot(p *packet.Packet) (crypto.Digest, bool) {
 		if known {
 			digest = tv.node(lvl+1, base+pos)
 		} else {
-			digest = tv.nodeDigestScratch(children)
+			digest = nodeDigest(&tv.hs, children)
 			tv.hit = tv.depth + 1
 		}
 	}
@@ -498,8 +473,8 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 			// carrying the same bytes proves the same root, so it would
 			// only repeat that check; one carrying its own gets its own
 			// synchronous check.
-			msg := tv.appendRootMessage(w.p.BlockID, root)
-			verified = crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, msg, w.p.Signature)
+			tv.rootMsg = appendRootMessage(tv.rootMsg[:0], w.p.BlockID, tv.n, root)
+			verified = crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, tv.rootMsg, w.p.Signature)
 		}
 		settle(w, verified)
 	}
@@ -549,7 +524,8 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 		tv.remember(p)
 		return tv.accept(p, at), nil
 	}
-	msg := tv.appendRootMessage(p.BlockID, root)
+	tv.rootMsg = appendRootMessage(tv.rootMsg[:0], p.BlockID, tv.n, root)
+	msg := tv.rootMsg
 	if tv.env.BatchQ != nil {
 		if !tv.rec.Park(p, at, 0) {
 			return nil, nil

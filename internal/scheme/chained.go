@@ -55,6 +55,8 @@ type Chained struct {
 	// fillOrder lists vertices so that every packet appears after all
 	// packets whose hashes it carries (reverse topological order).
 	fillOrder []int
+	// edges is the number of carried hashes per block.
+	edges int
 }
 
 var _ Scheme = (*Chained)(nil)
@@ -79,10 +81,12 @@ func NewChained(topo Topology, signer crypto.Signer) (*Chained, error) {
 	// Reverse: dependencies (edge targets) must be finalized before the
 	// packets that carry their hashes.
 	fill := make([]int, len(order))
+	edges := 0
 	for i, v := range order {
 		fill[len(order)-1-i] = v
+		edges += len(g.OutNeighbors(v))
 	}
-	return &Chained{topo: topo, graph: g, signer: signer, pub: signer.Public(), fillOrder: fill}, nil
+	return &Chained{topo: topo, graph: g, signer: signer, pub: signer.Public(), fillOrder: fill, edges: edges}, nil
 }
 
 // Name implements Scheme.
@@ -116,51 +120,56 @@ func (c *Chained) VertexOf(index uint32) (int, bool) {
 
 // buildPackets constructs the block's wire packets with every dependence
 // edge embedded as a carried hash, the root unsigned. It returns the wire
-// slice (send order) and the root packet.
-func (c *Chained) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Packet, *packet.Packet, error) {
-	if len(payloads) != c.topo.N {
-		return nil, nil, fmt.Errorf("scheme %s: got %d payloads, want %d", c.topo.Name, len(payloads), c.topo.N)
+// slice (send order), the root packet and the root's content, the bytes
+// its signature covers. The packets come from one slab and their carried
+// hashes from another, each packet's Hashes capacity-limited, and every
+// digest is taken over one reused content buffer.
+func (c *Chained) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Packet, *packet.Packet, []byte, error) {
+	n := c.topo.N
+	if len(payloads) != n {
+		return nil, nil, nil, fmt.Errorf("scheme %s: got %d payloads, want %d", c.topo.Name, len(payloads), n)
 	}
-	pkts := make([]*packet.Packet, c.topo.N+1) // 1-based
-	for i := 1; i <= c.topo.N; i++ {
-		pkts[i] = &packet.Packet{
-			BlockID: blockID,
-			Index:   uint32(i),
-			Payload: payloads[i-1],
-		}
+	pk := make([]packet.Packet, n)
+	out := make([]*packet.Packet, n, n+c.extraRootCopies())
+	for i := range pk {
+		pk[i] = packet.Packet{BlockID: blockID, Index: uint32(i + 1), Payload: payloads[i]}
+		out[i] = &pk[i]
 	}
 	// Fill hashes children-first so carried digests are final: a packet is
 	// hashed once, when its own hashes are in, however many packets carry it.
-	digests := make([]crypto.Digest, c.topo.N+1)
+	refs := make([]packet.HashRef, c.edges)
+	digests := make([]crypto.Digest, n+1) // by vertex, 1-based
+	var content []byte
 	for _, v := range c.fillOrder {
-		if out := c.graph.OutNeighbors(v); len(out) > 0 {
-			pkts[v].Hashes = make([]packet.HashRef, len(out))
-			for k, to := range out {
-				pkts[v].Hashes[k] = packet.HashRef{TargetIndex: uint32(to), Digest: digests[to]}
+		p := &pk[v-1]
+		if to := c.graph.OutNeighbors(v); len(to) > 0 {
+			p.Hashes, refs = refs[:len(to):len(to)], refs[len(to):]
+			for k, w := range to {
+				p.Hashes[k] = packet.HashRef{TargetIndex: uint32(w), Digest: digests[w]}
 			}
 		}
 		if c.graph.InDegree(v) > 0 {
-			digests[v] = pkts[v].Digest()
+			content = p.AppendContent(content[:0])
+			digests[v] = crypto.HashBytes(content)
 		}
 	}
-	root := pkts[c.topo.Root]
-	out := pkts[1:]
+	root := &pk[c.topo.Root-1]
 	// Replicate the signature packet at the end of the block; receivers
 	// treat later copies as duplicates.
 	for k := 0; k < c.extraRootCopies(); k++ {
 		out = append(out, root)
 	}
-	return out, root, nil
+	return out, root, root.AppendContent(content[:0]), nil
 }
 
 // Authenticate implements Scheme: it builds the block's packets, embeds
 // each dependence edge as a carried hash, and signs the root packet.
 func (c *Chained) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet, error) {
-	out, root, err := c.buildPackets(blockID, payloads)
+	out, root, content, err := c.buildPackets(blockID, payloads)
 	if err != nil {
 		return nil, err
 	}
-	root.Signature = c.signer.Sign(root.ContentBytes())
+	root.Signature = c.signer.Sign(content)
 	return out, nil
 }
 
@@ -171,7 +180,7 @@ func (c *Chained) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pac
 // single Attach signs them all; their wire positions are reported in
 // PendingRoot.HeldWire.
 func (c *Chained) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packet.Packet, *PendingRoot, error) {
-	out, root, err := c.buildPackets(blockID, payloads)
+	out, root, content, err := c.buildPackets(blockID, payloads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -179,7 +188,7 @@ func (c *Chained) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*pa
 	for k := 0; k < c.extraRootCopies(); k++ {
 		held = append(held, c.topo.N+k)
 	}
-	pr := NewPendingRoot(root.ContentBytes(), held, func(sig []byte) {
+	pr := NewPendingRoot(content, held, func(sig []byte) {
 		root.Signature = sig
 	})
 	return out, pr, nil

@@ -25,7 +25,12 @@ type Scheme interface {
 	// (BlockSize, plus one bootstrap packet for TESLA).
 	WireCount() int
 	// Authenticate builds the wire packets for one block, in send order.
-	// len(payloads) must equal BlockSize.
+	// len(payloads) must equal BlockSize. The packets carry the payload
+	// slices as given. The packets of one block share backing arrays: the
+	// packets themselves, their Hashes, and TESLA's keys and MACs each
+	// come from one per-block slab. Every field cut from a slab is
+	// capacity-limited, so a caller may replace a field or append to it,
+	// but must never write past its length.
 	Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet, error)
 	// Graph returns the scheme's dependence-graph (Definition 1) with
 	// vertices numbered in send order. For TESLA the graph uses the

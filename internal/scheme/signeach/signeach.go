@@ -68,21 +68,21 @@ func (s *SignEach) VertexOf(index uint32) (int, bool) {
 	return int(index), true
 }
 
-// Authenticate implements Scheme.
+// Authenticate implements Scheme: the packets come from one slab, and
+// each is signed over one reused content buffer.
 func (s *SignEach) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet, error) {
 	if len(payloads) != s.n {
 		return nil, fmt.Errorf("signeach: got %d payloads, want %d", len(payloads), s.n)
 	}
+	pk := make([]packet.Packet, s.n)
 	pkts := make([]*packet.Packet, s.n)
+	var content []byte
 	for i, payload := range payloads {
-		pkts[i] = &packet.Packet{
-			BlockID: blockID,
-			Index:   uint32(i + 1),
-			Payload: payload,
-		}
-	}
-	for _, p := range pkts {
-		p.Signature = s.signer.Sign(p.ContentBytes())
+		p := &pk[i]
+		*p = packet.Packet{BlockID: blockID, Index: uint32(i + 1), Payload: payload}
+		content = p.AppendContent(content[:0])
+		p.Signature = s.signer.Sign(content)
+		pkts[i] = p
 	}
 	return pkts, nil
 }

@@ -157,19 +157,16 @@ func (s *Scheme) config() Config { return s.cfg }
 // DataWireIndex returns the wire index of data packet i.
 func DataWireIndex(i int) uint32 { return uint32(i + 1) }
 
-// bootstrapPayload layout: T0 unix-nanos | interval nanos | lag | n |
-// commitment.
-func (s *Scheme) bootstrapPayload(commitment []byte) []byte {
-	buf := make([]byte, 0, 8+8+4+4+len(commitment))
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], uint64(s.cfg.Start.UnixNano()))
-	buf = append(buf, scratch[:]...)
-	binary.BigEndian.PutUint64(scratch[:], uint64(s.cfg.Interval))
-	buf = append(buf, scratch[:]...)
-	binary.BigEndian.PutUint32(scratch[:4], uint32(s.cfg.Lag))
-	buf = append(buf, scratch[:4]...)
-	binary.BigEndian.PutUint32(scratch[:4], uint32(s.cfg.N))
-	buf = append(buf, scratch[:4]...)
+// bootstrapSize is the length of the bootstrap payload: T0 unix-nanos |
+// interval nanos | lag | n | commitment.
+const bootstrapSize = 8 + 8 + 4 + 4 + crypto.KeySize
+
+// appendBootstrap appends the bootstrap payload to buf.
+func (s *Scheme) appendBootstrap(buf, commitment []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.cfg.Start.UnixNano()))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.cfg.Interval))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(s.cfg.Lag))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(s.cfg.N))
 	return append(buf, commitment...)
 }
 
@@ -182,7 +179,7 @@ type bootstrapParams struct {
 }
 
 func parseBootstrap(payload []byte) (bootstrapParams, error) {
-	if len(payload) < 8+8+4+4+crypto.KeySize {
+	if len(payload) < bootstrapSize {
 		return bootstrapParams{}, errors.New("tesla: bootstrap payload too short")
 	}
 	var bp bootstrapParams
@@ -197,67 +194,76 @@ func parseBootstrap(payload []byte) (bootstrapParams, error) {
 	return bp, nil
 }
 
-// Authenticate implements Scheme.
+// Authenticate implements Scheme. The block is built from two slabs, its
+// packets and one byte array holding the key chain K_0..K_N, the N MACs
+// and the bootstrap payload, and every field cut from the byte slab is
+// capacity-limited; the chain, the MAC keys and the MACs are computed on
+// one MACScratch and one content buffer.
 func (s *Scheme) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Packet, error) {
-	if len(payloads) != s.cfg.N {
-		return nil, fmt.Errorf("tesla: got %d payloads, want %d", len(payloads), s.cfg.N)
+	n, lag := s.cfg.N, s.cfg.Lag
+	if len(payloads) != n {
+		return nil, fmt.Errorf("tesla: got %d payloads, want %d", len(payloads), n)
 	}
-	seed := make([]byte, 0, len(s.cfg.Seed)+8)
-	seed = append(seed, s.cfg.Seed...)
-	seed = binary.BigEndian.AppendUint64(seed, blockID)
-	chain, err := crypto.NewKeyChain(seed, s.cfg.N)
-	if err != nil {
-		return nil, fmt.Errorf("tesla: %w", err)
-	}
-
-	pkts := make([]*packet.Packet, 0, s.WireCount())
-	bootstrap := &packet.Packet{
-		BlockID: blockID,
-		Index:   1,
-		Payload: s.bootstrapPayload(chain.Commitment()),
-	}
-	bootstrap.Signature = s.signer.Sign(bootstrap.ContentBytes())
-	pkts = append(pkts, bootstrap)
-
-	for i := 1; i <= s.cfg.N; i++ {
-		key, err := chain.Key(i)
-		if err != nil {
+	const keyLen, macLen = crypto.KeySize, crypto.MACSize
+	slab := make([]byte, (n+1)*keyLen+n*macLen+bootstrapSize)
+	key := func(i int) []byte { return slab[i*keyLen : (i+1)*keyLen : (i+1)*keyLen] }
+	var mac crypto.MACScratch
+	// The chain's seed, the configured seed and the block ID, is its
+	// element n+1. It is staged in the content buffer before any content.
+	buf := binary.BigEndian.AppendUint64(append([]byte(nil), s.cfg.Seed...), blockID)
+	from := buf
+	for i := n; i >= 0; i-- {
+		if err := crypto.RecoverEarlierKeyInto(&mac, key(i), from, i+1, i); err != nil {
 			return nil, fmt.Errorf("tesla: %w", err)
 		}
-		p := &packet.Packet{
+		from = key(i)
+	}
+	macs := slab[(n+1)*keyLen : (n+1)*keyLen+n*macLen]
+	boot := slab[len(slab)-bootstrapSize:]
+
+	// Trailing key-only packets disclose the final Lag keys that exist.
+	wire := 1 + n + min(lag, n)
+	pk := make([]packet.Packet, wire)
+	pkts := make([]*packet.Packet, wire)
+	for w := range pk {
+		pkts[w] = &pk[w]
+	}
+	pk[0] = packet.Packet{
+		BlockID: blockID,
+		Index:   1,
+		Payload: s.appendBootstrap(boot[:0:bootstrapSize], key(0)),
+	}
+	buf = pk[0].AppendContent(buf[:0])
+	pk[0].Signature = s.signer.Sign(buf)
+
+	var mk [crypto.KeySize]byte
+	for i := 1; i <= n; i++ {
+		p := &pk[i]
+		*p = packet.Packet{
 			BlockID:  blockID,
 			Index:    DataWireIndex(i),
 			KeyIndex: uint32(i),
 			Payload:  payloads[i-1],
 		}
-		if disclosed := i - s.cfg.Lag; disclosed >= 1 {
-			dk, err := chain.Key(disclosed)
-			if err != nil {
-				return nil, fmt.Errorf("tesla: %w", err)
-			}
-			p.DisclosedKey = dk
+		if disclosed := i - lag; disclosed >= 1 {
+			p.DisclosedKey = key(disclosed)
 			p.DisclosedKeyIndex = uint32(disclosed)
 		}
-		p.MAC = crypto.MAC(crypto.DeriveMACKey(key), p.ContentBytes())
-		pkts = append(pkts, p)
+		crypto.DeriveMACKeyInto(&mac, mk[:], key(i))
+		buf = p.AppendContent(buf[:0])
+		sum := mac.Sum(mk[:], buf)
+		p.MAC = macs[(i-1)*macLen : i*macLen : i*macLen]
+		copy(p.MAC, sum[:])
 	}
-
-	// Trailing key-only packets disclose the final Lag keys.
-	for t := 1; t <= s.cfg.Lag; t++ {
-		disclosed := s.cfg.N - s.cfg.Lag + t
-		if disclosed < 1 {
-			continue
-		}
-		dk, err := chain.Key(disclosed)
-		if err != nil {
-			return nil, fmt.Errorf("tesla: %w", err)
-		}
-		pkts = append(pkts, &packet.Packet{
+	// The trailing packet disclosing K_d rides at wire index d+Lag+1, as
+	// the data packet disclosing it would.
+	for w, d := n+1, max(1, n-lag+1); d <= n; w, d = w+1, d+1 {
+		pk[w] = packet.Packet{
 			BlockID:           blockID,
-			Index:             uint32(s.cfg.N + 1 + t),
-			DisclosedKey:      dk,
-			DisclosedKeyIndex: uint32(disclosed),
-		})
+			Index:             uint32(d + lag + 1),
+			DisclosedKey:      key(d),
+			DisclosedKeyIndex: uint32(d),
+		}
 	}
 	return pkts, nil
 }

@@ -27,6 +27,14 @@ go build ./...
 # -shuffle=on randomizes test and subtest order so inter-test state
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
+# Every example program runs to exit 0, not only compiles: among them
+# examples/designer's Monte-Carlo cross-check and examples/udpfeed's
+# loopback UDP path. Each takes well under a second.
+mkdir -p "$work/examples"
+go build -o "$work/examples/" ./examples/...
+for ex in "$work"/examples/*; do
+	"$ex" >/dev/null
+done
 }
 
 # Audit tier: every exported identifier in internal/ is referenced by a

@@ -15,6 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -40,7 +42,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mcgraph", flag.ContinueOnError)
 	var (
-		schemeName = fs.String("scheme", "emss", "scheme: rohatgi|emss|augchain|authtree|signeach")
+		schemeName = fs.String("scheme", "emss", "scheme: "+strings.Join(graphSchemes(), "|"))
 		n          = fs.Int("n", 20, "block size")
 		m          = fs.Int("m", 2, "EMSS m")
 		d          = fs.Int("d", 1, "EMSS d")
@@ -60,6 +62,13 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	bern, err := loss.NewBernoulli(*p)
+	if err != nil {
+		return fmt.Errorf("-p: %w", err)
+	}
+	if *trials <= 0 {
+		return fmt.Errorf("-trials %d must be positive", *trials)
 	}
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -85,15 +94,14 @@ func run(args []string) error {
 			if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
 				return err
 			}
-			if err := report(s, *dot, *export, *perPacket, *p, *trials); err != nil {
+			if err := report(s, *dot, *export, *perPacket, bern, *trials); err != nil {
 				return err
 			}
 			return replay(s, []uint32{uint32(topo.Root)}, *trace, *metrics)
 		}
-		// The split-vertex TESLA graph carries no slot semantics for the
-		// Section 3 metrics, so mcgraph offers every catalogue scheme but it.
 		if *schemeName == "tesla" {
-			return fmt.Errorf("unknown scheme %q", *schemeName)
+			return fmt.Errorf("scheme \"tesla\" is not offered: its split-vertex graph has no slot semantics for the Section 3 metrics (accepted: %s)",
+				strings.Join(graphSchemes(), "|"))
 		}
 		entry, err := catalog.Build(catalog.Spec{ID: *schemeName, N: *n, M: *m, D: *d, A: *a, B: *b}, signer)
 		if err != nil {
@@ -103,7 +111,7 @@ func run(args []string) error {
 		if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
 			return err
 		}
-		if err := report(s, *dot, *export, *perPacket, *p, *trials); err != nil {
+		if err := report(s, *dot, *export, *perPacket, bern, *trials); err != nil {
 			return err
 		}
 		return replay(s, entry.Signature, *trace, *metrics)
@@ -113,6 +121,13 @@ func run(args []string) error {
 		return err
 	}
 	return stopProfiles()
+}
+
+// graphSchemes is -scheme's accepted set: every catalogue scheme but TESLA,
+// whose split-vertex graph carries no slot semantics for the Section 3
+// metrics.
+func graphSchemes() []string {
+	return slices.DeleteFunc(catalog.IDs(), func(id string) bool { return id == "tesla" })
 }
 
 // maybePrune applies the Section 5 redundant-edge pruning pass when a
@@ -213,7 +228,7 @@ func replay(s scheme.Scheme, signature []uint32, tracePath, metricsPath string) 
 }
 
 // report renders the selected view of the scheme's graph.
-func report(s scheme.Scheme, dot, export, perPacket bool, p float64, trials int) error {
+func report(s scheme.Scheme, dot, export, perPacket bool, bern loss.Bernoulli, trials int) error {
 	g, err := s.Graph()
 	if err != nil {
 		return err
@@ -252,15 +267,15 @@ func report(s scheme.Scheme, dot, export, perPacket bool, p float64, trials int)
 	}
 
 	by := "exact"
-	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	res, err := g.ExactAuthProbChannel(bern.Channel())
 	if errors.Is(err, depgraph.ErrFrontier) {
 		by = fmt.Sprintf("monte-carlo, %d trials", trials)
-		res, err = g.MonteCarloAuthProb(depgraph.BernoulliPattern(p), trials, stats.NewRNG(1))
+		res, err = g.MonteCarloAuthProbInto(loss.PatternInto(bern), trials, stats.NewRNG(1), depgraph.MCOptions{})
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nper-packet q_i at p=%.3f (q_min=%.4f, %s):\n", p, res.QMin, by)
+	fmt.Printf("\nper-packet q_i at p=%.3f (q_min=%.4f, %s):\n", bern.P, res.QMin, by)
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "packet\tq_i\tshortest path\tdisjoint paths")
 	dists := g.ShortestPathLengths()

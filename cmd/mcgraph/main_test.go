@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mcauth/internal/obs"
@@ -26,22 +29,35 @@ func TestRunDOT(t *testing.T) {
 	}
 }
 
-func TestRunExportImportPrune(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "topo.json")
-	// Export to a file by temporarily redirecting stdout.
-	old := os.Stdout
-	f, err := os.Create(path)
+// runCapture runs mcgraph with its stdout redirected to a file and returns
+// what it printed there.
+func runCapture(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	old := os.Stdout
 	os.Stdout = f
-	err = run([]string{"-scheme", "emss", "-n", "20", "-m", "3", "-export"})
+	runErr := run(args)
 	os.Stdout = old
-	if closeErr := f.Close(); closeErr != nil {
-		t.Fatal(closeErr)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
+	out, err := os.ReadFile(f.Name())
 	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+func TestRunExportImportPrune(t *testing.T) {
+	topo, err := runCapture(t, "-scheme", "emss", "-n", "20", "-m", "3", "-export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "topo.json")
+	if err := os.WriteFile(path, []byte(topo), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-topo", path, "-p", "0.2", "-prune", "0.9"}); err != nil {
@@ -61,6 +77,39 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Error("unknown flag should fail")
+	}
+	if err := run([]string{"-scheme", "tesla"}); err == nil || !strings.Contains(err.Error(), "slot semantics") {
+		t.Errorf("-scheme tesla: %v, want a refusal that says why", err)
+	}
+	// A bad -p or -trials fails before the metrics table is printed.
+	for _, args := range [][]string{
+		{"-scheme", "emss", "-n", "12", "-q", "-p", "1.5"},
+		{"-scheme", "emss", "-n", "12", "-q", "-p", "NaN"},
+		{"-scheme", "emss", "-n", "64", "-m", "6", "-d", "4", "-q", "-trials", "0"},
+	} {
+		out, err := runCapture(t, args...)
+		if err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if out != "" {
+			t.Errorf("%v printed %q before failing", args, out)
+		}
+	}
+}
+
+// TestRunMonteCarloFallback drives -q past the exact evaluator's frontier
+// cap, where mcgraph estimates q_i by Monte-Carlo sampling instead.
+func TestRunMonteCarloFallback(t *testing.T) {
+	out, err := runCapture(t, "-scheme", "emss", "-n", "64", "-m", "6", "-d", "4", "-p", "0.2", "-q", "-trials", "640")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`q_min=([0-9.]+), monte-carlo, 640 trials\)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no Monte-Carlo header in:\n%s", out)
+	}
+	if q, err := strconv.ParseFloat(m[1], 64); err != nil || q < 0 || q > 1 {
+		t.Errorf("q_min %q not in [0, 1]", m[1])
 	}
 }
 

@@ -93,7 +93,7 @@ func run() error {
 
 	// Cross-check the design against ground truth, not just the
 	// approximation it was optimized for.
-	mc, err := best.Graph.MonteCarloAuthProb(depgraph.BernoulliPattern(c.P), 20000, stats.NewRNG(99))
+	mc, err := best.Graph.MonteCarloAuthProbInto(depgraph.BernoulliPatternInto(c.P), 20000, stats.NewRNG(99), depgraph.MCOptions{})
 	if err != nil {
 		return err
 	}

@@ -128,14 +128,12 @@ func TestHeterogeneousPatternMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetero := func(rng *stats.RNG, n int) []bool {
-		recv := make([]bool, n+1)
-		for i := 1; i <= n; i++ {
-			recv[i] = rng.Float64() >= probs[i]
+	hetero := PerTrial(func(rng *stats.RNG, received []bool) {
+		for i := 1; i < len(received); i++ {
+			received[i] = rng.Float64() >= probs[i]
 		}
-		return recv
-	}
-	mc, err := g.MonteCarloAuthProb(hetero, 60000, stats.NewRNG(17))
+	})
+	mc, err := g.MonteCarloAuthProbInto(hetero, 60000, stats.NewRNG(17), MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

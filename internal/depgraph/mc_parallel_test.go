@@ -76,31 +76,6 @@ func TestMonteCarloParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMonteCarloLegacyWrapperMatchesInto checks the wrapper contract: the
-// allocating API is the lane API over PerTrial, so an allocating pattern and
-// a scratch one drawing the same per-trial stream produce bit-identical
-// results from the same seed.
-func TestMonteCarloLegacyWrapperMatchesInto(t *testing.T) {
-	g := mcTestGraph(t, 40)
-	legacy, err := g.MonteCarloAuthProb(BernoulliPattern(0.3), 2000, stats.NewRNG(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	perTrial := PerTrial(func(rng *stats.RNG, received []bool) error {
-		for i := 1; i < len(received); i++ {
-			received[i] = !rng.Bernoulli(0.3)
-		}
-		return nil
-	})
-	into, err := g.MonteCarloAuthProbInto(perTrial, 2000, stats.NewRNG(42), MCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameAuthResult(legacy, into) {
-		t.Fatal("MonteCarloAuthProb and MonteCarloAuthProbInto disagree for the same seed")
-	}
-}
-
 // TestMonteCarloCallerRNGAdvancesIdentically checks that the caller's
 // generator is advanced only by the sequential shard-plan derivation, so a
 // caller drawing from it afterwards is unaffected by the worker count.
@@ -148,11 +123,12 @@ func TestMonteCarloShardSizeIsPartOfThePlan(t *testing.T) {
 func TestVerifiableSetIntoMatchesVerifiableSet(t *testing.T) {
 	g := mcTestGraph(t, 24)
 	rng := stats.NewRNG(3)
-	pattern := BernoulliPattern(0.4)
+	pattern := bernoulliTrial(0.4)
 	verifiable := make([]bool, g.N()+1)
 	var queue []int
 	for trial := 0; trial < 50; trial++ {
-		received := pattern(rng, g.N())
+		received := make([]bool, g.N()+1)
+		pattern(rng, received)
 		received[g.Root()] = true
 		want, err := g.VerifiableSet(received)
 		if err != nil {
@@ -183,11 +159,6 @@ func TestMonteCarloIntoValidation(t *testing.T) {
 	}
 	if _, err := g.MonteCarloAuthProbInto(nil, 10, rng, MCOptions{}); err == nil {
 		t.Fatal("expected error for nil pattern")
-	}
-	// A legacy pattern returning the wrong length fails through the adapter.
-	bad := ReceivePattern(func(_ *stats.RNG, n int) []bool { return make([]bool, 1) })
-	if _, err := g.MonteCarloAuthProb(bad, 10, rng); err == nil {
-		t.Fatal("expected error for bad pattern length")
 	}
 	// Estimates stay sane: q values in [0,1] where defined.
 	res, err := g.MonteCarloAuthProbInto(BernoulliPatternInto(0.2), 500, rng, MCOptions{Workers: 4})

@@ -149,7 +149,7 @@ func TestMonteCarloPinned(t *testing.T) {
 // contract the `burst` experiment's redraw of root-losing lanes rests on.
 func TestLaneSamplersLeaveOtherLanes(t *testing.T) {
 	patterns := mcPinPatterns(t)
-	patterns["per_trial"] = depgraph.PerTrial(depgraph.BernoulliPattern(0.4).Into())
+	patterns["per_trial"] = depgraph.PerTrial(loss.Bernoulli{P: 0.4}.SampleInto)
 	rng := stats.NewRNG(0x1a7e5)
 	for name, sample := range patterns {
 		for round := 0; round < 200; round++ {
@@ -162,9 +162,7 @@ func TestLaneSamplersLeaveOtherLanes(t *testing.T) {
 			if round%10 == 0 {
 				lanes = 0
 			}
-			if err := sample(rng, recv, lanes); err != nil {
-				t.Fatal(err)
-			}
+			sample(rng, recv, lanes)
 			for i := range recv {
 				if changed := (recv[i] ^ before[i]) &^ lanes; changed != 0 {
 					t.Fatalf("%s: word %d of %d changed outside lanes %#x: %#x", name, i, len(recv), lanes, changed)
@@ -184,10 +182,7 @@ func TestLaneNativeMatchesPerTrial(t *testing.T) {
 	burst5, fractional, _ := mcPinModels(t)
 	const trials = 20000
 	for _, m := range []loss.Model{loss.Bernoulli{P: 0.1}, burst5, fractional} {
-		perTrial := depgraph.PerTrial(func(rng *stats.RNG, received []bool) error {
-			m.SampleInto(rng, received)
-			return nil
-		})
+		perTrial := depgraph.PerTrial(m.SampleInto)
 		for name, g := range mcPinGraphs(t) {
 			native, err := g.MonteCarloAuthProbInto(loss.PatternInto(m), trials, stats.NewRNG(1), depgraph.MCOptions{})
 			if err != nil {

@@ -372,10 +372,10 @@ func TestBurstyMatchesMonteCarloOnGraph(t *testing.T) {
 	g := periodicGraph(t, n, 1, 2)
 	ge := geChain(t, 0.15, 3)
 	exact := exactQ(t, g, ge.Channel())
-	mc, err := g.MonteCarloAuthProbInto(depgraph.PerTrial(func(rng *stats.RNG, received []bool) error {
+	mc, err := g.MonteCarloAuthProbInto(depgraph.PerTrial(func(rng *stats.RNG, received []bool) {
 		for {
 			if ge.SampleInto(rng, received); received[1] {
-				return nil
+				return
 			}
 		}
 	}), 60000, stats.NewRNG(99), depgraph.MCOptions{Workers: 1})

@@ -9,53 +9,27 @@ import (
 	"mcauth/internal/stats"
 )
 
-// ReceivePattern samples which packets of a block of size n arrive at a
-// receiver. The returned slice is indexed 1..n (index 0 unused); true means
-// received. Implementations live in internal/loss; BernoulliPattern below
-// covers the paper's i.i.d. model.
-type ReceivePattern func(rng *stats.RNG, n int) []bool
-
-// ReceivePatternInto is the scratch-reuse form of ReceivePattern: it fills
-// received[1..len(received)-1] in place instead of allocating a fresh slice
-// per trial. PerTrial turns one into the Monte-Carlo kernel's ReceiveLanes.
-type ReceivePatternInto func(rng *stats.RNG, received []bool) error
-
 // ReceiveLanes samples loss patterns 64 at a time, in the layout the
 // Monte-Carlo kernel propagates: bit t of recv[i] says packet i arrived in
 // pattern t (recv has n+1 words; word 0 is unused). It draws a fresh
 // pattern into every lane set in lanes and leaves the other bits of every
-// word alone. BernoulliPatternInto and loss.PatternInto sample the lanes
-// natively, with bit-sliced coins (stats.(*RNG).FlipLanes); PerTrial adapts
-// any per-trial sampler.
-type ReceiveLanes func(rng *stats.RNG, recv []uint64, lanes uint64) error
-
-// Into adapts an allocating pattern to the scratch interface. The adapter
-// still allocates one slice per call.
-func (p ReceivePattern) Into() ReceivePatternInto {
-	return func(rng *stats.RNG, received []bool) error {
-		n := len(received) - 1
-		sampled := p(rng, n)
-		if len(sampled) != n+1 {
-			return fmt.Errorf("depgraph: pattern returned %d flags, want %d", len(sampled), n+1)
-		}
-		copy(received, sampled)
-		return nil
-	}
-}
+// word alone. It is the kernel's one sampler form: BernoulliPatternInto and
+// loss.PatternInto sample the lanes natively, with bit-sliced coins
+// (stats.(*RNG).FlipLanes), and PerTrial adapts any per-trial sampler.
+type ReceiveLanes func(rng *stats.RNG, recv []uint64, lanes uint64)
 
 // PerTrial adapts a per-trial sampler to the kernel: one pattern per lane of
 // lanes, lowest lane first, each sampled into a scratch (one per call, so
-// per 64 trials) and packed into its lane. Trials are drawn in trial order
-// from the shard's generator, so the estimate is the one the sampler's own
-// stream gives, trial by trial.
-func PerTrial(p ReceivePatternInto) ReceiveLanes {
-	return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+// per 64 trials) and packed into its lane. The sampler fills
+// received[1..len(received)-1], as loss.Model.SampleInto does. Trials are
+// drawn in trial order from the shard's generator, so the estimate is the
+// one the sampler's own stream gives, trial by trial.
+func PerTrial(sample func(rng *stats.RNG, received []bool)) ReceiveLanes {
+	return func(rng *stats.RNG, recv []uint64, lanes uint64) {
 		received := make([]bool, len(recv))
 		for ; lanes != 0; lanes &= lanes - 1 {
 			t := bits.TrailingZeros64(lanes)
-			if err := p(rng, received); err != nil {
-				return err
-			}
+			sample(rng, received)
 			// Index 0, no packet, rides along: nothing reads its word.
 			for i, arrived := range received {
 				var bit uint64
@@ -65,7 +39,6 @@ func PerTrial(p ReceivePatternInto) ReceiveLanes {
 				recv[i] = recv[i]&^(1<<t) | bit<<t
 			}
 		}
-		return nil
 	}
 }
 
@@ -74,24 +47,10 @@ func PerTrial(p ReceivePatternInto) ReceiveLanes {
 // into the kernel's lanes: one bit-sliced flip of 64 coins per packet.
 func BernoulliPatternInto(p float64) ReceiveLanes {
 	lose := stats.NewCoin(p)
-	return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+	return func(rng *stats.RNG, recv []uint64, lanes uint64) {
 		for i := 1; i < len(recv); i++ {
 			recv[i] = recv[i]&^lanes | lanes&^rng.FlipLanes(lose, lose, 0)
 		}
-		return nil
-	}
-}
-
-// BernoulliPattern is the per-trial form of the same loss model: n flips
-// per pattern, the stream MonteCarloAuthProb has always drawn for it.
-func BernoulliPattern(p float64) ReceivePattern {
-	lose := stats.NewCoin(p)
-	return func(rng *stats.RNG, n int) []bool {
-		recv := make([]bool, n+1)
-		for i := 1; i <= n; i++ {
-			recv[i] = !rng.Flip(lose)
-		}
-		return recv
 	}
 }
 
@@ -174,17 +133,6 @@ type MCOptions struct {
 // enough that per-shard scratch setup is amortized to noise.
 const defaultMCShardSize = 512
 
-// MonteCarloAuthProb estimates q_i for every packet by sampling trials loss
-// patterns from pattern and propagating verifiability through the graph.
-// Trials run on the shared worker pool (see MCOptions); the result is
-// deterministic for a given rng state and trial count.
-func (g *Graph) MonteCarloAuthProb(pattern ReceivePattern, trials int, rng *stats.RNG) (AuthResult, error) {
-	if pattern == nil {
-		return AuthResult{}, fmt.Errorf("depgraph: nil receive pattern")
-	}
-	return g.MonteCarloAuthProbInto(PerTrial(pattern.Into()), trials, rng, MCOptions{})
-}
-
 // mcShard is one unit of the deterministic execution plan: an independent
 // RNG stream and a trial count.
 type mcShard struct {
@@ -235,13 +183,15 @@ func (g *Graph) verifiableLanes(order []int, topological bool, recv, ver []uint6
 	}
 }
 
-// MonteCarloAuthProbInto is MonteCarloAuthProb with a lane sampler: each
-// worker keeps one pair of lane words per vertex for its whole shard, and
-// the shard's sampler draws 64 trials at a time into them (trial t of a
-// group is lane t) from the shard's own generator — the result is a function
-// of (seed, trials, shard size) only — which verifiableLanes then propagates
-// and the shard tallies 64 to a word. A native lane sampler makes the trial
-// loop allocation-free.
+// MonteCarloAuthProbInto estimates q_i for every packet from trials loss
+// patterns drawn by sample, propagating verifiability through the graph.
+// Trials run on the shared worker pool (see MCOptions): each worker keeps
+// one pair of lane words per vertex for its whole shard, and the shard's
+// sampler draws 64 trials at a time into them (trial t of a group is lane t)
+// from the shard's own generator — the result is a function of (seed,
+// trials, shard size) only — which verifiableLanes then propagates and the
+// shard tallies 64 to a word. A native lane sampler makes the trial loop
+// allocation-free.
 func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *stats.RNG, opts MCOptions) (AuthResult, error) {
 	if trials <= 0 {
 		return AuthResult{}, fmt.Errorf("depgraph: trials %d must be positive", trials)
@@ -261,16 +211,15 @@ func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *sta
 		shards = append(shards, mcShard{rng: rng.Split(), trials: min(shardSize, remaining)})
 	}
 	order, topological := g.orderFromRoot()
-	counts, err := parallel.Map(opts.Workers, shards, func(_ int, sh mcShard) (mcCounts, error) {
+	// No shard can fail, so Map's error is always nil.
+	counts, _ := parallel.Map(opts.Workers, shards, func(_ int, sh mcShard) (mcCounts, error) {
 		c := mcCounts{recv: make([]int, g.n+1), ver: make([]int, g.n+1)}
 		lanes := make([]uint64, 2*(g.n+1))
 		recv, ver := lanes[:g.n+1], lanes[g.n+1:]
 		for done := 0; done < sh.trials; done += laneTrials {
 			group := ^uint64(0) >> (laneTrials - min(laneTrials, sh.trials-done))
 			clear(recv)
-			if err := sample(sh.rng, recv, group); err != nil {
-				return mcCounts{}, err
-			}
+			sample(sh.rng, recv, group)
 			recv[g.root] |= group
 			g.verifiableLanes(order, topological, recv, ver)
 			for i := 1; i <= g.n; i++ {
@@ -280,9 +229,6 @@ func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *sta
 		}
 		return c, nil
 	})
-	if err != nil {
-		return AuthResult{}, err
-	}
 	// Merge in shard order. Integer addition is commutative, so any order
 	// gives the same counts; fixed order keeps the code auditable.
 	recvCount := make([]int, g.n+1)

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -130,8 +131,7 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRNG(4242)
-	mc, err := g.MonteCarloAuthProb(BernoulliPattern(p), 60000, rng)
+	mc, err := g.MonteCarloAuthProbInto(BernoulliPatternInto(p), 60000, stats.NewRNG(4242), MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,32 +152,39 @@ func TestMonteCarloMatchesExact(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	g := chainGraph(t, 4)
 	rng := stats.NewRNG(1)
-	if _, err := g.MonteCarloAuthProb(BernoulliPattern(0.1), 0, rng); err == nil {
+	if _, err := g.MonteCarloAuthProbInto(BernoulliPatternInto(0.1), 0, rng, MCOptions{}); err == nil {
 		t.Error("zero trials should fail")
 	}
-	if _, err := g.MonteCarloAuthProb(nil, 10, rng); err == nil {
+	if _, err := g.MonteCarloAuthProbInto(nil, 10, rng, MCOptions{}); err == nil {
 		t.Error("nil pattern should fail")
 	}
-	bad := func(rng *stats.RNG, n int) []bool { return []bool{true} }
-	if _, err := g.MonteCarloAuthProb(bad, 10, rng); err == nil {
-		t.Error("wrong-length pattern should fail")
+}
+
+// bernoulliTrial is the per-trial form of BernoulliPatternInto's loss model,
+// for the tests that hold the kernel to a scalar trial loop: one flip per
+// packet, in packet order.
+func bernoulliTrial(p float64) func(*stats.RNG, []bool) {
+	lose := stats.NewCoin(p)
+	return func(rng *stats.RNG, received []bool) {
+		for i := 1; i < len(received); i++ {
+			received[i] = !rng.Flip(lose)
+		}
 	}
 }
 
 func TestBernoulliPatternRates(t *testing.T) {
 	rng := stats.NewRNG(5)
-	pattern := BernoulliPattern(0.25)
+	pattern := BernoulliPatternInto(0.25)
 	lost := 0
-	const trials, n = 2000, 50
-	for i := 0; i < trials; i++ {
-		recv := pattern(rng, n)
+	const groups, n = 32, 50 // 2048 patterns
+	recv := make([]uint64, n+1)
+	for i := 0; i < groups; i++ {
+		pattern(rng, recv, ^uint64(0))
 		for j := 1; j <= n; j++ {
-			if !recv[j] {
-				lost++
-			}
+			lost += 64 - bits.OnesCount64(recv[j])
 		}
 	}
-	rate := float64(lost) / float64(trials*n)
+	rate := float64(lost) / float64(groups*64*n)
 	if math.Abs(rate-0.25) > 0.01 {
 		t.Errorf("loss rate %v, want ~0.25", rate)
 	}

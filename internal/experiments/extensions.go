@@ -156,11 +156,10 @@ func burstSeries() ([]burstRow, error) {
 			// only marks the root received, which keeps the bursts that
 			// took the root's neighbours with it, while the exact
 			// column conditions on the root arriving.
-			rootArrives := func(rng *stats.RNG, recv []uint64, lanes uint64) error {
+			rootArrives := func(rng *stats.RNG, recv []uint64, lanes uint64) {
 				for redo := lanes; redo != 0; redo = lanes &^ recv[g.Root()] {
 					ge.SampleLanes(rng, recv, redo)
 				}
-				return nil
 			}
 			mc, err := g.MonteCarloAuthProbInto(rootArrives, burstTrials, stats.NewRNG(uint64(bl*17)), mcOpts)
 			if err != nil {

@@ -15,14 +15,12 @@ import (
 
 // Model decides, packet by packet, whether each packet of a stream is lost.
 // Implementations are stateful across a block (bursty models) but reset per
-// Sample call.
+// SampleInto call.
 type Model interface {
-	// Sample returns received flags for packets 1..n (index 0 unused).
-	Sample(rng *stats.RNG, n int) []bool
-	// SampleInto fills received[1..len(received)-1] in place — the
-	// allocation-free form consumed by the Monte-Carlo hot loop. It draws
-	// the same RNG stream as Sample, so either entry point yields the
-	// same pattern from the same generator state.
+	// SampleInto draws one pattern into received[1..len(received)-1]:
+	// true means received. Index 0 is the caller's and is never written,
+	// so a destination of length 0 or 1 is left as it is. It is the form
+	// the Monte-Carlo and netsim hot loops call, reusing one scratch.
 	SampleInto(rng *stats.RNG, received []bool)
 	// Rate returns the model's long-run loss probability.
 	Rate() float64
@@ -30,28 +28,19 @@ type Model interface {
 	Name() string
 }
 
-// laneSampler is a Model that also samples 64 patterns at a time into the
-// Monte-Carlo kernel's lanes (depgraph.ReceiveLanes), with bit-sliced coins.
-// Its lanes follow the model's law but not SampleInto's stream.
-type laneSampler interface {
-	SampleLanes(rng *stats.RNG, recv []uint64, lanes uint64)
-}
-
-// PatternInto adapts a Model to the depgraph Monte-Carlo estimator: the
-// model's own lane sampler where it has one (Bernoulli, GilbertElliott),
-// else SampleInto one trial per lane through depgraph.PerTrial, which keeps
-// that model's stream.
+// PatternInto adapts a Model to the depgraph Monte-Carlo estimator. A
+// Bernoulli or Gilbert-Elliott model samples the kernel's lanes natively,
+// with bit-sliced coins; their lanes follow the model's law but not
+// SampleInto's stream. Every other model runs SampleInto once per lane
+// through depgraph.PerTrial, which keeps that model's stream.
 func PatternInto(m Model) depgraph.ReceiveLanes {
-	if l, ok := m.(laneSampler); ok {
-		return func(rng *stats.RNG, recv []uint64, lanes uint64) error {
-			l.SampleLanes(rng, recv, lanes)
-			return nil
-		}
+	switch m := m.(type) {
+	case Bernoulli:
+		return depgraph.BernoulliPatternInto(m.P)
+	case GilbertElliott:
+		return m.SampleLanes
 	}
-	return depgraph.PerTrial(func(rng *stats.RNG, received []bool) error {
-		m.SampleInto(rng, received)
-		return nil
-	})
+	return depgraph.PerTrial(m.SampleInto)
 }
 
 // Bernoulli is the paper's i.i.d. loss model: each packet lost with
@@ -70,28 +59,11 @@ func NewBernoulli(p float64) (Bernoulli, error) {
 	return Bernoulli{P: p}, nil
 }
 
-// Sample implements Model.
-func (b Bernoulli) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	b.SampleInto(rng, recv)
-	return recv
-}
-
 // SampleInto implements Model.
 func (b Bernoulli) SampleInto(rng *stats.RNG, recv []bool) {
 	lose := stats.NewCoin(b.P)
 	for i := 1; i < len(recv); i++ {
 		recv[i] = !rng.Flip(lose)
-	}
-}
-
-// SampleLanes draws a fresh pattern into every lane of lanes (bit t of
-// recv[i]: packet i arrived in pattern t) and leaves the other bits alone:
-// one bit-sliced flip of 64 coins per packet.
-func (b Bernoulli) SampleLanes(rng *stats.RNG, recv []uint64, lanes uint64) {
-	lose := stats.NewCoin(b.P)
-	for i := 1; i < len(recv); i++ {
-		recv[i] = recv[i]&^lanes | lanes&^rng.FlipLanes(lose, lose, 0)
 	}
 }
 
@@ -163,15 +135,8 @@ func (g GilbertElliott) meanBurstLength() float64 {
 	return 1 / g.PBadToGood
 }
 
-// Sample implements Model. The chain starts in its stationary distribution
-// so that short blocks are unbiased.
-func (g GilbertElliott) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	g.SampleInto(rng, recv)
-	return recv
-}
-
-// SampleInto implements Model.
+// SampleInto implements Model. The chain starts in its stationary
+// distribution so that short blocks are unbiased.
 func (g GilbertElliott) SampleInto(rng *stats.RNG, recv []bool) {
 	loseGood, loseBad := stats.NewCoin(g.PGood), stats.NewCoin(g.PBad)
 	toBad, toGood := stats.NewCoin(g.PGoodToBad), stats.NewCoin(g.PBadToGood)
@@ -231,10 +196,12 @@ func (g GilbertElliott) Name() string {
 	return fmt.Sprintf("gilbert(pi_bad=%.3g, burst=%.3g)", g.stationaryBad(), g.meanBurstLength())
 }
 
-// SingleBurst loses exactly one contiguous run of Length packets with a
-// uniformly random start position (if Length >= n, everything but the root
-// position is hit). It is the adversary the augmented chain construction
-// targets.
+// SingleBurst loses one contiguous run of packets per block: the run starts
+// at a position drawn uniformly from 1..n and covers Length packets, cut
+// short at the block's end. A run that starts fewer than Length packets
+// before the end therefore loses only the suffix from its start, and with
+// Length >= n every pattern is such a suffix. Length 0 loses nothing. It is
+// the adversary the augmented chain construction targets.
 type SingleBurst struct {
 	Length int
 }
@@ -247,13 +214,6 @@ func NewSingleBurst(length int) (SingleBurst, error) {
 		return SingleBurst{}, fmt.Errorf("loss: burst length %d must be >= 0", length)
 	}
 	return SingleBurst{Length: length}, nil
-}
-
-// Sample implements Model.
-func (s SingleBurst) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	s.SampleInto(rng, recv)
-	return recv
 }
 
 // SampleInto implements Model.
@@ -293,13 +253,6 @@ func NewTrace(lost []bool) (Trace, error) {
 		return Trace{}, fmt.Errorf("loss: empty trace")
 	}
 	return Trace{Lost: append([]bool(nil), lost...)}, nil
-}
-
-// Sample implements Model.
-func (t Trace) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	t.SampleInto(rng, recv)
-	return recv
 }
 
 // SampleInto implements Model.

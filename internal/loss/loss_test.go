@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"mcauth/internal/depgraph"
 	"mcauth/internal/stats"
 )
 
@@ -13,10 +14,7 @@ func measuredLossRate(t *testing.T, m Model, n, trials int, seed uint64) float64
 	rng := stats.NewRNG(seed)
 	lost := 0
 	for i := 0; i < trials; i++ {
-		recv := m.Sample(rng, n)
-		if len(recv) != n+1 {
-			t.Fatalf("Sample returned %d flags, want %d", len(recv), n+1)
-		}
+		recv := sampled(m, rng, n)
 		for j := 1; j <= n; j++ {
 			if !recv[j] {
 				lost++
@@ -87,7 +85,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	rng := stats.NewRNG(3)
 	var lossPairs, lossTotal int
 	for trial := 0; trial < 500; trial++ {
-		recv := g.Sample(rng, 200)
+		recv := sampled(g, rng, 200)
 		for i := 1; i < 200; i++ {
 			if !recv[i] {
 				lossTotal++
@@ -159,33 +157,37 @@ func TestNewBursty(t *testing.T) {
 	}
 }
 
+// TestSingleBurst: every pattern loses exactly one contiguous run, which
+// starts anywhere in the block and covers Length packets unless the block
+// ends first. A run cut short by the end shows up in both settings; with
+// Length >= n every run is a suffix of the block.
 func TestSingleBurst(t *testing.T) {
-	m, err := NewSingleBurst(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(4)
-	for trial := 0; trial < 200; trial++ {
-		recv := m.Sample(rng, 50)
-		// Exactly one contiguous run of losses, length <= 5.
-		runs, runLen := 0, 0
-		inRun := false
-		for i := 1; i <= 50; i++ {
-			if !recv[i] {
-				if !inRun {
-					runs++
-					inRun = true
+	for _, tt := range []struct{ length, n int }{{5, 50}, {20, 10}} {
+		m, err := NewSingleBurst(tt.length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(4)
+		truncated := 0
+		for trial := 0; trial < 200; trial++ {
+			recv := sampled(m, rng, tt.n)
+			start := slices.Index(recv[1:], false) + 1
+			if start == 0 {
+				t.Fatalf("length %d, n %d: nothing lost", tt.length, tt.n)
+			}
+			end := start + min(tt.length, tt.n-start+1) // first packet after the run
+			for i := 1; i <= tt.n; i++ {
+				if lost := i >= start && i < end; recv[i] == lost {
+					t.Fatalf("length %d, n %d: packet %d received=%v, want the run %d..%d lost and nothing else",
+						tt.length, tt.n, i, recv[i], start, end-1)
 				}
-				runLen++
-			} else {
-				inRun = false
+			}
+			if end-start < tt.length {
+				truncated++
 			}
 		}
-		if runs != 1 {
-			t.Fatalf("found %d loss runs, want 1", runs)
-		}
-		if runLen > 5 || runLen < 1 {
-			t.Fatalf("burst length %d out of [1,5]", runLen)
+		if truncated == 0 || (tt.length >= tt.n && truncated != 200) {
+			t.Errorf("length %d, n %d: %d of 200 runs cut short by the block's end", tt.length, tt.n, truncated)
 		}
 	}
 }
@@ -195,7 +197,7 @@ func TestSingleBurstZeroLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := m.Sample(stats.NewRNG(1), 10)
+	recv := sampled(m, stats.NewRNG(1), 10)
 	for i := 1; i <= 10; i++ {
 		if !recv[i] {
 			t.Fatal("zero-length burst lost a packet")
@@ -211,7 +213,7 @@ func TestTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := m.Sample(nil, 6)
+	recv := sampled(m, nil, 6)
 	want := []bool{false, false, true, true, false, true, true} // index 0 unused
 	for i := 1; i <= 6; i++ {
 		if recv[i] != want[i] {
@@ -243,20 +245,22 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestPatternAdapter: PatternInto hands the Monte-Carlo kernel a model's
-// own lane sampler where it has one, and otherwise SampleInto once per lane,
-// lowest lane first — the model's per-trial stream, packed.
+// TestPatternAdapter: PatternInto hands the Monte-Carlo kernel the
+// lane-native sampler of a Bernoulli (depgraph.BernoulliPatternInto) or a
+// Gilbert-Elliott model (SampleLanes), and for any other model SampleInto
+// once per lane, lowest lane first — the model's per-trial stream, packed.
 func TestPatternAdapter(t *testing.T) {
 	const lanes uint64 = 0x8000_0000_0000_0a05
 	for _, m := range testModels(t) {
 		got := make([]uint64, 21)
-		if err := PatternInto(m)(stats.NewRNG(9), got, lanes); err != nil {
-			t.Fatal(err)
-		}
+		PatternInto(m)(stats.NewRNG(9), got, lanes)
 		want := make([]uint64, 21)
-		if l, ok := m.(laneSampler); ok {
-			l.SampleLanes(stats.NewRNG(9), want, lanes)
-		} else {
+		switch m := m.(type) {
+		case Bernoulli:
+			depgraph.BernoulliPatternInto(m.P)(stats.NewRNG(9), want, lanes)
+		case GilbertElliott:
+			m.SampleLanes(stats.NewRNG(9), want, lanes)
+		default:
 			rng, trial := stats.NewRNG(9), make([]bool, 21)
 			for lane := 0; lane < 64; lane++ {
 				if lanes>>lane&1 == 0 {
@@ -274,16 +278,10 @@ func TestPatternAdapter(t *testing.T) {
 			t.Errorf("%s: adapter filled %x, want %x", m.Name(), got, want)
 		}
 	}
-	if _, ok := Model(Bernoulli{}).(laneSampler); !ok {
-		t.Error("Bernoulli has no lane sampler")
-	}
-	if _, ok := Model(GilbertElliott{}).(laneSampler); !ok {
-		t.Error("GilbertElliott has no lane sampler")
-	}
 }
 
-// TestLaneSamplersMatchLaw: each lane of SampleLanes is a draw of the
-// model. Over 64 lanes × 300 calls of 100-packet patterns, the loss rate and,
+// TestLaneSamplersMatchLaw: each lane of a lane-native PatternInto is a
+// draw of the model. Over 64 lanes × 300 calls of 100-packet patterns, the loss rate and,
 // for Gilbert–Elliott, the rate of a loss following a loss (the burstiness
 // the state word carries from packet to packet) match SampleInto's over as
 // many patterns, within 4σ of the pooled binomial estimate.
@@ -307,15 +305,13 @@ func TestLaneSamplersMatchLaw(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []interface {
-		Model
-		laneSampler
-	}{Bernoulli{P: 0.2}, ge} {
+	for _, m := range []Model{Bernoulli{P: 0.2}, ge} {
 		var lanes, trials tally
 		rng := stats.NewRNG(31)
+		sample := PatternInto(m)
 		recv, trial := make([]uint64, n+1), make([]bool, n+1)
 		for c := 0; c < calls; c++ {
-			m.SampleLanes(rng, recv, ^uint64(0))
+			sample(rng, recv, ^uint64(0))
 			for lane := 0; lane < 64; lane++ {
 				count(&lanes, func(i int) bool { return recv[i]>>lane&1 == 1 })
 				m.SampleInto(rng, trial)

@@ -120,14 +120,7 @@ func (mc *MarkovChain) Channel() depgraph.Channel {
 	}
 }
 
-// Sample implements Model; the chain starts stationary.
-func (mc *MarkovChain) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	mc.SampleInto(rng, recv)
-	return recv
-}
-
-// SampleInto implements Model.
+// SampleInto implements Model; the chain starts stationary.
 func (mc *MarkovChain) SampleInto(rng *stats.RNG, recv []bool) {
 	state := sampleIndex(rng, mc.stationary)
 	for i := 1; i < len(recv); i++ {

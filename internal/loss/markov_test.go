@@ -54,7 +54,7 @@ func TestMarkovChainMatchesGilbertElliott(t *testing.T) {
 		lost := 0
 		const trials, n = 1000, 200
 		for i := 0; i < trials; i++ {
-			recv := m.Sample(rng, n)
+			recv := sampled(m, rng, n)
 			for j := 1; j <= n; j++ {
 				if !recv[j] {
 					lost++
@@ -103,7 +103,7 @@ func TestMarkovChainThreeState(t *testing.T) {
 	lost := 0
 	const trials, n = 2000, 100
 	for i := 0; i < trials; i++ {
-		recv := mc.Sample(rng, n)
+		recv := sampled(mc, rng, n)
 		for j := 1; j <= n; j++ {
 			if !recv[j] {
 				lost++
@@ -129,7 +129,7 @@ func TestMarkovChainOutageBursts(t *testing.T) {
 	rng := stats.NewRNG(3)
 	longest := 0
 	for trial := 0; trial < 200; trial++ {
-		recv := mc.Sample(rng, 300)
+		recv := sampled(mc, rng, 300)
 		run := 0
 		for i := 1; i <= 300; i++ {
 			if !recv[i] {

@@ -183,7 +183,7 @@ func (t *TreeModel) receiver(r int) Model {
 }
 
 // marginal returns receiver r's loss model with edge patterns redrawn from
-// the caller's RNG on every Sample — the i.i.d. marginal distribution of
+// the caller's RNG on every SampleInto — the i.i.d. marginal distribution of
 // the receiver's loss, for Monte-Carlo estimation over many independent
 // blocks. Across trials the marginal loss rate of packet i converges to
 // 1 - prod(1-rate_e) over the path edges and last hop.
@@ -200,13 +200,6 @@ type treePath struct {
 }
 
 var _ Model = (*treePath)(nil)
-
-// Sample implements Model.
-func (p *treePath) Sample(rng *stats.RNG, n int) []bool {
-	recv := make([]bool, n+1)
-	p.SampleInto(rng, recv)
-	return recv
-}
 
 // SampleInto implements Model: the last-hop model fills recv from the
 // caller's RNG (or all-true when lossless), then every path edge's pattern

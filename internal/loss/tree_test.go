@@ -119,8 +119,8 @@ func TestTreeSharedFate(t *testing.T) {
 	}
 	const n = 512
 	// Receivers 0 and 1 sit on leaves 3 and 4, both under edge 1.
-	under0 := tree.receiver(0).Sample(stats.NewRNG(1000), n)
-	under1 := tree.receiver(1).Sample(stats.NewRNG(2000), n)
+	under0 := sampled(tree.receiver(0), stats.NewRNG(1000), n)
+	under1 := sampled(tree.receiver(1), stats.NewRNG(2000), n)
 	if !reflect.DeepEqual(under0, under1) {
 		t.Fatal("receivers under the same lossy edge diverge")
 	}
@@ -135,7 +135,7 @@ func TestTreeSharedFate(t *testing.T) {
 	}
 	// Receivers 2 and 3 sit on leaves 5 and 6, under the lossless branch.
 	for r := 2; r <= 3; r++ {
-		got := tree.receiver(r).Sample(stats.NewRNG(uint64(r)), n)
+		got := sampled(tree.receiver(r), stats.NewRNG(uint64(r)), n)
 		for i := 1; i <= n; i++ {
 			if !got[i] {
 				t.Fatalf("receiver %d under the lossless branch lost packet %d", r, i)
@@ -201,8 +201,8 @@ func TestTreeFlatParity(t *testing.T) {
 		for r := 0; r < 3; r++ {
 			rngTree := stats.NewRNG(500 + uint64(r))
 			rngFlat := stats.NewRNG(500 + uint64(r))
-			a := mk(r).Sample(rngTree, n)
-			b := leaf.Sample(rngFlat, n)
+			a := sampled(mk(r), rngTree, n)
+			b := sampled(leaf, rngFlat, n)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("receiver %d: lossless-edge tree pattern differs from flat leaf model", r)
 			}
@@ -225,7 +225,7 @@ func TestTreeDeterminism(t *testing.T) {
 	)
 	want := make([][]bool, receivers)
 	for r := range want {
-		want[r] = tree.receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
+		want[r] = sampled(tree.receiver(r), stats.NewRNG(uint64(r)*13+1), n)
 	}
 	// Re-sample every receiver concurrently; each goroutine derives its
 	// own treePath (the per-receiver models hold scratch and are not
@@ -236,7 +236,7 @@ func TestTreeDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			got[r] = tree.receiver(r).Sample(stats.NewRNG(uint64(r)*13+1), n)
+			got[r] = sampled(tree.receiver(r), stats.NewRNG(uint64(r)*13+1), n)
 		}(r)
 	}
 	wg.Wait()
@@ -259,21 +259,6 @@ func treeTestModels(t *testing.T) []Model {
 		lossy.marginal(1),
 		clean.receiver(2),
 		clean.marginal(3),
-	}
-}
-
-// TestTreeSampleIntoMatchesSample mirrors TestSampleIntoMatchesSample:
-// both entry points must draw the same RNG stream.
-func TestTreeSampleIntoMatchesSample(t *testing.T) {
-	for _, m := range treeTestModels(t) {
-		for _, n := range []int{1, 17, 64} {
-			a := m.Sample(stats.NewRNG(99), n)
-			b := make([]bool, n+1)
-			m.SampleInto(stats.NewRNG(99), b)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s n=%d: Sample and SampleInto disagree", m.Name(), n)
-			}
-		}
 	}
 }
 
@@ -314,7 +299,7 @@ func TestTreeSampleIntoIndexZeroUntouched(t *testing.T) {
 func TestTreeSampleIntoReuseOverwrites(t *testing.T) {
 	for _, m := range treeTestModels(t) {
 		scratch := make([]bool, 33)
-		want := m.Sample(stats.NewRNG(77), 32)
+		want := sampled(m, stats.NewRNG(77), 32)
 		for i := 1; i < len(scratch); i++ {
 			scratch[i] = !want[i]
 		}

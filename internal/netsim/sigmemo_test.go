@@ -15,12 +15,6 @@ type scriptedLoss struct {
 	next     atomic.Int64
 }
 
-func (l *scriptedLoss) Sample(_ *stats.RNG, n int) []bool {
-	received := make([]bool, n+1)
-	l.SampleInto(nil, received)
-	return received
-}
-
 func (l *scriptedLoss) SampleInto(_ *stats.RNG, received []bool) {
 	copy(received, l.patterns[int(l.next.Add(1)-1)%len(l.patterns)])
 }

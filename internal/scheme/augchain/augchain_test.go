@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
@@ -133,7 +134,7 @@ func TestRecurrenceUpperBoundsMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := g.MonteCarloAuthProb(model.Sample, 40000, stats.NewRNG(7))
+	mc, err := g.MonteCarloAuthProbInto(loss.PatternInto(model), 40000, stats.NewRNG(7), depgraph.MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -344,7 +344,7 @@ func TestGraphShapeAndLambda(t *testing.T) {
 		t.Fatalf("graph has %d vertices, want 17", g.N())
 	}
 	p := 0.3
-	mc, err := g.MonteCarloAuthProb(depgraph.BernoulliPattern(p), 60000, stats.NewRNG(11))
+	mc, err := g.MonteCarloAuthProbInto(depgraph.BernoulliPatternInto(p), 60000, stats.NewRNG(11), depgraph.MCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

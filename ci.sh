@@ -91,7 +91,8 @@ go run -race ./cmd/mcserved -chaos -cycles 3 -streams 4 -n 8 -blocks 4 \
 }
 
 # Diagnostics tier: a small lossy run must produce a root-cause report that
-# mcreport can re-read, and two identical-seed traces must diff empty.
+# mcreport can re-read, and two identical-seed traces must diff empty. Every
+# tool's -metrics carries the crypto op counts, mcgraph's replay included.
 tier_diagnostics() {
 go run ./cmd/mcsim -scheme emss -n 20 -p 0.25 -receivers 8 -seed 5 \
 	-trace "$diagdir/a.jsonl" -report "$diagdir/rep.json" >/dev/null
@@ -101,6 +102,8 @@ go run ./cmd/mcreport -scheme emss -n 20 "$diagdir/a.jsonl" >/dev/null
 go run ./cmd/mcreport -scheme emss -n 20 -diff "$diagdir/a.jsonl" "$diagdir/b.jsonl"
 test -s "$diagdir/rep.json"
 test -s "$diagdir/rep.json.md"
+go run ./cmd/mcgraph -scheme emss -n 16 -metrics "$diagdir/graph-metrics.json" >/dev/null
+grep -q '"crypto.hash_ops"' "$diagdir/graph-metrics.json"
 }
 
 # Analytic tier: one exact evaluator (depgraph.ExactAuthProbChannel), and it

@@ -16,9 +16,8 @@ import (
 	"os"
 	"strings"
 
-	"mcauth/internal/crypto"
+	"mcauth/internal/cli"
 	"mcauth/internal/experiments"
-	"mcauth/internal/obs"
 )
 
 func main() {
@@ -31,15 +30,17 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mcfig", flag.ContinueOnError)
 	var (
-		figID      = fs.String("fig", "", "experiment ID to run (see -list)")
-		listAll    = fs.Bool("list", false, "list available experiments")
-		runAll     = fs.Bool("all", false, "run every experiment")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		workers    = fs.Int("workers", 0, "worker pool size for sweep evaluation (0 = GOMAXPROCS); results are identical for any setting")
-		trace      = fs.String("trace", "", "write a JSONL packet-lifecycle trace of every simulation run to this file")
-		metrics    = fs.String("metrics", "", "write figure-wide metrics: '-' for a text table on stdout, else JSON to this file")
+		figID   = fs.String("fig", "", "experiment ID to run (see -list)")
+		listAll = fs.Bool("list", false, "list available experiments")
+		runAll  = fs.Bool("all", false, "run every experiment")
+		workers = fs.Int("workers", 0, "worker pool size for sweep evaluation (0 = GOMAXPROCS); results are identical for any setting")
+		outCfg  = cli.Config{Stdout: stdout}
 	)
+	outCfg.Flags(fs, cli.Help{
+		Trace:    "write a JSONL packet-lifecycle trace of every simulation run to this file",
+		Metrics:  "write figure-wide metrics",
+		Profiles: true,
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,57 +48,17 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-workers %d must be >= 0", *workers)
 	}
 	experiments.Workers = *workers
-	var metricsFile *os.File
-	tracer, err := obs.OpenTrace(*trace, 0)
+	out, err := cli.Open(outCfg)
 	if err != nil {
 		return err
 	}
-	experiments.Tracer = tracer
-	defer func() { experiments.Tracer = nil }()
-	if *metrics != "" {
-		if *metrics != "-" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				return fmt.Errorf("metrics output unwritable: %w", err)
-			}
-			metricsFile = f
-		}
-		experiments.Metrics = obs.NewRegistry()
-		crypto.Instrument(experiments.Metrics)
-		defer func() {
-			crypto.Uninstrument()
-			experiments.Metrics = nil
-		}()
-	}
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		return err
-	}
+	defer out.Close() // a failed run still finishes its outputs
+	experiments.Tracer, experiments.Metrics = out.Tracer, out.Registry
+	defer func() { experiments.Tracer, experiments.Metrics = nil, nil }()
 	if err := dispatch(*figID, *listAll, *runAll, stdout); err != nil {
-		stopProfiles()
 		return err
 	}
-	if err := tracer.Close(); err != nil {
-		return err
-	}
-	if reg := experiments.Metrics; reg != nil {
-		snap := reg.Snapshot()
-		if metricsFile != nil {
-			if err := snap.WriteJSON(metricsFile); err != nil {
-				metricsFile.Close()
-				return fmt.Errorf("metrics output: %w", err)
-			}
-			if err := metricsFile.Close(); err != nil {
-				return fmt.Errorf("metrics output: %w", err)
-			}
-		} else {
-			fmt.Fprintln(stdout)
-			if err := snap.WriteText(stdout); err != nil {
-				return err
-			}
-		}
-	}
-	return stopProfiles()
+	return out.Close()
 }
 
 func dispatch(figID string, listAll, runAll bool, out io.Writer) error {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/cli"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
@@ -41,25 +42,22 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("mcgraph", flag.ContinueOnError)
+	spec := cli.SchemeFlags(fs, "emss", 20, graphSchemes())
 	var (
-		schemeName = fs.String("scheme", "emss", "scheme: "+strings.Join(graphSchemes(), "|"))
-		n          = fs.Int("n", 20, "block size")
-		m          = fs.Int("m", 2, "EMSS m")
-		d          = fs.Int("d", 1, "EMSS d")
-		a          = fs.Int("a", 3, "augmented chain a")
-		b          = fs.Int("b", 3, "augmented chain b")
-		p          = fs.Float64("p", 0.1, "loss probability for q_i estimation")
-		dot        = fs.Bool("dot", false, "emit Graphviz DOT instead of metrics")
-		topoPath   = fs.String("topo", "", "load a custom topology from a JSON file instead of -scheme")
-		export     = fs.Bool("export", false, "emit the topology as JSON instead of metrics")
-		pruneTo    = fs.Float64("prune", 0, "prune redundant edges while keeping q_min above this target (uses -p as the design loss rate)")
-		perPacket  = fs.Bool("q", false, "print per-packet q_i (exact; Monte-Carlo for a graph the exact evaluator cannot sweep)")
-		trials     = fs.Int("trials", 20000, "Monte-Carlo trials when -q falls back to sampling")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		trace      = fs.String("trace", "", "replay one lossless block through the verifier and write its JSONL lifecycle trace to this file")
-		metrics    = fs.String("metrics", "", "replay one lossless block and write verifier metrics: '-' for a text table on stdout, else JSON to this file")
+		p         = fs.Float64("p", 0.1, "loss probability for q_i estimation")
+		dot       = fs.Bool("dot", false, "emit Graphviz DOT instead of metrics")
+		topoPath  = fs.String("topo", "", "load a custom topology from a JSON file instead of -scheme")
+		export    = fs.Bool("export", false, "emit the topology as JSON instead of metrics")
+		pruneTo   = fs.Float64("prune", 0, "prune redundant edges while keeping q_min above this target (uses -p as the design loss rate)")
+		perPacket = fs.Bool("q", false, "print per-packet q_i (exact; Monte-Carlo for a graph the exact evaluator cannot sweep)")
+		trials    = fs.Int("trials", 20000, "Monte-Carlo trials when -q falls back to sampling")
+		outCfg    cli.Config
 	)
+	outCfg.Flags(fs, cli.Help{
+		Trace:    "replay one lossless block through the verifier and write its JSONL lifecycle trace to this file",
+		Metrics:  "replay one lossless block and write verifier metrics",
+		Profiles: true,
+	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -70,57 +68,53 @@ func run(args []string) error {
 	if *trials <= 0 {
 		return fmt.Errorf("-trials %d must be positive", *trials)
 	}
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	out, err := cli.Open(outCfg)
 	if err != nil {
 		return err
 	}
-	body := func() error {
-		signer := crypto.NewSignerFromString("mcgraph")
-		var s scheme.Scheme
-		if *topoPath != "" {
-			f, err := os.Open(*topoPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			topo, err := scheme.LoadTopology(f)
-			if err != nil {
-				return err
-			}
-			s, err = scheme.NewChained(topo, signer)
-			if err != nil {
-				return err
-			}
-			if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
-				return err
-			}
-			if err := report(s, *dot, *export, *perPacket, bern, *trials); err != nil {
-				return err
-			}
-			return replay(s, []uint32{uint32(topo.Root)}, *trace, *metrics)
-		}
-		if *schemeName == "tesla" {
-			return fmt.Errorf("scheme \"tesla\" is not offered: its split-vertex graph has no slot semantics for the Section 3 metrics (accepted: %s)",
-				strings.Join(graphSchemes(), "|"))
-		}
-		entry, err := catalog.Build(catalog.Spec{ID: *schemeName, N: *n, M: *m, D: *d, A: *a, B: *b}, signer)
+	defer out.Close() // a failed run still finishes its outputs
+	signer := crypto.NewSignerFromString("mcgraph")
+	var (
+		s         scheme.Scheme
+		signature []uint32
+	)
+	if *topoPath != "" {
+		f, err := os.Open(*topoPath)
 		if err != nil {
 			return err
 		}
-		s = entry.Scheme
-		if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
+		defer f.Close()
+		topo, err := scheme.LoadTopology(f)
+		if err != nil {
 			return err
 		}
-		if err := report(s, *dot, *export, *perPacket, bern, *trials); err != nil {
+		if s, err = scheme.NewChained(topo, signer); err != nil {
 			return err
 		}
-		return replay(s, entry.Signature, *trace, *metrics)
+		signature = []uint32{uint32(topo.Root)}
+	} else {
+		if spec.ID == "tesla" {
+			return fmt.Errorf("scheme \"tesla\" is not offered: its split-vertex graph has no slot semantics for the Section 3 metrics (accepted: %s)",
+				strings.Join(graphSchemes(), "|"))
+		}
+		entry, err := catalog.Build(*spec, signer)
+		if err != nil {
+			return err
+		}
+		s, signature = entry.Scheme, entry.Signature
 	}
-	if err := body(); err != nil {
-		stopProfiles()
+	if s, err = maybePrune(s, signer, *pruneTo, *p); err != nil {
 		return err
 	}
-	return stopProfiles()
+	if err := report(s, *dot, *export, *perPacket, bern, *trials); err != nil {
+		return err
+	}
+	if out.Tracer != nil || out.Registry != nil {
+		if err := replay(s, signature, out.Tracer, out.Registry); err != nil {
+			return err
+		}
+	}
+	return out.Close()
 }
 
 // graphSchemes is -scheme's accepted set: every catalogue scheme but TESLA,
@@ -165,27 +159,7 @@ func maybePrune(s scheme.Scheme, signer crypto.Signer, target, p float64) (schem
 // against the verifier's actual packet lifecycle: a one-receiver netsim run
 // with no loss and no delay, so -trace/-metrics mean what they mean in
 // mcsim. signature is the run's P_sign (catalog.Entry.Signature).
-func replay(s scheme.Scheme, signature []uint32, tracePath, metricsPath string) error {
-	if tracePath == "" && metricsPath == "" {
-		return nil
-	}
-	tracer, err := obs.OpenTrace(tracePath, 0)
-	if err != nil {
-		return err
-	}
-	var reg *obs.Registry
-	var metricsFile *os.File
-	if metricsPath != "" {
-		reg = obs.NewRegistry()
-		if metricsPath != "-" {
-			f, err := os.Create(metricsPath)
-			if err != nil {
-				return fmt.Errorf("metrics output unwritable: %w", err)
-			}
-			metricsFile = f
-		}
-	}
-
+func replay(s scheme.Scheme, signature []uint32, tracer *obs.SpanSink, reg *obs.Registry) error {
 	payloads := make([][]byte, s.BlockSize())
 	for i := range payloads {
 		payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
@@ -202,27 +176,6 @@ func replay(s scheme.Scheme, signature []uint32, tracePath, metricsPath string) 
 		Metrics:         reg,
 	}, 1, payloads); err != nil {
 		return fmt.Errorf("replay: %w", err)
-	}
-
-	if err := tracer.Close(); err != nil {
-		return err
-	}
-	if reg != nil {
-		snap := reg.Snapshot()
-		if metricsFile != nil {
-			if err := snap.WriteJSON(metricsFile); err != nil {
-				metricsFile.Close()
-				return fmt.Errorf("metrics output: %w", err)
-			}
-			if err := metricsFile.Close(); err != nil {
-				return fmt.Errorf("metrics output: %w", err)
-			}
-		} else {
-			fmt.Println()
-			if err := snap.WriteText(os.Stdout); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

@@ -163,6 +163,9 @@ func TestReplayObservability(t *testing.T) {
 	if got := snap.Counters["verifier.authenticated"]; got != int64(n) {
 		t.Errorf("verifier.authenticated = %d, want %d", got, n)
 	}
+	if snap.Counters["crypto.hash_ops"] <= 0 {
+		t.Error("crypto.hash_ops missing from metrics")
+	}
 
 	bad := filepath.Join(dir, "no-such-dir", "out")
 	for _, flagName := range []string{"-trace", "-metrics"} {

@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"strings"
 
+	"mcauth/internal/cli"
 	"mcauth/internal/lab"
 	"mcauth/internal/obs"
 )
@@ -143,15 +144,7 @@ func cmdRender(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "mclab: dashboard: %s (%d runs)\n", *mdPath, len(in.Runs))
 	if *htmlPath != "" {
-		f, err := os.Create(*htmlPath)
-		if err != nil {
-			return err
-		}
-		if err := lab.RenderHTML(f, md.String()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(*htmlPath, func(w io.Writer) error { return lab.RenderHTML(w, md.String()) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "mclab: dashboard: %s\n", *htmlPath)

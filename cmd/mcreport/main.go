@@ -20,21 +20,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/cli"
 	"mcauth/internal/crypto"
 	"mcauth/internal/diagnose"
 	"mcauth/internal/obs"
 )
 
 type options struct {
-	scheme  string
-	n       int
-	m, d    int
-	a, b    int
-	lag     int
+	scheme  *catalog.Spec
 	jsonOut string
 	mdOut   string
 	diff    bool
@@ -53,13 +49,7 @@ func main() {
 func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("mcreport", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.scheme, "scheme", "", "rebuild this scheme's dependence graph for culprit attribution: "+strings.Join(catalog.IDs(), "|"))
-	fs.IntVar(&o.n, "n", 100, "block size the trace was produced with")
-	fs.IntVar(&o.m, "m", 2, "EMSS m")
-	fs.IntVar(&o.d, "d", 1, "EMSS d")
-	fs.IntVar(&o.a, "a", 3, "augmented chain a")
-	fs.IntVar(&o.b, "b", 3, "augmented chain b")
-	fs.IntVar(&o.lag, "lag", 4, "TESLA disclosure lag (intervals)")
+	o.scheme = cli.SchemeFlags(fs, "", 100, catalog.IDs())
 	fs.StringVar(&o.jsonOut, "json", "", "also write the report as JSON to this file")
 	fs.StringVar(&o.mdOut, "md", "", "also write the report as markdown to this file")
 	fs.BoolVar(&o.diff, "diff", false, "diff the reports of two traces instead of printing one")
@@ -75,15 +65,14 @@ func parseOptions(args []string) (options, error) {
 // buildOptions rebuilds the graph-side half of the trace→graph join from
 // the -scheme flags.
 func buildOptions(o options) (diagnose.Options, error) {
-	if o.scheme == "" {
+	if o.scheme.ID == "" {
 		return diagnose.Options{}, nil
 	}
 	// The join reads only wire indices and the dependence graph, so the
 	// TESLA schedule (mcsim's default spacing) and key seed are arbitrary.
-	entry, err := catalog.Build(catalog.Spec{
-		ID: o.scheme, N: o.n, M: o.m, D: o.d, A: o.a, B: o.b,
-		Lag: o.lag, Interval: 10 * time.Millisecond, Seed: []byte("mcreport"),
-	}, crypto.NewSignerFromString("mcreport"))
+	spec := *o.scheme
+	spec.Interval, spec.Seed = 10*time.Millisecond, []byte("mcreport")
+	entry, err := catalog.Build(spec, crypto.NewSignerFromString("mcreport"))
 	if err != nil {
 		return diagnose.Options{}, err
 	}
@@ -151,28 +140,12 @@ func run(args []string) error {
 		return err
 	}
 	if o.jsonOut != "" {
-		f, err := os.Create(o.jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(o.jsonOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if o.mdOut != "" {
-		f, err := os.Create(o.mdOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteMarkdown(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(o.mdOut, rep.WriteMarkdown); err != nil {
 			return err
 		}
 	}

@@ -60,7 +60,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"slices"
@@ -69,6 +68,7 @@ import (
 	"time"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/cli"
 	"mcauth/internal/crypto"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme"
@@ -90,9 +90,7 @@ type options struct {
 	chaosCfg serve.ChaosConfig
 	telCfg   serve.TelemetryConfig
 
-	metrics         string
-	metricsInterval time.Duration
-	pprofAddr       string
+	out cli.Config
 }
 
 func main() {
@@ -132,9 +130,11 @@ func parseOptions(args []string) (options, error) {
 	fs.Float64Var(&o.chaosCfg.ConnStall, "conn-stall", 0.005, "chaos: per-read probability the receiver stalls")
 	fs.Uint64Var(&o.chaosCfg.Seed, "chaos-seed", 1, "chaos: fault-injection RNG seed")
 	fs.Float64Var(&o.chaosCfg.MinAuth, "min-auth", 0.3, "chaos: minimum fraction of published messages that must authenticate")
-	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics: '-' for a text table on stdout, else JSON to this file")
-	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "with -metrics FILE: append a timestamped JSONL metrics snapshot at this interval (plus one final line) instead of a single end-of-run object")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof (+/metrics, /statusz, /healthz, /slo) on this address")
+	o.out.Flags(fs, cli.Help{
+		Metrics: "write end-of-run metrics",
+		Pprof:   "serve net/http/pprof (+/metrics, /statusz, /healthz, /slo) on this address",
+	})
+	fs.DurationVar(&o.out.MetricsInterval, "metrics-interval", 0, "with -metrics FILE: append a timestamped JSONL metrics snapshot at this interval (plus one final line) instead of a single end-of-run object")
 	fs.IntVar(&o.telCfg.SpanBuf, "span-buf", 8192, "trace ring capacity: per-packet lifecycle records (push, emit, sign attach, mux write, decode, buffering, deferred park, resolve, authenticate/reject) kept for the flight recorder (0 disables tracing)")
 	fs.StringVar(&o.telCfg.Flight, "flight", "", "write the flight-recorder post-mortem (JSONL) to this file on panic, SIGUSR1, chaos kill, or SLO budget exhaustion (render with mcreport -flight)")
 	fs.DurationVar(&o.telCfg.SLOWindow, "slo-window", time.Minute, "per-stream SLO sliding evaluation window")
@@ -196,8 +196,8 @@ func parseOptions(args []string) (options, error) {
 			return options{}, fmt.Errorf("min-auth %v must be in [0,1]", o.chaosCfg.MinAuth)
 		}
 	}
-	if o.metricsInterval < 0 {
-		return options{}, fmt.Errorf("metrics-interval %v must be >= 0", o.metricsInterval)
+	if o.out.MetricsInterval < 0 {
+		return options{}, fmt.Errorf("metrics-interval %v must be >= 0", o.out.MetricsInterval)
 	}
 	if o.telCfg.SpanBuf < 0 {
 		return options{}, fmt.Errorf("span-buf %d must be >= 0", o.telCfg.SpanBuf)
@@ -211,7 +211,7 @@ func parseOptions(args []string) (options, error) {
 	if o.telCfg.SLOMinAuth < 0 || o.telCfg.SLOMinAuth > 1 {
 		return options{}, fmt.Errorf("slo-min-auth %v must be in [0,1]", o.telCfg.SLOMinAuth)
 	}
-	if o.metricsInterval > 0 && (o.metrics == "" || o.metrics == "-") {
+	if o.out.MetricsInterval > 0 && (o.out.Metrics == "" || o.out.Metrics == "-") {
 		return options{}, errors.New("-metrics-interval needs -metrics FILE (the JSONL series goes to a file)")
 	}
 	o.Scheme = o.buildScheme
@@ -246,10 +246,36 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	reg, health, tel, finish, err := setupObservability(o, stdout)
+	var reg *obs.Registry
+	// Relay, demo and chaos summaries and assertions read their instruments,
+	// so those roles run with a live registry even when nothing exports it.
+	if o.out.Metrics != "" || o.out.Pprof != "" || o.relay || o.demo || o.chaos {
+		reg = obs.NewRegistry()
+	}
+	tel := serve.NewTelemetry(o.telCfg, reg)
+	health := &obs.Health{}
+	o.out.Registry, o.out.Stdout = reg, stdout
+	o.out.Status = func(w io.Writer) {
+		fmt.Fprintf(w, "mcserved -streams %d -scheme %s -batch %d -flush %v (%s)\n",
+			o.Streams, o.schemeID, o.Batch, o.Flush, health)
+		if slo := tel.SLO(); slo != nil {
+			_ = slo.WriteText(w)
+		}
+	}
+	o.out.Routes = func(mux *http.ServeMux) []string {
+		health.Register(mux)
+		if slo := tel.SLO(); slo != nil {
+			slo.Register(mux)
+			return []string{"/healthz", "/slo"}
+		}
+		return []string{"/healthz"}
+	}
+	out, err := cli.Open(o.out)
 	if err != nil {
 		return err
 	}
+	defer out.Close() // a failed run still finishes its outputs
+	defer health.SetDraining()
 	// The crash artifact outlives the crash: a panic anywhere below dumps
 	// the flight record before re-panicking, and SIGUSR1 dumps on demand.
 	defer tel.RecoverDump()
@@ -265,128 +291,9 @@ func run(args []string, stdout io.Writer) error {
 		err = runRole(o, reg, health, tel, stdout)
 	}
 	if err != nil {
-		finish()
 		return err
 	}
-	return finish()
-}
-
-func setupObservability(o options, stdout io.Writer) (*obs.Registry, *obs.Health, *serve.Telemetry, func() error, error) {
-	var (
-		reg         *obs.Registry
-		metricsFile *os.File
-		exposer     *obs.Exposer
-		err         error
-	)
-	health := &obs.Health{}
-	// Relay, demo and chaos summaries and assertions read their instruments,
-	// so those roles run with a live registry even when nothing exports it.
-	if o.metrics != "" || o.pprofAddr != "" || o.relay || o.demo || o.chaos {
-		reg = obs.NewRegistry()
-	}
-	if o.metrics != "" || o.pprofAddr != "" {
-		if o.metrics != "" && o.metrics != "-" {
-			metricsFile, err = os.Create(o.metrics)
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("metrics output unwritable: %w", err)
-			}
-		}
-		crypto.Instrument(reg)
-	}
-	tel := serve.NewTelemetry(o.telCfg, reg)
-	if o.pprofAddr != "" {
-		ln, err := net.Listen("tcp", o.pprofAddr)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("pprof listen %s: %w", o.pprofAddr, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		exposer = obs.NewExposer(reg, obs.DefaultExposeInterval)
-		exposer.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "mcserved -streams %d -scheme %s -batch %d -flush %v (%s)\n",
-				o.Streams, o.schemeID, o.Batch, o.Flush, health)
-			if slo := tel.SLO(); slo != nil {
-				_ = slo.WriteText(w)
-			}
-		})
-		exposer.Register(mux)
-		health.Register(mux)
-		endpoints := "/metrics, /statusz, /healthz"
-		if slo := tel.SLO(); slo != nil {
-			slo.Register(mux)
-			endpoints += ", /slo"
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/ (+%s)\n", ln.Addr(), endpoints)
-		go func() { _ = http.Serve(ln, mux) }()
-	}
-	// With -metrics-interval the file carries an append-only JSONL series
-	// of timestamped snapshots (obs.TimedSnapshot per line) a dashboard can
-	// tail, instead of one end-of-run object. The ticker goroutine owns the
-	// file between start and finish; finish stops it, appends one final
-	// line, and closes.
-	var tickerStop chan struct{}
-	var tickerDone chan struct{}
-	writeLine := func() error {
-		ts := obs.TimedSnapshot{AtUnixNS: time.Now().UnixNano(), Metrics: reg.Snapshot()}
-		return ts.WriteJSONLine(metricsFile)
-	}
-	if o.metricsInterval > 0 && metricsFile != nil {
-		tickerStop = make(chan struct{})
-		tickerDone = make(chan struct{})
-		go func() {
-			defer close(tickerDone)
-			tick := time.NewTicker(o.metricsInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := writeLine(); err != nil {
-						return // file gone; the final write reports it
-					}
-				case <-tickerStop:
-					return
-				}
-			}
-		}()
-	}
-	finish := func() error {
-		health.SetDraining()
-		crypto.Uninstrument()
-		if exposer != nil {
-			exposer.Refresh()
-			exposer.Close()
-		}
-		if o.metrics == "-" && reg != nil {
-			if err := reg.Snapshot().WriteText(stdout); err != nil {
-				return fmt.Errorf("metrics output: %w", err)
-			}
-		}
-		if tickerStop != nil {
-			close(tickerStop)
-			<-tickerDone
-		}
-		if metricsFile != nil {
-			var err error
-			if o.metricsInterval > 0 {
-				err = writeLine()
-			} else {
-				err = reg.Snapshot().WriteJSON(metricsFile)
-			}
-			if err != nil {
-				metricsFile.Close()
-				return fmt.Errorf("metrics output: %w", err)
-			}
-			if err := metricsFile.Close(); err != nil {
-				return fmt.Errorf("metrics output: %w", err)
-			}
-		}
-		return nil
-	}
-	return reg, health, tel, finish, nil
+	return out.Close()
 }
 
 // installSIGUSR1 arms the on-demand flight dump; the returned function

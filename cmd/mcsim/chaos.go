@@ -49,10 +49,7 @@ func runChaos(o options) error {
 			return fmt.Errorf("chaos %s: %w", name, err)
 		}
 		s := entry.Scheme
-		payloads := make([][]byte, s.BlockSize())
-		for i := range payloads {
-			payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
-		}
+		block := payloads(s.BlockSize())
 		for _, preset := range fault.PresetNames() {
 			fc, err := fault.Preset(preset, o.chaosRate)
 			if err != nil {
@@ -72,7 +69,7 @@ func runChaos(o options) error {
 					MaxBuffered:     chaosMaxBuffered,
 					Workers:         o.workers,
 				}
-				res, err := netsim.Run(s, cfg, 1, payloads)
+				res, err := netsim.Run(s, cfg, 1, block)
 				if err != nil {
 					return fmt.Errorf("chaos %s/%s seed %d: %w", name, preset, seed, err)
 				}

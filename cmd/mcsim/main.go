@@ -13,15 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/cli"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/diagnose"
@@ -31,8 +28,7 @@ import (
 )
 
 type options struct {
-	scheme    string
-	n         int
+	scheme    *catalog.Spec
 	p         float64
 	burst     int
 	receivers int
@@ -41,9 +37,6 @@ type options struct {
 	interval  time.Duration
 	seed      uint64
 	workers   int
-	m, d      int
-	a, b      int
-	lag       int
 	latejoin  int
 
 	chaos      bool
@@ -59,12 +52,8 @@ type options struct {
 	repairRTT  time.Duration
 	summary    string
 
-	trace      string
-	metrics    string
-	report     string
-	cpuprofile string
-	memprofile string
-	pprofAddr  string
+	out    cli.Config
+	report string
 }
 
 func main() {
@@ -77,8 +66,7 @@ func main() {
 func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.scheme, "scheme", "emss", "scheme: "+strings.Join(catalog.IDs(), "|"))
-	fs.IntVar(&o.n, "n", 100, "block size (payloads per block)")
+	o.scheme = cli.SchemeFlags(fs, "emss", 100, catalog.IDs())
 	fs.Float64Var(&o.p, "p", 0.1, "i.i.d. loss probability")
 	fs.IntVar(&o.burst, "burst", 0, "mean burst length; >1 switches to Gilbert-Elliott loss at rate p")
 	fs.IntVar(&o.receivers, "receivers", 200, "number of receivers")
@@ -87,11 +75,6 @@ func parseOptions(args []string) (options, error) {
 	fs.DurationVar(&o.interval, "interval", 10*time.Millisecond, "packet send interval")
 	fs.Uint64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.workers, "workers", 0, "receiver simulation worker pool size (0 = GOMAXPROCS); results are identical for any setting")
-	fs.IntVar(&o.m, "m", 2, "EMSS m")
-	fs.IntVar(&o.d, "d", 1, "EMSS d")
-	fs.IntVar(&o.a, "a", 3, "augmented chain a")
-	fs.IntVar(&o.b, "b", 3, "augmented chain b")
-	fs.IntVar(&o.lag, "lag", 4, "TESLA disclosure lag (intervals)")
 	fs.IntVar(&o.latejoin, "latejoin", 0, "number of receivers joining mid-block")
 	fs.BoolVar(&o.overlay, "overlay", false, "deliver through a relay fan-out tree (see -depth/-fanout/-edgep/-relays) instead of the flat topology")
 	fs.IntVar(&o.depth, "depth", 2, "overlay tree depth (levels of relays below the source)")
@@ -104,12 +87,13 @@ func parseOptions(args []string) (options, error) {
 	fs.BoolVar(&o.chaos, "chaos", false, "run the fault-injection soak: every scheme x every fault preset x -chaosseeds seeds")
 	fs.Float64Var(&o.chaosRate, "chaosrate", 0.02, "per-packet fault injection rate for -chaos")
 	fs.IntVar(&o.chaosSeeds, "chaosseeds", 3, "seeds per scheme/preset cell for -chaos")
-	fs.StringVar(&o.trace, "trace", "", "write a JSONL packet-lifecycle trace to this file; each receiver's events are the same at any -workers, the file as a whole only at -workers 1 (receivers interleave otherwise)")
-	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics: '-' for a text table on stdout, else JSON to this file")
+	o.out.Flags(fs, cli.Help{
+		Trace:    "write a JSONL packet-lifecycle trace to this file; each receiver's events are the same at any -workers, the file as a whole only at -workers 1 (receivers interleave otherwise)",
+		Metrics:  "write end-of-run metrics",
+		Pprof:    "serve net/http/pprof on this address (e.g. :6060)",
+		Profiles: true,
+	})
 	fs.StringVar(&o.report, "report", "", "write a root-cause diagnosis report: JSON to this file, markdown alongside it at <file>.md")
-	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -118,10 +102,9 @@ func parseOptions(args []string) (options, error) {
 
 // spec is the catalogue row the scheme flags select.
 func (o options) spec() catalog.Spec {
-	return catalog.Spec{
-		ID: o.scheme, N: o.n, M: o.m, D: o.d, A: o.a, B: o.b,
-		Lag: o.lag, Interval: o.interval, Seed: []byte("mcsim"),
-	}
+	s := *o.scheme
+	s.Interval, s.Seed = o.interval, []byte("mcsim")
+	return s
 }
 
 // buildEntry builds the selected scheme and its analytic q_min under the
@@ -135,91 +118,44 @@ func buildEntry(o options) (catalog.Entry, string, error) {
 	return entry, fmt.Sprintf("%.4f (%s)", qmin, by), err
 }
 
-// buildLossModel maps -p/-burst to the last-hop loss process.
-func buildLossModel(o options) (loss.Model, error) {
+// simConfig is the run both topologies share: the -p/-burst last-hop
+// loss, the -mu/-sigma delay, and the sender's schedule. The signature /
+// bootstrap packet is delivered reliably, matching the paper's standing
+// assumption.
+func simConfig(o options, entry catalog.Entry, out *cli.Outputs) (netsim.Config, error) {
+	var lossModel loss.Model
+	var err error
 	if o.burst > 1 {
-		return loss.NewBursty(o.p, float64(o.burst))
+		lossModel, err = loss.NewBursty(o.p, float64(o.burst))
+	} else {
+		lossModel, err = loss.NewBernoulli(o.p)
 	}
-	return loss.NewBernoulli(o.p)
+	if err != nil {
+		return netsim.Config{}, err
+	}
+	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
+	return netsim.Config{
+		Receivers:       o.receivers,
+		Loss:            lossModel,
+		Delay:           delayModel,
+		SendInterval:    entry.SendInterval,
+		Start:           entry.Start,
+		Seed:            o.seed,
+		ReliableIndices: entry.Signature,
+		LateJoiners:     o.latejoin,
+		Workers:         o.workers,
+		Tracer:          out.Tracer,
+		Metrics:         out.Registry,
+	}, err
 }
 
-// setupObservability opens every requested output up front so an
-// unwritable path fails the run immediately with a clear error instead of
-// silently discarding the data after the simulation has burned CPU.
-// It returns the tracer and registry to wire into the run (either may be
-// nil) plus a finish func that writes/flushes the outputs. The tracer
-// writes -trace and keeps the run in memory for -report.
-func setupObservability(o options) (tracer *obs.SpanSink, reg *obs.Registry, finish func() error, err error) {
-	var metricsFile *os.File
-
-	keep := 0
-	if o.report != "" {
-		keep = obs.KeepAll
+// payloads is the block every mcsim mode sends: n numbered messages.
+func payloads(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = fmt.Appendf(nil, "payload-%06d", i)
 	}
-	if tracer, err = obs.OpenTrace(o.trace, keep); err != nil {
-		return nil, nil, nil, err
-	}
-	if o.metrics != "" || o.pprofAddr != "" {
-		// The pprof listener also serves /metrics and /statusz, so a live
-		// listener always gets a registry even without -metrics.
-		reg = obs.NewRegistry()
-		if o.metrics != "" && o.metrics != "-" {
-			metricsFile, err = os.Create(o.metrics)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("metrics output unwritable: %w", err)
-			}
-		}
-		crypto.Instrument(reg)
-	}
-	stopProfiles, err := obs.StartProfiles(o.cpuprofile, o.memprofile)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var exposer *obs.Exposer
-	if o.pprofAddr != "" {
-		ln, err := net.Listen("tcp", o.pprofAddr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("pprof listen %s: %w", o.pprofAddr, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		exposer = obs.NewExposer(reg, obs.DefaultExposeInterval)
-		exposer.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "mcsim -scheme %s -n %d -p %g -receivers %d -seed %d\n",
-				o.scheme, o.n, o.p, o.receivers, o.seed)
-		})
-		exposer.Register(mux)
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/ (+/metrics, /statusz)\n", ln.Addr())
-		go func() {
-			_ = http.Serve(ln, mux)
-		}()
-	}
-
-	finish = func() error {
-		crypto.Uninstrument()
-		if exposer != nil {
-			exposer.Refresh()
-			exposer.Close()
-		}
-		if err := tracer.Close(); err != nil {
-			return err
-		}
-		if metricsFile != nil {
-			if err := reg.Snapshot().WriteJSON(metricsFile); err != nil {
-				metricsFile.Close()
-				return fmt.Errorf("metrics output: %w", err)
-			}
-			if err := metricsFile.Close(); err != nil {
-				return fmt.Errorf("metrics output: %w", err)
-			}
-		}
-		return stopProfiles()
-	}
-	return tracer, reg, finish, nil
+	return out
 }
 
 func run(args []string) error {
@@ -236,22 +172,32 @@ func run(args []string) error {
 	if o.overlay && o.latejoin > 0 {
 		return fmt.Errorf("-overlay does not compose with -latejoin")
 	}
-	tracer, reg, finishObs, err := setupObservability(o)
+	if o.report != "" {
+		o.out.Keep = obs.KeepAll // the report is built from the whole run
+	}
+	o.out.Status = func(w io.Writer) {
+		fmt.Fprintf(w, "mcsim -scheme %s -n %d -p %g -receivers %d -seed %d\n",
+			o.scheme.ID, o.scheme.N, o.p, o.receivers, o.seed)
+	}
+	out, err := cli.Open(o.out)
 	if err != nil {
 		return err
 	}
-	var reportJSON, reportMD *os.File
+	defer out.Close() // a failed run still finishes its outputs
 	if o.report != "" {
-		reportJSON, err = os.Create(o.report)
-		if err != nil {
-			return fmt.Errorf("report output unwritable: %w", err)
-		}
-		reportMD, err = os.Create(o.report + ".md")
-		if err != nil {
-			return fmt.Errorf("report output unwritable: %w", err)
+		// Probe the report files now, so an unwritable path fails before
+		// the run; writeReport fills them at the end.
+		for _, path := range []string{o.report, o.report + ".md"} {
+			if err := cli.WriteFile(path, func(io.Writer) error { return nil }); err != nil {
+				return fmt.Errorf("report output unwritable: %w", err)
+			}
 		}
 	}
 	entry, analytic, err := buildEntry(o)
+	if err != nil {
+		return err
+	}
+	cfg, err := simConfig(o, entry, out)
 	if err != nil {
 		return err
 	}
@@ -259,57 +205,24 @@ func run(args []string) error {
 	if o.overlay {
 		simulate = runOverlay
 	}
-	if err := simulate(o, entry, analytic, tracer, reg); err != nil {
+	if err := simulate(o, entry, analytic, cfg); err != nil {
 		return err
 	}
-	if o.metrics == "-" {
-		fmt.Println()
-		if err := reg.Snapshot().WriteText(os.Stdout); err != nil {
-			return err
-		}
+	// Closing prints the -metrics - table, which precedes the report.
+	if err := out.Close(); err != nil {
+		return err
 	}
-	if reportJSON != nil {
-		if err := writeReport(entry, tracer.Snapshot(), reportJSON, reportMD); err != nil {
-			return err
-		}
+	if o.report == "" {
+		return nil
 	}
-	return finishObs()
+	return writeReport(entry, out.Tracer.Snapshot(), o.report)
 }
 
 // runFlat simulates the flat topology — every receiver one lossy hop from
 // the source — and prints its table.
-func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSink, reg *obs.Registry) error {
+func runFlat(o options, entry catalog.Entry, analytic string, cfg netsim.Config) error {
 	s := entry.Scheme
-
-	lossModel, err := buildLossModel(o)
-	if err != nil {
-		return err
-	}
-	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
-	if err != nil {
-		return err
-	}
-
-	payloads := make([][]byte, s.BlockSize())
-	for i := range payloads {
-		payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
-	}
-	// The signature / bootstrap packet is delivered reliably, matching
-	// the paper's standing assumption.
-	simCfg := netsim.Config{
-		Receivers:       o.receivers,
-		Loss:            lossModel,
-		Delay:           delayModel,
-		SendInterval:    entry.SendInterval,
-		Start:           entry.Start,
-		Seed:            o.seed,
-		ReliableIndices: entry.Signature,
-		LateJoiners:     o.latejoin,
-		Workers:         o.workers,
-		Tracer:          tracer,
-		Metrics:         reg,
-	}
-	res, err := netsim.Run(s, simCfg, 1, payloads)
+	res, err := netsim.Run(s, cfg, 1, payloads(s.BlockSize()))
 	if err != nil {
 		return err
 	}
@@ -326,8 +239,8 @@ func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSi
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "scheme\t%s\n", s.Name())
-	fmt.Fprintf(w, "loss model\t%s\n", lossModel.Name())
-	fmt.Fprintf(w, "delay model\t%s\n", delayModel.Name())
+	fmt.Fprintf(w, "loss model\t%s\n", cfg.Loss.Name())
+	fmt.Fprintf(w, "delay model\t%s\n", cfg.Delay.Name())
 	fmt.Fprintf(w, "receivers\t%d\n", o.receivers)
 	fmt.Fprintf(w, "wire packets\t%d\n", res.WireCount)
 	fmt.Fprintf(w, "delivered / lost\t%d / %d\n", delivered, lost)
@@ -348,9 +261,9 @@ func runFlat(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSi
 }
 
 // writeReport joins the in-memory trace with the scheme's dependence graph
-// and writes the root-cause report as JSON and markdown, plus a short text
-// rendering on stdout.
-func writeReport(entry catalog.Entry, spans []obs.Span, jsonOut, mdOut *os.File) error {
+// and writes the root-cause report as JSON to path and markdown to
+// path.md, plus a short text rendering on stdout.
+func writeReport(entry catalog.Entry, spans []obs.Span, path string) error {
 	opts, err := entry.DiagnoseOptions()
 	if err != nil {
 		return err
@@ -359,18 +272,10 @@ func writeReport(entry catalog.Entry, spans []obs.Span, jsonOut, mdOut *os.File)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(jsonOut); err != nil {
-		jsonOut.Close()
+	if err := cli.WriteFile(path, rep.WriteJSON); err != nil {
 		return fmt.Errorf("report output: %w", err)
 	}
-	if err := jsonOut.Close(); err != nil {
-		return fmt.Errorf("report output: %w", err)
-	}
-	if err := rep.WriteMarkdown(mdOut); err != nil {
-		mdOut.Close()
-		return fmt.Errorf("report output: %w", err)
-	}
-	if err := mdOut.Close(); err != nil {
+	if err := cli.WriteFile(path+".md", rep.WriteMarkdown); err != nil {
 		return fmt.Errorf("report output: %w", err)
 	}
 	fmt.Println()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -52,6 +53,49 @@ func TestRunErrors(t *testing.T) {
 	// NaN parses as a float and fails every `p < 0 || p > 1` test.
 	if err := run([]string{"-scheme", "authtree", "-n", "16", "-p", "NaN"}); err == nil {
 		t.Error("-p NaN should fail, not run as a lossless channel")
+	}
+	// -edgep loses packets on mid-tree edges, and a depth-1 tree has none.
+	if err := run([]string{"-overlay", "-scheme", "emss", "-n", "8", "-receivers", "4", "-depth", "1", "-edgep", "0.5"}); err == nil {
+		t.Error("-overlay -depth 1 -edgep 0.5 should fail: there is no mid-tree edge to lose on")
+	}
+}
+
+// TestFailedRunsFinishOutputs: a run that fails still closes what it
+// opened. A failed profiled run must not leave the CPU profile running
+// for the next run in the process, and a run that fails after the
+// simulation must still flush its whole trace.
+func TestFailedRunsFinishOutputs(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-scheme", "nope", "-cpuprofile", filepath.Join(dir, "a.pprof")}); err == nil {
+		t.Fatal("unknown scheme should fail")
+	}
+	if err := run([]string{"-scheme", "rohatgi", "-n", "8", "-receivers", "2", "-cpuprofile", filepath.Join(dir, "b.pprof")}); err != nil {
+		t.Fatalf("profiled run after a failed one: %v", err)
+	}
+
+	overlay := func(trace, summary string) error {
+		return run([]string{
+			"-overlay", "-scheme", "emss", "-n", "8", "-receivers", "10", "-workers", "1",
+			"-trace", trace, "-summary", summary,
+		})
+	}
+	okTrace, lateTrace := filepath.Join(dir, "ok.jsonl"), filepath.Join(dir, "late.jsonl")
+	if err := overlay(okTrace, filepath.Join(dir, "sum.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := overlay(lateTrace, filepath.Join(dir, "no-such-dir", "sum.json")); err == nil {
+		t.Fatal("unwritable -summary should fail")
+	}
+	want, err := os.ReadFile(okTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(lateTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("trace of the failed run has %d bytes, the same run's trace without the failure %d", len(got), len(want))
 	}
 }
 

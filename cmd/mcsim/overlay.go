@@ -12,14 +12,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
 	"mcauth/internal/catalog"
-	"mcauth/internal/delay"
+	"mcauth/internal/cli"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
-	"mcauth/internal/obs"
 )
 
 // overlaySummary is the deterministic digest -summary writes: everything
@@ -49,55 +49,17 @@ type overlaySummary struct {
 }
 
 // runOverlay is runFlat's counterpart for -overlay.
-func runOverlay(o options, entry catalog.Entry, analytic string, tracer *obs.SpanSink, reg *obs.Registry) error {
+func runOverlay(o options, entry catalog.Entry, analytic string, cfg netsim.Config) error {
 	s := entry.Scheme
-	lossModel, err := buildLossModel(o)
+	tree, err := loss.NewOverlayTree(o.seed, o.depth, o.fanout, o.lossyEdges, o.edgeP, cfg.Loss)
 	if err != nil {
 		return err
 	}
-	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
-	if err != nil {
-		return err
-	}
-	tree, err := loss.NewUniformTree(o.seed^0x6f7665726c6179, o.depth, o.fanout, nil, lossModel)
-	if err != nil {
-		return err
-	}
-	if o.edgeP > 0 {
-		if o.lossyEdges < 0 || o.lossyEdges > o.fanout {
-			return fmt.Errorf("-lossyedges %d out of [0,%d]", o.lossyEdges, o.fanout)
-		}
-		for e := 1; e <= o.lossyEdges; e++ {
-			edge, err := loss.NewBernoulli(o.edgeP)
-			if err != nil {
-				return err
-			}
-			if err := tree.SetEdge(e, edge); err != nil {
-				return err
-			}
-		}
-	}
-
-	payloads := make([][]byte, s.BlockSize())
-	for i := range payloads {
-		payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
-	}
-	simCfg := netsim.Config{
-		Receivers:       o.receivers,
-		Delay:           delayModel,
-		SendInterval:    entry.SendInterval,
-		Start:           entry.Start,
-		Seed:            o.seed,
-		ReliableIndices: entry.Signature,
-		Workers:         o.workers,
-		Tracer:          tracer,
-		Metrics:         reg,
-	}
-	res, err := netsim.RunOverlay(s, simCfg, netsim.OverlayConfig{
+	res, err := netsim.RunOverlay(s, cfg, netsim.OverlayConfig{
 		Tree:      tree,
 		Relays:    o.relays,
 		RepairRTT: o.repairRTT,
-	}, 1, payloads)
+	}, 1, payloads(s.BlockSize()))
 	if err != nil {
 		return err
 	}
@@ -132,7 +94,7 @@ func runOverlay(o options, entry catalog.Entry, analytic string, tracer *obs.Spa
 	fmt.Fprintf(w, "scheme\t%s\n", s.Name())
 	fmt.Fprintf(w, "overlay tree\tdepth %d, fanout %d (%d relays, %d leaves)\n",
 		o.depth, o.fanout, tree.Nodes()-1, len(tree.Leaves()))
-	fmt.Fprintf(w, "edge loss\t%d edge(s) at p=%g; last hop %s\n", o.lossyEdges, o.edgeP, lossModel.Name())
+	fmt.Fprintf(w, "edge loss\t%d edge(s) at p=%g; last hop %s\n", o.lossyEdges, o.edgeP, cfg.Loss.Name())
 	fmt.Fprintf(w, "relays\t%v\n", o.relays)
 	fmt.Fprintf(w, "receivers\t%d\n", o.receivers)
 	fmt.Fprintf(w, "wire packets\t%d\n", res.WireCount)
@@ -151,17 +113,11 @@ func runOverlay(o options, entry catalog.Entry, analytic string, tracer *obs.Spa
 	}
 
 	if o.summary != "" {
-		f, err := os.Create(o.summary)
-		if err != nil {
-			return fmt.Errorf("summary output unwritable: %w", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			f.Close()
-			return fmt.Errorf("summary output: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(o.summary, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(sum)
+		}); err != nil {
 			return fmt.Errorf("summary output: %w", err)
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/loss"
 )
 
 // Config is the declarative sweep description. The cell set is the cross
@@ -270,14 +271,8 @@ func (c *Config) normalize() error {
 		if o.Depth < 1 || o.Fanout < 1 {
 			return fmt.Errorf("lab: overlay depth %d / fanout %d must be >= 1", o.Depth, o.Fanout)
 		}
-		if o.EdgeP < 0 || o.EdgeP >= 1 {
-			return fmt.Errorf("lab: overlay edge_p %g out of [0,1)", o.EdgeP)
-		}
-		if o.LossyEdges < 0 || o.LossyEdges > o.Fanout {
-			return fmt.Errorf("lab: overlay lossy_edges %d out of [0,%d] (only the first-level edges can be lossy)", o.LossyEdges, o.Fanout)
-		}
-		if o.LossyEdges > 0 && o.Depth < 2 {
-			return fmt.Errorf("lab: overlay lossy_edges needs depth >= 2 (a depth-1 tree has no mid-tree edge)")
+		if _, err := loss.NewOverlayTree(0, o.Depth, o.Fanout, o.LossyEdges, o.EdgeP, nil); err != nil {
+			return fmt.Errorf("lab: %w", err)
 		}
 		if o.RepairRTTMS < 0 {
 			return fmt.Errorf("lab: overlay repair_rtt_ms %d must be >= 0", o.RepairRTTMS)

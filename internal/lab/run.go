@@ -379,30 +379,6 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	return arts, nil
 }
 
-// overlayTree builds the cell's seeded relay tree: lossless edges, the
-// cell's loss model on the last hop, and Bernoulli(EdgeP) on the first
-// LossyEdges mid-tree edges. Called once per overlay run — edge patterns
-// are a pure function of the tree seed, so the relays-off and relays-on
-// runs see identical loss.
-func overlayTree(ov *overlayConfig, seed uint64, leaf loss.Model) (*loss.TreeModel, error) {
-	tree, err := loss.NewUniformTree(seed^0x6f7665726c6179, ov.Depth, ov.Fanout, nil, leaf)
-	if err != nil {
-		return nil, err
-	}
-	if ov.EdgeP > 0 {
-		for e := 1; e <= ov.LossyEdges; e++ {
-			edge, err := loss.NewBernoulli(ov.EdgeP)
-			if err != nil {
-				return nil, err
-			}
-			if err := tree.SetEdge(e, edge); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tree, nil
-}
-
 // runOverlayCell runs the cell's netsim configuration through the relay
 // tree twice — relays off, then relays on — and summarizes the repair
 // gain. Both runs share the seed, tree and receiver RNG schedule, so the
@@ -427,7 +403,9 @@ func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossMo
 	}
 	payloads := schemetest.Payloads(entry.Scheme.BlockSize())
 	authFraction := func(relays bool) (*netsim.OverlayResult, float64, error) {
-		tree, err := overlayTree(ov, seed, lossModel)
+		// A fresh tree per run; its edge loss is a function of the
+		// seed, so the relays-off and relays-on runs see the same drops.
+		tree, err := loss.NewOverlayTree(seed, ov.Depth, ov.Fanout, ov.LossyEdges, ov.EdgeP, lossModel)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -81,6 +81,36 @@ func NewUniformTree(seed uint64, depth, fanout int, edge, leaf Model) (*TreeMode
 	return t, nil
 }
 
+// NewOverlayTree builds the relay overlay's uniform tree: lossless edges,
+// leaf on every receiver's last hop, and Bernoulli(edgeP) on the first
+// lossyEdges edges, which feed the first-level relays, so each one's loss
+// is shared by a whole 1/fanout subtree. Edge patterns are a pure
+// function of seed, so two runs on equal arguments see identical loss.
+// edgeP must lie in [0,1) and lossyEdges in [0,fanout]; a lossy edge
+// needs depth >= 2, since a depth-1 tree has no mid-tree edge.
+func NewOverlayTree(seed uint64, depth, fanout, lossyEdges int, edgeP float64, leaf Model) (*TreeModel, error) {
+	if !(edgeP >= 0 && edgeP < 1) {
+		return nil, fmt.Errorf("loss: overlay edge loss %g out of [0,1)", edgeP)
+	}
+	if lossyEdges < 0 || lossyEdges > fanout {
+		return nil, fmt.Errorf("loss: overlay lossy edges %d out of [0,%d] (only the first-level edges can be lossy)", lossyEdges, fanout)
+	}
+	lossy := edgeP > 0 && lossyEdges > 0
+	if lossy && depth < 2 {
+		return nil, fmt.Errorf("loss: overlay lossy edges need depth >= 2 (a depth-1 tree has no mid-tree edge)")
+	}
+	t, err := NewUniformTree(seed^0x6f7665726c6179, depth, fanout, nil, leaf)
+	if err != nil || !lossy {
+		return t, err
+	}
+	for e := 1; e <= lossyEdges; e++ {
+		if err := t.SetEdge(e, Bernoulli{P: edgeP}); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
 // addNode attaches a new relay under parent with the given edge loss
 // process (nil = lossless edge) and returns its node index. Parents must
 // exist already, so node indices are always topologically ordered

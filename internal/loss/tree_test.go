@@ -84,6 +84,48 @@ func TestUniformTree(t *testing.T) {
 	}
 }
 
+// TestOverlayTree pins the overlay tree's one rule: the first lossyEdges
+// edges carry Bernoulli(edgeP), the rest are lossless, and a shape the
+// relay overlay cannot honour is refused.
+func TestOverlayTree(t *testing.T) {
+	tree, err := NewOverlayTree(9, 2, 4, 2, 0.5, Bernoulli{P: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node := 1; node < tree.Nodes(); node++ {
+		want := Model(nil)
+		if node <= 2 {
+			want = Bernoulli{P: 0.5}
+		}
+		if got := tree.edge[node]; got != want {
+			t.Errorf("edge %d = %v, want %v", node, got, want)
+		}
+	}
+	if tree.seed != 9^0x6f7665726c6179 {
+		t.Errorf("tree seed %#x is not the overlay derivation of 9", tree.seed)
+	}
+	// A lossless overlay may be shallow, whatever lossyEdges says.
+	for _, depth := range []int{0, 1} {
+		if _, err := NewOverlayTree(1, depth, 4, 1, 0, nil); err != nil {
+			t.Errorf("depth-%d lossless tree refused: %v", depth, err)
+		}
+	}
+	for name, args := range map[string]struct {
+		depth, fanout, lossy int
+		edgeP                float64
+	}{
+		"edgeP 1":                 {2, 4, 1, 1},
+		"edgeP NaN":               {2, 4, 1, math.NaN()},
+		"negative lossy edges":    {2, 4, -1, 0.5},
+		"lossy edges past fanout": {2, 2, 3, 0},
+		"lossy depth-1 tree":      {1, 4, 1, 0.5},
+	} {
+		if _, err := NewOverlayTree(1, args.depth, args.fanout, args.lossy, args.edgeP, nil); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // TestTreeBuildErrors pins addNode/SetEdge bounds checking.
 func TestTreeBuildErrors(t *testing.T) {
 	tree := newTree(1, nil)

@@ -98,8 +98,8 @@ go run ./cmd/mcsim -scheme emss -n 20 -p 0.25 -receivers 8 -seed 5 \
 	-trace "$diagdir/a.jsonl" -report "$diagdir/rep.json" >/dev/null
 go run ./cmd/mcsim -scheme emss -n 20 -p 0.25 -receivers 8 -seed 5 \
 	-trace "$diagdir/b.jsonl" >/dev/null
-go run ./cmd/mcreport -scheme emss -n 20 "$diagdir/a.jsonl" >/dev/null
-go run ./cmd/mcreport -scheme emss -n 20 -diff "$diagdir/a.jsonl" "$diagdir/b.jsonl"
+go run ./cmd/mcreport "$diagdir/a.jsonl" >/dev/null
+go run ./cmd/mcreport -diff "$diagdir/a.jsonl" "$diagdir/b.jsonl"
 test -s "$diagdir/rep.json"
 test -s "$diagdir/rep.json.md"
 go run ./cmd/mcgraph -scheme emss -n 16 -metrics "$diagdir/graph-metrics.json" >/dev/null

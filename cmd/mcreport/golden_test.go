@@ -22,7 +22,7 @@ func TestGoldenMarkdownReport(t *testing.T) {
 	writeTrace(t, trace, 7)
 	mdPath := filepath.Join(dir, "rep.md")
 	if _, err := capture(t, func() error {
-		return run([]string{"-scheme", "emss", "-n", "20", "-md", mdPath, trace})
+		return run([]string{"-md", mdPath, trace})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestGoldenTextReportStable(t *testing.T) {
 	var outs [2]string
 	for i := range outs {
 		out, err := capture(t, func() error {
-			return run([]string{"-scheme", "emss", "-n", "20", trace})
+			return run([]string{trace})
 		})
 		if err != nil {
 			t.Fatal(err)

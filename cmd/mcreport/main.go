@@ -7,19 +7,19 @@
 //
 //	mcreport run.jsonl                         # text report on stdout
 //	mcreport -json rep.json -md rep.md run.jsonl
-//	mcreport -scheme emss -n 100 -m 2 -d 1 run.jsonl   # + culprit attribution
 //	mcreport -diff a.jsonl b.jsonl             # empty output = identical
 //
-// The scheme flags rebuild the dependence graph so hash-path-cut diagnoses
-// carry their frontier-cut culprit sets; without them the report still
-// classifies every failure but names no culprits. Scheme, wire count, and
-// root index come from the trace's run_meta record.
+// The scheme, wire count and root index come from the trace's run_meta
+// record; its scheme name rebuilds the dependence graph, so hash-path-cut
+// diagnoses carry their frontier-cut culprit sets. A trace naming no
+// catalogue scheme still has every failure classified, without culprits.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"mcauth/internal/catalog"
@@ -30,7 +30,6 @@ import (
 )
 
 type options struct {
-	scheme  *catalog.Spec
 	jsonOut string
 	mdOut   string
 	diff    bool
@@ -49,7 +48,6 @@ func main() {
 func parseOptions(args []string) (options, error) {
 	fs := flag.NewFlagSet("mcreport", flag.ContinueOnError)
 	var o options
-	o.scheme = cli.SchemeFlags(fs, "", 100, catalog.IDs())
 	fs.StringVar(&o.jsonOut, "json", "", "also write the report as JSON to this file")
 	fs.StringVar(&o.mdOut, "md", "", "also write the report as markdown to this file")
 	fs.BoolVar(&o.diff, "diff", false, "diff the reports of two traces instead of printing one")
@@ -62,15 +60,20 @@ func parseOptions(args []string) (options, error) {
 	return o, nil
 }
 
-// buildOptions rebuilds the graph-side half of the trace→graph join from
-// the -scheme flags.
-func buildOptions(o options) (diagnose.Options, error) {
-	if o.scheme.ID == "" {
+// diagnoseOptions is the graph-side half of the trace→graph join, rebuilt
+// from the scheme name on the trace's run_meta record. A name that does
+// not parse leaves the join graphless.
+func diagnoseOptions(spans []obs.Span) (diagnose.Options, error) {
+	i := slices.IndexFunc(spans, func(s obs.Span) bool { return s.Kind == obs.SpanRunMeta })
+	if i < 0 {
+		return diagnose.Options{}, nil
+	}
+	spec, err := catalog.ParseName(spans[i].Scheme)
+	if err != nil {
 		return diagnose.Options{}, nil
 	}
 	// The join reads only wire indices and the dependence graph, so the
 	// TESLA schedule (mcsim's default spacing) and key seed are arbitrary.
-	spec := *o.scheme
 	spec.Interval, spec.Seed = 10*time.Millisecond, []byte("mcreport")
 	entry, err := catalog.Build(spec, crypto.NewSignerFromString("mcreport"))
 	if err != nil {
@@ -79,13 +82,17 @@ func buildOptions(o options) (diagnose.Options, error) {
 	return entry.DiagnoseOptions()
 }
 
-func loadReport(path string, opts diagnose.Options) (*diagnose.Report, error) {
+func loadReport(path string) (*diagnose.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	spans, skipped, err := obs.ReadSpans(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	opts, err := diagnoseOptions(spans)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -107,19 +114,15 @@ func run(args []string) error {
 	if o.series != "" {
 		return runSeries(o.series)
 	}
-	opts, err := buildOptions(o)
-	if err != nil {
-		return err
-	}
 	if o.diff {
 		if len(o.args) != 2 {
 			return fmt.Errorf("-diff needs exactly two trace files, got %d", len(o.args))
 		}
-		a, err := loadReport(o.args[0], opts)
+		a, err := loadReport(o.args[0])
 		if err != nil {
 			return err
 		}
-		b, err := loadReport(o.args[1], opts)
+		b, err := loadReport(o.args[1])
 		if err != nil {
 			return err
 		}
@@ -135,7 +138,7 @@ func run(args []string) error {
 	if len(o.args) != 1 {
 		return fmt.Errorf("need exactly one trace file, got %d", len(o.args))
 	}
-	rep, err := loadReport(o.args[0], opts)
+	rep, err := loadReport(o.args[0])
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -9,13 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/diagnose"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
+	"mcauth/internal/scenario"
 	"mcauth/internal/scheme/emss"
+	"mcauth/internal/schemetest"
 )
 
 // writeTrace simulates one lossy EMSS block and saves its JSONL trace,
@@ -87,7 +91,7 @@ func TestDiffIdenticalSeeds(t *testing.T) {
 	writeTrace(t, a, 7)
 	writeTrace(t, b, 7)
 	out, err := capture(t, func() error {
-		return run([]string{"-scheme", "emss", "-n", "20", "-diff", a, b})
+		return run([]string{"-diff", a, b})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +110,7 @@ func TestDiffDetectsChange(t *testing.T) {
 	writeTrace(t, a, 7)
 	writeTrace(t, b, 8)
 	out, err := capture(t, func() error {
-		return run([]string{"-scheme", "emss", "-n", "20", "-diff", a, b})
+		return run([]string{"-diff", a, b})
 	})
 	if err == nil {
 		t.Error("diff of different seeds should fail")
@@ -125,10 +129,7 @@ func TestReportOutputs(t *testing.T) {
 	jsonPath := filepath.Join(dir, "rep.json")
 	mdPath := filepath.Join(dir, "rep.md")
 	out, err := capture(t, func() error {
-		return run([]string{
-			"-scheme", "emss", "-n", "20",
-			"-json", jsonPath, "-md", mdPath, trace,
-		})
+		return run([]string{"-json", jsonPath, "-md", mdPath, trace})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +165,31 @@ func TestReportOutputs(t *testing.T) {
 	}
 }
 
-// TestGraphlessReportStillClassifies: without -scheme there is no culprit
-// attribution, but every failure still gets exactly one cause.
+// renameScheme rewrites the scheme name on a trace's run_meta record.
+func renameScheme(t *testing.T, path, name string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const from = `"scheme":"emss(E_{2,1}, n=20)"`
+	if !bytes.Contains(raw, []byte(from)) {
+		t.Fatalf("trace has no %s", from)
+	}
+	raw = bytes.Replace(raw, []byte(from), []byte(`"scheme":"`+name+`"`), 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGraphlessReportStillClassifies: a run_meta scheme name that names no
+// catalogue scheme rebuilds no graph, so there is no culprit attribution,
+// but every failure still gets exactly one cause.
 func TestGraphlessReportStillClassifies(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")
 	writeTrace(t, trace, 4)
+	renameScheme(t, trace, "custom(n=20)")
 	jsonPath := filepath.Join(dir, "rep.json")
 	if _, err := capture(t, func() error {
 		return run([]string{"-json", jsonPath, trace})
@@ -194,6 +214,70 @@ func TestGraphlessReportStillClassifies(t *testing.T) {
 	}
 }
 
+// TestReportRebuildsSchemeFromTrace: for every catalogue scheme, the report
+// of a trace equals the one built against the entry that produced it —
+// the join the scheme flags used to rebuild by hand.
+func TestReportRebuildsSchemeFromTrace(t *testing.T) {
+	signer := crypto.NewSignerFromString("mcreport-test")
+	for _, id := range catalog.IDs() {
+		t.Run(id, func(t *testing.T) {
+			spec := catalog.Spec{ID: id, N: 16, M: 2, D: 1, A: 3, B: 3, Lag: 4,
+				Interval: 10 * time.Millisecond, Seed: []byte("mcreport-test")}
+			entry, err := catalog.Build(spec, signer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			tracer, err := obs.OpenTrace(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := scenario.Config(entry, 8, loss.Spec{P: 0.3}, delay.Constant{D: time.Millisecond}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Tracer = tracer
+			if _, err := netsim.Run(entry.Scheme, cfg, 1, schemetest.Payloads(spec.N)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tracer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := loadReport(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			spans, skipped, err := obs.ReadSpans(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts, err := entry.DiagnoseOptions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := diagnose.BuildReport(spans, skipped, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotJSON, wantJSON bytes.Buffer
+			if err := got.WriteJSON(&gotJSON); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.WriteJSON(&wantJSON); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+				t.Errorf("report differs from the entry's own:\n%s\nwant:\n%s", gotJSON.Bytes(), wantJSON.Bytes())
+			}
+		})
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")
@@ -204,8 +288,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-diff", trace}); err == nil {
 		t.Error("-diff with one file should fail")
 	}
-	if err := run([]string{"-scheme", "nope", trace}); err == nil {
-		t.Error("unknown scheme should fail")
+	if err := run([]string{"-scheme", "emss", trace}); err == nil {
+		t.Error("-scheme is no flag: the trace names its scheme")
+	}
+	unbuildable := filepath.Join(dir, "unbuildable.jsonl")
+	writeTrace(t, unbuildable, 5)
+	renameScheme(t, unbuildable, "emss(E_{0,1}, n=20)")
+	if err := run([]string{unbuildable}); err == nil {
+		t.Error("a run_meta naming an unbuildable scheme should fail")
 	}
 	if err := run([]string{filepath.Join(dir, "missing.jsonl")}); err == nil {
 		t.Error("missing trace should fail")
@@ -233,7 +323,7 @@ func TestSpanFixtureIsNotAnAllClear(t *testing.T) {
 func TestForeignLinesAreSkippedAndCounted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mixed.jsonl")
 	writeTrace(t, path, 3)
-	clean, err := loadReport(path, diagnose.Options{})
+	clean, err := loadReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +338,7 @@ func TestForeignLinesAreSkippedAndCounted(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := loadReport(path, diagnose.Options{})
+	mixed, err := loadReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/fault"
-	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/scenario"
 )
 
 // chaosMaxBuffered caps every verifier's pending buffer during the soak;
@@ -27,10 +27,6 @@ func runChaos(o options) error {
 	}
 	if o.chaosSeeds < 1 {
 		return fmt.Errorf("chaos seeds %d must be >= 1", o.chaosSeeds)
-	}
-	lossModel, err := loss.NewBernoulli(o.p)
-	if err != nil {
-		return err
 	}
 	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
 	if err != nil {
@@ -56,19 +52,11 @@ func runChaos(o options) error {
 				return err
 			}
 			for seed := uint64(1); seed <= uint64(o.chaosSeeds); seed++ {
-				cfg := netsim.Config{
-					Receivers:       o.receivers,
-					Loss:            lossModel,
-					Delay:           delayModel,
-					SendInterval:    entry.SendInterval,
-					Start:           entry.Start,
-					Seed:            seed,
-					ReliableIndices: entry.Signature,
-					SigRetransmits:  2,
-					Faults:          &fc,
-					MaxBuffered:     chaosMaxBuffered,
-					Workers:         o.workers,
+				cfg, err := scenario.Config(entry, o.receivers, o.loss(), delayModel, seed)
+				if err != nil {
+					return err
 				}
+				cfg.SigRetransmits, cfg.Faults, cfg.MaxBuffered, cfg.Workers = 2, &fc, chaosMaxBuffered, o.workers
 				res, err := netsim.Run(s, cfg, 1, block)
 				if err != nil {
 					return fmt.Errorf("chaos %s/%s seed %d: %w", name, preset, seed, err)

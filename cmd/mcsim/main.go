@@ -25,6 +25,7 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
+	"mcauth/internal/scenario"
 )
 
 type options struct {
@@ -107,6 +108,9 @@ func (o options) spec() catalog.Spec {
 	return s
 }
 
+// loss is the -p/-burst last-hop loss.
+func (o options) loss() loss.Spec { return loss.Spec{P: o.p, Burst: float64(o.burst)} }
+
 // buildEntry builds the selected scheme and its analytic q_min under the
 // -p loss rate and -mu/-sigma delay, printed with the evaluator that gave it.
 func buildEntry(o options) (catalog.Entry, string, error) {
@@ -119,34 +123,17 @@ func buildEntry(o options) (catalog.Entry, string, error) {
 }
 
 // simConfig is the run both topologies share: the -p/-burst last-hop
-// loss, the -mu/-sigma delay, and the sender's schedule. The signature /
-// bootstrap packet is delivered reliably, matching the paper's standing
-// assumption.
+// loss, the -mu/-sigma delay, and the sender's schedule, with the
+// signature / bootstrap packet delivered reliably (scenario.Config).
 func simConfig(o options, entry catalog.Entry, out *cli.Outputs) (netsim.Config, error) {
-	var lossModel loss.Model
-	var err error
-	if o.burst > 1 {
-		lossModel, err = loss.NewBursty(o.p, float64(o.burst))
-	} else {
-		lossModel, err = loss.NewBernoulli(o.p)
-	}
+	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
 	if err != nil {
 		return netsim.Config{}, err
 	}
-	delayModel, err := delay.NewGaussian(o.mu, o.sigma)
-	return netsim.Config{
-		Receivers:       o.receivers,
-		Loss:            lossModel,
-		Delay:           delayModel,
-		SendInterval:    entry.SendInterval,
-		Start:           entry.Start,
-		Seed:            o.seed,
-		ReliableIndices: entry.Signature,
-		LateJoiners:     o.latejoin,
-		Workers:         o.workers,
-		Tracer:          out.Tracer,
-		Metrics:         out.Registry,
-	}, err
+	cfg, err := scenario.Config(entry, o.receivers, o.loss(), delayModel, o.seed)
+	cfg.LateJoiners, cfg.Workers = o.latejoin, o.workers
+	cfg.Tracer, cfg.Metrics = out.Tracer, out.Registry
+	return cfg, err
 }
 
 // payloads is the block every mcsim mode sends: n numbered messages.

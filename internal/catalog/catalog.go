@@ -11,9 +11,10 @@
 // scheme's Authenticate actually emits by TestCatalogMatchesWire.
 //
 // The catalogue is a leaf consumer of the scheme packages: commands, the
-// lab, the conformance suite, the experiments and tests import it; netsim,
-// serve, stream and server never do — they keep taking a scheme.Scheme or
-// an injected factory.
+// lab, the conformance suite, the experiments, the run builder
+// (internal/scenario) and tests import it; netsim, serve, stream and
+// server never do — they keep taking a scheme.Scheme or an injected
+// factory.
 package catalog
 
 import (
@@ -91,6 +92,10 @@ const (
 type row struct {
 	id    string
 	build func(Spec, crypto.Signer) (scheme.Scheme, error)
+	// name is the format of the built scheme's Name(), and params the
+	// Spec fields its verbs print, in order; ParseName inverts the two.
+	name   string
+	params func(*Spec) []*int
 	// data overrides the default data indices 1..N.
 	data func(Spec) []uint32
 	// signature is nil for schemes without a distinct signature packet.
@@ -103,6 +108,7 @@ type row struct {
 
 func firstWire(Spec) []uint32  { return []uint32{1} }
 func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
+func onlyN(s *Spec) []*int     { return []*int{&s.N} }
 
 // graph is the one rule for every scheme whose graph carries its q_min:
 // exact on the graph the scheme emits when its frontier fits the evaluator,
@@ -127,40 +133,52 @@ func graph(e Entry, p, _, _ float64) (float64, string, error) {
 
 var rows = []row{
 	{
-		id: "rohatgi",
+		id:     "rohatgi",
+		name:   "rohatgi(n=%d)",
+		params: onlyN,
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return rohatgi.New(s.N, k)
 		},
 		signature: firstWire,
 	},
 	{
-		id: "emss",
+		id:     "emss",
+		name:   "emss(E_{%d,%d}, n=%d)",
+		params: func(s *Spec) []*int { return []*int{&s.M, &s.D, &s.N} },
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return emss.New(emss.Config{N: s.N, M: s.M, D: s.D}, k)
 		},
 		signature: lastWire,
 	},
 	{
-		id: "augchain",
+		id:     "augchain",
+		name:   "augchain(C_{%d,%d}, n=%d)",
+		params: func(s *Spec) []*int { return []*int{&s.A, &s.B, &s.N} },
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return augchain.New(augchain.Config{N: s.N, A: s.A, B: s.B}, k)
 		},
 		signature: lastWire,
 	},
 	{
-		id: "authtree",
+		id:     "authtree",
+		name:   "authtree(n=%d)",
+		params: onlyN,
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return authtree.New(s.N, k)
 		},
 	},
 	{
-		id: "signeach",
+		id:     "signeach",
+		name:   "signeach(n=%d)",
+		params: onlyN,
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return signeach.New(s.N, k)
 		},
 	},
 	{
-		id: "tesla",
+		id:     "tesla",
+		name:   "tesla(n=%d, lag=%d)",
+		params: func(s *Spec) []*int { return []*int{&s.N, &s.Lag} },
 		build: func(s Spec, k crypto.Signer) (scheme.Scheme, error) {
 			return tesla.New(teslaConfig(s), k)
 		},
@@ -231,6 +249,31 @@ func Build(spec Spec, signer crypto.Signer) (Entry, error) {
 		return e, nil
 	}
 	return Entry{}, fmt.Errorf("unknown scheme %q", spec.ID)
+}
+
+// ParseName inverts the name a catalogue scheme prints (Scheme.Name(),
+// which a trace's run_meta record carries): it returns the spec whose
+// Build prints exactly name. The sender's schedule and key seed are not in
+// the name, so Interval, Start and Seed are left for the caller.
+func ParseName(name string) (Spec, error) {
+	for _, r := range rows {
+		s := Spec{ID: r.id}
+		params := r.params(&s)
+		scan := make([]any, len(params))
+		for i, p := range params {
+			scan[i] = p
+		}
+		if _, err := fmt.Sscanf(name, r.name, scan...); err != nil {
+			continue
+		}
+		for i, p := range params {
+			scan[i] = *p
+		}
+		if fmt.Sprintf(r.name, scan...) == name {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("catalog: %q names no catalogue scheme", name)
 }
 
 // QMin is the analytic minimum authentication probability over the data

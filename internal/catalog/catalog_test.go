@@ -282,3 +282,44 @@ func TestScheduleAndDiagnoseOptions(t *testing.T) {
 		t.Errorf("authtree join = %+v, want a graph and no root wire", opts)
 	}
 }
+
+// TestParseNameRoundTrip: over a small parameter grid of every row,
+// parsing the name a built scheme prints gives back a spec that builds the
+// same graph, data indices and signature wires — what mcreport rebuilds
+// from a trace's run_meta record.
+func TestParseNameRoundTrip(t *testing.T) {
+	for _, id := range IDs() {
+		for _, n := range []int{16, 31, 40} {
+			for _, k := range []int{1, 2, 3} {
+				spec := Spec{ID: id, N: n, M: k + 1, D: k, A: k + 1, B: k + 1, Lag: k}
+				e := build(t, spec)
+				parsed, err := ParseName(e.Scheme.Name())
+				if err != nil {
+					t.Fatalf("%+v: %v", spec, err)
+				}
+				back := build(t, parsed)
+				if back.Scheme.Name() != e.Scheme.Name() ||
+					!slices.Equal(back.Data, e.Data) || !slices.Equal(back.Signature, e.Signature) {
+					t.Errorf("%s: parsed back as %s, data %v / %v, signature %v / %v", e.Scheme.Name(),
+						back.Scheme.Name(), back.Data, e.Data, back.Signature, e.Signature)
+				}
+				g, err := e.Scheme.Graph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gBack, err := back.Scheme.Graph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.N() != gBack.N() || g.Root() != gBack.Root() || !reflect.DeepEqual(g.Edges(), gBack.Edges()) {
+					t.Errorf("%s: parsed spec builds a different graph", e.Scheme.Name())
+				}
+			}
+		}
+	}
+	for _, name := range []string{"", "emss", "emss(E_{2,1}, n=20) ", "emss(E_{2,1},n=20)", "rohatgi(n=+5)", "tesla(n=5)", "custom(n=20)"} {
+		if spec, err := ParseName(name); err == nil {
+			t.Errorf("ParseName(%q) = %+v, want an error", name, spec)
+		}
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/scenario"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
@@ -188,17 +189,5 @@ func evaluate(c Case, p float64, params Params) (Result, error) {
 // netsimConfig is the one netsim configuration a case runs under at
 // i.i.d. loss rate p, shared by the flat and overlay measurements.
 func netsimConfig(c Case, p float64, params Params) (netsim.Config, error) {
-	model, err := loss.NewBernoulli(p)
-	if err != nil {
-		return netsim.Config{}, err
-	}
-	return netsim.Config{
-		Receivers:       params.Receivers,
-		Loss:            model,
-		Delay:           delay.Constant{D: caseDelay},
-		SendInterval:    c.SendInterval,
-		Start:           c.Start,
-		Seed:            params.Seed + uint64(1000*p),
-		ReliableIndices: c.Signature,
-	}, nil
+	return scenario.Config(c.Entry, params.Receivers, loss.Spec{P: p}, delay.Constant{D: caseDelay}, params.Seed+uint64(1000*p))
 }

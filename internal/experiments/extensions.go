@@ -14,6 +14,7 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scenario"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/scheme/emss"
 	"mcauth/internal/schemetest"
@@ -45,26 +46,17 @@ func validateSeries() ([]validateRow, error) {
 	}
 	var rows []validateRow
 	for _, p := range []float64{0.1, 0.3} {
-		model, err := loss.NewBernoulli(p)
-		if err != nil {
-			return nil, err
-		}
 		for _, sc := range schemes {
 			e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
 			if err != nil {
 				return nil, err
 			}
-			res, err := netsim.Run(e.Scheme, netsim.Config{
-				Receivers:       validateReceivers,
-				Loss:            model,
-				Delay:           delay.Constant{D: time.Millisecond},
-				SendInterval:    e.SendInterval,
-				Start:           e.Start,
-				Seed:            uint64(1000 * p),
-				ReliableIndices: e.Signature,
-				Tracer:          Tracer,
-				Metrics:         Metrics,
-			}, 1, schemetest.Payloads(n))
+			cfg, err := scenario.Config(e, validateReceivers, loss.Spec{P: p}, delay.Constant{D: time.Millisecond}, uint64(1000*p))
+			if err != nil {
+				return nil, err
+			}
+			cfg.Tracer, cfg.Metrics = Tracer, Metrics
+			res, err := netsim.Run(e.Scheme, cfg, 1, schemetest.Payloads(n))
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ import (
 	"mcauth/internal/delay"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/scenario"
 )
 
 // lateJoinRow reports how well a scheme serves receivers that join
@@ -32,27 +33,17 @@ func lateJoinSeries() ([]lateJoinRow, error) {
 		{"authtree", "authtree (per-packet)"},
 		{"signeach", "signeach (per-packet)"},
 	}
-	lossless, err := loss.NewBernoulli(0)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]lateJoinRow, 0, len(schemes))
 	for _, sc := range schemes {
 		e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
 		if err != nil {
 			return nil, err
 		}
-		cfg := netsim.Config{
-			Receivers:    200,
-			LateJoiners:  200,
-			Loss:         lossless,
-			Delay:        delay.Constant{D: time.Millisecond},
-			SendInterval: e.SendInterval,
-			Start:        e.Start,
-			Seed:         31,
-			Tracer:       Tracer,
-			Metrics:      Metrics,
+		cfg, err := scenario.Config(e, 200, loss.Spec{}, delay.Constant{D: time.Millisecond}, 31)
+		if err != nil {
+			return nil, err
 		}
+		cfg.LateJoiners, cfg.Tracer, cfg.Metrics = 200, Tracer, Metrics
 		res, err := netsim.Run(e.Scheme, cfg, 1, schemePayloads(n))
 		if err != nil {
 			return nil, err

@@ -227,6 +227,7 @@ func (c *Config) normalize() error {
 		l := &c.Loss[i]
 		switch l.Model {
 		case "bernoulli":
+			l.Burst = 0 // i.i.d.: no bursts
 		case "gilbert":
 			if l.Burst == 0 {
 				l.Burst = 4

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,13 +18,13 @@ import (
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
 	"mcauth/internal/parallel"
+	"mcauth/internal/scenario"
 	"mcauth/internal/scheme"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/serve"
 	"mcauth/internal/server"
 	"mcauth/internal/stats"
-	"mcauth/internal/stream"
 )
 
 // qSummary condenses a histogram into the quantile triple the dashboard
@@ -184,17 +185,6 @@ func cellEntry(c cell, signer crypto.Signer) (catalog.Entry, error) {
 	return catalog.Build(spec, signer)
 }
 
-func buildLoss(l lossConfig) (loss.Model, error) {
-	switch l.Model {
-	case "bernoulli":
-		return loss.NewBernoulli(l.P)
-	case "gilbert":
-		return loss.NewBursty(l.P, l.Burst)
-	default:
-		return nil, fmt.Errorf("lab: unknown loss model %q", l.Model)
-	}
-}
-
 // cellSeed derives the i-th cell's seed from the config seed. Indexed, not
 // drawn from a shared stream, so cells are independent of scheduling.
 func cellSeed(seed uint64, i int) uint64 {
@@ -245,7 +235,8 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	if err != nil {
 		return cellArtifacts{}, fmt.Errorf("%s: %w", c.id(), err)
 	}
-	lossModel, err := buildLoss(c.Loss)
+	lossSpec := loss.Spec{P: c.Loss.P, Burst: c.Loss.Burst}
+	lossModel, err := lossSpec.Model()
 	if err != nil {
 		return cellArtifacts{}, fmt.Errorf("%s: %w", c.id(), err)
 	}
@@ -313,18 +304,11 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	if cfg.hasPath(pathNetsim) {
 		reg := obs.NewRegistry()
 		mem := obs.NewSpanSink(obs.KeepAll, nil)
-		simCfg := netsim.Config{
-			Receivers:       c.Receivers,
-			Loss:            lossModel,
-			Delay:           delay.Constant{D: cellDelay},
-			SendInterval:    entry.SendInterval,
-			Start:           entry.Start,
-			Seed:            seed,
-			ReliableIndices: entry.Signature,
-			Workers:         1,
-			Tracer:          mem,
-			Metrics:         reg,
+		simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: cellDelay}, seed)
+		if err != nil {
+			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
 		}
+		simCfg.Workers, simCfg.Tracer, simCfg.Metrics = 1, mem, reg
 		sim, err := netsim.Run(entry.Scheme, simCfg, 1, payloads)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
@@ -359,7 +343,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	}
 
 	if cfg.hasPath(pathOverlay) {
-		or, err := runOverlayCell(cfg, c, entry, seed, lossModel)
+		or, err := runOverlayCell(cfg, c, entry, seed, lossSpec)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: overlay: %w", c.id(), err)
 		}
@@ -367,7 +351,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	}
 
 	if cfg.hasPath(pathServer) && c.Scheme.ID != "tesla" {
-		sr, snap, err := runServerCell(cfg, c, entry)
+		sr, snap, err := runServerCell(cfg, c)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: server: %w", c.id(), err)
 		}
@@ -383,17 +367,15 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 // tree twice — relays off, then relays on — and summarizes the repair
 // gain. Both runs share the seed, tree and receiver RNG schedule, so the
 // only difference is whether relays serve signature repairs.
-func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossModel loss.Model) (*overlayCellResult, error) {
+func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossSpec loss.Spec) (*overlayCellResult, error) {
 	ov := cfg.Overlay
-	simCfg := netsim.Config{
-		Receivers:       c.Receivers,
-		Delay:           delay.Constant{D: cellDelay},
-		SendInterval:    entry.SendInterval,
-		Start:           entry.Start,
-		Seed:            seed ^ 0x66616e6f7574, // decorrelate from the flat netsim path
-		ReliableIndices: entry.Signature,
-		Workers:         1,
+	// The seed is decorrelated from the flat netsim path's; the last-hop
+	// loss is the tree's leaf model.
+	simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: cellDelay}, seed^0x66616e6f7574)
+	if err != nil {
+		return nil, err
 	}
+	simCfg.Workers = 1
 	out := &overlayCellResult{
 		Depth:      ov.Depth,
 		Fanout:     ov.Fanout,
@@ -405,7 +387,7 @@ func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossMo
 	authFraction := func(relays bool) (*netsim.OverlayResult, float64, error) {
 		// A fresh tree per run; its edge loss is a function of the
 		// seed, so the relays-off and relays-on runs see the same drops.
-		tree, err := loss.NewOverlayTree(seed, ov.Depth, ov.Fanout, ov.LossyEdges, ov.EdgeP, lossModel)
+		tree, err := loss.NewOverlayTree(seed, ov.Depth, ov.Fanout, ov.LossyEdges, ov.EdgeP, simCfg.Loss)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -437,159 +419,61 @@ func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossMo
 	return out, nil
 }
 
-// runServerCell pushes the cell's scheme through the batch-signing serving
-// tier with a loopback verifier: cfg.Server.Streams streams × Blocks
-// blocks, one subscriber demuxing and verifying everything. Counts are
-// deterministic (the flush timer is effectively disabled, so signature
+// runServerCell pushes the cell's scheme through the daemon's loopback
+// (serve.Config.Loopback): cfg.Server.Streams streams × Blocks blocks
+// through the batch-signing server into one verifying subscriber. Counts
+// are deterministic (the flush timer is effectively disabled, so signature
 // count is driven by batch arithmetic); latency histograms are wall-clock
 // and returned separately.
 //
 // With Server.Churn set, the verifying subscriber is a late joiner: an
 // initial subscriber watches the first half of the blocks and leaves, then
 // the verifier joins and is caught up from the server's repair retention
-// via ResumeFrom before following the second half live. It must still
-// verify every published message — the session-resume guarantee.
-func runServerCell(cfg Config, c cell, entry catalog.Entry) (*serverResult, *obs.Snapshot, error) {
+// before following the second half live. It must still verify every
+// published message — the session-resume guarantee.
+func runServerCell(cfg Config, c cell) (*serverResult, *obs.Snapshot, error) {
 	reg := obs.NewRegistry()
-	key := "mclab-server"
-	scfg := server.Config{
-		Signer:             crypto.NewSignerFromString(key),
-		BatchSize:          cfg.Server.Batch,
-		FlushInterval:      time.Hour, // flush on Close, keeping counts deterministic
-		MaxSubscriberQueue: 1 << 16,
-		Metrics:            reg,
+	sc := serve.Config{
+		Streams: cfg.Server.Streams,
+		Scheme: func(_ uint64, signer crypto.Signer) (scheme.Scheme, error) {
+			e, err := cellEntry(c, signer)
+			return e.Scheme, err
+		},
+		Key:    "mclab-server",
+		Blocks: cfg.Server.Blocks,
+		Batch:  cfg.Server.Batch,
+		Flush:  time.Hour, // flush on Close, keeping counts deterministic
 	}
 	if cfg.Server.Churn {
 		// Retain every block so the late joiner can be caught up from 0.
-		scfg.RepairBlocks = cfg.Server.Blocks + 2
+		sc.Repair = cfg.Server.Blocks + 2
 	}
-	srv, err := server.New(scfg)
+	srv, err := sc.StartServer(reg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	mk := func(signer crypto.Signer) (scheme.Scheme, error) {
-		built, err := cellEntry(c, signer)
-		return built.Scheme, err
-	}
-	for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
-		if err := srv.OpenStream(id, mk); err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-	}
-
-	blockSize := entry.Scheme.BlockSize()
-	var published int64
-	publishBlocks := func(from, to int) error {
-		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
-			for i := from * blockSize; i < to*blockSize; i++ {
-				if err := srv.Publish(id, []byte(fmt.Sprintf("cell %s stream-%d msg-%d", c.id(), id, i))); err != nil {
-					return err
-				}
-				published++
-			}
-		}
-		return nil
-	}
-
-	// firstLive is the block the verifying subscriber starts watching live;
-	// churn publishes everything before it to an earlier subscriber that
-	// then leaves.
+	// firstLive is the block the verifying subscriber starts watching live.
 	firstLive := 0
 	if cfg.Server.Churn {
 		firstLive = cfg.Server.Blocks / 2
-		sub1, err := srv.Subscribe()
-		if err != nil {
+		if err := handover(sc, srv, firstLive); err != nil {
 			srv.Close()
 			return nil, nil, err
 		}
-		drained := make(chan struct{})
-		go func() {
-			for range sub1.C() {
-			}
-			close(drained)
-		}()
-		if err := publishBlocks(0, firstLive); err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-		// Barrier: every stream has emitted its first-half blocks, so the
-		// repair store holds them before the handover.
-		deadline := time.Now().Add(10 * time.Second)
-		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
-			for srv.Stream(id).Blocks() < int64(firstLive) {
-				if time.Now().After(deadline) {
-					srv.Close()
-					return nil, nil, fmt.Errorf("lab: churn barrier: stream %d stuck at %d of %d blocks",
-						id, srv.Stream(id).Blocks(), firstLive)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		srv.Unsubscribe(sub1)
-		<-drained
 	}
-
-	sub, err := srv.Subscribe()
+	lb, err := sc.Loopback(srv, firstLive, reg, nil)
 	if err != nil {
-		srv.Close()
 		return nil, nil, err
 	}
-	sink, err := serve.NewVerifySink(serve.VerifyConfig{
-		NewReceiver: func(uint64) (*stream.Receiver, error) {
-			s, err := mk(crypto.BatchCapable(crypto.NewSignerFromString(key)))
-			if err != nil {
-				return nil, err
-			}
-			return stream.NewReceiver(s, cfg.Server.Blocks+2)
-		},
-		MaxStreams: cfg.Server.Streams,
-	})
-	if err != nil {
-		srv.Close()
-		return nil, nil, err
+	if lb.Dropped > 0 {
+		return nil, nil, fmt.Errorf("lab: server cell dropped %d deliveries (queue too small)", lb.Dropped)
 	}
-
-	var resumeCatchup int64
-	if cfg.Server.Churn {
-		// Catch the late subscriber up before consuming live deliveries.
-		// Subscribe-then-replay means anything signed after the snapshot
-		// arrives live and anything before is replayed; overlap costs only
-		// duplicates the block verifiers already count and discard.
-		for id := uint64(1); id <= uint64(cfg.Server.Streams); id++ {
-			for _, p := range srv.ResumeFrom(id, 0) {
-				if err := sink.Packet(id, p); err != nil {
-					srv.Close()
-					return nil, nil, err
-				}
-			}
-		}
-		resumeCatchup = reg.Counter("server.resume_catchup_packets").Value()
-		if resumeCatchup == 0 {
-			srv.Close()
-			return nil, nil, fmt.Errorf("lab: churn resume replayed nothing")
-		}
+	if lb.Verified != lb.Published {
+		return nil, nil, fmt.Errorf("lab: server cell verified %d of %d published messages", lb.Verified, lb.Published)
 	}
-
-	done := make(chan error, 1)
-	go func() { done <- sink.Drain(sub.C()) }()
-
-	if err := publishBlocks(firstLive, cfg.Server.Blocks); err != nil {
-		srv.Close()
-		return nil, nil, err
-	}
-	if err := srv.Close(); err != nil {
-		return nil, nil, err
-	}
-	if err := <-done; err != nil {
-		return nil, nil, err
-	}
-	if drops := sub.Drops(); drops > 0 {
-		return nil, nil, fmt.Errorf("lab: server cell dropped %d deliveries (queue too small)", drops)
-	}
-	verified := sink.Authed
-	if verified != published {
-		return nil, nil, fmt.Errorf("lab: server cell verified %d of %d published messages", verified, published)
+	resumeCatchup := reg.Counter("server.resume_catchup_packets").Value()
+	if cfg.Server.Churn && resumeCatchup == 0 {
+		return nil, nil, fmt.Errorf("lab: churn resume replayed nothing")
 	}
 	tot := srv.BatchTotals()
 	snap := reg.Snapshot()
@@ -597,14 +481,35 @@ func runServerCell(cfg Config, c cell, entry catalog.Entry) (*serverResult, *obs
 		Streams:       cfg.Server.Streams,
 		Blocks:        cfg.Server.Blocks,
 		Batch:         cfg.Server.Batch,
-		Published:     published,
-		Verified:      verified,
+		Published:     lb.Published,
+		Verified:      lb.Verified,
 		Signatures:    tot.Signatures,
 		SignedRoots:   tot.SignedRoots,
 		Amortization:  tot.AmortizationRatio(),
 		Churned:       cfg.Server.Churn,
 		ResumeCatchup: resumeCatchup,
 	}, &snap, nil
+}
+
+// handover is the churn cell's first subscriber: it watches blocks
+// [0, firstLive) of every stream and leaves. Publish returns once every
+// stream has emitted them, so the verifying subscriber after it must be
+// caught up on them.
+func handover(sc serve.Config, srv *server.Server, firstLive int) error {
+	sub, err := srv.Subscribe()
+	if err != nil {
+		return err
+	}
+	drained := make(chan struct{})
+	go func() {
+		for range sub.C() {
+		}
+		close(drained)
+	}()
+	sc.Publish(context.Background(), srv, 0, firstLive)
+	srv.Unsubscribe(sub)
+	<-drained
+	return nil
 }
 
 // writeRunDir lays out the timestamped result directory:

@@ -28,6 +28,22 @@ type Model interface {
 	Name() string
 }
 
+// Spec is the loss a run's receivers see on their last hop: the long-run
+// rate P, in bursts of mean length Burst packets. Burst <= 1 is the
+// paper's i.i.d. loss; above 1 it is the Gilbert–Elliott chain NewBursty
+// builds at the same stationary rate.
+type Spec struct {
+	P, Burst float64
+}
+
+// Model builds the channel s describes.
+func (s Spec) Model() (Model, error) {
+	if s.Burst > 1 {
+		return NewBursty(s.P, s.Burst)
+	}
+	return NewBernoulli(s.P)
+}
+
 // PatternInto adapts a Model to the depgraph Monte-Carlo estimator. A
 // Bernoulli or Gilbert-Elliott model samples the kernel's lanes natively,
 // with bit-sliced coins; their lanes follow the model's law but not

@@ -46,12 +46,6 @@ type Config struct {
 	// ClockSkew is the maximum receiver clock error budgeted by the
 	// safety condition (subtracted from the disclosure deadline).
 	ClockSkew time.Duration
-	// MaxBuffered caps the verifier's pending-packet buffers (pre-
-	// bootstrap holds plus packets awaiting key disclosure); packets
-	// arriving with the buffers full are dropped and counted in
-	// Stats.DroppedOverflow, so an adversarial flood cannot grow receiver
-	// memory without bound. Zero means unbounded.
-	MaxBuffered int
 }
 
 // Validate checks the parameters.
@@ -70,9 +64,6 @@ func (c Config) Validate() error {
 	}
 	if c.ClockSkew < 0 {
 		return fmt.Errorf("tesla: negative clock skew %v", c.ClockSkew)
-	}
-	if c.MaxBuffered < 0 {
-		return fmt.Errorf("tesla: negative buffer cap %d", c.MaxBuffered)
 	}
 	return nil
 }
@@ -298,7 +289,7 @@ func (s *Scheme) Graph() (*depgraph.Graph, error) {
 
 // NewVerifier implements Scheme.
 func (s *Scheme) NewVerifier(env verifier.Env) (scheme.Verifier, error) {
-	tv := &teslaVerifier{pub: s.signer.Public(), defaultCap: s.cfg.MaxBuffered}
+	tv := &teslaVerifier{pub: s.signer.Public()}
 	if err := tv.Reset(env); err != nil {
 		return nil, err
 	}
@@ -311,8 +302,7 @@ type pendingPacket struct {
 }
 
 type teslaVerifier struct {
-	pub        crypto.Verifier
-	defaultCap int // the scheme config's MaxBuffered, for an Env without one
+	pub crypto.Verifier
 
 	params    *bootstrapParams
 	blockID   uint64
@@ -342,12 +332,11 @@ type teslaVerifier struct {
 	events   []verifier.Event
 	pendPool [][]pendingPacket
 
-	// env: MaxBuffered caps preBoot+buffered (defaulting to the scheme
-	// config's cap). Cache is consulted only after a packet passes the
-	// safety condition: MAC validity is timeless, but acceptance is not — a
-	// replay arriving after its key became public must still be dropped, so
-	// the deadline check can never be skipped. BatchQ and Sink are ignored:
-	// only the bootstrap packet is signed.
+	// env: MaxBuffered caps preBoot+buffered. Cache is consulted only
+	// after a packet passes the safety condition: MAC validity is timeless,
+	// but acceptance is not — a replay arriving after its key became public
+	// must still be dropped, so the deadline check can never be skipped.
+	// BatchQ and Sink are ignored: only the bootstrap packet is signed.
 	env verifier.Env
 	rec verifier.Recorder
 }
@@ -359,9 +348,6 @@ var _ scheme.Verifier = (*teslaVerifier)(nil)
 func (tv *teslaVerifier) Reset(env verifier.Env) error {
 	if err := env.Validate(); err != nil {
 		return err
-	}
-	if env.MaxBuffered == 0 {
-		env.MaxBuffered = tv.defaultCap
 	}
 	tv.env = env
 	tv.rec.Reset(env)

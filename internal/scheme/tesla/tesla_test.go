@@ -444,13 +444,12 @@ func TestDuplicateBufferedPacketEmitsOnce(t *testing.T) {
 }
 
 func TestBufferCapBoundsFlood(t *testing.T) {
-	// An adversarial pre-bootstrap flood must be bounded: with MaxBuffered
-	// set, the verifier drops (and counts) overflowing packets instead of
-	// growing its buffers without limit.
+	// An adversarial pre-bootstrap flood must be bounded: with the Env's
+	// MaxBuffered set, the verifier drops (and counts) overflowing packets
+	// instead of growing its buffers without limit.
 	cfg := testConfig(10, 2)
-	cfg.MaxBuffered = 4
 	s := newScheme(t, cfg)
-	v, err := s.NewVerifier(verifier.Env{})
+	v, err := s.NewVerifier(verifier.Env{MaxBuffered: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,9 +480,24 @@ func TestBufferCapStillAuthenticatesGenuine(t *testing.T) {
 	// With a cap no smaller than the block, a benign in-order run is
 	// unaffected: everything authenticates.
 	cfg := testConfig(8, 2)
-	cfg.MaxBuffered = cfg.N + cfg.Lag + 1
 	s := newScheme(t, cfg)
-	events := schemetest.DeliverAll(t, s, 4, schemetest.Payloads(8), promptClock(cfg))
+	pkts, err := s.Authenticate(4, schemetest.Payloads(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.NewVerifier(verifier.Env{MaxBuffered: cfg.N + cfg.Lag + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := promptClock(cfg)
+	var events []verifier.Event
+	for w, p := range pkts {
+		evs, err := v.Ingest(p, clock(w+1))
+		if err != nil {
+			t.Fatalf("wire %d: %v", w+1, err)
+		}
+		events = append(events, evs...)
+	}
 	data := 0
 	for _, e := range events {
 		if e.Index >= DataWireIndex(1) && e.Index <= DataWireIndex(cfg.N) {
@@ -496,9 +510,8 @@ func TestBufferCapStillAuthenticatesGenuine(t *testing.T) {
 }
 
 func TestValidationRejectsNegativeBufferCap(t *testing.T) {
-	cfg := testConfig(5, 1)
-	cfg.MaxBuffered = -1
-	if _, err := New(cfg, crypto.NewSignerFromString("s")); err == nil {
+	s := newScheme(t, testConfig(5, 1))
+	if _, err := s.NewVerifier(verifier.Env{MaxBuffered: -1}); err == nil {
 		t.Error("negative MaxBuffered should fail validation")
 	}
 }

@@ -35,7 +35,7 @@ type Config struct {
 	Checkpoint string
 	Repair     int
 	// WriteTimeout is the handler's; VerifyBatch and VerifyCache are
-	// VerifyConfig's; Reconnect and ReconnectBackoff are Session's MaxFails
+	// verifyConfig's; Reconnect and ReconnectBackoff are Session's MaxFails
 	// and Backoff.
 	WriteTimeout             time.Duration
 	VerifyBatch, VerifyCache int
@@ -43,10 +43,10 @@ type Config struct {
 	ReconnectBackoff         time.Duration
 }
 
-// startServer creates the server and opens every stream. A configured
+// StartServer creates the server and opens every stream. A configured
 // checkpoint file is opened (or resumed) here, so a restarted daemon picks
 // up every stream past its reserved watermark.
-func (c Config) startServer(reg *obs.Registry, tel *Telemetry) (*server.Server, error) {
+func (c Config) StartServer(reg *obs.Registry, tel *Telemetry) (*server.Server, error) {
 	var cp *server.Checkpoint
 	if c.Checkpoint != "" {
 		var err error
@@ -79,9 +79,10 @@ func (c Config) startServer(reg *obs.Registry, tel *Telemetry) (*server.Server, 
 	return srv, nil
 }
 
-// publish drives every stream from its own goroutine until each has sent
-// blocks blocks (0 = no limit), ctx is cancelled, or the server closes.
-func (c Config) publish(ctx context.Context, srv *server.Server, blocks int) {
+// Publish drives every stream from its own goroutine through blocks
+// [from, to) of its messages (to 0 = no limit) and returns once each
+// stream is done, ctx is cancelled, or the server closes.
+func (c Config) Publish(ctx context.Context, srv *server.Server, from, to int) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for id := uint64(1); id <= uint64(c.Streams); id++ {
@@ -92,8 +93,8 @@ func (c Config) publish(ctx context.Context, srv *server.Server, blocks int) {
 			if err != nil {
 				return
 			}
-			total := sch.BlockSize() * blocks
-			for i := 0; (blocks == 0 || i < total) && ctx.Err() == nil; i++ {
+			end := sch.BlockSize() * to
+			for i := sch.BlockSize() * from; (to == 0 || i < end) && ctx.Err() == nil; i++ {
 				if err := srv.Publish(id, []byte(fmt.Sprintf("stream-%d msg-%d", id, i))); err != nil {
 					return // server closing
 				}
@@ -108,7 +109,7 @@ func (c Config) publish(ctx context.Context, srv *server.Server, blocks int) {
 // NewVerifySink builds the deployment's verifying subscriber, tolerating
 // live blocks of reorder and late signatures per stream.
 func (c Config) NewVerifySink(live int, reg *obs.Registry, tel *Telemetry) (*VerifySink, error) {
-	return NewVerifySink(VerifyConfig{
+	return newVerifySink(verifyConfig{
 		NewReceiver: func(id uint64) (*stream.Receiver, error) {
 			s, err := c.Scheme(id, crypto.BatchCapable(crypto.NewSignerFromString(c.Key)))
 			if err != nil {
@@ -168,7 +169,7 @@ func (c Config) listen(feed feed, ln net.Listener, reg *obs.Registry, tel *Telem
 
 // StartDaemon starts an incarnation on ln; wrap is its handler's Wrap.
 func (c Config) StartDaemon(ln net.Listener, reg *obs.Registry, tel *Telemetry, wrap func(net.Conn) net.Conn) (*Daemon, error) {
-	srv, err := c.startServer(reg, tel)
+	srv, err := c.StartServer(reg, tel)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +177,7 @@ func (c Config) StartDaemon(ln net.Listener, reg *obs.Registry, tel *Telemetry, 
 	d := &Daemon{Srv: srv, ln: ln, stopPub: cancel, pubs: make(chan struct{}), conns: c.listen(srv, ln, reg, tel, wrap)}
 	go func() {
 		defer close(d.pubs)
-		c.publish(ctx, srv, 0)
+		c.Publish(ctx, srv, 0, 0)
 	}()
 	return d, nil
 }
@@ -211,43 +212,78 @@ func (c Config) RunRelay(ctx context.Context, relay *Relay, upstream string, ln 
 	return err
 }
 
-// Demo runs publisher and verifying receiver in one process, prints the
-// summary (below the caller's header line), and fails unless every
-// published message verified.
-func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error {
-	srv, err := c.startServer(reg, tel)
-	if err != nil {
-		return err
-	}
+// LoopbackCounts is what an in-process run counted: messages published
+// (server.published), messages and padding the loopback receiver verified,
+// and deliveries its subscription dropped. Elapsed is the wall time from
+// the first publish to the server's close.
+type LoopbackCounts struct {
+	Published, Verified, Padding, Dropped int64
+	Elapsed                               time.Duration
+}
+
+// Loopback finishes an in-process run on srv: a verifying subscriber joins
+// and is caught up on whatever srv retains, every stream publishes blocks
+// [from, c.Blocks), and srv is closed. It returns once the subscriber has
+// drained; judging the counts is the caller's.
+func (c Config) Loopback(srv *server.Server, from int, reg *obs.Registry, tel *Telemetry) (LoopbackCounts, error) {
 	sink, err := c.NewVerifySink(c.Blocks+2, reg, tel)
 	if err != nil {
 		srv.Close()
-		return err
+		return LoopbackCounts{}, err
 	}
 	sub, err := srv.Subscribe()
 	if err != nil {
 		srv.Close()
-		return err
+		return LoopbackCounts{}, err
+	}
+	// Subscribe, then replay: what is signed after the subscription
+	// arrives live, what was retained before it is replayed, and an overlap
+	// only costs duplicates the verifiers count and discard.
+	for id := uint64(1); id <= uint64(c.Streams); id++ {
+		for _, p := range srv.ResumeFrom(id, 0) {
+			if err := sink.Packet(id, p); err != nil {
+				srv.Close()
+				return LoopbackCounts{}, err
+			}
+		}
 	}
 	drained := make(chan error, 1)
-	go func() { drained <- sink.Drain(sub.C()) }()
-
+	go func() { drained <- sink.drain(sub.C()) }()
 	start := time.Now()
-	c.publish(context.Background(), srv, c.Blocks)
+	c.Publish(context.Background(), srv, from, c.Blocks)
 	if err := srv.Close(); err != nil {
-		return err
+		return LoopbackCounts{}, err
 	}
 	elapsed := time.Since(start)
 	if err := <-drained; err != nil {
+		return LoopbackCounts{}, err
+	}
+	return LoopbackCounts{
+		Published: reg.Counter("server.published").Value(),
+		Verified:  sink.Authed,
+		Padding:   sink.Padding,
+		Dropped:   sub.Drops(),
+		Elapsed:   elapsed,
+	}, nil
+}
+
+// Demo runs publisher and verifying receiver in one process (Loopback),
+// prints the summary (below the caller's header line), and fails unless
+// every published message verified.
+func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error {
+	srv, err := c.StartServer(reg, tel)
+	if err != nil {
 		return err
 	}
-
-	published := reg.Counter("server.published").Value()
+	lb, err := c.Loopback(srv, 0, reg, tel)
+	if err != nil {
+		return err
+	}
 	tot := srv.BatchTotals()
 	fmt.Fprintf(stdout, "published        %d messages in %v (%.0f msg/s)\n",
-		published, elapsed.Round(time.Millisecond), float64(published)/elapsed.Seconds())
+		lb.Published, lb.Elapsed.Round(time.Millisecond), float64(lb.Published)/lb.Elapsed.Seconds())
 	fmt.Fprintf(stdout, "blocks emitted   %d\n", reg.Counter("server.blocks").Value())
-	fmt.Fprintf(stdout, "verified         %d messages (+%d padding) by loopback receiver\n", sink.Authed, sink.Padding)
+	fmt.Fprintf(stdout, "verified         %d messages (+%d padding) by loopback receiver\n", lb.Verified, lb.Padding)
 	fmt.Fprintf(stdout, "signatures       %d over %d block roots (amortization %.2fx)\n",
 		tot.Signatures, tot.SignedRoots, tot.AmortizationRatio())
 	hold := reg.Histogram("server.root_hold_ns").Data()
@@ -257,9 +293,9 @@ func (c Config) Demo(reg *obs.Registry, tel *Telemetry, stdout io.Writer) error 
 		time.Duration(reg.Gauge("server.root_hold_target_ns").Value()).Round(time.Microsecond),
 		reg.Gauge("server.batch_fill_target").Value(),
 		reg.Gauge("server.root_rate_per_s").Value())
-	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", sub.Drops())
-	if sink.Authed < published {
-		return fmt.Errorf("verified %d of %d published messages", sink.Authed, published)
+	fmt.Fprintf(stdout, "dropped          %d (subscriber backpressure)\n", lb.Dropped)
+	if lb.Verified < lb.Published {
+		return fmt.Errorf("verified %d of %d published messages", lb.Verified, lb.Published)
 	}
 	return nil
 }

@@ -6,8 +6,9 @@
 // redialing upstream subscriber and hands every packet to a sink
 // (*VerifySink or *Relay). mcserved's roles are compositions: -listen is
 // handler(server), -connect is Session(VerifySink), -relay is
-// Session(Relay) + handler(Relay); -demo, -chaos and the lab's server
-// cells drive the same VerifySink from a subscriber channel.
+// Session(Relay) + handler(Relay); -demo and the lab's server cells are
+// Config.Loopback, and -chaos drives the same VerifySink through a
+// Session.
 package serve
 
 import (

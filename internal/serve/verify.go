@@ -12,8 +12,8 @@ import (
 	"mcauth/internal/verifier"
 )
 
-// VerifyConfig parameterizes a VerifySink.
-type VerifyConfig struct {
+// verifyConfig parameterizes a VerifySink.
+type verifyConfig struct {
 	// NewReceiver builds a stream's verifier stack on first contact and
 	// MaxStreams bounds the live streams (see stream.NewDemux).
 	NewReceiver func(streamID uint64) (*stream.Receiver, error)
@@ -50,8 +50,8 @@ type VerifySink struct {
 	tel         *Telemetry
 }
 
-// NewVerifySink builds the demux and the receiver fast path c asks for.
-func NewVerifySink(c VerifyConfig) (*VerifySink, error) {
+// newVerifySink builds the demux and the receiver fast path c asks for.
+func newVerifySink(c verifyConfig) (*VerifySink, error) {
 	dmx, err := stream.NewDemux(c.NewReceiver, c.MaxStreams)
 	if err != nil {
 		return nil, err
@@ -132,9 +132,9 @@ func (v *VerifySink) EndSession() error {
 	return v.count(v.dmx.DrainDeferred())
 }
 
-// Drain feeds the sink from a subscriber channel until it closes, then
+// drain feeds the sink from a subscriber channel until it closes, then
 // settles.
-func (v *VerifySink) Drain(ch <-chan server.Delivery) error {
+func (v *VerifySink) drain(ch <-chan server.Delivery) error {
 	for d := range ch {
 		if err := v.Packet(d.StreamID, d.Packet); err != nil {
 			return err

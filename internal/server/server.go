@@ -184,7 +184,7 @@ type Server struct {
 	m      metrics
 
 	mu      sync.Mutex
-	streams map[uint64]*Stream
+	streams map[uint64]*pubStream
 	closed  bool
 	// pubWG counts in-flight Publish calls; Close and Kill wait for them
 	// before they take the streams over.
@@ -218,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		signer:  bs,
 		m:       newMetrics(cfg.Metrics),
-		streams: make(map[uint64]*Stream),
+		streams: make(map[uint64]*pubStream),
 		fan: NewFanout(cfg.MaxSubscriberQueue, cfg.SigQueueReserve, FanoutMetrics{
 			Delivered: cfg.Metrics.Counter("server.packets_delivered"),
 			Dropped:   cfg.Metrics.Counter("server.packets_dropped_backpressure"),
@@ -324,7 +324,7 @@ func (s *Server) flusher() {
 	defer s.loops.Done()
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
-	var due []*Stream // reused tick to tick; only this goroutine touches it
+	var due []*pubStream // reused tick to tick; only this goroutine touches it
 	for {
 		select {
 		case <-s.loopStop:
@@ -340,7 +340,7 @@ func (s *Server) flusher() {
 		s.mu.Unlock()
 		// In stream ID order, so the order of deadline flushes, and with it
 		// the leaf order of the batch their roots join, repeats run to run.
-		slices.SortFunc(due, func(a, b *Stream) int { return cmp.Compare(a.id, b.id) })
+		slices.SortFunc(due, func(a, b *pubStream) int { return cmp.Compare(a.id, b.id) })
 		for _, st := range due {
 			// A stream busy publishing is flushed on the next tick
 			// rather than stalling the flusher behind it.
@@ -361,7 +361,7 @@ func (s *Server) flusher() {
 // lock (or on the Close drain), so a count-full flush triggered here
 // delivers for every stream that contributed to the batch — which is why
 // the callback takes no stream lock.
-func (s *Server) enqueueRoot(st *Stream, db *stream.DeferredBlock) {
+func (s *Server) enqueueRoot(st *pubStream, db *stream.DeferredBlock) {
 	t0 := s.cfg.Clock()
 	pending, err := s.signer.Enqueue(db.Root.Content, func(sig []byte) {
 		db.Root.Attach(sig)
@@ -438,8 +438,8 @@ func (s *Server) streamIDs() []uint64 {
 	return out
 }
 
-// Stream returns the live stream's handle (nil when unknown).
-func (s *Server) Stream(id uint64) *Stream {
+// lookup returns the live stream's handle (nil when unknown).
+func (s *Server) lookup(id uint64) *pubStream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.streams[id]
@@ -455,7 +455,7 @@ func (s *Server) BatchTotals() crypto.BatchTotals { return s.signer.Totals() }
 // retention is disabled (RepairBlocks == 0). The packets are shared with
 // the repair store; callers must not mutate them.
 func (s *Server) ResumeFrom(id uint64, from uint64) []*packet.Packet {
-	st := s.Stream(id)
+	st := s.lookup(id)
 	if st == nil || st.repair == nil {
 		return nil
 	}
@@ -470,7 +470,7 @@ func (s *Server) ResumeFrom(id uint64, from uint64) []*packet.Packet {
 // server.repair_packets. Nil when the stream or block is unknown or
 // retention is disabled.
 func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
-	st := s.Stream(id)
+	st := s.lookup(id)
 	if st == nil || st.repair == nil {
 		return nil
 	}
@@ -484,7 +484,7 @@ func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
 // none lands after stop returns), and wait out in-flight publishes.
 // Returns the surviving streams (now exclusively owned by the caller) and
 // false if the server was already stopped.
-func (s *Server) stop() ([]*Stream, bool) {
+func (s *Server) stop() ([]*pubStream, bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -498,11 +498,11 @@ func (s *Server) stop() ([]*Stream, bool) {
 	s.pubWG.Wait()
 	// No publisher or flusher is left; stream state is exclusively ours.
 	s.mu.Lock()
-	streams := make([]*Stream, 0, len(s.streams))
+	streams := make([]*pubStream, 0, len(s.streams))
 	for _, st := range s.streams {
 		streams = append(streams, st)
 	}
-	s.streams = make(map[uint64]*Stream)
+	s.streams = make(map[uint64]*pubStream)
 	s.m.streams.Set(0)
 	s.mu.Unlock()
 	return streams, true

@@ -204,7 +204,7 @@ func TestServerCloseDrainsPendingBatches(t *testing.T) {
 	if reg.Counter("server.batch_flush_drain").Value() == 0 {
 		t.Error("drain flush not recorded")
 	}
-	if st := srv.Stream(id); st != nil {
+	if st := srv.lookup(id); st != nil {
 		t.Error("stream handle should be unavailable after Close")
 	}
 	if err := srv.Close(); !errors.Is(err, ErrClosed) {
@@ -416,8 +416,8 @@ func TestServerErrorPaths(t *testing.T) {
 	if ids := srv.streamIDs(); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("Streams() = %v", ids)
 	}
-	if st := srv.Stream(1); st == nil || st.id != 1 {
-		t.Error("Stream(1) handle missing")
+	if st := srv.lookup(1); st == nil || st.id != 1 {
+		t.Error("lookup(1) handle missing")
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -585,7 +585,7 @@ func TestServerConcurrentPublishersKeepStreamInvariants(t *testing.T) {
 		if o == nil {
 			t.Fatalf("stream %d emitted nothing", id)
 		}
-		if next := restarted.Stream(id).snd.NextBlockID(); next <= o.max {
+		if next := restarted.lookup(id).snd.NextBlockID(); next <= o.max {
 			t.Errorf("stream %d restarts at block %d, at or below emitted block %d", id, next, o.max)
 		}
 	}

@@ -3,14 +3,13 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mcauth/internal/obs"
 	"mcauth/internal/stream"
 	"mcauth/internal/transport"
 )
 
-// Stream is one authenticated stream's server-side state. Every sender
+// pubStream is one authenticated stream's server-side state. Every sender
 // mutation happens under mu — on a publishing goroutine, or on the
 // flusher — or on the Close drain once both are gone. Three invariants
 // follow and the serving tier relies on them:
@@ -24,10 +23,7 @@ import (
 //     the DeferredBlock, the RepairStore and the Fanout, so a publisher
 //     holding one stream's lock can sign another stream's root without a
 //     lock-order cycle.
-//
-// The counters are atomic because readers snapshot them from other
-// goroutines.
-type Stream struct {
+type pubStream struct {
 	srv *Server
 	id  uint64
 
@@ -38,8 +34,6 @@ type Stream struct {
 	// touching the checkpoint; reaching it forces a new write-ahead
 	// reservation.
 	reserved uint64
-
-	blocks atomic.Int64
 
 	// repair retains recently emitted packets for session-resume catch-up
 	// (nil when Config.RepairBlocks is 0).
@@ -55,8 +49,8 @@ type streamMetrics struct {
 	blocks    *obs.Counter
 }
 
-func newStream(srv *Server, id uint64, snd *stream.Sender) *Stream {
-	return &Stream{
+func newStream(srv *Server, id uint64, snd *stream.Sender) *pubStream {
+	return &pubStream{
 		srv: srv,
 		id:  id,
 		snd: snd,
@@ -67,12 +61,9 @@ func newStream(srv *Server, id uint64, snd *stream.Sender) *Stream {
 	}
 }
 
-// Blocks returns how many blocks the stream has emitted.
-func (st *Stream) Blocks() int64 { return st.blocks.Load() }
-
 // process appends one message, emitting the block it completes. Holds
 // st.mu.
-func (st *Stream) process(payload []byte) {
+func (st *pubStream) process(payload []byte) {
 	db, err := st.snd.PushDeferredAt(payload, st.srv.cfg.Clock())
 	if err != nil {
 		return
@@ -82,7 +73,7 @@ func (st *Stream) process(payload []byte) {
 
 // flushPartial pads out and emits a partially filled block (deadline
 // flush or server drain). Holds st.mu, or runs on the Close drain.
-func (st *Stream) flushPartial() {
+func (st *pubStream) flushPartial() {
 	db, err := st.snd.FlushDeferred()
 	if err != nil {
 		return
@@ -96,7 +87,7 @@ func (st *Stream) flushPartial() {
 // at the watermark) can never fork a block. Reserving a chunk at a time
 // amortizes the fsync over ReserveChunk blocks. Holds st.mu, or runs on
 // the Close drain.
-func (st *Stream) ensureReserved(blockID uint64) bool {
+func (st *pubStream) ensureReserved(blockID uint64) bool {
 	cp := st.srv.cfg.Checkpoint
 	if cp == nil || blockID < st.reserved {
 		return true
@@ -115,14 +106,13 @@ func (st *Stream) ensureReserved(blockID uint64) bool {
 // ID cannot be durably reserved is dropped whole — losing a block is
 // recoverable (receivers treat it as wholly lost), emitting an unreserved
 // one could fork identities after a crash.
-func (st *Stream) emit(db *stream.DeferredBlock) {
+func (st *pubStream) emit(db *stream.DeferredBlock) {
 	if db == nil {
 		return
 	}
 	if !st.ensureReserved(db.BlockID) {
 		return
 	}
-	st.blocks.Add(1)
 	st.srv.m.blocks.Inc()
 	st.m.blocks.Inc()
 	if spans := st.srv.cfg.Spans; spans.Enabled() {

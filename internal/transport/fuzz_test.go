@@ -10,14 +10,20 @@ import (
 	"mcauth/internal/packet"
 )
 
-// FuzzFrameReader feeds arbitrary byte streams to the framed reader: it
-// must never panic, must return an error (or io.EOF) for malformed input,
-// and — because the length prefix is attacker-controlled — must not
-// allocate the full claimed frame size before the bytes actually arrive.
+// appendFrame appends p to dst as a bare length-prefixed frame, the layer
+// under the mux framing's stream ID: [uvarint length][packet encoding].
+func appendFrame(dst []byte, p *packet.Packet) ([]byte, error) {
+	return p.AppendEncode(binary.AppendUvarint(dst, uint64(p.EncodedSize())))
+}
+
+// FuzzFrameReader feeds arbitrary byte streams to the length-prefixed
+// frame reader the mux framing is built on: it must never panic, must
+// return an error (or io.EOF) for malformed input, and — because the
+// length prefix is attacker-controlled — must not allocate the full
+// claimed frame size before the bytes actually arrive.
 func FuzzFrameReader(f *testing.F) {
 	// Seed with a valid framed stream and interesting corruptions of it.
-	var valid bytes.Buffer
-	fw := newFrameWriter(&valid)
+	var valid []byte
 	seedPkts := []*packet.Packet{
 		{BlockID: 1, Index: 1, Payload: []byte("hello")},
 		{
@@ -27,11 +33,12 @@ func FuzzFrameReader(f *testing.F) {
 		},
 	}
 	for _, p := range seedPkts {
-		if err := fw.writePacket(p); err != nil {
+		var err error
+		if valid, err = appendFrame(valid, p); err != nil {
 			f.Fatal(err)
 		}
 	}
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	// A header claiming 2 MiB with no bytes behind it.
@@ -39,26 +46,29 @@ func FuzzFrameReader(f *testing.F) {
 	// A header claiming more than the cap.
 	f.Add(binary.AppendUvarint(nil, maxFrameSize+1))
 	// Truncated mid-frame.
-	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(valid[:len(valid)/2])
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
-		var reframed bytes.Buffer
-		fw := newFrameWriter(&reframed)
+		var reframed []byte
 		for i := 0; i < 64; i++ {
-			p, err := fr.readPacket()
+			size, hdrLen, err := fr.readLength()
 			if err != nil {
 				return // any error ends the stream; it must just not panic
+			}
+			p, err := fr.readBody(size, hdrLen+size)
+			if err != nil {
+				return
 			}
 			if p == nil {
 				t.Fatal("nil packet with nil error")
 			}
 			// An accepted frame re-frames to the bytes it was read from:
 			// the frames read so far, re-framed, are a prefix of the input.
-			if err := fw.writePacket(p); err != nil {
+			if reframed, err = appendFrame(reframed, p); err != nil {
 				t.Fatalf("decoded packet does not re-frame: %v", err)
 			}
-			if !bytes.HasPrefix(stream, reframed.Bytes()) {
+			if !bytes.HasPrefix(stream, reframed) {
 				t.Fatalf("frame %d re-frames to different bytes", i)
 			}
 		}
@@ -72,8 +82,7 @@ func TestFrameReaderLyingPrefixStopsEarly(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(binary.AppendUvarint(nil, maxFrameSize))
 	buf.Write([]byte("only a few bytes"))
-	fr := newFrameReader(&buf)
-	if _, err := fr.readPacket(); err == nil {
+	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
 		t.Fatal("truncated frame should error")
 	}
 }
@@ -84,25 +93,24 @@ func TestFrameReaderLargeFrameStillWorks(t *testing.T) {
 	payload := bytes.Repeat([]byte("abcdefgh"), (frameAllocChunk/8)+100)
 	p := &packet.Packet{BlockID: 9, Index: 1, Payload: payload}
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if err := fw.writePacket(p); err != nil {
+	if err := NewMuxFrameWriter(&buf).WritePacket(5, p); err != nil {
 		t.Fatal(err)
 	}
-	fr := newFrameReader(&buf)
-	got, err := fr.readPacket()
+	mr := NewMuxFrameReader(&buf)
+	id, got, err := mr.ReadPacket()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Payload, payload) {
+	if id != 5 || !bytes.Equal(got.Payload, payload) {
 		t.Fatal("multi-chunk frame corrupted")
 	}
-	if _, err := fr.readPacket(); err != io.EOF {
+	if _, _, err := mr.ReadPacket(); err != io.EOF {
 		t.Fatalf("want EOF after the only frame, got %v", err)
 	}
 }
 
-// FuzzMuxFrameReader is FuzzFrameReader for the stream-tagged framing the
-// serving tier emits: arbitrary byte streams must never panic the reader,
+// FuzzMuxFrameReader is FuzzFrameReader for the whole stream-tagged framing
+// the serving tier emits: arbitrary byte streams must never panic the reader,
 // malformed frames must error, and an attacker-controlled length prefix
 // must not force a large allocation up front.
 func FuzzMuxFrameReader(f *testing.F) {

@@ -18,13 +18,11 @@ import (
 //	[uvarint length][uvarint stream ID][packet encoding]
 //
 // where length counts the stream ID plus the packet encoding and both
-// varints are minimal, so a plain frameReader pointed at a mux stream
-// reads every packet field one place late and fails instead of
-// mis-decoding.
+// varints are minimal, so every frame has one wire form.
 
 // MuxFrameWriter writes stream-tagged, length-prefixed packets to a byte
-// stream. Like frameWriter it reuses one internal buffer and is not safe
-// for concurrent use.
+// stream. It reuses one internal buffer and is not safe for concurrent
+// use.
 type MuxFrameWriter struct {
 	w     io.Writer
 	m     *wireMetrics

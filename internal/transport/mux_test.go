@@ -100,17 +100,3 @@ func TestMuxWriterRefusesOversizedPacket(t *testing.T) {
 		t.Error("oversized packet accepted")
 	}
 }
-
-// A plain frameReader pointed at mux output must fail loudly (the mux
-// length prefix includes the stream ID, so the packet decode reads every
-// field one place late and fails) rather than silently yielding packets.
-func TestPlainReaderRejectsMuxStream(t *testing.T) {
-	var buf bytes.Buffer
-	mw := NewMuxFrameWriter(&buf)
-	if err := mw.WritePacket(3, muxPacket(1, "payload")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := newFrameReader(&buf).readPacket(); err == nil {
-		t.Error("plain reader decoded a mux frame")
-	}
-}

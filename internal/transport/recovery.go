@@ -50,7 +50,6 @@ func (ds *DatagramSender) SendWithRetry(p *packet.Packet, attempts int, backoff 
 	var last error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			ds.m.countSendRetry()
 			time.Sleep(backoff)
 			backoff = min(2*backoff, maxSendBackoff)
 		}

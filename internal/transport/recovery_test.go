@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mcauth/internal/fault"
-	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 )
 
@@ -196,36 +195,5 @@ func TestIsTransientSendErr(t *testing.T) {
 		if IsTransientSendErr(err) {
 			t.Errorf("%v should not be transient", err)
 		}
-	}
-}
-
-// TestRecoveryMetricsCounters: send retries are reported to the registry,
-// and the counter appears only once a retry actually happens.
-func TestRecoveryMetricsCounters(t *testing.T) {
-	conn, other := udpPair(t)
-	defer conn.Close()
-	defer other.Close()
-	reg := obs.NewRegistry()
-
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("UDP unavailable in this environment: %v", err)
-	}
-	defer sink.Close()
-	flaky := &flakyConn{PacketConn: conn, errs: []error{syscall.ENOBUFS, syscall.ENOBUFS}}
-	ds, err := NewDatagramSender(flaky, sink.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.setMetrics(reg)
-	if _, ok := reg.Snapshot().Counters["transport.send_retries"]; ok {
-		t.Error("send_retries registered before any retry happened")
-	}
-	p := &packet.Packet{BlockID: 1, Index: 1, Payload: []byte("x")}
-	if err := ds.SendWithRetry(p, 5, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Snapshot().Counters["transport.send_retries"]; got != 2 {
-		t.Errorf("transport.send_retries = %d, want 2", got)
 	}
 }

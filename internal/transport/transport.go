@@ -1,15 +1,9 @@
 // Package transport carries authenticated stream packets over real
 // connections: one datagram per packet for packet-oriented transports
-// (UDP — the natural carrier for the paper's best-effort multicast), and a
-// length-prefixed framing for byte-stream transports (TCP, pipes). The
-// wire format is internal/packet's encoding in both cases. A plain frame
-// is
-//
-//	[uvarint length][packet encoding]
-//
-// with the length a minimal unsigned varint, as every integer of
-// internal/packet's wire encoding is; the mux framing (mux.go) adds a
-// stream ID.
+// (UDP — the natural carrier for the paper's best-effort multicast), and
+// the stream-tagged, length-prefixed mux framing (mux.go) for byte-stream
+// transports (TCP, pipes). The packet bytes are internal/packet's encoding
+// in both cases.
 package transport
 
 import (
@@ -27,8 +21,8 @@ import (
 	"mcauth/internal/stream"
 )
 
-// maxFrameSize bounds a frame's length prefix: the packet encoding plus,
-// on the mux framing, its stream ID.
+// maxFrameSize bounds a frame's length prefix: the stream ID plus the
+// packet encoding.
 const maxFrameSize = 1 << 21 // 2 MiB: payload cap plus headers
 
 // frameAllocChunk caps how much a frame read allocates before frame bytes
@@ -71,10 +65,9 @@ func readUvarint(r io.ByteReader) (uint64, int, error) {
 	return 0, binary.MaxVarintLen64, errVarintOverflow
 }
 
-// wireMetrics caches the transport.* instruments; a nil *wireMetrics (the
-// default) disables all accounting.
+// wireMetrics caches the transport.* instruments of the mux framing; a nil
+// *wireMetrics (the default) disables all accounting.
 type wireMetrics struct {
-	reg            *obs.Registry
 	framesWritten  *obs.Counter
 	bytesWritten   *obs.Counter
 	framesRead     *obs.Counter
@@ -82,11 +75,6 @@ type wireMetrics struct {
 	shortReads     *obs.Counter
 	oversizeFrames *obs.Counter
 	decodeErrors   *obs.Counter
-	datagramsSent  *obs.Counter
-	datagramsRead  *obs.Counter
-	// sendRetries is registered lazily on the first retry, so dumps of
-	// runs that never retry stay unchanged.
-	sendRetries *obs.Counter
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
@@ -94,7 +82,6 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		return nil
 	}
 	return &wireMetrics{
-		reg:            reg,
 		framesWritten:  reg.Counter("transport.frames_written"),
 		bytesWritten:   reg.Counter("transport.bytes_written"),
 		framesRead:     reg.Counter("transport.frames_read"),
@@ -102,62 +89,11 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		shortReads:     reg.Counter("transport.short_reads"),
 		oversizeFrames: reg.Counter("transport.oversize_frames"),
 		decodeErrors:   reg.Counter("transport.decode_errors"),
-		datagramsSent:  reg.Counter("transport.datagrams_sent"),
-		datagramsRead:  reg.Counter("transport.datagrams_read"),
 	}
 }
 
-func (m *wireMetrics) countSendRetry() {
-	if m == nil {
-		return
-	}
-	if m.sendRetries == nil {
-		m.sendRetries = m.reg.Counter("transport.send_retries")
-	}
-	m.sendRetries.Inc()
-}
-
-// frameWriter writes length-prefixed packets to a byte stream. It is not
-// safe for concurrent use: writePacket reuses one internal buffer across
-// calls so steady-state framing does not allocate.
-type frameWriter struct {
-	w   io.Writer
-	m   *wireMetrics
-	buf []byte // scratch: header + frame, reused across writePacket calls
-}
-
-// newFrameWriter wraps w.
-func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
-
-// setMetrics enables transport.* accounting in reg (nil disables).
-func (fw *frameWriter) setMetrics(reg *obs.Registry) { fw.m = newWireMetrics(reg) }
-
-// writePacket encodes and frames one packet, issuing a single Write of
-// header plus frame.
-func (fw *frameWriter) writePacket(p *packet.Packet) error {
-	size := p.EncodedSize()
-	buf, err := p.AppendEncode(binary.AppendUvarint(fw.buf[:0], uint64(size)))
-	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
-	}
-	fw.buf = buf
-	if size > maxFrameSize {
-		if fw.m != nil {
-			fw.m.oversizeFrames.Inc()
-		}
-		return fmt.Errorf("transport: frame %d exceeds %d bytes", size, maxFrameSize)
-	}
-	if _, err := fw.w.Write(buf); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	if fw.m != nil {
-		fw.m.framesWritten.Inc()
-		fw.m.bytesWritten.Add(int64(len(buf)))
-	}
-	return nil
-}
-
-// frameReader reads length-prefixed packets from a byte stream.
+// frameReader reads the length-prefixed frames the mux framing wraps
+// around each packet from a byte stream.
 type frameReader struct {
 	r *bufio.Reader
 	m *wireMetrics
@@ -170,16 +106,6 @@ func newFrameReader(r io.Reader) *frameReader {
 
 // setMetrics enables transport.* accounting in reg (nil disables).
 func (fr *frameReader) setMetrics(reg *obs.Registry) { fr.m = newWireMetrics(reg) }
-
-// readPacket reads and decodes one packet; it returns io.EOF at a clean
-// end of stream.
-func (fr *frameReader) readPacket() (*packet.Packet, error) {
-	size, hdrLen, err := fr.readLength()
-	if err != nil {
-		return nil, err
-	}
-	return fr.readBody(size, hdrLen+size)
-}
 
 // readLength reads a frame's length prefix and returns it with the
 // prefix's own length. It returns io.EOF at a clean end of stream and
@@ -238,11 +164,7 @@ func (fr *frameReader) readBody(size, frameBytes int) (*packet.Packet, error) {
 type DatagramSender struct {
 	conn net.PacketConn
 	addr net.Addr
-	m    *wireMetrics
 }
-
-// setMetrics enables transport.* accounting in reg (nil disables).
-func (ds *DatagramSender) setMetrics(reg *obs.Registry) { ds.m = newWireMetrics(reg) }
 
 // NewDatagramSender binds a sender to conn and the destination addr.
 func NewDatagramSender(conn net.PacketConn, addr net.Addr) (*DatagramSender, error) {
@@ -261,10 +183,6 @@ func (ds *DatagramSender) send(p *packet.Packet) error {
 	if _, err := ds.conn.WriteTo(wire, ds.addr); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
-	if ds.m != nil {
-		ds.m.datagramsSent.Inc()
-		ds.m.bytesWritten.Add(int64(len(wire)))
-	}
 	return nil
 }
 
@@ -280,18 +198,8 @@ type Listener struct {
 	stop    chan struct{}
 	done    chan struct{}
 	mu      sync.Mutex
-	m       *wireMetrics
 	readErr error
 	closed  bool
-}
-
-// setMetrics enables transport.* accounting in reg (nil disables). Safe
-// to call while the read loop runs.
-func (l *Listener) setMetrics(reg *obs.Registry) {
-	m := newWireMetrics(reg)
-	l.mu.Lock()
-	l.m = m
-	l.mu.Unlock()
 }
 
 // Listen starts the read loop. The clock is used to timestamp arrivals
@@ -339,10 +247,6 @@ func (l *Listener) loop() {
 		wire := make([]byte, n)
 		copy(wire, buf[:n])
 		l.mu.Lock()
-		if l.m != nil {
-			l.m.datagramsRead.Inc()
-			l.m.bytesRead.Add(int64(n))
-		}
 		auths, err := l.rcv.IngestWire(wire, l.now())
 		l.mu.Unlock()
 		if err != nil {

@@ -38,26 +38,28 @@ func testBlockPackets(t *testing.T, n int, blockID uint64) ([]*packet.Packet, *s
 	return pkts, rcv
 }
 
+// TestFrameRoundTrip carries a whole EMSS block, hash references and
+// signature included, through the mux framing.
 func TestFrameRoundTrip(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 6, 1)
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
+	mw := NewMuxFrameWriter(&buf)
 	for _, p := range pkts {
-		if err := fw.writePacket(p); err != nil {
+		if err := mw.WritePacket(uint64(p.Index), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fr := newFrameReader(&buf)
+	mr := NewMuxFrameReader(&buf)
 	for _, want := range pkts {
-		got, err := fr.readPacket()
+		id, got, err := mr.ReadPacket()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Digest() != want.Digest() || got.Index != want.Index {
+		if got.Digest() != want.Digest() || got.Index != want.Index || id != uint64(want.Index) {
 			t.Fatalf("frame round trip mismatch at index %d", want.Index)
 		}
 	}
-	if _, err := fr.readPacket(); !errors.Is(err, io.EOF) {
+	if _, _, err := mr.ReadPacket(); !errors.Is(err, io.EOF) {
 		t.Errorf("end of stream err = %v, want io.EOF", err)
 	}
 }
@@ -65,13 +67,13 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameReaderTruncation(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	var buf bytes.Buffer
-	if err := newFrameWriter(&buf).writePacket(pkts[0]); err != nil {
+	if err := NewMuxFrameWriter(&buf).WritePacket(1, pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{1, 3, len(full) - 1} {
-		fr := newFrameReader(bytes.NewReader(full[:cut]))
-		if _, err := fr.readPacket(); err == nil {
+	for _, cut := range []int{1, 2, 3, len(full) - 1} {
+		mr := NewMuxFrameReader(bytes.NewReader(full[:cut]))
+		if _, _, err := mr.ReadPacket(); err == nil {
 			t.Errorf("truncated frame at %d bytes should fail", cut)
 		}
 	}
@@ -80,16 +82,14 @@ func TestFrameReaderTruncation(t *testing.T) {
 func TestFrameReaderOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(binary.AppendUvarint(nil, 0xffffffff))
-	fr := newFrameReader(&buf)
-	if _, err := fr.readPacket(); err == nil {
+	if _, _, err := NewMuxFrameReader(&buf).ReadPacket(); err == nil {
 		t.Error("oversize frame length should fail before allocation")
 	}
 }
 
 func TestFrameWriterPropagatesErrors(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
-	fw := newFrameWriter(failingWriter{})
-	if err := fw.writePacket(pkts[0]); err == nil {
+	if err := NewMuxFrameWriter(failingWriter{}).WritePacket(1, pkts[0]); err == nil {
 		t.Error("write error should propagate")
 	}
 }
@@ -104,19 +104,19 @@ func TestFrameStreamThroughReceiver(t *testing.T) {
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
 	go func() {
-		fw := newFrameWriter(client)
+		mw := NewMuxFrameWriter(client)
 		for _, p := range pkts {
-			if err := fw.writePacket(p); err != nil {
+			if err := mw.WritePacket(3, p); err != nil {
 				errCh <- err
 				return
 			}
 		}
 		errCh <- client.Close()
 	}()
-	fr := newFrameReader(server)
+	mr := NewMuxFrameReader(server)
 	authenticated := 0
 	for {
-		p, err := fr.readPacket()
+		_, p, err := mr.ReadPacket()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -252,18 +252,18 @@ func TestFrameMetrics(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	fw.setMetrics(reg)
+	mw := NewMuxFrameWriter(&buf)
+	mw.SetMetrics(reg)
 	for _, p := range pkts {
-		if err := fw.writePacket(p); err != nil {
+		if err := mw.WritePacket(1, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	written := buf.Len()
-	fr := newFrameReader(&buf)
-	fr.setMetrics(reg)
+	mr := NewMuxFrameReader(&buf)
+	mr.SetMetrics(reg)
 	for range pkts {
-		if _, err := fr.readPacket(); err != nil {
+		if _, _, err := mr.ReadPacket(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,15 +286,14 @@ func TestShortReadCounted(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
-	fw := newFrameWriter(&buf)
-	if err := fw.writePacket(pkts[0]); err != nil {
+	if err := NewMuxFrameWriter(&buf).WritePacket(1, pkts[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate mid-frame: the reader sees a short body read.
 	truncated := buf.Bytes()[:buf.Len()-3]
-	fr := newFrameReader(bytes.NewReader(truncated))
-	fr.setMetrics(reg)
-	if _, err := fr.readPacket(); err == nil {
+	mr := NewMuxFrameReader(bytes.NewReader(truncated))
+	mr.SetMetrics(reg)
+	if _, _, err := mr.ReadPacket(); err == nil {
 		t.Fatal("truncated frame should fail")
 	}
 	if got := reg.Snapshot().Counters["transport.short_reads"]; got != 1 {
@@ -305,9 +304,9 @@ func TestShortReadCounted(t *testing.T) {
 func TestOversizeFrameCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	hdr := binary.AppendUvarint(nil, maxFrameSize+1)
-	fr := newFrameReader(bytes.NewReader(hdr))
-	fr.setMetrics(reg)
-	if _, err := fr.readPacket(); err == nil {
+	mr := NewMuxFrameReader(bytes.NewReader(hdr))
+	mr.SetMetrics(reg)
+	if _, _, err := mr.ReadPacket(); err == nil {
 		t.Fatal("oversize frame should fail")
 	}
 	if got := reg.Snapshot().Counters["transport.oversize_frames"]; got != 1 {

@@ -25,9 +25,8 @@ type Env struct {
 	StreamID uint64
 	// MaxBuffered caps the packets held while awaiting authentication
 	// information (parked signatures included); overflow is dropped and
-	// counted in Stats.DroppedOverflow. Zero is the scheme's default
-	// (unbounded unless the scheme's own config says otherwise); negative
-	// is a construction error.
+	// counted in Stats.DroppedOverflow. Zero is unbounded; negative is a
+	// construction error.
 	MaxBuffered int
 	// Cache shares proven-authentic packet digests across subscribers of
 	// one stream: digests are hashed once per process, a cache hit is

@@ -971,8 +971,8 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 func BenchmarkExperimentEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, e := range experiments.All() {
-			if e.ID == "validate" || e.ID == "burst" {
-				continue // dominated by their own benchmarks above
+			if e.ID == "burst" {
+				continue // dominated by BenchmarkMonteCarloAuthProbBursty above
 			}
 			if err := e.Run(io.Discard); err != nil {
 				b.Fatal(err)

@@ -28,8 +28,8 @@ go build ./...
 # dependencies cannot hide; failures print the seed to reproduce.
 go test -race -shuffle=on ./...
 # Every example program runs to exit 0, not only compiles: among them
-# examples/designer's Monte-Carlo cross-check and examples/udpfeed's
-# loopback UDP path. Each takes well under a second.
+# examples/designer's Monte-Carlo cross-check. Each takes well under a
+# second.
 mkdir -p "$work/examples"
 go build -o "$work/examples/" ./examples/...
 for ex in "$work"/examples/*; do

@@ -15,13 +15,16 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // fully deterministic, and together covering the TESLA evaluator (fig3),
 // every recurrence series (fig5-9, tradeoff), the Equation (1) bracket
 // around the exact q_i (bounds), the wire-format overhead measurement
-// (fig10), the recurrence-vs-exact gap study (markovgap), and the two that
+// (fig10), the recurrence-vs-exact gap study (markovgap), the two that
 // are functions of the random stream: Monte-Carlo under bursty loss (burst)
-// and the randomised graph constructors (construct). A change to the
-// generator, a sampler or the trial loop that moves a drawn bit moves these.
+// and the randomised graph constructors (construct), and the two that run
+// real verifiers over netsim: signature-packet loss (sigloss) and mid-block
+// joiners (latejoin). A change to the generator, a sampler, the trial loop
+// or the simulated network that moves a drawn bit or a verdict moves these.
 var goldenFigures = []string{
 	"fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 	"tradeoff", "bounds", "markovgap", "burst", "construct",
+	"sigloss", "latejoin",
 }
 
 // figOutput regenerates one figure with the given worker-pool size.

@@ -113,12 +113,17 @@ func (o options) loss() loss.Spec { return loss.Spec{P: o.p, Burst: float64(o.bu
 
 // buildEntry builds the selected scheme and its analytic q_min under the
 // -p loss rate and -mu/-sigma delay, printed with the evaluator that gave it.
+// The catalogue's q_min takes only a Bernoulli rate, so under -burst the
+// label says the value is the i.i.d. one, not this channel's.
 func buildEntry(o options) (catalog.Entry, string, error) {
 	entry, err := catalog.Build(o.spec(), crypto.NewSignerFromString("mcsim-sender"))
 	if err != nil {
 		return catalog.Entry{}, "", err
 	}
 	qmin, by, err := entry.QMin(o.p, o.mu, o.sigma)
+	if o.loss().Burst > 1 {
+		by = fmt.Sprintf("%s, i.i.d. at p = %g; not this channel", by, o.p)
+	}
 	return entry, fmt.Sprintf("%.4f (%s)", qmin, by), err
 }
 

@@ -40,6 +40,30 @@ func TestRunBurstAndLateJoin(t *testing.T) {
 	}
 }
 
+// TestAnalyticLabelNamesChannel: the catalogue's q_min is the i.i.d. value
+// at -p, so under -burst the label must say it is not this channel's.
+func TestAnalyticLabelNamesChannel(t *testing.T) {
+	for _, c := range []struct {
+		burst, want string
+	}{
+		{"0", "0.5911 (exact)"},
+		{"1", "0.5911 (exact)"},
+		{"5", "0.5911 (exact, i.i.d. at p = 0.1; not this channel)"},
+	} {
+		o, err := parseOptions([]string{"-scheme", "emss", "-n", "60", "-m", "2", "-d", "1", "-p", "0.1", "-burst", c.burst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := buildEntry(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("-burst %s: analytic q_min %q, want %q", c.burst, got, c.want)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-scheme", "nope"}); err == nil {
 		t.Error("unknown scheme should fail")

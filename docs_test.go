@@ -5,8 +5,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"mcauth/internal/experiments"
 )
 
 // docTool matches a command-line tool's name, bare or as a path.
@@ -118,5 +121,56 @@ func TestDocFlagsDeclared(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no tool flags found in the docs")
+	}
+}
+
+// docFigIDs returns the experiment IDs a command line passes to mcfig's
+// -fig flag, as -fig ID or -fig=ID.
+func docFigIDs(cmd string) []string {
+	var ids []string
+	mcfig, wantID := false, false
+	for _, tok := range strings.Fields(cmd) {
+		switch {
+		case wantID:
+			ids, wantID = append(ids, tok), false
+		case strings.ContainsAny(tok[:1], "|&;>"):
+			mcfig = false
+		case docTool.MatchString(tok):
+			mcfig = docTool.FindStringSubmatch(tok)[2] == "mcfig"
+		case mcfig && tok == "-fig":
+			wantID = true
+		case mcfig && strings.HasPrefix(tok, "-fig="):
+			ids = append(ids, strings.TrimPrefix(tok, "-fig="))
+		}
+	}
+	return ids
+}
+
+// TestDocFigIDsRegistered: every experiment README.md, DESIGN.md and
+// EXPERIMENTS.md show mcfig -fig rendering is one experiments.IDs() lists,
+// so a renamed or deleted experiment cannot linger in the docs. The
+// literal <id> placeholder is skipped.
+func TestDocFigIDsRegistered(t *testing.T) {
+	ids := experiments.IDs()
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range docCommands(string(raw)) {
+			for _, id := range docFigIDs(cmd) {
+				if id == "<id>" {
+					continue
+				}
+				checked++
+				if !slices.Contains(ids, id) {
+					t.Errorf("%s: `%s` names experiment %q, which mcfig does not register (%s)", doc, strings.TrimSpace(cmd), id, strings.Join(ids, ", "))
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no mcfig -fig invocations found in the docs")
 	}
 }

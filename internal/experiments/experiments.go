@@ -66,7 +66,6 @@ func All() []Experiment {
 		fig8Experiment(),
 		fig9Experiment(),
 		fig10Experiment(),
-		validateExperiment(),
 		boundsExperiment(),
 		burstExperiment(),
 		lateJoinExperiment(),

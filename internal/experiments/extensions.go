@@ -4,94 +4,17 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 
 	"mcauth/internal/catalog"
 	"mcauth/internal/construct"
 	"mcauth/internal/crypto"
-	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
-	"mcauth/internal/netsim"
 	"mcauth/internal/parallel"
-	"mcauth/internal/scenario"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/scheme/emss"
-	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
-
-// validateRow compares a scheme's analytic q_min against the verification
-// ratio measured end-to-end over the simulated multicast network.
-type validateRow struct {
-	Scheme   string
-	P        float64
-	Analytic float64
-	Measured float64
-}
-
-// validateReceivers trades precision for runtime; 1500 receivers puts the
-// binomial noise near ±0.02 for mid-range q.
-const validateReceivers = 1500
-
-// validateSeries runs the measured-vs-analytic comparison. The analytic
-// reference is the catalogue's: the exact evaluator on the scheme's graph
-// for EMSS, the closed form for Rohatgi.
-func validateSeries() ([]validateRow, error) {
-	signer := crypto.NewSignerFromString("validate")
-	const n = 12
-	schemes := []struct{ id, name string }{
-		{"rohatgi", "rohatgi"},
-		{"emss", "emss(E21,exact)"},
-	}
-	var rows []validateRow
-	for _, p := range []float64{0.1, 0.3} {
-		for _, sc := range schemes {
-			e, err := catalog.Build(catalog.Spec{ID: sc.id, N: n, M: 2, D: 1, Interval: 10 * time.Millisecond}, signer)
-			if err != nil {
-				return nil, err
-			}
-			cfg, err := scenario.Config(e, validateReceivers, loss.Spec{P: p}, delay.Constant{D: time.Millisecond}, uint64(1000*p))
-			if err != nil {
-				return nil, err
-			}
-			cfg.Tracer, cfg.Metrics = Tracer, Metrics
-			res, err := netsim.Run(e.Scheme, cfg, 1, schemetest.Payloads(n))
-			if err != nil {
-				return nil, err
-			}
-			analytic, _, err := e.QMin(p, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, validateRow{Scheme: sc.name, P: p, Analytic: analytic, Measured: res.MinAuthRatio(e.Data)})
-		}
-	}
-	return rows, nil
-}
-
-func validateExperiment() Experiment {
-	e := Experiment{
-		ID:          "validate",
-		Title:       "End-to-end validation: measured verification ratio over netsim vs exact analytics",
-		Expectation: "measured q_min within sampling noise (~±0.03) of the exact analytic value",
-	}
-	e.Run = func(w io.Writer) error {
-		if err := banner(w, e); err != nil {
-			return err
-		}
-		rows, err := validateSeries()
-		if err != nil {
-			return err
-		}
-		t := newTable(w, "scheme", "p", "analytic q_min", "measured q_min")
-		for _, r := range rows {
-			t.row(r.Scheme, f3(r.P), f3(r.Analytic), f3(r.Measured))
-		}
-		return t.flush()
-	}
-	return e
-}
 
 // burstRow compares schemes under bursty (Gilbert-Elliott) loss at a fixed
 // stationary loss rate — the m-state Markov extension the paper names as

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -29,15 +30,8 @@ func bucketFor(v int64) int {
 	if v <= 1 {
 		return 0
 	}
-	// Index of the highest set bit of v-1, i.e. ceil(log2(v)).
-	b := 0
-	for x := uint64(v - 1); x > 0; x >>= 1 {
-		b++
-	}
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
+	// ceil(log2(v)) is the bit length of v-1: one instruction, at most 63.
+	return min(bits.Len64(uint64(v-1)), numBuckets-1)
 }
 
 // HistogramData is the plain-value form of a histogram: copyable,

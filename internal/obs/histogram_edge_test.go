@@ -179,3 +179,31 @@ func TestConcurrentObserveSnapshotDeterminism(t *testing.T) {
 		t.Fatalf("snapshot bytes diverged:\n%s\n%s", a, b)
 	}
 }
+
+// bucketForLoop is the shift loop bucketFor replaced: the index of the
+// highest set bit of v-1, capped at the last bucket.
+func bucketForLoop(v int64) int {
+	if v <= 1 {
+		return 0
+	}
+	b := 0
+	for x := uint64(v - 1); x > 0; x >>= 1 {
+		b++
+	}
+	return min(b, numBuckets-1)
+}
+
+// TestBucketForMatchesLoop pins bucketFor to the shift loop at every
+// bucket edge: v <= 1, 2 and 3, 2^k-1, 2^k and 2^k+1 for k = 1..62, and
+// MaxInt64.
+func TestBucketForMatchesLoop(t *testing.T) {
+	vs := []int64{math.MinInt64, -1, 0, 1, 2, 3, math.MaxInt64}
+	for k := 1; k <= 62; k++ {
+		vs = append(vs, int64(1)<<k-1, int64(1)<<k, int64(1)<<k+1)
+	}
+	for _, v := range vs {
+		if got, want := bucketFor(v), bucketForLoop(v); got != want {
+			t.Errorf("bucketFor(%d) = %d, want %d", v, got, want)
+		}
+	}
+}

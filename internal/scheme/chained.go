@@ -40,8 +40,11 @@ func (t Topology) Graph() (*depgraph.Graph, error) {
 	return g, nil
 }
 
-// maxRootCopies bounds replication; beyond a handful of copies the
-// residual loss probability p^copies is negligible for any practical p.
+// maxRootCopies bounds replication. Under i.i.d. loss the residual loss
+// probability p^copies is negligible beyond a handful of copies for any
+// practical p. Under bursty loss it is not: the copies go out back to back
+// after the block, so one burst can take them all, and past two or three
+// adjacent copies each extra one barely lowers the block-loss probability.
 const maxRootCopies = 8
 
 // Chained turns any Topology into a runnable Scheme: Authenticate embeds

@@ -1,68 +1,18 @@
 // Recovery: the paper assumes the signature packet "always arrives" —
-// achieved in practice by sending it multiple times. On the real UDP path
-// that assumption has to be earned: senders retry transient socket errors
-// with capped backoff, and the serving tier keeps recent blocks in a
-// bounded RepairStore to answer session-resume catch-up and MCRQ repair
-// requests (relay.go) from.
+// achieved in practice by sending it multiple times. Over the serving
+// tier's byte streams that assumption is earned after the fact: the
+// server keeps recent blocks in a bounded RepairStore and answers
+// session-resume catch-up (session.go) and MCRQ repair requests
+// (relay.go) from it.
 
 package transport
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"syscall"
-	"time"
 
 	"mcauth/internal/packet"
 )
-
-// IsTransientSendErr reports whether a datagram send failure is worth
-// retrying: timeouts, full socket buffers (ENOBUFS/EAGAIN), interrupted
-// calls, and ECONNREFUSED (on a connected UDP socket it only means the
-// receiver is not up yet — normal during feed startup).
-func IsTransientSendErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ENOBUFS) ||
-		errors.Is(err, syscall.EAGAIN) ||
-		errors.Is(err, syscall.EINTR) ||
-		errors.Is(err, syscall.ECONNREFUSED)
-}
-
-// maxSendBackoff caps the retry backoff: past a second the stream has
-// moved on and a stale datagram helps nobody.
-const maxSendBackoff = time.Second
-
-// SendWithRetry transmits one packet, retrying transient socket errors up
-// to attempts times with exponential backoff starting at backoff and
-// capped at one second. Permanent errors return immediately.
-func (ds *DatagramSender) SendWithRetry(p *packet.Packet, attempts int, backoff time.Duration) error {
-	if attempts < 1 {
-		return fmt.Errorf("transport: attempts %d must be >= 1", attempts)
-	}
-	var last error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(backoff)
-			backoff = min(2*backoff, maxSendBackoff)
-		}
-		last = ds.send(p)
-		if last == nil {
-			return nil
-		}
-		if !IsTransientSendErr(last) {
-			return last
-		}
-	}
-	return fmt.Errorf("transport: send failed after %d attempts: %w", attempts, last)
-}
 
 // NACKSigRequest is the repair-request index meaning "resend the block's
 // signature / bootstrap packets"; any other index names one packet.

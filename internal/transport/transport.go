@@ -1,9 +1,8 @@
-// Package transport carries authenticated stream packets over real
-// connections: one datagram per packet for packet-oriented transports
-// (UDP — the natural carrier for the paper's best-effort multicast), and
-// the stream-tagged, length-prefixed mux framing (mux.go) for byte-stream
-// transports (TCP, pipes). The packet bytes are internal/packet's encoding
-// in both cases.
+// Package transport carries authenticated stream packets over byte-stream
+// connections (TCP, pipes): the stream-tagged, length-prefixed mux framing
+// (mux.go) around internal/packet's encoding, plus the resume hello
+// (session.go), the relay's repair requests (relay.go) and the RepairStore
+// that answers both (recovery.go).
 package transport
 
 import (
@@ -12,13 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
-	"time"
 
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
-	"mcauth/internal/stream"
 )
 
 // maxFrameSize bounds a frame's length prefix: the stream ID plus the
@@ -158,137 +153,4 @@ func (fr *frameReader) readBody(size, frameBytes int) (*packet.Packet, error) {
 		fr.m.bytesRead.Add(int64(frameBytes))
 	}
 	return p, nil
-}
-
-// DatagramSender sends one packet per datagram to a fixed address.
-type DatagramSender struct {
-	conn net.PacketConn
-	addr net.Addr
-}
-
-// NewDatagramSender binds a sender to conn and the destination addr.
-func NewDatagramSender(conn net.PacketConn, addr net.Addr) (*DatagramSender, error) {
-	if conn == nil || addr == nil {
-		return nil, errors.New("transport: nil conn or addr")
-	}
-	return &DatagramSender{conn: conn, addr: addr}, nil
-}
-
-// send transmits one packet as a single datagram.
-func (ds *DatagramSender) send(p *packet.Packet) error {
-	wire, err := p.Encode()
-	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
-	}
-	if _, err := ds.conn.WriteTo(wire, ds.addr); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	return nil
-}
-
-// Listener reads datagrams from a PacketConn, feeds them to a
-// stream.Receiver, and delivers authenticated messages on Events(). It
-// owns one background goroutine whose lifetime is bounded by Close.
-type Listener struct {
-	conn   net.PacketConn
-	rcv    *stream.Receiver
-	now    func() time.Time
-	events chan stream.Authenticated
-
-	stop    chan struct{}
-	done    chan struct{}
-	mu      sync.Mutex
-	readErr error
-	closed  bool
-}
-
-// Listen starts the read loop. The clock is used to timestamp arrivals
-// (TESLA's safety condition); pass time.Now for wall-clock operation.
-func Listen(conn net.PacketConn, rcv *stream.Receiver, clock func() time.Time) (*Listener, error) {
-	if conn == nil {
-		return nil, errors.New("transport: nil conn")
-	}
-	if rcv == nil {
-		return nil, errors.New("transport: nil receiver")
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	l := &Listener{
-		conn:   conn,
-		rcv:    rcv,
-		now:    clock,
-		events: make(chan stream.Authenticated, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go l.loop()
-	return l, nil
-}
-
-// Events delivers authenticated messages; the channel closes when the
-// listener stops.
-func (l *Listener) Events() <-chan stream.Authenticated { return l.events }
-
-func (l *Listener) loop() {
-	defer close(l.done)
-	defer close(l.events)
-	buf := make([]byte, maxFrameSize)
-	for {
-		n, _, err := l.conn.ReadFrom(buf)
-		if err != nil {
-			l.mu.Lock()
-			if !l.closed {
-				l.readErr = err
-			}
-			l.mu.Unlock()
-			return
-		}
-		wire := make([]byte, n)
-		copy(wire, buf[:n])
-		l.mu.Lock()
-		auths, err := l.rcv.IngestWire(wire, l.now())
-		l.mu.Unlock()
-		if err != nil {
-			l.mu.Lock()
-			l.readErr = err
-			l.mu.Unlock()
-			return
-		}
-		for _, a := range auths {
-			select {
-			case l.events <- a:
-			case <-l.stop:
-				return
-			}
-		}
-	}
-}
-
-// Totals snapshots the underlying receiver's counters.
-func (l *Listener) Totals() stream.Totals {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rcv.Totals()
-}
-
-// Close stops the read loop and waits for it to exit. It returns any read
-// or ingest error the loop hit before closing.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	alreadyClosed := l.closed
-	l.closed = true
-	l.mu.Unlock()
-	if !alreadyClosed {
-		close(l.stop)
-		// Closing the conn unblocks ReadFrom.
-		if err := l.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			<-l.done
-			return err
-		}
-	}
-	<-l.done
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readErr
 }

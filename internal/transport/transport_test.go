@@ -137,117 +137,6 @@ func TestFrameStreamThroughReceiver(t *testing.T) {
 	}
 }
 
-func udpPair(t *testing.T) (net.PacketConn, net.PacketConn) {
-	t.Helper()
-	recvConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("UDP unavailable in this environment: %v", err)
-	}
-	sendConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		recvConn.Close()
-		t.Skipf("UDP unavailable in this environment: %v", err)
-	}
-	return sendConn, recvConn
-}
-
-func TestDatagramUDPEndToEnd(t *testing.T) {
-	sendConn, recvConn := udpPair(t)
-	defer sendConn.Close()
-
-	pkts, rcv := testBlockPackets(t, 8, 5)
-	listener, err := Listen(recvConn, rcv, time.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender, err := NewDatagramSender(sendConn, recvConn.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pkts {
-		if err := sender.send(p); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	got := make(map[uint32]bool)
-	timeout := time.After(5 * time.Second)
-	for len(got) < 8 {
-		select {
-		case a, ok := <-listener.Events():
-			if !ok {
-				t.Fatal("listener closed early")
-			}
-			got[a.Index] = true
-		case <-timeout:
-			t.Fatalf("timed out with %d/8 authenticated (UDP loss on loopback is unexpected)", len(got))
-		}
-	}
-	if err := listener.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	totals := listener.Totals()
-	if totals.Authenticated != 8 {
-		t.Errorf("Authenticated = %d, want 8", totals.Authenticated)
-	}
-}
-
-func TestListenerCloseIdempotent(t *testing.T) {
-	_, recvConn := udpPair(t)
-	_, rcv := testBlockPackets(t, 4, 1)
-	listener, err := Listen(recvConn, rcv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := listener.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := listener.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := <-listener.Events(); ok {
-		t.Error("events channel should be closed")
-	}
-}
-
-func TestListenerValidation(t *testing.T) {
-	_, recvConn := udpPair(t)
-	defer recvConn.Close()
-	_, rcv := testBlockPackets(t, 4, 1)
-	if _, err := Listen(nil, rcv, nil); err == nil {
-		t.Error("nil conn should fail")
-	}
-	if _, err := Listen(recvConn, nil, nil); err == nil {
-		t.Error("nil receiver should fail")
-	}
-	if _, err := NewDatagramSender(nil, nil); err == nil {
-		t.Error("nil conn should fail")
-	}
-}
-
-func TestDatagramGarbageCounted(t *testing.T) {
-	sendConn, recvConn := udpPair(t)
-	defer sendConn.Close()
-	_, rcv := testBlockPackets(t, 4, 1)
-	listener, err := Listen(recvConn, rcv, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sendConn.WriteTo([]byte{1, 2, 3}, recvConn.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for listener.Totals().DecodeErrors == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("garbage datagram never counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := listener.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrameMetrics(t *testing.T) {
 	pkts, _ := testBlockPackets(t, 4, 1)
 	reg := obs.NewRegistry()

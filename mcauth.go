@@ -120,7 +120,7 @@ func Simulate(s Scheme, cfg SimConfig, blockID uint64, payloads [][]byte) (*SimR
 }
 
 // Session-layer types for long-lived streams (see internal/stream and
-// internal/transport for datagram/byte-stream carriage).
+// internal/transport for byte-stream carriage).
 type (
 	// StreamSender chops an unbounded message sequence into
 	// authenticated blocks.

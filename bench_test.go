@@ -8,6 +8,7 @@ package mcauth
 //	go test -bench=. -benchmem
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"runtime"
@@ -209,27 +210,74 @@ func benchScheme(b *testing.B, name string) scheme.Scheme {
 	return e.Scheme
 }
 
+// allocsPerOp runs bench for iters iterations, as `go test -bench
+// -benchtime=<iters>x` does, and returns what it allocates per op. The
+// ...AllocCeiling tests hold the hot paths' benchmarks to ceilings with it:
+// each ceiling is about 1.3 times what the path makes, headroom for the
+// runtime's own jitter, not for an allocation per packet coming back. The
+// race detector instruments allocations, so they skip under -race.
+func allocsPerOp(t *testing.T, iters int, bench func(*testing.B)) int64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	benchtime := flag.Lookup("test.benchtime").Value
+	was := benchtime.String()
+	if err := benchtime.Set(fmt.Sprintf("%dx", iters)); err != nil {
+		t.Fatal(err)
+	}
+	defer benchtime.Set(was)
+	r := testing.Benchmark(bench)
+	if r.N != iters {
+		t.Fatalf("the benchmark stopped after %d of %d iterations; run it with -bench to see why", r.N, iters)
+	}
+	return r.AllocsPerOp()
+}
+
+// checkAllocs fails t when the named benchmark case allocates past ceil per
+// op over 100 iterations.
+func checkAllocs(t *testing.T, name string, ceil int64, bench func(*testing.B)) {
+	t.Helper()
+	if got := allocsPerOp(t, 100, bench); got > ceil {
+		t.Errorf("%s: %d allocs/op exceeds the ceiling %d", name, got, ceil)
+	}
+}
+
 // BenchmarkAuthenticate measures sender-side cost per 128-packet block —
 // the amortization argument in CPU terms: sign-each pays 128 signatures
 // where the chained schemes pay one. Each block is built from a few
 // per-block slabs: rohatgi makes 6 allocations per block, emss and
 // augchain 7, authtree 9, tesla 11, and signeach 131, 128 of them
-// ed25519.Sign's output. ci.sh's verify tier holds each to about 1.3 times
+// ed25519.Sign's output. TestAllocCeilings holds each to about 1.3 times
 // that.
 func BenchmarkAuthenticate(b *testing.B) {
 	for _, name := range catalog.IDs() {
-		b.Run(name, func(b *testing.B) {
-			s := benchScheme(b, name)
-			payloads := benchPayloads(s.BlockSize(), 512)
-			b.SetBytes(int64(s.BlockSize() * 512))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Authenticate(uint64(i), payloads); err != nil {
-					b.Fatal(err)
-				}
+		b.Run(name, benchAuthenticate(name))
+	}
+}
+
+func benchAuthenticate(name string) func(*testing.B) {
+	return func(b *testing.B) {
+		s := benchScheme(b, name)
+		payloads := benchPayloads(s.BlockSize(), 512)
+		b.SetBytes(int64(s.BlockSize() * 512))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Authenticate(uint64(i), payloads); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+	}
+}
+
+// TestAuthenticateAllocCeiling holds BenchmarkAuthenticate to about 1.3
+// times each scheme's slabs, which an allocation per packet coming back
+// trips for every scheme but signeach.
+func TestAuthenticateAllocCeiling(t *testing.T) {
+	ceil := map[string]int64{"rohatgi": 8, "emss": 9, "augchain": 9, "authtree": 12, "tesla": 14, "signeach": 170}
+	for _, name := range catalog.IDs() {
+		checkAllocs(t, "Authenticate/"+name, ceil[name], benchAuthenticate(name))
 	}
 }
 
@@ -237,36 +285,52 @@ func BenchmarkAuthenticate(b *testing.B) {
 // delivery and no loss.
 func BenchmarkVerify(b *testing.B) {
 	for _, name := range catalog.IDs() {
-		b.Run(name, func(b *testing.B) {
-			s := benchScheme(b, name)
-			payloads := benchPayloads(s.BlockSize(), 512)
-			pkts, err := s.Authenticate(1, payloads)
+		b.Run(name, benchVerify(name))
+	}
+}
+
+func benchVerify(name string) func(*testing.B) {
+	return func(b *testing.B) {
+		s := benchScheme(b, name)
+		payloads := benchPayloads(s.BlockSize(), 512)
+		pkts, err := s.Authenticate(1, payloads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at := make([]time.Time, len(pkts))
+		for w := range pkts {
+			at[w] = time.Unix(0, 0).Add(time.Duration(w)*time.Millisecond + time.Microsecond)
+		}
+		b.SetBytes(int64(s.BlockSize() * 512))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Verifier construction is setup, not the measured
+			// receiver-side verification cost.
+			b.StopTimer()
+			v, err := s.NewVerifier(verifier.Env{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			at := make([]time.Time, len(pkts))
-			for w := range pkts {
-				at[w] = time.Unix(0, 0).Add(time.Duration(w)*time.Millisecond + time.Microsecond)
-			}
-			b.SetBytes(int64(s.BlockSize() * 512))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Verifier construction is setup, not the measured
-				// receiver-side verification cost.
-				b.StopTimer()
-				v, err := s.NewVerifier(verifier.Env{})
-				if err != nil {
+			b.StartTimer()
+			for w, p := range pkts {
+				if _, err := v.Ingest(p, at[w]); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				for w, p := range pkts {
-					if _, err := v.Ingest(p, at[w]); err != nil {
-						b.Fatal(err)
-					}
-				}
 			}
-		})
+		}
+	}
+}
+
+// TestVerifyAllocCeiling holds BenchmarkVerify to what the index-addressed
+// verifiers, each with its own reused event buffer, make over a 128-packet
+// block — rohatgi 3, emss 14, augchain 14, authtree 24, signeach 28, tesla
+// 32 — with headroom for the runtime, not for a map, a per-packet event
+// slice or a per-packet signature-check allocation coming back.
+func TestVerifyAllocCeiling(t *testing.T) {
+	ceil := map[string]int64{"rohatgi": 16, "emss": 32, "augchain": 32, "authtree": 64, "signeach": 64, "tesla": 80}
+	for _, name := range catalog.IDs() {
+		checkAllocs(t, "Verify/"+name, ceil[name], benchVerify(name))
 	}
 }
 
@@ -322,126 +386,149 @@ func BenchmarkVerifySpanOverhead(b *testing.B) {
 // deferred batch signing, signeach via MABS runs of K), verified through
 // the receiver fast path — shared signature cache plus deferred
 // batch-verify queue — so the K packets (or blocks) sharing an underlying
-// signature cost one Ed25519 check.
+// signature cost one Ed25519 check. The verifiers hold batch-capable keys,
+// as the serving tier's do: a plain key refuses a batch blob.
 func BenchmarkVerifyServing(b *testing.B) {
-	const n = 128
 	for _, k := range []int{16, 64} {
-		b.Run(fmt.Sprintf("signeach/K=%d", k), func(b *testing.B) {
-			signer := crypto.NewSignerFromString("bench")
-			s, err := signeach.New(n, signer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pkts, err := s.Authenticate(1, benchPayloads(n, 512))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Re-sign in MABS runs of K: each packet carries its run's batch
-			// blob in place of a plain signature.
-			for start := 0; start < n; start += k {
-				contents := make([][]byte, min(k, n-start))
-				for i := range contents {
-					contents[i] = pkts[start+i].ContentBytes()
-				}
-				blobs, err := crypto.BatchSign(signer, contents)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i, blob := range blobs {
-					pkts[start+i].Signature = blob
-				}
-			}
-			at := time.Unix(0, 0)
-			b.SetBytes(int64(n * 512))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				v, err := s.NewVerifier(verifier.Env{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				authed := 0
-				for _, p := range pkts {
-					events, err := v.Ingest(p, at)
-					if err != nil {
-						b.Fatal(err)
-					}
-					authed += len(events)
-				}
-				if authed != n {
-					b.Fatalf("authenticated %d of %d", authed, n)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("authtree/K=%d", k), func(b *testing.B) {
-			signer := crypto.NewSignerFromString("bench")
-			s, err := authtree.New(n, signer)
-			if err != nil {
-				b.Fatal(err)
-			}
-			payloads := benchPayloads(n, 512)
-			// K blocks whose roots share one batch signature — the send
-			// side of the serving daemon.
-			var (
-				blocks   [][]*packet.Packet
-				prs      []*scheme.PendingRoot
-				contents [][]byte
-			)
-			for blk := 1; blk <= k; blk++ {
-				pkts, pr, err := s.AuthenticateDeferred(uint64(blk), payloads)
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocks = append(blocks, pkts)
-				prs = append(prs, pr)
-				contents = append(contents, pr.Content)
+		b.Run(fmt.Sprintf("signeach/K=%d", k), benchVerifyServingSignEach(k))
+		b.Run(fmt.Sprintf("authtree/K=%d", k), benchVerifyServingAuthtree(k))
+	}
+}
+
+func benchVerifyServingSignEach(k int) func(*testing.B) {
+	return func(b *testing.B) {
+		const n = 128
+		signer := crypto.BatchCapable(crypto.NewSignerFromString("bench"))
+		s, err := signeach.New(n, signer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkts, err := s.Authenticate(1, benchPayloads(n, 512))
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Re-sign in MABS runs of K: each packet carries its run's batch
+		// blob in place of a plain signature.
+		for start := 0; start < n; start += k {
+			contents := make([][]byte, min(k, n-start))
+			for i := range contents {
+				contents[i] = pkts[start+i].ContentBytes()
 			}
 			blobs, err := crypto.BatchSign(signer, contents)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i, pr := range prs {
-				pr.Attach(blobs[i])
+			for i, blob := range blobs {
+				pkts[start+i].Signature = blob
 			}
-			at := time.Unix(0, 0)
-			b.SetBytes(int64(k * n * 512))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rcv, err := stream.NewReceiver(s, k+1)
+		}
+		at := time.Unix(0, 0)
+		b.SetBytes(int64(n * 512))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			v, err := s.NewVerifier(verifier.Env{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			authed := 0
+			for _, p := range pkts {
+				events, err := v.Ingest(p, at)
 				if err != nil {
 					b.Fatal(err)
 				}
-				sig, err := crypto.NewSigCache(crypto.MaxBatch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				q, err := crypto.NewBatchVerifyQueue(k, sig)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rcv.SetBatchVerify(q)
-				b.StartTimer()
-				authed := 0
-				for _, pkts := range blocks {
-					for _, p := range pkts {
-						auths, err := rcv.Ingest(p, at)
-						if err != nil {
-							b.Fatal(err)
-						}
-						authed += len(auths)
+				authed += len(events)
+			}
+			if authed != n {
+				b.Fatalf("authenticated %d of %d", authed, n)
+			}
+		}
+	}
+}
+
+func benchVerifyServingAuthtree(k int) func(*testing.B) {
+	return func(b *testing.B) {
+		const n = 128
+		signer := crypto.BatchCapable(crypto.NewSignerFromString("bench"))
+		s, err := authtree.New(n, signer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads := benchPayloads(n, 512)
+		// K blocks whose roots share one batch signature — the send
+		// side of the serving daemon.
+		var (
+			blocks   [][]*packet.Packet
+			prs      []*scheme.PendingRoot
+			contents [][]byte
+		)
+		for blk := 1; blk <= k; blk++ {
+			pkts, pr, err := s.AuthenticateDeferred(uint64(blk), payloads)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blocks = append(blocks, pkts)
+			prs = append(prs, pr)
+			contents = append(contents, pr.Content)
+		}
+		blobs, err := crypto.BatchSign(signer, contents)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, pr := range prs {
+			pr.Attach(blobs[i])
+		}
+		at := time.Unix(0, 0)
+		b.SetBytes(int64(k * n * 512))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rcv, err := stream.NewReceiver(s, k+1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sig, err := crypto.NewSigCache(crypto.MaxBatch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := crypto.NewBatchVerifyQueue(k, sig)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rcv.SetBatchVerify(q)
+			b.StartTimer()
+			authed := 0
+			for _, pkts := range blocks {
+				for _, p := range pkts {
+					auths, err := rcv.Ingest(p, at)
+					if err != nil {
+						b.Fatal(err)
 					}
-				}
-				q.Resolve()
-				authed += len(rcv.DrainDeferred())
-				if authed != k*n {
-					b.Fatalf("authenticated %d of %d", authed, k*n)
+					authed += len(auths)
 				}
 			}
-		})
+			q.Resolve()
+			authed += len(rcv.DrainDeferred())
+			if authed != k*n {
+				b.Fatalf("authenticated %d of %d", authed, k*n)
+			}
+		}
+	}
+}
+
+// TestVerifyServingAllocCeiling holds BenchmarkVerifyServing to about 1.3
+// times what it makes: 21 allocs/op for signeach at K = 16 and 64, and 880
+// and 3056 for authtree at K = 16 and 64.
+func TestVerifyServingAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		k                  int
+		signeach, authtree int64
+	}{{16, 28, 1150}, {64, 28, 4000}} {
+		checkAllocs(t, fmt.Sprintf("VerifyServing/signeach/K=%d", c.k), c.signeach, benchVerifyServingSignEach(c.k))
+		checkAllocs(t, fmt.Sprintf("VerifyServing/authtree/K=%d", c.k), c.authtree, benchVerifyServingAuthtree(c.k))
 	}
 }
 
@@ -529,6 +616,12 @@ func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []se
 // accounting does no per-packet work over live blocks or streams.
 // (BenchmarkVerifyServing drains once per 512 packets and cannot see that.)
 func BenchmarkServeLoop(b *testing.B) {
+	for _, streams := range []int{8, 64} {
+		b.Run(fmt.Sprintf("streams=%d", streams), benchServeLoop(streams))
+	}
+}
+
+func benchServeLoop(streams int) func(*testing.B) {
 	const (
 		n           = 8
 		live        = 64 // mcserved -connect: NewVerifySink(64, ...)
@@ -536,86 +629,92 @@ func BenchmarkServeLoop(b *testing.B) {
 		verifyBatch = 32   // -verify-batch
 		verifyCache = 1024 // -verify-cache
 	)
-	for _, streams := range []int{8, 64} {
+	var (
+		schemes []scheme.Scheme
+		trace   []servePacket
+	)
+	return func(b *testing.B) {
+		if trace == nil { // built once, not once per b.N ramp step
+			schemes, trace = serveLoopTrace(b, streams, n, live+timedRounds)
+		}
+		warm := streams * n * live
+		at := time.Unix(0, 0)
 		var (
-			schemes []scheme.Scheme
-			trace   []servePacket
+			dmx         *stream.Demux
+			q           *crypto.BatchVerifyQueue
+			fed, authed int
 		)
-		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
-			if trace == nil { // built once, not once per b.N ramp step
-				schemes, trace = serveLoopTrace(b, streams, n, live+timedRounds)
+		step := func(sp servePacket) {
+			auths, err := dmx.Ingest(sp.stream, sp.p, at)
+			if err != nil {
+				b.Fatal(err)
 			}
-			warm := streams * n * live
-			at := time.Unix(0, 0)
-			var (
-				dmx         *stream.Demux
-				q           *crypto.BatchVerifyQueue
-				fed, authed int
-			)
-			step := func(sp servePacket) {
-				auths, err := dmx.Ingest(sp.stream, sp.p, at)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fed++
-				if fed%verifyBatch == 0 && q.Pending() > 0 {
-					q.Resolve()
-				}
-				authed += len(auths) + len(dmx.DrainDeferred())
-			}
-			settle := func() {
+			fed++
+			if fed%verifyBatch == 0 && q.Pending() > 0 {
 				q.Resolve()
-				authed += len(dmx.DrainDeferred())
-				// Only the block the pass stopped inside may be waiting
-				// for its signature packet.
-				if authed > fed || fed-authed >= n {
-					b.Fatalf("authenticated %d of %d packets", authed, fed)
-				}
 			}
-			// restart opens a fresh demux with the first `live` rounds
-			// already ingested, so every timed packet meets 64 live blocks
-			// per stream.
-			restart := func() {
-				var err error
-				dmx, err = stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
-					return stream.NewReceiver(schemes[id], live)
-				}, streams)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cache, err := verifier.NewSharedCache(verifyCache)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sig, err := crypto.NewSigCache(verifyCache)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if q, err = crypto.NewBatchVerifyQueue(verifyBatch, sig); err != nil {
-					b.Fatal(err)
-				}
-				dmx.SetVerifyFastPath(cache, q)
-				fed, authed = 0, 0
-				for _, sp := range trace[:warm] {
-					step(sp)
-				}
+			authed += len(auths) + len(dmx.DrainDeferred())
+		}
+		settle := func() {
+			q.Resolve()
+			authed += len(dmx.DrainDeferred())
+			// Only the block the pass stopped inside may be waiting
+			// for its signature packet.
+			if authed > fed || fed-authed >= n {
+				b.Fatalf("authenticated %d of %d packets", authed, fed)
 			}
-			restart()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i, next := 0, warm; i < b.N; i, next = i+1, next+1 {
-				if next == len(trace) {
-					b.StopTimer()
-					settle()
-					restart()
-					next = warm
-					b.StartTimer()
-				}
-				step(trace[next])
+		}
+		// restart opens a fresh demux with the first `live` rounds
+		// already ingested, so every timed packet meets 64 live blocks
+		// per stream.
+		restart := func() {
+			var err error
+			dmx, err = stream.NewDemux(func(id uint64) (*stream.Receiver, error) {
+				return stream.NewReceiver(schemes[id], live)
+			}, streams)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			settle()
-		})
+			cache, err := verifier.NewSharedCache(verifyCache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sig, err := crypto.NewSigCache(verifyCache)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if q, err = crypto.NewBatchVerifyQueue(verifyBatch, sig); err != nil {
+				b.Fatal(err)
+			}
+			dmx.SetVerifyFastPath(cache, q)
+			fed, authed = 0, 0
+			for _, sp := range trace[:warm] {
+				step(sp)
+			}
+		}
+		restart()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, next := 0, warm; i < b.N; i, next = i+1, next+1 {
+			if next == len(trace) {
+				b.StopTimer()
+				settle()
+				restart()
+				next = warm
+				b.StartTimer()
+			}
+			step(trace[next])
+		}
+		b.StopTimer()
+		settle()
+	}
+}
+
+// TestServeLoopAllocCeiling holds BenchmarkServeLoop to 16 allocs per
+// packet at both widths; it makes 5 and 6.
+func TestServeLoopAllocCeiling(t *testing.T) {
+	for _, streams := range []int{8, 64} {
+		checkAllocs(t, fmt.Sprintf("ServeLoop/streams=%d", streams), 16, benchServeLoop(streams))
 	}
 }
 
@@ -626,66 +725,82 @@ func BenchmarkServeLoop(b *testing.B) {
 // the publishers split b.N, each going round every stream from its own
 // offset. Close, which pads and signs what is left, is not timed.
 func BenchmarkPublish(b *testing.B) {
+	for _, publishers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("publishers=%d", publishers), benchPublish(publishers))
+	}
+}
+
+func benchPublish(publishers int) func(*testing.B) {
 	const (
 		streams = 8
 		n       = 8
 	)
 	payloads := benchPayloads(streams*n, 256)
-	for _, publishers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("publishers=%d", publishers), func(b *testing.B) {
-			srv, err := server.New(server.Config{
-				Signer:             crypto.NewSignerFromString("bench"),
-				BatchSize:          64,
-				MaxSubscriberQueue: 1 << 16,
-			})
-			if err != nil {
+	return func(b *testing.B) {
+		srv, err := server.New(server.Config{
+			Signer:             crypto.NewSignerFromString("bench"),
+			BatchSize:          64,
+			MaxSubscriberQueue: 1 << 16,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := uint64(1); id <= streams; id++ {
+			kind := []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
+			if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
+				e, err := catalog.Build(catalog.Spec{ID: kind, N: n, M: 2, D: 1}, signer)
+				return e.Scheme, err
+			}); err != nil {
 				b.Fatal(err)
 			}
-			for id := uint64(1); id <= streams; id++ {
-				kind := []string{"emss", "rohatgi", "authtree", "signeach"}[id%4]
-				if err := srv.OpenStream(id, func(signer crypto.Signer) (scheme.Scheme, error) {
-					e, err := catalog.Build(catalog.Spec{ID: kind, N: n, M: 2, D: 1}, signer)
-					return e.Scheme, err
-				}); err != nil {
-					b.Fatal(err)
-				}
+		}
+		sub, err := srv.Subscribe()
+		if err != nil {
+			b.Fatal(err)
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for range sub.C() {
 			}
-			sub, err := srv.Subscribe()
-			if err != nil {
-				b.Fatal(err)
-			}
-			drained := make(chan struct{})
+		}()
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for g := 0; g < publishers; g++ {
+			wg.Add(1)
 			go func() {
-				defer close(drained)
-				for range sub.C() {
+				defer wg.Done()
+				for i, k := g, 0; i < b.N; i, k = i+publishers, k+1 {
+					id := uint64((k+g*streams/publishers)%streams + 1)
+					if err := srv.Publish(id, payloads[i%len(payloads)]); err != nil {
+						b.Error(err)
+						return
+					}
 				}
 			}()
-			var wg sync.WaitGroup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for g := 0; g < publishers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i, k := g, 0; i < b.N; i, k = i+publishers, k+1 {
-						id := uint64((k+g*streams/publishers)%streams + 1)
-						if err := srv.Publish(id, payloads[i%len(payloads)]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			<-drained
-			if drops := sub.Drops(); drops != 0 {
-				b.Fatalf("the draining subscriber dropped %d packets", drops)
-			}
-		})
+		}
+		wg.Wait()
+		b.StopTimer()
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
+		<-drained
+		if drops := sub.Drops(); drops != 0 {
+			b.Fatalf("the draining subscriber dropped %d packets", drops)
+		}
+	}
+}
+
+// TestPublishAllocCeiling holds BenchmarkPublish to 3 allocs per message,
+// the nearest whole number above 1.3 times the 2 it makes: the block's
+// slabs and batch signatures amortized over its 8 messages. It runs 4096
+// messages, not 100, so that batches fill and sign inside the timed loop.
+func TestPublishAllocCeiling(t *testing.T) {
+	for _, publishers := range []int{1, 2} {
+		if got := allocsPerOp(t, 4096, benchPublish(publishers)); got > 3 {
+			t.Errorf("Publish/publishers=%d: %d allocs/op exceeds the ceiling 3", publishers, got)
+		}
 	}
 }
 
@@ -780,6 +895,18 @@ func BenchmarkMonteCarloAuthProbBursty(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestMonteCarloAllocCeiling holds the Monte-Carlo estimator's benchmarks
+// to 64 and 220 allocs/op. BenchmarkMonteCarloAuthProb makes 18 — the shard
+// plan, one vertex order per call, and per shard a generator, two tallies
+// and the lane words — so the order or the lane scratch moving into the
+// per-shard closure's trial loop, or a per-trial allocation, trips it.
+// Its bursty twin makes 170 the same way over 40 shards, and a per-group
+// allocation in the lane sampler (313 groups of 64 trials) trips it too.
+func TestMonteCarloAllocCeiling(t *testing.T) {
+	checkAllocs(t, "MonteCarloAuthProb", 64, BenchmarkMonteCarloAuthProb)
+	checkAllocs(t, "MonteCarloAuthProbBursty", 220, BenchmarkMonteCarloAuthProbBursty)
 }
 
 // BenchmarkLossSample measures the loss samplers alone: one op is one
@@ -893,6 +1020,15 @@ func BenchmarkNetsimBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestNetsimBlockAllocCeiling holds BenchmarkNetsimBlock to 580 allocs per
+// block; it makes 446 — receivers in chunks of 128, one scratch and one
+// verifier per chunk, both per-index rows of every receiver cut from one
+// array — so a per-receiver verifier or per-receiver rows coming back trip
+// it.
+func TestNetsimBlockAllocCeiling(t *testing.T) {
+	checkAllocs(t, "NetsimBlock", 580, BenchmarkNetsimBlock)
 }
 
 // BenchmarkStreamPipeline measures the full session layer: chop messages

@@ -114,15 +114,23 @@ func (o options) loss() loss.Spec { return loss.Spec{P: o.p, Burst: float64(o.bu
 // buildEntry builds the selected scheme and its analytic q_min under the
 // -p loss rate and -mu/-sigma delay, printed with the evaluator that gave it.
 // The catalogue's q_min takes only a Bernoulli rate, so under -burst the
-// label says the value is the i.i.d. one, not this channel's.
+// label says the value is the i.i.d. one, not this channel's; an overlay's
+// label says the loss it models is the last hop's alone.
 func buildEntry(o options) (catalog.Entry, string, error) {
 	entry, err := catalog.Build(o.spec(), crypto.NewSignerFromString("mcsim-sender"))
 	if err != nil {
 		return catalog.Entry{}, "", err
 	}
 	qmin, by, err := entry.QMin(o.p, o.mu, o.sigma)
-	if o.loss().Burst > 1 {
-		by = fmt.Sprintf("%s, i.i.d. at p = %g; not this channel", by, o.p)
+	iid := "i.i.d."
+	if o.overlay {
+		iid = "i.i.d. last hop"
+	}
+	switch {
+	case o.loss().Burst > 1:
+		by = fmt.Sprintf("%s, %s at p = %g; not this channel", by, iid, o.p)
+	case o.overlay:
+		by += ", " + iid
 	}
 	return entry, fmt.Sprintf("%.4f (%s)", qmin, by), err
 }

@@ -41,16 +41,25 @@ func TestRunBurstAndLateJoin(t *testing.T) {
 }
 
 // TestAnalyticLabelNamesChannel: the catalogue's q_min is the i.i.d. value
-// at -p, so under -burst the label must say it is not this channel's.
+// at -p, so under -burst the label must say it is not this channel's, and
+// an overlay's must say it models the last hop alone — in the value, once,
+// under the one row name both topologies print.
 func TestAnalyticLabelNamesChannel(t *testing.T) {
 	for _, c := range []struct {
+		overlay     bool
 		burst, want string
 	}{
-		{"0", "0.5911 (exact)"},
-		{"1", "0.5911 (exact)"},
-		{"5", "0.5911 (exact, i.i.d. at p = 0.1; not this channel)"},
+		{false, "0", "0.5911 (exact)"},
+		{false, "1", "0.5911 (exact)"},
+		{false, "5", "0.5911 (exact, i.i.d. at p = 0.1; not this channel)"},
+		{true, "0", "0.5911 (exact, i.i.d. last hop)"},
+		{true, "5", "0.5911 (exact, i.i.d. last hop at p = 0.1; not this channel)"},
 	} {
-		o, err := parseOptions([]string{"-scheme", "emss", "-n", "60", "-m", "2", "-d", "1", "-p", "0.1", "-burst", c.burst})
+		args := []string{"-scheme", "emss", "-n", "60", "-m", "2", "-d", "1", "-p", "0.1", "-burst", c.burst}
+		if c.overlay {
+			args = append(args, "-overlay")
+		}
+		o, err := parseOptions(args)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +68,30 @@ func TestAnalyticLabelNamesChannel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != c.want {
-			t.Errorf("-burst %s: analytic q_min %q, want %q", c.burst, got, c.want)
+			t.Errorf("overlay %v, -burst %s: analytic q_min %q, want %q", c.overlay, c.burst, got, c.want)
 		}
+	}
+	// The overlay table prints the label once, in that row.
+	out, err := os.Create(filepath.Join(t.TempDir(), "overlay.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-overlay", "-scheme", "emss", "-n", "60", "-p", "0.1", "-burst", "5", "-receivers", "20", "-workers", "1"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile(`(?m)^analytic q_min +0\.5911 \(exact, i\.i\.d\. last hop at p = 0\.1; not this channel\)$`)
+	if !row.Match(printed) ||
+		strings.Count(string(printed), "i.i.d.") != 1 {
+		t.Errorf("overlay table does not name the i.i.d. last hop once, in its analytic q_min row:\n%s", printed)
 	}
 }
 

@@ -103,7 +103,7 @@ func runOverlay(o options, entry catalog.Entry, analytic string, cfg netsim.Conf
 	fmt.Fprintf(w, "upstream repairs\t%d\n", sum.UpstreamRepaired)
 	fmt.Fprintf(w, "receiver repairs\t%d\n", sum.ReceiverRepairs)
 	fmt.Fprintf(w, "withholding flags\t%v\n", sum.Flagged)
-	fmt.Fprintf(w, "analytic q_min (i.i.d. last hop)\t%s\n", analytic)
+	fmt.Fprintf(w, "analytic q_min\t%s\n", analytic)
 	fmt.Fprintf(w, "measured q_min\t%.4f\n", sum.MinQMin)
 	if o.lossyEdges > 0 && o.edgeP > 0 {
 		fmt.Fprintln(w, "note\tcorrelated tree-edge loss: the analytic bound assumes i.i.d. per-receiver loss and does not apply; the measurement is authoritative")

@@ -88,14 +88,14 @@ func TestSigCacheSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var vs VerifyScratch
-	if !VerifyAnyCached(c, &vs, pub, msg, sig) {
+	if !VerifyCached(c, &vs, pub, msg, nil, sig) {
 		t.Fatal("first verify failed")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if !VerifyAnyCached(c, &vs, pub, msg, sig) {
+		if !VerifyCached(c, &vs, pub, msg, nil, sig) {
 			t.Fatal("cached verify failed")
 		}
 	}); n > 0 {
-		t.Errorf("VerifyAnyCached hit: %.1f allocs/op, want 0", n)
+		t.Errorf("VerifyCached hit: %.1f allocs/op, want 0", n)
 	}
 }

@@ -246,8 +246,11 @@ func (v *batchVerifier) Bytes() []byte { return v.inner.Bytes() }
 
 // batchCapableSigner delegates signing but hands out batch-aware public
 // keys, so schemes built from it verify both plain and batched signatures.
+// It hands out one key: a Verifier is immutable and safe for concurrent
+// use, so the verifiers a scheme builds per block share it.
 type batchCapableSigner struct {
 	inner Signer
+	pub   Verifier
 }
 
 // BatchCapable wraps a Signer so that Public() returns a batch-aware
@@ -257,12 +260,12 @@ func BatchCapable(s Signer) Signer {
 	if bc, ok := s.(*batchCapableSigner); ok {
 		return bc
 	}
-	return &batchCapableSigner{inner: s}
+	return &batchCapableSigner{inner: s, pub: newBatchVerifier(s.Public())}
 }
 
 func (s *batchCapableSigner) Sign(data []byte) []byte { return s.inner.Sign(data) }
 
-func (s *batchCapableSigner) Public() Verifier { return newBatchVerifier(s.inner.Public()) }
+func (s *batchCapableSigner) Public() Verifier { return s.pub }
 
 // pendingItem is one enqueued message awaiting the batch signature.
 type pendingItem struct {

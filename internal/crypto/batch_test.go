@@ -225,7 +225,7 @@ func TestBatchSignerSingletonSignsPlain(t *testing.T) {
 			t.Errorf("%s singleton verifies the wrong content", name)
 		}
 		deferred := false
-		q.Enqueue(signer.Public(), msg, sig, func(ok bool) { deferred = ok })
+		q.Enqueue(pub, msg, sig, func(ok bool) { deferred = ok })
 		q.Resolve()
 		if !deferred {
 			t.Errorf("%s singleton rejected by the deferred queue", name)

@@ -103,12 +103,12 @@ func TestKeychainIntoMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestVerifyAnyCachedPlainAndBlob checks cached verification against the
-// uncached paths for both signature forms, and that hits skip the
-// public-key operation.
-func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
+// TestVerifyCachedPlainAndBlob checks cached verification under a
+// batch-capable key against the uncached paths for both signature forms,
+// and that hits skip the public-key operation.
+func TestVerifyCachedPlainAndBlob(t *testing.T) {
 	signer := NewSignerFromString("vac")
-	pub := signer.Public()
+	pub := BatchCapable(signer).Public()
 	cache, err := NewSigCache(64)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
 	msg := []byte("plain message")
 	sig := signer.Sign(msg)
 	for round := 0; round < 3; round++ {
-		if !VerifyAnyCached(cache, &scratch, pub, msg, sig) {
+		if !VerifyCached(cache, &scratch, pub, msg, nil, sig) {
 			t.Fatalf("round %d: genuine plain signature rejected", round)
 		}
 	}
@@ -133,10 +133,10 @@ func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range contents {
-		if !VerifyAnyCached(cache, &scratch, pub, c, blobs[i]) {
+		if !VerifyCached(cache, &scratch, pub, c, nil, blobs[i]) {
 			t.Fatalf("blob %d rejected", i)
 		}
-		if !verifyBatchBlob(pub, c, blobs[i]) {
+		if !verifyBatchBlob(signer.Public(), c, blobs[i]) {
 			t.Fatalf("blob %d rejected by legacy path", i)
 		}
 	}
@@ -148,34 +148,35 @@ func TestVerifyAnyCachedPlainAndBlob(t *testing.T) {
 
 	// Cross-content forgery: a valid blob must not authenticate other
 	// content, cached or not.
-	if VerifyAnyCached(cache, &scratch, pub, []byte("z"), blobs[0]) {
+	if VerifyCached(cache, &scratch, pub, []byte("z"), nil, blobs[0]) {
 		t.Fatalf("blob accepted for wrong content")
 	}
 	// Corrupted inner signature never caches.
 	bad := append([]byte(nil), blobs[1]...)
 	bad[9] ^= 1
 	for round := 0; round < 2; round++ {
-		if VerifyAnyCached(cache, &scratch, pub, contents[1], bad) {
+		if VerifyCached(cache, &scratch, pub, contents[1], nil, bad) {
 			t.Fatalf("round %d: corrupted blob accepted", round)
 		}
 	}
 	// Wrong-key plain signature never caches.
 	otherPub := NewSignerFromString("vac-other").Public()
 	for round := 0; round < 2; round++ {
-		if VerifyAnyCached(cache, &scratch, otherPub, msg, sig) {
+		if VerifyCached(cache, &scratch, otherPub, msg, nil, sig) {
 			t.Fatalf("round %d: signature accepted under wrong key", round)
 		}
 	}
 	// Nil cache and nil scratch still verify correctly.
-	if !VerifyAnyCached(nil, nil, pub, msg, sig) {
+	if !VerifyCached(nil, nil, pub, msg, nil, sig) {
 		t.Fatalf("nil-cache verify rejected genuine signature")
 	}
 }
 
-// TestVerifyCachedMatchesVerify pins VerifyCached to pub.Verify: every key
-// kind against every signature shape, with the cache nil, cold and warm, and
-// with a failed check never stored. The plain key's refusal of a valid batch
-// blob is the case VerifyAnyCached answers differently.
+// TestVerifyCachedMatchesVerify pins VerifyCached, and the batch-verify
+// queue's deferred verdict, to pub.Verify: every key kind against every
+// signature shape, with the cache nil, cold and warm, and with a failed check
+// never stored. The plain key's refusal of a valid batch
+// blob is the rule every verifier and the batch-verify queue follow.
 func TestVerifyCachedMatchesVerify(t *testing.T) {
 	signer := NewSignerFromString("vc")
 	content := []byte("signed content")
@@ -235,6 +236,19 @@ func TestVerifyCachedMatchesVerify(t *testing.T) {
 			}
 			if st := cache.Stats(); want && (st.Hits != 1 || st.Misses != 1) {
 				t.Errorf("%s key, %s: stats %+v, want the warm lookup to hit", k.name, sg.name, st)
+			}
+			for _, qc := range []*SigCache{nil, cache} {
+				q, err := NewBatchVerifyQueue(1, qc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queued := !want
+				if _, err := q.Enqueue(k.pub, sg.content, sg.sig, func(ok bool) { queued = ok }); err != nil {
+					t.Fatal(err)
+				}
+				if queued != want {
+					t.Errorf("%s key, %s, queue cache %v: deferred verdict %v, Verify = %v", k.name, sg.name, qc != nil, queued, want)
+				}
 			}
 		}
 	}
@@ -354,7 +368,7 @@ func TestBatchVerifyQueueFallback(t *testing.T) {
 // and that blob checks reduce to their shared inner signature.
 func TestBatchVerifyQueueAutoResolve(t *testing.T) {
 	signer := NewSignerFromString("bvq-auto")
-	pub := signer.Public()
+	pub := BatchCapable(signer).Public()
 	contents := make([][]byte, 8)
 	for i := range contents {
 		contents[i] = []byte(fmt.Sprintf("content-%d", i))
@@ -468,7 +482,8 @@ func TestBatchVerifyQueueWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub := &countingVerifier{Verifier: signer.Public()}
+		counting := &countingVerifier{Verifier: signer.Public()}
+		pub := newBatchVerifier(counting)
 		var r run
 		for _, pass := range [][]int{first, second} {
 			for _, d := range pass {
@@ -479,7 +494,7 @@ func TestBatchVerifyQueueWorkerInvariant(t *testing.T) {
 			}
 			q.Resolve()
 		}
-		r.totals, r.stats, r.ops = q.Totals(), cache.Stats(), pub.ops.Load()
+		r.totals, r.stats, r.ops = q.Totals(), cache.Stats(), counting.ops.Load()
 		return r
 	}
 
@@ -576,7 +591,9 @@ func TestSigCacheConcurrentFirstLookups(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if got := VerifyAnyCached(cache, nil, pub, msg, tc.sig); got != tc.want {
+				// A batch-capable key: VerifyCached caches its checks and
+				// runs them on the counting inner key.
+				if got := VerifyCached(cache, nil, newBatchVerifier(pub), msg, nil, tc.sig); got != tc.want {
 					t.Errorf("%s signature: verdict %v", tc.name, got)
 				}
 			}()

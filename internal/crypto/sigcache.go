@@ -68,27 +68,22 @@ type SigCacheStats struct {
 // public key, message digest, and signature bytes, so a hit is exactly as
 // strong as the original check (up to SHA-256 collisions).
 //
-// The cache is bounded with two-generation rotation (at most 2*max
-// entries): inserts and promoted hits go to the current generation; when
-// it fills, it becomes the previous generation and the old previous is
-// dropped. Rotation is O(1) per insert, unlike scan-based LRU. Safe for
-// concurrent use.
+// The cache is a Memo of at most 2*max entries. Safe for concurrent use.
 //
 // Concurrent first lookups of one check run it once: the synchronous path
-// (VerifyCached, VerifyAnyCached) claims a missed key while it verifies, and
-// a second goroutine missing the same key waits for that verdict rather than
-// repeat the public-key operation. Simulated receivers are all handed the
-// same signed bytes at once, so without the claim the number of real checks —
+// (VerifyCached) claims a missed key while it verifies, and a second
+// goroutine missing the same key waits for that verdict rather than repeat
+// the public-key operation. Simulated receivers are all handed the same
+// signed bytes at once, so without the claim the number of real checks —
 // and with it crypto.verify_ops and the hit/miss counts — would depend on the
 // worker count. A check that fails is not stored, so each waiter then claims
 // and runs it in turn: a miss always ends in the caller's own check.
 type SigCache struct {
-	mu        sync.Mutex
-	max       int
-	cur, prev map[sigKey]struct{}
-	checking  map[sigKey]struct{} // keys claimed by a check running now
-	settled   sync.Cond           // on mu; broadcast when a claim is released
-	stats     SigCacheStats
+	mu       sync.Mutex
+	checks   Memo[sigKey, struct{}]
+	checking map[sigKey]struct{} // keys claimed by a check running now
+	settled  sync.Cond           // on mu; broadcast when a claim is released
+	stats    SigCacheStats
 }
 
 // NewSigCache creates a cache holding at most 2*max verified checks.
@@ -96,25 +91,19 @@ func NewSigCache(max int) (*SigCache, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("crypto: sig cache size %d must be >= 1", max)
 	}
-	c := &SigCache{max: max, cur: make(map[sigKey]struct{}), checking: make(map[sigKey]struct{})}
+	c := &SigCache{checks: NewMemo[sigKey, struct{}](max), checking: make(map[sigKey]struct{})}
 	c.settled.L = &c.mu
 	return c, nil
 }
 
 // hitLocked reports whether the check previously succeeded, counting the
-// hit and promoting it from the previous generation so hot entries survive
-// rotation.
+// hit.
 func (c *SigCache) hitLocked(k sigKey) bool {
-	if _, ok := c.cur[k]; ok {
+	_, ok := c.checks.Get(k)
+	if ok {
 		c.stats.Hits++
-		return true
 	}
-	if _, ok := c.prev[k]; ok {
-		c.stats.Hits++
-		c.storeLocked(k)
-		return true
-	}
-	return false
+	return ok
 }
 
 // seen reports whether the check previously succeeded.
@@ -153,7 +142,7 @@ func (c *SigCache) end(k sigKey, ok bool) {
 	c.mu.Lock()
 	delete(c.checking, k)
 	if ok {
-		c.storeLocked(k)
+		c.checks.Put(k, struct{}{})
 	}
 	c.mu.Unlock()
 	c.settled.Broadcast()
@@ -163,30 +152,23 @@ func (c *SigCache) end(k sigKey, ok bool) {
 func (c *SigCache) store(k sigKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.storeLocked(k)
-}
-
-func (c *SigCache) storeLocked(k sigKey) {
-	if len(c.cur) >= c.max {
-		c.stats.Evicted += int64(len(c.prev))
-		c.prev = c.cur
-		c.cur = make(map[sigKey]struct{}, c.max)
-	}
-	c.cur[k] = struct{}{}
+	c.checks.Put(k, struct{}{})
 }
 
 // Len returns the number of cached checks.
 func (c *SigCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cur) + len(c.prev)
+	return c.checks.Len()
 }
 
 // Stats snapshots the lifetime counters.
 func (c *SigCache) Stats() SigCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	st.Evicted = c.checks.Evicted()
+	return st
 }
 
 // VerifyScratch holds the reusable buffers one caller needs to verify
@@ -197,65 +179,71 @@ type VerifyScratch struct {
 	msg []byte // batch root-message staging
 }
 
-// VerifyAnyCached checks sig — a plain Ed25519 signature or a batch
-// signature blob — of content under pub, consulting cache to skip checks
-// that already succeeded. Batch blobs always pay the (cheap) Merkle path
-// walk; only the underlying public-key operation is cached. cache may be
-// nil (no caching) and scratch may be nil (allocates staging per call).
-// Results match Verifier.Verify / verifyBatchBlob exactly.
-func VerifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content, sig []byte) bool {
-	return verifyAnyCached(cache, scratch, pub, content, nil, sig)
+// underlying maps the check of sig over content under pub to the one plain
+// signature check pub.Verify rests on: a plain key's own, or a batch-capable
+// key's inner key over content or, for a batch blob, over the blob's root
+// message, staged in s (valid until s is used again). ok is false where
+// pub.Verify refuses without a public-key operation: a batch blob or a
+// signature of the wrong length under a plain key, a malformed blob, a nil
+// key. key is nil, with ok true, for a key of a type this package does not
+// define: its Verify is not known to be a function of the check, so the
+// caller calls it directly.
+func (s *VerifyScratch) underlying(pub Verifier, content, sig []byte) (key Verifier, msg, plain []byte, ok bool) {
+	switch v := pub.(type) {
+	case nil:
+		return nil, nil, nil, false
+	case *ed25519Verifier:
+		return v, content, sig, len(sig) == signatureSize
+	case *batchVerifier:
+		if len(sig) == signatureSize {
+			return v.inner, content, sig, true
+		}
+		count, index, inner, path, ok := splitBatchBlob(sig)
+		if !ok {
+			return nil, nil, nil, false
+		}
+		leaf := batchLeaf(&s.hs, content)
+		root, ok := batchRootFromPath(&s.hs, leaf, index, count, path)
+		if !ok {
+			return nil, nil, nil, false
+		}
+		s.msg = append(s.msg[:0], batchRootLabel...)
+		s.msg = append(s.msg, root[:]...)
+		return v.inner, s.msg, inner, true
+	default:
+		return nil, content, sig, true
+	}
 }
 
-// verifyAnyCached is VerifyAnyCached with VerifyCached's sum.
-func verifyAnyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content []byte, sum *Digest, sig []byte) bool {
-	if pub == nil {
-		return false
-	}
-	if len(sig) == signatureSize {
-		return verifyCachedPlain(cache, pub, content, sum, sig)
-	}
+// VerifyCached returns exactly what pub.Verify(content, sig) returns — the
+// key decides: a crypto.BatchCapable key accepts a batch blob over content,
+// a plain key refuses one — but skips the public-key operation when cache
+// has seen the same underlying check succeed. A batch blob always pays its
+// (cheap) Merkle path walk; only the public-key operation is cached, so the
+// blobs of one flush share one. cache may be nil (no caching) and scratch
+// may be nil (staging allocated per call). sum is nil or HashBytes(content)
+// when the caller already holds it, so that a plain signature's cache key
+// hashes nothing. A Verifier of a type this package does not define is
+// called directly: its Verify is not known to be a function of the cache
+// key.
+func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content []byte, sum *Digest, sig []byte) bool {
 	if scratch == nil {
 		scratch = &VerifyScratch{}
 	}
-	count, index, inner, path, ok := splitBatchBlob(sig)
-	if !ok {
+	key, msg, plain, ok := scratch.underlying(pub, content, sig)
+	switch {
+	case !ok:
 		return false
-	}
-	leaf := batchLeaf(&scratch.hs, content)
-	root, ok := batchRootFromPath(&scratch.hs, leaf, index, count, path)
-	if !ok {
-		return false
-	}
-	scratch.msg = append(scratch.msg[:0], batchRootLabel...)
-	scratch.msg = append(scratch.msg, root[:]...)
-	return verifyCachedPlain(cache, pub, scratch.msg, nil, inner)
-}
-
-// VerifyCached returns exactly what pub.Verify(content, sig) returns — a
-// plain key still refuses a batch blob, which VerifyAnyCached would accept —
-// but skips the public-key operation when cache has seen the same check
-// succeed. cache and scratch may be nil, as for VerifyAnyCached. sum is nil
-// or HashBytes(content) when the caller already holds it, so that a plain
-// signature's cache key hashes nothing. A Verifier of a type this package
-// does not define is called directly: its Verify is not known to be a
-// function of the cache key.
-func VerifyCached(cache *SigCache, scratch *VerifyScratch, pub Verifier, content []byte, sum *Digest, sig []byte) bool {
-	switch v := pub.(type) {
-	case *ed25519Verifier:
-		return verifyCachedPlain(cache, v, content, sum, sig)
-	case *batchVerifier:
-		return verifyAnyCached(cache, scratch, v.inner, content, sum, sig)
-	default:
+	case key == nil:
 		return pub.Verify(content, sig)
+	case len(sig) != signatureSize:
+		sum = nil // a blob's check is over its root message, not content
 	}
+	return verifyCachedPlain(cache, key, msg, sum, plain)
 }
 
 // verifyCachedPlain runs one plain signature check through the cache.
 func verifyCachedPlain(cache *SigCache, pub Verifier, msg []byte, sum *Digest, sig []byte) bool {
-	if len(sig) != signatureSize {
-		return false
-	}
 	if cache == nil {
 		return pub.Verify(msg, sig)
 	}

@@ -213,11 +213,11 @@ func (q *BatchVerifyQueue) Totals() VerifyTotals {
 // items that reduce to it.
 type verifyGroup struct {
 	key     sigKey
-	pub     Verifier
-	msg     []byte // the actually-signed message (root message for blobs)
-	sig     []byte // the plain / inner signature
-	members []int  // indices into the pending slice
-	strays  []int  // members whose own message differs from msg
+	pub     Verifier // the plain key that signed msg
+	msg     []byte   // the actually-signed message (root message for blobs)
+	sig     []byte   // the plain / inner signature
+	members []int    // indices into the pending slice
+	strays  []int    // members whose own message differs from msg
 }
 
 // resolveLocked settles the pending queue in three phases. On the caller,
@@ -238,16 +238,23 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 	groups := make(map[sigKey]*verifyGroup)
 	var order []*verifyGroup
 	for i, it := range items {
-		msg, sig, ok := q.reduceCheck(it)
-		if !ok {
+		// The key decides, as VerifyCached does: a plain key refuses a
+		// batch blob, a batch-capable one reduces it to its inner check.
+		key, msg, sig, ok := q.scratch.underlying(it.pub, it.content, it.sig)
+		switch {
+		case !ok:
 			continue // verdict stays false
+		case key == nil:
+			q.totals.Checks++
+			verdicts[i] = it.pub.Verify(it.content, it.sig)
+			continue
 		}
-		k := makeSigKey(it.pub, msg, nil, sig)
+		k := makeSigKey(key, msg, nil, sig)
 		g, exists := groups[k]
 		if !exists {
 			// msg may point into q.scratch; copy so later reductions
 			// cannot clobber it before the group is verified.
-			g = &verifyGroup{key: k, pub: it.pub, msg: append([]byte(nil), msg...), sig: sig}
+			g = &verifyGroup{key: k, pub: key, msg: append([]byte(nil), msg...), sig: sig}
 			groups[k] = g
 			order = append(order, g)
 		} else if !bytes.Equal(msg, g.msg) {
@@ -291,7 +298,7 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 			q.totals.Checks++
 			q.totals.Fallbacks++
 			it := items[i]
-			verdicts[i] = VerifyAnyCached(q.cache, &q.scratch, it.pub, it.content, it.sig)
+			verdicts[i] = VerifyCached(q.cache, &q.scratch, it.pub, it.content, nil, it.sig)
 		}
 	}
 	q.totals.Resolves++
@@ -303,31 +310,6 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 		}
 	}
 	return items, verdicts
-}
-
-// reduceCheck maps one pending item to its underlying plain signature
-// check: (content, sig) for plain signatures, (root message, inner sig)
-// for batch blobs. Malformed items report ok=false. The returned msg may
-// alias q.scratch and is only valid until the next reduceCheck call.
-func (q *BatchVerifyQueue) reduceCheck(it pendingVerify) (msg, sig []byte, ok bool) {
-	if it.pub == nil || len(it.sig) == 0 {
-		return nil, nil, false
-	}
-	if len(it.sig) == signatureSize {
-		return it.content, it.sig, true
-	}
-	count, index, inner, path, ok := splitBatchBlob(it.sig)
-	if !ok {
-		return nil, nil, false
-	}
-	leaf := batchLeaf(&q.scratch.hs, it.content)
-	root, ok := batchRootFromPath(&q.scratch.hs, leaf, index, count, path)
-	if !ok {
-		return nil, nil, false
-	}
-	q.scratch.msg = append(q.scratch.msg[:0], batchRootLabel...)
-	q.scratch.msg = append(q.scratch.msg, root[:]...)
-	return q.scratch.msg, inner, true
 }
 
 func deliverVerdicts(items []pendingVerify, verdicts []bool) {

@@ -7,6 +7,7 @@ import (
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
@@ -28,11 +29,9 @@ func TestConformanceC33(t *testing.T) {
 }
 
 func TestEnvConformance(t *testing.T) {
-	s, err := New(Config{N: 21, A: 3, B: 3}, crypto.NewSignerFromString("sender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) {
+		return New(Config{N: 21, A: 3, B: 3}, signer)
+	}, schemetest.FixedClock, schemetest.ChainedHonours)
 }
 
 func TestValidation(t *testing.T) {

@@ -297,7 +297,6 @@ type treeVerifier struct {
 	children []crypto.Digest
 	hs       crypto.HashScratch
 	rootMsg  []byte
-	vs       crypto.VerifyScratch
 	// pendingRoots tracks roots whose signature check is in flight on the
 	// batch-verify queue: later packets proving the same root park here and
 	// share the verdict instead of enqueueing duplicate checks.
@@ -306,9 +305,8 @@ type treeVerifier struct {
 	// scheme.Verifier.Ingest on who owns it).
 	events []verifier.Event
 
-	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
-	// signatures (only deferred mode buffers).
-	env verifier.Env
+	// rec holds the Env: Cache, BatchQ and Sink as documented; MaxBuffered
+	// caps parked signatures (only deferred mode buffers).
 	rec verifier.Recorder
 }
 
@@ -425,7 +423,6 @@ func (tv *treeVerifier) Reset(env verifier.Env) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	tv.env = env
 	tv.rec.Reset(env)
 	clear(tv.authentic)
 	clear(tv.pendingRoots)
@@ -453,17 +450,10 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 	delete(tv.pendingRoots, root)
 	tv.events = tv.events[:0]
 	settle := func(w parked, verified bool) {
-		tv.rec.Resolved(w.p, w.arrived)
-		if tv.authentic[w.p.Index] {
-			tv.rec.Duplicate()
-			return
+		if tv.rec.Settle(w.p, w.arrived, tv.authentic[w.p.Index], verified) {
+			tv.proveRoot(root)
+			tv.accept(w.p, w.arrived)
 		}
-		if !verified {
-			tv.rec.Rejected(w.p, w.arrived, "bad_signature")
-			return
-		}
-		tv.proveRoot(root)
-		tv.accept(w.p, w.arrived)
 	}
 	settle(first, ok)
 	for _, w := range waiters {
@@ -474,12 +464,26 @@ func (tv *treeVerifier) resolveRoot(first parked, root crypto.Digest, ok bool) {
 			// only repeat that check; one carrying its own gets its own
 			// synchronous check.
 			tv.rootMsg = appendRootMessage(tv.rootMsg[:0], w.p.BlockID, tv.n, root)
-			verified = crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, tv.rootMsg, w.p.Signature)
+			verified = tv.rec.Verify(tv.pub, tv.rootMsg, nil, w.p.Signature)
 		}
 		settle(w, verified)
 	}
-	if len(tv.events) > 0 && tv.env.Sink != nil {
-		tv.env.Sink(tv.events)
+	tv.rec.Deliver(tv.events)
+}
+
+// deferRoot parks p on the deferred signature check of root, tv.rootMsg,
+// joining the check already in flight for root when there is one.
+func (tv *treeVerifier) deferRoot(p *packet.Packet, at time.Time, root crypto.Digest) {
+	if waiters, pending := tv.pendingRoots[root]; pending {
+		if tv.rec.Park(p, at, 0) {
+			tv.pendingRoots[root] = append(waiters, parked{p, at})
+		}
+		return
+	}
+	// Marked before the enqueue, whose auto-resolve may settle it at once.
+	tv.pendingRoots[root] = nil
+	if !tv.rec.Defer(tv.pub, p, tv.rootMsg, at, 0, func(ok bool) { tv.resolveRoot(parked{p, at}, root, ok) }) {
+		delete(tv.pendingRoots, root)
 	}
 }
 
@@ -504,11 +508,8 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 		tv.rec.Duplicate()
 		return nil, nil
 	}
-	if tv.env.Cache != nil {
-		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
-			tv.rec.CacheHit()
-			return tv.accept(p, at), nil
-		}
+	if tv.rec.Cached(p) {
+		return tv.accept(p, at), nil
 	}
 	if len(p.Hashes) != tv.depth*(tv.arity-1) {
 		tv.rec.Rejected(p, at, "bad_path")
@@ -525,27 +526,11 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 		return tv.accept(p, at), nil
 	}
 	tv.rootMsg = appendRootMessage(tv.rootMsg[:0], p.BlockID, tv.n, root)
-	msg := tv.rootMsg
-	if tv.env.BatchQ != nil {
-		if !tv.rec.Park(p, at, 0) {
-			return nil, nil
-		}
-		if waiters, pending := tv.pendingRoots[root]; pending {
-			// This root's signature check is already in flight; share its
-			// verdict rather than enqueue a duplicate.
-			tv.pendingRoots[root] = append(waiters, parked{p, at})
-			return nil, nil
-		}
-		tv.pendingRoots[root] = nil
-		// The queue retains the signed message; msg is reused scratch.
-		held := append([]byte(nil), msg...)
-		tv.env.BatchQ.Enqueue(tv.pub, held, p.Signature, func(ok bool) {
-			tv.resolveRoot(parked{p, at}, root, ok)
-		})
+	if tv.rec.Deferring() {
+		tv.deferRoot(p, at, root)
 		return nil, nil
 	}
-	if !crypto.VerifyAnyCached(tv.env.Sigs, &tv.vs, tv.pub, msg, p.Signature) {
-		tv.rec.Rejected(p, at, "bad_signature")
+	if !tv.rec.Check(tv.pub, p, tv.rootMsg, nil, at) {
 		return nil, nil
 	}
 	tv.remember(p)

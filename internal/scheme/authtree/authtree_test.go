@@ -8,6 +8,7 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 	"mcauth/internal/verifier"
@@ -24,11 +25,8 @@ func TestConformancePowerOfTwo(t *testing.T) {
 // TestEnvConformance: every packet carries the root signature, so nothing
 // buffers outside deferred mode and nothing is traced.
 func TestEnvConformance(t *testing.T) {
-	s, err := New(24, crypto.NewSignerFromString("sender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(24, signer) },
+		schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
 }
 
 func TestConformanceOddSize(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/loss"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/verifier"
 )
@@ -29,11 +30,9 @@ func TestConformanceLargerSpacing(t *testing.T) {
 }
 
 func TestEnvConformance(t *testing.T) {
-	s, err := New(Config{N: 24, M: 2, D: 1}, crypto.NewSignerFromString("sender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) {
+		return New(Config{N: 24, M: 2, D: 1}, signer)
+	}, schemetest.FixedClock, schemetest.ChainedHonours)
 }
 
 func TestValidation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 )
 
@@ -19,11 +20,8 @@ func TestConformance(t *testing.T) {
 }
 
 func TestEnvConformance(t *testing.T) {
-	s, err := New(24, crypto.NewSignerFromString("sender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.ChainedHonours)
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(24, signer) },
+		schemetest.FixedClock, schemetest.ChainedHonours)
 }
 
 func TestValidation(t *testing.T) {

@@ -101,24 +101,21 @@ type signEachVerifier struct {
 	pub       crypto.Verifier
 	authentic map[uint32]bool
 
-	// Receiver fast path: content staging and blob path walks reuse
-	// scratch, and the underlying public-key check of each batch blob is
-	// cached in env.Sigs, so the K packets of one MABS batch cost one
-	// Ed25519 verify. Without a shared memo the verifier keeps its own,
-	// ownSigs, across Resets: a sender that signs in Merkle batches gives
-	// the K blobs of one batch a shared inner signature, so it pays off
-	// within one block, and a verdict memo is sound to keep (see
+	// Receiver fast path: the underlying public-key check of each batch
+	// blob is cached in the Env's Sigs, so the K packets of one MABS batch
+	// cost one Ed25519 verify. Without a shared memo the verifier keeps its
+	// own, ownSigs, across Resets: a sender that signs in Merkle batches
+	// gives the K blobs of one batch a shared inner signature, so it pays
+	// off within one block, and a verdict memo is sound to keep (see
 	// verifier.Env.Sigs).
-	vs      crypto.VerifyScratch
 	content []byte
 	ownSigs *crypto.SigCache
 	// events is what Ingest returns and Sink is passed (see
 	// scheme.Verifier.Ingest on who owns it).
 	events []verifier.Event
 
-	// env: Cache, BatchQ and Sink as documented; MaxBuffered caps parked
-	// signatures (only deferred mode buffers).
-	env verifier.Env
+	// rec holds the Env: Cache, BatchQ and Sink as documented; MaxBuffered
+	// caps parked signatures (only deferred mode buffers).
 	rec verifier.Recorder
 }
 
@@ -137,7 +134,6 @@ func (sv *signEachVerifier) Reset(env verifier.Env) error {
 		}
 		env.Sigs = sv.ownSigs
 	}
-	sv.env = env
 	sv.rec.Reset(env)
 	clear(sv.authentic)
 	clear(sv.events)
@@ -145,33 +141,22 @@ func (sv *signEachVerifier) Reset(env verifier.Env) error {
 	return nil
 }
 
-var _ scheme.Verifier = (*signEachVerifier)(nil)
+var (
+	_ scheme.Verifier   = (*signEachVerifier)(nil)
+	_ verifier.Acceptor = (*signEachVerifier)(nil)
+)
 
-// accept marks p authentic on arrival — nothing here waits except on a
-// deferred verdict, which stands at the packet's arrival time — and returns
-// its event in sv.events.
-func (sv *signEachVerifier) accept(p *packet.Packet, at time.Time) []verifier.Event {
+// Authentic implements verifier.Acceptor.
+func (sv *signEachVerifier) Authentic(p *packet.Packet) bool { return sv.authentic[p.Index] }
+
+// Accept implements verifier.Acceptor: p authenticates on arrival —
+// nothing here waits except on a deferred verdict, which stands at the
+// packet's arrival time — and its event is returned in sv.events.
+func (sv *signEachVerifier) Accept(p *packet.Packet, at time.Time) []verifier.Event {
 	sv.authentic[p.Index] = true
 	sv.rec.Authenticated(p, at, at)
 	sv.events = append(sv.events[:0], verifier.Event{Index: p.Index, Payload: p.Payload})
 	return sv.events
-}
-
-// resolve applies one deferred signature verdict.
-func (sv *signEachVerifier) resolve(p *packet.Packet, arrived time.Time, ok bool) {
-	sv.rec.Resolved(p, arrived)
-	if sv.authentic[p.Index] {
-		sv.rec.Duplicate()
-		return
-	}
-	if !ok {
-		sv.rec.Rejected(p, arrived, "bad_signature")
-		return
-	}
-	events := sv.accept(p, arrived)
-	if sv.env.Sink != nil {
-		sv.env.Sink(events)
-	}
 }
 
 // Ingest implements scheme.Verifier.
@@ -190,29 +175,14 @@ func (sv *signEachVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.E
 		sv.rec.Duplicate()
 		return nil, nil
 	}
-	if sv.env.Cache != nil {
-		if d := sv.env.Cache.DigestOf(p); sv.env.Cache.IsAuthentic(sv.env.StreamID, p.BlockID, d) {
-			sv.rec.CacheHit()
-			return sv.accept(p, at), nil
-		}
+	if sv.rec.Cached(p) {
+		return sv.Accept(p, at), nil
 	}
 	sv.content = p.AppendContent(sv.content[:0])
-	if sv.env.BatchQ != nil {
-		if !sv.rec.Park(p, at, 0) {
-			return nil, nil
-		}
-		// The queue retains the content; sv.content is reused scratch.
-		held := append([]byte(nil), sv.content...)
-		sv.env.BatchQ.Enqueue(sv.pub, held, p.Signature, func(ok bool) {
-			sv.resolve(p, at, ok)
-		})
+	if !sv.rec.Signature(sv, sv.pub, p, sv.content, nil, at, 0) {
 		return nil, nil
 	}
-	if !crypto.VerifyAnyCached(sv.env.Sigs, &sv.vs, sv.pub, sv.content, p.Signature) {
-		sv.rec.Rejected(p, at, "bad_signature")
-		return nil, nil
-	}
-	return sv.accept(p, at), nil
+	return sv.Accept(p, at), nil
 }
 
 // Stats implements scheme.Verifier.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/verifier"
 )
@@ -21,11 +22,8 @@ func TestConformance(t *testing.T) {
 // TestEnvConformance: every packet carries its own signature, so nothing
 // buffers outside deferred mode and nothing is traced.
 func TestEnvConformance(t *testing.T) {
-	s, err := New(24, crypto.NewSignerFromString("sender"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemetest.EnvConformance(t, s, schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(24, signer) },
+		schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
 }
 
 func TestValidation(t *testing.T) {

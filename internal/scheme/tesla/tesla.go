@@ -332,12 +332,12 @@ type teslaVerifier struct {
 	events   []verifier.Event
 	pendPool [][]pendingPacket
 
-	// env: MaxBuffered caps preBoot+buffered. Cache is consulted only
-	// after a packet passes the safety condition: MAC validity is timeless,
-	// but acceptance is not — a replay arriving after its key became public
-	// must still be dropped, so the deadline check can never be skipped.
-	// BatchQ and Sink are ignored: only the bootstrap packet is signed.
-	env verifier.Env
+	// rec holds the Env: MaxBuffered caps preBoot+buffered. Cache is
+	// consulted only after a packet passes the safety condition: MAC
+	// validity is timeless, but acceptance is not — a replay arriving after
+	// its key became public must still be dropped, so the deadline check
+	// can never be skipped. BatchQ and Sink are ignored: only the bootstrap
+	// packet is signed, and it is checked synchronously.
 	rec verifier.Recorder
 }
 
@@ -349,7 +349,6 @@ func (tv *teslaVerifier) Reset(env verifier.Env) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	tv.env = env
 	tv.rec.Reset(env)
 	tv.params, tv.blockID, tv.bestIdx, tv.bestKey = nil, 0, 0, nil
 	clear(tv.preBoot)
@@ -412,8 +411,7 @@ func (tv *teslaVerifier) ingestBootstrap(p *packet.Packet, at time.Time) ([]veri
 		tv.rec.Duplicate()
 		return nil, nil
 	}
-	if !crypto.VerifyCached(tv.env.Sigs, nil, tv.pub, p.ContentBytes(), nil, p.Signature) {
-		tv.rec.Rejected(p, at, "bad_signature")
+	if !tv.rec.Check(tv.pub, p, p.ContentBytes(), nil, at) {
 		return nil, nil
 	}
 	bp, err := parseBootstrap(p.Payload)
@@ -476,12 +474,9 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 	// a packet with this exact content already passed a real MAC check in
 	// this stream and block, and this arrival independently satisfied the
 	// safety condition.
-	if tv.env.Cache != nil {
-		if d := tv.env.Cache.DigestOf(p); tv.env.Cache.IsAuthentic(tv.env.StreamID, p.BlockID, d) {
-			tv.rec.CacheHit()
-			tv.accept(pend, at)
-			return tv.events, nil
-		}
+	if tv.rec.Cached(p) {
+		tv.accept(pend, at)
+		return tv.events, nil
 	}
 	if tv.bestIdx >= interval {
 		tv.verifyData(pend, at)

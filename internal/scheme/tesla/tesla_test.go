@@ -9,6 +9,7 @@ import (
 	"mcauth/internal/crypto"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/packet"
+	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 	"mcauth/internal/verifier"
@@ -51,8 +52,8 @@ func TestConformance(t *testing.T) {
 // signature check worth deferring (BatchQ).
 func TestEnvConformance(t *testing.T) {
 	cfg := testConfig(24, 2)
-	schemetest.EnvConformance(t, newScheme(t, cfg), promptClock(cfg),
-		schemetest.Honours{MaxBuffered: true, Cache: true})
+	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(cfg, signer) },
+		promptClock(cfg), schemetest.Honours{MaxBuffered: true, Cache: true})
 }
 
 func TestValidation(t *testing.T) {

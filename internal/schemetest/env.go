@@ -23,7 +23,11 @@ import (
 // reports through a verifier.Recorder, so every scheme honours them, and
 // EnvConformance checks that against the authenticated set. Nor is Sigs:
 // every scheme has a synchronous signature check and every one goes through
-// the memo, which EnvConformance checks by the memo's own hit count.
+// the memo, which EnvConformance checks by the memo's own hit count. No
+// field changes what a signature check accepts: the key decides, with or
+// without Sigs or BatchQ — a crypto.BatchCapable key accepts a batch blob
+// and a plain key refuses one — which EnvConformance checks on a
+// batch-signed block.
 type Honours struct {
 	// MaxBuffered: with no BatchQ, a cap of 1 drops overflow when the
 	// block's signature material arrives last. (Schemes that honour BatchQ
@@ -268,10 +272,17 @@ func checkLedger(t *testing.T, env verifier.Env, delivery []arrival, run envRun)
 // with each environment authenticates the same index set as the zero Env —
 // for VertexMapper schemes exactly the dependence graph's verifiable set of
 // the genuine delivered packets — and each field has an observable effect
-// exactly where honours says the scheme honours it.
-func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours) {
+// exactly where honours says the scheme honours it. build makes the scheme
+// under test from its signer; it is called with a plain key and with its
+// crypto.BatchCapable wrapping (batchSignedConformance).
+func EnvConformance(t *testing.T, build func(crypto.Signer) (scheme.Scheme, error), clock Clock, honours Honours) {
 	t.Helper()
 	const stream, block = 7, 5
+	signer := crypto.NewSignerFromString("sender")
+	s, err := build(signer)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pkts, delivery := envDelivery(t, s, block)
 	queue := func(batch int) *crypto.BatchVerifyQueue {
 		q, err := crypto.NewBatchVerifyQueue(batch, nil)
@@ -404,6 +415,131 @@ func EnvConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honours)
 		t.Error("negative MaxBuffered should fail construction")
 	}
 	resetConformance(t, s, clock, honours, block)
+	capable, err := build(crypto.BatchCapable(signer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSignedConformance(t, s, capable, signer, clock)
+}
+
+// batchSignedConformance holds every Env to one signature rule: the key
+// decides. It delivers one block whole and in order with every signature
+// re-signed as a MABS batch blob (batchSigned), to verifiers of s, whose key
+// is plain, and of capable, the same scheme under the crypto.BatchCapable
+// key. Under the plain key no Env authenticates a packet: each one's
+// authentication starts at a blob-signed signature, which a plain key
+// refuses, synchronously or deferred, whatever a shared memo already holds.
+// Under the batch-capable key every Env authenticates what the zero Env
+// authenticates of the block as s signs it.
+func batchSignedConformance(t *testing.T, s, capable scheme.Scheme, signer crypto.Signer, clock Clock) {
+	t.Helper()
+	const stream, block = 7, 9
+	inOrder := func(pkts []*packet.Packet) []arrival {
+		out := make([]arrival, len(pkts))
+		for w, p := range pkts {
+			out[w] = arrival{p, w + 1}
+		}
+		return out
+	}
+	plainly, err := s.Authenticate(block, Payloads(s.BlockSize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runEnv(t, s, verifier.Env{}, inOrder(plainly), clock, 0).authed
+	if len(want) == 0 {
+		t.Fatal("delivery is vacuous: the plainly signed block authenticated nothing")
+	}
+	pkts := batchSigned(t, s, signer, block)
+	delivery := inOrder(pkts)
+	queue := func(batch int, sigs *crypto.SigCache) *crypto.BatchVerifyQueue {
+		q, err := crypto.NewBatchVerifyQueue(batch, sigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	newCache := func() *verifier.SharedCache {
+		c, err := verifier.NewSharedCache(4 * len(pkts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// One memo under every verifier, the batch-capable key's first: it
+	// holds the blobs' inner check when the plain key's verifiers meet it.
+	sigs, err := crypto.NewSigCache(len(pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name         string
+		env          func() verifier.Env // fresh state on every call
+		resolveEvery int
+	}{
+		{"zero", func() verifier.Env { return verifier.Env{} }, 0},
+		{"Cache", func() verifier.Env { return verifier.Env{Cache: newCache(), StreamID: stream} }, 0},
+		{"Sigs", func() verifier.Env { return verifier.Env{Sigs: sigs} }, 0},
+		{"Digests", func() verifier.Env { return verifier.Env{Digests: verifier.NewDigestMemo(pkts)} }, 0},
+		{"BatchQ, explicit Resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(1<<20, nil)} }, 4},
+		{"BatchQ, auto-resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(2, nil)} }, 0},
+		{"Sigs behind BatchQ", func() verifier.Env { return verifier.Env{Sigs: sigs, BatchQ: queue(2, sigs)} }, 0},
+		{"all fields", func() verifier.Env {
+			return verifier.Env{
+				StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs,
+				Digests: verifier.NewDigestMemo(pkts), BatchQ: queue(2, sigs),
+				Spans: obs.NewSpanSink(obs.KeepAll, nil), Metrics: obs.NewRegistry(),
+			}
+		}, 0},
+	} {
+		if got := runEnv(t, capable, sh.env(), delivery, clock, sh.resolveEvery); !slices.Equal(got.authed, want) {
+			t.Errorf("batch-capable key, %s: authenticated %v of the batch-signed block\nplain signatures authenticate %v", sh.name, got.authed, want)
+		}
+		if got := runEnv(t, s, sh.env(), delivery, clock, sh.resolveEvery); len(got.authed) > 0 {
+			t.Errorf("plain key, %s: authenticated %v of the batch-signed block", sh.name, got.authed)
+		}
+	}
+}
+
+// batchSigned authenticates block as s sends it with every signature a
+// MABS batch blob (crypto.BatchSign): the pending root's, through
+// AuthenticateDeferred and Attach, or else each signature-bearing packet's
+// own, all in one batch. Each batch holds one more leaf, so every blob
+// carries a Merkle path.
+func batchSigned(t *testing.T, s scheme.Scheme, signer crypto.Signer, block uint64) []*packet.Packet {
+	t.Helper()
+	sibling := []byte("another root of the flush")
+	if da, ok := s.(scheme.DeferredAuthenticator); ok {
+		pkts, pr, err := da.AuthenticateDeferred(block, Payloads(s.BlockSize()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, err := crypto.BatchSign(signer, [][]byte{pr.Content, sibling})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Attach(blobs[0])
+		return pkts
+	}
+	pkts, err := s.Authenticate(block, Payloads(s.BlockSize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var signed []*packet.Packet
+	contents := [][]byte{sibling}
+	for _, p := range pkts {
+		if len(p.Signature) > 0 {
+			signed = append(signed, p)
+			contents = append(contents, p.ContentBytes())
+		}
+	}
+	blobs, err := crypto.BatchSign(signer, contents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range signed {
+		p.Signature = blobs[i+1]
+	}
+	return pkts
 }
 
 // resetConformance pins scheme.Verifier.Reset to NewVerifier: a verifier

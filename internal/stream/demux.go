@@ -142,23 +142,6 @@ func (d *Demux) Ingest(streamID uint64, p *packet.Packet, at time.Time) ([]Strea
 	return out, nil
 }
 
-// ingestWire decodes one wire datagram and routes it.
-func (d *Demux) ingestWire(streamID uint64, wire []byte, at time.Time) ([]StreamAuthenticated, error) {
-	r, err := d.receiver(streamID)
-	if err != nil || r == nil {
-		return nil, err
-	}
-	auths, err := r.IngestWire(wire, at)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StreamAuthenticated, len(auths))
-	for i, a := range auths {
-		out[i] = StreamAuthenticated{StreamID: streamID, Authenticated: a}
-	}
-	return out, nil
-}
-
 // receiver returns the stream's receiver, creating (and bounding) state
 // on first contact. A nil receiver with nil error means the stream was
 // rejected by the factory.

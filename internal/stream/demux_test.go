@@ -78,25 +78,6 @@ func TestDemuxRoutesInterleavedStreams(t *testing.T) {
 	}
 }
 
-func TestDemuxIngestWire(t *testing.T) {
-	dmx := demuxFixture(t, 2)
-	auths := 0
-	for _, p := range blockFor(t, 0) {
-		wire, err := p.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dmx.ingestWire(5, wire, time.Time{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		auths += len(got)
-	}
-	if auths != 4 {
-		t.Fatalf("authenticated %d of 4 via wire path", auths)
-	}
-}
-
 func TestDemuxEvictsColdestStream(t *testing.T) {
 	dmx := demuxFixture(t, 2)
 	pkts := blockFor(t, 0)
@@ -144,8 +125,8 @@ func TestDemuxRejectedStreams(t *testing.T) {
 	if auths, err := dmx.Ingest(500, pkts[0], time.Time{}); err != nil || auths != nil {
 		t.Fatalf("rejected stream: %v, %v", auths, err)
 	}
-	if _, err := dmx.ingestWire(501, []byte("junk"), time.Time{}); err != nil {
-		t.Fatal(err)
+	if auths, err := dmx.Ingest(501, pkts[0], time.Time{}); err != nil || auths != nil {
+		t.Fatalf("rejected stream: %v, %v", auths, err)
 	}
 	if tot := dmx.counters(); tot.RejectedStreams != 2 {
 		t.Fatalf("rejected %d, want 2", tot.RejectedStreams)

@@ -44,21 +44,18 @@ type CacheStats struct {
 	// DigestHits and DigestMisses count DigestOf memo lookups.
 	DigestHits   int64
 	DigestMisses int64
-	// Evicted counts entries dropped by generation rotation.
+	// Evicted counts entries dropped by generation rotation, from both
+	// tables.
 	Evicted int64
 }
 
-// SharedCache is bounded LRU-style with two-generation rotation (like the
-// Demux stream bound and crypto.SigCache): at most 2*max entries per
-// table, O(1) per insert. Safe for concurrent use by many subscribers.
+// SharedCache bounds each of its two tables with a crypto.Memo (at most
+// 2*max entries each). Safe for concurrent use by many subscribers.
 type SharedCache struct {
-	mu       sync.Mutex
-	max      int
-	curAuth  map[authKey]struct{}
-	prevAuth map[authKey]struct{}
-	curDig   map[*packet.Packet]crypto.Digest
-	prevDig  map[*packet.Packet]crypto.Digest
-	stats    CacheStats
+	mu    sync.Mutex
+	auth  crypto.Memo[authKey, struct{}]
+	dig   crypto.Memo[*packet.Packet, crypto.Digest]
+	stats CacheStats
 
 	hits   *obs.Counter
 	misses *obs.Counter
@@ -71,9 +68,8 @@ func NewSharedCache(max int) (*SharedCache, error) {
 		return nil, fmt.Errorf("verifier: shared cache size %d must be >= 1", max)
 	}
 	return &SharedCache{
-		max:     max,
-		curAuth: make(map[authKey]struct{}),
-		curDig:  make(map[*packet.Packet]crypto.Digest),
+		auth: crypto.NewMemo[authKey, struct{}](max),
+		dig:  crypto.NewMemo[*packet.Packet, crypto.Digest](max),
 	}, nil
 }
 
@@ -97,14 +93,8 @@ func (c *SharedCache) SetMetrics(reg *obs.Registry) {
 // the content).
 func (c *SharedCache) DigestOf(p *packet.Packet) crypto.Digest {
 	c.mu.Lock()
-	if d, ok := c.curDig[p]; ok {
+	if d, ok := c.dig.Get(p); ok {
 		c.stats.DigestHits++
-		c.mu.Unlock()
-		return d
-	}
-	if d, ok := c.prevDig[p]; ok {
-		c.stats.DigestHits++
-		c.storeDigestLocked(p, d)
 		c.mu.Unlock()
 		return d
 	}
@@ -115,33 +105,21 @@ func (c *SharedCache) DigestOf(p *packet.Packet) crypto.Digest {
 	// compute the same value.
 	d := p.Digest()
 	c.mu.Lock()
-	c.storeDigestLocked(p, d)
+	c.dig.Put(p, d)
 	c.mu.Unlock()
 	return d
-}
-
-func (c *SharedCache) storeDigestLocked(p *packet.Packet, d crypto.Digest) {
-	if len(c.curDig) >= c.max {
-		c.stats.Evicted += int64(len(c.prevDig))
-		c.prevDig = c.curDig
-		c.curDig = make(map[*packet.Packet]crypto.Digest, c.max)
-	}
-	c.curDig[p] = d
 }
 
 // IsAuthentic reports whether a packet with this content digest has
 // already been proven authentic in (stream, block).
 func (c *SharedCache) IsAuthentic(stream, block uint64, digest crypto.Digest) bool {
-	k := authKey{stream: stream, block: block, digest: digest}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.curAuth[k]; ok {
-		c.hit()
-		return true
-	}
-	if _, ok := c.prevAuth[k]; ok {
-		c.hit()
-		c.storeAuthLocked(k)
+	if _, ok := c.auth.Get(authKey{stream: stream, block: block, digest: digest}); ok {
+		c.stats.Hits++
+		if c.hits != nil {
+			c.hits.Inc()
+		}
 		return true
 	}
 	c.stats.Misses++
@@ -151,42 +129,27 @@ func (c *SharedCache) IsAuthentic(stream, block uint64, digest crypto.Digest) bo
 	return false
 }
 
-func (c *SharedCache) hit() {
-	c.stats.Hits++
-	if c.hits != nil {
-		c.hits.Inc()
-	}
-}
-
 // MarkAuthentic records that a packet with this content digest completed
 // verification in (stream, block). Callers must only mark digests of
 // packets that a real signature / digest-chain / MAC check accepted.
 func (c *SharedCache) MarkAuthentic(stream, block uint64, digest crypto.Digest) {
-	k := authKey{stream: stream, block: block, digest: digest}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.storeAuthLocked(k)
-}
-
-func (c *SharedCache) storeAuthLocked(k authKey) {
-	if len(c.curAuth) >= c.max {
-		c.stats.Evicted += int64(len(c.prevAuth))
-		c.prevAuth = c.curAuth
-		c.curAuth = make(map[authKey]struct{}, c.max)
-	}
-	c.curAuth[k] = struct{}{}
+	c.auth.Put(authKey{stream: stream, block: block, digest: digest}, struct{}{})
 }
 
 // Len returns the number of cached authenticated digests.
 func (c *SharedCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.curAuth) + len(c.prevAuth)
+	return c.auth.Len()
 }
 
 // Stats snapshots the lifetime counters.
 func (c *SharedCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	st.Evicted = c.auth.Evicted() + c.dig.Evicted()
+	return st
 }

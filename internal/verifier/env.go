@@ -16,7 +16,10 @@ import (
 // BatchQ; the per-packet-signature schemes buffer nothing outside deferred
 // mode, so MaxBuffered binds only there); schemetest.EnvConformance pins
 // which. The observation fields — Spans, Metrics — no scheme can ignore:
-// every verifier reports through a Recorder built from its Env.
+// every verifier reports through a Recorder built from its Env, and decides
+// through it: the shared-cache shortcut, the signature check and its
+// deferral, and the digest lookup are the Recorder's, written once. No field
+// changes what a signature check accepts: the key decides (Sigs).
 type Env struct {
 	// StreamID identifies the stream — and therefore the signing key —
 	// the verifier serves. It keys Cache entries and Spans (sender- and
@@ -36,7 +39,10 @@ type Env struct {
 	// Sigs memoises the synchronous signature check of every scheme's
 	// verifier: a check whose (public key, SHA-256 of the signed content,
 	// signature bytes) already succeeded skips the public-key operation.
-	// nil is the same code reaching pub.Verify. It is sound to share among
+	// nil is the same code reaching pub.Verify. Either way the verdict is
+	// the key's own (crypto.VerifyCached): a crypto.BatchCapable key
+	// accepts a batch blob, a plain key refuses one, whatever the memo
+	// holds. It is sound to share among
 	// any verifiers whatever, simulated receivers of one run included: only
 	// successes are stored (see crypto.SigCache), the memoised function is
 	// pure, and a hit says only "this signature over these bytes is valid",
@@ -63,7 +69,10 @@ type Env struct {
 	// packets and enqueues the check; when the queue resolves (threshold
 	// or explicit Resolve, always on the ingest goroutine — verifiers are
 	// not thread-safe) accepted packets authenticate and their events go
-	// to Sink, the originating Ingest having already returned.
+	// to Sink, the originating Ingest having already returned. It defers
+	// the verdict without changing it: the queue decides as the key does
+	// (Sigs), so a verifier authenticates the same packets with BatchQ as
+	// without.
 	BatchQ *crypto.BatchVerifyQueue
 	// Sink receives the events of deferred verdicts. stream.Receiver owns
 	// it (it stamps one per block); other callers set it alongside BatchQ.

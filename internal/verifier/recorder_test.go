@@ -20,7 +20,9 @@ func TestRecorderZeroEnv(t *testing.T) {
 
 	r.Received()
 	r.Duplicate()
-	r.CacheHit()
+	if r.Cached(p) {
+		t.Error("a cacheless Env took the shared-cache shortcut")
+	}
 	if !r.Hold(p, at, 0) {
 		t.Error("an uncapped buffer turned a packet away")
 	}
@@ -39,7 +41,7 @@ func TestRecorderZeroEnv(t *testing.T) {
 	got := r.Stats()
 	tta := got.TimeToAuth
 	want := Counts{
-		Received: 1, Duplicates: 1, CacheHits: 1, Authenticated: 2, Rejected: 2, Unsafe: 1,
+		Received: 1, Duplicates: 1, Authenticated: 2, Rejected: 2, Unsafe: 1,
 		MsgBufferHighWater: 2, HashBufferHighWater: 3, PendingSignature: 1,
 	}
 	if got.Counts != want {
@@ -48,7 +50,9 @@ func TestRecorderZeroEnv(t *testing.T) {
 	if tta.Count != 2 || tta.MinSeen != 0 || tta.MaxSeen != (5*time.Millisecond).Nanoseconds() {
 		t.Errorf("TimeToAuth = %d observations in [%d, %d], want 2 in [0, 5ms]", tta.Count, tta.MinSeen, tta.MaxSeen)
 	}
-	r.Resolved(p, at)
+	if !r.Settle(p, at, false, true) {
+		t.Error("an accepting verdict for an unauthenticated packet was not to be accepted")
+	}
 	if r.Stats().PendingSignature != 0 {
 		t.Errorf("PendingSignature = %d after the verdict", r.Stats().PendingSignature)
 	}

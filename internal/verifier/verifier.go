@@ -94,11 +94,10 @@ type slot struct {
 	authentic bool
 	// held is the message-buffer entry: the packet that arrived ahead of
 	// its authentication information (held.p nil when there is none).
+	// Signature packets awaiting a deferred verdict are parked on the queue
+	// instead, every copy apart, so a forged one racing ahead of the
+	// genuine one cannot occupy the index and starve it.
 	held bufferedPacket
-	// parked holds signature packets awaiting a deferred verdict. A list,
-	// so an attacker racing a forged signature packet ahead of the genuine
-	// one cannot occupy the index and starve it.
-	parked []bufferedPacket
 }
 
 // Chained verifies one block of a hash-chained scheme. The zero Chained is
@@ -107,11 +106,8 @@ type Chained struct {
 	blockID uint64
 	n       uint32
 	pub     crypto.Verifier
-
-	// env is the verifier's configuration, fixed until the next Reset.
-	env Env
+	// rec holds the configuration, fixed until the next Reset.
 	rec Recorder
-	vs  crypto.VerifyScratch // batch-blob path walk staging for the signature check
 
 	slots []slot // by packet index; slot 0 is unused
 	// held counts the message-buffer entries and hashDepth the trusted
@@ -120,8 +116,7 @@ type Chained struct {
 	held      int
 	hashDepth int
 	queue     []*packet.Packet // the cascade's work list, reused across accepts
-	content   []byte           // authenticated-content staging for hashing and the signature check
-	// events is what accept returns: the verifier's, valid until its next
+	// events is what Accept returns: the verifier's, valid until its next
 	// Ingest, Reset or deferred verdict.
 	events []Event
 	// queueBuf backs queue until a cascade outgrows it, so a short block's
@@ -144,7 +139,7 @@ func (v *Chained) Reset(blockID uint64, n int, pub crypto.Verifier, env Env) err
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	v.blockID, v.n, v.pub, v.env = blockID, uint32(n), pub, env
+	v.blockID, v.n, v.pub = blockID, uint32(n), pub
 	v.rec.Reset(env)
 	v.slots = slices.Grow(v.slots[:0], n+1)[:n+1]
 	clear(v.slots)
@@ -155,19 +150,6 @@ func (v *Chained) Reset(blockID uint64, n int, pub crypto.Verifier, env Env) err
 	clear(v.events)
 	v.events = v.events[:0]
 	return nil
-}
-
-// digestOf returns p's content digest: looked up when the Env was built with
-// it (Digests) or shares a memo (Cache), hashed here otherwise.
-func (v *Chained) digestOf(p *packet.Packet) crypto.Digest {
-	if d, ok := v.env.Digests[p]; ok {
-		return d
-	}
-	if v.env.Cache != nil {
-		return v.env.Cache.DigestOf(p)
-	}
-	v.content = p.AppendContent(v.content[:0])
-	return crypto.HashBytes(v.content)
 }
 
 // Ingest processes one arriving packet at the given receiver-local time.
@@ -192,32 +174,18 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		return nil, nil
 	}
 
-	// Shared-cache fast path: a packet whose exact content was already
-	// proven authentic in this stream and block (by this or any other
-	// subscriber) is accepted without re-running its signature or digest
-	// check — see the forgery-safety argument in cache.go.
-	if v.env.Cache != nil {
-		if d := v.env.Cache.DigestOf(p); v.env.Cache.IsAuthentic(v.env.StreamID, p.BlockID, d) {
-			v.rec.CacheHit()
-			return v.accept(p, at), nil
-		}
+	if v.rec.Cached(p) {
+		return v.Accept(p, at), nil
 	}
-
 	switch {
 	case len(p.Signature) > 0:
-		if v.env.BatchQ != nil {
-			v.deferSignature(p, at)
-			return nil, nil
-		}
 		// A digest the Env already holds is the memo key's hash of the
 		// signed content, so a memoised check hashes nothing.
 		var sum *crypto.Digest
-		if d, ok := v.env.Digests[p]; ok {
+		if d, ok := v.rec.env.Digests[p]; ok {
 			sum = &d
 		}
-		v.content = p.AppendContent(v.content[:0])
-		if !crypto.VerifyCached(v.env.Sigs, &v.vs, v.pub, v.content, sum, p.Signature) {
-			v.rec.Rejected(p, at, "bad_signature")
+		if !v.rec.Signature(v, v.pub, p, v.rec.contentOf(p), sum, at, v.held) {
 			return nil, nil
 		}
 	case !s.trusted:
@@ -226,65 +194,11 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 			v.held++
 		}
 		return nil, nil
-	case v.digestOf(p) != s.digest:
+	case v.rec.digestOf(p) != s.digest:
 		v.rec.Rejected(p, at, "digest_mismatch")
 		return nil, nil
 	}
-	return v.accept(p, at), nil
-}
-
-// deferSignature parks a signature packet pending its batch verdict and
-// enqueues the underlying check.
-func (v *Chained) deferSignature(p *packet.Packet, at time.Time) {
-	if !v.rec.Park(p, at, v.held) {
-		return
-	}
-	s := &v.slots[p.Index]
-	s.parked = append(s.parked, bufferedPacket{p: p, arrived: at})
-	// The verdict callback may run synchronously (threshold reached) or
-	// from a later Resolve on the ingest goroutine.
-	v.env.BatchQ.Enqueue(v.pub, p.ContentBytes(), p.Signature, func(ok bool) {
-		v.resolveSignature(p, at, ok)
-	})
-}
-
-// resolveSignature applies one deferred verdict. Authentication events
-// cascade exactly as in the synchronous path but are delivered through
-// the sink, since the originating Ingest has long returned. The packet's
-// arrival time stands in for the verdict time, so TimeToAuth keeps using
-// the caller's clock (batch-resolution latency is observable on the queue
-// instead).
-func (v *Chained) resolveSignature(p *packet.Packet, arrived time.Time, ok bool) {
-	v.unparkPending(p)
-	v.rec.Resolved(p, arrived)
-	if v.slots[p.Index].authentic {
-		// Another copy of the signature packet (or a cascade) got there
-		// first.
-		v.rec.Duplicate()
-		return
-	}
-	if !ok {
-		v.rec.Rejected(p, arrived, "bad_signature")
-		return
-	}
-	events := v.accept(p, arrived)
-	if v.env.Sink != nil && len(events) > 0 {
-		v.env.Sink(events)
-	}
-}
-
-// unparkPending removes one pending-signature entry for p.
-func (v *Chained) unparkPending(p *packet.Packet) {
-	s := &v.slots[p.Index]
-	for i := range s.parked {
-		if s.parked[i].p == p {
-			last := len(s.parked) - 1
-			s.parked[i] = s.parked[last]
-			s.parked[last] = bufferedPacket{}
-			s.parked = s.parked[:last]
-			return
-		}
-	}
+	return v.Accept(p, at), nil
 }
 
 // authenticate marks p, which arrived at arrived, authentic at time at.
@@ -306,10 +220,13 @@ func (v *Chained) unhold(s *slot) {
 	}
 }
 
-// accept marks p authentic, trusts its carried hashes, and cascades into
-// the message buffer. It returns the authentication events in cascade
-// order, in v's events buffer.
-func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
+// Authentic implements Acceptor.
+func (v *Chained) Authentic(p *packet.Packet) bool { return v.slots[p.Index].authentic }
+
+// Accept implements Acceptor: it marks p authentic, trusts its carried
+// hashes, and cascades into the message buffer. It returns the
+// authentication events in cascade order, in v's events buffer.
+func (v *Chained) Accept(p *packet.Packet, at time.Time) []Event {
 	events := append(v.events[:0], Event{Index: p.Index, Payload: p.Payload})
 	v.authenticate(p, at, at)
 
@@ -336,7 +253,7 @@ func (v *Chained) accept(p *packet.Packet, at time.Time) []Event {
 				}
 				continue
 			}
-			if v.digestOf(waiting.p) != h.Digest {
+			if v.rec.digestOf(waiting.p) != h.Digest {
 				v.rec.Rejected(waiting.p, at, "digest_mismatch")
 				v.unhold(s)
 				continue

@@ -208,16 +208,16 @@ test -s "$labdir/dashboard.html"
 "$labdir/mclab" check -out "$labdir/churn"
 }
 
-# Overlay tier: the relay fan-out path. The relay control-frame decoder
-# (resume hellos + MCRQ repair requests share one wire) gets a fuzz smoke;
-# a 10^5-receiver run through a 3-level tree with a correlated lossy edge
-# must produce byte-identical summaries at -workers 1, 2 and 8, and verify
-# its signature once, not once per receiver; and the overlay lab sweep must
-# pass the require_overlay_gain gate — relays serving signature repairs must
-# measurably raise the downstream authenticated fraction over passive
-# forwarding.
+# Overlay tier: the relay fan-out path. The resume-hello parser (the one
+# control frame a serving connection reads, at a daemon or a relay) gets a
+# fuzz smoke; a 10^5-receiver run through a 3-level tree with a correlated
+# lossy edge must produce byte-identical summaries at -workers 1, 2 and 8,
+# and verify its signature once, not once per receiver; and the overlay lab
+# sweep must pass the require_overlay_gain gate — simulated relays serving
+# signature repairs must measurably raise the downstream authenticated
+# fraction over passive forwarding.
 tier_overlay() {
-go test -fuzz=FuzzRelayFrame -fuzztime=10s -run='^$' ./internal/transport
+go test -fuzz=FuzzHello -fuzztime=10s -run='^$' ./internal/transport
 go build -o "$labdir/mcsim" ./cmd/mcsim
 go build -o "$labdir/mclab" ./cmd/mclab
 overlay_run() {

@@ -24,10 +24,9 @@
 //
 //	mcserved -relay -connect host:7700 -listen :7701
 //	    relay: subscribe upstream like a receiver, retain -repair blocks
-//	    per stream, and re-serve the feed downstream — live forwarding,
-//	    resume-hello catch-up, and MCRQ signature repairs all answered
-//	    from the relay's local store, absorbing recovery traffic one hop
-//	    from the edge. Relays hold no keys and verify nothing; a
+//	    per stream, and re-serve the feed downstream: live forwarding, and
+//	    resume-hello catch-up from the relay's local store, one hop from
+//	    the edge. Relays hold no keys and verify nothing; a
 //	    tampering relay only produces packets receivers reject. Relays
 //	    chain: a relay's -connect may point at another relay.
 //
@@ -107,7 +106,7 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.listen, "listen", "", "serve receivers on this TCP address (e.g. :7700)")
 	fs.StringVar(&o.connect, "connect", "", "act as a receiver: connect to a daemon and verify its streams")
 	fs.BoolVar(&o.chaos, "chaos", false, "run the chaos self-test: kill/restart the daemon across -cycles with conn faults injected, assert recovery invariants")
-	fs.BoolVar(&o.relay, "relay", false, "run as a fan-out relay: subscribe to -connect, retain -repair blocks per stream, and re-serve the feed (live + resume catch-up + MCRQ repairs) on -listen")
+	fs.BoolVar(&o.relay, "relay", false, "run as a fan-out relay: subscribe to -connect, retain -repair blocks per stream, and re-serve the feed (live + resume catch-up) on -listen")
 	fs.IntVar(&o.Streams, "streams", 64, "number of concurrent authenticated streams")
 	fs.StringVar(&o.schemeID, "scheme", "mixed", "per-stream scheme: "+servedSchemes())
 	fs.IntVar(&o.n, "n", 8, "block size (payloads per block)")
@@ -388,8 +387,8 @@ func runRelay(ctx context.Context, o options, reg *obs.Registry, tel *serve.Tele
 	fmt.Fprintf(stdout, "mcserved relay: %s -> serving on %s (%d streams)\n", o.connect, ln.Addr(), o.Streams)
 	err = o.RunRelay(ctx, relay, o.connect, ln, reg, tel)
 	count := func(name string) int64 { return reg.Counter(name).Value() }
-	fmt.Fprintf(stdout, "mcserved relay: forwarded %d packets, served %d catch-up + %d repairs, %d reconnects, %d queue drops\n",
-		count(serve.MetricRelayForwarded), count(serve.MetricRelayCatchupServed), count(serve.MetricRelayReceiverRepairs),
+	fmt.Fprintf(stdout, "mcserved relay: forwarded %d packets, served %d catch-up, %d reconnects, %d queue drops\n",
+		count(serve.MetricRelayForwarded), count(serve.MetricRelayCatchupServed),
 		count(serve.MetricRelayReconnects), count(serve.MetricRelayDrops))
 	return err
 }

@@ -41,11 +41,28 @@ type Case struct {
 	catalog.Entry
 }
 
-// caseDelay is the constant delivery delay of every measurement. Against
-// TESLA's 200 ms disclosure lag it never violates the safety condition, so
-// measured loss is purely erasure loss and must match Q evaluated at ξ = 1
-// (and the split-vertex graph, which excludes timing by construction).
-const caseDelay = time.Millisecond
+// Delay is the constant delivery delay of every measurement, in this suite
+// and in the lab's cells. Against the 100 ms TESLA interval Build sets it
+// never violates the safety condition, so measured loss is purely erasure
+// loss and must match Q evaluated at ξ = 1 (and the split-vertex graph,
+// which excludes timing by construction).
+const Delay = time.Millisecond
+
+// Build builds a catalogue entry with the conventions every cross-layer
+// measurement shares. The augmented chain's block is aligned up to a
+// segment boundary (augchain.AlignN), so that it is the paper's C_{a,b}
+// with no dangling run of inserted packets; the entry then runs at a
+// slightly larger block than spec.N. TESLA runs at a 100 ms interval (see
+// Delay).
+func Build(spec catalog.Spec, signer crypto.Signer) (catalog.Entry, error) {
+	switch spec.ID {
+	case "augchain":
+		spec.N = augchain.AlignN(spec.N, spec.B)
+	case "tesla":
+		spec.Interval = 100 * time.Millisecond
+	}
+	return catalog.Build(spec, signer)
+}
 
 // Params tunes the statistical effort of one evaluation.
 type Params struct {
@@ -115,10 +132,7 @@ func (r Result) check(p Params) error {
 }
 
 // suite builds the canonical conformance cases at block size n, one per
-// catalogue scheme: E_{2,1}, C_{3,3}, TESLA at lag 2. The augmented chain
-// is aligned to a segment boundary (augchain.AlignN), so that it is the
-// paper's C_{a,b} with no dangling run of inserted packets; its case
-// therefore runs at a slightly larger block.
+// catalogue scheme and through Build: E_{2,1}, C_{3,3}, TESLA at lag 2.
 func suite(n int) ([]Case, error) {
 	if n < 6 {
 		return nil, fmt.Errorf("conformance: block size %d too small for the suite", n)
@@ -136,11 +150,8 @@ func suite(n int) ([]Case, error) {
 			name = "emss(E21)"
 		case "augchain":
 			name = "augchain(C33)"
-			spec.N = augchain.AlignN(n, spec.B)
-		case "tesla":
-			spec.Interval = 100 * time.Millisecond
 		}
-		e, err := catalog.Build(spec, signer)
+		e, err := Build(spec, signer)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +164,7 @@ func suite(n int) ([]Case, error) {
 func evaluate(c Case, p float64, params Params) (Result, error) {
 	r := Result{Case: c.Name, P: p}
 
-	analytic, _, err := c.QMin(p, caseDelay, 0)
+	analytic, _, err := c.QMin(p, Delay, 0)
 	if err != nil {
 		return r, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}
@@ -189,5 +200,5 @@ func evaluate(c Case, p float64, params Params) (Result, error) {
 // netsimConfig is the one netsim configuration a case runs under at
 // i.i.d. loss rate p, shared by the flat and overlay measurements.
 func netsimConfig(c Case, p float64, params Params) (netsim.Config, error) {
-	return scenario.Config(c.Entry, params.Receivers, loss.Spec{P: p}, delay.Constant{D: caseDelay}, params.Seed+uint64(1000*p))
+	return scenario.Config(c.Entry, params.Receivers, loss.Spec{P: p}, delay.Constant{D: Delay}, params.Seed+uint64(1000*p))
 }

@@ -128,7 +128,7 @@ func (c correlatedCell) escape() float64 { return math.Abs(c.AnalyticIID - c.Mea
 func evaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (correlatedCell, error) {
 	marginal := 1 - (1-edgeP)*(1-leafP)
 	cell := correlatedCell{Case: c.Name, MarginalP: marginal}
-	analytic, _, err := c.QMin(marginal, caseDelay, 0)
+	analytic, _, err := c.QMin(marginal, Delay, 0)
 	if err != nil {
 		return cell, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcauth/internal/catalog"
+	"mcauth/internal/conformance"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
@@ -20,7 +21,6 @@ import (
 	"mcauth/internal/parallel"
 	"mcauth/internal/scenario"
 	"mcauth/internal/scheme"
-	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
 	"mcauth/internal/serve"
 	"mcauth/internal/server"
@@ -161,28 +161,15 @@ type RunResult struct {
 // RunID is the result-directory basename.
 func (r *RunResult) RunID() string { return r.Name + "-" + r.Stamp }
 
-// cellDelay is every cell's constant delivery delay. Against TESLA's
-// 100 ms interval it never violates the safety condition, so measured loss
-// is erasure-only and comparable to the analytic ξ = 1 case.
-const cellDelay = time.Millisecond
-
-// cellEntry builds the cell's scheme with its wire conventions. The
-// augmented chain's block is aligned up to a segment boundary — the paper's
-// C_{a,b}, with no dangling run of inserted packets — and the cell records
-// the aligned n.
+// cellEntry builds the cell's scheme through conformance.Build, whose
+// wire conventions the lab's analytic column depends on; the cell records
+// the aligned n it runs at.
 func cellEntry(c cell, signer crypto.Signer) (catalog.Entry, error) {
 	sc := c.Scheme
-	spec := catalog.Spec{
+	return conformance.Build(catalog.Spec{
 		ID: sc.ID, N: c.N, M: sc.M, D: sc.D, A: sc.A, B: sc.B, Lag: sc.Lag,
 		Interval: 10 * time.Millisecond, Seed: []byte("mclab"),
-	}
-	switch sc.ID {
-	case "augchain":
-		spec.N = augchain.AlignN(c.N, sc.B)
-	case "tesla":
-		spec.Interval = 100 * time.Millisecond
-	}
-	return catalog.Build(spec, signer)
+	}, signer)
 }
 
 // cellSeed derives the i-th cell's seed from the config seed. Indexed, not
@@ -276,7 +263,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	// The analytic q_min assumes i.i.d. loss; a scheme with no signature
 	// packet authenticates whatever arrives under any loss process.
 	if cfg.hasPath(pathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
-		q, _, err := entry.QMin(c.Loss.P, cellDelay, 0)
+		q, _, err := entry.QMin(c.Loss.P, conformance.Delay, 0)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.id(), err)
 		}
@@ -304,7 +291,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	if cfg.hasPath(pathNetsim) {
 		reg := obs.NewRegistry()
 		mem := obs.NewSpanSink(obs.KeepAll, nil)
-		simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: cellDelay}, seed)
+		simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: conformance.Delay}, seed)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
 		}
@@ -371,7 +358,7 @@ func runOverlayCell(cfg Config, c cell, entry catalog.Entry, seed uint64, lossSp
 	ov := cfg.Overlay
 	// The seed is decorrelated from the flat netsim path's; the last-hop
 	// loss is the tree's leaf model.
-	simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: cellDelay}, seed^0x66616e6f7574)
+	simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: conformance.Delay}, seed^0x66616e6f7574)
 	if err != nil {
 		return nil, err
 	}

@@ -124,9 +124,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxSigRetransmits mirrors the scheme layer's root-copy bound: residual
-// loss falls as p^(copies+1), so a handful of copies already makes the
-// "P_sign always arrives" assumption hold to any practical precision.
+// maxSigRetransmits mirrors the scheme layer's root-copy bound. Under
+// i.i.d. loss the residual loss p^(copies+1) is negligible beyond a
+// handful of copies for any practical p. Under bursty loss it is not: the
+// copies go out back to back at the block's tail, so one burst can take
+// them all, and past two or three adjacent copies each extra one barely
+// lowers the block-loss probability.
 const maxSigRetransmits = 8
 
 // ReceiverReport summarizes one receiver's run.

@@ -25,8 +25,19 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
-	"mcauth/internal/serve"
 	"mcauth/internal/stats"
+)
+
+// The relay.* metric names RunOverlay registers. relay.forwarded is the
+// relay daemon's name too (serve.MetricRelayForwarded); the other four
+// count what only the simulated tree does: NACK signature repairs
+// upstream and to receivers, and the withholding audit.
+const (
+	metricRelayForwarded       = "relay.forwarded"
+	metricRelayUpstreamRepairs = "relay.upstream_repairs"
+	metricRelayReceiverRepairs = "relay.receiver_repairs"
+	metricRelayWithheld        = "relay.withheld"
+	metricRelayFlagged         = "relay.withholding_flagged"
 )
 
 // Overlay defaults: a 40ms NACK round trip is a continental-scale repair
@@ -343,11 +354,11 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 	if cfg.Metrics != nil {
 		var (
-			forwarded = cfg.Metrics.Counter(serve.MetricRelayForwarded)
-			upstream  = cfg.Metrics.Counter(serve.MetricRelayUpstreamRepairs)
-			served    = cfg.Metrics.Counter(serve.MetricRelayReceiverRepairs)
-			wh        = cfg.Metrics.Counter(serve.MetricRelayWithheld)
-			fl        = cfg.Metrics.Counter(serve.MetricRelayFlagged)
+			forwarded = cfg.Metrics.Counter(metricRelayForwarded)
+			upstream  = cfg.Metrics.Counter(metricRelayUpstreamRepairs)
+			served    = cfg.Metrics.Counter(metricRelayReceiverRepairs)
+			wh        = cfg.Metrics.Counter(metricRelayWithheld)
+			fl        = cfg.Metrics.Counter(metricRelayFlagged)
 		)
 		for e := 1; e < nodes; e++ {
 			rep := &result.Relays[e]

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,10 +36,9 @@ type feedFixture struct {
 	produce func(t *testing.T, from, to uint64)
 	// close ends every subscription, as stopping the feed's process does.
 	close func()
-	// reg holds the feed's instruments; catchup and repairs are its replay
-	// counters.
-	reg              *obs.Registry
-	catchup, repairs *obs.Counter
+	// reg holds the feed's instruments; catchup is its replay counter.
+	reg     *obs.Registry
+	catchup *obs.Counter
 }
 
 // emit produces blocks [from, to) and returns once each one's signature
@@ -91,7 +92,6 @@ func newServerFixture(t *testing.T) *feedFixture {
 		close:   srv.Kill,
 		reg:     reg,
 		catchup: reg.Counter("server.resume_catchup_packets"),
-		repairs: reg.Counter("server.repair_packets"),
 	}
 }
 
@@ -127,19 +127,31 @@ func newRelayFixture(t *testing.T) *feedFixture {
 		close:   relay.Close,
 		reg:     reg,
 		catchup: reg.Counter(MetricRelayCatchupServed),
-		repairs: reg.Counter(MetricRelayReceiverRepairs),
 	}
+}
+
+// watchedFeed closes subscribed once the handler has subscribed, so the
+// live blocks a test produces after that reach the connection.
+type watchedFeed struct {
+	feed
+	subscribed chan struct{}
+}
+
+func (w watchedFeed) Subscribe(streamIDs ...uint64) (*server.Subscriber, error) {
+	defer close(w.subscribed)
+	return w.feed.Subscribe(streamIDs...)
 }
 
 // confClient is the subscriber end of one served net.Pipe. A pipe has no
 // buffer, so control frames go out from their own goroutine, in order,
 // while the test reads.
 type confClient struct {
-	t      *testing.T
-	conn   net.Conn
-	mr     *transport.MuxFrameReader
-	out    chan func() error // control-frame writes, queued
-	served chan struct{}     // closed when serveConn returns
+	t          *testing.T
+	conn       net.Conn
+	mr         *transport.MuxFrameReader
+	out        chan func() error // control-frame writes, queued
+	subscribed chan struct{}     // closed once serveConn has subscribed
+	served     chan struct{}     // closed when serveConn returns
 }
 
 func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *confClient {
@@ -147,9 +159,9 @@ func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *co
 	client, srvEnd := net.Pipe()
 	c := &confClient{
 		t: t, conn: client, mr: transport.NewMuxFrameReader(client),
-		out: make(chan func() error, 16), served: make(chan struct{}),
+		out: make(chan func() error, 16), subscribed: make(chan struct{}), served: make(chan struct{}),
 	}
-	h := &handler{Feed: f.feed, WriteTimeout: writeTimeout}
+	h := &handler{Feed: watchedFeed{f.feed, c.subscribed}, WriteTimeout: writeTimeout}
 	go func() {
 		defer close(c.served)
 		h.serveConn(srvEnd)
@@ -209,9 +221,30 @@ func (c *confClient) hello(points ...transport.ResumePoint) {
 	c.out <- func() error { return transport.WriteHello(c.conn, points) }
 }
 
-func (c *confClient) repair(streamID, block uint64, index uint32) {
-	rq := transport.RepairRequest{StreamID: streamID, BlockID: block, Index: index}
-	c.out <- func() error { return transport.WriteRepairRequest(c.conn, rq) }
+// send queues raw bytes. Their write error is ignored: a handler that
+// stops reading after a prefix of them leaves the rest to a closed pipe.
+func (c *confClient) send(b []byte) {
+	c.out <- func() error {
+		_, _ = c.conn.Write(b)
+		return nil
+	}
+}
+
+// produceLive makes the feed emit block b once the handler has subscribed,
+// and fails unless the next confN frames are all b's.
+func (c *confClient) produceLive(f *feedFixture, b uint64) {
+	c.t.Helper()
+	select {
+	case <-c.subscribed:
+	case <-time.After(5 * time.Second):
+		c.t.Fatal("serveConn never subscribed")
+	}
+	f.produce(c.t, b, b+1)
+	for _, k := range c.read(confN) {
+		if k.block != b {
+			c.t.Fatalf("frame of block %d, want only live block %d", k.block, b)
+		}
+	}
 }
 
 func (c *confClient) waitServed(what string) {
@@ -270,35 +303,45 @@ func TestFeedConformance(t *testing.T) {
 				}
 			}
 		}},
-		{"MCRQ returns exactly the retained block and index", func(t *testing.T, f *feedFixture) {
-			f.emit(t, 0, 3)
-			sig := keys(f.feed.Repair(1, 1, transport.NACKSigRequest))
-			if len(sig) == 0 {
-				t.Fatal("block 1 retains no signature packet")
-			}
-			before := f.repairs.Value()
-			c := serveOverPipe(t, f, 0)
-			c.repair(1, 1, 3)
-			c.repair(1, 1, transport.NACKSigRequest)
-			c.repair(1, 2, 5)
-			want := append(append([]key{{1, 3}}, sig...), key{2, 5})
-			if got := c.read(len(want)); !equalKeys(got, want) {
-				t.Fatalf("repairs = %v\nwant      %v", got, want)
-			}
-			if got := f.repairs.Value() - before; got != int64(len(want)) {
-				t.Errorf("repair counter moved by %d, want %d", got, len(want))
-			}
-		}},
 		{"unknown stream or block returns nothing", func(t *testing.T, f *feedFixture) {
 			f.emit(t, 0, 2)
 			c := serveOverPipe(t, f, 0)
 			c.hello(transport.ResumePoint{StreamID: 9, From: 0}, transport.ResumePoint{StreamID: 1, From: 99})
-			c.repair(9, 0, transport.NACKSigRequest)
-			c.repair(1, 99, transport.NACKSigRequest)
-			c.repair(1, 0, 999)
-			c.repair(1, 1, 2) // the sentinel: the only request with an answer
-			if got := c.read(1); got[0] != (key{1, 2}) {
-				t.Fatalf("first frame = %v, want only the sentinel {1 2}", got[0])
+			c.produceLive(f, 2) // the sentinel: nothing comes before it
+		}},
+		{"a first frame that is not a hello gets live only", func(t *testing.T, f *feedFixture) {
+			f.emit(t, 0, 2)
+			before := f.catchup.Value()
+			c := serveOverPipe(t, f, 0)
+			// The 25-byte repair request of an older wire: "MCRQ", version
+			// 1, stream 1, block 1, index 0 (the block's signature class).
+			mcrq := append([]byte("MCRQ\x01"), make([]byte, 20)...)
+			binary.BigEndian.PutUint64(mcrq[5:], 1)
+			binary.BigEndian.PutUint64(mcrq[13:], 1)
+			c.send(mcrq)
+			c.produceLive(f, 2)
+			if got := f.catchup.Value() - before; got != 0 {
+				t.Errorf("catch-up counter moved by %d for a legacy subscriber", got)
+			}
+			// Its read side is ignored: only the feed or a failed write
+			// ends a legacy session.
+			f.close()
+			c.waitServed("feed closed")
+		}},
+		{"a second control frame ends the session", func(t *testing.T, f *feedFixture) {
+			f.emit(t, 0, 1)
+			c := serveOverPipe(t, f, 0)
+			c.hello(transport.ResumePoint{StreamID: 1, From: 0})
+			c.read(len(f.feed.ResumeFrom(1, 0)))
+			var again bytes.Buffer
+			if err := transport.WriteHello(&again, []transport.ResumePoint{{StreamID: 1, From: 0}}); err != nil {
+				t.Fatal(err)
+			}
+			c.send(again.Bytes())
+			c.waitServed("second hello")
+			_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := c.mr.ReadPacket(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("read after the second hello = %v, want the connection closed", err)
 			}
 		}},
 		{"a stalled reader is cut by the write deadline", func(t *testing.T, f *feedFixture) {
@@ -314,7 +357,7 @@ func TestFeedConformance(t *testing.T) {
 			c.hello(transport.ResumePoint{StreamID: 1, From: 0})
 			c.read(len(f.feed.ResumeFrom(1, 0)))
 			f.produce(t, 1, 2)
-			c.read(confN) // a live block arrived: the control reader is running
+			c.read(confN) // a live block arrived: the hang-up reader is running
 			f.close()
 			c.waitServed("feed closed")
 			_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))

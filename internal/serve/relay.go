@@ -11,19 +11,16 @@ import (
 	"mcauth/internal/transport"
 )
 
-// The relay.* metric names, shared by the relay daemon and the simulated
-// relay tree (netsim.RunOverlay) so dashboards read one vocabulary.
+// The relay daemon's relay.* metric names. relay.forwarded is also what
+// the simulated relay tree (netsim.RunOverlay) counts, so dashboards read
+// one name for both.
 const (
-	MetricRelayForwarded       = "relay.forwarded"
-	MetricRelayUpstreamRepairs = "relay.upstream_repairs"
-	MetricRelayReceiverRepairs = "relay.receiver_repairs"
-	MetricRelayWithheld        = "relay.withheld"
-	MetricRelayFlagged         = "relay.withholding_flagged"
-	MetricRelayCatchupServed   = "relay.catchup_served"
-	MetricRelayReconnects      = "relay.reconnects"
-	MetricRelayDrops           = "relay.drops"
-	metricRelayShedData        = "relay.shed_data"
-	metricRelayShedSig         = "relay.shed_sig"
+	MetricRelayForwarded     = "relay.forwarded"
+	MetricRelayCatchupServed = "relay.catchup_served"
+	MetricRelayReconnects    = "relay.reconnects"
+	MetricRelayDrops         = "relay.drops"
+	metricRelayShedData      = "relay.shed_data"
+	metricRelayShedSig       = "relay.shed_sig"
 )
 
 // relayQueueDepth bounds each downstream subscriber's delivery queue; a
@@ -33,9 +30,9 @@ const relayQueueDepth = 1 << 12
 
 // Relay is a mid-tree fan-out node: a sink that retains every upstream
 // packet in bounded per-stream repair stores and fans it out, and a feed
-// that re-serves live traffic, resume catch-up and MCRQ repairs from that
-// retention — so recovery traffic is absorbed one hop from the edge
-// instead of converging on the signer. It never needs the signing key:
+// that re-serves live traffic and resume catch-up from that retention —
+// so a reconnecting subscriber catches up one hop from the edge instead
+// of at the signer. It never needs the signing key:
 // packets are opaque, and a relay that tampers with them only produces
 // material the receivers' verifiers reject.
 type Relay struct {
@@ -46,7 +43,6 @@ type Relay struct {
 	streams, repairBlocks int
 	spans                 *obs.SpanSink
 	forwarded, catchup    *obs.Counter // relay.forwarded, relay.catchup_served
-	repairs               *obs.Counter // relay.receiver_repairs
 	// mutate, when set (tests only), replaces every packet at ingest — the
 	// poisoned-relay adversary: its store and its live forwarding both
 	// serve the mutated packet.
@@ -62,7 +58,7 @@ type Relay struct {
 // a relay_ingest span per packet (nil disables either).
 func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanSink) (*Relay, error) {
 	if repairBlocks < 1 {
-		return nil, errors.New("relay needs -repair > 0 (it exists to serve catch-up and repairs from retention)")
+		return nil, errors.New("relay needs -repair > 0 (it exists to serve catch-up from retention)")
 	}
 	return &Relay{
 		Fanout: server.NewFanout(relayQueueDepth, 0, server.FanoutMetrics{
@@ -75,7 +71,6 @@ func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanSink)
 		spans:        spans,
 		forwarded:    reg.Counter(MetricRelayForwarded),
 		catchup:      reg.Counter(MetricRelayCatchupServed),
-		repairs:      reg.Counter(MetricRelayReceiverRepairs),
 		stores:       make(map[uint64]*transport.RepairStore),
 		maxSeen:      make(map[uint64]uint64),
 	}, nil
@@ -117,7 +112,7 @@ func (r *Relay) Packet(streamID uint64, p *packet.Packet) error {
 		r.maxSeen[streamID] = p.BlockID
 	}
 	r.mu.Unlock()
-	if len(st.Packets(p.BlockID, p.Index)) == 0 {
+	if !st.Has(p.BlockID, p.Index) {
 		st.Add(p.BlockID, []*packet.Packet{p})
 	}
 	if r.spans.Enabled() {
@@ -152,17 +147,5 @@ func (r *Relay) ResumeFrom(streamID, from uint64) []*packet.Packet {
 	}
 	pkts := st.Since(from)
 	r.catchup.Add(int64(len(pkts)))
-	return pkts
-}
-
-// Repair answers one MCRQ from the stream's store, counted in
-// relay.receiver_repairs.
-func (r *Relay) Repair(streamID, blockID uint64, index uint32) []*packet.Packet {
-	st := r.store(streamID)
-	if st == nil {
-		return nil
-	}
-	pkts := st.Packets(blockID, index)
-	r.repairs.Add(int64(len(pkts)))
 	return pkts
 }

@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/delay"
 	"mcauth/internal/fault"
+	"mcauth/internal/loss"
+	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
 	"mcauth/internal/scheme"
@@ -150,9 +153,8 @@ func waitAuthed(count *atomic.Int64, want int64, deadline time.Duration) bool {
 }
 
 // TestRelayServesDownstream: daemon -> relay -> receiver in one process.
-// The receiver connects only to the relay and must verify live traffic;
-// an MCRQ repair request against the relay's store must be answered with
-// the block's signature packets without touching the daemon.
+// The receiver connects only to the relay and must verify live traffic
+// with nothing forged.
 func TestRelayServesDownstream(t *testing.T) {
 	c := relayTestConfig("test-relay-e2e")
 	reg := obs.NewRegistry()
@@ -169,56 +171,6 @@ func TestRelayServesDownstream(t *testing.T) {
 		t.Fatalf("receiver authenticated only %d messages through the relay", authed.Load())
 	}
 
-	// A repair request straight at the relay: pick a retained block whose
-	// signature class has already arrived (batched signing attaches the
-	// signature packets after the data, so the newest block may not have
-	// them yet).
-	var blockID uint64
-	found := false
-	for end := time.Now().Add(5 * time.Second); !found && time.Now().Before(end); {
-		relay.mu.Lock()
-		newest := relay.maxSeen[1]
-		st := relay.stores[1]
-		relay.mu.Unlock()
-		for b := newest; b > 0 && !found && st != nil; b-- {
-			if len(st.Packets(b, transport.NACKSigRequest)) > 0 {
-				blockID, found = b, true
-			}
-		}
-		if !found {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	if !found {
-		t.Fatal("relay retains no block with signature packets")
-	}
-	conn, err := net.Dial("tcp", relay.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := transport.RepairRequest{StreamID: 1, BlockID: blockID, Index: transport.NACKSigRequest}
-	if err := transport.WriteRepairRequest(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	mr := transport.NewMuxFrameReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	sigSeen := false
-	// The conn also receives live forwarding; scan until a signature
-	// packet of the requested block shows up.
-	for i := 0; i < 4096 && !sigSeen; i++ {
-		id, p, err := mr.ReadPacket()
-		if err != nil {
-			break
-		}
-		if id == req.StreamID && p.BlockID == blockID && len(p.Signature) > 0 {
-			sigSeen = true
-		}
-	}
-	conn.Close()
-	if !sigSeen {
-		t.Error("MCRQ repair against the relay never produced the block's signature packet")
-	}
-
 	if err := daemon.Stop(false); err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +183,33 @@ func TestRelayServesDownstream(t *testing.T) {
 	if cv.forged > 0 {
 		t.Fatalf("%d forged authentications through the relay", cv.forged)
 	}
-	if reg.Counter(MetricRelayReceiverRepairs).Value() == 0 {
-		t.Error("relay served no repairs")
-	}
 	if reg.Counter(MetricRelayForwarded).Value() == 0 {
 		t.Fatal("relay forwarded nothing")
+	}
+}
+
+// TestRelayForwardedNameShared: the relay daemon and the simulated relay
+// tree (netsim.RunOverlay) count forwarded packets under one name.
+func TestRelayForwardedNameShared(t *testing.T) {
+	s, err := confScheme(crypto.NewSignerFromString("names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := loss.NewUniformTree(1, 1, 2, nil, loss.Bernoulli{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, confN)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("msg-%d", i))
+	}
+	reg := obs.NewRegistry()
+	cfg := netsim.Config{Receivers: 2, Delay: delay.Constant{D: time.Millisecond}, SendInterval: time.Millisecond, Seed: 1, Metrics: reg}
+	if _, err := netsim.RunOverlay(s, cfg, netsim.OverlayConfig{Tree: tree}, 1, payloads); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter(MetricRelayForwarded).Value() == 0 {
+		t.Fatalf("the simulated relay tree counted nothing under %q", MetricRelayForwarded)
 	}
 }
 
@@ -363,24 +337,41 @@ func TestRelayForgedRepair(t *testing.T) {
 	}
 }
 
-// TestRelayConcurrentControlPlane is the relay-tally race: two downstream
-// connections send resume hellos and MCRQs at once while upstream keeps
-// ingesting, and the relay.* counters — the only tallies there are — must
-// come out exact. Run under -race.
+// TestRelayConcurrentControlPlane is the relay-tally race: downstream
+// connections each send their one resume hello at once while upstream
+// keeps ingesting, and relay.catchup_served must come out exact. The
+// ingest is on stream 2, so stream 1's retention, and with it every
+// connection's catch-up, stays fixed. Run under -race.
 func TestRelayConcurrentControlPlane(t *testing.T) {
 	f := newRelayFixture(t)
 	f.emit(t, 0, 4)
-	retained := int64(len(f.feed.ResumeFrom(1, 0)))
-	sigs := int64(len(f.feed.Repair(1, 2, transport.NACKSigRequest)))
-	catchup0, repairs0 := f.catchup.Value(), f.repairs.Value()
+	retained := len(f.feed.ResumeFrom(1, 0))
+	catchup0 := f.catchup.Value()
 
-	const conns, rounds = 2, 40
+	const conns = 8
 	ln := listen(t, "127.0.0.1:0")
 	h := &handler{Feed: f.feed, WriteTimeout: 5 * time.Second}
 	listened := make(chan struct{})
 	go func() {
 		defer close(listened)
 		h.listen(ln)
+	}()
+	stop, ingested := make(chan struct{}), make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { ingested <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := &packet.Packet{BlockID: uint64(n / confN), Index: uint32(n % confN), Payload: []byte("live")}
+			if err := f.feed.(*Relay).Packet(2, p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
 	}()
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
@@ -389,42 +380,38 @@ func TestRelayConcurrentControlPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		wg.Add(2)
-		go func() { // ask
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				if err := transport.WriteHello(conn, []transport.ResumePoint{{StreamID: 1, From: 0}}); err != nil {
-					t.Error(err)
-					return
-				}
-				rq := transport.RepairRequest{StreamID: 1, BlockID: 2, Index: transport.NACKSigRequest}
-				if err := transport.WriteRepairRequest(conn, rq); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := transport.WriteHello(conn, []transport.ResumePoint{{StreamID: 1, From: 0}}); err != nil {
+				t.Error(err)
+				return
 			}
-		}()
-		go func() { // drain every answer
-			defer wg.Done()
+			// Stream 1 frames are all catch-up; stream 2's live ones pass.
 			mr := transport.NewMuxFrameReader(conn)
 			_ = conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-			for n := int64(0); n < rounds*(retained+sigs); n++ {
-				if _, _, err := mr.ReadPacket(); err != nil {
-					t.Errorf("answer %d: %v", n, err)
+			for n := 0; n < retained; {
+				id, _, err := mr.ReadPacket()
+				if err != nil {
+					t.Errorf("catch-up frame %d: %v", n, err)
 					return
+				}
+				if id == 1 {
+					n++
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	if <-ingested == 0 {
+		t.Error("nothing was ingested upstream while the hellos were answered")
+	}
 	ln.Close()
 	f.close()
 	<-listened
-	if got, want := f.catchup.Value()-catchup0, conns*rounds*retained; got != want {
+	if got, want := f.catchup.Value()-catchup0, int64(conns*retained); got != want {
 		t.Errorf("relay.catchup_served moved by %d, want %d", got, want)
-	}
-	if got, want := f.repairs.Value()-repairs0, conns*rounds*sigs; got != want {
-		t.Errorf("relay.receiver_repairs moved by %d, want %d", got, want)
 	}
 }
 

@@ -30,14 +30,10 @@ type feed interface {
 	// ResumeFrom returns the retained packets of a stream's blocks >= from,
 	// oldest block first: the catch-up a resume hello asks for.
 	ResumeFrom(streamID, from uint64) []*packet.Packet
-	// Repair answers one MCRQ: the block's signature-class packets for
-	// transport.NACKSigRequest, else the packet at index; nil when the
-	// stream or block is not retained.
-	Repair(streamID, blockID uint64, index uint32) []*packet.Packet
 }
 
-// helloTimeout is how long a handler waits for a subscriber's first
-// control frame before treating the connection as a legacy live-only feed.
+// helloTimeout is how long a handler waits for a subscriber's resume hello
+// before treating the connection as a legacy live-only feed.
 const helloTimeout = 2 * time.Second
 
 // handler serves downstream subscriber connections from one feed.
@@ -74,20 +70,21 @@ func (h *handler) listen(ln net.Listener) {
 }
 
 // serveConn runs one subscriber connection to its end: subscribe first (so
-// live deliveries buffer during replay), answer the first control frame
-// under helloTimeout, then forward live while a control reader answers
-// further hellos and MCRQ repair requests. A connection whose first frame
-// never arrives or does not parse is a legacy subscriber: live only, its
-// read side ignored. The session ends when the subscription closes, a
-// write fails or times out, or the control plane dies; the control reader
-// has exited when serveConn returns.
+// live deliveries buffer during replay), read the resume hello under
+// helloTimeout, replay its catch-up, then forward live. A connection whose
+// first frame never arrives or is not a hello is a legacy subscriber: live
+// only, its read side ignored. A subscriber sends one hello, so after it a
+// reader only watches for the end: the peer hanging up or sending anything
+// more ends the session, as do the subscription closing and a write
+// failing or timing out. Every write is on the calling goroutine, and the
+// reader has exited when serveConn returns.
 func (h *handler) serveConn(conn net.Conn) {
 	if h.Wrap != nil {
 		conn = h.Wrap(conn)
 	}
-	var ctl sync.WaitGroup
-	defer ctl.Wait()
-	defer conn.Close() // unblocks the control reader
+	var reader sync.WaitGroup
+	defer reader.Wait()
+	defer conn.Close() // unblocks the reader
 	sub, err := h.Feed.Subscribe()
 	if err != nil {
 		return
@@ -97,55 +94,34 @@ func (h *handler) serveConn(conn net.Conn) {
 	mw := transport.NewMuxFrameWriter(conn)
 	mw.SetMetrics(h.Metrics)
 	mw.SetSpans(h.Spans)
-	var wmu sync.Mutex // live forwarding and control answers share the wire
-	write := func(streamID uint64, pkts ...*packet.Packet) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		for _, p := range pkts {
-			if h.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(h.WriteTimeout))
-			}
-			if err := mw.WritePacket(streamID, p); err != nil {
-				return err
-			}
+	write := func(streamID uint64, p *packet.Packet) error {
+		if h.WriteTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(h.WriteTimeout))
 		}
-		return nil
-	}
-	answer := func(cf *transport.ControlFrame) error {
-		if !cf.IsHello {
-			rq := cf.Repair
-			return write(rq.StreamID, h.Feed.Repair(rq.StreamID, rq.BlockID, rq.Index)...)
-		}
-		// Replay before forwarding live: duplicates across the seam are
-		// possible and fine (receivers count and discard them).
-		for _, pt := range cf.Hello {
-			if err := write(pt.StreamID, h.Feed.ResumeFrom(pt.StreamID, pt.From)...); err != nil {
-				return err
-			}
-		}
-		return nil
+		return mw.WritePacket(streamID, p)
 	}
 
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	cf, err := transport.ReadControlFrame(conn)
+	points, err := transport.ReadHello(conn)
 	_ = conn.SetReadDeadline(time.Time{})
 	if err == nil {
-		if answer(cf) != nil {
-			return
-		}
-		ctl.Add(1)
-		go func() {
-			defer ctl.Done()
-			// Control-plane death ends the whole session: cut any write in
-			// flight and end the live loop.
-			defer h.Feed.Unsubscribe(sub)
-			defer conn.Close()
-			for {
-				cf, err := transport.ReadControlFrame(conn)
-				if err != nil || answer(cf) != nil {
+		// Replay before forwarding live: duplicates across the seam are
+		// possible and fine (receivers count and discard them).
+		for _, pt := range points {
+			for _, p := range h.Feed.ResumeFrom(pt.StreamID, pt.From) {
+				if write(pt.StreamID, p) != nil {
 					return
 				}
 			}
+		}
+		reader.Add(1)
+		go func() {
+			defer reader.Done()
+			// End the whole session: cut any write in flight and end the
+			// live loop.
+			defer h.Feed.Unsubscribe(sub)
+			defer conn.Close()
+			_, _ = conn.Read(make([]byte, 1))
 		}()
 	}
 	for d := range sub.C() {

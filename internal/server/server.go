@@ -150,10 +150,8 @@ type metrics struct {
 	// amortization ratio.
 	batchSignatures  *obs.Gauge
 	batchSignedRoots *obs.Gauge
-	// resumeCatchup counts packets replayed to reconnecting subscribers,
-	// repairPackets those re-served in answer to MCRQ repair requests.
+	// resumeCatchup counts packets replayed to reconnecting subscribers.
 	resumeCatchup *obs.Counter
-	repairPackets *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) metrics {
@@ -172,7 +170,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		batchSignatures:    reg.Gauge("server.batch_signatures"),
 		batchSignedRoots:   reg.Gauge("server.batch_signed_roots"),
 		resumeCatchup:      reg.Counter("server.resume_catchup_packets"),
-		repairPackets:      reg.Counter("server.repair_packets"),
 	}
 }
 
@@ -461,21 +458,6 @@ func (s *Server) ResumeFrom(id uint64, from uint64) []*packet.Packet {
 	}
 	pkts := st.repair.Since(from)
 	s.m.resumeCatchup.Add(int64(len(pkts)))
-	return pkts
-}
-
-// Repair answers one MCRQ repair request from stream id's retention: the
-// block's signature-class packets for transport.NACKSigRequest, else the
-// packet at index (see RepairStore.Packets), counted in
-// server.repair_packets. Nil when the stream or block is unknown or
-// retention is disabled.
-func (s *Server) Repair(id, blockID uint64, index uint32) []*packet.Packet {
-	st := s.lookup(id)
-	if st == nil || st.repair == nil {
-		return nil
-	}
-	pkts := st.repair.Packets(blockID, index)
-	s.m.repairPackets.Add(int64(len(pkts)))
 	return pkts
 }
 

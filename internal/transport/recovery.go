@@ -1,9 +1,8 @@
 // Recovery: the paper assumes the signature packet "always arrives" —
 // achieved in practice by sending it multiple times. Over the serving
 // tier's byte streams that assumption is earned after the fact: the
-// server keeps recent blocks in a bounded RepairStore and answers
-// session-resume catch-up (session.go) and MCRQ repair requests
-// (relay.go) from it.
+// server and every relay keep recent blocks in a bounded RepairStore and
+// replay them as the catch-up a resume hello (session.go) asks for.
 
 package transport
 
@@ -14,14 +13,10 @@ import (
 	"mcauth/internal/packet"
 )
 
-// NACKSigRequest is the repair-request index meaning "resend the block's
-// signature / bootstrap packets"; any other index names one packet.
-const NACKSigRequest uint32 = 0
-
-// RepairStore retains recent blocks' packets so a sender can answer repair
-// requests. It is bounded: beyond maxBlocks, the oldest block is evicted —
-// a NACK for an evicted block simply goes unanswered, like any other lost
-// repair. Safe for concurrent use.
+// RepairStore retains recent blocks' packets so a sender can replay them
+// to a resuming subscriber. It is bounded: beyond maxBlocks, the oldest
+// block is evicted, and a resume from before it replays only what is
+// left. Safe for concurrent use.
 type RepairStore struct {
 	mu        sync.Mutex
 	maxBlocks int
@@ -42,8 +37,8 @@ func NewRepairStore(maxBlocks int) (*RepairStore, error) {
 
 // Add appends packets to a block without replacing what is already stored
 // — the serving tier stores a block in two phases (data packets at emit,
-// withheld signature packets once the batch root is signed). Eviction
-// bounds apply as in Put.
+// withheld signature packets once the batch root is signed). Adding a new
+// block past maxBlocks evicts the oldest.
 func (rs *RepairStore) Add(blockID uint64, pkts []*packet.Packet) {
 	if len(pkts) == 0 {
 		return
@@ -77,26 +72,15 @@ func (rs *RepairStore) Since(from uint64) []*packet.Packet {
 	return out
 }
 
-// Packets answers one repair request: for NACKSigRequest, every
-// signature-bearing packet of the block; otherwise the packet with the
-// given index. Nil when the block is unknown (evicted or never stored).
-func (rs *RepairStore) Packets(blockID uint64, index uint32) []*packet.Packet {
+// Has reports whether the store retains the packet at index of block
+// blockID.
+func (rs *RepairStore) Has(blockID uint64, index uint32) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	pkts, ok := rs.blocks[blockID]
-	if !ok {
-		return nil
-	}
-	var out []*packet.Packet
-	for _, p := range pkts {
-		if index == NACKSigRequest {
-			if len(p.Signature) > 0 {
-				out = append(out, p)
-			}
-		} else if p.Index == index {
-			out = append(out, p)
-			break
+	for _, p := range rs.blocks[blockID] {
+		if p.Index == index {
+			return true
 		}
 	}
-	return out
+	return false
 }

@@ -14,23 +14,15 @@ func TestRepairStoreBoundedAndServes(t *testing.T) {
 	if got := len(rs.blocks); got != 3 {
 		t.Fatalf("store holds %d blocks, want 3", got)
 	}
-	if rs.Packets(1, NACKSigRequest) != nil {
-		t.Fatal("evicted block still answers")
+	if rs.Has(1, 1) || len(rs.Since(1)) != 3*len(pkts) {
+		t.Fatal("evicted block still retained")
 	}
-	sigs := rs.Packets(5, NACKSigRequest)
-	if len(sigs) == 0 {
-		t.Fatal("no signature packets served")
-	}
-	for _, p := range sigs {
-		if len(p.Signature) == 0 {
-			t.Fatalf("index %d served for a signature request but carries none", p.Index)
+	for _, p := range pkts {
+		if !rs.Has(5, p.Index) {
+			t.Fatalf("block 5 lost index %d", p.Index)
 		}
 	}
-	one := rs.Packets(5, 2)
-	if len(one) != 1 || one[0].Index != 2 {
-		t.Fatalf("specific-index request got %v", one)
-	}
-	if got := rs.Packets(5, 9999); got != nil {
-		t.Fatalf("unknown index served %v", got)
+	if rs.Has(5, 9999) {
+		t.Fatal("unknown index reported retained")
 	}
 }

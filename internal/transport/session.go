@@ -65,28 +65,20 @@ func WriteHello(w io.Writer, points []ResumePoint) error {
 // treat that as a legacy client or drop the connection. Callers should set
 // a read deadline: a silent legacy client otherwise blocks here forever.
 func ReadHello(r io.Reader) ([]ResumePoint, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	var hdr [helloHdrSize]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("transport: read hello: %w", err)
 	}
-	if string(magic[:]) != helloMagic {
-		return nil, fmt.Errorf("transport: hello magic %q, want %q", magic[:], helloMagic)
+	if string(hdr[:4]) != helloMagic {
+		return nil, fmt.Errorf("transport: hello magic %q, want %q", hdr[:4], helloMagic)
 	}
-	return readHelloTail(r)
-}
-
-// readHelloTail parses everything after the hello magic: version, count,
-// and the resume points. Shared by ReadHello and the relay control-frame
-// dispatcher, which has already consumed the magic.
-func readHelloTail(r io.Reader) ([]ResumePoint, error) {
-	var hdr [helloHdrSize - 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return nil, fmt.Errorf("transport: read hello: %w", err)
 	}
-	if hdr[0] != helloVersion {
-		return nil, fmt.Errorf("transport: hello version %d, want %d", hdr[0], helloVersion)
+	if hdr[4] != helloVersion {
+		return nil, fmt.Errorf("transport: hello version %d, want %d", hdr[4], helloVersion)
 	}
-	count := int(binary.BigEndian.Uint16(hdr[1:]))
+	count := int(binary.BigEndian.Uint16(hdr[5:]))
 	if count > maxHelloPoints {
 		return nil, fmt.Errorf("transport: hello with %d resume points exceeds %d", count, maxHelloPoints)
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -45,6 +46,8 @@ func TestHelloRejectsGarbage(t *testing.T) {
 		"bad version": {'M', 'C', 'H', 'I', 99, 0, 0},
 		// Count claims one point but no body follows.
 		"truncated points": {'M', 'C', 'H', 'I', 1, 0, 1},
+		// One point claimed, three of its sixteen bytes sent.
+		"partial point": {'M', 'C', 'H', 'I', 1, 0, 1, 0, 0, 0},
 	} {
 		if _, err := ReadHello(bytes.NewReader(wire)); err == nil {
 			t.Errorf("%s accepted", name)
@@ -72,6 +75,68 @@ func TestHelloPointCap(t *testing.T) {
 	if _, err := ReadHello(bytes.NewReader(wire)); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized count: %v", err)
 	}
+}
+
+// FuzzHello feeds arbitrary byte streams to the hello parser, the only
+// control frame a serving connection reads: it must never panic, any
+// malformed hello must error, an attacker-controlled point count must not
+// force a large allocation, and every hello it accepts must re-encode to
+// exactly the bytes it consumed. It seeds the corpus with a valid hello
+// sequence and the corruption shapes that bit the other decoders
+// (truncations, torn seams, huge counts, a legacy subscriber's mux frame).
+func FuzzHello(f *testing.F) {
+	var valid bytes.Buffer
+	for _, points := range [][]ResumePoint{{{StreamID: 1, From: 0}, {StreamID: 2, From: 9}}, nil} {
+		if err := WriteHello(&valid, points); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var frame bytes.Buffer
+	if err := NewMuxFrameWriter(&frame).WritePacket(3, &packet.Packet{BlockID: 1, Index: 1, Payload: []byte("x")}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte(helloMagic))
+	f.Add(frame.Bytes())
+	f.Add([]byte("MCXXjunk"))
+	// A hello header claiming the maximum point count with nothing behind
+	// it, and one point over the cap.
+	maxed := make([]byte, helloHdrSize)
+	copy(maxed, helloMagic)
+	maxed[4] = helloVersion
+	binary.BigEndian.PutUint16(maxed[5:], maxHelloPoints)
+	f.Add(maxed)
+	over := append([]byte(nil), maxed...)
+	binary.BigEndian.PutUint16(over[5:], maxHelloPoints+1)
+	f.Add(over)
+	// Truncated mid-frame, and a torn seam: a valid stream cut and
+	// restarted mid-frame, as an injected partial write produces.
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	torn := append([]byte{}, valid.Bytes()[:valid.Len()/3]...)
+	torn = append(torn, valid.Bytes()...)
+	f.Add(torn)
+
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		r := bytes.NewReader(wire)
+		for i := 0; i < 64; i++ {
+			start := len(wire) - r.Len()
+			points, err := ReadHello(r)
+			if err != nil {
+				return // any error ends the stream; it must just not panic
+			}
+			if len(points) > maxHelloPoints {
+				t.Fatalf("hello with %d points exceeds the parse bound", len(points))
+			}
+			var again bytes.Buffer
+			if err := WriteHello(&again, points); err != nil {
+				t.Fatalf("parsed hello does not re-encode: %v", err)
+			}
+			if consumed := wire[start : len(wire)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+				t.Fatalf("hello re-encodes to %x, consumed %x", again.Bytes(), consumed)
+			}
+		}
+	})
 }
 
 func TestRepairStoreAddAndSince(t *testing.T) {
@@ -111,8 +176,8 @@ func TestRepairStoreAddAndSince(t *testing.T) {
 	if got := rs.Since(4); len(got) != 0 {
 		t.Fatalf("Since(4) returned %d packets, want 0", len(got))
 	}
-	// Add must compose with Put-style signature lookup.
-	if sig := rs.Packets(2, NACKSigRequest); len(sig) != 1 || len(sig[0].Signature) == 0 {
-		t.Fatalf("signature lookup after Add: %v", sig)
+	// The second phase's signature packet joins its block.
+	if !rs.Has(2, 3) {
+		t.Fatal("signature packet added in the second phase is not retained")
 	}
 }

@@ -1,8 +1,7 @@
 // Package transport carries authenticated stream packets over byte-stream
 // connections (TCP, pipes): the stream-tagged, length-prefixed mux framing
 // (mux.go) around internal/packet's encoding, plus the resume hello
-// (session.go), the relay's repair requests (relay.go) and the RepairStore
-// that answers both (recovery.go).
+// (session.go) and the RepairStore that answers it (recovery.go).
 package transport
 
 import (

@@ -154,7 +154,7 @@ func BenchmarkAblationRecurrenceVsExact(b *testing.B) {
 		ch := loss.Bernoulli{P: 0.3}.Channel()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.ExactAuthProbChannel(ch); err != nil {
+			if _, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned}); err != nil {
 				b.Fatal(err)
 			}
 		}

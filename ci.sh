@@ -106,7 +106,7 @@ go run ./cmd/mcgraph -scheme emss -n 16 -metrics "$diagdir/graph-metrics.json" >
 grep -q '"crypto.hash_ops"' "$diagdir/graph-metrics.json"
 }
 
-# Analytic tier: one exact evaluator (depgraph.ExactAuthProbChannel), and it
+# Analytic tier: one exact evaluator (depgraph.ExactAuthProbDelivery), and it
 # stays one. The burst table carries an exact number in every row, the
 # markovgap table equals its golden byte for byte, the widest case the
 # special-case evaluators it replaced accepted (E_{4,4}, n=300: a 16-bit

@@ -29,6 +29,7 @@ import (
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
 	"mcauth/internal/obs"
+	"mcauth/internal/scenario"
 	"mcauth/internal/scheme"
 	"mcauth/internal/stats"
 )
@@ -164,17 +165,13 @@ func replay(s scheme.Scheme, signature []uint32, tracer *obs.SpanSink, reg *obs.
 	for i := range payloads {
 		payloads[i] = fmt.Appendf(nil, "payload-%06d", i)
 	}
-	if _, err := netsim.Run(s, netsim.Config{
-		Receivers:       1,
-		Loss:            loss.Bernoulli{},
-		Delay:           delay.Constant{},
-		SendInterval:    time.Millisecond,
-		Start:           time.Unix(0, 0),
-		ReliableIndices: signature,
-		Workers:         1,
-		Tracer:          tracer,
-		Metrics:         reg,
-	}, 1, payloads); err != nil {
+	e := catalog.Entry{Scheme: s, Signature: signature, SendInterval: time.Millisecond, Start: time.Unix(0, 0)}
+	cfg, err := scenario.Config(e, 1, loss.Spec{}, delay.Constant{}, 0)
+	if err != nil {
+		return err
+	}
+	cfg.Workers, cfg.Tracer, cfg.Metrics = 1, tracer, reg
+	if _, err := netsim.Run(s, cfg, 1, payloads); err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
 	return nil
@@ -220,7 +217,7 @@ func report(s scheme.Scheme, dot, export, perPacket bool, bern loss.Bernoulli, t
 	}
 
 	by := "exact"
-	res, err := g.ExactAuthProbChannel(bern.Channel())
+	res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: bern.Channel()})
 	if errors.Is(err, depgraph.ErrFrontier) {
 		by = fmt.Sprintf("monte-carlo, %d trials", trials)
 		res, err = g.MonteCarloAuthProbInto(loss.PatternInto(bern), trials, stats.NewRNG(1), depgraph.MCOptions{})

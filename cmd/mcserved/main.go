@@ -138,7 +138,7 @@ func parseOptions(args []string) (options, error) {
 	fs.StringVar(&o.telCfg.Flight, "flight", "", "write the flight-recorder post-mortem (JSONL) to this file on panic, SIGUSR1, chaos kill, or SLO budget exhaustion (render with mcreport -flight)")
 	fs.DurationVar(&o.telCfg.SLOWindow, "slo-window", time.Minute, "per-stream SLO sliding evaluation window")
 	fs.DurationVar(&o.telCfg.SLOP99, "slo-p99", 0, "per-stream SLO: p99 time-to-auth objective (0 = no latency objective)")
-	fs.Float64Var(&o.telCfg.SLOMinAuth, "slo-min-auth", 0, "per-stream SLO: minimum authenticated fraction objective, the paper's q_min as a live target (0 = off)")
+	fs.Float64Var(&o.telCfg.SLOMinAuth, "slo-min-auth", 0, "per-stream SLO: minimum mean authenticated fraction of verification attempts, not the worst packet's q_min (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}

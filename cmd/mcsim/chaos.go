@@ -8,6 +8,7 @@ import (
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/fault"
 	"mcauth/internal/netsim"
 	"mcauth/internal/scenario"
@@ -44,6 +45,12 @@ func runChaos(o options) error {
 		if err != nil {
 			return fmt.Errorf("chaos %s: %w", name, err)
 		}
+		// The signature goes out three times, every copy lost like any
+		// packet, faults included.
+		run, err := scenario.New(entry, o.loss(), depgraph.Copies(2))
+		if err != nil {
+			return err
+		}
 		s := entry.Scheme
 		block := payloads(s.BlockSize())
 		for _, preset := range fault.PresetNames() {
@@ -52,11 +59,11 @@ func runChaos(o options) error {
 				return err
 			}
 			for seed := uint64(1); seed <= uint64(o.chaosSeeds); seed++ {
-				cfg, err := scenario.Config(entry, o.receivers, o.loss(), delayModel, seed)
+				cfg, err := run.Config(o.receivers, delayModel, seed)
 				if err != nil {
 					return err
 				}
-				cfg.SigRetransmits, cfg.Faults, cfg.MaxBuffered, cfg.Workers = 2, &fc, chaosMaxBuffered, o.workers
+				cfg.Faults, cfg.MaxBuffered, cfg.Workers = &fc, chaosMaxBuffered, o.workers
 				res, err := netsim.Run(s, cfg, 1, block)
 				if err != nil {
 					return fmt.Errorf("chaos %s/%s seed %d: %w", name, preset, seed, err)

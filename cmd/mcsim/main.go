@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -112,25 +113,26 @@ func (o options) spec() catalog.Spec {
 func (o options) loss() loss.Spec { return loss.Spec{P: o.p, Burst: float64(o.burst)} }
 
 // buildEntry builds the selected scheme and its analytic q_min under the
-// -p loss rate and -mu/-sigma delay, printed with the evaluator that gave it.
-// The catalogue's q_min takes only a Bernoulli rate, so under -burst the
-// label says the value is the i.i.d. one, not this channel's; an overlay's
-// label says the loss it models is the last hop's alone.
+// -p/-burst loss and -mu/-sigma delay, printed with the evaluator that gave
+// it: the run's own channel, with the signature packet forced as the run
+// delivers it. TESLA's closed form takes i.i.d. loss only, so under -burst
+// its label says the value is not this channel's; an overlay's label says
+// the loss it models is the last hop's alone.
 func buildEntry(o options) (catalog.Entry, string, error) {
 	entry, err := catalog.Build(o.spec(), crypto.NewSignerFromString("mcsim-sender"))
 	if err != nil {
 		return catalog.Entry{}, "", err
 	}
-	qmin, by, err := entry.QMin(o.p, o.mu, o.sigma)
-	iid := "i.i.d."
-	if o.overlay {
-		iid = "i.i.d. last hop"
+	qmin, by, err := entry.QMin(o.loss(), o.mu, o.sigma)
+	if errors.Is(err, catalog.ErrIIDOnly) {
+		qmin, by, err = entry.QMin(loss.Spec{P: o.p}, o.mu, o.sigma)
+		by = fmt.Sprintf("%s, i.i.d. at p = %g; not this channel", by, o.p)
 	}
 	switch {
-	case o.loss().Burst > 1:
-		by = fmt.Sprintf("%s, %s at p = %g; not this channel", by, iid, o.p)
+	case o.overlay && o.loss().Burst > 1:
+		by += ", last hop"
 	case o.overlay:
-		by += ", " + iid
+		by += ", i.i.d. last hop"
 	}
 	return entry, fmt.Sprintf("%.4f (%s)", qmin, by), err
 }

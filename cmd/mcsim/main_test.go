@@ -40,10 +40,10 @@ func TestRunBurstAndLateJoin(t *testing.T) {
 	}
 }
 
-// TestAnalyticLabelNamesChannel: the catalogue's q_min is the i.i.d. value
-// at -p, so under -burst the label must say it is not this channel's, and
-// an overlay's must say it models the last hop alone — in the value, once,
-// under the one row name both topologies print.
+// TestAnalyticLabelNamesChannel: the analytic q_min is the run's own
+// channel's, so under -burst the label names the channel and the root rule
+// it was taken under, and an overlay's says it models the last hop alone —
+// in the value, once, under the one row name both topologies print.
 func TestAnalyticLabelNamesChannel(t *testing.T) {
 	for _, c := range []struct {
 		overlay     bool
@@ -51,9 +51,9 @@ func TestAnalyticLabelNamesChannel(t *testing.T) {
 	}{
 		{false, "0", "0.5911 (exact)"},
 		{false, "1", "0.5911 (exact)"},
-		{false, "5", "0.5911 (exact, i.i.d. at p = 0.1; not this channel)"},
+		{false, "5", "0.3614 (exact, forced, gilbert(pi_bad=0.1, burst=5))"},
 		{true, "0", "0.5911 (exact, i.i.d. last hop)"},
-		{true, "5", "0.5911 (exact, i.i.d. last hop at p = 0.1; not this channel)"},
+		{true, "5", "0.3614 (exact, forced, gilbert(pi_bad=0.1, burst=5), last hop)"},
 	} {
 		args := []string{"-scheme", "emss", "-n", "60", "-m", "2", "-d", "1", "-p", "0.1", "-burst", c.burst}
 		if c.overlay {
@@ -88,10 +88,10 @@ func TestAnalyticLabelNamesChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := regexp.MustCompile(`(?m)^analytic q_min +0\.5911 \(exact, i\.i\.d\. last hop at p = 0\.1; not this channel\)$`)
+	row := regexp.MustCompile(`(?m)^analytic q_min +0\.3614 \(exact, forced, gilbert\(pi_bad=0\.1, burst=5\), last hop\)$`)
 	if !row.Match(printed) ||
-		strings.Count(string(printed), "i.i.d.") != 1 {
-		t.Errorf("overlay table does not name the i.i.d. last hop once, in its analytic q_min row:\n%s", printed)
+		strings.Count(string(printed), "forced") != 1 {
+		t.Errorf("overlay table does not name the root rule once, in its analytic q_min row:\n%s", printed)
 	}
 }
 

@@ -78,12 +78,12 @@ type Entry struct {
 	Start        time.Time
 
 	spec Spec
-	qmin func(e Entry, p, mu, sigma float64) (float64, string, error)
+	qmin func(e Entry, l loss.Spec, mu, sigma float64) (float64, string, error)
 }
 
 // The evaluators a QMin can come from.
 const (
-	exact      = "exact"       // depgraph.ExactAuthProbChannel on the scheme's own graph
+	exact      = "exact"       // depgraph.ExactAuthProbDelivery on the scheme's own graph
 	recurrence = "recurrence"  // the paper's independence recurrence: an optimistic bound
 	closedForm = "closed-form" // TESLA's Equation 7
 )
@@ -101,33 +101,50 @@ type row struct {
 	// signature is nil for schemes without a distinct signature packet.
 	signature func(Spec) []uint32
 	// qmin overrides the default rule, graph: the analytic q_min under
-	// i.i.d. loss at rate p, with Gaussian end-to-end delay (mu, sigma, in
-	// seconds) where timing matters, and the evaluator it came from.
-	qmin func(e Entry, p, mu, sigma float64) (float64, string, error)
+	// loss l, with Gaussian end-to-end delay (mu, sigma, in seconds) where
+	// timing matters, and the evaluator it came from.
+	qmin func(e Entry, l loss.Spec, mu, sigma float64) (float64, string, error)
 }
 
 func firstWire(Spec) []uint32  { return []uint32{1} }
 func lastWire(s Spec) []uint32 { return []uint32{uint32(s.N)} }
 func onlyN(s *Spec) []*int     { return []*int{&s.N} }
 
+// ErrIIDOnly reports an evaluator that takes i.i.d. loss only, asked for
+// another channel: TESLA's closed form, and the recurrence past the exact
+// evaluator's frontier.
+var ErrIIDOnly = errors.New("catalog: no analytic q_min for this channel")
+
 // graph is the one rule for every scheme whose graph carries its q_min:
-// exact on the graph the scheme emits when its frontier fits the evaluator,
-// the paper's recurrence on the same graph when it does not. A path
+// exact on the graph the scheme emits, under l with the root forced (what
+// netsim realizes), when its frontier fits the evaluator; the paper's
+// recurrence on the same graph when it does not and l is i.i.d. A path
 // (Rohatgi) or a star (the per-packet schemes) has a one-bit frontier, so
 // it answers exactly at any block size.
-func graph(e Entry, p, _, _ float64) (float64, string, error) {
+func graph(e Entry, l loss.Spec, _, _ float64) (float64, string, error) {
 	g, err := e.Scheme.Graph()
 	if err != nil {
 		return 0, "", err
 	}
-	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	ch, err := l.Channel()
+	if err != nil {
+		return 0, "", err
+	}
+	res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Forced})
 	if err == nil {
+		if l.Burst > 1 {
+			model, err := l.Model()
+			return res.QMin, exact + ", forced, " + model.Name(), err
+		}
 		return res.QMin, exact, nil
 	}
 	if !errors.Is(err, depgraph.ErrFrontier) {
 		return 0, "", err
 	}
-	res, err = g.Recurrence(p)
+	if l.Burst > 1 {
+		return 0, "", fmt.Errorf("%w: %v", ErrIIDOnly, err)
+	}
+	res, err = g.Recurrence(l.P)
 	return res.QMin, recurrence, err
 }
 
@@ -190,8 +207,11 @@ var rows = []row{
 			return out
 		},
 		signature: firstWire, // the signed bootstrap
-		qmin: func(e Entry, p, mu, sigma float64) (float64, string, error) {
-			q, err := tesla.QMin(p, teslaConfig(e.spec).TDisclose().Seconds(), mu, sigma)
+		qmin: func(e Entry, l loss.Spec, mu, sigma float64) (float64, string, error) {
+			if l.Burst > 1 {
+				return 0, "", fmt.Errorf("%w: TESLA's Equation 7 takes i.i.d. loss", ErrIIDOnly)
+			}
+			q, err := tesla.QMin(l.P, teslaConfig(e.spec).TDisclose().Seconds(), mu, sigma)
 			return q, closedForm, err
 		},
 	},
@@ -277,15 +297,19 @@ func ParseName(name string) (Spec, error) {
 }
 
 // QMin is the analytic minimum authentication probability over the data
-// packets under i.i.d. loss at rate p. mu and sigma are the mean and
-// standard deviation of the Gaussian end-to-end delay, which only TESLA's
-// safety condition reads; a constant delay below the disclosure lag
-// (sigma = 0) is the paper's ξ = 1 case. by names the evaluator that
-// answered ("exact", "recurrence" or "closed-form"), so a fallback to the
-// recurrence's upper bound is never silent. Evaluated on demand, so Build
-// costs no more than the constructor it wraps.
-func (e Entry) QMin(p float64, mu, sigma time.Duration) (q float64, by string, err error) {
-	return e.qmin(e, p, mu.Seconds(), sigma.Seconds())
+// packets under the run's loss l, with the signature packet forced to
+// arrive as netsim delivers it. mu and sigma are the mean and standard
+// deviation of the Gaussian end-to-end delay, which only TESLA's safety
+// condition reads; a constant delay below the disclosure lag (sigma = 0)
+// is the paper's ξ = 1 case. by names the evaluator that answered
+// ("exact", "recurrence" or "closed-form"), so a fallback to the
+// recurrence's upper bound is never silent; under bursty loss it also
+// names the root rule and the channel ("exact, forced, gilbert(...)"),
+// which under i.i.d. loss agree with every other reading. A channel the
+// evaluator cannot take fails with ErrIIDOnly. Evaluated on demand, so
+// Build costs no more than the constructor it wraps.
+func (e Entry) QMin(l loss.Spec, mu, sigma time.Duration) (q float64, by string, err error) {
+	return e.qmin(e, l, mu.Seconds(), sigma.Seconds())
 }
 
 // DiagnoseOptions is the graph-side half of the trace→graph join: the

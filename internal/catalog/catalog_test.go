@@ -90,7 +90,7 @@ func TestCatalogMatchesWire(t *testing.T) {
 		if !reflect.DeepEqual(e.Signature, signed) {
 			t.Errorf("%s: Signature = %v, signatures ride at %v", name, e.Signature, signed)
 		}
-		if q, _, err := e.QMin(0, time.Millisecond, 0); err != nil || q != 1 {
+		if q, _, err := e.QMin(loss.Spec{P: 0}, time.Millisecond, 0); err != nil || q != 1 {
 			t.Errorf("%s: QMin(0) = %v, %v; want 1", name, q, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestQMinExactWhenValid(t *testing.T) {
 		}
 		recurQ := rec.QMin
 		want, branch := recurQ, recurrence
-		if res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel()); err == nil {
+		if res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned}); err == nil {
 			want, branch = res.QMin, exact
 			if res.QMin == recurQ {
 				t.Fatalf("%+v: exact and recurrence agree at p=%v; the probe cannot tell them apart", spec, p)
@@ -133,7 +133,7 @@ func TestQMinExactWhenValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		branches[spec.ID+"/"+branch] = true
-		got, by, err := e.QMin(p, 0, 0)
+		got, by, err := e.QMin(loss.Spec{P: p}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,47 +165,56 @@ func TestQMinNamesClosedForms(t *testing.T) {
 		case "tesla":
 			want, wantBy = 1-p, closedForm // a constant delay inside the lag: ξ = 1
 		}
-		q, by, err := build(t, spec).QMin(p, time.Millisecond, 0)
+		q, by, err := build(t, spec).QMin(loss.Spec{P: p}, time.Millisecond, 0)
 		if err != nil || by != wantBy || math.Abs(q-want) > 1e-12 {
 			t.Errorf("%+v: QMin = %v by %q, %v; want %v by %q", spec, q, by, err, want, wantBy)
 		}
 	}
 }
 
+// TestQMinTakesTheRunsChannel: under bursty loss a graph row answers the
+// exact forced value of that channel, labelled with the rule and the
+// channel, and a row whose evaluator takes i.i.d. loss only refuses with
+// ErrIIDOnly instead of answering for another channel.
+func TestQMinTakesTheRunsChannel(t *testing.T) {
+	bursty := loss.Spec{P: 0.1, Burst: 5}
+	q, by, err := build(t, Spec{ID: "emss", N: 60, M: 2, D: 1}).QMin(bursty, time.Millisecond, 0)
+	if err != nil || by != "exact, forced, gilbert(pi_bad=0.1, burst=5)" || math.Abs(q-0.3614) > 5e-5 {
+		t.Errorf("E_{2,1} at burst 5: QMin = %v by %q, %v; want 0.3614 by the forced exact sweep", q, by, err)
+	}
+	for _, spec := range []Spec{{ID: "tesla", N: 8, Lag: 2}, {ID: "emss", N: 60, M: 3, D: 7}} {
+		if q, by, err := build(t, spec).QMin(bursty, time.Millisecond, 0); !errors.Is(err, ErrIIDOnly) {
+			t.Errorf("%+v at burst 5: QMin = %v by %q, %v; want ErrIIDOnly", spec, q, by, err)
+		}
+	}
+}
+
 // TestQMinEdgeInputs: every row rejects a loss rate that is NaN or outside
 // [0,1], and TESLA a negative delay (Entry.QMin takes durations, so a NaN
-// delay cannot reach it; tesla.QMin's own tests reject NaN). At p = 1 the
-// channel never delivers the signature packet the exact evaluator
-// conditions on, so every row it answers for fails rather than report a
-// number; the recurrence, past the frontier cap, answers 0, and TESLA's
-// Equation 7 answers 0.
+// delay cannot reach it; tesla.QMin's own tests reject NaN). At p = 1 every
+// row answers 0 by the evaluator it answers with at p = 0.2: the exact
+// evaluator forces the signature packet, so only the never-received data
+// packets' q_i are undefined, 0 by convention; the recurrence and TESLA's
+// Equation 7 answer 0 outright.
 func TestQMinEdgeInputs(t *testing.T) {
 	for _, spec := range wireCases {
 		e := build(t, spec)
 		for _, p := range []float64{math.NaN(), -0.1, 1.5} {
-			if q, by, err := e.QMin(p, time.Millisecond, 0); err == nil {
+			if q, by, err := e.QMin(loss.Spec{P: p}, time.Millisecond, 0); err == nil {
 				t.Errorf("%+v: QMin(p=%v) = %v by %q, want an error", spec, p, q, by)
 			}
 		}
-		_, byAtP, err := e.QMin(0.2, time.Millisecond, 0)
+		_, byAtP, err := e.QMin(loss.Spec{P: 0.2}, time.Millisecond, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, by, err := e.QMin(1, time.Millisecond, 0)
-		switch byAtP {
-		case exact:
-			if err == nil || !strings.Contains(err.Error(), "channel never delivers the signature packet") {
-				t.Errorf("%+v: QMin(p=1) = %v by %q, %v; want the undelivered-signature error", spec, q, by, err)
-			}
-		default:
-			if err != nil || q != 0 || by != byAtP {
-				t.Errorf("%+v: QMin(p=1) = %v by %q, %v; want 0 by %q", spec, q, by, err, byAtP)
-			}
+		if q, by, err := e.QMin(loss.Spec{P: 1}, time.Millisecond, 0); err != nil || q != 0 || by != byAtP {
+			t.Errorf("%+v: QMin(p=1) = %v by %q, %v; want 0 by %q", spec, q, by, err, byAtP)
 		}
 	}
 	e := build(t, Spec{ID: "tesla", N: 8, Lag: 2})
 	for _, d := range [][2]time.Duration{{-time.Millisecond, 0}, {time.Millisecond, -time.Millisecond}} {
-		if q, _, err := e.QMin(0.1, d[0], d[1]); err == nil {
+		if q, _, err := e.QMin(loss.Spec{P: 0.1}, d[0], d[1]); err == nil {
 			t.Errorf("TESLA QMin(mu=%v, sigma=%v) = %v, want an error", d[0], d[1], q)
 		}
 	}
@@ -215,10 +224,10 @@ func TestQMinEdgeInputs(t *testing.T) {
 // caller's delay; a constant delay inside the disclosure lag is ξ = 1.
 func TestTESLAQMinReadsDelay(t *testing.T) {
 	e := build(t, Spec{ID: "tesla", N: 8, Lag: 2, Interval: 100 * time.Millisecond})
-	if q, _, err := e.QMin(0.25, time.Millisecond, 0); err != nil || q != 0.75 {
+	if q, _, err := e.QMin(loss.Spec{P: 0.25}, time.Millisecond, 0); err != nil || q != 0.75 {
 		t.Errorf("ξ = 1 case: QMin = %v, %v; want 1-p = 0.75", q, err)
 	}
-	late, _, err := e.QMin(0.25, 200*time.Millisecond, 50*time.Millisecond)
+	late, _, err := e.QMin(loss.Spec{P: 0.25}, 200*time.Millisecond, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

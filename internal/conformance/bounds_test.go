@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -27,29 +28,32 @@ func TestBoundCheckTolerancesAndFloor(t *testing.T) {
 	r := Result{Case: "emss(E21)", P: 0.1, Analytic: 0.80, MonteCarlo: 0.79, Measured: 0.78}
 
 	// Within default tolerances, no floor: passes.
-	if err := (Bound{Case: "*", P: -1}).check(r, params, true, true, true); err != nil {
+	if err := (Bound{Case: "*", P: -1}).check(r, params); err != nil {
 		t.Errorf("in-tolerance cell flagged: %v", err)
 	}
 	// Tight per-bound MC tolerance overrides the default.
-	if err := (Bound{Case: "*", P: -1, MCTol: 0.001}).check(r, params, true, true, true); err == nil {
+	if err := (Bound{Case: "*", P: -1, MCTol: 0.001}).check(r, params); err == nil {
 		t.Error("tight MC tolerance not enforced")
 	}
 	// Netsim tolerance violation.
-	if err := (Bound{Case: "*", P: -1, NetsimTol: 0.01}).check(r, params, true, true, true); err == nil {
+	if err := (Bound{Case: "*", P: -1, NetsimTol: 0.01}).check(r, params); err == nil {
 		t.Error("tight netsim tolerance not enforced")
 	}
 	// Floor above the measured value fails even with analytic layers off.
-	err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(r, params, false, false, true)
+	measuredOnly := Result{Case: r.Case, P: r.P, Analytic: math.NaN(), MonteCarlo: math.NaN(), Measured: r.Measured}
+	err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(measuredOnly, params)
 	if err == nil || !strings.Contains(err.Error(), "baseline floor") {
 		t.Errorf("floor violation not reported: %v", err)
 	}
 	// Without a measured value the floor is vacuous.
-	if err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(r, params, true, true, false); err != nil {
+	unmeasured := r
+	unmeasured.Measured = math.NaN()
+	if err := (Bound{Case: "*", P: -1, MinQMin: 0.9}).check(unmeasured, params); err != nil {
 		t.Errorf("floor applied without measurement: %v", err)
 	}
 	// Missing analytic layer disables the delta checks.
-	bad := Result{Case: "x", P: 0.5, MonteCarlo: 0.2, Measured: 0.2}
-	if err := (Bound{Case: "*", P: -1, MCTol: 0.001, NetsimTol: 0.001}).check(bad, params, false, true, true); err != nil {
+	bad := Result{Case: "x", P: 0.5, Analytic: math.NaN(), MonteCarlo: 0.2, Measured: 0.2}
+	if err := (Bound{Case: "*", P: -1, MCTol: 0.001, NetsimTol: 0.001}).check(bad, params); err != nil {
 		t.Errorf("delta checks ran without analytic reference: %v", err)
 	}
 }
@@ -94,11 +98,11 @@ func TestTableCheckCollectsAllViolations(t *testing.T) {
 		{Case: "emss(E21)", P: 0.1, NetsimTol: 0.001},
 	}
 	r := Result{Case: "emss(E21)", P: 0.1, Analytic: 0.9, MonteCarlo: 0.9, Measured: 0.8}
-	errs := table.Check(r, params, true, true, true)
+	errs := table.Check(r, params)
 	if len(errs) != 2 {
 		t.Fatalf("got %d violations, want 2: %v", len(errs), errs)
 	}
-	if none := table.Check(Result{Case: "other", P: 0.5, Measured: 0.99}, params, false, false, true); len(none) != 0 {
+	if none := table.Check(Result{Case: "other", P: 0.5, Analytic: math.NaN(), MonteCarlo: math.NaN(), Measured: 0.99}, params); len(none) != 0 {
 		t.Errorf("non-matching floor case flagged: %v", none)
 	}
 }

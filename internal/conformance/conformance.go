@@ -17,6 +17,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
+	"mcauth/internal/obs"
 	"mcauth/internal/scenario"
 	"mcauth/internal/scheme/augchain"
 	"mcauth/internal/schemetest"
@@ -103,7 +105,9 @@ func shortParams() Params {
 	}
 }
 
-// Result is one (case, loss rate) evaluation across the three layers.
+// Result is one (case, loss) evaluation across the three layers. A layer
+// that did not run, or has no value for the loss (TESLA's closed form off
+// i.i.d. loss), reads NaN.
 type Result struct {
 	Case       string
 	P          float64
@@ -112,24 +116,8 @@ type Result struct {
 	Measured   float64
 }
 
-// mcDelta is the analytic-vs-Monte-Carlo disagreement.
-func (r Result) mcDelta() float64 { return math.Abs(r.Analytic - r.MonteCarlo) }
-
-// netsimDelta is the analytic-vs-measured disagreement.
-func (r Result) netsimDelta() float64 { return math.Abs(r.Analytic - r.Measured) }
-
 // check returns an error if either disagreement exceeds its tolerance.
-func (r Result) check(p Params) error {
-	if d := r.mcDelta(); d > p.MCTol {
-		return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs Monte-Carlo %.4f (Δ=%.4f > %.4f)",
-			r.Case, r.P, r.Analytic, r.MonteCarlo, d, p.MCTol)
-	}
-	if d := r.netsimDelta(); d > p.NetsimTol {
-		return fmt.Errorf("%s at p=%.2f: analytic q_min %.4f vs netsim-measured %.4f (Δ=%.4f > %.4f)",
-			r.Case, r.P, r.Analytic, r.Measured, d, p.NetsimTol)
-	}
-	return nil
-}
+func (r Result) check(p Params) error { return Bound{}.check(r, p) }
 
 // suite builds the canonical conformance cases at block size n, one per
 // catalogue scheme and through Build: E_{2,1}, C_{3,3}, TESLA at lag 2.
@@ -160,45 +148,73 @@ func suite(n int) ([]Case, error) {
 	return cases, nil
 }
 
-// evaluate runs one case at one loss rate through all three layers.
-func evaluate(c Case, p float64, params Params) (Result, error) {
-	r := Result{Case: c.Name, P: p}
-
-	analytic, _, err := c.QMin(p, Delay, 0)
-	if err != nil {
-		return r, fmt.Errorf("%s: analytic: %w", c.Name, err)
-	}
-	r.Analytic = analytic
-
-	g, err := c.Scheme.Graph()
-	if err != nil {
-		return r, fmt.Errorf("%s: graph: %w", c.Name, err)
-	}
-	mc, err := g.MonteCarloAuthProbInto(
-		depgraph.BernoulliPatternInto(p),
-		params.MCTrials,
-		stats.NewRNG(params.Seed^uint64(1000*p)),
-		depgraph.MCOptions{},
-	)
-	if err != nil {
-		return r, fmt.Errorf("%s: monte-carlo: %w", c.Name, err)
-	}
-	r.MonteCarlo = mc.QMin
-
-	cfg, err := netsimConfig(c, p, params)
-	if err != nil {
-		return r, err
-	}
-	res, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
-	if err != nil {
-		return r, fmt.Errorf("%s: netsim: %w", c.Name, err)
-	}
-	r.Measured = res.MinAuthRatio(c.Data)
-	return r, nil
+// Effort is how hard the sampled layers work on one cell, and from which
+// seeds. Zero trials or receivers skip that layer. Both run on one worker:
+// callers spread cells, not layers, over the CPUs, and no result depends
+// on it.
+type Effort struct {
+	Trials    int
+	MCSeed    uint64
+	Receivers int
+	SimSeed   uint64
+	// Tracer and Metrics, when non-nil, record the netsim run.
+	Tracer  *obs.SpanSink
+	Metrics *obs.Registry
 }
 
-// netsimConfig is the one netsim configuration a case runs under at
-// i.i.d. loss rate p, shared by the flat and overlay measurements.
+// Evaluate runs case c under loss l through the catalogue's analytic q_min
+// and the sampled layers e asks for, all from one delivery with the
+// signature packet forced: Monte-Carlo on the dependence graph and the
+// netsim measurement, whose run it returns too (nil when skipped).
+func Evaluate(c Case, l loss.Spec, e Effort) (Result, *netsim.Result, error) {
+	nan := math.NaN()
+	r := Result{Case: c.Name, P: l.P, Analytic: nan, MonteCarlo: nan, Measured: nan}
+	run, err := scenario.New(c.Entry, l, depgraph.Forced)
+	if err != nil {
+		return r, nil, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	q, _, err := c.QMin(l, Delay, 0)
+	switch {
+	case err == nil:
+		r.Analytic = q
+	case !errors.Is(err, catalog.ErrIIDOnly):
+		return r, nil, fmt.Errorf("%s: analytic: %w", c.Name, err)
+	}
+	if e.Trials > 0 {
+		mc, err := run.MonteCarlo(e.Trials, stats.NewRNG(e.MCSeed), depgraph.MCOptions{Workers: 1})
+		if err != nil {
+			return r, nil, fmt.Errorf("%s: monte-carlo: %w", c.Name, err)
+		}
+		r.MonteCarlo = mc.QMin
+	}
+	if e.Receivers <= 0 {
+		return r, nil, nil
+	}
+	cfg, err := run.Config(e.Receivers, delay.Constant{D: Delay}, e.SimSeed)
+	if err != nil {
+		return r, nil, fmt.Errorf("%s: netsim: %w", c.Name, err)
+	}
+	cfg.Workers, cfg.Tracer, cfg.Metrics = 1, e.Tracer, e.Metrics
+	res, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
+	if err != nil {
+		return r, nil, fmt.Errorf("%s: netsim: %w", c.Name, err)
+	}
+	r.Measured = res.MinAuthRatio(c.Data)
+	return r, res, nil
+}
+
+// evaluate runs one case under loss l through all three layers at the
+// suite's effort, seeded by the loss rate.
+func evaluate(c Case, l loss.Spec, params Params) (Result, *netsim.Result, error) {
+	key := uint64(1000 * l.P)
+	return Evaluate(c, l, Effort{
+		Trials: params.MCTrials, MCSeed: params.Seed ^ key,
+		Receivers: params.Receivers, SimSeed: params.Seed + key,
+	})
+}
+
+// netsimConfig is the flat measurement's netsim configuration at i.i.d.
+// loss rate p, which the overlay measurements share.
 func netsimConfig(c Case, p float64, params Params) (netsim.Config, error) {
 	return scenario.Config(c.Entry, params.Receivers, loss.Spec{P: p}, delay.Constant{D: Delay}, params.Seed+uint64(1000*p))
 }

@@ -74,7 +74,7 @@ func (r OverlayCellResult) Check(p Params) error {
 // off, and the case's Bernoulli model on the last hop — the configuration
 // the exact row of the tolerance table governs.
 func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (OverlayCellResult, error) {
-	flat, err := evaluate(c, p, params)
+	flat, flatRes, err := evaluate(c, loss.Spec{P: p}, params)
 	r := OverlayCellResult{Result: flat}
 	if err != nil {
 		return r, err
@@ -82,12 +82,6 @@ func EvaluateOverlay(c Case, p float64, depth, fanout int, params Params) (Overl
 	cfg, err := netsimConfig(c, p, params)
 	if err != nil {
 		return r, err
-	}
-	// Re-run the flat path on this exact config to get the per-receiver
-	// reports the bit-identity check needs (evaluate only returns q_min).
-	flatRes, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
-	if err != nil {
-		return r, fmt.Errorf("%s: flat netsim: %w", c.Name, err)
 	}
 	tree, err := loss.NewUniformTree(params.Seed, depth, fanout, nil, cfg.Loss)
 	if err != nil {
@@ -128,7 +122,7 @@ func (c correlatedCell) escape() float64 { return math.Abs(c.AnalyticIID - c.Mea
 func evaluateCorrelated(c Case, edgeP, leafP float64, fanout int, params Params) (correlatedCell, error) {
 	marginal := 1 - (1-edgeP)*(1-leafP)
 	cell := correlatedCell{Case: c.Name, MarginalP: marginal}
-	analytic, _, err := c.QMin(marginal, Delay, 0)
+	analytic, _, err := c.QMin(loss.Spec{P: marginal}, Delay, 0)
 	if err != nil {
 		return cell, fmt.Errorf("%s: analytic: %w", c.Name, err)
 	}

@@ -19,7 +19,7 @@ type Channel struct {
 	Stationary []float64
 }
 
-// ErrFrontier reports a graph ExactAuthProbChannel cannot sweep: the root is
+// ErrFrontier reports a graph ExactAuthProbDelivery cannot sweep: the root is
 // in mid-block, or more than maxFrontierBits facts are live at once. Callers
 // with another evaluator to fall back on test for it with errors.Is.
 var ErrFrontier = errors.New("depgraph: no exact evaluation")
@@ -143,11 +143,11 @@ func (g *Graph) plan() (frontier, error) {
 	return f, nil
 }
 
-// ExactAuthProbChannel computes q_i = Pr{P_i verifiable | P_i received}
-// exactly under the loss process ch, conditioned — the paper's standing
-// assumption, made exact — on the signature packet arriving. It needs the
-// root first or last in send order and at most 20 facts live at once;
-// otherwise it fails with ErrFrontier and no number.
+// ExactAuthProbDelivery computes q_i = Pr{P_i verifiable | P_i received}
+// exactly under d: the loss process d.Channel, with the signature packet's
+// fate set by d.Root in the sweep's start distribution. It needs the root
+// first or last in send order and at most 20 facts live at once; otherwise
+// it fails with ErrFrontier and no number.
 //
 // The sweep visits the vertices outward from the root: in send order when
 // the root is first, in reversed send order against the time-reversed chain
@@ -158,7 +158,8 @@ func (g *Graph) plan() (frontier, error) {
 // later packet reaches it (the augmented chain's inserted packets hang off
 // the *next* chain packet). O(n · 2^w · m²) for frontier width w and m
 // channel states.
-func (g *Graph) ExactAuthProbChannel(ch Channel) (AuthResult, error) {
+func (g *Graph) ExactAuthProbDelivery(d Delivery) (AuthResult, error) {
+	ch := d.Channel
 	if err := ch.check(); err != nil {
 		return AuthResult{}, err
 	}
@@ -180,19 +181,15 @@ func (g *Graph) ExactAuthProbChannel(ch Channel) (AuthResult, error) {
 		}
 	}
 
+	arrived, lost, err := d.start(trans)
+	if err != nil {
+		return AuthResult{}, err
+	}
 	dist := make([]float64, m<<f.width)
 	next := make([]float64, m<<f.width)
-	start := dist[int(f.verBit[g.root])*m:][:m]
-	arrive := 0.0
-	for s, pi := range ch.Stationary {
-		start[s] = pi * (1 - ch.Loss[s])
-		arrive += start[s]
-	}
-	if arrive == 0 {
-		return AuthResult{}, fmt.Errorf("depgraph: channel never delivers the signature packet")
-	}
-	for s := range start {
-		start[s] /= arrive
+	copy(dist[int(f.verBit[g.root])*m:], arrived)
+	for s, pr := range lost {
+		dist[s] += pr // the root lost: no fact is set
 	}
 
 	num := make([]float64, g.n+1) // Pr{i received and verifiable}

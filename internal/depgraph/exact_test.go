@@ -19,7 +19,7 @@ import (
 )
 
 // The differential suite of the one exact evaluator,
-// (*Graph).ExactAuthProbChannel. Three independent references: the Q
+// (*Graph).ExactAuthProbDelivery. Three independent references: the Q
 // vectors of the three hand-derived evaluators it replaced, captured at the
 // last commit that had them; pattern enumeration under i.i.d. loss
 // (ExactAuthProbVector) on graphs no hand derivation covers; and pattern
@@ -95,7 +95,7 @@ func TestExactChannelPinnedToReplacedEvaluators(t *testing.T) {
 			if pin.Burst > 0 {
 				ch = burstChannel(t, pin.Burst).Channel()
 			}
-			got, err := g.ExactAuthProbChannel(ch)
+			got, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestExactChannelMatchesEnumerationOnRandomDAGs(t *testing.T) {
 				loss.Bernoulli{P: p}.Channel(),
 				loss.GilbertElliott{PGoodToBad: 0.2, PBadToGood: 0.6, PGood: p, PBad: p}.Channel(),
 			} {
-				got, err := g.ExactAuthProbChannel(ch)
+				got, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned})
 				if err != nil {
 					t.Fatalf("trial %d (n=%d root=%d): %v", trial, n, root, err)
 				}
@@ -286,7 +286,7 @@ func TestExactChannelMatchesHMMEnumeration(t *testing.T) {
 		{"augchain", 12, 3, 3}, // unaligned: a dangling run of inserted packets
 	} {
 		g := schemeGraph(t, c.id, c.n, c.x, c.y)
-		got, err := g.ExactAuthProbChannel(ch)
+		got, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,15 +311,15 @@ func TestExactChannelRejects(t *testing.T) {
 	for _, v := range []int{1, 2, 4, 5} {
 		mid.MustAddEdge(3, v)
 	}
-	if _, err := mid.ExactAuthProbChannel(iid); !errors.Is(err, depgraph.ErrFrontier) {
+	if _, err := mid.ExactAuthProbDelivery(depgraph.Delivery{Channel: iid, Root: depgraph.Conditioned}); !errors.Is(err, depgraph.ErrFrontier) {
 		t.Errorf("root in mid-block: err = %v, want ErrFrontier", err)
 	}
 
 	// E_{3,7}: each packet is read 21 positions on, one bit past the cap.
-	if _, err := schemeGraph(t, "emss", 60, 3, 7).ExactAuthProbChannel(iid); !errors.Is(err, depgraph.ErrFrontier) {
+	if _, err := schemeGraph(t, "emss", 60, 3, 7).ExactAuthProbDelivery(depgraph.Delivery{Channel: iid, Root: depgraph.Conditioned}); !errors.Is(err, depgraph.ErrFrontier) {
 		t.Errorf("21-bit frontier: err = %v, want ErrFrontier", err)
 	}
-	if _, err := schemeGraph(t, "emss", 26, 4, 5).ExactAuthProbChannel(iid); err != nil {
+	if _, err := schemeGraph(t, "emss", 26, 4, 5).ExactAuthProbDelivery(depgraph.Delivery{Channel: iid, Root: depgraph.Conditioned}); err != nil {
 		t.Errorf("20-bit frontier: %v", err)
 	}
 
@@ -333,7 +333,7 @@ func TestExactChannelRejects(t *testing.T) {
 		"not stationary":  {Trans: [][]float64{{0.9, 0.1}, {0.5, 0.5}}, Loss: []float64{0, 1}, Stationary: []float64{0.5, 0.5}},
 		"root never sent": {Trans: [][]float64{{1}}, Loss: []float64{1}, Stationary: []float64{1}},
 	} {
-		if res, err := g.ExactAuthProbChannel(ch); err == nil {
+		if res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned}); err == nil {
 			t.Errorf("channel %q accepted: q_min = %v", name, res.QMin)
 		}
 	}

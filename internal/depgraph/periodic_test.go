@@ -60,7 +60,7 @@ func recurrence(t *testing.T, g *depgraph.Graph, p float64) depgraph.AuthResult 
 
 func exactQ(t *testing.T, g *depgraph.Graph, ch depgraph.Channel) depgraph.AuthResult {
 	t.Helper()
-	res, err := g.ExactAuthProbChannel(ch)
+	res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: ch, Root: depgraph.Conditioned})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // under i.i.d. loss at rate p: Equation (9), which for the augmented chain's
 // graph is Equation (10). It multiplies the providers' failure terms as if
 // they were independent; they share paths and are positively correlated, so
-// the result upper-bounds the exact q_i (ExactAuthProbChannel under the same
+// the result upper-bounds the exact q_i (ExactAuthProbDelivery under the same
 // i.i.d. loss). It fails for p outside [0,1], NaN included, and for a cyclic
 // graph.
 func (g *Graph) Recurrence(p float64) (AuthResult, error) {

@@ -58,8 +58,8 @@ func BernoulliPatternInto(p float64) ReceiveLanes {
 // packets are verifiable: P_i is verifiable iff it is received and there is
 // a path from P_sign to P_i whose vertices are all received (condition (1)
 // of the paper, with condition (2) holding identically for hash-chained
-// schemes). The root is treated as received regardless of the pattern,
-// matching the paper's standing assumption that P_sign always arrives.
+// schemes). The root is treated as received regardless of the pattern:
+// the Forced rule of a Delivery.
 //
 // received must have length n+1 (index 0 ignored).
 func (g *Graph) VerifiableSet(received []bool) ([]bool, error) {
@@ -126,6 +126,10 @@ type MCOptions struct {
 	// defaultMCShardSize. Changing it changes the sample streams (and so
 	// the estimate), exactly like changing the seed would.
 	ShardSize int
+	// Root is the signature packet's fate, a Delivery's root rule; the
+	// zero value forces it. Under Conditioned the channel must deliver
+	// the root with positive probability.
+	Root Root
 }
 
 // defaultMCShardSize is the default trials-per-shard: small enough that
@@ -184,14 +188,15 @@ func (g *Graph) verifiableLanes(order []int, topological bool, recv, ver []uint6
 }
 
 // MonteCarloAuthProbInto estimates q_i for every packet from trials loss
-// patterns drawn by sample, propagating verifiability through the graph.
-// Trials run on the shared worker pool (see MCOptions): each worker keeps
-// one pair of lane words per vertex for its whole shard, and the shard's
-// sampler draws 64 trials at a time into them (trial t of a group is lane t)
-// from the shard's own generator — the result is a function of (seed,
-// trials, shard size) only — which verifiableLanes then propagates and the
-// shard tallies 64 to a word. A native lane sampler makes the trial loop
-// allocation-free.
+// patterns drawn by sample, the channel's own, with the signature packet's
+// fate set by opts.Root (rootLanes), propagating verifiability through the
+// graph. Trials run on the shared worker pool (see MCOptions): each worker
+// keeps one pair of lane words per vertex for its whole shard, and the
+// shard's sampler draws 64 trials at a time into them (trial t of a group
+// is lane t) from the shard's own generator — the result is a function of
+// (seed, trials, shard size) only — which verifiableLanes then propagates
+// and the shard tallies 64 to a word. A native lane sampler makes the trial
+// loop allocation-free under Forced and Conditioned.
 func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *stats.RNG, opts MCOptions) (AuthResult, error) {
 	if trials <= 0 {
 		return AuthResult{}, fmt.Errorf("depgraph: trials %d must be positive", trials)
@@ -199,6 +204,10 @@ func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *sta
 	if sample == nil {
 		return AuthResult{}, fmt.Errorf("depgraph: nil receive pattern")
 	}
+	if opts.Root < Conditioned {
+		return AuthResult{}, fmt.Errorf("depgraph: root rule %d", opts.Root)
+	}
+	sample = g.rootLanes(opts.Root, sample)
 	shardSize := opts.ShardSize
 	if shardSize <= 0 {
 		shardSize = defaultMCShardSize
@@ -220,7 +229,6 @@ func (g *Graph) MonteCarloAuthProbInto(sample ReceiveLanes, trials int, rng *sta
 			group := ^uint64(0) >> (laneTrials - min(laneTrials, sh.trials-done))
 			clear(recv)
 			sample(sh.rng, recv, group)
-			recv[g.root] |= group
 			g.verifiableLanes(order, topological, recv, ver)
 			for i := 1; i <= g.n; i++ {
 				c.recv[i] += bits.OnesCount64(recv[i])

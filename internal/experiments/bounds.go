@@ -5,6 +5,7 @@ import (
 
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 )
 
@@ -34,7 +35,7 @@ func boundsSeries() ([]boundsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	exact, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel()})
 	if err != nil {
 		return nil, err
 	}

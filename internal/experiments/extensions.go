@@ -18,7 +18,9 @@ import (
 
 // burstRow compares schemes under bursty (Gilbert-Elliott) loss at a fixed
 // stationary loss rate — the m-state Markov extension the paper names as
-// future work. Every q_min is conditional on the signature packet arriving.
+// future work. Every bursty q_min is conditioned on the signature packet
+// arriving (depgraph.Conditioned); under i.i.d. loss that is the forced
+// value every other tool prints.
 type burstRow struct {
 	Scheme    string
 	BurstLen  float64 // mean burst length in packets
@@ -67,20 +69,15 @@ func burstSeries() ([]burstRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Redraw every lane that lost the root: the estimator alone
-			// only marks the root received, which keeps the bursts that
-			// took the root's neighbours with it, while the exact
-			// column conditions on the root arriving.
-			rootArrives := func(rng *stats.RNG, recv []uint64, lanes uint64) {
-				for redo := lanes; redo != 0; redo = lanes &^ recv[g.Root()] {
-					ge.SampleLanes(rng, recv, redo)
-				}
-			}
-			mc, err := g.MonteCarloAuthProbInto(rootArrives, burstTrials, stats.NewRNG(uint64(bl*17)), mcOpts)
+			// Both bursty columns condition on the root arriving: the
+			// estimator redraws every lane that lost it.
+			d := depgraph.Delivery{Channel: ge.Channel(), Root: depgraph.Conditioned}
+			mc, err := g.MonteCarloAuthProbInto(ge.SampleLanes, burstTrials, stats.NewRNG(uint64(bl*17)),
+				depgraph.MCOptions{Workers: Workers, Root: d.Root})
 			if err != nil {
 				return nil, err
 			}
-			exact, err := g.ExactAuthProbChannel(ge.Channel())
+			exact, err := g.ExactAuthProbDelivery(d)
 			if err != nil {
 				return nil, err
 			}
@@ -211,7 +208,7 @@ func gapRow(scheme string, p float64, graph func() (*depgraph.Graph, error)) (ma
 	if err != nil {
 		return markovGapRow{}, err
 	}
-	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	exact, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel()})
 	if err != nil {
 		return markovGapRow{}, fmt.Errorf("experiments: %s n=%d: %w", scheme, g.N(), err)
 	}

@@ -7,9 +7,10 @@ import (
 	"mcauth/internal/catalog"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
-	"mcauth/internal/scheme/emss"
+	"mcauth/internal/scenario"
 )
 
 // sigLossRow measures what the paper's "P_sign always arrives" assumption
@@ -23,49 +24,39 @@ type sigLossRow struct {
 }
 
 // sigLossSeries runs EMSS E_{2,1} end-to-end without any reliable-delivery
-// crutch, sweeping signature-packet replication.
+// crutch, sweeping signature-packet replication: copies wires carry the
+// signature, each lost like any packet (depgraph.Copies(copies-1)).
 func sigLossSeries() ([]sigLossRow, error) {
-	signer := crypto.NewSignerFromString("sigloss")
 	const n = 12
-	// The single-copy block is the reference: replicated signature packets
-	// reuse its wire indices, and its exact q_min is what the assumption
-	// promises.
-	ref, err := catalog.Build(catalog.Spec{ID: "emss", N: n, M: 2, D: 1}, signer)
+	e, err := catalog.Build(catalog.Spec{ID: "emss", N: n, M: 2, D: 1, Interval: 10 * time.Millisecond},
+		crypto.NewSignerFromString("sigloss"))
 	if err != nil {
 		return nil, err
 	}
 	var rows []sigLossRow
 	for _, p := range []float64{0.1, 0.3} {
-		assumed, _, err := ref.QMin(p, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		model, err := loss.NewBernoulli(p)
+		assumed, _, err := e.QMin(loss.Spec{P: p}, 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		for _, copies := range []int{1, 2, 3} {
-			s, err := emss.New(emss.Config{N: n, M: 2, D: 1, SigCopies: copies}, signer)
+			run, err := scenario.New(e, loss.Spec{P: p}, depgraph.Copies(copies-1))
 			if err != nil {
 				return nil, err
 			}
-			res, err := netsim.Run(s, netsim.Config{
-				Receivers:    2000,
-				Loss:         model,
-				Delay:        delay.Constant{D: time.Millisecond},
-				SendInterval: 10 * time.Millisecond,
-				Start:        time.Unix(0, 0),
-				Seed:         uint64(copies)*100 + uint64(p*10),
-				Tracer:       Tracer,
-				Metrics:      Metrics,
-			}, 1, schemePayloads(n))
+			cfg, err := run.Config(2000, delay.Constant{D: time.Millisecond}, uint64(copies)*100+uint64(p*10))
+			if err != nil {
+				return nil, err
+			}
+			cfg.Tracer, cfg.Metrics = Tracer, Metrics
+			res, err := netsim.Run(e.Scheme, cfg, 1, schemePayloads(n))
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, sigLossRow{
 				P:        p,
 				Copies:   copies,
-				Measured: res.MinAuthRatio(ref.Data),
+				Measured: res.MinAuthRatio(e.Data),
 				Assumed:  assumed,
 			})
 		}

@@ -13,7 +13,6 @@ import (
 	"mcauth/internal/conformance"
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
-	"mcauth/internal/depgraph"
 	"mcauth/internal/diagnose"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
@@ -24,7 +23,6 @@ import (
 	"mcauth/internal/schemetest"
 	"mcauth/internal/serve"
 	"mcauth/internal/server"
-	"mcauth/internal/stats"
 )
 
 // qSummary condenses a histogram into the quantile triple the dashboard
@@ -108,7 +106,7 @@ type overlayCellResult struct {
 }
 
 // CellResult is one cell's outcome across the evaluation layers. Absent
-// layers (path not requested, or no closed form for the loss model) keep
+// layers (path not requested, or TESLA's closed form off i.i.d. loss) keep
 // their Has* flag false; the value fields then hold zero, never NaN.
 type CellResult struct {
 	ID        string  `json:"id"`
@@ -260,48 +258,30 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 	}
 	res.OverheadBytesPerPacket = float64(wireBytes-payloadBytes) / float64(len(payloads))
 
-	// The analytic q_min assumes i.i.d. loss; a scheme with no signature
-	// packet authenticates whatever arrives under any loss process.
-	if cfg.hasPath(pathAnalytic) && (c.Loss.Model == "bernoulli" || len(entry.Signature) == 0) {
-		q, _, err := entry.QMin(c.Loss.P, conformance.Delay, 0)
-		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: analytic: %w", c.id(), err)
-		}
-		if !math.IsNaN(q) {
-			res.HasAnalytic, res.Analytic = true, q
-		}
-	}
-
+	// One conformance cell: the analytic, Monte-Carlo and netsim layers the
+	// config asks for, from one delivery.
+	var effort conformance.Effort
 	if cfg.hasPath(pathMonteCarlo) {
-		// Inner MC workers stay at 1: the sweep parallelizes across cells,
-		// and the estimate is identical for any worker split anyway.
-		mc, err := g.MonteCarloAuthProbInto(
-			loss.PatternInto(lossModel),
-			cfg.Trials,
-			stats.NewRNG(seed^0x6d636c6162), // "mclab"
-			depgraph.MCOptions{Workers: 1},
-		)
-		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: monte-carlo: %w", c.id(), err)
-		}
-		res.HasMonteCarlo, res.MonteCarlo = true, mc.QMin
+		effort.Trials, effort.MCSeed = cfg.Trials, seed^0x6d636c6162 // "mclab"
 	}
-
-	arts := cellArtifacts{}
 	if cfg.hasPath(pathNetsim) {
-		reg := obs.NewRegistry()
-		mem := obs.NewSpanSink(obs.KeepAll, nil)
-		simCfg, err := scenario.Config(entry, c.Receivers, lossSpec, delay.Constant{D: conformance.Delay}, seed)
-		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
-		}
-		simCfg.Workers, simCfg.Tracer, simCfg.Metrics = 1, mem, reg
-		sim, err := netsim.Run(entry.Scheme, simCfg, 1, payloads)
-		if err != nil {
-			return cellArtifacts{}, fmt.Errorf("%s: netsim: %w", c.id(), err)
-		}
+		effort.Receivers, effort.SimSeed = c.Receivers, seed
+		effort.Tracer, effort.Metrics = obs.NewSpanSink(obs.KeepAll, nil), obs.NewRegistry()
+	}
+	r, sim, err := conformance.Evaluate(conformance.Case{Name: c.id(), Entry: entry}, lossSpec, effort)
+	if err != nil {
+		return cellArtifacts{}, err
+	}
+	if cfg.hasPath(pathAnalytic) && !math.IsNaN(r.Analytic) {
+		res.HasAnalytic, res.Analytic = true, r.Analytic
+	}
+	if !math.IsNaN(r.MonteCarlo) {
+		res.HasMonteCarlo, res.MonteCarlo = true, r.MonteCarlo
+	}
+	arts := cellArtifacts{}
+	if sim != nil {
 		res.HasMeasured = true
-		res.Measured = sim.MinAuthRatio(entry.Data)
+		res.Measured = r.Measured
 		for i := range sim.PerReceiver {
 			rep := &sim.PerReceiver[i]
 			res.Delivered += rep.Delivered
@@ -315,7 +295,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.id(), err)
 		}
-		rep, err := diagnose.BuildReport(mem.Snapshot(), 0, opts)
+		rep, err := diagnose.BuildReport(effort.Tracer.Snapshot(), 0, opts)
 		if err != nil {
 			return cellArtifacts{}, fmt.Errorf("%s: diagnose: %w", c.id(), err)
 		}
@@ -326,7 +306,7 @@ func runCell(cfg Config, c cell, seed uint64) (cellArtifacts, error) {
 				res.Causes[string(cause)] = n
 			}
 		}
-		arts.metrics = reg.Snapshot()
+		arts.metrics = effort.Metrics.Snapshot()
 	}
 
 	if cfg.hasPath(pathOverlay) {

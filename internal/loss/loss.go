@@ -44,6 +44,17 @@ func (s Spec) Model() (Model, error) {
 	return NewBernoulli(s.P)
 }
 
+// Channel is the loss process s describes, as the exact evaluator sweeps
+// it.
+func (s Spec) Channel() (depgraph.Channel, error) {
+	if s.Burst > 1 {
+		ge, err := NewBursty(s.P, s.Burst)
+		return ge.Channel(), err
+	}
+	b, err := NewBernoulli(s.P)
+	return b.Channel(), err
+}
+
 // PatternInto adapts a Model to the depgraph Monte-Carlo estimator. A
 // Bernoulli or Gilbert-Elliott model samples the kernel's lanes natively,
 // with bit-sliced coins; their lanes follow the model's law but not
@@ -87,7 +98,7 @@ func (b Bernoulli) SampleInto(rng *stats.RNG, recv []bool) {
 func (b Bernoulli) Rate() float64 { return b.P }
 
 // Channel is the model as the one-state loss process the exact evaluator
-// (depgraph.ExactAuthProbChannel) sweeps.
+// (depgraph.ExactAuthProbDelivery) sweeps.
 func (b Bernoulli) Channel() depgraph.Channel {
 	return depgraph.Channel{Trans: [][]float64{{1}}, Loss: []float64{b.P}, Stationary: []float64{1}}
 }
@@ -130,7 +141,8 @@ func NewGilbertElliott(pGoodToBad, pBadToGood, pGood, pBad float64) (GilbertElli
 // and mean burst length burst (in packets, at least 1): a lossless Good
 // state, an always-lossy Bad state left with probability 1/burst, and
 // entered at the rate that makes Bad's stationary share p. burst = 1 is
-// i.i.d. loss at rate p drawn through the chain.
+// not i.i.d. loss: Bad lasts exactly one packet, so no two packets in a
+// row are lost (Spec maps burst <= 1 to Bernoulli instead).
 func NewBursty(p, burst float64) (GilbertElliott, error) {
 	if !(burst >= 1) {
 		return GilbertElliott{}, fmt.Errorf("loss: mean burst length %v must be >= 1", burst)

@@ -24,6 +24,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/fault"
 	"mcauth/internal/loss"
 	"mcauth/internal/obs"
@@ -48,19 +49,12 @@ type Config struct {
 	Start time.Time
 	// Seed makes the run reproducible.
 	Seed uint64
-	// ReliableIndices lists wire indices that are never lost — used for
-	// the signature/bootstrap packet, per the paper's assumption that
-	// P_sign always arrives ("achieved in practice by sending it multiple
-	// times"). It is the *assumption*; set SigRetransmits to replace it
-	// with the real mechanism.
+	// ReliableIndices and SigRetransmits carry a root rule (SetRoot; the
+	// "Delivery" table in DESIGN.md): the listed wire indices, P_sign
+	// first, are never lost, or with SigRetransmits > 0 are re-sent that
+	// many times at the block's tail, every copy lost like any packet.
 	ReliableIndices []uint32
-	// SigRetransmits, when > 0, disables the ReliableIndices magic and
-	// instead retransmits each listed index that many extra times at the
-	// tail of the block — the paper's "sent multiple times" remedy made
-	// real: every copy is subject to loss, delay and faults like any
-	// other packet, so the depgraph SigCopies overhead term becomes a
-	// measured quantity instead of an analytic assumption.
-	SigRetransmits int
+	SigRetransmits  int
 	// Faults, when non-nil and enabled, passes every surviving delivery
 	// through a seeded adversarial channel (internal/fault): corruption,
 	// truncation, duplication, forged-packet injection, reorder spikes
@@ -124,12 +118,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxSigRetransmits mirrors the scheme layer's root-copy bound. Under
-// i.i.d. loss the residual loss p^(copies+1) is negligible beyond a
-// handful of copies for any practical p. Under bursty loss it is not: the
-// copies go out back to back at the block's tail, so one burst can take
-// them all, and past two or three adjacent copies each extra one barely
-// lowers the block-loss probability.
+// SetRoot sets how the signature wires sig reach a receiver under root:
+// never lost (Forced), or sent k+1 times, the copies at the block's tail,
+// each lost like any packet (Copies(k)). A simulated receiver cannot
+// condition on what it receives, so Conditioned is refused.
+func (c *Config) SetRoot(sig []uint32, root depgraph.Root) error {
+	switch root {
+	case depgraph.Conditioned:
+		return fmt.Errorf("netsim: a simulated run cannot condition on the signature packet arriving")
+	case depgraph.Copies(0):
+		sig = nil
+	}
+	c.ReliableIndices, c.SigRetransmits = sig, root.Copies()
+	return nil
+}
+
+// maxSigRetransmits mirrors the scheme layer's root-copy bound.
 const maxSigRetransmits = 8
 
 // ReceiverReport summarizes one receiver's run.
@@ -301,9 +305,6 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	}
 	reliable := make([]bool, maxIndex+1)
 	if cfg.SigRetransmits > 0 {
-		// Real recovery replaces the assumption: each "reliable" index is
-		// re-sent at the tail of the block, and every copy is subject to
-		// loss, delay and faults like any other packet.
 		orig := pkts
 		for k := 0; k < cfg.SigRetransmits; k++ {
 			for _, idx := range cfg.ReliableIndices {
@@ -361,9 +362,7 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	if cfg.Tracer.Enabled() {
 		// One run_meta record leads the trace so offline tooling (mcreport)
 		// can interpret it without re-supplying the run's flags: scheme
-		// name, wire count, and the signature packet's index (the first
-		// reliable index, by the layer convention that ReliableIndices
-		// leads with P_sign).
+		// name, wire count, and the signature packet's index.
 		meta := obs.Span{
 			Kind: obs.SpanRunMeta, Scheme: s.Name(),
 			Wire: len(pkts), Block: blockID, TimeNS: obs.TimeNS(cfg.Start),
@@ -497,9 +496,7 @@ type arrival struct {
 
 // repairPlan is a receiver's view of its serving leaf relay: which wires
 // the relay serves at all (mask — loss upstream of the relay is absolute,
-// even for ReliableIndices packets: the never-lost assumption only models
-// last-hop reliability, it cannot conjure bytes the relay never had),
-// which lost wire positions a NACK signature repair can recover, how much
+// even under the Forced root rule), which lost wire positions a NACK signature repair can recover, how much
 // upstream repair lateness each wire already carries, the last-hop repair
 // round trip, and — for the adversarial forged-repair scenario — a
 // poisoned twin served instead of the genuine packet. nil means no relay

@@ -10,6 +10,7 @@ import (
 
 	"mcauth/internal/crypto"
 	"mcauth/internal/delay"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/obs"
 	"mcauth/internal/scheme/augchain"
@@ -217,7 +218,7 @@ func TestEMSSMeasuredMatchesMarkovExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	exact, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned})
 	if err != nil {
 		t.Fatal(err)
 	}

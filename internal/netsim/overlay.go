@@ -140,11 +140,9 @@ type OverlayResult struct {
 // the relay tree to every receiver. cfg.Loss is ignored (the tree's leaf
 // model is the last hop) and cfg.Faults must be nil; everything else
 // (receivers, delay, timing, retransmits, late joiners, workers, tracer,
-// metrics) keeps its flat-run meaning — with one overlay-specific
-// refinement: ReliableIndices only models last-hop reliability. A wire
-// the tree never delivered to a receiver's relay cannot arrive, reliable
-// or not; only relay repairs recover it. Use SigRetransmits to subject
-// the signature class to real loss end to end.
+// metrics) keeps its flat-run meaning, except that the Forced root rule
+// holds on the last hop only: a wire the tree never delivered to a
+// receiver's relay cannot arrive; only relay repairs recover it.
 func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64, payloads [][]byte) (*OverlayResult, error) {
 	if err := ocfg.validate(); err != nil {
 		return nil, err
@@ -176,10 +174,8 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 	n := len(plan.pkts)
 
-	// The signature class by wire position: the wires carrying the
-	// ReliableIndices packets (P_sign and bootstrap packets), including
-	// their SigRetransmits tail copies. These are what NACK repairs can
-	// recover and what a withholder suppresses.
+	// The signature class by wire position, tail copies included: what
+	// NACK repairs recover and what a withholder suppresses.
 	sigSet := make(map[uint32]bool, len(cfg.ReliableIndices))
 	for _, idx := range cfg.ReliableIndices {
 		sigSet[idx] = true

@@ -212,7 +212,7 @@ func TestGraphMatchesAugChainExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+		sweep, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func augQ(t *testing.T, n, a, b int, p float64) depgraph.AuthResult {
 // augChainQ is the exact Q of the emitted C_{a,b} graph, reversed.
 func augChainQ(t *testing.T, n, a, b int, p float64) depgraph.AuthResult {
 	t.Helper()
-	res, err := augGraph(t, n, a, b).ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	res, err := augGraph(t, n, a, b).ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned})
 	return reversed(t, res, err)
 }
 

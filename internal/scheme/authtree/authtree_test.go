@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/obs"
 	"mcauth/internal/packet"
@@ -483,7 +484,7 @@ func TestAuthTreeAlwaysOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: 0.9}.Channel())
+	res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: 0.9}.Channel(), Root: depgraph.Conditioned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +542,7 @@ func TestAuthTreeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := g.ExactAuthProbChannel(loss.Bernoulli{P: 1}.Channel()); err == nil {
+	if res, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: 1}.Channel(), Root: depgraph.Conditioned}); err == nil {
 		t.Errorf("p=1: QMin = %v, want an error", res.QMin)
 	}
 }

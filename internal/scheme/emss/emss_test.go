@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mcauth/internal/crypto"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
 	"mcauth/internal/scheme"
 	"mcauth/internal/schemetest"
@@ -94,7 +95,7 @@ func TestGraphMatchesMarkovExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	sweep, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestRohatgiCollapsesWithN(t *testing.T) {
 	// The paper's headline observation: Rohatgi's robustness is
 	// "incredibly low" — q_min decays geometrically in n.
 	qmin := func(n int) float64 {
-		res, err := chainGraph(t, n).ExactAuthProbChannel(loss.Bernoulli{P: 0.1}.Channel())
+		res, err := chainGraph(t, n).ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: 0.1}.Channel(), Root: depgraph.Conditioned})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestRohatgiValidation(t *testing.T) {
 		if _, err := g.Recurrence(p); err == nil {
 			t.Errorf("recurrence at p=%v should fail", p)
 		}
-		if _, err := g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel()); err == nil {
+		if _, err := g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel(), Root: depgraph.Conditioned}); err == nil {
 			t.Errorf("exact at p=%v should fail", p)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mcauth/internal/delay"
+	"mcauth/internal/depgraph"
 	"mcauth/internal/fault"
 	"mcauth/internal/loss"
 	"mcauth/internal/netsim"
@@ -15,9 +16,9 @@ import (
 // CorruptionSweep. The zero value works for clock-free schemes; TESLA
 // needs Interval and Start matching its disclosure schedule.
 type SweepParams struct {
-	// Reliable lists the signature/bootstrap wire indices; with the
-	// sweep's retransmission enabled they are re-sent, not magically
-	// delivered.
+	// Reliable lists the signature/bootstrap wire indices; the sweep sends
+	// each three times, every copy lost like any packet
+	// (depgraph.Copies(2)), not magically delivered.
 	Reliable []uint32
 	// Interval is the send spacing (default 10ms).
 	Interval time.Duration
@@ -57,16 +58,17 @@ func CorruptionSweep(t *testing.T, s scheme.Scheme, params SweepParams) {
 			for seed := uint64(11); seed <= 13; seed++ {
 				fc := tc.fc
 				cfg := netsim.Config{
-					Receivers:       6,
-					Loss:            lossModel,
-					Delay:           delay.Constant{D: 2 * time.Millisecond},
-					SendInterval:    params.Interval,
-					Start:           params.Start,
-					Seed:            seed,
-					ReliableIndices: params.Reliable,
-					SigRetransmits:  2,
-					Faults:          &fc,
-					MaxBuffered:     64,
+					Receivers:    6,
+					Loss:         lossModel,
+					Delay:        delay.Constant{D: 2 * time.Millisecond},
+					SendInterval: params.Interval,
+					Start:        params.Start,
+					Seed:         seed,
+					Faults:       &fc,
+					MaxBuffered:  64,
+				}
+				if err := cfg.SetRoot(params.Reliable, depgraph.Copies(2)); err != nil {
+					t.Fatal(err)
 				}
 				res, err := netsim.Run(s, cfg, 1, Payloads(s.BlockSize()))
 				if err != nil {

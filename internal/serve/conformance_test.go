@@ -152,6 +152,7 @@ type confClient struct {
 	out        chan func() error // control-frame writes, queued
 	subscribed chan struct{}     // closed once serveConn has subscribed
 	served     chan struct{}     // closed when serveConn returns
+	stop       func()            // the feed's close, which ends a stuck session
 }
 
 func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *confClient {
@@ -160,6 +161,7 @@ func serveOverPipe(t *testing.T, f *feedFixture, writeTimeout time.Duration) *co
 	c := &confClient{
 		t: t, conn: client, mr: transport.NewMuxFrameReader(client),
 		out: make(chan func() error, 16), subscribed: make(chan struct{}), served: make(chan struct{}),
+		stop: f.close,
 	}
 	h := &handler{Feed: watchedFeed{f.feed, c.subscribed}, WriteTimeout: writeTimeout}
 	go func() {
@@ -247,12 +249,16 @@ func (c *confClient) produceLive(f *feedFixture, b uint64) {
 	}
 }
 
-func (c *confClient) waitServed(what string) {
+// waitServed fails unless serveConn returns within d; a session still
+// running is ended through the feed, so that the test fails instead of
+// hanging in its cleanup.
+func (c *confClient) waitServed(what string, d time.Duration) {
 	c.t.Helper()
 	select {
 	case <-c.served:
-	case <-time.After(5 * time.Second):
-		c.t.Fatalf("%s: ServeConn still running after 5s", what)
+	case <-time.After(d):
+		c.stop()
+		c.t.Fatalf("%s: serveConn still running after %v", what, d)
 	}
 }
 
@@ -309,7 +315,7 @@ func TestFeedConformance(t *testing.T) {
 			c.hello(transport.ResumePoint{StreamID: 9, From: 0}, transport.ResumePoint{StreamID: 1, From: 99})
 			c.produceLive(f, 2) // the sentinel: nothing comes before it
 		}},
-		{"a first frame that is not a hello gets live only", func(t *testing.T, f *feedFixture) {
+		{"a first frame that is not a hello closes the connection", func(t *testing.T, f *feedFixture) {
 			f.emit(t, 0, 2)
 			before := f.catchup.Value()
 			c := serveOverPipe(t, f, 0)
@@ -319,14 +325,24 @@ func TestFeedConformance(t *testing.T) {
 			binary.BigEndian.PutUint64(mcrq[5:], 1)
 			binary.BigEndian.PutUint64(mcrq[13:], 1)
 			c.send(mcrq)
-			c.produceLive(f, 2)
+			c.waitServed("non-hello first frame", 5*time.Second)
 			if got := f.catchup.Value() - before; got != 0 {
-				t.Errorf("catch-up counter moved by %d for a legacy subscriber", got)
+				t.Errorf("catch-up counter moved by %d for a subscriber that sent no hello", got)
 			}
-			// Its read side is ignored: only the feed or a failed write
-			// ends a legacy session.
-			f.close()
-			c.waitServed("feed closed")
+			_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := c.mr.ReadPacket(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("read after a non-hello first frame = %v, want the connection closed", err)
+			}
+		}},
+		{"a silent subscriber that hangs up loses its subscription", func(t *testing.T, f *feedFixture) {
+			c := serveOverPipe(t, f, 0)
+			select {
+			case <-c.subscribed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("serveConn never subscribed")
+			}
+			c.conn.Close() // no hello, and the feed stays quiet
+			c.waitServed("silent subscriber hung up", helloTimeout+time.Second)
 		}},
 		{"a second control frame ends the session", func(t *testing.T, f *feedFixture) {
 			f.emit(t, 0, 1)
@@ -338,7 +354,7 @@ func TestFeedConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.send(again.Bytes())
-			c.waitServed("second hello")
+			c.waitServed("second hello", 5*time.Second)
 			_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			if _, _, err := c.mr.ReadPacket(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 				t.Fatalf("read after the second hello = %v, want the connection closed", err)
@@ -349,7 +365,7 @@ func TestFeedConformance(t *testing.T) {
 			c := serveOverPipe(t, f, 50*time.Millisecond)
 			c.hello(transport.ResumePoint{StreamID: 1, From: 0})
 			// Never read: the first catch-up write must time out.
-			c.waitServed("stalled reader")
+			c.waitServed("stalled reader", 5*time.Second)
 		}},
 		{"stop joins every goroutine", func(t *testing.T, f *feedFixture) {
 			f.emit(t, 0, 1)
@@ -359,7 +375,7 @@ func TestFeedConformance(t *testing.T) {
 			f.produce(t, 1, 2)
 			c.read(confN) // a live block arrived: the hang-up reader is running
 			f.close()
-			c.waitServed("feed closed")
+			c.waitServed("feed closed", 5*time.Second)
 			_ = c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			if _, _, err := c.mr.ReadPacket(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 				t.Fatalf("read after stop = %v, want the connection closed", err)

@@ -33,7 +33,7 @@ type feed interface {
 }
 
 // helloTimeout is how long a handler waits for a subscriber's resume hello
-// before treating the connection as a legacy live-only feed.
+// before closing the connection.
 const helloTimeout = 2 * time.Second
 
 // handler serves downstream subscriber connections from one feed.
@@ -72,12 +72,12 @@ func (h *handler) listen(ln net.Listener) {
 // serveConn runs one subscriber connection to its end: subscribe first (so
 // live deliveries buffer during replay), read the resume hello under
 // helloTimeout, replay its catch-up, then forward live. A connection whose
-// first frame never arrives or is not a hello is a legacy subscriber: live
-// only, its read side ignored. A subscriber sends one hello, so after it a
-// reader only watches for the end: the peer hanging up or sending anything
-// more ends the session, as do the subscription closing and a write
-// failing or timing out. Every write is on the calling goroutine, and the
-// reader has exited when serveConn returns.
+// first frame is not a hello, or that sends none in time, is closed. A
+// subscriber sends one hello, so after it a reader only watches for the
+// end: the peer hanging up or sending anything more ends the session, as
+// do the subscription closing and a write failing or timing out. Every
+// write is on the calling goroutine, and the reader has exited when
+// serveConn returns.
 func (h *handler) serveConn(conn net.Conn) {
 	if h.Wrap != nil {
 		conn = h.Wrap(conn)
@@ -103,27 +103,28 @@ func (h *handler) serveConn(conn net.Conn) {
 
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	points, err := transport.ReadHello(conn)
+	if err != nil {
+		return
+	}
 	_ = conn.SetReadDeadline(time.Time{})
-	if err == nil {
-		// Replay before forwarding live: duplicates across the seam are
-		// possible and fine (receivers count and discard them).
-		for _, pt := range points {
-			for _, p := range h.Feed.ResumeFrom(pt.StreamID, pt.From) {
-				if write(pt.StreamID, p) != nil {
-					return
-				}
+	// Replay before forwarding live: duplicates across the seam are
+	// possible and fine (receivers count and discard them).
+	for _, pt := range points {
+		for _, p := range h.Feed.ResumeFrom(pt.StreamID, pt.From) {
+			if write(pt.StreamID, p) != nil {
+				return
 			}
 		}
-		reader.Add(1)
-		go func() {
-			defer reader.Done()
-			// End the whole session: cut any write in flight and end the
-			// live loop.
-			defer h.Feed.Unsubscribe(sub)
-			defer conn.Close()
-			_, _ = conn.Read(make([]byte, 1))
-		}()
 	}
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		// End the whole session: cut any write in flight and end the
+		// live loop.
+		defer h.Feed.Unsubscribe(sub)
+		defer conn.Close()
+		_, _ = conn.Read(make([]byte, 1))
+	}()
 	for d := range sub.C() {
 		if write(d.StreamID, d.Packet) != nil {
 			return

@@ -1,9 +1,9 @@
 // Session resume: a reconnecting subscriber should not restart from
 // nothing. On connect it sends one hello frame naming, per stream, the
 // first block it still wants; the server replays catch-up packets from its
-// RepairStore before switching to live delivery. The hello is optional —
-// a server that reads anything else (or nothing, within a short deadline)
-// treats the connection as a legacy full-stream subscription.
+// RepairStore before switching to live delivery. The hello is required: a
+// server that reads anything else (or nothing, within a short deadline)
+// closes the connection.
 
 package transport
 
@@ -61,9 +61,9 @@ func WriteHello(w io.Writer, points []ResumePoint) error {
 
 // ReadHello parses a resume hello from r. It reads exactly the hello's
 // bytes on success; on any mismatch (wrong magic, bad version, oversized
-// count, short read) it returns an error — the caller decides whether to
-// treat that as a legacy client or drop the connection. Callers should set
-// a read deadline: a silent legacy client otherwise blocks here forever.
+// count, short read) it returns an error, and the caller drops the
+// connection. Callers should set a read deadline: a silent client
+// otherwise blocks here forever.
 func ReadHello(r io.Reader) ([]ResumePoint, error) {
 	var hdr [helloHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {

@@ -164,7 +164,7 @@ func AnalyticRecurrence(s Scheme, p float64) (depgraph.AuthResult, error) {
 
 // AnalyticMarkovExact computes the exact q_i of s under i.i.d. loss at rate
 // p, with no independence approximation: the frontier sweep of s's own
-// dependence graph (Graph.ExactAuthProbChannel, which also takes bursty
+// dependence graph (Graph.ExactAuthProbDelivery, which also takes bursty
 // channels). It fails, with an error matching depgraph.ErrFrontier, on a
 // graph whose root is in mid-block or whose frontier exceeds 20 bits.
 func AnalyticMarkovExact(s Scheme, p float64) (depgraph.AuthResult, error) {
@@ -172,7 +172,7 @@ func AnalyticMarkovExact(s Scheme, p float64) (depgraph.AuthResult, error) {
 	if err != nil {
 		return depgraph.AuthResult{}, err
 	}
-	return g.ExactAuthProbChannel(loss.Bernoulli{P: p}.Channel())
+	return g.ExactAuthProbDelivery(depgraph.Delivery{Channel: loss.Bernoulli{P: p}.Channel()})
 }
 
 // TESLAAt builds a TESLA configuration with one packet per interval

@@ -1,10 +1,16 @@
 package conformance
 
 import (
+	"math"
 	"testing"
 
+	"mcauth/internal/delay"
 	"mcauth/internal/depgraph"
 	"mcauth/internal/loss"
+	"mcauth/internal/netsim"
+	"mcauth/internal/obs"
+	"mcauth/internal/scenario"
+	"mcauth/internal/schemetest"
 	"mcauth/internal/stats"
 )
 
@@ -80,6 +86,107 @@ func TestBurstyDeliveryAgrees(t *testing.T) {
 					p, r.Analytic, r.MonteCarlo, r.Measured)
 			}
 		})
+	}
+}
+
+// TestCopiesPlacedAlike: Copies(k) is one wire in every evaluator. Under
+// bursty loss where the copies sit changes what one burst takes, so every
+// data index's netsim ratio must lie within 4σ of the exact q_i — for
+// Rohatgi, whose copies go ahead of its first-sent root, and E_{2,1}, whose
+// copies follow the block. TestBurstyDeliveryAgrees' 1 500 receivers cannot
+// see a shift of a few hundredths; 40 000 resolve about 0.01.
+func TestCopiesPlacedAlike(t *testing.T) {
+	const receivers = 40000
+	cases, err := suite(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if c.Name != "rohatgi" && c.Name != "emss(E21)" {
+			continue
+		}
+		t.Run(c.Name, func(t *testing.T) {
+			run, err := scenario.New(c.Entry, loss.Spec{P: 0.2, Burst: 4}, depgraph.Copies(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := c.Scheme.Graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := g.ExactAuthProbDelivery(run.Delivery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := run.Config(receivers, delay.Constant{D: Delay}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := 0.0
+			for _, i := range c.Data {
+				received, verified := res.Counts(i)
+				q := exact.Q[i]
+				z := (float64(verified)/float64(received) - q) / math.Sqrt(q*(1-q)/float64(received))
+				if math.Abs(z) > 4 {
+					t.Errorf("P_%d: netsim %d/%d against exact q = %.4f: z = %+.1f", i, verified, received, q, z)
+				}
+				if math.Abs(z) > math.Abs(worst) {
+					worst = z
+				}
+			}
+			t.Logf("worst z = %+.1f over %d data packets", worst, len(c.Data))
+		})
+	}
+}
+
+// TestCopiesWireOrder: with Copies(2) a root that is first in send order
+// (Rohatgi's signature packet, TESLA's bootstrap) goes out three times
+// before anything else, and the block keeps its schedule: the root's own
+// slot is sent at Start.
+func TestCopiesWireOrder(t *testing.T) {
+	cases, err := suite(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		if c.Name != "rohatgi" && c.Name != "tesla" {
+			continue
+		}
+		run, err := scenario.New(c.Entry, loss.Spec{P: 0.2}, depgraph.Copies(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := run.Config(1, delay.Constant{D: Delay}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := obs.NewSpanSink(obs.KeepAll, nil)
+		cfg.Tracer = tracer
+		if _, err := netsim.Run(c.Scheme, cfg, 1, schemetest.Payloads(c.Scheme.BlockSize())); err != nil {
+			t.Fatal(err)
+		}
+		var sent []obs.Span
+		for _, sp := range tracer.Snapshot() {
+			if sp.Kind == obs.SpanSent {
+				sent = append(sent, sp)
+			}
+		}
+		if len(sent) != c.Scheme.WireCount()+2 {
+			t.Fatalf("%s: %d wires sent, want %d", c.Name, len(sent), c.Scheme.WireCount()+2)
+		}
+		root := c.Signature[0]
+		for w, sp := range sent[:4] {
+			if isRoot := sp.Index == root; isRoot != (w < 3) {
+				t.Errorf("%s: wire %d carries P_%d, root P_%d", c.Name, w+1, sp.Index, root)
+			}
+		}
+		if at := sent[2].TimeNS; at != obs.TimeNS(c.Start) {
+			t.Errorf("%s: the root's own slot is sent at %d ns, want Start %d ns", c.Name, at, obs.TimeNS(c.Start))
+		}
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // Channel, and Root says what becomes of the signature packet. Each
 // evaluator reads Root in one place: the exact sweep in start, the
 // Monte-Carlo estimator (MCOptions.Root) in rootLanes, netsim in
-// Config.SetRoot (DESIGN.md, "Delivery").
+// Config.SetRoot, and all three send Root's copies in the same slots
+// (DESIGN.md, "Delivery").
 type Delivery struct {
 	Channel Channel
 	Root    Root
@@ -19,8 +20,10 @@ type Delivery struct {
 // Root is the signature packet's fate. Forced, the zero value, delivers it
 // whatever its slot drew; Conditioned counts only the patterns in which it
 // arrives; Copies(k) sends it k+1 times back to back, every copy lost like
-// any packet, before a root that is first in send order and after the
-// block otherwise. Copies(0) is the root lost like any packet.
+// any packet, the k copies before a root that is first in send order and
+// after the block otherwise. Copies(0) is the root lost like any packet.
+// Copies is the one way to replicate the signature packet: a scheme sends
+// it once.
 type Root int
 
 const (

@@ -4,34 +4,28 @@ import "fmt"
 
 // SizeSpec carries the primitive sizes entering the overhead formula
 // (Equation 3): d = (l_sign + l_hash * |E|) / n bytes per packet on
-// average. SigCopies models retransmitting P_sign 1/p_s times so that it is
-// received with high probability (the paper's standing assumption that the
-// signature packet always arrives).
+// average.
 type SizeSpec struct {
-	HashSize  int // l_hash, bytes
-	SigSize   int // l_sign, bytes
-	SigCopies int // how many times the signature is sent (>= 1)
+	HashSize int // l_hash, bytes
+	SigSize  int // l_sign, bytes
 }
 
 // DefaultSizes returns the sizes of the concrete primitives used by the
 // runnable schemes in this repository (SHA-256, Ed25519).
 func DefaultSizes() SizeSpec {
-	return SizeSpec{HashSize: 32, SigSize: 64, SigCopies: 1}
+	return SizeSpec{HashSize: 32, SigSize: 64}
 }
 
 // paperEraSizes returns sizes typical of the paper's 2003 setting
 // (16-byte MD5-style hashes, 128-byte RSA-1024 signatures), useful for
 // reproducing Figure 10's absolute overhead numbers.
 func paperEraSizes() SizeSpec {
-	return SizeSpec{HashSize: 16, SigSize: 128, SigCopies: 1}
+	return SizeSpec{HashSize: 16, SigSize: 128}
 }
 
 func (s SizeSpec) validate() error {
 	if s.HashSize <= 0 || s.SigSize <= 0 {
 		return fmt.Errorf("depgraph: sizes must be positive, got hash=%d sig=%d", s.HashSize, s.SigSize)
-	}
-	if s.SigCopies < 1 {
-		return fmt.Errorf("depgraph: SigCopies %d must be >= 1", s.SigCopies)
 	}
 	return nil
 }
@@ -43,13 +37,13 @@ func (g *Graph) AvgHashesPerPacket() float64 {
 	return float64(g.m) / float64(g.n)
 }
 
-// OverheadBytesPerPacket returns d = (SigCopies*l_sign + l_hash*|E|) / n
+// OverheadBytesPerPacket returns d = (l_sign + l_hash*|E|) / n
 // (Equation 3): the average per-packet authentication overhead in bytes.
 func (g *Graph) OverheadBytesPerPacket(spec SizeSpec) (float64, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
 	}
-	total := spec.SigCopies*spec.SigSize + spec.HashSize*g.m
+	total := spec.SigSize + spec.HashSize*g.m
 	return float64(total) / float64(g.n), nil
 }
 

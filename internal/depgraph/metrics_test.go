@@ -16,7 +16,7 @@ func TestAvgHashesPerPacketChain(t *testing.T) {
 
 func TestOverheadBytesPerPacket(t *testing.T) {
 	g := chainGraph(t, 10)
-	spec := SizeSpec{HashSize: 16, SigSize: 128, SigCopies: 1}
+	spec := SizeSpec{HashSize: 16, SigSize: 128}
 	got, err := g.OverheadBytesPerPacket(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -27,25 +27,11 @@ func TestOverheadBytesPerPacket(t *testing.T) {
 	}
 }
 
-func TestOverheadSigCopies(t *testing.T) {
-	g := chainGraph(t, 10)
-	spec := SizeSpec{HashSize: 16, SigSize: 128, SigCopies: 3}
-	got, err := g.OverheadBytesPerPacket(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (3*128.0 + 16.0*9) / 10
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("overhead = %v, want %v", got, want)
-	}
-}
-
 func TestOverheadValidation(t *testing.T) {
 	g := chainGraph(t, 3)
 	bad := []SizeSpec{
-		{HashSize: 0, SigSize: 64, SigCopies: 1},
-		{HashSize: 32, SigSize: 0, SigCopies: 1},
-		{HashSize: 32, SigSize: 64, SigCopies: 0},
+		{HashSize: 0, SigSize: 64},
+		{HashSize: 32, SigSize: 0},
 	}
 	for _, spec := range bad {
 		if _, err := g.OverheadBytesPerPacket(spec); err == nil {

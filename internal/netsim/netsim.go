@@ -45,14 +45,18 @@ type Config struct {
 	Delay delay.Model
 	// SendInterval spaces consecutive wire packets at the sender.
 	SendInterval time.Duration
-	// Start is the send time of the first wire packet.
+	// Start is the send time of the block's first wire packet. Signature
+	// copies sent ahead of it (SigRetransmits) go out before Start, so the
+	// block keeps its own schedule (TESLA's T0).
 	Start time.Time
 	// Seed makes the run reproducible.
 	Seed uint64
 	// ReliableIndices and SigRetransmits carry a root rule (SetRoot; the
 	// "Delivery" table in DESIGN.md): the listed wire indices, P_sign
-	// first, are never lost, or with SigRetransmits > 0 are re-sent that
-	// many times at the block's tail, every copy lost like any packet.
+	// first, are never lost, or with SigRetransmits > 0 are sent that many
+	// more times, back to back ahead of a signature packet that is first
+	// in send order and after the block otherwise, every copy lost like
+	// any packet.
 	ReliableIndices []uint32
 	SigRetransmits  int
 	// Faults, when non-nil and enabled, passes every surviving delivery
@@ -119,9 +123,10 @@ func (c Config) Validate() error {
 }
 
 // SetRoot sets how the signature wires sig reach a receiver under root:
-// never lost (Forced), or sent k+1 times, the copies at the block's tail,
-// each lost like any packet (Copies(k)). A simulated receiver cannot
-// condition on what it receives, so Conditioned is refused.
+// never lost (Forced), or sent k+1 times back to back where depgraph.Root
+// places the copies, each lost like any packet (Copies(k)). A simulated
+// receiver cannot condition on what it receives, so Conditioned is
+// refused.
 func (c *Config) SetRoot(sig []uint32, root depgraph.Root) error {
 	switch root {
 	case depgraph.Conditioned:
@@ -133,7 +138,10 @@ func (c *Config) SetRoot(sig []uint32, root depgraph.Root) error {
 	return nil
 }
 
-// maxSigRetransmits mirrors the scheme layer's root-copy bound.
+// maxSigRetransmits bounds the copies. Under i.i.d. loss the residual loss
+// p^(k+1) is negligible past a handful; under bursty loss one burst can take
+// adjacent copies together, and past two or three each extra copy barely
+// lowers it.
 const maxSigRetransmits = 8
 
 // ReceiverReport summarizes one receiver's run.
@@ -304,18 +312,9 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		maxIndex = max(maxIndex, p.Index)
 	}
 	reliable := make([]bool, maxIndex+1)
+	ahead := 0 // copies sent before the block's first wire packet
 	if cfg.SigRetransmits > 0 {
-		orig := pkts
-		for k := 0; k < cfg.SigRetransmits; k++ {
-			for _, idx := range cfg.ReliableIndices {
-				for _, p := range orig {
-					if p.Index == idx {
-						pkts = append(pkts, p)
-						break
-					}
-				}
-			}
-		}
+		pkts, ahead = withCopies(pkts, cfg.ReliableIndices, cfg.SigRetransmits)
 	} else {
 		for _, idx := range cfg.ReliableIndices {
 			if idx <= maxIndex {
@@ -325,7 +324,7 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 	}
 	sendTimes := make([]time.Time, len(pkts))
 	for w := range pkts {
-		sendTimes[w] = cfg.Start.Add(time.Duration(w) * cfg.SendInterval)
+		sendTimes[w] = cfg.Start.Add(time.Duration(w-ahead) * cfg.SendInterval)
 	}
 	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled()
 	// The adversary mutates wire bytes, so faulted runs need each packet's
@@ -388,6 +387,25 @@ func prepareBlock(s scheme.Scheme, cfg Config, blockID uint64, payloads [][]byte
 		sigs:      sigs,
 		digests:   newDigestMemo(pkts),
 	}, nil
+}
+
+// withCopies is the block's wire with k more copies of each signature
+// packet in sig, back to back beside it, where depgraph.Root places them:
+// ahead of a signature packet that is first in send order, after the block
+// otherwise. It returns how many copies go ahead.
+func withCopies(pkts []*packet.Packet, sig []uint32, k int) ([]*packet.Packet, int) {
+	var ahead, after []*packet.Packet
+	for _, idx := range sig {
+		w := slices.IndexFunc(pkts, func(p *packet.Packet) bool { return p.Index == idx })
+		for c := 0; w >= 0 && c < k; c++ {
+			if w == 0 {
+				ahead = append(ahead, pkts[0])
+			} else {
+				after = append(after, pkts[w])
+			}
+		}
+	}
+	return slices.Concat(ahead, pkts, after), len(ahead)
 }
 
 // traceWire records one simulator-side fact about the copy of p at 0-based

@@ -174,7 +174,7 @@ func RunOverlay(s scheme.Scheme, cfg Config, ocfg OverlayConfig, blockID uint64,
 	}
 	n := len(plan.pkts)
 
-	// The signature class by wire position, tail copies included: what
+	// The signature class by wire position, copies included: what
 	// NACK repairs recover and what a withholder suppresses.
 	sigSet := make(map[uint32]bool, len(cfg.ReliableIndices))
 	for _, idx := range cfg.ReliableIndices {

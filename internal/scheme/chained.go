@@ -19,12 +19,6 @@ type Topology struct {
 	N     int
 	Root  int
 	Edges [][2]int
-	// RootCopies is how many times the signature packet is sent (the
-	// paper's remedy for its "P_sign always arrives" assumption: "this
-	// can be easily achieved by sending it multiple times"). 0 and 1
-	// both mean a single copy; the SigCopies term of Equation (3)
-	// accounts for the overhead.
-	RootCopies int
 }
 
 // Graph builds the topology's dependence graph and checks it is one: acyclic,
@@ -39,13 +33,6 @@ func (t Topology) Graph() (*depgraph.Graph, error) {
 	}
 	return g, nil
 }
-
-// maxRootCopies bounds replication. Under i.i.d. loss the residual loss
-// probability p^copies is negligible beyond a handful of copies for any
-// practical p. Under bursty loss it is not: the copies go out back to back
-// after the block, so one burst can take them all, and past two or three
-// adjacent copies each extra one barely lowers the block-loss probability.
-const maxRootCopies = 8
 
 // Chained turns any Topology into a runnable Scheme: Authenticate embeds
 // digests along the edges and signs the root packet; verification uses the
@@ -69,9 +56,6 @@ var _ Scheme = (*Chained)(nil)
 func NewChained(topo Topology, signer crypto.Signer) (*Chained, error) {
 	if signer == nil {
 		return nil, fmt.Errorf("scheme: nil signer")
-	}
-	if topo.RootCopies < 0 || topo.RootCopies > maxRootCopies {
-		return nil, fmt.Errorf("scheme %s: root copies %d out of [0,%d]", topo.Name, topo.RootCopies, maxRootCopies)
 	}
 	g, err := topo.Graph()
 	if err != nil {
@@ -98,22 +82,15 @@ func (c *Chained) Name() string { return c.topo.Name }
 // BlockSize implements Scheme.
 func (c *Chained) BlockSize() int { return c.topo.N }
 
-// WireCount implements Scheme: block size plus any extra signature-packet
-// copies.
-func (c *Chained) WireCount() int { return c.topo.N + c.extraRootCopies() }
-
-func (c *Chained) extraRootCopies() int {
-	if c.topo.RootCopies > 1 {
-		return c.topo.RootCopies - 1
-	}
-	return 0
-}
+// WireCount implements Scheme: one wire packet per vertex. A replicated
+// signature packet is a delivery's choice (depgraph.Copies), not the
+// scheme's.
+func (c *Chained) WireCount() int { return c.topo.N }
 
 // Graph implements Scheme.
 func (c *Chained) Graph() (*depgraph.Graph, error) { return c.graph.Clone(), nil }
 
-// VertexOf implements VertexMapper: wire index i is graph vertex i (extra
-// signature-packet copies reuse the root's index and so map to the root).
+// VertexOf implements VertexMapper: wire index i is graph vertex i.
 func (c *Chained) VertexOf(index uint32) (int, bool) {
 	if index < 1 || int(index) > c.topo.N {
 		return 0, false
@@ -133,7 +110,7 @@ func (c *Chained) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Pac
 		return nil, nil, nil, fmt.Errorf("scheme %s: got %d payloads, want %d", c.topo.Name, len(payloads), n)
 	}
 	pk := make([]packet.Packet, n)
-	out := make([]*packet.Packet, n, n+c.extraRootCopies())
+	out := make([]*packet.Packet, n)
 	for i := range pk {
 		pk[i] = packet.Packet{BlockID: blockID, Index: uint32(i + 1), Payload: payloads[i]}
 		out[i] = &pk[i]
@@ -157,11 +134,6 @@ func (c *Chained) buildPackets(blockID uint64, payloads [][]byte) ([]*packet.Pac
 		}
 	}
 	root := &pk[c.topo.Root-1]
-	// Replicate the signature packet at the end of the block; receivers
-	// treat later copies as duplicates.
-	for k := 0; k < c.extraRootCopies(); k++ {
-		out = append(out, root)
-	}
 	return out, root, root.AppendContent(content[:0]), nil
 }
 
@@ -179,19 +151,13 @@ func (c *Chained) Authenticate(blockID uint64, payloads [][]byte) ([]*packet.Pac
 // AuthenticateDeferred implements DeferredAuthenticator: the root's
 // signature is supplied later via PendingRoot.Attach (typically by a
 // crypto.BatchSigner amortizing one signature across many blocks). The
-// root packet and its extra copies share one underlying packet, so a
-// single Attach signs them all; their wire positions are reported in
-// PendingRoot.HeldWire.
+// root is the one held wire packet.
 func (c *Chained) AuthenticateDeferred(blockID uint64, payloads [][]byte) ([]*packet.Packet, *PendingRoot, error) {
 	out, root, content, err := c.buildPackets(blockID, payloads)
 	if err != nil {
 		return nil, nil, err
 	}
-	held := []int{c.topo.Root - 1}
-	for k := 0; k < c.extraRootCopies(); k++ {
-		held = append(held, c.topo.N+k)
-	}
-	pr := NewPendingRoot(content, held, func(sig []byte) {
+	pr := NewPendingRoot(content, []int{c.topo.Root - 1}, func(sig []byte) {
 		root.Signature = sig
 	})
 	return out, pr, nil

@@ -14,12 +14,18 @@ import (
 // directly: root P1 covers P2 and P3, both of which cover P4.
 func diamond(t *testing.T) *scheme.Chained {
 	t.Helper()
+	return diamondSignedBy(t, crypto.NewSignerFromString("chained"))
+}
+
+// diamondSignedBy is the diamond under signer.
+func diamondSignedBy(t *testing.T, signer crypto.Signer) *scheme.Chained {
+	t.Helper()
 	s, err := scheme.NewChained(scheme.Topology{
 		Name:  "diamond",
 		N:     4,
 		Root:  1,
 		Edges: [][2]int{{1, 2}, {1, 3}, {2, 4}, {3, 4}},
-	}, crypto.NewSignerFromString("chained"))
+	}, signer)
 	if err != nil {
 		t.Fatal(err)
 	}

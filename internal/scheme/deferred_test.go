@@ -11,23 +11,6 @@ import (
 	"mcauth/internal/verifier"
 )
 
-// diamondCopies is the diamond with a replicated root, to check that all
-// root copies share one deferred signature.
-func diamondCopies(t *testing.T, signer crypto.Signer) *scheme.Chained {
-	t.Helper()
-	s, err := scheme.NewChained(scheme.Topology{
-		Name:       "diamond+copies",
-		N:          4,
-		Root:       1,
-		Edges:      [][2]int{{1, 2}, {1, 3}, {2, 4}, {3, 4}},
-		RootCopies: 3,
-	}, signer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // verifyAll ingests every packet into a fresh verifier and returns how
 // many distinct packets authenticated.
 func verifyAll(t *testing.T, s scheme.Scheme, pkts []*packet.Packet) int {
@@ -51,7 +34,7 @@ func verifyAll(t *testing.T, s scheme.Scheme, pkts []*packet.Packet) int {
 
 func TestAuthenticateDeferredMatchesSynchronous(t *testing.T) {
 	signer := crypto.NewSignerFromString("deferred")
-	s := diamondCopies(t, signer)
+	s := diamondSignedBy(t, signer)
 	payloads := schemetest.Payloads(4)
 
 	pkts, root, err := s.AuthenticateDeferred(7, payloads)
@@ -61,24 +44,20 @@ func TestAuthenticateDeferredMatchesSynchronous(t *testing.T) {
 	if len(pkts) != s.WireCount() {
 		t.Fatalf("wire count %d, want %d", len(pkts), s.WireCount())
 	}
-	// Root position 0 plus the two extra copies at the tail are held.
-	if len(root.HeldWire) != 3 {
-		t.Fatalf("held wire %v, want root + 2 copies", root.HeldWire)
+	// The root, at position 0, is the one held packet.
+	if len(root.HeldWire) != 1 || root.HeldWire[0] != 0 {
+		t.Fatalf("held wire %v, want [0]", root.HeldWire)
 	}
-	for _, i := range root.HeldWire {
-		if len(pkts[i].Signature) != 0 {
-			t.Fatalf("held packet %d already signed", i)
-		}
+	if len(pkts[0].Signature) != 0 {
+		t.Fatal("held root already signed")
 	}
 	// The content handed to the signing layer is the root's own bytes.
 	if string(root.Content) != string(pkts[root.HeldWire[0]].ContentBytes()) {
 		t.Fatal("pending content is not the root packet's content bytes")
 	}
 	root.Attach(signer.Sign(root.Content))
-	for _, i := range root.HeldWire {
-		if len(pkts[i].Signature) == 0 {
-			t.Fatalf("held packet %d unsigned after Attach (copies must share the root)", i)
-		}
+	if len(pkts[0].Signature) == 0 {
+		t.Fatal("held root unsigned after Attach")
 	}
 	// Everything verifies exactly as the synchronous path would.
 	if n := verifyAll(t, s, pkts); n != 4 {
@@ -92,7 +71,7 @@ func TestAuthenticateDeferredWithBatchSignature(t *testing.T) {
 	// signature, must verify when the scheme was built from a
 	// batch-capable signer.
 	signer := crypto.BatchCapable(crypto.NewSignerFromString("deferred-batch"))
-	s := diamondCopies(t, signer)
+	s := diamondSignedBy(t, signer)
 	payloads := schemetest.Payloads(4)
 
 	const nBlocks = 3
@@ -127,7 +106,7 @@ func TestAuthenticateDeferredWithBatchSignature(t *testing.T) {
 func TestPendingRootRejectsTamper(t *testing.T) {
 	// A batch blob for the wrong root must not verify the block.
 	signer := crypto.BatchCapable(crypto.NewSignerFromString("deferred-wrong"))
-	s := diamondCopies(t, signer)
+	s := diamondSignedBy(t, signer)
 	payloads := schemetest.Payloads(4)
 	pktsA, rootA, err := s.AuthenticateDeferred(1, payloads)
 	if err != nil {

@@ -18,10 +18,6 @@ type Config struct {
 	N int
 	M int
 	D int
-	// SigCopies replicates the signature packet on the wire (0 and 1
-	// both mean one copy), realizing the paper's "sent multiple times"
-	// remedy for signature-packet loss.
-	SigCopies int
 }
 
 // Validate checks the parameters.
@@ -63,11 +59,10 @@ func (c Config) Graph() (*depgraph.Graph, error) {
 // topology is the E_{m,d} layout New signs and Graph evaluates.
 func (c Config) topology() scheme.Topology {
 	return scheme.Topology{
-		Name:       fmt.Sprintf("emss(E_{%d,%d}, n=%d)", c.M, c.D, c.N),
-		N:          c.N,
-		Root:       c.N,
-		Edges:      edges(c),
-		RootCopies: c.SigCopies,
+		Name:  fmt.Sprintf("emss(E_{%d,%d}, n=%d)", c.M, c.D, c.N),
+		N:     c.N,
+		Root:  c.N,
+		Edges: edges(c),
 	}
 }
 

@@ -254,29 +254,6 @@ func TestOverheadMatchesM(t *testing.T) {
 	}
 }
 
-func TestSigCopiesOnWire(t *testing.T) {
-	s, err := New(Config{N: 8, M: 2, D: 1, SigCopies: 3}, crypto.NewSignerFromString("s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.WireCount() != 10 {
-		t.Fatalf("WireCount = %d, want 10", s.WireCount())
-	}
-	pkts, err := s.Authenticate(1, schemetest.Payloads(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := 0
-	for _, p := range pkts {
-		if len(p.Signature) > 0 {
-			sigs++
-		}
-	}
-	if sigs != 3 {
-		t.Errorf("found %d signature copies, want 3", sigs)
-	}
-}
-
 func TestCorruptionSweep(t *testing.T) {
 	s, err := New(Config{N: 12, M: 2, D: 1}, crypto.NewSignerFromString("sender"))
 	if err != nil {

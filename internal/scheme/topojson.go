@@ -10,11 +10,10 @@ import (
 
 // topologyJSON is the serialized form of a Topology.
 type topologyJSON struct {
-	Name       string   `json:"name"`
-	N          int      `json:"n"`
-	Root       int      `json:"root"`
-	Edges      [][2]int `json:"edges"`
-	RootCopies int      `json:"rootCopies,omitempty"`
+	Name  string   `json:"name"`
+	N     int      `json:"n"`
+	Root  int      `json:"root"`
+	Edges [][2]int `json:"edges"`
 }
 
 // SaveTopology writes a topology as JSON, so designs can be exported,

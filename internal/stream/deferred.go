@@ -21,8 +21,8 @@ type DeferredBlock struct {
 }
 
 // SetFlushAfter arms the partial-block flush deadline: once a block has
-// had messages pending for longer than d (per PushAt / PushDeferredAt
-// timestamps), Due reports true and the owner should Flush. Zero disables
+// had messages pending for longer than d (per PushDeferredAt timestamps),
+// Due reports true and the owner should flush it. Zero disables
 // the deadline. The Sender does not own a clock — callers drive flushing,
 // since only they know the serving loop's cadence.
 func (snd *Sender) SetFlushAfter(d time.Duration) {
@@ -31,9 +31,6 @@ func (snd *Sender) SetFlushAfter(d time.Duration) {
 	}
 	snd.flushAfter = d
 }
-
-// FlushAfter returns the configured partial-block flush deadline.
-func (snd *Sender) FlushAfter() time.Duration { return snd.flushAfter }
 
 // Due reports whether a partial block has been pending since before
 // now minus the flush deadline. Always false with no pending messages,
@@ -45,18 +42,14 @@ func (snd *Sender) Due(now time.Time) bool {
 	return now.Sub(snd.oldestPending) >= snd.flushAfter
 }
 
-// PushAt is Push with an arrival timestamp, feeding the flush-deadline
-// tracking: the first message of each block starts the deadline clock.
-func (snd *Sender) PushAt(payload []byte, at time.Time) ([]*packet.Packet, error) {
-	snd.notePending(at)
-	return snd.Push(payload)
-}
-
-// PushDeferredAt appends one message; when it completes a block, the
-// block is authenticated with the root signature deferred (see
-// DeferredBlock). Returns nil while the block is still filling.
+// PushDeferredAt appends one message that arrived at at; when it completes
+// a block, the block is authenticated with the root signature deferred
+// (see DeferredBlock). Returns nil while the block is still filling. The
+// first message of each block starts the flush-deadline clock.
 func (snd *Sender) PushDeferredAt(payload []byte, at time.Time) (*DeferredBlock, error) {
-	snd.notePending(at)
+	if len(snd.pending) == 0 {
+		snd.oldestPending = at
+	}
 	snd.pending = append(snd.pending, payload)
 	if len(snd.pending) < snd.s.BlockSize() {
 		return nil, nil
@@ -74,14 +67,6 @@ func (snd *Sender) FlushDeferred() (*DeferredBlock, error) {
 		snd.pending = append(snd.pending, nil)
 	}
 	return snd.emitDeferred()
-}
-
-// notePending starts the deadline clock when the block's first message
-// arrives.
-func (snd *Sender) notePending(at time.Time) {
-	if len(snd.pending) == 0 {
-		snd.oldestPending = at
-	}
 }
 
 // emitDeferred authenticates the pending block, deferring the root

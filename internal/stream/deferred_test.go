@@ -129,16 +129,13 @@ func TestFlushDeadlineDue(t *testing.T) {
 	}
 	t0 := time.Unix(100, 0)
 	// No deadline configured: never due.
-	if _, err := snd.PushAt([]byte("m"), t0); err != nil {
+	if _, err := snd.PushDeferredAt([]byte("m"), t0); err != nil {
 		t.Fatal(err)
 	}
 	if snd.Due(t0.Add(time.Hour)) {
 		t.Fatal("due without a configured deadline")
 	}
 	snd.SetFlushAfter(50 * time.Millisecond)
-	if snd.FlushAfter() != 50*time.Millisecond {
-		t.Fatal("FlushAfter not recorded")
-	}
 	if snd.Due(t0.Add(20 * time.Millisecond)) {
 		t.Fatal("due before the deadline")
 	}
@@ -146,14 +143,14 @@ func TestFlushDeadlineDue(t *testing.T) {
 		t.Fatal("not due after the deadline")
 	}
 	// The deadline clock tracks the block's FIRST message.
-	if _, err := snd.PushAt([]byte("m2"), t0.Add(55*time.Millisecond)); err != nil {
+	if _, err := snd.PushDeferredAt([]byte("m2"), t0.Add(55*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if !snd.Due(t0.Add(60 * time.Millisecond)) {
 		t.Fatal("second push must not reset the deadline clock")
 	}
 	// Emitting the block resets it.
-	if _, err := snd.Flush(); err != nil {
+	if _, err := snd.FlushDeferred(); err != nil {
 		t.Fatal(err)
 	}
 	if snd.Due(t0.Add(time.Hour)) {
@@ -161,7 +158,7 @@ func TestFlushDeadlineDue(t *testing.T) {
 	}
 	// Negative deadlines are clamped off.
 	snd.SetFlushAfter(-time.Second)
-	if _, err := snd.PushAt([]byte("m"), t0); err != nil {
+	if _, err := snd.PushDeferredAt([]byte("m"), t0); err != nil {
 		t.Fatal(err)
 	}
 	if snd.Due(t0.Add(time.Hour)) {

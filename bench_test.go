@@ -610,8 +610,8 @@ func serveLoopTrace(b *testing.B, streams, n, rounds int) ([]scheme.Scheme, []se
 
 // BenchmarkServeLoop is the receive loop of serve.VerifySink.Packet, per
 // packet: Demux.Ingest, a queue Resolve every 32nd packet, DrainDeferred
-// after every packet — with 64 live blocks on every stream, the shared
-// cache and the batch-verify queue at the daemon's defaults. One op is one
+// after every packet — with 64 live blocks on every stream and the
+// batch-verify queue at the daemon's defaults. One op is one
 // packet. streams=64 must cost what streams=8 costs: the receiver's
 // accounting does no per-packet work over live blocks or streams.
 // (BenchmarkVerifyServing drains once per 512 packets and cannot see that.)
@@ -627,7 +627,7 @@ func benchServeLoop(streams int) func(*testing.B) {
 		live        = 64 // mcserved -connect: NewVerifySink(64, ...)
 		timedRounds = 16
 		verifyBatch = 32   // -verify-batch
-		verifyCache = 1024 // -verify-cache
+		sigEntries  = 1024 // the signature memo behind it
 	)
 	var (
 		schemes []scheme.Scheme
@@ -675,18 +675,14 @@ func benchServeLoop(streams int) func(*testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cache, err := verifier.NewSharedCache(verifyCache)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sig, err := crypto.NewSigCache(verifyCache)
+			sig, err := crypto.NewSigCache(sigEntries)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if q, err = crypto.NewBatchVerifyQueue(verifyBatch, sig); err != nil {
 				b.Fatal(err)
 			}
-			dmx.SetVerifyFastPath(cache, q)
+			dmx.SetVerifyFastPath(nil, q)
 			fed, authed = 0, 0
 			for _, sp := range trace[:warm] {
 				step(sp)
@@ -711,7 +707,7 @@ func benchServeLoop(streams int) func(*testing.B) {
 }
 
 // TestServeLoopAllocCeiling holds BenchmarkServeLoop to 16 allocs per
-// packet at both widths; it makes 5 and 6.
+// packet at both widths; it makes 4 at each.
 func TestServeLoopAllocCeiling(t *testing.T) {
 	for _, streams := range []int{8, 64} {
 		checkAllocs(t, fmt.Sprintf("ServeLoop/streams=%d", streams), 16, benchServeLoop(streams))

@@ -117,7 +117,6 @@ func parseOptions(args []string) (options, error) {
 	fs.DurationVar(&o.Flush, "flush", 50*time.Millisecond, "ceiling on how long a partial block or an unsigned root may wait; a batch short of its root count signs flush x min(1, roots/s x flush / batch) after its first root")
 	fs.StringVar(&o.Key, "key", "mcserved-demo", "signing-key derivation string (receivers derive the matching public key)")
 	fs.IntVar(&o.VerifyBatch, "verify-batch", 32, "receiver fast path: defer signature checks to a batch-verify queue holding this many pending packets, amortizing duplicate underlying checks (0 = verify synchronously)")
-	fs.IntVar(&o.VerifyCache, "verify-cache", 1024, "receiver fast path: shared per-block verification cache entries — packets proven authentic once are accepted by digest on re-receipt (0 = off)")
 	fs.StringVar(&o.Checkpoint, "checkpoint", "", "crash-recovery checkpoint file: block IDs are write-ahead reserved here, restarts resume past every emitted block")
 	fs.IntVar(&o.Repair, "repair", 64, "blocks of per-stream packet retention for session-resume catch-up (0 disables)")
 	fs.DurationVar(&o.WriteTimeout, "write-timeout", 10*time.Second, "per-packet write deadline on subscriber connections (0 = none); a stalled reader loses its conn instead of pinning the writer")
@@ -171,9 +170,6 @@ func parseOptions(args []string) (options, error) {
 	}
 	if o.VerifyBatch < 0 {
 		return options{}, fmt.Errorf("verify-batch %d must be >= 0", o.VerifyBatch)
-	}
-	if o.VerifyCache < 0 {
-		return options{}, fmt.Errorf("verify-cache %d must be >= 0", o.VerifyCache)
 	}
 	if o.Reconnect < -1 {
 		return options{}, fmt.Errorf("reconnect %d must be >= -1", o.Reconnect)

@@ -323,7 +323,7 @@ func TestBatchVerifyQueueDedup(t *testing.T) {
 	// A second round of the same check settles entirely from the cache.
 	q.Enqueue(pub, msg, sig, func(bool) {})
 	q.Resolve()
-	if tot := q.Totals(); tot.Checks != 1 || tot.CacheHits != 1 {
+	if tot := q.Totals(); tot.Checks != 1 || tot.MemoHits != 1 {
 		t.Fatalf("cached re-check totals = %+v, want no new checks and 1 cache hit", tot)
 	}
 }
@@ -504,7 +504,7 @@ func TestBatchVerifyQueueWorkerInvariant(t *testing.T) {
 			t.Fatalf("check %d (pool %d): verdict %v, the key says %v", i, d, base.verdicts[i], want)
 		}
 	}
-	if base.ops != base.totals.Checks || base.totals.CacheHits == 0 || base.totals.Rejected == 0 ||
+	if base.ops != base.totals.Checks || base.totals.MemoHits == 0 || base.totals.Rejected == 0 ||
 		base.totals.Checks >= base.totals.Enqueued {
 		t.Fatalf("GOMAXPROCS 1: %d public-key operations, totals %+v; want as many operations as checks, cache hits, rejections and dedup", base.ops, base.totals)
 	}

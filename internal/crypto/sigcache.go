@@ -68,7 +68,7 @@ type SigCacheStats struct {
 // public key, message digest, and signature bytes, so a hit is exactly as
 // strong as the original check (up to SHA-256 collisions).
 //
-// The cache is a Memo of at most 2*max entries. Safe for concurrent use.
+// The cache is a memo of at most 2*max entries. Safe for concurrent use.
 //
 // Concurrent first lookups of one check run it once: the synchronous path
 // (VerifyCached) claims a missed key while it verifies, and a second
@@ -80,7 +80,7 @@ type SigCacheStats struct {
 // and runs it in turn: a miss always ends in the caller's own check.
 type SigCache struct {
 	mu       sync.Mutex
-	checks   Memo[sigKey, struct{}]
+	checks   memo[sigKey, struct{}]
 	checking map[sigKey]struct{} // keys claimed by a check running now
 	settled  sync.Cond           // on mu; broadcast when a claim is released
 	stats    SigCacheStats
@@ -91,7 +91,7 @@ func NewSigCache(max int) (*SigCache, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("crypto: sig cache size %d must be >= 1", max)
 	}
-	c := &SigCache{checks: NewMemo[sigKey, struct{}](max), checking: make(map[sigKey]struct{})}
+	c := &SigCache{checks: newMemo[sigKey, struct{}](max), checking: make(map[sigKey]struct{})}
 	c.settled.L = &c.mu
 	return c, nil
 }

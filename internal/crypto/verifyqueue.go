@@ -39,9 +39,9 @@ type VerifyTotals struct {
 	// (including fallback re-verifies). Enqueued/Checks is the
 	// amortization ratio.
 	Checks int64
-	// CacheHits counts checks settled from the SigCache with no
+	// MemoHits counts checks settled from the SigCache with no
 	// public-key operation at all.
-	CacheHits int64
+	MemoHits int64
 	// Fallbacks counts per-item re-verifications run because a deduped
 	// group's check failed and the item's own signed message differs from
 	// the group's (a digest collision). Items that repeat the failed check
@@ -90,7 +90,7 @@ type queueMetrics struct {
 	enqueued  *obs.Counter
 	resolves  *obs.Counter
 	checks    *obs.Counter
-	cacheHits *obs.Counter
+	memoHits  *obs.Counter
 	fallbacks *obs.Counter
 	accepted  *obs.Counter
 	rejected  *obs.Counter
@@ -128,7 +128,7 @@ func (q *BatchVerifyQueue) SetMetrics(reg *obs.Registry) {
 		enqueued:  reg.Counter("verify.deferred_enqueued"),
 		resolves:  reg.Counter("verify.deferred_resolves"),
 		checks:    reg.Counter("verify.deferred_checks"),
-		cacheHits: reg.Counter("verify.deferred_cache_hits"),
+		memoHits:  reg.Counter("verify.deferred_cache_hits"),
 		fallbacks: reg.Counter("verify.deferred_fallbacks"),
 		accepted:  reg.Counter("verify.deferred_accepted"),
 		rejected:  reg.Counter("verify.deferred_rejected"),
@@ -147,7 +147,7 @@ func (q *BatchVerifyQueue) exportLocked() {
 	q.m.enqueued.Add(cur.Enqueued - prev.Enqueued)
 	q.m.resolves.Add(cur.Resolves - prev.Resolves)
 	q.m.checks.Add(cur.Checks - prev.Checks)
-	q.m.cacheHits.Add(cur.CacheHits - prev.CacheHits)
+	q.m.memoHits.Add(cur.MemoHits - prev.MemoHits)
 	q.m.fallbacks.Add(cur.Fallbacks - prev.Fallbacks)
 	q.m.accepted.Add(cur.Accepted - prev.Accepted)
 	q.m.rejected.Add(cur.Rejected - prev.Rejected)
@@ -270,7 +270,7 @@ func (q *BatchVerifyQueue) resolveLocked() ([]pendingVerify, []bool) {
 				misses = append(misses, g)
 				continue
 			}
-			q.totals.CacheHits += int64(len(g.members))
+			q.totals.MemoHits += int64(len(g.members))
 			for _, i := range g.members {
 				verdicts[i] = true
 			}

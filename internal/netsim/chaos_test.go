@@ -60,16 +60,57 @@ func chaosEntries(t *testing.T) []catalog.Entry {
 // TestChaosSoak is the robustness gate: every scheme runs under every fault
 // preset under several seeds and must degrade gracefully — no panic, no
 // fatal error, zero forged packets authenticated, buffers bounded by the
-// configured cap, and the netsim counters must agree with the trace events.
+// configured cap, the netsim counters must agree with the trace events, and
+// each run authenticates at least its scheme's liveness floor of what the
+// same run authenticates with no faults.
 func TestChaosSoak(t *testing.T) {
 	const (
 		rate        = 0.03
 		maxBuffered = 24
 	)
 	seeds := []uint64{1, 2, 3}
+	// Liveness floors: the least share of the fault-free run's authenticated
+	// count a faulted run must reach. Each is about 0.1 below the least
+	// share measured over every preset and seed (rohatgi 0.58, emss 0.86,
+	// augchain 0.93, authtree 0.94, signeach 0.90, tesla 0.94, all on
+	// corruption): a fault that halves a scheme's authentications fails.
+	// Rohatgi's chain is the most fragile: one corrupted packet cuts every
+	// packet after it.
+	floors := map[string]float64{
+		"rohatgi": 0.45, "emss": 0.75, "augchain": 0.8, "authtree": 0.8, "signeach": 0.8, "tesla": 0.8,
+	}
 	presetTotals := make(map[string]FaultTotals)
-	for _, cs := range chaosEntries(t) {
-		name := cs.Scheme.Name()
+	for i, cs := range chaosEntries(t) {
+		name, floor := cs.Scheme.Name(), floors[catalog.IDs()[i]]
+		if floor == 0 {
+			t.Fatalf("no liveness floor for catalogue scheme %q", catalog.IDs()[i])
+		}
+		run := func(seed uint64, faults *fault.Config, tracer *obs.SpanSink, reg *obs.Registry) (*Result, error) {
+			return Run(cs.Scheme, Config{
+				Receivers:       8,
+				Loss:            bern(t, 0.1),
+				Delay:           delay.Constant{D: 5 * time.Millisecond},
+				SendInterval:    cs.SendInterval,
+				Start:           cs.Start,
+				Seed:            seed,
+				ReliableIndices: cs.Signature,
+				SigRetransmits:  2,
+				Faults:          faults,
+				MaxBuffered:     maxBuffered,
+				Tracer:          tracer,
+				Metrics:         reg,
+			}, 1, testPayloads(cs.Scheme.BlockSize()))
+		}
+		clean := make(map[uint64]int)
+		for _, seed := range seeds {
+			res, err := run(seed, nil, nil, nil)
+			if err != nil {
+				t.Fatalf("%s without faults, seed %d: %v", name, seed, err)
+			}
+			if clean[seed] = res.TotalAuthenticated(); clean[seed] == 0 {
+				t.Fatalf("%s seed %d: nothing authenticated without faults", name, seed)
+			}
+		}
 		for _, preset := range fault.PresetNames() {
 			fc, err := fault.Preset(preset, rate)
 			if err != nil {
@@ -78,21 +119,7 @@ func TestChaosSoak(t *testing.T) {
 			for _, seed := range seeds {
 				tracer := obs.NewSpanSink(obs.KeepAll, nil)
 				reg := obs.NewRegistry()
-				cfg := Config{
-					Receivers:       8,
-					Loss:            bern(t, 0.1),
-					Delay:           delay.Constant{D: 5 * time.Millisecond},
-					SendInterval:    cs.SendInterval,
-					Start:           cs.Start,
-					Seed:            seed,
-					ReliableIndices: cs.Signature,
-					SigRetransmits:  2,
-					Faults:          &fc,
-					MaxBuffered:     maxBuffered,
-					Tracer:          tracer,
-					Metrics:         reg,
-				}
-				res, err := Run(cs.Scheme, cfg, 1, testPayloads(cs.Scheme.BlockSize()))
+				res, err := run(seed, &fc, tracer, reg)
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", name, preset, seed, err)
 				}
@@ -111,10 +138,11 @@ func TestChaosSoak(t *testing.T) {
 					t.Errorf("%s/%s seed %d: %d forged packets authenticated",
 						name, preset, seed, ft.ForgedAuthenticated)
 				}
-				// Liveness: the adversary degrades but does not stop the
-				// genuine stream.
-				if res.TotalAuthenticated() == 0 {
-					t.Errorf("%s/%s seed %d: nothing authenticated", name, preset, seed)
+				// Liveness: the adversary degrades the genuine stream by no
+				// more than the scheme's floor allows.
+				if got := res.TotalAuthenticated(); float64(got) < floor*float64(clean[seed]) {
+					t.Errorf("%s/%s seed %d: authenticated %d, under %.2f of the %d without faults",
+						name, preset, seed, got, floor, clean[seed])
 				}
 				// Bounded memory: no verifier buffered past the cap.
 				if hw := res.MaxBufferHighWater(); hw > maxBuffered {

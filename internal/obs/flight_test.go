@@ -10,7 +10,7 @@ import (
 func TestFlightRecorderRoundTrip(t *testing.T) {
 	clk := newSLOClock()
 	reg := NewRegistry()
-	reg.Counter("verify.cache_hits").Add(42)
+	reg.Counter("verify.deferred_enqueued").Add(42)
 	ring := NewSpanSink(16, nil)
 	for _, s := range lifecycleSpans() {
 		ring.Record(s)
@@ -54,8 +54,8 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	if len(d.Snapshots) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(d.Snapshots))
 	}
-	if got := d.Snapshots[1].Metrics.Counters["verify.cache_hits"]; got != 42 {
-		t.Fatalf("terminal snapshot cache_hits = %d, want 42", got)
+	if got := d.Snapshots[1].Metrics.Counters["verify.deferred_enqueued"]; got != 42 {
+		t.Fatalf("terminal snapshot deferred_enqueued = %d, want 42", got)
 	}
 	if len(d.Faults) != 2 || d.Faults[0].Kind != "kill" || d.Faults[1].Kind != "restart" {
 		t.Fatalf("faults = %+v", d.Faults)

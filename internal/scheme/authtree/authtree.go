@@ -285,8 +285,8 @@ type treeVerifier struct {
 	// table instead of hashed, and a walk that ends in root needs no
 	// signature check. The table holds one tree; a second signed root for
 	// the block (a sender reusing the ID) empties it, so its entries always
-	// hash to one another. It is allocated by the first packet accepted
-	// here rather than from the shared cache. path and hit are
+	// hash to one another. It is allocated by the first packet accepted.
+	// path and hit are
 	// computeRoot's notes for remember: its own digest at each level, and
 	// the level from which they were already proven (depth+1: none). The
 	// scratch fields make the per-packet path walk allocation-free.
@@ -489,8 +489,7 @@ func (tv *treeVerifier) deferRoot(p *packet.Packet, at time.Time, root crypto.Di
 
 // Ingest implements scheme.Verifier: each packet verifies independently by
 // recomputing the root from its leaf and sibling path; the signature over
-// a given root is checked at most once per verifier, and at most once per
-// stream when a shared cache is attached.
+// a given root is checked at most once per verifier.
 func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event, error) {
 	if p == nil {
 		return nil, fmt.Errorf("authtree: nil packet")
@@ -507,9 +506,6 @@ func (tv *treeVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.Event
 	if tv.authentic[p.Index] {
 		tv.rec.Duplicate()
 		return nil, nil
-	}
-	if tv.rec.Cached(p) {
-		return tv.accept(p, at), nil
 	}
 	if len(p.Hashes) != tv.depth*(tv.arity-1) {
 		tv.rec.Rejected(p, at, "bad_path")

@@ -27,7 +27,7 @@ func TestConformancePowerOfTwo(t *testing.T) {
 // buffers outside deferred mode and nothing is traced.
 func TestEnvConformance(t *testing.T) {
 	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(24, signer) },
-		schemetest.FixedClock, schemetest.Honours{Cache: true, BatchQ: true})
+		schemetest.FixedClock, schemetest.Honours{BatchQ: true})
 }
 
 func TestConformanceOddSize(t *testing.T) {

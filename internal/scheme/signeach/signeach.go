@@ -175,9 +175,6 @@ func (sv *signEachVerifier) Ingest(p *packet.Packet, at time.Time) ([]verifier.E
 		sv.rec.Duplicate()
 		return nil, nil
 	}
-	if sv.rec.Cached(p) {
-		return sv.Accept(p, at), nil
-	}
 	sv.content = p.AppendContent(sv.content[:0])
 	if !sv.rec.Signature(sv, sv.pub, p, sv.content, nil, at, 0) {
 		return nil, nil

@@ -332,12 +332,9 @@ type teslaVerifier struct {
 	events   []verifier.Event
 	pendPool [][]pendingPacket
 
-	// rec holds the Env: MaxBuffered caps preBoot+buffered. Cache is
-	// consulted only after a packet passes the safety condition: MAC
-	// validity is timeless, but acceptance is not — a replay arriving after
-	// its key became public must still be dropped, so the deadline check
-	// can never be skipped. BatchQ and Sink are ignored: only the bootstrap
-	// packet is signed, and it is checked synchronously.
+	// rec holds the Env: MaxBuffered caps preBoot+buffered. BatchQ and Sink
+	// are ignored: only the bootstrap packet is signed, and it is checked
+	// synchronously.
 	rec verifier.Recorder
 }
 
@@ -468,14 +465,6 @@ func (tv *teslaVerifier) ingestData(pend pendingPacket, at time.Time) ([]verifie
 		Add(time.Duration(interval+tv.params.lag) * tv.params.interval)
 	if !pend.arrived.Before(deadline) {
 		tv.rec.Unsafe(p, at)
-		return tv.events, nil
-	}
-	// Shared-cache fast path — safe only here, after the deadline check:
-	// a packet with this exact content already passed a real MAC check in
-	// this stream and block, and this arrival independently satisfied the
-	// safety condition.
-	if tv.rec.Cached(p) {
-		tv.accept(pend, at)
 		return tv.events, nil
 	}
 	if tv.bestIdx >= interval {

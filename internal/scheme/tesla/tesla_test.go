@@ -53,7 +53,7 @@ func TestConformance(t *testing.T) {
 func TestEnvConformance(t *testing.T) {
 	cfg := testConfig(24, 2)
 	schemetest.EnvConformance(t, func(signer crypto.Signer) (scheme.Scheme, error) { return New(cfg, signer) },
-		promptClock(cfg), schemetest.Honours{MaxBuffered: true, Cache: true})
+		promptClock(cfg), schemetest.Honours{MaxBuffered: true})
 }
 
 func TestValidation(t *testing.T) {

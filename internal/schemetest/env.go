@@ -33,8 +33,6 @@ type Honours struct {
 	// block's signature material arrives last. (Schemes that honour BatchQ
 	// always cap their parked signatures; that is checked regardless.)
 	MaxBuffered bool
-	// Cache: a second subscriber behind a warm cache records CacheHits.
-	Cache bool
 	// BatchQ: signature checks park on the queue and authenticate through
 	// Sink.
 	BatchQ bool
@@ -47,7 +45,7 @@ type Honours struct {
 
 // ChainedHonours is what every scheme built on the generic hash-chained
 // engine (internal/verifier) honours: all of Env.
-var ChainedHonours = Honours{MaxBuffered: true, Cache: true, BatchQ: true, Digests: true}
+var ChainedHonours = Honours{MaxBuffered: true, BatchQ: true, Digests: true}
 
 // arrival is one delivered packet and the clock reading it arrives at.
 type arrival struct {
@@ -291,13 +289,6 @@ func EnvConformance(t *testing.T, build func(crypto.Signer) (scheme.Scheme, erro
 		}
 		return q
 	}
-	newCache := func() *verifier.SharedCache {
-		c, err := verifier.NewSharedCache(4 * len(pkts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	sink := func() *obs.SpanSink { return obs.NewSpanSink(obs.KeepAll, nil) }
 
 	zero := runEnv(t, s, verifier.Env{}, delivery, clock, 0)
@@ -322,14 +313,6 @@ func EnvConformance(t *testing.T, build func(crypto.Signer) (scheme.Scheme, erro
 	}
 
 	same("MaxBuffered (not binding)", runEnv(t, s, verifier.Env{MaxBuffered: len(delivery)}, delivery, clock, 0))
-
-	cache := newCache()
-	cold := same("cold Cache", runEnv(t, s, verifier.Env{Cache: cache, StreamID: stream}, delivery, clock, 0))
-	warm := same("warm Cache", runEnv(t, s, verifier.Env{Cache: cache, StreamID: stream}, delivery, clock, 0))
-	if cold.stats.CacheHits != 0 {
-		t.Errorf("first subscriber hit a cold cache %d times", cold.stats.CacheHits)
-	}
-	effect("Cache", honours.Cache, warm.stats.CacheHits > 0)
 
 	explicit := same("BatchQ, explicit Resolve", runEnv(t, s, verifier.Env{BatchQ: queue(1 << 20)}, delivery, clock, 4))
 	auto := same("BatchQ, auto-resolve", runEnv(t, s, verifier.Env{BatchQ: queue(2)}, delivery, clock, 0))
@@ -387,7 +370,7 @@ func EnvConformance(t *testing.T, build func(crypto.Signer) (scheme.Scheme, erro
 	same("Spans", runEnv(t, s, verifier.Env{Spans: sink(), StreamID: stream}, delivery, clock, 0))
 	same("Metrics", runEnv(t, s, verifier.Env{Metrics: obs.NewRegistry()}, delivery, clock, 0))
 	same("all fields", runEnv(t, s, verifier.Env{
-		StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs, Digests: memo, BatchQ: queue(2),
+		StreamID: stream, MaxBuffered: len(delivery), Sigs: sigs, Digests: memo, BatchQ: queue(2),
 		Spans: sink(), Metrics: obs.NewRegistry(),
 	}, delivery, clock, 0))
 
@@ -458,13 +441,6 @@ func batchSignedConformance(t *testing.T, s, capable scheme.Scheme, signer crypt
 		}
 		return q
 	}
-	newCache := func() *verifier.SharedCache {
-		c, err := verifier.NewSharedCache(4 * len(pkts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	// One memo under every verifier, the batch-capable key's first: it
 	// holds the blobs' inner check when the plain key's verifiers meet it.
 	sigs, err := crypto.NewSigCache(len(pkts))
@@ -477,7 +453,6 @@ func batchSignedConformance(t *testing.T, s, capable scheme.Scheme, signer crypt
 		resolveEvery int
 	}{
 		{"zero", func() verifier.Env { return verifier.Env{} }, 0},
-		{"Cache", func() verifier.Env { return verifier.Env{Cache: newCache(), StreamID: stream} }, 0},
 		{"Sigs", func() verifier.Env { return verifier.Env{Sigs: sigs} }, 0},
 		{"Digests", func() verifier.Env { return verifier.Env{Digests: verifier.NewDigestMemo(pkts)} }, 0},
 		{"BatchQ, explicit Resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(1<<20, nil)} }, 4},
@@ -485,7 +460,7 @@ func batchSignedConformance(t *testing.T, s, capable scheme.Scheme, signer crypt
 		{"Sigs behind BatchQ", func() verifier.Env { return verifier.Env{Sigs: sigs, BatchQ: queue(2, sigs)} }, 0},
 		{"all fields", func() verifier.Env {
 			return verifier.Env{
-				StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: sigs,
+				StreamID: stream, MaxBuffered: len(delivery), Sigs: sigs,
 				Digests: verifier.NewDigestMemo(pkts), BatchQ: queue(2, sigs),
 				Spans: obs.NewSpanSink(obs.KeepAll, nil), Metrics: obs.NewRegistry(),
 			}
@@ -560,13 +535,6 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 		}
 		return q
 	}
-	newCache := func() *verifier.SharedCache {
-		c, err := verifier.NewSharedCache(4 * s.WireCount())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	newSigs := func() *crypto.SigCache {
 		c, err := crypto.NewSigCache(s.WireCount())
 		if err != nil {
@@ -578,7 +546,7 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 
 	// dirty leaves a verifier with what block leaves behind: the delivery's
 	// authenticated, buffered, duplicated and refused packets, deferred
-	// verdicts resolved packet by packet, a warm cache, then a forgery of
+	// verdicts resolved packet by packet, a warm memo, then a forgery of
 	// every packet — signed with the attacker's key when deferred, and
 	// parked on the queue, which is never resolved again: Reset must drop
 	// what is parked, not wait for it. capped sets a buffer cap the flood
@@ -587,7 +555,7 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 	dirty := func(deferred, capped bool) scheme.Verifier {
 		pkts, delivery := envDelivery(t, s, block)
 		env := verifier.Env{
-			StreamID: stream, Cache: newCache(), Sigs: newSigs(),
+			StreamID: stream, Sigs: newSigs(),
 			Digests: verifier.NewDigestMemo(pkts), Spans: sink(), Metrics: obs.NewRegistry(),
 		}
 		if capped {
@@ -646,11 +614,6 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 		if len(starved) == 0 {
 			starved = delivery
 		}
-		warmCache := func() *verifier.SharedCache {
-			c := newCache()
-			runEnv(t, s, verifier.Env{Cache: c, StreamID: stream}, delivery, clock, 0)
-			return c
-		}
 		warmSigs := func() *crypto.SigCache {
 			c := newSigs()
 			runEnv(t, s, verifier.Env{Sigs: c}, delivery, clock, 0)
@@ -672,8 +635,6 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 		}{
 			{"zero", func() verifier.Env { return verifier.Env{} }, delivery, 0},
 			{"MaxBuffered (not binding)", func() verifier.Env { return verifier.Env{MaxBuffered: len(delivery)} }, delivery, 0},
-			{"cold Cache", func() verifier.Env { return verifier.Env{Cache: newCache(), StreamID: stream} }, delivery, 0},
-			{"warm Cache", func() verifier.Env { return verifier.Env{Cache: warmCache(), StreamID: stream} }, delivery, 0},
 			{"BatchQ, explicit Resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(1 << 20)} }, delivery, 4},
 			{"BatchQ, auto-resolve", func() verifier.Env { return verifier.Env{BatchQ: queue(2)} }, delivery, 0},
 			{"cold Sigs", func() verifier.Env { return verifier.Env{Sigs: newSigs()} }, delivery, 0},
@@ -684,7 +645,7 @@ func resetConformance(t *testing.T, s scheme.Scheme, clock Clock, honours Honour
 			{"Metrics", func() verifier.Env { return verifier.Env{Metrics: obs.NewRegistry()} }, delivery, 0},
 			{"all fields", func() verifier.Env {
 				return verifier.Env{
-					StreamID: stream, MaxBuffered: len(delivery), Cache: newCache(), Sigs: newSigs(), Digests: memo,
+					StreamID: stream, MaxBuffered: len(delivery), Sigs: newSigs(), Digests: memo,
 					BatchQ: queue(2), Spans: sink(), Metrics: obs.NewRegistry(),
 				}
 			}, delivery, 0},

@@ -34,13 +34,12 @@ type Config struct {
 	Flush      time.Duration
 	Checkpoint string
 	Repair     int
-	// WriteTimeout is the handler's; VerifyBatch and VerifyCache are
-	// verifyConfig's; Reconnect and ReconnectBackoff are Session's MaxFails
-	// and Backoff.
-	WriteTimeout             time.Duration
-	VerifyBatch, VerifyCache int
-	Reconnect                int
-	ReconnectBackoff         time.Duration
+	// WriteTimeout is the handler's; VerifyBatch is verifyConfig's;
+	// Reconnect and ReconnectBackoff are Session's MaxFails and Backoff.
+	WriteTimeout     time.Duration
+	VerifyBatch      int
+	Reconnect        int
+	ReconnectBackoff time.Duration
 }
 
 // StartServer creates the server and opens every stream. A configured
@@ -119,13 +118,12 @@ func (c Config) NewVerifySink(live int, reg *obs.Registry, tel *Telemetry) (*Ver
 			if err != nil {
 				return nil, err
 			}
-			// The demux adds the cache, queue and span ring; the registry
+			// The demux adds the queue and span ring; the registry
 			// is what makes the verifier.* names of a simulation appear
 			// on a receiver's /metrics too.
 			return r, r.SetEnv(verifier.Env{Metrics: reg})
 		},
 		MaxStreams:  c.Streams,
-		VerifyCache: c.VerifyCache,
 		VerifyBatch: c.VerifyBatch,
 		Metrics:     reg,
 		Tel:         tel,

@@ -24,7 +24,7 @@ func TestMixedDemoLeavesNoStreamDark(t *testing.T) {
 			return e.Scheme, err
 		},
 		Batch: 16, Flush: 30 * time.Millisecond, WriteTimeout: 10 * time.Second,
-		VerifyBatch: 32, VerifyCache: 1024,
+		VerifyBatch: 32,
 	}
 	reg := obs.NewRegistry()
 	tel := testTelemetry(reg)

@@ -61,7 +61,7 @@ func NewRelay(streams, repairBlocks int, reg *obs.Registry, spans *obs.SpanSink)
 		return nil, errors.New("relay needs -repair > 0 (it exists to serve catch-up from retention)")
 	}
 	return &Relay{
-		Fanout: server.NewFanout(relayQueueDepth, 0, server.FanoutMetrics{
+		Fanout: server.NewFanout(relayQueueDepth, server.FanoutMetrics{
 			Dropped:  reg.Counter(MetricRelayDrops),
 			ShedData: reg.Counter(metricRelayShedData),
 			ShedSig:  reg.Counter(metricRelayShedSig),

@@ -32,8 +32,7 @@ func relayTestConfig(key string) Config {
 			return emss.New(emss.Config{N: 8, M: 2, D: 1}, signer)
 		},
 		Rate: 200 * time.Microsecond, Batch: 16, Flush: 30 * time.Millisecond,
-		Repair: 64, WriteTimeout: 10 * time.Second,
-		VerifyBatch: 32, VerifyCache: 1024,
+		Repair: 64, WriteTimeout: 10 * time.Second, VerifyBatch: 32,
 		Reconnect: -1, ReconnectBackoff: 10 * time.Millisecond,
 	}
 }

@@ -9,8 +9,11 @@ import (
 	"mcauth/internal/server"
 	"mcauth/internal/stream"
 	"mcauth/internal/transport"
-	"mcauth/internal/verifier"
 )
+
+// sigCacheEntries sizes the signature memo behind the batch-verify queue
+// (crypto.NewSigCache).
+const sigCacheEntries = 1024
 
 // verifyConfig parameterizes a VerifySink.
 type verifyConfig struct {
@@ -18,10 +21,9 @@ type verifyConfig struct {
 	// MaxStreams bounds the live streams (see stream.NewDemux).
 	NewReceiver func(streamID uint64) (*stream.Receiver, error)
 	MaxStreams  int
-	// VerifyCache > 0 shares that many proven-authentic packet digests
-	// across the streams; VerifyBatch > 0 defers signature checks to a
-	// batch-verify queue of that many pending packets.
-	VerifyCache, VerifyBatch int
+	// VerifyBatch > 0 defers signature checks to a batch-verify queue of
+	// that many pending packets.
+	VerifyBatch int
 	// Metrics receives the fast path's instruments and Tel the spans and
 	// SLO samples (nil disables either).
 	Metrics *obs.Registry
@@ -58,19 +60,8 @@ func newVerifySink(c verifyConfig) (*VerifySink, error) {
 	}
 	dmx.SetSpans(c.Tel.Spans())
 	v := &VerifySink{dmx: dmx, verifyBatch: int64(c.VerifyBatch), tel: c.Tel}
-	var cache *verifier.SharedCache
-	if c.VerifyCache > 0 {
-		if cache, err = verifier.NewSharedCache(c.VerifyCache); err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(c.Metrics)
-	}
 	if c.VerifyBatch > 0 {
-		sigEntries := c.VerifyCache
-		if sigEntries <= 0 {
-			sigEntries = 1024
-		}
-		sig, err := crypto.NewSigCache(sigEntries)
+		sig, err := crypto.NewSigCache(sigCacheEntries)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +70,7 @@ func newVerifySink(c verifyConfig) (*VerifySink, error) {
 		}
 		v.q.SetMetrics(c.Metrics)
 	}
-	dmx.SetVerifyFastPath(cache, v.q)
+	dmx.SetVerifyFastPath(nil, v.q)
 	return v, nil
 }
 

@@ -55,9 +55,8 @@ func newCheckpointedServer(t *testing.T, path string, key crypto.Signer, reg *ob
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
-		Signer:       key,
-		Checkpoint:   cp,
-		ReserveChunk: 4,
+		Signer:     key,
+		Checkpoint: cp,
 		// Batching configured so roots stay unsigned across a kill: the
 		// batch never fills and the deadline never fires within the test.
 		BatchSize:     crypto.MaxBatch,
@@ -87,8 +86,10 @@ func drainBlocks(sub *Subscriber) map[uint64]bool {
 // identity signed twice with different content — a fork a verifier could
 // be equivocated with. The watermark also must not be the exact next
 // block (that would require trusting volatile state a crash destroys);
-// it is the write-ahead reservation boundary.
+// it is the write-ahead reservation boundary. The first incarnation
+// crosses one boundary, so the watermark is its second reservation.
 func TestCheckpointRestoreNeverForksBlocks(t *testing.T) {
+	const blocks = reserveChunk + 2
 	path := filepath.Join(t.TempDir(), "checkpoint.json")
 	key := crypto.NewSignerFromString("restore")
 
@@ -100,21 +101,21 @@ func TestCheckpointRestoreNeverForksBlocks(t *testing.T) {
 	if err := srv1.OpenStream(1, emssBuilder(4)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ { // 3 complete blocks of 4
+	for i := 0; i < 4*blocks; i++ { // complete blocks of 4
 		if err := srv1.Publish(1, []byte("first-life")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv1.Kill()
 	first := drainBlocks(sub1)
-	for _, id := range []uint64{0, 1, 2} {
+	for id := uint64(0); id < blocks; id++ {
 		if !first[id] {
-			t.Fatalf("first incarnation blocks %v, want 0-2", first)
+			t.Fatalf("first incarnation lacks block %d of 0-%d", id, blocks-1)
 		}
 	}
 
 	// The crash left a dirty checkpoint whose watermark is the reservation
-	// boundary: block 0's emit reserved through 0+ReserveChunk.
+	// boundary: block reserveChunk's emit reserved through 2*reserveChunk.
 	cp, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +123,9 @@ func TestCheckpointRestoreNeverForksBlocks(t *testing.T) {
 	if cp.isClean() {
 		t.Fatal("checkpoint marked clean after a kill")
 	}
-	if got := cp.startBlock(1); got != 4 {
-		t.Fatalf("restored start block %d, want reservation watermark 4", got)
+	const watermark = 2 * reserveChunk
+	if got := cp.startBlock(1); got != watermark {
+		t.Fatalf("restored start block %d, want reservation watermark %d", got, watermark)
 	}
 
 	srv2 := newCheckpointedServer(t, path, key, nil)
@@ -145,8 +147,8 @@ func TestCheckpointRestoreNeverForksBlocks(t *testing.T) {
 		t.Fatal("second incarnation emitted nothing")
 	}
 	for id := range second {
-		if id < 4 {
-			t.Fatalf("second incarnation reused block %d (< watermark 4): fork", id)
+		if id < watermark {
+			t.Fatalf("second incarnation reused block %d (< watermark %d): fork", id, watermark)
 		}
 		if first[id] {
 			t.Fatalf("block %d emitted by both incarnations", id)
@@ -164,7 +166,6 @@ func TestCheckpointCleanRestart(t *testing.T) {
 	srv, err := New(Config{
 		Signer:        key,
 		Checkpoint:    mustOpenCheckpoint(t, path),
-		ReserveChunk:  64,
 		BatchSize:     4,
 		FlushInterval: 20 * time.Millisecond,
 	})
@@ -266,8 +267,7 @@ func TestPrioritySheddingPrefersSignatures(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := New(Config{
 		Signer:             key,
-		MaxSubscriberQueue: 25,
-		SigQueueReserve:    4,
+		MaxSubscriberQueue: 32, // reserves 32/8 = 4 slots for signatures
 		// 4 blocks fill the batch, so the signature packets are delivered
 		// synchronously with the last block's root — after all the data.
 		BatchSize:     4,
@@ -281,13 +281,13 @@ func TestPrioritySheddingPrefersSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.OpenStream(1, emssBuilder(8)); err != nil {
+	if err := srv.OpenStream(1, emssBuilder(10)); err != nil {
 		t.Fatal(err)
 	}
-	// 4 blocks of 8 messages. Each block emits 7 data-class packets plus a
-	// held signature packet, so 28 data-class packets contend for the
-	// 25-4=21 unreserved slots: 7 must shed.
-	for i := 0; i < 32; i++ {
+	// 4 blocks of 10 messages. Each block emits 9 data-class packets plus a
+	// held signature packet, so 36 data-class packets contend for the
+	// 32-4=28 unreserved slots: 8 must shed.
+	for i := 0; i < 40; i++ {
 		if err := srv.Publish(1, []byte("backpressure")); err != nil {
 			t.Fatal(err)
 		}
@@ -304,14 +304,14 @@ func TestPrioritySheddingPrefersSignatures(t *testing.T) {
 			data++
 		}
 	}
-	if data != 21 {
-		t.Errorf("delivered %d data packets, want 21 (queue 25 minus reserve 4)", data)
+	if data != 28 {
+		t.Errorf("delivered %d data packets, want 28 (queue 32 minus reserve 4)", data)
 	}
 	if sigs != 4 {
 		t.Errorf("delivered %d signature packets, want 4 (one per block)", sigs)
 	}
-	if got := reg.Counter("server.shed_data").Value(); got != 7 {
-		t.Errorf("shed_data = %d, want 7", got)
+	if got := reg.Counter("server.shed_data").Value(); got != 8 {
+		t.Errorf("shed_data = %d, want 8", got)
 	}
 	if got := reg.Counter("server.shed_sig").Value(); got != 0 {
 		t.Errorf("shed_sig = %d, want 0 — a signature was dropped under backpressure", got)

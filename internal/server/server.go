@@ -84,21 +84,16 @@ type Config struct {
 	// IDs through it before emitting, restored streams resume at their
 	// reserved watermark, and Close records exact positions. Nil disables.
 	Checkpoint *Checkpoint
-	// ReserveChunk is how many block IDs one checkpoint write reserves —
-	// the trade between checkpoint write rate (one fsync per chunk of
-	// blocks) and the ID gap a crash leaves. Default 64.
-	ReserveChunk int
 	// RepairBlocks, when positive, keeps each stream's last RepairBlocks
 	// blocks of emitted packets in a RepairStore so reconnecting
 	// subscribers can be caught up via ResumeFrom. 0 disables retention.
 	RepairBlocks int
-	// SigQueueReserve is the tail of each subscriber queue reserved for
-	// signature-class packets (signature or key disclosure present). Under
-	// backpressure data packets shed first: one lost data packet loses one
-	// message, one lost root packet can collapse the whole block's
-	// authentication. Default MaxSubscriberQueue/8, minimum 1 (NewFanout).
-	SigQueueReserve int
 }
+
+// reserveChunk is how many block IDs one checkpoint write reserves: the
+// trade between checkpoint write rate (one fsync per chunk of blocks) and
+// the ID gap a crash leaves.
+const reserveChunk = 64
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Signer == nil {
@@ -115,9 +110,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxSubscriberQueue <= 0 {
 		c.MaxSubscriberQueue = 1024
-	}
-	if c.ReserveChunk <= 0 {
-		c.ReserveChunk = 64
 	}
 	if c.RepairBlocks < 0 {
 		return c, fmt.Errorf("server: repair blocks %d must be >= 0", c.RepairBlocks)
@@ -216,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 		signer:  bs,
 		m:       newMetrics(cfg.Metrics),
 		streams: make(map[uint64]*pubStream),
-		fan: NewFanout(cfg.MaxSubscriberQueue, cfg.SigQueueReserve, FanoutMetrics{
+		fan: NewFanout(cfg.MaxSubscriberQueue, FanoutMetrics{
 			Delivered: cfg.Metrics.Counter("server.packets_delivered"),
 			Dropped:   cfg.Metrics.Counter("server.packets_dropped_backpressure"),
 			ShedData:  cfg.Metrics.Counter("server.shed_data"),

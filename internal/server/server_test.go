@@ -474,8 +474,9 @@ func TestSubscriberFilter(t *testing.T) {
 }
 
 // Several goroutines publish to the same streams at once — the mixed
-// rotation, a checkpoint reserving a few block IDs at a time, and a
-// flusher ticking fast enough to race them — and the stream invariants
+// rotation, a checkpoint whose reservations the 4-message streams cross
+// (80 blocks each, past reserveChunk), and a flusher ticking fast enough
+// to race them — and the stream invariants
 // hold: every message authenticates at a verifying subscriber, each
 // stream's immediate packets reach a subscriber in block-ID order, and a
 // server restarted on the checkpoint starts every stream above each block
@@ -484,14 +485,13 @@ func TestServerConcurrentPublishersKeepStreamInvariants(t *testing.T) {
 	const (
 		streams    = 8
 		publishers = 4
-		perStream  = 40 // messages each publisher sends to each stream
+		perStream  = 80 // messages each publisher sends to each stream
 	)
 	path := filepath.Join(t.TempDir(), "checkpoint.json")
 	key := crypto.NewSignerFromString("concurrent-publishers")
 	srv, err := New(Config{
 		Signer:             key,
 		Checkpoint:         mustOpenCheckpoint(t, path),
-		ReserveChunk:       4,
 		BatchSize:          8,
 		FlushInterval:      2 * time.Millisecond,
 		MaxSubscriberQueue: 1 << 16,

@@ -53,17 +53,16 @@ type Fanout struct {
 }
 
 // NewFanout creates a fan-out whose subscriber queues hold queue packets,
-// the last sigReserve of them reserved for signature-class packets
-// (default queue/8, minimum 1). The reserve is a tail of the queue, so it
-// always leaves at least one data slot; a one-slot queue degenerates to no
-// reservation.
-func NewFanout(queue, sigReserve int, m FanoutMetrics) *Fanout {
-	if sigReserve <= 0 {
-		sigReserve = max(1, queue/8)
-	}
+// the last max(1, queue/8) of them reserved for signature-class packets
+// (signature or key disclosure present). Under backpressure data packets
+// shed first: one lost data packet loses one message, one lost root packet
+// can collapse the whole block's authentication. The reserve is a tail of
+// the queue, so it always leaves at least one data slot; a one-slot queue
+// degenerates to no reservation.
+func NewFanout(queue int, m FanoutMetrics) *Fanout {
 	return &Fanout{
 		queue:      queue,
-		sigReserve: min(sigReserve, queue-1),
+		sigReserve: min(max(1, queue/8), queue-1),
 		m:          m,
 		subs:       make(map[*Subscriber]struct{}),
 	}

@@ -85,14 +85,14 @@ func (st *pubStream) flushPartial() {
 // before blockID becomes externally visible: nothing is emitted under an
 // ID the checkpoint has not durably reserved, so a restart (which resumes
 // at the watermark) can never fork a block. Reserving a chunk at a time
-// amortizes the fsync over ReserveChunk blocks. Holds st.mu, or runs on
+// amortizes the fsync over reserveChunk blocks. Holds st.mu, or runs on
 // the Close drain.
 func (st *pubStream) ensureReserved(blockID uint64) bool {
 	cp := st.srv.cfg.Checkpoint
 	if cp == nil || blockID < st.reserved {
 		return true
 	}
-	through := blockID + uint64(st.srv.cfg.ReserveChunk)
+	through := blockID + reserveChunk
 	if err := cp.reserve(st.id, through); err != nil {
 		return false
 	}

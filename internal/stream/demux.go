@@ -48,7 +48,7 @@ type Demux struct {
 	tick       int64
 	totals     demuxTotals
 	// env holds what the demux adds to the verifier environment of every
-	// receiver the factory creates from now on: Cache, BatchQ and Sigs (see
+	// receiver the factory creates from now on: BatchQ and Sigs (see
 	// SetVerifyFastPath) and Spans (see SetSpans), keyed per receiver by
 	// its transport stream ID.
 	env verifier.Env
@@ -85,17 +85,15 @@ func NewDemux(newReceiver func(streamID uint64) (*Receiver, error), maxStreams i
 }
 
 // SetVerifyFastPath attaches the receiver fast path to every stream
-// receiver created from now on: cache (when non-nil) shares proven-
-// authentic packet digests across all of the demux's streams, keyed by
-// the transport stream ID, and q (when non-nil) defers signature checks
+// receiver created from now on: q (when non-nil) defers signature checks
 // to a shared batch-verify queue, whose signature cache also becomes the
 // receivers' synchronous memo (verifier.Env.Sigs) so that a check a
 // verifier runs itself — authtree's per-waiter fallback — shares it.
 // Deferred verdicts that resolve while a different stream's packet is being
-// ingested are collected via DrainDeferred. Either argument may be nil to
-// enable only the other.
-func (d *Demux) SetVerifyFastPath(cache *verifier.SharedCache, q *crypto.BatchVerifyQueue) {
-	d.env.Cache = cache
+// ingested are collected via DrainDeferred. The first argument is ignored:
+// it is the deprecated verifier.SharedCache, still passed by the benchmark
+// harness, and goes with it.
+func (d *Demux) SetVerifyFastPath(_ *verifier.SharedCache, q *crypto.BatchVerifyQueue) {
 	d.env.BatchQ = q
 	d.env.Sigs = nil
 	if q != nil {
@@ -162,9 +160,6 @@ func (d *Demux) receiver(streamID uint64) (*Receiver, error) {
 	// What the demux has set overrides the factory's choice; the rest of
 	// the factory's environment stands.
 	r.env.StreamID = streamID
-	if d.env.Cache != nil {
-		r.env.Cache = d.env.Cache
-	}
 	if d.env.BatchQ != nil {
 		r.env.BatchQ = d.env.BatchQ
 	}

@@ -3,10 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"mcauth/internal/packet"
+	"mcauth/internal/scheme"
 )
 
 // demuxFixture wires a demux whose every stream runs the 4-packet EMSS
@@ -273,5 +275,90 @@ func TestDemuxResumePoints(t *testing.T) {
 		if pts[id] != from {
 			t.Errorf("ResumePoints[%d] = %d, want %d", id, pts[id], from)
 		}
+	}
+}
+
+// TestDemuxRejoinAuthenticatesOnlyWhatItReceived: a stream evicted through
+// the demux LRU and re-joined gets a fresh receiver, which authenticates
+// exactly the dependence graph's verifiable set of the packets it received
+// since re-joining, whatever the evicted receiver proved of the same block.
+// No verifier accepts a packet on another verifier's word.
+func TestDemuxRejoinAuthenticatesOnlyWhatItReceived(t *testing.T) {
+	const n = 8
+	s := emssScheme(t, n)
+	dmx, err := NewDemux(func(uint64) (*Receiver, error) { return NewReceiver(s, 4) }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := fastPathQueue(t, 32)
+	dmx.SetVerifyFastPath(nil, q) // the daemon's fast path
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = fmt.Appendf(nil, "m%d", i)
+	}
+	pkts, err := s.Authenticate(0, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAuthed := func(id uint64, pkts []*packet.Packet) []uint32 {
+		t.Helper()
+		var authed []uint32
+		for _, p := range pkts {
+			out, err := dmx.Ingest(id, p, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Resolve()
+			for _, a := range append(out, dmx.DrainDeferred()...) {
+				if a.StreamID == id {
+					authed = append(authed, a.Index)
+				}
+			}
+		}
+		slices.Sort(authed)
+		return authed
+	}
+
+	// Stream 1 proves the whole block, then stream 2 evicts it.
+	if got := feedAuthed(1, pkts); len(got) != n {
+		t.Fatalf("stream 1 authenticated %v of its whole block", got)
+	}
+	feedAuthed(2, pkts[:1])
+	if ids := dmx.StreamIDs(); !slices.Equal(ids, []uint64{2}) {
+		t.Fatalf("live streams %v after stream 2 joined, want stream 1 evicted", ids)
+	}
+
+	// Stream 1 re-joins and receives the block again with a run of two
+	// packets lost, which cuts the hash paths of every packet before it.
+	var rejoin []*packet.Packet
+	received := make([]bool, n+1)
+	for _, p := range pkts {
+		if p.Index == n/2+1 || p.Index == n/2+2 {
+			continue
+		}
+		rejoin = append(rejoin, p)
+		received[p.Index] = true
+	}
+	g, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifiable, err := g.VerifiableSet(received)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper := s.(scheme.VertexMapper)
+	var want []uint32
+	for _, p := range rejoin {
+		if v, ok := mapper.VertexOf(p.Index); ok && verifiable[v] {
+			want = append(want, p.Index)
+		}
+	}
+	slices.Sort(want)
+	if len(want) == 0 || len(want) == len(rejoin) {
+		t.Fatalf("delivery is vacuous: %d of %d received packets verifiable", len(want), len(rejoin))
+	}
+	if got := feedAuthed(1, rejoin); !slices.Equal(got, want) {
+		t.Errorf("re-joined stream authenticated %v\ndependence graph says %v", got, want)
 	}
 }

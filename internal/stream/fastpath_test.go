@@ -154,104 +154,22 @@ func TestDeferredFailedBatchFallsBack(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossReceivers: the Demux fan-out shape — a second
-// subscriber ingesting the same wire packets skips re-proving digests
-// the first subscriber already verified, and the hits surface in its
-// totals. A tampered twin of a cached packet still fails.
-func TestSharedCacheAcrossReceivers(t *testing.T) {
-	const n = 8
-	s, err := authtree.New(n, crypto.NewSignerFromString("shared-cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := verifier.NewSharedCache(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := authtreeBlock(t, s, 1, n)
-
-	ingestAll := func(rcv *Receiver, pkts []*packet.Packet) int {
-		t.Helper()
-		authed := 0
-		for _, p := range pkts {
-			events, err := rcv.Ingest(p, time.Time{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			authed += len(events)
-		}
-		return authed
-	}
-
-	first, err := NewReceiver(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setEnv(t, first, verifier.Env{Cache: cache, StreamID: 7})
-	if got := ingestAll(first, pkts); got != n {
-		t.Fatalf("first subscriber authenticated %d, want %d", got, n)
-	}
-	if first.Totals().CacheHits != 0 {
-		t.Errorf("first subscriber hit the cache it was populating: %+v", first.Totals())
-	}
-
-	second, err := NewReceiver(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setEnv(t, second, verifier.Env{Cache: cache, StreamID: 7})
-	if got := ingestAll(second, pkts); got != n {
-		t.Fatalf("second subscriber authenticated %d, want %d", got, n)
-	}
-	if hits := second.Totals().CacheHits; hits == 0 {
-		t.Errorf("second subscriber never hit the shared cache")
-	}
-
-	// A tampered twin misses the cache and is rejected, not accepted.
-	forged := *pkts[1]
-	forged.Payload = append([]byte(nil), forged.Payload...)
-	forged.Payload[0] ^= 0x01
-	third, err := NewReceiver(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setEnv(t, third, verifier.Env{Cache: cache, StreamID: 7})
-	if _, err := third.Ingest(pkts[0], time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	events, err := third.Ingest(&forged, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 0 {
-		t.Fatal("tampered packet authenticated via shared cache")
-	}
-	if third.Totals().Rejected == 0 {
-		t.Error("tampered packet not counted rejected")
-	}
-}
-
 // TestSyncAndDeferredEventsInOneIngest: a block verifier's events live in
 // its own buffer, reused by its next Ingest, Reset or deferred verdict, and
 // the receiver recycles retired verifiers. With one live block, each block's
-// first packet (proven in the shared cache) authenticates synchronously in
-// the same Ingest that evicts the previous block, whose parked signature is
-// then resolved and cascades through the block's held packets. Both sets of
-// messages must come out of that Ingest with their own payloads, and stay so
-// while the recycled verifiers serve the blocks after.
+// first packet is held in the same Ingest that evicts the previous block,
+// whose parked signature is then resolved and cascades through the block's
+// held packets. Those messages must come out of that Ingest with their own
+// payloads, and stay so while the recycled verifiers serve the blocks after.
 func TestSyncAndDeferredEventsInOneIngest(t *testing.T) {
 	const n, blocks = 6, 5
 	s := emssScheme(t, n) // the signature packet is the last one
-	cache, err := verifier.NewSharedCache(64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &recordingScheme{Scheme: s}
 	rcv, err := NewReceiver(rec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setEnv(t, rcv, verifier.Env{Cache: cache, BatchQ: fastPathQueue(t, 1<<10)})
+	setEnv(t, rcv, verifier.Env{BatchQ: fastPathQueue(t, 1<<10)})
 
 	payload := func(b uint64, i uint32) string { return fmt.Sprintf("b%d-m%d", b, i) }
 	var outs [][]Authenticated
@@ -264,7 +182,6 @@ func TestSyncAndDeferredEventsInOneIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache.MarkAuthentic(0, b, cache.DigestOf(pkts[0]))
 		for _, p := range pkts {
 			out, err := rcv.Ingest(p, time.Time{})
 			if err != nil {
@@ -278,21 +195,24 @@ func TestSyncAndDeferredEventsInOneIngest(t *testing.T) {
 
 	got := make(map[uint64]int)
 	for k, out := range outs {
-		sync, deferred := 0, 0
+		evicted := 0
 		for _, a := range out {
 			if want := payload(a.BlockID, a.Index); string(a.Payload) != want {
 				t.Fatalf("output %d: block %d index %d carries %q, want %q", k, a.BlockID, a.Index, a.Payload, want)
 			}
 			got[a.BlockID]++
-			if a.Index == 1 {
-				sync++
-			} else {
-				deferred++
+			if a.BlockID == uint64(k/n-1) {
+				evicted++
 			}
 		}
-		// Output k*n, the first packet of block k > 0, carries both.
-		if k%n == 0 && k > 0 && k < blocks*n && (sync != 1 || deferred != n-1) {
-			t.Fatalf("first packet of block %d: %d synchronous and %d deferred messages, want 1 and %d", k/n, sync, deferred, n-1)
+		// Output k*n, the first packet of block k > 0, carries all of
+		// block k-1 and nothing else; every other Ingest carries nothing.
+		switch first := k%n == 0 && k > 0; {
+		case k == blocks*n:
+		case first && (evicted != n || len(out) != n):
+			t.Fatalf("first packet of block %d: %d messages, %d of block %d, want %d", k/n, len(out), evicted, k/n-1, n)
+		case !first && len(out) != 0:
+			t.Fatalf("output %d: %d messages, want none before the block is evicted", k, len(out))
 		}
 	}
 	for b := uint64(0); b < blocks; b++ {

@@ -130,9 +130,6 @@ type Totals struct {
 	InvalidPackets int
 	EvictedBlocks  int
 	ActiveBlocks   int
-	// CacheHits counts packets authenticated straight from the shared
-	// verification cache (verifier.Env.Cache) without re-proving.
-	CacheHits int
 	// PendingSignature is the number of packets currently parked awaiting
 	// a deferred batch-verify verdict (a gauge, not a counter).
 	PendingSignature int
@@ -351,7 +348,6 @@ func (t *Totals) fold(st *verifier.Stats) {
 	t.Rejected += st.Rejected
 	t.Unsafe += st.Unsafe
 	t.Duplicates += st.Duplicates
-	t.CacheHits += st.CacheHits
 	t.TimeToAuth.Merge(st.TimeToAuth)
 }
 

@@ -17,42 +17,37 @@ import (
 // mode, so MaxBuffered binds only there); schemetest.EnvConformance pins
 // which. The observation fields — Spans, Metrics — no scheme can ignore:
 // every verifier reports through a Recorder built from its Env, and decides
-// through it: the shared-cache shortcut, the signature check and its
-// deferral, and the digest lookup are the Recorder's, written once. No field
-// changes what a signature check accepts: the key decides (Sigs).
+// through it: the signature check and its deferral, and the digest lookup
+// are the Recorder's, written once. No field changes what a verifier
+// accepts: the key decides (Sigs), and what a verifier authenticates
+// depends on the packets it received alone.
 type Env struct {
 	// StreamID identifies the stream — and therefore the signing key —
-	// the verifier serves. It keys Cache entries and Spans (sender- and
-	// receiver-side spans of one block join on TraceID(stream, block)), so
-	// verifiers of different streams sharing either must differ in it.
+	// the verifier serves. It keys Spans (sender- and receiver-side spans
+	// of one block join on TraceID(stream, block)), so verifiers of
+	// different streams sharing a sink must differ in it.
 	StreamID uint64
 	// MaxBuffered caps the packets held while awaiting authentication
 	// information (parked signatures included); overflow is dropped and
 	// counted in Stats.DroppedOverflow. Zero is unbounded; negative is a
 	// construction error.
 	MaxBuffered int
-	// Cache shares proven-authentic packet digests across subscribers of
-	// one stream: digests are hashed once per process, a cache hit is
-	// accepted without re-proving, and every authentication is published
-	// back (see the forgery-safety argument in cache.go).
-	Cache *SharedCache
 	// Sigs memoises the synchronous signature check of every scheme's
 	// verifier: a check whose (public key, SHA-256 of the signed content,
 	// signature bytes) already succeeded skips the public-key operation.
 	// nil is the same code reaching pub.Verify. Either way the verdict is
 	// the key's own (crypto.VerifyCached): a crypto.BatchCapable key
 	// accepts a batch blob, a plain key refuses one, whatever the memo
-	// holds. It is sound to share among
-	// any verifiers whatever, simulated receivers of one run included: only
-	// successes are stored (see crypto.SigCache), the memoised function is
-	// pure, and a hit says only "this signature over these bytes is valid",
-	// which every holder of the public key may learn for itself. What a
-	// verifier authenticates therefore still depends on its own received
-	// packets alone, as the dependence-graph model requires — unlike Cache,
-	// which carries one verifier's chain conclusions to the next and so must
-	// stay per-receiver in a simulation. The serving tier passes the
-	// SigCache behind its BatchQ, so a synchronous check and a deferred one
-	// each settle what the other already paid for.
+	// holds. It is sound to share among any verifiers whatever, simulated
+	// receivers of one run included: only successes are stored (see
+	// crypto.SigCache), the memoised function is pure, and a hit says only
+	// "this signature over these bytes is valid", which every holder of
+	// the public key may learn for itself. What a verifier authenticates
+	// therefore still depends on its own received packets alone, as the
+	// dependence-graph model requires: the memo carries no verifier's
+	// chain conclusions to another. The serving tier passes the SigCache
+	// behind its BatchQ, so a synchronous check and a deferred one each
+	// settle what the other already paid for.
 	Sigs *crypto.SigCache
 	// Digests holds content digests computed before the verifiers were
 	// built, by packet pointer: a hash-chained verifier looks a packet's

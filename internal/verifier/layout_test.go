@@ -231,9 +231,9 @@ func TestChainedReplayMatchesRecorded(t *testing.T) {
 			fmt.Fprintf(&out, "  resolve %d\n", env.BatchQ.Resolve())
 		}
 		s := v.Stats()
-		fmt.Fprintf(&out, "stats received %d authenticated %d rejected %d duplicates %d msg_hw %d hash_hw %d overflow %d cache_hits %d pending_sig %d pending %d\n",
+		fmt.Fprintf(&out, "stats received %d authenticated %d rejected %d duplicates %d msg_hw %d hash_hw %d overflow %d pending_sig %d pending %d\n",
 			s.Received, s.Authenticated, s.Rejected, s.Duplicates, s.MsgBufferHighWater, s.HashBufferHighWater,
-			s.DroppedOverflow, s.CacheHits, s.PendingSignature, v.pendingCount())
+			s.DroppedOverflow, s.PendingSignature, v.pendingCount())
 		fmt.Fprintf(&out, "time_to_auth count %d sum %d min %d max %d\n", s.TimeToAuth.Count, s.TimeToAuth.Sum, s.TimeToAuth.MinSeen, s.TimeToAuth.MaxSeen)
 		out.WriteString("authentic ")
 		for idx := uint32(0); idx <= n+1; idx++ {

@@ -10,12 +10,11 @@ import (
 )
 
 // Recorder is a verifier's ledger and the decisions its Env configures: the
-// only code that counts into Stats, bumps the verifier.* instruments,
-// publishes authentications to the shared cache and writes trace records,
-// and the one place that takes the shared-cache shortcut (Cached), decides
-// a signature (Signature: synchronously through Sigs or parked on BatchQ,
-// then settled), delivers deferred events to Sink and looks a content
-// digest up (Digests, then Cache, then hashing). Every scheme's verifier
+// only code that counts into Stats, bumps the verifier.* instruments and
+// writes trace records, and the one place that decides a signature
+// (Signature: synchronously through Sigs or parked on BatchQ, then
+// settled), delivers deferred events to Sink and looks a content digest up
+// (Digests, then hashing). Every scheme's verifier
 // holds one by value and reports each fact to it once, so all six schemes
 // are observed through the same sinks under the same names, one record per
 // fact, decide through the same code, and keep only the state their
@@ -70,28 +69,11 @@ type Acceptor interface {
 	Accept(p *packet.Packet, at time.Time) []Event
 }
 
-// Cached is the shared-cache shortcut: it reports whether a packet with p's
-// exact content was already proven authentic in this stream and block, by
-// this or any other subscriber, counting the hit. The caller then accepts p
-// without re-running its checks (see the forgery-safety argument in
-// cache.go).
-func (r *Recorder) Cached(p *packet.Packet) bool {
-	c := r.env.Cache
-	if c == nil || !c.IsAuthentic(r.env.StreamID, p.BlockID, c.DigestOf(p)) {
-		return false
-	}
-	r.stats.CacheHits++
-	return true
-}
-
-// digestOf returns p's content digest: looked up in Digests, then in the
-// Cache's memo, and hashed here only when there is neither.
+// digestOf returns p's content digest: looked up in Digests, and hashed
+// here when it is not there.
 func (r *Recorder) digestOf(p *packet.Packet) crypto.Digest {
 	if d, ok := r.env.Digests[p]; ok {
 		return d
-	}
-	if r.env.Cache != nil {
-		return r.env.Cache.DigestOf(p)
 	}
 	return crypto.HashBytes(r.contentOf(p))
 }
@@ -248,13 +230,10 @@ func (r *Recorder) hashDepth(depth int) {
 }
 
 // Authenticated records that p, which arrived at arrived, was proven
-// authentic at at: the receiver-delay observation, the shared-cache
-// publication and the authenticate record.
+// authentic at at: the receiver-delay observation and the authenticate
+// record.
 func (r *Recorder) Authenticated(p *packet.Packet, arrived, at time.Time) {
 	r.stats.Authenticated++
-	if c := r.env.Cache; c != nil {
-		c.MarkAuthentic(r.env.StreamID, p.BlockID, c.DigestOf(p))
-	}
 	latency := at.Sub(arrived)
 	if latency < 0 {
 		latency = 0

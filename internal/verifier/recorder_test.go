@@ -10,7 +10,7 @@ import (
 )
 
 // TestRecorderZeroEnv drives every fact through a Recorder with no sink
-// attached — nil tracer, ring, registry and cache, the path every library
+// attached — nil tracer, ring and registry, the path every library
 // caller without observability takes: nothing panics and Stats holds it all.
 func TestRecorderZeroEnv(t *testing.T) {
 	var r Recorder
@@ -20,9 +20,6 @@ func TestRecorderZeroEnv(t *testing.T) {
 
 	r.Received()
 	r.Duplicate()
-	if r.Cached(p) {
-		t.Error("a cacheless Env took the shared-cache shortcut")
-	}
 	if !r.Hold(p, at, 0) {
 		t.Error("an uncapped buffer turned a packet away")
 	}

@@ -68,9 +68,6 @@ type Counts struct {
 	// attacks").
 	DroppedOverflow int
 
-	// CacheHits counts packets accepted straight from a SharedCache
-	// (content digest already proven authentic by another subscriber).
-	CacheHits int
 	// PendingSignature counts signature packets currently awaiting a
 	// deferred batch-verify verdict.
 	PendingSignature int
@@ -174,9 +171,6 @@ func (v *Chained) Ingest(p *packet.Packet, at time.Time) ([]Event, error) {
 		return nil, nil
 	}
 
-	if v.rec.Cached(p) {
-		return v.Accept(p, at), nil
-	}
 	switch {
 	case len(p.Signature) > 0:
 		// A digest the Env already holds is the memo key's hash of the
